@@ -96,6 +96,46 @@ Shape asserted in `bench_sampler_fastpath.py`: equivalence on every
 (vectorized + warmed cache) >= 5x at batch 128.""",
     ),
     (
+        "Autograd-free inference forward — the performance ledger, before / after",
+        "inference_forward",
+        """Not a paper table, but the paper's systems claim is per-transaction
+inference cost (Sec. 3.2.3 / Table 3 / Fig. 10). The ledger
+(`benchmarks/ledger/`, PR 11) decomposed a 3.2 ms cold request into 60%
+forward — 2 ms for an 11-node subgraph, which is per-op ``Tensor``
+construction, not arithmetic. ``XFraudDetector.predict_proba`` is now
+one plain-numpy kernel over type-sorted nodes and target-sorted edges
+(`models/hetero_conv.py` ``forward_inference``); the ``Tensor``
+``forward`` stays for training, the explainer and as the kernel's
+reference (``repro check`` scenario ``fused-vs-autograd-forward``,
+bound 1e-12; measured max |Δscore| 3e-16 on the 6.9k-node graph).
+
+Claimed beforehand: ``latency_p50_ms`` on ``serve_cold`` improves by 25%
+or more. Measured by the ledger README's "Comparing two commits"
+protocol with the ledger code byte-identical on both sides; every run
+made is committed under `benchmarks/results/ledger_pr12/` (20 untraced
++ 4 traced ``ledger.json``; compare any two with
+`benchmarks/ledger/agree.py`). Seeds 3-9 were not used while the change
+was written (three earlier seed-0 ``serve_cold`` runs, 3.25 / 3.17 ms
+parent and 1.59 ms change, are not in the table). Should move, not
+claimed: ``serve_cold`` throughput and p95, ``serve_hot`` and
+``stream_ingest`` (forward share 29% / 27%). Should not move:
+``train_epoch``, ``setup_s``, ``peak_rss_mb``, every ``auc`` (equal to
+the printed precision; ``scores_crc32`` and every exact count equal for
+every seed). ``failed`` is 0 in all 96 workload runs.
+
+``models.forward_share`` on ``serve_cold`` fell from 60% to 26% (the
+issue predicted 20-25%) with ``models.forward_calls``,
+``serving.requests``, ``graph.cache.*`` and ``storage.reads`` exactly
+equal: the saving sits in `models` (2.05 -> 0.46 ms a forward) and
+nowhere else — every other layer's ms per request is unchanged, its
+share of a shorter request is larger. The serving module's own time
+(0.61 ms a request, mostly ``np.load`` row decodes) is now the largest
+``serve_cold`` layer; ``stream_ingest`` is flush-bound (35-42%), not
+scoring-bound. ``storage.hedge_overruns`` reads ~5% of reads where it
+read 93-100%: this PR also fixed the tally to compare the duration that
+feeds the threshold's reservoir.""",
+    ),
+    (
         "Figure 14 — distributed convergence",
         "fig14_convergence",
         """Paper (Appendix C): 16-machine training does not converge faster and

@@ -3,7 +3,8 @@
 Every fast or durable path in the stack has a slower executable spec:
 the vectorized samplers have the scalar reference walk, the CSR delta
 merge has the full stable rebuild, micro-batched scoring has the
-sequential path, and the WAL has "whatever was durably framed before
+sequential path, the detector's plain-array inference kernel has its
+autograd forward, and the WAL has "whatever was durably framed before
 the crash". A fuzz *scenario* drives both sides of one such pair on a
 seeded random input and returns a divergence description (or ``None``).
 
@@ -291,6 +292,69 @@ def _fuzz_wal(seed: int, size: int) -> Optional[str]:
     return None
 
 
+@scenario("fused-vs-autograd-forward")
+def _fuzz_inference_forward(seed: int, size: int) -> Optional[str]:
+    """The detector's plain-array ``predict_proba`` kernel vs its
+    ``Tensor`` forward in eval mode: on a whole random graph, on the
+    same graph with a random share of its directed edges dropped
+    (targets without in-edges, down to no edges at all), and on a
+    block-diagonal stack of sampled neighbourhoods."""
+    from ..graph.hetero import HeteroGraph
+    from ..graph.sampling import SageSampler, stack_subgraphs
+    from ..models.detector import DetectorConfig, XFraudDetector
+    from ..models.inference import tensor_predict_proba
+
+    rng = np.random.default_rng(seed)
+    graph = random_hetero_graph(rng, num_txns=size, feature_dim=5)
+    heads = int(rng.integers(1, 4))
+    detector = XFraudDetector(
+        DetectorConfig(
+            feature_dim=5,
+            hidden_dim=heads * int(rng.integers(1, 5)),
+            num_heads=heads,
+            num_layers=1 + size % 3,
+            ffn_hidden_dim=int(rng.integers(2, 9)),
+            per_type_projections=bool(rng.integers(0, 2)),
+            target_specific_aggregation=bool(rng.integers(0, 2)),
+            seed=seed % 97,
+        )
+    )
+    # Type embeddings start at zero and layer norms at identity; draw
+    # every parameter so no term of the forward is multiplied away.
+    for param in detector.parameters():
+        param.data[...] = rng.normal(scale=0.5, size=param.data.shape)
+    detector.train(bool(rng.integers(0, 2)))  # the kernel must not care
+
+    txns = np.flatnonzero(graph.node_type == 0)
+    targets = txns[rng.integers(0, len(txns), size=int(rng.integers(1, 6)))]  # repeats allowed
+    sampler = SageSampler(hops=1 + size % 2, fanout=1 + size % 4, seed=seed & 0xFFFF)
+    stacked = stack_subgraphs([sampler.sample(graph, [int(node)]) for node in targets])
+    keep = rng.random(graph.num_edges) < rng.choice([0.0, 0.5, 0.9])
+    thinned = HeteroGraph(
+        node_type=graph.node_type,
+        edge_src=graph.edge_src[keep],
+        edge_dst=graph.edge_dst[keep],
+        edge_type=graph.edge_type[keep],
+        txn_features=graph.txn_features,
+        labels=graph.labels,
+    )
+    cases = (
+        ("whole graph", graph, targets),
+        ("thinned graph", thinned, targets),
+        ("stacked samples", stacked.graph, stacked.target_local),
+    )
+    for label, case_graph, case_targets in cases:
+        fused = detector.predict_proba(case_graph, case_targets)
+        reference = tensor_predict_proba(detector, case_graph, case_targets)
+        worst = float(np.abs(fused - reference).max())
+        if not worst <= 1e-12:  # also catches NaN
+            return (
+                f"{label} ({case_graph.num_nodes} nodes, {case_graph.num_edges} edges, "
+                f"targets={case_targets.tolist()}): max |fused - autograd| = {worst:.3e}"
+            )
+    return None
+
+
 # ----------------------------------------------------------------------
 # Driver + shrinker
 # ----------------------------------------------------------------------
@@ -298,7 +362,12 @@ def run_case(name: str, seed: int, size: int) -> Optional[str]:
     """Run one scenario once; returns the divergence string or None."""
     if name not in SCENARIOS:
         raise KeyError(f"unknown fuzz scenario {name!r}")
-    return SCENARIOS[name](int(seed), int(size))
+    try:
+        return SCENARIOS[name](int(seed), int(size))
+    except Exception as error:
+        # One side crashing on an input the other handles is a
+        # divergence to shrink and pin, not a reason to stop the run.
+        return f"raised {type(error).__name__}: {error}"
 
 
 def shrink(

@@ -9,7 +9,7 @@ from .detector import (
 from .gat import GATLayer, GATModel
 from .gem import GEMLayer, GEMModel
 from .mlp import FeatureMLP
-from .hetero_conv import HeteroConvLayer, MaskedHeteroConvLayer
+from .hetero_conv import HeteroConvLayer
 
 __all__ = [
     "DetectorConfig",
@@ -17,7 +17,6 @@ __all__ = [
     "XFraudDetectorPlus",
     "XFraudDetectorHGT",
     "HeteroConvLayer",
-    "MaskedHeteroConvLayer",
     "GATModel",
     "GATLayer",
     "GEMModel",

@@ -29,6 +29,7 @@ from ..graph.hetero import HeteroGraph
 from ..graph.sampling import HGSampler, SageSampler
 from ..nn import Tensor
 from ..nn import functional as F
+from .hetero_conv import HeteroConvLayer, InferenceLayout
 
 
 @dataclass
@@ -61,8 +62,6 @@ class XFraudDetector(nn.Module):
 
     def __init__(self, config: DetectorConfig) -> None:
         super().__init__()
-        from .hetero_conv import MaskedHeteroConvLayer
-
         self.config = config
         rng = np.random.default_rng(config.seed)
         self._rng = rng
@@ -71,7 +70,7 @@ class XFraudDetector(nn.Module):
         for layer in range(config.num_layers):
             in_dim = config.feature_dim if layer == 0 else config.hidden_dim
             self.convs.append(
-                MaskedHeteroConvLayer(
+                HeteroConvLayer(
                     in_dim=in_dim,
                     out_dim=config.hidden_dim,
                     num_heads=config.num_heads,
@@ -139,16 +138,26 @@ class XFraudDetector(nn.Module):
 
     # ------------------------------------------------------------------
     def predict_proba(self, graph: HeteroGraph, targets: Sequence[int]) -> np.ndarray:
-        """Fraud probability per target (inference mode, no graph)."""
-        was_training = self.training
-        self.eval()
-        try:
-            with nn.no_grad():
-                logits = self.forward(graph, targets)
-                probabilities = F.softmax(logits, axis=-1)
-        finally:
-            self.train(was_training)
-        return probabilities.data[:, 1].copy()
+        """Fraud probability per target: :meth:`forward` in eval mode,
+        computed on plain arrays (no ``Tensor``, no tape, no dropout —
+        ``self.training`` is neither read nor changed)."""
+        layout = InferenceLayout.of(graph)
+        position = layout.rank[np.asarray(targets, dtype=np.int64)]
+        features = np.empty(graph.txn_features.shape)
+        features[layout.rank] = graph.txn_features
+        h = features
+        for conv in self.convs:
+            h = conv.forward_inference(layout, h)
+
+        x = np.concatenate([np.tanh(h[position]), features[position]], axis=1)
+        for fc, norm in ((self.head_fc1, self.head_norm1), (self.head_fc2, self.head_norm2)):
+            x = x @ fc.weight.data + fc.bias.data
+            x -= x.mean(axis=-1, keepdims=True)
+            x /= np.sqrt((x * x).mean(axis=-1, keepdims=True) + norm.eps)
+            x = np.maximum(x * norm.weight.data + norm.bias.data, 0.0)
+        logits = x @ self.head_out.weight.data + self.head_out.bias.data
+        exp = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        return exp[:, 1] / exp.sum(axis=-1)
 
     def loss(self, graph: HeteroGraph, targets: Sequence[int]) -> Tensor:
         """Detector loss: softmax cross entropy on labeled targets."""

@@ -17,6 +17,7 @@ from ..graph.hetero import HeteroGraph
 from ..nn import Tensor
 from ..nn import functional as F
 from .detector import DetectorConfig
+from .inference import tensor_predict_proba
 
 
 class GATLayer(nn.Module):
@@ -105,14 +106,7 @@ class GATModel(nn.Module):
 
     def predict_proba(self, graph: HeteroGraph, targets: Sequence[int]) -> np.ndarray:
         """Fraud probability per target transaction (eval mode)."""
-        was_training = self.training
-        self.eval()
-        try:
-            with nn.no_grad():
-                probabilities = F.softmax(self.forward(graph, targets), axis=-1)
-        finally:
-            self.train(was_training)
-        return probabilities.data[:, 1].copy()
+        return tensor_predict_proba(self, graph, targets)
 
     def loss(self, graph: HeteroGraph, targets: Sequence[int]) -> Tensor:
         """Softmax cross entropy over labeled target transactions."""

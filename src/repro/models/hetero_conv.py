@@ -17,11 +17,19 @@ Implements eqs. 2–10 of the paper:
 Unlike HGT there is **no target-specific aggregation**: the output path
 (residual + layer norm + ReLU) shares weights across node types, which
 the paper reports works better on transaction graphs.
+
+The layer has two forwards over the same parameters. ``forward`` runs
+on the autograd :class:`~repro.nn.Tensor` (training, the explainer's
+masks). ``forward_inference`` is the same function on plain arrays for
+scoring: it needs no tape, so it can reorder the algebra (see
+:class:`InferenceLayout`) and costs a few dozen numpy calls per layer
+instead of one ``Tensor`` per op and per node/edge type.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -29,6 +37,73 @@ from .. import nn
 from ..graph.hetero import EDGE_TYPES, NODE_TYPES, HeteroGraph
 from ..nn import Tensor
 from ..nn import functional as F
+
+#: Edge-type ids grouped by the projection that serves their source
+#: node type — per type name, and all of them under ``"shared"``.
+_EDGE_TYPES_BY_SOURCE = {
+    name: np.array([i for i, edge in enumerate(EDGE_TYPES) if edge.split("->")[0] == name])
+    for name in NODE_TYPES
+}
+_EDGE_TYPES_BY_SOURCE["shared"] = np.arange(len(EDGE_TYPES))
+
+
+@dataclass(frozen=True)
+class InferenceLayout:
+    """A graph's structure in the order the inference forward wants it.
+
+    Built once per ``predict_proba`` call and shared by every layer.
+    Nodes are renumbered so each node type is one contiguous block
+    (the per-type weights then apply to slices, not gathered rows), and
+    edges are stably sorted by their renumbered target, so every
+    in-neighbourhood is a contiguous run that ``ufunc.reduceat`` can
+    reduce from its first edge.
+    """
+
+    #: ``rank[v]`` is the position of the graph's node ``v``.
+    rank: np.ndarray
+    #: ``(N,)`` node-type id per position, ascending.
+    node_type: np.ndarray
+    #: ``(type_id, start, stop)`` per node type present.
+    type_blocks: List[Tuple[int, int, int]]
+    #: ``(E,)`` edge endpoints (as positions) and types, sorted by ``dst``.
+    src: np.ndarray
+    dst: np.ndarray
+    edge_type: np.ndarray
+    #: ``(S,)`` first edge of each non-empty in-neighbourhood, its
+    #: target position, and ``(E,)`` each edge's index into those.
+    starts: np.ndarray
+    heads: np.ndarray
+    segment: np.ndarray
+
+    @classmethod
+    def of(cls, graph: HeteroGraph) -> "InferenceLayout":
+        by_type = np.argsort(graph.node_type, kind="stable")
+        rank = np.empty_like(by_type)
+        rank[by_type] = np.arange(len(by_type))
+        node_type = graph.node_type[by_type]
+        bounds = np.searchsorted(node_type, np.arange(len(NODE_TYPES) + 1)).tolist()
+        type_blocks = [
+            (type_id, start, stop)
+            for type_id, (start, stop) in enumerate(zip(bounds, bounds[1:]))
+            if stop > start
+        ]
+        dst = rank[graph.edge_dst]
+        by_dst = np.argsort(dst, kind="stable")
+        dst = dst[by_dst]
+        first = np.ones(len(dst), dtype=bool)
+        first[1:] = dst[1:] != dst[:-1]
+        starts = np.flatnonzero(first)
+        return cls(
+            rank=rank,
+            node_type=node_type,
+            type_blocks=type_blocks,
+            src=rank[graph.edge_src[by_dst]],
+            dst=dst,
+            edge_type=graph.edge_type[by_dst],
+            starts=starts,
+            heads=dst[starts],
+            segment=np.cumsum(first) - 1,
+        )
 
 
 class HeteroConvLayer(nn.Module):
@@ -159,7 +234,9 @@ class HeteroConvLayer(nn.Module):
         return nn.scatter_rows(projected, order, num_nodes)
 
     # ------------------------------------------------------------------
-    def forward(self, graph: HeteroGraph, h: Tensor) -> Tensor:
+    def forward(
+        self, graph: HeteroGraph, h: Tensor, edge_mask: Optional[Tensor] = None
+    ) -> Tensor:
         """One round of heterogeneous message passing.
 
         Parameters
@@ -170,6 +247,10 @@ class HeteroConvLayer(nn.Module):
         h:
             ``(num_nodes, in_dim)`` input representations — raw
             transaction features at layer 1, ``H^{l-1}`` afterwards.
+        edge_mask:
+            The GNNExplainer hook: per-edge weights in [0, 1] that
+            scale the normalised attention (in place of dropout), so a
+            fully-masked edge contributes nothing.
         """
         node_type = graph.node_type
         src, dst = graph.edge_src, graph.edge_dst
@@ -214,9 +295,12 @@ class HeteroConvLayer(nn.Module):
 
         # eq. 9: softmax over each target's in-neighbourhood.
         attention = nn.segment_softmax(logits, dst, num_nodes)
-        attention = F.dropout(
-            attention, self.dropout_rate, training=self.training, rng=self._rng
-        )
+        if edge_mask is None:
+            attention = F.dropout(
+                attention, self.dropout_rate, training=self.training, rng=self._rng
+            )
+        else:
+            attention = attention * edge_mask.reshape(graph.num_edges, 1)
 
         # eq. 10 + eq. 1 Aggregate: weight values, sum into targets.
         messages = value_edges * attention.reshape(graph.num_edges, self.num_heads, 1)
@@ -249,6 +333,8 @@ class HeteroConvLayer(nn.Module):
             transformed = (selected @ att[type_id]).transpose(1, 0, 2)
             pieces.append(transformed)
             indices.append(rows)
+        if not pieces:  # edgeless graph: nothing to transform
+            return x
         projected = pieces[0] if len(pieces) == 1 else nn.concat(pieces, axis=0)
         order = indices[0] if len(indices) == 1 else np.concatenate(indices)
         return nn.scatter_rows(projected, order, num_rows)
@@ -274,56 +360,113 @@ class HeteroConvLayer(nn.Module):
         table = nn.concat(rows, axis=0)
         return nn.gather(table, edge_types)
 
+    # ------------------------------------------------------------------
+    # Inference forward (plain ndarrays, no tape)
+    # ------------------------------------------------------------------
+    def _qkv_weights(self, key: str) -> Tuple[np.ndarray, np.ndarray]:
+        """``[Q | K | V]`` weights and biases side by side, so the three
+        projections are one matmul. Read from ``param.data`` on every
+        call: optimisers and ``load_state_dict`` write parameters in
+        place, so nothing derived from them may outlive the call."""
+        linears = (self.q_linear[key], self.k_linear[key], self.v_linear[key])
+        return (
+            np.concatenate([linear.weight.data for linear in linears], axis=1),
+            np.concatenate([linear.bias.data for linear in linears]),
+        )
 
-class MaskedHeteroConvLayer(HeteroConvLayer):
-    """Conv layer variant that accepts per-edge mask weights.
+    def _apply_blocks(
+        self, layout: InferenceLayout, x: np.ndarray, weights: dict
+    ) -> np.ndarray:
+        """``x W + b`` with each type block through its own ``(W, b)``
+        (or all rows through ``weights["shared"]``)."""
+        if "shared" in weights:
+            weight, bias = weights["shared"]
+            return x @ weight + bias
+        out = np.empty((len(x), weights[NODE_TYPES[0]][0].shape[1]))
+        for type_id, start, stop in layout.type_blocks:
+            weight, bias = weights[NODE_TYPES[type_id]]
+            np.matmul(x[start:stop], weight, out=out[start:stop])
+            out[start:stop] += bias
+        return out
 
-    The GNNExplainer perturbs the detector by multiplying every edge's
-    message by a learnable mask in [0, 1]. The mask enters *before* the
-    neighbourhood softmax (scaling the attention logits' exponent), so a
-    fully-masked edge contributes nothing.
-    """
+    def forward_inference(self, layout: InferenceLayout, h: np.ndarray) -> np.ndarray:
+        """:meth:`forward` in eval mode on raw arrays.
 
-    def forward(self, graph: HeteroGraph, h: Tensor, edge_mask: Optional[Tensor] = None) -> Tensor:
-        if edge_mask is None:
-            return super().forward(graph, h)
-        return self._forward_masked(graph, h, edge_mask)
+        ``h`` is ``(num_nodes, in_dim)`` in ``layout`` order; so is the
+        result. Differences from the tape's order of operations, all
+        exact up to float rounding:
 
-    def _forward_masked(self, graph: HeteroGraph, h: Tensor, edge_mask: Tensor) -> Tensor:
-        node_type = graph.node_type
-        src, dst = graph.edge_src, graph.edge_dst
-        num_nodes = graph.num_nodes
+        * the attention bilinears act on nodes, not edges:
+          ``(K A_src[τ(s)])[s] · (Q A_dst[τ(t)])[t]`` — ``N`` rows
+          through the matrices instead of ``2E``, one matmul per type
+          block for both sides;
+        * the first layer's ``φ(e)^emb`` term is a table with a row per
+          (source node type, edge type), pushed through the same
+          bilinear and gathered per edge;
+        * segment max / sum run as ``reduceat`` over ``layout``'s
+          contiguous in-neighbourhoods.
+        """
+        heads, dim, out_dim = self.num_heads, self.head_dim, self.out_dim
+        src, segment, starts = layout.src, layout.segment, layout.starts
+        num_nodes, num_edges = len(h), len(src)
 
         if self.first_layer:
-            h = h + self.node_type_emb(node_type)
+            h = h + self.node_type_emb.weight.data[layout.node_type]
+        keys = NODE_TYPES if self.per_type_projections else ("shared",)
+        weights = {key: self._qkv_weights(key) for key in keys}
+        qkv = self._apply_blocks(layout, h, weights)
+        value = qkv[:, 2 * out_dim :].reshape(num_nodes, heads, dim)
 
-        query = self._per_type_project(h, node_type, self.q_linear)
-        key = self._per_type_project(h, node_type, self.k_linear)
-        value = self._per_type_project(h, node_type, self.v_linear)
-        query = query.reshape(num_nodes, self.num_heads, self.head_dim)
-        key = key.reshape(num_nodes, self.num_heads, self.head_dim)
-        value = value.reshape(num_nodes, self.num_heads, self.head_dim)
+        # eq. 8 per node: [Q·A_dst[τ(v)] | K·A_src[τ(v)]], heads of
+        # both sides batched into one matmul per type block.
+        query_key = qkv[:, : 2 * out_dim].reshape(num_nodes, 2 * heads, dim)
+        att = np.concatenate([self.att_dst.data, self.att_src.data], axis=1)
+        query_key_att = np.empty_like(query_key)
+        for type_id, start, stop in layout.type_blocks:
+            query_key_att[start:stop] = np.matmul(
+                query_key[start:stop].transpose(1, 0, 2), att[type_id]
+            ).transpose(1, 0, 2)
+        key_att = query_key_att[:, heads:][src]
+        value_edges = value[src]
 
-        key_edges = nn.gather(key, src)
-        value_edges = nn.gather(value, src)
-        if self.first_layer and graph.num_edges:
-            key_extra = self._edge_type_contribution(graph.edge_type, self.k_linear)
-            value_extra = self._edge_type_contribution(graph.edge_type, self.v_linear)
-            key_edges = key_edges + key_extra.reshape(graph.num_edges, self.num_heads, self.head_dim)
-            value_edges = value_edges + value_extra.reshape(graph.num_edges, self.num_heads, self.head_dim)
+        if self.first_layer:
+            # K(φ) and V(φ) without bias, through the projection of the
+            # edge type's source node type (as _edge_type_contribution).
+            edge_emb = self.edge_type_emb.weight.data
+            extra = np.empty((len(EDGE_TYPES), 2 * out_dim))
+            for key in keys:
+                rows = _EDGE_TYPES_BY_SOURCE[key]
+                extra[rows] = edge_emb[rows] @ weights[key][0][:, out_dim:]
+            extra = extra.reshape(len(EDGE_TYPES), 2 * heads, dim)
+            # (source node type, edge type, head, dim): K(φ)·A_src[τ(s)].
+            key_extra_att = np.matmul(
+                extra[None, :, :heads, None, :], self.att_src.data[:, None]
+            )[:, :, :, 0, :]
+            key_att += key_extra_att[layout.node_type[src], layout.edge_type]
+            value_edges += extra[layout.edge_type, heads:]
 
-        query_edges = nn.gather(query, dst)
-        key_att = self._per_type_bilinear(key_edges, node_type[src], self.att_src)
-        query_att = self._per_type_bilinear(query_edges, node_type[dst], self.att_dst)
-        logits = (key_att * query_att).sum(axis=2)
-        logits = logits * (1.0 / np.sqrt(self.head_dim))
-        attention = nn.segment_softmax(logits, dst, num_nodes)
+        logits = np.einsum("ehd,ehd->eh", key_att, query_key_att[:, :heads][layout.dst])
+        logits *= dim**-0.5
 
-        # Explainer mask scales the normalised attention weights.
-        mask = edge_mask.reshape(graph.num_edges, 1)
-        attention = attention * mask
+        # eq. 9: softmax over each contiguous in-neighbourhood.
+        logits -= np.maximum.reduceat(logits, starts, axis=0)[segment]
+        attention = np.exp(logits, out=logits)
+        attention /= np.add.reduceat(attention, starts, axis=0)[segment] + 1e-16
 
-        messages = value_edges * attention.reshape(graph.num_edges, self.num_heads, 1)
-        aggregated = nn.segment_sum(messages, dst, num_nodes)
-        aggregated = aggregated.reshape(num_nodes, self.out_dim)
-        return self._output(graph, h, aggregated)
+        # eq. 10 + eq. 1 Aggregate; targets without in-edges stay zero.
+        value_edges *= attention[:, :, None]
+        aggregated = np.zeros((num_nodes, out_dim))
+        aggregated[layout.heads] = np.add.reduceat(
+            value_edges.reshape(num_edges, out_dim), starts, axis=0
+        )
+        if self.target_specific:
+            aggregated = self._apply_blocks(
+                layout,
+                aggregated,
+                {
+                    name: (linear.weight.data, linear.bias.data)
+                    for name, linear in self.a_linear.items()
+                },
+            )
+        return np.maximum(aggregated, 0.0, out=aggregated)
+

@@ -37,7 +37,8 @@ def scatter_add_rows(values: np.ndarray, index: np.ndarray, num_rows: int) -> np
     if values.ndim == 1:
         return np.bincount(index, weights=values, minlength=num_rows)
     num_values = len(index)
-    flat = values.reshape(num_values, -1)
+    # Explicit width: ``-1`` cannot be inferred when there are no rows.
+    flat = values.reshape(num_values, int(np.prod(values.shape[1:])))
     one_hot = sparse.csr_matrix(
         (np.ones(num_values), (index, np.arange(num_values))),
         shape=(num_rows, num_values),

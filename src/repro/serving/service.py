@@ -369,8 +369,8 @@ class ScoringService:
         ``config.batch_size`` (``None`` = all at once), each executing
         one cache-keyed singleton sample per target stacked into ONE
         disjoint forward graph, ONE batched KV feature fetch, and one
-        ``no_grad`` forward per degradation rung actually used — not
-        one per request. Scores are identical to sequential scoring
+        ``predict_proba`` forward per degradation rung actually used —
+        not one per request. Scores are identical to sequential scoring
         (within float noise); responses come back in request order.
         """
         coerced = [self._coerce(request) for request in requests]

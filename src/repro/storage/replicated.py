@@ -563,9 +563,8 @@ class ReplicatedKVStore(KVStore):
         misses = 0
         for slot, index in enumerate(candidates):
             position = slot + position_offset
-            started = self._clock()
             try:
-                value = self._read_replica(index, key)
+                value, elapsed = self._read_replica(index, key)
             except _ReplicaMiss:
                 misses += 1
                 continue
@@ -577,8 +576,12 @@ class ReplicatedKVStore(KVStore):
             except Exception as error:
                 last_error = error
                 continue
+            # ``elapsed`` is the duration that fed the primary's latency
+            # reservoir, so it is judged against a threshold learnt from
+            # the same measurement (not one that also spans contains(),
+            # breaker and lock bookkeeping, which overruns on every read).
             if position == 0 and threshold is not None:
-                if self._clock() - started > threshold:
+                if elapsed > threshold:
                     with self._lock:
                         self.hedge_overruns += 1
                         if self._overruns_total is not None:
@@ -602,7 +605,7 @@ class ReplicatedKVStore(KVStore):
         started = self._clock()
         primary = executor.submit(self._read_replica, primary_index, key, False)
         try:
-            value = primary.result(timeout=threshold)
+            value, _ = primary.result(timeout=threshold)
         except _FutureTimeout:
             pass
         except Exception:
@@ -630,7 +633,7 @@ class ReplicatedKVStore(KVStore):
             done, pending = _wait_futures(pending, return_when=FIRST_COMPLETED)
             for future in done:
                 try:
-                    return future.result()
+                    return future.result()[0]
                 except Exception as error:  # noqa: PERF203 - tiny set
                     last_error = error
         remainder = candidates[2:]
@@ -640,8 +643,12 @@ class ReplicatedKVStore(KVStore):
             f"hedged read of {key!r} failed on primary and backup"
         ) from last_error
 
-    def _read_replica(self, index: int, key: str, record_sample: bool = True) -> bytes:
-        """One verified read of one replica, with health + breaker accounting.
+    def _read_replica(
+        self, index: int, key: str, record_sample: bool = True
+    ) -> Tuple[bytes, float]:
+        """One verified read of one replica, with health + breaker
+        accounting; returns the value and the read's duration as
+        recorded in the replica's health.
 
         Raises :class:`_ReplicaMiss` (without penalising health) when
         the replica simply lacks the key; other failures count against
@@ -692,7 +699,7 @@ class ReplicatedKVStore(KVStore):
         with self._lock:
             health.record_success(elapsed, record_sample=record_sample)
             self._count_replica_read(index, "ok")
-        return value
+        return value, elapsed
 
     def _count_replica_read(self, index: int, outcome: str) -> None:
         if self._replica_reads is not None:

@@ -184,6 +184,23 @@ class TestRegressionSeeds:
         assert run_case("single-vs-batched-scoring", 0, 1) is None
         assert run_case("single-vs-batched-scoring", 1434336075, 3) is None
 
+    def test_edgeless_forward_shrunk_case(self):
+        # Pre-fix: the autograd forward raised on a graph with no edges
+        # (concat of zero per-type pieces, then a zero-row reshape(-1)
+        # in scatter_add_rows) where the inference kernel scores it.
+        assert run_case("fused-vs-autograd-forward", 0, 1) is None
+        assert run_case("fused-vs-autograd-forward", 1882789421, 3) is None
+
+    def test_a_crashing_side_is_a_divergence(self):
+        def crashes(seed, size):
+            raise ValueError("one side blew up")
+
+        SCENARIOS["synthetic-crash"] = crashes
+        try:
+            assert "ValueError: one side blew up" in run_case("synthetic-crash", 0, 1)
+        finally:
+            del SCENARIOS["synthetic-crash"]
+
 
 class TestGenerators:
     def test_graph_generator_is_seed_deterministic(self):

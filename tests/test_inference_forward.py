@@ -1,0 +1,214 @@
+"""The detector's plain-array inference forward against its reference.
+
+``XFraudDetector.predict_proba`` is a numpy kernel with no ``Tensor``
+behind it; ``tensor_predict_proba`` runs the same parameters through the
+autograd ``forward`` in eval mode under ``no_grad``. The two must agree
+to ``BOUND`` on every graph shape and every ablation config, and the
+kernel must read the parameters live (no cached export) and leave the
+module's mode and dropout generator alone.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from repro import nn
+from repro.check.gen import random_hetero_graph
+from repro.data import load_dataset
+from repro.graph.hetero import EDGE_TYPES, NODE_TYPE_IDS, HeteroGraph
+from repro.graph.sampling import SageSampler, stack_subgraphs
+from repro.models import DetectorConfig, XFraudDetector
+from repro.models.inference import tensor_predict_proba
+
+BOUND = 1e-12
+FEATURE_DIM = 6
+
+ABLATIONS = list(itertools.product([False, True], repeat=2))
+ablations = pytest.mark.parametrize("per_type, target_specific", ABLATIONS)
+
+
+def make_detector(per_type=False, target_specific=False, feature_dim=FEATURE_DIM, seed=0):
+    """A small detector with every parameter randomised, so zero-init
+    type embeddings and identity layer norms cannot hide a term."""
+    model = XFraudDetector(
+        DetectorConfig(
+            feature_dim=feature_dim,
+            hidden_dim=8,
+            num_heads=2,
+            num_layers=2,
+            ffn_hidden_dim=8,
+            dropout=0.5,
+            per_type_projections=per_type,
+            target_specific_aggregation=target_specific,
+            seed=seed,
+        )
+    )
+    rng = np.random.default_rng(seed + 1)
+    for param in model.parameters():
+        param.data[...] = rng.normal(scale=0.5, size=param.data.shape)
+    return model
+
+
+def linked_graph(node_kinds, links, seed=0):
+    node_types = [NODE_TYPE_IDS[kind] for kind in node_kinds]
+    is_txn = np.array(node_types) == NODE_TYPE_IDS["txn"]
+    features = np.random.default_rng(seed).normal(size=(len(node_types), FEATURE_DIM))
+    features[~is_txn] = 0.0
+    labels = np.where(is_txn, 0, -1)
+    return HeteroGraph.from_links(node_types, links, features, labels)
+
+
+def _edgeless():
+    return linked_graph(["txn", "txn", "pmt", "txn"], []), [0, 1, 3]
+
+
+def _target_without_in_edges():
+    # One directed edge txn -> pmt: the graph has an edge, the txn has
+    # no in-neighbourhood, and txn 1 is isolated altogether.
+    graph = HeteroGraph(
+        node_type=[0, 0, 1],
+        edge_src=[0],
+        edge_dst=[2],
+        edge_type=[EDGE_TYPES.index("txn->pmt")],
+        txn_features=linked_graph(["txn", "txn", "pmt"], []).txn_features,
+        labels=[0, 1, -1],
+    )
+    return graph, [0, 1]
+
+
+def _single_edge_neighbourhoods():
+    return linked_graph(["txn", "pmt", "txn", "email"], [(0, 1), (2, 3)]), [0, 2]
+
+
+def _all_edge_types():
+    graph = linked_graph(
+        ["txn", "pmt", "email", "addr", "buyer", "txn"],
+        [(0, 1), (0, 2), (0, 3), (0, 4), (5, 1), (5, 4)],
+    )
+    assert set(graph.edge_type.tolist()) == set(range(len(EDGE_TYPES)))
+    return graph, [0, 5]
+
+
+def _absent_node_types():
+    # Only txn and buyer exist; buyer is the *last* type id, so the
+    # blocks in between are empty.
+    return linked_graph(["buyer", "txn", "txn", "buyer"], [(1, 0), (2, 0), (2, 3)]), [1, 2]
+
+
+def _duplicate_targets():
+    graph, _ = _all_edge_types()
+    return graph, [0, 0, 5, 0]
+
+
+def singleton_samples(count=32):
+    """``count`` one-target sampled neighbourhoods of one random graph."""
+    graph = random_hetero_graph(np.random.default_rng(5), num_txns=40, feature_dim=FEATURE_DIM)
+    sampler = SageSampler(hops=2, fanout=3, seed=1)
+    txns = np.flatnonzero(graph.node_type == 0)[:count]
+    return [sampler.sample(graph, [int(txn)]) for txn in txns]
+
+
+def _stacked_32():
+    stacked = stack_subgraphs(singleton_samples())
+    return stacked.graph, stacked.target_local
+
+
+SHAPES = {
+    "edgeless": _edgeless,
+    "target-without-in-edges": _target_without_in_edges,
+    "single-edge-neighbourhoods": _single_edge_neighbourhoods,
+    "all-8-edge-types": _all_edge_types,
+    "absent-node-types": _absent_node_types,
+    "duplicate-targets": _duplicate_targets,
+    "stacked-32": _stacked_32,
+}
+
+
+@ablations
+@pytest.mark.parametrize("shape", SHAPES)
+def test_kernel_matches_tensor_forward(shape, per_type, target_specific):
+    graph, targets = SHAPES[shape]()
+    model = make_detector(per_type, target_specific)
+    scores = model.predict_proba(graph, targets)
+    assert scores.shape == (len(targets),)
+    assert np.abs(scores - tensor_predict_proba(model, graph, targets)).max() <= BOUND
+
+
+@pytest.fixture(scope="module")
+def serving_graph():
+    return load_dataset("ebay-small-sim", seed=0, scale=1.0).graph
+
+
+@ablations
+def test_kernel_matches_tensor_forward_on_the_full_graph(
+    serving_graph, per_type, target_specific
+):
+    model = make_detector(per_type, target_specific, feature_dim=serving_graph.feature_dim)
+    targets = serving_graph.txn_nodes
+    scores = model.predict_proba(serving_graph, targets)
+    reference = tensor_predict_proba(model, serving_graph, targets)
+    assert np.abs(scores - reference).max() <= BOUND
+    assert scores.std() > 1e-3  # not a constant both sides agree on
+
+
+def test_stacked_scores_equal_singleton_scores():
+    """PR 10's batch-composition bug must not return through a
+    ``reduceat`` over a mis-sorted segment: a target scores the same
+    alone as inside a 32-part block-diagonal stack."""
+    parts = singleton_samples()
+    model = make_detector()
+    alone = np.concatenate([model.predict_proba(p.graph, p.target_local) for p in parts])
+    stacked = stack_subgraphs(parts)
+    together = model.predict_proba(stacked.graph, stacked.target_local)
+    assert np.abs(alone - together).max() <= BOUND
+    # ... in any stacking order.
+    reversed_stack = stack_subgraphs(parts[::-1])
+    backwards = model.predict_proba(reversed_stack.graph, reversed_stack.target_local)
+    assert np.abs(alone - backwards[::-1]).max() <= BOUND
+
+
+class TestLiveWeights:
+    """Optimisers and ``load_state_dict`` write ``param.data`` in place;
+    a kernel that cached anything derived from the weights would keep
+    scoring with the old ones."""
+
+    def test_follows_an_optimizer_step(self):
+        graph, targets = _all_edge_types()
+        model = make_detector()
+        before = model.predict_proba(graph, targets)
+        optimizer = nn.AdamW(model.parameters(), lr=0.05)
+        model.loss(graph, targets).backward()
+        optimizer.step()
+        after = model.predict_proba(graph, targets)
+        assert np.abs(after - before).max() > 1e-4
+        assert np.abs(after - tensor_predict_proba(model, graph, targets)).max() <= BOUND
+
+    def test_follows_load_state_dict(self):
+        graph, targets = _all_edge_types()
+        model = make_detector(seed=0)
+        before = model.predict_proba(graph, targets)
+        model.load_state_dict(make_detector(seed=9).state_dict())
+        after = model.predict_proba(graph, targets)
+        assert np.abs(after - before).max() > 1e-4
+        assert np.abs(after - tensor_predict_proba(model, graph, targets)).max() <= BOUND
+        assert np.array_equal(after, make_detector(seed=9).predict_proba(graph, targets))
+
+
+@pytest.mark.parametrize("training", [True, False])
+def test_mode_is_left_as_found_and_dropout_never_fires(training):
+    graph, targets = _all_edge_types()
+    model = make_detector()  # dropout 0.5
+    model.train(training)
+    generator_state = model._rng.bit_generator.state
+    first = model.predict_proba(graph, targets)
+    second = model.predict_proba(graph, targets)
+    assert all(module.training is training for module in [model, *model.convs])
+    assert model._rng.bit_generator.state == generator_state
+    assert np.array_equal(first, second)
+    assert np.abs(first - tensor_predict_proba(model, graph, targets)).max() <= BOUND
+
+
+def test_no_targets():
+    graph, _ = _all_edge_types()
+    assert make_detector().predict_proba(graph, []).shape == (0,)

@@ -345,6 +345,40 @@ class TestHedging:
         assert store.hedge_overruns >= baseline + 2
         assert store.hedged_reads == 0  # deterministic mode never races
 
+    def test_healthy_tier_overruns_at_the_quantile_rate_on_a_ticking_clock(self):
+        """On a clock that moves while the store does its bookkeeping
+        (as a real one does), a read overruns when the *replica read*
+        exceeded the threshold learnt from replica reads — about
+        ``1 - hedge_quantile`` of a healthy tier's reads, not nearly
+        all of them (which is what timing the bookkeeping too gave)."""
+
+        class TickingClock(ManualClock):
+            def __call__(self):  # every look at the clock costs time
+                self.now += 0.0005
+                return self.now
+
+        clock = TickingClock()
+        rng = np.random.default_rng(0)
+
+        class JitteryKVStore(SlowKVStore):
+            def get(self, key):  # the inner read: 1.0-1.2 ms, seeded
+                self.delay_s = float(rng.uniform(0.0010, 0.0012))
+                return super().get(key)
+
+        config = ReplicatedConfig(
+            replication_factor=2, concurrent_hedge=False, hedge_quantile=0.9
+        )
+        store, _, _ = _make_store(
+            2, clock=clock, config=config, wrap=lambda _, r: JitteryKVStore(r, clock)
+        )
+        for index in range(40):
+            store.put(f"key/{index}", b"x")
+        reads = 2000
+        for index in range(reads):
+            store.get(f"key/{index % 40}")
+        assert store.failovers == 0
+        assert 0.05 * reads <= store.hedge_overruns <= 0.15 * reads
+
     def test_concurrent_mode_fires_backup_and_wins(self):
         import time as _time
 
