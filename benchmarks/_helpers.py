@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import timeit
 from dataclasses import dataclass
 from typing import Dict, List
 
@@ -32,6 +33,11 @@ def write_result(name: str, text: str) -> str:
     with open(path, "w") as handle:
         handle.write(text + "\n")
     return path
+
+
+def best_us(fn, number: int) -> float:
+    """Best-of-five mean microseconds per call of ``fn`` over ``number`` calls."""
+    return min(timeit.repeat(fn, number=number, repeat=5)) / number * 1e6
 
 
 def format_table(headers: List[str], rows: List[List[object]]) -> str:

@@ -3,43 +3,52 @@
 The paper replaced a single-threaded (LevelDB-style) KV-store with a
 multi-reader memory-mapped one (LMDB) and cut per-epoch data loading
 from ~45 min to ~1 min. This bench loads feature batches from both
-designs with four concurrent workers and reports throughput. Shape
-check: the multi-handle design is not slower, and under contention it
-wins.
+designs with one worker (no contention: what the locked path costs by
+itself) and with four concurrent workers, and reports throughput.
+
+Until rows were decoded by :func:`repro.storage.decode_array` this
+bench read 1.01x: a ~30 us GIL-held ``np.load`` per row outside the lock
+swamped the ~0.3 us locked section, so the handle design could not
+show. With a ~1 us decode the lock is a real share of each row, and
+four workers on one handle can form a lock convoy (a holder that loses
+the GIL stalls every waiter: ~36 vs ~3 us/row) — the paper's effect, at
+this scale. A convoy is sticky once formed and does not form in every
+run, so runs are bimodal; the table gives the median and the range.
 """
 
+import io
+import statistics
 import threading
 import time
 
 import numpy as np
 
-from _helpers import format_table, write_result
-from repro.storage import GraphStore, MmapKVStore, WorkerLoader
+from _helpers import best_us, format_table, write_result
+from repro.storage import GraphStore, MmapKVStore, WorkerLoader, decode_array, encode_array
 
 NUM_WORKERS = 4
-BATCHES_PER_WORKER = 30
+TOTAL_BATCHES = 1200  # split over the workers of a run
 BATCH = 64
+REPEATS = 5
 
 
-def _concurrent_load(store, private_handle, graph):
+def _concurrent_load(store, private_handle, graph, num_workers):
+    per_worker = TOTAL_BATCHES // num_workers
     rng = np.random.default_rng(0)
-    batches = [
-        rng.integers(0, graph.num_nodes, BATCH)
-        for _ in range(NUM_WORKERS * BATCHES_PER_WORKER)
-    ]
+    batches = [rng.integers(0, graph.num_nodes, BATCH) for _ in range(TOTAL_BATCHES)]
     errors = []
 
     def worker(worker_id):
         loader = WorkerLoader(store, private_handle=private_handle)
         try:
-            for i in range(BATCHES_PER_WORKER):
-                loader.load_features(batches[worker_id * BATCHES_PER_WORKER + i])
+            for i in range(per_worker):
+                loader.load_features(batches[worker_id * per_worker + i])
         except Exception as exc:  # pragma: no cover - surfaced below
             errors.append(exc)
         finally:
             loader.close()
 
-    threads = [threading.Thread(target=worker, args=(w,)) for w in range(NUM_WORKERS)]
+    threads = [threading.Thread(target=worker, args=(w,)) for w in range(num_workers)]
     start = time.perf_counter()
     for t in threads:
         t.start()
@@ -48,6 +57,24 @@ def _concurrent_load(store, private_handle, graph):
     elapsed = time.perf_counter() - start
     assert not errors
     return elapsed
+
+
+def _decode_us_per_row():
+    """(np.load, decode_array) microseconds for one 128-float row."""
+    blob = encode_array(np.linspace(0.0, 1.0, 128))
+    decode_array(blob)  # the one header parse every later row shares
+    return (
+        best_us(lambda: np.load(io.BytesIO(blob), allow_pickle=False), number=2000),
+        best_us(lambda: decode_array(blob), number=2000),
+    )
+
+
+def test_decode_ratio_floor():
+    """Machine-independent: the header-once decoder against the
+    ``np.load`` it replaced, same blob, same process (CI perf-smoke)."""
+    np_load_us, decode_us = _decode_us_per_row()
+    print(f"\nrow decode: np.load {np_load_us:.2f} us, decode_array {decode_us:.2f} us")
+    assert np_load_us >= 5.0 * decode_us
 
 
 def test_fig12_13_kvstore_loading(benchmark, small, tmp_path_factory):
@@ -59,31 +86,45 @@ def test_fig12_13_kvstore_loading(benchmark, small, tmp_path_factory):
     multi = MmapKVStore(str(base / "multi.bin"), single_handle=False)
     GraphStore(multi).save(graph)
 
-    single_seconds = _concurrent_load(single, private_handle=False, graph=graph)
-    multi_seconds = _concurrent_load(multi, private_handle=True, graph=graph)
+    seconds = {(design, w): [] for design in ("single", "multi") for w in (1, NUM_WORKERS)}
+    for workers in (1, NUM_WORKERS):
+        for _ in range(REPEATS):  # alternate, so drift hits both designs
+            seconds["single", workers].append(_concurrent_load(single, False, graph, workers))
+            seconds["multi", workers].append(_concurrent_load(multi, True, graph, workers))
 
     loader = WorkerLoader(multi, private_handle=True)
     rows_idx = np.arange(min(BATCH, graph.num_nodes))
     benchmark.pedantic(lambda: loader.load_features(rows_idx), rounds=5, iterations=1)
     loader.close()
 
-    total_rows = NUM_WORKERS * BATCHES_PER_WORKER * BATCH
-    rows = [
-        [
-            "single-handle (LevelDB-like)",
-            f"{single_seconds:.3f}s",
-            f"{total_rows / single_seconds:,.0f}",
-        ],
-        [
-            "multi-handle (LMDB-like)",
-            f"{multi_seconds:.3f}s",
-            f"{total_rows / multi_seconds:,.0f}",
-        ],
-        ["speedup", f"{single_seconds / multi_seconds:.2f}x", ""],
-    ]
+    total_rows = TOTAL_BATCHES * BATCH
+    labels = {"single": "single-handle (LevelDB-like)", "multi": "multi-handle (LMDB-like)"}
+    rows, speedup = [], {}
+    for workers in (1, NUM_WORKERS):
+        for design in ("single", "multi"):
+            samples = seconds[design, workers]
+            median = statistics.median(samples)
+            rows.append(
+                [
+                    labels[design],
+                    workers,
+                    f"{median:.3f}s",
+                    f"{total_rows / median:,.0f}",
+                    f"{median / total_rows * 1e6:.2f}",
+                    f"{min(samples):.3f}-{max(samples):.3f}s",
+                ]
+            )
+        speedup[workers] = statistics.median(seconds["single", workers]) / statistics.median(
+            seconds["multi", workers]
+        )
+        rows.append([f"speedup, {workers} worker(s)", "", f"{speedup[workers]:.2f}x", "", "", ""])
+    np_load_us, decode_us = _decode_us_per_row()
     text = (
-        "Figures 12/13 — concurrent feature loading (4 workers)\n"
-        + format_table(["Design", "Wall time", "Rows/s"], rows)
+        f"Figures 12/13 — concurrent feature loading ({total_rows:,} rows, "
+        f"median of {REPEATS} alternating runs)\n"
+        + format_table(["Design", "Workers", "Wall time", "Rows/s", "us/row", "Range"], rows)
+        + f"\nrow decode (128 floats): np.load {np_load_us:.2f} us -> "
+        f"decode_array {decode_us:.2f} us ({np_load_us / decode_us:.1f}x)"
     )
     path = write_result("fig12_13_kvstore", text)
     print("\n" + text + f"\n-> {path}")
@@ -91,5 +132,6 @@ def test_fig12_13_kvstore_loading(benchmark, small, tmp_path_factory):
     single.close()
     multi.close()
 
-    # The multi-handle design must not lose to the serialised one.
-    assert multi_seconds <= single_seconds * 1.25
+    # Four workers on one handle contend for its lock: private handles
+    # must win (1.18x measured without a convoy, ~12x with one).
+    assert speedup[NUM_WORKERS] >= 1.05

@@ -11,9 +11,12 @@ fast read. Acceptance: hedging cuts p99 by >= 2x.
 
 import time
 
-from _helpers import format_table, write_result
+import numpy as np
+
+from _helpers import best_us, format_table, write_result
 from repro.reliability.faults import SleepKVStore
-from repro.storage import InMemoryKVStore, ReplicatedConfig, ReplicatedKVStore
+from repro.storage import InMemoryKVStore, ReplicaHealth, ReplicatedConfig, ReplicatedKVStore
+from repro.util import nearest_rank_index
 
 REPLICAS = 3
 KEYS = 60
@@ -72,6 +75,30 @@ def _measure(concurrent_hedge):
         store.close()
 
 
+def _threshold_us_per_read():
+    """(sort every read, memoised) microseconds for ``hedge_threshold``
+    on a full reservoir nothing is replacing."""
+    config = ReplicatedConfig()
+    health = ReplicaHealth(0, time.monotonic, config)
+    for latency in np.random.default_rng(0).gamma(2.0, 0.0005, size=config.latency_reservoir_size):
+        health.record_success(float(latency))
+
+    def sort_every_read():  # what each read paid before the memo
+        ordered = sorted(health.latencies.values())
+        return ordered[nearest_rank_index(config.hedge_quantile * 100.0, len(ordered))]
+
+    assert health.hedge_threshold() == sort_every_read()
+    return best_us(sort_every_read, number=5000), best_us(health.hedge_threshold, number=5000)
+
+
+def test_threshold_memo_ratio_floor():
+    """Machine-independent: the version-keyed memo against the sort it
+    replaced, same reservoir, same process (CI perf-smoke)."""
+    sort_us, memo_us = _threshold_us_per_read()
+    print(f"\nhedge_threshold: sort {sort_us:.2f} us, memo hit {memo_us:.3f} us")
+    assert sort_us >= 10.0 * memo_us
+
+
 def test_hedged_reads_cut_p99_vs_slow_replica(benchmark):
     unhedged = _measure(concurrent_hedge=False)
     hedged = _measure(concurrent_hedge=True)
@@ -104,10 +131,13 @@ def test_hedged_reads_cut_p99_vs_slow_replica(benchmark):
             "",
         ],
     ]
+    sort_us, memo_us = _threshold_us_per_read()
     text = (
         f"Hedged reads vs one replica slowed {SLOW_FACTOR}x "
         f"({REPLICAS} replicas, {MEASURED_READS} reads)\n"
         + format_table(["Mode", "p50", "p99", "Backup reads"], rows)
+        + f"\nhedge_threshold() on a full, unchanged 256-sample reservoir: "
+        f"sort {sort_us:.2f} us -> memo hit {memo_us:.3f} us ({sort_us / memo_us:.0f}x)"
     )
     path = write_result("replicated_hedging", text)
     print("\n" + text + f"\n-> {path}")

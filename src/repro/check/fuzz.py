@@ -4,8 +4,8 @@ Every fast or durable path in the stack has a slower executable spec:
 the vectorized samplers have the scalar reference walk, the CSR delta
 merge has the full stable rebuild, micro-batched scoring has the
 sequential path, the detector's plain-array inference kernel has its
-autograd forward, and the WAL has "whatever was durably framed before
-the crash". A fuzz *scenario* drives both sides of one such pair on a
+autograd forward, the header-memoising row decoder has ``np.load``, and
+the WAL has "whatever was durably framed before the crash". A fuzz *scenario* drives both sides of one such pair on a
 seeded random input and returns a divergence description (or ``None``).
 
 Cases are fully determined by ``(scenario, seed, size)``, so a failure
@@ -351,6 +351,102 @@ def _fuzz_inference_forward(seed: int, size: int) -> Optional[str]:
             return (
                 f"{label} ({case_graph.num_nodes} nodes, {case_graph.num_edges} edges, "
                 f"targets={case_targets.tolist()}): max |fused - autograd| = {worst:.3e}"
+            )
+    return None
+
+
+@scenario("fast-decode-vs-np-load")
+def _fuzz_decode(seed: int, size: int) -> Optional[str]:
+    """The header-memoising ``decode_array`` vs ``np.load`` over the
+    same bytes: well-formed blobs of random dtype and shape, then the
+    same blobs damaged (cut, extended, one header or payload byte
+    flipped, sometimes twice) and hand-built headers ``encode_array``
+    never writes (object or sub-array dtype, Fortran order, negative
+    extent, format 2.0 / 3.0).
+    Both sides must return the same dtype, shape and bytes, or both
+    must raise."""
+    import io
+    import warnings
+
+    from numpy.lib import format as npy_format
+
+    from ..storage.loader import decode_array, encode_array
+
+    rng = np.random.default_rng(seed)
+
+    def random_array() -> np.ndarray:
+        dtype = np.dtype(str(rng.choice(["<f4", "<f8", ">f8", "<i8", "|b1", "|u1"])))
+        rank = int(rng.integers(0, 3))
+        shape = tuple(int(rng.integers(0, 5)) for _ in range(rank))
+        raw = rng.integers(0, 256, size=int(np.prod(shape, dtype=np.int64)) * dtype.itemsize)
+        return np.frombuffer(raw.astype(np.uint8).tobytes(), dtype=dtype).reshape(shape)
+
+    def hand_built(kind: str) -> bytes:
+        stream = io.BytesIO()
+        if kind == "object":
+            header = {"descr": "|O", "fortran_order": False, "shape": (2,)}
+            npy_format.write_array_header_1_0(stream, header)
+            stream.write(bytes(16))
+        elif kind == "fortran":
+            array = np.asfortranarray(rng.normal(size=(2, 3)))
+            npy_format.write_array(stream, array, version=(1, 0))
+        elif kind == "negative":
+            header = {"descr": "<f8", "fortran_order": False, "shape": (-1,)}
+            npy_format.write_array_header_1_0(stream, header)
+            stream.write(bytes(24))
+        elif kind == "subarray":
+            extent = int(rng.integers(0, 3))
+            header = {"descr": ("<f4", (2,)), "fortran_order": False, "shape": (extent,)}
+            npy_format.write_array_header_1_0(stream, header)
+            stream.write(bytes(8 * extent))
+        else:  # "v2" / "v3": the wider header-length field
+            npy_format.write_array(stream, random_array(), version=(int(kind[1]), 0))
+        return stream.getvalue()
+
+    def damage(blob: bytes) -> "tuple[str, bytes]":
+        kind = str(rng.choice(["none", "truncate", "extend", "flip-head", "flip-any"]))
+        if not blob:  # already cut to nothing: no byte left to cut or flip
+            return "none", blob
+        if kind == "truncate":
+            return kind, blob[: int(rng.integers(0, len(blob)))]
+        if kind == "extend":
+            return kind, blob + bytes(rng.integers(0, 256, size=int(rng.integers(1, 9)), dtype=np.uint8))
+        if kind in ("flip-head", "flip-any"):
+            # flip-head: magic, version, header length, start of the dict.
+            reach = min(24, len(blob)) if kind == "flip-head" else len(blob)
+            at = int(rng.integers(0, reach))
+            flipped = blob[at] ^ (1 << int(rng.integers(0, 8)))
+            return f"{kind}@{at}", blob[:at] + bytes([flipped]) + blob[at + 1 :]
+        return kind, blob
+
+    def outcome(decode: Callable[[bytes], np.ndarray], blob: bytes):
+        try:
+            array = decode(blob)
+        except Exception:
+            return "raised"
+        return str(array.dtype), array.shape, array.tobytes()
+
+    def np_load(blob: bytes) -> np.ndarray:
+        return np.load(io.BytesIO(blob), allow_pickle=False)
+
+    for trial in range(2 * size):
+        if rng.random() < 0.3:
+            source = str(rng.choice(["object", "fortran", "negative", "subarray", "v2", "v3"]))
+            blob = hand_built(source)
+        else:
+            source, blob = "encode_array", encode_array(random_array())
+        how, blob = damage(blob)
+        if rng.random() < 0.3:
+            again, blob = damage(blob)
+            how = f"{how}+{again}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # numpy warns on py2-style headers
+            fast, reference = outcome(decode_array, blob), outcome(np_load, blob)
+        if fast != reference:
+            sides = [side if side == "raised" else side[:2] for side in (fast, reference)]
+            return (
+                f"blob {trial} ({source}, {how}, {len(blob)} bytes): "
+                f"decode_array -> {sides[0]}, np.load -> {sides[1]}"
             )
     return None
 

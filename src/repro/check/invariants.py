@@ -567,12 +567,14 @@ def _check_stats_accounting() -> List[str]:
     layer="train/obs/storage",
     falsifies="the three quantile call sites (latency_percentiles, "
     "Histogram.percentile, hedge_threshold) disagreeing with nearest-rank "
-    "selection or each other, especially at n=1,2",
+    "selection or each other, especially at n=1,2; hedge_threshold's "
+    "version-keyed memo outliving the reservoir sample it was taken from",
 )
 def _check_percentiles() -> List[str]:
     from ..obs.registry import Histogram
     from ..storage.replicated import ReplicaHealth, ReplicatedConfig
     from ..train.metrics import latency_percentiles
+    from ..util import nearest_rank_index
 
     problems: List[str] = []
     cases = {
@@ -599,6 +601,29 @@ def _check_percentiles() -> List[str]:
     threshold = health.hedge_threshold()
     if threshold != 2.0:
         problems.append(f"hedge_threshold p50 of 4 samples {threshold} != 2.0")
+    # hedge_threshold is memoised on the reservoir's version: keep
+    # feeding a small reservoir until it is full and replacing, and hold
+    # the memo to a fresh sort after every sample and across a clear().
+    health = ReplicaHealth(
+        0,
+        lambda: 0.0,
+        ReplicatedConfig(hedge_min_observations=4, hedge_quantile=0.9, latency_reservoir_size=8),
+    )
+    stream = np.random.default_rng(23).uniform(size=200)
+    for step, value in enumerate(stream):
+        if step == 120:
+            health.latencies.clear()
+        health.record_success(float(value), record_sample=step % 5 != 0)
+        kept = sorted(health.latencies.values())
+        want = kept[nearest_rank_index(90.0, len(kept))] if len(kept) >= 4 else None
+        if health.hedge_threshold() != want:
+            problems.append(
+                f"hedge_threshold after sample {step} is {health.hedge_threshold()}, "
+                f"a fresh sort of the reservoir gives {want}"
+            )
+            break
+    if health.latencies.seen <= health.latencies.capacity:
+        problems.append("memo audit never reached the replacement regime")
     ordered = sorted(np.random.default_rng(19).uniform(size=100))
     if latency_percentiles(ordered)["p99"] != ordered[98]:
         problems.append("p99 of 100 samples is not the 99th order statistic")

@@ -43,7 +43,7 @@ from ..obs.trace import NULL_TRACER, Tracer
 from ..reliability.retry import RetryPolicy, TransientReadError, retry_call
 from ..rules.miner import RuleSet
 from ..storage.kvstore import CorruptStoreError, KVStore
-from ..storage.loader import _decode_array
+from ..storage.loader import load_rows
 from ..storage.replicated import AllReplicasFailedError, ReplicatedKVStore
 from .admission import SHED_RATE_LIMITED, AdmissionQueue, TokenBucket
 from .breaker import CircuitBreaker, CircuitOpenError
@@ -632,9 +632,7 @@ class ScoringService:
             # Hydrate onto an O(1) clone: the sampled subgraphs may live
             # in the SubgraphCache and must never carry another
             # request's feature rows.
-            forward_graph = sampled.graph.with_features(
-                rows.astype(sampled.graph.txn_features.dtype, copy=False)
-            )
+            forward_graph = sampled.graph.with_features(rows)
         group.check("model forward")
         live = [member for member, _ in survivors if member.live]
         locals_ = [
@@ -700,9 +698,7 @@ class ScoringService:
                 rows = self._fetch_features(sampled.original_ids, deadline)
             # Never written in place: the subgraph may be shared via the
             # SubgraphCache, so features ride an O(1) structural clone.
-            forward_graph = sampled.graph.with_features(
-                rows.astype(sampled.graph.txn_features.dtype, copy=False)
-            )
+            forward_graph = sampled.graph.with_features(rows)
         deadline.check("model forward")
         with self.tracer.span("forward"):
             return float(self.model.predict_proba(forward_graph, sampled.target_local)[0])
@@ -731,20 +727,26 @@ class ScoringService:
             if deadline.remaining() <= delay:
                 raise error  # stop retrying: the budget dies before the backoff ends
 
-        rows: List[np.ndarray] = []
-        node_ids = np.asarray(node_ids, dtype=np.int64)
+        # Rows land in the graph's own feature dtype, ready for
+        # ``with_features``; a retried chunk just refills its slice.
+        node_ids = np.asarray(node_ids, dtype=np.int64).tolist()
+        features = self.graph.txn_features
+        rows = np.empty((len(node_ids), features.shape[1]), dtype=features.dtype)
+        filled = 0
         for chunk in batched(node_ids, self.config.fetch_chunk):
             deadline.check("feature fetch")
+            out = rows[filled : filled + len(chunk)]
+            filled += len(chunk)
 
-            def read_chunk(chunk=chunk):
-                return [_decode_array(store.get(f"feat/{int(node)}")) for node in chunk]
+            def read_chunk(chunk=chunk, out=out):
+                load_rows(store.get, chunk, out)
 
             chunk_started = self._clock()
             try:
                 if self._replicated:
-                    fetched = read_chunk()
+                    read_chunk()
                 else:
-                    fetched = self.breaker.call(
+                    self.breaker.call(
                         lambda: retry_call(
                             read_chunk,
                             policy=self.config.retry,
@@ -770,8 +772,7 @@ class ScoringService:
                         self._clock() - chunk_started, store="feature-store"
                     )
                     self._kv_reads_total.inc(len(chunk), store="feature-store")
-            rows.extend(fetched)
-        return np.stack(rows)
+        return rows
 
     # -- rungs 1 and 2: rules, then static prior -----------------------
     def _fallback(self, request: ScoreRequest):

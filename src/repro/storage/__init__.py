@@ -7,7 +7,7 @@ from .kvstore import (
     MmapKVStore,
     propagate_instrument,
 )
-from .loader import GraphStore, WorkerLoader
+from .loader import GraphStore, WorkerLoader, decode_array, encode_array, load_rows
 from .replicated import (
     AllReplicasFailedError,
     AntiEntropyReport,
@@ -24,6 +24,9 @@ __all__ = [
     "MmapKVStore",
     "GraphStore",
     "WorkerLoader",
+    "encode_array",
+    "decode_array",
+    "load_rows",
     "propagate_instrument",
     "AllReplicasFailedError",
     "AntiEntropyReport",

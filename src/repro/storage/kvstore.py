@@ -121,8 +121,6 @@ class InMemoryKVStore(KVStore):
         self._data[key] = bytes(value)
 
     def get(self, key: str) -> bytes:
-        if key not in self._data:
-            raise KeyError(key)
         return self._data[key]
 
     def contains(self, key: str) -> bool:

@@ -6,27 +6,132 @@ arrays) and loads it back. :class:`WorkerLoader` is the per-worker data
 loader: in the multi-handle design each worker owns an independent
 mmap handle, which is the optimisation that removed the paper's
 data-loading bottleneck (Figures 12 → 13).
+
+Arrays travel as ``.npy`` blobs: :func:`encode_array` /
+:func:`decode_array` are the codec, and :func:`load_rows` is the one
+loop that hydrates feature rows for both loaders and the scoring
+service.
 """
 
 from __future__ import annotations
 
 import io
-from typing import List, Optional, Sequence
+import math
+from functools import lru_cache
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.lib import format as npy_format
 
 from ..graph.hetero import HeteroGraph
 from .kvstore import KVStore, MmapKVStore, _MmapReader
 
+# Width of the header-length field that follows the 8 magic+version
+# bytes, by major format version. 3.0 (utf-8 field names) is framed like
+# 2.0 but numpy exposes no public header reader for it.
+_HEADER_LEN_BYTES = {1: 2, 2: 4}
 
-def _encode_array(array: np.ndarray) -> bytes:
+
+def encode_array(array: np.ndarray) -> bytes:
+    """``array`` as one ``.npy`` blob (what ``np.save`` writes)."""
     buffer = io.BytesIO()
     np.save(buffer, np.ascontiguousarray(array), allow_pickle=False)
     return buffer.getvalue()
 
 
-def _decode_array(blob: bytes) -> np.ndarray:
-    return np.load(io.BytesIO(blob), allow_pickle=False)
+@lru_cache(maxsize=64)
+def _parse_header(prefix: bytes) -> Optional[Tuple[np.dtype, Tuple[int, ...], str, int]]:
+    """``(dtype, shape, order, payload bytes)`` of one ``.npy`` prefix
+    (magic, version, header length, header text), by numpy's own parser;
+    ``None`` for a valid header whose payload is not a plain buffer of
+    ``shape`` items (``decode_array`` hands those to numpy whole).
+
+    Memoised per distinct byte-string: every row of one feature table
+    carries the identical prefix, and parsing it (``ast.literal_eval``
+    compiles the header text) is ~25 us of the ~30 us ``np.load`` costs.
+    A prefix that raises is not cached, so a reject is re-examined, not
+    remembered.
+    """
+    stream = io.BytesIO(prefix)
+    version = npy_format.read_magic(stream)
+    if version == (1, 0):
+        shape, fortran_order, dtype = npy_format.read_array_header_1_0(stream)
+    elif version == (2, 0):
+        shape, fortran_order, dtype = npy_format.read_array_header_2_0(stream)
+    else:
+        raise ValueError(f"unsupported .npy format version {version}")
+    if dtype.hasobject:
+        raise ValueError("Object arrays cannot be loaded when allow_pickle=False")
+    if any(extent < 0 for extent in shape):
+        raise ValueError(f"negative dimension in .npy header shape {shape}")
+    if dtype.subdtype is not None:
+        return None  # numpy reads the items flat, then refuses all but size 0
+    return dtype, shape, "F" if fortran_order else "C", math.prod(shape) * dtype.itemsize
+
+
+def decode_array(blob: bytes) -> np.ndarray:
+    """The array in one ``.npy`` blob, as a read-only view of ``blob``.
+
+    Accepts and rejects exactly what
+    ``np.load(io.BytesIO(blob), allow_pickle=False)`` does and returns
+    the same dtype, shape and bytes (the ``fast-decode-vs-np-load``
+    scenario of :mod:`repro.check.fuzz` holds it to that), but parses
+    each distinct header once (:func:`_parse_header`) instead of once
+    per blob. Every blob still has its magic and version matched (they
+    are part of the memo key), object dtypes refused and its payload
+    length checked; like ``np.load``, bytes past the payload are
+    ignored. Copy the result for a writable array that does not pin
+    ``blob``.
+    """
+    width = _HEADER_LEN_BYTES.get(blob[6]) if len(blob) >= 12 else None
+    layout = None
+    if width is not None:
+        offset = 8 + width + int.from_bytes(blob[8 : 8 + width], "little")
+        layout = _parse_header(blob[:offset])
+    if layout is None:
+        # Too short to frame, a version the public header readers do
+        # not cover, or a sub-array dtype: numpy's full reader decides.
+        return npy_format.read_array(io.BytesIO(blob), allow_pickle=False)
+    dtype, shape, order, nbytes = layout
+    if len(blob) - offset < nbytes:
+        raise ValueError(
+            f"truncated .npy blob: {shape} {dtype} needs {nbytes} payload bytes, "
+            f"got {len(blob) - offset}"
+        )
+    return np.ndarray(shape, dtype, blob, offset, order=order)
+
+
+def load_rows(
+    get: Callable[[str], bytes],
+    nodes: Sequence[int],
+    out: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Feature rows of ``nodes`` — one ``get("feat/<node>")`` each —
+    decoded straight into one ``(len(nodes), d)`` matrix.
+
+    The matrix is ``out`` when given (rows are cast to its dtype on
+    assignment), else it takes the first row's dtype and width; a row
+    of another width raises ``ValueError``, as stacking ragged rows
+    did. With no nodes and no ``out`` the width comes from the store's
+    ``struct/meta`` entry, or is 0 when there is none.
+    """
+    for position, node in enumerate(nodes):
+        row = decode_array(get(f"feat/{int(node)}"))
+        if out is None:
+            out = np.empty((len(nodes),) + row.shape, dtype=row.dtype)
+        elif row.shape != out.shape[1:]:
+            raise ValueError(
+                f"feature row of node {int(node)} has shape {row.shape}, "
+                f"expected {out.shape[1:]}"
+            )
+        out[position] = row
+    if out is None:
+        try:
+            feature_dim = int(decode_array(get("struct/meta"))[1])
+        except KeyError:
+            feature_dim = 0
+        out = np.zeros((0, feature_dim))
+    return out
 
 
 class GraphStore:
@@ -40,13 +145,13 @@ class GraphStore:
     def save(self, graph: HeteroGraph) -> None:
         """Write structure arrays and one feature row per node."""
         for key in self.STRUCT_KEYS:
-            self.store.put(f"struct/{key}", _encode_array(getattr(graph, key)))
+            self.store.put(f"struct/{key}", encode_array(getattr(graph, key)))
         self.store.put(
             "struct/meta",
-            _encode_array(np.array([graph.num_nodes, graph.feature_dim], dtype=np.int64)),
+            encode_array(np.array([graph.num_nodes, graph.feature_dim], dtype=np.int64)),
         )
         for node in range(graph.num_nodes):
-            self.store.put(f"feat/{node}", _encode_array(graph.txn_features[node]))
+            self.store.put(f"feat/{node}", encode_array(graph.txn_features[node]))
         # Duck-typed: MmapKVStore needs its index footer written, and
         # ReplicatedKVStore forwards to any finalizable replicas.
         finalize = getattr(self.store, "finalize", None)
@@ -55,23 +160,18 @@ class GraphStore:
 
     def load(self) -> HeteroGraph:
         """Reassemble the full graph, round-tripping the saved dtype."""
-        arrays = {key: _decode_array(self.store.get(f"struct/{key}")) for key in self.STRUCT_KEYS}
-        meta = _decode_array(self.store.get("struct/meta"))
-        num_nodes, feature_dim = int(meta[0]), int(meta[1])
-        features: Optional[np.ndarray] = None
-        for node in range(num_nodes):
-            row = _decode_array(self.store.get(f"feat/{node}"))
-            if features is None:
-                features = np.zeros((num_nodes, feature_dim), dtype=row.dtype)
-            features[node] = row
-        if features is None:
-            features = np.zeros((num_nodes, feature_dim))
+        # Copies: a graph owns writable arrays, not views pinning blobs.
+        arrays = {
+            key: decode_array(self.store.get(f"struct/{key}")).copy()
+            for key in self.STRUCT_KEYS
+        }
+        num_nodes = int(decode_array(self.store.get("struct/meta"))[0])
+        features = load_rows(self.store.get, range(num_nodes))
         return HeteroGraph(txn_features=features, **arrays)
 
     def load_features(self, nodes: Sequence[int]) -> np.ndarray:
         """Fetch feature rows through the shared store handle."""
-        rows = [_decode_array(self.store.get(f"feat/{int(node)}")) for node in nodes]
-        return np.stack(rows) if rows else np.zeros((0, 0))
+        return load_rows(self.store.get, nodes)
 
 
 class WorkerLoader:
@@ -89,12 +189,8 @@ class WorkerLoader:
             self._reader = store.reader()
 
     def load_features(self, nodes: Sequence[int]) -> np.ndarray:
-        rows: List[np.ndarray] = []
-        for node in nodes:
-            key = f"feat/{int(node)}"
-            blob = self._reader.get(key) if self._reader is not None else self.store.get(key)
-            rows.append(_decode_array(blob))
-        return np.stack(rows) if rows else np.zeros((0, 0))
+        get = self._reader.get if self._reader is not None else self.store.get
+        return load_rows(get, nodes)
 
     def close(self) -> None:
         if self._reader is not None:

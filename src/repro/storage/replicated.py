@@ -65,6 +65,7 @@ from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as _FutureTimeout
 from concurrent.futures import wait as _wait_futures
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type
 
 from ..obs.registry import MetricsRegistry, Reservoir
@@ -193,6 +194,9 @@ class ReplicaHealth:
         self.reads_error = 0
         self.transitions: List[Tuple[float, str, str, str]] = []  # (at, from, to, reason)
         self.latencies = Reservoir(config.latency_reservoir_size, seed=index)
+        # (reservoir version, threshold): one tuple so a reader never
+        # pairs one version with another version's value.
+        self._threshold_memo: Tuple[int, Optional[float]] = (-1, None)
         self.on_transition = on_transition
         self._clock = clock
         self._dead_since = 0.0
@@ -271,14 +275,20 @@ class ReplicaHealth:
     def hedge_threshold(self) -> Optional[float]:
         """This replica's hedge trigger: its own latency quantile, or
         ``None`` until ``hedge_min_observations`` samples accrue."""
-        values = self.latencies.values()
-        if len(values) < self.config.hedge_min_observations:
-            return None
-        ordered = sorted(values)
-        # Nearest-rank quantile (same selection rule as
-        # obs.registry.Histogram.percentile and latency_percentiles).
-        rank = nearest_rank_index(self.config.hedge_quantile * 100.0, len(ordered))
-        return float(ordered[rank])
+        latencies = self.latencies
+        version, threshold = self._threshold_memo
+        if version != latencies.version:
+            # The retained sample changed since the memo was taken (once
+            # the reservoir is full that is ~capacity/seen of reads).
+            version, threshold = latencies.version, None
+            if len(latencies) >= self.config.hedge_min_observations:
+                ordered = sorted(latencies)
+                # Nearest-rank quantile (same selection rule as
+                # obs.registry.Histogram.percentile and latency_percentiles).
+                rank = nearest_rank_index(self.config.hedge_quantile * 100.0, len(ordered))
+                threshold = float(ordered[rank])
+            self._threshold_memo = (version, threshold)
+        return threshold
 
 
 @dataclass
@@ -525,29 +535,37 @@ class ReplicatedKVStore(KVStore):
 
     # -- read path ------------------------------------------------------
     def get(self, key: str) -> bytes:
+        if self._read_seconds is None:
+            return self._get(key)
         started = self._clock()
         try:
-            value = self._get(key)
+            return self._get(key)
         finally:
-            if self._read_seconds is not None:
-                self._read_seconds.observe(self._clock() - started, store="replicated")
-                self._reads_total.inc(store="replicated")
-        return value
+            self._read_seconds.observe(self._clock() - started, store="replicated")
+            self._reads_total.inc(store="replicated")
 
     def _get(self, key: str) -> bytes:
-        self._maybe_background_anti_entropy()
+        if self.config.anti_entropy_interval_s is not None:
+            self._maybe_background_anti_entropy()
         owners = self.owners(key)
+        health = self.health
         now = self._clock()
         with self._lock:
-            candidates = [i for i in owners if self.health[i].available(now)]
+            candidates: Sequence[int] = owners
+            for index in owners:
+                if health[index].state == DEAD:
+                    # Only a dead owner can be unavailable (or due its
+                    # dead -> probing move); otherwise every owner is a
+                    # candidate and the cached tuple serves as is.
+                    candidates = [i for i in owners if health[i].available(now)]
+                    break
+            threshold = (
+                health[candidates[0]].hedge_threshold() if len(candidates) > 1 else None
+            )
         if not candidates:
             raise AllReplicasFailedError(
                 f"no live replica holds {key!r} (owners {list(owners)} all dead)"
             )
-        threshold = None
-        if len(candidates) > 1:
-            with self._lock:
-                threshold = self.health[candidates[0]].hedge_threshold()
         if threshold is not None and self.config.concurrent_hedge:
             return self._hedged_get(key, candidates, threshold)
         return self._sequential_get(key, candidates, threshold)
@@ -561,37 +579,17 @@ class ReplicatedKVStore(KVStore):
     ) -> bytes:
         last_error: Optional[BaseException] = None
         misses = 0
-        for slot, index in enumerate(candidates):
-            position = slot + position_offset
+        for slot, index in enumerate(candidates, position_offset):
             try:
-                value, elapsed = self._read_replica(index, key)
+                return self._read_replica(index, key, True, slot, threshold)[0]
             except _ReplicaMiss:
                 misses += 1
-                continue
             except self._open_errors:
                 with self._lock:
                     self.breaker_skips += 1
                     self._count_replica_read(index, "skip")
-                continue
             except Exception as error:
                 last_error = error
-                continue
-            # ``elapsed`` is the duration that fed the primary's latency
-            # reservoir, so it is judged against a threshold learnt from
-            # the same measurement (not one that also spans contains(),
-            # breaker and lock bookkeeping, which overruns on every read).
-            if position == 0 and threshold is not None:
-                if elapsed > threshold:
-                    with self._lock:
-                        self.hedge_overruns += 1
-                        if self._overruns_total is not None:
-                            self._overruns_total.inc()
-            if position > 0:
-                with self._lock:
-                    self.failovers += 1
-                    if self._failovers_total is not None:
-                        self._failovers_total.inc()
-            return value
         if last_error is None and misses == len(candidates):
             raise KeyError(key)
         raise AllReplicasFailedError(
@@ -644,11 +642,25 @@ class ReplicatedKVStore(KVStore):
         ) from last_error
 
     def _read_replica(
-        self, index: int, key: str, record_sample: bool = True
+        self,
+        index: int,
+        key: str,
+        record_sample: bool = True,
+        position: Optional[int] = None,
+        threshold: Optional[float] = None,
     ) -> Tuple[bytes, float]:
         """One verified read of one replica, with health + breaker
         accounting; returns the value and the read's duration as
         recorded in the replica's health.
+
+        ``position`` is the replica's place in the preference walk of a
+        sequential read, tallied in the same critical section as the
+        success: a non-primary (``> 0``) answer is a failover, and a
+        primary (``0``) answer slower than ``threshold`` is a hedge
+        overrun — judged on the duration that feeds the primary's
+        latency reservoir, so it is compared against a threshold learnt
+        from the same measurement. ``None`` (hedged reads) leaves both
+        tallies to the caller.
 
         Raises :class:`_ReplicaMiss` (without penalising health) when
         the replica simply lacks the key; other failures count against
@@ -661,25 +673,13 @@ class ReplicatedKVStore(KVStore):
             present = True  # let the real read produce the real error
         if not present:
             raise _ReplicaMiss(key)
-        breaker = self._breakers[index] if self._breakers is not None else None
         health = self.health[index]
         started = self._clock()
-
-        def verified_read() -> bytes:
-            value = replica.get(key)
-            expected = self._crc.get(key)
-            if (
-                self.config.verify_crc
-                and expected is not None
-                and zlib.crc32(value) != expected
-            ):
-                raise CorruptStoreError(
-                    f"replica {index}: ledger checksum mismatch for {key!r}"
-                )
-            return value
-
         try:
-            value = breaker.call(verified_read) if breaker is not None else verified_read()
+            if self._breakers is None:
+                value = self._verified_read(index, key)
+            else:
+                value = self._breakers[index].call(partial(self._verified_read, index, key))
         except self._open_errors:
             raise
         except CorruptStoreError as error:
@@ -699,7 +699,26 @@ class ReplicatedKVStore(KVStore):
         with self._lock:
             health.record_success(elapsed, record_sample=record_sample)
             self._count_replica_read(index, "ok")
+            if position:
+                self.failovers += 1
+                if self._failovers_total is not None:
+                    self._failovers_total.inc()
+            elif position == 0 and threshold is not None and elapsed > threshold:
+                self.hedge_overruns += 1
+                if self._overruns_total is not None:
+                    self._overruns_total.inc()
         return value, elapsed
+
+    def _verified_read(self, index: int, key: str) -> bytes:
+        """``key`` from replica ``index``, CRC-checked against the ledger."""
+        value = self.replicas[index].get(key)
+        if self.config.verify_crc:
+            expected = self._crc.get(key)
+            if expected is not None and zlib.crc32(value) != expected:
+                raise CorruptStoreError(
+                    f"replica {index}: ledger checksum mismatch for {key!r}"
+                )
+        return value
 
     def _count_replica_read(self, index: int, outcome: str) -> None:
         if self._replica_reads is not None:

@@ -191,6 +191,15 @@ class TestRegressionSeeds:
         assert run_case("fused-vs-autograd-forward", 0, 1) is None
         assert run_case("fused-vs-autograd-forward", 1882789421, 3) is None
 
+    def test_fast_decode_shrunk_cases(self):
+        # Found while the decoder was being written: a header extent of
+        # -1 makes np.ndarray(buffer=...) infer the length np.load
+        # refuses (seed 98), and a sub-array dtype ('4f4', one bit flip
+        # from '<f4') is read flat by np.load, which then rejects all
+        # but size-0 arrays (seed 65).
+        assert run_case("fast-decode-vs-np-load", 98, 1) is None
+        assert run_case("fast-decode-vs-np-load", 65, 1) is None
+
     def test_a_crashing_side_is_a_divergence(self):
         def crashes(seed, size):
             raise ValueError("one side blew up")

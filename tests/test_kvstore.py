@@ -1,5 +1,6 @@
 """KV-stores and graph loaders (Sec. 3.3.3)."""
 
+import io
 import os
 import threading
 
@@ -12,6 +13,9 @@ from repro.storage import (
     InMemoryKVStore,
     MmapKVStore,
     WorkerLoader,
+    decode_array,
+    encode_array,
+    load_rows,
 )
 
 
@@ -345,6 +349,124 @@ class TestGraphStore:
         loaded = store.load()
         assert loaded.txn_features.dtype == np.float32
         np.testing.assert_array_equal(loaded.txn_features, graph32.txn_features)
+
+
+    def test_loaded_graph_owns_writable_arrays(self, tiny_graph):
+        """decode_array hands out read-only views of the stored blob; a
+        loaded graph must not be one (the stream builder writes labels
+        in place)."""
+        store = GraphStore(InMemoryKVStore())
+        store.save(tiny_graph)
+        loaded = store.load()
+        for name in GraphStore.STRUCT_KEYS + ("txn_features",):
+            array = getattr(loaded, name)
+            assert array.flags.writeable and array.flags.owndata, name
+
+    def test_empty_load_features_keeps_the_feature_width(self, tiny_graph, tmp_path):
+        kv = MmapKVStore(str(tmp_path / "g.bin"))
+        GraphStore(kv).save(tiny_graph)
+        width = tiny_graph.feature_dim
+        assert GraphStore(kv).load_features([]).shape == (0, width)
+        with WorkerLoader(kv, private_handle=True) as private:
+            assert private.load_features([]).shape == (0, width)
+        assert WorkerLoader(kv, private_handle=False).load_features([]).shape == (0, width)
+        # No struct/meta to read the width from: still empty, width 0.
+        bare = InMemoryKVStore()
+        bare.put("feat/0", encode_array(np.zeros(3)))
+        assert GraphStore(bare).load_features([]).shape == (0, 0)
+
+
+class TestArrayCodec:
+    @staticmethod
+    def np_load(blob):
+        return np.load(io.BytesIO(blob), allow_pickle=False)
+
+    @pytest.mark.parametrize(
+        "array",
+        [
+            np.linspace(-1.0, 1.0, 128),
+            np.arange(12, dtype=np.float32).reshape(3, 4),
+            np.array(7, dtype=np.int64),
+            np.zeros((0, 5)),
+            np.array([True, False, True]),
+            np.asfortranarray(np.arange(6.0).reshape(2, 3)).T,
+        ],
+        ids=["row", "2d-f32", "0d", "empty", "bool", "transposed"],
+    )
+    def test_decode_matches_np_load(self, array):
+        blob = encode_array(array)
+        fast, reference = decode_array(blob), self.np_load(blob)
+        assert fast.dtype == reference.dtype and fast.shape == reference.shape
+        assert fast.tobytes() == reference.tobytes()
+        np.testing.assert_array_equal(fast, array)
+
+    def test_decoded_array_is_a_read_only_view(self):
+        decoded = decode_array(encode_array(np.arange(4.0)))
+        assert not decoded.flags.writeable
+        with pytest.raises(ValueError):
+            decoded[0] = 1.0
+
+    def test_one_header_parse_serves_every_row_of_a_table(self):
+        from repro.storage.loader import _parse_header
+
+        blobs = [encode_array(np.full(16, float(i))) for i in range(50)]
+        _parse_header.cache_clear()
+        for i, blob in enumerate(blobs):
+            assert decode_array(blob)[0] == float(i)
+        info = _parse_header.cache_info()
+        assert (info.misses, info.hits) == (1, 49)
+
+    def test_every_blob_is_checked_not_just_the_first_of_its_header(self):
+        """A memo hit skips the header parse, never the per-blob
+        checks: a cut payload, a broken magic and a different header
+        after a good blob are each still refused."""
+        good = encode_array(np.arange(8.0))
+        decode_array(good)  # header now memoised
+        for bad in (good[:-1], good[:130], b"\x92" + good[1:], good[:6] + b"\x09" + good[7:]):
+            with pytest.raises(ValueError):
+                decode_array(bad)
+            with pytest.raises(ValueError):
+                self.np_load(bad)
+        # ...and, like np.load, bytes past the payload are ignored.
+        np.testing.assert_array_equal(decode_array(good + b"tail"), np.arange(8.0))
+        np.testing.assert_array_equal(self.np_load(good + b"tail"), np.arange(8.0))
+
+    def test_object_arrays_are_refused(self):
+        stream = io.BytesIO()
+        np.save(stream, np.array([{"a": 1}], dtype=object), allow_pickle=True)
+        with pytest.raises(ValueError, match="allow_pickle=False"):
+            decode_array(stream.getvalue())
+
+    def test_failed_parses_are_not_remembered(self):
+        from repro.storage.loader import _parse_header
+
+        stream = io.BytesIO()
+        np.save(stream, np.array([None], dtype=object), allow_pickle=True)
+        _parse_header.cache_clear()
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                decode_array(stream.getvalue())
+        assert _parse_header.cache_info().currsize == 0
+
+    def test_load_rows_fills_one_matrix(self):
+        store = InMemoryKVStore()
+        table = np.arange(20, dtype=np.float32).reshape(5, 4)
+        for node, row in enumerate(table):
+            store.put(f"feat/{node}", encode_array(row))
+        rows = load_rows(store.get, [4, 0, 4])
+        assert rows.dtype == np.float32 and rows.flags.owndata
+        np.testing.assert_array_equal(rows, table[[4, 0, 4]])
+        # A caller-owned matrix is filled in place, cast to its dtype.
+        out = np.empty((2, 4), dtype=np.float64)
+        assert load_rows(store.get, np.array([1, 2]), out) is out
+        np.testing.assert_array_equal(out, table[[1, 2]])
+
+    def test_load_rows_refuses_ragged_rows(self):
+        store = InMemoryKVStore()
+        store.put("feat/0", encode_array(np.zeros(4)))
+        store.put("feat/1", encode_array(np.zeros(1)))  # would broadcast silently
+        with pytest.raises(ValueError, match="node 1"):
+            load_rows(store.get, [0, 1])
 
 
 class TestWorkerLoader:

@@ -6,13 +6,16 @@ threaded scenario (concurrent hedging) uses real sleeps short enough
 for CI.
 """
 
+import zlib
+
 import numpy as np
 import pytest
 
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, Reservoir
 from repro.reliability.faults import (
     CorruptKVStore,
     FaultPlan,
+    FlakyKVStore,
     ManualClock,
     OutageKVStore,
     SleepKVStore,
@@ -24,10 +27,12 @@ from repro.storage import (
     GraphStore,
     InMemoryKVStore,
     MmapKVStore,
+    ReplicaHealth,
     ReplicatedConfig,
     ReplicatedKVStore,
     rendezvous_order,
 )
+from repro.util import nearest_rank_index
 
 
 def _make_store(
@@ -407,6 +412,142 @@ class TestHedging:
             assert store.get(f"key/{index}") == f"value-{index}".encode()
         assert store.hedged_reads >= 1
         store.close()  # shuts the hedge executor down
+
+
+class TestHedgeThresholdMemo:
+    """``hedge_threshold`` is memoised on the reservoir's version; the
+    memo must never outlive the sample it was taken from."""
+
+    @staticmethod
+    def fresh_threshold(health):
+        kept = sorted(health.latencies.values())
+        if len(kept) < health.config.hedge_min_observations:
+            return None
+        return kept[nearest_rank_index(health.config.hedge_quantile * 100.0, len(kept))]
+
+    def test_memo_equals_a_fresh_sort_after_every_sample(self):
+        config = ReplicatedConfig(latency_reservoir_size=64, hedge_quantile=0.95)
+        health = ReplicaHealth(3, lambda: 0.0, config)
+        latencies = np.random.default_rng(7).gamma(2.0, 0.001, size=10_000)
+        for step, latency in enumerate(latencies):
+            if step in (40, 5_000):  # once while filling, once while replacing
+                health.latencies.clear()
+                assert health.hedge_threshold() is None
+            health.record_success(float(latency), record_sample=step % 7 != 3)
+            assert health.hedge_threshold() == self.fresh_threshold(health), step
+        assert health.latencies.seen > 50 * health.latencies.capacity  # replaced, a lot
+
+    def test_version_moves_only_when_the_retained_sample_does(self):
+        reservoir = Reservoir(capacity=8, seed=1)
+        changes = 0
+        for value in range(2_000):
+            before, kept = reservoir.version, reservoir.values()
+            reservoir.add(float(value))
+            assert (reservoir.version != before) == (reservoir.values() != kept)
+            changes += reservoir.version != before
+        assert 8 < changes < 200  # ~ 8 * ln(2000 / 8) replacements, not 2000
+        before = reservoir.version
+        reservoir.clear()
+        assert reservoir.version > before  # never reused: a refill cannot alias a memo
+
+    def test_unchanged_reservoir_is_not_sorted_again(self):
+        health = ReplicaHealth(0, lambda: 0.0, ReplicatedConfig(latency_reservoir_size=16))
+        for value in range(16):
+            health.record_success(float(value))
+        first = health.hedge_threshold()
+        health.latencies._items.reverse()  # behind the version's back
+        health.latencies._items[0] = 99.0
+        assert health.hedge_threshold() == first  # memo hit: no second look
+        health.record_success(0.5, record_sample=False)  # EWMA only
+        assert health.hedge_threshold() == first
+
+
+class TestParentParity:
+    """The per-read bookkeeping was restructured (one critical section
+    per read, no per-read sort, no candidates rebuild); what it decides
+    must not have moved."""
+
+    def test_fault_plan_run_tallies_as_at_the_parent_commit(self):
+        """A flaky, a corrupting, an outaged and a jittery-slow replica
+        behind per-replica breakers on a ManualClock. Every expected
+        value below was produced by this exact script at the parent
+        commit (c927664, sorted-on-every-read) — a change to any of them
+        is a behaviour change of the read path, not a refactor."""
+        clock = ManualClock()
+        plan = FaultPlan(
+            num_workers=1,
+            seed=5,
+            replica_kill={1: [(0.10, 0.45)]},
+            replica_corrupt={2: [(0.20, 0.30)]},
+            replica_slow={0: 0.002},
+        )
+        backings = [InMemoryKVStore() for _ in range(4)]
+        replicas = plan.wrap_replicas(backings, clock)
+        replicas[3] = FlakyKVStore(replicas[3], fail_rate=0.04, seed=11)
+        config = ReplicatedConfig(
+            replication_factor=3,
+            probe_interval_s=0.05,
+            latency_reservoir_size=32,
+            hedge_quantile=0.6,
+            concurrent_hedge=False,
+        )
+        store = ReplicatedKVStore(replicas, config=config, clock=clock, seed=2)
+        breakers = [
+            CircuitBreaker(window=6, min_calls=3, cooldown_s=0.08, clock=clock, name=f"r{i}")
+            for i in range(4)
+        ]
+        store.set_replica_breakers(breakers, open_error=CircuitOpenError)
+        for index in range(60):
+            store.put(f"key/{index}", f"value-{index}".encode() * 3)
+        backings[store.owners("key/7")[0]].delete("key/7")  # one divergent copy
+        digest, outcomes = 0, {"ok": 0, "missing": 0, "failed": 0}
+        for step in range(900):
+            clock.advance(0.001)
+            replicas[0].delay_s = 0.001 * (1 + (step * 3) % 5)  # jitter
+            key = f"key/{(step * 7) % 64}"  # keys 60..63 were never written
+            try:
+                value = store.get(key)
+            except KeyError:
+                outcomes["missing"] += 1
+            except AllReplicasFailedError:
+                outcomes["failed"] += 1
+            else:
+                outcomes["ok"] += 1
+                assert value == f"value-{key[4:]}".encode() * 3
+                digest = zlib.crc32(value, digest)
+
+        assert outcomes == {"ok": 843, "missing": 56, "failed": 1}
+        assert digest == 165049317
+        assert store.failovers == 43
+        assert store.corrupt_reads == 2
+        assert store.hedge_overruns == 54
+        assert store.breaker_skips == 12
+        assert [(h.reads_ok, h.reads_error) for h in store.health] == [
+            (225, 0),
+            (123, 6),
+            (273, 2),
+            (222, 11),
+        ]
+        assert [h.hedge_threshold() for h in store.health] == [
+            0.0030000000000000027,
+            0.0,
+            0.0,
+            0.0,
+        ]
+        dead_probing = ("dead", "probing")
+        assert [h.state_path() for h in store.health] == [
+            ("healthy",),
+            ("healthy", "suspect") + dead_probing * 4 + ("healthy",),
+            ("healthy",) + dead_probing * 2 + ("healthy",),
+            ("healthy",) + ("suspect", "healthy") * 11,
+        ]
+        open_half = ("open", "half_open")
+        assert [b.transition_path() for b in breakers] == [
+            ("closed",),
+            ("closed",) + open_half * 4 + ("closed",),
+            ("closed",),
+            ("closed",),
+        ]
 
 
 class TestBreakerInjection:
