@@ -35,9 +35,10 @@ def write_result(name: str, text: str) -> str:
     return path
 
 
-def best_us(fn, number: int) -> float:
-    """Best-of-five mean microseconds per call of ``fn`` over ``number`` calls."""
-    return min(timeit.repeat(fn, number=number, repeat=5)) / number * 1e6
+def best_us(fn, number: int, setup="pass") -> float:
+    """Best-of-five mean microseconds per call of ``fn`` over ``number``
+    calls; ``setup`` runs untimed before each of the five."""
+    return min(timeit.repeat(fn, setup=setup, number=number, repeat=5)) / number * 1e6
 
 
 def format_table(headers: List[str], rows: List[List[object]]) -> str:

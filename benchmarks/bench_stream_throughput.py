@@ -6,23 +6,29 @@ builder → micro-batched scorer. This bench times each stage over the
 same generated event stream and asserts conservative floors (CI runs
 them via the ``stream-smoke`` job):
 
-* WAL append (fsync off, the demo configuration) and incremental
-  apply+flush both clear comfortable events/s floors;
+* WAL append (fsync off, the demo configuration) clears a comfortable
+  events/s floor, and incremental apply+flush the rate recorded while
+  every flush still copied the whole graph;
 * the full ingest → build → score → feedback loop clears an
   end-to-end floor;
 * sampling against the *delta-merged* CSR costs no more than
   ``DELTA_SAMPLING_BUDGET``x the compacted (canonically rebuilt) CSR —
   the merge is bit-identical, so any overhead is cache warmth, not
-  layout.
+  layout;
+* one 32-event ``flush`` into a ~40k-node graph costs at most
+  ``FLUSH_RATIO_BUDGET``x the same flush into a ~5k-node graph
+  (``test_flush_ratio_floor``: a ratio of two timings taken in one
+  process, so machine speed cancels; CI's perf-smoke runs it) — growth
+  writes the delta, it does not copy the graph.
 """
 
 import time
 
 import numpy as np
 
-from _helpers import format_table, write_result
-from repro.data import GeneratorConfig, TransactionGenerator
-from repro.graph import SageSampler, SubgraphCache
+from _helpers import best_us, format_table, write_result
+from repro.data import GeneratorConfig, TransactionGenerator, TxnEvent
+from repro.graph import NODE_TYPES, HeteroGraph, SageSampler, SubgraphCache
 from repro.models import DetectorConfig, XFraudDetectorPlus
 from repro.reliability import ManualClock
 from repro.serving import ScoringService, ServiceConfig
@@ -35,7 +41,9 @@ from repro.stream import (
 )
 
 WAL_FLOOR_EVENTS_S = 2_000
-BUILD_FLOOR_EVENTS_S = 1_000
+BUILD_FLOOR_EVENTS_S = 29_000  # the rate recorded while every flush still copied the graph
+FLUSH_RATIO_BUDGET = 2.0  # flush into ~40k nodes vs ~5k nodes, same delta shape
+FLUSH_SAMPLES = 9
 END_TO_END_FLOOR_EVENTS_S = 30
 DELTA_SAMPLING_BUDGET = 1.5  # delta-merged CSR vs compacted, median ratio
 SAMPLING_REPEATS = 9
@@ -69,6 +77,84 @@ def _median_seconds(fn, repeats=SAMPLING_REPEATS):
         fn()
         samples.append(time.perf_counter() - start)
     return float(np.median(samples))
+
+
+def _synthetic_builder(rng, num_txns, feature_dim=114):
+    """A builder over a graph of the ledger stream's shape — as many
+    entities as transactions, four links per transaction (8 directed
+    edges), CSR built. Entity ``j`` is external id ``j`` of kind
+    ``1 + j % 4``."""
+    num_nodes = 2 * num_txns
+    node_type = np.zeros(num_nodes, dtype=np.int64)
+    node_type[num_txns:] = 1 + np.arange(num_txns) % 4
+    txn = np.repeat(np.arange(num_txns), 4)
+    entity = num_txns + rng.integers(0, num_txns, size=len(txn))
+    kind = node_type[entity] - 1  # edge types 2k / 2k+1 are txn->kind / kind->txn
+    features = np.zeros((num_nodes, feature_dim))
+    features[:num_txns] = rng.normal(size=(num_txns, feature_dim))
+    graph = HeteroGraph(
+        node_type=node_type,
+        edge_src=np.concatenate([txn, entity]),
+        edge_dst=np.concatenate([entity, txn]),
+        edge_type=np.concatenate([2 * kind, 2 * kind + 1]),
+        txn_features=features,
+        labels=np.full(num_nodes, -1, dtype=np.int64),
+    )
+    graph.csr()
+    index = {name: {} for name in NODE_TYPES}
+    for j in range(num_txns):
+        index[NODE_TYPES[1 + j % 4]][j] = num_txns + j
+    return IncrementalGraphBuilder(feature_dim, graph=graph, index=index)
+
+
+def _stage_flush(builder, rng, events=32):
+    """Stage one scoring micro-batch: each event links one entity per
+    kind, half of them already in the graph (drawn across its whole id
+    range) and half new — ~95 node rows and 256 directed edges."""
+    known = len(builder.index["pmt"])
+    for _ in range(events):
+        fresh = builder.events_applied + builder.pending_events + 10**9
+        ids = [
+            4 * int(rng.integers(0, known)) + slot if rng.random() < 0.5 else 4 * fresh + slot
+            for slot in range(4)
+        ]
+        builder.apply(
+            TxnEvent(
+                txn_id=fresh,
+                pmt_id=ids[0],
+                email_id=ids[1],
+                addr_id=ids[2],
+                buyer_id=ids[3],
+                timestamp=0.0,
+                features=rng.normal(size=builder.feature_dim),
+            )
+        )
+
+
+def test_flush_ratio_floor():
+    """Per-flush cost must not track the size of the graph."""
+    rng = np.random.default_rng(0)
+    builders = [_synthetic_builder(rng, num_txns) for num_txns in (2_500, 20_000)]
+    sizes = [builder.graph.num_nodes for builder in builders]
+    samples = [[], []]
+    for builder in builders:  # adopt the arrays into spare-capacity buffers
+        _stage_flush(builder, rng)
+        builder.flush()
+    for _ in range(FLUSH_SAMPLES):  # alternate, so a slow spell of the box hits both
+        for builder, times in zip(builders, samples):
+            times.append(
+                best_us(builder.flush, number=1, setup=lambda: _stage_flush(builder, rng))
+            )
+    small_us, large_us = (float(np.median(times)) for times in samples)
+    ratio = large_us / small_us
+    for builder in builders:
+        builder.compact()  # rebuild + validate: the timed flushes left a sound graph
+    print(
+        f"\n32-event flush (~95 nodes / 256 edges): {small_us / 1e3:.2f} ms into "
+        f"{sizes[0]:,} nodes, {large_us / 1e3:.2f} ms into {sizes[1]:,} nodes -> {ratio:.2f}x "
+        f"(budget <= {FLUSH_RATIO_BUDGET:.1f}x)"
+    )
+    assert ratio <= FLUSH_RATIO_BUDGET
 
 
 def test_stream_throughput_and_delta_budget(benchmark, tmp_path):

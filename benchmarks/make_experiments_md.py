@@ -191,6 +191,73 @@ but that cause is not verified. The largest ``serve_hot`` layer is now
 the forward (39%), then the serving module (22%) and storage (21%).""",
     ),
     (
+        "Live-graph growth at O(delta) — the performance ledger, before / after",
+        "graph_growth",
+        """xFraud scores each incoming transaction against a graph that every
+transaction grows (Sec. 1: deployed on a 1.1B-node graph). The ledger
+row nobody had acted on: on ``stream_ingest`` the traced
+``stream.builder.flush_share`` was 0.39-0.43 of the timed wall — ~7 ms
+per flush to add ~95 node rows and ~260 edges, more than sampling and
+the forward together — because ``HeteroGraph.append_delta`` rebuilt
+every node, edge and feature array with ``np.concatenate`` (a fresh
+41 MB feature matrix per flush by the end of the run) and ``_merge_csr``
+scattered all E old entries through E-sized temporaries. Total ingest
+cost was quadratic in stream length. Now each of the six arrays and the
+CSR's source / edge-id columns lives in a spare-capacity buffer that
+grows by half when full; a delta writes its own rows past the published
+length and re-publishes exact-length prefix views (still plain
+C-contiguous ``ndarray`` attributes; a graph that never appends owns
+exact arrays and allocates nothing), and ``_splice_csr`` shifts the old
+CSR entries back to front inside the buffer, one slice copy per
+receiving bucket, bit-identical to a stable rebuild. ``compact()`` is
+unchanged (rebuild + validate), as are sampler output and every score.
+
+Claimed beforehand: ``throughput_per_s`` on ``stream_ingest`` improves
+to a median of 2,300 ops/s or more from ~1,770-1,880 (>= +25%; expected
++40-60%). Measured +62.7% (1,823 -> 2,967), the change ahead in 10/10
+pairs, parent interquartile range 68 ops/s. Same protocol as the two
+sections above, ledger code byte-identical on both sides; all 24
+``ledger.json`` are under `benchmarks/results/ledger_pr14/`. Seeds 1-9
+were not used while the change was written (seed-0 ``stream_ingest``
+runs made then — 1,848 / 1,824 parent, 2,798 change — are not in the
+table). Expected to move, not claimed: ``stream_ingest``
+``latency_p50_ms`` (about one 32-event batch period; 17.4 -> 10.0 ms)
+and ``latency_p95_ms`` (26.4 -> 17.3 ms). Must not move: every metric
+on ``serve_cold``, ``serve_hot`` and ``train_epoch`` (none of them
+calls ``append_delta``); on ``stream_ingest`` ``auc`` (identical),
+``setup_s`` and ``peak_rss_mb`` (559.9 vs 560.2 MiB: spare capacity is
+``np.empty`` and untouched until written, and the 41 MB-per-flush
+transient is gone); ``failed`` (0 in all 80 + 16 + 40 workload runs);
+``scores_crc32``, ``graph_version``, ``graph_nodes`` and the final
+node / edge / version counts (equal for every seed). ``serve_cold`` and
+``serve_hot`` read -3.3% / -4.0% throughput with the change ahead in
+3/10 pairs although the code they run is the parent's (a microbench of
+``subgraph`` / ``with_features`` / ``sample`` reads the same on both
+trees); ten further serve-only pairs with the order reversed (seeds
+10-19, `ledger_pr14/serve_only_seeds10_19.txt` and `serve_only/`) read
+-0.4% (5/10) and +4.3% (6/10), so the first reading was noise inside
+the box's spread.
+
+Where the saving sits (traced pairs, seeds 0 and 1):
+``stream.builder.flush_share`` fell from 0.392 / 0.398 to 0.059 / 0.059
+(the issue asked for <= 0.12) — one real flush 6.8 / 7.7 ms -> 0.68 /
+0.67 ms (asked: <= 1.5) — with ``flush_calls`` (586), ``compact_calls``
+(117), ``edges_final``, every cache / sampling / forward count and
+``scores_crc32`` exactly equal on both sides, and the traced timed wall
+went 8.2 / 9.1 s -> 5.4 / 5.3 s. Every other layer's *share* rose
+because the wall shrank; none of them got slower. ``stream_ingest`` is
+now sampling-bound (30%), then the forward (22%); compaction (rebuild +
+re-validate every 128 events, 4-4.6 ms each, untouched here) is 10% and
+is the next item on this path. What remains of a flush is the O(E) part
+of the in-place splice (the block shift is a memmove of the entries
+past the first receiving bucket) and a re-adoption copy of the CSR
+columns after each compaction's rebuild; `bench_stream_throughput.py::
+test_flush_ratio_floor` holds a 32-event flush into 40k nodes to <= 2x
+one into 5k nodes (reads 1.5-1.9x; the parent reads ~10x), and
+`benchmarks/results/stream.txt` has apply+flush at 76k events/s (29k
+before; the floor is now 29,000).""",
+    ),
+    (
         "Figure 14 — distributed convergence",
         "fig14_convergence",
         """Paper (Appendix C): 16-machine training does not converge faster and

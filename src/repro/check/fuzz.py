@@ -24,7 +24,7 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from .gen import random_delta, random_events, random_hetero_graph
+from .gen import DELTA_SHAPES, random_delta, random_events, random_hetero_graph
 from .invariants import csr_violations, subgraph_equal, wal_violations
 
 __all__ = [
@@ -125,22 +125,44 @@ def _fuzz_sampler(seed: int, size: int) -> Optional[str]:
 
 @scenario("delta-merge-vs-rebuild")
 def _fuzz_delta_merge(seed: int, size: int) -> Optional[str]:
-    """In-place CSR merge vs stable rebuild, plus probe subgraphs."""
+    """In-place growth and CSR splice vs a from-scratch graph: a run of
+    deltas long enough to cross buffer reallocations (``2 * size``, 42
+    at the top of the ladder) of every shape — full, edge-only,
+    node-only, empty — with in-place label flips and ``rebuild_csr()``
+    interleaved, audited after every step; then probe subgraphs."""
     from ..graph.hetero import HeteroGraph
     from ..graph.sampling import SageSampler
 
     rng = np.random.default_rng(seed)
     graph = random_hetero_graph(rng, num_txns=size)
     graph.csr()
-    versions = [graph.version]
-    for _ in range(1 + size % 4):
-        graph.append_delta(**random_delta(rng, graph, num_new_txns=1 + size % 3))
-        versions.append(graph.version)
-    if versions != list(range(versions[0], versions[0] + len(versions))):
-        return f"version bumps not exactly once per delta: {versions}"
-    problems = csr_violations(graph)
-    if problems:
-        return f"merged CSR invalid: {problems[0]}"
+    flipped: Dict[int, int] = {}
+    for step in range(2 * size):
+        if rng.random() < 0.3:
+            node = int(rng.choice(graph.txn_nodes))
+            flipped[node] = int(rng.integers(0, 2))
+            if rng.random() < 0.5:  # swap in an edited copy: the buffer goes stale
+                graph.labels = graph.labels.copy()
+            graph.labels[node] = flipped[node]
+            graph.mark_mutated(structural=False)
+        if rng.random() < 0.15:
+            graph.rebuild_csr()
+        shape = str(rng.choice(DELTA_SHAPES, p=(0.7, 0.1, 0.1, 0.1)))
+        before, captured, snapshot = graph.version, graph.labels, graph.labels.copy()
+        graph.append_delta(**random_delta(rng, graph, 1 + size % 3, shape=shape))
+        if graph.version != before + 1:
+            return f"step {step} ({shape}): version {before} -> {graph.version}, expected +1"
+        if not (
+            np.array_equal(captured, snapshot)
+            and np.array_equal(graph.labels[: len(snapshot)], snapshot)
+        ):
+            return f"step {step} ({shape}): the delta rewrote labels it had already published"
+        problems = csr_violations(graph)
+        if problems:
+            return f"step {step} ({shape}): merged CSR invalid: {problems[0]}"
+    lost = [node for node, label in flipped.items() if graph.labels[node] != label]
+    if lost:
+        return f"label flips lost across deltas at nodes {lost[:5]}"
     rebuilt = HeteroGraph(
         node_type=graph.node_type.copy(),
         edge_src=graph.edge_src.copy(),

@@ -21,7 +21,7 @@ import numpy as np
 from ..data.events import TxnEvent
 from ..graph.hetero import EDGE_TYPE_IDS, NODE_TYPE_IDS, HeteroGraph
 
-__all__ = ["random_hetero_graph", "random_delta", "random_events"]
+__all__ = ["DELTA_SHAPES", "random_hetero_graph", "random_delta", "random_events"]
 
 _ENTITY_KINDS = ("pmt", "email", "addr", "buyer")
 
@@ -64,15 +64,28 @@ def random_hetero_graph(
     return HeteroGraph.from_links(node_types, links, features, labels)
 
 
+DELTA_SHAPES = ("full", "edge-only", "node-only", "empty")
+
+
 def random_delta(
     rng: np.random.Generator,
     graph: HeteroGraph,
     num_new_txns: int,
+    shape: str = "full",
 ) -> Dict[str, np.ndarray]:
-    """``append_delta`` kwargs wiring new txns to old *and* new entities."""
-    num_new_txns = max(1, int(num_new_txns))
+    """``append_delta`` kwargs wiring new txns to old *and* new entities.
+
+    ``shape`` picks the degenerate forms a live stream also produces:
+    ``"edge-only"`` links existing transactions to existing entities (no
+    new node), ``"node-only"`` adds the nodes without their edges, and
+    ``"empty"`` adds nothing (a version bump alone).
+    """
+    if shape not in DELTA_SHAPES:
+        raise ValueError(f"unknown delta shape {shape!r}")
+    num_new_txns = 0 if shape == "empty" else max(1, int(num_new_txns))
+    new_nodes = shape != "edge-only"
     base = graph.num_nodes
-    node_type: List[int] = [NODE_TYPE_IDS["txn"]] * num_new_txns
+    node_type: List[int] = [NODE_TYPE_IDS["txn"]] * num_new_txns if new_nodes else []
     edge_src: List[int] = []
     edge_dst: List[int] = []
     edge_type: List[int] = []
@@ -81,28 +94,34 @@ def random_delta(
         kind: np.flatnonzero(graph.node_type == NODE_TYPE_IDS[kind])
         for kind in _ENTITY_KINDS
     }
+    old_txns = graph.txn_nodes
     for local_txn in range(num_new_txns):
-        txn = base + local_txn
+        txn = base + local_txn if new_nodes else int(old_txns[int(rng.integers(0, len(old_txns)))])
         for kind in _ENTITY_KINDS:
             if rng.random() < 0.3:
                 continue
             pool = existing_by_kind[kind]
-            if len(pool) and rng.random() < 0.6:
+            if len(pool) and (not new_nodes or rng.random() < 0.6):
                 entity = int(pool[int(rng.integers(0, len(pool)))])
-            else:
+            elif new_nodes:
                 entity = base + len(node_type)
                 node_type.append(NODE_TYPE_IDS[kind])
+            else:
+                continue
             edge_src.append(txn)
             edge_dst.append(entity)
             edge_type.append(EDGE_TYPE_IDS[f"txn->{kind}"])
             edge_src.append(entity)
             edge_dst.append(txn)
             edge_type.append(EDGE_TYPE_IDS[f"{kind}->txn"])
+    if shape == "node-only":
+        edge_src, edge_dst, edge_type = [], [], []
 
+    num_txn_rows = num_new_txns if new_nodes else 0
     features = np.zeros((len(node_type), graph.feature_dim), dtype=graph.txn_features.dtype)
-    features[:num_new_txns] = rng.normal(size=(num_new_txns, graph.feature_dim))
+    features[:num_txn_rows] = rng.normal(size=(num_txn_rows, graph.feature_dim))
     labels = np.full(len(node_type), -1, dtype=np.int64)
-    labels[:num_new_txns] = rng.integers(0, 2, size=num_new_txns)
+    labels[:num_txn_rows] = rng.integers(0, 2, size=num_txn_rows)
     return {
         "node_type": np.asarray(node_type, dtype=np.int64),
         "labels": labels,

@@ -102,11 +102,27 @@ def csr_violations(graph: HeteroGraph) -> List[str]:
     ``eid[i]`` with ``edge_dst[eid[i]]`` equal to the bucket node and
     ``edge_src[eid[i]] == src[i]``; ``eid`` is a permutation of the
     edge ids that is *stable* (ascending within each bucket), which is
-    the canonical form ``_merge_csr`` must preserve.
+    the canonical form ``_splice_csr`` must preserve.
     """
     problems: List[str] = []
     indptr, src, eid = graph.csr()
     num_nodes, num_edges = graph.num_nodes, graph.num_edges
+    # No spare capacity may leak into a public array: each is exactly
+    # num_nodes / num_edges long and C-contiguous, grown or not.
+    for name, want in (
+        ("labels", num_nodes),
+        ("txn_features", num_nodes),
+        ("edge_dst", num_edges),
+        ("edge_type", num_edges),
+    ):
+        array = getattr(graph, name)
+        if len(array) != want or not array.flags.c_contiguous:
+            problems.append(
+                f"{name} has {len(array)} rows (contiguous={array.flags.c_contiguous}), "
+                f"expected exactly {want}"
+            )
+    if problems:
+        return problems
     if indptr.shape != (num_nodes + 1,):
         return [f"indptr shape {indptr.shape} != ({num_nodes + 1},)"]
     if num_nodes >= 0 and (indptr[0] != 0 or indptr[-1] != num_edges):
@@ -239,7 +255,8 @@ def ledger_violations(store) -> List[str]:
     "graph-csr-validity",
     layer="graph",
     falsifies="CSR indptr/indices/edge-id agreement with the flat edge "
-    "arrays, and version bumps: +1 per append_delta, 0 per compact",
+    "arrays, public arrays exactly num_nodes/num_edges long (no spare "
+    "capacity published), and version bumps: +1 per append_delta, 0 per compact",
 )
 def _check_csr_validity() -> List[str]:
     problems: List[str] = []
@@ -270,13 +287,20 @@ def _check_csr_validity() -> List[str]:
         if not csr_violations(graph):
             problems.append("self-test: csr_violations missed a corrupted source column")
         graph._csr = None  # drop the poisoned cache
+    # Self-test: an off-by-one publish (one capacity row leaking into a
+    # public array after a delta) must be caught.
+    graph.csr()
+    graph.append_delta(**random_delta(rng, graph, num_new_txns=2))
+    graph.labels = graph.labels.base[: graph.num_nodes + 1]
+    if not csr_violations(graph):
+        problems.append("self-test: csr_violations missed a capacity row in a public array")
     return problems
 
 
 @invariant(
     "graph-delta-merge-rebuild",
     layer="graph/stream",
-    falsifies="append_delta's O(E_old + E_new) CSR merge being "
+    falsifies="append_delta's in-place CSR splice being "
     "bit-identical to a stable full rebuild",
 )
 def _check_delta_merge() -> List[str]:

@@ -10,6 +10,11 @@ convolution layer.
 :class:`HeteroGraph` stores the graph in flat numpy arrays — node type
 ids, directed edge lists with edge-type ids, transaction features, and
 labels — plus a lazily built CSR adjacency for neighbour sampling.
+
+A static graph owns exactly those arrays. One that grows through
+:meth:`HeteroGraph.append_delta` keeps each behind a spare-capacity
+buffer and publishes exact-length prefix views, so a delta costs
+amortised O(delta) rows written rather than a copy of the graph.
 """
 
 from __future__ import annotations
@@ -46,6 +51,24 @@ def edge_type_between(src_type: str, dst_type: str) -> int:
     return EDGE_TYPE_IDS[key]
 
 
+def _reserve(buffers: Dict[str, np.ndarray], name: str, view: np.ndarray, extra: int) -> np.ndarray:
+    """``buffers[name]``, holding ``view``'s rows with room for ``extra`` more.
+
+    The buffer is reused while the rows fit. Otherwise — first delta,
+    capacity exhausted, or a foreign array assigned over the attribute
+    (``view.base`` is not the buffer) — the rows are copied into a fresh
+    one half as large again as needed, so copying over a whole stream is
+    O(final size). Spare rows are ``np.empty``: pages nobody wrote cost
+    no memory.
+    """
+    buffer = buffers.get(name)
+    needed = len(view) + extra
+    if buffer is None or view.base is not buffer or needed > len(buffer):
+        buffer = buffers[name] = np.empty((needed + needed // 2,) + view.shape[1:], view.dtype)
+        buffer[: len(view)] = view
+    return buffer
+
+
 @dataclass
 class HeteroGraph:
     """A typed transaction graph in flat-array form.
@@ -72,6 +95,16 @@ class HeteroGraph:
         default=None, repr=False, compare=False
     )
     _version: int = field(default=0, repr=False, compare=False)
+    #: Spare-capacity buffers behind the arrays :meth:`append_delta` has
+    #: grown, by name; ``None`` on a graph that never appended.
+    _buffers: Optional[Dict[str, np.ndarray]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    #: All ``-1`` node->local map lent to :meth:`subgraph` (see
+    #: :meth:`_borrow_local_map`); ``None`` while borrowed.
+    _local_map_scratch: Optional[np.ndarray] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self.node_type = np.asarray(self.node_type, dtype=np.int64)
@@ -193,7 +226,7 @@ class HeteroGraph:
         edge_dst: Sequence[int],
         edge_type: Sequence[int],
     ) -> None:
-        """Append new nodes/edges *in place*, merging the cached CSR.
+        """Append new nodes/edges *in place*, splicing the cached CSR.
 
         The streaming ingestion path (:class:`repro.stream.builder.
         IncrementalGraphBuilder`) flushes event deltas through this so
@@ -203,13 +236,20 @@ class HeteroGraph:
         :class:`~repro.graph.cache.SubgraphCache` token stay stable) and
         :attr:`version` is bumped exactly once per delta.
 
-        If a CSR is already built it is *merged* rather than dropped:
-        new in-edges are spliced into their destination buckets after
-        the existing entries — bit-identical to a full stable rebuild
-        (stable argsort keeps old edge ids, which precede the new ones,
-        in ascending order within each bucket), at O(E_old + E_new)
-        instead of O(E log E). New edges may reference both old and new
-        nodes; endpoints are validated against the grown node count.
+        Growth is amortised O(delta): each grown array lives in a
+        spare-capacity buffer (:func:`_reserve`) and the public
+        attribute is its exact-length prefix view, so a delta writes
+        only its own rows. The call is all-or-nothing — validate, grow
+        buffers, write past the published lengths, then publish views,
+        CSR and version together — so an array captured before a delta
+        (``old = graph.labels``) keeps its length and its prefix, and a
+        rejected delta changes nothing. New edges may reference both old
+        and new nodes; endpoints are validated against the grown count.
+
+        A built CSR is *spliced* rather than dropped (:meth:`_splice_csr`)
+        — bit-identical to a full stable rebuild. Its source / edge-id
+        arrays are shifted in place: a CSR tuple is good until the next
+        delta, after which holders re-read :meth:`csr`.
         """
         new_nt = np.asarray(node_type, dtype=np.int64)
         new_labels = np.asarray(labels, dtype=np.int64)
@@ -239,71 +279,82 @@ class HeteroGraph:
         if np.any(new_labels[entity] != -1):
             raise ValueError("only txn nodes may carry labels")
 
-        old_num_nodes = self.num_nodes
-        old_num_edges = self.num_edges
+        delta = {
+            "node_type": new_nt,
+            "labels": new_labels,
+            "txn_features": new_feat,
+            "edge_src": new_src,
+            "edge_dst": new_dst,
+            "edge_type": new_et,
+        }
+        buffers = dict(self._buffers or {})
+        views = {}
+        for name, rows in delta.items():
+            if len(rows):
+                view = getattr(self, name)
+                buffer = _reserve(buffers, name, view, len(rows))
+                buffer[len(view) : len(view) + len(rows)] = rows
+                views[name] = buffer[: len(view) + len(rows)]
         csr = self._csr
-        if len(new_nt):
-            self.node_type = np.concatenate([self.node_type, new_nt])
-            self.labels = np.concatenate([self.labels, new_labels])
-            self.txn_features = np.concatenate([self.txn_features, new_feat])
-            # Scratch map length is keyed to num_nodes; a stale shorter
-            # map would be discarded by _borrow_local_map anyway, but
-            # drop it eagerly so nothing holds the old size.
-            self._local_map_scratch = None
-        if len(new_src):
-            self.edge_src = np.concatenate([self.edge_src, new_src])
-            self.edge_dst = np.concatenate([self.edge_dst, new_dst])
-            self.edge_type = np.concatenate([self.edge_type, new_et])
         if csr is not None:
-            self._csr = self._merge_csr(csr, old_num_nodes, old_num_edges, new_src, new_dst)
+            csr = self._splice_csr(csr, grown, new_src, new_dst, buffers)
+        for name, view in views.items():
+            setattr(self, name, view)
+        self._buffers, self._csr = buffers, csr
         self._version += 1
 
-    def _merge_csr(
-        self,
+    @staticmethod
+    def _splice_csr(
         csr: Tuple[np.ndarray, np.ndarray, np.ndarray],
-        old_num_nodes: int,
-        old_num_edges: int,
+        num_nodes: int,
         new_src: np.ndarray,
         new_dst: np.ndarray,
+        buffers: Dict[str, np.ndarray],
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Splice delta edges into an existing in-edge CSR.
+        """Splice delta edges into an existing in-edge CSR, in place.
 
         Per destination bucket the result is [old entries in their old
         order, new entries stable-sorted by destination] — exactly what
-        ``np.argsort(edge_dst, kind="stable")`` over the concatenated
-        edge arrays produces, so callers may treat merged and rebuilt
-        CSRs interchangeably (asserted bit-for-bit by the stream tests).
+        ``np.argsort(edge_dst, kind="stable")`` over the grown edge
+        arrays produces, so callers may treat spliced and rebuilt CSRs
+        interchangeably (asserted bit-for-bit by the stream tests).
+
+        The ``k``-th new entry in destination order lands ``k`` slots
+        past the old end of its bucket, and the old entries between two
+        receiving buckets move right as one block by the number of new
+        entries below them. Blocks are shifted back to front inside the
+        reserved ``buffers`` (the rightmost first, so no move overwrites
+        an unmoved entry): one pass of slice copies, no E-sized
+        temporaries.
         """
         indptr, src_sorted, eid_sorted = csr
-        n = self.num_nodes
-        old_counts = np.diff(indptr)
-        add_counts = np.bincount(new_dst, minlength=n) if len(new_dst) else np.zeros(n, dtype=np.int64)
-        counts = np.zeros(n, dtype=np.int64)
-        counts[:old_num_nodes] = old_counts
-        counts += add_counts
-        new_indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=new_indptr[1:])
-        total = old_num_edges + len(new_src)
-        out_src = np.empty(total, dtype=np.int64)
-        out_eid = np.empty(total, dtype=np.int64)
-        if old_num_edges:
-            # Old entries keep their relative order; each shifts right by
-            # the number of new entries landing in lower buckets.
-            shift = new_indptr[:old_num_nodes] - indptr[:-1]
-            positions = np.arange(old_num_edges, dtype=np.int64) + np.repeat(shift, old_counts)
-            out_src[positions] = src_sorted
-            out_eid[positions] = eid_sorted
-        if len(new_dst):
-            order = np.argsort(new_dst, kind="stable")
-            dst_ordered = new_dst[order]
-            bucket_starts = np.cumsum(add_counts) - add_counts
-            rank = np.arange(len(dst_ordered), dtype=np.int64) - bucket_starts[dst_ordered]
-            old_count_of = np.zeros(n, dtype=np.int64)
-            old_count_of[:old_num_nodes] = old_counts
-            positions = new_indptr[dst_ordered] + old_count_of[dst_ordered] + rank
-            out_src[positions] = new_src[order]
-            out_eid[positions] = order + old_num_edges
-        return (new_indptr, out_src, out_eid)
+        old_edges = len(src_sorted)
+        ends = np.empty(num_nodes + 1, dtype=np.int64)  # old bucket ends, then new indptr
+        ends[: len(indptr)] = indptr
+        ends[len(indptr) :] = old_edges
+        if not len(new_src):
+            return (ends, src_sorted, eid_sorted)
+        src_buffer = _reserve(buffers, "src_by_dst", src_sorted, len(new_src))
+        eid_buffer = _reserve(buffers, "edge_id_by_dst", eid_sorted, len(new_src))
+        order = np.argsort(new_dst, kind="stable")
+        dst_ordered = new_dst[order]
+        positions = ends[dst_ordered + 1] + np.arange(len(order), dtype=np.int64)
+        # One block per receiving bucket: the old entries from its old
+        # end up to the next receiving bucket's, shifted by the number
+        # of new entries at or below it.
+        shifts = np.append(np.flatnonzero(np.diff(dst_ordered)) + 1, len(order))
+        receiving = dst_ordered[shifts - 1] + 1
+        cuts = ends[receiving].tolist() + [old_edges]
+        ends[receiving[0] :] += np.repeat(shifts, np.diff(np.append(receiving, num_nodes + 1)))
+        for block in range(len(shifts) - 1, -1, -1):
+            start, stop, shift = cuts[block], cuts[block + 1], int(shifts[block])
+            if start < stop:
+                src_buffer[start + shift : stop + shift] = src_buffer[start:stop]
+                eid_buffer[start + shift : stop + shift] = eid_buffer[start:stop]
+        src_buffer[positions] = new_src[order]
+        eid_buffer[positions] = order + old_edges
+        total = old_edges + len(order)
+        return (ends, src_buffer[:total], eid_buffer[:total])
 
     def rebuild_csr(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Drop any (possibly delta-merged) CSR and rebuild canonically.
@@ -329,6 +380,11 @@ class HeteroGraph:
         features = np.asarray(features)
         if features.ndim != 2 or features.shape[0] != self.num_nodes:
             raise ValueError("features must be (num_nodes, feature_dim)")
+        if self._buffers and self._csr is not None:
+            # The clone shares this CSR's arrays: give up splicing them
+            # in place, so the next delta re-adopts them by copy.
+            self._buffers.pop("src_by_dst", None)
+            self._buffers.pop("edge_id_by_dst", None)
         clone = object.__new__(HeteroGraph)
         clone.node_type = self.node_type
         clone.edge_src = self.edge_src
@@ -440,9 +496,12 @@ class HeteroGraph:
         ``None``, so a concurrent (or re-entrant) caller simply
         allocates its own copy instead of corrupting the shared one.
         """
-        scratch = getattr(self, "_local_map_scratch", None)
-        if scratch is None or len(scratch) != self.num_nodes:
-            return np.full(self.num_nodes, -1, dtype=np.int64)
+        scratch = self._local_map_scratch
+        if scratch is None or len(scratch) < self.num_nodes:
+            # Sized to node capacity so it outlives the deltas that fit;
+            # entries past num_nodes are never indexed.
+            capacity = len((self._buffers or {}).get("node_type", self.node_type))
+            return np.full(max(capacity, self.num_nodes), -1, dtype=np.int64)
         self._local_map_scratch = None
         return scratch
 

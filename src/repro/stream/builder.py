@@ -14,9 +14,11 @@ without ever replacing it:
 * **delta buffers** — applied events accumulate in plain lists and are
   materialised in one vectorised
   :meth:`~repro.graph.hetero.HeteroGraph.append_delta` per
-  :meth:`flush`, which splices the new in-edges into the cached CSR
-  (bit-identical to a rebuild) and bumps the graph version exactly once
-  so :class:`~repro.graph.cache.SubgraphCache` keys roll over;
+  :meth:`flush`, which writes the rows into the graph's spare capacity
+  (amortised O(delta), not a copy of the graph), splices the new
+  in-edges into the cached CSR (bit-identical to a rebuild) and bumps
+  the graph version exactly once so
+  :class:`~repro.graph.cache.SubgraphCache` keys roll over;
 * **compaction** — :meth:`compact` consolidates the delta-merged CSR
   into a canonical rebuild and re-validates the graph; because merge
   and rebuild are bit-identical the version is unchanged and warm
@@ -77,11 +79,10 @@ class IncrementalGraphBuilder:
         self._pending_events = 0
         self._pending_node_type: List[int] = []
         self._pending_labels: List[int] = []
-        self._pending_features: List[np.ndarray] = []
+        self._pending_features: List[np.ndarray] = []  # txn rows only
         self._pending_src: List[int] = []
         self._pending_dst: List[int] = []
         self._pending_etype: List[int] = []
-        self._zero_row = np.zeros(feature_dim)
         self._instrument(registry)
 
     def _instrument(self, registry: Optional["MetricsRegistry"]) -> None:
@@ -131,11 +132,10 @@ class IncrementalGraphBuilder:
         """Graph node id of a transaction (pending or materialised)."""
         return self.index["txn"][txn_id]
 
-    def _stage_node(self, kind: str, label: int, features: np.ndarray) -> int:
+    def _stage_node(self, kind: str) -> int:
         node = self.graph.num_nodes + len(self._pending_node_type)
         self._pending_node_type.append(NODE_TYPE_IDS[kind])
-        self._pending_labels.append(label)
-        self._pending_features.append(features)
+        self._pending_labels.append(-1)
         return node
 
     def apply(self, event: TxnEvent) -> int:
@@ -152,12 +152,13 @@ class IncrementalGraphBuilder:
             raise ValueError(
                 f"event features have dim {features.shape}, expected ({self.feature_dim},)"
             )
-        txn_node = self._stage_node("txn", -1, features)
+        txn_node = self._stage_node("txn")
+        self._pending_features.append(features)
         self.index["txn"][event.txn_id] = txn_node
         for kind, external_id in event.linked_entities():
             entity = self.index[kind].get(external_id)
             if entity is None:
-                entity = self._stage_node(kind, -1, self._zero_row)
+                entity = self._stage_node(kind)
                 self.index[kind][external_id] = entity
             self._pending_src.append(txn_node)
             self._pending_dst.append(entity)
@@ -177,12 +178,13 @@ class IncrementalGraphBuilder:
         """
         if self._pending_events == 0:
             return 0
+        node_type = np.asarray(self._pending_node_type, dtype=np.int64)
+        features = np.zeros((len(node_type), self.feature_dim))  # entity rows stay zero
+        features[node_type == NODE_TYPE_IDS["txn"]] = self._pending_features
         self.graph.append_delta(
-            node_type=self._pending_node_type,
+            node_type=node_type,
             labels=self._pending_labels,
-            txn_features=np.stack(self._pending_features)
-            if self._pending_features
-            else np.zeros((0, self.feature_dim)),
+            txn_features=features,
             edge_src=self._pending_src,
             edge_dst=self._pending_dst,
             edge_type=self._pending_etype,

@@ -73,6 +73,15 @@ class TestAuditHelpers:
         indptr[1] = indptr[-1] + 5
         assert csr_violations(graph) != []
 
+    def test_csr_violations_detects_published_capacity(self):
+        rng = np.random.default_rng(2)
+        graph = random_hetero_graph(rng, num_txns=6)
+        graph.csr()
+        graph.append_delta(**random_delta(rng, graph, num_new_txns=2))
+        assert csr_violations(graph) == []
+        graph.edge_type = graph.edge_type.base[: graph.num_edges + 1]  # off-by-one publish
+        assert any("edge_type" in problem for problem in csr_violations(graph))
+
     def test_subgraph_equal_reports_field(self):
         graph = random_hetero_graph(np.random.default_rng(2), num_txns=5)
         sampler = SageSampler(hops=1, fanout=2, seed=0)
@@ -199,6 +208,16 @@ class TestRegressionSeeds:
         # but size-0 arrays (seed 65).
         assert run_case("fast-decode-vs-np-load", 98, 1) is None
         assert run_case("fast-decode-vs-np-load", 65, 1) is None
+
+    def test_in_place_growth_shrunk_cases(self):
+        # Found by planting bugs while append_delta moved to in-place
+        # growth: blocks shifted front to back (or the first one
+        # skipped) overwrite unmoved CSR entries (seed 0), and writing
+        # a delta through the stale buffer of a label array someone
+        # had swapped out loses the swapped-in flips (seed 37).
+        assert run_case("delta-merge-vs-rebuild", 0, 1) is None
+        assert run_case("delta-merge-vs-rebuild", 37, 1) is None
+        assert run_case("delta-merge-vs-rebuild", 1139250825, 8) is None
 
     def test_a_crashing_side_is_a_divergence(self):
         def crashes(seed, size):

@@ -19,6 +19,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.check.gen import random_delta, random_hetero_graph
 from repro.data import GeneratorConfig, TransactionGenerator, export_events, generate_log
 from repro.data.events import TxnEvent
 from repro.graph import NODE_TYPE_IDS, HeteroGraph, SageSampler, SubgraphCache
@@ -27,6 +28,7 @@ from repro.models import DetectorConfig, XFraudDetectorPlus
 from repro.obs import MetricsRegistry
 from repro.reliability import CheckpointManager, ManualClock
 from repro.serving import ScoringService, ServiceConfig
+from repro.storage import GraphStore, InMemoryKVStore, decode_array
 from repro.stream import (
     DriftConfig,
     DriftDetector,
@@ -53,6 +55,14 @@ def _small_config(seed=0, feature_dim=12):
         risk_signal=0.5,
         seed=seed,
     )
+
+
+_ARRAYS = ("node_type", "labels", "txn_features", "edge_src", "edge_dst", "edge_type")
+
+
+def _rebuilt(graph):
+    """A from-scratch graph over copies of ``graph``'s public arrays."""
+    return HeteroGraph(**{name: getattr(graph, name).copy() for name in _ARRAYS})
 
 
 # ----------------------------------------------------------------------
@@ -98,16 +108,7 @@ class TestAppendDelta:
         graph.csr()  # materialise so append_delta takes the merge path
         for _ in range(3):  # stack several deltas: merge-of-merge
             graph.append_delta(**self._delta(graph, rng))
-        merged = graph.csr()
-        rebuilt = HeteroGraph(
-            node_type=graph.node_type.copy(),
-            edge_src=graph.edge_src.copy(),
-            edge_dst=graph.edge_dst.copy(),
-            edge_type=graph.edge_type.copy(),
-            txn_features=graph.txn_features.copy(),
-            labels=graph.labels.copy(),
-        ).csr()
-        for merged_part, rebuilt_part in zip(merged, rebuilt):
+        for merged_part, rebuilt_part in zip(graph.csr(), _rebuilt(graph).csr()):
             np.testing.assert_array_equal(merged_part, rebuilt_part)
         graph.validate()
 
@@ -159,6 +160,154 @@ class TestAppendDelta:
                 edge_dst=[0],
                 edge_type=[0],
             )
+
+
+# ----------------------------------------------------------------------
+# append_delta: growth in spare capacity (prefix views, publish order)
+# ----------------------------------------------------------------------
+class TestGrowthInPlace:
+    def _grown(self, seed=0, deltas=6):
+        rng = np.random.default_rng(seed)
+        graph = random_hetero_graph(rng, num_txns=8)
+        graph.csr()
+        for _ in range(deltas):
+            graph.append_delta(**random_delta(rng, graph, num_new_txns=2))
+        return graph, rng
+
+    def _backing(self, graph):
+        """Identity of the memory behind each of the eight grown arrays."""
+        arrays = [getattr(graph, name) for name in _ARRAYS] + list(graph.csr()[1:])
+        return [array if array.base is None else array.base for array in arrays]
+
+    def test_many_deltas_across_reallocations_equal_a_rebuild(self):
+        rng = np.random.default_rng(11)
+        graph = random_hetero_graph(rng, num_txns=4)
+        graph.csr()
+        reallocations = np.zeros(8, dtype=int)
+        backing = self._backing(graph)
+        for _ in range(200):
+            graph.append_delta(**random_delta(rng, graph, num_new_txns=int(rng.integers(1, 4))))
+            now = self._backing(graph)
+            reallocations += [new is not old for new, old in zip(now, backing)]
+            backing = now
+        assert reallocations.min() >= 3, reallocations
+        rebuilt = _rebuilt(graph)
+        for name in _ARRAYS:
+            array = getattr(graph, name)
+            expected = graph.num_nodes if name in _ARRAYS[:3] else graph.num_edges
+            assert len(array) == expected and array.flags.c_contiguous, name
+        for part, rebuilt_part in zip(graph.csr(), rebuilt.csr()):
+            assert part.flags.c_contiguous
+            np.testing.assert_array_equal(part, rebuilt_part)
+        assert len(graph.csr()[1]) == len(graph.csr()[2]) == graph.num_edges
+        graph.validate()
+        # 200 deltas, a handful of reallocations: growth is geometric.
+        assert reallocations.max() <= 16, reallocations
+
+    def test_captured_arrays_are_snapshots(self):
+        graph, rng = self._grown()
+        seen = set()
+        while seen != {True, False}:  # a delta that reallocates, and one that does not
+            captured = {name: getattr(graph, name) for name in _ARRAYS}
+            expected = {name: array.copy() for name, array in captured.items()}
+            before = self._backing(graph)[0]
+            graph.append_delta(**random_delta(rng, graph, num_new_txns=2))
+            seen.add(self._backing(graph)[0] is not before)
+            for name, array in captured.items():
+                assert len(array) < len(getattr(graph, name))
+                np.testing.assert_array_equal(array, expected[name])
+                np.testing.assert_array_equal(getattr(graph, name)[: len(array)], array)
+
+    def test_rejected_delta_changes_nothing(self):
+        graph, rng = self._grown()
+        arrays = {name: getattr(graph, name) for name in _ARRAYS}
+        copies = {name: array.copy() for name, array in arrays.items()}
+        csr, version = graph.csr(), graph.version
+        csr_copy = [part.copy() for part in csr]
+        good = random_delta(rng, graph, num_new_txns=2)
+        bad_endpoint = dict(good, edge_src=good["edge_src"] + graph.num_nodes)
+        bad_shape = dict(good, txn_features=good["txn_features"][:, :-1])
+        bad_label = dict(good, labels=np.ones_like(good["labels"]))  # labels an entity
+        for bad in (bad_endpoint, bad_shape, bad_label):
+            with pytest.raises(ValueError):
+                graph.append_delta(**bad)
+            assert graph.version == version and graph.csr() is csr
+            for name in _ARRAYS:
+                assert getattr(graph, name) is arrays[name]
+                np.testing.assert_array_equal(arrays[name], copies[name])
+            for part, part_copy in zip(csr, csr_copy):
+                np.testing.assert_array_equal(part, part_copy)
+
+    def test_foreign_array_is_readopted_by_copy(self):
+        graph, rng = self._grown()
+        foreign = graph.labels.copy()
+        foreign[graph.txn_nodes] = 1 - np.maximum(foreign[graph.txn_nodes], 0)
+        graph.labels = foreign  # not a view of the graph's buffer, which is now stale
+        graph.append_delta(**random_delta(rng, graph, num_new_txns=2))
+        assert graph.labels.base is not foreign and len(foreign) < graph.num_nodes
+        np.testing.assert_array_equal(graph.labels[: len(foreign)], foreign)
+        graph.validate()
+
+    def test_label_flips_between_deltas_land_in_the_live_graph(self):
+        graph, rng = self._grown()
+        flipped = {}
+        for _ in range(30):  # crosses reallocations of the label buffer
+            node = int(rng.choice(graph.txn_nodes))
+            flipped[node] = int(rng.integers(0, 2))
+            graph.labels[node] = flipped[node]
+            graph.mark_mutated(structural=False)
+            graph.append_delta(**random_delta(rng, graph, num_new_txns=2))
+        for node, label in flipped.items():
+            assert graph.labels[node] == label
+
+    def test_static_graph_owns_exact_arrays(self):
+        graph = random_hetero_graph(np.random.default_rng(0), num_txns=8)
+        graph.csr()
+        graph.subgraph(np.arange(3))
+        assert graph._buffers is None
+        for array in self._backing(graph):
+            assert array.base is None
+
+    def test_clones_are_unaffected_by_later_deltas(self):
+        graph, rng = self._grown()
+        clone = graph.with_features(graph.txn_features * 2.0)
+        sub, nodes = graph.subgraph(np.arange(graph.num_nodes - 1, -1, -2))
+        expected_clone, expected_sub = _rebuilt(clone), _rebuilt(sub)
+        for _ in range(12):  # past a reallocation and several in-place splices
+            graph.append_delta(**random_delta(rng, graph, num_new_txns=3))
+        for held, expected in ((clone, expected_clone), (sub, expected_sub)):
+            for name in _ARRAYS:
+                np.testing.assert_array_equal(getattr(held, name), getattr(expected, name))
+            for part, expected_part in zip(held.csr(), expected.csr()):
+                np.testing.assert_array_equal(part, expected_part)
+        for part, rebuilt_part in zip(graph.csr(), _rebuilt(graph).csr()):
+            np.testing.assert_array_equal(part, rebuilt_part)
+
+    def test_local_map_scratch_survives_deltas(self):
+        graph, rng = self._grown()
+        graph.subgraph(np.arange(4))
+        scratch = graph._local_map_scratch
+        assert len(scratch) >= graph.num_nodes
+        reused = 0
+        while len(scratch) >= graph.num_nodes:
+            sub, _ = graph.subgraph(np.arange(graph.num_nodes - 4, graph.num_nodes))
+            assert graph._local_map_scratch is scratch and np.all(scratch == -1)
+            np.testing.assert_array_equal(sub.node_type, graph.node_type[-4:])
+            graph.append_delta(**random_delta(rng, graph, num_new_txns=2))
+            reused += 1
+        assert reused >= 2  # sized to node capacity, not to num_nodes
+        graph.subgraph(np.arange(graph.num_nodes - 4, graph.num_nodes))
+        assert len(graph._local_map_scratch) >= graph.num_nodes
+
+    def test_graph_store_round_trips_a_grown_graph_at_exact_size(self):
+        graph, _ = self._grown()
+        store = GraphStore(InMemoryKVStore())
+        store.save(graph)
+        loaded = store.load()
+        for name in _ARRAYS:
+            assert getattr(loaded, name).shape == getattr(graph, name).shape
+            np.testing.assert_array_equal(getattr(loaded, name), getattr(graph, name))
+        assert len(decode_array(store.store.get("struct/labels"))) == graph.num_nodes
 
 
 # ----------------------------------------------------------------------
