@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 from _helpers import best_us, format_table, write_result
-from repro.reliability.faults import SleepKVStore
+from repro.reliability.faults import SlowKVStore
 from repro.storage import InMemoryKVStore, ReplicaHealth, ReplicatedConfig, ReplicatedKVStore
 from repro.util import nearest_rank_index
 
@@ -28,7 +28,7 @@ MEASURED_READS = 120
 
 def _build(concurrent_hedge):
     backings = [InMemoryKVStore() for _ in range(REPLICAS)]
-    sleepers = [SleepKVStore(b, delay_s=FAST_S) for b in backings]
+    sleepers = [SlowKVStore(b, delay_s=FAST_S) for b in backings]
     config = ReplicatedConfig(
         replication_factor=REPLICAS,
         concurrent_hedge=concurrent_hedge,

@@ -258,6 +258,43 @@ one into 5k nodes (reads 1.5-1.9x; the parent reads ~10x), and
 before; the floor is now 29,000).""",
     ),
     (
+        "One request path — the performance ledger, a change that claims no gain",
+        "one_request_path",
+        """xFraud's deployed path (Sec. 3.3.3, App. H.5) is one pipeline per
+transaction — sample, KV feature lookup, forward. ``ScoringService``
+had it twice (a sequential scorer behind ``score()``, a micro-batch
+scorer behind ``score_batch()`` / ``drain()``, kept equal by a fuzz
+scenario) and gated every replicated read twice (``ReplicaHealth``
+beside an injected per-replica ``CircuitBreaker``). Now ``score(r)`` is
+a batch of one through the micro-batch pipeline and a replica's health
+machine is its only gate; the sequential scorer, the per-replica
+breakers, four copies of the KV-wrapper pass-through and the second
+rendezvous hash are deleted (net -228 lines of ``src/``). The
+``CircuitBreaker`` + retry pair stays in front of a *plain* store.
+
+Nothing was claimed beforehand except "no worse": every end-to-end
+metric on all four workloads inside its bound, and ``serve_cold``
+``latency_p50_ms`` — ``serve_cold`` is the workload that calls
+``score()`` — within the parent's own interquartile range of the parent
+median. Measured +0.5% (0.8129 -> 0.8172 ms, parent IQR 0.044 ms, the
+change ahead in 6/10 pairs). Same protocol as the three sections above,
+ledger code byte-identical on both sides; every run made is under
+`benchmarks/results/ledger_pr15/` (20 untraced + 2 traced
+``ledger.json``, 20 ``stream_ingest``-only results). ``auc``,
+``scores_crc32`` and every exact count are equal for every seed and
+``failed`` is 0 in all 80 + 8 + 20 workload runs. Four seed-0..3
+``serve_cold``-only pairs made while the change was being written
+(0.819 / 0.854 / 0.842 / 0.821 ms parent, 0.893 / 0.792 / 0.803 / 0.835
+ms change) are not in the table.
+
+The one behaviour that changed, on purpose: a replica that fails
+intermittently without ever failing ``dead_after`` reads in a row is no
+longer skipped for a cool-down; each failed read costs one failover and
+still returns the right bytes (DESIGN.md, "One gate per replica";
+``tests/test_replicated_store.py::
+test_intermittent_primary_costs_a_failover_per_failed_read``).""",
+    ),
+    (
         "Figure 14 — distributed convergence",
         "fig14_convergence",
         """Paper (Appendix C): 16-machine training does not converge faster and

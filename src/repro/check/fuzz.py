@@ -2,9 +2,9 @@
 
 Every fast or durable path in the stack has a slower executable spec:
 the vectorized samplers have the scalar reference walk, the CSR delta
-merge has the full stable rebuild, micro-batched scoring has the
-sequential path, the detector's plain-array inference kernel has its
-autograd forward, the header-memoising row decoder has ``np.load``, and
+merge has the full stable rebuild, a micro-batch of n has n batches
+of one through the same pipeline, the detector's plain-array inference
+kernel has its autograd forward, the header-memoising row decoder has ``np.load``, and
 the WAL has "whatever was durably framed before the crash". A fuzz *scenario* drives both sides of one such pair on a
 seeded random input and returns a divergence description (or ``None``).
 
@@ -184,7 +184,8 @@ def _fuzz_delta_merge(seed: int, size: int) -> Optional[str]:
 
 @scenario("single-vs-batched-scoring")
 def _fuzz_scoring(seed: int, size: int) -> Optional[str]:
-    """Sequential score() vs micro-batched score_batch() verdicts."""
+    """n batches of one (``score()``) vs one batch of n
+    (``score_batch()``): a verdict must not depend on batch composition."""
     from ..models.detector import DetectorConfig, XFraudDetectorPlus
     from ..reliability.faults import ManualClock
     from ..serving.service import ScoringService, ServiceConfig
@@ -214,9 +215,9 @@ def _fuzz_scoring(seed: int, size: int) -> Optional[str]:
             clock=ManualClock(),
         )
 
-    sequential = [make_service().score(node) for node in picks]
+    alone = [make_service().score(node) for node in picks]
     batched = make_service().score_batch(picks)
-    for node, left, right in zip(picks, sequential, batched):
+    for node, left, right in zip(picks, alone, batched):
         if left.rung != right.rung:
             return f"node {node}: rung {left.rung} != {right.rung}"
         if abs(left.score - right.score) > 1e-9:

@@ -829,8 +829,11 @@ def _check_replicated_run(result) -> int:
     """CI-facing assertions for ``serve --demo --replicas N``: the
     replica kill and silent corruption must be fully absorbed — zero
     KV failures reach the service, no storage-attributed degradations,
-    at least one per-replica breaker journeys through open (proof the
-    failover actually exercised), and every breaker recovers."""
+    the killed replica's health journeys through ``dead`` (proof the
+    failover actually exercised) and ends ``healthy`` again."""
+    from .cluster import DEAD, HEALTHY
+    from .serving.demo import KILLED_REPLICA
+
     stats = result.stats
     failures = []
     if stats.kv_failures != 0:
@@ -842,12 +845,14 @@ def _check_replicated_run(result) -> int:
     }
     if storage_degraded:
         failures.append(f"storage-attributed degradations: {storage_degraded}")
-    paths = stats.replica_breaker_paths()
-    if not any("open" in path for path in paths.values()):
-        failures.append("no replica breaker ever opened — failover not exercised")
-    not_recovered = {r: p for r, p in paths.items() if p and p[-1] != "closed"}
-    if not_recovered:
-        failures.append(f"replica breakers did not recover: {not_recovered}")
+    path = result.feature_store.health[KILLED_REPLICA].state_path()
+    journey = " -> ".join(path)
+    if DEAD not in path:
+        failures.append(
+            f"killed replica {KILLED_REPLICA} never went dead — failover not exercised"
+        )
+    elif path[-1] != HEALTHY:
+        failures.append(f"killed replica {KILLED_REPLICA} did not recover: {journey}")
     if result.anti_entropy is not None and result.anti_entropy.unrepairable:
         failures.append(
             f"anti-entropy left {result.anti_entropy.unrepairable} copies unrepairable"
@@ -856,7 +861,8 @@ def _check_replicated_run(result) -> int:
         print(f"FAIL: {failure}", file=sys.stderr)
     if failures:
         return 1
-    print("\nok: replica failover absorbed — zero storage-attributed degradations")
+    print(f"\nreplica {KILLED_REPLICA} journey: {journey}")
+    print("ok: replica failover absorbed — zero storage-attributed degradations")
     return 0
 
 

@@ -23,7 +23,6 @@ from .faults import (
     FlakyKVStore,
     ManualClock,
     OutageKVStore,
-    SleepKVStore,
     SlowKVStore,
 )
 from .retry import RetryPolicy, RetryingKVStore, TransientReadError, retry_call
@@ -42,7 +41,6 @@ __all__ = [
     "FlakyKVStore",
     "ManualClock",
     "OutageKVStore",
-    "SleepKVStore",
     "SlowKVStore",
     "RetryPolicy",
     "RetryingKVStore",

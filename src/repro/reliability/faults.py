@@ -19,7 +19,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..storage.kvstore import KVStore
+from ..storage.kvstore import DelegatingKVStore, KVStore
 from .retry import TransientReadError
 
 
@@ -234,15 +234,7 @@ class FaultPlan:
     ) -> Dict[int, List[Tuple[float, float]]]:
         if not schedule:
             return {}
-        validated: Dict[int, List[Tuple[float, float]]] = {}
-        for replica, windows in schedule.items():
-            for start, stop in windows:
-                if start < 0 or stop < start:
-                    raise ValueError(
-                        f"bad fault window ({start}, {stop}) for replica {replica}"
-                    )
-            validated[int(replica)] = [(float(a), float(b)) for a, b in windows]
-        return validated
+        return {int(replica): _validated_windows(w) for replica, w in schedule.items()}
 
     def wrap_replicas(
         self, stores: Sequence[KVStore], clock: Optional[ManualClock] = None
@@ -299,7 +291,15 @@ class FaultPlan:
         return faults
 
 
-class FlakyKVStore(KVStore):
+def _validated_windows(windows: Sequence[Tuple[float, float]]) -> List[Tuple[float, float]]:
+    """Half-open ``[start, stop)`` fault windows as float pairs."""
+    for start, stop in windows:
+        if start < 0 or stop < start:
+            raise ValueError(f"bad fault window ({start}, {stop})")
+    return [(float(start), float(stop)) for start, stop in windows]
+
+
+class FlakyKVStore(DelegatingKVStore):
     """Inject deterministic transient read faults into any KV-store.
 
     ``fail_first`` makes the first N reads of *each key* raise
@@ -315,7 +315,7 @@ class FlakyKVStore(KVStore):
         fail_rate: float = 0.0,
         seed: int = 0,
     ) -> None:
-        self.store = store
+        super().__init__(store)
         self.fail_first = fail_first
         self.fail_rate = fail_rate
         self.injected = 0
@@ -333,35 +333,17 @@ class FlakyKVStore(KVStore):
             raise TransientReadError(f"injected random fault for {key!r}")
         return self.store.get(key)
 
-    def put(self, key: str, value: bytes) -> None:
-        self.store.put(key, value)
 
-    def contains(self, key: str) -> bool:
-        return self.store.contains(key)
-
-    def keys(self) -> List[str]:
-        return self.store.keys()
-
-    def close(self) -> None:
-        self.store.close()
-
-
-class OutageKVStore(KVStore):
-    """Script a total KV outage over read-index or clock windows.
+class _WindowedFault(DelegatingKVStore):
+    """Base of the injectors scripted over half-open ``[start, stop)``
+    windows.
 
     Without a ``clock``, reads are numbered globally (0-based, counting
-    every ``get`` including failed ones) and a read whose index falls
-    in any half-open ``[start, stop)`` window raises
-    :class:`TransientReadError`. With a ``clock`` (e.g.
-    :class:`ManualClock`), windows are in *seconds on that clock* —
-    the natural scripting unit when a circuit breaker sits in front,
-    since an open breaker stops reads and would otherwise freeze a
-    read-counted outage forever.
-
-    Either way this is the deterministic shape of a store that goes
-    *down* — every read fails for a stretch — which is what trips a
-    breaker, as opposed to :class:`FlakyKVStore`'s per-key transient
-    blips that retries absorb.
+    every ``get`` including faulted ones) and a window is a range of
+    read indices. With a ``clock`` (e.g. :class:`ManualClock`), windows
+    are in *seconds on that clock* — the natural scripting unit when a
+    circuit breaker sits in front, since an open breaker stops reads
+    and would otherwise freeze a read-counted window forever.
     """
 
     def __init__(
@@ -370,23 +352,38 @@ class OutageKVStore(KVStore):
         windows: Sequence[Tuple[float, float]] = (),
         clock: Optional[ManualClock] = None,
     ) -> None:
-        for start, stop in windows:
-            if start < 0 or stop < start:
-                raise ValueError(f"bad outage window ({start}, {stop})")
-        self.store = store
-        self.windows = [(float(start), float(stop)) for start, stop in windows]
+        super().__init__(store)
+        self.windows = _validated_windows(windows)
         self.clock = clock
         self.reads = 0
         self.injected = 0
 
-    def _down(self, position: float) -> bool:
-        return any(start <= position < stop for start, stop in self.windows)
-
-    def get(self, key: str) -> bytes:
+    def _count_read(self) -> int:
         index = self.reads
         self.reads += 1
-        position = float(self.clock()) if self.clock is not None else float(index)
-        if self._down(position):
+        return index
+
+    def _position(self, index: int) -> float:
+        """Where read ``index`` falls on the window axis, as of now."""
+        return float(self.clock()) if self.clock is not None else float(index)
+
+    def _in_window(self, position: float) -> bool:
+        return any(start <= position < stop for start, stop in self.windows)
+
+
+class OutageKVStore(_WindowedFault):
+    """Script a total KV outage over read-index or clock windows.
+
+    A read whose position falls in any window raises
+    :class:`TransientReadError`. This is the deterministic shape of a
+    store that goes *down* — every read fails for a stretch — which is
+    what trips a breaker, as opposed to :class:`FlakyKVStore`'s per-key
+    transient blips that retries absorb.
+    """
+
+    def get(self, key: str) -> bytes:
+        position = self._position(self._count_read())
+        if self._in_window(position):
             self.injected += 1
             raise TransientReadError(
                 f"scripted outage at {'t=' if self.clock else 'read #'}{position:g} "
@@ -394,92 +391,43 @@ class OutageKVStore(KVStore):
             )
         return self.store.get(key)
 
-    def put(self, key: str, value: bytes) -> None:
-        self.store.put(key, value)
 
-    def contains(self, key: str) -> bool:
-        return self.store.contains(key)
+class SlowKVStore(DelegatingKVStore):
+    """A straggling store: each read costs ``delay_s`` seconds.
 
-    def keys(self) -> List[str]:
-        return self.store.keys()
-
-    def close(self) -> None:
-        self.store.close()
-
-
-class SlowKVStore(KVStore):
-    """A straggling store: each read advances a :class:`ManualClock`.
-
-    Simulated latency, not real sleeping — the shared clock is also
-    what the request's deadline watches, so a test can script "feature
-    reads take 2ms each against a 10ms budget" and observe the deadline
-    machinery fire deterministically.
+    With a :class:`ManualClock` the latency is simulated, not slept —
+    the shared clock is also what the request's deadline watches, so a
+    test can script "feature reads take 2ms each against a 10ms budget"
+    and observe the deadline machinery fire deterministically. Without
+    a clock each read blocks ``delay_s`` of wall time, for benchmarks
+    (and hedging tests) that measure true latency. ``delay_s`` is
+    mutable, so a scenario can slow one replica mid-run.
     """
 
-    def __init__(self, store: KVStore, clock: ManualClock, delay_s: float = 0.001) -> None:
+    def __init__(
+        self, store: KVStore, clock: Optional[ManualClock] = None, delay_s: float = 0.001
+    ) -> None:
         if delay_s < 0:
             raise ValueError("delay_s must be >= 0")
-        self.store = store
+        super().__init__(store)
         self.clock = clock
         self.delay_s = float(delay_s)
+        self._sleep = clock.sleep if clock is not None else time.sleep
 
     def get(self, key: str) -> bytes:
-        self.clock.advance(self.delay_s)
+        self._sleep(self.delay_s)
         return self.store.get(key)
 
-    def put(self, key: str, value: bytes) -> None:
-        self.store.put(key, value)
 
-    def contains(self, key: str) -> bool:
-        return self.store.contains(key)
-
-    def keys(self) -> List[str]:
-        return self.store.keys()
-
-    def close(self) -> None:
-        self.store.close()
-
-
-class SleepKVStore(KVStore):
-    """A *real-time* straggler: each read blocks ``delay_s`` of wall
-    clock. The wall-clock sibling of :class:`SlowKVStore`, for
-    benchmarks (and hedging tests) that measure true latency rather
-    than simulated time. ``delay_s`` is mutable, so a scenario can slow
-    one replica mid-run."""
-
-    def __init__(self, store: KVStore, delay_s: float = 0.001) -> None:
-        if delay_s < 0:
-            raise ValueError("delay_s must be >= 0")
-        self.store = store
-        self.delay_s = float(delay_s)
-
-    def get(self, key: str) -> bytes:
-        time.sleep(self.delay_s)
-        return self.store.get(key)
-
-    def put(self, key: str, value: bytes) -> None:
-        self.store.put(key, value)
-
-    def contains(self, key: str) -> bool:
-        return self.store.contains(key)
-
-    def keys(self) -> List[str]:
-        return self.store.keys()
-
-    def close(self) -> None:
-        self.store.close()
-
-
-class CorruptKVStore(KVStore):
+class CorruptKVStore(_WindowedFault):
     """Deterministically bit-flip values read during scripted windows.
 
     The *quiet* failure mode checksums exist for: unlike
     :class:`OutageKVStore`'s loud errors, a corrupt read returns
     successfully — with garbage bytes. The flipped byte position is a
     pure function of ``(seed, key)``, so a given key is corrupted the
-    same way on every read in a window. Windows follow
-    :class:`OutageKVStore` semantics: clock seconds with a ``clock``,
-    global 0-based read indices without.
+    same way on every read in a window. A read's position is taken
+    *after* the inner read, so a slow inner store moves it.
     """
 
     def __init__(
@@ -489,40 +437,16 @@ class CorruptKVStore(KVStore):
         clock: Optional[ManualClock] = None,
         seed: int = 0,
     ) -> None:
-        for start, stop in windows:
-            if start < 0 or stop < start:
-                raise ValueError(f"bad corruption window ({start}, {stop})")
-        self.store = store
-        self.windows = [(float(start), float(stop)) for start, stop in windows]
-        self.clock = clock
+        super().__init__(store, windows, clock)
         self.seed = int(seed)
-        self.reads = 0
-        self.injected = 0
-
-    def _corrupting(self, position: float) -> bool:
-        return any(start <= position < stop for start, stop in self.windows)
 
     def get(self, key: str) -> bytes:
-        index = self.reads
-        self.reads += 1
+        index = self._count_read()
         value = self.store.get(key)
-        position = float(self.clock()) if self.clock is not None else float(index)
-        if self._corrupting(position) and value:
+        if self._in_window(self._position(index)) and value:
             self.injected += 1
             flipped = bytearray(value)
             slot = (zlib.crc32(key.encode("utf-8")) ^ self.seed) % len(flipped)
             flipped[slot] ^= 0xFF
             return bytes(flipped)
         return value
-
-    def put(self, key: str, value: bytes) -> None:
-        self.store.put(key, value)
-
-    def contains(self, key: str) -> bool:
-        return self.store.contains(key)
-
-    def keys(self) -> List[str]:
-        return self.store.keys()
-
-    def close(self) -> None:
-        self.store.close()

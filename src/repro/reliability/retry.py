@@ -25,7 +25,12 @@ from typing import Callable, List, Optional, Tuple, Type
 
 import numpy as np
 
-from ..storage.kvstore import CorruptStoreError, KVStore, propagate_instrument
+from ..storage.kvstore import (
+    CorruptStoreError,
+    DelegatingKVStore,
+    KVStore,
+    propagate_instrument,
+)
 
 
 class TransientReadError(IOError):
@@ -118,7 +123,7 @@ def retry_call(
     raise last
 
 
-class RetryingKVStore(KVStore):
+class RetryingKVStore(DelegatingKVStore):
     """Read-retry wrapper around any KV-store.
 
     ``retries`` counts the retry sleeps taken over the wrapper's
@@ -132,7 +137,7 @@ class RetryingKVStore(KVStore):
         retry_on: Tuple[Type[BaseException], ...] = (TransientReadError, CorruptStoreError),
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
-        self.store = store
+        super().__init__(store)
         self.policy = policy or RetryPolicy()
         self.retry_on = retry_on
         self.retries = 0
@@ -186,15 +191,3 @@ class RetryingKVStore(KVStore):
             if self._read_seconds is not None:
                 self._read_seconds.observe(time.perf_counter() - started, store="retrying")
                 self._reads_total.inc(store="retrying")
-
-    def put(self, key: str, value: bytes) -> None:
-        self.store.put(key, value)
-
-    def contains(self, key: str) -> bool:
-        return self.store.contains(key)
-
-    def keys(self) -> List[str]:
-        return self.store.keys()
-
-    def close(self) -> None:
-        self.store.close()

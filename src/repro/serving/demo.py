@@ -22,7 +22,8 @@ silently bit-flipped on disk). The service stays on the GNN rung
 throughout — reads fail over, the corrupt replica is quarantined, an
 anti-entropy pass repairs the divergent rows, and the dead replica is
 probed back to health — so the printed story is zero degradations with
-per-replica breaker journeys showing the failover instead.
+the killed replica's health journey (``healthy → … → dead → probing →
+healthy``) showing the failover instead.
 
 Everything runs on simulated time, so the printed ``ServiceStats``
 block — rung mix, breaker transition path, latency percentiles — is
@@ -50,6 +51,10 @@ from ..storage.replicated import AntiEntropyReport, ReplicatedConfig, Replicated
 from ..train import TrainConfig, Trainer
 from .service import ScoreRequest, ScoreResponse, ScoringService, ServiceConfig
 from .stats import ServiceStats
+
+
+#: The replica the replicated storyline kills over the outage window.
+KILLED_REPLICA = 1
 
 
 @dataclass
@@ -94,8 +99,8 @@ def build_demo_service(
     ``replicas > 1`` swaps the single faulted store for a fully
     replicated tier: the outage window becomes a replica-1 kill, three
     or more replicas additionally get a handful of replica-2 feature
-    rows bit-flipped on disk, and the service wires per-replica
-    breakers automatically.
+    rows bit-flipped on disk; each replica's own health machine is its
+    only gate.
     """
     if replicas < 1:
         raise ValueError("replicas must be >= 1")
@@ -173,9 +178,10 @@ def _build_replicated_store(
     hot_nodes: Optional[List[int]] = None,
     poison_rows: int = 3,
 ) -> ReplicatedKVStore:
-    """The replicated incident: N slow replicas, replica 1 killed over
-    the outage window, and (with >= 3 replicas) ``poison_rows`` of
-    replica 2's feature rows bit-flipped on disk — persistent
+    """The replicated incident: N slow replicas, replica
+    ``KILLED_REPLICA`` killed over the outage window, and (with >= 3
+    replicas) ``poison_rows`` of replica 2's feature rows bit-flipped
+    on disk — persistent
     divergence for the quarantine + anti-entropy acts. ``hot_nodes``
     lists nodes the demo will actually score, so the poisoned rows are
     ones whose primary read lands on the corrupt replica and the
@@ -185,7 +191,7 @@ def _build_replicated_store(
     plan = FaultPlan(
         num_workers=replicas,
         seed=seed,
-        replica_kill={1: [outage_window]},
+        replica_kill={KILLED_REPLICA: [outage_window]},
     )
     config = ReplicatedConfig(
         replication_factor=replicas,

@@ -15,7 +15,8 @@ scorer needs to survive heavy traffic and partial outages:
   breaker*: one :func:`~repro.reliability.retry.retry_call` (absorbing
   transient blips) is one breaker outcome, and a store that is truly
   down opens the breaker so subsequent requests degrade instantly
-  instead of burning their deadlines on doomed reads.
+  instead of burning their deadlines on doomed reads. A replicated
+  store is read directly: each replica's health machine is its gate.
 * **Graceful degradation** — a three-rung ladder: full GNN score →
   :class:`~repro.rules.miner.RuleSet` risk score over the raw request
   features → configurable static prior. Every response is tagged with
@@ -151,16 +152,16 @@ class _DeadlineGroup:
     ``remaining``; this one fans a stage check out to each member's own
     :class:`Deadline`. A member whose budget is spent is *individually*
     demoted — it records the same ``deadline:<stage>`` reason it would
-    have received on the sequential path and drops out of the batch —
-    while the survivors keep going. Only when every member has expired
+    have received scored alone and drops out of the batch — while the
+    survivors keep going. Only when every member has expired
     does ``check`` raise, aborting the shared work. That is how a batch
     preserves per-request deadline verdicts: expiry is per member, the
     exception is per batch.
     """
 
-    def __init__(self, members: Sequence[_BatchMember], on_expire: Callable) -> None:
+    def __init__(self, members: Sequence[_BatchMember], stats: ServiceStats) -> None:
         self._members = list(members)
-        self._on_expire = on_expire
+        self._stats = stats
 
     @property
     def live(self) -> List[_BatchMember]:
@@ -173,7 +174,7 @@ class _DeadlineGroup:
                 continue
             if member.deadline.expired():
                 member.degraded_reason = f"deadline:{stage}"
-                self._on_expire(member)
+                self._stats.deadline_hits += 1
             else:
                 expired_all = False
         if expired_all:
@@ -185,9 +186,6 @@ class _DeadlineGroup:
     def remaining(self) -> float:
         """Budget of the healthiest member — the retry/backoff bound."""
         return max((m.deadline.remaining() for m in self.live), default=0.0)
-
-    def expired(self) -> bool:
-        return not self.live
 
 
 class ScoringService:
@@ -208,11 +206,8 @@ class ScoringService:
         ``feat/{node}`` rows (the :class:`~repro.storage.loader.GraphStore`
         layout). Reads go through retry-inside-breaker. A
         :class:`~repro.storage.replicated.ReplicatedKVStore` is detected
-        and wired differently: the service builds one
-        :class:`~repro.serving.breaker.CircuitBreaker` *per replica*
-        (same config knobs, names ``feature-replica-<i>``) and injects
-        them into the store, whose failover/hedging machinery replaces
-        the global breaker + retry layer on the fetch path.
+        and read directly: its per-replica health tracking, failover
+        and hedging replace the breaker + retry layer on the fetch path.
     rules:
         Optional :class:`~repro.rules.miner.RuleSet` powering the
         middle degradation rung.
@@ -221,10 +216,11 @@ class ScoringService:
         cool-downs; inject a
         :class:`~repro.reliability.faults.ManualClock` for determinism.
     tracer:
-        Optional :class:`~repro.obs.trace.Tracer`; when set, every
-        request emits one span tree (admission → sample →
-        feature_fetch → forward → rung) on the same clock the
-        deadlines use.
+        Optional :class:`~repro.obs.trace.Tracer`; when set, spans land
+        on the clock the deadlines use, in one shape for every entry
+        point: ``admission`` per request, one ``batch`` per micro-batch
+        (children ``sample`` → ``feature_fetch`` → ``forward`` →
+        ``rung``), then a ``request`` marker per member.
     registry:
         Optional :class:`~repro.obs.registry.MetricsRegistry`; when
         set, latency tallies back onto registry histograms
@@ -233,7 +229,7 @@ class ScoringService:
         neighbour sampler is instrumented with hop counters.
     cache:
         Optional :class:`~repro.graph.cache.SubgraphCache`. When set,
-        sampler calls (single-request and micro-batched) go through
+        sampler calls go through
         ``cache.get_or_sample`` keyed on (targets, sampler config,
         graph version); with a ``registry`` the cache's
         hit/miss/eviction counters are exported automatically.
@@ -294,37 +290,11 @@ class ScoringService:
             name="feature-store",
             on_transition=self.stats.record_breaker_transition,
         )
-        # A replicated store demotes the breaker to per-replica scope:
-        # one breaker per replica (same knobs), injected duck-typed so
-        # storage never imports serving. The global breaker stays for
-        # plain stores and for the non-replicated code path.
-        self.replica_breakers: List[CircuitBreaker] = []
+        # A replicated store gates each replica with its own
+        # ReplicaHealth; the breaker + retry layer is for plain stores.
         self._replicated = isinstance(feature_store, ReplicatedKVStore)
-        if self._replicated:
-            for index in range(len(feature_store.replicas)):
-                self.replica_breakers.append(
-                    CircuitBreaker(
-                        failure_threshold=self.config.breaker_failure_threshold,
-                        window=self.config.breaker_window,
-                        min_calls=self.config.breaker_min_calls,
-                        cooldown_s=self.config.breaker_cooldown_s,
-                        half_open_probes=self.config.breaker_half_open_probes,
-                        clock=clock,
-                        name=f"feature-replica-{index}",
-                        on_transition=(
-                            lambda from_state, to_state, index=index: (
-                                self.stats.record_replica_breaker_transition(
-                                    index, from_state, to_state
-                                )
-                            )
-                        ),
-                    )
-                )
-            feature_store.set_replica_breakers(
-                self.replica_breakers, open_error=CircuitOpenError
-            )
-            if registry is not None:
-                feature_store.instrument(registry)
+        if self._replicated and registry is not None:
+            feature_store.instrument(registry)
         self.bucket = TokenBucket(self.config.rate, self.config.burst, clock=clock)
         self.queue = AdmissionQueue(self.config.queue_capacity, bucket=self.bucket)
 
@@ -342,22 +312,12 @@ class ScoringService:
 
     # -- public scoring API --------------------------------------------
     def score(self, request: Union[int, ScoreRequest]) -> ScoreResponse:
-        """Score one request synchronously; always returns a verdict."""
+        """Score one request synchronously; always returns a verdict.
+        A micro-batch of one through the pipeline :meth:`score_batch` uses."""
         request = self._coerce(request)
-        with self.tracer.span("request", node=request.node) as span:
-            with self.tracer.span("admission") as admission:
-                admitted = self.bucket.try_acquire()
-                admission.set("admitted", admitted)
-            if not admitted:
-                self.stats.record_shed(SHED_RATE_LIMITED)
-                span.set("outcome", "shed").set("shed_reason", SHED_RATE_LIMITED)
-                return self._shed_response(request, SHED_RATE_LIMITED)
-            self.stats.record_admitted()
-            response = self._score_admitted(request)
-            span.set("rung", response.rung)
-            if response.degraded_reason:
-                span.set("degraded_reason", response.degraded_reason)
-            return response
+        if not self._admit(request):
+            return self._shed_response(request, SHED_RATE_LIMITED)
+        return self._score_admitted_batch([request])[0]
 
     def score_batch(self, requests: Sequence[Union[int, ScoreRequest]]) -> List[ScoreResponse]:
         """Score many requests with micro-batched execution.
@@ -370,30 +330,18 @@ class ScoringService:
         one cache-keyed singleton sample per target stacked into ONE
         disjoint forward graph, ONE batched KV feature fetch, and one
         ``predict_proba`` forward per degradation rung actually used —
-        not one per request. Scores are identical to sequential scoring
+        not one per request. Scores do not depend on batch composition
         (within float noise); responses come back in request order.
         """
         coerced = [self._coerce(request) for request in requests]
-        responses: List[Optional[ScoreResponse]] = [None] * len(coerced)
-        admitted: List[int] = []
-        for position, request in enumerate(coerced):
-            with self.tracer.span("admission", node=request.node) as admission:
-                ok = self.bucket.try_acquire()
-                admission.set("admitted", ok)
-            if ok:
-                self.stats.record_admitted()
-                admitted.append(position)
-            else:
-                self.stats.record_shed(SHED_RATE_LIMITED)
-                responses[position] = self._shed_response(request, SHED_RATE_LIMITED)
-        batch_size = self.config.batch_size or max(len(admitted), 1)
-        for positions in batched(admitted, batch_size):
-            group_responses = self._score_admitted_batch(
-                [coerced[p] for p in positions]
-            )
-            for position, response in zip(positions, group_responses):
-                responses[position] = response
-        return [response for response in responses if response is not None]
+        admitted = [self._admit(request) for request in coerced]
+        scored = iter(
+            self._score_micro_batched([r for r, ok in zip(coerced, admitted) if ok])
+        )
+        return [
+            next(scored) if ok else self._shed_response(request, SHED_RATE_LIMITED)
+            for request, ok in zip(coerced, admitted)
+        ]
 
     def warm_cache(self, targets: Sequence[int]) -> int:
         """Pre-sample hot targets into the subgraph cache (no scoring).
@@ -425,14 +373,7 @@ class ScoringService:
     def drain(self) -> List[ScoreResponse]:
         """Serve the queued backlog FIFO, micro-batched; one verdict per
         admitted request (admission already happened in :meth:`submit`)."""
-        backlog = list(self.queue.drain())
-        if not backlog:
-            return []
-        batch_size = self.config.batch_size or len(backlog)
-        responses: List[ScoreResponse] = []
-        for group in batched(backlog, batch_size):
-            responses.extend(self._score_admitted_batch(group))
-        return responses
+        return self._score_micro_batched(list(self.queue.drain()))
 
     # -- internals ------------------------------------------------------
     def _coerce(self, request: Union[int, ScoreRequest]) -> ScoreRequest:
@@ -441,6 +382,17 @@ class ScoringService:
         if not 0 <= request.node < self.graph.num_nodes:
             raise ValueError(f"node {request.node} outside the serving graph")
         return request
+
+    def _admit(self, request: ScoreRequest) -> bool:
+        """One token-bucket decision, traced and tallied."""
+        with self.tracer.span("admission", node=request.node) as admission:
+            admitted = self.bucket.try_acquire()
+            admission.set("admitted", admitted)
+        if admitted:
+            self.stats.record_admitted()
+        else:
+            self.stats.record_shed(SHED_RATE_LIMITED)
+        return admitted
 
     def _request_features(self, request: ScoreRequest) -> Optional[np.ndarray]:
         if request.features is not None:
@@ -467,61 +419,26 @@ class ScoringService:
     def _verdict(self, score: float) -> str:
         return VERDICT_FRAUD if score >= self.config.fraud_threshold else VERDICT_LEGIT
 
-    def _score_admitted(self, request: ScoreRequest) -> ScoreResponse:
-        started = self._clock()
-        budget = request.deadline_s if request.deadline_s is not None else self.config.deadline_s
-        deadline = Deadline(budget, clock=self._clock)
-        degraded_reason: Optional[str] = None
-        rung: Optional[str] = None
-        score = 0.0
-        try:
-            score = self._gnn_score(request, deadline)
-            rung = RUNG_GNN
-        except DeadlineExceeded as error:
-            self.stats.deadline_hits += 1
-            degraded_reason = f"deadline:{error.stage}"
-        except CircuitOpenError:
-            degraded_reason = "breaker_open"
-        except FeatureFetchError:
-            degraded_reason = "kv_unavailable"
-        # The "rung" span covers verdict production: the fallback walk
-        # when degraded, a zero-width marker on the healthy GNN path.
-        with self.tracer.span("rung", degraded=degraded_reason or "") as rung_span:
-            if rung is None:
-                rung, score = self._fallback(request)
-            rung_span.set("rung", rung)
-        latency = self._clock() - started
-        self.stats.record_response(rung, latency, degraded_reason)
-        label = int(self.graph.labels[request.node])
-        if label >= 0:
-            self.stats.record_outcome(label, score)
-        return ScoreResponse(
-            node=request.node,
-            score=float(score),
-            verdict=self._verdict(score),
-            rung=rung,
-            admitted=True,
-            latency_s=latency,
-            degraded_reason=degraded_reason,
-            deadline_remaining_s=deadline.remaining(),
-        )
+    # -- the scoring pipeline ------------------------------------------
+    def _score_micro_batched(self, requests: Sequence[ScoreRequest]) -> List[ScoreResponse]:
+        """Admitted requests in, one verdict each out, in order, scored
+        ``config.batch_size`` (``None`` = all) at a time."""
+        responses: List[ScoreResponse] = []
+        for group in batched(requests, self.config.batch_size or max(len(requests), 1)):
+            responses.extend(self._score_admitted_batch(group))
+        return responses
 
-    # -- micro-batched scoring ----------------------------------------
     def _score_admitted_batch(self, requests: Sequence[ScoreRequest]) -> List[ScoreResponse]:
-        """Score already-admitted requests as ONE coalesced unit.
+        """Score already-admitted requests as ONE coalesced unit — the
+        only scoring pipeline (:meth:`score` sends a batch of one).
 
         One cache-keyed singleton sample per target (stacked into a
-        single disjoint forward graph, so verdicts match sequential
-        scoring), one batched KV fetch, one forward per degradation
-        rung used. Per-request
-        deadline semantics ride on :class:`_DeadlineGroup`; breaker and
-        KV failures demote every member still on the GNN rung, exactly
-        as they would have demoted each request scored alone.
+        single disjoint forward graph, so a verdict does not depend on
+        batch composition), one batched KV fetch, one forward per
+        degradation rung used. Per-request deadline semantics ride on
+        :class:`_DeadlineGroup`; breaker and KV failures demote every
+        member still on the GNN rung.
         """
-        if len(requests) == 1:
-            # A singleton batch gains nothing from coalescing; reuse the
-            # sequential path (identical spans, stats, and verdicts).
-            return [self._score_admitted(requests[0])]
         started = self._clock()
         members: List[_BatchMember] = []
         for request in requests:
@@ -529,7 +446,7 @@ class ScoringService:
                 request.deadline_s if request.deadline_s is not None else self.config.deadline_s
             )
             members.append(_BatchMember(request, Deadline(budget, clock=self._clock)))
-        group = _DeadlineGroup(members, on_expire=self._record_deadline_hit)
+        group = _DeadlineGroup(members, self.stats)
         with self.tracer.span("batch", size=len(members)) as batch_span:
             try:
                 self._gnn_score_batch(group)
@@ -548,7 +465,7 @@ class ScoringService:
         responses: List[ScoreResponse] = []
         latency = self._clock() - started
         for member in members:
-            with self.tracer.span("request", node=member.request.node, batched=True) as span:
+            with self.tracer.span("request", node=member.request.node) as span:
                 span.set("rung", member.rung)
                 if member.degraded_reason:
                     span.set("degraded_reason", member.degraded_reason)
@@ -569,9 +486,6 @@ class ScoringService:
                 )
             )
         return responses
-
-    def _record_deadline_hit(self, member: _BatchMember) -> None:
-        self.stats.deadline_hits += 1
 
     def _gnn_score_batch(self, group: _DeadlineGroup) -> None:
         """Rung 0 for a whole micro-batch: assigns score+rung to every
@@ -626,9 +540,12 @@ class ScoringService:
         if self.feature_store is not None:
             # Components may repeat an original id (two targets sampling
             # the same hub): fetch each row once, scatter to every copy.
-            unique_ids, inverse = np.unique(sampled.original_ids, return_inverse=True)
-            with self.tracer.span("feature_fetch", rows=int(len(unique_ids))):
-                rows = self._fetch_features(unique_ids, group)[inverse]
+            # A lone component's ids are unique as sampled.
+            ids, inverse = sampled.original_ids, slice(None)
+            if len(survivors) > 1:
+                ids, inverse = np.unique(ids, return_inverse=True)
+            with self.tracer.span("feature_fetch", rows=int(len(ids))):
+                rows = self._fetch_features(ids, group)[inverse]
             # Hydrate onto an O(1) clone: the sampled subgraphs may live
             # in the SubgraphCache and must never carry another
             # request's feature rows.
@@ -649,12 +566,11 @@ class ScoringService:
 
     def _fallback_batch(self, members: Sequence[_BatchMember]) -> None:
         """Rungs 1–2 for every member the GNN rung did not score: ONE
-        rules pass over the stacked request features, prior for the rest."""
+        rules pass over the stacked request features, prior for the rest.
+        The "rung" span is a zero-width marker when nobody degraded."""
         pending = [member for member in members if member.rung is None]
-        if not pending:
-            return
         with self.tracer.span("rung", batch=len(pending)) as rung_span:
-            if self.rules is not None and len(self.rules):
+            if pending and self.rules is not None and len(self.rules):
                 featured = [
                     (member, self._request_features(member.request))
                     for member in pending
@@ -677,32 +593,6 @@ class ScoringService:
             return self.cache.get_or_sample(self.graph, sampler, targets, deadline=deadline)
         return sampler.sample(self.graph, targets, deadline=deadline)
 
-    def _gnn_score(self, request: ScoreRequest, deadline: Deadline) -> float:
-        deadline.check("admission")
-        sampler = getattr(self.model, "sampler", None)
-        if sampler is None:
-            # No sampling stage (plain detector): full-graph scoring
-            # under the same deadline bound.
-            if self.feature_store is not None:
-                with self.tracer.span("feature_fetch", rows=1):
-                    self._fetch_features(np.array([request.node]), deadline)
-            deadline.check("model forward")
-            with self.tracer.span("forward"):
-                return float(self.model.predict_proba(self.graph, [request.node])[0])
-        with self.tracer.span("sample") as sample_span:
-            sampled = self._sample(sampler, [request.node], deadline)
-            sample_span.set("sampled_nodes", int(len(sampled.original_ids)))
-        forward_graph = sampled.graph
-        if self.feature_store is not None:
-            with self.tracer.span("feature_fetch", rows=int(len(sampled.original_ids))):
-                rows = self._fetch_features(sampled.original_ids, deadline)
-            # Never written in place: the subgraph may be shared via the
-            # SubgraphCache, so features ride an O(1) structural clone.
-            forward_graph = sampled.graph.with_features(rows)
-        deadline.check("model forward")
-        with self.tracer.span("forward"):
-            return float(self.model.predict_proba(forward_graph, sampled.target_local)[0])
-
     def _fetch_features(self, node_ids: np.ndarray, deadline: Deadline) -> np.ndarray:
         """Hydrate feature rows from the KV-store, retries inside the breaker.
 
@@ -711,12 +601,12 @@ class ScoringService:
         degradation ladder is always cheaper than a doomed wait.
 
         A :class:`~repro.storage.replicated.ReplicatedKVStore` carries
-        its own failover, hedging, and per-replica breakers, so the
-        global breaker and the retry layer step aside — wrapping the
-        store's internal failover loop in another retry would
-        double-penalise a replica blip, and a global breaker would turn
-        one dead replica into a whole-tier outage (the exact failure
-        mode replication exists to remove). Only
+        its own failover, hedging, and per-replica health gate, so the
+        breaker and the retry layer step aside — wrapping the store's
+        internal failover loop in another retry would double-penalise a
+        replica blip, and a tier-wide breaker would turn one dead
+        replica into a whole-tier outage (the exact failure mode
+        replication exists to remove). Only
         :class:`~repro.storage.replicated.AllReplicasFailedError` —
         every owner down or corrupt — demotes the request.
         """
@@ -773,11 +663,3 @@ class ScoringService:
                     )
                     self._kv_reads_total.inc(len(chunk), store="feature-store")
         return rows
-
-    # -- rungs 1 and 2: rules, then static prior -----------------------
-    def _fallback(self, request: ScoreRequest):
-        features = self._request_features(request)
-        if self.rules is not None and len(self.rules) and features is not None:
-            score = float(self.rules.risk_scores(features[None, :])[0])
-            return RUNG_RULES, score
-        return RUNG_PRIOR, self.config.static_prior

@@ -48,10 +48,6 @@ class ServiceStats:
         self.kv_failures = 0
         self.kv_retries = 0
         self.breaker_transitions: List[Tuple[str, str]] = []
-        # replica index -> [(from, to), ...] for per-replica breakers
-        # (replicated feature stores); the global list above keeps its
-        # shape for the single-store path.
-        self.replica_breaker_transitions: Dict[int, List[Tuple[str, str]]] = {}
         self._latencies = Reservoir(reservoir_size, seed=seed)
         self._outcomes = Reservoir(reservoir_size, seed=seed)  # (label, score)
         self.registry = registry
@@ -105,13 +101,6 @@ class ServiceStats:
     def record_breaker_transition(self, from_state: str, to_state: str) -> None:
         self.breaker_transitions.append((from_state, to_state))
 
-    def record_replica_breaker_transition(
-        self, replica: int, from_state: str, to_state: str
-    ) -> None:
-        self.replica_breaker_transitions.setdefault(int(replica), []).append(
-            (from_state, to_state)
-        )
-
     def record_outcome(self, label: int, score: float) -> None:
         """Optionally track (truth, score) pairs for online AUC."""
         self._outcomes.add((int(label), float(score)))
@@ -148,16 +137,6 @@ class ServiceStats:
             return ()
         return (self.breaker_transitions[0][0],) + tuple(t for _, t in self.breaker_transitions)
 
-    def replica_breaker_paths(self) -> Dict[int, Tuple[str, ...]]:
-        """Per-replica breaker journeys, same shape as
-        :meth:`breaker_state_path` (replicas with no transitions are
-        absent)."""
-        paths: Dict[int, Tuple[str, ...]] = {}
-        for replica, transitions in sorted(self.replica_breaker_transitions.items()):
-            if transitions:
-                paths[replica] = (transitions[0][0],) + tuple(t for _, t in transitions)
-        return paths
-
     def snapshot(self) -> Dict[str, object]:
         latency = self.latency_summary()
         return {
@@ -171,10 +150,6 @@ class ServiceStats:
             "kv_failures": self.kv_failures,
             "kv_retries": self.kv_retries,
             "breaker_transitions": list(self.breaker_transitions),
-            "replica_breaker_transitions": {
-                replica: list(transitions)
-                for replica, transitions in self.replica_breaker_transitions.items()
-            },
             "latency_s": latency,
             "auc": self.auc(),
         }
@@ -195,6 +170,4 @@ class ServiceStats:
             f"latency (s)   : p50={latency['p50']:.6f} p95={latency['p95']:.6f} "
             f"p99={latency['p99']:.6f}",
         ]
-        for replica, replica_path in self.replica_breaker_paths().items():
-            lines.append(f"breaker[r{replica}]   : {' -> '.join(replica_path)}")
         return "\n".join(lines)

@@ -14,7 +14,6 @@ from .replicated import (
     ReplicaHealth,
     ReplicatedConfig,
     ReplicatedKVStore,
-    rendezvous_order,
 )
 
 __all__ = [
@@ -33,5 +32,4 @@ __all__ = [
     "ReplicaHealth",
     "ReplicatedConfig",
     "ReplicatedKVStore",
-    "rendezvous_order",
 ]

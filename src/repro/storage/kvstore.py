@@ -107,6 +107,29 @@ class KVStore:
         self.close()
 
 
+class DelegatingKVStore(KVStore):
+    """Base of the retry wrapper and the fault injectors: everything
+    but ``get`` (theirs to define) passes through to ``.store`` — the
+    attribute :func:`propagate_instrument` and
+    :meth:`~repro.storage.replicated.ReplicatedKVStore.finalize` walk
+    to reach the backing store through any stack of wrappers."""
+
+    def __init__(self, store: KVStore) -> None:
+        self.store = store
+
+    def put(self, key: str, value: bytes) -> None:
+        self.store.put(key, value)
+
+    def contains(self, key: str) -> bool:
+        return self.store.contains(key)
+
+    def keys(self) -> List[str]:
+        return self.store.keys()
+
+    def close(self) -> None:
+        self.store.close()
+
+
 class InMemoryKVStore(KVStore):
     """Dict-backed store for tests and small graphs."""
 

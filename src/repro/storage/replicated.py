@@ -8,11 +8,11 @@ tail latency and one dead machine is a whole-service outage.
 layer a production deployment actually runs:
 
 * **Placement** — every key is owned by the top ``replication_factor``
-  replicas of a rendezvous (highest-random-weight) hash ranking, using
-  the same splitmix64 mixing as :mod:`repro.graph.sampling`. Placement
-  is a pure function of ``(key, seed, num_replicas)``: no ring state,
-  no rebalancing metadata, and two stores built the same way agree on
-  every key's preference list.
+  replicas of the rendezvous (highest-random-weight) ranking in
+  :func:`repro.cluster.rendezvous_order`, over the CRC32 of the key.
+  Placement is a pure function of ``(key, seed, num_replicas)``: no
+  ring state, no rebalancing metadata, and two stores built the same
+  way agree on every key's preference list.
 * **Health tracking** — each replica carries a
   :class:`ReplicaHealth` state machine (``healthy → suspect → dead →
   probing``) driven by consecutive errors, plus an EWMA of observed
@@ -46,13 +46,16 @@ layer a production deployment actually runs:
   to probing. Set ``anti_entropy_interval_s`` to run incremental
   background passes piggybacked on reads.
 
+One gate per replica: :class:`ReplicaHealth` alone decides whether a
+replica is read; there is no circuit breaker in this tier. A replica
+that fails *intermittently*, never ``dead_after`` reads in a row, is
+therefore not put in a penalty box — each failed read costs one
+failover to the next owner and still returns the right bytes.
+
 Layering: this module sits in ``repro.storage`` and therefore imports
-only :mod:`repro.storage.kvstore` and the dependency-free
-:mod:`repro.obs.registry`. Circuit breakers are *injected* by the
-serving layer via :meth:`ReplicatedKVStore.set_replica_breakers`
-(duck-typed: anything with ``call(fn)``), which is how
-:class:`~repro.serving.service.ScoringService` demotes its breaker to
-per-replica scope without an import cycle.
+only :mod:`repro.storage.kvstore`, the dependency-free
+:mod:`repro.obs.registry` and the root helpers (:mod:`repro.util`,
+:mod:`repro.cluster`).
 """
 
 from __future__ import annotations
@@ -65,59 +68,12 @@ from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as _FutureTimeout
 from concurrent.futures import wait as _wait_futures
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..cluster import DEAD, HEALTHY, PROBING, SUSPECT, rendezvous_order
 from ..obs.registry import MetricsRegistry, Reservoir
 from ..util import nearest_rank_index
 from .kvstore import CorruptStoreError, KVStore
-
-HEALTHY = "healthy"
-SUSPECT = "suspect"
-DEAD = "dead"
-PROBING = "probing"
-
-# splitmix64 finalizer constants — the same mixing the samplers use
-# (repro.graph.sampling), in plain-int form for per-key hashing.
-_GAMMA = 0x9E3779B97F4A7C15
-_MIX_1 = 0xBF58476D1CE4E5B9
-_MIX_2 = 0x94D049BB133111EB
-_MASK64 = (1 << 64) - 1
-
-
-def mix64(value: int) -> int:
-    """splitmix64 finalizer over one unsigned 64-bit integer.
-
-    Public because the elastic trainer's rendezvous partition placement
-    (:mod:`repro.train.elastic`) reuses exactly this mixing, so worker
-    placement and replica placement share one hash family.
-    """
-    z = (value + _GAMMA) & _MASK64
-    z = ((z ^ (z >> 30)) * _MIX_1) & _MASK64
-    z = ((z ^ (z >> 27)) * _MIX_2) & _MASK64
-    return z ^ (z >> 31)
-
-
-_mix64 = mix64
-
-
-def rendezvous_order(key: str, num_replicas: int, seed: int = 0) -> List[int]:
-    """Replica preference order for ``key`` (highest random weight first).
-
-    A pure function of ``(key, num_replicas, seed)``; removing a
-    replica only reassigns the keys it owned — the property that makes
-    rendezvous hashing the consistent-hashing scheme of choice when
-    the replica count is small.
-    """
-    if num_replicas < 1:
-        raise ValueError("num_replicas must be >= 1")
-    key_hash = zlib.crc32(key.encode("utf-8"))
-    scored = [
-        (_mix64(key_hash ^ _mix64((seed & _MASK64) ^ (index << 32))), index)
-        for index in range(num_replicas)
-    ]
-    scored.sort(key=lambda pair: (-pair[0], pair[1]))
-    return [index for _, index in scored]
 
 
 class AllReplicasFailedError(IOError):
@@ -350,8 +306,6 @@ class ReplicatedKVStore(KVStore):
         self.health = [ReplicaHealth(i, clock, self.config) for i in range(len(replicas))]
         self._crc: Dict[str, int] = {}  # ledger: key -> crc32 recorded at put
         self._owners_cache: Dict[str, Tuple[int, ...]] = {}
-        self._breakers: Optional[Sequence] = None
-        self._open_errors: Tuple[Type[BaseException], ...] = ()
         self._lock = threading.Lock()
         self._executor: Optional[ThreadPoolExecutor] = None
         # counters (mirrored into the registry when instrumented)
@@ -359,7 +313,6 @@ class ReplicatedKVStore(KVStore):
         self.hedge_overruns = 0  # primary reads that exceeded their threshold
         self.failovers = 0  # reads served by a non-primary owner
         self.corrupt_reads = 0  # checksum failures absorbed by quarantine
-        self.breaker_skips = 0  # candidates skipped because their breaker was open
         self._last_anti_entropy = clock()
         self._anti_entropy_cursor = 0
         self._in_anti_entropy = False
@@ -380,24 +333,6 @@ class ReplicatedKVStore(KVStore):
             self.instrument(registry)
 
     # -- wiring ---------------------------------------------------------
-    def set_replica_breakers(
-        self,
-        breakers: Sequence,
-        open_error: Optional[Type[BaseException]] = None,
-    ) -> None:
-        """Attach one circuit breaker per replica (duck-typed: anything
-        with ``call(fn)``). ``open_error`` is the exception type the
-        breaker raises when open; reads treat it as "skip this replica"
-        rather than a replica failure. The serving layer injects real
-        :class:`~repro.serving.breaker.CircuitBreaker` instances here —
-        storage cannot import serving."""
-        if len(breakers) != len(self.replicas):
-            raise ValueError(
-                f"got {len(breakers)} breakers for {len(self.replicas)} replicas"
-            )
-        self._breakers = list(breakers)
-        self._open_errors = (open_error,) if open_error is not None else ()
-
     def instrument(self, registry: MetricsRegistry) -> "ReplicatedKVStore":
         """Attach health/hedging/repair metrics and propagate
         ``instrument`` down into every replica (joining the shared
@@ -416,7 +351,7 @@ class ReplicatedKVStore(KVStore):
         )
         self._replica_reads = registry.counter(
             "kv_replica_reads_total",
-            "Replica read outcomes (ok/error/corrupt/skip).",
+            "Replica read outcomes (ok/error/corrupt).",
             labels=("replica", "outcome"),
         )
         self._hedged_total = registry.counter(
@@ -503,7 +438,9 @@ class ReplicatedKVStore(KVStore):
         preferred first."""
         cached = self._owners_cache.get(key)
         if cached is None:
-            order = rendezvous_order(key, len(self.replicas), seed=self.seed)
+            order = rendezvous_order(
+                zlib.crc32(key.encode("utf-8")), range(len(self.replicas)), self.seed
+            )
             cached = tuple(order[: self.replication_factor])
             self._owners_cache[key] = cached
         return cached
@@ -584,10 +521,6 @@ class ReplicatedKVStore(KVStore):
                 return self._read_replica(index, key, True, slot, threshold)[0]
             except _ReplicaMiss:
                 misses += 1
-            except self._open_errors:
-                with self._lock:
-                    self.breaker_skips += 1
-                    self._count_replica_read(index, "skip")
             except Exception as error:
                 last_error = error
         if last_error is None and misses == len(candidates):
@@ -607,8 +540,8 @@ class ReplicatedKVStore(KVStore):
         except _FutureTimeout:
             pass
         except Exception:
-            # Primary failed outright (error, miss, or open breaker):
-            # plain failover over the remaining owners.
+            # Primary failed outright (error or miss): plain failover
+            # over the remaining owners.
             return self._sequential_get(key, candidates[1:], None, position_offset=1)
         else:
             # Un-hedged fast path: the sample is uncensored, so it may
@@ -649,9 +582,9 @@ class ReplicatedKVStore(KVStore):
         position: Optional[int] = None,
         threshold: Optional[float] = None,
     ) -> Tuple[bytes, float]:
-        """One verified read of one replica, with health + breaker
-        accounting; returns the value and the read's duration as
-        recorded in the replica's health.
+        """One verified read of one replica, with health accounting;
+        returns the value and the read's duration as recorded in the
+        replica's health.
 
         ``position`` is the replica's place in the preference walk of a
         sequential read, tallied in the same critical section as the
@@ -664,7 +597,7 @@ class ReplicatedKVStore(KVStore):
 
         Raises :class:`_ReplicaMiss` (without penalising health) when
         the replica simply lacks the key; other failures count against
-        both the replica's health and its breaker.
+        the replica's health.
         """
         replica = self.replicas[index]
         try:
@@ -676,12 +609,7 @@ class ReplicatedKVStore(KVStore):
         health = self.health[index]
         started = self._clock()
         try:
-            if self._breakers is None:
-                value = self._verified_read(index, key)
-            else:
-                value = self._breakers[index].call(partial(self._verified_read, index, key))
-        except self._open_errors:
-            raise
+            value = self._verified_read(index, key)
         except CorruptStoreError as error:
             with self._lock:
                 self.corrupt_reads += 1
@@ -899,8 +827,7 @@ class ReplicatedKVStore(KVStore):
             f"hedge q={self.config.hedge_quantile:g} "
             f"({'concurrent' if self.config.concurrent_hedge else 'deterministic'})",
             f"reads: hedged={self.hedged_reads} overruns={self.hedge_overruns} "
-            f"failovers={self.failovers} corrupt={self.corrupt_reads} "
-            f"breaker_skips={self.breaker_skips}",
+            f"failovers={self.failovers} corrupt={self.corrupt_reads}",
         ]
         for health in self.health:
             ewma = (

@@ -26,13 +26,13 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from .. import nn
+from ..cluster import rendezvous_order
 from ..graph.hetero import HeteroGraph
 from ..graph.partition import group_partitions, pic_partition
-from ..storage.replicated import mix64
 from ..util import batched
 from ..obs.trace import Tracer, timed
 from ..reliability.faults import CRASH, RECOVERY, STRAGGLER, FaultEvent, FaultPlan
-from .metrics import accuracy, average_precision, roc_auc
+from .metrics import evaluate_model, roc_auc
 from .trainer import TrainConfig
 
 
@@ -66,13 +66,13 @@ def rendezvous_assign(
 ) -> Dict[int, List[int]]:
     """HRW-assign graph partitions to worker *ids*: member -> partitions.
 
-    Each partition goes to the member with the highest rendezvous score
-    ``mix64(hash(partition) ^ mix64(seed ^ member))`` — the same hash
-    family :mod:`repro.storage.replicated` uses for replica placement.
-    Because the score hashes the member's *id* (not its position in
-    the membership list), evicting a worker reassigns only the
-    partitions it owned; every other partition keeps its owner. Ties
-    break to the lowest member id.
+    Each partition goes to the member ranked first by
+    :func:`repro.cluster.rendezvous_order` — the ranking
+    :mod:`repro.storage.replicated` uses for replica placement. Because
+    the weight hashes the member's *id* (not its position in the
+    membership list), evicting a worker reassigns only the partitions
+    it owned; every other partition keeps its owner. Ties break to the
+    lowest member id.
     """
     members = sorted({int(m) for m in members})
     if not members:
@@ -80,11 +80,7 @@ def rendezvous_assign(
     assignment: Dict[int, List[int]] = {member: [] for member in members}
     for part in np.unique(np.asarray(partition_ids, dtype=np.int64)):
         part_hash = zlib.crc32(f"part-{int(part)}".encode("utf-8"))
-        best = max(
-            members,
-            key=lambda member: (mix64(part_hash ^ mix64((seed & ((1 << 64) - 1)) ^ (member << 32))), -member),
-        )
-        assignment[best].append(int(part))
+        assignment[rendezvous_order(part_hash, members, seed)[0]].append(int(part))
     return assignment
 
 
@@ -323,21 +319,8 @@ class DistributedTrainer:
             if eval_graph is not None and eval_nodes is not None and len(eval_nodes):
                 scores = self.model.predict_proba(eval_graph, eval_nodes)
                 labels = eval_graph.labels[np.asarray(eval_nodes, dtype=np.int64)]
-                try:
-                    record.eval_auc = roc_auc(labels, scores)
-                except ValueError:
-                    record.eval_auc = None
+                record.eval_auc = roc_auc(labels, scores, default=None)
             result.history.append(record)
         if eval_graph is not None and eval_nodes is not None and len(eval_nodes):
-            nodes = np.asarray(eval_nodes, dtype=np.int64)
-            scores = self.model.predict_proba(eval_graph, nodes)
-            labels = eval_graph.labels[nodes]
-            result.metrics = {
-                "accuracy": accuracy(labels, scores),
-                "ap": average_precision(labels, scores),
-            }
-            try:
-                result.metrics["auc"] = roc_auc(labels, scores)
-            except ValueError:
-                result.metrics["auc"] = float("nan")
+            result.metrics = evaluate_model(self.model, eval_graph, eval_nodes)
         return result

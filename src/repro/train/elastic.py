@@ -13,9 +13,9 @@ rejoin with zero manual intervention:
   injectable clock. Suspicion ``phi = -log10 P(silence this long)``
   accrues continuously from each worker's own inter-heartbeat history,
   so a naturally slow worker is not declared dead by a fixed timeout.
-  States mirror the replica health machine of
-  :mod:`repro.storage.replicated`: ``healthy → suspect → dead →
-  probing``.
+  States are the four shared names of :mod:`repro.cluster`, the ones
+  the replica health machine of :mod:`repro.storage.replicated` also
+  uses: ``healthy → suspect → dead → probing``.
 * **Eviction & re-shard** — a worker declared dead is evicted, the
   graph partitions it owned are re-assigned by rendezvous hashing
   (:func:`~repro.train.distributed.rendezvous_assign` — only the
@@ -57,6 +57,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .. import nn
+from ..cluster import DEAD, HEALTHY, PROBING, SUSPECT, mix64
 from ..graph.hetero import HeteroGraph
 from ..graph.partition import pic_partition
 from ..obs.registry import MetricsRegistry
@@ -78,14 +79,13 @@ from ..reliability.faults import (
     FaultPlan,
     ManualClock,
 )
-from ..storage.replicated import DEAD, HEALTHY, PROBING, SUSPECT, mix64
 from .distributed import (
     DistributedTrainer,
     NoSurvivorsError,
     WorkerPartition,
     make_worker_partitions,
 )
-from .metrics import accuracy, average_precision, roc_auc
+from .metrics import evaluate_model, roc_auc
 from .trainer import TrainConfig
 
 __all__ = [
@@ -98,7 +98,6 @@ __all__ = [
     "SkipBudgetExhaustedError",
 ]
 
-_MASK64 = (1 << 64) - 1
 #: Floor for the survival probability inside phi: caps suspicion at 12
 #: and keeps ``-log10`` finite when ``erfc`` underflows to exactly 0.
 _MIN_SURVIVAL = 1e-12
@@ -486,7 +485,7 @@ class ElasticTrainer:
             * (
                 1.0
                 + self.elastic.step_jitter
-                * (2.0 * (mix64((self.config.seed & _MASK64) ^ (w << 16)) / 2**64) - 1.0)
+                * (2.0 * (mix64(self.config.seed ^ (w << 16)) / 2**64) - 1.0)
             )
             for w in range(num_workers)
         }
@@ -668,14 +667,7 @@ class ElasticTrainer:
             if stop_after_epoch is not None and epoch >= stop_after_epoch:
                 return result
         if eval_graph is not None and eval_nodes is not None and len(eval_nodes):
-            nodes = np.asarray(eval_nodes, dtype=np.int64)
-            scores = self.model.predict_proba(eval_graph, nodes)
-            labels = eval_graph.labels[nodes]
-            result.metrics = {
-                "accuracy": accuracy(labels, scores),
-                "ap": average_precision(labels, scores),
-                "auc": roc_auc(labels, scores, default=float("nan")),
-            }
+            result.metrics = evaluate_model(self.model, eval_graph, eval_nodes)
         return result
 
     def _supervised_epoch(self, epoch: int) -> ElasticEpoch:
@@ -946,7 +938,7 @@ class ElasticTrainer:
         target = next((g for g in shard.grads if g.size), None)
         if target is None:
             return
-        slot = mix64((epoch << 20) ^ (shard.worker << 4) ^ (self.config.seed & _MASK64))
+        slot = mix64((epoch << 20) ^ (shard.worker << 4) ^ self.config.seed)
         if mode == "nan":
             target.flat[slot % target.size] = np.nan
         else:  # bitflip: flip one byte so only the checksum notices

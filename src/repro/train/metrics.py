@@ -164,6 +164,24 @@ def accuracy(labels: Sequence[int], scores: Sequence[float], threshold: float = 
     return float((predicted == labels).mean())
 
 
+def evaluate_model(model, graph, nodes: Sequence[int]) -> Dict[str, float]:
+    """Accuracy / AP / AUC of ``model.predict_proba`` on labeled nodes.
+
+    The one held-out evaluation (Table 7 row) behind ``Trainer.evaluate``
+    and the final metrics of the distributed and elastic trainers. AUC
+    is NaN on a single-class node set; NaN *scores* — a diverged model —
+    raise rather than being reported as a metric.
+    """
+    nodes = np.asarray(nodes, dtype=np.int64)
+    scores = model.predict_proba(graph, nodes)
+    labels = graph.labels[nodes]
+    return {
+        "accuracy": accuracy(labels, scores),
+        "ap": average_precision(labels, scores),
+        "auc": roc_auc(labels, scores, default=float("nan")),
+    }
+
+
 @dataclass
 class ConfusionRates:
     """TPR/TNR/FPR/FNR at one threshold (Tables 14–16)."""

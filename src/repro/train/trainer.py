@@ -24,7 +24,7 @@ from ..reliability.checkpoint import (
     collect_rng_states,
     restore_rng_states,
 )
-from .metrics import accuracy, average_precision, latency_percentiles, roc_auc
+from .metrics import evaluate_model, latency_percentiles, roc_auc
 
 
 @dataclass
@@ -217,14 +217,7 @@ class Trainer:
 
     def evaluate(self, graph: HeteroGraph, nodes: Sequence[int]) -> Dict[str, float]:
         """Accuracy / AP / AUC on held-out labeled nodes (Table 7 row)."""
-        nodes = np.asarray(nodes, dtype=np.int64)
-        scores = self.model.predict_proba(graph, nodes)
-        labels = graph.labels[nodes]
-        return {
-            "accuracy": accuracy(labels, scores),
-            "ap": average_precision(labels, scores),
-            "auc": roc_auc(labels, scores, default=float("nan")),
-        }
+        return evaluate_model(self.model, graph, nodes)
 
 
 def measure_inference_time(

@@ -300,13 +300,8 @@ class TestReplicatedFeatureTier:
             # Replica 2 (the liar) got quarantined straight to dead.
             assert "dead" in store.health[2].state_path()
 
-            # Per-replica breakers opened; the revived replica's closed
-            # again, while the forever-lying replica 2 may rightly stay
-            # open. The global breaker never tripped (it is demoted to
-            # replica scope).
-            replica_paths = service.stats.replica_breaker_paths()
-            assert any(OPEN in p for p in replica_paths.values())
-            assert replica_paths[1][-1] == CLOSED
+            # Nothing but the replicas' own health gated those reads:
+            # the service's breaker (for plain stores) never moved.
             assert service.stats.breaker_state_path() == ()
 
     @staticmethod

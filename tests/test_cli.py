@@ -264,10 +264,55 @@ class TestServeCommand:
         assert code == 0
         assert "3-replica feature tier" in out
         assert "kv_failures=0" in out
-        assert "breaker[r1]" in out  # the killed replica's own journey
+        # The killed replica's own journey, through dead and back.
+        assert "replica 1 journey: healthy -> suspect -> dead -> probing" in out
+        assert "breaker[r" not in out  # health is the only per-replica gate
         assert "anti-entropy:" in out
         assert "replicated store: 3 replicas" in out  # --health table
         assert "replica failover absorbed" in out
+
+    @staticmethod
+    def _replicated_run(kill_window):
+        """A bare replicated tier read across ``kill_window`` on replica 1,
+        shaped like the demo's result for ``_check_replicated_run``."""
+        from types import SimpleNamespace
+
+        from repro.reliability import FaultPlan, ManualClock
+        from repro.serving import ServiceStats
+        from repro.storage import InMemoryKVStore, ReplicatedConfig, ReplicatedKVStore
+
+        clock = ManualClock()
+        plan = FaultPlan(num_workers=3, replica_kill={1: [kill_window]})
+        store = ReplicatedKVStore(
+            plan.wrap_replicas([InMemoryKVStore() for _ in range(3)], clock),
+            config=ReplicatedConfig(
+                replication_factor=3, dead_after=2, probe_interval_s=0.05
+            ),
+            clock=clock,
+        )
+        for index in range(12):
+            store.put(f"feat/{index}", b"row")
+        for step in range(120):
+            clock.advance(0.01)
+            assert store.get(f"feat/{step % 12}") == b"row"
+        return SimpleNamespace(stats=ServiceStats(), feature_store=store, anti_entropy=None)
+
+    def test_replicated_gate_reads_the_killed_replicas_health_path(self, capsys):
+        from repro.cli import _check_replicated_run
+
+        recovered = self._replicated_run((0.2, 0.6))
+        assert recovered.feature_store.health[1].state_path()[-1] == "healthy"
+        assert _check_replicated_run(recovered) == 0
+        assert "replica 1 journey: healthy -> suspect -> dead" in capsys.readouterr().out
+
+        stuck = self._replicated_run((0.2, 1e9))  # killed, never revived
+        assert stuck.feature_store.health[1].state_path()[-1] == "dead"
+        assert _check_replicated_run(stuck) == 1
+        assert "killed replica 1 did not recover" in capsys.readouterr().err
+
+        untouched = self._replicated_run((5.0, 6.0))  # the kill never happened
+        assert _check_replicated_run(untouched) == 1
+        assert "never went dead" in capsys.readouterr().err
 
     def test_serve_rejects_bad_replicas(self, capsys):
         assert main(["serve", "--demo", "--replicas", "0"]) == 2

@@ -100,6 +100,32 @@ class TestDistributedTraining:
         assert len(curve) == 3
         assert all(c is None or 0 <= c <= 1 for c in curve)
 
+    def test_nan_scores_fail_the_epoch_that_produced_them(
+        self, tiny_graph, tiny_splits, detector_config, workers4, monkeypatch
+    ):
+        """A diverged model must fail the run at its first evaluation
+        (as ``Trainer`` and ``ElasticTrainer`` do), not be recorded as
+        ``eval_auc=None`` and trained on — that reading is reserved for
+        a single-class evaluation set, which still reports."""
+        _, test = tiny_splits
+        model = GEMModel(detector_config)
+        trainer = DistributedTrainer(model, workers4, TrainConfig(epochs=3))
+        one_class = test[tiny_graph.labels[test] == 0]
+        result = trainer.fit(eval_graph=tiny_graph, eval_nodes=one_class)
+        assert [record.eval_auc for record in result.history] == [None] * 3
+        assert np.isnan(result.metrics["auc"])
+
+        evaluations = []
+
+        def diverged(graph, nodes):
+            evaluations.append(len(nodes))
+            return np.full(len(nodes), np.nan)
+
+        monkeypatch.setattr(model, "predict_proba", diverged)
+        with pytest.raises(ValueError, match="NaN"):
+            trainer.fit(eval_graph=tiny_graph, eval_nodes=test)
+        assert len(evaluations) == 1  # not swallowed for two more epochs
+
     def test_wall_clock_is_max_not_sum(self, detector_config, workers4):
         model = GEMModel(detector_config)
         trainer = DistributedTrainer(model, workers4, TrainConfig(epochs=1))

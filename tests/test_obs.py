@@ -338,7 +338,6 @@ class TestServiceStats:
             "kv_failures",
             "kv_retries",
             "breaker_transitions",
-            "replica_breaker_transitions",
             "latency_s",
             "auc",
         }

@@ -11,6 +11,7 @@ import zlib
 import numpy as np
 import pytest
 
+from repro.cluster import rendezvous_order as _rank
 from repro.obs import MetricsRegistry, Reservoir
 from repro.reliability.faults import (
     CorruptKVStore,
@@ -18,10 +19,8 @@ from repro.reliability.faults import (
     FlakyKVStore,
     ManualClock,
     OutageKVStore,
-    SleepKVStore,
     SlowKVStore,
 )
-from repro.serving.breaker import CircuitBreaker, CircuitOpenError
 from repro.storage import (
     AllReplicasFailedError,
     GraphStore,
@@ -30,7 +29,6 @@ from repro.storage import (
     ReplicaHealth,
     ReplicatedConfig,
     ReplicatedKVStore,
-    rendezvous_order,
 )
 from repro.util import nearest_rank_index
 
@@ -53,6 +51,11 @@ def _make_store(
     )
     store = ReplicatedKVStore(replicas, config=config, clock=clock, seed=seed)
     return store, backings, clock
+
+
+def rendezvous_order(key, num_replicas, seed=0):
+    """Replica preference order for ``key``, as the store computes it."""
+    return _rank(zlib.crc32(key.encode("utf-8")), range(num_replicas), seed)
 
 
 class TestRendezvousPlacement:
@@ -97,8 +100,6 @@ class TestRendezvousPlacement:
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            rendezvous_order("k", 0)
-        with pytest.raises(ValueError):
             ReplicatedKVStore([])
         with pytest.raises(ValueError):
             ReplicatedConfig(replication_factor=0)
@@ -140,6 +141,30 @@ class TestReadWritePath:
         assert store.get(key) == b"payload"
         assert store.failovers == 1
         assert store.health[0].state_path()[-1] in ("suspect", "dead")
+
+    def test_intermittent_primary_costs_a_failover_per_failed_read(self):
+        """A replica failing every other read, never ``dead_after`` in
+        a row, has no penalty box: it is tried on every read it is
+        primary for, and each failure is absorbed by one failover."""
+        config = ReplicatedConfig(replication_factor=2, dead_after=1000)
+        store, _, _ = _make_store(
+            2,
+            config=config,
+            wrap=lambda i, r: FlakyKVStore(r, fail_rate=0.5, seed=1) if i == 0 else r,
+        )
+        for index in range(40):
+            store.put(f"key/{index}", f"value-{index}".encode())
+        primary_reads = 0
+        for step in range(400):  # AllReplicasFailedError would propagate
+            key = f"key/{step % 40}"
+            primary_reads += store.owners(key)[0] == 0
+            assert store.get(key) == f"value-{step % 40}".encode()
+        flaky = store.health[0]
+        assert 0.3 * primary_reads < flaky.reads_error < 0.7 * primary_reads
+        assert store.failovers == flaky.reads_error
+        assert flaky.reads_ok + flaky.reads_error == primary_reads  # never skipped
+        assert "dead" not in flaky.state_path()
+        assert store.health[1].reads_error == 0
 
     def test_missing_key_raises_keyerror_not_failure(self):
         store, _, _ = _make_store(3)
@@ -395,7 +420,7 @@ class TestHedging:
             hedge_quantile=0.9,
         )
         backings = [InMemoryKVStore() for _ in range(3)]
-        sleepers = [SleepKVStore(b, delay_s=FAST) for b in backings]
+        sleepers = [SlowKVStore(b, delay_s=FAST) for b in backings]
         store = ReplicatedKVStore(
             sleepers, config=config, clock=_time.monotonic, seed=0
         )
@@ -463,16 +488,20 @@ class TestHedgeThresholdMemo:
 
 
 class TestParentParity:
-    """The per-read bookkeeping was restructured (one critical section
-    per read, no per-read sort, no candidates rebuild); what it decides
-    must not have moved."""
+    """What a faulted read run returns to its caller must not move when
+    the read path is restructured; how it was routed may."""
 
     def test_fault_plan_run_tallies_as_at_the_parent_commit(self):
         """A flaky, a corrupting, an outaged and a jittery-slow replica
-        behind per-replica breakers on a ManualClock. Every expected
-        value below was produced by this exact script at the parent
-        commit (c927664, sorted-on-every-read) — a change to any of them
-        is a behaviour change of the read path, not a refactor."""
+        on a ManualClock. ``outcomes`` and ``digest`` — everything the
+        caller sees — are the values this script produced at c927664
+        and again at 1630fad, where a circuit breaker also sat in front
+        of each replica. The routing tallies below them were re-derived
+        when ``ReplicaHealth`` became the only gate: with the breakers
+        gone the same reads take *fewer* detours (failovers 43 -> 33,
+        hedge overruns 54 -> 46; the 12 breaker skips were of replicas
+        the health machine had already revived). A change to any of
+        them is a behaviour change of the read path, not a refactor."""
         clock = ManualClock()
         plan = FaultPlan(
             num_workers=1,
@@ -492,11 +521,6 @@ class TestParentParity:
             concurrent_hedge=False,
         )
         store = ReplicatedKVStore(replicas, config=config, clock=clock, seed=2)
-        breakers = [
-            CircuitBreaker(window=6, min_calls=3, cooldown_s=0.08, clock=clock, name=f"r{i}")
-            for i in range(4)
-        ]
-        store.set_replica_breakers(breakers, open_error=CircuitOpenError)
         for index in range(60):
             store.put(f"key/{index}", f"value-{index}".encode() * 3)
         backings[store.owners("key/7")[0]].delete("key/7")  # one divergent copy
@@ -518,18 +542,17 @@ class TestParentParity:
 
         assert outcomes == {"ok": 843, "missing": 56, "failed": 1}
         assert digest == 165049317
-        assert store.failovers == 43
+        assert store.failovers == 33
         assert store.corrupt_reads == 2
-        assert store.hedge_overruns == 54
-        assert store.breaker_skips == 12
+        assert store.hedge_overruns == 46
         assert [(h.reads_ok, h.reads_error) for h in store.health] == [
             (225, 0),
-            (123, 6),
-            (273, 2),
-            (222, 11),
+            (125, 7),
+            (274, 2),
+            (219, 11),
         ]
         assert [h.hedge_threshold() for h in store.health] == [
-            0.0030000000000000027,
+            0.0040000000000000036,
             0.0,
             0.0,
             0.0,
@@ -537,53 +560,10 @@ class TestParentParity:
         dead_probing = ("dead", "probing")
         assert [h.state_path() for h in store.health] == [
             ("healthy",),
-            ("healthy", "suspect") + dead_probing * 4 + ("healthy",),
+            ("healthy", "suspect") + dead_probing * 5 + ("healthy",),
             ("healthy",) + dead_probing * 2 + ("healthy",),
             ("healthy",) + ("suspect", "healthy") * 11,
         ]
-        open_half = ("open", "half_open")
-        assert [b.transition_path() for b in breakers] == [
-            ("closed",),
-            ("closed",) + open_half * 4 + ("closed",),
-            ("closed",),
-            ("closed",),
-        ]
-
-
-class TestBreakerInjection:
-    def test_open_breaker_skips_replica(self):
-        clock = ManualClock()
-        store, _, _ = _make_store(2, clock=clock)
-        breakers = [
-            CircuitBreaker(
-                clock=clock,
-                min_calls=1,
-                window=2,
-                cooldown_s=10.0,
-                name=f"replica-{i}",
-            )
-            for i in range(2)
-        ]
-        store.set_replica_breakers(breakers, open_error=CircuitOpenError)
-        probe = 0
-        while store.owners(f"key/{probe}")[0] != 0:
-            probe += 1
-        key = f"key/{probe}"
-        store.put(key, b"v")
-        # Trip replica 0's breaker manually.
-        breakers[0].record_failure()
-        breakers[0].record_failure()
-        assert breakers[0].state == "open"
-        assert store.get(key) == b"v"  # served by the other replica
-        assert store.breaker_skips == 1
-        assert store.failovers == 1
-        # Breaker-open skips are not replica failures.
-        assert store.health[0].reads_error == 0
-
-    def test_breaker_count_mismatch_rejected(self):
-        store, _, _ = _make_store(3)
-        with pytest.raises(ValueError):
-            store.set_replica_breakers([object()], open_error=CircuitOpenError)
 
 
 class TestAntiEntropy:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.obs import Tracer
 from repro.reliability import (
     ManualClock,
     OutageKVStore,
@@ -388,3 +389,328 @@ class TestScoringService:
         auc = service.stats.auc()
         assert not math.isnan(auc)
         assert 0.0 <= auc <= 1.0
+
+
+class _BudgetBurningCache:
+    """Stands where a SubgraphCache does; spends ``delay_s`` of the
+    shared clock before the sampler runs (a slow sampling stage)."""
+
+    def __init__(self, clock, delay_s):
+        self.clock = clock
+        self.delay_s = delay_s
+
+    def get_or_sample(self, graph, sampler, targets, deadline=None):
+        self.clock.advance(self.delay_s)
+        return sampler.sample(graph, targets, deadline=deadline)
+
+
+class _TickingClock(ManualClock):
+    """Every reading costs ``tick`` seconds."""
+
+    def __init__(self, tick):
+        super().__init__()
+        self.tick = tick
+
+    def __call__(self):
+        self.now += self.tick
+        return self.now
+
+
+#: Counter keys of ``ServiceStats.snapshot()`` (everything but the
+#: latency percentiles and the online AUC).
+_COUNTER_KEYS = (
+    "received",
+    "admitted",
+    "completed",
+    "shed",
+    "rungs",
+    "degraded_reasons",
+    "deadline_hits",
+    "kv_failures",
+    "kv_retries",
+    "breaker_transitions",
+)
+
+def _admitted(rung, degraded=None, latency=None, remaining=None, **counters):
+    """(response fields, stats counter deltas) of one admitted request."""
+    fields = {
+        "node": 0,
+        "verdict": "legit",
+        "rung": rung,
+        "admitted": True,
+        "shed_reason": None,
+        "degraded_reason": degraded,
+    }
+    if latency is not None:
+        fields.update(latency_s=latency, deadline_remaining_s=remaining)
+    delta = {
+        "received": 1,
+        "admitted": 1,
+        "completed": 1,
+        "shed": {},
+        "rungs": {rung: 1},
+        "degraded_reasons": {degraded: 1} if degraded else {},
+        "deadline_hits": 0,
+        "kv_failures": 0,
+        "kv_retries": 0,
+        "breaker_transitions": [],
+    }
+    delta.update(counters)
+    return fields, delta
+
+
+# What the sequential scorer (``_score_admitted`` / ``_gnn_score`` /
+# ``_fallback``, deleted when ``score()`` became a batch of one)
+# answered in each scenario of ``TestBatchOfOneParity``: captured by
+# running this very test body at commit 1630fad.
+_SEQUENTIAL = {
+    "healthy": _admitted("gnn", None, 0.016, 0.484),
+    "deadline:admission": _admitted("rules", "deadline:admission", deadline_hits=1),
+    "deadline:sampling": _admitted(
+        "rules", "deadline:sampling hop 0", 1.0, -0.5, deadline_hits=1
+    ),
+    "deadline:feature fetch": _admitted(
+        "rules", "deadline:feature fetch", 0.008, 0.0, deadline_hits=1
+    ),
+    "deadline:model forward": _admitted(
+        "rules", "deadline:model forward", 0.016, 0.0, deadline_hits=1
+    ),
+    "breaker_open": _admitted("rules", "breaker_open", 0.0, 0.5),
+    "kv_unavailable": _admitted(
+        "rules", "kv_unavailable", 0.001318481, 0.498681519, kv_failures=1, kv_retries=1
+    ),
+    "rate_limited": (
+        {
+            "node": 0,
+            "verdict": "legit",
+            "rung": "prior",
+            "admitted": False,
+            "shed_reason": "rate_limited",
+            "degraded_reason": None,
+            "latency_s": 0.0,
+            "deadline_remaining_s": None,
+        },
+        {
+            "received": 1,
+            "admitted": 0,
+            "completed": 0,
+            "shed": {"rate_limited": 1},
+            "rungs": {},
+            "degraded_reasons": {},
+            "deadline_hits": 0,
+            "kv_failures": 0,
+            "kv_retries": 0,
+            "breaker_transitions": [],
+        },
+    ),
+}
+
+
+class TestBatchOfOneParity:
+    """``score(r)`` rides the micro-batch pipeline as a batch of one and
+    must answer exactly as the sequential scorer it replaced did."""
+
+    READ_DELAY_S = 0.002
+
+    def _scenario(self, name, trained_detector, tiny_graph, rules):
+        """-> (service in the scenario's state, the request to observe)."""
+        node = _txn_nodes(tiny_graph, 1)[0]
+        request = ScoreRequest(node=node, features=tiny_graph.txn_features[node])
+        clock = ManualClock()
+        backing = InMemoryKVStore()
+        GraphStore(backing).save(tiny_graph)
+        store = SlowKVStore(backing, clock, delay_s=self.READ_DELAY_S)
+        config = dict(
+            deadline_s=0.5,
+            fetch_chunk=4,
+            static_prior=0.05,
+            breaker_min_calls=2,
+            breaker_window=4,
+            retry=RetryPolicy(max_attempts=2, base_delay=0.001, seed=0),
+        )
+        cache = None
+        rows = len(trained_detector.sampler.sample(tiny_graph, [node]).original_ids)
+        assert rows > 4  # more than one fetch chunk, so mid-fetch expiry exists
+        fetch_s = rows * self.READ_DELAY_S
+        if name == "deadline:admission":
+            clock = _TickingClock(tick=1.0)
+        elif name == "deadline:sampling":
+            cache = _BudgetBurningCache(clock, delay_s=1.0)
+        elif name == "deadline:feature fetch":
+            config["deadline_s"] = 4 * self.READ_DELAY_S  # spent by the first chunk
+        elif name == "deadline:model forward":
+            config["deadline_s"] = fetch_s  # spent exactly as the last chunk lands
+        elif name in ("breaker_open", "kv_unavailable"):
+            store = OutageKVStore(backing, windows=[(0, 10_000)])
+        elif name == "rate_limited":
+            config.update(rate=1.0, burst=1.0)
+        else:
+            assert name == "healthy"
+        service = ScoringService(
+            trained_detector,
+            tiny_graph,
+            feature_store=store,
+            rules=rules,
+            config=ServiceConfig(**config),
+            clock=clock,
+            cache=cache,
+        )
+        if name == "breaker_open":
+            # Two failed fetches open the breaker; the observed request
+            # is the third.
+            for _ in range(2):
+                assert service.score(request).degraded_reason == "kv_unavailable"
+        if name == "rate_limited":
+            assert service.score(request).admitted  # spends the only token
+        return service, request
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "healthy",
+            "deadline:admission",
+            "deadline:sampling",
+            "deadline:feature fetch",
+            "deadline:model forward",
+            "breaker_open",
+            "kv_unavailable",
+            "rate_limited",
+        ],
+    )
+    def test_score_matches_the_sequential_scorer(
+        self, name, trained_detector, tiny_graph, mined_rules
+    ):
+        service, request = self._scenario(name, trained_detector, tiny_graph, mined_rules)
+        before = service.stats.snapshot()
+        response = service.score(request)
+        after = service.stats.snapshot()
+
+        fields = {
+            "node": response.node,
+            "verdict": response.verdict,
+            "rung": response.rung,
+            "admitted": response.admitted,
+            "shed_reason": response.shed_reason,
+            "degraded_reason": response.degraded_reason,
+        }
+        if name != "deadline:admission":
+            # On the ticking clock these two count clock *reads*, which
+            # are not part of the contract; everywhere else the clock
+            # only moves with simulated work.
+            fields["latency_s"] = round(response.latency_s, 9)
+            fields["deadline_remaining_s"] = (
+                None
+                if response.deadline_remaining_s is None
+                else round(response.deadline_remaining_s, 9)
+            )
+        delta = {}
+        for key in _COUNTER_KEYS:
+            if isinstance(after[key], dict):
+                delta[key] = {
+                    k: v - before[key].get(k, 0)
+                    for k, v in after[key].items()
+                    if v != before[key].get(k, 0)
+                }
+            elif isinstance(after[key], list):
+                delta[key] = after[key][len(before[key]) :]
+            else:
+                delta[key] = after[key] - before[key]
+        assert (fields, delta) == _SEQUENTIAL[name]
+
+        # The score itself is checked against an independent oracle
+        # rather than a float literal that would pin BLAS rounding.
+        if response.rung == RUNG_GNN:
+            expected = trained_detector.predict_proba_sampled(tiny_graph, [request.node])[0]
+        elif response.rung == RUNG_RULES:
+            expected = mined_rules.risk_scores(
+                np.asarray(request.features, dtype=np.float64)[None, :]
+            )[0]
+        else:
+            expected = 0.05
+        assert response.score == pytest.approx(float(expected), abs=1e-9)
+
+
+class TestSpanShape:
+    """One request path, one span shape: ``score(r)``, ``score_batch([r])``
+    and ``score_batch([r1, r2])`` differ only in counts."""
+
+    @staticmethod
+    def _tree(tracer):
+        """[(name, parent name or None)] in start order."""
+        spans = sorted(tracer.spans(), key=lambda span: span.span_id)
+        names = {span.span_id: span.name for span in spans}
+        return [(span.name, names.get(span.parent_id)) for span in spans]
+
+    @staticmethod
+    def _expected(size):
+        return (
+            [("admission", None)] * size
+            + [
+                ("batch", None),
+                ("sample", "batch"),
+                ("feature_fetch", "batch"),
+                ("forward", "batch"),
+                ("rung", "batch"),
+            ]
+            + [("request", None)] * size
+        )
+
+    def _service(self, trained_detector, tiny_graph, feature_kv):
+        clock = ManualClock()
+        tracer = Tracer(clock=clock)
+        service = ScoringService(
+            trained_detector,
+            tiny_graph,
+            feature_store=SlowKVStore(feature_kv, clock, delay_s=0.002),
+            clock=clock,
+            tracer=tracer,
+        )
+        return service, tracer
+
+    def test_single_and_batched_requests_share_one_shape(
+        self, trained_detector, tiny_graph, feature_kv
+    ):
+        first, second = _txn_nodes(tiny_graph, 2)
+        calls = {
+            "score(r)": (lambda service: [service.score(first)], 1),
+            "score_batch([r])": (lambda service: service.score_batch([first]), 1),
+            "score_batch([r1, r2])": (
+                lambda service: service.score_batch([first, second]),
+                2,
+            ),
+        }
+        for label, (call, size) in calls.items():
+            service, tracer = self._service(trained_detector, tiny_graph, feature_kv)
+            responses = call(service)
+            assert [r.rung for r in responses] == [RUNG_GNN] * size, label
+            assert self._tree(tracer) == self._expected(size), label
+            by_name = {span.name: span for span in tracer.spans()}
+            assert by_name["batch"].attributes["size"] == size
+            assert by_name["batch"].attributes["gnn_scored"] == size
+            assert by_name["forward"].attributes["targets"] == size
+            assert by_name["request"].attributes["rung"] == RUNG_GNN
+            # Spans live on the deadline clock: the fetch is the only
+            # stage that costs simulated time, and the batch covers it.
+            fetch = by_name["feature_fetch"]
+            assert fetch.duration_s == pytest.approx(fetch.attributes["rows"] * 0.002)
+            assert by_name["batch"].duration_s == pytest.approx(fetch.duration_s)
+            assert by_name["rung"].duration_s == 0.0
+
+    def test_shed_request_emits_only_its_admission_span(
+        self, trained_detector, tiny_graph
+    ):
+        clock = ManualClock()
+        tracer = Tracer(clock=clock)
+        service = ScoringService(
+            trained_detector,
+            tiny_graph,
+            config=ServiceConfig(rate=1.0, burst=1.0),
+            clock=clock,
+            tracer=tracer,
+        )
+        node = _txn_nodes(tiny_graph, 1)[0]
+        assert service.score(node).admitted
+        tracer.reset()
+        assert not service.score(node).admitted
+        (span,) = tracer.spans()
+        assert (span.name, span.attributes["admitted"]) == ("admission", False)
