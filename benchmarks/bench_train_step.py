@@ -1,0 +1,68 @@
+"""One training step must cost what its batch can see, not what the
+graph holds.
+
+``model.loss`` runs its forward and backward on the batch's receptive
+field (``repro.graph.sampling.receptive_field``): for a 2-layer
+detector and 64 targets that is ~550 nodes / ~1.3k edges of the
+quarter-scale graph's 1.8k / 7.2k. ``test_step_ratio_floor`` holds the
+scaling: the same 64-target step on four disjoint copies of that graph
+— the same field, four times the graph — costs at most
+``STEP_RATIO_BUDGET``x the step on one copy (a ratio of two timings
+taken in one process, so machine speed cancels; CI's perf-smoke runs
+it). When every step ran over the whole graph the ratio read 5.0x
+(139 -> 692 ms). What still follows the graph is the dropout mask,
+drawn at the parent's edge count so that every edge keeps the mask it
+would have had there.
+"""
+
+import numpy as np
+
+from _helpers import best_us, model_config
+from repro import nn
+from repro.data import load_dataset
+from repro.graph.sampling import SampledSubgraph, receptive_field, stack_subgraphs
+from repro.models import XFraudDetectorPlus
+
+STEP_RATIO_BUDGET = 1.5  # step on 4 copies of the graph vs on 1, same batch
+STEP_SAMPLES = 9
+BATCH = 64
+COPIES = 4
+
+
+def _tiled(graph, copies):
+    part = SampledSubgraph(graph, np.zeros(0, dtype=np.int64), np.arange(graph.num_nodes))
+    return stack_subgraphs([part] * copies).graph
+
+
+def test_step_ratio_floor():
+    """Per-step cost must not track the size of the graph."""
+    bundle = load_dataset("ebay-small-sim", seed=0, scale=0.25)
+    graphs = [bundle.graph, _tiled(bundle.graph, COPIES)]
+    batch = np.random.default_rng(0).permutation(bundle.train_nodes)[:BATCH]
+    model = XFraudDetectorPlus(model_config(bundle.graph.feature_dim, seed=0))
+    optimizer = nn.AdamW(model.parameters(), lr=1e-2)
+    model.train()
+
+    def step(graph):
+        optimizer.zero_grad()
+        model.loss(graph, batch).backward()
+        nn.clip_grad_norm(model.parameters(), 0.25)
+        optimizer.step()
+
+    samples = [[], []]
+    for graph in graphs:  # build each CSR, grow the heap to the tape's working set
+        step(graph)
+    for _ in range(STEP_SAMPLES):  # alternate, so a slow spell of the box hits both
+        for graph, times in zip(graphs, samples):
+            times.append(best_us(lambda: step(graph), number=1))
+    small_us, large_us = (float(np.median(times)) for times in samples)
+    ratio = large_us / small_us
+    fields = [receptive_field(graph, batch, hops=2).graph for graph in graphs]
+    assert fields[0].num_edges == fields[1].num_edges
+    print(
+        f"\n{BATCH}-target step (field {fields[0].num_nodes:,} nodes / {fields[0].num_edges:,} "
+        f"edges): {small_us / 1e3:.1f} ms on {graphs[0].num_nodes:,} nodes / "
+        f"{graphs[0].num_edges:,} edges, {large_us / 1e3:.1f} ms on {graphs[1].num_nodes:,} / "
+        f"{graphs[1].num_edges:,} -> {ratio:.2f}x (budget <= {STEP_RATIO_BUDGET:.1f}x)"
+    )
+    assert ratio <= STEP_RATIO_BUDGET

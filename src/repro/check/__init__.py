@@ -14,7 +14,7 @@ production traffic does:
 violation; CI gates on it.
 """
 
-from .fuzz import SCENARIOS, FuzzFailure, FuzzReport, run_case, run_fuzz, shrink
+from .fuzz import SCENARIOS, FuzzFailure, FuzzReport, numerical_grad, run_case, run_fuzz, shrink
 from .gen import random_delta, random_events, random_hetero_graph
 from .invariants import (
     REGISTRY,
@@ -36,6 +36,7 @@ __all__ = [
     "InvariantCheck",
     "csr_violations",
     "ledger_violations",
+    "numerical_grad",
     "random_delta",
     "random_events",
     "random_hetero_graph",

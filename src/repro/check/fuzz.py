@@ -4,7 +4,9 @@ Every fast or durable path in the stack has a slower executable spec:
 the vectorized samplers have the scalar reference walk, the CSR delta
 merge has the full stable rebuild, a micro-batch of n has n batches
 of one through the same pipeline, the detector's plain-array inference
-kernel has its autograd forward, the header-memoising row decoder has ``np.load``, and
+kernel has its autograd forward, the header-memoising row decoder has ``np.load``, a training step on
+the batch's receptive field has the same step on the whole graph, every
+autograd op has its central difference, and
 the WAL has "whatever was durably framed before the crash". A fuzz *scenario* drives both sides of one such pair on a
 seeded random input and returns a divergence description (or ``None``).
 
@@ -18,9 +20,10 @@ prints and a regression test pins.
 
 from __future__ import annotations
 
+import copy
 import tempfile
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,6 +34,7 @@ __all__ = [
     "SCENARIOS",
     "FuzzFailure",
     "FuzzReport",
+    "numerical_grad",
     "run_case",
     "run_fuzz",
     "shrink",
@@ -471,6 +475,347 @@ def _fuzz_decode(seed: int, size: int) -> Optional[str]:
                 f"blob {trial} ({source}, {how}, {len(blob)} bytes): "
                 f"decode_array -> {sides[0]}, np.load -> {sides[1]}"
             )
+    return None
+
+
+def _scalar_field(graph, targets: Sequence[int], hops: int):
+    """Scalar spec of ``receptive_field``: a node-at-a-time BFS over the
+    flat edge arrays (no CSR). Returns ``(nodes, edge_ids, target_local)``
+    in the canonical order the fast path promises."""
+    depth: Dict[int, int] = {}
+    for target in targets:
+        depth.setdefault(int(target), 0)
+    frontier = list(depth)
+    edge_ids: List[int] = []
+    for hop in range(hops):
+        reached: List[int] = []
+        for node in frontier:
+            for edge in np.flatnonzero(graph.edge_dst == node):
+                edge_ids.append(int(edge))
+                source = int(graph.edge_src[edge])
+                if source not in depth:
+                    depth[source] = hop + 1
+                    reached.append(source)
+        frontier = reached
+    nodes = [node for node, d in depth.items() if d == 0]
+    nodes += sorted(node for node, d in depth.items() if d > 0)
+    local = {node: index for index, node in enumerate(nodes)}
+    return nodes, sorted(edge_ids), [local[int(target)] for target in targets]
+
+
+def _field_problem(graph, targets: np.ndarray, hops: int) -> Optional[str]:
+    """``receptive_field`` against :func:`_scalar_field`, and its graph
+    against the parent rows it claims to hold."""
+    from ..graph.sampling import receptive_field
+
+    field = receptive_field(graph, targets, hops)
+    nodes, edge_ids, target_local = _scalar_field(graph, targets, hops)
+    if field.original_ids.tolist() != nodes:
+        return f"nodes {field.original_ids.tolist()} != BFS {nodes}"
+    if field.edge_ids.tolist() != edge_ids:
+        return f"edge_ids {field.edge_ids.tolist()} != BFS (ascending) {edge_ids}"
+    if field.target_local.tolist() != target_local:
+        return f"target_local {field.target_local.tolist()} != BFS {target_local}"
+    sub, ids, kept = field.graph, field.original_ids, field.edge_ids
+    held = (
+        ("node_type", sub.node_type, graph.node_type[ids]),
+        ("txn_features", sub.txn_features, graph.txn_features[ids]),
+        ("edge_src", ids[sub.edge_src], graph.edge_src[kept]),
+        ("edge_dst", ids[sub.edge_dst], graph.edge_dst[kept]),
+        ("edge_type", sub.edge_type, graph.edge_type[kept]),
+    )
+    for name, got, want in held:
+        if not np.array_equal(got, want):
+            return f"field {name} is not the parent's rows"
+    return None
+
+
+def _step_problem(model, graph, targets: np.ndarray) -> Optional[str]:
+    """One ``model.loss`` + backward (the receptive-field step) against
+    the same loss on the whole graph, from the same parameters and
+    generator states: loss within 1e-9, every parameter gradient within
+    1e-12 of its scale (a missing gradient only matches a missing one:
+    the optimiser skips those), generators left in the same state."""
+    from ..nn import functional as F
+    from ..reliability.checkpoint import collect_rng_states
+
+    model.zero_grad()
+    whole = copy.deepcopy(model)
+    loss = model.loss(graph, targets)
+    loss.backward()
+    reference = F.cross_entropy(whole.forward(graph, targets), graph.labels[targets])
+    reference.backward()
+    if not abs(loss.item() - reference.item()) <= 1e-9:
+        return f"loss {loss.item()!r} != whole-graph {reference.item()!r}"
+    named = zip(model.named_parameters(), whole.parameters())
+    for (name, param), twin in named:
+        if (param.grad is None) != (twin.grad is None):
+            sides = ["missing" if p.grad is None else "present" for p in (param, twin)]
+            return f"grad of {name}: {sides[0]} on the field, {sides[1]} on the whole graph"
+        if param.grad is None:
+            continue
+        worst = float(np.abs(param.grad - twin.grad).max(initial=0.0))
+        if not worst <= 1e-12 * max(1.0, float(np.abs(twin.grad).max(initial=0.0))):
+            return f"grad of {name}: max |field - whole graph| = {worst:.3e}"
+    if collect_rng_states(model) != collect_rng_states(whole):
+        return "generator states differ after the step"
+    return None
+
+
+@scenario("pruned-step-vs-full-graph")
+def _fuzz_pruned_step(seed: int, size: int) -> Optional[str]:
+    """A training step on the batch's receptive field (what every
+    ``model.loss`` computes) vs the same step on the whole graph, and
+    the field vs a scalar BFS. Detector under all four ablation
+    configs, GAT, GEM and the MLP; dropout on (``train()``) and off;
+    graphs whole, thinned to one-directional edges and isolated nodes,
+    cut to a single edge or none, and growing under ``append_delta``;
+    batches with repeats, and batches of every transaction (a closure
+    that is the whole graph)."""
+    from ..graph.hetero import HeteroGraph
+    from ..models.detector import DetectorConfig, XFraudDetector
+    from ..models.gat import GATModel
+    from ..models.gem import GEMModel
+    from ..models.mlp import FeatureMLP
+
+    rng = np.random.default_rng(seed)
+    graph = random_hetero_graph(rng, num_txns=size, feature_dim=5)
+    shape = str(rng.choice(["whole", "thinned", "single-edge", "edgeless", "live"]))
+    keep = np.ones(graph.num_edges, dtype=bool)
+    if shape == "thinned":
+        keep = rng.random(graph.num_edges) < 0.5
+    elif shape in ("single-edge", "edgeless"):
+        keep[:] = False
+        if shape == "single-edge" and graph.num_edges:
+            keep[int(rng.integers(0, graph.num_edges))] = True
+    graph = HeteroGraph(
+        node_type=graph.node_type,
+        edge_src=graph.edge_src[keep],
+        edge_dst=graph.edge_dst[keep],
+        edge_type=graph.edge_type[keep],
+        txn_features=graph.txn_features,
+        labels=graph.labels,
+    )
+
+    heads = int(rng.integers(1, 4))
+    kind = int(rng.integers(0, 7))
+    config = DetectorConfig(
+        feature_dim=5,
+        hidden_dim=heads * int(rng.integers(1, 4)),
+        num_heads=heads,
+        num_layers=int(rng.integers(1, 4)),
+        ffn_hidden_dim=int(rng.integers(2, 7)),
+        dropout=0.3,
+        per_type_projections=bool(kind & 1),
+        target_specific_aggregation=bool(kind & 2),
+        seed=seed % 97,
+    )
+    model = ((XFraudDetector,) * 4 + (GATModel, GEMModel, FeatureMLP))[kind](config)
+    hops = 0 if kind == 6 else config.num_layers
+    for param in model.parameters():  # zero-initialised embeddings would multiply terms away
+        param.data[...] = rng.normal(scale=0.5, size=param.data.shape)
+
+    steps = 1 + 2 * (shape == "live")
+    for step in range(steps):
+        if step:
+            graph.append_delta(**random_delta(rng, graph, 1 + size % 3))
+        else:
+            graph.csr()  # so a live graph splices its CSR rather than rebuilding it
+        txns = graph.txn_nodes
+        if rng.random() < 0.25:
+            targets = rng.permutation(txns)
+        else:
+            targets = txns[rng.integers(0, len(txns), size=int(rng.integers(1, 7)))]
+        for training in (True, False):
+            model.train(training)
+            where = (
+                f"{type(model).__name__} kind {kind}, {config.num_layers} layers, {shape} graph "
+                f"({graph.num_nodes} nodes, {graph.num_edges} edges) step {step}, "
+                f"{'train' if training else 'eval'}, targets={targets.tolist()}"
+            )
+            problem = _field_problem(graph, targets, hops) or _step_problem(model, graph, targets)
+            if problem is not None:
+                return f"{where}: {problem}"
+    return None
+
+
+def numerical_grad(fn: Callable[[np.ndarray], float], x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
+    """Central-difference gradient of a scalar-valued ``fn`` of one
+    array (perturbed in place, restored on return)."""
+    grad = np.zeros_like(x)
+    flat = x.ravel()
+    grad_flat = grad.ravel()
+    for i in range(flat.size):
+        original = flat[i]
+        flat[i] = original + eps
+        up = fn(x)
+        flat[i] = original - eps
+        down = fn(x)
+        flat[i] = original
+        grad_flat[i] = (up - down) / (2 * eps)
+    return grad
+
+
+def _grad_cases(rng: np.random.Generator, size: int) -> List[Tuple[str, Callable, List[np.ndarray]]]:
+    """``(name, fn, inputs)`` for every differentiable op of ``nn.tensor``,
+    ``nn.segment`` and ``nn.functional``: ``fn`` maps ``Tensor`` inputs
+    to a ``Tensor``. Shapes are redrawn per case; ``n`` rows may be 0
+    (a zero-row block), an index may miss segments (empty
+    neighbourhoods) or hit one once (a single edge). Inputs stay clear
+    of kinks (``relu`` at 0, tied maxima) and poles, where a central
+    difference says nothing about the one-sided gradient."""
+    from .. import nn
+    from ..nn import functional as F
+    from ..nn import tensor as T
+
+    cap = max(1, min(size, 4))
+
+    def rows(least: int = 0) -> int:
+        return int(rng.integers(least, cap + 1))
+
+    def normal(*shape: int) -> np.ndarray:
+        return rng.normal(size=shape)
+
+    def off_zero(*shape: int) -> np.ndarray:
+        return rng.choice([-1.0, 1.0], size=shape) * rng.uniform(0.2, 1.5, size=shape)
+
+    def positive(*shape: int) -> np.ndarray:
+        return rng.uniform(0.3, 2.0, size=shape)
+
+    def spread(*shape: int) -> np.ndarray:
+        """No two entries within 0.25 of each other: maxima are strict."""
+        count = int(np.prod(shape))
+        return (rng.permutation(count) * 0.25 + rng.uniform(0.0, 0.1, size=count)).reshape(shape)
+
+    def index(into: int, count: int) -> np.ndarray:
+        return rng.integers(0, into, size=count) if into else np.zeros(0, dtype=np.int64)
+
+    cases: List[Tuple[str, Callable, List[np.ndarray]]] = []
+
+    def case(name: str, fn: Callable, *inputs: np.ndarray) -> None:
+        cases.append((name, fn, list(inputs)))
+
+    n, m, d, k = rows(), rows(), rows(1), rows(1)
+    # -- nn.tensor -----------------------------------------------------
+    case("add", lambda a, b: a + b, normal(n, d), normal(n, d))
+    case("add broadcast", lambda a, b: a + b, normal(n, 1, d), normal(k, 1))
+    case("radd scalar", lambda a: 1.5 + a, normal(n, d))
+    case("neg", lambda a: -a, normal(n, d))
+    case("sub", lambda a, b: a - b, normal(n, d), normal(d))
+    case("rsub", lambda a: 2.0 - a, normal(n, d))
+    case("mul", lambda a, b: a * b, normal(n, d), normal(n, d))
+    case("mul broadcast", lambda a, b: a * b, normal(n, k, d), normal(k, 1))
+    case("truediv", lambda a, b: a / b, normal(n, d), off_zero(n, d))
+    case("truediv broadcast", lambda a, b: a / b, normal(n, d), off_zero(1, d))
+    case("rtruediv", lambda a: 2.0 / a, off_zero(n, d))
+    case("pow", lambda a: a**3, normal(n, d))
+    case("pow fractional", lambda a: a**0.7, positive(n, d))
+    case("sqrt", lambda a: a.sqrt(), positive(n, d))
+    case("matmul", lambda a, b: a @ b, normal(n, d), normal(d, k))
+    case("matmul batched", lambda a, b: a @ b, normal(k, n, d), normal(k, d, m))
+    case("matmul broadcast", lambda a, b: a @ b, normal(k, n, d), normal(d, m))
+    case("matmul matrix-vector", lambda a, b: a @ b, normal(n, d), normal(d))
+    case("matmul vector-matrix", lambda a, b: a @ b, normal(d), normal(d, k))
+    case("matmul vector-vector", lambda a, b: a @ b, normal(d), normal(d))
+    case("matmul batched-vector", lambda a, b: a @ b, normal(k, n, d), normal(d))
+    case("transpose", lambda a: a.transpose(1, 0, 2), normal(n, k, d))
+    case("T", lambda a: a.T, normal(n, d))
+    case("reshape", lambda a: a.reshape(n * k, d), normal(n, k, d))
+    case("getitem slice", lambda a: a[:, :1], normal(n, d))
+    rows_n = index(n, m)
+    case("getitem rows", lambda a: a[rows_n], normal(n, d))
+    cols_d = index(d, m)
+    pick_rows = index(n, m)
+    case("getitem pairs", lambda a: a[pick_rows, cols_d[: len(pick_rows)]], normal(n, d))
+    case("sum", lambda a: a.sum(), normal(n, d))
+    case("sum axis", lambda a: a.sum(axis=0), normal(n, d))
+    case("sum axis keepdims", lambda a: a.sum(axis=-1, keepdims=True), normal(n, d))
+    lead = rows(1)
+    case("mean", lambda a: a.mean(), normal(lead, d))
+    case("mean axis", lambda a: a.mean(axis=0, keepdims=True), normal(lead, d))
+    case("max", lambda a: a.max(), spread(lead, d))
+    case("max axis", lambda a: a.max(axis=0), spread(lead, d))
+    case("max axis keepdims", lambda a: a.max(axis=1, keepdims=True), spread(lead, d))
+    case("exp", lambda a: a.exp(), normal(n, d))
+    case("log", lambda a: a.log(), positive(n, d))
+    case("tanh", lambda a: a.tanh(), normal(n, d))
+    case("relu", lambda a: a.relu(), off_zero(n, d))
+    case("sigmoid", lambda a: a.sigmoid(), normal(n, d))
+    case("concat rows", lambda a, b: T.concat([a, b], axis=0), normal(n, d), normal(m, d))
+    case("concat columns", lambda a, b: T.concat([a, b], axis=-1), normal(n, d), normal(n, k))
+    case("stack", lambda a, b: T.stack([a, b], axis=1), normal(n, d), normal(n, d))
+    chosen = rng.random((n, d)) < 0.5
+    case("where", lambda a, b: T.where(chosen, a, b), normal(n, d), normal(n, d))
+
+    # -- nn.segment: m edges into n nodes --------------------------------
+    edges = m if n else 0
+    segment_ids = index(n, edges)
+    case("gather", lambda a: nn.gather(a, segment_ids), normal(n, d))
+    case("gather 1-d", lambda a: nn.gather(a, segment_ids), normal(n))
+    case("segment_sum", lambda a: nn.segment_sum(a, segment_ids, n), normal(edges, k, d))
+    case("segment_mean", lambda a: nn.segment_mean(a, segment_ids, n), normal(edges, d))
+    case("segment_softmax", lambda a: nn.segment_softmax(a, segment_ids, n), normal(edges, d))
+    case("segment_softmax 1-d", lambda a: nn.segment_softmax(a, segment_ids, n), normal(edges))
+    case("scatter_rows", lambda a: nn.scatter_rows(a, segment_ids, n), normal(edges, d))
+    base = normal(n, d)
+    case("scatter_rows base", lambda a: nn.scatter_rows(a, segment_ids, n, base=base), normal(edges, d))
+
+    # -- nn.functional ---------------------------------------------------
+    case("leaky_relu", lambda a: F.leaky_relu(a, 0.2), off_zero(n, d))
+    case("elu", lambda a: F.elu(a), off_zero(n, d))
+    case("softmax", lambda a: F.softmax(a, axis=-1), normal(n, d))
+    case("log_softmax", lambda a: F.log_softmax(a, axis=-1), normal(n, d))
+    case("dropout", lambda a: F.dropout(a, 0.4, True, np.random.default_rng(5)), normal(n, d))
+    case(
+        "dropout rows",
+        lambda a: F.dropout(a, 0.4, True, np.random.default_rng(5), rows=(n, segment_ids)),
+        normal(edges, d),
+    )
+    case("layer_norm", F.layer_norm, normal(n, d + 1), normal(d + 1), normal(d + 1))
+    labels = rng.integers(0, d, size=lead)
+    case("cross_entropy", lambda a: F.cross_entropy(a, labels), normal(lead, d))
+    flags = rng.integers(0, 2, size=(lead, d))
+    case("bce_with_logits", lambda a: F.binary_cross_entropy_with_logits(a, flags), off_zero(lead, d))
+    case("bernoulli_entropy", F.bernoulli_entropy, rng.uniform(0.05, 0.95, size=(n, d)))
+    wanted = normal(lead, d)
+    case("mse", lambda a: F.mse(a, wanted), normal(lead, d))
+    return cases
+
+
+@scenario("grad-vs-finite-difference")
+def _fuzz_gradients(seed: int, size: int) -> Optional[str]:
+    """Every autograd op's backward vs a central difference of its
+    forward, on shapes redrawn per case — zero-row blocks, segments no
+    edge lands in, neighbourhoods of one edge. The objective is the
+    op's output against random weights, so a gradient routed to the
+    wrong element shows."""
+    from ..nn import Tensor
+
+    rng = np.random.default_rng(seed)
+    for name, fn, inputs in _grad_cases(rng, size):
+        tensors = [Tensor(array.copy(), requires_grad=True) for array in inputs]
+        out = fn(*tensors)
+        weights = rng.normal(size=out.shape)
+        if out.requires_grad:  # nothing to unwind when every input is empty
+            (out * Tensor(weights)).sum().backward()
+        for position, array in enumerate(inputs):
+
+            def objective(perturbed: np.ndarray) -> float:
+                probe = [Tensor(other) for other in inputs]
+                probe[position] = Tensor(perturbed)
+                return float((fn(*probe).data * weights).sum())
+
+            expected = numerical_grad(objective, array.copy())
+            grad = tensors[position].grad
+            got = np.zeros_like(array) if grad is None else grad
+            if got.shape != array.shape:
+                return f"{name}: grad of input {position} has shape {got.shape}, input {array.shape}"
+            worst = float(np.abs(got - expected).max(initial=0.0))
+            if not worst <= 1e-6 * max(1.0, float(np.abs(expected).max(initial=0.0))):
+                return (
+                    f"{name}: input {position} of shape {array.shape}: "
+                    f"max |backward - central difference| = {worst:.3e}"
+                )
     return None
 
 

@@ -13,7 +13,7 @@ from .hetero import (
 )
 from .cache import SubgraphCache
 from .partition import group_partitions, pic_partition, power_iteration_embedding
-from .sampling import HGSampler, SageSampler, SampledSubgraph, batched
+from .sampling import HGSampler, SageSampler, SampledSubgraph, batched, receptive_field
 
 __all__ = [
     "HeteroGraph",
@@ -35,6 +35,7 @@ __all__ = [
     "SageSampler",
     "HGSampler",
     "SampledSubgraph",
+    "receptive_field",
     "SubgraphCache",
     "batched",
     "pic_partition",

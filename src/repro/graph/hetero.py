@@ -432,11 +432,18 @@ class HeteroGraph:
     # ------------------------------------------------------------------
     # Subgraph extraction
     # ------------------------------------------------------------------
-    def subgraph(self, nodes: Sequence[int]) -> Tuple["HeteroGraph", np.ndarray]:
+    def subgraph(
+        self, nodes: Sequence[int], edge_ids: Optional[np.ndarray] = None
+    ) -> Tuple["HeteroGraph", np.ndarray]:
         """Induced subgraph on ``nodes``.
 
         Returns the subgraph plus the array mapping local index ->
         original node id. Node order follows the order of ``nodes``.
+
+        ``edge_ids`` replaces induction: the subgraph keeps exactly
+        those edges, in the order given, and both endpoints of each must
+        be in ``nodes`` (:func:`~repro.graph.sampling.receptive_field`
+        keeps fewer edges than ``nodes`` induce).
 
         Two implementations produce bit-identical output: a dense
         O(N + E) membership pass over every edge, and — when the CSR is
@@ -454,18 +461,22 @@ class HeteroGraph:
             local_of[nodes] = index
             if len(nodes) and np.any(local_of[nodes] != index):
                 raise ValueError("subgraph nodes must be unique")
-            if self._csr is not None and 0 < len(nodes) * 4 < self.num_nodes:
+            if edge_ids is not None:
+                src_local = local_of[self.edge_src[edge_ids]]
+                dst_local = local_of[self.edge_dst[edge_ids]]
+                edge_type = self.edge_type[edge_ids]
+            elif self._csr is not None and 0 < len(nodes) * 4 < self.num_nodes:
                 candidates = self._candidate_in_edges(nodes)
                 src_local_all = local_of[self.edge_src[candidates]]
                 keep = src_local_all >= 0
-                edge_ids = candidates[keep]
+                induced = candidates[keep]
                 # Ascending edge ids restore original edge order, so
                 # this path is bit-identical to the dense keep mask.
-                order = np.argsort(edge_ids, kind="stable")
-                edge_ids = edge_ids[order]
+                order = np.argsort(induced, kind="stable")
+                induced = induced[order]
                 src_local = src_local_all[keep][order]
-                dst_local = local_of[self.edge_dst[edge_ids]]
-                edge_type = self.edge_type[edge_ids]
+                dst_local = local_of[self.edge_dst[induced]]
+                edge_type = self.edge_type[induced]
             else:
                 keep = (local_of[self.edge_src] >= 0) & (local_of[self.edge_dst] >= 0)
                 src_local = local_of[self.edge_src[keep]]

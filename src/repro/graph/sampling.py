@@ -17,6 +17,10 @@ behind the same heterogeneous convolution:
 Both return a :class:`SampledSubgraph`: the induced typed subgraph plus
 the positions of the requested target nodes inside it.
 
+:func:`receptive_field` is the third walk and draws nothing: the whole
+``hops``-hop in-closure of the targets, which is what a training step
+computes its loss on (every model's ``loss`` calls it).
+
 Fast path / reference path contract
 -----------------------------------
 Each sampler ships two implementations of the same algorithm:
@@ -44,7 +48,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -125,6 +129,9 @@ class SampledSubgraph:
     graph: HeteroGraph
     target_local: np.ndarray
     original_ids: np.ndarray
+    #: Parent edge id of each edge of ``graph``, ascending — set by
+    #: :func:`receptive_field` only (the samplers induce their edges).
+    edge_ids: Optional[np.ndarray] = None
 
     @property
     def num_targets(self) -> int:
@@ -541,18 +548,69 @@ class HGSampler(_SamplerMetrics):
         return np.concatenate([unique_targets, rest])
 
 
-def _induce(graph: HeteroGraph, nodes: np.ndarray, targets: np.ndarray) -> SampledSubgraph:
-    """Induce the subgraph and locate the targets — no Python dict.
+def receptive_field(graph: HeteroGraph, targets: Sequence[int], hops: int) -> SampledSubgraph:
+    """Everything a ``hops``-layer model's output at ``targets`` reads.
+
+    The uncapped ``hops``-hop in-closure of the targets: no fanout, no
+    randomness. Nodes are in canonical order (unique targets in request
+    order, then the rest ascending). The edges are exactly the CSR
+    slices walked — every in-edge of every node within ``hops - 1`` hops
+    — in ascending parent edge id (``edge_ids``), so each kept
+    in-neighbourhood lists its edges in the parent's order.
+
+    The contract, for a model of ``hops`` message-passing layers: the
+    layer-``l`` output of a node within ``hops - l`` hops of a target is
+    what the parent graph gives it, because that node kept all its
+    in-edges and their sources are within ``hops - l + 1`` hops. Rows
+    further out (the outermost nodes have no in-edges here at all) hold
+    other values and are never read on the way to the targets' outputs,
+    so they receive zero gradient. A loss over the targets therefore
+    has the parent's value and the parent's parameter gradients.
+    """
+    if hops < 0:
+        raise ValueError("hops must be >= 0")
+    targets = np.asarray(targets, dtype=np.int64)
+    frontier = unique_targets = _first_occurrence_unique(targets)
+    indptr, src_sorted, edge_id_sorted = graph.csr()
+    visited = np.zeros(graph.num_nodes, dtype=bool)
+    visited[frontier] = True
+    discovered: List[np.ndarray] = []
+    walked: List[np.ndarray] = []
+    for _ in range(hops):
+        positions, _ = _concat_csr_slices(indptr, frontier)
+        if len(positions) == 0:
+            break
+        walked.append(positions)
+        neighbors = src_sorted[positions]
+        frontier = np.unique(neighbors[~visited[neighbors]])
+        visited[frontier] = True
+        discovered.append(frontier)
+    rest = np.sort(np.concatenate(discovered)) if discovered else _EMPTY
+    # A node enters the frontier once, so no CSR slice is walked twice.
+    edge_ids = np.sort(edge_id_sorted[np.concatenate(walked)]) if walked else _EMPTY
+    return _induce(graph, np.concatenate([unique_targets, rest]), targets, edge_ids)
+
+
+def _induce(
+    graph: HeteroGraph,
+    nodes: np.ndarray,
+    targets: np.ndarray,
+    edge_ids: Optional[np.ndarray] = None,
+) -> SampledSubgraph:
+    """Induce the subgraph (or keep just ``edge_ids``) and locate the
+    targets — no Python dict.
 
     The position map is a sorted lookup (``argsort`` + ``searchsorted``)
     over the canonical node order, O(k log k) instead of the former
     O(k) dict build + per-target Python hashing.
     """
-    subgraph, original_ids = graph.subgraph(nodes)
+    subgraph, original_ids = graph.subgraph(nodes, edge_ids=edge_ids)
     if len(targets):
         sorter = np.argsort(original_ids, kind="stable")
         target_local = sorter[np.searchsorted(original_ids, targets, sorter=sorter)]
         target_local = target_local.astype(np.int64)
     else:
         target_local = _EMPTY
-    return SampledSubgraph(graph=subgraph, target_local=target_local, original_ids=original_ids)
+    return SampledSubgraph(
+        graph=subgraph, target_local=target_local, original_ids=original_ids, edge_ids=edge_ids
+    )

@@ -29,6 +29,7 @@ from ..graph.hetero import HeteroGraph
 from ..graph.sampling import HGSampler, SageSampler
 from ..nn import Tensor
 from ..nn import functional as F
+from .field import EdgeRows, loss_field
 from .hetero_conv import HeteroConvLayer, InferenceLayout
 
 
@@ -98,18 +99,21 @@ class XFraudDetector(nn.Module):
         graph: HeteroGraph,
         edge_mask: Optional[Tensor] = None,
         feature_mask: Optional[Tensor] = None,
+        edge_rows: Optional[EdgeRows] = None,
     ) -> Tensor:
         """Run the convolution stack; returns ``(N, hidden_dim)``.
 
         ``edge_mask`` / ``feature_mask`` are the GNNExplainer hooks:
         per-edge weights in [0,1] and per-node-feature weights.
+        ``edge_rows`` is :meth:`loss`'s: which edges of which parent
+        ``graph`` holds (see :meth:`HeteroConvLayer.forward`).
         """
         features = Tensor(graph.txn_features)
         if feature_mask is not None:
             features = features * feature_mask
         h = features
         for conv in self.convs:
-            h = conv(graph, h, edge_mask=edge_mask)
+            h = conv(graph, h, edge_mask=edge_mask, edge_rows=edge_rows)
         return h
 
     def forward(
@@ -118,10 +122,13 @@ class XFraudDetector(nn.Module):
         targets: Sequence[int],
         edge_mask: Optional[Tensor] = None,
         feature_mask: Optional[Tensor] = None,
+        edge_rows: Optional[EdgeRows] = None,
     ) -> Tensor:
         """Logits ``(len(targets), num_classes)`` for target txn nodes."""
         targets = np.asarray(targets, dtype=np.int64)
-        h = self.node_representations(graph, edge_mask=edge_mask, feature_mask=feature_mask)
+        h = self.node_representations(
+            graph, edge_mask=edge_mask, feature_mask=feature_mask, edge_rows=edge_rows
+        )
         gnn_out = nn.gather(h, targets).tanh()
         original = Tensor(graph.txn_features[targets])
         if feature_mask is not None:
@@ -160,12 +167,12 @@ class XFraudDetector(nn.Module):
         return exp[:, 1] / exp.sum(axis=-1)
 
     def loss(self, graph: HeteroGraph, targets: Sequence[int]) -> Tensor:
-        """Detector loss: softmax cross entropy on labeled targets."""
-        targets = np.asarray(targets, dtype=np.int64)
-        labels = graph.labels[targets]
-        if np.any(labels < 0):
-            raise ValueError("loss targets must be labeled transactions")
-        logits = self.forward(graph, targets)
+        """Detector loss: softmax cross entropy on labeled targets,
+        computed on the targets' receptive field (:mod:`.field`)."""
+        field, labels = loss_field(graph, targets, hops=len(self.convs))
+        logits = self.forward(
+            field.graph, field.target_local, edge_rows=(graph.num_edges, field.edge_ids)
+        )
         return F.cross_entropy(logits, labels)
 
 

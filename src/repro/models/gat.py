@@ -17,6 +17,7 @@ from ..graph.hetero import HeteroGraph
 from ..nn import Tensor
 from ..nn import functional as F
 from .detector import DetectorConfig
+from .field import EdgeRows, loss_field
 from .inference import tensor_predict_proba
 
 
@@ -38,14 +39,18 @@ class GATLayer(nn.Module):
         self.num_heads = num_heads
         self.head_dim = out_dim // num_heads
         self.out_dim = out_dim
-        self.dropout_rate = dropout
+        self.dropout_rate = F.check_dropout_rate(dropout)
         self._rng = rng
         self.proj = nn.Linear(in_dim, out_dim, rng=rng)
         bound = 1.0 / np.sqrt(self.head_dim)
         self.att_src = nn.Parameter(rng.uniform(-bound, bound, size=(num_heads, self.head_dim)))
         self.att_dst = nn.Parameter(rng.uniform(-bound, bound, size=(num_heads, self.head_dim)))
 
-    def forward(self, graph: HeteroGraph, h: Tensor) -> Tensor:
+    def forward(
+        self, graph: HeteroGraph, h: Tensor, edge_rows: Optional[EdgeRows] = None
+    ) -> Tensor:
+        """``edge_rows``: as :meth:`HeteroConvLayer.forward
+        <repro.models.hetero_conv.HeteroConvLayer.forward>`."""
         num_nodes = graph.num_nodes
         src, dst = graph.edge_src, graph.edge_dst
         projected = self.proj(h).reshape(num_nodes, self.num_heads, self.head_dim)
@@ -55,7 +60,9 @@ class GATLayer(nn.Module):
         logits = nn.gather(src_score, src) + nn.gather(dst_score, dst)
         logits = F.leaky_relu(logits, negative_slope=0.2)
         attention = nn.segment_softmax(logits, dst, num_nodes)
-        attention = F.dropout(attention, self.dropout_rate, training=self.training, rng=self._rng)
+        attention = F.dropout(
+            attention, self.dropout_rate, training=self.training, rng=self._rng, rows=edge_rows
+        )
 
         messages = nn.gather(projected, src) * attention.reshape(graph.num_edges, self.num_heads, 1)
         aggregated = nn.segment_sum(messages, dst, num_nodes).reshape(num_nodes, self.out_dim)
@@ -90,16 +97,23 @@ class GATModel(nn.Module):
             nn.Linear(config.ffn_hidden_dim, config.num_classes, rng=rng),
         )
 
-    def node_representations(self, graph: HeteroGraph) -> Tensor:
+    def node_representations(
+        self, graph: HeteroGraph, edge_rows: Optional[EdgeRows] = None
+    ) -> Tensor:
         """Per-node embeddings after the GAT stack, ``(N, hidden)``."""
         h = Tensor(graph.txn_features)
         for layer in self.layers:
-            h = layer(graph, h)
+            h = layer(graph, h, edge_rows=edge_rows)
         return h
 
-    def forward(self, graph: HeteroGraph, targets: Sequence[int]) -> Tensor:
+    def forward(
+        self,
+        graph: HeteroGraph,
+        targets: Sequence[int],
+        edge_rows: Optional[EdgeRows] = None,
+    ) -> Tensor:
         targets = np.asarray(targets, dtype=np.int64)
-        h = self.node_representations(graph)
+        h = self.node_representations(graph, edge_rows=edge_rows)
         gnn_out = nn.gather(h, targets).tanh()
         original = Tensor(graph.txn_features[targets])
         return self.head(nn.concat([gnn_out, original], axis=1))
@@ -109,9 +123,10 @@ class GATModel(nn.Module):
         return tensor_predict_proba(self, graph, targets)
 
     def loss(self, graph: HeteroGraph, targets: Sequence[int]) -> Tensor:
-        """Softmax cross entropy over labeled target transactions."""
-        targets = np.asarray(targets, dtype=np.int64)
-        labels = graph.labels[targets]
-        if np.any(labels < 0):
-            raise ValueError("loss targets must be labeled transactions")
-        return F.cross_entropy(self.forward(graph, targets), labels)
+        """Softmax cross entropy over labeled target transactions,
+        computed on their receptive field (:mod:`.field`)."""
+        field, labels = loss_field(graph, targets, hops=len(self.layers))
+        logits = self.forward(
+            field.graph, field.target_local, edge_rows=(graph.num_edges, field.edge_ids)
+        )
+        return F.cross_entropy(logits, labels)

@@ -22,6 +22,7 @@ from ..graph.hetero import NODE_TYPES, HeteroGraph
 from ..nn import Tensor
 from ..nn import functional as F
 from .detector import DetectorConfig
+from .field import loss_field
 from .inference import tensor_predict_proba
 
 
@@ -47,9 +48,9 @@ class GEMLayer(nn.Module):
         out = self.self_linear(h)
         src_types = graph.node_type[graph.edge_src]
         for type_id, type_name in enumerate(NODE_TYPES):
+            # No edge of this type is a zero-row block, not a skip: every
+            # type's weights get a gradient whatever the graph holds.
             edges = np.flatnonzero(src_types == type_id)
-            if len(edges) == 0:
-                continue
             neighbor_values = nn.gather(h, graph.edge_src[edges])
             mean_by_target = nn.segment_mean(neighbor_values, graph.edge_dst[edges], num_nodes)
             out = out + self.type_linear[type_name](mean_by_target)
@@ -97,9 +98,7 @@ class GEMModel(nn.Module):
         return tensor_predict_proba(self, graph, targets)
 
     def loss(self, graph: HeteroGraph, targets: Sequence[int]) -> Tensor:
-        """Softmax cross entropy over labeled target transactions."""
-        targets = np.asarray(targets, dtype=np.int64)
-        labels = graph.labels[targets]
-        if np.any(labels < 0):
-            raise ValueError("loss targets must be labeled transactions")
-        return F.cross_entropy(self.forward(graph, targets), labels)
+        """Softmax cross entropy over labeled target transactions,
+        computed on their receptive field (:mod:`.field`)."""
+        field, labels = loss_field(graph, targets, hops=len(self.layers))
+        return F.cross_entropy(self.forward(field.graph, field.target_local), labels)

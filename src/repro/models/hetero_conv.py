@@ -37,6 +37,7 @@ from .. import nn
 from ..graph.hetero import EDGE_TYPES, NODE_TYPES, HeteroGraph
 from ..nn import Tensor
 from ..nn import functional as F
+from .field import EdgeRows
 
 #: Edge-type ids grouped by the projection that serves their source
 #: node type — per type name, and all of them under ``"shared"``.
@@ -131,7 +132,7 @@ class HeteroConvLayer(nn.Module):
         self.first_layer = first_layer
         self.target_specific = target_specific
         self.per_type_projections = per_type_projections
-        self.dropout_rate = dropout
+        self.dropout_rate = F.check_dropout_rate(dropout)
         self._rng = rng
 
         # Q/K/V projections (eqs. 2–7), each mapping the layer input to
@@ -215,27 +216,28 @@ class HeteroConvLayer(nn.Module):
     def _apply_per_type(
         self, x: Tensor, node_type: np.ndarray, linears: nn.ModuleDict
     ) -> Tensor:
-        """Route each row through its type's linear (always per-type)."""
+        """Route each row through its type's linear (always per-type).
+
+        A type with no rows still passes its zero-row block through, so
+        every type's parameters are on the tape — and get a gradient, if
+        only zeros — whatever the graph holds. An optimiser step (weight
+        decay, moment decay) then does not depend on which node types a
+        batch's receptive field happens to contain.
+        """
         num_nodes = x.shape[0]
-        pieces: List[Tensor] = []
-        indices: List[np.ndarray] = []
-        for type_id, type_name in enumerate(NODE_TYPES):
-            rows = np.flatnonzero(node_type == type_id)
-            if len(rows) == 0:
-                continue
-            pieces.append(linears[type_name](nn.gather(x, rows)))
-            indices.append(rows)
-        if len(pieces) == 1:
-            projected = pieces[0]
-            order = indices[0]
-        else:
-            projected = nn.concat(pieces, axis=0)
-            order = np.concatenate(indices)
-        return nn.scatter_rows(projected, order, num_nodes)
+        indices = [np.flatnonzero(node_type == type_id) for type_id in range(len(NODE_TYPES))]
+        pieces = [
+            linears[type_name](nn.gather(x, rows)) for type_name, rows in zip(NODE_TYPES, indices)
+        ]
+        return nn.scatter_rows(nn.concat(pieces, axis=0), np.concatenate(indices), num_nodes)
 
     # ------------------------------------------------------------------
     def forward(
-        self, graph: HeteroGraph, h: Tensor, edge_mask: Optional[Tensor] = None
+        self,
+        graph: HeteroGraph,
+        h: Tensor,
+        edge_mask: Optional[Tensor] = None,
+        edge_rows: Optional[EdgeRows] = None,
     ) -> Tensor:
         """One round of heterogeneous message passing.
 
@@ -251,6 +253,12 @@ class HeteroConvLayer(nn.Module):
             The GNNExplainer hook: per-edge weights in [0, 1] that
             scale the normalised attention (in place of dropout), so a
             fully-masked edge contributes nothing.
+        edge_rows:
+            Set when ``graph`` is a
+            :func:`~repro.graph.sampling.receptive_field` of a parent
+            graph (:data:`~repro.models.field.EdgeRows`): attention
+            dropout then gives each edge the mask the parent's forward
+            would.
         """
         node_type = graph.node_type
         src, dst = graph.edge_src, graph.edge_dst
@@ -272,7 +280,7 @@ class HeteroConvLayer(nn.Module):
         key_edges = nn.gather(key, src)
         value_edges = nn.gather(value, src)
 
-        if self.first_layer and graph.num_edges:
+        if self.first_layer:
             # Linearity lets the per-edge φ(e)^emb term of eqs. 4/6 be
             # added after projection: K(X+τ+φ) = K(X+τ) + K(φ) with the
             # bias counted once. The projection type is the edge's
@@ -297,7 +305,7 @@ class HeteroConvLayer(nn.Module):
         attention = nn.segment_softmax(logits, dst, num_nodes)
         if edge_mask is None:
             attention = F.dropout(
-                attention, self.dropout_rate, training=self.training, rng=self._rng
+                attention, self.dropout_rate, training=self.training, rng=self._rng, rows=edge_rows
             )
         else:
             attention = attention * edge_mask.reshape(graph.num_edges, 1)
@@ -321,23 +329,14 @@ class HeteroConvLayer(nn.Module):
     def _per_type_bilinear(self, x: Tensor, types: np.ndarray, att: nn.Parameter) -> Tensor:
         """Apply the type-specific attention matrix: rows of ``x``
         (shape ``(n, heads, d)``) are multiplied by ``att[type]``
-        (``(heads, d, d)``) according to each row's type."""
-        num_rows = x.shape[0]
-        pieces: List[Tensor] = []
-        indices: List[np.ndarray] = []
-        for type_id in range(len(NODE_TYPES)):
-            rows = np.flatnonzero(types == type_id)
-            if len(rows) == 0:
-                continue
-            selected = nn.gather(x, rows).transpose(1, 0, 2)  # (h, m, d)
-            transformed = (selected @ att[type_id]).transpose(1, 0, 2)
-            pieces.append(transformed)
-            indices.append(rows)
-        if not pieces:  # edgeless graph: nothing to transform
-            return x
-        projected = pieces[0] if len(pieces) == 1 else nn.concat(pieces, axis=0)
-        order = indices[0] if len(indices) == 1 else np.concatenate(indices)
-        return nn.scatter_rows(projected, order, num_rows)
+        (``(heads, d, d)``) according to each row's type. Types with no
+        rows pass a zero-row block (see :meth:`_apply_per_type`)."""
+        indices = [np.flatnonzero(types == type_id) for type_id in range(len(NODE_TYPES))]
+        pieces = [
+            (nn.gather(x, rows).transpose(1, 0, 2) @ att[type_id]).transpose(1, 0, 2)  # (h, m, d)
+            for type_id, rows in enumerate(indices)
+        ]
+        return nn.scatter_rows(nn.concat(pieces, axis=0), np.concatenate(indices), x.shape[0])
 
     def _edge_type_contribution(
         self, edge_types: np.ndarray, linears: nn.ModuleDict

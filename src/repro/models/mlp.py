@@ -18,6 +18,7 @@ from ..graph.hetero import HeteroGraph
 from ..nn import Tensor
 from ..nn import functional as F
 from .detector import DetectorConfig
+from .field import loss_field
 from .inference import tensor_predict_proba
 
 
@@ -53,9 +54,7 @@ class FeatureMLP(nn.Module):
         return tensor_predict_proba(self, graph, targets)
 
     def loss(self, graph: HeteroGraph, targets: Sequence[int]) -> Tensor:
-        """Softmax cross entropy over labeled target transactions."""
-        targets = np.asarray(targets, dtype=np.int64)
-        labels = graph.labels[targets]
-        if np.any(labels < 0):
-            raise ValueError("loss targets must be labeled transactions")
-        return F.cross_entropy(self.forward(graph, targets), labels)
+        """Softmax cross entropy over labeled target transactions; the
+        receptive field of a model with no graph layer is the targets."""
+        field, labels = loss_field(graph, targets, hops=0)
+        return F.cross_entropy(self.forward(field.graph, field.target_local), labels)

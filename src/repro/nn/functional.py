@@ -7,7 +7,7 @@ used by the detector (softmax cross entropy, eq. 11) and the explainer
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -57,15 +57,40 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     return shifted - log_norm
 
 
-def dropout(x: Tensor, rate: float, training: bool, rng: Optional[np.random.Generator] = None) -> Tensor:
-    """Inverted dropout: at train time zero a fraction and rescale."""
-    if not training or rate <= 0.0:
+def check_dropout_rate(rate: float) -> float:
+    """``rate`` if it is a drop probability in ``[0, 1)``, else raise:
+    at 1 the rescale is ``0 / 0`` and past it the mask turns negative."""
+    if not 0.0 <= rate < 1.0:
+        raise ValueError(f"dropout rate must be in [0, 1), got {rate!r}")
+    return rate
+
+
+def dropout(
+    x: Tensor,
+    rate: float,
+    training: bool,
+    rng: Optional[np.random.Generator] = None,
+    rows: Optional[Tuple[int, np.ndarray]] = None,
+) -> Tensor:
+    """Inverted dropout: at train time zero a fraction and rescale.
+
+    ``rows=(extent, index)`` says ``x`` is rows ``index`` of an array of
+    ``extent`` rows: the mask is drawn for that whole array and gathered,
+    so a row is dropped or kept — and ``rng`` is left — exactly as if the
+    whole array had been passed, whichever other rows came along.
+    """
+    check_dropout_rate(rate)
+    if not training or rate == 0.0:
         return x
     if rng is None:
         rng = np.random.default_rng()
     keep = 1.0 - rate
-    mask = (rng.random(x.shape) < keep).astype(np.float64) / keep
-    return x * Tensor(mask)
+    if rows is None:
+        draws = rng.random(x.shape)
+    else:
+        extent, index = rows
+        draws = rng.random((extent,) + x.shape[1:])[index]
+    return x * Tensor((draws < keep).astype(np.float64) / keep)
 
 
 def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -92,10 +117,11 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
 def binary_cross_entropy_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
     """Numerically stable BCE on raw logits."""
     targets_t = Tensor(np.asarray(targets, dtype=np.float64))
-    # log(1 + exp(-|x|)) + max(x, 0) - x*t  is the stable formulation.
-    abs_logits = Tensor(np.abs(logits.data))
-    softplus = ((-abs_logits).exp() + 1.0).log()
+    # log(1 + exp(-|x|)) + max(x, 0) - x*t  is the stable formulation;
+    # |x| stays on the tape, its term carries half of d/dx = sigmoid(x) - t.
     max_part = logits.relu()
+    abs_logits = max_part + (-logits).relu()
+    softplus = ((-abs_logits).exp() + 1.0).log()
     return (softplus + max_part - logits * targets_t).mean()
 
 

@@ -135,7 +135,7 @@ class Dropout(Module):
 
     def __init__(self, rate: float, rng: Optional[np.random.Generator] = None) -> None:
         super().__init__()
-        self.rate = rate
+        self.rate = F.check_dropout_rate(rate)
         self._rng = rng or np.random.default_rng()
 
     def forward(self, x: Tensor) -> Tensor:

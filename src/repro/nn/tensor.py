@@ -270,20 +270,23 @@ class Tensor:
         out_data = self.data @ other_t.data
 
         def backward(grad: np.ndarray) -> None:
+            # A 1-D operand is a row (left) or column (right) matrix whose
+            # unit axis the product dropped; put it back and one rule
+            # covers every rank, batch axes broadcast or not.
+            left = self.data[None, :] if self.data.ndim == 1 else self.data
+            right = other_t.data[:, None] if other_t.data.ndim == 1 else other_t.data
+            if other_t.data.ndim == 1:
+                grad = np.expand_dims(grad, -1)
+            if self.data.ndim == 1:
+                grad = np.expand_dims(grad, -2)
             if self.requires_grad:
-                if other_t.data.ndim == 1:
-                    self._accumulate(np.outer(grad, other_t.data).reshape(self.shape))
-                else:
-                    self._accumulate(
-                        _unbroadcast(grad @ np.swapaxes(other_t.data, -1, -2), self.shape)
-                    )
+                self._accumulate(
+                    _unbroadcast(grad @ np.swapaxes(right, -1, -2), left.shape).reshape(self.shape)
+                )
             if other_t.requires_grad:
-                if self.data.ndim == 1:
-                    other_t._accumulate(np.outer(self.data, grad).reshape(other_t.shape))
-                else:
-                    other_t._accumulate(
-                        _unbroadcast(np.swapaxes(self.data, -1, -2) @ grad, other_t.shape)
-                    )
+                other_t._accumulate(
+                    _unbroadcast(np.swapaxes(left, -1, -2) @ grad, right.shape).reshape(other_t.shape)
+                )
 
         return Tensor._make(out_data, (self, other_t), backward)
 

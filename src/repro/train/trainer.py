@@ -2,9 +2,13 @@
 early-stopping patience).
 
 Trains any model exposing ``loss(graph, targets)`` and
-``predict_proba(graph, targets)`` — the detector, detector+, GAT, and
-GEM all do. Uses full-graph forward passes over the (partitioned)
-graph, mini-batched over labeled target nodes.
+``predict_proba(graph, targets)`` — the detector, detector+, GAT, GEM
+and the MLP all do. Mini-batched over labeled target nodes; a step's
+forward and backward run on the batch's receptive field, not on the
+(partitioned) graph it is handed — ``model.loss`` cuts it out
+(:mod:`repro.models.field`) and gets the whole graph's loss, gradients
+and dropout masks, so a step costs what the batch can see. Evaluation
+(``predict_proba``) still scores on the graph it is given.
 """
 
 from __future__ import annotations
@@ -229,10 +233,12 @@ def measure_inference_time(
 ) -> Dict[str, float]:
     """Per-batch inference timing (Table 3's inference column).
 
+    ``predict_proba`` convolves the whole of ``graph`` for every batch
+    (only training steps are cut down to the batch's receptive field).
     When ``sampled`` is true and the model exposes
-    ``predict_proba_sampled``, the production path — neighbourhood
-    sampling followed by scoring — is measured instead of full-graph
-    scoring.
+    ``predict_proba_sampled``, the production path — capped
+    neighbourhood sampling, then scoring the sample — is measured
+    instead.
     """
     nodes = np.asarray(nodes, dtype=np.int64)
     times: List[float] = []

@@ -32,8 +32,11 @@ from repro.check import (
     wal_violations,
 )
 from repro.cli import main
+from repro.graph import sampling
 from repro.graph.cache import SubgraphCache
 from repro.graph.sampling import SageSampler, stack_subgraphs
+from repro.models import field as field_module
+from repro.nn import functional as F
 
 
 class TestInvariantRegistry:
@@ -219,6 +222,18 @@ class TestRegressionSeeds:
         assert run_case("delta-merge-vs-rebuild", 37, 1) is None
         assert run_case("delta-merge-vs-rebuild", 1139250825, 8) is None
 
+    def test_gradient_oracle_shrunk_cases(self):
+        # Found by grad-vs-finite-difference on its first run: BCE on
+        # logits took |x| off the tape, so its gradient was 1[x>0] - t
+        # instead of sigmoid(x) - t (seed 0, size 1), and the backward of
+        # a batched matmul with a 1-D right operand multiplied the batch
+        # of rows by the output gradient as if it were a matrix — it
+        # raised on most shapes (seed 0, size 2) and returned a wrong
+        # gradient when batch size and row count agreed (seed 4, size 2).
+        assert run_case("grad-vs-finite-difference", 0, 1) is None
+        assert run_case("grad-vs-finite-difference", 0, 2) is None
+        assert run_case("grad-vs-finite-difference", 4, 2) is None
+
     def test_a_crashing_side_is_a_divergence(self):
         def crashes(seed, size):
             raise ValueError("one side blew up")
@@ -228,6 +243,78 @@ class TestRegressionSeeds:
             assert "ValueError: one side blew up" in run_case("synthetic-crash", 0, 1)
         finally:
             del SCENARIOS["synthetic-crash"]
+
+
+def _rebuilt(graph, field, edge_ids):
+    sub, ids = graph.subgraph(field.original_ids, edge_ids=edge_ids)
+    return sampling.SampledSubgraph(sub, field.target_local, ids, edge_ids)
+
+
+_real_field = sampling.receptive_field
+
+
+def _one_hop_short(graph, targets, hops):
+    return _real_field(graph, targets, max(hops - 1, 0))
+
+
+def _fanout_cap_left_in(graph, targets, hops, cap=2):
+    field = _real_field(graph, targets, hops)
+    dst = graph.edge_dst[field.edge_ids]
+    order = np.argsort(dst, kind="stable")
+    rank = np.arange(len(dst)) - np.searchsorted(dst[order], dst[order])
+    return _rebuilt(graph, field, np.sort(field.edge_ids[order][rank < cap]))
+
+
+def _target_rows_dropped(graph, targets, hops):
+    field = _real_field(graph, targets, hops)
+    into_targets = np.isin(graph.edge_dst[field.edge_ids], targets)
+    return _rebuilt(graph, field, field.edge_ids[~into_targets])
+
+
+def _edge_ids_unsorted(graph, targets, hops):
+    field = _real_field(graph, targets, hops)
+    return _rebuilt(graph, field, field.edge_ids[::-1].copy())
+
+
+class TestPrunedStepMutants:
+    """`repro check --fuzz 120` (= ``run_fuzz(120, seed=0)``) must fail,
+    in ``pruned-step-vs-full-graph``, on each way the receptive-field
+    step can be subtly wrong. The first three are planted on the step's
+    path only (``models.field``), so it is the loss / gradient
+    comparison that catches them, not the BFS reference."""
+
+    NAME = "pruned-step-vs-full-graph"
+
+    def _assert_caught(self):
+        report = run_fuzz(120, seed=0)
+        assert not report.ok
+        assert report.failures[0].scenario == self.NAME, report.failures[0]
+        return report.failures[0]
+
+    @pytest.mark.parametrize(
+        "mutant", [_one_hop_short, _fanout_cap_left_in, _target_rows_dropped]
+    )
+    def test_a_smaller_field_changes_the_loss(self, monkeypatch, mutant):
+        monkeypatch.setattr(field_module, "receptive_field", mutant)
+        assert "!= whole-graph" in self._assert_caught().detail
+
+    def test_mask_drawn_at_the_field_extent(self, monkeypatch):
+        real = F.dropout
+        monkeypatch.setattr(
+            F, "dropout", lambda x, rate, training, rng=None, rows=None: real(x, rate, training, rng)
+        )
+        assert "!= whole-graph" in self._assert_caught().detail
+
+    def test_edge_ids_unsorted(self, monkeypatch):
+        # Numerically harmless (each edge still gets its own mask row):
+        # only the contract check against the BFS reference sees it.
+        monkeypatch.setattr(sampling, "receptive_field", _edge_ids_unsorted)
+        assert "BFS (ascending)" in self._assert_caught().detail
+
+    def test_shrunk_cases_pass_on_the_real_step(self):
+        # What the five mutants above shrink to (two of them to (1, 5)).
+        for seed, size in ((6, 5), (1, 5), (4, 1), (1, 3)):
+            assert run_case(self.NAME, seed, size) is None, (seed, size)
 
 
 class TestGenerators:

@@ -59,6 +59,32 @@ class TestDropout:
         out = F.dropout(x, 0.3, training=True, rng=rng)
         assert abs(out.data.mean() - 1.0) < 0.05
 
+    @pytest.mark.parametrize("rate", [1.0, 1.5, -0.1, float("nan")])
+    def test_rate_outside_unit_interval_rejected(self, rate):
+        # rate 1.0 used to return 0/0 = NaN everywhere, rate 1.5 all -0.
+        from repro import nn
+        from repro.models.gat import GATLayer
+        from repro.models.hetero_conv import HeteroConvLayer
+
+        for training in (True, False):
+            with pytest.raises(ValueError, match="dropout rate"):
+                F.dropout(Tensor(np.ones(4)), rate, training=training)
+        with pytest.raises(ValueError, match="dropout rate"):
+            nn.Dropout(rate)
+        with pytest.raises(ValueError, match="dropout rate"):
+            HeteroConvLayer(4, 4, num_heads=2, dropout=rate)
+        with pytest.raises(ValueError, match="dropout rate"):
+            GATLayer(4, 4, num_heads=2, dropout=rate)
+
+    def test_rows_take_the_mask_of_the_whole_array(self):
+        x = np.arange(24.0).reshape(8, 3) + 1.0
+        whole_rng, part_rng = np.random.default_rng(3), np.random.default_rng(3)
+        whole = F.dropout(Tensor(x), 0.5, training=True, rng=whole_rng)
+        index = np.array([6, 1, 1, 4])
+        part = F.dropout(Tensor(x[index]), 0.5, training=True, rng=part_rng, rows=(8, index))
+        np.testing.assert_array_equal(part.data, whole.data[index])
+        assert whole_rng.bit_generator.state == part_rng.bit_generator.state
+
 
 class TestLayerNorm:
     def test_normalises_last_dim(self):

@@ -3,23 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.check import numerical_grad
 from repro.nn import Tensor, concat, no_grad, stack, where
-
-
-def numerical_grad(fn, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
-    """Central-difference gradient of a scalar-valued fn of one array."""
-    grad = np.zeros_like(x)
-    flat = x.ravel()
-    grad_flat = grad.ravel()
-    for i in range(flat.size):
-        original = flat[i]
-        flat[i] = original + eps
-        up = fn(x)
-        flat[i] = original - eps
-        down = fn(x)
-        flat[i] = original
-        grad_flat[i] = (up - down) / (2 * eps)
-    return grad
 
 
 def check_unary(op, x: np.ndarray, atol: float = 1e-6):
