@@ -91,9 +91,9 @@ path in serving.
 
 Shape asserted in `bench_sampler_fastpath.py`: equivalence on every
 (sampler, batch-size) configuration; vectorized speedup >= 2x at batch
-128 for both samplers (the conservative floor CI enforces via
-``repro bench-sampler --min-speedup 2.0``); end-to-end fast path
-(vectorized + warmed cache) >= 5x at batch 128.""",
+128 for both samplers (the conservative floor CI's perf-smoke enforces
+as ``test_vectorized_ratio_floor`` of the same file); end-to-end fast
+path (vectorized + warmed cache) >= 5x at batch 128.""",
     ),
     (
         "Autograd-free inference forward — the performance ledger, before / after",

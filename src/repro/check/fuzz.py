@@ -6,7 +6,9 @@ merge has the full stable rebuild, a micro-batch of n has n batches
 of one through the same pipeline, the detector's plain-array inference
 kernel has its autograd forward, the header-memoising row decoder has ``np.load``, a training step on
 the batch's receptive field has the same step on the whole graph, every
-autograd op has its central difference, and
+autograd op has its central difference, the elastic supervisor has the
+fault-free engine it drives (and, under faults, a by-hand all-reduce
+over the shards it accepted), and
 the WAL has "whatever was durably framed before the crash". A fuzz *scenario* drives both sides of one such pair on a
 seeded random input and returns a divergence description (or ``None``).
 
@@ -636,6 +638,169 @@ def _fuzz_pruned_step(seed: int, size: int) -> Optional[str]:
             problem = _field_problem(graph, targets, hops) or _step_problem(model, graph, targets)
             if problem is not None:
                 return f"{where}: {problem}"
+    return None
+
+
+def _state_equal(a, b) -> bool:
+    left, right = a.state_dict(), b.state_dict()
+    return left.keys() == right.keys() and all(np.array_equal(left[k], right[k]) for k in left)
+
+
+def _random_worker_faults(rng: np.random.Generator, workers: int, epochs: int):
+    """A valid supervisor schedule and the decisions it must produce.
+
+    Valid: only evicted workers rejoin, only live ones die (a worker
+    may die in the very round it rejoins), at least one stays alive,
+    never every live shard corrupt in one round. Returns the
+    :class:`FaultPlan` kwargs and, per epoch, ``(members after the
+    round, evicted, rejoined, quarantined)``.
+    """
+    live, evicted = set(range(workers)), set()
+    faults = {"worker_kill": {}, "worker_rejoin": {}, "worker_slow": {}, "grad_corrupt": {}}
+    decisions = []
+    for epoch in range(epochs):
+        back = [w for w in sorted(evicted) if rng.random() < 0.5]
+        live |= set(back)
+        victims = [w for w in sorted(live) if rng.random() < 0.25][: len(live) - 1]
+        live -= set(victims)
+        evicted = (evicted - set(back)) | set(victims)
+        slow = {w: float(rng.choice([1.5, 3.0, 6.0])) for w in sorted(live) if rng.random() < 0.25}
+        corrupt = [w for w in sorted(live) if rng.random() < 0.3][: len(live) - 1]
+        for name, entry in (
+            ("worker_rejoin", back),
+            ("worker_kill", victims),
+            ("worker_slow", slow),
+            ("grad_corrupt", {w: str(rng.choice(["nan", "bitflip"])) for w in corrupt}),
+        ):
+            if entry:
+                faults[name][epoch] = entry
+        decisions.append((sorted(live), victims, back, corrupt))
+    return faults, decisions
+
+
+@scenario("supervised-round-vs-engine")
+def _fuzz_supervised_round(seed: int, size: int) -> Optional[str]:
+    """The elastic supervisor vs the fault-free DDP engine it drives.
+
+    Fault-free, ``ElasticTrainer`` and a plain ``DistributedTrainer``
+    over the same rendezvous shards must agree bit for bit (GEM, MLP
+    and detector+; members that win no partition; batches of one).
+    Under a random valid kill / rejoin / slow / corrupt schedule the
+    supervised run must (a) take exactly the decisions the schedule
+    forces, (b) end bit-identical to a by-hand run that only knows
+    those decisions — per epoch the shards of the surviving members,
+    this file's own mean over the accepted ones, clip, step — which is
+    what "evict, re-shard, retry from the last verified snapshot" and
+    "renormalise over accepted shards" promise, and (c) replay
+    identically (history and parameters) when run a second time killed
+    and resumed from disk after *every* epoch; that run's shards are
+    checked after each round: one per live member, every node and
+    partition owned exactly once.
+    """
+    from ..models.detector import DetectorConfig, XFraudDetectorPlus
+    from ..models.gem import GEMModel
+    from ..models.mlp import FeatureMLP
+    from ..nn import clip_grad_norm
+    from ..reliability.faults import FaultPlan
+    from ..train.distributed import DistributedTrainer, make_worker_partitions
+    from ..train.elastic import ElasticConfig, ElasticTrainer
+    from ..train.trainer import TrainConfig
+
+    rng = np.random.default_rng(seed)
+    graph = random_hetero_graph(rng, num_txns=size, feature_dim=5)
+    train = rng.permutation(graph.txn_nodes)[:6]  # bounds the steps, not the graph
+    heads = int(rng.integers(1, 3))
+    model_config = DetectorConfig(
+        feature_dim=5,
+        hidden_dim=heads * int(rng.integers(1, 4)),
+        num_heads=heads,
+        num_layers=int(rng.integers(1, 3)),
+        ffn_hidden_dim=int(rng.integers(2, 7)),
+        dropout=0.3,
+        seed=seed % 97,
+    )
+    model_class = (GEMModel, FeatureMLP, XFraudDetectorPlus)[int(rng.integers(0, 3))]
+    workers = int(rng.integers(1, min(5, graph.num_nodes) + 1))
+    partitions = int(rng.integers(workers, min(workers + 3, graph.num_nodes) + 1))
+    epochs = int(rng.integers(2, 4))
+    config = TrainConfig(
+        epochs=epochs,
+        batch_size=int(rng.integers(1, 5)),
+        learning_rate=1e-2,
+        shuffle=bool(rng.integers(0, 2)),
+        seed=seed % 89,
+    )
+    elastic = ElasticConfig(num_partitions=partitions, skip_budget=workers * epochs)
+    where = (
+        f"{model_class.__name__}, {workers} workers / {partitions} partitions, "
+        f"{graph.num_nodes} nodes, batch {config.batch_size}, shuffle={config.shuffle}"
+    )
+
+    def supervised(plan=None, checkpoint=None):
+        model = model_class(model_config)
+        return ElasticTrainer(
+            model, graph, train, workers, config, elastic, plan, checkpoint=checkpoint
+        )
+
+    def shards_of(members, partition_ids):
+        return make_worker_partitions(
+            graph, train, members=members, partition_ids=partition_ids, seed=config.seed
+        )
+
+    def engine_over(members, partition_ids):
+        return DistributedTrainer(
+            model_class(model_config), shards_of(members, partition_ids), config
+        )
+
+    # -- fault-free: the supervisor is the engine ------------------------
+    calm = supervised()
+    calm_losses = [record.loss for record in calm.fit().history]
+    engine = engine_over(range(workers), calm.partition_ids)
+    if calm_losses != [record.loss for record in engine.fit().history]:
+        return f"{where}: fault-free supervised losses differ from the engine's"
+    if not _state_equal(calm.model, engine.model):
+        return f"{where}: fault-free supervised parameters differ from the engine's"
+
+    # -- under faults ----------------------------------------------------
+    faults, decisions = _random_worker_faults(rng, workers, epochs)
+    where += f", faults {faults}"
+    straight = supervised(FaultPlan(workers, **faults))
+    history = straight.fit().history
+    taken = [(r.members, r.evicted, r.rejoined, r.quarantined) for r in history]
+    if taken != decisions:
+        return f"{where}: decisions {taken} != scheduled {decisions}"
+
+    spec = engine_over(history[0].members, straight.partition_ids)
+    for record in history:  # the engine lends shard gradients, optimizer and rng only
+        spec.workers = shards_of(record.members, straight.partition_ids)
+        computed = [(w.worker_id, *spec.shard_gradients(w)) for w in spec.workers]
+        accepted = [shard for shard in computed if shard[0] not in record.quarantined]
+        for index, param in enumerate(spec.model.parameters()):
+            param.grad = sum(grads[index] for _, grads, _, _ in accepted) / len(accepted)
+        clip_grad_norm(spec.model.parameters(), config.clip_norm)
+        spec.optimizer.step()
+        if record.loss != float(np.mean([loss for _, _, loss, _ in accepted])):
+            return f"{where}: epoch {record.epoch} loss differs from the by-hand round"
+    if not _state_equal(straight.model, spec.model):
+        return f"{where}: parameters differ from the by-hand run over the same decisions"
+
+    with tempfile.TemporaryDirectory(prefix="repro-fuzz-elastic-") as directory:
+        for epoch in range(epochs):
+            resumed = supervised(FaultPlan(workers, **faults), checkpoint=directory)
+            replayed = resumed.fit(resume=epoch > 0, stop_after_epoch=epoch).history
+            shards, live = resumed.engine.workers, decisions[epoch][0]
+            if [shard.worker_id for shard in shards] != live:
+                return f"{where}: after epoch {epoch} the shards are not one per live member {live}"
+            nodes = np.concatenate([shard.original_ids for shard in shards])
+            parts = np.concatenate(
+                [np.unique(resumed.partition_ids[shard.original_ids]) for shard in shards]
+            )
+            if not np.array_equal(np.sort(nodes), np.arange(graph.num_nodes)) or len(
+                np.unique(parts)
+            ) != len(parts):
+                return f"{where}: after epoch {epoch} a node or partition is not owned exactly once"
+    if replayed != history or not _state_equal(resumed.model, straight.model):
+        return f"{where}: killed and resumed after every epoch != the uninterrupted run"
     return None
 
 

@@ -10,7 +10,6 @@ Commands
 ``score``         score transactions through the online ScoringService
 ``serve``         replay the deterministic chaos demo (``--demo``)
 ``healthcheck``   exercise a replicated feature tier and dump replica health
-``bench-sampler`` time the vectorized sampler fast path vs the reference path
 ``check``         run invariant audits + the differential fuzzer (CI gate)
 
 Datasets are fully regenerable from (name, seed, scale), so commands
@@ -69,16 +68,72 @@ def _build_model(args, feature_dim: int):
     return MODEL_CHOICES[args.model](config)
 
 
-def _try_load_state(model, path: str) -> Optional[int]:
-    """Load saved weights; on a bad --load path print one line and
-    return exit code 2 instead of a raw traceback."""
+class _UsageError(Exception):
+    """Raised by a helper that rejects its arguments; ``main`` prints
+    ``error: <message>`` on stderr and exits 2 instead of a traceback."""
+
+
+def _load_saved_state(model, path: str) -> None:
+    """Load saved weights; a bad --load path is a usage error."""
     try:
         load_state(model, path)
     except (FileNotFoundError, ValueError, KeyError) as error:
         message = str(error) or error.__class__.__name__
-        print(f"error: cannot load model state: {message}", file=sys.stderr)
-        return 2
-    return None
+        raise _UsageError(f"cannot load model state: {message}") from error
+
+
+def _load_or_train(
+    args, model, bundle, what: str, learning_rate: float = TrainConfig.learning_rate
+) -> None:
+    """``--load`` saved weights, or announce and fit ``--epochs`` on the
+    training split."""
+    if args.load:
+        _load_saved_state(model, args.load)
+        return
+    print(f"no --load given; training {what} ...")
+    Trainer(
+        model, TrainConfig(epochs=args.epochs, batch_size=2048, learning_rate=learning_rate)
+    ).fit(bundle.graph, bundle.train_nodes)
+
+
+def _check_labeled_txn(graph, node: int) -> None:
+    if node < 0 or node >= graph.num_nodes or graph.labels[node] < 0:
+        raise _UsageError(f"node {node} is not a labeled transaction")
+
+
+def _resolve_checkpoint(args):
+    """``--checkpoint-dir`` / ``--resume`` for both train paths: returns
+    ``(manager, checkpoint to resume from)``, each or None."""
+    if not args.checkpoint_dir:
+        if args.resume:
+            raise _UsageError("--resume requires --checkpoint-dir")
+        return None, None
+    manager = CheckpointManager(args.checkpoint_dir, keep_last=args.keep_last)
+    resume_from = manager.latest() if args.resume else None
+    if args.resume and resume_from is None:
+        raise _UsageError(f"--resume given but no checkpoints in {args.checkpoint_dir}")
+    return manager, resume_from
+
+
+def _print_test_metrics(metrics) -> None:
+    print(
+        f"test: accuracy={metrics['accuracy']:.4f} ap={metrics['ap']:.4f} "
+        f"auc={metrics['auc']:.4f}"
+    )
+
+
+def _write_trace(spans, path: str) -> None:
+    from .obs import write_chrome_trace
+
+    events = write_chrome_trace(spans, path)
+    print(f"wrote {events} trace events to {path} (open in chrome://tracing)")
+
+
+def _failed(failures: List[str]) -> bool:
+    """The tail of every gate: one ``FAIL:`` line per failure on stderr."""
+    for failure in failures:
+        print(f"FAIL: {failure}", file=sys.stderr)
+    return bool(failures)
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -350,35 +405,6 @@ def _parser() -> argparse.ArgumentParser:
         help="also print the Prometheus-text exposition (stream_* series)",
     )
 
-    bench_sampler = commands.add_parser(
-        "bench-sampler",
-        help="benchmark the vectorized sampler fast path vs the reference path",
-    )
-    bench_sampler.add_argument("--seed", type=int, default=0)
-    bench_sampler.add_argument(
-        "--buyers", type=int, default=400, help="synthetic-graph size knob"
-    )
-    bench_sampler.add_argument(
-        "--batch-size",
-        type=int,
-        action="append",
-        default=None,
-        metavar="N",
-        help="batch size(s) to time (repeatable; default 1, 16, 128)",
-    )
-    bench_sampler.add_argument(
-        "--targets", type=int, default=128, help="targets scored per timed pass"
-    )
-    bench_sampler.add_argument("--repeats", type=int, default=3)
-    bench_sampler.add_argument(
-        "--min-speedup",
-        type=float,
-        default=None,
-        metavar="X",
-        help="exit 1 unless vectorized/reference >= X at the largest batch "
-        "size (and the paths sample identical subgraphs)",
-    )
-
     check = commands.add_parser(
         "check",
         help="run the correctness harness: invariant audits + differential fuzzing",
@@ -443,21 +469,7 @@ def _cmd_datasets(args) -> int:
 def _cmd_train(args) -> int:
     if args.elastic:
         return _cmd_train_elastic(args)
-    manager = None
-    resume_from = None
-    if args.checkpoint_dir:
-        manager = CheckpointManager(args.checkpoint_dir, keep_last=args.keep_last)
-        if args.resume:
-            resume_from = manager.latest()
-            if resume_from is None:
-                print(
-                    f"error: --resume given but no checkpoints in {args.checkpoint_dir}",
-                    file=sys.stderr,
-                )
-                return 2
-    elif args.resume:
-        print("error: --resume requires --checkpoint-dir", file=sys.stderr)
-        return 2
+    manager, resume_from = _resolve_checkpoint(args)
 
     bundle = load_dataset(args.dataset, seed=args.seed, scale=args.scale)
     model = _build_model(args, bundle.graph.feature_dim)
@@ -487,18 +499,12 @@ def _cmd_train(args) -> int:
         f"({result.seconds_per_epoch:.2f}s/epoch, "
         f"p50={timing['p50']:.2f}s p95={timing['p95']:.2f}s p99={timing['p99']:.2f}s)"
     )
-    print(
-        f"test: accuracy={metrics['accuracy']:.4f} ap={metrics['ap']:.4f} "
-        f"auc={metrics['auc']:.4f}"
-    )
+    _print_test_metrics(metrics)
     if args.save:
         path = save_state(model, args.save)
         print(f"saved model state to {path}")
     if tracer is not None:
-        from .obs import write_chrome_trace
-
-        events = write_chrome_trace(tracer.spans(), args.trace_out)
-        print(f"wrote {events} trace events to {args.trace_out} (open in chrome://tracing)")
+        _write_trace(tracer.spans(), args.trace_out)
     return 0
 
 
@@ -515,7 +521,7 @@ _CHAOS_SLOW = {2: {1: 4.0}}
 _CHAOS_CORRUPT = {2: [3]}
 
 
-def _elastic_run(args, bundle, fault_plan=None, checkpoint=None):
+def _elastic_run(args, bundle, fault_plan=None, checkpoint=None, resume=False):
     """One supervised run; returns (result, ElasticTrainer)."""
     from .train import ElasticTrainer
 
@@ -537,7 +543,7 @@ def _elastic_run(args, bundle, fault_plan=None, checkpoint=None):
     result = trainer.fit(
         bundle.graph,
         bundle.test_nodes,
-        resume=bool(args.resume),
+        resume=resume,
         stop_after_epoch=args.stop_after_epoch,
     )
     return result, trainer
@@ -561,9 +567,11 @@ def _cmd_train_elastic(args) -> int:
     if args.workers < 1:
         print("error: --workers must be >= 1", file=sys.stderr)
         return 2
-    if args.resume and not args.checkpoint_dir:
-        print("error: --resume requires --checkpoint-dir", file=sys.stderr)
-        return 2
+    if args.chaos and (args.resume or args.stop_after_epoch is not None):
+        # The gate compares two whole runs from epoch 0; half of one
+        # has no final metrics to compare.
+        raise _UsageError("--chaos cannot be combined with --resume or --stop-after-epoch")
+    manager, resume_from = _resolve_checkpoint(args)
     bundle = load_dataset(args.dataset, seed=args.seed, scale=args.scale)
 
     if not args.chaos:
@@ -576,7 +584,7 @@ def _cmd_train_elastic(args) -> int:
             )
         try:
             result, _ = _elastic_run(
-                args, bundle, fault_plan=plan, checkpoint=args.checkpoint_dir
+                args, bundle, fault_plan=plan, checkpoint=manager, resume=resume_from is not None
             )
         except SkipBudgetExhaustedError as error:
             print(f"ABORT: {error}", file=sys.stderr)
@@ -584,10 +592,7 @@ def _cmd_train_elastic(args) -> int:
         print(f"elastic training over {args.workers} workers:")
         print(result.describe())
         if result.metrics:
-            print(
-                f"test: accuracy={result.metrics['accuracy']:.4f} "
-                f"ap={result.metrics['ap']:.4f} auc={result.metrics['auc']:.4f}"
-            )
+            _print_test_metrics(result.metrics)
         return 0
 
     # ---- deterministic chaos gate (CI) --------------------------------
@@ -609,7 +614,7 @@ def _cmd_train_elastic(args) -> int:
     )
     print("chaos gate: kill 2/8 at epoch 1, rejoin 1 at epoch 3 ...")
     try:
-        chaos, _ = _elastic_run(args, bundle, fault_plan=plan, checkpoint=args.checkpoint_dir)
+        chaos, _ = _elastic_run(args, bundle, fault_plan=plan, checkpoint=manager)
     except SkipBudgetExhaustedError as error:
         print(f"ABORT: {error}", file=sys.stderr)
         return 2
@@ -640,9 +645,7 @@ def _cmd_train_elastic(args) -> int:
         f"fault-free auc={base_auc:.4f} chaos auc={chaos_auc:.4f} "
         f"delta={delta:.4f} (tolerance {args.chaos_tolerance})"
     )
-    if failures:
-        for failure in failures:
-            print(f"FAIL: {failure}", file=sys.stderr)
+    if _failed(failures):
         return 1
     print("chaos gate passed: evicted, re-sharded, rolled back, readmitted, converged")
     return 0
@@ -651,15 +654,9 @@ def _cmd_train_elastic(args) -> int:
 def _cmd_evaluate(args) -> int:
     bundle = load_dataset(args.dataset, seed=args.seed, scale=args.scale)
     model = _build_model(args, bundle.graph.feature_dim)
-    code = _try_load_state(model, args.load)
-    if code is not None:
-        return code
+    _load_saved_state(model, args.load)
     trainer = Trainer(model, TrainConfig(epochs=0))
-    metrics = trainer.evaluate(bundle.graph, bundle.test_nodes)
-    print(
-        f"test: accuracy={metrics['accuracy']:.4f} ap={metrics['ap']:.4f} "
-        f"auc={metrics['auc']:.4f}"
-    )
+    _print_test_metrics(trainer.evaluate(bundle.graph, bundle.test_nodes))
     return 0
 
 
@@ -668,21 +665,11 @@ def _cmd_explain(args) -> int:
 
     bundle = load_dataset(args.dataset, seed=args.seed, scale=args.scale)
     model = _build_model(args, bundle.graph.feature_dim)
-    if args.load:
-        code = _try_load_state(model, args.load)
-        if code is not None:
-            return code
-    else:
-        print("no --load given; training a detector first ...")
-        Trainer(
-            model, TrainConfig(epochs=args.epochs, batch_size=2048, learning_rate=5e-3)
-        ).fit(bundle.graph, bundle.train_nodes)
+    _load_or_train(args, model, bundle, "a detector first", learning_rate=5e-3)
 
     if args.node is not None:
         node = args.node
-        if node < 0 or node >= bundle.graph.num_nodes or bundle.graph.labels[node] < 0:
-            print(f"error: node {node} is not a labeled transaction", file=sys.stderr)
-            return 2
+        _check_labeled_txn(bundle.graph, node)
     else:
         fraud_tests = [n for n in bundle.test_nodes if bundle.graph.labels[n] == 1]
         node = int(fraud_tests[0]) if fraud_tests else int(bundle.test_nodes[0])
@@ -724,21 +711,12 @@ def _cmd_score(args) -> int:
 
     bundle = load_dataset(args.dataset, seed=args.seed, scale=args.scale)
     model = _build_model(args, bundle.graph.feature_dim)
-    if args.load:
-        code = _try_load_state(model, args.load)
-        if code is not None:
-            return code
-    elif args.epochs > 0:
-        print(f"no --load given; training {args.model} for {args.epochs} epochs ...")
-        Trainer(model, TrainConfig(epochs=args.epochs, batch_size=2048)).fit(
-            bundle.graph, bundle.train_nodes
-        )
+    if args.load or args.epochs > 0:
+        _load_or_train(args, model, bundle, f"{args.model} for {args.epochs} epochs")
 
     nodes = args.node if args.node else [int(n) for n in bundle.test_nodes[:5]]
     for node in nodes:
-        if node < 0 or node >= bundle.graph.num_nodes or bundle.graph.labels[node] < 0:
-            print(f"error: node {node} is not a labeled transaction", file=sys.stderr)
-            return 2
+        _check_labeled_txn(bundle.graph, node)
 
     with ScoringService(
         model,
@@ -813,10 +791,7 @@ def _cmd_serve(args) -> int:
         print()
         print(result.feature_store.describe())
     if args.trace_out:
-        from .obs import write_chrome_trace
-
-        events = write_chrome_trace(result.service.tracer.spans(), args.trace_out)
-        print(f"wrote {events} trace events to {args.trace_out} (open in chrome://tracing)")
+        _write_trace(result.service.tracer.spans(), args.trace_out)
     if registry is not None:
         print()
         print(registry.render(), end="")
@@ -857,9 +832,7 @@ def _check_replicated_run(result) -> int:
         failures.append(
             f"anti-entropy left {result.anti_entropy.unrepairable} copies unrepairable"
         )
-    for failure in failures:
-        print(f"FAIL: {failure}", file=sys.stderr)
-    if failures:
+    if _failed(failures):
         return 1
     print(f"\nreplica {KILLED_REPLICA} journey: {journey}")
     print("ok: replica failover absorbed — zero storage-attributed degradations")
@@ -878,7 +851,7 @@ def _cmd_healthcheck(args) -> int:
     liveness probe would take.
     """
     from .obs import MetricsRegistry
-    from .reliability.faults import FaultPlan, ManualClock, SlowKVStore
+    from .reliability.faults import FaultPlan, ManualClock
     from .storage import InMemoryKVStore, ReplicatedConfig, ReplicatedKVStore
 
     if args.replicas < 1 or args.keys < 1:
@@ -890,8 +863,7 @@ def _cmd_healthcheck(args) -> int:
 
     clock = ManualClock()
     registry = MetricsRegistry()
-    backings = [InMemoryKVStore() for _ in range(args.replicas)]
-    replicas = [SlowKVStore(b, clock, delay_s=0.001) for b in backings]
+    replicas = [InMemoryKVStore() for _ in range(args.replicas)]
     # One read per key advances the clock ~1ms; the kill window covers
     # the middle third of the sweep and ends well before the final
     # probe reads, so a healthy run always recovers.
@@ -899,7 +871,12 @@ def _cmd_healthcheck(args) -> int:
     replica_kill = {}
     if args.kill_replica is not None:
         replica_kill = {args.kill_replica: [(sweep_s / 3.0, 2.0 * sweep_s / 3.0)]}
-    plan = FaultPlan(num_workers=args.replicas, seed=args.seed, replica_kill=replica_kill)
+    plan = FaultPlan(
+        num_workers=args.replicas,
+        seed=args.seed,
+        replica_kill=replica_kill,
+        replica_slow={replica: 0.001 for replica in range(args.replicas)},
+    )
     config = ReplicatedConfig(
         replication_factor=min(2, args.replicas),
         suspect_after=1,
@@ -929,6 +906,7 @@ def _cmd_healthcheck(args) -> int:
         print()
         print(registry.render(), end="")
     dead = [health.index for health in store.health if health.state == "dead"]
+    failures = [f"replicas still dead at end of sweep: {dead}"] if dead else []
 
     if args.stream_events > 0:
         # Streaming-plane health alongside the replica table: a tiny
@@ -949,8 +927,7 @@ def _cmd_healthcheck(args) -> int:
         print()
         print(result.health.describe())
 
-    if dead:
-        print(f"\nFAIL: replicas still dead at end of sweep: {dead}", file=sys.stderr)
+    if _failed(failures):
         return 1
     print("\nok: all replicas serving")
     return 0
@@ -1039,62 +1016,12 @@ def _cmd_stream(args) -> int:
         print()
         print(registry.render(), end="")
 
-    if failures:
-        for failure in failures:
-            print(f"FAIL: {failure}", file=sys.stderr)
+    if _failed(failures):
         return 1
     if args.runs > 1:
         print(f"\nok: {args.runs} replays byte-identical, subgraph gate passed")
     else:
         print("\nok: subgraph gate passed")
-    return 0
-
-
-def _cmd_bench_sampler(args) -> int:
-    from .graph.benchmark import (
-        DEFAULT_BATCH_SIZES,
-        build_bench_graph,
-        check_fastpath,
-        render_fastpath_report,
-        run_fastpath_benchmark,
-    )
-
-    batch_sizes = tuple(args.batch_size) if args.batch_size else DEFAULT_BATCH_SIZES
-    if any(size < 1 for size in batch_sizes) or args.buyers < 1 or args.targets < 1:
-        print(
-            "error: --batch-size, --buyers, and --targets must be >= 1",
-            file=sys.stderr,
-        )
-        return 2
-    print(
-        f"building synthetic graph (buyers={args.buyers}, seed={args.seed}) ..."
-    )
-    graph = build_bench_graph(num_buyers=args.buyers, seed=args.seed)
-    print(
-        f"graph: {graph.num_nodes:,} nodes / {graph.num_edges:,} edges; "
-        f"timing batch sizes {list(batch_sizes)} x{args.repeats} repeats"
-    )
-    results = run_fastpath_benchmark(
-        graph,
-        batch_sizes=batch_sizes,
-        total_targets=args.targets,
-        repeats=args.repeats,
-        seed=args.seed,
-    )
-    print()
-    print(render_fastpath_report(results))
-    if args.min_speedup is not None:
-        failures = check_fastpath(
-            results, args.min_speedup, at_batch_size=max(batch_sizes)
-        )
-        if failures:
-            for failure in failures:
-                print(f"FAIL: {failure}", file=sys.stderr)
-            return 1
-        print(
-            f"\nok: equivalence holds and speedup >= {args.min_speedup:.1f}x "
-            f"at batch {max(batch_sizes)}"
-        )
     return 0
 
 
@@ -1170,14 +1097,17 @@ _COMMANDS = {
     "serve": _cmd_serve,
     "healthcheck": _cmd_healthcheck,
     "stream": _cmd_stream,
-    "bench-sampler": _cmd_bench_sampler,
     "check": _cmd_check,
 }
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except _UsageError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

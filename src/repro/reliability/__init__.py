@@ -12,9 +12,12 @@ from .checkpoint import (
     CheckpointManager,
     TrainingState,
     atomic_write_bytes,
+    capture_training_state,
     collect_rng_states,
     fsync_dir,
+    load_training_state,
     restore_rng_states,
+    restore_training_state,
 )
 from .faults import (
     CorruptKVStore,
@@ -32,9 +35,12 @@ __all__ = [
     "CheckpointManager",
     "TrainingState",
     "atomic_write_bytes",
+    "capture_training_state",
     "collect_rng_states",
     "fsync_dir",
+    "load_training_state",
     "restore_rng_states",
+    "restore_training_state",
     "CorruptKVStore",
     "FaultEvent",
     "FaultPlan",

@@ -108,6 +108,43 @@ class TrainingState:
     epochs_since_best: int = 0
     history: List[Dict] = field(default_factory=list)
 
+    def section(self, name: str) -> Dict:
+        """What ``capture_training_state(..., sections={name: ...})``
+        stored, or ``{}``. The archive keeps sections beside the RNG
+        streams (``rng_states[name]``); only this module knows that."""
+        return self.rng_states.get(name, {})
+
+
+def capture_training_state(
+    model, optimizer, rng, epoch: int, sections: Optional[Dict[str, Dict]] = None, **bookkeeping
+) -> TrainingState:
+    """The one snapshot every trainer takes after ``epoch``.
+
+    Parameters, optimizer moments, the trainer's shuffle ``rng`` and
+    every module generator; ``sections`` are a caller's own JSON-safe
+    records (the elastic supervisor's membership, detector and clock),
+    ``bookkeeping`` the remaining :class:`TrainingState` fields.
+    """
+    rng_states = {"trainer": rng.bit_generator.state, "model": collect_rng_states(model)}
+    rng_states.update(sections or {})
+    return TrainingState(
+        epoch=epoch,
+        model_state=model.state_dict(),
+        optimizer_state=optimizer.state_dict(),
+        rng_states=rng_states,
+        **bookkeeping,
+    )
+
+
+def restore_training_state(state: TrainingState, model, optimizer, rng) -> None:
+    """Inverse of :func:`capture_training_state` (resume, rollback and
+    rejoin catch-up all land here); sections and bookkeeping are the
+    caller's to read back."""
+    model.load_state_dict(state.model_state)
+    optimizer.load_state_dict(state.optimizer_state)
+    rng.bit_generator.state = state.rng_states["trainer"]
+    restore_rng_states(model, state.rng_states.get("model", {}))
+
 
 def _encode_checkpoint(state: TrainingState) -> bytes:
     """Flatten a :class:`TrainingState` into one ``.npz`` byte blob."""
@@ -304,3 +341,18 @@ class CheckpointManager:
             if len(blob) != entry["size"] or zlib.crc32(blob) != entry["crc32"]:
                 raise CheckpointError(f"{path}: checksum mismatch (truncated or corrupt)")
         return _decode_checkpoint(blob, origin=path)
+
+
+def load_training_state(source) -> TrainingState:
+    """Resolve a resume source: a :class:`TrainingState` itself, a
+    manager or checkpoint directory (the newest checkpoint), or one
+    checkpoint file."""
+    if isinstance(source, TrainingState):
+        return source
+    if isinstance(source, CheckpointManager):
+        return source.load()
+    if isinstance(source, str):
+        if os.path.isdir(source):
+            return CheckpointManager(source).load()
+        return CheckpointManager(os.path.dirname(source) or ".").load(source)
+    raise TypeError(f"cannot resume from {type(source).__name__}")

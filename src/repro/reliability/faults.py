@@ -1,13 +1,13 @@
-"""Seeded failure injection for the simulated DDP cluster and KV-store.
+"""Scripted failure injection for the simulated DDP cluster and KV-store.
 
 The paper's 16-machine cluster (Sec. 3.3.2) is synchronous: one dead
-worker stalls every epoch. :class:`FaultPlan` generates the failures a
-production deployment actually sees — transient worker crashes,
-stragglers, flaky reads — deterministically from a seed, so a degraded
-run is exactly reproducible. :class:`~repro.train.distributed.DistributedTrainer`
-consumes the plan to exercise graceful degradation: crashed workers are
-excluded from the gradient all-reduce for that round and rejoin the
-next, with every event recorded in the epoch history.
+worker stalls every epoch. :class:`FaultPlan` scripts the failures a
+production deployment actually sees — dead, rejoining and straggling
+workers, corrupt gradients, replica outages, flaky reads — as data, so
+a degraded run is exactly reproducible. A plan only *schedules*; what
+happens to a faulty worker is decided in one place, the elastic
+supervisor (:class:`~repro.train.elastic.ElasticTrainer`), and what
+happens to a faulty replica in :mod:`repro.storage.replicated`.
 """
 
 from __future__ import annotations
@@ -50,9 +50,6 @@ class ManualClock:
         """``time.sleep`` stand-in: advancing instead of blocking."""
         self.advance(seconds)
 
-CRASH = "crash"
-STRAGGLER = "straggler"
-RECOVERY = "recovery"
 
 # Elastic-training event kinds (repro.train.elastic). KILL/REJOIN are
 # *scheduled* by a plan; EVICTION/BACKUP/QUARANTINE are *decisions* the
@@ -72,29 +69,16 @@ class FaultEvent:
 
     epoch: int
     worker_id: int
-    kind: str  # "crash" | "straggler" | "recovery"
+    kind: str  # "kill" | "rejoin" | "evict" | "backup" | "quarantine"
     detail: str = ""
 
 
 class FaultPlan:
-    """Deterministic per-epoch fault schedule for ``num_workers`` workers.
-
-    Faults for epoch ``e`` are drawn from ``default_rng([seed, e])``, so
-    the plan is a pure function of ``(seed, epoch)`` — re-running an
-    epoch re-produces its faults. A scripted ``crash_schedule``
-    (epoch -> worker ids) overrides the probabilistic draw for those
-    epochs. At least one worker always survives: a synchronous cluster
-    with zero live workers has nothing to degrade to.
-
-    The same plan also scripts *storage-replica* faults for a
-    :class:`~repro.storage.replicated.ReplicatedKVStore`:
-    ``replica_kill`` (replica -> outage windows), ``replica_corrupt``
-    (replica -> bit-flip windows) and ``replica_slow`` (replica ->
-    per-read delay) are applied by :meth:`wrap_replicas`, which layers
-    the matching fault injector around each replica store.
+    """Deterministic fault schedule for ``num_workers`` workers (or
+    replicas): every fault is scripted, none is drawn.
 
     For the **elastic** supervisor (:mod:`repro.train.elastic`) a plan
-    additionally scripts membership-level faults, all keyed by epoch:
+    scripts membership-level faults, all keyed by epoch:
 
     * ``worker_kill`` — epoch -> workers that die *permanently* at that
       epoch (heartbeats stop; the failure detector must evict them);
@@ -106,18 +90,17 @@ class FaultPlan:
       (poisoned values) or ``bitflip`` (checksum mismatch); a plain
       sequence of worker ids means ``nan``.
 
-    Unlike ``crash_schedule`` (transient, auto-rejoin next epoch),
-    ``worker_kill`` removes a worker until an explicit ``worker_rejoin``.
+    The same plan also scripts *storage-replica* faults for a
+    :class:`~repro.storage.replicated.ReplicatedKVStore`:
+    ``replica_kill`` (replica -> outage windows), ``replica_corrupt``
+    (replica -> bit-flip windows) and ``replica_slow`` (replica ->
+    per-read delay) are applied by :meth:`wrap_replicas`, which layers
+    the matching fault injector around each replica store.
     """
 
     def __init__(
         self,
         num_workers: int,
-        crash_prob: float = 0.0,
-        straggler_prob: float = 0.0,
-        straggler_slowdown: float = 3.0,
-        max_failures_per_epoch: Optional[int] = None,
-        crash_schedule: Optional[Mapping[int, Sequence[int]]] = None,
         replica_kill: Optional[Mapping[int, Sequence[Tuple[float, float]]]] = None,
         replica_corrupt: Optional[Mapping[int, Sequence[Tuple[float, float]]]] = None,
         replica_slow: Optional[Mapping[int, float]] = None,
@@ -129,20 +112,7 @@ class FaultPlan:
     ) -> None:
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
-        if straggler_slowdown < 1.0:
-            raise ValueError("straggler_slowdown must be >= 1")
         self.num_workers = num_workers
-        self.crash_prob = crash_prob
-        self.straggler_prob = straggler_prob
-        self.straggler_slowdown = straggler_slowdown
-        self.max_failures_per_epoch = (
-            num_workers - 1 if max_failures_per_epoch is None else max_failures_per_epoch
-        )
-        self.crash_schedule = (
-            {int(e): [int(w) for w in ws] for e, ws in crash_schedule.items()}
-            if crash_schedule
-            else {}
-        )
         self.replica_kill = self._windows_by_replica(replica_kill)
         self.replica_corrupt = self._windows_by_replica(replica_corrupt)
         self.replica_slow = (
@@ -245,7 +215,7 @@ class FaultPlan:
         corrupt → slow — so a killed replica fails fast without
         advancing simulated time, and corruption applies to bytes the
         (possibly slowed) inner read produced. Replica indices outside
-        ``stores`` are ignored, mirroring ``crash_schedule``.
+        ``stores`` are ignored.
         """
         if self.replica_slow and clock is None:
             raise ValueError("replica_slow needs a ManualClock to advance")
@@ -267,28 +237,6 @@ class FaultPlan:
                 )
             wrapped.append(layered)
         return wrapped
-
-    def epoch_faults(self, epoch: int) -> Dict[int, str]:
-        """Worker-id -> fault kind for one synchronisation round."""
-        rng = np.random.default_rng([self.seed, int(epoch)])
-        crash_draw = rng.random(self.num_workers)
-        straggle_draw = rng.random(self.num_workers)
-
-        if epoch in self.crash_schedule:
-            crashed = [w for w in self.crash_schedule[epoch] if 0 <= w < self.num_workers]
-        else:
-            crashed = [w for w in range(self.num_workers) if crash_draw[w] < self.crash_prob]
-        crashed = crashed[: self.max_failures_per_epoch]
-        if len(crashed) >= self.num_workers:
-            # Keep the lowest-id worker alive; total loss is an outage,
-            # not a degradation this harness models.
-            crashed = [w for w in crashed if w != min(crashed)]
-
-        faults = {w: CRASH for w in crashed}
-        for worker in range(self.num_workers):
-            if worker not in faults and straggle_draw[worker] < self.straggler_prob:
-                faults[worker] = STRAGGLER
-        return faults
 
 
 def _validated_windows(windows: Sequence[Tuple[float, float]]) -> List[Tuple[float, float]]:

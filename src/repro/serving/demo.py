@@ -134,6 +134,9 @@ def build_demo_service(
     else:
         backing = InMemoryKVStore()
         GraphStore(backing).save(graph)
+        # Hand-built, not FaultPlan.wrap_replicas: slow is *outermost*
+        # here (a read burns its delay even during the outage), and the
+        # pinned timelines depend on that order.
         store = SlowKVStore(
             OutageKVStore(backing, windows=[outage_window], clock=clock),
             clock,
@@ -187,11 +190,11 @@ def _build_replicated_store(
     ones whose primary read lands on the corrupt replica and the
     quarantine act fires during the run."""
     backings = [InMemoryKVStore() for _ in range(replicas)]
-    slowed = [SlowKVStore(backing, clock, delay_s=read_delay_s) for backing in backings]
     plan = FaultPlan(
         num_workers=replicas,
         seed=seed,
         replica_kill={KILLED_REPLICA: [outage_window]},
+        replica_slow={replica: read_delay_s for replica in range(replicas)},
     )
     config = ReplicatedConfig(
         replication_factor=replicas,
@@ -202,7 +205,7 @@ def _build_replicated_store(
         probe_interval_s=0.05,
     )
     store = ReplicatedKVStore(
-        plan.wrap_replicas(slowed, clock), config=config, clock=clock, seed=seed
+        plan.wrap_replicas(backings, clock), config=config, clock=clock, seed=seed
     )
     GraphStore(store).save(graph)
     if replicas > 2 and poison_rows > 0:

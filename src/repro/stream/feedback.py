@@ -30,7 +30,12 @@ from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..reliability.checkpoint import CheckpointManager, TrainingState, collect_rng_states
+from ..reliability.checkpoint import (
+    CheckpointManager,
+    capture_training_state,
+    load_training_state,
+    restore_training_state,
+)
 from ..train.metrics import roc_auc
 from ..train.trainer import TrainConfig, Trainer
 
@@ -268,7 +273,8 @@ class OnlineFineTuner:
     Keeps one long-lived :class:`Trainer` (optimizer moments persist
     across updates, like a production online learner) and checkpoints
     every update through ``checkpoint`` so a crashed scorer resumes
-    from the last fine-tuned weights rather than the batch snapshot.
+    (:meth:`resume`) from the last fine-tuned weights rather than the
+    batch snapshot.
     """
 
     def __init__(
@@ -291,6 +297,7 @@ class OnlineFineTuner:
             ),
         )
         self.updates: List[FineTuneRecord] = []
+        self._next_update = 0
         self._labels_since_update = 0
         if registry is not None:
             self._update_counter = registry.counter(
@@ -302,6 +309,15 @@ class OnlineFineTuner:
         else:
             self._update_counter = None
             self._loss_gauge = None
+
+    def resume(self, source) -> None:
+        """Continue the lineage of a crashed tuner: weights, optimizer
+        moments and RNG streams from ``source`` (a checkpoint manager,
+        directory, file or :class:`TrainingState`), so the next update
+        is the one the crashed run would have taken."""
+        state = load_training_state(source)
+        restore_training_state(state, self.model, self.trainer.optimizer, self.trainer.rng)
+        self._next_update = state.epoch + 1
 
     def notify_labels(self, count: int) -> None:
         self._labels_since_update += count
@@ -325,18 +341,14 @@ class OnlineFineTuner:
         loss = self.trainer.train_epoch(graph, nodes)
         self.model.eval()
         self._labels_since_update = 0
-        record = FineTuneRecord(update=len(self.updates), nodes=len(nodes), loss=loss)
+        record = FineTuneRecord(update=self._next_update, nodes=len(nodes), loss=loss)
+        self._next_update += 1
         if self.checkpoint is not None:
-            state = TrainingState(
-                epoch=record.update,
-                model_state=self.model.state_dict(),
-                optimizer_state=self.trainer.optimizer.state_dict(),
-                rng_states={
-                    "trainer": self.trainer._rng.bit_generator.state,
-                    "model": collect_rng_states(self.model),
-                },
+            record.checkpoint = self.checkpoint.save(
+                capture_training_state(
+                    self.model, self.trainer.optimizer, self.trainer.rng, record.update
+                )
             )
-            record.checkpoint = self.checkpoint.save(state)
         self.updates.append(record)
         if self._update_counter is not None:
             self._update_counter.inc()

@@ -15,6 +15,13 @@ module reproduces that architecture inside one process:
   updated (replicas therefore stay identical). Simulated wall-clock
   per epoch is the **maximum** over worker compute times, which is
   what a synchronous cluster would observe.
+
+The engine is fault-free by construction: it knows nothing of dead,
+slow or lying workers. Those are decisions of the supervisor
+(:class:`~repro.train.elastic.ElasticTrainer`), which drives a round
+through the same two calls :meth:`~DistributedTrainer.train_epoch` is
+made of — :meth:`~DistributedTrainer.shard_gradients` per live worker,
+then one :meth:`~DistributedTrainer.step` over the shards it accepts.
 """
 
 from __future__ import annotations
@@ -31,13 +38,12 @@ from ..graph.hetero import HeteroGraph
 from ..graph.partition import group_partitions, pic_partition
 from ..util import batched
 from ..obs.trace import Tracer, timed
-from ..reliability.faults import CRASH, RECOVERY, STRAGGLER, FaultEvent, FaultPlan
-from .metrics import evaluate_model, roc_auc
+from .metrics import epoch_auc, evaluate_model
 from .trainer import TrainConfig
 
 
 class NoSurvivorsError(RuntimeError):
-    """Every worker failed in one synchronisation round.
+    """No shard reached the all-reduce of a synchronisation round.
 
     A synchronous all-reduce with zero contributors has no gradient to
     apply and no survivor set to renormalise over — silently skipping
@@ -153,10 +159,6 @@ class DistributedEpoch:
     wall_seconds: float
     sum_worker_seconds: float
     eval_auc: Optional[float] = None
-    failed_workers: List[int] = field(default_factory=list)
-    straggler_workers: List[int] = field(default_factory=list)
-    num_survivors: int = 0
-    fault_events: List[FaultEvent] = field(default_factory=list)
 
 
 @dataclass
@@ -176,25 +178,13 @@ class DistributedResult:
         """Per-epoch eval AUC (Figure 14)."""
         return [e.eval_auc for e in self.history]
 
-    @property
-    def fault_events(self) -> List[FaultEvent]:
-        """All fault/recovery events across the run, in epoch order."""
-        return [event for record in self.history for event in record.fault_events]
-
-    @property
-    def total_failures(self) -> int:
-        return sum(len(record.failed_workers) for record in self.history)
-
 
 class DistributedTrainer:
     """DDP-style synchronous training over simulated workers.
 
-    With a :class:`~repro.reliability.faults.FaultPlan`, training
-    degrades gracefully instead of stalling like the paper's
-    synchronous 16-machine cluster: crashed workers are detected,
-    excluded from the round's all-reduce (the average is re-normalised
-    over survivors), and rejoin next epoch with a recorded recovery
-    event.
+    The fault-free engine of Sec. 3.3: every worker contributes every
+    round. A worker that dies, straggles or corrupts its gradient is
+    the supervisor's business, not a mode of this class.
     """
 
     def __init__(
@@ -202,7 +192,6 @@ class DistributedTrainer:
         model,
         workers: List[WorkerPartition],
         config: Optional[TrainConfig] = None,
-        fault_plan: Optional[FaultPlan] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
         if not workers:
@@ -210,31 +199,30 @@ class DistributedTrainer:
         self.model = model
         self.workers = workers
         self.config = config or TrainConfig()
-        self.fault_plan = fault_plan
         self.tracer = tracer
         self.optimizer = nn.AdamW(
             model.parameters(),
             lr=self.config.learning_rate,
             weight_decay=self.config.weight_decay,
         )
-        self._rng = np.random.default_rng(self.config.seed)
-        self._failed_previous: set = set()
+        self.rng = np.random.default_rng(self.config.seed)  # shuffle stream
 
     # ------------------------------------------------------------------
-    def _worker_gradients(self, worker: WorkerPartition) -> tuple:
+    def shard_gradients(self, worker: WorkerPartition) -> tuple:
         """Forward/backward on one worker; returns (grads, loss, secs).
 
         Runs over the worker's local labeled nodes in mini-batches and
         returns the mean gradient, matching what a DDP worker
         contributes per synchronisation round when accumulating.
         """
+        self.model.train()
         with timed(self.tracer, "worker", worker=worker.worker_id) as timer:
             accumulated = [np.zeros_like(p.data) for p in self.model.parameters()]
             losses: List[float] = []
             if worker.num_train:
                 nodes = worker.train_local
                 if self.config.shuffle:
-                    nodes = self._rng.permutation(nodes)
+                    nodes = self.rng.permutation(nodes)
                 for batch in batched(nodes, self.config.batch_size):
                     self.model.zero_grad()
                     loss = self.model.loss(worker.graph, batch)
@@ -246,65 +234,30 @@ class DistributedTrainer:
         mean_loss = float(np.mean(losses)) if losses else 0.0
         return accumulated, mean_loss, timer.seconds
 
-    def train_epoch(self, epoch: int = 0) -> DistributedEpoch:
-        """One synchronous round: live workers compute, grads averaged.
+    def step(self, shard_grads: Sequence[List[np.ndarray]]) -> None:
+        """DDP all-reduce: average the shards' gradients, then one
+        clipped optimiser step so every replica stays identical.
 
-        Workers the fault plan crashes this round contribute nothing;
-        the all-reduce averages over survivors only (re-normalised), so
-        one dead machine degrades the update instead of stalling it.
+        The mean is over the shards *given* — a supervisor that
+        withholds a quarantined shard gets the renormalised update.
         """
-        self.model.train()
-        faults = self.fault_plan.epoch_faults(epoch) if self.fault_plan is not None else {}
-        crashed = sorted(w for w, kind in faults.items() if kind == CRASH)
-        stragglers = sorted(w for w, kind in faults.items() if kind == STRAGGLER)
-        slowdown = self.fault_plan.straggler_slowdown if self.fault_plan is not None else 1.0
-
-        events: List[FaultEvent] = [
-            FaultEvent(epoch, w, CRASH, "worker excluded from all-reduce") for w in crashed
-        ]
-        for worker_id in sorted(self._failed_previous - set(crashed)):
-            events.append(FaultEvent(epoch, worker_id, RECOVERY, "worker rejoined all-reduce"))
-        self._failed_previous = set(crashed)
-
-        worker_grads: List[List[np.ndarray]] = []
-        worker_losses: List[float] = []
-        worker_seconds: List[float] = []
-        for worker in self.workers:
-            if worker.worker_id in faults and faults[worker.worker_id] == CRASH:
-                continue
-            grads, loss, seconds = self._worker_gradients(worker)
-            if worker.worker_id in faults and faults[worker.worker_id] == STRAGGLER:
-                seconds *= slowdown
-                events.append(
-                    FaultEvent(epoch, worker.worker_id, STRAGGLER, f"slowdown x{slowdown:g}")
-                )
-            worker_grads.append(grads)
-            worker_losses.append(loss)
-            worker_seconds.append(seconds)
-
-        # DDP all-reduce: average gradients across the survivors, then
-        # one optimiser step so every live replica stays identical.
-        num_survivors = len(worker_grads)
-        if not num_survivors:
-            raise NoSurvivorsError(
-                f"epoch {epoch}: all {len(self.workers)} workers failed in one round"
-            )
+        if not shard_grads:
+            raise NoSurvivorsError("all-reduce over zero shards: no gradient to apply")
         self.model.zero_grad()
         for index, param in enumerate(self.model.parameters()):
-            averaged = sum(grads[index] for grads in worker_grads) / num_survivors
-            param.grad = averaged
+            param.grad = sum(grads[index] for grads in shard_grads) / len(shard_grads)
         nn.clip_grad_norm(self.model.parameters(), self.config.clip_norm)
         self.optimizer.step()
 
+    def train_epoch(self, epoch: int = 0) -> DistributedEpoch:
+        """One synchronous round: every worker computes, one step."""
+        shards = [self.shard_gradients(worker) for worker in self.workers]
+        self.step([grads for grads, _, _ in shards])
         return DistributedEpoch(
             epoch=epoch,
-            loss=float(np.mean(worker_losses)) if worker_losses else 0.0,
-            wall_seconds=float(np.max(worker_seconds)) if worker_seconds else 0.0,
-            sum_worker_seconds=float(np.sum(worker_seconds)) if worker_seconds else 0.0,
-            failed_workers=crashed,
-            straggler_workers=stragglers,
-            num_survivors=num_survivors,
-            fault_events=events,
+            loss=float(np.mean([loss for _, loss, _ in shards])),
+            wall_seconds=float(np.max([seconds for _, _, seconds in shards])),
+            sum_worker_seconds=float(np.sum([seconds for _, _, seconds in shards])),
         )
 
     def fit(
@@ -316,10 +269,7 @@ class DistributedTrainer:
         result = DistributedResult()
         for epoch in range(self.config.epochs):
             record = self.train_epoch(epoch)
-            if eval_graph is not None and eval_nodes is not None and len(eval_nodes):
-                scores = self.model.predict_proba(eval_graph, eval_nodes)
-                labels = eval_graph.labels[np.asarray(eval_nodes, dtype=np.int64)]
-                record.eval_auc = roc_auc(labels, scores, default=None)
+            record.eval_auc = epoch_auc(self.model, eval_graph, eval_nodes)
             result.history.append(record)
         if eval_graph is not None and eval_nodes is not None and len(eval_nodes):
             result.metrics = evaluate_model(self.model, eval_graph, eval_nodes)

@@ -16,7 +16,8 @@ rejoin with zero manual intervention:
   States are the four shared names of :mod:`repro.cluster`, the ones
   the replica health machine of :mod:`repro.storage.replicated` also
   uses: ``healthy → suspect → dead → probing``.
-* **Eviction & re-shard** — a worker declared dead is evicted, the
+* **Eviction & re-shard** — a worker declared dead (or still silent
+  when the barrier's grace period ends) is evicted, the
   graph partitions it owned are re-assigned by rendezvous hashing
   (:func:`~repro.train.distributed.rendezvous_assign` — only the
   victim's partitions move), the all-reduce group is rebuilt over the
@@ -52,11 +53,10 @@ import math
 import zlib
 from collections import deque
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .. import nn
 from ..cluster import DEAD, HEALTHY, PROBING, SUSPECT, mix64
 from ..graph.hetero import HeteroGraph
 from ..graph.partition import pic_partition
@@ -66,8 +66,8 @@ from ..reliability.checkpoint import (
     CheckpointError,
     CheckpointManager,
     TrainingState,
-    collect_rng_states,
-    restore_rng_states,
+    capture_training_state,
+    restore_training_state,
 )
 from ..reliability.faults import (
     BACKUP,
@@ -85,7 +85,7 @@ from .distributed import (
     WorkerPartition,
     make_worker_partitions,
 )
-from .metrics import evaluate_model, roc_auc
+from .metrics import epoch_auc, evaluate_model
 from .trainer import TrainConfig
 
 __all__ = [
@@ -101,6 +101,14 @@ __all__ = [
 #: Floor for the survival probability inside phi: caps suspicion at 12
 #: and keeps ``-log10`` finite when ``erfc`` underflows to exactly 0.
 _MIN_SURVIVAL = 1e-12
+
+#: Simulated per-worker step latency (seconds), spread +-``step_jitter``
+#: deterministically by worker id; also the detector's bootstrap interval.
+_BASE_STEP_S = 1.0
+#: Max simulated wait for suspicion of a silent worker to resolve.
+_HEARTBEAT_GRACE_S = 30.0
+#: Clock step while the barrier is held open on a silent worker.
+_GRACE_TICK_S = 0.5
 
 
 class ElasticTrainingError(RuntimeError):
@@ -296,18 +304,11 @@ class ElasticConfig:
     """Operating envelope of one :class:`ElasticTrainer`."""
 
     num_partitions: int = 32
-    suspect_phi: float = 1.0
-    dead_phi: float = 4.0
-    detector_window: int = 64
-    min_std_s: float = 0.25
-    heartbeat_grace_s: float = 30.0  # max simulated wait for suspicion to resolve
-    grace_tick_s: float = 0.5  # clock step while waiting on a silent worker
     straggler_k: float = 2.0  # backup fires when latency > k x median EWMA
     ewma_alpha: float = 0.4
     skip_budget: int = 4  # quarantined gradients tolerated per run
     max_retries_per_epoch: int = 3  # rollback-and-retry bound per epoch
-    base_step_s: float = 1.0  # simulated per-worker step latency ...
-    step_jitter: float = 0.25  # ... spread +-25% deterministically by worker id
+    step_jitter: float = 0.25  # step latency spread, +-25% by worker id
 
     def __post_init__(self) -> None:
         if self.num_partitions < 1:
@@ -320,10 +321,8 @@ class ElasticConfig:
             raise ValueError("skip_budget must be >= 0")
         if self.max_retries_per_epoch < 1:
             raise ValueError("max_retries_per_epoch must be >= 1")
-        if self.base_step_s <= 0 or not 0.0 <= self.step_jitter < 1.0:
-            raise ValueError("need base_step_s > 0 and 0 <= step_jitter < 1")
-        if self.heartbeat_grace_s <= 0 or self.grace_tick_s <= 0:
-            raise ValueError("heartbeat_grace_s and grace_tick_s must be positive")
+        if not 0.0 <= self.step_jitter < 1.0:
+            raise ValueError("need 0 <= step_jitter < 1")
 
 
 @dataclass
@@ -409,6 +408,15 @@ class _Round:
     wall_seconds: float = 0.0
 
 
+def _arrays_crc(arrays: Iterable[np.ndarray]) -> int:
+    """One CRC32 over a sequence of arrays (a shard's gradients, or a
+    snapshot's parameters in name order)."""
+    crc = 0
+    for array in arrays:
+        crc = zlib.crc32(np.ascontiguousarray(array).tobytes(), crc)
+    return crc
+
+
 # ----------------------------------------------------------------------
 # Supervisor
 # ----------------------------------------------------------------------
@@ -417,9 +425,11 @@ class ElasticTrainer:
 
     Owns the membership (worker ids), the failure detector, the
     re-shard machinery, and a rolling CRC-verified checkpoint; the
-    gradient arithmetic itself is delegated to a
-    :class:`~repro.train.distributed.DistributedTrainer` engine whose
-    worker list the supervisor rebuilds on every membership change.
+    gradient arithmetic itself is the round of a
+    :class:`~repro.train.distributed.DistributedTrainer` engine —
+    ``shard_gradients`` per live worker, one ``step`` over the shards
+    accepted, all supervision between the two — whose worker list the
+    supervisor rebuilds on every membership change.
 
     Requires an advanceable clock (:class:`ManualClock` by default):
     worker step latencies are *simulated* deterministically from
@@ -471,17 +481,11 @@ class ElasticTrainer:
         self._killed: set = set()
         self._evicted: set = set()
         self.detector = FailureDetector(
-            sorted(self.members),
-            self.clock,
-            suspect_phi=self.elastic.suspect_phi,
-            dead_phi=self.elastic.dead_phi,
-            window=self.elastic.detector_window,
-            min_std_s=self.elastic.min_std_s,
-            bootstrap_interval_s=self.elastic.base_step_s,
+            sorted(self.members), self.clock, bootstrap_interval_s=_BASE_STEP_S
         )
         # Deterministic per-worker step latency: base * (1 +- jitter).
         self._base = {
-            w: self.elastic.base_step_s
+            w: _BASE_STEP_S
             * (
                 1.0
                 + self.elastic.step_jitter
@@ -491,13 +495,8 @@ class ElasticTrainer:
         }
         self._ewma: Dict[int, float] = {}
         self._budget_used = 0
-        self._workers: Dict[int, WorkerPartition] = {}
-        self._reshard()
-        self.engine = DistributedTrainer(
-            model, [self._workers[w] for w in sorted(self.members)], self.config
-        )
+        self.engine = DistributedTrainer(model, self._shards(), self.config)
         self._metrics_init()
-        self._last_checkpoint: Optional[Tuple[TrainingState, int]] = None
         self._checkpoint_state(-1, [])  # rollback target for epoch-0 faults
 
     # -- metrics --------------------------------------------------------
@@ -535,25 +534,20 @@ class ElasticTrainer:
             self._counters[name].inc(**labels)
 
     # -- sharding / checkpointing ---------------------------------------
-    def _reshard(self) -> None:
-        """Rebuild per-member shards for the current membership (HRW)."""
-        partitions = make_worker_partitions(
+    def _shards(self) -> List[WorkerPartition]:
+        """Per-member shards for the current membership (HRW), in
+        member-id order."""
+        return make_worker_partitions(
             self.graph,
             self.train_nodes,
             members=sorted(self.members),
             partition_ids=self.partition_ids,
             seed=self.config.seed,
         )
-        self._workers = {p.worker_id: p for p in partitions}
-        if hasattr(self, "engine"):
-            self.engine.workers = [self._workers[w] for w in sorted(self.members)]
 
-    @staticmethod
-    def _state_crc(model_state: Dict[str, np.ndarray]) -> int:
-        crc = 0
-        for name in sorted(model_state):
-            crc = zlib.crc32(np.ascontiguousarray(model_state[name]).tobytes(), crc)
-        return crc
+    def _reshard(self) -> None:
+        """Rebuild the engine's all-reduce group after a membership change."""
+        self.engine.workers = self._shards()
 
     def _elastic_extras(self) -> Dict:
         return {
@@ -566,22 +560,34 @@ class ElasticTrainer:
             "detector": self.detector.state_dict(),
         }
 
+    @staticmethod
+    def _state_crc(state: TrainingState) -> int:
+        return _arrays_crc(state.model_state[name] for name in sorted(state.model_state))
+
     def _checkpoint_state(self, epoch: int, history: List[ElasticEpoch]) -> None:
         """Snapshot everything a rollback or resume needs, CRC-stamped."""
-        state = TrainingState(
-            epoch=epoch,
-            model_state=self.model.state_dict(),
-            optimizer_state=self.engine.optimizer.state_dict(),
-            rng_states={
-                "trainer": self.engine._rng.bit_generator.state,
-                "model": collect_rng_states(self.model),
-                "elastic": self._elastic_extras(),
-            },
+        state = capture_training_state(
+            self.model,
+            self.engine.optimizer,
+            self.engine.rng,
+            epoch,
+            sections={"elastic": self._elastic_extras()},
             history=[asdict(record) for record in history],
         )
-        self._last_checkpoint = (state, self._state_crc(state.model_state))
+        self._last_checkpoint = (state, self._state_crc(state))
         if self._manager is not None and epoch >= 0:
             self._manager.save(state)
+
+    def _verified_snapshot(self) -> TrainingState:
+        """The last snapshot, its parameters re-checked against the CRC
+        taken when it was stored (rollback and rejoin catch-up both
+        start from known-good state or not at all)."""
+        state, crc = self._last_checkpoint
+        if self._state_crc(state) != crc:
+            raise CheckpointError(
+                f"in-memory checkpoint for epoch {state.epoch} failed its CRC"
+            )
+        return state
 
     def _rollback(self, epoch: int) -> None:
         """Restore model/optimizer/RNG from the last verified snapshot.
@@ -589,28 +595,16 @@ class ElasticTrainer:
         Membership is *not* restored — eviction moves forward; only the
         training state rewinds to the checkpointed epoch.
         """
-        if self._last_checkpoint is None:
-            raise ElasticTrainingError("no checkpoint to roll back to")
-        state, crc = self._last_checkpoint
-        if self._state_crc(state.model_state) != crc:
-            raise CheckpointError(
-                f"in-memory checkpoint for epoch {state.epoch} failed its CRC"
-            )
+        state = self._verified_snapshot()
         with timed(self.tracer, "rollback", epoch=epoch, to_epoch=state.epoch):
-            self.model.load_state_dict(state.model_state)
-            self.engine.optimizer.load_state_dict(state.optimizer_state)
-            self.engine._rng.bit_generator.state = state.rng_states["trainer"]
-            restore_rng_states(self.model, state.rng_states.get("model", {}))
+            restore_training_state(state, self.model, self.engine.optimizer, self.engine.rng)
         self._count("rollbacks")
 
     # -- resume ---------------------------------------------------------
     def _restore(self, state: TrainingState, result: ElasticResult) -> int:
         """Inverse of :meth:`_checkpoint_state`; returns the next epoch."""
-        self.model.load_state_dict(state.model_state)
-        self.engine.optimizer.load_state_dict(state.optimizer_state)
-        self.engine._rng.bit_generator.state = state.rng_states["trainer"]
-        restore_rng_states(self.model, state.rng_states.get("model", {}))
-        extras = state.rng_states.get("elastic", {})
+        restore_training_state(state, self.model, self.engine.optimizer, self.engine.rng)
+        extras = state.section("elastic")
         self.members = set(extras.get("members", sorted(self.members)))
         self._killed = set(extras.get("killed", []))
         self._evicted = set(extras.get("evicted", []))
@@ -630,7 +624,7 @@ class ElasticTrainer:
             )
             for record in state.history
         ]
-        self._last_checkpoint = (state, self._state_crc(state.model_state))
+        self._last_checkpoint = (state, self._state_crc(state))
         return state.epoch + 1
 
     # -- the supervised loop --------------------------------------------
@@ -658,10 +652,7 @@ class ElasticTrainer:
             start_epoch = self._restore(self._manager.load(), result)
         for epoch in range(start_epoch, self.config.epochs):
             record = self._supervised_epoch(epoch)
-            if eval_graph is not None and eval_nodes is not None and len(eval_nodes):
-                scores = self.model.predict_proba(eval_graph, eval_nodes)
-                labels = eval_graph.labels[np.asarray(eval_nodes, dtype=np.int64)]
-                record.eval_auc = roc_auc(labels, scores, default=None)
+            record.eval_auc = epoch_auc(self.model, eval_graph, eval_nodes)
             result.history.append(record)
             self._checkpoint_state(epoch, result.history)
             if stop_after_epoch is not None and epoch >= stop_after_epoch:
@@ -695,7 +686,6 @@ class ElasticTrainer:
                 try:
                     outcome = self._attempt_round(epoch, record)
                 except NoSurvivorsError:
-                    outcome = _Round(dead=[])
                     if record.retries >= self.elastic.max_retries_per_epoch:
                         raise ElasticTrainingError(
                             f"epoch {epoch}: no usable gradients after "
@@ -732,9 +722,7 @@ class ElasticTrainer:
         with timed(self.tracer, "readmit", epoch=epoch, worker=worker):
             # Catch-up payload: the rejoining worker receives the last
             # CRC-verified state rather than its stale pre-eviction copy.
-            state, crc = self._last_checkpoint
-            if self._state_crc(state.model_state) != crc:
-                raise CheckpointError("catch-up checkpoint failed its CRC")
+            state = self._verified_snapshot()
             self.detector.mark_probing(worker)
         self._evicted.discard(worker)
         self._killed.discard(worker)
@@ -755,34 +743,38 @@ class ElasticTrainer:
             self._killed.discard(worker)
             self._evicted.add(worker)
         record.evicted.append(worker)
-        record.events.append(
-            FaultEvent(epoch, worker, EVICTION, "declared dead by phi-accrual detector")
+        declared = self.detector.state(worker) == DEAD
+        detail = (
+            "declared dead by phi-accrual detector"
+            if declared
+            else f"silent through the {_HEARTBEAT_GRACE_S:g}s grace period"
         )
+        record.events.append(FaultEvent(epoch, worker, EVICTION, detail))
         self._count("evictions", worker=str(worker))
         if self._counters is not None:
             self._members_gauge.set(len(self.members))
 
     def _attempt_round(self, epoch: int, record: ElasticEpoch) -> _Round:
         """One all-reduce attempt over the current membership."""
-        elastic = self.elastic
         slow = self.fault_plan.slow_at(epoch) if self.fault_plan else {}
         corrupt = self.fault_plan.corrupt_at(epoch) if self.fault_plan else {}
         round_start = self.clock()
 
         # Live workers compute their shard gradient; latency simulated.
         shards: List[_Shard] = []
-        for worker in sorted(self.members):
+        for partition in self.engine.workers:
+            worker = partition.worker_id
             if worker in self._killed:
                 continue
-            grads, loss, _ = self.engine._worker_gradients(self._workers[worker])
+            grads, loss, _ = self.engine.shard_gradients(partition)
             latency = self._base[worker] * slow.get(worker, 1.0)
-            shards.append(_Shard(worker, grads, loss, latency, self._grad_crc(grads)))
+            shards.append(_Shard(worker, grads, loss, latency, _arrays_crc(grads)))
 
         effective = {shard.worker: shard.latency for shard in shards}
         self._mitigate_stragglers(epoch, shards, slow, effective, record)
 
         # Advance the simulated round; deliver heartbeats at completion.
-        wall = max(effective.values()) if effective else elastic.grace_tick_s
+        wall = max(effective.values()) if effective else _GRACE_TICK_S
         self.clock.advance(wall)
         for shard in sorted(shards, key=lambda s: (effective[s.worker], s.worker)):
             self.detector.heartbeat(shard.worker, at=round_start + effective[shard.worker])
@@ -795,40 +787,37 @@ class ElasticTrainer:
         while (
             missing
             and any(self.detector.state(w) != DEAD for w in missing)
-            and waited < elastic.heartbeat_grace_s
+            and waited < _HEARTBEAT_GRACE_S
         ):
-            self.clock.advance(elastic.grace_tick_s)
-            waited += elastic.grace_tick_s
+            self.clock.advance(_GRACE_TICK_S)
+            waited += _GRACE_TICK_S
             for shard in shards:
                 self.detector.heartbeat(shard.worker)
             self.detector.poll()
-        dead = [w for w in missing if self.detector.state(w) == DEAD]
-        if dead:
-            return _Round(dead=dead)
+        # Whoever is still missing is evicted — declared dead by the
+        # detector or, failing that (a worker that dies while probing is
+        # never re-scored), silent through the whole grace period. The
+        # round is never taken without a member's shard.
+        if missing:
+            return _Round(dead=missing)
 
         # A probing (rejoined) worker that completed the round is back.
         for shard in shards:
             if self.detector.state(shard.worker) == PROBING:
                 self.detector.confirm(shard.worker)
 
+        # All-reduce renormalised over the accepted shards; with every
+        # shard quarantined the engine raises NoSurvivorsError.
         accepted = self._integrity_check(epoch, shards, corrupt, record)
-        if not accepted:
-            raise NoSurvivorsError(f"epoch {epoch}: every shard gradient was quarantined")
+        self.engine.step([shard.grads for shard in accepted])
 
-        # All-reduce renormalised over the accepted shards.
-        self.model.zero_grad()
-        for index, param in enumerate(self.model.parameters()):
-            averaged = sum(shard.grads[index] for shard in accepted) / len(accepted)
-            param.grad = averaged
-        nn.clip_grad_norm(self.model.parameters(), self.config.clip_norm)
-        self.engine.optimizer.step()
-
+        alpha = self.elastic.ewma_alpha
         for shard in shards:
             previous = self._ewma.get(shard.worker)
             self._ewma[shard.worker] = (
                 shard.latency
                 if previous is None
-                else elastic.ewma_alpha * shard.latency + (1 - elastic.ewma_alpha) * previous
+                else alpha * shard.latency + (1 - alpha) * previous
             )
         return _Round(
             loss=float(np.mean([shard.loss for shard in accepted])),
@@ -887,13 +876,6 @@ class ElasticTrainer:
                 )
             self._count("backups", worker=str(shard.worker))
 
-    @staticmethod
-    def _grad_crc(grads: List[np.ndarray]) -> int:
-        crc = 0
-        for grad in grads:
-            crc = zlib.crc32(np.ascontiguousarray(grad).tobytes(), crc)
-        return crc
-
     def _integrity_check(
         self,
         epoch: int,
@@ -910,7 +892,7 @@ class ElasticTrainer:
             reason = None
             if not all(np.isfinite(grad).all() for grad in shard.grads):
                 reason = "nan"
-            elif self._grad_crc(shard.grads) != shard.crc:
+            elif _arrays_crc(shard.grads) != shard.crc:
                 reason = "checksum"
             if reason is None:
                 accepted.append(shard)

@@ -182,6 +182,15 @@ def evaluate_model(model, graph, nodes: Sequence[int]) -> Dict[str, float]:
     }
 
 
+def epoch_auc(model, graph, nodes: Optional[Sequence[int]]) -> Optional[float]:
+    """One point of a convergence curve (Figure 14): held-out AUC after
+    an epoch, ``None`` without an evaluation set or with one class."""
+    if graph is None or nodes is None or not len(nodes):
+        return None
+    nodes = np.asarray(nodes, dtype=np.int64)
+    return roc_auc(graph.labels[nodes], model.predict_proba(graph, nodes), default=None)
+
+
 @dataclass
 class ConfusionRates:
     """TPR/TNR/FPR/FNR at one threshold (Tables 14–16)."""

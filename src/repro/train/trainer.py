@@ -20,15 +20,16 @@ import numpy as np
 
 from .. import nn
 from ..graph.hetero import HeteroGraph
-from ..util import batched
+from ..util import batched, release_free_memory
 from ..obs.trace import Tracer, timed
 from ..reliability.checkpoint import (
     CheckpointManager,
     TrainingState,
-    collect_rng_states,
-    restore_rng_states,
+    capture_training_state,
+    load_training_state,
+    restore_training_state,
 )
-from .metrics import evaluate_model, latency_percentiles, roc_auc
+from .metrics import epoch_auc, evaluate_model, latency_percentiles
 
 
 @dataclass
@@ -43,7 +44,6 @@ class TrainConfig:
     patience: int = 32
     shuffle: bool = True
     seed: int = 0
-    verbose: bool = False
 
 
 @dataclass
@@ -95,14 +95,14 @@ class Trainer:
             lr=self.config.learning_rate,
             weight_decay=self.config.weight_decay,
         )
-        self._rng = np.random.default_rng(self.config.seed)
+        self.rng = np.random.default_rng(self.config.seed)  # shuffle stream
 
     def train_epoch(self, graph: HeteroGraph, train_nodes: Sequence[int]) -> float:
         """One pass over the labeled training nodes; returns mean loss."""
         self.model.train()
         nodes = np.asarray(train_nodes, dtype=np.int64)
         if self.config.shuffle:
-            nodes = self._rng.permutation(nodes)
+            nodes = self.rng.permutation(nodes)
         losses: List[float] = []
         for batch in batched(nodes, self.config.batch_size):
             self.optimizer.zero_grad()
@@ -122,13 +122,11 @@ class Trainer:
         epochs_since_best: int,
     ) -> TrainingState:
         """Snapshot everything the run needs to continue bit-exactly."""
-        rng_states = {"trainer": self._rng.bit_generator.state}
-        rng_states["model"] = collect_rng_states(self.model)
-        return TrainingState(
-            epoch=epoch,
-            model_state=self.model.state_dict(),
-            optimizer_state=self.optimizer.state_dict(),
-            rng_states=rng_states,
+        return capture_training_state(
+            self.model,
+            self.optimizer,
+            self.rng,
+            epoch,
             best_state=best_state,
             best_auc=result.best_auc,
             epochs_since_best=epochs_since_best,
@@ -137,28 +135,10 @@ class Trainer:
 
     def _restore_state(self, state: TrainingState, result: TrainResult) -> tuple:
         """Inverse of :meth:`_capture_state`; returns resume bookkeeping."""
-        self.model.load_state_dict(state.model_state)
-        self.optimizer.load_state_dict(state.optimizer_state)
-        self._rng.bit_generator.state = state.rng_states["trainer"]
-        restore_rng_states(self.model, state.rng_states.get("model", {}))
+        restore_training_state(state, self.model, self.optimizer, self.rng)
         result.best_auc = state.best_auc
         result.history = [EpochRecord(**record) for record in state.history]
         return state.epoch + 1, state.best_state, state.epochs_since_best
-
-    @staticmethod
-    def _resolve_resume(resume_from) -> TrainingState:
-        if isinstance(resume_from, TrainingState):
-            return resume_from
-        if isinstance(resume_from, CheckpointManager):
-            return resume_from.load()
-        if isinstance(resume_from, str):
-            import os
-
-            if os.path.isdir(resume_from):
-                return CheckpointManager(resume_from).load()
-            directory = os.path.dirname(resume_from) or "."
-            return CheckpointManager(directory).load(resume_from)
-        raise TypeError(f"cannot resume from {type(resume_from).__name__}")
 
     def fit(
         self,
@@ -184,7 +164,7 @@ class Trainer:
         start_epoch = 0
         if resume_from is not None:
             start_epoch, best_state, epochs_since_best = self._restore_state(
-                self._resolve_resume(resume_from), result
+                load_training_state(resume_from), result
             )
         with timed(self.tracer, "fit", epochs=self.config.epochs):
             for epoch in range(start_epoch, self.config.epochs):
@@ -199,9 +179,7 @@ class Trainer:
 
                 if eval_nodes is not None and len(eval_nodes):
                     with timed(self.tracer, "evaluate", epoch=epoch):
-                        scores = self.model.predict_proba(graph, eval_nodes)
-                        labels = graph.labels[np.asarray(eval_nodes, dtype=np.int64)]
-                        record.eval_auc = roc_auc(labels, scores, default=None)
+                        record.eval_auc = epoch_auc(self.model, graph, eval_nodes)
                     if record.eval_auc is not None and record.eval_auc > result.best_auc:
                         result.best_auc = record.eval_auc
                         best_state = self.model.state_dict()
@@ -209,14 +187,15 @@ class Trainer:
                     else:
                         epochs_since_best += 1
                 result.history.append(record)
-                if self.config.verbose:
-                    print(f"epoch {epoch}: loss={loss:.4f} auc={record.eval_auc}")
                 if manager is not None:
                     manager.save(
                         self._capture_state(epoch, result, best_state, epochs_since_best)
                     )
         if best_state is not None:
             self.model.load_state_dict(best_state)
+        # Whatever runs next in this process (a scoring service, a stream
+        # scorer) should start from the live data, not the tape's heap.
+        release_free_memory()
         return result
 
     def evaluate(self, graph: HeteroGraph, nodes: Sequence[int]) -> Dict[str, float]:

@@ -9,17 +9,20 @@ percentile-selection rule: every quantile the stack reports
 (``latency_percentiles``, ``Histogram.percentile``, the hedged-read
 thresholds) selects the same sorted index, so a p99 from the benchmark
 tables, the Prometheus exposition, and the replica router all mean the
-same observed sample.
+same observed sample. :func:`release_free_memory` is what a training
+run calls when it is done, so that the process that goes on to serve
+does not carry the tape's working set.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 from typing import List, Sequence, TypeVar
 
 T = TypeVar("T", bound=Sequence)
 
-__all__ = ["batched", "nearest_rank_index"]
+__all__ = ["batched", "nearest_rank_index", "release_free_memory"]
 
 
 def nearest_rank_index(percentile: float, count: int) -> int:
@@ -50,3 +53,21 @@ def batched(items: T, batch_size: int) -> List[T]:
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     return [items[i : i + batch_size] for i in range(0, len(items), batch_size)]
+
+
+def release_free_memory() -> bool:
+    """Hand the C allocator's free pages back to the OS (glibc ``malloc_trim``).
+
+    A training run grows the heap to the autograd tape's working set.
+    Once freed, that memory stays resident under whichever small
+    long-lived block was allocated while the heap was high — how much
+    follows the heap's layout (ASLR, the string-hash seed), so it
+    differs between runs of identical inputs (DESIGN.md, "A fit gives
+    its heap back"). After a trim what stays resident is the live data.
+    Returns ``False`` where there is no ``malloc_trim`` (any libc but
+    glibc), which costs nothing but the memory.
+    """
+    try:
+        return bool(ctypes.CDLL(None).malloc_trim(0))
+    except (OSError, AttributeError, TypeError):
+        return False

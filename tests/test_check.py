@@ -12,9 +12,12 @@ while this PR was developed:
 """
 
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+
+from repro import nn
 
 from repro.check import (
     REGISTRY,
@@ -37,6 +40,8 @@ from repro.graph.cache import SubgraphCache
 from repro.graph.sampling import SageSampler, stack_subgraphs
 from repro.models import field as field_module
 from repro.nn import functional as F
+from repro.train import DistributedTrainer, NoSurvivorsError
+from repro.train import elastic as elastic_module
 
 
 class TestInvariantRegistry:
@@ -121,9 +126,9 @@ class TestFuzzScenarios:
             run_case("no-such-scenario", 0, 1)
 
     def test_run_fuzz_reports_spread(self):
-        report = run_fuzz(8, seed=0)
+        report = run_fuzz(len(SCENARIOS), seed=0)
         assert report.ok
-        assert sum(report.per_scenario.values()) == 8
+        assert sum(report.per_scenario.values()) == len(SCENARIOS)
         assert set(report.per_scenario) == set(SCENARIOS)
 
     def test_run_fuzz_restricted_scenarios(self):
@@ -314,6 +319,72 @@ class TestPrunedStepMutants:
     def test_shrunk_cases_pass_on_the_real_step(self):
         # What the five mutants above shrink to (two of them to (1, 5)).
         for seed, size in ((6, 5), (1, 5), (4, 1), (1, 3)):
+            assert run_case(self.NAME, seed, size) is None, (seed, size)
+
+
+def _mean_over_members(self, shard_grads):
+    """``DistributedTrainer.step`` dividing by the group size instead of
+    by the shards it was given."""
+    if not shard_grads:
+        raise NoSurvivorsError("all-reduce over zero shards")
+    for index, param in enumerate(self.model.parameters()):
+        param.grad = sum(grads[index] for grads in shard_grads) / len(self.workers)
+    nn.clip_grad_norm(self.model.parameters(), self.config.clip_norm)
+    self.optimizer.step()
+
+
+_real_restore = elastic_module.restore_training_state
+
+
+def _optimizer_left_behind(state, model, optimizer, rng):
+    _real_restore(state, model, SimpleNamespace(load_state_dict=lambda moments: None), rng)
+
+
+def _shuffle_stream_left_behind(state, model, optimizer, rng):
+    _real_restore(state, model, optimizer, np.random.default_rng())
+
+
+class TestSupervisedRoundMutants:
+    """`repro check --fuzz 120` must fail, in
+    ``supervised-round-vs-engine``, when the one all-reduce or the one
+    restore is subtly wrong. Rollback, rejoin catch-up and resume share
+    ``restore_training_state``, so the two restore mutants are planted
+    once, where the supervisor imports it: a rollback that forgets the
+    shuffle stream shows against the by-hand run as soon as a kill
+    forces a retry; one that forgets the optimizer moments is invisible
+    there (no step is taken between snapshot and rollback) and shows in
+    the replay that is killed and resumed after every epoch."""
+
+    NAME = "supervised-round-vs-engine"
+
+    def _assert_caught(self):
+        report = run_fuzz(120, seed=0)
+        assert not report.ok
+        assert report.failures[0].scenario == self.NAME, report.failures[0]
+        return report.failures[0]
+
+    def test_mean_over_members_not_accepted_shards(self, monkeypatch):
+        monkeypatch.setattr(DistributedTrainer, "step", _mean_over_members)
+        assert "by-hand" in self._assert_caught().detail
+
+    def test_restore_skips_the_optimizer(self, monkeypatch):
+        monkeypatch.setattr(elastic_module, "restore_training_state", _optimizer_left_behind)
+        assert "resumed after every epoch" in self._assert_caught().detail
+
+    def test_restore_skips_the_trainer_rng(self, monkeypatch):
+        monkeypatch.setattr(
+            elastic_module, "restore_training_state", _shuffle_stream_left_behind
+        )
+        failure = self._assert_caught()
+        assert "by-hand" in failure.detail or "resumed after every epoch" in failure.detail
+
+    def test_shrunk_cases_pass_on_the_real_supervisor(self):
+        # What the three mutants above shrink to, and (0, 3): the case
+        # that found a worker dying in the round it rejoins (probing,
+        # so never re-scored) being kept as a member forever, its
+        # partitions trained by nobody — it is evicted once the grace
+        # period has passed.
+        for seed, size in ((4, 4), (0, 1), (3, 2), (0, 3)):
             assert run_case(self.NAME, seed, size) is None, (seed, size)
 
 

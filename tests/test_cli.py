@@ -189,6 +189,64 @@ class TestCheckpointFlags:
         assert "no checkpoints" in capsys.readouterr().err
 
 
+class TestElasticCheckpointFlags:
+    """``train --elastic`` argument paths that used to end in a
+    traceback or a misleading verdict; each exits 2 with one line, as
+    plain ``train`` does (both go through one ``_resolve_checkpoint``)."""
+
+    ELASTIC = ["train", "--elastic", "--scale", "0.1", "--model", "gem", "--batch-size", "512"]
+
+    def test_elastic_resume_empty_dir_exits_2(self, tmp_path, capsys):
+        code = main(
+            self.ELASTIC
+            + ["--workers", "4", "--epochs", "2",
+               "--checkpoint-dir", str(tmp_path / "fresh"), "--resume"]
+        )
+        assert code == 2
+        assert "--resume given but no checkpoints in" in capsys.readouterr().err
+
+    def test_elastic_resume_without_dir_exits_2(self, capsys):
+        code = main(self.ELASTIC + ["--workers", "4", "--epochs", "2", "--resume"])
+        assert code == 2
+        assert "--resume requires --checkpoint-dir" in capsys.readouterr().err
+
+    def test_chaos_with_resume_exits_2(self, tmp_path, capsys):
+        """The gate's fault-free baseline inherited ``--resume`` but no
+        checkpoint manager (uncaught ElasticTrainingError)."""
+        code = main(
+            self.ELASTIC
+            + ["--workers", "8", "--epochs", "5", "--chaos",
+               "--checkpoint-dir", str(tmp_path), "--resume"]
+        )
+        assert code == 2
+        assert "--chaos cannot be combined" in capsys.readouterr().err
+
+    def test_chaos_with_stop_after_epoch_exits_2(self, capsys):
+        """Both runs were truncated, then judged: ``auc=nan`` and four
+        spurious FAIL lines, exit 1."""
+        code = main(
+            self.ELASTIC + ["--workers", "8", "--epochs", "5", "--chaos", "--stop-after-epoch", "1"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "--chaos cannot be combined" in captured.err
+        assert "FAIL" not in captured.err and "nan" not in captured.out
+
+    def test_elastic_keep_last_is_honoured(self, tmp_path, capsys):
+        import os
+
+        code = main(
+            self.ELASTIC
+            + ["--workers", "4", "--epochs", "3",
+               "--checkpoint-dir", str(tmp_path), "--keep-last", "1"]
+        )
+        assert code == 0
+        capsys.readouterr()
+        assert [n for n in sorted(os.listdir(tmp_path)) if n.startswith("ckpt-")] == [
+            "ckpt-000002.npz"
+        ]
+
+
 class TestExplainWithLoad:
     def test_explain_loads_saved_model(self, tmp_path, capsys):
         save_path = str(tmp_path / "m.npz")

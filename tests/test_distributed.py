@@ -146,100 +146,44 @@ class TestDistributedTraining:
             DistributedTrainer(GEMModel(detector_config), [], TrainConfig())
 
 
-class TestFaultInjectedTraining:
-    """Graceful degradation under a FaultPlan (the paper's synchronous
-    cluster would simply stall on the first dead worker)."""
+class TestEngineRound:
+    """``train_epoch`` is ``step`` over every worker's
+    ``shard_gradients``; a supervisor drives the same two calls with
+    the shards it accepts."""
 
-    def test_crashed_worker_excluded_and_recorded(self, detector_config, workers4):
-        from repro.reliability import FaultPlan
-
-        plan = FaultPlan(num_workers=4, crash_schedule={0: [1]})
-        model = GEMModel(detector_config)
-        trainer = DistributedTrainer(model, workers4, TrainConfig(epochs=1), fault_plan=plan)
-        record = trainer.train_epoch(0)
-        assert record.failed_workers == [1]
-        assert record.num_survivors == 3
-        assert any(e.kind == "crash" and e.worker_id == 1 for e in record.fault_events)
-
-    def test_recovery_event_recorded_next_epoch(self, detector_config, workers4):
-        from repro.reliability import FaultPlan
-
-        plan = FaultPlan(num_workers=4, crash_schedule={0: [2]})
-        model = GEMModel(detector_config)
-        trainer = DistributedTrainer(model, workers4, TrainConfig(epochs=2), fault_plan=plan)
-        result = trainer.fit()
-        epoch1 = result.history[1]
-        assert epoch1.failed_workers == []
-        recoveries = [e for e in epoch1.fault_events if e.kind == "recovery"]
-        assert [e.worker_id for e in recoveries] == [2]
-        assert result.total_failures == 1
-
-    def test_straggler_slows_wall_clock_only(self, detector_config, workers4):
-        from repro.reliability import FaultPlan
-
-        plan = FaultPlan(
-            num_workers=4,
-            crash_schedule={},
-            straggler_prob=0.0,
-            straggler_slowdown=100.0,
-        )
-        # Force worker 0 to straggle by a scripted plan substitute:
-        plan.straggler_prob = 1.0
-        model = GEMModel(detector_config)
-        trainer = DistributedTrainer(model, workers4, TrainConfig(epochs=1), fault_plan=plan)
-        record = trainer.train_epoch(0)
-        assert record.straggler_workers  # someone straggled
-        assert record.num_survivors == 4  # but everyone's gradient counted
-
-    def test_degraded_mode_converges_close_to_fault_free(self, detector_config, workers4,
-                                                         tiny_graph, tiny_splits):
-        """1 of 4 workers failing every epoch still completes fit() and
-        lands within 0.05 AUC of the fault-free run."""
-        from repro.reliability import FaultPlan
-
-        _, test = tiny_splits
-        config = TrainConfig(epochs=5, learning_rate=5e-3)
-
-        clean = DistributedTrainer(
-            XFraudDetectorPlus(detector_config), workers4, config
-        ).fit(eval_graph=tiny_graph, eval_nodes=test)
-
-        plan = FaultPlan(
-            num_workers=4, crash_schedule={e: [e % 4] for e in range(config.epochs)}
-        )
-        degraded_trainer = DistributedTrainer(
-            XFraudDetectorPlus(detector_config), workers4, config, fault_plan=plan
-        )
-        degraded = degraded_trainer.fit(eval_graph=tiny_graph, eval_nodes=test)
-
-        assert len(degraded.history) == config.epochs
-        assert all(len(r.failed_workers) == 1 for r in degraded.history)
-        assert abs(degraded.metrics["auc"] - clean.metrics["auc"]) <= 0.05
-
-    def test_all_workers_crashed_raises_typed_error(
-        self, detector_config, tiny_graph, tiny_splits
-    ):
-        """A round with zero survivors (scripted, bypassing the plan's
-        survivor guarantee) surfaces NoSurvivorsError — a total outage
-        must be handled by a supervisor (rollback), never silently
-        skipped — and must not step the optimiser."""
-        from repro.train.distributed import NoSurvivorsError, make_worker_partitions
-
-        train, _ = tiny_splits
-        workers = make_worker_partitions(tiny_graph, train, num_workers=2, num_partitions=8)
-
-        class TotalOutagePlan:
-            straggler_slowdown = 1.0
-
-            def epoch_faults(self, epoch):
-                return {0: "crash", 1: "crash"}
+    def test_step_over_no_shards_raises_typed_error(self, detector_config, workers4):
+        """An all-reduce nobody reached surfaces NoSurvivorsError — a
+        total outage is for a supervisor to handle (rollback), never a
+        silently skipped step — and does not touch the parameters."""
+        from repro.train import NoSurvivorsError
 
         model = GEMModel(detector_config)
-        trainer = DistributedTrainer(
-            model, workers, TrainConfig(epochs=1), fault_plan=TotalOutagePlan()
-        )
+        trainer = DistributedTrainer(model, workers4, TrainConfig(epochs=1))
         before = {k: v.copy() for k, v in model.state_dict().items()}
-        with pytest.raises(NoSurvivorsError, match="all 2 workers"):
-            trainer.train_epoch(0)
+        with pytest.raises(NoSurvivorsError, match="zero shards"):
+            trainer.step([])
         after = model.state_dict()
         assert all(np.array_equal(before[k], after[k]) for k in before)
+
+    def test_round_driven_by_hand_equals_train_epoch(self, detector_config, workers4):
+        config = TrainConfig(epochs=1, batch_size=64)
+        whole, by_hand = GEMModel(detector_config), GEMModel(detector_config)
+        record = DistributedTrainer(whole, workers4, config).train_epoch()
+        engine = DistributedTrainer(by_hand, workers4, config)
+        shards = [engine.shard_gradients(worker) for worker in workers4]
+        engine.step([grads for grads, _, _ in shards])
+        assert record.loss == float(np.mean([loss for _, loss, _ in shards]))
+        s1, s2 = whole.state_dict(), by_hand.state_dict()
+        assert all(np.array_equal(s1[k], s2[k]) for k in s1)
+
+    def test_step_renormalises_over_the_shards_it_is_given(self, detector_config, workers4):
+        """Withholding a shard averages over the rest (what quarantine
+        relies on), not over the group size."""
+        config = TrainConfig(epochs=1, clip_norm=1e9, learning_rate=1e-3)
+        model = GEMModel(detector_config)
+        engine = DistributedTrainer(model, workers4, config)
+        kept = [engine.shard_gradients(worker)[0] for worker in workers4][:3]
+        engine.step(kept)
+        for index, param in enumerate(model.parameters()):
+            expected = sum(grads[index] for grads in kept) / 3
+            assert np.array_equal(param.grad, expected)

@@ -4,11 +4,13 @@ Everything runs on a ManualClock, so every suspicion value, eviction,
 backup race, and rollback in this file is exactly reproducible.
 """
 
+import zlib
+
 import numpy as np
 import pytest
 
-from repro.models import GEMModel
-from repro.reliability import FaultPlan, ManualClock
+from repro.models import GEMModel, XFraudDetectorPlus
+from repro.reliability import CheckpointManager, FaultPlan, ManualClock
 from repro.storage.replicated import DEAD, HEALTHY, PROBING, SUSPECT
 from repro.train import (
     DistributedTrainer,
@@ -44,15 +46,24 @@ def _warm(detector, clock, workers, beats=6, interval=1.0):
             detector.heartbeat(worker)
 
 
-def _trainer(tiny_graph, tiny_splits, detector_config, num_workers=4, **kwargs):
+def _trainer(
+    tiny_graph, tiny_splits, detector_config, num_workers=4, model_class=GEMModel, **kwargs
+):
     train, _ = tiny_splits
     kwargs.setdefault("config", TrainConfig(epochs=3, learning_rate=5e-3, seed=0))
     kwargs.setdefault("elastic", ElasticConfig(num_partitions=16))
-    model = GEMModel(detector_config)
+    model = model_class(detector_config)
     return (
         ElasticTrainer(model, tiny_graph, train, num_workers, **kwargs),
         model,
     )
+
+
+def _state_crc(model):
+    state, crc = model.state_dict(), 0
+    for name in sorted(state):
+        crc = zlib.crc32(np.ascontiguousarray(state[name]).tobytes(), crc)
+    return crc
 
 
 # ----------------------------------------------------------------------
@@ -340,8 +351,7 @@ class TestElasticBasics:
 
     def test_membership_matches_shards(self, tiny_graph, tiny_splits, detector_config):
         trainer, _ = _trainer(tiny_graph, tiny_splits, detector_config)
-        assert sorted(trainer._workers) == sorted(trainer.members)
-        assert sorted(w.worker_id for w in trainer.engine.workers) == sorted(trainer.members)
+        assert [w.worker_id for w in trainer.engine.workers] == sorted(trainer.members)
 
     def test_deterministic_across_runs(self, tiny_graph, tiny_splits, detector_config):
         r1 = _trainer(tiny_graph, tiny_splits, detector_config)[0].fit()
@@ -378,8 +388,8 @@ class TestEviction:
         plan = FaultPlan(num_workers=4, worker_kill={1: [2]})
         trainer, _ = _trainer(tiny_graph, tiny_splits, detector_config, fault_plan=plan)
         trainer.fit()
-        assert sorted(trainer._workers) == [0, 1, 3]
-        covered = sum(len(w.original_ids) for w in trainer._workers.values())
+        assert [w.worker_id for w in trainer.engine.workers] == [0, 1, 3]
+        covered = sum(len(w.original_ids) for w in trainer.engine.workers)
         assert covered == tiny_graph.num_nodes
 
     def test_all_workers_killed_aborts(self, tiny_graph, tiny_splits, detector_config):
@@ -424,8 +434,8 @@ class TestRejoin:
         original = rendezvous_assign(trainer.partition_ids, [0, 1, 2, 3], seed=0)
         trainer.fit()
         restored = {
-            w: sorted(np.unique(trainer.partition_ids[p.original_ids]).tolist())
-            for w, p in trainer._workers.items()
+            p.worker_id: sorted(np.unique(trainer.partition_ids[p.original_ids]).tolist())
+            for p in trainer.engine.workers
         }
         assert restored[3] == original[3]
 
@@ -687,6 +697,158 @@ class TestObservability:
         assert "evict" in names
         assert "reshard" in names
         assert "rollback" in names
+
+
+# ----------------------------------------------------------------------
+# one engine under one supervisor
+# ----------------------------------------------------------------------
+class TestSupervisorOverEngine:
+    @pytest.mark.parametrize("model_class", [GEMModel, XFraudDetectorPlus])
+    def test_fault_free_supervised_run_is_the_engine_run(
+        self, tiny_graph, tiny_splits, detector_config, model_class
+    ):
+        """No faults: the supervisor adds heartbeats and bookkeeping
+        around the engine's round, and not one bit to its arithmetic."""
+        config = TrainConfig(epochs=3, batch_size=64, learning_rate=5e-3, seed=0)
+        supervisor, supervised = _trainer(
+            tiny_graph, tiny_splits, detector_config, model_class=model_class, config=config
+        )
+        shards = make_worker_partitions(
+            tiny_graph,
+            tiny_splits[0],
+            members=range(4),
+            partition_ids=supervisor.partition_ids,
+            seed=config.seed,
+        )
+        plain = model_class(detector_config)
+        engine_result = DistributedTrainer(plain, shards, config).fit()
+        result = supervisor.fit()
+        assert [e.loss for e in result.history] == [e.loss for e in engine_result.history]
+        s1, s2 = supervised.state_dict(), plain.state_dict()
+        assert all(np.array_equal(s1[k], s2[k]) for k in s1)
+
+    def test_worker_dying_in_the_round_it_rejoins_is_evicted(
+        self, tiny_graph, tiny_splits, detector_config
+    ):
+        """A probing worker is never re-scored by the detector, so one
+        that dies before completing a round cannot be *declared* dead:
+        it is evicted when the grace period runs out, not kept as a
+        member whose partitions nobody trains."""
+        plan = FaultPlan(num_workers=4, worker_kill={0: [3], 1: [3]}, worker_rejoin={1: [3]})
+        trainer, _ = _trainer(tiny_graph, tiny_splits, detector_config, fault_plan=plan)
+        result = trainer.fit()
+        rejoin_round = result.history[1]
+        assert rejoin_round.rejoined == [3] and rejoin_round.evicted == [3]
+        assert "grace period" in rejoin_round.events[-1].detail
+        assert [record.members for record in result.history[1:]] == [[0, 1, 2]] * 2
+        assert [w.worker_id for w in trainer.engine.workers] == [0, 1, 2]
+        assert result.history[2].wall_seconds < 2.0  # no round stalls on it again
+
+
+class TestSupervisorParentParity:
+    """The CI chaos schedule on the tiny graph, every number taken from
+    a run of this same body at the commit before the supervisor was
+    moved onto ``DistributedTrainer.shard_gradients`` / ``step`` and
+    the shared snapshot functions: the merge changed no decision, no
+    simulated second and no bit of the trained model."""
+
+    LOSSES = [
+        0.5093478548980103,
+        0.44147226045153837,
+        0.41215170434314335,
+        0.27525511656342627,
+        0.23955859783661235,
+    ]
+    # members, evicted, rejoined, backups, quarantined, retries
+    DECISIONS = [
+        ([0, 1, 2, 3, 4, 5, 6, 7], [], [], [], [], 0),
+        ([0, 1, 3, 4, 6, 7], [2, 5], [], [], [], 1),
+        ([0, 1, 3, 4, 6, 7], [], [], [1], [3], 0),
+        ([0, 1, 3, 4, 5, 6, 7], [], [5], [], [], 0),
+        ([0, 1, 3, 4, 5, 6, 7], [], [], [], [], 0),
+    ]
+    WALL_SECONDS = [
+        1.1916554041068212,
+        1.1916554041068212,
+        2.8590896099432404,
+        1.1916554041068212,
+        1.1916554041068212,
+    ]
+    TRANSITIONS = [
+        (2.3833108082136425, 2, "healthy", "suspect"),
+        (2.3833108082136425, 5, "healthy", "suspect"),
+        (3.3833108082136425, 2, "suspect", "dead"),
+        (3.3833108082136425, 5, "suspect", "dead"),
+        (7.434055822263703, 0, "healthy", "suspect"),
+        (7.434055822263703, 3, "healthy", "suspect"),
+        (7.434055822263703, 4, "healthy", "suspect"),
+        (7.434055822263703, 6, "healthy", "dead"),
+        (7.434055822263703, 7, "healthy", "suspect"),
+        (7.434055822263703, 5, "dead", "probing"),
+        (8.193861715235947, 6, "dead", "probing"),
+        (8.46295304522399, 3, "suspect", "healthy"),
+        (8.504442316274412, 7, "suspect", "healthy"),
+        (8.579777646857385, 4, "suspect", "healthy"),
+        (8.625711226370525, 0, "suspect", "healthy"),
+        (8.625711226370525, 5, "probing", "healthy"),
+        (8.625711226370525, 6, "probing", "healthy"),
+    ]
+    STATE_CRC = 3729223862
+
+    def test_ci_chaos_schedule_matches_the_parent_commit(
+        self, tiny_graph, tiny_splits, detector_config
+    ):
+        plan = FaultPlan(
+            num_workers=8,
+            worker_kill={1: [2, 5]},
+            worker_rejoin={3: [5]},
+            worker_slow={2: {1: 4.0}},
+            grad_corrupt={2: [3]},
+        )
+        trainer, model = _trainer(
+            tiny_graph,
+            tiny_splits,
+            detector_config,
+            num_workers=8,
+            config=TrainConfig(epochs=5, learning_rate=5e-3, seed=0),
+            fault_plan=plan,
+        )
+        history = trainer.fit(tiny_graph, tiny_splits[1]).history
+        assert [record.loss for record in history] == pytest.approx(self.LOSSES, abs=1e-12)
+        decisions = [
+            (r.members, r.evicted, r.rejoined, r.backups, r.quarantined, r.retries)
+            for r in history
+        ]
+        assert decisions == self.DECISIONS
+        assert [record.wall_seconds for record in history] == self.WALL_SECONDS
+        assert trainer.detector.transitions == self.TRANSITIONS
+        assert _state_crc(model) == self.STATE_CRC
+
+
+class TestCheckpointFormat:
+    """What an elastic checkpoint holds, spelled out: a directory
+    written before the snapshot functions were shared must keep
+    loading, so these names are the format."""
+
+    def test_elastic_checkpoint_sections(self, tiny_graph, tiny_splits, detector_config, tmp_path):
+        trainer, _ = _trainer(
+            tiny_graph, tiny_splits, detector_config, checkpoint=str(tmp_path)
+        )
+        trainer.fit(stop_after_epoch=0)
+        state = CheckpointManager(str(tmp_path)).load()
+        assert set(state.rng_states) == {"trainer", "model", "elastic"}
+        assert set(state.section("elastic")) == {
+            "members",
+            "killed",
+            "evicted",
+            "ewma",
+            "budget_used",
+            "clock",
+            "detector",
+        }
+        assert set(state.section("elastic")["detector"]) == {"states", "last", "intervals"}
+        assert state.epoch == 0 and len(state.history) == 1
+        assert state.best_state is None
 
 
 # ----------------------------------------------------------------------

@@ -12,15 +12,17 @@ from repro.models import GEMModel
 from repro.reliability import (
     CheckpointError,
     CheckpointManager,
-    FaultPlan,
     FlakyKVStore,
     RetryingKVStore,
     RetryPolicy,
     TrainingState,
     TransientReadError,
     atomic_write_bytes,
+    capture_training_state,
     collect_rng_states,
+    load_training_state,
     restore_rng_states,
+    restore_training_state,
     retry_call,
 )
 from repro.storage import CorruptStoreError, InMemoryKVStore, MmapKVStore
@@ -229,6 +231,75 @@ class TestRngCapture:
         assert collect_rng_states(model) == states
 
 
+class TestTrainingSnapshot:
+    """``capture_training_state`` / ``restore_training_state``: the one
+    snapshot path of ``Trainer``, the elastic supervisor and the online
+    fine-tuner. Field and key names below are the on-disk format — a
+    directory written before the path was shared must keep loading."""
+
+    def test_field_and_key_names_are_the_format(self, detector_config):
+        from dataclasses import fields
+
+        assert [f.name for f in fields(TrainingState)] == [
+            "epoch",
+            "model_state",
+            "optimizer_state",
+            "rng_states",
+            "best_state",
+            "best_auc",
+            "epochs_since_best",
+            "history",
+        ]
+        model = GEMModel(detector_config)
+        trainer = Trainer(model, TrainConfig(seed=5))
+        state = capture_training_state(model, trainer.optimizer, trainer.rng, epoch=2)
+        assert set(state.rng_states) == {"trainer", "model"}
+        assert state.rng_states["trainer"] == np.random.default_rng(5).bit_generator.state
+        assert state.rng_states["model"] == collect_rng_states(model)
+        assert state.model_state.keys() == model.state_dict().keys()
+        assert (state.epoch, state.best_state, state.history) == (2, None, [])
+
+    def test_sections_ride_beside_the_rng_streams(self, detector_config, tmp_path):
+        model = GEMModel(detector_config)
+        trainer = Trainer(model, TrainConfig())
+        state = capture_training_state(
+            model, trainer.optimizer, trainer.rng, 0, sections={"elastic": {"members": [0, 2]}}
+        )
+        assert set(state.rng_states) == {"trainer", "model", "elastic"}
+        manager = CheckpointManager(str(tmp_path))
+        manager.save(state)
+        assert manager.load().section("elastic") == {"members": [0, 2]}
+        assert manager.load().section("absent") == {}
+
+    def test_restore_is_the_inverse(self, tiny_graph, tiny_splits, detector_config):
+        train, _ = tiny_splits
+        config = TrainConfig(batch_size=64, seed=1)
+        model = GEMModel(detector_config)
+        trainer = Trainer(model, config)
+        trainer.train_epoch(tiny_graph, train)
+        state = capture_training_state(model, trainer.optimizer, trainer.rng, epoch=0)
+        expected = trainer.train_epoch(tiny_graph, train)
+
+        fresh = GEMModel(detector_config)
+        other = Trainer(fresh, config)
+        restore_training_state(state, fresh, other.optimizer, other.rng)
+        assert other.train_epoch(tiny_graph, train) == expected
+        for (name, a), (_, b) in zip(model.named_parameters(), fresh.named_parameters()):
+            np.testing.assert_array_equal(a.data, b.data, err_msg=name)
+
+    def test_load_training_state_sources(self, tmp_path):
+        manager = CheckpointManager(str(tmp_path))
+        manager.save(_state(0))
+        path = manager.save(_state(1))
+        assert load_training_state(manager).epoch == 1
+        assert load_training_state(str(tmp_path)).epoch == 1
+        assert load_training_state(path).epoch == 1
+        state = _state(7)
+        assert load_training_state(state) is state
+        with pytest.raises(TypeError):
+            load_training_state(7)
+
+
 class TestKillAndResume:
     def test_resume_is_bitwise_identical(self, tiny_graph, tiny_splits, detector_config, tmp_path):
         """Training killed after epoch 2 and resumed from its checkpoint
@@ -427,30 +498,50 @@ class TestInstrumentPropagation:
         propagate_instrument(Loop(), self._registry())  # must terminate
 
 
-class TestFaultPlan:
-    def test_deterministic_per_epoch(self):
-        plan = FaultPlan(num_workers=8, crash_prob=0.4, straggler_prob=0.3, seed=5)
-        again = FaultPlan(num_workers=8, crash_prob=0.4, straggler_prob=0.3, seed=5)
-        for epoch in range(10):
-            assert plan.epoch_faults(epoch) == again.epoch_faults(epoch)
+class TestFaultPlanWorkerSchedules:
+    """A plan is data: validated once, read back per epoch."""
 
-    def test_always_one_survivor(self):
-        plan = FaultPlan(num_workers=4, crash_prob=1.0, seed=0)
-        for epoch in range(5):
-            crashed = [w for w, k in plan.epoch_faults(epoch).items() if k == "crash"]
-            assert len(crashed) < 4
+    def _plan(self):
+        from repro.reliability import FaultPlan
 
-    def test_scripted_schedule(self):
-        plan = FaultPlan(num_workers=4, crash_schedule={0: [2], 3: [0, 1]})
-        assert plan.epoch_faults(0) == {2: "crash"}
-        assert plan.epoch_faults(1) == {}
-        assert plan.epoch_faults(3) == {0: "crash", 1: "crash"}
+        return FaultPlan(
+            num_workers=4,
+            worker_kill={1: [3, 2]},
+            worker_rejoin={3: [2]},
+            worker_slow={2: {1: 4.0}},
+            grad_corrupt={2: [3], 4: {0: "bitflip"}},
+        )
 
-    def test_max_failures_cap(self):
-        plan = FaultPlan(num_workers=6, crash_prob=1.0, max_failures_per_epoch=2, seed=1)
-        for epoch in range(4):
-            crashed = [w for w, k in plan.epoch_faults(epoch).items() if k == "crash"]
-            assert len(crashed) <= 2
+    def test_accessors_return_the_epochs_entries(self):
+        plan = self._plan()
+        assert plan.kills_at(1) == [2, 3] and plan.kills_at(0) == []
+        assert plan.rejoins_at(3) == [2]
+        assert plan.slow_at(2) == {1: 4.0} and plan.slow_at(3) == {}
+        assert plan.corrupt_at(2) == {3: "nan"}  # a plain id list means nan
+        assert plan.corrupt_at(4) == {0: "bitflip"}
+
+    def test_accessors_hand_out_copies(self):
+        plan = self._plan()
+        plan.kills_at(1).append(0)
+        plan.slow_at(2)[0] = 9.0
+        assert plan.kills_at(1) == [2, 3] and plan.slow_at(2) == {1: 4.0}
+
+    @pytest.mark.parametrize(
+        "schedule",
+        [
+            {"worker_kill": {0: [4]}},
+            {"worker_rejoin": {0: [-1]}},
+            {"worker_slow": {0: {9: 2.0}}},
+            {"worker_slow": {0: {1: 0.5}}},
+            {"grad_corrupt": {0: [7]}},
+            {"grad_corrupt": {0: {1: "zeroed"}}},
+        ],
+    )
+    def test_invalid_schedules_rejected(self, schedule):
+        from repro.reliability import FaultPlan
+
+        with pytest.raises(ValueError):
+            FaultPlan(num_workers=4, **schedule)
 
 
 class TestRetryInstrumentation:

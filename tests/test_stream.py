@@ -614,6 +614,64 @@ class TestOnlineFineTuner:
         # The gate re-arms after an update.
         assert tuner.maybe_update(graph, labelled) is None
 
+    def test_crashed_tuner_resumes_its_lineage(self, tmp_path):
+        """k updates, then a fresh tuner (fresh model, fresh optimizer)
+        resumed from the k-th checkpoint: update k+1 is the one the
+        uninterrupted run takes — loss, weights and optimizer moments
+        bit for bit, and it is numbered k."""
+        graph = self._labelled_graph()
+        labelled = [int(node) for node in graph.txn_nodes[:48]]
+        config = FineTuneConfig(min_labels=8, max_nodes=32, batch_size=8, every_labels=8)
+
+        def tuner_with(directory):
+            model = XFraudDetectorPlus(DetectorConfig(feature_dim=graph.feature_dim, seed=0))
+            manager = CheckpointManager(str(tmp_path / directory), keep_last=2)
+            return OnlineFineTuner(model, config, checkpoint=manager), manager
+
+        def update(tuner, window):
+            tuner.notify_labels(8)
+            return tuner.maybe_update(graph, labelled[:window])
+
+        straight, manager = tuner_with("straight")
+        for window in (32, 40):
+            update(straight, window)
+        crashed_at = manager.latest()
+        expected = update(straight, 48)
+
+        resumed, _ = tuner_with("resumed")
+        resumed.resume(crashed_at)
+        record = update(resumed, 48)
+        assert record.update == expected.update == 2
+        assert record.loss == expected.loss
+        assert record.checkpoint.endswith("ckpt-000002.npz")
+        for (name, a), (_, b) in zip(
+            straight.model.named_parameters(), resumed.model.named_parameters()
+        ):
+            np.testing.assert_array_equal(a.data, b.data, err_msg=name)
+        ours, theirs = (t.trainer.optimizer.state_dict() for t in (straight, resumed))
+        assert ours.keys() == theirs.keys()
+        for key, value in ours.items():
+            if isinstance(value, list):
+                for a, b in zip(value, theirs[key]):
+                    np.testing.assert_array_equal(a, b, err_msg=key)
+            else:
+                assert value == theirs[key], key
+
+    def test_resume_accepts_a_manager(self, tmp_path):
+        graph = self._labelled_graph()
+        model = XFraudDetectorPlus(DetectorConfig(feature_dim=graph.feature_dim, seed=0))
+        manager = CheckpointManager(str(tmp_path))
+        config = FineTuneConfig(min_labels=8, max_nodes=16, batch_size=8, every_labels=8)
+        first = OnlineFineTuner(model, config, checkpoint=manager)
+        first.notify_labels(8)
+        first.maybe_update(graph, [int(node) for node in graph.txn_nodes[:16]])
+
+        fresh = XFraudDetectorPlus(DetectorConfig(feature_dim=graph.feature_dim, seed=0))
+        second = OnlineFineTuner(fresh, config, checkpoint=manager)
+        second.resume(manager)
+        for (name, a), (_, b) in zip(model.named_parameters(), fresh.named_parameters()):
+            np.testing.assert_array_equal(a.data, b.data, err_msg=name)
+
 
 # ----------------------------------------------------------------------
 # StreamScorer

@@ -5,6 +5,7 @@ import pytest
 
 from repro.models import DetectorConfig, GEMModel, XFraudDetectorPlus
 from repro.train import TrainConfig, Trainer, measure_inference_time, roc_auc
+from repro.util import release_free_memory
 
 
 class TestTraining:
@@ -67,6 +68,36 @@ class TestTraining:
             return model.predict_proba(tiny_graph, train[:5])
 
         np.testing.assert_allclose(run(), run())
+
+
+class TestFitReturnsItsHeap:
+    """A fit-then-serve process must not stay as big as the tape was."""
+
+    def test_fit_trims_once_when_done(self, monkeypatch, tiny_graph, tiny_splits, detector_config):
+        train, _ = tiny_splits
+        calls = []
+        monkeypatch.setattr("repro.train.trainer.release_free_memory", lambda: calls.append(1))
+        Trainer(GEMModel(detector_config), TrainConfig(epochs=2)).fit(tiny_graph, train)
+        assert calls == [1]  # once per fit, not per epoch or step
+
+    def test_free_memory_under_a_live_block_goes_back(self):
+        if not release_free_memory():
+            pytest.skip("this libc has no malloc_trim")
+
+        def rss_mib():
+            with open("/proc/self/statm") as handle:
+                return int(handle.read().split()[1]) * 4096 / 2**20
+
+        # 100 MiB in 64 KiB blocks (under any mmap threshold, so from the
+        # heap), then free all but one in a hundred: free() can return
+        # none of it, the survivors sit above every hole.
+        blocks = [np.ones(8192) for _ in range(1600)]
+        pins = blocks[::100]
+        del blocks
+        before = rss_mib()
+        assert release_free_memory()
+        assert before - rss_mib() > 50
+        assert all(pin.sum() == 8192 for pin in pins)
 
 
 class TestInferenceTiming:
