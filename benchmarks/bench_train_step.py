@@ -13,6 +13,14 @@ it). When every step ran over the whole graph the ratio read 5.0x
 (139 -> 692 ms). What still follows the graph is the dropout mask,
 drawn at the parent's edge count so that every edge keeps the mask it
 would have had there.
+
+``test_step_vs_inference_ratio_floor`` holds the other half: a step's
+convolution is one tape node per layer over the kernel ``predict_proba``
+runs, with a hand-derived backward, so a full step (loss, backward,
+clip, AdamW) costs at most ``STEP_VS_INFERENCE_BUDGET``x scoring the
+same targets on the same field — again a ratio of two timings
+alternated in one process. It reads 3-4x; when every op and every
+node/edge type was its own ``Tensor`` it read 10x or more.
 """
 
 import numpy as np
@@ -24,6 +32,7 @@ from repro.graph.sampling import SampledSubgraph, receptive_field, stack_subgrap
 from repro.models import XFraudDetectorPlus
 
 STEP_RATIO_BUDGET = 1.5  # step on 4 copies of the graph vs on 1, same batch
+STEP_VS_INFERENCE_BUDGET = 6.0  # full step vs predict_proba on the batch's field
 STEP_SAMPLES = 9
 BATCH = 64
 COPIES = 4
@@ -66,3 +75,36 @@ def test_step_ratio_floor():
         f"{graphs[1].num_edges:,} -> {ratio:.2f}x (budget <= {STEP_RATIO_BUDGET:.1f}x)"
     )
     assert ratio <= STEP_RATIO_BUDGET
+
+
+def test_step_vs_inference_ratio_floor():
+    """Training must run at the inference kernel's speed, not the tape's."""
+    bundle = load_dataset("ebay-small-sim", seed=0, scale=0.25)
+    batch = np.random.default_rng(0).permutation(bundle.train_nodes)[:BATCH]
+    field = receptive_field(bundle.graph, batch, hops=2)
+    model = XFraudDetectorPlus(model_config(bundle.graph.feature_dim, seed=0))
+    optimizer = nn.AdamW(model.parameters(), lr=1e-2)
+    model.train()
+
+    def step():
+        optimizer.zero_grad()
+        model.loss(bundle.graph, batch).backward()
+        nn.clip_grad_norm(model.parameters(), 0.25)
+        optimizer.step()
+
+    def score():
+        model.predict_proba(field.graph, field.target_local)
+
+    samples = {step: [], score: []}
+    step()  # build the CSR, grow the heap to the step's working set
+    for _ in range(STEP_SAMPLES):  # alternate, so a slow spell of the box hits both
+        for fn, times in samples.items():
+            times.append(best_us(fn, number=1))
+    step_us, score_us = (float(np.median(times)) for times in samples.values())
+    ratio = step_us / score_us
+    print(
+        f"\n{BATCH}-target step {step_us / 1e3:.1f} ms vs predict_proba {score_us / 1e3:.1f} ms "
+        f"on its field ({field.graph.num_nodes:,} nodes / {field.graph.num_edges:,} edges) "
+        f"-> {ratio:.2f}x (budget <= {STEP_VS_INFERENCE_BUDGET:.1f}x)"
+    )
+    assert ratio <= STEP_VS_INFERENCE_BUDGET

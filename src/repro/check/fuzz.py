@@ -3,8 +3,9 @@
 Every fast or durable path in the stack has a slower executable spec:
 the vectorized samplers have the scalar reference walk, the CSR delta
 merge has the full stable rebuild, a micro-batch of n has n batches
-of one through the same pipeline, the detector's plain-array inference
-kernel has its autograd forward, the header-memoising row decoder has ``np.load``, a training step on
+of one through the same pipeline, the detector's plain-array convolution
+kernel and its hand-derived backward have the op-by-op ``Tensor`` layer
+(:mod:`.reference`), the header-memoising row decoder has ``np.load``, a training step on
 the batch's receptive field has the same step on the whole graph, every
 autograd op has its central difference, the elastic supervisor has the
 fault-free engine it drives (and, under faults, a by-hand all-reduce
@@ -321,17 +322,45 @@ def _fuzz_wal(seed: int, size: int) -> Optional[str]:
     return None
 
 
+def _cut_edges(rng: np.random.Generator, graph, shape: str):
+    """``graph`` ``"thinned"`` to about half its directed edges (one-way
+    links, isolated nodes), cut to a ``"single-edge"`` or left
+    ``"edgeless"``; any other ``shape`` keeps every edge."""
+    keep = np.ones(graph.num_edges, dtype=bool)
+    if shape == "thinned":
+        keep = rng.random(graph.num_edges) < 0.5
+    elif shape in ("single-edge", "edgeless"):
+        keep[:] = False
+        if shape == "single-edge" and graph.num_edges:
+            keep[int(rng.integers(0, graph.num_edges))] = True
+    return _with_edges(graph, keep)
+
+
+def _with_edges(graph, keep: np.ndarray):
+    """``graph`` with only the directed edges ``keep`` marks."""
+    from ..graph.hetero import HeteroGraph
+
+    return HeteroGraph(
+        node_type=graph.node_type,
+        edge_src=graph.edge_src[keep],
+        edge_dst=graph.edge_dst[keep],
+        edge_type=graph.edge_type[keep],
+        txn_features=graph.txn_features,
+        labels=graph.labels,
+    )
+
+
 @scenario("fused-vs-autograd-forward")
 def _fuzz_inference_forward(seed: int, size: int) -> Optional[str]:
-    """The detector's plain-array ``predict_proba`` kernel vs its
-    ``Tensor`` forward in eval mode: on a whole random graph, on the
+    """The detector's plain-array ``predict_proba`` kernel vs the per-op
+    ``Tensor`` forward (:mod:`.reference`) in eval mode: on a whole random graph, on the
     same graph with a random share of its directed edges dropped
     (targets without in-edges, down to no edges at all), and on a
     block-diagonal stack of sampled neighbourhoods."""
-    from ..graph.hetero import HeteroGraph
     from ..graph.sampling import SageSampler, stack_subgraphs
     from ..models.detector import DetectorConfig, XFraudDetector
     from ..models.inference import tensor_predict_proba
+    from .reference import PerOpDetector
 
     rng = np.random.default_rng(seed)
     graph = random_hetero_graph(rng, num_txns=size, feature_dim=5)
@@ -359,14 +388,7 @@ def _fuzz_inference_forward(seed: int, size: int) -> Optional[str]:
     sampler = SageSampler(hops=1 + size % 2, fanout=1 + size % 4, seed=seed & 0xFFFF)
     stacked = stack_subgraphs([sampler.sample(graph, [int(node)]) for node in targets])
     keep = rng.random(graph.num_edges) < rng.choice([0.0, 0.5, 0.9])
-    thinned = HeteroGraph(
-        node_type=graph.node_type,
-        edge_src=graph.edge_src[keep],
-        edge_dst=graph.edge_dst[keep],
-        edge_type=graph.edge_type[keep],
-        txn_features=graph.txn_features,
-        labels=graph.labels,
-    )
+    thinned = _with_edges(graph, keep)
     cases = (
         ("whole graph", graph, targets),
         ("thinned graph", thinned, targets),
@@ -374,7 +396,7 @@ def _fuzz_inference_forward(seed: int, size: int) -> Optional[str]:
     )
     for label, case_graph, case_targets in cases:
         fused = detector.predict_proba(case_graph, case_targets)
-        reference = tensor_predict_proba(detector, case_graph, case_targets)
+        reference = tensor_predict_proba(PerOpDetector(detector), case_graph, case_targets)
         worst = float(np.abs(fused - reference).max())
         if not worst <= 1e-12:  # also catches NaN
             return (
@@ -532,12 +554,28 @@ def _field_problem(graph, targets: np.ndarray, hops: int) -> Optional[str]:
     return None
 
 
+def _grads_problem(named, reference, ours: str, theirs: str) -> Optional[str]:
+    """``(name, tensor)`` pairs against their twins: every gradient
+    within 1e-12 of its scale; a missing one only matches a missing one
+    (the optimiser skips those). ``ours`` / ``theirs`` name the sides."""
+    for (name, tensor), (_, twin) in zip(named, reference):
+        if (tensor.grad is None) != (twin.grad is None):
+            sides = ["missing" if t.grad is None else "present" for t in (tensor, twin)]
+            return f"grad of {name}: {sides[0]} on {ours}, {sides[1]} on {theirs}"
+        if tensor.grad is None:
+            continue
+        worst = float(np.abs(tensor.grad - twin.grad).max(initial=0.0))
+        if not worst <= 1e-12 * max(1.0, float(np.abs(twin.grad).max(initial=0.0))):
+            return f"grad of {name}: max |{ours} - {theirs}| = {worst:.3e}"
+    return None
+
+
 def _step_problem(model, graph, targets: np.ndarray) -> Optional[str]:
     """One ``model.loss`` + backward (the receptive-field step) against
     the same loss on the whole graph, from the same parameters and
     generator states: loss within 1e-9, every parameter gradient within
-    1e-12 of its scale (a missing gradient only matches a missing one:
-    the optimiser skips those), generators left in the same state."""
+    1e-12 of its scale (:func:`_grads_problem`), generators left in the
+    same state."""
     from ..nn import functional as F
     from ..reliability.checkpoint import collect_rng_states
 
@@ -549,19 +587,11 @@ def _step_problem(model, graph, targets: np.ndarray) -> Optional[str]:
     reference.backward()
     if not abs(loss.item() - reference.item()) <= 1e-9:
         return f"loss {loss.item()!r} != whole-graph {reference.item()!r}"
-    named = zip(model.named_parameters(), whole.parameters())
-    for (name, param), twin in named:
-        if (param.grad is None) != (twin.grad is None):
-            sides = ["missing" if p.grad is None else "present" for p in (param, twin)]
-            return f"grad of {name}: {sides[0]} on the field, {sides[1]} on the whole graph"
-        if param.grad is None:
-            continue
-        worst = float(np.abs(param.grad - twin.grad).max(initial=0.0))
-        if not worst <= 1e-12 * max(1.0, float(np.abs(twin.grad).max(initial=0.0))):
-            return f"grad of {name}: max |field - whole graph| = {worst:.3e}"
     if collect_rng_states(model) != collect_rng_states(whole):
         return "generator states differ after the step"
-    return None
+    return _grads_problem(
+        model.named_parameters(), whole.named_parameters(), "the field", "the whole graph"
+    )
 
 
 @scenario("pruned-step-vs-full-graph")
@@ -574,7 +604,6 @@ def _fuzz_pruned_step(seed: int, size: int) -> Optional[str]:
     cut to a single edge or none, and growing under ``append_delta``;
     batches with repeats, and batches of every transaction (a closure
     that is the whole graph)."""
-    from ..graph.hetero import HeteroGraph
     from ..models.detector import DetectorConfig, XFraudDetector
     from ..models.gat import GATModel
     from ..models.gem import GEMModel
@@ -583,21 +612,7 @@ def _fuzz_pruned_step(seed: int, size: int) -> Optional[str]:
     rng = np.random.default_rng(seed)
     graph = random_hetero_graph(rng, num_txns=size, feature_dim=5)
     shape = str(rng.choice(["whole", "thinned", "single-edge", "edgeless", "live"]))
-    keep = np.ones(graph.num_edges, dtype=bool)
-    if shape == "thinned":
-        keep = rng.random(graph.num_edges) < 0.5
-    elif shape in ("single-edge", "edgeless"):
-        keep[:] = False
-        if shape == "single-edge" and graph.num_edges:
-            keep[int(rng.integers(0, graph.num_edges))] = True
-    graph = HeteroGraph(
-        node_type=graph.node_type,
-        edge_src=graph.edge_src[keep],
-        edge_dst=graph.edge_dst[keep],
-        edge_type=graph.edge_type[keep],
-        txn_features=graph.txn_features,
-        labels=graph.labels,
-    )
+    graph = _cut_edges(rng, graph, shape)
 
     heads = int(rng.integers(1, 4))
     kind = int(rng.integers(0, 7))
@@ -981,6 +996,159 @@ def _fuzz_gradients(seed: int, size: int) -> Optional[str]:
                     f"{name}: input {position} of shape {array.shape}: "
                     f"max |backward - central difference| = {worst:.3e}"
                 )
+    return None
+
+
+def _fused_step_problem(detector, graph, targets, labels, edge_rows, masks) -> Optional[str]:
+    """One loss + backward through the detector's fused convolution
+    nodes against the same through :class:`~.reference.PerOpDetector`,
+    from the same parameters and generator states: loss within 1e-12,
+    gradients of every parameter and of the explainer's masks (``masks``:
+    their values, or ``None``) per :func:`_grads_problem`, generators
+    left in the same state."""
+    from .. import nn
+    from ..nn import functional as F
+    from ..reliability.checkpoint import collect_rng_states
+    from .reference import PerOpDetector
+
+    twin = copy.deepcopy(detector)
+    sides = []
+    for model, owner in ((detector, detector), (PerOpDetector(twin), twin)):
+        owner.zero_grad()
+        hooks = {} if masks is None else {
+            "edge_mask": nn.Parameter(masks[0].copy()),
+            "feature_mask": nn.Parameter(masks[1].copy()),
+        }
+        loss = F.cross_entropy(model.forward(graph, targets, edge_rows=edge_rows, **hooks), labels)
+        loss.backward()
+        sides.append((loss.item(), list(hooks.items()) + list(owner.named_parameters())))
+    (loss, named), (reference_loss, reference) = sides
+    if not abs(loss - reference_loss) <= 1e-12:
+        return f"loss {loss!r} != per-op tape {reference_loss!r}"
+    if collect_rng_states(detector) != collect_rng_states(twin):
+        return "generator states differ after the step"
+    return _grads_problem(named, reference, "the node", "the per-op tape")
+
+
+def _layer_gradient_problem(layer, graph, rng: np.random.Generator, masked: bool) -> Optional[str]:
+    """One convolution node's backward against central differences of
+    its kernel, eval mode: the directional derivative of a random
+    weighting of the output along a random direction of each input
+    (``h``, ``edge_mask`` when ``masked``, every parameter). A direction
+    whose probes flip a ReLU is skipped: a central difference across the
+    kink says nothing about the one-sided gradient."""
+    from .. import nn
+    from ..nn import Tensor
+
+    inputs = {"h": rng.normal(size=(graph.num_nodes, layer.in_dim))}
+    if masked:
+        inputs["edge_mask"] = rng.uniform(0.2, 0.9, size=graph.num_edges)
+    weights = rng.normal(size=(graph.num_nodes, layer.out_dim))
+
+    layer.zero_grad()
+    tensors = {name: Tensor(array.copy(), requires_grad=True) for name, array in inputs.items()}
+    out = layer(graph, tensors["h"], edge_mask=tensors.get("edge_mask"))
+    (out * Tensor(weights)).sum().backward()
+    active = out.data > 0.0
+    grads = {name: tensor.grad for name, tensor in tensors.items()}
+    grads.update({name: param.grad for name, param in layer.named_parameters()})
+    arrays = dict(inputs, **{name: param.data for name, param in layer.named_parameters()})
+
+    for name, array in arrays.items():
+        if grads[name] is None:
+            return f"{name}: no gradient"
+        base, direction = array.copy(), rng.normal(size=array.shape)
+        kinked = False
+
+        def along(step: np.ndarray) -> float:
+            nonlocal kinked
+            array[...] = base + step[0] * direction
+            mask = Tensor(inputs["edge_mask"]) if masked else None
+            with nn.no_grad():
+                probe = layer(graph, Tensor(inputs["h"]), edge_mask=mask).data
+            kinked = kinked or not np.array_equal(probe > 0.0, active)
+            return float((probe * weights).sum())
+
+        expected = float(numerical_grad(along, np.zeros(1))[0])
+        array[...] = base
+        got = float((grads[name] * direction).sum())
+        if not kinked and not abs(got - expected) <= 1e-6 * max(1.0, abs(expected)):
+            return f"{name}: backward {got!r} along a random direction, central difference {expected!r}"
+    return None
+
+
+@scenario("fused-backward-vs-autograd")
+def _fuzz_fused_backward(seed: int, size: int) -> Optional[str]:
+    """The detector's convolution as one tape node (kernel + hand-derived
+    backward) vs the per-op ``Tensor`` layer (:mod:`.reference`), and
+    vs central differences of the kernel. All four ablation configs, one
+    to three layers; graphs whole, thinned, cut to a single edge or
+    none, and block-diagonal stacks of sampled neighbourhoods; train
+    mode (the node must draw the dropout masks ``F.dropout`` would, on
+    the graph and on a receptive field with ``edge_rows``) and eval;
+    with and without the explainer's ``edge_mask`` / ``feature_mask``."""
+    from ..graph.sampling import SageSampler, stack_subgraphs
+    from ..models.detector import DetectorConfig, XFraudDetector
+    from ..models.field import loss_field
+
+    rng = np.random.default_rng(seed)
+    graph = random_hetero_graph(rng, num_txns=size, feature_dim=5)
+    txns = graph.txn_nodes
+    targets = txns[rng.integers(0, len(txns), size=int(rng.integers(1, 6)))]  # repeats allowed
+    shape = str(rng.choice(["whole", "thinned", "single-edge", "edgeless", "stacked"]))
+    if shape == "stacked":
+        sampler = SageSampler(hops=1 + size % 2, fanout=1 + size % 4, seed=seed & 0xFFFF)
+        stacked = stack_subgraphs([sampler.sample(graph, [int(node)]) for node in targets])
+        graph, targets = stacked.graph, stacked.target_local
+    else:
+        graph = _cut_edges(rng, graph, shape)
+
+    heads, kind = int(rng.integers(1, 4)), int(rng.integers(0, 4))
+    config = DetectorConfig(
+        feature_dim=5,
+        hidden_dim=heads * int(rng.integers(1, 4)),
+        num_heads=heads,
+        num_layers=int(rng.integers(1, 4)),
+        ffn_hidden_dim=int(rng.integers(2, 7)),
+        dropout=0.3,
+        per_type_projections=bool(kind & 1),
+        target_specific_aggregation=bool(kind & 2),
+        seed=seed % 97,
+    )
+    detector = XFraudDetector(config)
+    for param in detector.parameters():  # zero-initialised embeddings would multiply terms away
+        param.data[...] = rng.normal(scale=0.5, size=param.data.shape)
+    where = (
+        f"kind {kind}, {config.num_layers} layers, {heads} heads, {shape} graph "
+        f"({graph.num_nodes} nodes, {graph.num_edges} edges), targets={targets.tolist()}"
+    )
+
+    labels = rng.integers(0, 2, size=len(targets))
+    field, _ = loss_field(graph, targets, hops=config.num_layers)
+    on_field = (field.graph, field.target_local, (graph.num_edges, field.edge_ids))
+    for training in (True, False):
+        detector.train(training)
+        for masked in (False, True):
+            case_graph, case_targets, edge_rows = (
+                on_field if rng.random() < 0.5 else (graph, targets, None)
+            )
+            masks = None
+            if masked:
+                masks = (
+                    rng.uniform(0.1, 0.9, size=case_graph.num_edges),
+                    rng.uniform(0.1, 0.9, size=case_graph.txn_features.shape),
+                )
+            problem = _fused_step_problem(
+                detector, case_graph, case_targets, labels, edge_rows, masks
+            )
+            if problem is not None:
+                mode = f"{'train' if training else 'eval'}, {'masks' if masked else 'no masks'}"
+                return f"{where}, {mode}, {'field' if edge_rows else 'graph'}: {problem}"
+    for index, layer in enumerate(detector.convs):
+        for masked in (False, True):
+            problem = _layer_gradient_problem(layer, graph, rng, masked)
+            if problem is not None:
+                return f"{where}, layer {index}{', edge_mask' if masked else ''}: {problem}"
     return None
 
 

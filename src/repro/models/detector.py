@@ -20,7 +20,7 @@ Figure 10) varies only the sampler.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -94,6 +94,32 @@ class XFraudDetector(nn.Module):
         self.head_dropout = nn.Dropout(config.dropout, rng=rng)
 
     # ------------------------------------------------------------------
+    @staticmethod
+    def _laid_out(graph: HeteroGraph) -> Tuple[InferenceLayout, np.ndarray]:
+        """The graph's layout, built once for all layers, and its
+        transaction features permuted into that order."""
+        layout = InferenceLayout.of(graph)
+        features = np.empty(graph.txn_features.shape)
+        features[layout.rank] = graph.txn_features
+        return layout, features
+
+    def _convolve(
+        self,
+        graph: HeteroGraph,
+        edge_mask: Optional[Tensor],
+        feature_mask: Optional[Tensor],
+        edge_rows: Optional[EdgeRows],
+    ) -> Tuple[InferenceLayout, Tensor]:
+        """The convolution stack, one tape node per layer: the layout
+        and the ``(N, hidden_dim)`` output in layout order."""
+        layout, features = self._laid_out(graph)
+        h = Tensor(features)
+        if feature_mask is not None:
+            h = h * nn.scatter_rows(feature_mask, layout.rank, graph.num_nodes)
+        for conv in self.convs:
+            h = conv(layout, h, edge_mask=edge_mask, edge_rows=edge_rows)
+        return layout, h
+
     def node_representations(
         self,
         graph: HeteroGraph,
@@ -108,13 +134,8 @@ class XFraudDetector(nn.Module):
         ``edge_rows`` is :meth:`loss`'s: which edges of which parent
         ``graph`` holds (see :meth:`HeteroConvLayer.forward`).
         """
-        features = Tensor(graph.txn_features)
-        if feature_mask is not None:
-            features = features * feature_mask
-        h = features
-        for conv in self.convs:
-            h = conv(graph, h, edge_mask=edge_mask, edge_rows=edge_rows)
-        return h
+        layout, h = self._convolve(graph, edge_mask, feature_mask, edge_rows)
+        return nn.gather(h, layout.rank)
 
     def forward(
         self,
@@ -126,14 +147,22 @@ class XFraudDetector(nn.Module):
     ) -> Tensor:
         """Logits ``(len(targets), num_classes)`` for target txn nodes."""
         targets = np.asarray(targets, dtype=np.int64)
-        h = self.node_representations(
-            graph, edge_mask=edge_mask, feature_mask=feature_mask, edge_rows=edge_rows
-        )
-        gnn_out = nn.gather(h, targets).tanh()
+        layout, h = self._convolve(graph, edge_mask, feature_mask, edge_rows)
+        return self.head(graph, targets, nn.gather(h, layout.rank[targets]), feature_mask)
+
+    def head(
+        self,
+        graph: HeteroGraph,
+        targets: np.ndarray,
+        h: Tensor,
+        feature_mask: Optional[Tensor] = None,
+    ) -> Tensor:
+        """The FFN head on the targets' convolution output ``h``
+        (``(len(targets), hidden_dim)``), on the per-op tape."""
         original = Tensor(graph.txn_features[targets])
         if feature_mask is not None:
             original = original * feature_mask[targets]
-        x = nn.concat([gnn_out, original], axis=1)
+        x = nn.concat([h.tanh(), original], axis=1)
 
         x = self.head_fc1(x)
         x = self.head_dropout(x)
@@ -145,16 +174,15 @@ class XFraudDetector(nn.Module):
 
     # ------------------------------------------------------------------
     def predict_proba(self, graph: HeteroGraph, targets: Sequence[int]) -> np.ndarray:
-        """Fraud probability per target: :meth:`forward` in eval mode,
-        computed on plain arrays (no ``Tensor``, no tape, no dropout —
-        ``self.training`` is neither read nor changed)."""
-        layout = InferenceLayout.of(graph)
+        """Fraud probability per target: :meth:`forward` in eval mode on
+        plain arrays — the layers' own :meth:`HeteroConvLayer.kernel`
+        with nothing saved, then the head (no ``Tensor``, no tape, no
+        dropout; ``self.training`` is neither read nor changed)."""
+        layout, features = self._laid_out(graph)
         position = layout.rank[np.asarray(targets, dtype=np.int64)]
-        features = np.empty(graph.txn_features.shape)
-        features[layout.rank] = graph.txn_features
         h = features
         for conv in self.convs:
-            h = conv.forward_inference(layout, h)
+            h, _ = conv.kernel(layout, h)
 
         x = np.concatenate([np.tanh(h[position]), features[position]], axis=1)
         for fc, norm in ((self.head_fc1, self.head_norm1), (self.head_fc2, self.head_norm2)):

@@ -18,25 +18,34 @@ Unlike HGT there is **no target-specific aggregation**: the output path
 (residual + layer norm + ReLU) shares weights across node types, which
 the paper reports works better on transaction graphs.
 
-The layer has two forwards over the same parameters. ``forward`` runs
-on the autograd :class:`~repro.nn.Tensor` (training, the explainer's
-masks). ``forward_inference`` is the same function on plain arrays for
-scoring: it needs no tape, so it can reorder the algebra (see
-:class:`InferenceLayout`) and costs a few dozen numpy calls per layer
-instead of one ``Tensor`` per op and per node/edge type.
+The layer is **one autograd node over one kernel**. The kernel is the
+convolution on plain arrays in :class:`InferenceLayout` order, with the
+algebra reordered for speed (bilinears on nodes instead of edges, the
+``φ(e)^emb`` term as a small table, segment reductions over contiguous
+in-neighbourhoods); ``predict_proba`` calls it with nothing saved.
+``forward`` calls the same kernel, keeps the activations and puts a
+single ``Tensor`` on the tape whose backward is the kernel's
+hand-derived vector-Jacobian product — a few dozen numpy calls per
+layer and step instead of one tape node per op and per node/edge type.
+The op-by-op ``Tensor`` version of the layer lives in
+:mod:`repro.check.reference`, as the spec ``repro check`` and the tests
+hold kernel and backward to.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from functools import cached_property
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
+from scipy import sparse
 
 from .. import nn
 from ..graph.hetero import EDGE_TYPES, NODE_TYPES, HeteroGraph
 from ..nn import Tensor
 from ..nn import functional as F
+from ..nn.segment import row_selector
 from .field import EdgeRows
 
 #: Edge-type ids grouped by the projection that serves their source
@@ -47,17 +56,26 @@ _EDGE_TYPES_BY_SOURCE = {
 }
 _EDGE_TYPES_BY_SOURCE["shared"] = np.arange(len(EDGE_TYPES))
 
+#: Below this many edges :meth:`InferenceLayout.segment_sum` reduces
+#: with ``np.add.reduceat``; from it on, through a sparse 0/1 matrix
+#: built once per layout. One scored sample (~70 edges, 64 columns)
+#: reduces in 8 µs where building the matrix alone costs 23 µs; on a
+#: training step's field or a stacked serving batch (1.4k–2.3k edges)
+#: ``reduceat`` costs 240–340 µs per call and the matrix product 35–55.
+_REDUCEAT_MAX_EDGES = 256
+
 
 @dataclass(frozen=True)
 class InferenceLayout:
-    """A graph's structure in the order the inference forward wants it.
+    """A graph's structure in the order the convolution kernel wants it.
 
-    Built once per ``predict_proba`` call and shared by every layer.
-    Nodes are renumbered so each node type is one contiguous block
-    (the per-type weights then apply to slices, not gathered rows), and
-    edges are stably sorted by their renumbered target, so every
-    in-neighbourhood is a contiguous run that ``ufunc.reduceat`` can
-    reduce from its first edge.
+    Built once per forward and shared by every layer. Nodes are
+    renumbered so each node type is one contiguous block (the per-type
+    weights then apply to slices, not gathered rows), and edges are
+    stably sorted by their renumbered target, so every in-neighbourhood
+    is a contiguous run reducible from its first edge. What only a
+    backward needs (:meth:`sum_by_source`, :meth:`sum_by_relation`) is
+    built on first use, so a scoring call never pays for it.
     """
 
     #: ``rank[v]`` is the position of the graph's node ``v``.
@@ -66,6 +84,9 @@ class InferenceLayout:
     node_type: np.ndarray
     #: ``(type_id, start, stop)`` per node type present.
     type_blocks: List[Tuple[int, int, int]]
+    #: ``(E,)`` the graph's edge id per edge here: per-edge inputs in
+    #: the graph's order (``edge_mask``, dropout rows) are gathered by it.
+    order: np.ndarray
     #: ``(E,)`` edge endpoints (as positions) and types, sorted by ``dst``.
     src: np.ndarray
     dst: np.ndarray
@@ -98,6 +119,7 @@ class InferenceLayout:
             rank=rank,
             node_type=node_type,
             type_blocks=type_blocks,
+            order=by_dst,
             src=rank[graph.edge_src[by_dst]],
             dst=dst,
             edge_type=graph.edge_type[by_dst],
@@ -105,6 +127,84 @@ class InferenceLayout:
             heads=dst[starts],
             segment=np.cumsum(first) - 1,
         )
+
+    @cached_property
+    def _by_target(self) -> sparse.csr_matrix:
+        """``(S, E)``: row ``s`` selects in-neighbourhood ``s`` — the
+        edges are sorted, so ``starts`` is the CSR row pointer as is."""
+        num_edges = len(self.src)
+        return sparse.csr_matrix(
+            (np.ones(num_edges), np.arange(num_edges), np.append(self.starts, num_edges)),
+            shape=(len(self.starts), num_edges),
+        )
+
+    @cached_property
+    def _by_source(self) -> sparse.csr_matrix:
+        return row_selector(self.src, len(self.node_type))
+
+    @cached_property
+    def _by_relation(self) -> sparse.csr_matrix:
+        relation = self.node_type[self.src] * len(EDGE_TYPES) + self.edge_type
+        return row_selector(relation, len(NODE_TYPES) * len(EDGE_TYPES))
+
+    def segment_sum(self, values: np.ndarray) -> np.ndarray:
+        """``(E, k)`` per-edge rows summed over each non-empty
+        in-neighbourhood: ``(S, k)``, row ``i`` belonging to node
+        ``heads[i]``. How is this layout's choice, from its edge count
+        (see :data:`_REDUCEAT_MAX_EDGES`)."""
+        if len(self.src) < _REDUCEAT_MAX_EDGES:
+            return np.add.reduceat(values, self.starts, axis=0)
+        return self._by_target @ values
+
+    def sum_by_source(self, values: np.ndarray) -> np.ndarray:
+        """``(E, k)`` per-edge rows summed into their source node: ``(N, k)``."""
+        return self._by_source.T @ values
+
+    def sum_by_relation(self, values: np.ndarray) -> np.ndarray:
+        """``(E, k)`` per-edge rows summed per (source node type, edge
+        type): ``(len(NODE_TYPES) * len(EDGE_TYPES), k)``."""
+        return self._by_relation.T @ values
+
+
+def _softmax_vjp(layout: InferenceLayout, attention: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Backward of the per-neighbourhood softmax, ``a·(g − Σ_seg g·a)``."""
+    return attention * (grad - layout.segment_sum(grad * attention)[layout.segment])
+
+
+def _apply_blocks(layout: InferenceLayout, x: np.ndarray, weights: dict) -> np.ndarray:
+    """``x W + b`` with each type block through its own ``(W, b)``
+    (or all rows through ``weights["shared"]``)."""
+    if "shared" in weights:
+        weight, bias = weights["shared"]
+        return x @ weight + bias
+    out = np.empty((len(x), weights[NODE_TYPES[0]][0].shape[1]))
+    for type_id, start, stop in layout.type_blocks:
+        weight, bias = weights[NODE_TYPES[type_id]]
+        np.matmul(x[start:stop], weight, out=out[start:stop])
+        out[start:stop] += bias
+    return out
+
+
+def _apply_blocks_vjp(
+    layout: InferenceLayout, x: np.ndarray, weights: dict, grad: np.ndarray, need_d_x: bool = True
+) -> Tuple[Optional[np.ndarray], Dict[str, Tuple[np.ndarray, np.ndarray]]]:
+    """Backward of :func:`_apply_blocks`: ``(d_x, {key: (d_W, d_b)})``,
+    ``d_x`` only if needed. A type with no rows gets zeros, not nothing:
+    an optimiser step (weight decay, moment decay) must not depend on
+    which node types a batch's receptive field happens to contain."""
+    if "shared" in weights:
+        d_x = grad @ weights["shared"][0].T if need_d_x else None
+        return d_x, {"shared": (x.T @ grad, grad.sum(axis=0))}
+    d_x = np.empty_like(x) if need_d_x else None
+    d_weights = {
+        key: (np.zeros_like(weight), np.zeros_like(bias)) for key, (weight, bias) in weights.items()
+    }
+    for type_id, start, stop in layout.type_blocks:
+        key = NODE_TYPES[type_id]
+        if need_d_x:
+            np.matmul(grad[start:stop], weights[key][0].T, out=d_x[start:stop])
+        d_weights[key] = (x[start:stop].T @ grad[start:stop], grad[start:stop].sum(axis=0))
+    return d_x, d_weights
 
 
 class HeteroConvLayer(nn.Module):
@@ -200,167 +300,93 @@ class HeteroConvLayer(nn.Module):
             )
 
     # ------------------------------------------------------------------
-    def _per_type_project(
-        self, x: Tensor, node_type: np.ndarray, linears: nn.ModuleDict
-    ) -> Tensor:
-        """Apply the type-specific linear of each node's type.
-
-        Equivalent to indexing a per-type weight stack; implemented by
-        computing each type's projection on its node slice and
-        scattering back, so each row passes through exactly one linear.
-        """
-        if not self.per_type_projections:
-            return linears["shared"](x)
-        return self._apply_per_type(x, node_type, linears)
-
-    def _apply_per_type(
-        self, x: Tensor, node_type: np.ndarray, linears: nn.ModuleDict
-    ) -> Tensor:
-        """Route each row through its type's linear (always per-type).
-
-        A type with no rows still passes its zero-row block through, so
-        every type's parameters are on the tape — and get a gradient, if
-        only zeros — whatever the graph holds. An optimiser step (weight
-        decay, moment decay) then does not depend on which node types a
-        batch's receptive field happens to contain.
-        """
-        num_nodes = x.shape[0]
-        indices = [np.flatnonzero(node_type == type_id) for type_id in range(len(NODE_TYPES))]
-        pieces = [
-            linears[type_name](nn.gather(x, rows)) for type_name, rows in zip(NODE_TYPES, indices)
-        ]
-        return nn.scatter_rows(nn.concat(pieces, axis=0), np.concatenate(indices), num_nodes)
-
-    # ------------------------------------------------------------------
     def forward(
         self,
-        graph: HeteroGraph,
+        layout: Union[InferenceLayout, HeteroGraph],
         h: Tensor,
         edge_mask: Optional[Tensor] = None,
         edge_rows: Optional[EdgeRows] = None,
     ) -> Tensor:
-        """One round of heterogeneous message passing.
+        """One round of heterogeneous message passing, as one tape node.
 
         Parameters
         ----------
-        graph:
-            The (sub)graph being convolved; supplies node/edge types
-            and the edge list.
+        layout:
+            The :class:`InferenceLayout` of the (sub)graph being
+            convolved, built once by the caller for all its layers. A
+            layer called on its own may pass the graph itself: it is
+            laid out here, and ``h`` and the result are then rows in the
+            graph's node order.
         h:
-            ``(num_nodes, in_dim)`` input representations — raw
-            transaction features at layer 1, ``H^{l-1}`` afterwards.
+            ``(num_nodes, in_dim)`` input representations in ``layout``
+            order — raw transaction features at layer 1, ``H^{l-1}``
+            afterwards.
         edge_mask:
-            The GNNExplainer hook: per-edge weights in [0, 1] that
-            scale the normalised attention (in place of dropout), so a
-            fully-masked edge contributes nothing.
+            The GNNExplainer hook: per-edge weights in [0, 1], in the
+            graph's edge order, that scale the normalised attention (in
+            place of dropout), so a fully-masked edge contributes
+            nothing. Gradients flow to it, to ``h`` and to every
+            parameter of the layer (zeros for a node type the graph
+            does not hold).
         edge_rows:
-            Set when ``graph`` is a
+            Set when the graph is a
             :func:`~repro.graph.sampling.receptive_field` of a parent
             graph (:data:`~repro.models.field.EdgeRows`): attention
             dropout then gives each edge the mask the parent's forward
-            would.
+            would — the draw is ``F.dropout(..., rows=edge_rows)``'s,
+            one ``random((extent, heads))`` per training forward.
         """
-        node_type = graph.node_type
-        src, dst = graph.edge_src, graph.edge_dst
-        num_nodes = graph.num_nodes
+        if isinstance(layout, HeteroGraph):
+            graph, layout = layout, InferenceLayout.of(layout)
+            h = nn.scatter_rows(h, layout.rank, graph.num_nodes)
+            return nn.gather(self.forward(layout, h, edge_mask, edge_rows), layout.rank)
 
-        if self.first_layer:
-            # eq. 2/4/6 input: X + τ(v)^emb  (+ φ(e)^emb handled below).
-            h = h + self.node_type_emb(node_type)
-
-        query = self._per_type_project(h, node_type, self.q_linear)
-        key = self._per_type_project(h, node_type, self.k_linear)
-        value = self._per_type_project(h, node_type, self.v_linear)
-
-        # Reshape to heads: (nodes, heads, head_dim).
-        query = query.reshape(num_nodes, self.num_heads, self.head_dim)
-        key = key.reshape(num_nodes, self.num_heads, self.head_dim)
-        value = value.reshape(num_nodes, self.num_heads, self.head_dim)
-
-        key_edges = nn.gather(key, src)
-        value_edges = nn.gather(value, src)
-
-        if self.first_layer:
-            # Linearity lets the per-edge φ(e)^emb term of eqs. 4/6 be
-            # added after projection: K(X+τ+φ) = K(X+τ) + K(φ) with the
-            # bias counted once. The projection type is the edge's
-            # source-node type.
-            key_extra = self._edge_type_contribution(graph.edge_type, self.k_linear)
-            value_extra = self._edge_type_contribution(graph.edge_type, self.v_linear)
-            key_edges = key_edges + key_extra.reshape(
-                graph.num_edges, self.num_heads, self.head_dim
-            )
-            value_edges = value_edges + value_extra.reshape(
-                graph.num_edges, self.num_heads, self.head_dim
-            )
-
-        # eq. 8 (mutual/bilinear form): per-edge per-head logits.
-        query_edges = nn.gather(query, dst)
-        key_att = self._per_type_bilinear(key_edges, node_type[src], self.att_src)
-        query_att = self._per_type_bilinear(query_edges, node_type[dst], self.att_dst)
-        logits = (key_att * query_att).sum(axis=2)
-        logits = logits * (1.0 / np.sqrt(self.head_dim))
-
-        # eq. 9: softmax over each target's in-neighbourhood.
-        attention = nn.segment_softmax(logits, dst, num_nodes)
-        if edge_mask is None:
-            attention = F.dropout(
-                attention, self.dropout_rate, training=self.training, rng=self._rng, rows=edge_rows
-            )
+        if edge_mask is not None:
+            scale = edge_mask.data.reshape(-1)[layout.order][:, None]
+        elif self.training and self.dropout_rate > 0.0:
+            # The mask F.dropout gives the attention rows in the graph's
+            # edge order (and, with ``edge_rows``, in the parent's),
+            # gathered into layout order.
+            extent, rows = len(layout.order), layout.order
+            if edge_rows is not None:
+                extent, rows = edge_rows[0], edge_rows[1][layout.order]
+            ones = Tensor(np.ones((len(rows), self.num_heads)))
+            scale = F.dropout(
+                ones, self.dropout_rate, training=True, rng=self._rng, rows=(extent, rows)
+            ).data
         else:
-            attention = attention * edge_mask.reshape(graph.num_edges, 1)
+            scale = None
+        return self._hetero_conv(layout, h, edge_mask, scale)
 
-        # eq. 10 + eq. 1 Aggregate: weight values, sum into targets.
-        messages = value_edges * attention.reshape(graph.num_edges, self.num_heads, 1)
-        aggregated = nn.segment_sum(messages, dst, num_nodes)
-        aggregated = aggregated.reshape(num_nodes, self.out_dim)
-
-        return self._output(graph, h, aggregated)
-
-    def _output(self, graph: HeteroGraph, h: Tensor, aggregated: Tensor) -> Tensor:
-        """ReLU on the aggregation; optionally per-type A-Linear."""
-        if self.target_specific:
-            aggregated = self._apply_per_type(
-                aggregated, graph.node_type, self.a_linear
-            )
-        return aggregated.relu()
-
-
-    def _per_type_bilinear(self, x: Tensor, types: np.ndarray, att: nn.Parameter) -> Tensor:
-        """Apply the type-specific attention matrix: rows of ``x``
-        (shape ``(n, heads, d)``) are multiplied by ``att[type]``
-        (``(heads, d, d)``) according to each row's type. Types with no
-        rows pass a zero-row block (see :meth:`_apply_per_type`)."""
-        indices = [np.flatnonzero(types == type_id) for type_id in range(len(NODE_TYPES))]
-        pieces = [
-            (nn.gather(x, rows).transpose(1, 0, 2) @ att[type_id]).transpose(1, 0, 2)  # (h, m, d)
-            for type_id, rows in enumerate(indices)
-        ]
-        return nn.scatter_rows(nn.concat(pieces, axis=0), np.concatenate(indices), x.shape[0])
-
-    def _edge_type_contribution(
-        self, edge_types: np.ndarray, linears: nn.ModuleDict
+    def _hetero_conv(
+        self,
+        layout: InferenceLayout,
+        h: Tensor,
+        edge_mask: Optional[Tensor],
+        scale: Optional[np.ndarray],
     ) -> Tensor:
-        """Bias-free projection of φ(e)^emb per edge.
+        """The tape node: :meth:`kernel` forward, its pullback backward,
+        parents ``h``, every parameter and ``edge_mask``. (The method's
+        name is the node's row in ``Profiler.report()``.)"""
+        params = dict(self.named_parameters())
+        parents = [h, *params.values()] + ([] if edge_mask is None else [edge_mask])
+        recording = nn.is_grad_enabled() and any(parent.requires_grad for parent in parents)
+        out, pullback = self.kernel(layout, h.data, scale, save=recording)
 
-        Every edge type has a fixed source-node type, so the projection
-        table has just ``len(EDGE_TYPES)`` rows: project the embedding
-        table once (8 small matmuls) and gather per edge, instead of
-        projecting a per-edge matrix.
-        """
-        rows: List[Tensor] = []
-        for type_name in EDGE_TYPES:
-            source_type = (
-                type_name.split("->")[0] if self.per_type_projections else "shared"
-            )
-            type_id = EDGE_TYPES.index(type_name)
-            embedding_row = self.edge_type_emb.weight[np.array([type_id])]
-            rows.append(embedding_row @ linears[source_type].weight)
-        table = nn.concat(rows, axis=0)
-        return nn.gather(table, edge_types)
+        def backward(grad: np.ndarray) -> None:
+            d_h, d_params, d_scale = pullback(grad, h.requires_grad)
+            if h.requires_grad:
+                h._accumulate(d_h)
+            for name, d_param in d_params.items():
+                if params[name].requires_grad:
+                    params[name]._accumulate(d_param)
+            if edge_mask is not None and edge_mask.requires_grad:
+                d_mask = np.empty(len(layout.order))
+                d_mask[layout.order] = d_scale.sum(axis=1)
+                edge_mask._accumulate(d_mask.reshape(edge_mask.shape))
 
-    # ------------------------------------------------------------------
-    # Inference forward (plain ndarrays, no tape)
+        return Tensor._make(out, parents, backward)
+
     # ------------------------------------------------------------------
     def _qkv_weights(self, key: str) -> Tuple[np.ndarray, np.ndarray]:
         """``[Q | K | V]`` weights and biases side by side, so the three
@@ -373,27 +399,20 @@ class HeteroConvLayer(nn.Module):
             np.concatenate([linear.bias.data for linear in linears]),
         )
 
-    def _apply_blocks(
-        self, layout: InferenceLayout, x: np.ndarray, weights: dict
-    ) -> np.ndarray:
-        """``x W + b`` with each type block through its own ``(W, b)``
-        (or all rows through ``weights["shared"]``)."""
-        if "shared" in weights:
-            weight, bias = weights["shared"]
-            return x @ weight + bias
-        out = np.empty((len(x), weights[NODE_TYPES[0]][0].shape[1]))
-        for type_id, start, stop in layout.type_blocks:
-            weight, bias = weights[NODE_TYPES[type_id]]
-            np.matmul(x[start:stop], weight, out=out[start:stop])
-            out[start:stop] += bias
-        return out
+    def kernel(
+        self,
+        layout: InferenceLayout,
+        h: np.ndarray,
+        scale: Optional[np.ndarray] = None,
+        save: bool = False,
+    ) -> Tuple[np.ndarray, Optional[Callable]]:
+        """The convolution on raw arrays: ``(out, pullback)``.
 
-    def forward_inference(self, layout: InferenceLayout, h: np.ndarray) -> np.ndarray:
-        """:meth:`forward` in eval mode on raw arrays.
-
-        ``h`` is ``(num_nodes, in_dim)`` in ``layout`` order; so is the
-        result. Differences from the tape's order of operations, all
-        exact up to float rounding:
+        ``h`` is ``(num_nodes, in_dim)`` in ``layout`` order; so is
+        ``out``. ``scale`` multiplies the normalised attention —
+        ``(num_edges, heads)`` or ``(num_edges, 1)``, in ``layout``'s
+        edge order. The algebra is eqs. 2–10 reordered, all exact up to
+        float rounding:
 
         * the attention bilinears act on nodes, not edges:
           ``(K A_src[τ(s)])[s] · (Q A_dst[τ(t)])[t]`` — ``N`` rows
@@ -402,18 +421,28 @@ class HeteroConvLayer(nn.Module):
         * the first layer's ``φ(e)^emb`` term is a table with a row per
           (source node type, edge type), pushed through the same
           bilinear and gathered per edge;
-        * segment max / sum run as ``reduceat`` over ``layout``'s
-          contiguous in-neighbourhoods.
+        * segment max / sum run over ``layout``'s contiguous
+          in-neighbourhoods.
+
+        With ``save`` the activations are kept and ``pullback(grad,
+        need_d_h)`` is the hand-derived backward: ``(d_h, {parameter
+        name: gradient}, d_scale)`` for the output gradient ``grad``,
+        every parameter of the layer named. ``d_scale`` is ``None`` when
+        no scale went in, ``d_h`` when not needed (the first layer's
+        input is data: that skips the layer's largest matmul). Without
+        ``save`` nothing is kept, buffers are reused and ``pullback`` is
+        ``None``.
         """
         heads, dim, out_dim = self.num_heads, self.head_dim, self.out_dim
         src, segment, starts = layout.src, layout.segment, layout.starts
         num_nodes, num_edges = len(h), len(src)
 
+        x = h
         if self.first_layer:
-            h = h + self.node_type_emb.weight.data[layout.node_type]
+            x = h + self.node_type_emb.weight.data[layout.node_type]
         keys = NODE_TYPES if self.per_type_projections else ("shared",)
         weights = {key: self._qkv_weights(key) for key in keys}
-        qkv = self._apply_blocks(layout, h, weights)
+        qkv = _apply_blocks(layout, x, weights)
         value = qkv[:, 2 * out_dim :].reshape(num_nodes, heads, dim)
 
         # eq. 8 per node: [Q·A_dst[τ(v)] | K·A_src[τ(v)]], heads of
@@ -430,7 +459,7 @@ class HeteroConvLayer(nn.Module):
 
         if self.first_layer:
             # K(φ) and V(φ) without bias, through the projection of the
-            # edge type's source node type (as _edge_type_contribution).
+            # edge type's source node type.
             edge_emb = self.edge_type_emb.weight.data
             extra = np.empty((len(EDGE_TYPES), 2 * out_dim))
             for key in keys:
@@ -439,33 +468,124 @@ class HeteroConvLayer(nn.Module):
             extra = extra.reshape(len(EDGE_TYPES), 2 * heads, dim)
             # (source node type, edge type, head, dim): K(φ)·A_src[τ(s)].
             key_extra_att = np.matmul(
-                extra[None, :, :heads, None, :], self.att_src.data[:, None]
+                extra[None, :, :heads, None, :], att[:, None, heads:]
             )[:, :, :, 0, :]
             key_att += key_extra_att[layout.node_type[src], layout.edge_type]
             value_edges += extra[layout.edge_type, heads:]
 
-        logits = np.einsum("ehd,ehd->eh", key_att, query_key_att[:, :heads][layout.dst])
+        query_att = query_key_att[:, :heads][layout.dst]
+        logits = np.einsum("ehd,ehd->eh", key_att, query_att)
         logits *= dim**-0.5
 
         # eq. 9: softmax over each contiguous in-neighbourhood.
         logits -= np.maximum.reduceat(logits, starts, axis=0)[segment]
         attention = np.exp(logits, out=logits)
-        attention /= np.add.reduceat(attention, starts, axis=0)[segment] + 1e-16
+        attention /= layout.segment_sum(attention)[segment] + 1e-16
+        scaled = attention if scale is None else attention * scale
 
         # eq. 10 + eq. 1 Aggregate; targets without in-edges stay zero.
-        value_edges *= attention[:, :, None]
+        # A scoring call reuses the value buffer; a recorded one keeps it.
+        messages = np.multiply(value_edges, scaled[:, :, None], out=None if save else value_edges)
         aggregated = np.zeros((num_nodes, out_dim))
-        aggregated[layout.heads] = np.add.reduceat(
-            value_edges.reshape(num_edges, out_dim), starts, axis=0
-        )
+        aggregated[layout.heads] = layout.segment_sum(messages.reshape(num_edges, out_dim))
+        out = aggregated
         if self.target_specific:
-            aggregated = self._apply_blocks(
-                layout,
-                aggregated,
-                {
-                    name: (linear.weight.data, linear.bias.data)
-                    for name, linear in self.a_linear.items()
-                },
-            )
-        return np.maximum(aggregated, 0.0, out=aggregated)
+            a_weights = {
+                name: (linear.weight.data, linear.bias.data)
+                for name, linear in self.a_linear.items()
+            }
+            out = _apply_blocks(layout, aggregated, a_weights)
+        np.maximum(out, 0.0, out=out)
+        if not save:
+            return out, None
 
+        def pullback(grad: np.ndarray, need_d_h: bool = True):
+            """The kernel above, bottom to top."""
+            grads: Dict[str, np.ndarray] = {}
+
+            # ReLU, then the per-target-type A-Linear.
+            grad = grad * (out > 0.0)
+            if self.target_specific:
+                grad, d_linears = _apply_blocks_vjp(layout, aggregated, a_weights, grad)
+                for key, (d_weight, d_bias) in d_linears.items():
+                    grads[f"a_linear.{key}.weight"], grads[f"a_linear.{key}.bias"] = d_weight, d_bias
+
+            # eq. 10: messages = value_edges · scaled attention. Per edge,
+            # [d(K·A_src) | dV] side by side, as one by-source sum wants them.
+            d_messages = grad.reshape(num_nodes, heads, dim)[layout.dst]
+            by_edge = np.empty((num_edges, 2 * heads, dim))
+            np.multiply(d_messages, scaled[:, :, None], out=by_edge[:, heads:])
+            d_scaled = np.einsum("ehd,ehd->eh", d_messages, value_edges)
+            d_scale = None
+            if scale is not None:
+                d_scale = d_scaled * attention
+                d_scaled = d_scaled * scale
+
+            # eqs. 9 and 8: softmax, then logits = key_att · query_att / sqrt(d).
+            d_logits = (_softmax_vjp(layout, attention, d_scaled) * dim**-0.5)[:, :, None]
+            np.multiply(d_logits, query_att, out=by_edge[:, :heads])
+            by_edge = by_edge.reshape(num_edges, 2 * out_dim)
+            by_source = layout.sum_by_source(by_edge).reshape(num_nodes, 2 * heads, dim)
+            # [d(Q·A_dst) | d(K·A_src)] per node: by target, by source.
+            d_query_key_att = np.zeros((num_nodes, 2 * heads, dim))
+            d_query_key_att[layout.heads, :heads] = layout.segment_sum(
+                (d_logits * key_att).reshape(num_edges, out_dim)
+            ).reshape(-1, heads, dim)
+            d_query_key_att[:, heads:] = by_source[:, :heads]
+
+            # The bilinears: one matmul per type block for each of
+            # d[Q | K] and d[A_dst | A_src]; absent types keep zeros.
+            d_qkv = np.empty((num_nodes, 3 * out_dim))
+            d_qkv[:, 2 * out_dim :] = by_source[:, heads:].reshape(num_nodes, out_dim)
+            d_query_key = d_qkv[:, : 2 * out_dim].reshape(num_nodes, 2 * heads, dim)  # a view
+            d_att = np.zeros_like(att)
+            for type_id, start, stop in layout.type_blocks:
+                block = d_query_key_att[start:stop].transpose(1, 0, 2)
+                d_query_key[start:stop] = np.matmul(
+                    block, att[type_id].swapaxes(-1, -2)
+                ).transpose(1, 0, 2)
+                d_att[type_id] = np.matmul(query_key[start:stop].transpose(1, 2, 0), block)
+            grads["att_dst"], grads["att_src"] = d_att[:, :heads], d_att[:, heads:]
+
+            # The stacked [Q | K | V] projection: one xᵀ·g / g·Wᵀ pair.
+            d_h, d_linears = _apply_blocks_vjp(layout, x, weights, d_qkv, need_d_h)
+
+            if self.first_layer:
+                # x = h + τ(v)^emb: a type's row gets its block's column
+                # sums of d_qkv through Wᵀ — the block sum of d_x, without d_x.
+                d_node_emb = np.zeros_like(self.node_type_emb.weight.data)
+                for type_id, start, stop in layout.type_blocks:
+                    weight = weights[NODE_TYPES[type_id] if self.per_type_projections else "shared"][0]
+                    d_node_emb[type_id] = d_qkv[start:stop].sum(axis=0) @ weight.T
+                grads["node_type_emb.weight"] = d_node_emb
+                # The φ(e)^emb table: its per-(source type, edge type) rows
+                # went through A_src (keys) or straight to the values.
+                by_relation = layout.sum_by_relation(by_edge).reshape(
+                    len(NODE_TYPES), len(EDGE_TYPES), 2 * heads, dim
+                )
+                d_key_extra_att = by_relation[:, :, :heads]
+                grads["att_src"] = grads["att_src"] + np.einsum(
+                    "rhi,trhj->thij", extra[:, :heads], d_key_extra_att
+                )
+                d_extra = np.concatenate(
+                    [
+                        np.einsum("trhj,thij->rhi", d_key_extra_att, att[:, heads:]),
+                        by_relation[:, :, heads:].sum(axis=0),
+                    ],
+                    axis=1,
+                ).reshape(len(EDGE_TYPES), 2 * out_dim)
+                d_edge_emb = np.empty_like(edge_emb)
+                for key, (d_weight, _) in d_linears.items():
+                    rows = _EDGE_TYPES_BY_SOURCE[key]
+                    d_edge_emb[rows] = d_extra[rows] @ weights[key][0][:, out_dim:].T
+                    d_weight[:, out_dim:] += edge_emb[rows].T @ d_extra[rows]
+                grads["edge_type_emb.weight"] = d_edge_emb
+
+            for key, (d_weight, d_bias) in d_linears.items():
+                for position, name in enumerate(("q_linear", "k_linear", "v_linear")):
+                    columns = slice(position * out_dim, (position + 1) * out_dim)
+                    grads[f"{name}.{key}.weight"] = d_weight[:, columns]
+                    grads[f"{name}.{key}.bias"] = d_bias[columns]
+            return d_h, grads, d_scale
+
+        return out, pullback

@@ -1,9 +1,10 @@
 """Eval-mode scoring through a model's ``Tensor`` forward.
 
 The baselines (GAT, GEM, MLP) score this way. The detector does not —
-its ``predict_proba`` is a plain-array kernel — so for the detector
-this is the *reference* that ``repro check`` and the tests hold the
-kernel to.
+its ``predict_proba`` is a plain-array kernel, and its ``forward`` a
+tape node over that same kernel — so the reference ``repro check`` and
+the tests hold the kernel to is this function given a
+:class:`repro.check.reference.PerOpDetector`.
 """
 
 from __future__ import annotations

@@ -152,7 +152,10 @@ class Tensor:
         if self.grad is None:
             # Copy: the incoming buffer may be shared with another
             # consumer's backward or with forward activations.
-            self.grad = np.array(np.broadcast_to(grad, self.data.shape), dtype=np.float64)
+            if np.shape(grad) == self.data.shape:
+                self.grad = np.array(grad, dtype=np.float64)
+            else:
+                self.grad = np.array(np.broadcast_to(grad, self.data.shape), dtype=np.float64)
         else:
             self.grad += grad
 

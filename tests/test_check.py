@@ -11,6 +11,7 @@ while this PR was developed:
   cross-target edges into each member's attention normalisation.
 """
 
+import dataclasses
 import threading
 from types import SimpleNamespace
 
@@ -37,9 +38,12 @@ from repro.check import (
 from repro.cli import main
 from repro.graph import sampling
 from repro.graph.cache import SubgraphCache
+from repro.graph.hetero import NODE_TYPES
 from repro.graph.sampling import SageSampler, stack_subgraphs
 from repro.models import field as field_module
+from repro.models import hetero_conv
 from repro.nn import functional as F
+from repro.nn.segment import row_selector
 from repro.train import DistributedTrainer, NoSurvivorsError
 from repro.train import elastic as elastic_module
 
@@ -250,6 +254,15 @@ class TestRegressionSeeds:
             del SCENARIOS["synthetic-crash"]
 
 
+def _caught_by(name):
+    """`repro check --fuzz 120` (= ``run_fuzz(120, seed=0)``) fails, and
+    fails first in scenario ``name``: its failure record."""
+    report = run_fuzz(120, seed=0)
+    assert not report.ok
+    assert report.failures[0].scenario == name, report.failures[0]
+    return report.failures[0]
+
+
 def _rebuilt(graph, field, edge_ids):
     sub, ids = graph.subgraph(field.original_ids, edge_ids=edge_ids)
     return sampling.SampledSubgraph(sub, field.target_local, ids, edge_ids)
@@ -290,35 +303,34 @@ class TestPrunedStepMutants:
 
     NAME = "pruned-step-vs-full-graph"
 
-    def _assert_caught(self):
-        report = run_fuzz(120, seed=0)
-        assert not report.ok
-        assert report.failures[0].scenario == self.NAME, report.failures[0]
-        return report.failures[0]
-
     @pytest.mark.parametrize(
         "mutant", [_one_hop_short, _fanout_cap_left_in, _target_rows_dropped]
     )
     def test_a_smaller_field_changes_the_loss(self, monkeypatch, mutant):
         monkeypatch.setattr(field_module, "receptive_field", mutant)
-        assert "!= whole-graph" in self._assert_caught().detail
+        assert "!= whole-graph" in _caught_by(self.NAME).detail
 
     def test_mask_drawn_at_the_field_extent(self, monkeypatch):
         real = F.dropout
         monkeypatch.setattr(
             F, "dropout", lambda x, rate, training, rng=None, rows=None: real(x, rate, training, rng)
         )
-        assert "!= whole-graph" in self._assert_caught().detail
+        # A field holding the parent's first k edges gets the first k
+        # rows of the parent's draw either way: there only the generator,
+        # left k rows further instead of E, gives the mutant away.
+        detail = _caught_by(self.NAME).detail
+        assert "!= whole-graph" in detail or "generator states differ" in detail
 
     def test_edge_ids_unsorted(self, monkeypatch):
         # Numerically harmless (each edge still gets its own mask row):
         # only the contract check against the BFS reference sees it.
         monkeypatch.setattr(sampling, "receptive_field", _edge_ids_unsorted)
-        assert "BFS (ascending)" in self._assert_caught().detail
+        assert "BFS (ascending)" in _caught_by(self.NAME).detail
 
     def test_shrunk_cases_pass_on_the_real_step(self):
-        # What the five mutants above shrink to (two of them to (1, 5)).
-        for seed, size in ((6, 5), (1, 5), (4, 1), (1, 3)):
+        # What the five mutants above shrink to (two of them to (1, 5));
+        # (0, 2) since a tenth scenario re-dealt run_fuzz's cases.
+        for seed, size in ((6, 5), (1, 5), (4, 1), (1, 3), (0, 2)):
             assert run_case(self.NAME, seed, size) is None, (seed, size)
 
 
@@ -357,25 +369,19 @@ class TestSupervisedRoundMutants:
 
     NAME = "supervised-round-vs-engine"
 
-    def _assert_caught(self):
-        report = run_fuzz(120, seed=0)
-        assert not report.ok
-        assert report.failures[0].scenario == self.NAME, report.failures[0]
-        return report.failures[0]
-
     def test_mean_over_members_not_accepted_shards(self, monkeypatch):
         monkeypatch.setattr(DistributedTrainer, "step", _mean_over_members)
-        assert "by-hand" in self._assert_caught().detail
+        assert "by-hand" in _caught_by(self.NAME).detail
 
     def test_restore_skips_the_optimizer(self, monkeypatch):
         monkeypatch.setattr(elastic_module, "restore_training_state", _optimizer_left_behind)
-        assert "resumed after every epoch" in self._assert_caught().detail
+        assert "resumed after every epoch" in _caught_by(self.NAME).detail
 
     def test_restore_skips_the_trainer_rng(self, monkeypatch):
         monkeypatch.setattr(
             elastic_module, "restore_training_state", _shuffle_stream_left_behind
         )
-        failure = self._assert_caught()
+        failure = _caught_by(self.NAME)
         assert "by-hand" in failure.detail or "resumed after every epoch" in failure.detail
 
     def test_shrunk_cases_pass_on_the_real_supervisor(self):
@@ -384,7 +390,85 @@ class TestSupervisedRoundMutants:
         # so never re-scored) being kept as a member forever, its
         # partitions trained by nobody — it is evicted once the grace
         # period has passed.
-        for seed, size in ((4, 4), (0, 1), (3, 2), (0, 3)):
+        # (0, 2) and (0, 13) are what the mutants shrink to since a
+        # tenth scenario re-dealt run_fuzz's cases.
+        for seed, size in ((4, 4), (0, 1), (3, 2), (0, 3), (0, 2), (0, 13)):
+            assert run_case(self.NAME, seed, size) is None, (seed, size)
+
+
+_real_blocks_vjp = hetero_conv._apply_blocks_vjp
+_real_layout = hetero_conv.InferenceLayout.of.__func__
+
+
+def _softmax_segment_term_dropped(layout, attention, grad):
+    return attention * grad
+
+
+def _by_source_sum_uses_dst(layout, values):
+    return row_selector(layout.dst, len(layout.node_type)).T @ values
+
+
+def _bias_grad_omitted(layout, x, weights, grad, need_d_x=True):
+    d_x, d_weights = _real_blocks_vjp(layout, x, weights, grad, need_d_x)
+    return d_x, {key: (d_weight, 0.0 * d_bias) for key, (d_weight, d_bias) in d_weights.items()}
+
+
+def _absent_type_grad_left_none(layout, x, weights, grad, need_d_x=True):
+    d_x, d_weights = _real_blocks_vjp(layout, x, weights, grad, need_d_x)
+    present = {"shared"} | {NODE_TYPES[type_id] for type_id, _, _ in layout.type_blocks}
+    return d_x, {key: pair for key, pair in d_weights.items() if key in present}
+
+
+def _mask_not_permuted(cls, graph):
+    layout = _real_layout(cls, graph)
+    return dataclasses.replace(layout, order=np.arange(len(layout.order)))
+
+
+class TestFusedBackwardMutants:
+    """`repro check --fuzz 120` must fail, in
+    ``fused-backward-vs-autograd``, on each way the convolution node's
+    hand-written backward (or its use of the layout) can be subtly
+    wrong. Every mutant leaves the eval-mode forward alone, so no
+    scenario that only scores can see it."""
+
+    NAME = "fused-backward-vs-autograd"
+
+    def test_softmax_backward_without_the_segment_term(self, monkeypatch):
+        monkeypatch.setattr(hetero_conv, "_softmax_vjp", _softmax_segment_term_dropped)
+        assert "grad of" in _caught_by(self.NAME).detail
+
+    def test_by_source_sum_scattered_by_target(self, monkeypatch):
+        monkeypatch.setattr(hetero_conv.InferenceLayout, "sum_by_source", _by_source_sum_uses_dst)
+        assert "grad of" in _caught_by(self.NAME).detail
+
+    def test_bias_gradient_omitted(self, monkeypatch):
+        monkeypatch.setattr(hetero_conv, "_apply_blocks_vjp", _bias_grad_omitted)
+        assert "bias" in _caught_by(self.NAME).detail
+
+    def test_absent_type_gradient_left_none(self, monkeypatch):
+        monkeypatch.setattr(hetero_conv, "_apply_blocks_vjp", _absent_type_grad_left_none)
+        assert "missing on the node, present on the per-op tape" in _caught_by(self.NAME).detail
+
+    def test_mask_not_permuted_into_layout_order(self, monkeypatch):
+        monkeypatch.setattr(hetero_conv.InferenceLayout, "of", classmethod(_mask_not_permuted))
+        assert "!= per-op tape" in _caught_by(self.NAME).detail
+
+    @pytest.mark.parametrize("line", [0, 10**9])
+    def test_either_segment_sum_gives_the_reference_gradients(self, monkeypatch, line):
+        # The layout sums in-neighbourhoods through a sparse matrix from
+        # 256 edges on and by reduceat below; fuzz graphs are mostly
+        # below. Move the line so every case takes one side, then the other.
+        monkeypatch.setattr(hetero_conv, "_REDUCEAT_MAX_EDGES", line)
+        for seed, size in ((0, 3), (1, 8), (2, 13), (3, 21)):
+            assert run_case(self.NAME, seed, size) is None, (seed, size)
+
+    def test_shrunk_cases_pass_on_the_real_node(self):
+        # What the five mutants above shrink to: (0, 3) a thinned
+        # 13-edge graph under a two-layer per-type, target-specific
+        # detector (three of them); (0, 1) a 3-edge graph under shared
+        # projections; (2, 2) per-type projections on an edgeless
+        # graph, where node types are absent.
+        for seed, size in ((0, 3), (0, 1), (2, 2)):
             assert run_case(self.NAME, seed, size) is None, (seed, size)
 
 

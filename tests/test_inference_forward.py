@@ -1,11 +1,13 @@
 """The detector's plain-array inference forward against its reference.
 
 ``XFraudDetector.predict_proba`` is a numpy kernel with no ``Tensor``
-behind it; ``tensor_predict_proba`` runs the same parameters through the
-autograd ``forward`` in eval mode under ``no_grad``. The two must agree
-to ``BOUND`` on every graph shape and every ablation config, and the
-kernel must read the parameters live (no cached export) and leave the
-module's mode and dropout generator alone.
+behind it — and ``XFraudDetector.forward`` is a tape node over that same
+kernel, so the reference is ``repro.check.reference.PerOpDetector``: the
+same parameters through the op-by-op ``Tensor`` convolution, in eval
+mode under ``no_grad``. The two must agree to ``BOUND`` on every graph
+shape and every ablation config, and the kernel must read the
+parameters live (no cached export) and leave the module's mode and
+dropout generator alone.
 """
 
 import itertools
@@ -19,10 +21,15 @@ from repro.data import load_dataset
 from repro.graph.hetero import EDGE_TYPES, NODE_TYPE_IDS, HeteroGraph
 from repro.graph.sampling import SageSampler, stack_subgraphs
 from repro.models import DetectorConfig, XFraudDetector
+from repro.check.reference import PerOpDetector
 from repro.models.inference import tensor_predict_proba
 
 BOUND = 1e-12
 FEATURE_DIM = 6
+
+
+def reference_scores(model, graph, targets):
+    return tensor_predict_proba(PerOpDetector(model), graph, targets)
 
 ABLATIONS = list(itertools.product([False, True], repeat=2))
 ablations = pytest.mark.parametrize("per_type, target_specific", ABLATIONS)
@@ -132,7 +139,7 @@ def test_kernel_matches_tensor_forward(shape, per_type, target_specific):
     model = make_detector(per_type, target_specific)
     scores = model.predict_proba(graph, targets)
     assert scores.shape == (len(targets),)
-    assert np.abs(scores - tensor_predict_proba(model, graph, targets)).max() <= BOUND
+    assert np.abs(scores - reference_scores(model, graph, targets)).max() <= BOUND
 
 
 @pytest.fixture(scope="module")
@@ -147,7 +154,7 @@ def test_kernel_matches_tensor_forward_on_the_full_graph(
     model = make_detector(per_type, target_specific, feature_dim=serving_graph.feature_dim)
     targets = serving_graph.txn_nodes
     scores = model.predict_proba(serving_graph, targets)
-    reference = tensor_predict_proba(model, serving_graph, targets)
+    reference = reference_scores(model, serving_graph, targets)
     assert np.abs(scores - reference).max() <= BOUND
     assert scores.std() > 1e-3  # not a constant both sides agree on
 
@@ -182,7 +189,7 @@ class TestLiveWeights:
         optimizer.step()
         after = model.predict_proba(graph, targets)
         assert np.abs(after - before).max() > 1e-4
-        assert np.abs(after - tensor_predict_proba(model, graph, targets)).max() <= BOUND
+        assert np.abs(after - reference_scores(model, graph, targets)).max() <= BOUND
 
     def test_follows_load_state_dict(self):
         graph, targets = _all_edge_types()
@@ -191,7 +198,7 @@ class TestLiveWeights:
         model.load_state_dict(make_detector(seed=9).state_dict())
         after = model.predict_proba(graph, targets)
         assert np.abs(after - before).max() > 1e-4
-        assert np.abs(after - tensor_predict_proba(model, graph, targets)).max() <= BOUND
+        assert np.abs(after - reference_scores(model, graph, targets)).max() <= BOUND
         assert np.array_equal(after, make_detector(seed=9).predict_proba(graph, targets))
 
 
@@ -206,9 +213,27 @@ def test_mode_is_left_as_found_and_dropout_never_fires(training):
     assert all(module.training is training for module in [model, *model.convs])
     assert model._rng.bit_generator.state == generator_state
     assert np.array_equal(first, second)
-    assert np.abs(first - tensor_predict_proba(model, graph, targets)).max() <= BOUND
+    assert np.abs(first - reference_scores(model, graph, targets)).max() <= BOUND
 
 
 def test_no_targets():
     graph, _ = _all_edge_types()
     assert make_detector().predict_proba(graph, []).shape == (0,)
+
+
+def test_scoring_builds_nothing_only_a_backward_needs(monkeypatch):
+    """The by-source and per-relation groupings are the layout's lazy
+    properties: a recorded step builds them, ``predict_proba`` never."""
+    from repro.models.hetero_conv import InferenceLayout
+
+    graph, targets = _all_edge_types()
+    model = make_detector()
+    layouts, real = [], InferenceLayout.of.__func__
+    monkeypatch.setattr(
+        InferenceLayout, "of", classmethod(lambda cls, g: layouts.append(real(cls, g)) or layouts[-1])
+    )
+    model.predict_proba(graph, targets)
+    model.loss(graph, targets).backward()
+    scoring, training = (set(vars(layout)) for layout in layouts)
+    assert {"_by_source", "_by_relation"} <= training
+    assert not {"_by_source", "_by_relation", "_by_target"} & scoring

@@ -301,6 +301,25 @@ class TestProfiler:
         report = profiler.report()
         assert "forward" in report and "backward" in report
 
+    def test_detector_step_has_one_backward_row_per_convolution(
+        self, tiny_graph, tiny_splits, detector_config
+    ):
+        # The convolution is one tape node per layer: its backward is
+        # one row, called once per layer, and what is left on the
+        # per-op tape is the FFN head — a report someone can read.
+        from repro.models import XFraudDetector
+
+        model = XFraudDetector(detector_config)
+        with Profiler() as profiler:
+            model.loss(tiny_graph, tiny_splits[0][:8]).backward()
+        backward = {row.name: row for row in profiler.records("backward")}
+        assert backward["hetero_conv"].calls == detector_config.num_layers
+        assert backward["hetero_conv"].bytes > 0
+        assert sum(row.calls for row in backward.values()) <= 60
+        forward = {row.name: row for row in profiler.records("forward")}
+        assert forward["HeteroConvLayer"].calls == detector_config.num_layers
+        assert "hetero_conv" in profiler.report()
+
     def test_hooks_restored_after_exit(self):
         call_before = nn.Module.__call__
         make_before = nn.Tensor._make

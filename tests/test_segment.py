@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from repro.nn import (
     Tensor,
@@ -13,6 +14,7 @@ from repro.nn import (
     segment_softmax,
     segment_sum,
 )
+from repro.nn.segment import row_selector, scatter_add_rows
 
 
 class TestGather:
@@ -142,3 +144,42 @@ class TestScatterRows:
         out = scatter_rows(values, np.array([1, 0]), 3)
         (out * Tensor(np.array([[1.0, 1], [2, 2], [3, 3]]))).sum().backward()
         np.testing.assert_allclose(values.grad, [[2, 2], [1, 1]])
+
+
+class TestScatterAddRows:
+    """The unsorted one-hot (``row_selector(...).T @ values``) must give
+    what the COO-built one did, bit for bit: every tape that stays on
+    the per-op engine (GAT, GEM, the FFN head) runs through it."""
+
+    @staticmethod
+    def _through_coo(values, index, num_rows):
+        flat = values.reshape(len(index), int(np.prod(values.shape[1:])))
+        one_hot = sparse.csr_matrix(
+            (np.ones(len(index)), (index, np.arange(len(index)))), shape=(num_rows, len(index))
+        )
+        return np.asarray(one_hot @ flat).reshape((num_rows,) + values.shape[1:])
+
+    @pytest.mark.parametrize("rows, num_rows, trailing", [
+        (1400, 580, (64,)), (64, 64, (4, 16)), (7, 3, (1,)), (5, 9, (2, 0)), (0, 4, (3,)), (0, 0, (3,)),
+    ])
+    def test_bit_identical_to_the_coo_one_hot(self, rows, num_rows, trailing):
+        rng = np.random.default_rng(rows + num_rows)
+        values = rng.normal(size=(rows,) + trailing)
+        index = rng.integers(0, max(num_rows, 1), size=rows)
+        out = scatter_add_rows(values, index, num_rows)
+        assert out.shape == (num_rows,) + trailing
+        assert np.array_equal(out, self._through_coo(values, index, num_rows))
+
+    def test_selector_gathers_and_its_transpose_scatters(self):
+        index = np.array([2, 0, 2, 1])
+        selector = row_selector(index, 3)
+        x = np.arange(6.0).reshape(3, 2)
+        assert np.array_equal(selector @ x, x[index])
+        assert np.array_equal(selector.T @ np.ones((4, 1)), [[1.0], [1.0], [2.0]])
+
+    @pytest.mark.parametrize("index", [[0, 3], [-1, 0]])
+    def test_out_of_range_index_raises(self, index):
+        # scipy takes (data, indices, indptr) as given: unchecked, the
+        # product would write outside the output.
+        with pytest.raises(IndexError):
+            scatter_add_rows(np.ones((2, 2)), np.array(index), 3)

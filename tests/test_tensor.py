@@ -233,6 +233,21 @@ class TestGraphMechanics:
         x.zero_grad()
         assert x.grad is None
 
+    @pytest.mark.parametrize("shape, incoming", [
+        ((3, 4), (3, 4)), ((3, 4), (4,)), ((3, 4), ()), ((0, 4), (0, 4)), ((0, 4), (4,)), ((), ()),
+    ])
+    def test_first_accumulate_is_a_copy_of_the_broadcast(self, shape, incoming):
+        # Same-shape gradients skip np.broadcast_to; either way the
+        # result is what the one-expression version gave, in a buffer
+        # of its own.
+        grad = np.random.default_rng(0).normal(size=incoming)
+        x = Tensor(np.zeros(shape), requires_grad=True)
+        x._accumulate(grad)
+        assert np.array_equal(x.grad, np.array(np.broadcast_to(grad, shape), dtype=np.float64))
+        assert x.grad.shape == shape and not np.shares_memory(x.grad, grad)
+        x._accumulate(grad)
+        assert np.array_equal(x.grad, 2 * np.broadcast_to(grad, shape))
+
     def test_repr_mentions_grad_flag(self):
         assert "requires_grad" in repr(Tensor([1.0], requires_grad=True))
 
