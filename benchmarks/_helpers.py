@@ -10,6 +10,7 @@ from typing import Dict, List
 import numpy as np
 
 from repro import CommunityWeights, DetectorConfig, XFraudDetectorPlus
+from repro.graph import HeteroGraph
 from repro.models import GATModel, GEMModel
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
@@ -39,6 +40,31 @@ def best_us(fn, number: int, setup="pass") -> float:
     """Best-of-five mean microseconds per call of ``fn`` over ``number``
     calls; ``setup`` runs untimed before each of the five."""
     return min(timeit.repeat(fn, setup=setup, number=number, repeat=5)) / number * 1e6
+
+
+def stream_shaped_graph(rng, num_txns: int, feature_dim: int = 114) -> HeteroGraph:
+    """A graph of the ledger stream's shape — as many entities as
+    transactions (entity ``j`` of kind ``1 + j % 4`` is node
+    ``num_txns + j``), four links per transaction (8 directed edges) —
+    with its CSR built."""
+    num_nodes = 2 * num_txns
+    node_type = np.zeros(num_nodes, dtype=np.int64)
+    node_type[num_txns:] = 1 + np.arange(num_txns) % 4
+    txn = np.repeat(np.arange(num_txns), 4)
+    entity = num_txns + rng.integers(0, num_txns, size=len(txn))
+    kind = node_type[entity] - 1  # edge types 2k / 2k+1 are txn->kind / kind->txn
+    features = np.zeros((num_nodes, feature_dim))
+    features[:num_txns] = rng.normal(size=(num_txns, feature_dim))
+    graph = HeteroGraph(
+        node_type=node_type,
+        edge_src=np.concatenate([txn, entity]),
+        edge_dst=np.concatenate([entity, txn]),
+        edge_type=np.concatenate([2 * kind, 2 * kind + 1]),
+        txn_features=features,
+        labels=np.full(num_nodes, -1, dtype=np.int64),
+    )
+    graph.csr()
+    return graph
 
 
 def format_table(headers: List[str], rows: List[List[object]]) -> str:

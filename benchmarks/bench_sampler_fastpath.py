@@ -20,7 +20,12 @@ end-to-end correctness sweep.
 ``test_vectorized_ratio_floor`` is the machine-independent gate CI's
 perf-smoke runs (no ``benchmark`` fixture, so plain pytest collects
 it): vectorized >= 2x reference at batch 128 for both samplers, a ratio
-of two timings alternated in one process. The full
+of two timings alternated in one process. Beside it,
+``test_disjoint_walk_ratio_floor`` holds what a serving micro-batch
+samples — one ``sample(..., disjoint=True)`` walk over 32 transaction
+targets — to >= 3x the 32 singleton samples plus ``stack_subgraphs`` it
+replaced, and to the same cost on a 45k-node graph as on a 7k-node one
+(nothing in the walk is sized by the graph). The full
 ``test_fastpath_speedup_and_equivalence`` regenerates
 ``results/fastpath.txt`` and also holds the end-to-end (vectorized +
 cache) path to >= 5x at batch 128.
@@ -28,17 +33,20 @@ cache) path to >= 5x at batch 128.
 
 import numpy as np
 
-from _helpers import best_us, format_table, write_result
+from _helpers import best_us, format_table, stream_shaped_graph, write_result
 from repro.check import subgraph_equal
 from repro.data import GeneratorConfig, TransactionGenerator
 from repro.graph import BuildConfig, GraphBuilder
 from repro.graph.cache import SubgraphCache
-from repro.graph.sampling import HGSampler, SageSampler
+from repro.graph.sampling import HGSampler, SageSampler, stack_subgraphs
 from repro.util import batched
 
 MIN_VECTORIZED_SPEEDUP = 2.0
 MIN_FASTPATH_SPEEDUP = 5.0
+MIN_DISJOINT_SPEEDUP = 3.0
+DISJOINT_SIZE_BUDGET = 1.5  # the walk on ~45k nodes vs on ~7k nodes
 AT_BATCH = 128
+MICRO_BATCH = 32
 BATCH_SIZES = (1, 16, AT_BATCH)
 RATIO_SAMPLES = 9
 SAMPLERS = {
@@ -81,6 +89,50 @@ def test_vectorized_ratio_floor():
             f"(floor >= {MIN_VECTORIZED_SPEEDUP:.1f}x)"
         )
         assert reference_us >= MIN_VECTORIZED_SPEEDUP * fast_us, kind
+
+
+def _disjoint_timings():
+    """``(nodes, loop us, walk us)`` on a ~7k- and a ~45k-node graph of
+    the ledger stream's shape: one micro-batch of transaction targets
+    sampled as 32 singleton samples + ``stack_subgraphs`` and as one
+    disjoint walk (checked equal first), alternated."""
+    rng = np.random.default_rng(0)
+    sampler = SageSampler(hops=2, fanout=10, seed=0)
+    rows = []
+    for num_txns in (3_500, 22_500):
+        graph = stream_shaped_graph(rng, num_txns)
+        targets = rng.choice(num_txns, size=MICRO_BATCH, replace=False)
+        paths = [
+            lambda: stack_subgraphs([sampler.sample(graph, [int(t)]) for t in targets]),
+            lambda: sampler.sample(graph, targets, disjoint=True),
+        ]
+        assert subgraph_equal(*(path() for path in paths)) is None
+        samples = [[], []]
+        for _ in range(RATIO_SAMPLES):  # alternate, so a slow spell of the box hits both
+            for path, times in zip(paths, samples):
+                times.append(best_us(path, number=1))
+        rows.append((graph.num_nodes, *(float(np.median(times)) for times in samples)))
+    return rows
+
+
+def test_disjoint_walk_ratio_floor():
+    """Machine-independent: a micro-batch's one walk against the loop of
+    singleton samples it replaced, and against itself on a graph six
+    times the size (CI perf-smoke)."""
+    rows = _disjoint_timings()
+    for nodes, loop_us, walk_us in rows:
+        print(
+            f"\n{MICRO_BATCH} targets on {nodes:,} nodes: {MICRO_BATCH} samples + stack "
+            f"{loop_us / 1e3:.2f} ms, one disjoint walk {walk_us / 1e3:.2f} ms -> "
+            f"{loop_us / walk_us:.2f}x (floor >= {MIN_DISJOINT_SPEEDUP:.1f}x)"
+        )
+        assert loop_us >= MIN_DISJOINT_SPEEDUP * walk_us, nodes
+    growth = rows[1][2] / rows[0][2]
+    print(
+        f"walk on {rows[1][0]:,} vs {rows[0][0]:,} nodes: {growth:.2f}x "
+        f"(budget <= {DISJOINT_SIZE_BUDGET:.1f}x)"
+    )
+    assert growth <= DISJOINT_SIZE_BUDGET
 
 
 def test_fastpath_speedup_and_equivalence(benchmark):
@@ -145,12 +197,33 @@ def test_fastpath_speedup_and_equivalence(benchmark):
         "cached speedup",
         "equal",
     ]
+    disjoint_rows = [
+        [
+            "sage",
+            f"{nodes:,}",
+            f"{loop_us / 1e3:.2f}ms",
+            f"{walk_us / 1e3:.2f}ms",
+            f"{loop_us / walk_us:.1f}x",
+        ]
+        for nodes, loop_us, walk_us in _disjoint_timings()
+    ]
     text = (
         format_table(headers, rows)
         + "\n\n"
         + format_table(
             ["sampler", "batch", "targets/s (vectorized)", "speedup", "fastpath (cached)"],
             summary_rows,
+        )
+        + "\n\n"
+        + format_table(
+            [
+                "sampler",
+                "graph nodes",
+                f"{MICRO_BATCH} samples + stack",
+                "one disjoint walk",
+                "speedup",
+            ],
+            disjoint_rows,
         )
     )
     write_result("fastpath", text)

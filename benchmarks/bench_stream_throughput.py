@@ -26,9 +26,9 @@ import time
 
 import numpy as np
 
-from _helpers import best_us, format_table, write_result
+from _helpers import best_us, format_table, stream_shaped_graph, write_result
 from repro.data import GeneratorConfig, TransactionGenerator, TxnEvent
-from repro.graph import NODE_TYPES, HeteroGraph, SageSampler, SubgraphCache
+from repro.graph import NODE_TYPES, SageSampler, SubgraphCache
 from repro.models import DetectorConfig, XFraudDetectorPlus
 from repro.reliability import ManualClock
 from repro.serving import ScoringService, ServiceConfig
@@ -80,27 +80,9 @@ def _median_seconds(fn, repeats=SAMPLING_REPEATS):
 
 
 def _synthetic_builder(rng, num_txns, feature_dim=114):
-    """A builder over a graph of the ledger stream's shape — as many
-    entities as transactions, four links per transaction (8 directed
-    edges), CSR built. Entity ``j`` is external id ``j`` of kind
-    ``1 + j % 4``."""
-    num_nodes = 2 * num_txns
-    node_type = np.zeros(num_nodes, dtype=np.int64)
-    node_type[num_txns:] = 1 + np.arange(num_txns) % 4
-    txn = np.repeat(np.arange(num_txns), 4)
-    entity = num_txns + rng.integers(0, num_txns, size=len(txn))
-    kind = node_type[entity] - 1  # edge types 2k / 2k+1 are txn->kind / kind->txn
-    features = np.zeros((num_nodes, feature_dim))
-    features[:num_txns] = rng.normal(size=(num_txns, feature_dim))
-    graph = HeteroGraph(
-        node_type=node_type,
-        edge_src=np.concatenate([txn, entity]),
-        edge_dst=np.concatenate([entity, txn]),
-        edge_type=np.concatenate([2 * kind, 2 * kind + 1]),
-        txn_features=features,
-        labels=np.full(num_nodes, -1, dtype=np.int64),
-    )
-    graph.csr()
+    """A builder over :func:`_helpers.stream_shaped_graph`, CSR built.
+    Entity ``j`` is external id ``j`` of kind ``1 + j % 4``."""
+    graph = stream_shaped_graph(rng, num_txns, feature_dim)
     index = {name: {} for name in NODE_TYPES}
     for j in range(num_txns):
         index[NODE_TYPES[1 + j % 4]][j] = num_txns + j

@@ -1,8 +1,9 @@
 """Differential fuzzer with automatic seed shrinking.
 
 Every fast or durable path in the stack has a slower executable spec:
-the vectorized samplers have the scalar reference walk, the CSR delta
-merge has the full stable rebuild, a micro-batch of n has n batches
+the vectorized samplers have the scalar reference walk, the one walk
+that samples a micro-batch has the stacked loop of singleton samples,
+the CSR delta merge has the full stable rebuild, a micro-batch of n has n batches
 of one through the same pipeline, the detector's plain-array convolution
 kernel and its hand-derived backward have the op-by-op ``Tensor`` layer
 (:mod:`.reference`), the header-memoising row decoder has ``np.load``, a training step on
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import copy
 import tempfile
+import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -48,11 +50,21 @@ __all__ = [
 _SIZE_LADDER = (2, 3, 5, 8, 13, 21)
 
 
-def _case_seed(base_seed: int, trial: int) -> int:
-    """Derive a per-trial seed; splitmix64-style so trials decorrelate."""
-    mixed = (base_seed * 0x9E3779B97F4A7C15 + trial * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-    mixed ^= mixed >> 31
-    return mixed & 0x7FFFFFFF
+def _case(base_seed: int, name: str, index: int) -> Tuple[int, int]:
+    """``(seed, size)`` of scenario ``name``'s ``index``-th case.
+
+    A function of the scenario's own name and position only (splitmix64
+    over the three, so cases decorrelate), never of which or how many
+    other scenarios are registered or selected: adding a scenario
+    leaves every existing scenario's case sequence — and the shrunk
+    seeds pinned from it — where it was.
+    """
+    mask = 0xFFFFFFFFFFFFFFFF
+    mixed = base_seed * 0x9E3779B97F4A7C15 + zlib.crc32(name.encode()) * 0xD6E8FEB86659FD93
+    mixed = (mixed + index * 0xBF58476D1CE4E5B9) & mask
+    mixed = ((mixed ^ (mixed >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    mixed = ((mixed ^ (mixed >> 27)) * 0x94D049BB133111EB) & mask
+    return (mixed ^ (mixed >> 31)) & 0x7FFFFFFF, _SIZE_LADDER[index % len(_SIZE_LADDER)]
 
 
 @dataclass
@@ -1152,6 +1164,110 @@ def _fuzz_fused_backward(seed: int, size: int) -> Optional[str]:
     return None
 
 
+class _BudgetSpent(Exception):
+    """Raised by :class:`_StageLog` when its scripted budget ends."""
+
+
+class _StageLog:
+    """Duck-typed deadline: records every stage it is asked about and
+    raises at the ``spent_at``-th (never, when ``None``)."""
+
+    def __init__(self, spent_at: Optional[int] = None) -> None:
+        self.stages: List[str] = []
+        self.spent_at = spent_at
+
+    def check(self, stage: str) -> None:
+        self.stages.append(stage)
+        if self.spent_at is not None and len(self.stages) > self.spent_at:
+            raise _BudgetSpent(stage)
+
+
+def _awkward_targets(rng: np.random.Generator, graph) -> np.ndarray:
+    """Two to six targets of any node type, drawn with repeats; then
+    one is made a repeat of the first, one an in-neighbour of the first
+    (a target inside another target's sample) and, when the graph has
+    an edgeless node, one is that."""
+    targets = rng.integers(0, graph.num_nodes, size=int(rng.integers(2, 7)))
+    targets[-1] = targets[0]
+    neighbors = graph.in_neighbors(int(targets[0]))
+    if len(neighbors):
+        targets[1] = rng.choice(neighbors)
+    edgeless = np.flatnonzero(graph.degree() == 0)
+    if len(edgeless) and len(targets) > 2:
+        targets[2] = rng.choice(edgeless)
+    return targets
+
+
+@scenario("disjoint-walk-vs-singleton-samples")
+def _fuzz_disjoint_walk(seed: int, size: int) -> Optional[str]:
+    """``sample(..., disjoint=True)`` — one frontier expansion over
+    ``(component, node)`` pairs — vs its definition, the stacked loop of
+    singleton samples, array for array; and ``unstack_subgraphs`` as
+    the inverse of ``stack_subgraphs``. Hops 1-3, fanout 1-4 (hubs over
+    the cap), targets of every node type with repeats, a target that is
+    another's neighbour and edgeless ones; on a fresh graph, on one
+    grown by deltas of every shape (spliced CSR) and after a
+    compaction. The walk must ask a deadline about exactly the stages
+    of ONE singleton walk, once each, and a budget that ends at hop
+    ``k`` must end both sides there."""
+    from ..graph.sampling import HGSampler, SageSampler, stack_subgraphs, unstack_subgraphs
+
+    rng = np.random.default_rng(seed)
+    graph = random_hetero_graph(rng, num_txns=size)
+    graph.csr()  # so the deltas below splice it
+    hops, fanout, sampler_seed = 1 + size % 3, int(rng.integers(1, 5)), int(rng.integers(0, 1 << 16))
+    walker = SageSampler(hops=hops, fanout=fanout, seed=sampler_seed)
+    by_definition = (  # disjoint=True is the loop itself for these two
+        SageSampler(hops=hops, fanout=fanout, seed=sampler_seed, reference=True),
+        HGSampler(depth=1 + size % 2, width=fanout, seed=sampler_seed),
+    )
+    for stage in ("fresh", "grown", "compacted"):
+        if stage == "grown":
+            for _ in range(int(rng.integers(1, 4))):
+                shape = str(rng.choice(DELTA_SHAPES, p=(0.7, 0.1, 0.1, 0.1)))
+                graph.append_delta(**random_delta(rng, graph, 1 + size % 3, shape=shape))
+        elif stage == "compacted":
+            graph.rebuild_csr()
+        targets = _awkward_targets(rng, graph)
+        where = (
+            f"{walker.cache_key()} on the {stage} graph ({graph.num_nodes} nodes, "
+            f"{graph.num_edges} edges), targets={targets.tolist()}"
+        )
+        parts = [walker.sample(graph, [int(target)]) for target in targets]
+        stacked = stack_subgraphs(parts)
+        diff = subgraph_equal(walker.sample(graph, targets, disjoint=True), stacked)
+        if diff is not None:
+            return f"{where}: one walk != stacked singleton samples: {diff}"
+        for index, (cut, part) in enumerate(zip(unstack_subgraphs(stacked), parts)):
+            diff = subgraph_equal(cut, part)
+            if diff is not None:
+                return f"{where}: unstacked component {index} != the sample stacked: {diff}"
+        for sampler in by_definition:
+            diff = subgraph_equal(
+                sampler.sample(graph, targets, disjoint=True),
+                stack_subgraphs([sampler.sample(graph, [int(target)]) for target in targets]),
+            )
+            if diff is not None:
+                return f"{sampler.cache_key()}, targets={targets.tolist()}: {diff}"
+
+        alone, together = _StageLog(), _StageLog()
+        walker.sample(graph, targets[:1], deadline=alone)
+        walker.sample(graph, targets, deadline=together, disjoint=True)
+        if together.stages != alone.stages:
+            return f"{where}: the walk checked {together.stages}, one singleton walk {alone.stages}"
+        spent_at = int(rng.integers(0, hops))
+        ended = []
+        for sampler in (walker, by_definition[0]):
+            try:
+                sampler.sample(graph, targets, deadline=_StageLog(spent_at), disjoint=True)
+                ended.append(None)
+            except _BudgetSpent as spent:
+                ended.append(str(spent))
+        if ended != [f"sampling hop {spent_at}"] * 2:
+            return f"{where}: a budget spent at hop {spent_at} ended walk and loop at {ended}"
+    return None
+
+
 # ----------------------------------------------------------------------
 # Driver + shrinker
 # ----------------------------------------------------------------------
@@ -1217,7 +1333,9 @@ def run_fuzz(
     stop_on_first: bool = True,
     progress: Optional[Callable[[str], None]] = None,
 ) -> FuzzReport:
-    """Round-robin the scenarios over derived ``(seed, size)`` cases.
+    """Round-robin the scenarios, each over its own case sequence
+    (:func:`_case`): trial ``i`` is the ``i // n``-th case of the
+    ``i % n``-th of the ``n`` selected scenarios.
 
     On divergence the case is shrunk immediately and recorded; with
     ``stop_on_first`` (the default, what CI wants) the run ends there.
@@ -1229,8 +1347,7 @@ def run_fuzz(
     report = FuzzReport(trials=trials)
     for trial in range(trials):
         name = selected[trial % len(selected)]
-        case_seed = _case_seed(seed, trial)
-        size = _SIZE_LADDER[(trial // len(selected)) % len(_SIZE_LADDER)]
+        case_seed, size = _case(seed, name, trial // len(selected))
         report.per_scenario[name] = report.per_scenario.get(name, 0) + 1
         detail = run_case(name, case_seed, size)
         if detail is None:

@@ -326,17 +326,70 @@ def _check_delta_merge() -> List[str]:
     return problems
 
 
+def _batch_lookup_problems(cache_class) -> List[str]:
+    """Drive one cache with micro-batch lookups (``disjoint=True``) and
+    a twin with the per-target loop over the same targets: hits, misses,
+    repeats inside a call, batches larger than the capacity (a call
+    evicting its own and older entries) and version bumps between
+    calls. After every call the returned entries, the stored entries in
+    LRU order and ``stats()`` must agree."""
+    from ..graph.cache import SubgraphCache
+    from ..graph.sampling import SageSampler
+
+    rng = np.random.default_rng(29)
+    graph = random_hetero_graph(rng, num_txns=8)
+    sampler = SageSampler(hops=2, fanout=3, seed=4)
+    batched, looped = cache_class(capacity=3), SubgraphCache(capacity=3)
+    pool = rng.permutation(graph.num_nodes)[:6]
+    for call in range(40):
+        if call % 9 == 8:
+            graph.append_delta(**random_delta(rng, graph, num_new_txns=1))
+        targets = [int(node) for node in rng.choice(pool, size=int(rng.integers(0, 7)))]
+        got = batched.get_or_sample(graph, sampler, targets, disjoint=True)
+        want = [looped.get_or_sample(graph, sampler, [target]) for target in targets]
+        where = f"call {call}, targets {targets}"
+        if len(got) != len(want) or any(
+            subgraph_equal(ours, theirs) for ours, theirs in zip(got, want)
+        ):
+            return [f"{where}: returned entries differ from the per-target loop's"]
+        if list(batched._entries) != list(looped._entries):
+            return [f"{where}: stored keys or their LRU order differ from the per-target loop's"]
+        if any(
+            subgraph_equal(batched._entries[key], looped._entries[key]) for key in looped._entries
+        ):
+            return [f"{where}: a stored entry differs from the per-target loop's"]
+        if batched.stats() != looped.stats():
+            return [f"{where}: stats {batched.stats()} != the loop's {looped.stats()}"]
+    stats = looped.stats()
+    if not (stats["hits"] and stats["evictions"] and stats["misses"] > stats["evictions"]):
+        return [f"the experiment lost its mix of hits, misses and evictions: {stats}"]
+    return []
+
+
 @invariant(
     "cache-coherence",
     layer="graph",
     falsifies="a cached subgraph differing from a fresh sample at the "
-    "same graph version, or a stale version being served after mutation",
+    "same graph version, a stale version being served after mutation, or "
+    "a micro-batch lookup leaving other entries, LRU order or counters "
+    "than the per-target loop",
 )
 def _check_cache_coherence() -> List[str]:
     from ..graph.cache import SubgraphCache
     from ..graph.sampling import HGSampler, SageSampler
 
-    problems: List[str] = []
+    class InsertsBeforeHits(SubgraphCache):
+        """Planted mutant: a batch's misses are inserted before its
+        hits are touched, so the LRU queue is not the loop's."""
+
+        def _replay(self, keys, hit, parts):
+            first = sorted(range(len(keys)), key=lambda index: hit[index])
+            entries = super()._replay([keys[i] for i in first], [hit[i] for i in first], parts)
+            return [entry for _, entry in sorted(zip(first, entries), key=lambda pair: pair[0])]
+
+    problems: List[str] = _batch_lookup_problems(SubgraphCache)
+    if not _batch_lookup_problems(InsertsBeforeHits):
+        problems.append("self-test: inserts applied before hits went unnoticed")
     rng = np.random.default_rng(5)
     graph = random_hetero_graph(rng, num_txns=8)
     targets = [0, 3, 5]

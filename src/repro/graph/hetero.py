@@ -485,19 +485,39 @@ class HeteroGraph:
         finally:
             local_of[nodes] = -1  # O(k) reset: the map is clean for reuse
             self._local_map_scratch = local_of
-        # Trusted construction: every invariant holds by derivation from
-        # this (already validated) graph, so skip the O(nodes + edges)
-        # re-validation on the per-request path.
+        sub = HeteroGraph.derived(
+            self.node_type[nodes],
+            src_local,
+            dst_local,
+            edge_type,
+            self.txn_features[nodes],
+            self.labels[nodes],
+        )
+        return sub, nodes
+
+    @staticmethod
+    def derived(
+        node_type: np.ndarray,
+        edge_src: np.ndarray,
+        edge_dst: np.ndarray,
+        edge_type: np.ndarray,
+        txn_features: np.ndarray,
+        labels: np.ndarray,
+    ) -> "HeteroGraph":
+        """Trusted construction from arrays derived from an already
+        validated graph (a sample of it, a slice of a sample): every
+        invariant holds by derivation, so the O(nodes + edges)
+        re-validation is skipped on the per-request path."""
         sub = object.__new__(HeteroGraph)
-        sub.node_type = self.node_type[nodes]
-        sub.edge_src = src_local
-        sub.edge_dst = dst_local
+        sub.node_type = node_type
+        sub.edge_src = edge_src
+        sub.edge_dst = edge_dst
         sub.edge_type = edge_type
-        sub.txn_features = self.txn_features[nodes]
-        sub.labels = self.labels[nodes]
+        sub.txn_features = txn_features
+        sub.labels = labels
         sub._csr = None
         sub._version = 0
-        return sub, nodes
+        return sub
 
     def _borrow_local_map(self) -> np.ndarray:
         """Take ownership of the shared all ``-1`` node->local scratch.

@@ -42,6 +42,23 @@ Statelessness also means ``sample()`` is a pure function of
 :class:`~repro.graph.cache.SubgraphCache` sound and online verdicts
 reproducible. Node order is canonical — the unique targets in request
 order, then every other sampled node ascending.
+
+``sample(..., disjoint=True)`` computes a different function of the
+same inputs: not the sample of the target *set* (one induced subgraph,
+cross-target edges included) but the block-diagonal union of one
+singleton sample per target — component ``i`` is ``sample(graph,
+[targets[i]])``, repeats included — which is what micro-batched serving
+scores (see :func:`stack_subgraphs` for why). Its executable spec is
+that loop, :func:`_sample_each`: it is what ``reference=True`` and
+:class:`HGSampler` run. :class:`SageSampler`'s fast path walks every
+component in one frontier expansion over ``(component, node)`` pairs
+and returns, array for array, what the loop returns; the per-position
+hash keys do not know the component, so each keeps exactly the edges
+its own walk would. Which of the two runs is read from the input, not
+set: a single target takes the plain ``sample(graph, [t])`` route (the
+union of one component is that component, the loop above needs a route
+that is not the walk it specifies, and the generalised walk costs about
+a fifth more than the singleton one at batch 1).
 """
 
 from __future__ import annotations
@@ -185,6 +202,64 @@ def stack_subgraphs(parts: Sequence[SampledSubgraph]) -> SampledSubgraph:
     )
 
 
+def unstack_subgraphs(stacked: SampledSubgraph) -> List[SampledSubgraph]:
+    """Inverse of :func:`stack_subgraphs` for single-target components.
+
+    A singleton sample lists its target first, so ``target_local`` holds
+    the components' node offsets; edges are stored component by
+    component, so the component of ``edge_dst`` is sorted and bounds
+    them. Nothing about the split is stored on :class:`SampledSubgraph`.
+    The parts' node arrays are views: a part keeps the arrays of the
+    stack it was cut from alive.
+    """
+    starts = stacked.target_local
+    count = len(starts)
+    if count == 1:
+        return [stacked]
+    if count == 0 or starts[0] != 0 or np.any(starts[1:] <= starts[:-1]):
+        raise ValueError("components must each list their one target first")
+    graph = stacked.graph
+    component = np.searchsorted(starts, graph.edge_dst, side="right")
+    if np.any(component != np.searchsorted(starts, graph.edge_src, side="right")) or np.any(
+        component[1:] < component[:-1]
+    ):
+        raise ValueError("not a stack: an edge leaves its component, or edges are not grouped")
+    edge_bounds = np.searchsorted(component, np.arange(1, count + 2)).tolist()
+    node_bounds = starts.tolist() + [graph.num_nodes]
+    first = starts[:1]  # every part's target_local
+    parts = []
+    for index in range(count):
+        lo, hi = node_bounds[index], node_bounds[index + 1]
+        edges = slice(edge_bounds[index], edge_bounds[index + 1])
+        part = HeteroGraph.derived(
+            graph.node_type[lo:hi],
+            graph.edge_src[edges] - lo,
+            graph.edge_dst[edges] - lo,
+            graph.edge_type[edges],
+            graph.txn_features[lo:hi],
+            graph.labels[lo:hi],
+        )
+        parts.append(SampledSubgraph(part, first, stacked.original_ids[lo:hi]))
+    return parts
+
+
+def _sample_each(sampler, graph: HeteroGraph, targets: np.ndarray, deadline) -> SampledSubgraph:
+    """``sample(..., disjoint=True)`` by its definition: one singleton
+    sample per target, stacked — the executable spec of the one-walk
+    fast path, and the ``disjoint`` path of every sampler without one."""
+    return stack_subgraphs(
+        [sampler.sample(graph, [int(target)], deadline=deadline) for target in targets]
+    )
+
+
+def _in_sorted(table: np.ndarray, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(found, slot): membership of ``keys`` in the ascending, non-empty
+    ``table`` and where — the ``searchsorted`` both halves of the
+    disjoint walk look ``(component, node)`` keys up with."""
+    slot = np.minimum(np.searchsorted(table, keys), len(table) - 1)
+    return table[slot] == keys, slot
+
+
 class _SamplerMetrics:
     """Opt-in hop counters + latency histograms shared by both samplers.
 
@@ -194,6 +269,11 @@ class _SamplerMetrics:
     :class:`repro.obs.registry.MetricsRegistry`. Uninstrumented
     samplers pay a single ``is None`` check per call, so the default
     path stays as fast as before.
+
+    The unit is the *walk*, not the target: one
+    ``sampler_sample_seconds`` observation and ``hops``
+    ``sampler_hops_total`` increments per frontier expansion, however
+    many targets (or, under ``disjoint=True``, components) it carries.
     """
 
     _metric_label: str = "sampler"
@@ -264,18 +344,28 @@ class SageSampler(_SamplerMetrics):
         return ("sage", self.hops, self.fanout, self.seed)
 
     def sample(
-        self, graph: HeteroGraph, targets: Sequence[int], deadline=None
+        self, graph: HeteroGraph, targets: Sequence[int], deadline=None, disjoint: bool = False
     ) -> SampledSubgraph:
         """k-hop capped neighbourhood of the targets as a subgraph.
 
         ``deadline`` is an optional duck-typed budget (anything with a
         ``check(stage)`` method, e.g. :class:`repro.serving.Deadline`);
-        it is checked once per hop, so an online request overruns its
-        budget by at most one sampling step.
+        it is checked once per hop per walk, so an online request
+        overruns its budget by at most one sampling step.
+
+        ``disjoint=True`` returns instead the block-diagonal union of
+        one singleton sample per target (repeats included) — array for
+        array ``stack_subgraphs([sample(graph, [t]) for t in targets])``
+        — from ONE walk over ``(component, node)`` pairs. A single
+        target is its own union and takes the plain route below.
         """
+        targets = np.asarray(targets, dtype=np.int64)
+        if disjoint and len(targets) != 1:
+            if self.reference:
+                return _sample_each(self, graph, targets, deadline)
+            return self._sample_disjoint(graph, targets, deadline)
         instrumented = self._sample_seconds is not None
         sample_started = self._metrics_clock() if instrumented else 0.0
-        targets = np.asarray(targets, dtype=np.int64)
         unique_targets = _first_occurrence_unique(targets)
         if self.reference:
             nodes = self._expand_reference(graph, unique_targets, deadline, instrumented)
@@ -313,19 +403,65 @@ class SageSampler(_SamplerMetrics):
 
     def _select_edges_fast(self, indptr: np.ndarray, frontier: np.ndarray) -> np.ndarray:
         """CSR positions of the ≤ ``fanout`` kept in-edges of every
-        frontier node — the per-segment smallest hash keys, all at once."""
+        frontier node."""
         positions, counts = _concat_csr_slices(indptr, frontier)
+        kept = self._kept(positions, counts)
+        return positions if kept is None else positions[kept]
+
+    def _kept(self, positions: np.ndarray, counts: np.ndarray) -> Optional[np.ndarray]:
+        """Which of ``positions`` (the concatenated CSR slices of the
+        frontier, ``counts`` long each) survive the fanout cap: per
+        slice the ``fanout`` smallest hash keys, all slices at once.
+        ``None`` when no slice is over the cap (keep everything)."""
         total = len(positions)
-        if total == 0:
-            return _EMPTY
-        if int(counts.max()) <= self.fanout:
-            return positions
+        if total == 0 or int(counts.max()) <= self.fanout:
+            return None
         keys = _hash_uniform(positions, self._edge_salt)
-        segments = np.repeat(np.arange(len(frontier), dtype=np.int64), counts)
+        segments = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
         order = np.lexsort((keys, segments))
         offsets = np.cumsum(counts) - counts
         rank = np.arange(total, dtype=np.int64) - np.repeat(offsets, counts)
-        return positions[order][rank < self.fanout]
+        return order[rank < self.fanout]
+
+    # -- disjoint fast path ---------------------------------------------
+    def _sample_disjoint(self, graph: HeteroGraph, targets: np.ndarray, deadline) -> SampledSubgraph:
+        """Every target's singleton walk as ONE frontier expansion.
+
+        A frontier entry is a ``(component, node)`` pair held as the key
+        ``component * num_nodes + node``: one CSR gather per hop serves
+        all components, the fanout cap ranks inside each pair's own
+        slice with the hash keys of its CSR positions (the keys the
+        singleton walk draws), and ``np.unique`` on pair keys dedups
+        per component. Nothing here is sized by the graph.
+        """
+        if len(targets) == 0:
+            raise ValueError("need at least one target to sample")
+        instrumented = self._sample_seconds is not None
+        sample_started = self._metrics_clock() if instrumented else 0.0
+        indptr, src_sorted, _ = graph.csr()
+        stride = graph.num_nodes
+        roots = np.arange(len(targets), dtype=np.int64) * stride + targets
+        seen = frontier = roots  # ascending: one key per component so far
+        for hop in range(self.hops):
+            if deadline is not None:
+                deadline.check(f"sampling hop {hop}")
+            hop_started = self._metrics_clock() if instrumented else 0.0
+            if len(frontier):
+                component, node = np.divmod(frontier, stride)
+                positions, counts = _concat_csr_slices(indptr, node)
+                component = np.repeat(component, counts)
+                kept = self._kept(positions, counts)
+                if kept is not None:
+                    positions, component = positions[kept], component[kept]
+                reached = np.unique(component * stride + src_sorted[positions])
+                frontier = reached[~_in_sorted(seen, reached)[0]]
+                seen = np.sort(np.concatenate([seen, frontier]))
+            if instrumented:
+                self._record_hop(self._metrics_clock() - hop_started)
+        result = _induce_disjoint(graph, roots, seen)
+        if instrumented:
+            self._record_sample(self._metrics_clock() - sample_started)
+        return result
 
     # -- reference path -------------------------------------------------
     def _expand_reference(
@@ -397,16 +533,20 @@ class HGSampler(_SamplerMetrics):
         return ("hg", self.depth, self.width, self.seed)
 
     def sample(
-        self, graph: HeteroGraph, targets: Sequence[int], deadline=None
+        self, graph: HeteroGraph, targets: Sequence[int], deadline=None, disjoint: bool = False
     ) -> SampledSubgraph:
         """Type-balanced budget sampling around the targets (HGT).
 
         ``deadline`` (optional, duck-typed — see
         :meth:`SageSampler.sample`) is checked once per depth step.
+        ``disjoint=True`` is the stacked loop of singleton samples
+        itself: the budgets of Fig. 10's subject stay one walk each.
         """
+        targets = np.asarray(targets, dtype=np.int64)
+        if disjoint and len(targets) != 1:
+            return _sample_each(self, graph, targets, deadline)
         instrumented = self._sample_seconds is not None
         sample_started = self._metrics_clock() if instrumented else 0.0
-        targets = np.asarray(targets, dtype=np.int64)
         unique_targets = _first_occurrence_unique(targets)
         if self.reference:
             nodes = self._expand_reference(graph, unique_targets, deadline, instrumented)
@@ -614,3 +754,46 @@ def _induce(
     return SampledSubgraph(
         graph=subgraph, target_local=target_local, original_ids=original_ids, edge_ids=edge_ids
     )
+
+
+def _induce_disjoint(graph: HeteroGraph, roots: np.ndarray, seen: np.ndarray) -> SampledSubgraph:
+    """The stacked induced subgraphs of a disjoint walk, in one pass.
+
+    ``seen`` holds every sampled ``(component, node)`` key ascending and
+    ``roots`` the targets' own. Nodes are laid out component by
+    component in the canonical order (target first, the rest ascending)
+    and every kept edge joins two nodes of ONE component, ascending
+    parent edge id inside each — what :meth:`HeteroGraph.subgraph`
+    induces per singleton sample and :func:`stack_subgraphs` shifts.
+    """
+    stride, total = graph.num_nodes, len(seen)
+    component, node = np.divmod(seen, stride)
+    root = roots[component]
+    rooted = seen == root
+    # Ascending keys put a component's target somewhere inside it; its
+    # slot is the component's first, every node before it moves up one.
+    sizes = np.bincount(component, minlength=len(roots))
+    starts = np.cumsum(sizes) - sizes
+    slot = np.arange(total, dtype=np.int64)
+    slot += seen < root
+    slot[rooted] = starts
+    original_ids = np.empty(total, dtype=np.int64)
+    original_ids[slot] = node
+
+    indptr, src_sorted, edge_id_sorted = graph.csr()
+    positions, counts = _concat_csr_slices(indptr, original_ids)
+    edge_dst = np.repeat(np.arange(total, dtype=np.int64), counts)
+    edge_owner = np.repeat(component, counts)  # a move inside a component keeps it
+    inside, at = _in_sorted(seen, edge_owner * stride + src_sorted[positions])
+    edge_ids = edge_id_sorted[positions[inside]]
+    order = np.argsort(edge_owner[inside] * graph.num_edges + edge_ids)
+    edge_ids = edge_ids[order]
+    sub = HeteroGraph.derived(
+        graph.node_type[original_ids],
+        slot[at[inside]][order],
+        edge_dst[inside][order],
+        graph.edge_type[edge_ids],
+        graph.txn_features[original_ids],
+        graph.labels[original_ids],
+    )
+    return SampledSubgraph(graph=sub, target_local=starts, original_ids=original_ids)

@@ -37,7 +37,7 @@ import numpy as np
 
 from ..graph.cache import SubgraphCache
 from ..graph.hetero import HeteroGraph
-from ..graph.sampling import stack_subgraphs
+from ..graph.sampling import stack_subgraphs, unstack_subgraphs
 from ..util import batched
 from ..obs.registry import MetricsRegistry
 from ..obs.trace import NULL_TRACER, Tracer
@@ -229,8 +229,8 @@ class ScoringService:
         neighbour sampler is instrumented with hop counters.
     cache:
         Optional :class:`~repro.graph.cache.SubgraphCache`. When set,
-        sampler calls go through
-        ``cache.get_or_sample`` keyed on (targets, sampler config,
+        a micro-batch's sampler call goes through
+        ``cache.get_or_sample`` keyed per (target, sampler config,
         graph version); with a ``registry`` the cache's
         hit/miss/eviction counters are exported automatically.
     """
@@ -327,10 +327,11 @@ class ScoringService:
         shed alone is shed here too, with the identical verdict. The
         admitted remainder is coalesced into micro-batches of
         ``config.batch_size`` (``None`` = all at once), each executing
-        one cache-keyed singleton sample per target stacked into ONE
-        disjoint forward graph, ONE batched KV feature fetch, and one
-        ``predict_proba`` forward per degradation rung actually used —
-        not one per request. Scores do not depend on batch composition
+        ONE disjoint sampler walk for whatever the subgraph cache does
+        not already hold (one component per target, cached per target),
+        ONE disjoint forward graph, ONE batched KV feature fetch, and
+        one ``predict_proba`` forward per degradation rung actually used
+        — not one per request. Scores do not depend on batch composition
         (within float noise); responses come back in request order.
         """
         coerced = [self._coerce(request) for request in requests]
@@ -354,8 +355,9 @@ class ScoringService:
         if self.cache is None or sampler is None or not hasattr(sampler, "cache_key"):
             return 0
         before = self.cache.misses
-        for target in targets:
-            self.cache.get_or_sample(self.graph, sampler, [int(target)])
+        self.cache.get_or_sample(
+            self.graph, sampler, [int(target) for target in targets], disjoint=True
+        )
         return self.cache.misses - before
 
     def submit(self, request: Union[int, ScoreRequest]) -> Optional[ScoreResponse]:
@@ -432,12 +434,16 @@ class ScoringService:
         """Score already-admitted requests as ONE coalesced unit — the
         only scoring pipeline (:meth:`score` sends a batch of one).
 
-        One cache-keyed singleton sample per target (stacked into a
-        single disjoint forward graph, so a verdict does not depend on
-        batch composition), one batched KV fetch, one forward per
-        degradation rung used. Per-request deadline semantics ride on
-        :class:`_DeadlineGroup`; breaker and KV failures demote every
-        member still on the GNN rung.
+        One disjoint sample of the live members' targets (one component
+        each, so a verdict does not depend on batch composition; looked
+        up in the cache per target, the misses walked together), one
+        batched KV fetch, one forward per degradation rung used.
+        Per-request deadline semantics ride on :class:`_DeadlineGroup`;
+        breaker and KV failures demote every member still on the GNN
+        rung. Unlike a loop of per-member samples, every member live at
+        the sampling stage is looked up before the walk starts: one
+        whose budget ends during the walk has been counted by the cache
+        and is dropped afterwards (the loop never looked it up).
         """
         started = self._clock()
         members: List[_BatchMember] = []
@@ -507,32 +513,32 @@ class ScoringService:
                 member.score, member.rung = float(prob), RUNG_GNN
             return
         cohort = group.live
-        parts: List = []
-        sampled_members: List[_BatchMember] = []
+        nodes = [member.request.node for member in cohort]
         with self.tracer.span("sample", targets=len(cohort)) as sample_span:
-            # One singleton sample per member, stacked block-diagonally
-            # below. Sampling the *union* of targets instead would leak
-            # each request's neighbourhood into the others' attention
-            # normalisation (the induced subgraph carries cross-target
-            # edges, and shared nodes reached at different hop depths
-            # draw differently), making a score depend on batch
-            # composition — repro.check's single-vs-batched scenario
-            # falsifies exactly that. Singleton samples are also what
-            # warm_cache() pre-loads, so cache hits survive any batch
-            # composition.
-            for member in cohort:
-                if not member.live:
-                    continue  # demoted while an earlier member sampled
-                parts.append(self._sample(sampler, [member.request.node], group))
-                sampled_members.append(member)
-            sample_span.set(
-                "sampled_nodes", int(sum(len(p.original_ids) for p in parts))
-            )
-        survivors = [
-            (member, part)
-            for member, part in zip(sampled_members, parts)
-            if member.live
-        ]
+            # One component per member. Sampling the *union* of targets
+            # instead would leak each request's neighbourhood into the
+            # others' attention normalisation (the induced subgraph
+            # carries cross-target edges, and shared nodes reached at
+            # different hop depths draw differently), making a score
+            # depend on batch composition — repro.check's
+            # single-vs-batched scenario falsifies exactly that. The
+            # cache keys each component by its own target, as score()
+            # and warm_cache() do, so hits survive any composition.
+            if self.cache is not None and hasattr(sampler, "cache_key"):
+                misses = -self.cache.misses
+                parts = self.cache.get_or_sample(
+                    self.graph, sampler, nodes, deadline=group, disjoint=True
+                )
+                misses += self.cache.misses
+            else:
+                misses = len(nodes)
+                parts = unstack_subgraphs(
+                    sampler.sample(self.graph, nodes, deadline=group, disjoint=True)
+                )
+            sample_span.set("sampled_nodes", int(sum(len(p.original_ids) for p in parts)))
+            sample_span.set("hits", len(nodes) - misses)
+            sample_span.set("misses", misses)
+        survivors = [(member, part) for member, part in zip(cohort, parts) if member.live]
         if not survivors:
             return
         sampled = stack_subgraphs([part for _, part in survivors])
@@ -587,12 +593,6 @@ class ScoringService:
             rung_span.set("rules", sum(1 for m in pending if m.rung == RUNG_RULES))
 
     # -- rung 0: full GNN ----------------------------------------------
-    def _sample(self, sampler, targets: Sequence[int], deadline):
-        """Sampler call, via the subgraph cache when one is configured."""
-        if self.cache is not None and hasattr(sampler, "cache_key"):
-            return self.cache.get_or_sample(self.graph, sampler, targets, deadline=deadline)
-        return sampler.sample(self.graph, targets, deadline=deadline)
-
     def _fetch_features(self, node_ids: np.ndarray, deadline: Deadline) -> np.ndarray:
         """Hydrate feature rows from the KV-store, retries inside the breaker.
 

@@ -12,6 +12,8 @@ while this PR was developed:
 """
 
 import dataclasses
+import inspect
+import textwrap
 import threading
 from types import SimpleNamespace
 
@@ -39,7 +41,7 @@ from repro.cli import main
 from repro.graph import sampling
 from repro.graph.cache import SubgraphCache
 from repro.graph.hetero import NODE_TYPES
-from repro.graph.sampling import SageSampler, stack_subgraphs
+from repro.graph.sampling import SageSampler, stack_subgraphs, unstack_subgraphs
 from repro.models import field as field_module
 from repro.models import hetero_conv
 from repro.nn import functional as F
@@ -138,6 +140,31 @@ class TestFuzzScenarios:
     def test_run_fuzz_restricted_scenarios(self):
         report = run_fuzz(4, seed=0, names=["delta-merge-vs-rebuild"])
         assert set(report.per_scenario) == {"delta-merge-vs-rebuild"}
+
+    def test_a_scenarios_cases_do_not_depend_on_the_others(self, monkeypatch):
+        # Registering or selecting another scenario must not re-deal an
+        # existing one (it did: every mutant test's pinned seeds moved
+        # whenever a scenario was added).
+        dealt = {}
+        for name in SCENARIOS:
+            monkeypatch.setitem(
+                SCENARIOS,
+                name,
+                lambda seed, size, name=name: dealt.setdefault(name, []).append((seed, size)),
+            )
+        rounds = 7  # past the end of the size ladder
+        run_fuzz(rounds * len(SCENARIOS), seed=3)
+        together = dealt.copy()
+        assert {len(cases) for cases in together.values()} == {rounds}
+        assert len({tuple(cases) for cases in together.values()}) == len(SCENARIOS)
+        for name in SCENARIOS:
+            dealt.clear()
+            run_fuzz(rounds, seed=3, names=[name])
+            assert dealt == {name: together[name]}
+        monkeypatch.setitem(SCENARIOS, "one-more", lambda seed, size: None)
+        dealt.clear()
+        run_fuzz(rounds * len(SCENARIOS), seed=3)
+        assert dealt == together
 
 
 class TestShrinker:
@@ -254,10 +281,16 @@ class TestRegressionSeeds:
             del SCENARIOS["synthetic-crash"]
 
 
-def _caught_by(name):
+def _caught_by(name, alone=False):
     """`repro check --fuzz 120` (= ``run_fuzz(120, seed=0)``) fails, and
-    fails first in scenario ``name``: its failure record."""
-    report = run_fuzz(120, seed=0)
+    fails first in scenario ``name``: its failure record. ``alone``, for
+    a mutant that a scenario dealt earlier in the round also sees: fails
+    on the cases that run deals to ``name`` itself (a scenario's case
+    sequence does not depend on which others are selected)."""
+    if alone:
+        report = run_fuzz(-(-120 // len(SCENARIOS)), seed=0, names=[name])
+    else:
+        report = run_fuzz(120, seed=0)
     assert not report.ok
     assert report.failures[0].scenario == name, report.failures[0]
     return report.failures[0]
@@ -318,7 +351,9 @@ class TestPrunedStepMutants:
         # A field holding the parent's first k edges gets the first k
         # rows of the parent's draw either way: there only the generator,
         # left k rows further instead of E, gives the mutant away.
-        detail = _caught_by(self.NAME).detail
+        # (The convolution node draws through F.dropout too, so
+        # fused-backward-vs-autograd sees this mutant as well.)
+        detail = _caught_by(self.NAME, alone=True).detail
         assert "!= whole-graph" in detail or "generator states differ" in detail
 
     def test_edge_ids_unsorted(self, monkeypatch):
@@ -328,9 +363,10 @@ class TestPrunedStepMutants:
         assert "BFS (ascending)" in _caught_by(self.NAME).detail
 
     def test_shrunk_cases_pass_on_the_real_step(self):
-        # What the five mutants above shrink to (two of them to (1, 5));
-        # (0, 2) since a tenth scenario re-dealt run_fuzz's cases.
-        for seed, size in ((6, 5), (1, 5), (4, 1), (1, 3), (0, 2)):
+        # What the five mutants above shrink to since a scenario's cases
+        # depend on its own name and position only, then what they
+        # shrank to under the two earlier, count-dependent dealings.
+        for seed, size in ((7, 1), (6, 1), (4, 1), (1, 3), (0, 1), (6, 5), (1, 5), (0, 2)):
             assert run_case(self.NAME, seed, size) is None, (seed, size)
 
 
@@ -390,9 +426,10 @@ class TestSupervisedRoundMutants:
         # so never re-scored) being kept as a member forever, its
         # partitions trained by nobody — it is evicted once the grace
         # period has passed.
-        # (0, 2) and (0, 13) are what the mutants shrink to since a
-        # tenth scenario re-dealt run_fuzz's cases.
-        for seed, size in ((4, 4), (0, 1), (3, 2), (0, 3), (0, 2), (0, 13)):
+        # (1, 1), (0, 1) and (0, 5) are what they shrink to since a
+        # scenario's cases stopped depending on how many are registered;
+        # the rest under the two earlier dealings.
+        for seed, size in ((1, 1), (0, 1), (0, 5), (0, 3), (4, 4), (3, 2), (0, 2), (0, 13)):
             assert run_case(self.NAME, seed, size) is None, (seed, size)
 
 
@@ -463,13 +500,93 @@ class TestFusedBackwardMutants:
             assert run_case(self.NAME, seed, size) is None, (seed, size)
 
     def test_shrunk_cases_pass_on_the_real_node(self):
-        # What the five mutants above shrink to: (0, 3) a thinned
-        # 13-edge graph under a two-layer per-type, target-specific
-        # detector (three of them); (0, 1) a 3-edge graph under shared
-        # projections; (2, 2) per-type projections on an edgeless
-        # graph, where node types are absent.
-        for seed, size in ((0, 3), (0, 1), (2, 2)):
+        # What the five mutants above shrink to: (1, 2) a thinned
+        # 5-edge graph under a two-layer per-type detector (three of
+        # them) and (0, 1) a 3-edge graph under shared, target-specific
+        # projections (two). Under
+        # the earlier, count-dependent dealing: (0, 3) a thinned 13-edge
+        # graph under a two-layer per-type, target-specific detector;
+        # (2, 2) per-type projections on an edgeless graph, where node
+        # types are absent.
+        for seed, size in ((1, 2), (0, 1), (0, 3), (2, 2)):
             assert run_case(self.NAME, seed, size) is None, (seed, size)
+
+
+def _edited(function, old, new):
+    """``function`` recompiled from its source with ``old`` replaced by
+    ``new``: a mutant one edit away from the code that runs. ``old``
+    must occur exactly once, so rewriting the function fails here,
+    loudly, rather than leaving a mutant that mutates nothing."""
+    source = textwrap.dedent(inspect.getsource(function))
+    assert source.count(old) == 1, f"{old!r} is not (or no longer) in {function.__qualname__}"
+    scope = {}
+    exec(compile(source.replace(old, new), "<mutant>", "exec"), function.__globals__, scope)
+    return scope[function.__name__]
+
+
+class TestDisjointWalkMutants:
+    """`repro check --fuzz 120` must fail, in
+    ``disjoint-walk-vs-singleton-samples``, on each way the one walk can
+    lose track of which component a node or an edge belongs to. Every
+    mutant leaves ``sample(graph, [t])`` and the loop alone."""
+
+    NAME = "disjoint-walk-vs-singleton-samples"
+
+    def test_visited_set_shared_across_components(self, monkeypatch):
+        mutant = _edited(
+            SageSampler._sample_disjoint,
+            "reached[~_in_sorted(seen, reached)[0]]",
+            "reached[~np.isin(reached % stride, seen % stride)]",
+        )
+        monkeypatch.setattr(SageSampler, "_sample_disjoint", mutant)
+        assert "original_ids" in _caught_by(self.NAME).detail
+
+    def test_fanout_rank_taken_over_the_whole_frontier(self, monkeypatch):
+        mutant = _edited(
+            SageSampler._sample_disjoint,
+            "self._kept(positions, counts)",
+            "self._kept(positions, counts.sum(keepdims=True))",
+        )
+        monkeypatch.setattr(SageSampler, "_sample_disjoint", mutant)
+        assert "original_ids" in _caught_by(self.NAME).detail
+
+    def test_edges_ordered_by_csr_position(self, monkeypatch):
+        mutant = _edited(
+            sampling._induce_disjoint,
+            "np.argsort(edge_owner[inside] * graph.num_edges + edge_ids)",
+            "np.arange(len(edge_ids))",
+        )
+        monkeypatch.setattr(sampling, "_induce_disjoint", mutant)
+        assert "edge_src differs" in _caught_by(self.NAME).detail
+
+    def test_induction_matches_sources_across_components(self, monkeypatch):
+        mutant = _edited(
+            sampling._induce_disjoint,
+            "edge_owner * stride + src_sorted[positions]",
+            "src_sorted[positions]",
+        )
+        monkeypatch.setattr(sampling, "_induce_disjoint", mutant)
+        # unstack_subgraphs refuses an edge that leaves its component,
+        # so single-vs-batched-scoring (dealt earlier) sees this one too.
+        assert "edge_src" in _caught_by(self.NAME, alone=True).detail
+
+    def test_target_not_first_in_its_component(self, monkeypatch):
+        # Nodes ascending inside each component, target_local still on
+        # the target: an isomorphic graph, the same scores — and a
+        # layout unstack_subgraphs refuses to cut, which is how
+        # single-vs-batched-scoring sees it too.
+        mutant = _edited(
+            sampling._induce_disjoint,
+            "    slot += seen < root\n    slot[rooted] = starts\n",
+            "    starts = np.flatnonzero(rooted)\n",
+        )
+        monkeypatch.setattr(sampling, "_induce_disjoint", mutant)
+        assert "original_ids differs" in _caught_by(self.NAME, alone=True).detail
+
+    def test_shrunk_case_passes_on_the_real_walk(self):
+        # All five shrink to one case: four targets, two of them the
+        # same node, on a 9-node graph, two hops at fanout 2.
+        assert run_case(self.NAME, 0, 1) is None
 
 
 class TestGenerators:
@@ -522,6 +639,28 @@ class TestStackSubgraphs:
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             stack_subgraphs([])
+
+    def test_unstack_inverts_a_stack_of_single_target_samples(self):
+        graph = random_hetero_graph(np.random.default_rng(12), num_txns=6)
+        sampler = SageSampler(hops=2, fanout=3, seed=1)
+        parts = [sampler.sample(graph, [t]) for t in (0, 1, 0, graph.num_nodes - 1)]
+        stacked = stack_subgraphs(parts)
+        cuts = unstack_subgraphs(stacked)
+        assert [subgraph_equal(cut, part) for cut, part in zip(cuts, parts)] == [None] * 4
+        assert all(cut.graph.txn_features.base is stacked.graph.txn_features for cut in cuts)
+        assert unstack_subgraphs(parts[0]) == [parts[0]]
+
+    def test_unstack_refuses_what_is_not_such_a_stack(self):
+        graph = random_hetero_graph(np.random.default_rng(12), num_txns=6)
+        sampler = SageSampler(hops=2, fanout=3, seed=1)
+        union = sampler.sample(graph, [0, 1])  # one component, two targets
+        assert union.graph.num_edges
+        with pytest.raises(ValueError, match="not a stack"):
+            unstack_subgraphs(union)
+        stacked = stack_subgraphs([sampler.sample(graph, [t]) for t in (0, 1)])
+        stacked.target_local = stacked.target_local + 1  # targets not first
+        with pytest.raises(ValueError, match="target first"):
+            unstack_subgraphs(stacked)
 
 
 class TestCacheCountersThreaded:

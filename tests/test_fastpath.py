@@ -6,7 +6,8 @@ subgraphs — same nodes in the same order, same edges, same target
 positions. These tests pin that contract across degenerate graph
 shapes (sparse, hub-dominated, type-poor, edgeless) where an indexing
 bug would be easiest to hide, then cover the :class:`SubgraphCache`
-invalidation rules and the serving micro-batch parity guarantees.
+invalidation rules, its micro-batch lookup against the per-target loop,
+and the serving micro-batch parity guarantees.
 """
 
 import numpy as np
@@ -19,6 +20,7 @@ from repro.graph import (
     SageSampler,
     SubgraphCache,
 )
+from repro.graph.sampling import stack_subgraphs, unstack_subgraphs
 from repro.obs import MetricsRegistry
 from repro.reliability import ManualClock
 from repro.serving import (
@@ -148,6 +150,28 @@ class TestEquivalence:
             fast.sample(tiny_graph, targets), reference.sample(tiny_graph, targets)
         )
 
+    @pytest.mark.parametrize("graph_name", sorted(GRAPH_BUILDERS))
+    @pytest.mark.parametrize("sampler_name", sorted(SAMPLER_FACTORIES))
+    def test_disjoint_is_the_stacked_loop_of_singleton_samples(self, graph_name, sampler_name):
+        graph = GRAPH_BUILDERS[graph_name]()
+        txn = graph.txn_nodes
+        # Repeats, and the last node (an entity wherever there is one).
+        targets = np.concatenate([txn[:5], txn[:2], [graph.num_nodes - 1]])
+        for reference in (False, True):
+            sampler = SAMPLER_FACTORIES[sampler_name](reference)
+            parts = [sampler.sample(graph, [int(target)]) for target in targets]
+            walk = sampler.sample(graph, targets, disjoint=True)
+            _assert_identical(walk, stack_subgraphs(parts))
+            np.testing.assert_array_equal(walk.graph.labels, stack_subgraphs(parts).graph.labels)
+            for cut, part in zip(unstack_subgraphs(walk), parts):
+                _assert_identical(cut, part)
+            # One target is its own union: the plain route.
+            _assert_identical(
+                sampler.sample(graph, txn[:1], disjoint=True), sampler.sample(graph, txn[:1])
+            )
+            with pytest.raises(ValueError):
+                sampler.sample(graph, [], disjoint=True)
+
     def test_sampled_features_and_targets_line_up(self):
         graph = _sparse_graph()
         sampler = SageSampler(hops=2, fanout=3, seed=0)
@@ -159,6 +183,26 @@ class TestEquivalence:
         np.testing.assert_allclose(
             sampled.graph.txn_features, graph.txn_features[sampled.original_ids]
         )
+
+
+class TestSamplerMetrics:
+    def test_the_unit_is_the_walk_not_the_target(self):
+        graph = _sparse_graph()
+        targets = graph.txn_nodes[:5]
+        for reference, walks in ((False, 1), (True, len(targets))):
+            registry = MetricsRegistry()
+            sampler = SageSampler(hops=3, fanout=2, seed=0, reference=reference)
+            sampler.instrument(registry)
+            hops, samples = registry.get("sampler_hops_total"), registry.get("sampler_sample_seconds")
+            sampler.sample(graph, targets[:1])
+            sampler.sample(graph, targets)  # the union sample: one walk
+            assert (hops.value(sampler="sage"), samples.count(sampler="sage")) == (6, 2)
+            # Five components: one walk on the fast path, and the five
+            # singleton walks it is defined by on the reference path.
+            sampler.sample(graph, targets, disjoint=True)
+            assert hops.value(sampler="sage") == 6 + 3 * walks
+            assert samples.count(sampler="sage") == 2 + walks
+            assert registry.get("sampler_hop_seconds").count(sampler="sage") == 6 + 3 * walks
 
 
 class TestSubgraphCache:
@@ -319,6 +363,157 @@ class TestSubgraphCache:
         # Only the replacement's entry survives, and it still serves.
         assert len(cache) == 1
         assert cache.get_or_sample(replacement, sampler, kept_targets) is kept
+
+
+class _CountingSampler(SageSampler):
+    """Records the targets (and ``disjoint``) of every ``sample`` call."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.calls = []
+
+    def sample(self, graph, targets, deadline=None, disjoint=False):
+        self.calls.append((list(targets), disjoint))
+        return super().sample(graph, targets, deadline=deadline, disjoint=disjoint)
+
+
+class TestBatchLookup:
+    """``get_or_sample(..., disjoint=True)``: the per-target loop's
+    entries, LRU order and counters, from one sampler call."""
+
+    @pytest.mark.parametrize("capacity", [1, 3, 64])
+    def test_state_equals_the_per_target_loop(self, capacity):
+        # Capacities 1 and 3 are below the batch sizes: a call evicts
+        # entries it inserted itself, and present entries before their
+        # turn comes.
+        graph = _dense_hub_graph()
+        sampler = SageSampler(hops=2, fanout=3, seed=0)
+        batched, looped = SubgraphCache(capacity), SubgraphCache(capacity)
+        rng = np.random.default_rng(capacity)
+        pool = rng.permutation(graph.num_nodes)[:8]
+        for call in range(60):
+            if call % 7 == 6:
+                graph.mark_mutated(structural=call % 2 == 0)
+            targets = rng.choice(pool, size=int(rng.integers(0, 9))).tolist()
+            lookups = batched.stats()["lookups"]
+            got = batched.get_or_sample(graph, sampler, targets, disjoint=True)
+            want = [looped.get_or_sample(graph, sampler, [target]) for target in targets]
+            assert batched.stats()["lookups"] == lookups + len(targets)
+            assert len(got) == len(want)
+            for ours, theirs in zip(got, want):
+                _assert_identical(ours, theirs)
+            assert list(batched._entries) == list(looped._entries), (call, targets)
+            assert batched.stats() == looped.stats(), (call, targets)
+        assert looped.hits and looped.misses
+        assert looped.evictions or capacity == 64
+
+    def test_entries_are_the_singleton_lookups_own(self):
+        graph = _sparse_graph()
+        sampler = SageSampler(hops=2, fanout=3, seed=0)
+        cache = SubgraphCache(capacity=8)
+        first, second, third = (int(node) for node in graph.txn_nodes[:3])
+        alone = cache.get_or_sample(graph, sampler, [first])
+        batch = cache.get_or_sample(graph, sampler, [second, first, second], disjoint=True)
+        assert batch[1] is alone  # score()'s / warm_cache()'s entry hits from a batch
+        assert batch[2] is batch[0]  # a repeated absent target: one miss, then one hit
+        assert (cache.misses, cache.hits) == (2, 2)
+        assert cache.get_or_sample(graph, sampler, [second]) is batch[0]  # ... and back
+        assert cache.get_or_sample(graph, sampler, [third], disjoint=True)[0] is (
+            cache.get_or_sample(graph, sampler, [third])
+        )
+
+    def test_one_walk_for_the_distinct_misses_of_a_batch(self):
+        graph = _sparse_graph()
+        sampler = _CountingSampler(hops=2, fanout=3, seed=0)
+        cache = SubgraphCache(capacity=16)
+        txn = graph.txn_nodes.tolist()
+        cache.get_or_sample(graph, sampler, [txn[0]])
+        sampler.calls.clear()
+        cache.get_or_sample(graph, sampler, [txn[1], txn[0], txn[2], txn[1]], disjoint=True)
+        assert sampler.calls == [([txn[1], txn[2]], True)]
+        cache.get_or_sample(graph, sampler, [txn[2], txn[0], txn[1]], disjoint=True)
+        assert len(sampler.calls) == 1  # all hits: the sampler is not called
+        assert cache.get_or_sample(graph, sampler, [], disjoint=True) == []
+        assert len(sampler.calls) == 1
+
+    def test_a_walk_that_raises_counts_the_batch_and_inserts_nothing(self):
+        graph = _sparse_graph()
+        cache = SubgraphCache(capacity=16)
+        txn = graph.txn_nodes.tolist()
+        cache.get_or_sample(graph, SageSampler(hops=2, fanout=3, seed=0), [txn[0]])
+
+        class Spent:
+            def check(self, stage):
+                raise TimeoutError(stage)
+
+        with pytest.raises(TimeoutError, match="sampling hop 0"):
+            cache.get_or_sample(
+                graph,
+                SageSampler(hops=2, fanout=3, seed=0),
+                [txn[1], txn[0], txn[2]],
+                deadline=Spent(),
+                disjoint=True,
+            )
+        assert cache.stats() == {"hits": 1, "misses": 3, "evictions": 0, "lookups": 4, "entries": 1}
+
+    def test_lock_is_not_held_during_the_walk(self):
+        import threading
+
+        graph = _sparse_graph()
+        cache = SubgraphCache(capacity=16)
+        seen = []
+
+        class Reentering(SageSampler):
+            def sample(self, graph, targets, deadline=None, disjoint=False):
+                reader = threading.Thread(target=lambda: seen.append(cache.stats()), daemon=True)
+                reader.start()
+                reader.join(timeout=10.0)
+                assert not reader.is_alive(), "cache.stats() blocked: the walk runs under the lock"
+                return super().sample(graph, targets, deadline=deadline, disjoint=disjoint)
+
+        targets = graph.txn_nodes[:4].tolist()
+        cache.get_or_sample(graph, Reentering(hops=2, fanout=3, seed=0), targets, disjoint=True)
+        assert [stats["misses"] for stats in seen] == [4]  # counted before the walk
+
+    def test_counters_sum_to_lookups_under_concurrent_batches(self):
+        import sys
+        import threading
+
+        graph = _dense_hub_graph()
+        sampler = SageSampler(hops=1, fanout=2, seed=0)
+        cache = SubgraphCache(capacity=4)  # below the batch size: constant eviction
+        txn = graph.txn_nodes
+        threads, calls, batch = 8, 60, 6
+        errors = []
+
+        def worker(worker_id):
+            rng = np.random.default_rng(worker_id)
+            try:
+                for _ in range(calls):
+                    targets = rng.choice(txn, size=batch).tolist()
+                    parts = cache.get_or_sample(graph, sampler, targets, disjoint=True)
+                    for target, part in zip(targets, parts):
+                        assert part.original_ids[part.target_local[0]] == target
+            except Exception as error:  # pragma: no cover - failure path
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            pool = [threading.Thread(target=worker, args=(i,)) for i in range(threads)]
+            for thread in pool:
+                thread.start()
+            for thread in pool:
+                thread.join(timeout=120.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in pool)
+        assert errors == []
+        snapshot = cache.stats()
+        assert snapshot["lookups"] == threads * calls * batch
+        assert snapshot["hits"] + snapshot["misses"] == snapshot["lookups"]
+        assert snapshot["entries"] <= cache.capacity
+        assert snapshot["evictions"] <= snapshot["misses"]
 
 
 class TestBatchParity:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.graph import SubgraphCache
 from repro.obs import Tracer
 from repro.reliability import (
     ManualClock,
@@ -391,17 +392,18 @@ class TestScoringService:
         assert 0.0 <= auc <= 1.0
 
 
-class _BudgetBurningCache:
-    """Stands where a SubgraphCache does; spends ``delay_s`` of the
-    shared clock before the sampler runs (a slow sampling stage)."""
+class _BudgetBurningCache(SubgraphCache):
+    """A SubgraphCache that spends ``delay_s`` of the shared clock
+    before it looks anything up (a slow sampling stage)."""
 
     def __init__(self, clock, delay_s):
+        super().__init__()
         self.clock = clock
         self.delay_s = delay_s
 
-    def get_or_sample(self, graph, sampler, targets, deadline=None):
+    def get_or_sample(self, graph, sampler, targets, deadline=None, disjoint=False):
         self.clock.advance(self.delay_s)
-        return sampler.sample(graph, targets, deadline=deadline)
+        return super().get_or_sample(graph, sampler, targets, deadline, disjoint)
 
 
 class _TickingClock(ManualClock):
@@ -628,6 +630,116 @@ class TestBatchOfOneParity:
         else:
             expected = 0.05
         assert response.score == pytest.approx(float(expected), abs=1e-9)
+
+
+class TestBatchWalkDeadlines:
+    """One sampler walk per micro-batch: expiry stays per member, the
+    deadline checks become per walk."""
+
+    SLOW_SAMPLING_S = 0.1
+
+    def _service(self, trained_detector, tiny_graph, rules=None, cache=None, **kwargs):
+        clock = ManualClock()
+        if cache is None:
+            cache = _BudgetBurningCache(clock, delay_s=self.SLOW_SAMPLING_S)
+        return ScoringService(
+            trained_detector,
+            tiny_graph,
+            rules=rules,
+            config=ServiceConfig(deadline_s=0.5, static_prior=0.05),
+            clock=clock,
+            cache=cache,
+            **kwargs,
+        )
+
+    def _requests(self, tiny_graph, short):
+        """Four requests; those at the positions in ``short`` carry a
+        budget that the slow sampling stage outlives."""
+        return [
+            ScoreRequest(
+                node=node,
+                features=tiny_graph.txn_features[node],
+                deadline_s=self.SLOW_SAMPLING_S / 2 if index in short else None,
+            )
+            for index, node in enumerate(_txn_nodes(tiny_graph, 4))
+        ]
+
+    def test_a_member_expiring_in_the_walk_is_demoted_alone(
+        self, trained_detector, tiny_graph, mined_rules
+    ):
+        requests = self._requests(tiny_graph, short={2})
+        service = self._service(trained_detector, tiny_graph, rules=mined_rules)
+        responses = service.score_batch(requests)
+        assert [r.degraded_reason for r in responses] == [
+            None, None, "deadline:sampling hop 0", None
+        ]
+        assert [r.rung for r in responses] == [RUNG_GNN, RUNG_GNN, RUNG_RULES, RUNG_GNN]
+        assert service.stats.deadline_hits == 1
+        assert service.cache.stats()["lookups"] == 4  # looked up before the walk started
+        # The demoted member left no trace in the forward: the other
+        # three score exactly as a batch of just them, and as each does
+        # alone up to the rounding of a differently shaped matmul.
+        others = [request for request in requests if request.deadline_s is None]
+        scored = [response for response in responses if response.rung == RUNG_GNN]
+        without = self._service(trained_detector, tiny_graph).score_batch(others)
+        assert [r.score for r in scored] == [r.score for r in without]
+        for request, response in zip(others, scored):
+            alone = self._service(trained_detector, tiny_graph).score(request)
+            assert response.score == pytest.approx(alone.score, abs=1e-12)
+        # Without rules the demoted member lands on the prior.
+        bare = self._service(trained_detector, tiny_graph).score_batch(requests)
+        assert [r.rung for r in bare] == [RUNG_GNN, RUNG_GNN, RUNG_PRIOR, RUNG_GNN]
+
+    def test_a_batch_expiring_whole_skips_the_forward(
+        self, trained_detector, tiny_graph, mined_rules, monkeypatch
+    ):
+        service = self._service(trained_detector, tiny_graph, rules=mined_rules)
+        monkeypatch.setattr(
+            trained_detector, "predict_proba", lambda *args: pytest.fail("forward ran")
+        )
+        responses = service.score_batch(self._requests(tiny_graph, short={0, 1, 2, 3}))
+        assert {r.degraded_reason for r in responses} == {"deadline:sampling hop 0"}
+        assert {r.rung for r in responses} == {RUNG_RULES}
+        assert service.stats.deadline_hits == 4
+        assert len(service.cache) == 0
+
+    def test_the_sampler_checks_the_group_once_per_hop_per_walk(
+        self, trained_detector, tiny_graph, monkeypatch
+    ):
+        from repro.serving import service as service_module
+
+        stages = []
+        check = service_module._DeadlineGroup.check
+        monkeypatch.setattr(
+            service_module._DeadlineGroup,
+            "check",
+            lambda self, stage: (stages.append(stage), check(self, stage))[1],
+        )
+        tracer = Tracer(clock=ManualClock())
+        service = self._service(
+            trained_detector, tiny_graph, cache=SubgraphCache(), tracer=tracer
+        )
+        nodes = _txn_nodes(tiny_graph, 4)
+        hops = trained_detector.sampler.hops
+
+        def sampling(call):
+            stages.clear(), tracer.reset()
+            call()
+            (span,) = [span for span in tracer.spans() if span.name == "sample"]
+            counts = (span.attributes["hits"], span.attributes["misses"])
+            return [stage for stage in stages if stage.startswith("sampling")], counts
+
+        expected = [f"sampling hop {hop}" for hop in range(hops)]
+        # Four misses, one walk: `hops` checks, not `hops` x 4.
+        assert sampling(lambda: service.score_batch(nodes)) == (expected, (0, 4))
+        # All hits: no walk, no sampler check.
+        assert sampling(lambda: service.score_batch(nodes)) == ([], (4, 0))
+        more = _txn_nodes(tiny_graph, 7)
+        assert sampling(lambda: service.score_batch(more)) == (expected, (4, 3))
+        # No cache: every member is walked, every time.
+        service.cache = None
+        assert sampling(lambda: service.score_batch(nodes)) == (expected, (0, 4))
+        assert sampling(lambda: service.score(nodes[0])) == (expected, (0, 1))
 
 
 class TestSpanShape:
