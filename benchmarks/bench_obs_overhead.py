@@ -8,16 +8,26 @@ span and histogram operations per request, so the budget is stated in
 whenever the forward gets twice as fast (it did, when ``predict_proba``
 became a plain-array kernel) although nothing about tracing changed.
 
-Three services — instrumentation off (NULL_TRACER), tracing + metrics
-on, tracer constructed but disabled — score the same request stream
-*interleaved*: each request goes to all three back to back, in rotating
-order, and the overhead is the median of the per-request differences.
+Four services — instrumentation off (NULL_TRACER), tracing + metrics
+on, metrics only (a registry, no tracer), tracer constructed but
+disabled — score the same request stream *interleaved*: each request
+goes to all four back to back, in rotating order, and the overhead is
+the median of the per-request differences. The metrics-only row is what
+separates the two costs: with a registry attached a request observes
+its latency histogram and the sampler's hop / sample timings (clock
+reads plus ``Histogram.observe``); the tallies cost nothing per request
+— the registry reads them when it is scraped.
+Each service scores through its own view of the model (same
+parameters, a sampler of its own): ``ScoringService(registry=)``
+instruments ``model.sampler``, and a shared sampler would time its hops
+for every service, the uninstrumented one included.
 The box's speed drifts by tens of per cent over seconds, which a
 run-A-then-run-B comparison of two p50s reads as overhead (or as a
 negative one); adjacent calls share the drift and their difference
 does not.
 """
 
+import copy
 import time
 
 import numpy as np
@@ -38,18 +48,32 @@ from repro.data import ebay_small_sim
 REQUESTS = 600
 WARMUP = 30
 
-#: The budget: what tracing + metrics, and a constructed-but-disabled
-#: tracer, may add to one request. Five runs on the reference box read
-#: +54..+69 us and -6..+5 us. The asserts allow half the budget on top
-#: (the box's speed factor ranges 0.97-1.42, and absolute times scale
-#: with it) — never more slack than the claim itself.
-TRACED_BUDGET_US = 80.0
-DISABLED_BUDGET_US = 10.0
+#: The budget: what each kind of instrumentation may add to one
+#: request, at the reference box's speed (uninstrumented p50 0.60-0.70
+#: ms). Six runs read +88..+135 us (tracing + metrics), +47..+64 us
+#: (metrics only) and +3..+15 us (tracer disabled) with the box 1.0-1.5x
+#: slower than that; divided by the factor, ~85, ~40 and ~5 us. The
+#: first row read +54..+69 us against a budget of 80 while every service
+#: shared one sampler, which hid the sampler's timings (in all three
+#: rows alike). The asserts allow half the budget on top (the box's
+#: speed factor ranges 0.97-1.5, and absolute times scale with it) —
+#: never more slack than the claim itself.
+BUDGET_US = {
+    "tracing + metrics": 100.0,
+    "metrics only (no tracer)": 50.0,
+    "tracer disabled": 10.0,
+}
 SLACK = 0.5
 
 
 def _median_us(seconds) -> float:
     return float(np.median(seconds)) * 1e6
+
+
+def _own_sampler(model):
+    view = copy.copy(model)
+    view.sampler = copy.copy(model.sampler)
+    return view
 
 
 def test_obs_overhead(benchmark):
@@ -62,14 +86,15 @@ def test_obs_overhead(benchmark):
     nodes = np.resize(np.asarray(bundle.test_nodes, dtype=np.int64), WARMUP + REQUESTS)
 
     config = ServiceConfig(deadline_s=5.0)
+    instrumentation = {
+        "off (no tracer)": {},
+        "tracing + metrics": {"tracer": Tracer(), "registry": MetricsRegistry()},
+        "metrics only (no tracer)": {"registry": MetricsRegistry()},
+        "tracer disabled": {"tracer": Tracer(enabled=False)},
+    }
     services = {
-        "off (no tracer)": ScoringService(model, graph, config=config),
-        "tracing + metrics": ScoringService(
-            model, graph, config=config, tracer=Tracer(), registry=MetricsRegistry()
-        ),
-        "tracer disabled": ScoringService(
-            model, graph, config=config, tracer=Tracer(enabled=False)
-        ),
+        name: ScoringService(_own_sampler(model), graph, config=config, **obs)
+        for name, obs in instrumentation.items()
     }
     names = list(services)
     latencies = {name: [] for name in names}
@@ -94,18 +119,18 @@ def test_obs_overhead(benchmark):
     off = np.asarray(latencies[names[0]])
     overhead_us = {name: _median_us(np.asarray(latencies[name]) - off) for name in names[1:]}
     rows = [[names[0], f"{_median_us(off) / 1e3:.3f}ms", "-", "-"]]
-    for name, budget in zip(names[1:], (TRACED_BUDGET_US, DISABLED_BUDGET_US)):
+    for name in names[1:]:
         rows.append(
             [
                 name,
                 f"{_median_us(latencies[name]) / 1e3:.3f}ms",
                 f"{overhead_us[name]:+.1f}us",
-                f"{budget:.0f}us",
+                f"{BUDGET_US[name]:.0f}us",
             ]
         )
     text = (
         f"Observability overhead — ScoringService.score, {REQUESTS} requests "
-        "interleaved across the three services\n"
+        f"interleaved across the {len(names)} services\n"
         + format_table(
             ["Instrumentation", "p50", "median paired overhead / request", "budget"], rows
         )
@@ -113,5 +138,5 @@ def test_obs_overhead(benchmark):
     path = write_result("obs_overhead", text)
     print("\n" + text + f"\n-> {path}")
 
-    assert overhead_us["tracing + metrics"] < TRACED_BUDGET_US * (1 + SLACK)
-    assert overhead_us["tracer disabled"] < DISABLED_BUDGET_US * (1 + SLACK)
+    for name, budget in BUDGET_US.items():
+        assert overhead_us[name] < budget * (1 + SLACK), name

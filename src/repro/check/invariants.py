@@ -705,3 +705,276 @@ def _check_percentiles() -> List[str]:
     if latency_percentiles(ordered)["p99"] != ordered[98]:
         problems.append("p99 of 100 samples is not the 99th order statistic")
     return problems
+
+
+def _scraped(registry) -> Dict[str, float]:
+    """``{"name{labels}": value}`` of one ``registry.render()``."""
+    samples = (
+        line.rsplit(" ", 1) for line in registry.render().splitlines() if line[:1] != "#"
+    )
+    return {sample: float(value) for sample, value in samples}
+
+
+def _surface_problems(
+    where: str, scraped: Dict[str, float], expected: Dict[str, object]
+) -> List[str]:
+    """Every sample the component's own report (``stats()`` /
+    ``snapshot()`` / ``health()`` / ``ReplicaHealth``) implies, present
+    and equal in a scrape taken at the same point."""
+    return [
+        f"{where}: {sample} scraped as {scraped.get(sample)}, the component reports {value}"
+        for sample, value in expected.items()
+        if scraped.get(sample) != float(value)
+    ]
+
+
+def _cache_surfaces(rng) -> List[str]:
+    """Two caches on one registry (their samples add) under lookups,
+    micro-batch lookups, evictions, deltas and invalidations."""
+    from ..graph.cache import SubgraphCache
+    from ..graph.sampling import SageSampler
+    from ..obs.registry import MetricsRegistry
+
+    registry = MetricsRegistry()
+    graph = random_hetero_graph(rng, num_txns=8)
+    sampler = SageSampler(hops=2, fanout=3, seed=1)
+    caches = [SubgraphCache(capacity=3).instrument(registry) for _ in range(2)]
+    for step in range(60):
+        cache = caches[int(rng.integers(0, 2))]
+        targets = [int(node) for node in rng.integers(0, graph.num_nodes, size=rng.integers(1, 5))]
+        action = int(rng.integers(0, 8))
+        if action == 0:
+            graph.append_delta(**random_delta(rng, graph, num_new_txns=1))
+        elif action == 1:
+            cache.invalidate(graph)
+        else:
+            cache.get_or_sample(graph, sampler, targets, disjoint=bool(action % 2))
+        if rng.integers(0, 3) == 0:
+            stats = [cache.stats() for cache in caches]
+            expected = {
+                f'subgraph_cache_{tally}_total{{cache="subgraph"}}': sum(
+                    snapshot[tally] for snapshot in stats
+                )
+                for tally in ("hits", "misses", "evictions")
+            }
+            problems = _surface_problems(f"caches, step {step}", _scraped(registry), expected)
+            if problems:
+                return problems
+    totals = [sum(cache.stats()[tally] for cache in caches) for tally in ("hits", "evictions")]
+    return [] if all(totals) else [f"the cache experiment lost its hits or evictions: {totals}"]
+
+
+def _stats_surfaces(rng) -> List[str]:
+    from ..obs.registry import MetricsRegistry
+    from ..serving.stats import ServiceStats
+
+    registry = MetricsRegistry()
+    stats = ServiceStats(registry=registry)
+    reasons = ("deadline:feature fetch", "breaker_open", "kv_unavailable")
+    for step in range(80):
+        action = int(rng.integers(0, 4))
+        if action == 0:
+            stats.record_shed(("rate_limited", "queue_full")[int(rng.integers(0, 2))])
+        else:
+            stats.record_admitted()
+            degraded = reasons[int(rng.integers(0, 3))] if action == 1 else None
+            stats.record_response("rules" if degraded else "gnn", float(rng.uniform()), degraded)
+        if rng.integers(0, 3) == 0:
+            snapshot = stats.snapshot()
+            expected = {"service_admitted_total": snapshot["admitted"]}
+            for family, label, tally in (
+                ("service_shed_total", "reason", snapshot["shed"]),
+                ("service_degraded_total", "reason", snapshot["degraded_reasons"]),
+                ("service_request_latency_seconds_count", "rung", snapshot["rungs"]),
+            ):
+                expected.update(
+                    {f'{family}{{{label}="{key}"}}': count for key, count in tally.items()}
+                )
+            problems = _surface_problems(f"stats, step {step}", _scraped(registry), expected)
+            if problems:
+                return problems
+    return []
+
+
+def _stream_surfaces(rng) -> List[str]:
+    """Builder + scorer + the service under them on one registry:
+    events, refused ingests, matured labels (label flips bump the graph
+    version after the flush), compactions."""
+    from ..models.detector import DetectorConfig, XFraudDetectorPlus
+    from ..obs.registry import MetricsRegistry
+    from ..reliability.faults import ManualClock
+    from ..serving.service import ScoringService, ServiceConfig
+    from ..stream.builder import IncrementalGraphBuilder
+    from ..stream.scorer import StreamConfig, StreamScorer
+    from ..stream.wal import EventLog
+
+    registry, clock = MetricsRegistry(), ManualClock()
+    builder = IncrementalGraphBuilder(feature_dim=4, registry=registry)
+    events = random_events(rng, 70, feature_dim=4)
+    for event in events[:6]:
+        builder.apply(event)
+    builder.flush()
+    detector = XFraudDetectorPlus(
+        DetectorConfig(feature_dim=4, hidden_dim=4, num_heads=2, num_layers=1, ffn_hidden_dim=4),
+        hops=1,
+        fanout=2,
+    )
+    service = ScoringService(
+        detector,
+        builder.graph,
+        config=ServiceConfig(deadline_s=5.0, rate=0.5, burst=3.0),
+        clock=clock,
+        registry=registry,
+    )
+    with tempfile.TemporaryDirectory() as directory:
+        wal = EventLog(directory, segment_max_bytes=512, fsync=False)
+        scorer = StreamScorer(
+            service,
+            builder,
+            wal=wal,
+            config=StreamConfig(batch_size=4, queue_capacity=6, label_delay_s=0.5, compact_every=9),
+            clock=clock,
+            registry=registry,
+        )
+        refused = 0
+        for step, event in enumerate(events[6:]):
+            clock.advance(max(0.0, event.timestamp - clock()))
+            if not scorer.ingest(event):
+                refused += 1
+                scorer.pump(max_batches=1)
+                scorer.ingest(event)
+            if rng.integers(0, 4) == 0:
+                scorer.pump(max_batches=int(rng.integers(1, 3)))
+            if rng.integers(0, 3):
+                continue
+            health, snapshot = scorer.health(), service.stats.snapshot()
+            expected = {
+                "stream_lag_events": health.lag_events,
+                "stream_lag_seconds": health.lag_seconds,
+                "stream_wal_segments": health.wal_segments,
+                "stream_events_ingested_total": health.wal_records,
+                "stream_graph_version": health.graph_version,
+                "stream_graph_nodes": health.graph_nodes,
+                "stream_graph_edges": health.graph_edges,
+                "stream_events_scored_total": health.events_scored,
+                "stream_labels_matured_total": health.labels_matured,
+                "stream_backpressure_total": health.backpressure_rejections,
+                "stream_builder_events_total": builder.events_applied,
+                "stream_builder_compactions_total": builder.compactions,
+                "service_admitted_total": snapshot["admitted"],
+            }
+            if not np.isnan(health.online_auc):
+                expected["stream_online_auc"] = health.online_auc
+            for reason, count in snapshot["shed"].items():
+                expected[f'service_shed_total{{reason="{reason}"}}'] = count
+            problems = _surface_problems(f"stream, step {step}", _scraped(registry), expected)
+            if problems:
+                return problems
+        wal.close()
+    seen = {
+        "refused ingests": refused,
+        "matured labels": scorer.labels_matured,
+        "compactions": builder.compactions,
+        "shed requests": service.stats.total_shed,
+    }
+    return [f"the stream experiment lost its {what}" for what, count in seen.items() if not count]
+
+
+def _replica_surfaces(rng) -> List[str]:
+    """A 3-replica tier read through a kill window while copies are
+    poisoned on disk and anti-entropy passes repair them."""
+    from ..obs.registry import MetricsRegistry
+    from ..reliability.faults import FaultPlan, ManualClock
+    from ..storage.kvstore import InMemoryKVStore
+    from ..storage.replicated import AllReplicasFailedError, ReplicatedConfig, ReplicatedKVStore
+
+    registry, clock = MetricsRegistry(), ManualClock()
+    plan = FaultPlan(
+        num_workers=3,
+        replica_kill={1: [(0.3, 0.9)]},
+        replica_slow={replica: 0.001 * (1 + replica) for replica in range(3)},
+    )
+    backings = [InMemoryKVStore() for _ in range(3)]
+    store = ReplicatedKVStore(
+        plan.wrap_replicas(backings, clock),
+        config=ReplicatedConfig(
+            replication_factor=2, dead_after=2, probe_interval_s=0.05, hedge_min_observations=4
+        ),
+        clock=clock,
+        registry=registry,
+    )
+    for index in range(12):
+        store.put(f"feat/{index}", bytes(rng.integers(0, 256, size=8, dtype=np.uint8)))
+    repaired = 0
+    for step in range(300):
+        clock.advance(float(rng.uniform(0.0, 0.01)))
+        key = f"feat/{int(rng.integers(0, 12))}"
+        action = int(rng.integers(0, 25))
+        if action == 0:
+            repaired += store.anti_entropy(repair=True).repaired
+        elif action == 1:
+            backings[store.owners(key)[int(rng.integers(0, 2))]].put(key, b"poisoned")
+        else:
+            try:
+                store.get(key)
+            except AllReplicasFailedError:
+                pass  # both owners down at once: counted, not a surface
+        if rng.integers(0, 5):
+            continue
+        expected = {
+            "kv_failovers_total": store.failovers,
+            "kv_hedge_overruns_total": store.hedge_overruns,
+            "kv_hedged_reads_total": store.hedged_reads,
+            "kv_anti_entropy_repairs_total": repaired,
+        }
+        corrupt = 0.0
+        scraped = _scraped(registry)
+        for health in store.health:
+            replica = f'replica="{health.index}"'
+            expected[f'kv_replica_reads_total{{{replica},outcome="ok"}}'] = health.reads_ok
+            expected[f"kv_replica_consecutive_errors{{{replica}}}"] = health.consecutive_errors
+            expected[f"kv_replica_ewma_latency_seconds{{{replica}}}"] = health.ewma_latency_s or 0.0
+            for state in ("healthy", "suspect", "dead", "probing"):
+                expected[f'kv_replica_state{{{replica},state="{state}"}}'] = state == health.state
+            corrupt += scraped.get(f"kv_corrupt_reads_total{{{replica}}}", 0.0)
+            # No write failed (every put precedes the first fault), so a
+            # replica's errors are its failed reads of either kind.
+            failed = sum(
+                scraped.get(f'kv_replica_reads_total{{{replica},outcome="{outcome}"}}', 0.0)
+                for outcome in ("error", "corrupt")
+            )
+            if failed != health.reads_error:
+                return [
+                    f"replicas, step {step}: replica {health.index} failed reads scraped as "
+                    f"{failed}, its ReplicaHealth reports {health.reads_error}"
+                ]
+        if corrupt != store.corrupt_reads:
+            return [f"replicas, step {step}: corrupt reads {corrupt} != {store.corrupt_reads}"]
+        problems = _surface_problems(f"replicas, step {step}", scraped, expected)
+        if problems:
+            return problems
+    seen = {
+        "failovers": store.failovers,
+        "corrupt reads": store.corrupt_reads,
+        "repairs": repaired,
+        "dead replica": sum("dead" in health.state_path() for health in store.health),
+    }
+    return [f"the replica experiment lost its {what}" for what, count in seen.items() if not count]
+
+
+@invariant(
+    "status-surfaces-agree",
+    layer="obs/serving/stream/storage",
+    falsifies="a scrape of the registry disagreeing, at any point between "
+    "operations, with what stats() / snapshot() / health() / ReplicaHealth "
+    "report at that instant (a tally copied instead of read), or two "
+    "components on one registry not adding",
+)
+def _check_status_surfaces() -> List[str]:
+    problems: List[str] = []
+    for seed in (0, 1, 2):
+        for experiment in (_cache_surfaces, _stats_surfaces, _stream_surfaces, _replica_surfaces):
+            problems += [
+                f"seed {seed}: {p}" for p in experiment(np.random.default_rng([seed, 41]))
+            ]
+    return problems

@@ -897,7 +897,6 @@ def _cmd_healthcheck(args) -> int:
     clock.advance(config.probe_interval_s * 2)
     for index in range(args.keys):  # final sweep re-probes anything dead
         store.get(f"hc/{index}")
-    store.export_health()  # refresh the kv_replica_* gauges
 
     print(store.describe())
     print()

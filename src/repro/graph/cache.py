@@ -48,10 +48,10 @@ class SubgraphCache:
     ``(target, sampler-config, graph-version)``.
 
     ``capacity`` bounds the entry count; least-recently-used entries
-    are evicted first. Hit/miss/eviction counters are always tracked
-    as plain attributes and — after :meth:`instrument` — exported
-    through a :class:`repro.obs.registry.MetricsRegistry` as
-    ``subgraph_cache_{hits,misses,evictions}_total``.
+    are evicted first. Hit/miss/eviction counters are plain
+    attributes, the only copy; after :meth:`instrument` a
+    :class:`repro.obs.registry.MetricsRegistry` reads them, whenever it
+    is scraped, as ``subgraph_cache_{hits,misses,evictions}_total``.
 
     Thread-safe: the serving layer scores from worker threads while
     ``drain`` runs on the control thread.
@@ -72,31 +72,23 @@ class SubgraphCache:
         # deadlock on that re-entry.
         self._lock = threading.RLock()
         self._graph_finalizers: dict = {}
-        self._hits_metric = None
-        self._misses_metric = None
-        self._evictions_metric = None
 
     # ------------------------------------------------------------------
     # Observability
     # ------------------------------------------------------------------
     def instrument(self, registry) -> "SubgraphCache":
-        """Export counters through ``registry``; returns self."""
-        self._hits_metric = registry.counter(
-            "subgraph_cache_hits_total",
-            "Sampled-subgraph cache hits.",
-            labels=("cache",),
-        )
-        self._misses_metric = registry.counter(
-            "subgraph_cache_misses_total",
-            "Sampled-subgraph cache misses.",
-            labels=("cache",),
-        )
-        self._evictions_metric = registry.counter(
-            "subgraph_cache_evictions_total",
-            "Sampled-subgraph cache LRU evictions.",
-            labels=("cache",),
-        )
+        """Let ``registry`` read the counters; returns self."""
+        registry.collect(self._collect)
         return self
+
+    def _collect(self):
+        stats = self.stats()  # one locked snapshot: hits + misses never torn
+        for tally, name, help in (
+            ("hits", "subgraph_cache_hits_total", "Sampled-subgraph cache hits."),
+            ("misses", "subgraph_cache_misses_total", "Sampled-subgraph cache misses."),
+            ("evictions", "subgraph_cache_evictions_total", "Sampled-subgraph cache LRU evictions."),
+        ):
+            yield "counter", name, help, {"cache": "subgraph"}, stats[tally]
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -155,9 +147,9 @@ class SubgraphCache:
             cached = self._entries.get(key)
             if cached is not None:
                 self._entries.move_to_end(key)
-                self._count(hits=1)
+                self.hits += 1
                 return cached
-            self._count(misses=1)
+            self.misses += 1
         sampled = sampler.sample(graph, targets, deadline=deadline)
         with self._lock:
             self._store(key, sampled)
@@ -196,8 +188,8 @@ class SubgraphCache:
                 else:
                     parts[key] = entry
             hit = self._loop_outcomes(keys) if absent else [True] * len(keys)
-            hits = sum(hit)
-            self._count(hits=hits, misses=len(hit) - hits)
+            self.hits += sum(hit)
+            self.misses += len(hit) - sum(hit)
         missed = list(dict.fromkeys(key for key, found in zip(keys, hit) if not found))
         if missed:
             walk = sampler.sample(
@@ -241,14 +233,6 @@ class SubgraphCache:
             results.append(entry)
         return results
 
-    def _count(self, hits: int = 0, misses: int = 0) -> None:
-        self.hits += hits
-        self.misses += misses
-        if hits and self._hits_metric is not None:
-            self._hits_metric.inc(hits, cache="subgraph")
-        if misses and self._misses_metric is not None:
-            self._misses_metric.inc(misses, cache="subgraph")
-
     def _store(self, key: Tuple, sampled: SampledSubgraph) -> None:
         """Insert unless a racing miss of the same key already did,
         evicting from the cold end."""
@@ -257,8 +241,6 @@ class SubgraphCache:
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
                 self.evictions += 1
-                if self._evictions_metric is not None:
-                    self._evictions_metric.inc(cache="subgraph")
 
     def invalidate(self, graph=None) -> int:
         """Eagerly drop entries: all of them, or only those belonging

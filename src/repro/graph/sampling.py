@@ -266,9 +266,12 @@ class _SamplerMetrics:
     ``instrument(registry)`` registers the shared metric family
     (``sampler_hops_total``, ``sampler_hop_seconds``,
     ``sampler_sample_seconds``, all labelled by sampler kind) against a
-    :class:`repro.obs.registry.MetricsRegistry`. Uninstrumented
-    samplers pay a single ``is None`` check per call, so the default
-    path stays as fast as before.
+    :class:`repro.obs.registry.MetricsRegistry`. These are timings, so
+    they are pushed (a hop is counted in the block that read the clock
+    for it) rather than read at scrape time like the tallies of the
+    cache or the service. Uninstrumented samplers pay a single
+    ``is None`` check per call, so the default path stays as fast as
+    before.
 
     The unit is the *walk*, not the target: one
     ``sampler_sample_seconds`` observation and ``hops``

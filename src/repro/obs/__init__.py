@@ -21,7 +21,9 @@ instrumentation layer those measurements flow through:
 Dependency-free (stdlib only) so every layer — storage, graph,
 serving, train — can import it without cycles. Instrumentation is
 opt-in everywhere: with no registry/tracer attached the hot paths pay
-one ``is None`` check.
+one ``is None`` check where they would read a clock, and nothing where
+they count — a tally is a plain attribute its owner lets an attached
+registry read at scrape time (:meth:`MetricsRegistry.collect`).
 """
 
 from .export import (

@@ -18,6 +18,16 @@ workers (the multi-handle KV loaders, request threads) lose no counts.
 :meth:`MetricsRegistry.render` emits the Prometheus text exposition
 format, which is what ``repro serve --metrics`` prints at exit.
 
+One rule decides how a number reaches the exposition: **counts are
+read, timings are observed**. A tally a component already keeps as a
+plain attribute (hits, admitted requests, a graph version, a replica's
+state) is not copied into a metric when it changes; the component
+hands the registry a source (:meth:`MetricsRegistry.collect`) and the
+registry reads the attribute when someone looks. Only what costs a
+clock read and is therefore opt-in — the latency histograms, and the
+counters taken in the same timed block — is pushed with
+``observe`` / ``inc``.
+
 Dependency-free by design: stdlib only, importable from any layer
 (storage, graph, serving) without cycles.
 """
@@ -27,7 +37,8 @@ from __future__ import annotations
 import random
 import re
 import threading
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from bisect import bisect_left
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..util import nearest_rank_index
 
@@ -37,6 +48,7 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "Reservoir",
+    "Sample",
     "DEFAULT_LATENCY_BUCKETS",
 ]
 
@@ -134,11 +146,15 @@ class Reservoir:
 def _label_key(
     label_names: Tuple[str, ...], labels: Dict[str, str], metric: str
 ) -> Tuple[str, ...]:
-    if set(labels) != set(label_names):
-        raise ValueError(
-            f"{metric}: expected labels {sorted(label_names)}, got {sorted(labels)}"
-        )
-    return tuple(str(labels[name]) for name in label_names)
+    # As many labels as names and every name present: the same sets.
+    if len(labels) == len(label_names):
+        try:
+            return tuple([str(labels[name]) for name in label_names])
+        except KeyError:
+            pass
+    raise ValueError(
+        f"{metric}: expected labels {sorted(label_names)}, got {sorted(labels)}"
+    )
 
 
 def _escape_label_value(value: str) -> str:
@@ -264,12 +280,17 @@ class Gauge(_Metric):
 
 
 class _HistogramState:
-    """Per-label-set histogram accumulators: buckets + sum + reservoir."""
+    """Per-label-set histogram accumulators: buckets + sum + reservoir.
+
+    ``bucket_counts[i]`` holds the observations whose *first* boundary
+    is ``buckets[i]`` (the last slot those above every boundary);
+    :meth:`Histogram.render` cumulates them into the ``le`` series.
+    """
 
     __slots__ = ("bucket_counts", "count", "sum", "reservoir")
 
     def __init__(self, num_buckets: int, reservoir_size: int, seed: int) -> None:
-        self.bucket_counts = [0] * num_buckets
+        self.bucket_counts = [0] * (num_buckets + 1)
         self.count = 0
         self.sum = 0.0
         self.reservoir = Reservoir(reservoir_size, seed=seed)
@@ -321,9 +342,10 @@ class Histogram(_Metric):
             state.count += 1
             state.sum += value
             state.reservoir.add(value)
-            for index, boundary in enumerate(self.buckets):
-                if value <= boundary:
-                    state.bucket_counts[index] += 1
+            # First boundary >= value; a NaN is below no boundary.
+            state.bucket_counts[
+                bisect_left(self.buckets, value) if value == value else len(self.buckets)
+            ] += 1
 
     def count(self, **labels: str) -> int:
         key = self._key(labels)
@@ -357,17 +379,28 @@ class Histogram(_Metric):
         with self._lock:
             for key in sorted(self._states):
                 state = self._states[key]
+                at_most = 0
                 for boundary, bucket_count in zip(self.buckets, state.bucket_counts):
+                    at_most += bucket_count
                     labels = _render_labels(
                         self.label_names, key, extra=f'le="{repr(boundary)}"'
                     )
-                    lines.append(f"{self.name}_bucket{labels} {bucket_count}")
+                    lines.append(f"{self.name}_bucket{labels} {at_most}")
                 inf_labels = _render_labels(self.label_names, key, extra='le="+Inf"')
                 lines.append(f"{self.name}_bucket{inf_labels} {state.count}")
                 plain = _render_labels(self.label_names, key)
                 lines.append(f"{self.name}_sum{plain} {_format_value(state.sum)}")
                 lines.append(f"{self.name}_count{plain} {state.count}")
         return "\n".join(lines)
+
+
+#: What a collected source yields per sample: ``(kind, name, help,
+#: {label: value}, number)``, kind ``"counter"`` or ``"gauge"``. A
+#: ``None`` number declares the family — its ``# HELP`` / ``# TYPE``
+#: header renders — without a sample: a labelled family nothing has
+#: happened to yet, a level that does not exist yet (no AUC before the
+#: first label).
+Sample = Tuple[str, str, str, Mapping[str, object], Optional[float]]
 
 
 class MetricsRegistry:
@@ -378,10 +411,16 @@ class MetricsRegistry:
     family — e.g. ``kv_read_seconds`` from both the scoring service and
     an instrumented store — compose without coordination), and raises
     when the registered kind or label names conflict.
+
+    Those are the *observed* families. A *collected* family has no
+    state here: :meth:`render`, :meth:`get` and :meth:`names` first read
+    every source registered with :meth:`collect` into fresh families,
+    so what they show is what the components' attributes say right then.
     """
 
     def __init__(self) -> None:
         self._metrics: Dict[str, _Metric] = {}
+        self._sources: List[Callable[[], Iterable[Sample]]] = []
         self._lock = threading.Lock()
 
     def _get_or_create(self, cls, name: str, kwargs: dict) -> _Metric:
@@ -431,17 +470,43 @@ class MetricsRegistry:
             },
         )
 
-    def get(self, name: str) -> Optional[_Metric]:
+    def collect(self, source: Callable[[], Iterable[Sample]]) -> None:
+        """Read ``source()``, an iterable of :data:`Sample`, on every
+        scrape from now on. A source keeps its own reads consistent (a
+        component with a lock snapshots under it); two sources reporting
+        one ``(name, labels)`` add, as two pushers into one metric did;
+        registering a source again is a no-op, so ``instrument(registry)``
+        stays idempotent."""
         with self._lock:
-            return self._metrics.get(name)
+            if source not in self._sources:
+                self._sources.append(source)
+
+    def _scrape(self) -> Dict[str, _Metric]:
+        """Every family by name: the observed ones and, read now into a
+        scratch registry, the collected ones. A name that is both raises."""
+        with self._lock:
+            families = dict(self._metrics)
+            sources = list(self._sources)
+        scratch = MetricsRegistry()
+        declare = {"counter": scratch.counter, "gauge": scratch.gauge}
+        for source in sources:
+            for kind, name, help, labels, value in source():
+                if name in families:
+                    raise ValueError(f"metric {name!r} is both observed and collected")
+                family = declare[kind](name, help, tuple(labels))
+                if value is not None:
+                    family.inc(value, **labels)
+        families.update(scratch._metrics)
+        return families
+
+    def get(self, name: str) -> Optional[_Metric]:
+        return self._scrape().get(name)
 
     def names(self) -> List[str]:
-        with self._lock:
-            return sorted(self._metrics)
+        return sorted(self._scrape())
 
     def render(self) -> str:
-        """Prometheus text exposition over every registered metric."""
-        with self._lock:
-            metrics = [self._metrics[name] for name in sorted(self._metrics)]
-        blocks = [metric.render() for metric in metrics]
+        """Prometheus text exposition over every family."""
+        families = self._scrape()
+        blocks = [families[name].render() for name in sorted(families)]
         return "\n".join(block for block in blocks if block) + ("\n" if blocks else "")

@@ -29,6 +29,7 @@ from ..storage.kvstore import (
     CorruptStoreError,
     DelegatingKVStore,
     KVStore,
+    kv_read_metrics,
     propagate_instrument,
 )
 
@@ -144,13 +145,13 @@ class RetryingKVStore(DelegatingKVStore):
         self._sleep = sleep
         self._reads_total = None
         self._read_seconds = None
-        self._retries_total = None
 
     def instrument(self, registry) -> "RetryingKVStore":
-        """Attach read/retry counters + latency histograms to a
-        :class:`repro.obs.registry.MetricsRegistry`; joins the shared
+        """Attach the read counter + latency histogram to a
+        :class:`repro.obs.registry.MetricsRegistry` (the shared
         ``kv_reads_total`` / ``kv_read_seconds`` family under
-        ``store="retrying"``. Returns self for chaining.
+        ``store="retrying"``) and let it read ``retries`` as
+        ``kv_retries_total``. Returns self for chaining.
 
         Instrumentation propagates *inward*: the wrapped store (and any
         deeper layer reachable through ``.store``) is instrumented too,
@@ -158,24 +159,17 @@ class RetryingKVStore(DelegatingKVStore):
         metrics exist — instrumenting the outermost wrapper is always
         enough. Inner layers without an ``instrument`` method (e.g. the
         fault injectors) are transparently walked through."""
-        self._reads_total = registry.counter(
-            "kv_reads_total", "KV feature reads issued.", labels=("store",)
-        )
-        self._read_seconds = registry.histogram(
-            "kv_read_seconds",
-            "Latency of KV feature reads (per chunk, retries included).",
-            labels=("store",),
-        )
-        self._retries_total = registry.counter(
-            "kv_retries_total", "Retry sleeps taken on KV reads.", labels=("store",)
-        )
+        self._reads_total, self._read_seconds = kv_read_metrics(registry)
+        registry.collect(self._collect)
         propagate_instrument(self.store, registry)
         return self
 
+    def _collect(self):
+        help = "Retry sleeps taken on KV reads."
+        yield "counter", "kv_retries_total", help, {"store": "retrying"}, self.retries
+
     def _count(self, attempt: int, error: BaseException, delay: float) -> None:
         self.retries += 1
-        if self._retries_total is not None:
-            self._retries_total.inc(store="retrying")
 
     def get(self, key: str) -> bytes:
         started = time.perf_counter() if self._read_seconds is not None else 0.0

@@ -16,8 +16,9 @@ absorbs.
 States follow the classic closed → open → half-open → closed machine,
 with a sliding outcome window for the failure rate and an injectable
 monotonic clock for deterministic chaos tests. Every transition is
-recorded (and mirrored into :class:`~repro.serving.stats.ServiceStats`
-via ``on_transition``) so operators can replay an incident.
+recorded (:class:`~repro.serving.stats.ServiceStats` reports the
+service breaker's journey from that record) so operators can replay an
+incident.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, List, Optional, Tuple
+from typing import Callable, Deque, List, Tuple
 
 CLOSED = "closed"
 OPEN = "open"
@@ -72,7 +73,6 @@ class CircuitBreaker:
         half_open_probes: int = 2,
         clock: Callable[[], float] = time.monotonic,
         name: str = "kv",
-        on_transition: Optional[Callable[[str, str], None]] = None,
     ) -> None:
         if not 0.0 < failure_threshold <= 1.0:
             raise ValueError("failure_threshold must be in (0, 1]")
@@ -85,7 +85,6 @@ class CircuitBreaker:
         self.half_open_probes = half_open_probes
         self.name = name
         self._clock = clock
-        self._on_transition = on_transition
         self.state = CLOSED
         self.transitions: List[BreakerTransition] = []
         self._outcomes: Deque[bool] = deque(maxlen=window)
@@ -99,9 +98,7 @@ class CircuitBreaker:
             return
         event = BreakerTransition(self._clock(), self.state, to_state, reason)
         self.transitions.append(event)
-        previous, self.state = self.state, to_state
-        if self._on_transition is not None:
-            self._on_transition(previous, to_state)
+        self.state = to_state
 
     def _failure_rate(self) -> float:
         if not self._outcomes:

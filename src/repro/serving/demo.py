@@ -284,8 +284,6 @@ def run_demo(
             shed_responses.append(shed)
     responses.extend(service.drain())
 
-    if isinstance(feature_store, ReplicatedKVStore):
-        feature_store.export_health()
     service.close()
     return DemoResult(
         responses=responses,

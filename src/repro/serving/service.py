@@ -43,7 +43,7 @@ from ..obs.registry import MetricsRegistry
 from ..obs.trace import NULL_TRACER, Tracer
 from ..reliability.retry import RetryPolicy, TransientReadError, retry_call
 from ..rules.miner import RuleSet
-from ..storage.kvstore import CorruptStoreError, KVStore
+from ..storage.kvstore import CorruptStoreError, KVStore, kv_read_metrics
 from ..storage.loader import load_rows
 from ..storage.replicated import AllReplicasFailedError, ReplicatedKVStore
 from .admission import SHED_RATE_LIMITED, AdmissionQueue, TokenBucket
@@ -223,10 +223,11 @@ class ScoringService:
         ``rung``), then a ``request`` marker per member.
     registry:
         Optional :class:`~repro.obs.registry.MetricsRegistry`; when
-        set, latency tallies back onto registry histograms
+        set, latencies are observed into registry histograms
         (``service_request_latency_seconds`` per rung,
-        ``kv_read_seconds`` per feature chunk) and the model's
-        neighbour sampler is instrumented with hop counters.
+        ``kv_read_seconds`` per feature chunk), the model's neighbour
+        sampler is instrumented with hop timings, and the registry
+        reads the tallies of :attr:`stats` when it is scraped.
     cache:
         Optional :class:`~repro.graph.cache.SubgraphCache`. When set,
         a micro-batch's sampler call goes through
@@ -264,21 +265,12 @@ class ScoringService:
         self._own_store = own_store
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.registry = registry
+        self._kv_reads_total = self._kv_read_seconds = None
         if registry is not None:
-            self._kv_read_seconds = registry.histogram(
-                "kv_read_seconds",
-                "Latency of KV feature reads (per chunk, retries included).",
-                labels=("store",),
-            )
-            self._kv_reads_total = registry.counter(
-                "kv_reads_total", "KV feature reads issued.", labels=("store",)
-            )
+            self._kv_reads_total, self._kv_read_seconds = kv_read_metrics(registry)
             sampler = getattr(model, "sampler", None)
             if sampler is not None and hasattr(sampler, "instrument"):
                 sampler.instrument(registry)
-        else:
-            self._kv_read_seconds = None
-            self._kv_reads_total = None
         self.stats = ServiceStats(registry=registry)
         self.breaker = CircuitBreaker(
             failure_threshold=self.config.breaker_failure_threshold,
@@ -288,8 +280,8 @@ class ScoringService:
             half_open_probes=self.config.breaker_half_open_probes,
             clock=clock,
             name="feature-store",
-            on_transition=self.stats.record_breaker_transition,
         )
+        self.stats.breaker = self.breaker
         # A replicated store gates each replica with its own
         # ReplicaHealth; the breaker + retry layer is for plain stores.
         self._replicated = isinstance(feature_store, ReplicatedKVStore)

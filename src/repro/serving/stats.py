@@ -8,11 +8,13 @@ the shared :func:`~repro.train.metrics.latency_percentiles` helper.
 Memory is bounded: latency samples and (label, score) outcome pairs
 live in :class:`~repro.obs.registry.Reservoir` samples, so a service
 that runs for months holds O(1) state while percentiles and online AUC
-stay statistically faithful. With a
-:class:`~repro.obs.registry.MetricsRegistry` attached, every tally is
-mirrored into labelled registry metrics (``service_request_latency_seconds``
-histograms per rung, shed/degraded counters) for Prometheus-text
-exposition alongside the human-readable :meth:`describe` block.
+stay statistically faithful. The attributes here are the only copy of
+every tally: a :class:`~repro.obs.registry.MetricsRegistry`, when
+attached, reads them at scrape time (``service_admitted_total``,
+shed/degraded counters per reason) for Prometheus-text exposition
+alongside the human-readable :meth:`describe` block. Only the latency
+is pushed, into the ``service_request_latency_seconds`` histogram per
+rung — a distribution has no attribute to read.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..obs.registry import MetricsRegistry, Reservoir
 from ..train.metrics import latency_percentiles, roc_auc
+from .breaker import CircuitBreaker
 
 #: Reservoir capacity for latency / outcome samples. Large enough that
 #: p99 over the retained sample tracks the stream, small enough that a
@@ -47,45 +50,38 @@ class ServiceStats:
         self.deadline_hits = 0
         self.kv_failures = 0
         self.kv_retries = 0
-        self.breaker_transitions: List[Tuple[str, str]] = []
+        # The service's breaker, whose journey breaker_transitions views.
+        self.breaker: Optional[CircuitBreaker] = None
         self._latencies = Reservoir(reservoir_size, seed=seed)
         self._outcomes = Reservoir(reservoir_size, seed=seed)  # (label, score)
         self.registry = registry
+        self._latency_hist = None
         if registry is not None:
             self._latency_hist = registry.histogram(
                 "service_request_latency_seconds",
                 "End-to-end latency of admitted scoring requests.",
                 labels=("rung",),
             )
-            self._shed_counter = registry.counter(
-                "service_shed_total", "Requests shed with a verdict.", labels=("reason",)
-            )
-            self._degraded_counter = registry.counter(
-                "service_degraded_total",
-                "Responses produced below the GNN rung.",
-                labels=("reason",),
-            )
-            self._admitted_counter = registry.counter(
-                "service_admitted_total", "Requests admitted for scoring."
-            )
-        else:
-            self._latency_hist = None
-            self._shed_counter = None
-            self._degraded_counter = None
-            self._admitted_counter = None
+            registry.collect(self._collect)
+
+    def _collect(self):
+        help = "Requests admitted for scoring."
+        yield "counter", "service_admitted_total", help, {}, self.admitted
+        shed = "service_shed_total", "Requests shed with a verdict."
+        degraded = "service_degraded_total", "Responses produced below the GNN rung."
+        for (name, help), tally in ((shed, self.shed), (degraded, self.degraded_reasons)):
+            yield "counter", name, help, {"reason": ""}, None  # the header, before any reason
+            for reason, count in dict(tally).items():
+                yield "counter", name, help, {"reason": reason}, count
 
     # -- recording ------------------------------------------------------
     def record_admitted(self) -> None:
         self.received += 1
         self.admitted += 1
-        if self._admitted_counter is not None:
-            self._admitted_counter.inc()
 
     def record_shed(self, reason: str) -> None:
         self.received += 1
         self.shed[reason] += 1
-        if self._shed_counter is not None:
-            self._shed_counter.inc(reason=reason)
 
     def record_response(self, rung: str, latency_s: float, degraded_reason: Optional[str] = None) -> None:
         self.completed += 1
@@ -95,11 +91,6 @@ class ServiceStats:
             self.degraded_reasons[degraded_reason] += 1
         if self._latency_hist is not None:
             self._latency_hist.observe(float(latency_s), rung=rung)
-        if degraded_reason and self._degraded_counter is not None:
-            self._degraded_counter.inc(reason=degraded_reason)
-
-    def record_breaker_transition(self, from_state: str, to_state: str) -> None:
-        self.breaker_transitions.append((from_state, to_state))
 
     def record_outcome(self, label: int, score: float) -> None:
         """Optionally track (truth, score) pairs for online AUC."""
@@ -131,6 +122,13 @@ class ServiceStats:
         scores = [score for _, score in outcomes]
         return roc_auc(labels, scores, default=float("nan"))
 
+    @property
+    def breaker_transitions(self) -> List[Tuple[str, str]]:
+        """``(from, to)`` per state change of :attr:`breaker` so far."""
+        if self.breaker is None:
+            return []
+        return [(t.from_state, t.to_state) for t in self.breaker.transitions]
+
     def breaker_state_path(self) -> Tuple[str, ...]:
         """Visited breaker states in order (leading with "closed")."""
         if not self.breaker_transitions:
@@ -149,7 +147,7 @@ class ServiceStats:
             "deadline_hits": self.deadline_hits,
             "kv_failures": self.kv_failures,
             "kv_retries": self.kv_retries,
-            "breaker_transitions": list(self.breaker_transitions),
+            "breaker_transitions": self.breaker_transitions,
             "latency_s": latency,
             "auc": self.auc(),
         }

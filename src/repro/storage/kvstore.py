@@ -79,6 +79,21 @@ def propagate_instrument(store, registry) -> None:
         target = getattr(target, "store", None)
 
 
+def kv_read_metrics(registry):
+    """``(kv_reads_total, kv_read_seconds)``: the one declaration of the
+    read-timing family every instrumented store and the scoring service
+    share, each under its own ``store`` label. Both are pushed from the
+    block that timed the read."""
+    return (
+        registry.counter("kv_reads_total", "KV feature reads issued.", labels=("store",)),
+        registry.histogram(
+            "kv_read_seconds",
+            "Latency of KV feature reads (per chunk, retries included).",
+            labels=("store",),
+        ),
+    )
+
+
 class KVStore:
     """Abstract byte-oriented key-value store."""
 
@@ -308,14 +323,7 @@ class MmapKVStore(KVStore):
         :class:`repro.obs.registry.MetricsRegistry`; metrics share the
         ``kv_reads_total`` / ``kv_read_seconds`` family under
         ``store="mmap"``. Returns self for chaining."""
-        self._reads_total = registry.counter(
-            "kv_reads_total", "KV feature reads issued.", labels=("store",)
-        )
-        self._read_seconds = registry.histogram(
-            "kv_read_seconds",
-            "Latency of KV feature reads (per chunk, retries included).",
-            labels=("store",),
-        )
+        self._reads_total, self._read_seconds = kv_read_metrics(registry)
         return self
 
     # -- write phase ----------------------------------------------------

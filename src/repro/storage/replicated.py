@@ -73,7 +73,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ..cluster import DEAD, HEALTHY, PROBING, SUSPECT, rendezvous_order
 from ..obs.registry import MetricsRegistry, Reservoir
 from ..util import nearest_rank_index
-from .kvstore import CorruptStoreError, KVStore
+from .kvstore import CorruptStoreError, KVStore, kv_read_metrics, propagate_instrument
 
 
 class AllReplicasFailedError(IOError):
@@ -138,7 +138,6 @@ class ReplicaHealth:
         index: int,
         clock: Callable[[], float],
         config: ReplicatedConfig,
-        on_transition: Optional[Callable[[int, str, str], None]] = None,
     ) -> None:
         self.index = index
         self.state = HEALTHY
@@ -153,7 +152,6 @@ class ReplicaHealth:
         # (reservoir version, threshold): one tuple so a reader never
         # pairs one version with another version's value.
         self._threshold_memo: Tuple[int, Optional[float]] = (-1, None)
-        self.on_transition = on_transition
         self._clock = clock
         self._dead_since = 0.0
 
@@ -162,8 +160,6 @@ class ReplicaHealth:
             return
         previous, self.state = self.state, to_state
         self.transitions.append((self._clock(), previous, to_state, reason))
-        if self.on_transition is not None:
-            self.on_transition(self.index, previous, to_state)
 
     def state_path(self) -> Tuple[str, ...]:
         """Visited states in order, leading with the initial state."""
@@ -308,129 +304,72 @@ class ReplicatedKVStore(KVStore):
         self._owners_cache: Dict[str, Tuple[int, ...]] = {}
         self._lock = threading.Lock()
         self._executor: Optional[ThreadPoolExecutor] = None
-        # counters (mirrored into the registry when instrumented)
+        # counters (the only copy: an attached registry reads them when scraped)
         self.hedged_reads = 0  # backup reads actually fired (concurrent mode)
         self.hedge_overruns = 0  # primary reads that exceeded their threshold
         self.failovers = 0  # reads served by a non-primary owner
         self.corrupt_reads = 0  # checksum failures absorbed by quarantine
+        self.repairs = 0  # divergent copies rewritten by anti-entropy
+        # (replica, "error" | "corrupt") -> failed reads; a replica's
+        # ReplicaHealth.reads_error also counts its failed writes.
+        self.read_failures: Counter = Counter()
         self._last_anti_entropy = clock()
         self._anti_entropy_cursor = 0
         self._in_anti_entropy = False
-        self.registry: Optional[MetricsRegistry] = None
         self._reads_total = None
         self._read_seconds = None
-        self._replica_reads = None
-        self._hedged_total = None
-        self._overruns_total = None
-        self._failovers_total = None
-        self._corrupt_total = None
-        self._repairs_total = None
-        self._state_gauge = None
-        self._ewma_gauge = None
-        self._errors_gauge = None
-        self._exported_info: List[Dict[str, str]] = []
         if registry is not None:
             self.instrument(registry)
 
     # -- wiring ---------------------------------------------------------
     def instrument(self, registry: MetricsRegistry) -> "ReplicatedKVStore":
-        """Attach health/hedging/repair metrics and propagate
-        ``instrument`` down into every replica (joining the shared
-        ``kv_reads_total`` / ``kv_read_seconds`` family under
-        ``store="replicated"``). Returns self for chaining."""
-        from .kvstore import propagate_instrument
-
-        self.registry = registry
-        self._reads_total = registry.counter(
-            "kv_reads_total", "KV feature reads issued.", labels=("store",)
-        )
-        self._read_seconds = registry.histogram(
-            "kv_read_seconds",
-            "Latency of KV feature reads (per chunk, retries included).",
-            labels=("store",),
-        )
-        self._replica_reads = registry.counter(
-            "kv_replica_reads_total",
-            "Replica read outcomes (ok/error/corrupt).",
-            labels=("replica", "outcome"),
-        )
-        self._hedged_total = registry.counter(
-            "kv_hedged_reads_total", "Backup reads fired by the hedging policy."
-        )
-        self._overruns_total = registry.counter(
-            "kv_hedge_overruns_total",
-            "Primary reads that exceeded their hedge latency threshold.",
-        )
-        self._failovers_total = registry.counter(
-            "kv_failovers_total", "Reads served by a non-primary replica."
-        )
-        self._corrupt_total = registry.counter(
-            "kv_corrupt_reads_total",
-            "Checksum-failed reads absorbed by quarantine.",
-            labels=("replica",),
-        )
-        self._repairs_total = registry.counter(
-            "kv_anti_entropy_repairs_total", "Divergent copies rewritten by anti-entropy."
-        )
-        self._state_gauge = registry.gauge(
-            "kv_replica_state",
-            "One-hot replica health state.",
-            labels=("replica", "state"),
-        )
-        self._ewma_gauge = registry.gauge(
-            "kv_replica_ewma_latency_seconds",
-            "EWMA of observed read latency per replica.",
-            labels=("replica",),
-        )
-        self._errors_gauge = registry.gauge(
-            "kv_replica_consecutive_errors",
-            "Consecutive errors per replica (resets on success).",
-            labels=("replica",),
-        )
-        for health in self.health:
-            health.on_transition = self._on_health_transition
-            self._set_state_gauge(health.index, health.state)
+        """Let ``registry`` read the health/hedging/repair tallies, time
+        reads into the shared ``kv_reads_total`` / ``kv_read_seconds``
+        family under ``store="replicated"``, and propagate
+        ``instrument`` down into every replica. Returns self for
+        chaining."""
+        self._reads_total, self._read_seconds = kv_read_metrics(registry)
+        registry.collect(self._collect)
         for replica in self.replicas:
             propagate_instrument(replica, registry)
         return self
 
-    def _on_health_transition(self, index: int, from_state: str, to_state: str) -> None:
-        if self._state_gauge is not None:
-            self._state_gauge.set(0, replica=str(index), state=from_state)
-            self._state_gauge.set(1, replica=str(index), state=to_state)
+    def _collect(self):
+        with self._lock:  # one critical section: what describe() would print now
+            return list(self._samples())
 
-    def _set_state_gauge(self, index: int, state: str) -> None:
-        if self._state_gauge is None:
-            return
-        for name in (HEALTHY, SUSPECT, DEAD, PROBING):
-            self._state_gauge.set(1 if name == state else 0, replica=str(index), state=name)
-
-    def export_health(self) -> None:
-        """Refresh point-in-time health gauges (EWMA, consecutive
-        errors, one-hot state, and a ``kv_replica_info`` info-gauge
-        carrying the last error as a label). Called before rendering
-        the registry so the exposition reflects the current snapshot."""
-        if self.registry is None:
-            return
-        info = self.registry.gauge(
-            "kv_replica_info",
-            "Per-replica health snapshot (state and last error as labels).",
-            labels=("replica", "state", "last_error"),
-        )
-        for stale in self._exported_info:
-            info.set(0, **stale)
-        self._exported_info = []
+    def _samples(self):
+        help = "Backup reads fired by the hedging policy."
+        yield "counter", "kv_hedged_reads_total", help, {}, self.hedged_reads
+        help = "Primary reads that exceeded their hedge latency threshold."
+        yield "counter", "kv_hedge_overruns_total", help, {}, self.hedge_overruns
+        help = "Reads served by a non-primary replica."
+        yield "counter", "kv_failovers_total", help, {}, self.failovers
+        help = "Divergent copies rewritten by anti-entropy."
+        yield "counter", "kv_anti_entropy_repairs_total", help, {}, self.repairs
+        reads = "kv_replica_reads_total", "Replica read outcomes (ok/error/corrupt)."
+        corrupt = "kv_corrupt_reads_total", "Checksum-failed reads absorbed by quarantine."
+        yield ("counter", *corrupt, {"replica": ""}, None)
+        for (index, outcome), count in sorted(self.read_failures.items()):
+            yield ("counter", *reads, {"replica": str(index), "outcome": outcome}, count)
+            if outcome == "corrupt":
+                yield ("counter", *corrupt, {"replica": str(index)}, count)
         for health in self.health:
-            self._set_state_gauge(health.index, health.state)
-            self._ewma_gauge.set(health.ewma_latency_s or 0.0, replica=str(health.index))
-            self._errors_gauge.set(health.consecutive_errors, replica=str(health.index))
-            labels = {
-                "replica": str(health.index),
-                "state": health.state,
-                "last_error": (health.last_error or "")[:120],
-            }
-            info.set(1, **labels)
-            self._exported_info.append(labels)
+            replica = {"replica": str(health.index)}
+            yield ("counter", *reads, {**replica, "outcome": "ok"}, health.reads_ok)
+            help = "One-hot replica health state."
+            for state in (HEALTHY, SUSPECT, DEAD, PROBING):
+                labels = {**replica, "state": state}
+                yield "gauge", "kv_replica_state", help, labels, int(state == health.state)
+            help = "EWMA of observed read latency per replica."
+            ewma = health.ewma_latency_s or 0.0
+            yield "gauge", "kv_replica_ewma_latency_seconds", help, replica, ewma
+            help = "Consecutive errors per replica (resets on success)."
+            yield "gauge", "kv_replica_consecutive_errors", help, replica, health.consecutive_errors
+            help = "Per-replica health snapshot (state and last error as labels)."
+            last_error = (health.last_error or "")[:120]
+            labels = {**replica, "state": health.state, "last_error": last_error}
+            yield "gauge", "kv_replica_info", help, labels, 1
 
     # -- placement ------------------------------------------------------
     def owners(self, key: str) -> Tuple[int, ...]:
@@ -553,10 +492,6 @@ class ReplicatedKVStore(KVStore):
         with self._lock:
             self.hedged_reads += 1
             self.hedge_overruns += 1
-            if self._hedged_total is not None:
-                self._hedged_total.inc()
-            if self._overruns_total is not None:
-                self._overruns_total.inc()
         backup = executor.submit(self._read_replica, candidates[1], key, True)
         pending = {primary, backup}
         last_error: Optional[BaseException] = None
@@ -614,27 +549,20 @@ class ReplicatedKVStore(KVStore):
             with self._lock:
                 self.corrupt_reads += 1
                 health.quarantine(str(error))
-                self._count_replica_read(index, "corrupt")
-                if self._corrupt_total is not None:
-                    self._corrupt_total.inc(replica=str(index))
+                self.read_failures[index, "corrupt"] += 1
             raise
         except Exception as error:
             with self._lock:
                 health.record_failure(repr(error))
-                self._count_replica_read(index, "error")
+                self.read_failures[index, "error"] += 1
             raise
         elapsed = self._clock() - started
         with self._lock:
             health.record_success(elapsed, record_sample=record_sample)
-            self._count_replica_read(index, "ok")
             if position:
                 self.failovers += 1
-                if self._failovers_total is not None:
-                    self._failovers_total.inc()
             elif position == 0 and threshold is not None and elapsed > threshold:
                 self.hedge_overruns += 1
-                if self._overruns_total is not None:
-                    self._overruns_total.inc()
         return value, elapsed
 
     def _verified_read(self, index: int, key: str) -> bytes:
@@ -647,10 +575,6 @@ class ReplicatedKVStore(KVStore):
                     f"replica {index}: ledger checksum mismatch for {key!r}"
                 )
         return value
-
-    def _count_replica_read(self, index: int, outcome: str) -> None:
-        if self._replica_reads is not None:
-            self._replica_reads.inc(replica=str(index), outcome=outcome)
 
     def _ensure_executor(self) -> ThreadPoolExecutor:
         with self._lock:
@@ -748,8 +672,7 @@ class ReplicatedKVStore(KVStore):
         with self._lock:
             for index in sorted(resurrected):
                 self.health[index].mark_probing("anti-entropy repair")
-            if report.repaired and self._repairs_total is not None:
-                self._repairs_total.inc(report.repaired)
+            self.repairs += report.repaired
         return report
 
     def _maybe_background_anti_entropy(self) -> None:

@@ -72,6 +72,7 @@ class IncrementalGraphBuilder:
         }
         self.feature_dim = feature_dim
         self.events_applied = 0
+        self.events_flushed = 0  # by this builder: from_log presets events_applied
         self.labels_applied = 0
         self.compactions = 0
         self.last_compaction_version = graph.version
@@ -83,29 +84,18 @@ class IncrementalGraphBuilder:
         self._pending_src: List[int] = []
         self._pending_dst: List[int] = []
         self._pending_etype: List[int] = []
-        self._instrument(registry)
+        if registry is not None:
+            registry.collect(self._collect)
 
-    def _instrument(self, registry: Optional["MetricsRegistry"]) -> None:
-        if registry is None:
-            self._events_counter = None
-            return
-        self._events_counter = registry.counter(
-            "stream_builder_events_total",
-            "Events applied to the live graph by the incremental builder.",
-        )
-        self._compactions_counter = registry.counter(
-            "stream_builder_compactions_total",
-            "Delta-to-canonical CSR compactions.",
-        )
-        self._nodes_gauge = registry.gauge(
-            "stream_graph_nodes", "Live graph node count."
-        )
-        self._edges_gauge = registry.gauge(
-            "stream_graph_edges", "Live graph edge count."
-        )
-        self._version_gauge = registry.gauge(
-            "stream_graph_version", "Live graph mutation version."
-        )
+    def _collect(self):
+        graph = self.graph
+        help = "Events applied to the live graph by the incremental builder."
+        yield "counter", "stream_builder_events_total", help, {}, self.events_flushed
+        help = "Delta-to-canonical CSR compactions."
+        yield "counter", "stream_builder_compactions_total", help, {}, self.compactions
+        yield "gauge", "stream_graph_nodes", "Live graph node count.", {}, graph.num_nodes
+        yield "gauge", "stream_graph_edges", "Live graph edge count.", {}, graph.num_edges
+        yield "gauge", "stream_graph_version", "Live graph mutation version.", {}, graph.version
 
     # ------------------------------------------------------------------
     @classmethod
@@ -191,6 +181,7 @@ class IncrementalGraphBuilder:
         )
         applied = self._pending_events
         self.events_applied += applied
+        self.events_flushed += applied
         self._pending_events = 0
         self._pending_node_type = []
         self._pending_labels = []
@@ -198,11 +189,6 @@ class IncrementalGraphBuilder:
         self._pending_src = []
         self._pending_dst = []
         self._pending_etype = []
-        if self._events_counter is not None:
-            self._events_counter.inc(applied)
-            self._nodes_gauge.set(self.graph.num_nodes)
-            self._edges_gauge.set(self.graph.num_edges)
-            self._version_gauge.set(self.graph.version)
         return applied
 
     def apply_label(self, txn_id: int, label: int) -> int:
@@ -238,8 +224,6 @@ class IncrementalGraphBuilder:
         self.graph.validate()
         self.compactions += 1
         self.last_compaction_version = self.graph.version
-        if self._events_counter is not None:
-            self._compactions_counter.inc()
 
     # ------------------------------------------------------------------
     def entity_counts(self) -> Dict[str, int]:

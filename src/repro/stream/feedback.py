@@ -140,8 +140,9 @@ class DriftDetector:
     The first ``window`` observations freeze as the *reference*
     distribution and fix the PSI bin edges (reference quantiles);
     subsequent observations fill a sliding *current* window.
-    :meth:`check` compares the two and raises an alert through the
-    registry when either statistic crosses its threshold.
+    :meth:`check` compares the two and records an alert when either
+    statistic crosses its threshold; a registry reads the last report's
+    statistics and the alert count when it is scraped.
     """
 
     def __init__(
@@ -158,22 +159,19 @@ class DriftDetector:
         self._ref_sorted: Optional[np.ndarray] = None
         self._current: Deque[float] = deque(maxlen=self.config.window)
         self.alerts: List[DriftReport] = []
+        self.last_report: Optional[DriftReport] = None
         self.observed = 0
         if registry is not None:
-            labels = ("signal",)
-            self._psi_gauge = registry.gauge(
-                "stream_drift_psi", "Population Stability Index vs reference window.", labels
-            )
-            self._ks_gauge = registry.gauge(
-                "stream_drift_ks", "Kolmogorov-Smirnov statistic vs reference window.", labels
-            )
-            self._alert_counter = registry.counter(
-                "stream_drift_alerts_total", "Drift alerts raised.", labels
-            )
-        else:
-            self._psi_gauge = None
-            self._ks_gauge = None
-            self._alert_counter = None
+            registry.collect(self._collect)
+
+    def _collect(self):
+        labels, last = {"signal": self.signal}, self.last_report
+        help = "Population Stability Index vs reference window."
+        yield "gauge", "stream_drift_psi", help, labels, None if last is None else last.psi
+        help = "Kolmogorov-Smirnov statistic vs reference window."
+        yield "gauge", "stream_drift_ks", help, labels, None if last is None else last.ks
+        help = "Drift alerts raised."
+        yield "counter", "stream_drift_alerts_total", help, labels, len(self.alerts)
 
     @property
     def reference_frozen(self) -> bool:
@@ -221,16 +219,11 @@ class DriftDetector:
         )
         ks = self._ks_statistic(current)
         alert = psi > self.config.psi_alert or ks > self.config.ks_alert
-        report = DriftReport(
+        report = self.last_report = DriftReport(
             signal=self.signal, psi=psi, ks=ks, samples=len(current), alert=alert
         )
-        if self._psi_gauge is not None:
-            self._psi_gauge.set(psi, signal=self.signal)
-            self._ks_gauge.set(ks, signal=self.signal)
         if alert:
             self.alerts.append(report)
-            if self._alert_counter is not None:
-                self._alert_counter.inc(signal=self.signal)
         return report
 
     def _ks_statistic(self, current: np.ndarray) -> float:
@@ -300,15 +293,13 @@ class OnlineFineTuner:
         self._next_update = 0
         self._labels_since_update = 0
         if registry is not None:
-            self._update_counter = registry.counter(
-                "stream_finetune_updates_total", "Online fine-tune mini-epochs run."
-            )
-            self._loss_gauge = registry.gauge(
-                "stream_finetune_loss", "Mean loss of the last online mini-epoch."
-            )
-        else:
-            self._update_counter = None
-            self._loss_gauge = None
+            registry.collect(self._collect)
+
+    def _collect(self):
+        help = "Online fine-tune mini-epochs run."
+        yield "counter", "stream_finetune_updates_total", help, {}, len(self.updates)
+        loss = self.updates[-1].loss if self.updates else None
+        yield "gauge", "stream_finetune_loss", "Mean loss of the last online mini-epoch.", {}, loss
 
     def resume(self, source) -> None:
         """Continue the lineage of a crashed tuner: weights, optimizer
@@ -350,7 +341,4 @@ class OnlineFineTuner:
                 )
             )
         self.updates.append(record)
-        if self._update_counter is not None:
-            self._update_counter.inc()
-            self._loss_gauge.set(loss)
         return record

@@ -127,6 +127,7 @@ class StreamScorer:
         self.online_auc = OnlineAUC(window=self.config.auc_window)
         self.score_drift = DriftDetector("score", self.config.drift, registry)
         self.feature_drift = DriftDetector("feature", self.config.drift, registry)
+        self.events_ingested = 0
         self.events_scored = 0
         self.labels_matured = 0
         self.backpressure_rejections = 0
@@ -135,36 +136,29 @@ class StreamScorer:
         self._labelled_window: Deque[int] = deque(maxlen=self.config.labelled_window)
         self._events_since_compaction = 0
         self._last_event_ts: Optional[float] = None
-        self._instrument(registry)
+        if registry is not None:
+            registry.collect(self._collect)
 
-    def _instrument(self, registry: Optional["MetricsRegistry"]) -> None:
-        if registry is None:
-            self._lag_events_gauge = None
-            return
-        self._lag_events_gauge = registry.gauge(
-            "stream_lag_events", "Events ingested but not yet scored."
-        )
-        self._lag_seconds_gauge = registry.gauge(
-            "stream_lag_seconds", "Event-time age of the oldest queued event."
-        )
-        self._ingested_counter = registry.counter(
-            "stream_events_ingested_total", "Events accepted into the stream queue."
-        )
-        self._scored_counter = registry.counter(
-            "stream_events_scored_total", "Events scored by the micro-batch loop."
-        )
-        self._backpressure_counter = registry.counter(
-            "stream_backpressure_total", "Ingests refused by the bounded queue."
-        )
-        self._matured_counter = registry.counter(
-            "stream_labels_matured_total", "Chargeback labels applied to the graph."
-        )
-        self._auc_gauge = registry.gauge(
-            "stream_online_auc", "Windowed prequential AUC over matured labels."
-        )
-        self._wal_segments_gauge = registry.gauge(
-            "stream_wal_segments", "Segments (sealed + active) in the event log."
-        )
+    def _collect(self):
+        help = "Events ingested but not yet scored."
+        yield "gauge", "stream_lag_events", help, {}, self.lag_events
+        help = "Event-time age of the oldest queued event."
+        yield "gauge", "stream_lag_seconds", help, {}, self.lag_seconds
+        help = "Events accepted into the stream queue."
+        yield "counter", "stream_events_ingested_total", help, {}, self.events_ingested
+        help = "Events scored by the micro-batch loop."
+        yield "counter", "stream_events_scored_total", help, {}, self.events_scored
+        help = "Ingests refused by the bounded queue."
+        yield "counter", "stream_backpressure_total", help, {}, self.backpressure_rejections
+        help = "Chargeback labels applied to the graph."
+        yield "counter", "stream_labels_matured_total", help, {}, self.labels_matured
+        # No sample before both classes have matured, or without a WAL.
+        auc = self.online_auc.auc()
+        help = "Windowed prequential AUC over matured labels."
+        yield "gauge", "stream_online_auc", help, {}, None if np.isnan(auc) else auc
+        segments = self.wal.segment_count() if self.wal is not None else None
+        help = "Segments (sealed + active) in the event log."
+        yield "gauge", "stream_wal_segments", help, {}, segments
 
     # ------------------------------------------------------------------
     @property
@@ -177,14 +171,6 @@ class StreamScorer:
             return 0.0
         return max(0.0, float(self.clock()) - self._queue[0].timestamp)
 
-    def _update_lag_gauges(self) -> None:
-        if self._lag_events_gauge is None:
-            return
-        self._lag_events_gauge.set(self.lag_events)
-        self._lag_seconds_gauge.set(self.lag_seconds)
-        if self.wal is not None:
-            self._wal_segments_gauge.set(self.wal.segment_count())
-
     # ------------------------------------------------------------------
     def ingest(self, event: TxnEvent) -> bool:
         """Admit one event: durable append + enqueue.
@@ -196,15 +182,11 @@ class StreamScorer:
         """
         if len(self._queue) >= self.config.queue_capacity:
             self.backpressure_rejections += 1
-            if self._lag_events_gauge is not None:
-                self._backpressure_counter.inc()
             return False
         if self.wal is not None:
             self.wal.append(event)
         self._queue.append(event)
-        if self._lag_events_gauge is not None:
-            self._ingested_counter.inc()
-        self._update_lag_gauges()
+        self.events_ingested += 1
         return True
 
     # ------------------------------------------------------------------
@@ -238,8 +220,6 @@ class StreamScorer:
             self.events_scored += len(batch)
             self._events_since_compaction += len(batch)
             self._last_event_ts = batch[-1].timestamp
-            if self._lag_events_gauge is not None:
-                self._scored_counter.inc(len(batch))
             if self._events_since_compaction >= self.config.compact_every:
                 self.builder.compact()
                 self._events_since_compaction = 0
@@ -248,7 +228,6 @@ class StreamScorer:
         self.mature_labels()
         self.score_drift.check()
         self.feature_drift.check()
-        self._update_lag_gauges()
         return responses
 
     def _invalidate_cache(self) -> None:
@@ -270,11 +249,6 @@ class StreamScorer:
             self._labelled_window.append(node)
         self.labels_matured += len(matured)
         self._invalidate_cache()
-        if self._lag_events_gauge is not None:
-            self._matured_counter.inc(len(matured))
-            auc = self.online_auc.auc()
-            if not np.isnan(auc):
-                self._auc_gauge.set(auc)
         if self.finetuner is not None:
             self.finetuner.notify_labels(len(matured))
             self.finetuner.maybe_update(

@@ -521,17 +521,21 @@ class ElasticTrainer:
                 "elastic_rollbacks_total", "checkpoint rollbacks taken"
             ),
         }
-        self._suspicion_gauge = self.registry.gauge(
-            "elastic_worker_suspicion", "phi-accrual suspicion per worker", ("worker",)
-        )
-        self._members_gauge = self.registry.gauge(
-            "elastic_members", "live all-reduce group size"
-        )
-        self._members_gauge.set(len(self.members))
+        self.registry.collect(self._collect)
 
     def _count(self, name: str, **labels: str) -> None:
+        """The one pushed tally outside a timed block: five cold-path
+        event counters whose ``worker`` / ``reason`` labels no record
+        keeps per label value."""
         if self._counters is not None:
             self._counters[name].inc(**labels)
+
+    def _collect(self):
+        yield "gauge", "elastic_members", "live all-reduce group size", {}, len(self.members)
+        help = "phi-accrual suspicion per worker"
+        for worker in self.detector.workers():
+            labels = {"worker": str(worker)}
+            yield "gauge", "elastic_worker_suspicion", help, labels, self.detector.phi(worker)
 
     # -- sharding / checkpointing ---------------------------------------
     def _shards(self) -> List[WorkerPartition]:
@@ -714,7 +718,6 @@ class ElasticTrainer:
             record.loss = outcome.loss
             record.wall_seconds = outcome.wall_seconds
             record.members = sorted(self.members)
-            self._export_suspicion()
         return record
 
     def _readmit(self, epoch: int, worker: int, record: ElasticEpoch) -> None:
@@ -734,8 +737,6 @@ class ElasticTrainer:
             )
         )
         self._count("rejoins", worker=str(worker))
-        if self._counters is not None:
-            self._members_gauge.set(len(self.members))
 
     def _evict(self, epoch: int, worker: int, record: ElasticEpoch) -> None:
         with timed(self.tracer, "evict", epoch=epoch, worker=worker):
@@ -751,8 +752,6 @@ class ElasticTrainer:
         )
         record.events.append(FaultEvent(epoch, worker, EVICTION, detail))
         self._count("evictions", worker=str(worker))
-        if self._counters is not None:
-            self._members_gauge.set(len(self.members))
 
     def _attempt_round(self, epoch: int, record: ElasticEpoch) -> _Round:
         """One all-reduce attempt over the current membership."""
@@ -926,9 +925,3 @@ class ElasticTrainer:
         else:  # bitflip: flip one byte so only the checksum notices
             view = target.view(np.uint8).reshape(-1)
             view[slot % view.size] ^= 0xFF
-
-    def _export_suspicion(self) -> None:
-        if self._counters is None:
-            return
-        for worker in self.detector.workers():
-            self._suspicion_gauge.set(self.detector.phi(worker), worker=str(worker))

@@ -70,6 +70,54 @@ class TestInvariantRegistry:
             run_audits(["no-such-checker"])
 
 
+class TestStatusSurfaceMutants:
+    """``status-surfaces-agree`` must notice an exporter that hands the
+    registry a copy of its tallies instead of the tallies."""
+
+    NAME = "status-surfaces-agree"
+
+    def _violations(self):
+        (result,) = run_audits([self.NAME])
+        return result.violations
+
+    def test_values_captured_at_instrument_time(self, monkeypatch):
+        def instrument(self, registry):
+            captured = list(self._collect())
+            registry.collect(lambda: captured)
+            return self
+
+        assert self._violations() == []
+        monkeypatch.setattr(SubgraphCache, "instrument", instrument)
+        found = self._violations()
+        assert found and all("caches, step" in problem for problem in found)
+
+    def test_graph_version_pushed_at_flush_time_only(self, monkeypatch):
+        """The exporter this invariant was written against: ``repro
+        stream --demo --metrics`` printed version 157 under a health
+        block saying 171, because label flips bump the version after
+        the flush that pushed it."""
+        from repro.stream.builder import IncrementalGraphBuilder
+
+        flush, collect = IncrementalGraphBuilder.flush, IncrementalGraphBuilder._collect
+
+        def pushing_flush(self):
+            applied = flush(self)
+            if applied:
+                self.pushed_version = self.graph.version
+            return applied
+
+        def collect_pushed(self):
+            for kind, name, help, labels, value in collect(self):
+                if name == "stream_graph_version":
+                    value = getattr(self, "pushed_version", 0)
+                yield kind, name, help, labels, value
+
+        monkeypatch.setattr(IncrementalGraphBuilder, "flush", pushing_flush)
+        monkeypatch.setattr(IncrementalGraphBuilder, "_collect", collect_pushed)
+        found = self._violations()
+        assert found and all("stream_graph_version scraped as" in problem for problem in found)
+
+
 class TestAuditHelpers:
     def test_csr_violations_clean_graph(self):
         graph = random_hetero_graph(np.random.default_rng(0), num_txns=6)
@@ -703,7 +751,7 @@ class TestCheckCli:
     def test_audit_only_exits_zero(self, capsys):
         assert main(["check"]) == 0
         out = capsys.readouterr().out
-        assert "audits: 10/10 passed" in out
+        assert "audits: 11/11 passed" in out
 
     def test_fuzz_smoke_exits_zero(self, capsys):
         assert main(["check", "--skip-audit", "--fuzz", "4", "--seed", "0"]) == 0
@@ -720,6 +768,7 @@ class TestCheckCli:
         assert main(["check", "--list"]) == 0
         out = capsys.readouterr().out
         assert "invariant checkers:" in out
+        assert "status-surfaces-agree" in out
         assert "wal-crash-replay" in out
 
     def test_divergence_exits_nonzero(self, capsys):

@@ -1,9 +1,30 @@
 """Command-line interface."""
 
+import re
+
 import numpy as np
 import pytest
 
 from repro.cli import main
+
+
+def _exposition(out):
+    """``{'name{labels}': value}`` of the Prometheus text a ``--metrics``
+    run prints (one blank-line-delimited block), holding it to the
+    format on the way: every sample parses, one ``# TYPE`` per family."""
+    block = out[out.index("# HELP") :].split("\n\n")[0]
+    samples, families = {}, []
+    for line in block.splitlines():
+        if line.startswith("# TYPE "):
+            families.append(line.split()[2])
+        elif not line.startswith("# HELP "):
+            sample = re.fullmatch(r'([a-zA-Z_:][\w:]*(?:\{.*\})?) (\S+)', line)
+            assert sample, line
+            assert sample.group(1) not in samples, line
+            samples[sample.group(1)] = float(sample.group(2))
+    assert len(families) == len(set(families)) > 0
+    assert all(name.startswith(tuple(families)) for name in samples)
+    return samples
 
 
 class TestDatasetsCommand:
@@ -316,10 +337,11 @@ class TestServeCommand:
     def test_serve_demo_replicated_absorbs_failover(self, capsys):
         code = main(
             ["serve", "--demo", "--replicas", "3", "--scale", "0.1",
-             "--epochs", "1", "--requests", "30", "--burst", "14", "--health"]
+             "--epochs", "1", "--requests", "30", "--burst", "14", "--health", "--metrics"]
         )
         out = capsys.readouterr().out
         assert code == 0
+        self._exposition_agrees_with_the_text_above_it(out)
         assert "3-replica feature tier" in out
         assert "kv_failures=0" in out
         # The killed replica's own journey, through dead and back.
@@ -328,6 +350,33 @@ class TestServeCommand:
         assert "anti-entropy:" in out
         assert "replicated store: 3 replicas" in out  # --health table
         assert "replica failover absorbed" in out
+
+    @staticmethod
+    def _exposition_agrees_with_the_text_above_it(out):
+        """``ServiceStats.describe()`` and ``ReplicatedKVStore.describe()``
+        against the registry's reading of the same attributes."""
+        metrics = _exposition(out)
+        admitted, shed, reasons = re.search(
+            r"requests +: \d+ received, (\d+) admitted, (\d+) shed \((.*)\)", out
+        ).groups()
+        assert metrics["service_admitted_total"] == int(admitted)
+        by_reason = dict(pair.split("=") for pair in reasons.split(", "))
+        assert {
+            f'service_shed_total{{reason="{reason}"}}': int(count)
+            for reason, count in by_reason.items()
+        } == {k: v for k, v in metrics.items() if k.startswith("service_shed_total")}
+        assert sum(map(int, by_reason.values())) == int(shed) > 0
+        replicas = re.findall(r"replica (\d): state=(\w+) .* ok=(\d+) errors", out)
+        assert len(replicas) == 3
+        for replica, state, ok in replicas:
+            assert metrics[f'kv_replica_reads_total{{replica="{replica}",outcome="ok"}}'] == int(ok)
+            for name in ("healthy", "suspect", "dead", "probing"):
+                one_hot = metrics[f'kv_replica_state{{replica="{replica}",state="{name}"}}']
+                assert one_hot == (name == state)
+        tallies = re.search(r"failovers=(\d+) corrupt=(\d+)", out).groups()
+        assert metrics["kv_failovers_total"] == int(tallies[0]) > 0
+        corrupt = [v for k, v in metrics.items() if k.startswith("kv_corrupt_reads_total")]
+        assert sum(corrupt) == int(tallies[1]) > 0
 
     @staticmethod
     def _replicated_run(kill_window):
@@ -375,6 +424,35 @@ class TestServeCommand:
     def test_serve_rejects_bad_replicas(self, capsys):
         assert main(["serve", "--demo", "--replicas", "0"]) == 2
         assert "--replicas" in capsys.readouterr().err
+
+
+class TestStreamCommand:
+    def test_the_two_status_surfaces_of_one_run_agree(self, capsys):
+        """The CI stream-smoke command: the exposition it prints last
+        against the ``stream health`` block it prints first. (The graph
+        version was pushed at flush time only, and read 157 under a
+        health block and a ``final graph version`` of 171.)"""
+        code = main(
+            ["stream", "--demo", "--scale", "0.15", "--events", "160", "--epochs", "1",
+             "--batch-size", "8", "--compact-every", "24", "--runs", "2", "--metrics"]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        metrics = _exposition(out)
+
+        def shown(pattern):
+            return [int(group) for group in re.search(pattern, out).groups()]
+
+        nodes, edges, version = shown(r"graph +: (\d+) nodes, (\d+) edges, version (\d+)")
+        assert shown(r"final graph version : (\d+)") == [version]
+        assert metrics["stream_graph_version"] == version
+        assert metrics["stream_graph_nodes"] == nodes
+        assert metrics["stream_graph_edges"] == edges
+        assert [metrics["stream_events_scored_total"]] == shown(r"scored +: (\d+) events")
+        assert [metrics["stream_labels_matured_total"]] == shown(r"labels +: (\d+) matured")
+        assert [metrics["stream_backpressure_total"]] == shown(r"backpressure +: (\d+) rejected")
+        assert [metrics["stream_wal_segments"]] == shown(r"wal +: (\d+) segments")
+        assert metrics["service_admitted_total"] == metrics["stream_events_scored_total"] > 0
 
 
 class TestHealthcheckCommand:

@@ -3,6 +3,8 @@ and the bounded ServiceStats riding on top of them."""
 
 import json
 import math
+import re
+import sys
 import threading
 
 import numpy as np
@@ -132,6 +134,205 @@ class TestRegistry:
             thread.join()
         assert counter.total() == threads * per_thread
         assert hist.count() == threads * per_thread
+
+    @pytest.mark.parametrize(
+        "labels", [{}, {"rung": "gnn", "extra": "x"}, {"ring": "gnn"}, {"rung": "gnn", "a": 1, "b": 2}]
+    )
+    def test_wrong_label_names_rejected(self, labels):
+        registry = MetricsRegistry()
+        counter = registry.counter("labelled_total", "L.", labels=("rung",))
+        with pytest.raises(ValueError, match=r"expected labels \['rung'\]"):
+            counter.inc(**labels)
+        assert counter.total() == 0
+
+
+# The exposition, at the parent commit (bucket counts kept cumulative by
+# a walk over all 16 boundaries per observation), of 40 observations on
+# and around every default boundary: per store, the ``le`` series and
+# the ``_sum`` text.
+_PINNED_VALUES = [
+    DEFAULT_LATENCY_BUCKETS[i % 16] * (0.5, 1.0, 1.5)[i % 3] for i in range(36)
+] + [0.0, -1.0, 1e9, 20.0]
+_PINNED = {
+    "a": ([3, 5, 6, 7, 8, 10, 11, 12, 12, 13, 14, 16, 17, 18, 18, 19, 20], "1000000012.24805"),
+    "b": ([1, 3, 5, 6, 8, 8, 9, 10, 12, 13, 14, 14, 15, 16, 18, 19, 20], "41.47624999999999"),
+}
+
+
+class TestHistogramBuckets:
+    def test_exposition_pinned_byte_for_byte(self):
+        registry = MetricsRegistry()
+        hist = registry.histogram("pinned_seconds", "Pinned.", labels=("store",))
+        for index, value in enumerate(_PINNED_VALUES):
+            hist.observe(value, store="ab"[index % 2])
+        lines = ["# HELP pinned_seconds Pinned.", "# TYPE pinned_seconds histogram"]
+        for store, (cumulative, total) in _PINNED.items():
+            edges = [repr(boundary) for boundary in DEFAULT_LATENCY_BUCKETS] + ["+Inf"]
+            lines += [
+                f'pinned_seconds_bucket{{store="{store}",le="{edge}"}} {count}'
+                for edge, count in zip(edges, cumulative)
+            ]
+            lines.append(f'pinned_seconds_sum{{store="{store}"}} {total}')
+            lines.append(f'pinned_seconds_count{{store="{store}"}} 20')
+        assert registry.render() == "\n".join(lines) + "\n"
+
+    def test_per_bucket_counts_cumulate_to_the_boundary_walk(self):
+        """Reference: the loop ``observe`` used to run — one comparison
+        per boundary, every bucket at or above the value incremented."""
+        buckets = (0.1, 0.5, 1.0, 2.0)
+        rng = np.random.default_rng(0)
+        values = list(rng.uniform(-0.5, 3.0, size=200)) + list(buckets)
+        values += [float("nan"), float("inf"), -float("inf")]
+        want = [0] * len(buckets)
+        registry = MetricsRegistry()
+        hist = registry.histogram("walk_seconds", "W.", buckets=buckets)
+        for value in values:
+            hist.observe(value)
+            for index, boundary in enumerate(buckets):
+                if value <= boundary:
+                    want[index] += 1
+        text = registry.render()
+        for boundary, count in zip(buckets, want):
+            assert f'walk_seconds_bucket{{le="{boundary!r}"}} {count}\n' in text
+        assert f'walk_seconds_bucket{{le="+Inf"}} {len(values)}\n' in text
+
+
+# ----------------------------------------------------------------------
+# Collected families: counts are read, timings are observed
+# ----------------------------------------------------------------------
+class TestCollect:
+    @staticmethod
+    def _source(tally, name="things_total", kind="counter", help="Things."):
+        def source():
+            for label, value in dict(tally).items():
+                yield kind, name, help, {"what": label}, value
+
+        return source
+
+    def test_read_when_scraped_not_when_registered(self):
+        registry, tally = MetricsRegistry(), {"a": 1}
+        registry.collect(self._source(tally))
+        assert 'things_total{what="a"} 1\n' in registry.render()
+        tally["a"] = 5
+        tally["b"] = 2
+        text = registry.render()
+        assert 'things_total{what="a"} 5\n' in text and 'things_total{what="b"} 2\n' in text
+        assert text.count("# TYPE things_total counter") == 1
+
+    def test_two_sources_reporting_one_sample_add(self):
+        registry = MetricsRegistry()
+        registry.collect(self._source({"a": 1, "b": 1}))
+        registry.collect(self._source({"a": 2}))
+        registry.collect(self._source({"x": 3}, name="level", kind="gauge"))
+        registry.collect(self._source({"x": 4}, name="level", kind="gauge"))
+        text = registry.render()
+        assert 'things_total{what="a"} 3\n' in text
+        assert 'things_total{what="b"} 1\n' in text
+        assert 'level{what="x"} 7\n' in text
+
+    def test_registering_a_source_twice_scrapes_it_once(self):
+        registry, stats = MetricsRegistry(), ServiceStats()
+        registry.collect(stats._collect)
+        registry.collect(stats._collect)  # a second instrument(registry)
+        stats.record_admitted()
+        assert "service_admitted_total 1\n" in registry.render()
+
+    def test_a_name_both_observed_and_collected_raises(self):
+        registry = MetricsRegistry()
+        registry.counter("things_total", "Things.", labels=("what",)).inc(what="a")
+        registry.collect(self._source({"a": 1}))
+        for scrape in (registry.render, registry.names, lambda: registry.get("things_total")):
+            with pytest.raises(ValueError, match="both observed and collected"):
+                scrape()
+
+    def test_sources_disagreeing_on_kind_or_labels_raise(self):
+        registry = MetricsRegistry()
+        registry.collect(self._source({"a": 1}))
+        registry.collect(self._source({"a": 1}, kind="gauge"))
+        with pytest.raises(ValueError, match="already registered as counter"):
+            registry.render()
+        registry = MetricsRegistry()
+        registry.collect(self._source({"a": 1}))
+        registry.collect(lambda: [("counter", "things_total", "Things.", {"which": "a"}, 1)])
+        with pytest.raises(ValueError, match="already registered with labels"):
+            registry.render()
+        registry = MetricsRegistry()
+        registry.collect(lambda: [("histogram", "h_seconds", "H.", {}, 1.0)])
+        with pytest.raises(KeyError):
+            registry.render()
+
+    def test_a_declared_family_prints_its_header_without_a_sample(self):
+        """What ``service_shed_total`` looks like before anything was
+        shed: the pushed metric printed HELP and TYPE and no sample."""
+        registry = MetricsRegistry()
+        registry.collect(lambda: [("gauge", "level", "A level.", {}, None)])
+        assert registry.render() == "# HELP level A level.\n# TYPE level gauge\n"
+        registry = MetricsRegistry()
+        ServiceStats(registry=registry)
+        text = registry.render()
+        for name in ("service_shed_total", "service_degraded_total"):
+            assert f"# TYPE {name} counter\n" in text
+            assert f"\n{name}{{" not in text
+        assert "service_admitted_total 0\n" in text
+
+    def test_get_and_names_see_collected_families(self):
+        registry = MetricsRegistry()
+        registry.histogram("lat_seconds", "Lat.")
+        registry.collect(self._source({"a": 4}))
+        assert registry.names() == ["lat_seconds", "things_total"]
+        assert registry.get("things_total").value(what="a") == 4
+        assert registry.get("things_total").kind == "counter"
+        assert registry.get("nope") is None
+
+    def test_scrape_racing_tallying_threads_is_never_torn(self):
+        """Eight threads look up ``[t, t]`` under keys of their own (a
+        sampler seed each) right after dropping every entry: one miss
+        and one hit per call, counted in one critical section, so any
+        consistent reading has ``hits == misses``. A collector that
+        read the two attributes one after the other would not."""
+        from repro.check import random_hetero_graph
+        from repro.graph.cache import SubgraphCache
+        from repro.graph.sampling import SageSampler
+
+        graph = random_hetero_graph(np.random.default_rng(0), num_txns=40)
+        registry = MetricsRegistry()
+        cache = SubgraphCache(capacity=4).instrument(registry)
+        threads, calls, failures = 8, 150, []
+
+        def churn(worker):
+            sampler = SageSampler(hops=1, fanout=2, seed=worker)
+            try:
+                for call in range(calls):
+                    target = call % graph.num_nodes
+                    cache.invalidate()
+                    cache.get_or_sample(graph, sampler, [target, target], disjoint=True)
+            except Exception as error:  # pragma: no cover - the failure path
+                failures.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pool = [threading.Thread(target=churn, args=(w,)) for w in range(threads)]
+            for thread in pool:
+                thread.start()
+            scrapes, seen = 0, 0
+            while any(thread.is_alive() for thread in pool):
+                text = registry.render()  # one scrape: one reading of both
+                hits, misses = (
+                    int(re.search(rf'{name}_total{{cache="subgraph"}} (\d+)\n', text).group(1))
+                    for name in ("subgraph_cache_hits", "subgraph_cache_misses")
+                )
+                assert hits == misses >= seen
+                scrapes, seen = scrapes + 1, hits
+            for thread in pool:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert failures == [] and scrapes > 0
+        stats = cache.stats()
+        assert stats["hits"] == stats["misses"] == threads * calls
+        assert stats["hits"] + stats["misses"] == stats["lookups"]
 
 
 class TestReservoir:

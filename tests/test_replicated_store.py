@@ -703,7 +703,6 @@ class TestInstrumentation:
         store.get(key)
         backings[0].put(key, b"bads")
         store.get(key)  # corrupt -> quarantine -> failover
-        store.export_health()
         text = registry.render()
         assert 'kv_reads_total{store="replicated"} 2' in text
         assert 'kv_replica_reads_total{replica="0",outcome="corrupt"} 1' in text

@@ -130,20 +130,16 @@ class TestCircuitBreaker:
 
     def test_transitions_are_reported(self):
         clock = ManualClock()
-        seen = []
         breaker = CircuitBreaker(
-            min_calls=1,
-            window=2,
-            cooldown_s=0.1,
-            half_open_probes=1,
-            clock=clock,
-            on_transition=lambda a, b: seen.append((a, b)),
+            min_calls=1, window=2, cooldown_s=0.1, half_open_probes=1, clock=clock
         )
+        assert breaker.transition_path() == (CLOSED,)
         with pytest.raises(TransientReadError):
             breaker.call(self._boom)
         clock.advance(0.2)
         breaker.call(lambda: "ok")
-        assert seen == [(CLOSED, OPEN), (OPEN, HALF_OPEN), (HALF_OPEN, CLOSED)]
+        assert breaker.transition_path() == (CLOSED, OPEN, HALF_OPEN, CLOSED)
+        assert [t.at for t in breaker.transitions] == [0.0, 0.2, 0.2]
 
     @staticmethod
     def _boom():
@@ -206,10 +202,19 @@ class TestServiceStats:
         assert math.isnan(ServiceStats().auc())
 
     def test_breaker_state_path(self):
+        """The stats block keeps no journey of its own: it reads the
+        breaker's, whenever asked."""
+        clock = ManualClock()
         stats = ServiceStats()
-        stats.record_breaker_transition(CLOSED, OPEN)
-        stats.record_breaker_transition(OPEN, HALF_OPEN)
+        assert stats.breaker_state_path() == () and stats.breaker_transitions == []
+        stats.breaker = CircuitBreaker(min_calls=1, cooldown_s=0.1, clock=clock)
+        assert stats.breaker_state_path() == ()  # never moved
+        stats.breaker.record_failure()
+        clock.advance(0.2)
+        assert stats.breaker.allow()
         assert stats.breaker_state_path() == (CLOSED, OPEN, HALF_OPEN)
+        assert stats.snapshot()["breaker_transitions"] == [(CLOSED, OPEN), (OPEN, HALF_OPEN)]
+        assert "closed -> open -> half_open" in stats.describe()
 
 
 @pytest.fixture(scope="module")
