@@ -12,8 +12,8 @@ import numpy as np
 
 from _helpers import format_table, model_config, write_result
 from repro import TrainConfig, Trainer, XFraudDetectorHGT, XFraudDetectorPlus
-from repro.graph import batched
 from repro.train import roc_auc
+from repro.util import batched
 
 
 def _sampled_inference(model, graph, nodes, batch_size=32):

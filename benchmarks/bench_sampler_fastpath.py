@@ -1,20 +1,21 @@
-"""Sampler fast path — reference vs vectorized vs cached throughput.
+"""Sampler walks — scalar spec vs vectorized vs cached throughput.
 
 PR "vectorized batch fast path": the CSR array sampler must (a) return
-seed-for-seed *identical* subgraphs to the scalar reference walk, and
+seed-for-seed *identical* subgraphs to the scalar walk it replaced, and
 (b) be materially faster at serving batch sizes. For each sampler and
 batch size 1 / 16 / 128 this bench times three variants over the same
 target stream:
 
-* **reference** — the scalar per-node walk (``reference=True``), the
-  executable specification;
-* **vectorized** — the CSR array fast path (the default);
-* **cached** — the fast path fronted by a warmed
+* **reference** — the scalar per-node walk
+  (:func:`repro.check.reference.scalar_sample`), the executable
+  specification;
+* **vectorized** — the sampler's own ``sample`` (CSR array gathers);
+* **cached** — the sampler fronted by a warmed
   :class:`~repro.graph.cache.SubgraphCache` (pure hits; the full
   serving configuration).
 
-Both paths share the stateless hash RNG, so every timed batch is also
-compared node for node and edge for edge — the bench doubles as an
+Spec and sampler share the stateless hash RNG, so every timed batch is
+also compared node for node and edge for edge — the bench doubles as an
 end-to-end correctness sweep.
 
 ``test_vectorized_ratio_floor`` is the machine-independent gate CI's
@@ -31,10 +32,13 @@ replaced, and to the same cost on a 45k-node graph as on a 7k-node one
 cache) path to >= 5x at batch 128.
 """
 
+import functools
+
 import numpy as np
 
 from _helpers import best_us, format_table, stream_shaped_graph, write_result
 from repro.check import subgraph_equal
+from repro.check.reference import scalar_sample
 from repro.data import GeneratorConfig, TransactionGenerator
 from repro.graph import BuildConfig, GraphBuilder
 from repro.graph.cache import SubgraphCache
@@ -50,8 +54,8 @@ MICRO_BATCH = 32
 BATCH_SIZES = (1, 16, AT_BATCH)
 RATIO_SAMPLES = 9
 SAMPLERS = {
-    "sage": lambda reference: SageSampler(hops=2, fanout=10, seed=0, reference=reference),
-    "hg": lambda reference: HGSampler(depth=3, width=8, seed=0, reference=reference),
+    "sage": SageSampler(hops=2, fanout=10, seed=0),
+    "hg": HGSampler(depth=3, width=8, seed=0),
 }
 
 
@@ -75,13 +79,13 @@ def test_vectorized_ratio_floor():
     """Machine-independent: the vectorized walk against the scalar walk
     it replaced, same targets, same process (CI perf-smoke)."""
     graph, stream = _bench_graph()
-    for kind, make in SAMPLERS.items():
-        paths = [make(reference=True), make(reference=False)]
-        assert subgraph_equal(*(path.sample(graph, stream) for path in paths)) is None, kind
+    for kind, sampler in SAMPLERS.items():
+        paths = [functools.partial(scalar_sample, sampler), sampler.sample]
+        assert subgraph_equal(*(path(graph, stream) for path in paths)) is None, kind
         samples = [[], []]
         for _ in range(RATIO_SAMPLES):  # alternate, so a slow spell of the box hits both
             for path, times in zip(paths, samples):
-                times.append(_pass_us(lambda batch: path.sample(graph, batch), [stream]))
+                times.append(_pass_us(lambda batch: path(graph, batch), [stream]))
         reference_us, fast_us = (float(np.median(times)) for times in samples)
         print(
             f"\n{kind} @ batch {AT_BATCH}: reference {reference_us / 1e3:.2f} ms, "
@@ -138,15 +142,14 @@ def test_disjoint_walk_ratio_floor():
 def test_fastpath_speedup_and_equivalence(benchmark):
     graph, stream = _bench_graph()
     results = []  # (sampler, batch, reference us, vectorized us, cached us, equal)
-    for kind, make in SAMPLERS.items():
-        reference, fast = make(reference=True), make(reference=False)
+    for kind, fast in SAMPLERS.items():
         for batch_size in BATCH_SIZES:
             batches = batched(stream, batch_size)
             equal = all(
-                subgraph_equal(fast.sample(graph, batch), reference.sample(graph, batch)) is None
+                subgraph_equal(fast.sample(graph, batch), scalar_sample(fast, graph, batch)) is None
                 for batch in batches
             )
-            reference_us = _pass_us(lambda batch: reference.sample(graph, batch), batches)
+            reference_us = _pass_us(lambda batch: scalar_sample(fast, graph, batch), batches)
             fast_us = _pass_us(lambda batch: fast.sample(graph, batch), batches)
             cache = SubgraphCache(capacity=4096)
             for batch in batches:  # warm: every timed lookup is a hit
@@ -156,9 +159,8 @@ def test_fastpath_speedup_and_equivalence(benchmark):
 
     # Timed artefact for the pytest-benchmark table: one vectorized
     # batch-128 pass per sampler (the serving-path configuration).
-    samplers = [make(reference=False) for make in SAMPLERS.values()]
     benchmark.pedantic(
-        lambda: [sampler.sample(graph, stream) for sampler in samplers],
+        lambda: [sampler.sample(graph, stream) for sampler in SAMPLERS.values()],
         rounds=5,
         iterations=1,
     )

@@ -1,7 +1,7 @@
 """Differential fuzzer with automatic seed shrinking.
 
 Every fast or durable path in the stack has a slower executable spec:
-the vectorized samplers have the scalar reference walk, the one walk
+the vectorized samplers have the scalar walks of :mod:`.reference`, the one walk
 that samples a micro-batch has the stacked loop of singleton samples,
 the CSR delta merge has the full stable rebuild, a micro-batch of n has n batches
 of one through the same pipeline, the detector's plain-array convolution
@@ -25,6 +25,7 @@ prints and a regression test pins.
 from __future__ import annotations
 
 import copy
+import functools
 import tempfile
 import zlib
 from dataclasses import dataclass, field
@@ -116,8 +117,9 @@ def scenario(name: str):
 # ----------------------------------------------------------------------
 @scenario("sampler-fast-vs-reference")
 def _fuzz_sampler(seed: int, size: int) -> Optional[str]:
-    """Vectorized sampler walk vs the scalar reference spec."""
+    """Vectorized sampler walk vs the scalar spec (:func:`.reference.scalar_sample`)."""
     from ..graph.sampling import HGSampler, SageSampler
+    from .reference import scalar_sample
 
     rng = np.random.default_rng(seed)
     graph = random_hetero_graph(rng, num_txns=size)
@@ -125,20 +127,13 @@ def _fuzz_sampler(seed: int, size: int) -> Optional[str]:
     picks = rng.integers(0, len(txns), size=min(3, len(txns)))
     targets = list(dict.fromkeys(int(txns[p]) for p in picks))  # unique, order kept
     sampler_seed = int(rng.integers(0, 1 << 16))
-    pairs = [
-        (
-            SageSampler(hops=1 + size % 3, fanout=1 + size % 5, seed=sampler_seed),
-            SageSampler(hops=1 + size % 3, fanout=1 + size % 5, seed=sampler_seed, reference=True),
-        ),
-        (
-            HGSampler(depth=1 + size % 2, width=1 + size % 4, seed=sampler_seed),
-            HGSampler(depth=1 + size % 2, width=1 + size % 4, seed=sampler_seed, reference=True),
-        ),
-    ]
-    for fast, reference in pairs:
-        diff = subgraph_equal(fast.sample(graph, targets), reference.sample(graph, targets))
+    for sampler in (
+        SageSampler(hops=1 + size % 3, fanout=1 + size % 5, seed=sampler_seed),
+        HGSampler(depth=1 + size % 2, width=1 + size % 4, seed=sampler_seed),
+    ):
+        diff = subgraph_equal(sampler.sample(graph, targets), scalar_sample(sampler, graph, targets))
         if diff is not None:
-            return f"{fast.cache_key()} targets={targets}: {diff}"
+            return f"{sampler.cache_key()} targets={targets}: {diff}"
     return None
 
 
@@ -1211,16 +1206,17 @@ def _fuzz_disjoint_walk(seed: int, size: int) -> Optional[str]:
     of ONE singleton walk, once each, and a budget that ends at hop
     ``k`` must end both sides there."""
     from ..graph.sampling import HGSampler, SageSampler, stack_subgraphs, unstack_subgraphs
+    from .reference import scalar_sample
 
     rng = np.random.default_rng(seed)
     graph = random_hetero_graph(rng, num_txns=size)
     graph.csr()  # so the deltas below splice it
     hops, fanout, sampler_seed = 1 + size % 3, int(rng.integers(1, 5)), int(rng.integers(0, 1 << 16))
     walker = SageSampler(hops=hops, fanout=fanout, seed=sampler_seed)
-    by_definition = (  # disjoint=True is the loop itself for these two
-        SageSampler(hops=hops, fanout=fanout, seed=sampler_seed, reference=True),
-        HGSampler(depth=1 + size % 2, width=fanout, seed=sampler_seed),
-    )
+    hg = HGSampler(depth=1 + size % 2, width=fanout, seed=sampler_seed)
+    spec = functools.partial(scalar_sample, walker)
+    # disjoint=True is the loop itself for these two
+    by_definition = (("the scalar spec", spec), (hg.cache_key(), hg.sample))
     for stage in ("fresh", "grown", "compacted"):
         if stage == "grown":
             for _ in range(int(rng.integers(1, 4))):
@@ -1242,13 +1238,13 @@ def _fuzz_disjoint_walk(seed: int, size: int) -> Optional[str]:
             diff = subgraph_equal(cut, part)
             if diff is not None:
                 return f"{where}: unstacked component {index} != the sample stacked: {diff}"
-        for sampler in by_definition:
+        for whose, sample in by_definition:
             diff = subgraph_equal(
-                sampler.sample(graph, targets, disjoint=True),
-                stack_subgraphs([sampler.sample(graph, [int(target)]) for target in targets]),
+                sample(graph, targets, disjoint=True),
+                stack_subgraphs([sample(graph, [int(target)]) for target in targets]),
             )
             if diff is not None:
-                return f"{sampler.cache_key()}, targets={targets.tolist()}: {diff}"
+                return f"{whose}, targets={targets.tolist()}: {diff}"
 
         alone, together = _StageLog(), _StageLog()
         walker.sample(graph, targets[:1], deadline=alone)
@@ -1257,9 +1253,9 @@ def _fuzz_disjoint_walk(seed: int, size: int) -> Optional[str]:
             return f"{where}: the walk checked {together.stages}, one singleton walk {alone.stages}"
         spent_at = int(rng.integers(0, hops))
         ended = []
-        for sampler in (walker, by_definition[0]):
+        for sample in (walker.sample, spec):
             try:
-                sampler.sample(graph, targets, deadline=_StageLog(spent_at), disjoint=True)
+                sample(graph, targets, deadline=_StageLog(spent_at), disjoint=True)
                 ended.append(None)
             except _BudgetSpent as spent:
                 ended.append(str(spent))

@@ -1,22 +1,42 @@
-"""The detector's convolution, one ``Tensor`` op at a time.
+"""Executable specs: the slow, obvious form of two fast paths.
 
+**The detector's convolution, one ``Tensor`` op at a time.**
 :class:`~repro.models.hetero_conv.HeteroConvLayer` is a single autograd
-node over a plain-array kernel with a hand-derived backward. This module
-is the executable spec both halves are held to: the same layer
-parameters pushed through ``nn``'s per-op tape (one ``Tensor`` per op
-and per node/edge type, gradients by the engine's own rules), in the
-graph's own node and edge order. Only ``repro.check`` scenarios and
-tests call it; nothing that trains, explains or serves does.
+node over a plain-array kernel with a hand-derived backward.
+:func:`conv_forward` / :class:`PerOpDetector` are the spec both halves
+are held to: the same layer parameters pushed through ``nn``'s per-op
+tape (one ``Tensor`` per op and per node/edge type, gradients by the
+engine's own rules), in the graph's own node and edge order.
+
+**The samplers, one node at a time.** :func:`scalar_sample` is the walk
+each sampler of :mod:`repro.graph.sampling` vectorizes, reading the
+configuration off the sampler instance it is the spec of and asking the
+same stateless hash the same questions, so the two return identical
+:class:`~repro.graph.sampling.SampledSubgraph` objects seed for seed.
+
+Only ``repro.check`` scenarios, tests, one bench and one demo gate call
+this module; nothing that trains, explains or serves does.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from .. import nn
 from ..graph.hetero import EDGE_TYPES, NODE_TYPES, HeteroGraph
+from ..graph.sampling import (
+    _EMPTY,
+    HGSampler,
+    SageSampler,
+    SampledSubgraph,
+    _first_occurrence_unique,
+    _hash_uniform,
+    _induce,
+    _salt,
+    stack_subgraphs,
+)
 from ..models.detector import XFraudDetector
 from ..models.field import EdgeRows
 from ..models.hetero_conv import HeteroConvLayer
@@ -147,3 +167,107 @@ class PerOpDetector:
         return self.detector.head(graph, targets, nn.gather(h, targets), feature_mask)
 
     __call__ = forward
+
+
+# ----------------------------------------------------------------------
+# The samplers' walks, node at a time
+# ----------------------------------------------------------------------
+def scalar_sample(
+    sampler, graph: HeteroGraph, targets: Sequence[int], deadline=None, disjoint: bool = False
+) -> SampledSubgraph:
+    """What ``sampler.sample(graph, targets, deadline, disjoint)`` must
+    return, by the scalar walk of ``sampler``'s kind — ``disjoint=True``
+    by its definition, the stacked loop of singleton samples."""
+    targets = np.asarray(targets, dtype=np.int64)
+    if disjoint and len(targets) != 1:
+        return stack_subgraphs(
+            [scalar_sample(sampler, graph, [int(target)], deadline) for target in targets]
+        )
+    walk = _sage_walk if isinstance(sampler, SageSampler) else _hg_walk
+    return _induce(graph, walk(sampler, graph, _first_occurrence_unique(targets), deadline), targets)
+
+
+def _canonical(unique_targets: np.ndarray, discovered: List[int]) -> np.ndarray:
+    rest = np.sort(np.asarray(discovered, dtype=np.int64)) if discovered else _EMPTY
+    return np.concatenate([unique_targets, rest])
+
+
+def _sage_walk(
+    sampler: SageSampler, graph: HeteroGraph, unique_targets: np.ndarray, deadline
+) -> np.ndarray:
+    indptr, src_sorted, _ = graph.csr()
+    edge_salt = _salt(sampler.seed)
+
+    def kept_positions(node: int) -> np.ndarray:
+        """The node's CSR slice, cut to its ``fanout`` smallest hash keys."""
+        positions = np.arange(int(indptr[node]), int(indptr[node + 1]), dtype=np.int64)
+        if len(positions) <= sampler.fanout:
+            return positions
+        keys = _hash_uniform(positions, edge_salt)
+        return positions[np.argsort(keys, kind="stable")[: sampler.fanout]]
+
+    visited: Dict[int, None] = {int(t): None for t in unique_targets}
+    frontier = list(visited)
+    discovered: List[int] = []
+    for hop in range(sampler.hops):
+        if deadline is not None:
+            deadline.check(f"sampling hop {hop}")
+        next_frontier: List[int] = []
+        for node in frontier:
+            for position in kept_positions(node):
+                neighbor = int(src_sorted[position])
+                if neighbor not in visited:
+                    visited[neighbor] = None
+                    next_frontier.append(neighbor)
+        frontier = next_frontier
+        discovered.extend(next_frontier)
+    return _canonical(unique_targets, discovered)
+
+
+def _hg_walk(
+    sampler: HGSampler, graph: HeteroGraph, unique_targets: np.ndarray, deadline
+) -> np.ndarray:
+    degree = np.maximum(graph.degree(), 1)
+    sampled: Dict[int, None] = {int(t): None for t in unique_targets}
+    budgets: List[Dict[int, float]] = [dict() for _ in NODE_TYPES]
+
+    def add_to_budget(node: int) -> None:
+        """Push the neighbours of a newly sampled node into budgets."""
+        for neighbor in graph.in_neighbors(node):
+            neighbor = int(neighbor)
+            if neighbor in sampled:
+                continue
+            budget = budgets[graph.node_type[neighbor]]
+            budget[neighbor] = budget.get(neighbor, 0.0) + 1.0 / float(degree[node])
+
+    def draw(candidates: np.ndarray, weights: np.ndarray, step: int) -> np.ndarray:
+        """Up to ``width`` candidates, weighted without replacement,
+        returned ascending. Exponential-race keys over the stateless
+        hash: identical picks for identical ``(candidates, weights,
+        seed, step)`` regardless of candidate order."""
+        uniforms = _hash_uniform(candidates, _salt(sampler.seed, step + 1))
+        keys = -np.log(uniforms) / weights
+        count = min(sampler.width, len(candidates))
+        return np.sort(candidates[np.lexsort((candidates, keys))[:count]])
+
+    for target in sampled:
+        add_to_budget(target)
+
+    discovered: List[int] = []
+    for step in range(sampler.depth):
+        if deadline is not None:
+            deadline.check(f"sampling step {step}")
+        newly_sampled: List[int] = []
+        for type_budget in budgets:
+            if not type_budget:
+                continue
+            candidates = np.fromiter(type_budget.keys(), dtype=np.int64)
+            weights = np.fromiter(type_budget.values(), dtype=np.float64) ** 2
+            newly_sampled.extend(int(c) for c in draw(candidates, weights, step))
+        for node in newly_sampled:
+            sampled[node] = None
+            budgets[graph.node_type[node]].pop(node, None)
+        for node in newly_sampled:
+            add_to_budget(node)
+        discovered.extend(newly_sampled)
+    return _canonical(unique_targets, discovered)

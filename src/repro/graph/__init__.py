@@ -13,7 +13,8 @@ from .hetero import (
 )
 from .cache import SubgraphCache
 from .partition import group_partitions, pic_partition, power_iteration_embedding
-from .sampling import HGSampler, SageSampler, SampledSubgraph, batched, receptive_field
+from ..util import batched
+from .sampling import HGSampler, SageSampler, SampledSubgraph, receptive_field
 
 __all__ = [
     "HeteroGraph",

@@ -2,7 +2,7 @@
 
 Samplers in this package are *stateless*: with a fixed seed,
 ``sample(graph, targets)`` is a pure function of
-``(graph structure, targets, sampler config)`` — see the fast-path
+``(graph structure, targets, sampler config)`` — see the purity
 contract in :mod:`repro.graph.sampling`. That purity is what makes
 caching sound: a cached :class:`~repro.graph.sampling.SampledSubgraph`
 is byte-identical to what re-sampling would produce, so serving can

@@ -21,55 +21,48 @@ the positions of the requested target nodes inside it.
 ``hops``-hop in-closure of the targets, which is what a training step
 computes its loss on (every model's ``loss`` calls it).
 
-Fast path / reference path contract
------------------------------------
-Each sampler ships two implementations of the same algorithm:
-
-* the **vectorized fast path** (default) — frontier expansion as CSR
-  array gathers (``indptr``/``indices`` slices, segment top-k via
-  ``np.lexsort``, ``np.unique`` dedup) with no per-node Python loop;
-* the **scalar reference path** (``reference=True``) — the original
-  node-at-a-time walk, kept as the executable specification the
-  equivalence tests in ``tests/test_fastpath.py`` compare against.
-
-Both paths draw their randomness from the same *stateless* hash
+Purity contract
+---------------
+Each walk is written once, as CSR array gathers (``indptr``/``indices``
+slices, segment top-k via ``np.lexsort``, ``np.unique`` dedup) with no
+per-node Python loop, and draws its randomness from a *stateless* hash
 (splitmix64 over ``(seed, edge-position)`` for SAGE fanout capping,
 ``(seed, step, node)`` exponential races for HGSampling's weighted
-draws), so for a fixed seed they return **identical**
-:class:`SampledSubgraph` objects — nodes, edges, and target positions.
-Statelessness also means ``sample()`` is a pure function of
-``(graph, targets, config)``: repeated calls agree, which is what makes
+draws). So ``sample()`` is a pure function of ``(graph, targets,
+config)``: repeated calls agree, which is what makes
 :class:`~repro.graph.cache.SubgraphCache` sound and online verdicts
 reproducible. Node order is canonical — the unique targets in request
-order, then every other sampled node ascending.
+order, then every other sampled node ascending. A sampler holds its
+configuration and nothing else: no clock, no metrics handle; a caller
+that wants a walk timed times it (``kind`` and ``steps`` are what it
+labels and counts by).
 
 ``sample(..., disjoint=True)`` computes a different function of the
 same inputs: not the sample of the target *set* (one induced subgraph,
 cross-target edges included) but the block-diagonal union of one
 singleton sample per target — component ``i`` is ``sample(graph,
 [targets[i]])``, repeats included — which is what micro-batched serving
-scores (see :func:`stack_subgraphs` for why). Its executable spec is
-that loop, :func:`_sample_each`: it is what ``reference=True`` and
-:class:`HGSampler` run. :class:`SageSampler`'s fast path walks every
+scores (see :func:`stack_subgraphs` for why). That loop is
+:class:`HGSampler`'s ``disjoint`` path; :class:`SageSampler` walks every
 component in one frontier expansion over ``(component, node)`` pairs
-and returns, array for array, what the loop returns; the per-position
+and returns, array for array, what the loop returns (the per-position
 hash keys do not know the component, so each keeps exactly the edges
-its own walk would. Which of the two runs is read from the input, not
-set: a single target takes the plain ``sample(graph, [t])`` route (the
-union of one component is that component, the loop above needs a route
-that is not the walk it specifies, and the generalised walk costs about
-a fifth more than the singleton one at batch 1).
+its own walk would). A single target takes the plain ``sample(graph,
+[t])`` route either way: the union of one component is that component.
+
+The executable spec of both samplers — the scalar node-at-a-time walks
+these replaced, asking the same hash the same questions — is
+:func:`repro.check.reference.scalar_sample`; ``repro check`` and
+``tests/test_fastpath.py`` hold every walk here to it.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..util import batched  # noqa: F401  (historical home; re-exported)
 from .hetero import NODE_TYPES, HeteroGraph
 
 _EMPTY = np.zeros(0, dtype=np.int64)
@@ -101,8 +94,8 @@ def _hash_uniform(ids: np.ndarray, salt: np.uint64) -> np.ndarray:
     """Deterministic uniforms in (0, 1] keyed by ``(ids, salt)``.
 
     The same ``(id, salt)`` always yields the same draw, which is the
-    mechanism that makes the scalar and vectorized sampler paths agree
-    bit-for-bit: both ask this function the same questions.
+    mechanism that makes a walk and its scalar spec agree bit-for-bit:
+    both ask this function the same questions.
     """
     mixed = _mix64(np.asarray(ids, dtype=np.int64).astype(np.uint64) ^ salt)
     return ((mixed >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
@@ -243,15 +236,6 @@ def unstack_subgraphs(stacked: SampledSubgraph) -> List[SampledSubgraph]:
     return parts
 
 
-def _sample_each(sampler, graph: HeteroGraph, targets: np.ndarray, deadline) -> SampledSubgraph:
-    """``sample(..., disjoint=True)`` by its definition: one singleton
-    sample per target, stacked — the executable spec of the one-walk
-    fast path, and the ``disjoint`` path of every sampler without one."""
-    return stack_subgraphs(
-        [sampler.sample(graph, [int(target)], deadline=deadline) for target in targets]
-    )
-
-
 def _in_sorted(table: np.ndarray, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """(found, slot): membership of ``keys`` in the ascending, non-empty
     ``table`` and where — the ``searchsorted`` both halves of the
@@ -260,78 +244,52 @@ def _in_sorted(table: np.ndarray, keys: np.ndarray) -> Tuple[np.ndarray, np.ndar
     return table[slot] == keys, slot
 
 
-class _SamplerMetrics:
-    """Opt-in hop counters + latency histograms shared by both samplers.
+class _Sampler:
+    """What the two samplers share: ``sample()``.
 
-    ``instrument(registry)`` registers the shared metric family
-    (``sampler_hops_total``, ``sampler_hop_seconds``,
-    ``sampler_sample_seconds``, all labelled by sampler kind) against a
-    :class:`repro.obs.registry.MetricsRegistry`. These are timings, so
-    they are pushed (a hop is counted in the block that read the clock
-    for it) rather than read at scrape time like the tallies of the
-    cache or the service. Uninstrumented samplers pay a single
-    ``is None`` check per call, so the default path stays as fast as
-    before.
-
-    The unit is the *walk*, not the target: one
-    ``sampler_sample_seconds`` observation and ``hops``
-    ``sampler_hops_total`` increments per frontier expansion, however
-    many targets (or, under ``disjoint=True``, components) it carries.
+    A subclass supplies ``kind`` and ``steps`` (what a caller labels and
+    counts its walks by), ``_expand`` (the walk over the target set)
+    and, when it has one, a one-walk ``_sample_disjoint``.
     """
 
-    _metric_label: str = "sampler"
+    kind: str
 
-    def __init__(self) -> None:
-        self._hops_total = None
-        self._hop_seconds = None
-        self._sample_seconds = None
-        self._metrics_clock = time.perf_counter
+    def sample(
+        self, graph: HeteroGraph, targets: Sequence[int], deadline=None, disjoint: bool = False
+    ) -> SampledSubgraph:
+        """The sampled neighbourhood of the targets as a subgraph.
 
-    def instrument(self, registry, clock=None) -> "_SamplerMetrics":
-        """Attach hop/latency metrics; returns self for chaining."""
-        self._hops_total = registry.counter(
-            "sampler_hops_total",
-            "Neighbour-sampling hops (or budget steps) executed.",
-            labels=("sampler",),
+        ``deadline`` is an optional duck-typed budget (anything with a
+        ``check(stage)`` method, e.g. :class:`repro.serving.Deadline`);
+        it is checked once per step per walk, so an online request
+        overruns its budget by at most one sampling step.
+
+        ``disjoint=True`` returns instead the block-diagonal union of
+        one singleton sample per target (repeats included) — array for
+        array ``stack_subgraphs([sample(graph, [t]) for t in targets])``.
+        A single target is its own union and takes the plain route.
+        """
+        targets = np.asarray(targets, dtype=np.int64)
+        if disjoint and len(targets) != 1:
+            return self._sample_disjoint(graph, targets, deadline)
+        nodes = self._expand(graph, _first_occurrence_unique(targets), deadline)
+        return _induce(graph, nodes, targets)
+
+    def _sample_disjoint(self, graph: HeteroGraph, targets: np.ndarray, deadline) -> SampledSubgraph:
+        """``disjoint=True`` by its definition: one singleton sample per
+        target, stacked."""
+        return stack_subgraphs(
+            [self.sample(graph, [int(target)], deadline=deadline) for target in targets]
         )
-        self._hop_seconds = registry.histogram(
-            "sampler_hop_seconds",
-            "Latency of one sampling hop / budget step.",
-            labels=("sampler",),
-        )
-        self._sample_seconds = registry.histogram(
-            "sampler_sample_seconds",
-            "End-to-end latency of one sample() call.",
-            labels=("sampler",),
-        )
-        if clock is not None:
-            self._metrics_clock = clock
-        return self
-
-    def _record_hop(self, seconds: float) -> None:
-        if self._hops_total is not None:
-            self._hops_total.inc(sampler=self._metric_label)
-            self._hop_seconds.observe(seconds, sampler=self._metric_label)
-
-    def _record_sample(self, seconds: float) -> None:
-        if self._sample_seconds is not None:
-            self._sample_seconds.observe(seconds, sampler=self._metric_label)
 
 
-class SageSampler(_SamplerMetrics):
-    """k-hop capped neighbourhood sampling (GraphSAGE style).
+class SageSampler(_Sampler):
+    """k-hop capped neighbourhood sampling (GraphSAGE style): at most
+    ``fanout`` in-neighbours per node per hop, ``hops`` hops out."""
 
-    ``reference=True`` switches to the scalar per-node walk (the
-    executable spec); the default vectorized path returns identical
-    subgraphs — see the module docstring for the contract.
-    """
+    kind = "sage"
 
-    _metric_label = "sage"
-
-    def __init__(
-        self, hops: int = 2, fanout: int = 10, seed: int = 0, reference: bool = False
-    ) -> None:
-        super().__init__()
+    def __init__(self, hops: int = 2, fanout: int = 10, seed: int = 0) -> None:
         if hops < 1:
             raise ValueError("hops must be >= 1")
         if fanout < 1:
@@ -339,50 +297,18 @@ class SageSampler(_SamplerMetrics):
         self.hops = hops
         self.fanout = fanout
         self.seed = seed
-        self.reference = reference
         self._edge_salt = _salt(seed)
+
+    @property
+    def steps(self) -> int:
+        """Frontier expansions per walk."""
+        return self.hops
 
     def cache_key(self) -> Tuple:
         """Configuration identity for :class:`~repro.graph.cache.SubgraphCache`."""
-        return ("sage", self.hops, self.fanout, self.seed)
+        return (self.kind, self.hops, self.fanout, self.seed)
 
-    def sample(
-        self, graph: HeteroGraph, targets: Sequence[int], deadline=None, disjoint: bool = False
-    ) -> SampledSubgraph:
-        """k-hop capped neighbourhood of the targets as a subgraph.
-
-        ``deadline`` is an optional duck-typed budget (anything with a
-        ``check(stage)`` method, e.g. :class:`repro.serving.Deadline`);
-        it is checked once per hop per walk, so an online request
-        overruns its budget by at most one sampling step.
-
-        ``disjoint=True`` returns instead the block-diagonal union of
-        one singleton sample per target (repeats included) — array for
-        array ``stack_subgraphs([sample(graph, [t]) for t in targets])``
-        — from ONE walk over ``(component, node)`` pairs. A single
-        target is its own union and takes the plain route below.
-        """
-        targets = np.asarray(targets, dtype=np.int64)
-        if disjoint and len(targets) != 1:
-            if self.reference:
-                return _sample_each(self, graph, targets, deadline)
-            return self._sample_disjoint(graph, targets, deadline)
-        instrumented = self._sample_seconds is not None
-        sample_started = self._metrics_clock() if instrumented else 0.0
-        unique_targets = _first_occurrence_unique(targets)
-        if self.reference:
-            nodes = self._expand_reference(graph, unique_targets, deadline, instrumented)
-        else:
-            nodes = self._expand_fast(graph, unique_targets, deadline, instrumented)
-        result = _induce(graph, nodes, targets)
-        if instrumented:
-            self._record_sample(self._metrics_clock() - sample_started)
-        return result
-
-    # -- fast path ------------------------------------------------------
-    def _expand_fast(
-        self, graph: HeteroGraph, unique_targets: np.ndarray, deadline, instrumented: bool
-    ) -> np.ndarray:
+    def _expand(self, graph: HeteroGraph, unique_targets: np.ndarray, deadline) -> np.ndarray:
         indptr, src_sorted, _ = graph.csr()
         visited = np.zeros(graph.num_nodes, dtype=bool)
         visited[unique_targets] = True
@@ -391,25 +317,16 @@ class SageSampler(_SamplerMetrics):
         for hop in range(self.hops):
             if deadline is not None:
                 deadline.check(f"sampling hop {hop}")
-            hop_started = self._metrics_clock() if instrumented else 0.0
             if len(frontier):
-                kept = self._select_edges_fast(indptr, frontier)
-                neighbors = src_sorted[kept]
+                positions, counts = _concat_csr_slices(indptr, frontier)
+                kept = self._kept(positions, counts)
+                neighbors = src_sorted[positions if kept is None else positions[kept]]
                 fresh = np.unique(neighbors[~visited[neighbors]])
                 visited[fresh] = True
                 discovered.append(fresh)
                 frontier = fresh
-            if instrumented:
-                self._record_hop(self._metrics_clock() - hop_started)
         rest = np.sort(np.concatenate(discovered)) if discovered else _EMPTY
         return np.concatenate([unique_targets, rest])
-
-    def _select_edges_fast(self, indptr: np.ndarray, frontier: np.ndarray) -> np.ndarray:
-        """CSR positions of the ≤ ``fanout`` kept in-edges of every
-        frontier node."""
-        positions, counts = _concat_csr_slices(indptr, frontier)
-        kept = self._kept(positions, counts)
-        return positions if kept is None else positions[kept]
 
     def _kept(self, positions: np.ndarray, counts: np.ndarray) -> Optional[np.ndarray]:
         """Which of ``positions`` (the concatenated CSR slices of the
@@ -426,7 +343,6 @@ class SageSampler(_SamplerMetrics):
         rank = np.arange(total, dtype=np.int64) - np.repeat(offsets, counts)
         return order[rank < self.fanout]
 
-    # -- disjoint fast path ---------------------------------------------
     def _sample_disjoint(self, graph: HeteroGraph, targets: np.ndarray, deadline) -> SampledSubgraph:
         """Every target's singleton walk as ONE frontier expansion.
 
@@ -439,8 +355,6 @@ class SageSampler(_SamplerMetrics):
         """
         if len(targets) == 0:
             raise ValueError("need at least one target to sample")
-        instrumented = self._sample_seconds is not None
-        sample_started = self._metrics_clock() if instrumented else 0.0
         indptr, src_sorted, _ = graph.csr()
         stride = graph.num_nodes
         roots = np.arange(len(targets), dtype=np.int64) * stride + targets
@@ -448,7 +362,6 @@ class SageSampler(_SamplerMetrics):
         for hop in range(self.hops):
             if deadline is not None:
                 deadline.check(f"sampling hop {hop}")
-            hop_started = self._metrics_clock() if instrumented else 0.0
             if len(frontier):
                 component, node = np.divmod(frontier, stride)
                 positions, counts = _concat_csr_slices(indptr, node)
@@ -459,49 +372,10 @@ class SageSampler(_SamplerMetrics):
                 reached = np.unique(component * stride + src_sorted[positions])
                 frontier = reached[~_in_sorted(seen, reached)[0]]
                 seen = np.sort(np.concatenate([seen, frontier]))
-            if instrumented:
-                self._record_hop(self._metrics_clock() - hop_started)
-        result = _induce_disjoint(graph, roots, seen)
-        if instrumented:
-            self._record_sample(self._metrics_clock() - sample_started)
-        return result
-
-    # -- reference path -------------------------------------------------
-    def _expand_reference(
-        self, graph: HeteroGraph, unique_targets: np.ndarray, deadline, instrumented: bool
-    ) -> np.ndarray:
-        indptr, src_sorted, _ = graph.csr()
-        visited: Dict[int, None] = {int(t): None for t in unique_targets}
-        frontier = list(visited.keys())
-        discovered: List[int] = []
-        for hop in range(self.hops):
-            if deadline is not None:
-                deadline.check(f"sampling hop {hop}")
-            hop_started = self._metrics_clock() if instrumented else 0.0
-            next_frontier: List[int] = []
-            for node in frontier:
-                for position in self._select_edges_scalar(indptr, node):
-                    neighbor = int(src_sorted[position])
-                    if neighbor not in visited:
-                        visited[neighbor] = None
-                        next_frontier.append(neighbor)
-            frontier = next_frontier
-            discovered.extend(next_frontier)
-            if instrumented:
-                self._record_hop(self._metrics_clock() - hop_started)
-        rest = np.sort(np.asarray(discovered, dtype=np.int64)) if discovered else _EMPTY
-        return np.concatenate([unique_targets, rest])
-
-    def _select_edges_scalar(self, indptr: np.ndarray, node: int) -> np.ndarray:
-        start, end = int(indptr[node]), int(indptr[node + 1])
-        positions = np.arange(start, end, dtype=np.int64)
-        if end - start <= self.fanout:
-            return positions
-        keys = _hash_uniform(positions, self._edge_salt)
-        return positions[np.argsort(keys, kind="stable")[: self.fanout]]
+        return _induce_disjoint(graph, roots, seen)
 
 
-class HGSampler(_SamplerMetrics):
+class HGSampler(_Sampler):
     """HGSampling: type-balanced importance sampling (HGT, Alg. 2).
 
     Maintains one budget per node type. Each candidate's score is the
@@ -511,17 +385,14 @@ class HGSampler(_SamplerMetrics):
     which forces similar per-type counts in the output subgraph.
 
     Weighted draws use the Efraimidis–Spirakis exponential race
-    (``-log(u) / w`` smallest-k) over the stateless hash, so the
-    vectorized fast path and the ``reference=True`` scalar path select
-    identical nodes for a fixed seed.
+    (``-log(u) / w`` smallest-k) over the stateless hash.
+    ``disjoint=True`` is the stacked loop of singleton samples itself:
+    the budgets of Fig. 10's subject stay one walk each.
     """
 
-    _metric_label = "hg"
+    kind = "hg"
 
-    def __init__(
-        self, depth: int = 2, width: int = 8, seed: int = 0, reference: bool = False
-    ) -> None:
-        super().__init__()
+    def __init__(self, depth: int = 2, width: int = 8, seed: int = 0) -> None:
         if depth < 1:
             raise ValueError("depth must be >= 1")
         if width < 1:
@@ -529,52 +400,17 @@ class HGSampler(_SamplerMetrics):
         self.depth = depth
         self.width = width
         self.seed = seed
-        self.reference = reference
+
+    @property
+    def steps(self) -> int:
+        """Budget draws per walk."""
+        return self.depth
 
     def cache_key(self) -> Tuple:
         """Configuration identity for :class:`~repro.graph.cache.SubgraphCache`."""
-        return ("hg", self.depth, self.width, self.seed)
+        return (self.kind, self.depth, self.width, self.seed)
 
-    def sample(
-        self, graph: HeteroGraph, targets: Sequence[int], deadline=None, disjoint: bool = False
-    ) -> SampledSubgraph:
-        """Type-balanced budget sampling around the targets (HGT).
-
-        ``deadline`` (optional, duck-typed — see
-        :meth:`SageSampler.sample`) is checked once per depth step.
-        ``disjoint=True`` is the stacked loop of singleton samples
-        itself: the budgets of Fig. 10's subject stay one walk each.
-        """
-        targets = np.asarray(targets, dtype=np.int64)
-        if disjoint and len(targets) != 1:
-            return _sample_each(self, graph, targets, deadline)
-        instrumented = self._sample_seconds is not None
-        sample_started = self._metrics_clock() if instrumented else 0.0
-        unique_targets = _first_occurrence_unique(targets)
-        if self.reference:
-            nodes = self._expand_reference(graph, unique_targets, deadline, instrumented)
-        else:
-            nodes = self._expand_fast(graph, unique_targets, deadline, instrumented)
-        result = _induce(graph, nodes, targets)
-        if instrumented:
-            self._record_sample(self._metrics_clock() - sample_started)
-        return result
-
-    def _draw(self, candidates: np.ndarray, weights: np.ndarray, step: int) -> np.ndarray:
-        """Up to ``width`` candidates, weighted without replacement,
-        returned ascending. Exponential-race keys over the stateless
-        hash: identical picks for identical ``(candidates, weights,
-        seed, step)`` regardless of candidate order."""
-        uniforms = _hash_uniform(candidates, _salt(self.seed, step + 1))
-        keys = -np.log(uniforms) / weights
-        count = min(self.width, len(candidates))
-        chosen = candidates[np.lexsort((candidates, keys))[:count]]
-        return np.sort(chosen)
-
-    # -- fast path ------------------------------------------------------
-    def _expand_fast(
-        self, graph: HeteroGraph, unique_targets: np.ndarray, deadline, instrumented: bool
-    ) -> np.ndarray:
+    def _expand(self, graph: HeteroGraph, unique_targets: np.ndarray, deadline) -> np.ndarray:
         indptr, src_sorted, _ = graph.csr()
         inverse_degree = 1.0 / np.maximum(graph.degree(), 1).astype(np.float64)
         num_nodes = graph.num_nodes
@@ -585,16 +421,16 @@ class HGSampler(_SamplerMetrics):
         node_type = graph.node_type
         # Budget membership tracked as an explicit id array (not a scan
         # of the N-sized masks) so each step costs O(|budget|), never
-        # O(num_nodes) — the point of the fast path on a serving graph.
+        # O(num_nodes) — the point on a serving graph.
         members = _EMPTY
 
         def push(new_nodes: np.ndarray, members: np.ndarray) -> np.ndarray:
             """Vectorized budget update for freshly sampled nodes.
 
             ``np.add.at`` applies the additions in array order — the
-            same order the scalar reference walks nodes and their CSR
+            same order the scalar spec walks nodes and their CSR
             slices — so the accumulated float scores are bitwise equal
-            between paths. Returns the grown membership array.
+            to its. Returns the grown membership array.
             """
             positions, counts = _concat_csr_slices(indptr, new_nodes)
             if len(positions) == 0:
@@ -615,12 +451,11 @@ class HGSampler(_SamplerMetrics):
         for step in range(self.depth):
             if deadline is not None:
                 deadline.check(f"sampling step {step}")
-            step_started = self._metrics_clock() if instrumented else 0.0
             if len(members):
                 # One segmented weighted draw across every type at once:
                 # sort by (type, race key, id) and keep the first
                 # ``width`` of each type segment — identical picks to
-                # the reference's per-type _draw calls.
+                # the spec's per-type draws.
                 member_types = node_type[members]
                 uniforms = _hash_uniform(members, _salt(self.seed, step + 1))
                 keys = -np.log(uniforms) / score[members] ** 2
@@ -633,7 +468,7 @@ class HGSampler(_SamplerMetrics):
                 )
                 take = order[rank < self.width]
                 chosen = members[take]
-                # Reference emission order: type-major, id-ascending.
+                # The spec's emission order: type-major, id-ascending.
                 new_nodes = chosen[np.lexsort((chosen, member_types[take]))]
                 sampled[new_nodes] = True
                 in_budget[new_nodes] = False
@@ -641,53 +476,7 @@ class HGSampler(_SamplerMetrics):
                 discovered.append(new_nodes)
                 members = members[~sampled[members]]
                 members = push(new_nodes, members)
-            if instrumented:
-                self._record_hop(self._metrics_clock() - step_started)
         rest = np.sort(np.concatenate(discovered)) if discovered else _EMPTY
-        return np.concatenate([unique_targets, rest])
-
-    # -- reference path -------------------------------------------------
-    def _expand_reference(
-        self, graph: HeteroGraph, unique_targets: np.ndarray, deadline, instrumented: bool
-    ) -> np.ndarray:
-        degree = np.maximum(graph.degree(), 1)
-        sampled: Dict[int, None] = {int(t): None for t in unique_targets}
-        budgets: List[Dict[int, float]] = [dict() for _ in NODE_TYPES]
-
-        def add_to_budget(node: int) -> None:
-            """Push the neighbours of a newly sampled node into budgets."""
-            for neighbor in graph.in_neighbors(node):
-                neighbor = int(neighbor)
-                if neighbor in sampled:
-                    continue
-                budget = budgets[graph.node_type[neighbor]]
-                budget[neighbor] = budget.get(neighbor, 0.0) + 1.0 / float(degree[node])
-
-        for target in sampled:
-            add_to_budget(target)
-
-        discovered: List[int] = []
-        for step in range(self.depth):
-            if deadline is not None:
-                deadline.check(f"sampling step {step}")
-            step_started = self._metrics_clock() if instrumented else 0.0
-            newly_sampled: List[int] = []
-            for type_budget in budgets:
-                if not type_budget:
-                    continue
-                candidates = np.fromiter(type_budget.keys(), dtype=np.int64)
-                weights = np.fromiter(type_budget.values(), dtype=np.float64) ** 2
-                chosen = self._draw(candidates, weights, step)
-                newly_sampled.extend(int(c) for c in chosen)
-            for node in newly_sampled:
-                sampled[node] = None
-                budgets[graph.node_type[node]].pop(node, None)
-            for node in newly_sampled:
-                add_to_budget(node)
-            discovered.extend(newly_sampled)
-            if instrumented:
-                self._record_hop(self._metrics_clock() - step_started)
-        rest = np.sort(np.asarray(discovered, dtype=np.int64)) if discovered else _EMPTY
         return np.concatenate([unique_targets, rest])
 
 

@@ -194,6 +194,19 @@ class XFraudDetector(nn.Module):
         exp = np.exp(logits - logits.max(axis=-1, keepdims=True))
         return exp[:, 1] / exp.sum(axis=-1)
 
+    def predict_proba_sampled(
+        self, graph: HeteroGraph, targets: Sequence[int], deadline=None
+    ) -> np.ndarray:
+        """Sample the neighbourhood with ``self.sampler`` (set by the
+        subclasses: SAGE for detector+, HGSampling for Figure 10's
+        subject), then score the sample — the production path.
+
+        ``deadline`` is an optional duck-typed latency budget
+        (:class:`repro.serving.Deadline`) propagated into the sampler.
+        """
+        sampled = self.sampler.sample(graph, targets, deadline=deadline)
+        return self.predict_proba(sampled.graph, sampled.target_local)
+
     def loss(self, graph: HeteroGraph, targets: Sequence[int]) -> Tensor:
         """Detector loss: softmax cross entropy on labeled targets,
         computed on the targets' receptive field (:mod:`.field`)."""
@@ -211,19 +224,6 @@ class XFraudDetectorPlus(XFraudDetector):
         super().__init__(config)
         self.sampler = SageSampler(hops=hops, fanout=fanout, seed=config.seed)
 
-    def predict_proba_sampled(
-        self, graph: HeteroGraph, targets: Sequence[int], deadline=None
-    ) -> np.ndarray:
-        """Sample the neighbourhood first, then score (production path).
-
-        ``deadline`` is an optional duck-typed latency budget
-        (:class:`repro.serving.Deadline`) propagated into the sampler;
-        the online :class:`~repro.serving.service.ScoringService` uses
-        it to bound how long a request can spend in this path.
-        """
-        sampled = self.sampler.sample(graph, targets, deadline=deadline)
-        return self.predict_proba(sampled.graph, sampled.target_local)
-
 
 class XFraudDetectorHGT(XFraudDetector):
     """detector — same network, HGSampling (equivalent to HGT).
@@ -236,10 +236,3 @@ class XFraudDetectorHGT(XFraudDetector):
     def __init__(self, config: DetectorConfig, depth: int = 6, width: int = 64) -> None:
         super().__init__(config)
         self.sampler = HGSampler(depth=depth, width=width, seed=config.seed)
-
-    def predict_proba_sampled(
-        self, graph: HeteroGraph, targets: Sequence[int], deadline=None
-    ) -> np.ndarray:
-        """HGSampling-then-score inference path (the Figure-10 subject)."""
-        sampled = self.sampler.sample(graph, targets, deadline=deadline)
-        return self.predict_proba(sampled.graph, sampled.target_local)

@@ -111,7 +111,9 @@ class Span:
 
 
 class _NullSpan:
-    """Shared do-nothing span handed out by disabled tracers."""
+    """Shared do-nothing span handed out by disabled tracers. Falsy, so
+    a hot path can skip *computing* an attribute nobody will record:
+    ``if span: span.set("rows", expensive())``."""
 
     __slots__ = ()
     name = ""
@@ -120,6 +122,9 @@ class _NullSpan:
     trace_id = -1
     attributes: Dict[str, Any] = {}
     duration_s = 0.0
+
+    def __bool__(self) -> bool:
+        return False
 
     def set(self, key: str, value: Any) -> "_NullSpan":
         return self

@@ -194,8 +194,10 @@ class ScoringService:
     Parameters
     ----------
     model:
-        Anything exposing ``predict_proba`` (and ideally a ``sampler``,
-        like :class:`~repro.models.detector.XFraudDetectorPlus`).
+        Anything exposing ``predict_proba`` and a ``sampler`` (kept as
+        :attr:`sampler`), like
+        :class:`~repro.models.detector.XFraudDetectorPlus`; a model
+        without one is a ``TypeError``.
     graph:
         The serving graph. With a ``feature_store`` the graph supplies
         *structure* (edges, types, labels) while feature rows are
@@ -225,9 +227,12 @@ class ScoringService:
         Optional :class:`~repro.obs.registry.MetricsRegistry`; when
         set, latencies are observed into registry histograms
         (``service_request_latency_seconds`` per rung,
-        ``kv_read_seconds`` per feature chunk), the model's neighbour
-        sampler is instrumented with hop timings, and the registry
-        reads the tallies of :attr:`stats` when it is scraped.
+        ``kv_read_seconds`` per feature chunk,
+        ``sampler_sample_seconds`` per sampling stage that walked, with
+        ``sampler_hops_total`` counting that walk's steps), and the
+        registry reads the tallies of :attr:`stats` when it is scraped.
+        The sampler itself is never touched: services sharing a model
+        each see their own walks.
     cache:
         Optional :class:`~repro.graph.cache.SubgraphCache`. When set,
         a micro-batch's sampler call goes through
@@ -251,6 +256,12 @@ class ScoringService:
         cache: Optional[SubgraphCache] = None,
     ) -> None:
         self.model = model
+        if not hasattr(model, "sampler"):
+            raise TypeError(
+                f"{type(model).__name__} has no `sampler`: ScoringService scores sampled "
+                "neighbourhoods (see XFraudDetectorPlus)"
+            )
+        self.sampler = model.sampler
         self.graph = graph
         self.feature_store = feature_store
         self.rules = rules
@@ -266,11 +277,19 @@ class ScoringService:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.registry = registry
         self._kv_reads_total = self._kv_read_seconds = None
+        self._sampler_hops_total = self._sampler_sample_seconds = None
         if registry is not None:
             self._kv_reads_total, self._kv_read_seconds = kv_read_metrics(registry)
-            sampler = getattr(model, "sampler", None)
-            if sampler is not None and hasattr(sampler, "instrument"):
-                sampler.instrument(registry)
+            self._sampler_hops_total = registry.counter(
+                "sampler_hops_total",
+                "Neighbour-sampling hops (or budget steps) executed.",
+                labels=("sampler",),
+            )
+            self._sampler_sample_seconds = registry.histogram(
+                "sampler_sample_seconds",
+                "Latency of one sampling stage that walked (one walk per micro-batch).",
+                labels=("sampler",),
+            )
         self.stats = ServiceStats(registry=registry)
         self.breaker = CircuitBreaker(
             failure_threshold=self.config.breaker_failure_threshold,
@@ -340,17 +359,12 @@ class ScoringService:
         """Pre-sample hot targets into the subgraph cache (no scoring).
 
         Returns the number of targets newly sampled; 0 when the service
-        has no cache or no sampler. Startup warming turns first-hit
-        latency into cache hits for known-hot buyers/cards.
+        has no cache. Startup warming turns first-hit latency into
+        cache hits for known-hot buyers/cards.
         """
-        sampler = getattr(self.model, "sampler", None)
-        if self.cache is None or sampler is None or not hasattr(sampler, "cache_key"):
+        if self.cache is None:
             return 0
-        before = self.cache.misses
-        self.cache.get_or_sample(
-            self.graph, sampler, [int(target) for target in targets], disjoint=True
-        )
-        return self.cache.misses - before
+        return self._sample_parts([int(target) for target in targets])[1]
 
     def submit(self, request: Union[int, ScoreRequest]) -> Optional[ScoreResponse]:
         """Enqueue a request; returns a shed response immediately when
@@ -457,9 +471,8 @@ class ScoringService:
                 for member in group.live:
                     member.degraded_reason = "kv_unavailable"
             self._fallback_batch(members)
-            batch_span.set(
-                "gnn_scored", sum(1 for m in members if m.rung == RUNG_GNN)
-            )
+            if batch_span:
+                batch_span.set("gnn_scored", sum(1 for m in members if m.rung == RUNG_GNN))
         responses: List[ScoreResponse] = []
         latency = self._clock() - started
         for member in members:
@@ -489,47 +502,14 @@ class ScoringService:
         """Rung 0 for a whole micro-batch: assigns score+rung to every
         member that survives sampling, fetch, and forward."""
         group.check("admission")
-        sampler = getattr(self.model, "sampler", None)
-        if sampler is None:
-            if self.feature_store is not None:
-                targets = np.array([m.request.node for m in group.live], dtype=np.int64)
-                with self.tracer.span("feature_fetch", rows=int(len(targets))):
-                    self._fetch_features(targets, group)
-            group.check("model forward")
-            live = group.live
-            with self.tracer.span("forward", targets=len(live)):
-                probs = self.model.predict_proba(
-                    self.graph, [m.request.node for m in live]
-                )
-            for member, prob in zip(live, probs):
-                member.score, member.rung = float(prob), RUNG_GNN
-            return
         cohort = group.live
         nodes = [member.request.node for member in cohort]
         with self.tracer.span("sample", targets=len(cohort)) as sample_span:
-            # One component per member. Sampling the *union* of targets
-            # instead would leak each request's neighbourhood into the
-            # others' attention normalisation (the induced subgraph
-            # carries cross-target edges, and shared nodes reached at
-            # different hop depths draw differently), making a score
-            # depend on batch composition — repro.check's
-            # single-vs-batched scenario falsifies exactly that. The
-            # cache keys each component by its own target, as score()
-            # and warm_cache() do, so hits survive any composition.
-            if self.cache is not None and hasattr(sampler, "cache_key"):
-                misses = -self.cache.misses
-                parts = self.cache.get_or_sample(
-                    self.graph, sampler, nodes, deadline=group, disjoint=True
-                )
-                misses += self.cache.misses
-            else:
-                misses = len(nodes)
-                parts = unstack_subgraphs(
-                    sampler.sample(self.graph, nodes, deadline=group, disjoint=True)
-                )
-            sample_span.set("sampled_nodes", int(sum(len(p.original_ids) for p in parts)))
-            sample_span.set("hits", len(nodes) - misses)
-            sample_span.set("misses", misses)
+            parts, misses = self._sample_parts(nodes, group)
+            if sample_span:
+                sample_span.set("sampled_nodes", int(sum(len(p.original_ids) for p in parts)))
+                sample_span.set("hits", len(nodes) - misses)
+                sample_span.set("misses", misses)
         survivors = [(member, part) for member, part in zip(cohort, parts) if member.live]
         if not survivors:
             return
@@ -562,6 +542,42 @@ class ScoringService:
         for member, prob in zip(live, probs):
             member.score, member.rung = float(prob), RUNG_GNN
 
+    def _sample_parts(self, nodes: Sequence[int], deadline=None):
+        """``(parts, misses)``: one singleton sample per node, and how
+        many of them were walked rather than found in the cache.
+
+        One component per node. Sampling the *union* of targets instead
+        would leak each request's neighbourhood into the others'
+        attention normalisation (the induced subgraph carries
+        cross-target edges, and shared nodes reached at different hop
+        depths draw differently), making a score depend on batch
+        composition — repro.check's single-vs-batched scenario
+        falsifies exactly that. The cache keys each component by its
+        own target, so hits survive any composition, and the misses
+        (every node, without a cache) are ONE disjoint walk — timed
+        here, on the clock and into the registry of the service that
+        asked for it: one ``sampler_sample_seconds`` observation and
+        ``sampler.steps`` hops per stage that walked, nothing on an
+        all-hit batch.
+        """
+        started = self._clock()
+        if self.cache is not None:
+            misses = -self.cache.misses
+            parts = self.cache.get_or_sample(
+                self.graph, self.sampler, nodes, deadline=deadline, disjoint=True
+            )
+            misses += self.cache.misses
+        else:
+            misses = len(nodes)
+            parts = unstack_subgraphs(
+                self.sampler.sample(self.graph, nodes, deadline=deadline, disjoint=True)
+            )
+        if misses and self._sampler_sample_seconds is not None:
+            kind = self.sampler.kind
+            self._sampler_sample_seconds.observe(self._clock() - started, sampler=kind)
+            self._sampler_hops_total.inc(self.sampler.steps, sampler=kind)
+        return parts, misses
+
     def _fallback_batch(self, members: Sequence[_BatchMember]) -> None:
         """Rungs 1–2 for every member the GNN rung did not score: ONE
         rules pass over the stacked request features, prior for the rest.
@@ -582,7 +598,8 @@ class ScoringService:
             for member in pending:
                 if member.rung is None:
                     member.rung, member.score = RUNG_PRIOR, self.config.static_prior
-            rung_span.set("rules", sum(1 for m in pending if m.rung == RUNG_RULES))
+            if rung_span:
+                rung_span.set("rules", sum(1 for m in pending if m.rung == RUNG_RULES))
 
     # -- rung 0: full GNN ----------------------------------------------
     def _fetch_features(self, node_ids: np.ndarray, deadline: Deadline) -> np.ndarray:

@@ -16,9 +16,9 @@ End-to-end exercise of the ingestion subsystem on a
 3. *drift burst*: the tail of the stream gets a deterministic feature
    shift so the drift detector's alert path fires inside the demo;
 4. *gate*: before the final compaction the live graph carries a
-   delta-merged CSR; the demo samples probe subgraphs with both the
-   reference and vectorized samplers, compacts, resamples, and asserts
-   all four are bit-identical. The CLI runs the whole demo twice and
+   delta-merged CSR; the demo samples probe subgraphs with the sampler
+   and with its scalar spec, compacts, resamples, and asserts all four
+   are bit-identical. The CLI runs the whole demo twice and
    diffs the verdict streams byte-for-byte.
 
 Everything — generator, clock, training, sampling, label maturation —
@@ -30,14 +30,11 @@ from __future__ import annotations
 import tempfile
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import List, Optional
 
 from ..data.events import TxnEvent
 from ..data.generator import GeneratorConfig, TransactionGenerator
 from ..graph.cache import SubgraphCache
-from ..graph.hetero import HeteroGraph
 from ..graph.builder import train_test_split
 from ..graph.sampling import SageSampler
 from ..models import DetectorConfig, XFraudDetectorPlus
@@ -98,27 +95,6 @@ def _shift_features(event: TxnEvent, shift: float) -> TxnEvent:
         label=event.label,
         scenario=event.scenario,
     )
-
-
-def _subgraph_fingerprint(
-    graph: HeteroGraph, targets: np.ndarray, sampler: SageSampler
-) -> Tuple[np.ndarray, ...]:
-    sampled = sampler.sample(graph, targets)
-    sub = sampled.graph
-    return (
-        sampled.original_ids,
-        sampled.target_local,
-        sub.node_type,
-        sub.edge_src,
-        sub.edge_dst,
-        sub.edge_type,
-        sub.txn_features,
-        sub.labels,
-    )
-
-
-def _fingerprints_equal(a: Tuple[np.ndarray, ...], b: Tuple[np.ndarray, ...]) -> bool:
-    return all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 def run_stream_demo(
@@ -235,21 +211,21 @@ def run_stream_demo(
     # -- act 4: delta-vs-compacted subgraph gate -----------------------
     # The live CSR is delta-merged (every flush after the last mid-
     # stream compaction spliced into it). Fingerprint probe subgraphs
-    # under both sampler paths, compact to a canonical rebuild, and
-    # fingerprint again — all four must be bit-identical.
+    # under the sampler and under its scalar spec, compact to a
+    # canonical rebuild, and fingerprint again — all four must be
+    # bit-identical.
+    from ..check import subgraph_equal  # here: repro.check imports repro.stream
+    from ..check.reference import scalar_sample
+
     probe = graph.txn_nodes[-min(32, len(graph.txn_nodes)) :]
-    reference = SageSampler(hops=2, fanout=10, seed=seed, reference=True)
-    vectorized = SageSampler(hops=2, fanout=10, seed=seed, reference=False)
+    sampler = SageSampler(hops=2, fanout=10, seed=seed)
     graph.csr()  # ensure the adjacency is materialised pre-compaction
-    before_ref = _subgraph_fingerprint(graph, probe, reference)
-    before_vec = _subgraph_fingerprint(graph, probe, vectorized)
+    before_ref, before_vec = scalar_sample(sampler, graph, probe), sampler.sample(graph, probe)
     builder.compact()
-    after_ref = _subgraph_fingerprint(graph, probe, reference)
-    after_vec = _subgraph_fingerprint(graph, probe, vectorized)
-    gate = (
-        _fingerprints_equal(before_ref, before_vec)
-        and _fingerprints_equal(before_ref, after_ref)
-        and _fingerprints_equal(before_vec, after_vec)
+    after_ref, after_vec = scalar_sample(sampler, graph, probe), sampler.sample(graph, probe)
+    gate = all(
+        subgraph_equal(a, b) is None
+        for a, b in ((before_ref, before_vec), (before_ref, after_ref), (before_vec, after_vec))
     )
 
     wal.close()

@@ -214,8 +214,8 @@ def measure_inference_time(
 
     ``predict_proba`` convolves the whole of ``graph`` for every batch
     (only training steps are cut down to the batch's receptive field).
-    When ``sampled`` is true and the model exposes
-    ``predict_proba_sampled``, the production path — capped
+    When ``sampled`` is true and the model has a ``sampler``
+    (``predict_proba_sampled``), the production path — capped
     neighbourhood sampling, then scoring the sample — is measured
     instead.
     """
@@ -223,7 +223,7 @@ def measure_inference_time(
     times: List[float] = []
     for batch in batched(nodes, batch_size):
         with timed(name="inference_batch") as timer:
-            if sampled and hasattr(model, "predict_proba_sampled"):
+            if sampled and hasattr(model, "sampler"):
                 model.predict_proba_sampled(graph, batch)
             else:
                 model.predict_proba(graph, batch)

@@ -637,6 +637,28 @@ class TestDisjointWalkMutants:
         assert run_case(self.NAME, 0, 1) is None
 
 
+class TestFastWalkMutants:
+    """The fast walks have one implementation each now; what keeps it
+    honest is the scalar spec in ``repro.check.reference``. Two
+    one-expression edits of the vectorized SAGE walk each fail
+    `repro check --fuzz 120`."""
+
+    def test_fanout_cap_keeps_one_edge_too_many(self, monkeypatch):
+        mutant = _edited(SageSampler._kept, "rank < self.fanout", "rank <= self.fanout")
+        monkeypatch.setattr(SageSampler, "_kept", mutant)
+        assert "original_ids" in _caught_by("sampler-fast-vs-reference").detail
+
+    def test_dedup_by_node_instead_of_by_component_and_node(self, monkeypatch):
+        mutant = _edited(
+            SageSampler._sample_disjoint,
+            "np.unique(component * stride + src_sorted[positions])",
+            "np.sort((component * stride + src_sorted[positions])"
+            "[np.unique(src_sorted[positions], return_index=True)[1]])",
+        )
+        monkeypatch.setattr(SageSampler, "_sample_disjoint", mutant)
+        assert "original_ids" in _caught_by("disjoint-walk-vs-singleton-samples").detail
+
+
 class TestGenerators:
     def test_graph_generator_is_seed_deterministic(self):
         a = random_hetero_graph(np.random.default_rng(9), num_txns=7)

@@ -1,14 +1,20 @@
-"""Vectorized sampler fast path: equivalence, caching, batch parity.
+"""Vectorized samplers: equivalence to their spec, caching, batch parity.
 
-The vectorized CSR path and the scalar reference path share one
-stateless hash RNG, so for a fixed seed they must return *identical*
-subgraphs — same nodes in the same order, same edges, same target
-positions. These tests pin that contract across degenerate graph
-shapes (sparse, hub-dominated, type-poor, edgeless) where an indexing
-bug would be easiest to hide, then cover the :class:`SubgraphCache`
-invalidation rules, its micro-batch lookup against the per-target loop,
-and the serving micro-batch parity guarantees.
+A sampler's CSR walk and its scalar spec
+(:func:`repro.check.reference.scalar_sample`) share one stateless hash
+RNG, so for a fixed seed they must return *identical* subgraphs — same
+nodes in the same order, same edges, same target positions. These tests
+pin that contract across degenerate graph shapes (sparse,
+hub-dominated, type-poor, edgeless) where an indexing bug would be
+easiest to hide, then cover where the walks are counted (the service
+that asked for them), the :class:`SubgraphCache` invalidation rules,
+its micro-batch lookup against the per-target loop, and the serving
+micro-batch parity guarantees.
 """
+
+import functools
+import inspect
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,6 +26,7 @@ from repro.graph import (
     SageSampler,
     SubgraphCache,
 )
+from repro.check.reference import scalar_sample
 from repro.graph.sampling import stack_subgraphs, unstack_subgraphs
 from repro.obs import MetricsRegistry
 from repro.reliability import ManualClock
@@ -99,19 +106,11 @@ GRAPH_BUILDERS = {
     "edgeless": _edgeless_graph,
 }
 
-SAMPLER_FACTORIES = {
-    "sage_h2f3": lambda reference: SageSampler(
-        hops=2, fanout=3, seed=11, reference=reference
-    ),
-    "sage_h3f10": lambda reference: SageSampler(
-        hops=3, fanout=10, seed=3, reference=reference
-    ),
-    "hg_d2w4": lambda reference: HGSampler(
-        depth=2, width=4, seed=11, reference=reference
-    ),
-    "hg_d4w8": lambda reference: HGSampler(
-        depth=4, width=8, seed=3, reference=reference
-    ),
+SAMPLERS = {
+    "sage_h2f3": SageSampler(hops=2, fanout=3, seed=11),
+    "sage_h3f10": SageSampler(hops=3, fanout=10, seed=3),
+    "hg_d2w4": HGSampler(depth=2, width=4, seed=11),
+    "hg_d4w8": HGSampler(depth=4, width=8, seed=3),
 }
 
 
@@ -126,51 +125,78 @@ def _assert_identical(fast, reference):
 
 class TestEquivalence:
     @pytest.mark.parametrize("graph_name", sorted(GRAPH_BUILDERS))
-    @pytest.mark.parametrize("sampler_name", sorted(SAMPLER_FACTORIES))
+    @pytest.mark.parametrize("sampler_name", sorted(SAMPLERS))
     def test_fast_matches_reference_seed_for_seed(self, graph_name, sampler_name):
         graph = GRAPH_BUILDERS[graph_name]()
-        fast = SAMPLER_FACTORIES[sampler_name](False)
-        reference = SAMPLER_FACTORIES[sampler_name](True)
+        sampler = SAMPLERS[sampler_name]
         txn = graph.txn_nodes
         # A batch with duplicate targets, then singletons.
         targets = np.concatenate([txn[:5], txn[:2]])
-        _assert_identical(fast.sample(graph, targets), reference.sample(graph, targets))
+        _assert_identical(sampler.sample(graph, targets), scalar_sample(sampler, graph, targets))
         for target in txn[:3]:
             _assert_identical(
-                fast.sample(graph, [int(target)]),
-                reference.sample(graph, [int(target)]),
+                sampler.sample(graph, [int(target)]),
+                scalar_sample(sampler, graph, [int(target)]),
             )
 
-    @pytest.mark.parametrize("sampler_name", sorted(SAMPLER_FACTORIES))
+    @pytest.mark.parametrize("sampler_name", sorted(SAMPLERS))
     def test_fast_matches_reference_on_built_graph(self, tiny_graph, sampler_name):
-        fast = SAMPLER_FACTORIES[sampler_name](False)
-        reference = SAMPLER_FACTORIES[sampler_name](True)
+        sampler = SAMPLERS[sampler_name]
         targets = tiny_graph.txn_nodes[:16]
         _assert_identical(
-            fast.sample(tiny_graph, targets), reference.sample(tiny_graph, targets)
+            sampler.sample(tiny_graph, targets), scalar_sample(sampler, tiny_graph, targets)
         )
 
     @pytest.mark.parametrize("graph_name", sorted(GRAPH_BUILDERS))
-    @pytest.mark.parametrize("sampler_name", sorted(SAMPLER_FACTORIES))
+    @pytest.mark.parametrize("sampler_name", sorted(SAMPLERS))
     def test_disjoint_is_the_stacked_loop_of_singleton_samples(self, graph_name, sampler_name):
         graph = GRAPH_BUILDERS[graph_name]()
         txn = graph.txn_nodes
         # Repeats, and the last node (an entity wherever there is one).
         targets = np.concatenate([txn[:5], txn[:2], [graph.num_nodes - 1]])
-        for reference in (False, True):
-            sampler = SAMPLER_FACTORIES[sampler_name](reference)
-            parts = [sampler.sample(graph, [int(target)]) for target in targets]
-            walk = sampler.sample(graph, targets, disjoint=True)
+        sampler = SAMPLERS[sampler_name]
+        for sample in (sampler.sample, functools.partial(scalar_sample, sampler)):
+            parts = [sample(graph, [int(target)]) for target in targets]
+            walk = sample(graph, targets, disjoint=True)
             _assert_identical(walk, stack_subgraphs(parts))
             np.testing.assert_array_equal(walk.graph.labels, stack_subgraphs(parts).graph.labels)
             for cut, part in zip(unstack_subgraphs(walk), parts):
                 _assert_identical(cut, part)
             # One target is its own union: the plain route.
-            _assert_identical(
-                sampler.sample(graph, txn[:1], disjoint=True), sampler.sample(graph, txn[:1])
-            )
+            _assert_identical(sample(graph, txn[:1], disjoint=True), sample(graph, txn[:1]))
             with pytest.raises(ValueError):
-                sampler.sample(graph, [], disjoint=True)
+                sample(graph, [], disjoint=True)
+
+    @pytest.mark.parametrize("sampler_name", sorted(SAMPLERS))
+    def test_a_spent_deadline_ends_walk_and_spec_at_the_same_step(self, sampler_name):
+        graph = _dense_hub_graph()
+        sampler = SAMPLERS[sampler_name]
+        targets = graph.txn_nodes[:4]
+
+        class SpentAt:
+            def __init__(self, step):
+                self.left = step
+
+            def check(self, stage):
+                self.left -= 1
+                if self.left < 0:
+                    raise TimeoutError(stage)
+
+        for disjoint in (False, True):
+            for step in range(sampler.steps):
+                ended = []
+                for sample in (sampler.sample, functools.partial(scalar_sample, sampler)):
+                    with pytest.raises(TimeoutError) as spent:
+                        sample(graph, targets, deadline=SpentAt(step), disjoint=disjoint)
+                    ended.append(str(spent.value))
+                assert ended[0] == ended[1] and ended[0].endswith(f" {step}"), (disjoint, step)
+
+    @pytest.mark.parametrize("sampler_class", [SageSampler, HGSampler])
+    def test_there_is_no_second_implementation_to_select(self, sampler_class):
+        assert "reference" not in inspect.signature(sampler_class).parameters
+        with pytest.raises(TypeError):
+            sampler_class(reference=True)
+        assert not hasattr(sampler_class(), "instrument")
 
     def test_sampled_features_and_targets_line_up(self):
         graph = _sparse_graph()
@@ -186,23 +212,90 @@ class TestEquivalence:
 
 
 class TestSamplerMetrics:
-    def test_the_unit_is_the_walk_not_the_target(self):
-        graph = _sparse_graph()
-        targets = graph.txn_nodes[:5]
-        for reference, walks in ((False, 1), (True, len(targets))):
-            registry = MetricsRegistry()
-            sampler = SageSampler(hops=3, fanout=2, seed=0, reference=reference)
-            sampler.instrument(registry)
-            hops, samples = registry.get("sampler_hops_total"), registry.get("sampler_sample_seconds")
-            sampler.sample(graph, targets[:1])
-            sampler.sample(graph, targets)  # the union sample: one walk
-            assert (hops.value(sampler="sage"), samples.count(sampler="sage")) == (6, 2)
-            # Five components: one walk on the fast path, and the five
-            # singleton walks it is defined by on the reference path.
-            sampler.sample(graph, targets, disjoint=True)
-            assert hops.value(sampler="sage") == 6 + 3 * walks
-            assert samples.count(sampler="sage") == 2 + walks
-            assert registry.get("sampler_hop_seconds").count(sampler="sage") == 6 + 3 * walks
+    """The unit is the walk, and the service that asked for it counts
+    it: one ``sampler_sample_seconds`` observation and ``steps`` hops
+    per sampling stage that walked, into that service's own registry."""
+
+    @staticmethod
+    def _service(model, graph, **kwargs):
+        registry = MetricsRegistry()
+        service = ScoringService(
+            model, graph, clock=ManualClock(), registry=registry, **kwargs
+        )
+        kind = model.sampler.kind
+
+        def counts():
+            return (
+                registry.get("sampler_hops_total").value(sampler=kind),
+                registry.get("sampler_sample_seconds").count(sampler=kind),
+            )
+
+        return service, counts
+
+    def test_the_unit_is_the_walk_not_the_target(
+        self, trained_detector, tiny_graph
+    ):
+        service, counts = self._service(trained_detector, tiny_graph)
+        steps = trained_detector.sampler.steps
+        nodes = tiny_graph.txn_nodes[:5].tolist()
+        service.score(nodes[0])
+        assert counts() == (steps, 1)
+        service.score_batch(nodes)  # five components, one walk
+        assert counts() == (2 * steps, 2)
+        service.score_batch(nodes)  # no cache: every stage walks
+        assert counts() == (3 * steps, 3)
+        assert "sampler_hop_seconds" not in service.registry.names()
+
+    def test_nothing_on_an_all_hit_batch(self, trained_detector, tiny_graph):
+        service, counts = self._service(
+            trained_detector, tiny_graph, cache=SubgraphCache(capacity=64)
+        )
+        steps = trained_detector.sampler.steps
+        nodes = tiny_graph.txn_nodes[:6].tolist()
+        assert service.warm_cache(nodes[:2]) == 2  # a warming walk is timed like any other
+        assert counts() == (steps, 1)
+        service.score_batch(nodes[:2])  # all hits: the sampler is idle
+        service.score(nodes[0])
+        assert counts() == (steps, 1)
+        service.score_batch(nodes)  # two hits, four misses: one walk
+        assert counts() == (2 * steps, 2)
+        assert service.warm_cache(nodes) == 0
+        assert counts() == (2 * steps, 2)
+
+    def test_a_walk_that_the_deadline_ends_is_not_observed(self, trained_detector, tiny_graph):
+        service, counts = self._service(trained_detector, tiny_graph)
+        clock = service._clock
+        real_sample = trained_detector.sampler.sample
+
+        def slow_sample(graph, targets, deadline=None, disjoint=False):
+            clock.advance(1.0)  # the budget is gone before hop 0 is checked
+            return real_sample(graph, targets, deadline=deadline, disjoint=disjoint)
+
+        service.sampler = SimpleNamespace(sample=slow_sample)
+        response = service.score(int(tiny_graph.txn_nodes[0]))
+        assert response.degraded_reason == "deadline:sampling hop 0"
+        assert counts() == (0, 0)
+
+    def test_each_registry_sees_exactly_its_own_services_walks(
+        self, trained_detector, tiny_graph
+    ):
+        # Two services over ONE model, a registry each, and a third with
+        # none. When the registry handle lived on the shared sampler the
+        # second constructor re-pointed it: the first registry stopped
+        # receiving sampler_* observations (and the third paid the timings).
+        first, first_counts = self._service(trained_detector, tiny_graph)
+        second, second_counts = self._service(trained_detector, tiny_graph)
+        third = ScoringService(trained_detector, tiny_graph, clock=ManualClock())
+        steps = trained_detector.sampler.steps
+        nodes = tiny_graph.txn_nodes[:4].tolist()
+        first.score(nodes[0])
+        first.score_batch(nodes)
+        second.score(nodes[1])
+        third.score_batch(nodes)
+        assert first_counts() == (2 * steps, 2)
+        assert second_counts() == (steps, 1)
+        # ... and nothing was left on the shared sampler.
+        assert set(vars(trained_detector.sampler)) == {"hops", "fanout", "seed", "_edge_salt"}
 
 
 class TestSubgraphCache:

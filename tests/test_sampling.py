@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.graph import HGSampler, NODE_TYPES, SageSampler, batched
+from repro.graph import HGSampler, NODE_TYPES, SageSampler
+from repro.util import batched
 
 
 class TestSageSampler:

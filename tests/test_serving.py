@@ -371,6 +371,13 @@ class TestScoringService:
         with pytest.raises(ValueError):
             service.score(tiny_graph.num_nodes + 5)
 
+    def test_a_model_without_a_sampler_is_refused(self, trained_detector, tiny_graph):
+        from repro.models import XFraudDetector
+
+        with pytest.raises(TypeError, match="sampler"):
+            ScoringService(XFraudDetector(trained_detector.config), tiny_graph)
+        assert ScoringService(trained_detector, tiny_graph).sampler is trained_detector.sampler
+
     def test_context_manager_closes_owned_store(self, trained_detector, tiny_graph):
         class ClosableStore(InMemoryKVStore):
             closed = False

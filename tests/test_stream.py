@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from repro.check.gen import random_delta, random_hetero_graph
+from repro.check.reference import scalar_sample
 from repro.data import GeneratorConfig, TransactionGenerator, export_events, generate_log
 from repro.data.events import TxnEvent
 from repro.graph import NODE_TYPE_IDS, HeteroGraph, SageSampler, SubgraphCache
@@ -468,7 +469,7 @@ class TestIncrementalBuilder:
 
     def test_compact_after_stream_matches_delta_sampling(self):
         # The satellite gate in miniature: delta-layered vs compacted
-        # subgraphs, reference vs vectorized samplers, all identical.
+        # subgraphs, the sampler vs its scalar spec, all identical.
         log = generate_log(_small_config(seed=4))
         events = export_events(log)
         builder = IncrementalGraphBuilder(feature_dim=len(log.records[0].features))
@@ -480,13 +481,10 @@ class TestIncrementalBuilder:
         builder.flush()
         graph = builder.graph
         probe = graph.txn_nodes[-16:]
-        samplers = [
-            SageSampler(hops=2, fanout=5, seed=0, reference=True),
-            SageSampler(hops=2, fanout=5, seed=0, reference=False),
-        ]
-        before = [sampler.sample(graph, probe) for sampler in samplers]
+        sampler = SageSampler(hops=2, fanout=5, seed=0)
+        before = [scalar_sample(sampler, graph, probe), sampler.sample(graph, probe)]
         builder.compact()
-        after = [sampler.sample(graph, probe) for sampler in samplers]
+        after = [scalar_sample(sampler, graph, probe), sampler.sample(graph, probe)]
         for a, b in [(before[0], before[1]), (before[0], after[0]), (before[1], after[1])]:
             np.testing.assert_array_equal(a.original_ids, b.original_ids)
             np.testing.assert_array_equal(a.graph.edge_src, b.graph.edge_src)
