@@ -19,8 +19,16 @@ convolution is one tape node per layer over the kernel ``predict_proba``
 runs, with a hand-derived backward, so a full step (loss, backward,
 clip, AdamW) costs at most ``STEP_VS_INFERENCE_BUDGET``x scoring the
 same targets on the same field — again a ratio of two timings
-alternated in one process. It reads 3-4x; when every op and every
+alternated in one process. It reads 3.4-3.5x; when every op and every
 node/edge type was its own ``Tensor`` it read 10x or more.
+
+``test_trimmed_forward_ratio_floor`` holds what both sides of that
+ratio share: each layer computes only the rows the next one reads
+(``InferenceLayout.layer``), so scoring a stacked micro-batch of 32
+sampled neighbourhoods at its 32 targets costs at most
+``TRIMMED_FORWARD_BUDGET``x scoring the same graph with every node a
+target (every node at distance 0: no row, no edge is cut). It reads
+0.53-0.58x.
 """
 
 import numpy as np
@@ -33,9 +41,21 @@ from repro.models import XFraudDetectorPlus
 
 STEP_RATIO_BUDGET = 1.5  # step on 4 copies of the graph vs on 1, same batch
 STEP_VS_INFERENCE_BUDGET = 6.0  # full step vs predict_proba on the batch's field
+TRIMMED_FORWARD_BUDGET = 0.8  # scoring a stacked batch at its targets vs at every node
+MICRO_BATCH = 32
 STEP_SAMPLES = 9
 BATCH = 64
 COPIES = 4
+
+
+def _alternated_medians(fns, number=1):
+    """Median microseconds per call of each of ``fns``, timed in turns
+    so a slow spell of the box hits all of them."""
+    samples = [[] for _ in fns]
+    for _ in range(STEP_SAMPLES):
+        for fn, times in zip(fns, samples):
+            times.append(best_us(fn, number=number))
+    return [float(np.median(times)) for times in samples]
 
 
 def _tiled(graph, copies):
@@ -58,13 +78,9 @@ def test_step_ratio_floor():
         nn.clip_grad_norm(model.parameters(), 0.25)
         optimizer.step()
 
-    samples = [[], []]
     for graph in graphs:  # build each CSR, grow the heap to the tape's working set
         step(graph)
-    for _ in range(STEP_SAMPLES):  # alternate, so a slow spell of the box hits both
-        for graph, times in zip(graphs, samples):
-            times.append(best_us(lambda: step(graph), number=1))
-    small_us, large_us = (float(np.median(times)) for times in samples)
+    small_us, large_us = _alternated_medians([lambda g=g: step(g) for g in graphs])
     ratio = large_us / small_us
     fields = [receptive_field(graph, batch, hops=2).graph for graph in graphs]
     assert fields[0].num_edges == fields[1].num_edges
@@ -95,12 +111,8 @@ def test_step_vs_inference_ratio_floor():
     def score():
         model.predict_proba(field.graph, field.target_local)
 
-    samples = {step: [], score: []}
     step()  # build the CSR, grow the heap to the step's working set
-    for _ in range(STEP_SAMPLES):  # alternate, so a slow spell of the box hits both
-        for fn, times in samples.items():
-            times.append(best_us(fn, number=1))
-    step_us, score_us = (float(np.median(times)) for times in samples.values())
+    step_us, score_us = _alternated_medians([step, score])
     ratio = step_us / score_us
     print(
         f"\n{BATCH}-target step {step_us / 1e3:.1f} ms vs predict_proba {score_us / 1e3:.1f} ms "
@@ -108,3 +120,28 @@ def test_step_vs_inference_ratio_floor():
         f"-> {ratio:.2f}x (budget <= {STEP_VS_INFERENCE_BUDGET:.1f}x)"
     )
     assert ratio <= STEP_VS_INFERENCE_BUDGET
+
+
+def test_trimmed_forward_ratio_floor():
+    """A forward must cost what its targets can see, not what the graph holds."""
+    bundle = load_dataset("ebay-small-sim", seed=0, scale=0.25)
+    model = XFraudDetectorPlus(model_config(bundle.graph.feature_dim, seed=0))
+    txns = np.random.default_rng(0).permutation(bundle.graph.txn_nodes)[:MICRO_BATCH]
+    stacked = model.sampler.sample(bundle.graph, txns, disjoint=True)
+    everywhere = np.arange(stacked.graph.num_nodes)
+
+    def at_targets():
+        model.predict_proba(stacked.graph, stacked.target_local)
+
+    def at_every_node():
+        model.predict_proba(stacked.graph, everywhere)
+
+    trimmed_us, whole_us = _alternated_medians([at_targets, at_every_node], number=5)
+    ratio = trimmed_us / whole_us
+    print(
+        f"\n{MICRO_BATCH} stacked samples ({stacked.graph.num_nodes:,} nodes / "
+        f"{stacked.graph.num_edges:,} edges): predict_proba {trimmed_us / 1e3:.2f} ms at the "
+        f"{MICRO_BATCH} targets vs {whole_us / 1e3:.2f} ms at every node -> {ratio:.2f}x "
+        f"(budget <= {TRIMMED_FORWARD_BUDGET:.1f}x)"
+    )
+    assert ratio <= TRIMMED_FORWARD_BUDGET

@@ -6,7 +6,9 @@ that samples a micro-batch has the stacked loop of singleton samples,
 the CSR delta merge has the full stable rebuild, a micro-batch of n has n batches
 of one through the same pipeline, the detector's plain-array convolution
 kernel and its hand-derived backward have the op-by-op ``Tensor`` layer
-(:mod:`.reference`), the header-memoising row decoder has ``np.load``, a training step on
+(:mod:`.reference`), a forward whose layers each compute the rows the
+next one reads has the same kernel read at every node,
+the header-memoising row decoder has ``np.load``, a training step on
 the batch's receptive field has the same step on the whole graph, every
 autograd op has its central difference, the elastic supervisor has the
 fault-free engine it drives (and, under faults, a by-hand all-reduce
@@ -1006,13 +1008,15 @@ def _fuzz_gradients(seed: int, size: int) -> Optional[str]:
     return None
 
 
-def _fused_step_problem(detector, graph, targets, labels, edge_rows, masks) -> Optional[str]:
+def _fused_step_problem(
+    detector, graph, targets, labels, edge_rows, masks, spec=None, theirs="the per-op tape"
+) -> Optional[str]:
     """One loss + backward through the detector's fused convolution
-    nodes against the same through :class:`~.reference.PerOpDetector`,
-    from the same parameters and generator states: loss within 1e-12,
-    gradients of every parameter and of the explainer's masks (``masks``:
-    their values, or ``None``) per :func:`_grads_problem`, generators
-    left in the same state."""
+    nodes against the same through ``spec(twin)`` — by default
+    :class:`~.reference.PerOpDetector` — from the same parameters and
+    generator states: loss within 1e-12, gradients of every parameter
+    and of the explainer's masks (``masks``: their values, or ``None``)
+    per :func:`_grads_problem`, generators left in the same state."""
     from .. import nn
     from ..nn import functional as F
     from ..reliability.checkpoint import collect_rng_states
@@ -1020,7 +1024,7 @@ def _fused_step_problem(detector, graph, targets, labels, edge_rows, masks) -> O
 
     twin = copy.deepcopy(detector)
     sides = []
-    for model, owner in ((detector, detector), (PerOpDetector(twin), twin)):
+    for model, owner in ((detector, detector), ((spec or PerOpDetector)(twin), twin)):
         owner.zero_grad()
         hooks = {} if masks is None else {
             "edge_mask": nn.Parameter(masks[0].copy()),
@@ -1031,10 +1035,10 @@ def _fused_step_problem(detector, graph, targets, labels, edge_rows, masks) -> O
         sides.append((loss.item(), list(hooks.items()) + list(owner.named_parameters())))
     (loss, named), (reference_loss, reference) = sides
     if not abs(loss - reference_loss) <= 1e-12:
-        return f"loss {loss!r} != per-op tape {reference_loss!r}"
+        return f"loss {loss!r} != {theirs} {reference_loss!r}"
     if collect_rng_states(detector) != collect_rng_states(twin):
         return "generator states differ after the step"
-    return _grads_problem(named, reference, "the node", "the per-op tape")
+    return _grads_problem(named, reference, "the node", theirs)
 
 
 def _layer_gradient_problem(layer, graph, rng: np.random.Generator, masked: bool) -> Optional[str]:
@@ -1156,6 +1160,136 @@ def _fuzz_fused_backward(seed: int, size: int) -> Optional[str]:
             problem = _layer_gradient_problem(layer, graph, rng, masked)
             if problem is not None:
                 return f"{where}, layer {index}{', edge_mask' if masked else ''}: {problem}"
+    return None
+
+
+def _grown_out_of_reach(rng: np.random.Generator, graph, far: np.ndarray):
+    """A copy of ``graph`` with an isolated transaction, a two-node
+    component of its own, and — when ``far`` lists any node — a few
+    edges of any type from anywhere (old node or new) into ``far``."""
+    from ..graph.hetero import EDGE_TYPE_IDS, EDGE_TYPES, NODE_TYPE_IDS
+
+    grown, base = copy.deepcopy(graph), graph.num_nodes
+    extra = int(rng.integers(1, 4)) if len(far) else 0
+    into_far = rng.choice(far, size=extra) if extra else []
+    features = np.zeros((3, graph.feature_dim))
+    features[:2] = rng.normal(size=(2, graph.feature_dim))
+    grown.append_delta(
+        node_type=np.array([NODE_TYPE_IDS["txn"], NODE_TYPE_IDS["txn"], NODE_TYPE_IDS["pmt"]]),
+        labels=np.array([0, 1, -1]),
+        txn_features=features,
+        edge_src=np.concatenate([[base + 1, base + 2], rng.integers(0, base + 3, size=extra)]),
+        edge_dst=np.concatenate([[base + 2, base + 1], into_far]),
+        edge_type=np.concatenate(
+            [
+                [EDGE_TYPE_IDS["txn->pmt"], EDGE_TYPE_IDS["pmt->txn"]],
+                rng.integers(0, len(EDGE_TYPES), size=extra),
+            ]
+        ),
+    )
+    return grown
+
+
+@scenario("trimmed-layers-vs-untrimmed-layout")
+def _fuzz_trimmed_layers(seed: int, size: int) -> Optional[str]:
+    """The detector's forward, each layer on the prefix of the layout the
+    next one reads, vs the same kernel with every node read
+    (:class:`~.reference.ReadEverywhere`): scores, then loss, every parameter
+    gradient, ``d edge_mask`` and ``d feature_mask`` to 1e-12, the
+    generators left alike. One to three layers, all four ablation
+    configs; graphs whole, thinned to one-way links with isolated and
+    unreachable nodes, cut to one edge or none; targets of any node
+    type with repeats, one inside another's neighbourhood, an edgeless
+    one, and none at all; train mode with the dropout rows of a
+    receptive field (``edge_rows``) and eval; masks on and off. An edge
+    no layer walks must get ``d edge_mask`` exactly 0. And the relation
+    the prefixes make exact: nodes and edges added where no layer
+    reaches — an isolated node, a component of its own, edges into
+    nodes ``L`` or more in-hops from every target — leave every score
+    **bit-identical**."""
+    from ..graph.sampling import receptive_field
+    from ..models.detector import DetectorConfig, XFraudDetector
+    from ..models.inference import tensor_predict_proba
+    from .reference import ReadEverywhere
+
+    rng = np.random.default_rng(seed)
+    graph = random_hetero_graph(rng, num_txns=size, feature_dim=5)
+    shape = str(rng.choice(["whole", "thinned", "thinned", "single-edge", "edgeless"]))
+    graph = _cut_edges(rng, graph, shape)
+    targets = _awkward_targets(rng, graph)
+
+    heads, kind = int(rng.integers(1, 4)), int(rng.integers(0, 4))
+    config = DetectorConfig(
+        feature_dim=5,
+        hidden_dim=heads * int(rng.integers(1, 4)),
+        num_heads=heads,
+        num_layers=int(rng.integers(1, 4)),
+        ffn_hidden_dim=int(rng.integers(2, 7)),
+        dropout=0.3,
+        per_type_projections=bool(kind & 1),
+        target_specific_aggregation=bool(kind & 2),
+        seed=seed % 97,
+    )
+    detector = XFraudDetector(config)
+    for param in detector.parameters():  # zero-initialised embeddings would multiply terms away
+        param.data[...] = rng.normal(scale=0.5, size=param.data.shape)
+    where = (
+        f"kind {kind}, {config.num_layers} layers, {heads} heads, {shape} graph "
+        f"({graph.num_nodes} nodes, {graph.num_edges} edges), targets={targets.tolist()}"
+    )
+
+    if detector.predict_proba(graph, []).shape != (0,):
+        return f"{where}: predict_proba at no targets is not empty"
+    scores = detector.predict_proba(graph, targets)
+    everywhere = tensor_predict_proba(ReadEverywhere(detector), graph, targets)
+    worst = float(np.abs(scores - everywhere).max())
+    if not worst <= 1e-12:  # also catches NaN
+        return f"{where}: max |trimmed - read everywhere| = {worst:.3e}"
+
+    near, _, _ = _scalar_field(graph, targets, config.num_layers - 1)
+    far = np.setdiff1d(np.arange(graph.num_nodes), near)  # L or more in-hops from every target
+    grown = _grown_out_of_reach(rng, graph, far)
+    if not np.array_equal(detector.predict_proba(grown, targets), scores):
+        added = grown.num_edges - graph.num_edges - 2
+        return (
+            f"{where}: scores move when an isolated node, a separate component and "
+            f"{added} edges into nodes {far.tolist()} (out of every layer's reach) are added"
+        )
+
+    labels = rng.integers(0, 2, size=len(targets))
+    field = receptive_field(graph, targets, hops=config.num_layers)
+    on_field = (field.graph, field.target_local, (graph.num_edges, field.edge_ids))
+    for training in (True, False):
+        detector.train(training)
+        for masked in (False, True):
+            case_graph, case_targets, edge_rows = (
+                on_field if rng.random() < 0.5 else (graph, targets, None)
+            )
+            masks = None
+            if masked:
+                masks = (
+                    rng.uniform(0.1, 0.9, size=case_graph.num_edges),
+                    rng.uniform(0.1, 0.9, size=case_graph.txn_features.shape),
+                )
+            mode = f"{'train' if training else 'eval'}, {'masks' if masked else 'no masks'}"
+            mode = f"{where}, {mode}, {'field' if edge_rows else 'graph'}"
+            problem = _fused_step_problem(
+                detector, case_graph, case_targets, labels, edge_rows, masks,
+                spec=ReadEverywhere, theirs="read everywhere",
+            )
+            if problem is not None:
+                return f"{mode}: {problem}"
+            if masked:
+                from .. import nn
+                from ..nn import functional as F
+
+                edge_mask = nn.Parameter(masks[0])
+                F.cross_entropy(
+                    detector.forward(case_graph, case_targets, edge_mask=edge_mask), labels
+                ).backward()
+                _, walked, _ = _scalar_field(case_graph, case_targets, config.num_layers)
+                if np.delete(edge_mask.grad, walked).any():
+                    return f"{mode}: d edge_mask is not exactly 0 on an edge no layer walks"
     return None
 
 

@@ -1,4 +1,4 @@
-"""Executable specs: the slow, obvious form of two fast paths.
+"""Executable specs: the slow, obvious form of three fast paths.
 
 **The detector's convolution, one ``Tensor`` op at a time.**
 :class:`~repro.models.hetero_conv.HeteroConvLayer` is a single autograd
@@ -7,6 +7,10 @@ node over a plain-array kernel with a hand-derived backward.
 are held to: the same layer parameters pushed through ``nn``'s per-op
 tape (one ``Tensor`` per op and per node/edge type, gradients by the
 engine's own rules), in the graph's own node and edge order.
+
+**The detector read at every node.** :class:`ReadEverywhere` is the
+detector's own kernel with nothing cut: the spec of running each layer
+on only the rows the next one reads.
 
 **The samplers, one node at a time.** :func:`scalar_sample` is the walk
 each sampler of :mod:`repro.graph.sampling` vectorizes, reading the
@@ -164,6 +168,29 @@ class PerOpDetector:
             h = h * feature_mask
         for conv in self.detector.convs:
             h = conv_forward(conv, graph, h, edge_mask=edge_mask, edge_rows=edge_rows)
+        return self.detector.head(graph, targets, nn.gather(h, targets), feature_mask)
+
+    __call__ = forward
+
+
+class ReadEverywhere(PerOpDetector):
+    """A detector whose own kernel is read at every node:
+    :meth:`~repro.models.detector.XFraudDetector.node_representations`
+    — a layout where every node is at distance 0, so every layer's
+    prefix is the whole — with the head on the targets' rows of that:
+    the forward with nothing cut, the spec that running each layer on
+    only the rows the next one reads is held to."""
+
+    def forward(
+        self,
+        graph: HeteroGraph,
+        targets: Sequence[int],
+        edge_mask: Optional[Tensor] = None,
+        feature_mask: Optional[Tensor] = None,
+        edge_rows: Optional[EdgeRows] = None,
+    ) -> Tensor:
+        targets = np.asarray(targets, dtype=np.int64)
+        h = self.detector.node_representations(graph, edge_mask, feature_mask, edge_rows)
         return self.detector.head(graph, targets, nn.gather(h, targets), feature_mask)
 
     __call__ = forward

@@ -170,27 +170,27 @@ def stack_subgraphs(parts: Sequence[SampledSubgraph]) -> SampledSubgraph:
         raise ValueError("need at least one subgraph to stack")
     if len(parts) == 1:
         return parts[0]
-    sizes = [part.graph.num_nodes for part in parts]
-    offsets = np.concatenate([[0], np.cumsum(sizes[:-1])]).astype(np.int64)
+    graphs = [part.graph for part in parts]
+    offsets = np.cumsum([0] + [graph.num_nodes for graph in graphs[:-1]])
+    # One concatenate per array; each part's node offset added in one go.
+    edge_shift = np.repeat(offsets, [graph.num_edges for graph in graphs])
+    edge_src = np.concatenate([graph.edge_src for graph in graphs])
+    edge_dst = np.concatenate([graph.edge_dst for graph in graphs])
+    edge_src += edge_shift
+    edge_dst += edge_shift
+    target_local = np.concatenate([part.target_local for part in parts])
+    target_local += np.repeat(offsets, [part.num_targets for part in parts])
     graph = HeteroGraph(
-        node_type=np.concatenate([part.graph.node_type for part in parts]),
-        edge_src=np.concatenate(
-            [part.graph.edge_src + off for part, off in zip(parts, offsets)]
-        ),
-        edge_dst=np.concatenate(
-            [part.graph.edge_dst + off for part, off in zip(parts, offsets)]
-        ),
-        edge_type=np.concatenate([part.graph.edge_type for part in parts]),
-        txn_features=np.concatenate(
-            [part.graph.txn_features for part in parts], axis=0
-        ),
-        labels=np.concatenate([part.graph.labels for part in parts]),
+        node_type=np.concatenate([graph.node_type for graph in graphs]),
+        edge_src=edge_src,
+        edge_dst=edge_dst,
+        edge_type=np.concatenate([graph.edge_type for graph in graphs]),
+        txn_features=np.concatenate([graph.txn_features for graph in graphs], axis=0),
+        labels=np.concatenate([graph.labels for graph in graphs]),
     )
     return SampledSubgraph(
         graph=graph,
-        target_local=np.concatenate(
-            [part.target_local + off for part, off in zip(parts, offsets)]
-        ),
+        target_local=target_local,
         original_ids=np.concatenate([part.original_ids for part in parts]),
     )
 
@@ -494,10 +494,11 @@ def receptive_field(graph: HeteroGraph, targets: Sequence[int], hops: int) -> Sa
     layer-``l`` output of a node within ``hops - l`` hops of a target is
     what the parent graph gives it, because that node kept all its
     in-edges and their sources are within ``hops - l + 1`` hops. Rows
-    further out (the outermost nodes have no in-edges here at all) hold
-    other values and are never read on the way to the targets' outputs,
-    so they receive zero gradient. A loss over the targets therefore
-    has the parent's value and the parent's parameter gradients.
+    further out (the outermost nodes have no in-edges here at all)
+    would hold other values; nothing on the way to the targets' outputs
+    reads them, the detector never computes them, and they receive
+    zero gradient. A loss over the targets therefore has the parent's
+    value and the parent's parameter gradients.
     """
     if hops < 0:
         raise ValueError("hops must be >= 0")

@@ -94,31 +94,32 @@ class XFraudDetector(nn.Module):
         self.head_dropout = nn.Dropout(config.dropout, rng=rng)
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _laid_out(graph: HeteroGraph) -> Tuple[InferenceLayout, np.ndarray]:
-        """The graph's layout, built once for all layers, and its
-        transaction features permuted into that order."""
-        layout = InferenceLayout.of(graph)
-        features = np.empty(graph.txn_features.shape)
-        features[layout.rank] = graph.txn_features
-        return layout, features
+    def _laid_out(self, graph: HeteroGraph, targets: Optional[np.ndarray]):
+        """``graph`` laid out once for a forward read at ``targets``
+        (``None``: every node): each layer's prefix of the layout, the
+        nodes the first layer reads, every node's position."""
+        layout = InferenceLayout.of(graph, targets, depth=len(self.convs))
+        layers = [layout.layer(hops_left) for hops_left in reversed(range(len(self.convs)))]
+        return layers, layout.nodes[: layout.reach[-1]], layout.rank
 
     def _convolve(
         self,
         graph: HeteroGraph,
+        targets: Optional[np.ndarray],
         edge_mask: Optional[Tensor],
         feature_mask: Optional[Tensor],
         edge_rows: Optional[EdgeRows],
-    ) -> Tuple[InferenceLayout, Tensor]:
-        """The convolution stack, one tape node per layer: the layout
-        and the ``(N, hidden_dim)`` output in layout order."""
-        layout, features = self._laid_out(graph)
-        h = Tensor(features)
+    ) -> Tuple[np.ndarray, Tensor]:
+        """The convolution stack, one tape node per layer, each on the
+        rows the next one reads: every node's position and the last
+        layer's output — the targets' rows (or all), in layout order."""
+        layers, read, rank = self._laid_out(graph, targets)
+        h = Tensor(graph.txn_features[read])
         if feature_mask is not None:
-            h = h * nn.scatter_rows(feature_mask, layout.rank, graph.num_nodes)
-        for conv in self.convs:
+            h = h * nn.gather(feature_mask, read)
+        for layout, conv in zip(layers, self.convs):
             h = conv(layout, h, edge_mask=edge_mask, edge_rows=edge_rows)
-        return layout, h
+        return rank, h
 
     def node_representations(
         self,
@@ -134,8 +135,8 @@ class XFraudDetector(nn.Module):
         ``edge_rows`` is :meth:`loss`'s: which edges of which parent
         ``graph`` holds (see :meth:`HeteroConvLayer.forward`).
         """
-        layout, h = self._convolve(graph, edge_mask, feature_mask, edge_rows)
-        return nn.gather(h, layout.rank)
+        rank, h = self._convolve(graph, None, edge_mask, feature_mask, edge_rows)
+        return nn.gather(h, rank)
 
     def forward(
         self,
@@ -147,8 +148,8 @@ class XFraudDetector(nn.Module):
     ) -> Tensor:
         """Logits ``(len(targets), num_classes)`` for target txn nodes."""
         targets = np.asarray(targets, dtype=np.int64)
-        layout, h = self._convolve(graph, edge_mask, feature_mask, edge_rows)
-        return self.head(graph, targets, nn.gather(h, layout.rank[targets]), feature_mask)
+        rank, h = self._convolve(graph, targets, edge_mask, feature_mask, edge_rows)
+        return self.head(graph, targets, nn.gather(h, rank[targets]), feature_mask)
 
     def head(
         self,
@@ -178,17 +179,17 @@ class XFraudDetector(nn.Module):
         plain arrays — the layers' own :meth:`HeteroConvLayer.kernel`
         with nothing saved, then the head (no ``Tensor``, no tape, no
         dropout; ``self.training`` is neither read nor changed)."""
-        layout, features = self._laid_out(graph)
-        position = layout.rank[np.asarray(targets, dtype=np.int64)]
-        h = features
-        for conv in self.convs:
+        targets = np.asarray(targets, dtype=np.int64)
+        layers, read, rank = self._laid_out(graph, targets)
+        h = graph.txn_features[read]
+        for layout, conv in zip(layers, self.convs):
             h, _ = conv.kernel(layout, h)
 
-        x = np.concatenate([np.tanh(h[position]), features[position]], axis=1)
+        x = np.concatenate([np.tanh(h[rank[targets]]), graph.txn_features[targets]], axis=1)
         for fc, norm in ((self.head_fc1, self.head_norm1), (self.head_fc2, self.head_norm2)):
             x = x @ fc.weight.data + fc.bias.data
-            x -= x.mean(axis=-1, keepdims=True)
-            x /= np.sqrt((x * x).mean(axis=-1, keepdims=True) + norm.eps)
+            x -= x.sum(axis=-1, keepdims=True) / x.shape[-1]
+            x /= np.sqrt((x * x).sum(axis=-1, keepdims=True) / x.shape[-1] + norm.eps)
             x = np.maximum(x * norm.weight.data + norm.bias.data, 0.0)
         logits = x @ self.head_out.weight.data + self.head_out.bias.data
         exp = np.exp(logits - logits.max(axis=-1, keepdims=True))

@@ -27,9 +27,12 @@ in-neighbourhoods); ``predict_proba`` calls it with nothing saved.
 single ``Tensor`` on the tape whose backward is the kernel's
 hand-derived vector-Jacobian product — a few dozen numpy calls per
 layer and step instead of one tape node per op and per node/edge type.
-The op-by-op ``Tensor`` version of the layer lives in
-:mod:`repro.check.reference`, as the spec ``repro check`` and the tests
-hold kernel and backward to.
+A layer computes only what the next one reads: nodes are laid out by
+distance to the forward's targets, so the rows a layer reads and
+outputs and the edges it walks are prefixes (:meth:`InferenceLayout.layer`).
+The op-by-op ``Tensor`` version of the layer, on the whole graph, lives
+in :mod:`repro.check.reference`, as the spec ``repro check`` and the
+tests hold kernel and backward to.
 """
 
 from __future__ import annotations
@@ -56,36 +59,45 @@ _EDGE_TYPES_BY_SOURCE = {
 }
 _EDGE_TYPES_BY_SOURCE["shared"] = np.arange(len(EDGE_TYPES))
 
-#: Below this many edges :meth:`InferenceLayout.segment_sum` reduces
-#: with ``np.add.reduceat``; from it on, through a sparse 0/1 matrix
-#: built once per layout. One scored sample (~70 edges, 64 columns)
-#: reduces in 8 µs where building the matrix alone costs 23 µs; on a
-#: training step's field or a stacked serving batch (1.4k–2.3k edges)
-#: ``reduceat`` costs 240–340 µs per call and the matrix product 35–55.
+#: Below this many edges a layer's :meth:`InferenceLayout.segment_sum`
+#: reduces with ``np.add.reduceat``; from it on, through a sparse 0/1
+#: matrix built once per layer (26 µs). The edges the *layer* walks
+#: decide: scoring a stacked batch of 32 walks ~800 in its first layer
+#: (two sums: 125 µs by ``reduceat``, 56 through the matrix, built
+#: included) and ~130 in its last (22 vs 37); the two meet at 256. A
+#: recorded step sums four times and breaks even near 150.
 _REDUCEAT_MAX_EDGES = 256
 
 
-@dataclass(frozen=True)
+@dataclass
 class InferenceLayout:
     """A graph's structure in the order the convolution kernel wants it.
 
-    Built once per forward and shared by every layer. Nodes are
-    renumbered so each node type is one contiguous block (the per-type
-    weights then apply to slices, not gathered rows), and edges are
-    stably sorted by their renumbered target, so every in-neighbourhood
-    is a contiguous run reducible from its first edge. What only a
-    backward needs (:meth:`sum_by_source`, :meth:`sum_by_relation`) is
-    built on first use, so a scoring call never pays for it.
+    Built once per forward. Nodes are ordered by (in-hop distance to
+    the targets, node type) and edges stably by their target's position,
+    so what the layer with ``k`` layers after it computes is a **prefix**
+    of every array (:meth:`layer`): the rows it outputs (distance <=
+    ``k``), the edges it walks (those entering them) and the rows it
+    reads (distance <= ``k + 1``); nodes no target sees within ``depth``
+    hops sort last and are never touched. Each (distance, node type) is
+    one contiguous block (per-type weights apply to slices, not gathered
+    rows) and every in-neighbourhood a contiguous run reducible from its
+    first edge. Without targets every node is at distance 0 and every
+    prefix the whole. What only a backward needs (:meth:`sum_by_source`,
+    :meth:`sum_by_relation`) is built on first use: scoring never pays.
     """
 
-    #: ``rank[v]`` is the position of the graph's node ``v``.
+    #: ``rank[v]`` is the position of the graph's node ``v``; ``nodes``
+    #: is the inverse, the graph's node at each position.
     rank: np.ndarray
-    #: ``(N,)`` node-type id per position, ascending.
+    nodes: np.ndarray
+    #: ``(N,)`` node-type id per position, ascending within a distance.
     node_type: np.ndarray
-    #: ``(type_id, start, stop)`` per node type present.
+    #: ``(type_id, start, stop)`` per (distance, node type) present.
     type_blocks: List[Tuple[int, int, int]]
     #: ``(E,)`` the graph's edge id per edge here: per-edge inputs in
-    #: the graph's order (``edge_mask``, dropout rows) are gathered by it.
+    #: the graph's order (``edge_mask``, dropout rows) are gathered by
+    #: it. :meth:`layer` leaves it whole: ``order[:len(src)]`` are its.
     order: np.ndarray
     #: ``(E,)`` edge endpoints (as positions) and types, sorted by ``dst``.
     src: np.ndarray
@@ -96,17 +108,32 @@ class InferenceLayout:
     starts: np.ndarray
     heads: np.ndarray
     segment: np.ndarray
+    #: How many nodes lie within ``d = 0 .. depth`` in-hops of a target,
+    #: how many edges enter them; the rows a layer here outputs.
+    reach: List[int]
+    edge_reach: List[int]
+    num_out: int
 
     @classmethod
-    def of(cls, graph: HeteroGraph) -> "InferenceLayout":
-        by_type = np.argsort(graph.node_type, kind="stable")
-        rank = np.empty_like(by_type)
-        rank[by_type] = np.arange(len(by_type))
-        node_type = graph.node_type[by_type]
-        bounds = np.searchsorted(node_type, np.arange(len(NODE_TYPES) + 1)).tolist()
+    def of(
+        cls, graph: HeteroGraph, targets: Optional[np.ndarray] = None, depth: int = 0
+    ) -> "InferenceLayout":
+        """``graph`` laid out for ``depth`` layers read at ``targets`` (``None``: every node)."""
+        distance = np.full(graph.num_nodes, depth + 1)
+        distance[slice(None) if targets is None else targets] = 0
+        for hop in range(1, depth + 1):
+            sources = graph.edge_src[distance[graph.edge_dst] == hop - 1]
+            distance[sources] = np.minimum(distance[sources], hop)
+        key = distance * len(NODE_TYPES) + graph.node_type
+        nodes = np.argsort(key, kind="stable")
+        rank = np.empty_like(nodes)
+        rank[nodes] = np.arange(len(nodes))
+        counts = np.bincount(key, minlength=(depth + 2) * len(NODE_TYPES))
+        bounds = [0, *np.cumsum(counts).tolist()]
+        reach = bounds[len(NODE_TYPES) :: len(NODE_TYPES)][: depth + 1]
         type_blocks = [
-            (type_id, start, stop)
-            for type_id, (start, stop) in enumerate(zip(bounds, bounds[1:]))
+            (index % len(NODE_TYPES), start, stop)
+            for index, (start, stop) in enumerate(zip(bounds, bounds[1:]))
             if stop > start
         ]
         dst = rank[graph.edge_dst]
@@ -117,7 +144,8 @@ class InferenceLayout:
         starts = np.flatnonzero(first)
         return cls(
             rank=rank,
-            node_type=node_type,
+            nodes=nodes,
+            node_type=graph.node_type[nodes],
             type_blocks=type_blocks,
             order=by_dst,
             src=rank[graph.edge_src[by_dst]],
@@ -126,6 +154,34 @@ class InferenceLayout:
             starts=starts,
             heads=dst[starts],
             segment=np.cumsum(first) - 1,
+            reach=reach,
+            edge_reach=np.searchsorted(dst, reach).tolist(),
+            num_out=reach[-1],
+        )
+
+    def layer(self, hops_left: int) -> "InferenceLayout":
+        """This layout cut to what the layer with ``hops_left`` layers
+        after it computes — slices, nothing gathered or re-sorted."""
+        num_out, num_in = self.reach[hops_left : hops_left + 2]
+        if num_out == len(self.node_type):  # read at every node: nothing to cut
+            return self
+        num_edges = self.edge_reach[hops_left]
+        num_segments = int(self.segment[num_edges - 1]) + 1 if num_edges else 0
+        return InferenceLayout(
+            self.rank,
+            self.nodes,
+            self.node_type[:num_in],
+            [block for block in self.type_blocks if block[1] < num_in],
+            self.order,
+            self.src[:num_edges],
+            self.dst[:num_edges],
+            self.edge_type[:num_edges],
+            self.starts[:num_segments],
+            self.heads[:num_segments],
+            self.segment[:num_edges],
+            self.reach,
+            self.edge_reach,
+            num_out,
         )
 
     @cached_property
@@ -173,12 +229,12 @@ def _softmax_vjp(layout: InferenceLayout, attention: np.ndarray, grad: np.ndarra
 
 def _apply_blocks(layout: InferenceLayout, x: np.ndarray, weights: dict) -> np.ndarray:
     """``x W + b`` with each type block through its own ``(W, b)``
-    (or all rows through ``weights["shared"]``)."""
+    (or all through ``weights["shared"]``); ``x``: a prefix of the rows."""
     if "shared" in weights:
         weight, bias = weights["shared"]
         return x @ weight + bias
     out = np.empty((len(x), weights[NODE_TYPES[0]][0].shape[1]))
-    for type_id, start, stop in layout.type_blocks:
+    for type_id, start, stop in layout.type_blocks:  # past x's rows: empty slices
         weight, bias = weights[NODE_TYPES[type_id]]
         np.matmul(x[start:stop], weight, out=out[start:stop])
         out[start:stop] += bias
@@ -199,11 +255,13 @@ def _apply_blocks_vjp(
     d_weights = {
         key: (np.zeros_like(weight), np.zeros_like(bias)) for key, (weight, bias) in weights.items()
     }
-    for type_id, start, stop in layout.type_blocks:
+    for type_id, start, stop in layout.type_blocks:  # past x's rows: empty slices
         key = NODE_TYPES[type_id]
         if need_d_x:
             np.matmul(grad[start:stop], weights[key][0].T, out=d_x[start:stop])
-        d_weights[key] = (x[start:stop].T @ grad[start:stop], grad[start:stop].sum(axis=0))
+        d_weight, d_bias = d_weights[key]  # += : a type is one block per distance
+        d_weight += x[start:stop].T @ grad[start:stop]
+        d_bias += grad[start:stop].sum(axis=0)
     return d_x, d_weights
 
 
@@ -318,16 +376,16 @@ class HeteroConvLayer(nn.Module):
             laid out here, and ``h`` and the result are then rows in the
             graph's node order.
         h:
-            ``(num_nodes, in_dim)`` input representations in ``layout``
-            order — raw transaction features at layer 1, ``H^{l-1}``
-            afterwards.
+            Input rows ``layout`` reads, in its order — raw transaction
+            features at layer 1, ``H^{l-1}`` afterwards; the result is
+            its first ``layout.num_out`` rows, those the layer outputs.
         edge_mask:
             The GNNExplainer hook: per-edge weights in [0, 1], in the
             graph's edge order, that scale the normalised attention (in
             place of dropout), so a fully-masked edge contributes
-            nothing. Gradients flow to it, to ``h`` and to every
-            parameter of the layer (zeros for a node type the graph
-            does not hold).
+            nothing. Gradients flow to it (exactly 0 on an edge this
+            layer does not walk), to ``h`` and to every parameter of
+            the layer (zeros for a node type the graph does not hold).
         edge_rows:
             Set when the graph is a
             :func:`~repro.graph.sampling.receptive_field` of a parent
@@ -338,18 +396,19 @@ class HeteroConvLayer(nn.Module):
         """
         if isinstance(layout, HeteroGraph):
             graph, layout = layout, InferenceLayout.of(layout)
-            h = nn.scatter_rows(h, layout.rank, graph.num_nodes)
+            h = nn.gather(h, layout.nodes)
             return nn.gather(self.forward(layout, h, edge_mask, edge_rows), layout.rank)
 
+        order = layout.order[: len(layout.src)]  # the edges this layer walks
         if edge_mask is not None:
-            scale = edge_mask.data.reshape(-1)[layout.order][:, None]
+            scale = edge_mask.data.reshape(-1)[order][:, None]
         elif self.training and self.dropout_rate > 0.0:
             # The mask F.dropout gives the attention rows in the graph's
-            # edge order (and, with ``edge_rows``, in the parent's),
-            # gathered into layout order.
-            extent, rows = len(layout.order), layout.order
+            # edge order (and, with ``edge_rows``, in the parent's): one
+            # draw for all of them, this layer's gathered in layout order.
+            extent, rows = len(layout.order), order
             if edge_rows is not None:
-                extent, rows = edge_rows[0], edge_rows[1][layout.order]
+                extent, rows = edge_rows[0], edge_rows[1][order]
             ones = Tensor(np.ones((len(rows), self.num_heads)))
             scale = F.dropout(
                 ones, self.dropout_rate, training=True, rng=self._rng, rows=(extent, rows)
@@ -381,8 +440,8 @@ class HeteroConvLayer(nn.Module):
                 if params[name].requires_grad:
                     params[name]._accumulate(d_param)
             if edge_mask is not None and edge_mask.requires_grad:
-                d_mask = np.empty(len(layout.order))
-                d_mask[layout.order] = d_scale.sum(axis=1)
+                d_mask = np.zeros(len(layout.order))  # an edge not walked: exactly 0
+                d_mask[layout.order[: len(layout.src)]] = d_scale.sum(axis=1)
                 edge_mask._accumulate(d_mask.reshape(edge_mask.shape))
 
         return Tensor._make(out, parents, backward)
@@ -408,11 +467,11 @@ class HeteroConvLayer(nn.Module):
     ) -> Tuple[np.ndarray, Optional[Callable]]:
         """The convolution on raw arrays: ``(out, pullback)``.
 
-        ``h`` is ``(num_nodes, in_dim)`` in ``layout`` order; so is
-        ``out``. ``scale`` multiplies the normalised attention —
-        ``(num_edges, heads)`` or ``(num_edges, 1)``, in ``layout``'s
-        edge order. The algebra is eqs. 2–10 reordered, all exact up to
-        float rounding:
+        ``h`` is ``(num_in, in_dim)``, the rows ``layout`` reads in its
+        order; ``out`` the first ``layout.num_out`` of them. ``scale``
+        multiplies the normalised attention — ``(num_edges, heads)`` or
+        ``(num_edges, 1)``, in ``layout``'s edge order. The algebra is
+        eqs. 2–10 reordered, all exact up to float rounding:
 
         * the attention bilinears act on nodes, not edges:
           ``(K A_src[τ(s)])[s] · (Q A_dst[τ(t)])[t]`` — ``N`` rows
@@ -435,7 +494,7 @@ class HeteroConvLayer(nn.Module):
         """
         heads, dim, out_dim = self.num_heads, self.head_dim, self.out_dim
         src, segment, starts = layout.src, layout.segment, layout.starts
-        num_nodes, num_edges = len(h), len(src)
+        num_in, num_out, num_edges = len(h), layout.num_out, len(src)
 
         x = h
         if self.first_layer:
@@ -443,11 +502,11 @@ class HeteroConvLayer(nn.Module):
         keys = NODE_TYPES if self.per_type_projections else ("shared",)
         weights = {key: self._qkv_weights(key) for key in keys}
         qkv = _apply_blocks(layout, x, weights)
-        value = qkv[:, 2 * out_dim :].reshape(num_nodes, heads, dim)
+        value = qkv[:, 2 * out_dim :].reshape(num_in, heads, dim)
 
         # eq. 8 per node: [Q·A_dst[τ(v)] | K·A_src[τ(v)]], heads of
         # both sides batched into one matmul per type block.
-        query_key = qkv[:, : 2 * out_dim].reshape(num_nodes, 2 * heads, dim)
+        query_key = qkv[:, : 2 * out_dim].reshape(num_in, 2 * heads, dim)
         att = np.concatenate([self.att_dst.data, self.att_src.data], axis=1)
         query_key_att = np.empty_like(query_key)
         for type_id, start, stop in layout.type_blocks:
@@ -486,7 +545,7 @@ class HeteroConvLayer(nn.Module):
         # eq. 10 + eq. 1 Aggregate; targets without in-edges stay zero.
         # A scoring call reuses the value buffer; a recorded one keeps it.
         messages = np.multiply(value_edges, scaled[:, :, None], out=None if save else value_edges)
-        aggregated = np.zeros((num_nodes, out_dim))
+        aggregated = np.zeros((num_out, out_dim))
         aggregated[layout.heads] = layout.segment_sum(messages.reshape(num_edges, out_dim))
         out = aggregated
         if self.target_specific:
@@ -512,7 +571,7 @@ class HeteroConvLayer(nn.Module):
 
             # eq. 10: messages = value_edges · scaled attention. Per edge,
             # [d(K·A_src) | dV] side by side, as one by-source sum wants them.
-            d_messages = grad.reshape(num_nodes, heads, dim)[layout.dst]
+            d_messages = grad.reshape(num_out, heads, dim)[layout.dst]
             by_edge = np.empty((num_edges, 2 * heads, dim))
             np.multiply(d_messages, scaled[:, :, None], out=by_edge[:, heads:])
             d_scaled = np.einsum("ehd,ehd->eh", d_messages, value_edges)
@@ -525,9 +584,9 @@ class HeteroConvLayer(nn.Module):
             d_logits = (_softmax_vjp(layout, attention, d_scaled) * dim**-0.5)[:, :, None]
             np.multiply(d_logits, query_att, out=by_edge[:, :heads])
             by_edge = by_edge.reshape(num_edges, 2 * out_dim)
-            by_source = layout.sum_by_source(by_edge).reshape(num_nodes, 2 * heads, dim)
+            by_source = layout.sum_by_source(by_edge).reshape(num_in, 2 * heads, dim)
             # [d(Q·A_dst) | d(K·A_src)] per node: by target, by source.
-            d_query_key_att = np.zeros((num_nodes, 2 * heads, dim))
+            d_query_key_att = np.zeros((num_in, 2 * heads, dim))
             d_query_key_att[layout.heads, :heads] = layout.segment_sum(
                 (d_logits * key_att).reshape(num_edges, out_dim)
             ).reshape(-1, heads, dim)
@@ -535,16 +594,16 @@ class HeteroConvLayer(nn.Module):
 
             # The bilinears: one matmul per type block for each of
             # d[Q | K] and d[A_dst | A_src]; absent types keep zeros.
-            d_qkv = np.empty((num_nodes, 3 * out_dim))
-            d_qkv[:, 2 * out_dim :] = by_source[:, heads:].reshape(num_nodes, out_dim)
-            d_query_key = d_qkv[:, : 2 * out_dim].reshape(num_nodes, 2 * heads, dim)  # a view
+            d_qkv = np.empty((num_in, 3 * out_dim))
+            d_qkv[:, 2 * out_dim :] = by_source[:, heads:].reshape(num_in, out_dim)
+            d_query_key = d_qkv[:, : 2 * out_dim].reshape(num_in, 2 * heads, dim)  # a view
             d_att = np.zeros_like(att)
             for type_id, start, stop in layout.type_blocks:
                 block = d_query_key_att[start:stop].transpose(1, 0, 2)
                 d_query_key[start:stop] = np.matmul(
                     block, att[type_id].swapaxes(-1, -2)
                 ).transpose(1, 0, 2)
-                d_att[type_id] = np.matmul(query_key[start:stop].transpose(1, 2, 0), block)
+                d_att[type_id] += np.matmul(query_key[start:stop].transpose(1, 2, 0), block)
             grads["att_dst"], grads["att_src"] = d_att[:, :heads], d_att[:, heads:]
 
             # The stacked [Q | K | V] projection: one xᵀ·g / g·Wᵀ pair.
@@ -556,7 +615,7 @@ class HeteroConvLayer(nn.Module):
                 d_node_emb = np.zeros_like(self.node_type_emb.weight.data)
                 for type_id, start, stop in layout.type_blocks:
                     weight = weights[NODE_TYPES[type_id] if self.per_type_projections else "shared"][0]
-                    d_node_emb[type_id] = d_qkv[start:stop].sum(axis=0) @ weight.T
+                    d_node_emb[type_id] += d_qkv[start:stop].sum(axis=0) @ weight.T
                 grads["node_type_emb.weight"] = d_node_emb
                 # The φ(e)^emb table: its per-(source type, edge type) rows
                 # went through A_src (keys) or straight to the values.

@@ -8,7 +8,9 @@ forward and backward run on the batch's receptive field, not on the
 (partitioned) graph it is handed — ``model.loss`` cuts it out
 (:mod:`repro.models.field`) and gets the whole graph's loss, gradients
 and dropout masks, so a step costs what the batch can see. Evaluation
-(``predict_proba``) still scores on the graph it is given.
+(``predict_proba``) is handed the graph as is; the detector's lays it
+out by distance to the batch and computes, layer by layer, only the
+rows the next layer reads, the baselines' convolve all of it.
 """
 
 from __future__ import annotations
@@ -212,8 +214,9 @@ def measure_inference_time(
 ) -> Dict[str, float]:
     """Per-batch inference timing (Table 3's inference column).
 
-    ``predict_proba`` convolves the whole of ``graph`` for every batch
-    (only training steps are cut down to the batch's receptive field).
+    ``predict_proba`` is handed the whole of ``graph`` for every batch:
+    the detector computes, per layer, the rows within that layer's
+    reach of the batch and no others; GAT and GEM convolve all of it.
     When ``sampled`` is true and the model has a ``sampler``
     (``predict_proba_sampled``), the production path — capped
     neighbourhood sampling, then scoring the sample — is measured

@@ -504,8 +504,8 @@ def _absent_type_grad_left_none(layout, x, weights, grad, need_d_x=True):
     return d_x, {key: pair for key, pair in d_weights.items() if key in present}
 
 
-def _mask_not_permuted(cls, graph):
-    layout = _real_layout(cls, graph)
+def _mask_not_permuted(cls, graph, targets=None, depth=0):
+    layout = _real_layout(cls, graph, targets, depth)
     return dataclasses.replace(layout, order=np.arange(len(layout.order)))
 
 
@@ -532,15 +532,18 @@ class TestFusedBackwardMutants:
 
     def test_absent_type_gradient_left_none(self, monkeypatch):
         monkeypatch.setattr(hetero_conv, "_apply_blocks_vjp", _absent_type_grad_left_none)
-        assert "missing on the node, present on the per-op tape" in _caught_by(self.NAME).detail
+        # A layer's prefix holds fewer node types than the whole graph, so
+        # trimmed-layers-vs-untrimmed-layout (dealt earlier) sees this too.
+        failure = _caught_by(self.NAME, alone=True)
+        assert "missing on the node, present on the per-op tape" in failure.detail
 
     def test_mask_not_permuted_into_layout_order(self, monkeypatch):
         monkeypatch.setattr(hetero_conv.InferenceLayout, "of", classmethod(_mask_not_permuted))
-        assert "!= per-op tape" in _caught_by(self.NAME).detail
+        assert "!= the per-op tape" in _caught_by(self.NAME).detail
 
     @pytest.mark.parametrize("line", [0, 10**9])
     def test_either_segment_sum_gives_the_reference_gradients(self, monkeypatch, line):
-        # The layout sums in-neighbourhoods through a sparse matrix from
+        # A layer sums in-neighbourhoods through a sparse matrix from
         # 256 edges on and by reduceat below; fuzz graphs are mostly
         # below. Move the line so every case takes one side, then the other.
         monkeypatch.setattr(hetero_conv, "_REDUCEAT_MAX_EDGES", line)
@@ -570,6 +573,66 @@ def _edited(function, old, new):
     scope = {}
     exec(compile(source.replace(old, new), "<mutant>", "exec"), function.__globals__, scope)
     return scope[function.__name__]
+
+
+class TestTrimmedLayerMutants:
+    """`repro check --fuzz 120` must fail, in
+    ``trimmed-layers-vs-untrimmed-layout``, on each way a layer's prefix
+    of the layout can be cut wrong. A cut that is too short mostly
+    indexes past a prefix (and a raising scenario is a divergence), so
+    the older forward/backward scenarios, dealt earlier in a round, see
+    two of these too: those are asserted on this scenario's own cases."""
+
+    NAME = "trimmed-layers-vs-untrimmed-layout"
+
+    def test_edge_prefix_one_hop_short(self, monkeypatch):
+        # Every layer walks the edges of the layer after it: nothing
+        # raises, the targets just aggregate from too few neighbours.
+        mutant = _edited(
+            hetero_conv.InferenceLayout.of.__func__,
+            "edge_reach=np.searchsorted(dst, reach).tolist()",
+            "edge_reach=np.searchsorted(dst, [0] + reach[:-1]).tolist()",
+        )
+        monkeypatch.setattr(hetero_conv.InferenceLayout, "of", classmethod(mutant))
+        assert "trimmed - read everywhere" in _caught_by(self.NAME, alone=True).detail
+
+    def test_distance_walked_along_out_edges(self, monkeypatch):
+        # Invisible while every link runs both ways; a thinned graph
+        # has one-way links.
+        mutant = _edited(
+            hetero_conv.InferenceLayout.of.__func__,
+            "graph.edge_src[distance[graph.edge_dst] == hop - 1]",
+            "graph.edge_dst[distance[graph.edge_src] == hop - 1]",
+        )
+        monkeypatch.setattr(hetero_conv.InferenceLayout, "of", classmethod(mutant))
+        # A source the layout put out of reach is indexed past the prefix.
+        assert "IndexError" in _caught_by(self.NAME, alone=True).detail
+
+    def test_mask_rows_gathered_by_the_whole_order(self, monkeypatch):
+        mutant = _edited(
+            hetero_conv.HeteroConvLayer.forward,
+            "order = layout.order[: len(layout.src)]",
+            "order = layout.order",
+        )
+        monkeypatch.setattr(hetero_conv.HeteroConvLayer, "forward", mutant)
+        assert "could not be broadcast" in _caught_by(self.NAME, alone=True).detail
+
+    def test_unwalked_edges_left_uninitialised(self, monkeypatch):
+        mutant = _edited(
+            hetero_conv.HeteroConvLayer._hetero_conv,
+            "d_mask = np.zeros(len(layout.order))",
+            "d_mask = np.full(len(layout.order), 1e-300)",
+        )
+        monkeypatch.setattr(hetero_conv.HeteroConvLayer, "_hetero_conv", mutant)
+        assert "exactly 0" in _caught_by(self.NAME).detail
+
+    def test_relation_and_shrunk_cases_hold_on_the_real_layout(self):
+        assert run_fuzz(120, seed=0, names=[self.NAME]).ok
+        # What the four mutants above shrink to: (1, 2) three targets
+        # on a thinned 7-node graph under three layers, (0, 1) three
+        # targets on a 9-node, 4-edge graph with an explainer's masks.
+        for seed, size in ((1, 2), (0, 1)):
+            assert run_case(self.NAME, seed, size) is None, (seed, size)
 
 
 class TestDisjointWalkMutants:

@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+from repro import nn
 from repro.check.reference import PerOpDetector
 from repro.explain import ExplainerConfig, GNNExplainer
 from repro.graph import select_communities
+from repro.graph.sampling import receptive_field
+from repro.nn import functional as F
 from repro.nn import load_state, save_state
 
 
@@ -146,3 +149,33 @@ class TestFusedNodeAgainstPerOpReference:
         loaded = load_state(type(trained_detector)(trained_detector.config), path)
         reference = self._explain(PerOpDetector(trained_detector), community)
         self._assert_same(self._explain(loaded, community), reference)
+
+    def test_edges_no_layer_walks_get_exactly_zero_gradient(self, trained_detector, community):
+        """From the detector loss, ``d edge_mask`` of every edge outside
+        the target's in-closure is exactly 0 — as the per-op tape gives
+        it, not a rounding residue and not what ``np.empty`` held."""
+        explanation = self._explain(trained_detector, community)
+        graph, seed = community.graph, community.seed_local
+        walked = receptive_field(graph, [seed], hops=len(trained_detector.convs)).edge_ids
+        outside = np.setdiff1d(np.arange(graph.num_edges), walked)
+        assert len(outside) and len(walked)
+        was_training = trained_detector.training
+        trained_detector.eval()
+        try:
+            grads = []
+            for detector in (trained_detector, PerOpDetector(trained_detector)):
+                edge_mask = nn.Parameter(explanation.edge_mask.copy())
+                logits = detector.forward(
+                    graph,
+                    [seed],
+                    edge_mask=edge_mask,
+                    feature_mask=nn.Tensor(explanation.node_feature_mask),
+                )
+                F.cross_entropy(logits, np.array([explanation.predicted_label])).backward()
+                grads.append(edge_mask.grad)
+        finally:
+            trained_detector.train(was_training)
+        fused, per_op = grads
+        assert not fused[outside].any() and not per_op[outside].any()
+        assert fused[walked].any()
+        assert np.abs(fused - per_op).max() <= 1e-12

@@ -222,18 +222,26 @@ def test_no_targets():
 
 
 def test_scoring_builds_nothing_only_a_backward_needs(monkeypatch):
-    """The by-source and per-relation groupings are the layout's lazy
-    properties: a recorded step builds them, ``predict_proba`` never."""
+    """The by-source and per-relation groupings are lazy properties of
+    each layer's prefix of the layout: a recorded step builds them,
+    ``predict_proba`` never."""
     from repro.models.hetero_conv import InferenceLayout
 
     graph, targets = _all_edge_types()
     model = make_detector()
-    layouts, real = [], InferenceLayout.of.__func__
-    monkeypatch.setattr(
-        InferenceLayout, "of", classmethod(lambda cls, g: layouts.append(real(cls, g)) or layouts[-1])
-    )
+    calls, real = [], InferenceLayout.layer
+
+    def layer(layout, hops_left):
+        calls[-1].append(real(layout, hops_left))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(InferenceLayout, "layer", layer)
+    calls.append([])
     model.predict_proba(graph, targets)
+    calls.append([])
     model.loss(graph, targets).backward()
-    scoring, training = (set(vars(layout)) for layout in layouts)
-    assert {"_by_source", "_by_relation"} <= training
-    assert not {"_by_source", "_by_relation", "_by_target"} & scoring
+    scoring, training = ([set(vars(view)) for view in views] for views in calls)
+    assert len(scoring) == len(training) == len(model.convs)
+    assert all({"_by_source", "_by_relation"} & built for built in training)
+    assert {"_by_source", "_by_relation"} <= set.union(*training)
+    assert not any({"_by_source", "_by_relation", "_by_target"} & built for built in scoring)
