@@ -24,7 +24,17 @@ import time
 import numpy as np
 
 from _helpers import best_us, format_table, write_result
-from repro.storage import GraphStore, MmapKVStore, WorkerLoader, decode_array, encode_array
+from repro.storage import (
+    GraphStore,
+    InMemoryKVStore,
+    MmapKVStore,
+    ReplicatedConfig,
+    ReplicatedKVStore,
+    WorkerLoader,
+    decode_array,
+    encode_array,
+    load_rows,
+)
 
 NUM_WORKERS = 4
 TOTAL_BATCHES = 1200  # split over the workers of a run
@@ -75,6 +85,44 @@ def test_decode_ratio_floor():
     np_load_us, decode_us = _decode_us_per_row()
     print(f"\nrow decode: np.load {np_load_us:.2f} us, decode_array {decode_us:.2f} us")
     assert np_load_us >= 5.0 * decode_us
+
+
+def _batched_rows_us():
+    """(per-key loop, ``load_rows(store.get_many, ...)``) microseconds
+    for the 32 rows of one ``fetch_chunk`` out of the serving fixture's
+    tier: 3 in-memory replicas at replication factor 2, 114-float rows.
+    The loop is the one ``load_rows`` ran until the multi-get: a
+    ``store.get`` and a ``decode_array`` per row."""
+    store = ReplicatedKVStore(
+        [InMemoryKVStore() for _ in range(3)], ReplicatedConfig(replication_factor=2)
+    )
+    rng = np.random.default_rng(0)
+    for node, row in enumerate(rng.normal(size=(2000, 114))):
+        store.put(f"feat/{node}", encode_array(row))
+    chunks = iter(rng.integers(0, 2000, size=(10 * 400, 32)).tolist())
+    out = np.empty((32, 114))
+
+    def per_key():
+        for position, node in enumerate(next(chunks)):
+            out[position] = decode_array(store.get(f"feat/{node}"))
+
+    return (
+        best_us(per_key, number=400),
+        best_us(lambda: load_rows(store.get_many, next(chunks), out), number=400),
+    )
+
+
+def test_batched_rows_ratio_floor():
+    """Machine-independent: one multi-get per chunk against the per-key
+    reads it replaced — same store, same rows, same process (CI
+    perf-smoke). Every per-key check is still made; what the batch
+    saves is the per-row gate, locks, reservoir draw and ndarray."""
+    per_key_us, batched_us = _batched_rows_us()
+    print(
+        f"\n32 rows: per-key gets {per_key_us:.0f} us, one get_many {batched_us:.0f} us "
+        f"({per_key_us / batched_us:.1f}x)"
+    )
+    assert per_key_us >= 2.0 * batched_us
 
 
 def test_fig12_13_kvstore_loading(benchmark, small, tmp_path_factory):

@@ -12,7 +12,7 @@ them via the ``stream-smoke`` job):
 * the full ingest → build → score → feedback loop clears an
   end-to-end floor;
 * sampling against the *delta-merged* CSR costs no more than
-  ``DELTA_SAMPLING_BUDGET``x the compacted (canonically rebuilt) CSR —
+  ``DELTA_SAMPLING_BUDGET``x a canonically rebuilt CSR (``rebuild_csr()``) —
   the merge is bit-identical, so any overhead is cache warmth, not
   layout;
 * one 32-event ``flush`` into a ~40k-node graph costs at most
@@ -130,7 +130,7 @@ def test_flush_ratio_floor():
     small_us, large_us = (float(np.median(times)) for times in samples)
     ratio = large_us / small_us
     for builder in builders:
-        builder.compact()  # rebuild + validate: the timed flushes left a sound graph
+        builder.compact()  # re-validate: the timed flushes left a sound graph
     print(
         f"\n32-event flush (~95 nodes / 256 edges): {small_us / 1e3:.2f} ms into "
         f"{sizes[0]:,} nodes, {large_us / 1e3:.2f} ms into {sizes[1]:,} nodes -> {ratio:.2f}x "
@@ -172,6 +172,7 @@ def test_stream_throughput_and_delta_budget(benchmark, tmp_path):
     graph.csr()
     delta_seconds = _median_seconds(lambda: sampler.sample(graph, probe))
     builder.compact()
+    graph.rebuild_csr()  # compact() keeps the spliced CSR; this is the rebuilt side
     compact_seconds = _median_seconds(lambda: sampler.sample(graph, probe))
     overhead = delta_seconds / compact_seconds
 

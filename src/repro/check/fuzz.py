@@ -8,7 +8,9 @@ of one through the same pipeline, the detector's plain-array convolution
 kernel and its hand-derived backward have the op-by-op ``Tensor`` layer
 (:mod:`.reference`), a forward whose layers each compute the rows the
 next one reads has the same kernel read at every node,
-the header-memoising row decoder has ``np.load``, a training step on
+the header-memoising row decoder has ``np.load`` (and a batch of rows
+decoded at once has the row-by-row loop), one multi-get over a replica
+tier has the loop of single-key reads, a training step on
 the batch's receptive field has the same step on the whole graph, every
 autograd op has its central difference, the elastic supervisor has the
 fault-free engine it drives (and, under faults, a by-hand all-reduce
@@ -424,15 +426,30 @@ def _fuzz_decode(seed: int, size: int) -> Optional[str]:
     never writes (object or sub-array dtype, Fortran order, negative
     extent, format 2.0 / 3.0).
     Both sides must return the same dtype, shape and bytes, or both
-    must raise."""
+    must raise. Then rows: batches of one table's blobs through
+    ``load_rows`` — which decodes a uniform batch at once — with rows
+    of another dtype, width or format version, trailing bytes (on one
+    row or on all) and cut or flipped blobs mixed in, into no ``out``
+    or one of a given dtype and width, vs the row-by-row loop over
+    ``decode_array``: the same matrix, or the same exception type."""
     import io
     import warnings
 
     from numpy.lib import format as npy_format
 
-    from ..storage.loader import decode_array, encode_array
+    from ..storage.loader import decode_array, encode_array, load_rows
 
     rng = np.random.default_rng(seed)
+
+    def row_by_row(blobs: List[bytes], out: Optional[np.ndarray]) -> np.ndarray:
+        for position, blob in enumerate(blobs):
+            row = decode_array(blob)
+            if out is None:
+                out = np.empty((len(blobs),) + row.shape, dtype=row.dtype)
+            elif row.shape != out.shape[1:]:
+                raise ValueError(f"row {position} has shape {row.shape}")
+            out[position] = row
+        return out
 
     def random_array() -> np.ndarray:
         dtype = np.dtype(str(rng.choice(["<f4", "<f8", ">f8", "<i8", "|b1", "|u1"])))
@@ -507,6 +524,50 @@ def _fuzz_decode(seed: int, size: int) -> Optional[str]:
             return (
                 f"blob {trial} ({source}, {how}, {len(blob)} bytes): "
                 f"decode_array -> {sides[0]}, np.load -> {sides[1]}"
+            )
+    for trial in range(2 * size):
+        dtype = str(rng.choice(["<f4", "<f8", ">f8", "<i8", "|u1"]))
+        width = int(rng.integers(0, 6))
+        table = [rng.integers(0, 100, size=width).astype(dtype) for _ in range(int(rng.integers(1, 7)))]
+        blobs, odd = [encode_array(row) for row in table], []
+        for at in np.flatnonzero(rng.random(len(blobs)) < 0.25):
+            kind = str(rng.choice(["dtype", "width", "v2", "damaged"]))
+            if kind == "dtype":
+                blobs[at] = encode_array(table[at].astype("<i4"))
+            elif kind == "width":
+                blobs[at] = encode_array(np.zeros(width + 1, dtype=dtype))
+            elif kind == "v2":
+                stream = io.BytesIO()
+                npy_format.write_array(stream, table[at], version=(2, 0))
+                blobs[at] = stream.getvalue()
+            else:
+                kind, blobs[at] = damage(blobs[at])
+            odd.append(f"{at}:{kind}")
+        if rng.random() < 0.2:  # still uniform, but every payload is followed by a tail
+            blobs = [blob + b"tail" for blob in blobs]
+            odd.append("all:tail")
+        into = str(rng.choice(["none", "<f8", "<f4", "wrong width"]))
+
+        def rows_outcome(load: Callable) -> object:
+            out = None
+            if into != "none":
+                shape = (len(blobs), width + (into == "wrong width"))
+                out = np.full(shape, -1, dtype="<f8" if into == "wrong width" else into)
+            try:
+                rows = load(out)
+            except Exception as error:
+                return type(error).__name__
+            return str(rows.dtype), rows.shape, rows.tobytes(), out is None or rows is out
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            fast = rows_outcome(lambda out: load_rows(lambda keys: blobs, range(len(blobs)), out))
+            reference = rows_outcome(lambda out: row_by_row(blobs, out))
+        if fast != reference:
+            sides = [side if isinstance(side, str) else side[:2] for side in (fast, reference)]
+            return (
+                f"batch {trial} ({len(blobs)} rows of {width} x {dtype}, odd rows {odd}, "
+                f"out: {into}): load_rows -> {sides[0]}, row by row -> {sides[1]}"
             )
     return None
 
@@ -1395,6 +1456,174 @@ def _fuzz_disjoint_walk(seed: int, size: int) -> Optional[str]:
                 ended.append(str(spent))
         if ended != [f"sampling hop {spent_at}"] * 2:
             return f"{where}: a budget spent at hop {spent_at} ended walk and loop at {ended}"
+    return None
+
+
+_BATCH_SIZES = (0, 1, 32, 32, 250)
+
+
+def _faulty_tier(seed: int, size: int):
+    """One of two identical replica tiers — a function of ``(seed,
+    size)`` only: 3-5 replicas at rf 1-3 on one ``ManualClock``, each
+    replica an in-memory backing under up to two injectors (flaky,
+    outage, corrupt, slow; windows on read index or on the clock) under
+    a tape of the ``contains`` / ``get`` calls the store makes of it.
+    Of the last eight keys some are missing on one owner and some
+    poisoned on one owner behind the ledger's back; two more were never
+    written.
+
+    Returns ``(store, clock, tapes, injectors, keys)``.
+    """
+    from ..reliability.faults import (
+        CorruptKVStore,
+        FlakyKVStore,
+        ManualClock,
+        OutageKVStore,
+        SlowKVStore,
+    )
+    from ..storage.kvstore import DelegatingKVStore, InMemoryKVStore
+    from ..storage.replicated import ReplicatedConfig, ReplicatedKVStore
+
+    class Tape(DelegatingKVStore):
+        def __init__(self, store) -> None:
+            super().__init__(store)
+            self.calls: List[Tuple[str, str]] = []
+
+        def contains(self, key: str) -> bool:
+            self.calls.append(("contains", key))
+            return self.store.contains(key)
+
+        def get(self, key: str) -> bytes:
+            self.calls.append(("get", key))
+            return self.store.get(key)
+
+    rng = np.random.default_rng(seed)
+    clock = ManualClock()
+    rounds = 4 + size
+    reads_each, seconds = 16.0 * rounds, 0.05 * rounds  # roughly what one replica sees
+
+    def windows(on_clock: bool) -> List[Tuple[float, float]]:
+        horizon = seconds if on_clock else reads_each
+        starts = rng.uniform(0.0, horizon, size=int(rng.integers(1, 3)))
+        spans = [(start, start + rng.uniform(0.0, horizon / 2)) for start in starts]
+        return [(s, e) if on_clock else (float(int(s)), float(int(e) + 1)) for s, e in spans]
+
+    backings = [InMemoryKVStore() for _ in range(int(rng.integers(3, 6)))]
+    injectors, tapes = [], []
+    for index, backing in enumerate(backings):
+        layered = backing
+        stack = int(rng.choice([0, 1, 2], p=[0.4, 0.4, 0.2]))
+        for kind in rng.choice(["flaky", "outage", "corrupt", "slow"], size=stack):
+            on_clock = bool(rng.integers(0, 2))
+            if kind == "flaky":
+                layered = FlakyKVStore(
+                    layered,
+                    fail_first=int(rng.integers(0, 3)),
+                    fail_rate=float(rng.choice([0.0, 0.02, 0.1])),
+                    seed=seed + index,
+                )
+            elif kind == "outage":
+                layered = OutageKVStore(layered, windows(on_clock), clock if on_clock else None)
+            elif kind == "corrupt":
+                layered = CorruptKVStore(
+                    layered, windows(on_clock), clock if on_clock else None, seed=seed + index
+                )
+            else:
+                layered = SlowKVStore(layered, clock, delay_s=float(rng.uniform(0.0, 0.002)))
+            injectors.append(layered)
+        tapes.append(Tape(layered))
+    store = ReplicatedKVStore(
+        tapes,
+        config=ReplicatedConfig(
+            replication_factor=int(rng.choice([1, 2, 2, 2, 3, 3])),
+            dead_after=int(rng.integers(1, 4)),
+            probe_interval_s=float(rng.uniform(0.005, 0.05)),
+            hedge_min_observations=4,
+            hedge_quantile=float(rng.uniform(0.5, 1.0)),
+            verify_crc=bool(rng.random() > 0.1),
+            anti_entropy_interval_s=None if rng.integers(0, 4) else 0.04,
+        ),
+        clock=clock,
+        seed=int(rng.integers(0, 1 << 16)),
+    )
+    keys = [f"feat/{index}" for index in range(48)]
+    for key in keys:
+        store.put(key, bytes(rng.integers(0, 256, size=int(rng.integers(0, 40)), dtype=np.uint8)))
+    for key in rng.choice(keys[40:], size=4, replace=False):
+        backings[int(rng.choice(store.owners(key)))].delete(key)
+    for key in rng.choice(keys[40:], size=3, replace=False):
+        backings[int(rng.choice(store.owners(key)))].put(key, b"poisoned")
+    for tape in tapes:
+        del tape.calls[:]  # the writes' own calls are not the subject
+    return store, clock, tapes, injectors, keys + ["absent/0", "absent/1"]
+
+
+def _tier_state(store, clock, tapes, injectors) -> Dict[str, object]:
+    """Everything ``get_many`` promises to leave where the loop of
+    ``get`` calls leaves it (the latency-derived values are not here)."""
+    return {
+        "replica calls": [tape.calls for tape in tapes],
+        "injector reads / injected": [
+            (type(injector).__name__, getattr(injector, "reads", None), getattr(injector, "injected", None))
+            for injector in injectors
+        ],
+        "failovers": store.failovers,
+        "corrupt_reads": store.corrupt_reads,
+        "read_failures": sorted(store.read_failures.items()),
+        "reads_ok": [health.reads_ok for health in store.health],
+        "reads_error": [health.reads_error for health in store.health],
+        "consecutive_errors": [health.consecutive_errors for health in store.health],
+        "state_path": [health.state_path() for health in store.health],
+        "clock": clock.now,
+    }
+
+
+def _first_difference(ours, theirs) -> str:
+    """``[i][j]: a != b`` where two (nested) lists first part."""
+    if not (isinstance(ours, list) and isinstance(theirs, list)):
+        return f": {ours!r} != {theirs!r}"
+    for at, (a, b) in enumerate(zip(ours, theirs)):
+        if a != b:
+            return f"[{at}]" + _first_difference(a, b)
+    return f": {len(ours)} items != {len(theirs)} items"
+
+
+@scenario("batched-read-vs-per-key-gets")
+def _fuzz_batched_read(seed: int, size: int) -> Optional[str]:
+    """``ReplicatedKVStore.get_many(keys)`` vs ``[get(key) for key in
+    keys]`` on twin faulty tiers (:func:`_faulty_tier`), batch after
+    batch of 0 / 1 / 32 / 250 keys with the clock moved between them:
+    equal bytes or equal exception type, every replica asked the same
+    ``contains`` / ``get`` calls in the same order (so every injector's
+    read counter and window agree), and equal health counters, state
+    paths and failure tallies after every batch."""
+    batched, looped = _faulty_tier(seed, size), _faulty_tier(seed, size)
+    universe = batched[-1]
+    rng = np.random.default_rng([seed, 1])
+    for round_ in range(4 + size):
+        pause = float(rng.uniform(0.0, 0.03))
+        # Half the batches ask only for keys every owner holds intact, so
+        # a walk ends early through an injector or not at all.
+        reach = 40 if rng.integers(0, 2) else len(universe) - 2
+        picks = rng.integers(0, reach, size=int(rng.choice(_BATCH_SIZES)))
+        if reach > 40:
+            picks[rng.random(len(picks)) < 0.004] = len(universe) - 1  # absent everywhere
+        keys = [universe[pick] for pick in picks]
+        ends = []
+        for store, clock, tapes, injectors, _ in (batched, looped):
+            clock.advance(pause)
+            try:
+                values = store.get_many(keys) if store is batched[0] else [store.get(k) for k in keys]
+            except Exception as error:
+                values = type(error).__name__
+            ends.append({"result": values, **_tier_state(store, clock, tapes, injectors)})
+        for what in ends[0]:
+            if ends[0][what] != ends[1][what]:
+                return (
+                    f"batch {round_} of {len(keys)} keys ({len(store.replicas)} replicas, "
+                    f"rf {store.replication_factor}), get_many != the loop of gets: "
+                    f"{what}{_first_difference(ends[0][what], ends[1][what])}"
+                )
     return None
 
 

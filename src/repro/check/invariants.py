@@ -881,8 +881,9 @@ def _stream_surfaces(rng) -> List[str]:
 
 
 def _replica_surfaces(rng) -> List[str]:
-    """A 3-replica tier read through a kill window while copies are
-    poisoned on disk and anti-entropy passes repair them."""
+    """A 3-replica tier read — key by key and in ``get_many`` batches —
+    through a kill window while copies are poisoned on disk and
+    anti-entropy passes repair them."""
     from ..obs.registry import MetricsRegistry
     from ..reliability.faults import FaultPlan, ManualClock
     from ..storage.kvstore import InMemoryKVStore
@@ -905,7 +906,7 @@ def _replica_surfaces(rng) -> List[str]:
     )
     for index in range(12):
         store.put(f"feat/{index}", bytes(rng.integers(0, 256, size=8, dtype=np.uint8)))
-    repaired = 0
+    repaired = calls = keys_asked = 0
     for step in range(300):
         clock.advance(float(rng.uniform(0.0, 0.01)))
         key = f"feat/{int(rng.integers(0, 12))}"
@@ -915,8 +916,12 @@ def _replica_surfaces(rng) -> List[str]:
         elif action == 1:
             backings[store.owners(key)[int(rng.integers(0, 2))]].put(key, b"poisoned")
         else:
+            # One observation per call, one count per key asked for.
+            batch = [f"feat/{int(k)}" for k in rng.integers(0, 12, size=int(rng.integers(0, 7)))]
+            calls += 1
+            keys_asked += len(batch) if action < 10 else 1
             try:
-                store.get(key)
+                store.get_many(batch) if action < 10 else store.get(key)
             except AllReplicasFailedError:
                 pass  # both owners down at once: counted, not a surface
         if rng.integers(0, 5):
@@ -927,6 +932,9 @@ def _replica_surfaces(rng) -> List[str]:
             "kv_hedged_reads_total": store.hedged_reads,
             "kv_anti_entropy_repairs_total": repaired,
         }
+        if calls:  # a pushed family has no sample before its first observation
+            expected['kv_reads_total{store="replicated"}'] = keys_asked
+            expected['kv_read_seconds_count{store="replicated"}'] = calls
         corrupt = 0.0
         scraped = _scraped(registry)
         for health in store.health:

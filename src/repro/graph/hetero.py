@@ -359,11 +359,12 @@ class HeteroGraph:
     def rebuild_csr(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Drop any (possibly delta-merged) CSR and rebuild canonically.
 
-        Compaction calls this after a run of :meth:`append_delta` merges
-        to consolidate the adjacency into one freshly sorted layout; the
-        result is bit-identical to the merged CSR it replaces, so the
+        The from-scratch side of every splice-vs-rebuild comparison
+        (``repro.check``, the stream demo's gate): one freshly sorted
+        layout, bit-identical to the merged CSR it replaces, so the
         :attr:`version` is *not* bumped and warm subgraph caches stay
-        valid across a compaction.
+        valid. Nothing on the serving path calls it — compaction keeps
+        the spliced CSR.
         """
         self._csr = None
         return self.csr()

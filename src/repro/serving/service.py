@@ -603,7 +603,8 @@ class ScoringService:
 
     # -- rung 0: full GNN ----------------------------------------------
     def _fetch_features(self, node_ids: np.ndarray, deadline: Deadline) -> np.ndarray:
-        """Hydrate feature rows from the KV-store, retries inside the breaker.
+        """Hydrate feature rows from the KV-store — one ``get_many``
+        per ``fetch_chunk`` keys — retries inside the breaker.
 
         The deadline is checked once per chunk, and a retry whose
         backoff would outlive the budget is abandoned early — the
@@ -638,7 +639,7 @@ class ScoringService:
             filled += len(chunk)
 
             def read_chunk(chunk=chunk, out=out):
-                load_rows(store.get, chunk, out)
+                load_rows(store.get_many, chunk, out)
 
             chunk_started = self._clock()
             try:

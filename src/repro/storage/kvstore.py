@@ -43,7 +43,7 @@ import struct
 import threading
 import time
 import zlib
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 _LENGTH_FORMAT = "<Q"
 _LENGTH_BYTES = struct.calcsize(_LENGTH_FORMAT)
@@ -103,6 +103,13 @@ class KVStore:
     def get(self, key: str) -> bytes:
         raise NotImplementedError
 
+    def get_many(self, keys: Sequence[str]) -> List[bytes]:
+        """``[get(key) for key in keys]`` — which is what it is here, so
+        a retry wrapper or a fault injector keeps its per-key behaviour.
+        A store that can share work across one batch overrides it with
+        the same results and the same exception."""
+        return [self.get(key) for key in keys]
+
     def contains(self, key: str) -> bool:
         raise NotImplementedError
 
@@ -124,7 +131,8 @@ class KVStore:
 
 class DelegatingKVStore(KVStore):
     """Base of the retry wrapper and the fault injectors: everything
-    but ``get`` (theirs to define) passes through to ``.store`` — the
+    but ``get`` (theirs to define; ``get_many`` stays the loop over it)
+    passes through to ``.store`` — the
     attribute :func:`propagate_instrument` and
     :meth:`~repro.storage.replicated.ReplicatedKVStore.finalize` walk
     to reach the backing store through any stack of wrappers."""
@@ -200,6 +208,9 @@ class _MmapReader:
         if self._verify and zlib.crc32(value) != crc:
             raise CorruptStoreError(f"checksum mismatch reading key {key!r}")
         return value
+
+    def get_many(self, keys: Sequence[str]) -> List[bytes]:
+        return [self.get(key) for key in keys]
 
     def close(self) -> None:
         if self._map is not None:

@@ -9,7 +9,7 @@ data-loading bottleneck (Figures 12 → 13).
 
 Arrays travel as ``.npy`` blobs: :func:`encode_array` /
 :func:`decode_array` are the codec, and :func:`load_rows` is the one
-loop that hydrates feature rows for both loaders and the scoring
+multi-get that hydrates feature rows for both loaders and the scoring
 service.
 """
 
@@ -69,6 +69,17 @@ def _parse_header(prefix: bytes) -> Optional[Tuple[np.dtype, Tuple[int, ...], st
     return dtype, shape, "F" if fortran_order else "C", math.prod(shape) * dtype.itemsize
 
 
+def _frame(blob: bytes) -> Optional[int]:
+    """Where the payload of ``blob`` would start — past the magic, the
+    version, the header-length field and the header text it announces —
+    or ``None`` when the blob is too short to frame or of a format
+    version the public header readers do not cover."""
+    width = _HEADER_LEN_BYTES.get(blob[6]) if len(blob) >= 12 else None
+    if width is None:
+        return None
+    return 8 + width + int.from_bytes(blob[8 : 8 + width], "little")
+
+
 def decode_array(blob: bytes) -> np.ndarray:
     """The array in one ``.npy`` blob, as a read-only view of ``blob``.
 
@@ -83,11 +94,8 @@ def decode_array(blob: bytes) -> np.ndarray:
     ignored. Copy the result for a writable array that does not pin
     ``blob``.
     """
-    width = _HEADER_LEN_BYTES.get(blob[6]) if len(blob) >= 12 else None
-    layout = None
-    if width is not None:
-        offset = 8 + width + int.from_bytes(blob[8 : 8 + width], "little")
-        layout = _parse_header(blob[:offset])
+    offset = _frame(blob)
+    layout = _parse_header(blob[:offset]) if offset is not None else None
     if layout is None:
         # Too short to frame, a version the public header readers do
         # not cover, or a sub-array dtype: numpy's full reader decides.
@@ -101,13 +109,49 @@ def decode_array(blob: bytes) -> np.ndarray:
     return np.ndarray(shape, dtype, blob, offset, order=order)
 
 
+def _decode_uniform(blobs: Sequence[bytes]) -> Optional[np.ndarray]:
+    """Every blob decoded at once, as one read-only ``(len(blobs),) +
+    shape`` array, when they all carry the first one's prefix bytes
+    (magic, version, header) and exactly its payload length: one header
+    parse, one ``frombuffer`` over the joined payloads. ``None`` when
+    they do not, or the first blob is one :func:`decode_array` would
+    refuse, hand to numpy or read past (trailing bytes): the caller
+    decodes blob by blob and meets the same rows, or the same error."""
+    first = blobs[0]
+    offset = _frame(first)
+    if offset is None:
+        return None
+    prefix = first[:offset]
+    try:
+        layout = _parse_header(prefix)
+    except Exception:
+        return None  # decode_array raises it, for the right row
+    if layout is None:
+        return None
+    dtype, shape, order, nbytes = layout
+    if len(first) != offset + nbytes or nbytes == 0 or (order == "F" and len(shape) > 1):
+        return None
+    length = len(first)
+    for blob in blobs:
+        if len(blob) != length or not blob.startswith(prefix):
+            return None
+    payloads = b"".join([blob[offset:] for blob in blobs])
+    return np.frombuffer(payloads, dtype).reshape((len(blobs),) + shape)
+
+
+def _ragged(node: int, shape: Tuple[int, ...], out: np.ndarray) -> ValueError:
+    return ValueError(f"feature row of node {node} has shape {shape}, expected {out.shape[1:]}")
+
+
 def load_rows(
-    get: Callable[[str], bytes],
+    get_many: Callable[[Sequence[str]], Sequence[bytes]],
     nodes: Sequence[int],
     out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Feature rows of ``nodes`` — one ``get("feat/<node>")`` each —
-    decoded straight into one ``(len(nodes), d)`` matrix.
+    """Feature rows of ``nodes`` — one ``get_many`` over their
+    ``feat/<node>`` keys — decoded straight into one ``(len(nodes), d)``
+    matrix: at once when the blobs are uniform (:func:`_decode_uniform`),
+    else row by row.
 
     The matrix is ``out`` when given (rows are cast to its dtype on
     assignment), else it takes the first row's dtype and width; a row
@@ -115,19 +159,26 @@ def load_rows(
     did. With no nodes and no ``out`` the width comes from the store's
     ``struct/meta`` entry, or is 0 when there is none.
     """
-    for position, node in enumerate(nodes):
-        row = decode_array(get(f"feat/{int(node)}"))
+    nodes = [int(node) for node in nodes]
+    blobs = get_many([f"feat/{node}" for node in nodes])
+    rows = _decode_uniform(blobs) if blobs else None
+    if rows is not None:
+        if out is None:
+            out = np.empty(rows.shape, dtype=rows.dtype)
+        elif rows.shape[1:] != out.shape[1:]:
+            raise _ragged(nodes[0], rows.shape[1:], out)
+        out[: len(rows)] = rows
+        return out
+    for position, blob in enumerate(blobs):
+        row = decode_array(blob)
         if out is None:
             out = np.empty((len(nodes),) + row.shape, dtype=row.dtype)
         elif row.shape != out.shape[1:]:
-            raise ValueError(
-                f"feature row of node {int(node)} has shape {row.shape}, "
-                f"expected {out.shape[1:]}"
-            )
+            raise _ragged(nodes[position], row.shape, out)
         out[position] = row
     if out is None:
         try:
-            feature_dim = int(decode_array(get("struct/meta"))[1])
+            feature_dim = int(decode_array(get_many(["struct/meta"])[0])[1])
         except KeyError:
             feature_dim = 0
         out = np.zeros((0, feature_dim))
@@ -166,12 +217,12 @@ class GraphStore:
             for key in self.STRUCT_KEYS
         }
         num_nodes = int(decode_array(self.store.get("struct/meta"))[0])
-        features = load_rows(self.store.get, range(num_nodes))
+        features = load_rows(self.store.get_many, range(num_nodes))
         return HeteroGraph(txn_features=features, **arrays)
 
     def load_features(self, nodes: Sequence[int]) -> np.ndarray:
         """Fetch feature rows through the shared store handle."""
-        return load_rows(self.store.get, nodes)
+        return load_rows(self.store.get_many, nodes)
 
 
 class WorkerLoader:
@@ -189,8 +240,8 @@ class WorkerLoader:
             self._reader = store.reader()
 
     def load_features(self, nodes: Sequence[int]) -> np.ndarray:
-        get = self._reader.get if self._reader is not None else self.store.get
-        return load_rows(get, nodes)
+        source = self._reader if self._reader is not None else self.store
+        return load_rows(source.get_many, nodes)
 
     def close(self) -> None:
         if self._reader is not None:

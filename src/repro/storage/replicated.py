@@ -31,6 +31,15 @@ layer a production deployment actually runs:
   from hedged primary reads are excluded from the hedge reservoir so a
   persistently slow replica cannot drift its own threshold up and
   disarm hedging.
+* **Batched reads** — :meth:`ReplicatedKVStore.get_many` is the loop
+  of ``get`` calls with the per-batch work hoisted: the replica gate
+  is read once, primary successes are
+  tallied locally and folded into :class:`ReplicaHealth` in one
+  critical section (one latency observation per replica: the mean of
+  its reads), and any key that misses, fails or has a dead owner drops
+  to the per-key path. Same bytes, same exception, same calls made of
+  every replica, same counters and state paths; only the
+  latency-derived values differ.
 * **Corruption quarantine** — ``put`` fans out to every owner and
   records a CRC32 ledger entry; a ``get`` whose bytes fail the ledger
   check (or whose replica raises
@@ -167,8 +176,12 @@ class ReplicaHealth:
             return (self.state,)
         return (self.transitions[0][1],) + tuple(t[2] for t in self.transitions)
 
-    def record_success(self, latency_s: float, record_sample: bool = True) -> None:
-        """A read served correct bytes in ``latency_s`` seconds.
+    def record_success(
+        self, latency_s: float, record_sample: bool = True, reads: int = 1
+    ) -> None:
+        """``reads`` reads served correct bytes: one in ``latency_s``
+        seconds, or a batch's run of them at that mean — one latency
+        observation either way.
 
         ``record_sample=False`` keeps the observation out of the hedge
         reservoir (used for hedged primary reads, whose samples are
@@ -183,7 +196,7 @@ class ReplicaHealth:
             self.ewma_latency_s += alpha * (float(latency_s) - self.ewma_latency_s)
         if record_sample:
             self.latencies.add(float(latency_s))
-        self.reads_ok += 1
+        self.reads_ok += reads
         if self.state in (SUSPECT, PROBING):
             self._transition(HEALTHY, "read succeeded")
 
@@ -420,9 +433,131 @@ class ReplicatedKVStore(KVStore):
             self._read_seconds.observe(self._clock() - started, store="replicated")
             self._reads_total.inc(store="replicated")
 
+    def get_many(self, keys: Sequence[str]) -> List[bytes]:
+        """What ``[get(key) for key in keys]`` returns or raises, the
+        replicas seeing the same ``contains`` / ``get`` calls in the
+        same order, for one gate evaluation, one health update and one
+        read-latency observation per batch instead of per key.
+
+        Hoisted out of the loop: which replicas are dead, read once
+        under the lock and again only after a key that left the fast
+        path, and each replica's hedge threshold, read once per fold. Kept per key: the
+        preference list, the ``contains`` probe, the read and its CRC
+        check against the ledger. While the primary owner answers,
+        successes are tallied locally and folded into
+        :class:`ReplicaHealth` in one critical section: ``reads_ok``
+        grows by the count, and the replica gets ONE latency observation
+        — the mean of those reads — into its EWMA, its reservoir and the
+        hedge-overrun comparison. A key with a dead owner, or whose
+        primary lacks it, raises or fails its CRC, first folds the
+        tallies in (so successes and failures reach the state machine
+        in read order), then is finished by the per-key accounting and
+        failover without re-reading the primary. So ``reads_ok``,
+        ``reads_error``, ``consecutive_errors``, ``state_path()``,
+        ``failovers``, ``corrupt_reads`` and ``read_failures`` end where
+        the loop would leave them; only the latency-derived values
+        (EWMA, reservoir contents, ``hedge_overruns``) differ.
+        ``concurrent_hedge`` reads stay one race per key.
+        """
+        if self._read_seconds is None:
+            return self._get_many(keys)
+        started = self._clock()
+        try:
+            return self._get_many(keys)
+        finally:
+            self._read_seconds.observe(self._clock() - started, store="replicated")
+            self._reads_total.inc(len(keys), store="replicated")
+
+    def _get_many(self, keys: Sequence[str]) -> List[bytes]:
+        if self.config.concurrent_hedge:
+            return [self._get(key) for key in keys]
+        background = self.config.anti_entropy_interval_s is not None
+        owners_of, clock = self._owners_cache, self._clock
+        reads = [0] * len(self.replicas)  # primary successes not yet in ReplicaHealth,
+        busy = [0.0] * len(self.replicas)  # and the seconds they took
+        values: List[bytes] = []
+        dead = None  # the gate: which replicas to skip; None = stale
+        mark = clock()
+        try:
+            for key in keys:
+                if background and self._maybe_background_anti_entropy():
+                    dead = None  # a repair may have moved a dead replica to probing
+                if dead is None:
+                    dead = self._dead_replicas()
+                owners = owners_of.get(key) or self.owners(key)
+                if dead and not dead.isdisjoint(owners):
+                    self._fold(reads, busy)
+                    values.append(self._gated_get(key))
+                else:
+                    index = owners[0]
+                    try:
+                        present = self.replicas[index].contains(key)
+                    except Exception:
+                        present = True  # let the real read produce the real error
+                    failure: Optional[Exception] = None
+                    try:
+                        if not present:
+                            raise _ReplicaMiss(key)
+                        values.append(self._verified_read(index, key))
+                    except Exception as error:
+                        failure = error
+                    if failure is None:
+                        now = clock()
+                        busy[index] += now - mark
+                        reads[index] += 1
+                        mark = now
+                        continue
+                    self._fold(reads, busy)
+                    values.append(self._failed_over(key, owners, failure))
+                # The key left the fast path: a replica's state may have moved.
+                dead = None
+                mark = clock()
+        finally:
+            self._fold(reads, busy)
+        return values
+
+    def _dead_replicas(self) -> set:
+        """The replicas a read must not take for granted, as of now —
+        what :meth:`_gated_get` looks for per key, taken once for a run
+        of keys. None dead means every owner is a candidate."""
+        with self._lock:
+            return {health.index for health in self.health if health.state == DEAD}
+
+    def _fold(self, reads: List[int], busy: List[float]) -> None:
+        """Move a run's primary successes into :class:`ReplicaHealth`
+        (and zero the tallies): one critical section, one latency
+        observation per replica — the mean of its reads, judged against
+        the hedge threshold learnt before them."""
+        if not any(reads):
+            return
+        hedging = self.replication_factor > 1  # as in _gated_get: a lone owner has no backup
+        with self._lock:
+            for index, count in enumerate(reads):
+                if count:
+                    health = self.health[index]
+                    mean = busy[index] / count
+                    threshold = health.hedge_threshold() if hedging else None
+                    health.record_success(mean, reads=count)
+                    if threshold is not None and mean > threshold:
+                        self.hedge_overruns += 1
+                    reads[index], busy[index] = 0, 0.0
+
+    def _failed_over(self, key: str, owners: Sequence[int], error: Exception) -> bytes:
+        """Finish a read whose primary owner already answered with
+        ``error``: charge it to that replica (a miss costs nothing),
+        then walk the rest of the preference list — the primary is not
+        read again."""
+        if isinstance(error, _ReplicaMiss):
+            return self._sequential_get(key, owners, start=1, misses=1)
+        self._read_failed(owners[0], error)
+        return self._sequential_get(key, owners, start=1, last_error=error)
+
     def _get(self, key: str) -> bytes:
         if self.config.anti_entropy_interval_s is not None:
             self._maybe_background_anti_entropy()
+        return self._gated_get(key)
+
+    def _gated_get(self, key: str) -> bytes:
         owners = self.owners(key)
         health = self.health
         now = self._clock()
@@ -451,13 +586,16 @@ class ReplicatedKVStore(KVStore):
         key: str,
         candidates: Sequence[int],
         threshold: Optional[float] = None,
-        position_offset: int = 0,
+        start: int = 0,
+        misses: int = 0,
+        last_error: Optional[BaseException] = None,
     ) -> bytes:
-        last_error: Optional[BaseException] = None
-        misses = 0
-        for slot, index in enumerate(candidates, position_offset):
+        """Walk ``candidates[start:]`` until one answers. ``misses`` and
+        ``last_error`` are what the caller's own reads of
+        ``candidates[:start]`` came to."""
+        for slot in range(start, len(candidates)):
             try:
-                return self._read_replica(index, key, True, slot, threshold)[0]
+                return self._read_replica(candidates[slot], key, True, slot, threshold)[0]
             except _ReplicaMiss:
                 misses += 1
             except Exception as error:
@@ -478,10 +616,11 @@ class ReplicatedKVStore(KVStore):
             value, _ = primary.result(timeout=threshold)
         except _FutureTimeout:
             pass
-        except Exception:
-            # Primary failed outright (error or miss): plain failover
-            # over the remaining owners.
-            return self._sequential_get(key, candidates[1:], None, position_offset=1)
+        except _ReplicaMiss:
+            return self._sequential_get(key, candidates, start=1, misses=1)
+        except Exception as error:
+            # Primary failed outright: plain failover over the remaining owners.
+            return self._sequential_get(key, candidates, start=1, last_error=error)
         else:
             # Un-hedged fast path: the sample is uncensored, so it may
             # feed the hedge reservoir (record_sample=False above only
@@ -494,20 +633,19 @@ class ReplicatedKVStore(KVStore):
             self.hedge_overruns += 1
         backup = executor.submit(self._read_replica, candidates[1], key, True)
         pending = {primary, backup}
-        last_error: Optional[BaseException] = None
+        misses, last_error = 0, None
         while pending:
             done, pending = _wait_futures(pending, return_when=FIRST_COMPLETED)
             for future in done:
                 try:
                     return future.result()[0]
+                except _ReplicaMiss:
+                    misses += 1
                 except Exception as error:  # noqa: PERF203 - tiny set
                     last_error = error
-        remainder = candidates[2:]
-        if remainder:
-            return self._sequential_get(key, remainder, None, position_offset=2)
-        raise AllReplicasFailedError(
-            f"hedged read of {key!r} failed on primary and backup"
-        ) from last_error
+        return self._sequential_get(
+            key, candidates, start=2, misses=misses, last_error=last_error
+        )
 
     def _read_replica(
         self,
@@ -541,29 +679,32 @@ class ReplicatedKVStore(KVStore):
             present = True  # let the real read produce the real error
         if not present:
             raise _ReplicaMiss(key)
-        health = self.health[index]
         started = self._clock()
         try:
             value = self._verified_read(index, key)
-        except CorruptStoreError as error:
-            with self._lock:
-                self.corrupt_reads += 1
-                health.quarantine(str(error))
-                self.read_failures[index, "corrupt"] += 1
-            raise
         except Exception as error:
-            with self._lock:
-                health.record_failure(repr(error))
-                self.read_failures[index, "error"] += 1
+            self._read_failed(index, error)
             raise
         elapsed = self._clock() - started
         with self._lock:
-            health.record_success(elapsed, record_sample=record_sample)
+            self.health[index].record_success(elapsed, record_sample=record_sample)
             if position:
                 self.failovers += 1
             elif position == 0 and threshold is not None and elapsed > threshold:
                 self.hedge_overruns += 1
         return value, elapsed
+
+    def _read_failed(self, index: int, error: Exception) -> None:
+        """Charge one failed read to replica ``index``: corrupt bytes
+        quarantine it, anything else counts towards suspect / dead."""
+        with self._lock:
+            if isinstance(error, CorruptStoreError):
+                self.corrupt_reads += 1
+                self.health[index].quarantine(str(error))
+                self.read_failures[index, "corrupt"] += 1
+            else:
+                self.health[index].record_failure(repr(error))
+                self.read_failures[index, "error"] += 1
 
     def _verified_read(self, index: int, key: str) -> bytes:
         """``key`` from replica ``index``, CRC-checked against the ledger."""
@@ -675,18 +816,19 @@ class ReplicatedKVStore(KVStore):
             self.repairs += report.repaired
         return report
 
-    def _maybe_background_anti_entropy(self) -> None:
-        """Piggyback an incremental repair pass on reads when configured."""
+    def _maybe_background_anti_entropy(self) -> bool:
+        """Piggyback an incremental repair pass on reads when configured;
+        whether one ran."""
         interval = self.config.anti_entropy_interval_s
         if interval is None or self._in_anti_entropy:
-            return
+            return False
         now = self._clock()
         if now - self._last_anti_entropy < interval:
-            return
+            return False
         self._last_anti_entropy = now
         all_keys = self.keys()
         if not all_keys:
-            return
+            return False
         batch = min(self.config.anti_entropy_batch, len(all_keys))
         start = self._anti_entropy_cursor % len(all_keys)
         chunk = [all_keys[(start + i) % len(all_keys)] for i in range(batch)]
@@ -696,6 +838,7 @@ class ReplicatedKVStore(KVStore):
             self.anti_entropy(repair=True, keys=chunk)
         finally:
             self._in_anti_entropy = False
+        return True
 
     # -- KVStore surface ------------------------------------------------
     def contains(self, key: str) -> bool:

@@ -19,10 +19,10 @@ without ever replacing it:
   in-edges into the cached CSR (bit-identical to a rebuild) and bumps
   the graph version exactly once so
   :class:`~repro.graph.cache.SubgraphCache` keys roll over;
-* **compaction** — :meth:`compact` consolidates the delta-merged CSR
-  into a canonical rebuild and re-validates the graph; because merge
-  and rebuild are bit-identical the version is unchanged and warm
-  caches survive;
+* **compaction** — :meth:`compact` flushes the staged delta and
+  re-validates the whole graph; the spliced CSR already *is* the
+  canonical layout (merge and rebuild are bit-identical), so there is
+  nothing to re-sort, the version is unchanged and warm caches survive;
 * **delayed labels** — :meth:`apply_label` flips a transaction's label
   when its chargeback verdict finally lands, a *non-structural*
   mutation (version bump, CSR kept).
@@ -91,7 +91,7 @@ class IncrementalGraphBuilder:
         graph = self.graph
         help = "Events applied to the live graph by the incremental builder."
         yield "counter", "stream_builder_events_total", help, {}, self.events_flushed
-        help = "Delta-to-canonical CSR compactions."
+        help = "Compactions (flush + full re-validation) of the live graph."
         yield "counter", "stream_builder_compactions_total", help, {}, self.compactions
         yield "gauge", "stream_graph_nodes", "Live graph node count.", {}, graph.num_nodes
         yield "gauge", "stream_graph_edges", "Live graph edge count.", {}, graph.num_edges
@@ -212,15 +212,18 @@ class IncrementalGraphBuilder:
         return node
 
     def compact(self) -> None:
-        """Consolidate delta-merged adjacency into a canonical CSR.
+        """The periodic checkpoint of the live graph: flush any staged
+        delta, make sure the CSR exists, and re-validate the full set of
+        graph invariants.
 
-        Flushes any staged delta first, rebuilds the CSR from the flat
-        edge arrays (bit-identical to the merged layout, so the version
-        — and every warm cache entry — survives), and re-validates the
-        full set of graph invariants.
+        Nothing is re-sorted: every flush splices its in-edges into the
+        CSR at their canonical positions, so the merged layout is the
+        one a rebuild would produce (``delta-merge-vs-rebuild`` in
+        :mod:`repro.check` holds the splice to that) and the version —
+        with every warm cache entry — survives.
         """
         self.flush()
-        self.graph.rebuild_csr()
+        self.graph.csr()
         self.graph.validate()
         self.compactions += 1
         self.last_compaction_version = self.graph.version

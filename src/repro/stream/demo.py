@@ -15,10 +15,10 @@ End-to-end exercise of the ingestion subsystem on a
    fine-tune checkpoints;
 3. *drift burst*: the tail of the stream gets a deterministic feature
    shift so the drift detector's alert path fires inside the demo;
-4. *gate*: before the final compaction the live graph carries a
-   delta-merged CSR; the demo samples probe subgraphs with the sampler
-   and with its scalar spec, compacts, resamples, and asserts all four
-   are bit-identical. The CLI runs the whole demo twice and
+4. *gate*: after the stream the live graph carries a delta-merged
+   CSR; the demo samples probe subgraphs with the sampler and with its
+   scalar spec, compacts, rebuilds the CSR from the flat edge arrays,
+   resamples, and asserts all four are bit-identical. The CLI runs the whole demo twice and
    diffs the verdict streams byte-for-byte.
 
 Everything — generator, clock, training, sampling, label maturation —
@@ -208,20 +208,21 @@ def run_stream_demo(
     clock.advance(label_delay_s + 1.0)
     scorer.mature_labels()
 
-    # -- act 4: delta-vs-compacted subgraph gate -----------------------
-    # The live CSR is delta-merged (every flush after the last mid-
-    # stream compaction spliced into it). Fingerprint probe subgraphs
-    # under the sampler and under its scalar spec, compact to a
-    # canonical rebuild, and fingerprint again — all four must be
-    # bit-identical.
+    # -- act 4: delta-vs-rebuilt subgraph gate -------------------------
+    # The live CSR is delta-merged (every flush of the stream spliced
+    # into it; compaction keeps it). Fingerprint probe subgraphs under
+    # the sampler and under its scalar spec, compact, rebuild the CSR
+    # from the flat edge arrays, and fingerprint again — all four must
+    # be bit-identical.
     from ..check import subgraph_equal  # here: repro.check imports repro.stream
     from ..check.reference import scalar_sample
 
     probe = graph.txn_nodes[-min(32, len(graph.txn_nodes)) :]
     sampler = SageSampler(hops=2, fanout=10, seed=seed)
-    graph.csr()  # ensure the adjacency is materialised pre-compaction
+    graph.csr()  # ensure the adjacency is materialised before the rebuild
     before_ref, before_vec = scalar_sample(sampler, graph, probe), sampler.sample(graph, probe)
     builder.compact()
+    graph.rebuild_csr()
     after_ref, after_vec = scalar_sample(sampler, graph, probe), sampler.sample(graph, probe)
     gate = all(
         subgraph_equal(a, b) is None

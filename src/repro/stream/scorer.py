@@ -14,7 +14,7 @@ The :class:`StreamScorer` sits between the durable
    one version bump = one cache rollover), scored with
    ``service.score_batch``, and fed to the feedback plane (delayed
    labels → prequential AUC, PSI/KS drift, optional fine-tune);
-3. periodic **compaction** consolidates the delta-merged CSR.
+3. periodic **compaction** flushes and re-validates the live graph.
 
 Everything advances on the injected clock, so on a
 :class:`~repro.reliability.faults.ManualClock` a replay of the same

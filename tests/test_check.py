@@ -46,6 +46,8 @@ from repro.models import field as field_module
 from repro.models import hetero_conv
 from repro.nn import functional as F
 from repro.nn.segment import row_selector
+from repro.storage import loader as loader_module
+from repro.storage.replicated import ReplicatedKVStore
 from repro.train import DistributedTrainer, NoSurvivorsError
 from repro.train import elastic as elastic_module
 
@@ -722,6 +724,89 @@ class TestFastWalkMutants:
         assert "original_ids" in _caught_by("disjoint-walk-vs-singleton-samples").detail
 
 
+class TestBatchedReadMutants:
+    """`repro check --fuzz 120` must fail, in
+    ``batched-read-vs-per-key-gets``, on each way ``get_many`` can stop
+    being the loop of ``get`` calls it replaces. Every mutant is one
+    edit of ``ReplicatedKVStore._get_many``; ``get`` is left alone."""
+
+    NAME = "batched-read-vs-per-key-gets"
+
+    def _plant(self, monkeypatch, old, new):
+        monkeypatch.setattr(
+            ReplicatedKVStore, "_get_many", _edited(ReplicatedKVStore._get_many, old, new)
+        )
+
+    def test_crc_skipped_on_the_batch_path(self, monkeypatch):
+        self._plant(
+            monkeypatch,
+            "values.append(self._verified_read(index, key))",
+            "values.append(self.replicas[index].get(key))",
+        )
+        # Poisoned bytes are served instead of failing over, so the walk
+        # gets further than the loop does and ends on another error.
+        assert "result: 'KeyError' != 'AllReplicasFailedError'" in _caught_by(self.NAME).detail
+
+    def test_failover_answer_tallied_as_a_primary_success(self, monkeypatch):
+        self._plant(
+            monkeypatch,
+            "values.append(self._failed_over(key, owners, failure))",
+            "values.append(self._failed_over(key, owners, failure)); reads[index] += 1",
+        )
+        assert "reads_ok" in _caught_by(self.NAME).detail
+
+    def test_gate_not_re_evaluated_after_a_replica_turns_dead(self, monkeypatch):
+        self._plant(
+            monkeypatch,
+            "            dead = None\n            mark = clock()",
+            "            mark = clock()",
+        )
+        # The dead replica keeps being asked (and keeps failing over).
+        failure = _caught_by(self.NAME)
+        assert "result" in failure.detail and "replica calls[0]" in failure.shrunk_detail
+
+    def test_failing_key_read_again_on_the_same_replica(self, monkeypatch):
+        self._plant(
+            monkeypatch,
+            "values.append(self._failed_over(key, owners, failure))",
+            "values.append(self._gated_get(key))",
+        )
+        assert "replica calls" in _caught_by(self.NAME).detail
+
+    def test_relation_and_shrunk_cases_hold_on_the_real_store(self):
+        assert run_fuzz(120, seed=0, names=[self.NAME]).ok
+        # What the four mutants above shrink to: (0, 1) five replicas at
+        # rf 1, (1, 1) four replicas at rf 3.
+        for seed, size in ((0, 1), (1, 1)):
+            assert run_case(self.NAME, seed, size) is None, (seed, size)
+
+
+class TestUniformRowDecodeMutants:
+    """...and, in ``fast-decode-vs-np-load``, on each check the batch
+    decode of ``load_rows`` could drop: the one loop over the blobs is
+    what lets one header parse stand for all of them."""
+
+    NAME = "fast-decode-vs-np-load"
+
+    def test_prefix_compared_on_the_first_blob_only(self, monkeypatch):
+        mutant = _edited(
+            loader_module._decode_uniform,
+            "if len(blob) != length or not blob.startswith(prefix):",
+            "if len(blob) != length:",
+        )
+        monkeypatch.setattr(loader_module, "_decode_uniform", mutant)
+        assert "load_rows ->" in _caught_by(self.NAME).detail
+
+    def test_trailing_bytes_admitted_to_the_joined_payload(self, monkeypatch):
+        mutant = _edited(
+            loader_module._decode_uniform,
+            "len(first) != offset + nbytes or ",
+            "len(first) < offset + nbytes or ",
+        )
+        monkeypatch.setattr(loader_module, "_decode_uniform", mutant)
+        assert "row by row ->" in _caught_by(self.NAME).detail
+
+
 class TestGenerators:
     def test_graph_generator_is_seed_deterministic(self):
         a = random_hetero_graph(np.random.default_rng(9), num_txns=7)
@@ -855,6 +940,7 @@ class TestCheckCli:
         assert "invariant checkers:" in out
         assert "status-surfaces-agree" in out
         assert "wal-crash-replay" in out
+        assert "batched-read-vs-per-key-gets" in out
 
     def test_divergence_exits_nonzero(self, capsys):
         name = "synthetic-cli-failure"

@@ -453,12 +453,12 @@ class TestArrayCodec:
         table = np.arange(20, dtype=np.float32).reshape(5, 4)
         for node, row in enumerate(table):
             store.put(f"feat/{node}", encode_array(row))
-        rows = load_rows(store.get, [4, 0, 4])
+        rows = load_rows(store.get_many, [4, 0, 4])
         assert rows.dtype == np.float32 and rows.flags.owndata
         np.testing.assert_array_equal(rows, table[[4, 0, 4]])
         # A caller-owned matrix is filled in place, cast to its dtype.
         out = np.empty((2, 4), dtype=np.float64)
-        assert load_rows(store.get, np.array([1, 2]), out) is out
+        assert load_rows(store.get_many, np.array([1, 2]), out) is out
         np.testing.assert_array_equal(out, table[[1, 2]])
 
     def test_load_rows_refuses_ragged_rows(self):
@@ -466,7 +466,46 @@ class TestArrayCodec:
         store.put("feat/0", encode_array(np.zeros(4)))
         store.put("feat/1", encode_array(np.zeros(1)))  # would broadcast silently
         with pytest.raises(ValueError, match="node 1"):
-            load_rows(store.get, [0, 1])
+            load_rows(store.get_many, [0, 1])
+
+    def test_load_rows_decodes_a_uniform_batch_with_one_header_parse(self):
+        from repro.storage.loader import _parse_header
+
+        store = InMemoryKVStore()
+        table = np.arange(200, dtype=np.float64).reshape(50, 4)
+        for node, row in enumerate(table):
+            store.put(f"feat/{node}", encode_array(row))
+        _parse_header.cache_clear()
+        np.testing.assert_array_equal(load_rows(store.get_many, range(50)), table)
+        info = _parse_header.cache_info()
+        assert (info.misses, info.hits) == (1, 0)
+
+    @pytest.mark.parametrize(
+        "spoil, message",
+        [
+            (lambda blob: encode_array(np.zeros(5)), "node 2 has shape"),  # ragged
+            (lambda blob: blob[:-3], "truncated"),
+            (lambda blob: b"\x92" + blob[1:], "magic"),
+        ],
+    )
+    def test_one_bad_row_inside_a_batch_raises_what_the_row_loop_raised(self, spoil, message):
+        store = InMemoryKVStore()
+        for node in range(4):
+            store.put(f"feat/{node}", encode_array(np.full(4, float(node))))
+        store.put("feat/2", spoil(store.get("feat/2")))
+        for out in (None, np.empty((4, 4))):
+            with pytest.raises(ValueError, match=message):
+                load_rows(store.get_many, range(4), out)
+        # ...and bytes past one row's payload are ignored, as row by row.
+        store.put("feat/2", encode_array(np.full(4, 2.0)) + b"tail")
+        np.testing.assert_array_equal(load_rows(store.get_many, range(4))[:, 0], np.arange(4.0))
+
+    def test_load_rows_width_is_checked_against_out_for_a_uniform_batch(self):
+        store = InMemoryKVStore()
+        for node in range(3):
+            store.put(f"feat/{node}", encode_array(np.zeros(4)))
+        with pytest.raises(ValueError, match="node 0 has shape"):
+            load_rows(store.get_many, range(3), np.empty((3, 5)))
 
 
 class TestWorkerLoader:

@@ -412,6 +412,19 @@ class TestRetryingKVStore:
         assert store.retries == 2
         assert flaky.injected == 2
 
+    def test_get_many_retries_per_key(self):
+        # The base-class loop: each key rides its own retry budget, so a
+        # batch survives more faults than one key's attempts allow.
+        backing = InMemoryKVStore()
+        for index in range(5):
+            backing.put(f"k{index}", bytes([index]))
+        flaky = FlakyKVStore(backing, fail_first=2)
+        store = RetryingKVStore(flaky, RetryPolicy(max_attempts=3), sleep=lambda _: None)
+        assert store.get_many([f"k{index}" for index in range(5)]) == [
+            bytes([index]) for index in range(5)
+        ]
+        assert store.retries == flaky.injected == 10
+
     def test_exhaustion_surfaces_typed_error(self):
         backing = InMemoryKVStore()
         backing.put("k", b"value")

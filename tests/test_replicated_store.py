@@ -207,6 +207,144 @@ class TestReadWritePath:
         assert sorted(store.keys()) == ["a", "b"]
 
 
+class TestBatchedReads:
+    """``get_many`` is the loop of ``get`` calls with the per-batch work
+    hoisted; ``batched-read-vs-per-key-gets`` in ``repro.check`` holds
+    the whole contract, these pin its corners."""
+
+    def _filled(self, num_replicas=3, **config):
+        store, backings, clock = _make_store(
+            num_replicas, config=ReplicatedConfig(**{"replication_factor": 2, **config})
+        )
+        for index in range(40):
+            store.put(f"key/{index}", f"value-{index}".encode())
+        return store, backings, clock
+
+    def test_empty_batch(self):
+        store, _, _ = self._filled()
+        assert store.get_many([]) == []
+        assert [health.reads_ok for health in store.health] == [0, 0, 0]
+
+    def test_equals_the_loop_and_folds_one_observation_per_replica(self):
+        store, _, clock = self._filled()
+        keys = [f"key/{index}" for index in range(40)]
+        assert store.get_many(keys) == [f"value-{index}".encode() for index in range(40)]
+        primaries = [sum(store.owners(key)[0] == r for key in keys) for r in range(3)]
+        assert [health.reads_ok for health in store.health] == primaries
+        # 40 reads, three latency observations: one mean per replica.
+        assert [len(health.latencies) for health in store.health] == [1, 1, 1]
+        assert store.failovers == store.hedge_overruns == 0
+
+    def test_absent_key_raises_keyerror_after_folding_the_earlier_keys(self):
+        store, _, _ = self._filled()
+        with pytest.raises(KeyError):
+            store.get_many(["key/0", "key/1", "key/2", "nope", "key/3"])
+        assert sum(health.reads_ok for health in store.health) == 3
+        assert sum(health.reads_error for health in store.health) == 0
+
+    def test_every_owner_dead_raises_after_folding_the_earlier_keys(self):
+        store, _, clock = self._filled(5, probe_interval_s=10.0)
+        doomed = "key/7"
+        others = [
+            key
+            for key in (f"key/{index}" for index in range(40))
+            if set(store.owners(key)).isdisjoint(store.owners(doomed))
+        ]
+        assert len(others) > 5
+        for index in store.owners(doomed):
+            store.health[index].quarantine("planted")
+        before = [health.reads_ok for health in store.health]
+        with pytest.raises(AllReplicasFailedError, match="all dead"):
+            store.get_many(others[:5] + [doomed] + others[5:])
+        after = [health.reads_ok for health in store.health]
+        assert sum(after) - sum(before) == len(others[:5])
+
+    def test_failover_inside_a_batch_is_a_failover_not_a_primary_success(self):
+        store, backings, _ = self._filled()
+        key = "key/5"
+        primary, secondary = store.owners(key)
+        backings[primary].delete(key)  # divergence: a miss, not a failure
+        assert store.get_many(["key/4", key, "key/6"])[1] == b"value-5"
+        assert store.failovers == 1
+        assert store.health[primary].reads_error == 0
+        assert sum(health.reads_ok for health in store.health) == 3
+
+    def test_corrupt_copy_is_quarantined_and_the_gate_re_evaluated(self):
+        store, backings, _ = self._filled(probe_interval_s=10.0)
+        key = "key/5"
+        primary = store.owners(key)[0]
+        backings[primary].put(key, b"poisoned")
+        later = [
+            other
+            for other in (f"key/{index}" for index in range(40))
+            if store.owners(other)[0] == primary and other != key
+        ]
+        calls = []
+        real = backings[primary].get
+        backings[primary].get = lambda k: calls.append(k) or real(k)
+        values = store.get_many([key] + later)
+        assert values[0] == b"value-5" and store.corrupt_reads == 1
+        # Read once, quarantined, and skipped for the rest of the batch.
+        assert calls == [key]
+        assert store.health[primary].state == "dead"
+        assert store.failovers == 1  # a dead owner is not a candidate, so not failed over
+
+    def test_concurrent_hedge_stays_the_per_key_race(self):
+        store, _, _ = _make_store(
+            3, config=ReplicatedConfig(replication_factor=2, concurrent_hedge=True)
+        )
+        store.put("k", b"v")
+        try:
+            assert store.get_many(["k", "k"]) == [b"v", b"v"]
+            assert sum(len(health.latencies) for health in store.health) == 2
+        finally:
+            store.close()
+
+    def test_one_metric_observation_per_batch_one_count_per_key(self):
+        registry = MetricsRegistry()
+        store, _, _ = self._filled()
+        store.instrument(registry)
+        store.get_many([f"key/{index}" for index in range(7)])
+        store.get("key/0")
+        text = registry.render()
+        assert 'kv_reads_total{store="replicated"} 8' in text
+        assert 'kv_read_seconds_count{store="replicated"} 2' in text
+
+    def test_threads_lose_no_success(self):
+        import sys
+        import threading
+
+        store, _, _ = _make_store(
+            3, clock=lambda: 0.0, config=ReplicatedConfig(replication_factor=2)
+        )
+        for index in range(16):
+            store.put(f"key/{index}", b"v" * 8)
+        keys = [f"key/{index}" for index in range(16)]
+        failures = []
+        together = threading.Barrier(8)
+
+        def read():
+            try:
+                together.wait(timeout=60)
+                for _ in range(100):
+                    assert store.get_many(keys) == [b"v" * 8] * 16
+            except Exception as error:  # surfaced below: a thread cannot fail a test
+                failures.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not failures and not any(thread.is_alive() for thread in threads)
+        assert sum(health.reads_ok for health in store.health) == 8 * 100 * 16
+
+
 class TestHealthStateMachine:
     def _flaky_store(self, fail_windows, probe_interval_s=0.5, dead_after=3):
         clock = ManualClock()

@@ -468,8 +468,10 @@ class TestIncrementalBuilder:
         assert builder.index["email"][known_email] == email_node
 
     def test_compact_after_stream_matches_delta_sampling(self):
-        # The satellite gate in miniature: delta-layered vs compacted
+        # The satellite gate in miniature: delta-layered vs rebuilt
         # subgraphs, the sampler vs its scalar spec, all identical.
+        # compact() keeps the spliced CSR, so the rebuilt side is
+        # rebuild_csr(): a CSR is never compared with itself.
         log = generate_log(_small_config(seed=4))
         events = export_events(log)
         builder = IncrementalGraphBuilder(feature_dim=len(log.records[0].features))
@@ -484,6 +486,9 @@ class TestIncrementalBuilder:
         sampler = SageSampler(hops=2, fanout=5, seed=0)
         before = [scalar_sample(sampler, graph, probe), sampler.sample(graph, probe)]
         builder.compact()
+        spliced = graph.csr()
+        rebuilt = graph.rebuild_csr()
+        assert all(a is not b and np.array_equal(a, b) for a, b in zip(spliced, rebuilt))
         after = [scalar_sample(sampler, graph, probe), sampler.sample(graph, probe)]
         for a, b in [(before[0], before[1]), (before[0], after[0]), (before[1], after[1])]:
             np.testing.assert_array_equal(a.original_ids, b.original_ids)
