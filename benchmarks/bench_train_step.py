@@ -29,6 +29,15 @@ sampled neighbourhoods at its 32 targets costs at most
 ``TRIMMED_FORWARD_BUDGET``x scoring the same graph with every node a
 target (every node at distance 0: no row, no edge is cut). It reads
 0.53-0.58x.
+
+``test_plan_memo_ratio_floor`` holds what every call of that kernel
+no longer does: derive the packed ``[Q|K|V]`` weights, the stacked
+attention matrices, the first layer's edge-type tables and each node
+type's layer-1 row from the weights. Those live in a plan memoised per
+parameter version (``HeteroConvLayer.plan``), so a single served sample
+scored with a version bump before every call — the plan rebuilt each
+time, as every call derived them before — costs at least
+``PLAN_MEMO_BUDGET``x the same call on a warm plan. It reads 1.50-1.58x.
 """
 
 import numpy as np
@@ -42,6 +51,8 @@ from repro.models import XFraudDetectorPlus
 STEP_RATIO_BUDGET = 1.5  # step on 4 copies of the graph vs on 1, same batch
 STEP_VS_INFERENCE_BUDGET = 6.0  # full step vs predict_proba on the batch's field
 TRIMMED_FORWARD_BUDGET = 0.8  # scoring a stacked batch at its targets vs at every node
+PLAN_MEMO_BUDGET = 1.15  # a sample scored with its plan rebuilt vs on a warm plan
+PLAN_SAMPLES = 50
 MICRO_BATCH = 32
 STEP_SAMPLES = 9
 BATCH = 64
@@ -145,3 +156,31 @@ def test_trimmed_forward_ratio_floor():
         f"(budget <= {TRIMMED_FORWARD_BUDGET:.1f}x)"
     )
     assert ratio <= TRIMMED_FORWARD_BUDGET
+
+
+def test_plan_memo_ratio_floor():
+    """Weight-only tables are derived once per parameter version, not per call."""
+    bundle = load_dataset("ebay-small-sim", seed=0, scale=0.25)
+    model = XFraudDetectorPlus(model_config(bundle.graph.feature_dim, seed=0))
+    txns = np.random.default_rng(0).permutation(bundle.graph.txn_nodes)[:PLAN_SAMPLES]
+    samples = [model.sampler.sample(bundle.graph, [int(txn)]) for txn in txns]
+    versioned = [param for conv in model.convs for param in conv.parameters()]
+
+    def on_a_warm_plan():
+        for sample in samples:
+            model.predict_proba(sample.graph, sample.target_local)
+
+    def after_a_write():
+        for sample in samples:
+            for param in versioned:  # what a write does to the plan's key, weights untouched
+                param.version += 1
+            model.predict_proba(sample.graph, sample.target_local)
+
+    rebuilt_us, warm_us = _alternated_medians([after_a_write, on_a_warm_plan])
+    ratio = rebuilt_us / warm_us
+    print(
+        f"\n{PLAN_SAMPLES} single-target samples: predict_proba {warm_us / PLAN_SAMPLES:.0f} us "
+        f"on a warm plan vs {rebuilt_us / PLAN_SAMPLES:.0f} us with the plan rebuilt -> "
+        f"{ratio:.2f}x (budget >= {PLAN_MEMO_BUDGET:.2f}x)"
+    )
+    assert ratio >= PLAN_MEMO_BUDGET

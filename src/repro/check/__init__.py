@@ -15,7 +15,7 @@ violation; CI gates on it.
 """
 
 from .fuzz import SCENARIOS, FuzzFailure, FuzzReport, numerical_grad, run_case, run_fuzz, shrink
-from .gen import random_delta, random_events, random_hetero_graph
+from .gen import random_delta, random_events, random_hetero_graph, random_weights
 from .invariants import (
     REGISTRY,
     CheckResult,
@@ -40,6 +40,7 @@ __all__ = [
     "random_delta",
     "random_events",
     "random_hetero_graph",
+    "random_weights",
     "run_audits",
     "run_case",
     "run_fuzz",

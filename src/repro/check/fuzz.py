@@ -14,8 +14,11 @@ tier has the loop of single-key reads, a training step on
 the batch's receptive field has the same step on the whole graph, every
 autograd op has its central difference, the elastic supervisor has the
 fault-free engine it drives (and, under faults, a by-hand all-reduce
-over the shards it accepted), and
-the WAL has "whatever was durably framed before the crash". A fuzz *scenario* drives both sides of one such pair on a
+over the shards it accepted), a layer plan memoised per parameter
+version has the plan rebuilt on every call, and
+the WAL has "whatever was durably framed before the crash". One
+scenario needs no second implementation: entities carry no input, so
+noise in their feature rows must change nothing (a metamorphic relation). A fuzz *scenario* drives both sides of one such pair on a
 seeded random input and returns a divergence description (or ``None``).
 
 Cases are fully determined by ``(scenario, seed, size)``, so a failure
@@ -37,7 +40,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .gen import DELTA_SHAPES, random_delta, random_events, random_hetero_graph
+from .gen import DELTA_SHAPES, random_delta, random_events, random_hetero_graph, random_weights
 from .invariants import csr_violations, subgraph_equal, wal_violations
 
 __all__ = [
@@ -388,10 +391,7 @@ def _fuzz_inference_forward(seed: int, size: int) -> Optional[str]:
             seed=seed % 97,
         )
     )
-    # Type embeddings start at zero and layer norms at identity; draw
-    # every parameter so no term of the forward is multiplied away.
-    for param in detector.parameters():
-        param.data[...] = rng.normal(scale=0.5, size=param.data.shape)
+    random_weights(rng, detector)
     detector.train(bool(rng.integers(0, 2)))  # the kernel must not care
 
     txns = np.flatnonzero(graph.node_type == 0)
@@ -699,8 +699,7 @@ def _fuzz_pruned_step(seed: int, size: int) -> Optional[str]:
     )
     model = ((XFraudDetector,) * 4 + (GATModel, GEMModel, FeatureMLP))[kind](config)
     hops = 0 if kind == 6 else config.num_layers
-    for param in model.parameters():  # zero-initialised embeddings would multiply terms away
-        param.data[...] = rng.normal(scale=0.5, size=param.data.shape)
+    random_weights(rng, model)
 
     steps = 1 + 2 * (shape == "live")
     for step in range(steps):
@@ -1124,7 +1123,9 @@ def _layer_gradient_problem(layer, graph, rng: np.random.Generator, masked: bool
     active = out.data > 0.0
     grads = {name: tensor.grad for name, tensor in tensors.items()}
     grads.update({name: param.grad for name, param in layer.named_parameters()})
-    arrays = dict(inputs, **{name: param.data for name, param in layer.named_parameters()})
+    # Parameters move only through load_state_dict: probes edit ``state``.
+    state = layer.state_dict()
+    arrays = dict(inputs, **state)
 
     for name, array in arrays.items():
         if grads[name] is None:
@@ -1135,6 +1136,8 @@ def _layer_gradient_problem(layer, graph, rng: np.random.Generator, masked: bool
         def along(step: np.ndarray) -> float:
             nonlocal kinked
             array[...] = base + step[0] * direction
+            if name in state:
+                layer.load_state_dict(state)
             mask = Tensor(inputs["edge_mask"]) if masked else None
             with nn.no_grad():
                 probe = layer(graph, Tensor(inputs["h"]), edge_mask=mask).data
@@ -1143,6 +1146,8 @@ def _layer_gradient_problem(layer, graph, rng: np.random.Generator, masked: bool
 
         expected = float(numerical_grad(along, np.zeros(1))[0])
         array[...] = base
+        if name in state:
+            layer.load_state_dict(state)
         got = float((grads[name] * direction).sum())
         if not kinked and not abs(got - expected) <= 1e-6 * max(1.0, abs(expected)):
             return f"{name}: backward {got!r} along a random direction, central difference {expected!r}"
@@ -1188,8 +1193,7 @@ def _fuzz_fused_backward(seed: int, size: int) -> Optional[str]:
         seed=seed % 97,
     )
     detector = XFraudDetector(config)
-    for param in detector.parameters():  # zero-initialised embeddings would multiply terms away
-        param.data[...] = rng.normal(scale=0.5, size=param.data.shape)
+    random_weights(rng, detector)
     where = (
         f"kind {kind}, {config.num_layers} layers, {heads} heads, {shape} graph "
         f"({graph.num_nodes} nodes, {graph.num_edges} edges), targets={targets.tolist()}"
@@ -1292,8 +1296,7 @@ def _fuzz_trimmed_layers(seed: int, size: int) -> Optional[str]:
         seed=seed % 97,
     )
     detector = XFraudDetector(config)
-    for param in detector.parameters():  # zero-initialised embeddings would multiply terms away
-        param.data[...] = rng.normal(scale=0.5, size=param.data.shape)
+    random_weights(rng, detector)
     where = (
         f"kind {kind}, {config.num_layers} layers, {heads} heads, {shape} graph "
         f"({graph.num_nodes} nodes, {graph.num_edges} edges), targets={targets.tolist()}"
@@ -1624,6 +1627,207 @@ def _fuzz_batched_read(seed: int, size: int) -> Optional[str]:
                     f"rf {store.replication_factor}), get_many != the loop of gets: "
                     f"{what}{_first_difference(ends[0][what], ends[1][what])}"
                 )
+    return None
+
+
+def _small_detector_config(rng: np.random.Generator, seed: int, max_layers: int = 3):
+    """A small detector configuration: 1-``max_layers`` layers, 1-2
+    heads, any of the four ablation configs, dropout on."""
+    from ..models.detector import DetectorConfig
+
+    heads, kind = int(rng.integers(1, 3)), int(rng.integers(0, 4))
+    return DetectorConfig(
+        feature_dim=5,
+        hidden_dim=heads * int(rng.integers(1, 4)),
+        num_heads=heads,
+        num_layers=int(rng.integers(1, max_layers + 1)),
+        ffn_hidden_dim=int(rng.integers(2, 7)),
+        dropout=0.3,
+        per_type_projections=bool(kind & 1),
+        target_specific_aggregation=bool(kind & 2),
+        seed=seed % 97,
+    )
+
+
+def _bit_equal(ours, theirs) -> bool:
+    """Same arrays, byte for byte, through dicts, tuples and ``None``."""
+    if isinstance(ours, dict):
+        return ours.keys() == theirs.keys() and all(_bit_equal(ours[k], theirs[k]) for k in ours)
+    if isinstance(ours, tuple):
+        return len(ours) == len(theirs) and all(map(_bit_equal, ours, theirs))
+    if ours is None or theirs is None:
+        return ours is theirs
+    return ours.shape == theirs.shape and ours.tobytes() == theirs.tobytes()
+
+
+def _plan_problem(detector, graph, targets: np.ndarray) -> Optional[str]:
+    """Every layer's memoised plan against one built from its parameters
+    as they are now, field by field; then the scores of the memo against
+    those of plans rebuilt for the call, bit for bit."""
+    import dataclasses
+
+    from ..models.hetero_conv import LayerPlan
+
+    for index, layer in enumerate(detector.convs):
+        memo = layer.plan()
+        fresh = layer._build_plan([(param, param.version) for param in layer.parameters()])
+        for field_ in dataclasses.fields(LayerPlan):
+            if field_.name != "key" and not _bit_equal(
+                getattr(memo, field_.name), getattr(fresh, field_.name)
+            ):
+                return f"layer {index}: memoised plan.{field_.name} != a plan built now"
+    scores = detector.predict_proba(graph, targets)
+    for layer in detector.convs:
+        layer._plan = None
+    rebuilt = detector.predict_proba(graph, targets)
+    if scores.tobytes() != rebuilt.tobytes():
+        return f"scores {scores.tolist()} != {rebuilt.tolist()} from plans rebuilt for the call"
+    return None
+
+
+@scenario("plan-memo-vs-fresh-plan")
+def _fuzz_plan_memo(seed: int, size: int) -> Optional[str]:
+    """The layer plan (:meth:`HeteroConvLayer.plan`: every weight-only
+    table, memoised per parameter version) vs a plan rebuilt on every
+    call, under every writer of parameters and every reader of plans:
+    SGD (momentum), Adam (coupled decay) and AdamW steps,
+    ``load_state_dict``, ``restore_training_state``, an
+    ``OnlineFineTuner`` update, a ``GNNExplainer`` run and scoring, in a
+    random order on one detector beside a second one of the same shape
+    (so both start at the same versions, with other weights). After
+    each: every layer's memo equal to a plan built now, array for array,
+    byte for byte, on both detectors, and their scores equal to those of
+    plans rebuilt for the call."""
+    from .. import nn
+    from ..explain.gnn_explainer import ExplainerConfig, GNNExplainer
+    from ..models.detector import XFraudDetector
+    from ..reliability.checkpoint import capture_training_state, restore_training_state
+    from ..stream.feedback import FineTuneConfig, OnlineFineTuner
+
+    rng = np.random.default_rng(seed)
+    graph = random_hetero_graph(rng, num_txns=max(2, size), feature_dim=5)
+    config = _small_detector_config(rng, seed, max_layers=2)
+    live, other = XFraudDetector(config), XFraudDetector(config)
+    for detector in (live, other):
+        random_weights(rng, detector)
+    txns = graph.txn_nodes
+    targets = txns[rng.integers(0, len(txns), size=int(rng.integers(1, 4)))]
+    optimizers = {
+        "sgd": nn.SGD(live.parameters(), lr=0.05, momentum=0.5),
+        "adam": nn.Adam(live.parameters(), lr=0.01, weight_decay=0.01),
+        "adamw": nn.AdamW(live.parameters(), lr=0.01),
+    }
+    snapshot = capture_training_state(live, optimizers["adamw"], np.random.default_rng(seed), 0)
+    operations = ("sgd", "adam", "adamw", "load", "restore", "finetune", "explain", "score")
+    done = []
+    for _ in range(4 + size % 5):
+        operation = str(rng.choice(operations))
+        done.append(operation)
+        if operation in optimizers:
+            live.train()
+            live.zero_grad()
+            live.loss(graph, targets).backward()
+            optimizers[operation].step()
+        elif operation == "load":
+            random_weights(rng, live)
+        elif operation == "restore":
+            restore_training_state(
+                snapshot, live, optimizers["adamw"], np.random.default_rng(seed)
+            )
+        elif operation == "finetune":
+            tuner = OnlineFineTuner(
+                live, FineTuneConfig(min_labels=1, every_labels=1, batch_size=2, seed=seed)
+            )
+            tuner.notify_labels(1)
+            tuner.maybe_update(graph, txns)
+        elif operation == "explain":
+            GNNExplainer(live, ExplainerConfig(epochs=2, seed=seed)).explain(graph, int(targets[0]))
+        for name, detector in (("the detector", live), ("its twin", other)):
+            problem = _plan_problem(detector, graph, targets)
+            if problem is not None:
+                return f"{' -> '.join(done)}, {config.num_layers} layers: {name}: {problem}"
+    return None
+
+
+@scenario("entity-rows-carry-no-input")
+def _fuzz_entity_rows(seed: int, size: int) -> Optional[str]:
+    """A metamorphic relation: only transactions carry features, so
+    noise in every entity's feature row — in the graph and in a KV
+    tier's copy of it — must change nothing, bit for bit: the
+    detector's scores, its loss and every parameter gradient on the
+    batch's receptive field (train and eval), the same on the whole
+    graph under the explainer's ``edge_mask`` / ``feature_mask`` (and
+    both masks' gradients), and the verdicts of a ``ScoringService``
+    hydrating its rows from the tier."""
+    from .. import nn
+    from ..models.detector import XFraudDetectorPlus
+    from ..nn import functional as F
+    from ..reliability.faults import ManualClock
+    from ..serving.service import ScoringService, ServiceConfig
+    from ..storage import GraphStore, InMemoryKVStore
+
+    rng = np.random.default_rng(seed)
+    graph = random_hetero_graph(rng, num_txns=size, feature_dim=5)
+    graph = _cut_edges(rng, graph, str(rng.choice(["whole", "thinned", "single-edge"])))
+    noise = graph.txn_features.copy()
+    entity = graph.node_type != 0
+    noise[entity] = rng.normal(scale=3.0, size=(int(entity.sum()), graph.feature_dim))
+    noisy = graph.with_features(noise)
+    config = _small_detector_config(rng, seed)
+    detector = XFraudDetectorPlus(config, hops=1 + size % 2, fanout=1 + size % 4)
+    random_weights(rng, detector)
+    txns = graph.txn_nodes
+    targets = txns[rng.integers(0, len(txns), size=int(rng.integers(1, 5)))]
+    labels = graph.labels[targets]
+    where = (
+        f"{config.num_layers} layers, {graph.num_nodes} nodes ({int(entity.sum())} entities), "
+        f"{graph.num_edges} edges, targets={targets.tolist()}"
+    )
+
+    clean, dirty = (detector.predict_proba(g, targets) for g in (graph, noisy))
+    if not np.array_equal(clean, dirty):
+        return f"{where}: predict_proba {clean.tolist()} -> {dirty.tolist()} under entity noise"
+    masks = (
+        rng.uniform(0.1, 0.9, size=graph.num_edges),
+        rng.uniform(0.1, 0.9, size=graph.txn_features.shape),
+    )
+    for training in (True, False):
+        for masked in (False, True):
+            sides = []
+            for case_graph in (graph, noisy):
+                twin = copy.deepcopy(detector)  # the same dropout draws on both sides
+                twin.train(training)
+                if masked:
+                    hooks = {"edge_mask": nn.Parameter(masks[0]), "feature_mask": nn.Parameter(masks[1])}
+                    loss = F.cross_entropy(twin.forward(case_graph, targets, **hooks), labels)
+                else:
+                    hooks = {}
+                    loss = twin.loss(case_graph, targets)
+                loss.backward()
+                named = list(hooks.items()) + list(twin.named_parameters())
+                sides.append((loss.item(), [(name, tensor.grad) for name, tensor in named]))
+            (loss, grads), (noisy_loss, noisy_grads) = sides
+            mode = f"{where}, {'train' if training else 'eval'}, {'masks' if masked else 'field'}"
+            if loss != noisy_loss:
+                return f"{mode}: loss {loss!r} -> {noisy_loss!r} under entity noise"
+            for (name, grad), (_, noisy_grad) in zip(grads, noisy_grads):
+                if not np.array_equal(grad, noisy_grad):
+                    return f"{mode}: grad of {name} moves under entity noise"
+
+    verdicts = []
+    for case_graph in (graph, noisy):
+        store = InMemoryKVStore()
+        GraphStore(store).save(case_graph)
+        service = ScoringService(
+            detector,
+            case_graph,
+            feature_store=store,
+            config=ServiceConfig(static_prior=0.01, batch_size=None),
+            clock=ManualClock(),
+        )
+        verdicts.append([(r.rung, r.score) for r in service.score_batch(targets.tolist())])
+    if verdicts[0] != verdicts[1]:
+        return f"{where}: served {verdicts[0]} -> {verdicts[1]} under entity noise in the KV tier"
     return None
 
 

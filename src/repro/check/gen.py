@@ -21,7 +21,7 @@ import numpy as np
 from ..data.events import TxnEvent
 from ..graph.hetero import EDGE_TYPE_IDS, NODE_TYPE_IDS, HeteroGraph
 
-__all__ = ["DELTA_SHAPES", "random_hetero_graph", "random_delta", "random_events"]
+__all__ = ["DELTA_SHAPES", "random_hetero_graph", "random_delta", "random_events", "random_weights"]
 
 _ENTITY_KINDS = ("pmt", "email", "addr", "buyer")
 
@@ -62,6 +62,20 @@ def random_hetero_graph(
     labels = np.full(len(node_types), -1, dtype=np.int64)
     labels[:num_txns] = rng.integers(0, 2, size=num_txns)
     return HeteroGraph.from_links(node_types, links, features, labels)
+
+
+def random_weights(rng: np.random.Generator, model) -> None:
+    """Every parameter of ``model`` drawn from ``N(0, 0.5²)``, in
+    ``named_parameters`` order, and written the one way parameters are:
+    ``load_state_dict`` (each one version newer). Type embeddings start
+    at zero and layer norms at identity; random weights leave no term of
+    a forward multiplied away."""
+    model.load_state_dict(
+        {
+            name: rng.normal(scale=0.5, size=param.data.shape)
+            for name, param in model.named_parameters()
+        }
+    )
 
 
 DELTA_SHAPES = ("full", "edge-only", "node-only", "empty")

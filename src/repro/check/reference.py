@@ -104,8 +104,11 @@ def conv_forward(
     heads, dim = layer.num_heads, layer.head_dim
 
     if layer.first_layer:
-        # eq. 2/4/6 input: X + τ(v)^emb  (+ φ(e)^emb handled below).
-        h = h + layer.node_type_emb(node_type)
+        # eq. 2/4/6 input: X + τ(v)^emb  (+ φ(e)^emb handled below), where
+        # X is a transaction's features and nothing for any other type:
+        # whatever an entity's row of ``h`` holds is not read.
+        is_txn = (node_type == NODE_TYPES.index("txn"))[:, None]
+        h = nn.where(is_txn, h, Tensor(0.0)) + layer.node_type_emb(node_type)
     query = _per_type_linear(h, node_type, layer.q_linear).reshape(num_nodes, heads, dim)
     key = _per_type_linear(h, node_type, layer.k_linear).reshape(num_nodes, heads, dim)
     value = _per_type_linear(h, node_type, layer.v_linear).reshape(num_nodes, heads, dim)

@@ -80,7 +80,10 @@ class HeteroGraph:
     edge_src, edge_dst, edge_type:
         ``(E,)`` int arrays describing directed edges.
     txn_features:
-        ``(N, F)`` float array; rows of non-``txn`` nodes are zero.
+        ``(N, F)`` float array; rows of non-``txn`` nodes are ignored by
+        the detector (its first layer reads transaction rows only, and
+        the scoring service fetches no others); graphs built here hold
+        zeros there.
     labels:
         ``(N,)`` int array: 1 fraud, 0 legit, -1 unlabeled / non-txn.
     """

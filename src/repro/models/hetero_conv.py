@@ -30,6 +30,10 @@ layer and step instead of one tape node per op and per node/edge type.
 A layer computes only what the next one reads: nodes are laid out by
 distance to the forward's targets, so the rows a layer reads and
 outputs and the edges it walks are prefixes (:meth:`InferenceLayout.layer`).
+What the kernel derives from the weights alone — including every
+entity's whole first-layer row, since only transactions carry features
+— is a :class:`LayerPlan`, built once per version of the layer's
+parameters (:meth:`HeteroConvLayer.plan`).
 The op-by-op ``Tensor`` version of the layer, on the whole graph, lives
 in :mod:`repro.check.reference`, as the spec ``repro check`` and the
 tests hold kernel and backward to.
@@ -48,7 +52,7 @@ from .. import nn
 from ..graph.hetero import EDGE_TYPES, NODE_TYPES, HeteroGraph
 from ..nn import Tensor
 from ..nn import functional as F
-from ..nn.segment import row_selector
+from ..nn.segment import scatter_selector
 from .field import EdgeRows
 
 #: Edge-type ids grouped by the projection that serves their source
@@ -58,6 +62,14 @@ _EDGE_TYPES_BY_SOURCE = {
     for name in NODE_TYPES
 }
 _EDGE_TYPES_BY_SOURCE["shared"] = np.arange(len(EDGE_TYPES))
+
+#: Node-type ids grouped the same way: the types each projection serves.
+_NODE_TYPES_BY_PROJECTION = {name: np.array([i]) for i, name in enumerate(NODE_TYPES)}
+_NODE_TYPES_BY_PROJECTION["shared"] = np.arange(len(NODE_TYPES))
+
+#: The one node type with input features; every other type's layer-1
+#: row is a constant of the weights (:attr:`LayerPlan.type_rows`).
+_TXN = NODE_TYPES.index("txn")
 
 #: Below this many edges a layer's :meth:`InferenceLayout.segment_sum`
 #: reduces with ``np.add.reduceat``; from it on, through a sparse 0/1
@@ -195,13 +207,16 @@ class InferenceLayout:
         )
 
     @cached_property
-    def _by_source(self) -> sparse.csr_matrix:
-        return row_selector(self.src, len(self.node_type))
+    def _by_source(self) -> sparse.csc_matrix:
+        """``(N, E)``: column ``e`` puts edge ``e`` on its source."""
+        return scatter_selector(self.src, len(self.node_type))
 
     @cached_property
-    def _by_relation(self) -> sparse.csr_matrix:
+    def _by_relation(self) -> sparse.csc_matrix:
+        """``(types x edge types, E)``: column ``e`` puts edge ``e`` on its
+        (source node type, edge type)."""
         relation = self.node_type[self.src] * len(EDGE_TYPES) + self.edge_type
-        return row_selector(relation, len(NODE_TYPES) * len(EDGE_TYPES))
+        return scatter_selector(relation, len(NODE_TYPES) * len(EDGE_TYPES))
 
     def segment_sum(self, values: np.ndarray) -> np.ndarray:
         """``(E, k)`` per-edge rows summed over each non-empty
@@ -214,12 +229,12 @@ class InferenceLayout:
 
     def sum_by_source(self, values: np.ndarray) -> np.ndarray:
         """``(E, k)`` per-edge rows summed into their source node: ``(N, k)``."""
-        return self._by_source.T @ values
+        return self._by_source @ values
 
     def sum_by_relation(self, values: np.ndarray) -> np.ndarray:
         """``(E, k)`` per-edge rows summed per (source node type, edge
         type): ``(len(NODE_TYPES) * len(EDGE_TYPES), k)``."""
-        return self._by_relation.T @ values
+        return self._by_relation @ values
 
 
 def _softmax_vjp(layout: InferenceLayout, attention: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -265,6 +280,98 @@ def _apply_blocks_vjp(
     return d_x, d_weights
 
 
+@dataclass(frozen=True)
+class LayerPlan:
+    """What a layer's kernel derives from its weights alone, built once
+    per parameter version (:meth:`HeteroConvLayer.plan`) and read by
+    every forward and pullback until one of them is written.
+
+    ``key`` is what it was built at: each parameter with its version.
+    """
+
+    key: List[Tuple[nn.Parameter, int]]
+    #: ``(W, b)`` per projection (a type name, or ``"shared"``), the Q, K
+    #: and V maps side by side: ``[Q | K | V]``, one matmul for three.
+    weights: Dict[str, Tuple[np.ndarray, np.ndarray]]
+    #: ``(types, 2·heads, d, d)``: ``[A_dst | A_src]`` per node type.
+    att: np.ndarray
+    #: The per-target-type A-Linear's ``(W, b)`` (target-specific only).
+    a_weights: Optional[Dict[str, Tuple[np.ndarray, np.ndarray]]] = None
+    # First layer only. ``extra``: K(φ) and V(φ) per edge type, no bias,
+    # through the projection of the edge type's source node type,
+    # ``(edge types, 2·heads, d)``; ``key_extra_att``: its K half through
+    # each node type's A_src, ``(types, edge types, heads, d)``;
+    # ``type_rows``: each node type's whole layer-1 row ``τ^emb·W + b``,
+    # ``(types, 3·out)`` — what an entity row is, and the bias of a
+    # transaction row; ``type_rows_att``: that row's ``[Q·A_dst | K·A_src]``,
+    # ``(types, 2·heads, d)``.
+    extra: Optional[np.ndarray] = None
+    key_extra_att: Optional[np.ndarray] = None
+    type_rows: Optional[np.ndarray] = None
+    type_rows_att: Optional[np.ndarray] = None
+
+
+def _projection_key(weights: dict, type_id: int) -> str:
+    """Which of ``weights`` projects node type ``type_id``."""
+    return NODE_TYPES[type_id] if NODE_TYPES[type_id] in weights else "shared"
+
+
+def _first_layer_projection(layout: InferenceLayout, h: np.ndarray, plan: LayerPlan) -> np.ndarray:
+    """Layer 1's ``[Q | K | V]`` rows. Only transactions carry features:
+    a transaction block is its rows of ``h`` through the projection plus
+    the plan's transaction row (the bias with ``τ_txn^emb·W`` folded in);
+    every other block is its type's plan row, and its rows of ``h`` are
+    never read."""
+    qkv = np.empty((len(h), plan.type_rows.shape[1]))
+    for type_id, start, stop in layout.type_blocks:
+        rows = qkv[start:stop]
+        if type_id == _TXN:
+            np.matmul(h[start:stop], plan.weights[_projection_key(plan.weights, type_id)][0], out=rows)
+            rows += plan.type_rows[type_id]
+        else:
+            rows[...] = plan.type_rows[type_id]
+    return qkv
+
+
+def _first_layer_projection_vjp(
+    layout: InferenceLayout,
+    h: np.ndarray,
+    node_emb: np.ndarray,
+    plan: LayerPlan,
+    grad: np.ndarray,
+    need_d_h: bool,
+) -> Tuple[Optional[np.ndarray], Dict[str, Tuple[np.ndarray, np.ndarray]], np.ndarray]:
+    """Backward of :func:`_first_layer_projection`: ``(d_h, {key: (d_W,
+    d_b)}, d τ^emb)``. Every block adds ``τ^emb·W + b`` to each of its
+    rows, so its share of ``d_W`` is ``outer(τ^emb, its column sum)`` —
+    one ``τ^embᵀ·(column sums)`` product per projection — and of ``d_b``
+    that column sum; a transaction block adds ``hᵀ·g`` and, when needed,
+    its rows of ``d_h = g·Wᵀ``. Every other row of ``d_h`` is 0: the
+    layer never read it. Zeros, not nothing, for an absent type (see
+    :func:`_apply_blocks_vjp`)."""
+    weights = plan.weights
+    d_h = np.zeros_like(h) if need_d_h else None
+    d_weights = {
+        key: (np.zeros_like(weight), np.zeros_like(bias)) for key, (weight, bias) in weights.items()
+    }
+    column_sums = np.zeros((len(NODE_TYPES), grad.shape[1]))
+    for type_id, start, stop in layout.type_blocks:
+        column_sums[type_id] += grad[start:stop].sum(axis=0)
+        if type_id == _TXN:
+            key = _projection_key(weights, type_id)
+            d_weight = d_weights[key][0]
+            d_weight += h[start:stop].T @ grad[start:stop]
+            if need_d_h:
+                np.matmul(grad[start:stop], weights[key][0].T, out=d_h[start:stop])
+    d_node_emb = np.empty_like(node_emb)
+    for key, (d_weight, d_bias) in d_weights.items():
+        types = _NODE_TYPES_BY_PROJECTION[key]
+        d_weight += node_emb[types].T @ column_sums[types]
+        d_bias += column_sums[types].sum(axis=0)
+        d_node_emb[types] = column_sums[types] @ weights[key][0].T
+    return d_h, d_weights, d_node_emb
+
+
 class HeteroConvLayer(nn.Module):
     """One attention-based heterogeneous convolution layer."""
 
@@ -292,6 +399,7 @@ class HeteroConvLayer(nn.Module):
         self.per_type_projections = per_type_projections
         self.dropout_rate = F.check_dropout_rate(dropout)
         self._rng = rng
+        self._plan: Optional[LayerPlan] = None  # see plan()
 
         # Q/K/V projections (eqs. 2–7), each mapping the layer input to
         # num_heads * head_dim. The paper's stated design principle is
@@ -447,15 +555,53 @@ class HeteroConvLayer(nn.Module):
         return Tensor._make(out, parents, backward)
 
     # ------------------------------------------------------------------
-    def _qkv_weights(self, key: str) -> Tuple[np.ndarray, np.ndarray]:
-        """``[Q | K | V]`` weights and biases side by side, so the three
-        projections are one matmul. Read from ``param.data`` on every
-        call: optimisers and ``load_state_dict`` write parameters in
-        place, so nothing derived from them may outlive the call."""
-        linears = (self.q_linear[key], self.k_linear[key], self.v_linear[key])
-        return (
-            np.concatenate([linear.weight.data for linear in linears], axis=1),
-            np.concatenate([linear.bias.data for linear in linears]),
+    def plan(self) -> LayerPlan:
+        """The :class:`LayerPlan` of this layer's parameters as they are:
+        built on the first call after any of them was written (their
+        versions moved), the same object on every call until then. Keyed
+        on each parameter itself and its version, so a parameter swapped
+        for another counts as a write too. The memo is this layer's own."""
+        key = [(param, param.version) for param in self.parameters()]
+        if self._plan is None or self._plan.key != key:
+            self._plan = self._build_plan(key)
+        return self._plan
+
+    def _build_plan(self, key: List[Tuple[nn.Parameter, int]]) -> LayerPlan:
+        """Every weight-only table of the kernel, from ``param.data``."""
+        heads, dim, out_dim = self.num_heads, self.head_dim, self.out_dim
+        weights = {}
+        for name in self.q_linear.keys():
+            linears = (self.q_linear[name], self.k_linear[name], self.v_linear[name])
+            weights[name] = (
+                np.concatenate([linear.weight.data for linear in linears], axis=1),
+                np.concatenate([linear.bias.data for linear in linears]),
+            )
+        att = np.concatenate([self.att_dst.data, self.att_src.data], axis=1)
+        a_weights = None
+        if self.target_specific:
+            a_weights = {
+                name: (linear.weight.data, linear.bias.data) for name, linear in self.a_linear.items()
+            }
+        if not self.first_layer:
+            return LayerPlan(key, weights, att, a_weights)
+
+        edge_emb = self.edge_type_emb.weight.data
+        extra = np.empty((len(EDGE_TYPES), 2 * out_dim))
+        for name, (weight, _) in weights.items():
+            rows = _EDGE_TYPES_BY_SOURCE[name]
+            extra[rows] = edge_emb[rows] @ weight[:, out_dim:]
+        extra = extra.reshape(len(EDGE_TYPES), 2 * heads, dim)
+        key_extra_att = np.matmul(extra[None, :, :heads, None, :], att[:, None, heads:])[:, :, :, 0, :]
+        node_emb = self.node_type_emb.weight.data
+        type_rows = np.empty((len(NODE_TYPES), 3 * out_dim))
+        for name, (weight, bias) in weights.items():
+            types = _NODE_TYPES_BY_PROJECTION[name]
+            type_rows[types] = node_emb[types] @ weight + bias
+        type_rows_att = np.matmul(
+            type_rows[:, : 2 * out_dim].reshape(len(NODE_TYPES), 2 * heads, 1, dim), att
+        )[:, :, 0, :]
+        return LayerPlan(
+            key, weights, att, a_weights, extra, key_extra_att, type_rows, type_rows_att
         )
 
     def kernel(
@@ -468,15 +614,21 @@ class HeteroConvLayer(nn.Module):
         """The convolution on raw arrays: ``(out, pullback)``.
 
         ``h`` is ``(num_in, in_dim)``, the rows ``layout`` reads in its
-        order; ``out`` the first ``layout.num_out`` of them. ``scale``
-        multiplies the normalised attention — ``(num_edges, heads)`` or
-        ``(num_edges, 1)``, in ``layout``'s edge order. The algebra is
-        eqs. 2–10 reordered, all exact up to float rounding:
+        order (the first layer reads the transaction rows only); ``out``
+        the first ``layout.num_out`` of them. ``scale`` multiplies the
+        normalised attention — ``(num_edges, heads)`` or ``(num_edges,
+        1)``, in ``layout``'s edge order. Everything derived from the
+        weights alone comes from :meth:`plan`. The algebra is eqs. 2–10
+        reordered, all exact up to float rounding:
 
         * the attention bilinears act on nodes, not edges:
           ``(K A_src[τ(s)])[s] · (Q A_dst[τ(t)])[t]`` — ``N`` rows
           through the matrices instead of ``2E``, one matmul per type
           block for both sides;
+        * at the first layer an entity has no input but ``τ^emb``, so
+          its whole row (``[Q | K | V]`` and both bilinears) is one plan
+          row per type: only transaction blocks are multiplied
+          (:func:`_first_layer_projection`);
         * the first layer's ``φ(e)^emb`` term is a table with a row per
           (source node type, edge type), pushed through the same
           bilinear and gathered per edge;
@@ -492,45 +644,37 @@ class HeteroConvLayer(nn.Module):
         ``save`` nothing is kept, buffers are reused and ``pullback`` is
         ``None``.
         """
+        plan = self.plan()
         heads, dim, out_dim = self.num_heads, self.head_dim, self.out_dim
         src, segment, starts = layout.src, layout.segment, layout.starts
         num_in, num_out, num_edges = len(h), layout.num_out, len(src)
 
-        x = h
         if self.first_layer:
-            x = h + self.node_type_emb.weight.data[layout.node_type]
-        keys = NODE_TYPES if self.per_type_projections else ("shared",)
-        weights = {key: self._qkv_weights(key) for key in keys}
-        qkv = _apply_blocks(layout, x, weights)
+            qkv = _first_layer_projection(layout, h, plan)
+        else:
+            qkv = _apply_blocks(layout, h, plan.weights)
         value = qkv[:, 2 * out_dim :].reshape(num_in, heads, dim)
 
         # eq. 8 per node: [Q·A_dst[τ(v)] | K·A_src[τ(v)]], heads of
-        # both sides batched into one matmul per type block.
+        # both sides batched into one matmul per type block (at the first
+        # layer, an entity block's is the plan's row).
         query_key = qkv[:, : 2 * out_dim].reshape(num_in, 2 * heads, dim)
-        att = np.concatenate([self.att_dst.data, self.att_src.data], axis=1)
+        att = plan.att
         query_key_att = np.empty_like(query_key)
         for type_id, start, stop in layout.type_blocks:
-            query_key_att[start:stop] = np.matmul(
-                query_key[start:stop].transpose(1, 0, 2), att[type_id]
-            ).transpose(1, 0, 2)
+            if self.first_layer and type_id != _TXN:
+                query_key_att[start:stop] = plan.type_rows_att[type_id]
+            else:
+                query_key_att[start:stop] = np.matmul(
+                    query_key[start:stop].transpose(1, 0, 2), att[type_id]
+                ).transpose(1, 0, 2)
         key_att = query_key_att[:, heads:][src]
         value_edges = value[src]
 
         if self.first_layer:
-            # K(φ) and V(φ) without bias, through the projection of the
-            # edge type's source node type.
-            edge_emb = self.edge_type_emb.weight.data
-            extra = np.empty((len(EDGE_TYPES), 2 * out_dim))
-            for key in keys:
-                rows = _EDGE_TYPES_BY_SOURCE[key]
-                extra[rows] = edge_emb[rows] @ weights[key][0][:, out_dim:]
-            extra = extra.reshape(len(EDGE_TYPES), 2 * heads, dim)
-            # (source node type, edge type, head, dim): K(φ)·A_src[τ(s)].
-            key_extra_att = np.matmul(
-                extra[None, :, :heads, None, :], att[:, None, heads:]
-            )[:, :, :, 0, :]
-            key_att += key_extra_att[layout.node_type[src], layout.edge_type]
-            value_edges += extra[layout.edge_type, heads:]
+            # K(φ)·A_src[τ(s)] and V(φ), per (source node type, edge type).
+            key_att += plan.key_extra_att[layout.node_type[src], layout.edge_type]
+            value_edges += plan.extra[layout.edge_type, heads:]
 
         query_att = query_key_att[:, :heads][layout.dst]
         logits = np.einsum("ehd,ehd->eh", key_att, query_att)
@@ -549,11 +693,7 @@ class HeteroConvLayer(nn.Module):
         aggregated[layout.heads] = layout.segment_sum(messages.reshape(num_edges, out_dim))
         out = aggregated
         if self.target_specific:
-            a_weights = {
-                name: (linear.weight.data, linear.bias.data)
-                for name, linear in self.a_linear.items()
-            }
-            out = _apply_blocks(layout, aggregated, a_weights)
+            out = _apply_blocks(layout, aggregated, plan.a_weights)
         np.maximum(out, 0.0, out=out)
         if not save:
             return out, None
@@ -565,7 +705,7 @@ class HeteroConvLayer(nn.Module):
             # ReLU, then the per-target-type A-Linear.
             grad = grad * (out > 0.0)
             if self.target_specific:
-                grad, d_linears = _apply_blocks_vjp(layout, aggregated, a_weights, grad)
+                grad, d_linears = _apply_blocks_vjp(layout, aggregated, plan.a_weights, grad)
                 for key, (d_weight, d_bias) in d_linears.items():
                     grads[f"a_linear.{key}.weight"], grads[f"a_linear.{key}.bias"] = d_weight, d_bias
 
@@ -606,17 +746,15 @@ class HeteroConvLayer(nn.Module):
                 d_att[type_id] += np.matmul(query_key[start:stop].transpose(1, 2, 0), block)
             grads["att_dst"], grads["att_src"] = d_att[:, :heads], d_att[:, heads:]
 
-            # The stacked [Q | K | V] projection: one xᵀ·g / g·Wᵀ pair.
-            d_h, d_linears = _apply_blocks_vjp(layout, x, weights, d_qkv, need_d_h)
-
-            if self.first_layer:
-                # x = h + τ(v)^emb: a type's row gets its block's column
-                # sums of d_qkv through Wᵀ — the block sum of d_x, without d_x.
-                d_node_emb = np.zeros_like(self.node_type_emb.weight.data)
-                for type_id, start, stop in layout.type_blocks:
-                    weight = weights[NODE_TYPES[type_id] if self.per_type_projections else "shared"][0]
-                    d_node_emb[type_id] += d_qkv[start:stop].sum(axis=0) @ weight.T
-                grads["node_type_emb.weight"] = d_node_emb
+            # The stacked [Q | K | V] projection: one hᵀ·g / g·Wᵀ pair per
+            # block, and at the first layer τ^emb's share besides.
+            weights = plan.weights
+            if not self.first_layer:
+                d_h, d_linears = _apply_blocks_vjp(layout, h, weights, d_qkv, need_d_h)
+            else:
+                d_h, d_linears, grads["node_type_emb.weight"] = _first_layer_projection_vjp(
+                    layout, h, self.node_type_emb.weight.data, plan, d_qkv, need_d_h
+                )
                 # The φ(e)^emb table: its per-(source type, edge type) rows
                 # went through A_src (keys) or straight to the values.
                 by_relation = layout.sum_by_relation(by_edge).reshape(
@@ -624,7 +762,7 @@ class HeteroConvLayer(nn.Module):
                 )
                 d_key_extra_att = by_relation[:, :, :heads]
                 grads["att_src"] = grads["att_src"] + np.einsum(
-                    "rhi,trhj->thij", extra[:, :heads], d_key_extra_att
+                    "rhi,trhj->thij", plan.extra[:, :heads], d_key_extra_att
                 )
                 d_extra = np.concatenate(
                     [
@@ -633,6 +771,7 @@ class HeteroConvLayer(nn.Module):
                     ],
                     axis=1,
                 ).reshape(len(EDGE_TYPES), 2 * out_dim)
+                edge_emb = self.edge_type_emb.weight.data
                 d_edge_emb = np.empty_like(edge_emb)
                 for key, (d_weight, _) in d_linears.items():
                     rows = _EDGE_TYPES_BY_SOURCE[key]

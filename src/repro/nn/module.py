@@ -8,6 +8,7 @@ distributed trainer's replica synchronisation.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -18,10 +19,41 @@ from .tensor import Tensor
 
 
 class Parameter(Tensor):
-    """A tensor flagged as trainable."""
+    """A tensor flagged as trainable, read-only between writes.
+
+    ``data`` (a private copy of what it was built from) changes only
+    inside :meth:`write`, and every write bumps ``version``: anything
+    derived from the array alone is current exactly while the versions
+    it was derived at are (:class:`~repro.models.hetero_conv.
+    HeteroConvLayer` keys its plan on them). ``Optimizer.step`` and
+    ``Module.load_state_dict`` are the two writers; one that goes around
+    :meth:`write` fails with numpy's "assignment destination is
+    read-only" instead of leaving stale tables in use.
+    """
+
+    __slots__ = ("version",)
 
     def __init__(self, data) -> None:
-        super().__init__(data, requires_grad=True)
+        super().__init__(np.array(data, dtype=np.float64), requires_grad=True)
+        self.data.flags.writeable = False
+        self.version = 0
+
+    @contextmanager
+    def write(self) -> Iterator[np.ndarray]:
+        """``data``, writable inside the ``with``; read-only and one
+        version newer after it."""
+        self.data.flags.writeable = True
+        try:
+            yield self.data
+        finally:
+            self.data.flags.writeable = False
+            self.version += 1
+
+    def __setstate__(self, state) -> None:
+        # copy.deepcopy (and pickle) rebuild the array writable.
+        for name, value in state[1].items():
+            setattr(self, name, value)
+        self.data.flags.writeable = False
 
 
 class Module:
@@ -49,7 +81,12 @@ class Module:
             yield from module.named_parameters(prefix=f"{prefix}{name}.")
 
     def parameters(self) -> List[Parameter]:
-        return [param for _, param in self.named_parameters()]
+        """:meth:`named_parameters` without the names (no generators:
+        this walk runs on every forward, see ``HeteroConvLayer.plan``)."""
+        found = list(self._parameters.values())
+        for module in self._modules.values():
+            found += module.parameters()
+        return found
 
     def zero_grad(self) -> None:
         for param in self.parameters():
@@ -70,7 +107,8 @@ class Module:
         return {name: param.data.copy() for name, param in self.named_parameters()}
 
     def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
-        """Load parameters in place; names and shapes must match."""
+        """Load parameters in place, each one version newer; names and
+        shapes must match."""
         own = dict(self.named_parameters())
         missing = set(own) - set(state)
         unexpected = set(state) - set(own)
@@ -79,7 +117,8 @@ class Module:
         for name, param in own.items():
             if param.data.shape != state[name].shape:
                 raise ValueError(f"shape mismatch for {name}: {param.data.shape} vs {state[name].shape}")
-            param.data[...] = state[name]
+            with param.write() as data:
+                data[...] = state[name]
 
     def num_parameters(self) -> int:
         """Total scalar parameter count."""

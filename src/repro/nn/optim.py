@@ -44,6 +44,18 @@ class Optimizer:
             param.zero_grad()
 
     def step(self) -> None:
+        """Update every parameter holding a gradient in place: one
+        :meth:`Parameter.write`, so one version bump, each."""
+        self._begin_step()
+        for index, param in enumerate(self.parameters):
+            if param.grad is not None:
+                with param.write() as data:
+                    self._update(index, data, param.grad)
+
+    def _begin_step(self) -> None:
+        """State a step sets up before the first parameter's update."""
+
+    def _update(self, index: int, data: np.ndarray, grad: np.ndarray) -> None:
         raise NotImplementedError
 
     # -- (de)serialisation: required for checkpoint/resume ---------------
@@ -81,17 +93,16 @@ class SGD(Optimizer):
         self.momentum = momentum
         self._velocity: Optional[List[np.ndarray]] = None
 
-    def step(self) -> None:
+    def _begin_step(self) -> None:
         if self.momentum and self._velocity is None:
             self._velocity = [np.zeros_like(p.data) for p in self.parameters]
-        for i, param in enumerate(self.parameters):
-            if param.grad is None:
-                continue
-            if self.momentum:
-                self._velocity[i] = self.momentum * self._velocity[i] + param.grad
-                param.data -= self.lr * self._velocity[i]
-            else:
-                param.data -= self.lr * param.grad
+
+    def _update(self, index: int, data: np.ndarray, grad: np.ndarray) -> None:
+        if self.momentum:
+            self._velocity[index] = self.momentum * self._velocity[index] + grad
+            data -= self.lr * self._velocity[index]
+        else:
+            data -= self.lr * grad
 
     def state_dict(self) -> Dict:
         state = super().state_dict()
@@ -126,22 +137,17 @@ class Adam(Optimizer):
         self._m = [np.zeros_like(p.data) for p in self.parameters]
         self._v = [np.zeros_like(p.data) for p in self.parameters]
 
-    def _update(self, param: Parameter, index: int, grad: np.ndarray) -> None:
+    def _begin_step(self) -> None:
+        self._step += 1
+
+    def _update(self, index: int, data: np.ndarray, grad: np.ndarray) -> None:
+        if self.weight_decay:
+            grad = grad + self.weight_decay * data
         self._m[index] = self.beta1 * self._m[index] + (1 - self.beta1) * grad
         self._v[index] = self.beta2 * self._v[index] + (1 - self.beta2) * grad**2
         m_hat = self._m[index] / (1 - self.beta1**self._step)
         v_hat = self._v[index] / (1 - self.beta2**self._step)
-        param.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-    def step(self) -> None:
-        self._step += 1
-        for i, param in enumerate(self.parameters):
-            if param.grad is None:
-                continue
-            grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            self._update(param, i, grad)
+        data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
     def state_dict(self) -> Dict:
         """First/second moments plus the bias-correction step count."""
@@ -175,15 +181,11 @@ class AdamW(Adam):
         super().__init__(parameters, lr=lr, betas=betas, eps=eps, weight_decay=0.0)
         self.decoupled_weight_decay = weight_decay
 
-    def step(self) -> None:
-        self._step += 1
-        for i, param in enumerate(self.parameters):
-            if param.grad is None:
-                continue
-            # Decoupled decay applies directly to weights, not the grad.
-            if self.decoupled_weight_decay:
-                param.data -= self.lr * self.decoupled_weight_decay * param.data
-            self._update(param, i, param.grad)
+    def _update(self, index: int, data: np.ndarray, grad: np.ndarray) -> None:
+        # Decoupled decay applies directly to weights, not the grad.
+        if self.decoupled_weight_decay:
+            data -= self.lr * self.decoupled_weight_decay * data
+        super()._update(index, data, grad)
 
 
 class CosineDecay:

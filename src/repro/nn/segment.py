@@ -26,19 +26,20 @@ from scipy import sparse
 from .tensor import Tensor
 
 
-def row_selector(index: np.ndarray, num_rows: int) -> sparse.csr_matrix:
-    """The 0/1 matrix ``S`` with ``S[i, index[i]] = 1``: ``S @ x`` is
-    ``x[index]`` and ``S.T @ values`` is ``out[index[i]] += values[i]``.
+def scatter_selector(index: np.ndarray, num_rows: int) -> sparse.csc_matrix:
+    """The 0/1 matrix ``S`` with ``S[index[i], i] = 1``: ``S @ values``
+    is ``out[index[i]] += values[i]`` and ``S.T @ x`` is ``x[index]``.
 
-    One entry per row is already a valid CSR — ``(ones, index,
-    arange(n + 1))`` — so nothing is sorted; the bounds are checked here
-    because scipy takes the three arrays as given.
+    One entry per column is already a valid CSC — ``(ones, index,
+    arange(n + 1))`` — so nothing is sorted, and the matrix is built as
+    it is used (not as a CSR and its transposed view); the bounds are
+    checked here because scipy takes the three arrays as given.
     """
     index = np.asarray(index, dtype=np.int64)
     if len(index) and not 0 <= index.min() <= index.max() < num_rows:
         raise IndexError(f"row index out of range for {num_rows} rows")
-    return sparse.csr_matrix(
-        (np.ones(len(index)), index, np.arange(len(index) + 1)), shape=(len(index), num_rows)
+    return sparse.csc_matrix(
+        (np.ones(len(index)), index, np.arange(len(index) + 1)), shape=(num_rows, len(index))
     )
 
 
@@ -46,7 +47,7 @@ def scatter_add_rows(values: np.ndarray, index: np.ndarray, num_rows: int) -> np
     """``out[index[i]] += values[i]`` as a sparse matmul.
 
     ``np.add.at`` performs the same reduction but through a slow
-    element-wise inner loop; routing it through :func:`row_selector`
+    element-wise inner loop; routing it through :func:`scatter_selector`
     keeps the hot path of every GNN layer in BLAS-speed code.
     """
     index = np.asarray(index, dtype=np.int64)
@@ -54,7 +55,7 @@ def scatter_add_rows(values: np.ndarray, index: np.ndarray, num_rows: int) -> np
         return np.bincount(index, weights=values, minlength=num_rows)
     # Explicit width: ``-1`` cannot be inferred when there are no rows.
     flat = values.reshape(len(index), int(np.prod(values.shape[1:])))
-    out = row_selector(index, num_rows).T @ flat
+    out = scatter_selector(index, num_rows) @ flat
     return np.asarray(out).reshape((num_rows,) + values.shape[1:])
 
 

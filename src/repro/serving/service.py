@@ -36,7 +36,7 @@ from typing import Callable, List, Optional, Sequence, Union
 import numpy as np
 
 from ..graph.cache import SubgraphCache
-from ..graph.hetero import HeteroGraph
+from ..graph.hetero import NODE_TYPE_IDS, HeteroGraph
 from ..graph.sampling import stack_subgraphs, unstack_subgraphs
 from ..util import batched
 from ..obs.registry import MetricsRegistry
@@ -516,14 +516,21 @@ class ScoringService:
         sampled = stack_subgraphs([part for _, part in survivors])
         forward_graph = sampled.graph
         if self.feature_store is not None:
-            # Components may repeat an original id (two targets sampling
-            # the same hub): fetch each row once, scatter to every copy.
-            # A lone component's ids are unique as sampled.
-            ids, inverse = sampled.original_ids, slice(None)
+            # Only transactions carry features (the detector reads no
+            # entity row), so only their rows are fetched; entity rows
+            # stay zero. Components may repeat an original id (two
+            # targets sampling the same hub): fetch each row once,
+            # scatter to every copy. A lone component's ids are unique
+            # as sampled.
+            txn = sampled.graph.node_type == NODE_TYPE_IDS["txn"]
+            ids, inverse = sampled.original_ids[txn], slice(None)
             if len(survivors) > 1:
                 ids, inverse = np.unique(ids, return_inverse=True)
             with self.tracer.span("feature_fetch", rows=int(len(ids))):
-                rows = self._fetch_features(ids, group)[inverse]
+                fetched = self._fetch_features(ids, group)
+            features = self.graph.txn_features
+            rows = np.zeros((len(txn), features.shape[1]), dtype=features.dtype)
+            rows[txn] = fetched[inverse]
             # Hydrate onto an O(1) clone: the sampled subgraphs may live
             # in the SubgraphCache and must never carry another
             # request's feature rows.

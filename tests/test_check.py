@@ -45,7 +45,7 @@ from repro.graph.sampling import SageSampler, stack_subgraphs, unstack_subgraphs
 from repro.models import field as field_module
 from repro.models import hetero_conv
 from repro.nn import functional as F
-from repro.nn.segment import row_selector
+from repro.nn.segment import scatter_selector
 from repro.storage import loader as loader_module
 from repro.storage.replicated import ReplicatedKVStore
 from repro.train import DistributedTrainer, NoSurvivorsError
@@ -331,16 +331,23 @@ class TestRegressionSeeds:
             del SCENARIOS["synthetic-crash"]
 
 
+#: Cases each scenario gets in a mutant test: what `repro check --fuzz
+#: 150` deals each of the 15 (``--fuzz 120`` did over 13; a fixed trial
+#: count would thin every scenario's share as scenarios are added).
+CASES_PER_SCENARIO = 10
+
+
 def _caught_by(name, alone=False):
-    """`repro check --fuzz 120` (= ``run_fuzz(120, seed=0)``) fails, and
-    fails first in scenario ``name``: its failure record. ``alone``, for
-    a mutant that a scenario dealt earlier in the round also sees: fails
-    on the cases that run deals to ``name`` itself (a scenario's case
-    sequence does not depend on which others are selected)."""
+    """`repro check --fuzz 150` (= ``run_fuzz(150, seed=0)``: ten cases a
+    scenario) fails, and fails first in scenario ``name``: its failure
+    record. ``alone``, for a mutant that a scenario dealt earlier in the
+    round also sees: fails on the cases that run deals to ``name``
+    itself (a scenario's case sequence does not depend on which others
+    are selected)."""
     if alone:
-        report = run_fuzz(-(-120 // len(SCENARIOS)), seed=0, names=[name])
+        report = run_fuzz(CASES_PER_SCENARIO, seed=0, names=[name])
     else:
-        report = run_fuzz(120, seed=0)
+        report = run_fuzz(CASES_PER_SCENARIO * len(SCENARIOS), seed=0)
     assert not report.ok
     assert report.failures[0].scenario == name, report.failures[0]
     return report.failures[0]
@@ -378,7 +385,7 @@ def _edge_ids_unsorted(graph, targets, hops):
 
 
 class TestPrunedStepMutants:
-    """`repro check --fuzz 120` (= ``run_fuzz(120, seed=0)``) must fail,
+    """`repro check --fuzz 150` (= ``run_fuzz(150, seed=0)``) must fail,
     in ``pruned-step-vs-full-graph``, on each way the receptive-field
     step can be subtly wrong. The first three are planted on the step's
     path only (``models.field``), so it is the loss / gradient
@@ -443,7 +450,7 @@ def _shuffle_stream_left_behind(state, model, optimizer, rng):
 
 
 class TestSupervisedRoundMutants:
-    """`repro check --fuzz 120` must fail, in
+    """`repro check --fuzz 150` must fail, in
     ``supervised-round-vs-engine``, when the one all-reduce or the one
     restore is subtly wrong. Rollback, rejoin catch-up and resume share
     ``restore_training_state``, so the two restore mutants are planted
@@ -492,7 +499,7 @@ def _softmax_segment_term_dropped(layout, attention, grad):
 
 
 def _by_source_sum_uses_dst(layout, values):
-    return row_selector(layout.dst, len(layout.node_type)).T @ values
+    return scatter_selector(layout.dst, len(layout.node_type)) @ values
 
 
 def _bias_grad_omitted(layout, x, weights, grad, need_d_x=True):
@@ -512,7 +519,7 @@ def _mask_not_permuted(cls, graph, targets=None, depth=0):
 
 
 class TestFusedBackwardMutants:
-    """`repro check --fuzz 120` must fail, in
+    """`repro check --fuzz 150` must fail, in
     ``fused-backward-vs-autograd``, on each way the convolution node's
     hand-written backward (or its use of the layout) can be subtly
     wrong. Every mutant leaves the eval-mode forward alone, so no
@@ -578,7 +585,7 @@ def _edited(function, old, new):
 
 
 class TestTrimmedLayerMutants:
-    """`repro check --fuzz 120` must fail, in
+    """`repro check --fuzz 150` must fail, in
     ``trimmed-layers-vs-untrimmed-layout``, on each way a layer's prefix
     of the layout can be cut wrong. A cut that is too short mostly
     indexes past a prefix (and a raising scenario is a divergence), so
@@ -638,7 +645,7 @@ class TestTrimmedLayerMutants:
 
 
 class TestDisjointWalkMutants:
-    """`repro check --fuzz 120` must fail, in
+    """`repro check --fuzz 150` must fail, in
     ``disjoint-walk-vs-singleton-samples``, on each way the one walk can
     lose track of which component a node or an edge belongs to. Every
     mutant leaves ``sample(graph, [t])`` and the loop alone."""
@@ -706,7 +713,7 @@ class TestFastWalkMutants:
     """The fast walks have one implementation each now; what keeps it
     honest is the scalar spec in ``repro.check.reference``. Two
     one-expression edits of the vectorized SAGE walk each fail
-    `repro check --fuzz 120`."""
+    `repro check --fuzz 150`."""
 
     def test_fanout_cap_keeps_one_edge_too_many(self, monkeypatch):
         mutant = _edited(SageSampler._kept, "rank < self.fanout", "rank <= self.fanout")
@@ -724,8 +731,73 @@ class TestFastWalkMutants:
         assert "original_ids" in _caught_by("disjoint-walk-vs-singleton-samples").detail
 
 
+class TestLayerPlanMutants:
+    """`repro check --fuzz 150` must fail, in ``plan-memo-vs-fresh-plan``,
+    on each way the layer plan's memo can outlive the weights it was
+    derived from. Older scenarios dealt earlier in a round see them too
+    — the central differences of ``fused-backward-vs-autograd`` move
+    parameters through ``load_state_dict``, and a plan shared across
+    detectors meets one of another shape — so each is asserted on the
+    scenario's own cases."""
+
+    NAME = "plan-memo-vs-fresh-plan"
+
+    def test_a_writer_that_does_not_bump_the_version(self, monkeypatch):
+        mutant = _edited(nn.Parameter.write.__wrapped__, "self.version += 1", "pass")
+        monkeypatch.setattr(nn.Parameter, "write", mutant)
+        assert "!= a plan built now" in _caught_by(self.NAME, alone=True).detail
+
+    def test_a_plan_keyed_on_the_parameters_identity(self, monkeypatch):
+        mutant = _edited(
+            hetero_conv.HeteroConvLayer.plan,
+            "key = [(param, param.version) for param in self.parameters()]",
+            "key = [id(param) for param in self.parameters()]",
+        )
+        monkeypatch.setattr(hetero_conv.HeteroConvLayer, "plan", mutant)
+        assert "!= a plan built now" in _caught_by(self.NAME, alone=True).detail
+
+    def test_one_plan_shared_by_two_detectors(self, monkeypatch):
+        plans = {}
+
+        def plan(self):  # memoised by position and versions, not per layer
+            key = (self.first_layer, tuple(param.version for param in self.parameters()))
+            if key not in plans:
+                plans[key] = self._build_plan(None)
+            return plans[key]
+
+        monkeypatch.setattr(hetero_conv.HeteroConvLayer, "plan", plan)
+        assert "memoised plan" in _caught_by(self.NAME, alone=True).detail
+
+    def test_relation_and_shrunk_case_hold_on_the_real_plan(self):
+        assert run_fuzz(120, seed=0, names=[self.NAME]).ok
+        # What all three shrink to: one restore_training_state (then an
+        # SGD step and a fine-tune) on a one-layer detector.
+        assert run_case(self.NAME, 0, 1) is None
+
+
+class TestEntityRowMutants:
+    """...and, in ``entity-rows-carry-no-input``, when layer 1 reads
+    entity rows after all. On zero rows — every generated graph — the
+    result is the same, so only the relation sees it, and the central
+    differences of ``fused-backward-vs-autograd`` (random ``h`` on every
+    row, dealt earlier in a round): asserted on the scenario's own cases."""
+
+    NAME = "entity-rows-carry-no-input"
+
+    def test_layer_one_reads_entity_rows(self, monkeypatch):
+        mutant = _edited(hetero_conv._first_layer_projection, "if type_id == _TXN:", "if True:")
+        monkeypatch.setattr(hetero_conv, "_first_layer_projection", mutant)
+        assert "under entity noise" in _caught_by(self.NAME, alone=True).detail
+
+    def test_relation_and_shrunk_case_hold_on_the_real_kernel(self):
+        assert run_fuzz(120, seed=0, names=[self.NAME]).ok
+        # What the mutant shrinks to: a three-layer detector on an
+        # 8-node graph of one transaction and seven entities.
+        assert run_case(self.NAME, 1, 1) is None
+
+
 class TestBatchedReadMutants:
-    """`repro check --fuzz 120` must fail, in
+    """`repro check --fuzz 150` must fail, in
     ``batched-read-vs-per-key-gets``, on each way ``get_many`` can stop
     being the loop of ``get`` calls it replaces. Every mutant is one
     edit of ``ReplicatedKVStore._get_many``; ``get`` is left alone."""

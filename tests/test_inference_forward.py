@@ -5,9 +5,10 @@ behind it — and ``XFraudDetector.forward`` is a tape node over that same
 kernel, so the reference is ``repro.check.reference.PerOpDetector``: the
 same parameters through the op-by-op ``Tensor`` convolution, in eval
 mode under ``no_grad``. The two must agree to ``BOUND`` on every graph
-shape and every ablation config, and the kernel must read the
-parameters live (no cached export) and leave the module's mode and
-dropout generator alone.
+shape and every ablation config, the kernel must follow every write
+of the parameters (its weight-only tables are memoised per parameter
+version, never past a write) and leave the module's mode and dropout
+generator alone.
 """
 
 import itertools
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.check.gen import random_hetero_graph
+from repro.check.gen import random_hetero_graph, random_weights
 from repro.data import load_dataset
 from repro.graph.hetero import EDGE_TYPES, NODE_TYPE_IDS, HeteroGraph
 from repro.graph.sampling import SageSampler, stack_subgraphs
@@ -51,9 +52,7 @@ def make_detector(per_type=False, target_specific=False, feature_dim=FEATURE_DIM
             seed=seed,
         )
     )
-    rng = np.random.default_rng(seed + 1)
-    for param in model.parameters():
-        param.data[...] = rng.normal(scale=0.5, size=param.data.shape)
+    random_weights(np.random.default_rng(seed + 1), model)
     return model
 
 
@@ -177,8 +176,8 @@ def test_stacked_scores_equal_singleton_scores():
 
 class TestLiveWeights:
     """Optimisers and ``load_state_dict`` write ``param.data`` in place;
-    a kernel that cached anything derived from the weights would keep
-    scoring with the old ones."""
+    a plan that outlived such a write would keep scoring with the old
+    weights."""
 
     def test_follows_an_optimizer_step(self):
         graph, targets = _all_edge_types()
@@ -200,6 +199,81 @@ class TestLiveWeights:
         assert np.abs(after - before).max() > 1e-4
         assert np.abs(after - reference_scores(model, graph, targets)).max() <= BOUND
         assert np.array_equal(after, make_detector(seed=9).predict_proba(graph, targets))
+
+
+class TestLayerPlan:
+    """Each layer derives its weight-only tables once per version of its
+    parameters (``HeteroConvLayer.plan``), and the versions cannot be
+    skipped: a parameter array is read-only outside ``Parameter.write``."""
+
+    @staticmethod
+    def _count_builds(monkeypatch):
+        from repro.models.hetero_conv import HeteroConvLayer
+
+        builds, real = [], HeteroConvLayer._build_plan
+        monkeypatch.setattr(
+            HeteroConvLayer, "_build_plan", lambda layer, key: builds.append(layer) or real(layer, key)
+        )
+        return builds
+
+    def test_built_once_until_a_write(self, monkeypatch):
+        graph, targets = _all_edge_types()
+        model = make_detector()
+        builds = self._count_builds(monkeypatch)
+        first = model.predict_proba(graph, targets)
+        assert builds == list(model.convs)
+        assert np.array_equal(model.predict_proba(graph, targets), first)
+        assert builds == list(model.convs)  # the second call built nothing
+        model.load_state_dict(model.state_dict())
+        assert np.array_equal(model.predict_proba(graph, targets), first)
+        assert builds == 2 * list(model.convs)
+
+    def test_one_plan_per_training_step(self, monkeypatch):
+        graph, targets = _all_edge_types()
+        model = make_detector()
+        optimizer = nn.AdamW(model.parameters(), lr=0.01)
+        builds = self._count_builds(monkeypatch)
+        for _ in range(3):
+            optimizer.zero_grad()
+            model.loss(graph, targets).backward()
+            optimizer.step()
+        assert builds == 3 * list(model.convs)
+
+    def test_one_plan_per_explanation(self, monkeypatch):
+        from repro.explain import ExplainerConfig, GNNExplainer
+
+        graph, targets = _all_edge_types()
+        model = make_detector()
+        builds = self._count_builds(monkeypatch)
+        explanation = GNNExplainer(model, ExplainerConfig(epochs=20)).explain(graph, targets[0])
+        assert len(explanation.loss_history) == 20  # 21 forwards on frozen weights
+        assert builds == list(model.convs)
+
+    def test_a_write_around_the_version_raises(self):
+        param = make_detector().convs[0].att_src
+        with pytest.raises(ValueError, match="read-only"):
+            param.data[...] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            param.data -= 1.0
+        version = param.version
+        with param.write() as data:
+            data -= 1.0
+        assert param.version == version + 1 and not param.data.flags.writeable
+
+    def test_a_copy_is_read_only_too(self):
+        import copy
+
+        twin = copy.deepcopy(make_detector())
+        assert not any(param.data.flags.writeable for param in twin.parameters())
+        assert all(param.version == 1 for param in twin.parameters())
+
+    def test_plans_are_per_layer_not_per_version(self):
+        """Two detectors at the same versions hold other weights."""
+        graph, targets = _all_edge_types()
+        one, other = make_detector(seed=0), make_detector(seed=3)
+        assert [p.version for p in one.parameters()] == [p.version for p in other.parameters()]
+        assert not np.array_equal(one.predict_proba(graph, targets), other.predict_proba(graph, targets))
+        assert np.abs(other.predict_proba(graph, targets) - reference_scores(other, graph, targets)).max() <= BOUND
 
 
 @pytest.mark.parametrize("training", [True, False])

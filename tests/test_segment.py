@@ -14,7 +14,7 @@ from repro.nn import (
     segment_softmax,
     segment_sum,
 )
-from repro.nn.segment import row_selector, scatter_add_rows
+from repro.nn.segment import scatter_add_rows, scatter_selector
 
 
 class TestGather:
@@ -147,7 +147,7 @@ class TestScatterRows:
 
 
 class TestScatterAddRows:
-    """The unsorted one-hot (``row_selector(...).T @ values``) must give
+    """The unsorted one-hot (``scatter_selector(...) @ values``) must give
     what the COO-built one did, bit for bit: every tape that stays on
     the per-op engine (GAT, GEM, the FFN head) runs through it."""
 
@@ -170,12 +170,12 @@ class TestScatterAddRows:
         assert out.shape == (num_rows,) + trailing
         assert np.array_equal(out, self._through_coo(values, index, num_rows))
 
-    def test_selector_gathers_and_its_transpose_scatters(self):
+    def test_selector_scatters_and_its_transpose_gathers(self):
         index = np.array([2, 0, 2, 1])
-        selector = row_selector(index, 3)
+        selector = scatter_selector(index, 3)
         x = np.arange(6.0).reshape(3, 2)
-        assert np.array_equal(selector @ x, x[index])
-        assert np.array_equal(selector.T @ np.ones((4, 1)), [[1.0], [1.0], [2.0]])
+        assert np.array_equal(selector.T @ x, x[index])
+        assert np.array_equal(selector @ np.ones((4, 1)), [[1.0], [1.0], [2.0]])
 
     @pytest.mark.parametrize("index", [[0, 3], [-1, 0]])
     def test_out_of_range_index_raises(self, index):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.graph import SubgraphCache
+from repro.graph.hetero import NODE_TYPE_IDS
 from repro.obs import Tracer
 from repro.reliability import (
     ManualClock,
@@ -264,6 +265,29 @@ class TestScoringService:
         assert 0.0 <= kv_backed.score <= 1.0
         assert direct.rung == RUNG_GNN
 
+    def test_a_corrupt_entity_row_does_not_demote(self, trained_detector, tiny_graph):
+        """Entity rows carry no input, so they are not fetched: one
+        poisoned on its only replica leaves the request on the GNN rung
+        (while every sampled row was fetched it was a checksum failure
+        with no replica to fail over to: ``kv_unavailable``)."""
+        from repro.storage import ReplicatedConfig, ReplicatedKVStore
+
+        replicas = [InMemoryKVStore() for _ in range(2)]
+        store = ReplicatedKVStore(replicas, ReplicatedConfig(replication_factor=1))
+        GraphStore(store).save(tiny_graph)
+        node = _txn_nodes(tiny_graph, 1)[0]
+        sample = trained_detector.sampler.sample(tiny_graph, [node])
+        entities = sample.original_ids[sample.graph.node_type != NODE_TYPE_IDS["txn"]]
+        assert len(entities)
+        key = f"feat/{int(entities[0])}"
+        replicas[store.owners(key)[0]]._data[key] = b"poisoned"
+
+        response = ScoringService(trained_detector, tiny_graph, feature_store=store).score(node)
+        assert (response.rung, response.degraded_reason) == (RUNG_GNN, None)
+        expected = trained_detector.predict_proba_sampled(tiny_graph, [node])[0]
+        assert response.score == pytest.approx(expected, abs=1e-12)
+        assert store.corrupt_reads == 0
+
     def test_rate_limit_sheds_with_prior_verdict(self, trained_detector, tiny_graph):
         clock = ManualClock()
         config = ServiceConfig(rate=1.0, burst=1.0, static_prior=0.01)
@@ -476,18 +500,23 @@ def _admitted(rung, degraded=None, latency=None, remaining=None, **counters):
 # What the sequential scorer (``_score_admitted`` / ``_gnn_score`` /
 # ``_fallback``, deleted when ``score()`` became a batch of one)
 # answered in each scenario of ``TestBatchOfOneParity``: captured by
-# running this very test body at commit 1630fad.
+# running this very test body at commit 1630fad. The three latencies
+# made of fetch time (healthy, feature fetch, model forward) are not
+# captured: they are that scorer's rows × READ_DELAY_S arithmetic
+# restated over the rows fetched now — the sample's 4 transaction rows,
+# 2 a chunk, where it read all 8 sampled rows 4 a chunk (entity rows
+# carry no input and are not fetched).
 _SEQUENTIAL = {
-    "healthy": _admitted("gnn", None, 0.016, 0.484),
+    "healthy": _admitted("gnn", None, 0.008, 0.492),
     "deadline:admission": _admitted("rules", "deadline:admission", deadline_hits=1),
     "deadline:sampling": _admitted(
         "rules", "deadline:sampling hop 0", 1.0, -0.5, deadline_hits=1
     ),
     "deadline:feature fetch": _admitted(
-        "rules", "deadline:feature fetch", 0.008, 0.0, deadline_hits=1
+        "rules", "deadline:feature fetch", 0.004, 0.0, deadline_hits=1
     ),
     "deadline:model forward": _admitted(
-        "rules", "deadline:model forward", 0.016, 0.0, deadline_hits=1
+        "rules", "deadline:model forward", 0.008, 0.0, deadline_hits=1
     ),
     "breaker_open": _admitted("rules", "breaker_open", 0.0, 0.5),
     "kv_unavailable": _admitted(
@@ -536,22 +565,23 @@ class TestBatchOfOneParity:
         store = SlowKVStore(backing, clock, delay_s=self.READ_DELAY_S)
         config = dict(
             deadline_s=0.5,
-            fetch_chunk=4,
+            fetch_chunk=2,
             static_prior=0.05,
             breaker_min_calls=2,
             breaker_window=4,
             retry=RetryPolicy(max_attempts=2, base_delay=0.001, seed=0),
         )
         cache = None
-        rows = len(trained_detector.sampler.sample(tiny_graph, [node]).original_ids)
-        assert rows > 4  # more than one fetch chunk, so mid-fetch expiry exists
+        sample = trained_detector.sampler.sample(tiny_graph, [node])
+        rows = int(np.sum(sample.graph.node_type == NODE_TYPE_IDS["txn"]))  # the rows fetched
+        assert rows > 2  # more than one fetch chunk, so mid-fetch expiry exists
         fetch_s = rows * self.READ_DELAY_S
         if name == "deadline:admission":
             clock = _TickingClock(tick=1.0)
         elif name == "deadline:sampling":
             cache = _BudgetBurningCache(clock, delay_s=1.0)
         elif name == "deadline:feature fetch":
-            config["deadline_s"] = 4 * self.READ_DELAY_S  # spent by the first chunk
+            config["deadline_s"] = 2 * self.READ_DELAY_S  # spent by the first chunk
         elif name == "deadline:model forward":
             config["deadline_s"] = fetch_s  # spent exactly as the last chunk lands
         elif name in ("breaker_open", "kv_unavailable"):
