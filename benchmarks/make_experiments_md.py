@@ -571,6 +571,48 @@ so what the service's own timing of its walks saves shows in the
 *Observability overhead* section below, not here.""",
     ),
     (
+        "Each layer computes only the rows the next one reads — the ledger, before / after",
+        "trimmed_layers",
+        """Nodes are laid out by in-hop distance to the forward's targets, so
+what each convolution layer reads, walks and outputs is a prefix of one
+layout (DESIGN.md): on a 64-target training field layer 2 walks the 256
+edges into the targets instead of all 1,395. Claimed beforehand:
+``train_epoch`` ``throughput_per_s`` >= 1.2x; measured 1.199x, a hair
+under the claim, with ``serve_hot`` 1.22x beside it and served
+``scores_crc32`` equal per seed.""",
+    ),
+    (
+        "One multi-get per micro-batch — the ledger, before / after",
+        "batched_hydration",
+        """Feature rows are hydrated through ``KVStore.get_many``: one replica
+gate, one health fold and one header parse per chunk instead of per row,
+every per-key check kept (``batched-read-vs-per-key-gets`` holds it to
+the loop of ``get`` calls). Claimed beforehand: ``serve_hot``
+``throughput_per_s`` >= 1.2x; measured 1.32x (10/10), ``stream_ingest``
+1.22x beside it.""",
+    ),
+    (
+        "Weight-only tables once per parameter version — the ledger, before / after",
+        "layer_plan",
+        """Each layer's ``LayerPlan`` (packed Q/K/V, stacked attention, the
+first layer's constant rows) is memoised on its parameters' versions,
+and parameters are read-only outside ``Parameter.write``. Claimed
+beforehand: ``serve_cold`` ``throughput_per_s`` >= 1.15x; measured
+1.16x (10/10), ``serve_hot`` 1.16x beside it.""",
+    ),
+    (
+        "Layer 1 through (transaction, edge type) tables — the ledger, before / after",
+        "layer_one_tables",
+        """Every first-layer edge joins a transaction to an entity whose row is a
+constant of the weights, so its attention logit is linear in the
+transaction's features: one matmul of the transaction rows gives every
+logit per (edge type, head) and every value row, and an edge is two
+lookups (DESIGN.md). Claimed beforehand: ``serve_hot``
+``throughput_per_s`` >= 1.10x the parent's median, ahead in >= 9/10
+pairs, medians apart by more than the parent's IQR; the table below is
+the record, with the traced pair's per-layer shares.""",
+    ),
+    (
         "Figure 14 — distributed convergence",
         "fig14_convergence",
         """Paper (Appendix C): 16-machine training does not converge faster and

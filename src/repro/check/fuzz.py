@@ -1231,26 +1231,32 @@ def _fuzz_fused_backward(seed: int, size: int) -> Optional[str]:
 def _grown_out_of_reach(rng: np.random.Generator, graph, far: np.ndarray):
     """A copy of ``graph`` with an isolated transaction, a two-node
     component of its own, and — when ``far`` lists any node — a few
-    edges of any type from anywhere (old node or new) into ``far``."""
-    from ..graph.hetero import EDGE_TYPE_IDS, EDGE_TYPES, NODE_TYPE_IDS
+    edges from anywhere (old node or new) into ``far``, each from a node
+    of a type its destination links to."""
+    from ..graph.hetero import EDGE_TYPE_IDS, NODE_TYPE_IDS, NODE_TYPES
 
     grown, base = copy.deepcopy(graph), graph.num_nodes
-    extra = int(rng.integers(1, 4)) if len(far) else 0
-    into_far = rng.choice(far, size=extra) if extra else []
+    txn, pmt = NODE_TYPE_IDS["txn"], NODE_TYPE_IDS["pmt"]
+    new_types = np.array([txn, txn, pmt])
+    node_type = np.concatenate([graph.node_type, new_types])
+    into_far = rng.choice(far, size=int(rng.integers(1, 4))) if len(far) else []
+    sources = [
+        int(rng.choice(np.flatnonzero((node_type == txn) != (node_type[dst] == txn))))
+        for dst in into_far
+    ]
     features = np.zeros((3, graph.feature_dim))
     features[:2] = rng.normal(size=(2, graph.feature_dim))
     grown.append_delta(
-        node_type=np.array([NODE_TYPE_IDS["txn"], NODE_TYPE_IDS["txn"], NODE_TYPE_IDS["pmt"]]),
+        node_type=new_types,
         labels=np.array([0, 1, -1]),
         txn_features=features,
-        edge_src=np.concatenate([[base + 1, base + 2], rng.integers(0, base + 3, size=extra)]),
-        edge_dst=np.concatenate([[base + 2, base + 1], into_far]),
-        edge_type=np.concatenate(
-            [
-                [EDGE_TYPE_IDS["txn->pmt"], EDGE_TYPE_IDS["pmt->txn"]],
-                rng.integers(0, len(EDGE_TYPES), size=extra),
-            ]
-        ),
+        edge_src=np.array([base + 1, base + 2, *sources], dtype=np.int64),
+        edge_dst=np.array([base + 2, base + 1, *into_far], dtype=np.int64),
+        edge_type=[EDGE_TYPE_IDS["txn->pmt"], EDGE_TYPE_IDS["pmt->txn"]]
+        + [
+            EDGE_TYPE_IDS[f"{NODE_TYPES[node_type[src]]}->{NODE_TYPES[node_type[dst]]}"]
+            for src, dst in zip(sources, into_far)
+        ],
     )
     return grown
 
@@ -1685,6 +1691,20 @@ def _plan_problem(detector, graph, targets: np.ndarray) -> Optional[str]:
     return None
 
 
+def _swap_a_parameter(rng: np.random.Generator, layer) -> None:
+    """One of ``layer``'s parameters replaced, by attribute assignment,
+    with a new one of its shape: the write no version records."""
+    from .. import nn
+
+    names = [name for name, _ in layer.named_parameters()]
+    *path, attribute = names[int(rng.integers(0, len(names)))].split(".")
+    owner = layer
+    for part in path:
+        owner = owner._modules[part]
+    shape = getattr(owner, attribute).shape
+    setattr(owner, attribute, nn.Parameter(rng.normal(scale=0.5, size=shape)))
+
+
 @scenario("plan-memo-vs-fresh-plan")
 def _fuzz_plan_memo(seed: int, size: int) -> Optional[str]:
     """The layer plan (:meth:`HeteroConvLayer.plan`: every weight-only
@@ -1692,12 +1712,13 @@ def _fuzz_plan_memo(seed: int, size: int) -> Optional[str]:
     call, under every writer of parameters and every reader of plans:
     SGD (momentum), Adam (coupled decay) and AdamW steps,
     ``load_state_dict``, ``restore_training_state``, an
-    ``OnlineFineTuner`` update, a ``GNNExplainer`` run and scoring, in a
-    random order on one detector beside a second one of the same shape
-    (so both start at the same versions, with other weights). After
-    each: every layer's memo equal to a plan built now, array for array,
-    byte for byte, on both detectors, and their scores equal to those of
-    plans rebuilt for the call."""
+    ``OnlineFineTuner`` update, a parameter swapped for a new one, a
+    ``GNNExplainer`` run and scoring, in a random order on one detector
+    beside a second one of the same shape (so both start at the same
+    versions, with other weights). After each: every layer's memo equal
+    to a plan built now, array for array, byte for byte, on both
+    detectors, and their scores equal to those of plans rebuilt for the
+    call."""
     from .. import nn
     from ..explain.gnn_explainer import ExplainerConfig, GNNExplainer
     from ..models.detector import XFraudDetector
@@ -1718,7 +1739,7 @@ def _fuzz_plan_memo(seed: int, size: int) -> Optional[str]:
         "adamw": nn.AdamW(live.parameters(), lr=0.01),
     }
     snapshot = capture_training_state(live, optimizers["adamw"], np.random.default_rng(seed), 0)
-    operations = ("sgd", "adam", "adamw", "load", "restore", "finetune", "explain", "score")
+    operations = ("sgd", "adam", "adamw", "load", "restore", "finetune", "swap", "explain", "score")
     done = []
     for _ in range(4 + size % 5):
         operation = str(rng.choice(operations))
@@ -1740,6 +1761,8 @@ def _fuzz_plan_memo(seed: int, size: int) -> Optional[str]:
             )
             tuner.notify_labels(1)
             tuner.maybe_update(graph, txns)
+        elif operation == "swap":
+            _swap_a_parameter(rng, live.convs[int(rng.integers(0, len(live.convs)))])
         elif operation == "explain":
             GNNExplainer(live, ExplainerConfig(epochs=2, seed=seed)).explain(graph, int(targets[0]))
         for name, detector in (("the detector", live), ("its twin", other)):

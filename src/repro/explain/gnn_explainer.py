@@ -9,9 +9,10 @@ two ways the paper describes:
 2. the loss combines the detector loss (eq. 11) with edge-mask size and
    entropy (eq. 12) and node-feature-mask size and entropy (eq. 13).
 
-The trained detector is frozen in evaluation mode; only the mask
-parameters are optimised. Masks are sigmoid-squashed random
-initialisations, trained with Adam (paper: epochs=100, lr=0.01).
+The trained detector is frozen in evaluation mode with its parameters
+off the tape; only the mask parameters are optimised. Masks are
+sigmoid-squashed random initialisations, trained with Adam (paper:
+epochs=100, lr=0.01).
 
 Footnote 4: the explainer assigns two weights to the directed edges of
 a node pair; human annotations are undirected, so the undirected weight
@@ -20,8 +21,9 @@ of a pair is the **larger** of the two.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -70,6 +72,26 @@ class Explanation:
         return np.argsort(-self.node_feature_mask[node])[:k]
 
 
+@contextmanager
+def _frozen(detector) -> Iterator[None]:
+    """``detector`` in eval mode with no parameter requiring a gradient,
+    as it was found afterwards: the masks are all an explanation trains,
+    so its backward skips the weight halves of the detector's pullbacks
+    and leaves every ``.grad`` of a detector that a fine-tuner may share
+    untouched."""
+    params, was_training = detector.parameters(), detector.training
+    flags = [param.requires_grad for param in params]
+    detector.eval()
+    for param in params:
+        param.requires_grad = False
+    try:
+        yield
+    finally:
+        for param, flag in zip(params, flags):
+            param.requires_grad = flag
+        detector.train(was_training)
+
+
 class GNNExplainer:
     """Mask-learning explainer around a trained detector."""
 
@@ -86,10 +108,7 @@ class GNNExplainer:
         config = self.config
         rng = np.random.default_rng(config.seed)
         detector = self.detector
-        was_training = detector.training
-        detector.eval()
-
-        try:
+        with _frozen(detector):
             # Target class: the detector's own prediction (mutual
             # information with the model), or the true label on demand.
             if config.use_true_label:
@@ -117,8 +136,6 @@ class GNNExplainer:
 
             edge_mask = 1.0 / (1.0 + np.exp(-edge_logits.data))
             feature_mask = 1.0 / (1.0 + np.exp(-feature_logits.data))
-        finally:
-            detector.train(was_training)
 
         return Explanation(
             node_index=int(node_index),

@@ -51,6 +51,32 @@ def edge_type_between(src_type: str, dst_type: str) -> int:
     return EDGE_TYPE_IDS[key]
 
 
+#: ``(edge types, 2)``: the (source, destination) node-type ids of each
+#: edge type. Every one joins a transaction to an entity.
+EDGE_ENDPOINTS: np.ndarray = np.array(
+    [[NODE_TYPE_IDS[end] for end in name.split("->")] for name in EDGE_TYPES]
+)
+#: The edge type each (source type, destination type) pair implies, at
+#: ``source * len(NODE_TYPES) + destination``; ``-1`` where none does.
+_EDGE_TYPE_OF_PAIR = np.full(len(NODE_TYPES) ** 2, -1)
+_EDGE_TYPE_OF_PAIR[EDGE_ENDPOINTS[:, 0] * len(NODE_TYPES) + EDGE_ENDPOINTS[:, 1]] = range(
+    len(EDGE_TYPES)
+)
+
+
+def _check_edge_schema(src_type: np.ndarray, dst_type: np.ndarray, edge_type: np.ndarray) -> None:
+    """Raise ValueError unless each edge's type is the one its endpoints'
+    node types imply (a compaction re-validates every edge: one lookup
+    per edge, no ``(E, 2)`` temporaries)."""
+    implied = _EDGE_TYPE_OF_PAIR[src_type * len(NODE_TYPES) + dst_type]
+    if not np.array_equal(implied, edge_type):
+        bad = int(np.flatnonzero(implied != edge_type)[0])
+        raise ValueError(
+            f"edge {bad} is typed {EDGE_TYPES[edge_type[bad]]} but joins "
+            f"{NODE_TYPES[src_type[bad]]}->{NODE_TYPES[dst_type[bad]]}"
+        )
+
+
 def _reserve(buffers: Dict[str, np.ndarray], name: str, view: np.ndarray, extra: int) -> np.ndarray:
     """``buffers[name]``, holding ``view``'s rows with room for ``extra`` more.
 
@@ -148,6 +174,9 @@ class HeteroGraph:
             self.edge_type.min() < 0 or self.edge_type.max() >= len(EDGE_TYPES)
         ):
             raise ValueError("edge types out of range")
+        _check_edge_schema(
+            self.node_type[self.edge_src], self.node_type[self.edge_dst], self.edge_type
+        )
         labeled = self.labels[self.node_type != NODE_TYPE_IDS["txn"]]
         if len(labeled) and np.any(labeled != -1):
             raise ValueError("only txn nodes may carry labels")
@@ -278,6 +307,10 @@ class HeteroGraph:
             raise ValueError("delta node types out of range")
         if len(new_et) and (new_et.min() < 0 or new_et.max() >= len(EDGE_TYPES)):
             raise ValueError("delta edge types out of range")
+        if len(new_et):
+            _check_edge_schema(
+                self._grown_types(new_src, new_nt), self._grown_types(new_dst, new_nt), new_et
+            )
         entity = new_nt != NODE_TYPE_IDS["txn"]
         if np.any(new_labels[entity] != -1):
             raise ValueError("only txn nodes may carry labels")
@@ -305,6 +338,15 @@ class HeteroGraph:
             setattr(self, name, view)
         self._buffers, self._csr = buffers, csr
         self._version += 1
+
+    def _grown_types(self, nodes: np.ndarray, new_node_type: np.ndarray) -> np.ndarray:
+        """Node types of ``nodes``, ids of this graph grown by nodes of
+        ``new_node_type`` — without building the grown array."""
+        types = np.empty_like(nodes)
+        old = nodes < self.num_nodes
+        types[old] = self.node_type[nodes[old]]
+        types[~old] = new_node_type[nodes[~old] - self.num_nodes]
+        return types
 
     @staticmethod
     def _splice_csr(

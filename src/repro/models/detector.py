@@ -97,10 +97,11 @@ class XFraudDetector(nn.Module):
     def _laid_out(self, graph: HeteroGraph, targets: Optional[np.ndarray]):
         """``graph`` laid out once for a forward read at ``targets``
         (``None``: every node): each layer's prefix of the layout, the
-        nodes the first layer reads, every node's position."""
+        nodes the first layer reads (transactions only), every node's
+        position."""
         layout = InferenceLayout.of(graph, targets, depth=len(self.convs))
         layers = [layout.layer(hops_left) for hops_left in reversed(range(len(self.convs)))]
-        return layers, layout.nodes[: layout.reach[-1]], layout.rank
+        return layers, layout.nodes[self.convs[0].reads(layers[0])], layout.rank
 
     def _convolve(
         self,

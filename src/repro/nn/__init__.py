@@ -20,6 +20,7 @@ from .module import (
     ReLU,
     Sequential,
     Tanh,
+    parameter_writes,
 )
 from .optim import Adam, AdamW, CosineDecay, Optimizer, SGD, clip_grad_norm
 from .serialization import load_state, read_manifest, save_state
@@ -44,6 +45,7 @@ __all__ = [
     "functional",
     "Module",
     "Parameter",
+    "parameter_writes",
     "Linear",
     "LayerNorm",
     "Dropout",

@@ -17,18 +17,36 @@ from . import functional as F
 from . import init
 from .tensor import Tensor
 
+#: Parameter writes and parameters (or modules) assigned into a module,
+#: process-wide: while it has not moved, no parameter anywhere has a new
+#: version or a new owner (see :func:`parameter_writes`).
+_writes = 0
+
+
+def parameter_writes() -> int:
+    """A count that moves on every :meth:`Parameter.write` and every
+    parameter or module assigned into a module: what derived tables key
+    an O(1) "nothing was written since" check on."""
+    return _writes
+
+
+def _count_write() -> None:
+    global _writes
+    _writes += 1
+
 
 class Parameter(Tensor):
     """A tensor flagged as trainable, read-only between writes.
 
     ``data`` (a private copy of what it was built from) changes only
-    inside :meth:`write`, and every write bumps ``version``: anything
-    derived from the array alone is current exactly while the versions
-    it was derived at are (:class:`~repro.models.hetero_conv.
-    HeteroConvLayer` keys its plan on them). ``Optimizer.step`` and
-    ``Module.load_state_dict`` are the two writers; one that goes around
-    :meth:`write` fails with numpy's "assignment destination is
-    read-only" instead of leaving stale tables in use.
+    inside :meth:`write`, and every write bumps ``version`` (and
+    :func:`parameter_writes`): anything derived from the array alone is
+    current exactly while the versions it was derived at are
+    (:class:`~repro.models.hetero_conv.HeteroConvLayer` keys its plan on
+    them). ``Optimizer.step`` and ``Module.load_state_dict`` are the two
+    writers; one that goes around :meth:`write` fails with numpy's
+    "assignment destination is read-only" instead of leaving stale
+    tables in use.
     """
 
     __slots__ = ("version",)
@@ -48,6 +66,7 @@ class Parameter(Tensor):
         finally:
             self.data.flags.writeable = False
             self.version += 1
+            _count_write()  # after the version: a check that sees the count move sees it
 
     def __setstate__(self, state) -> None:
         # copy.deepcopy (and pickle) rebuild the array writable.
@@ -66,10 +85,10 @@ class Module:
 
     # -- attribute plumbing --------------------------------------------
     def __setattr__(self, name: str, value) -> None:
-        if isinstance(value, Parameter):
-            self.__dict__.setdefault("_parameters", {})[name] = value
-        elif isinstance(value, Module):
-            self.__dict__.setdefault("_modules", {})[name] = value
+        if isinstance(value, (Parameter, Module)):
+            registry = "_parameters" if isinstance(value, Parameter) else "_modules"
+            self.__dict__.setdefault(registry, {})[name] = value
+            _count_write()  # a parameter swapped in is a write
         object.__setattr__(self, name, value)
 
     # -- traversal ------------------------------------------------------
@@ -219,6 +238,7 @@ class ModuleList(Module):
         index = len(self._items)
         self._items.append(module)
         self._modules[str(index)] = module
+        _count_write()
 
     def __iter__(self) -> Iterator[Module]:
         return iter(self._items)
@@ -241,6 +261,7 @@ class ModuleDict(Module):
 
     def __setitem__(self, key: str, module: Module) -> None:
         self._modules[key] = module
+        _count_write()
 
     def __getitem__(self, key: str) -> Module:
         return self._modules[key]

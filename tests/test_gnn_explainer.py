@@ -1,11 +1,13 @@
 """Modified GNNExplainer (Appendix D)."""
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
 from repro import nn
 from repro.check.reference import PerOpDetector
-from repro.explain import ExplainerConfig, GNNExplainer
+from repro.explain import ExplainerConfig, GNNExplainer, gnn_explainer
 from repro.graph import select_communities
 from repro.graph.sampling import receptive_field
 from repro.nn import functional as F
@@ -74,6 +76,33 @@ class TestTraining:
         after = trained_detector.state_dict()
         for key in before:
             np.testing.assert_allclose(before[key], after[key])
+
+    def test_detector_grads_left_untouched(self, trained_detector, community, monkeypatch):
+        """The masks are all an explanation trains: no detector parameter
+        ends up holding a ``.grad``, each is back on the tape afterwards,
+        and taking the detector off the tape moves no bit of the masks
+        against a run that leaves it on (the pullbacks' weight halves
+        then run, and feed nothing the masks read)."""
+        trained_detector.zero_grad()
+        config = ExplainerConfig(epochs=10, seed=0)
+        graph, seed = community.graph, community.seed_local
+        frozen = GNNExplainer(trained_detector, config).explain(graph, seed)
+        assert all(param.grad is None for param in trained_detector.parameters())
+        assert all(param.requires_grad for param in trained_detector.parameters())
+
+        @contextmanager
+        def eval_only(detector):
+            was_training = detector.training
+            detector.eval()
+            yield
+            detector.train(was_training)
+
+        monkeypatch.setattr(gnn_explainer, "_frozen", eval_only)
+        live = GNNExplainer(trained_detector, config).explain(graph, seed)
+        assert all(param.grad is not None for param in trained_detector.parameters())
+        trained_detector.zero_grad()
+        assert np.array_equal(frozen.edge_mask, live.edge_mask)
+        assert np.array_equal(frozen.node_feature_mask, live.node_feature_mask)
 
     def test_detector_mode_restored(self, trained_detector, community):
         trained_detector.train()

@@ -69,6 +69,47 @@ class TestValidation:
                 labels=[0],
             )
 
+    def test_txn_to_txn_edge_rejected(self):
+        # No edge type joins two transactions: whichever one it claims,
+        # an endpoint disagrees with it.
+        with pytest.raises(ValueError, match="typed txn->pmt but joins txn->txn"):
+            HeteroGraph(
+                node_type=[0, 0],
+                edge_src=[0],
+                edge_dst=[1],
+                edge_type=[EDGE_TYPES.index("txn->pmt")],
+                txn_features=np.zeros((2, 2)),
+                labels=[0, 0],
+            )
+
+    def test_mislabelled_edge_type_rejected(self):
+        graph = small_graph()
+        wrong = graph.edge_type.copy()
+        wrong[0] = EDGE_TYPES.index("txn->email")  # edge 0 joins txn 0 to a pmt
+        with pytest.raises(ValueError, match="typed txn->email but joins txn->pmt"):
+            HeteroGraph(
+                node_type=graph.node_type,
+                edge_src=graph.edge_src,
+                edge_dst=graph.edge_dst,
+                edge_type=wrong,
+                txn_features=graph.txn_features,
+                labels=graph.labels,
+            )
+
+    def test_delta_edge_against_its_endpoints_rejected(self):
+        graph = small_graph()
+        before = (graph.num_edges, graph.version)
+        with pytest.raises(ValueError, match="typed pmt->txn but joins buyer->txn"):
+            graph.append_delta(
+                node_type=[NODE_TYPE_IDS["txn"]],
+                labels=[0],
+                txn_features=np.zeros((1, graph.feature_dim)),
+                edge_src=[2],  # the buyer
+                edge_dst=[4],  # the new transaction
+                edge_type=[EDGE_TYPES.index("pmt->txn")],
+            )
+        assert (graph.num_edges, graph.version) == before
+
     def test_mismatched_edge_arrays(self):
         with pytest.raises(ValueError):
             HeteroGraph(

@@ -296,9 +296,9 @@ def test_no_targets():
 
 
 def test_scoring_builds_nothing_only_a_backward_needs(monkeypatch):
-    """The by-source and per-relation groupings are lazy properties of
-    each layer's prefix of the layout: a recorded step builds them,
-    ``predict_proba`` never."""
+    """The by-source grouping and layer 1's by-row and by-cell ones are
+    lazy properties of each layer's prefix of the layout: a recorded
+    step builds them, ``predict_proba`` never."""
     from repro.models.hetero_conv import InferenceLayout
 
     graph, targets = _all_edge_types()
@@ -316,6 +316,7 @@ def test_scoring_builds_nothing_only_a_backward_needs(monkeypatch):
     model.loss(graph, targets).backward()
     scoring, training = ([set(vars(view)) for view in views] for views in calls)
     assert len(scoring) == len(training) == len(model.convs)
-    assert all({"_by_source", "_by_relation"} & built for built in training)
-    assert {"_by_source", "_by_relation"} <= set.union(*training)
-    assert not any({"_by_source", "_by_relation", "_by_target"} & built for built in scoring)
+    groupings = {"_by_source", "_by_value_row", "_by_logit_cell"}
+    assert {"_by_value_row", "_by_logit_cell"} <= training[0]
+    assert all("_by_source" in built for built in training[1:])
+    assert not any((groupings | {"_by_target"}) & built for built in scoring)

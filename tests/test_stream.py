@@ -23,7 +23,14 @@ from repro.check.gen import random_delta, random_hetero_graph
 from repro.check.reference import scalar_sample
 from repro.data import GeneratorConfig, TransactionGenerator, export_events, generate_log
 from repro.data.events import TxnEvent
-from repro.graph import NODE_TYPE_IDS, HeteroGraph, SageSampler, SubgraphCache
+from repro.graph import (
+    EDGE_TYPE_IDS,
+    NODE_TYPE_IDS,
+    NODE_TYPES,
+    HeteroGraph,
+    SageSampler,
+    SubgraphCache,
+)
 from repro.graph.builder import GraphBuilder
 from repro.models import DetectorConfig, XFraudDetectorPlus
 from repro.obs import MetricsRegistry
@@ -84,16 +91,18 @@ class TestAppendDelta:
         labels = [-1] * (num_txn + num_entities)
         features = np.zeros((num_txn + num_entities, graph.feature_dim))
         features[:num_txn] = rng.normal(size=(num_txn, graph.feature_dim))
+        entities = np.flatnonzero(graph.node_type != NODE_TYPE_IDS["txn"])
         src, dst, etype = [], [], []
         for i in range(num_txn):
             txn = old + i
-            # one edge into an existing node, one into a new entity
-            existing = int(rng.integers(old))
+            # one link to an existing entity, one to a new one
+            existing = int(entities[rng.integers(len(entities))])
             fresh = old + num_txn + int(rng.integers(num_entities))
-            for other in (existing, fresh):
+            kind_of_existing = NODE_TYPES[graph.node_type[existing]]
+            for other, kind in ((existing, kind_of_existing), (fresh, "email")):
                 src.extend([txn, other])
                 dst.extend([other, txn])
-                etype.extend([0, 1])
+                etype.extend([EDGE_TYPE_IDS[f"txn->{kind}"], EDGE_TYPE_IDS[f"{kind}->txn"]])
         return dict(
             node_type=node_type,
             labels=labels,
