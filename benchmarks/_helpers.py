@@ -53,14 +53,12 @@ def stream_shaped_graph(rng, num_txns: int, feature_dim: int = 114) -> HeteroGra
     txn = np.repeat(np.arange(num_txns), 4)
     entity = num_txns + rng.integers(0, num_txns, size=len(txn))
     kind = node_type[entity] - 1  # edge types 2k / 2k+1 are txn->kind / kind->txn
-    features = np.zeros((num_nodes, feature_dim))
-    features[:num_txns] = rng.normal(size=(num_txns, feature_dim))
     graph = HeteroGraph(
         node_type=node_type,
         edge_src=np.concatenate([txn, entity]),
         edge_dst=np.concatenate([entity, txn]),
         edge_type=np.concatenate([2 * kind, 2 * kind + 1]),
-        txn_features=features,
+        txn_table=rng.normal(size=(num_txns, feature_dim)),
         labels=np.full(num_nodes, -1, dtype=np.int64),
     )
     graph.csr()

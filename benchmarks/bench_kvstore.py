@@ -33,6 +33,7 @@ from repro.storage import (
     WorkerLoader,
     decode_array,
     encode_array,
+    encode_rows,
     load_rows,
 )
 
@@ -45,7 +46,7 @@ REPEATS = 5
 def _concurrent_load(store, private_handle, graph, num_workers):
     per_worker = TOTAL_BATCHES // num_workers
     rng = np.random.default_rng(0)
-    batches = [rng.integers(0, graph.num_nodes, BATCH) for _ in range(TOTAL_BATCHES)]
+    batches = [rng.choice(graph.txn_nodes, BATCH) for _ in range(TOTAL_BATCHES)]
     errors = []
 
     def worker(worker_id):
@@ -125,6 +126,28 @@ def test_batched_rows_ratio_floor():
     assert per_key_us >= 2.0 * batched_us
 
 
+def _encode_table_us():
+    """(per-row ``encode_array``, ``encode_rows``) microseconds for the
+    serving fixture's table: ~3.5k transactions of 114 floats."""
+    table = np.random.default_rng(0).normal(size=(3500, 114))
+    return (
+        best_us(lambda: [encode_array(row) for row in table], number=3),
+        best_us(lambda: encode_rows(table), number=3),
+    )
+
+
+def test_encode_rows_ratio_floor():
+    """Machine-independent: one header for a whole table against an
+    ``np.save`` per row — same rows, same bytes, same process (CI
+    perf-smoke)."""
+    per_row_us, once_us = _encode_table_us()
+    print(
+        f"\n3.5k rows: np.save per row {per_row_us / 1e3:.1f} ms, encode_rows "
+        f"{once_us / 1e3:.1f} ms ({per_row_us / once_us:.1f}x)"
+    )
+    assert per_row_us >= 3.0 * once_us
+
+
 def test_fig12_13_kvstore_loading(benchmark, small, tmp_path_factory):
     graph = small.graph
     base = tmp_path_factory.mktemp("kvstore")
@@ -141,7 +164,7 @@ def test_fig12_13_kvstore_loading(benchmark, small, tmp_path_factory):
             seconds["multi", workers].append(_concurrent_load(multi, True, graph, workers))
 
     loader = WorkerLoader(multi, private_handle=True)
-    rows_idx = np.arange(min(BATCH, graph.num_nodes))
+    rows_idx = graph.txn_nodes[:BATCH]
     benchmark.pedantic(lambda: loader.load_features(rows_idx), rounds=5, iterations=1)
     loader.close()
 

@@ -613,6 +613,18 @@ pairs, medians apart by more than the parent's IQR; the table below is
 the record, with the traced pair's per-layer shares.""",
     ),
     (
+        "Features belong to transactions — the ledger, before / after",
+        "txn_table",
+        """Only transactions have input features (Sec. 3.2(1)), so a graph holds
+one ``(transactions, F)`` table, row ``k`` the ``k``-th transaction in
+node order, and no entity row exists in any graph, delta, stack or KV
+tier; ``GraphStore.save`` writes the transactions' ``feat/{node}`` rows
+under one shared ``.npy`` header (DESIGN.md). Claimed beforehand:
+``serve_cold`` ``setup_s`` >= 12% lower than the parent's median (ratio
+>= 1.136x), ahead in >= 9/10 pairs, medians apart by more than the
+parent's IQR; served scores and training losses unchanged.""",
+    ),
+    (
         "Figure 14 — distributed convergence",
         "fig14_convergence",
         """Paper (Appendix C): 16-machine training does not converge faster and

@@ -195,8 +195,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         after = [change[s][workload]["end_to_end"][name] for s in seeds]
         (p_median, p_q1, p_q3), (c_median, _, _) = quartiles(before), quartiles(after)
         lines.append(
-            f"{workload} {name}: parent median {p_median:.1f}, IQR {p_q3 - p_q1:.1f}; change median "
-            f"{c_median:.1f}; medians apart by {abs(c_median - p_median):.1f}"
+            f"{workload} {name}: parent median {p_median:.4g}, IQR {p_q3 - p_q1:.4g}; change median "
+            f"{c_median:.4g}; medians apart by {abs(c_median - p_median):.4g}"
         )
         lines.append(
             f"{workload} {name}, change over parent, pair by pair (seeds {seeds[0]}-{seeds[-1]}): "

@@ -24,6 +24,7 @@ from .invariants import (
     ledger_violations,
     run_audits,
     subgraph_equal,
+    txn_table_violations,
     wal_violations,
 )
 
@@ -46,5 +47,6 @@ __all__ = [
     "run_fuzz",
     "shrink",
     "subgraph_equal",
+    "txn_table_violations",
     "wal_violations",
 ]

@@ -16,9 +16,8 @@ autograd op has its central difference, the elastic supervisor has the
 fault-free engine it drives (and, under faults, a by-hand all-reduce
 over the shards it accepted), a layer plan memoised per parameter
 version has the plan rebuilt on every call, and
-the WAL has "whatever was durably framed before the crash". One
-scenario needs no second implementation: entities carry no input, so
-noise in their feature rows must change nothing (a metamorphic relation). A fuzz *scenario* drives both sides of one such pair on a
+the WAL has "whatever was durably framed before the crash". A fuzz
+*scenario* drives both sides of one such pair on a
 seeded random input and returns a divergence description (or ``None``).
 
 Cases are fully determined by ``(scenario, seed, size)``, so a failure
@@ -150,13 +149,16 @@ def _fuzz_delta_merge(seed: int, size: int) -> Optional[str]:
     deltas long enough to cross buffer reallocations (``2 * size``, 42
     at the top of the ladder) of every shape — full, edge-only,
     node-only, empty — with in-place label flips and ``rebuild_csr()``
-    interleaved, audited after every step; then probe subgraphs."""
+    interleaved, audited after every step; the transaction table against
+    the deltas' tables appended in turn; then probe subgraphs."""
     from ..graph.hetero import HeteroGraph
     from ..graph.sampling import SageSampler
 
     rng = np.random.default_rng(seed)
     graph = random_hetero_graph(rng, num_txns=size)
     graph.csr()
+    graph.txn_row  # derived now: the deltas extend it, as they splice the CSR
+    tables = [graph.txn_table.copy()]
     flipped: Dict[int, int] = {}
     for step in range(2 * size):
         if rng.random() < 0.3:
@@ -170,7 +172,9 @@ def _fuzz_delta_merge(seed: int, size: int) -> Optional[str]:
             graph.rebuild_csr()
         shape = str(rng.choice(DELTA_SHAPES, p=(0.7, 0.1, 0.1, 0.1)))
         before, captured, snapshot = graph.version, graph.labels, graph.labels.copy()
-        graph.append_delta(**random_delta(rng, graph, 1 + size % 3, shape=shape))
+        delta = random_delta(rng, graph, 1 + size % 3, shape=shape)
+        tables.append(delta["txn_table"])
+        graph.append_delta(**delta)
         if graph.version != before + 1:
             return f"step {step} ({shape}): version {before} -> {graph.version}, expected +1"
         if not (
@@ -189,9 +193,13 @@ def _fuzz_delta_merge(seed: int, size: int) -> Optional[str]:
         edge_src=graph.edge_src.copy(),
         edge_dst=graph.edge_dst.copy(),
         edge_type=graph.edge_type.copy(),
-        txn_features=graph.txn_features.copy(),
+        txn_table=np.concatenate(tables),
         labels=graph.labels.copy(),
     )
+    if graph.txn_table.tobytes() != rebuilt.txn_table.tobytes():
+        return "grown txn_table != the initial table and every delta's, appended in turn"
+    if not np.array_equal(graph.txn_row, rebuilt.txn_row):
+        return "txn_row extended across deltas != the one derived on the rebuilt graph"
     for name, left, right in zip(("indptr", "src", "eid"), graph.csr(), rebuilt.csr()):
         if not np.array_equal(left, right):
             return f"merged {name} != rebuilt {name}"
@@ -359,7 +367,7 @@ def _with_edges(graph, keep: np.ndarray):
         edge_src=graph.edge_src[keep],
         edge_dst=graph.edge_dst[keep],
         edge_type=graph.edge_type[keep],
-        txn_features=graph.txn_features,
+        txn_table=graph.txn_table,
         labels=graph.labels,
     )
 
@@ -611,9 +619,10 @@ def _field_problem(graph, targets: np.ndarray, hops: int) -> Optional[str]:
     if field.target_local.tolist() != target_local:
         return f"target_local {field.target_local.tolist()} != BFS {target_local}"
     sub, ids, kept = field.graph, field.original_ids, field.edge_ids
+    ranks = np.searchsorted(graph.txn_nodes, ids[graph.node_type[ids] == 0])
     held = (
         ("node_type", sub.node_type, graph.node_type[ids]),
-        ("txn_features", sub.txn_features, graph.txn_features[ids]),
+        ("txn_table", sub.txn_table, graph.txn_table[ranks]),
         ("edge_src", ids[sub.edge_src], graph.edge_src[kept]),
         ("edge_dst", ids[sub.edge_dst], graph.edge_dst[kept]),
         ("edge_type", sub.edge_type, graph.edge_type[kept]),
@@ -1212,7 +1221,7 @@ def _fuzz_fused_backward(seed: int, size: int) -> Optional[str]:
             if masked:
                 masks = (
                     rng.uniform(0.1, 0.9, size=case_graph.num_edges),
-                    rng.uniform(0.1, 0.9, size=case_graph.txn_features.shape),
+                    rng.uniform(0.1, 0.9, size=(case_graph.num_nodes, case_graph.feature_dim)),
                 )
             problem = _fused_step_problem(
                 detector, case_graph, case_targets, labels, edge_rows, masks
@@ -1244,12 +1253,10 @@ def _grown_out_of_reach(rng: np.random.Generator, graph, far: np.ndarray):
         int(rng.choice(np.flatnonzero((node_type == txn) != (node_type[dst] == txn))))
         for dst in into_far
     ]
-    features = np.zeros((3, graph.feature_dim))
-    features[:2] = rng.normal(size=(2, graph.feature_dim))
     grown.append_delta(
         node_type=new_types,
         labels=np.array([0, 1, -1]),
-        txn_features=features,
+        txn_table=rng.normal(size=(2, graph.feature_dim)),
         edge_src=np.array([base + 1, base + 2, *sources], dtype=np.int64),
         edge_dst=np.array([base + 2, base + 1, *into_far], dtype=np.int64),
         edge_type=[EDGE_TYPE_IDS["txn->pmt"], EDGE_TYPE_IDS["pmt->txn"]]
@@ -1269,9 +1276,9 @@ def _fuzz_trimmed_layers(seed: int, size: int) -> Optional[str]:
     gradient, ``d edge_mask`` and ``d feature_mask`` to 1e-12, the
     generators left alike. One to three layers, all four ablation
     configs; graphs whole, thinned to one-way links with isolated and
-    unreachable nodes, cut to one edge or none; targets of any node
-    type with repeats, one inside another's neighbourhood, an edgeless
-    one, and none at all; train mode with the dropout rows of a
+    unreachable nodes, cut to one edge or none; transaction targets
+    with repeats, one inside another's neighbourhood, an edgeless one,
+    and none at all; train mode with the dropout rows of a
     receptive field (``edge_rows``) and eval; masks on and off. An edge
     no layer walks must get ``d edge_mask`` exactly 0. And the relation
     the prefixes make exact: nodes and edges added where no layer
@@ -1287,7 +1294,7 @@ def _fuzz_trimmed_layers(seed: int, size: int) -> Optional[str]:
     graph = random_hetero_graph(rng, num_txns=size, feature_dim=5)
     shape = str(rng.choice(["whole", "thinned", "thinned", "single-edge", "edgeless"]))
     graph = _cut_edges(rng, graph, shape)
-    targets = _awkward_targets(rng, graph)
+    targets = _awkward_targets(rng, graph, txn_only=True)
 
     heads, kind = int(rng.integers(1, 4)), int(rng.integers(0, 4))
     config = DetectorConfig(
@@ -1339,7 +1346,7 @@ def _fuzz_trimmed_layers(seed: int, size: int) -> Optional[str]:
             if masked:
                 masks = (
                     rng.uniform(0.1, 0.9, size=case_graph.num_edges),
-                    rng.uniform(0.1, 0.9, size=case_graph.txn_features.shape),
+                    rng.uniform(0.1, 0.9, size=(case_graph.num_nodes, case_graph.feature_dim)),
                 )
             mode = f"{'train' if training else 'eval'}, {'masks' if masked else 'no masks'}"
             mode = f"{where}, {mode}, {'field' if edge_rows else 'graph'}"
@@ -1381,17 +1388,21 @@ class _StageLog:
             raise _BudgetSpent(stage)
 
 
-def _awkward_targets(rng: np.random.Generator, graph) -> np.ndarray:
-    """Two to six targets of any node type, drawn with repeats; then
-    one is made a repeat of the first, one an in-neighbour of the first
-    (a target inside another target's sample) and, when the graph has
-    an edgeless node, one is that."""
-    targets = rng.integers(0, graph.num_nodes, size=int(rng.integers(2, 7)))
+def _awkward_targets(rng: np.random.Generator, graph, txn_only: bool = False) -> np.ndarray:
+    """Two to six targets of any node type (or transactions only), drawn
+    with repeats; then one is made a repeat of the first, one a node
+    the first's sample reaches (an in-neighbour; for transactions, one
+    sharing an entity with it) and, when the graph has an edgeless
+    node, one is that."""
+    pool = graph.txn_nodes if txn_only else np.arange(graph.num_nodes)
+    targets = pool[rng.integers(0, len(pool), size=int(rng.integers(2, 7)))]
     targets[-1] = targets[0]
     neighbors = graph.in_neighbors(int(targets[0]))
+    if txn_only and len(neighbors):
+        neighbors = np.concatenate([graph.in_neighbors(int(entity)) for entity in neighbors])
     if len(neighbors):
         targets[1] = rng.choice(neighbors)
-    edgeless = np.flatnonzero(graph.degree() == 0)
+    edgeless = np.intersect1d(np.flatnonzero(graph.degree() == 0), pool)
     if len(edgeless) and len(targets) > 2:
         targets[2] = rng.choice(edgeless)
     return targets
@@ -1769,88 +1780,6 @@ def _fuzz_plan_memo(seed: int, size: int) -> Optional[str]:
             problem = _plan_problem(detector, graph, targets)
             if problem is not None:
                 return f"{' -> '.join(done)}, {config.num_layers} layers: {name}: {problem}"
-    return None
-
-
-@scenario("entity-rows-carry-no-input")
-def _fuzz_entity_rows(seed: int, size: int) -> Optional[str]:
-    """A metamorphic relation: only transactions carry features, so
-    noise in every entity's feature row — in the graph and in a KV
-    tier's copy of it — must change nothing, bit for bit: the
-    detector's scores, its loss and every parameter gradient on the
-    batch's receptive field (train and eval), the same on the whole
-    graph under the explainer's ``edge_mask`` / ``feature_mask`` (and
-    both masks' gradients), and the verdicts of a ``ScoringService``
-    hydrating its rows from the tier."""
-    from .. import nn
-    from ..models.detector import XFraudDetectorPlus
-    from ..nn import functional as F
-    from ..reliability.faults import ManualClock
-    from ..serving.service import ScoringService, ServiceConfig
-    from ..storage import GraphStore, InMemoryKVStore
-
-    rng = np.random.default_rng(seed)
-    graph = random_hetero_graph(rng, num_txns=size, feature_dim=5)
-    graph = _cut_edges(rng, graph, str(rng.choice(["whole", "thinned", "single-edge"])))
-    noise = graph.txn_features.copy()
-    entity = graph.node_type != 0
-    noise[entity] = rng.normal(scale=3.0, size=(int(entity.sum()), graph.feature_dim))
-    noisy = graph.with_features(noise)
-    config = _small_detector_config(rng, seed)
-    detector = XFraudDetectorPlus(config, hops=1 + size % 2, fanout=1 + size % 4)
-    random_weights(rng, detector)
-    txns = graph.txn_nodes
-    targets = txns[rng.integers(0, len(txns), size=int(rng.integers(1, 5)))]
-    labels = graph.labels[targets]
-    where = (
-        f"{config.num_layers} layers, {graph.num_nodes} nodes ({int(entity.sum())} entities), "
-        f"{graph.num_edges} edges, targets={targets.tolist()}"
-    )
-
-    clean, dirty = (detector.predict_proba(g, targets) for g in (graph, noisy))
-    if not np.array_equal(clean, dirty):
-        return f"{where}: predict_proba {clean.tolist()} -> {dirty.tolist()} under entity noise"
-    masks = (
-        rng.uniform(0.1, 0.9, size=graph.num_edges),
-        rng.uniform(0.1, 0.9, size=graph.txn_features.shape),
-    )
-    for training in (True, False):
-        for masked in (False, True):
-            sides = []
-            for case_graph in (graph, noisy):
-                twin = copy.deepcopy(detector)  # the same dropout draws on both sides
-                twin.train(training)
-                if masked:
-                    hooks = {"edge_mask": nn.Parameter(masks[0]), "feature_mask": nn.Parameter(masks[1])}
-                    loss = F.cross_entropy(twin.forward(case_graph, targets, **hooks), labels)
-                else:
-                    hooks = {}
-                    loss = twin.loss(case_graph, targets)
-                loss.backward()
-                named = list(hooks.items()) + list(twin.named_parameters())
-                sides.append((loss.item(), [(name, tensor.grad) for name, tensor in named]))
-            (loss, grads), (noisy_loss, noisy_grads) = sides
-            mode = f"{where}, {'train' if training else 'eval'}, {'masks' if masked else 'field'}"
-            if loss != noisy_loss:
-                return f"{mode}: loss {loss!r} -> {noisy_loss!r} under entity noise"
-            for (name, grad), (_, noisy_grad) in zip(grads, noisy_grads):
-                if not np.array_equal(grad, noisy_grad):
-                    return f"{mode}: grad of {name} moves under entity noise"
-
-    verdicts = []
-    for case_graph in (graph, noisy):
-        store = InMemoryKVStore()
-        GraphStore(store).save(case_graph)
-        service = ScoringService(
-            detector,
-            case_graph,
-            feature_store=store,
-            config=ServiceConfig(static_prior=0.01, batch_size=None),
-            clock=ManualClock(),
-        )
-        verdicts.append([(r.rung, r.score) for r in service.score_batch(targets.tolist())])
-    if verdicts[0] != verdicts[1]:
-        return f"{where}: served {verdicts[0]} -> {verdicts[1]} under entity noise in the KV tier"
     return None
 
 

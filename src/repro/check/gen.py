@@ -57,11 +57,10 @@ def random_hetero_graph(
         for txn in range(num_txns):
             if rng.random() < 0.85:  # not every txn carries every kind
                 links.append((txn, base + _pick_entity(rng, pool)))
-    features = np.zeros((len(node_types), feature_dim))
-    features[:num_txns] = rng.normal(size=(num_txns, feature_dim))
+    table = rng.normal(size=(num_txns, feature_dim))
     labels = np.full(len(node_types), -1, dtype=np.int64)
     labels[:num_txns] = rng.integers(0, 2, size=num_txns)
-    return HeteroGraph.from_links(node_types, links, features, labels)
+    return HeteroGraph.from_links(node_types, links, table, labels)
 
 
 def random_weights(rng: np.random.Generator, model) -> None:
@@ -132,14 +131,13 @@ def random_delta(
         edge_src, edge_dst, edge_type = [], [], []
 
     num_txn_rows = num_new_txns if new_nodes else 0
-    features = np.zeros((len(node_type), graph.feature_dim), dtype=graph.txn_features.dtype)
-    features[:num_txn_rows] = rng.normal(size=(num_txn_rows, graph.feature_dim))
+    table = rng.normal(size=(num_txn_rows, graph.feature_dim)).astype(graph.txn_table.dtype)
     labels = np.full(len(node_type), -1, dtype=np.int64)
     labels[:num_txn_rows] = rng.integers(0, 2, size=num_txn_rows)
     return {
         "node_type": np.asarray(node_type, dtype=np.int64),
         "labels": labels,
-        "txn_features": features,
+        "txn_table": table,
         "edge_src": np.asarray(edge_src, dtype=np.int64),
         "edge_dst": np.asarray(edge_dst, dtype=np.int64),
         "edge_type": np.asarray(edge_type, dtype=np.int64),

@@ -37,6 +37,7 @@ __all__ = [
     "wal_violations",
     "ledger_violations",
     "subgraph_equal",
+    "txn_table_violations",
     "run_audits",
 ]
 
@@ -108,10 +109,10 @@ def csr_violations(graph: HeteroGraph) -> List[str]:
     indptr, src, eid = graph.csr()
     num_nodes, num_edges = graph.num_nodes, graph.num_edges
     # No spare capacity may leak into a public array: each is exactly
-    # num_nodes / num_edges long and C-contiguous, grown or not.
+    # num_nodes / transactions / num_edges long and C-contiguous, grown or not.
     for name, want in (
         ("labels", num_nodes),
-        ("txn_features", num_nodes),
+        ("txn_table", int(np.count_nonzero(graph.node_type == 0))),
         ("edge_dst", num_edges),
         ("edge_type", num_edges),
     ):
@@ -154,6 +155,46 @@ def csr_violations(graph: HeteroGraph) -> List[str]:
     return problems
 
 
+def txn_table_violations(graph: HeteroGraph, want: np.ndarray) -> List[str]:
+    """Falsify the transaction feature table against ``want``, the rows
+    the graph's transactions must hold, in node order.
+
+    The contract (``HeteroGraph.txn_table``): exactly one row per
+    transaction node and none per entity, row ``k`` the ``k``-th
+    transaction met scanning ``node_type`` — so it equals ``want`` byte
+    for byte — and ``txn_row`` naming each node's row by the same scan
+    (``-1`` for an entity).
+    """
+    txns = _scanned_txns(graph)
+    table, want = graph.txn_table, np.asarray(want)
+    if table.shape != want.shape or len(table) != len(txns):
+        return [f"txn_table is {table.shape} for {len(txns)} transactions, expected {want.shape}"]
+    for row, node in enumerate(txns):
+        if table[row].tobytes() != want[row].tobytes():
+            return [f"txn_table row {row} (transaction {node}) holds another row"]
+    scanned = np.full(graph.num_nodes, -1)
+    scanned[txns] = np.arange(len(txns))
+    if not np.array_equal(graph.txn_row, scanned):
+        return ["txn_row disagrees with a scan of node_type"]
+    return []
+
+
+def _scanned_txns(graph: HeteroGraph) -> List[int]:
+    """The transaction nodes, met scanning ``node_type`` in node order."""
+    return [node for node, type_id in enumerate(graph.node_type.tolist()) if type_id == 0]
+
+
+def _rows_by_node(graph: HeteroGraph) -> Dict[int, np.ndarray]:
+    """Each transaction's row, by a scan of ``node_type``."""
+    return dict(zip(_scanned_txns(graph), graph.txn_table))
+
+
+def _rows_of(rows: Dict[int, np.ndarray], nodes, feature_dim: int) -> np.ndarray:
+    """The table a graph on parent ``nodes`` (in that order) must hold."""
+    picked = [rows[int(node)] for node in nodes if int(node) in rows]
+    return np.array(picked).reshape(len(picked), feature_dim)
+
+
 def subgraph_equal(a, b) -> Optional[str]:
     """Bit-identity of two :class:`SampledSubgraph`; None when equal."""
     pairs = [
@@ -163,7 +204,7 @@ def subgraph_equal(a, b) -> Optional[str]:
         ("edge_src", a.graph.edge_src, b.graph.edge_src),
         ("edge_dst", a.graph.edge_dst, b.graph.edge_dst),
         ("edge_type", a.graph.edge_type, b.graph.edge_type),
-        ("txn_features", a.graph.txn_features, b.graph.txn_features),
+        ("txn_table", a.graph.txn_table, b.graph.txn_table),
         ("labels", a.graph.labels, b.graph.labels),
     ]
     for name, left, right in pairs:
@@ -317,13 +358,109 @@ def _check_delta_merge() -> List[str]:
             edge_src=graph.edge_src.copy(),
             edge_dst=graph.edge_dst.copy(),
             edge_type=graph.edge_type.copy(),
-            txn_features=graph.txn_features.copy(),
+            txn_table=graph.txn_table.copy(),
             labels=graph.labels.copy(),
         ).csr()
         for name, left, right in zip(("indptr", "src", "eid"), merged, rebuilt):
             if not np.array_equal(left, right):
                 problems.append(f"seed {seed}: merged {name} != rebuilt {name}")
     return problems
+
+
+def _txn_table_legs(rng: np.random.Generator, problems: List[str]) -> None:
+    """Every producer of a table on one growing graph, each held to the
+    rows a scan of its parent says its transactions own; violations go
+    to ``problems`` as they are found."""
+    from ..graph.sampling import SageSampler, stack_subgraphs, unstack_subgraphs
+    from ..storage import GraphStore, InMemoryKVStore
+    from ..stream.builder import IncrementalGraphBuilder
+
+    graph = random_hetero_graph(rng, num_txns=int(rng.integers(4, 9)))
+    graph.txn_row  # derived now, so the deltas extend it in place
+    for shape in ("full", "node-only", "edge-only", "full"):
+        delta = random_delta(rng, graph, num_new_txns=2, shape=shape)
+        want = np.concatenate([graph.txn_table, delta["txn_table"]])
+        graph.append_delta(**delta)
+        problems += [f"append_delta ({shape}): {p}" for p in txn_table_violations(graph, want)]
+    rows, dim = _rows_by_node(graph), graph.feature_dim
+    nodes = rng.permutation(graph.num_nodes)[: graph.num_nodes // 2 + 1]
+    sub, _ = graph.subgraph(nodes)
+    problems += [f"subgraph: {p}" for p in txn_table_violations(sub, _rows_of(rows, nodes, dim))]
+    sampler = SageSampler(hops=2, fanout=3, seed=int(rng.integers(0, 1 << 16)))
+    targets = rng.choice(graph.num_nodes, size=4)
+    parts = [sampler.sample(graph, [int(target)]) for target in targets]
+    stacked = stack_subgraphs(parts)
+    sampled = {
+        "stack_subgraphs": stacked,
+        "disjoint walk": sampler.sample(graph, targets, disjoint=True),
+        **{f"unstacked part {i}": part for i, part in enumerate(unstack_subgraphs(stacked))},
+    }
+    for name, sample in sampled.items():
+        want = _rows_of(rows, sample.original_ids, dim)
+        problems += [f"{name}: {p}" for p in txn_table_violations(sample.graph, want)]
+    fresh = rng.normal(size=stacked.graph.txn_table.shape)
+    clone = stacked.graph.with_features(fresh)
+    problems += [f"with_features: {p}" for p in txn_table_violations(clone, fresh)]
+    store = InMemoryKVStore()
+    GraphStore(store).save(graph)
+    keys = len(store.keys())
+    if keys != len(graph.txn_table) + len(GraphStore.STRUCT_KEYS) + 1:
+        problems.append(f"GraphStore.save wrote {keys} keys for {len(graph.txn_table)} rows")
+    loaded = GraphStore(store).load()
+    problems += [f"GraphStore.load: {p}" for p in txn_table_violations(loaded, graph.txn_table)]
+    events = random_events(rng, 6, feature_dim=3)
+    builder = IncrementalGraphBuilder(feature_dim=3)
+    for count, event in enumerate(events):
+        builder.apply(event)
+        if count % 2:
+            builder.flush()
+    want = np.stack([event.features for event in events])
+    problems += [f"stream builder: {p}" for p in txn_table_violations(builder.graph, want)]
+
+
+@invariant(
+    "txn-table",
+    layer="graph/stream/storage",
+    falsifies="a transaction feature table holding other than exactly one row per "
+    "transaction in node order — an entity given a row, rows swapped, a delta that "
+    "drops one — after append_delta, subgraph, stack/unstack_subgraphs, the disjoint "
+    "walk, with_features, the stream builder's flush and a GraphStore round-trip",
+)
+def _check_txn_table() -> List[str]:
+    problems: List[str] = []
+    for seed in (0, 1, 2):
+        found: List[str] = []
+        try:
+            _txn_table_legs(np.random.default_rng(seed), found)
+        except Exception as error:  # a producer that raises fails the audit too
+            found.append(f"raised {type(error).__name__}: {error}")
+        problems += [f"seed {seed}: {p}" for p in found]
+    # Self-tests: each planted fault must be caught.
+    graph = random_hetero_graph(np.random.default_rng(31), num_txns=4)
+    want = graph.txn_table
+    planted = {
+        "an entity given a row": np.insert(want, len(want), 0.0, axis=0),
+        "two rows swapped": want[[1, 0, 2, 3]],
+        "a row dropped": want[:-1],
+    }
+    arrays = [graph.node_type, graph.edge_src, graph.edge_dst, graph.edge_type]
+    for fault, table in planted.items():
+        if not txn_table_violations(HeteroGraph.derived(*arrays, table, graph.labels), want):
+            problems.append(f"self-test: txn_table_violations missed {fault}")
+        if fault != "two rows swapped":
+            try:
+                HeteroGraph(*arrays, table, graph.labels)
+                problems.append(f"self-test: validate() admitted a table with {fault}")
+            except ValueError:
+                pass
+    delta = random_delta(np.random.default_rng(32), graph, num_new_txns=2)
+    delta["txn_table"] = delta["txn_table"][:-1]
+    try:
+        graph.append_delta(**delta)
+        problems.append("self-test: append_delta took a delta that drops a row")
+    except ValueError:
+        pass
+    return problems + [f"after a refused delta: {p}" for p in txn_table_violations(graph, want)]
 
 
 def _batch_lookup_problems(cache_class) -> List[str]:

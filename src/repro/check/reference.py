@@ -44,6 +44,7 @@ from ..graph.sampling import (
 from ..models.detector import XFraudDetector
 from ..models.field import EdgeRows
 from ..models.hetero_conv import HeteroConvLayer
+from ..models.inference import padded_features
 from ..nn import Tensor
 from ..nn import functional as F
 
@@ -105,10 +106,9 @@ def conv_forward(
 
     if layer.first_layer:
         # eq. 2/4/6 input: X + τ(v)^emb  (+ φ(e)^emb handled below), where
-        # X is a transaction's features and nothing for any other type:
-        # whatever an entity's row of ``h`` holds is not read.
-        is_txn = (node_type == NODE_TYPES.index("txn"))[:, None]
-        h = nn.where(is_txn, h, Tensor(0.0)) + layer.node_type_emb(node_type)
+        # X is a transaction's features and an entity's row of ``h`` is
+        # zero (:func:`~repro.models.inference.padded_features`).
+        h = h + layer.node_type_emb(node_type)
     query = _per_type_linear(h, node_type, layer.q_linear).reshape(num_nodes, heads, dim)
     key = _per_type_linear(h, node_type, layer.k_linear).reshape(num_nodes, heads, dim)
     value = _per_type_linear(h, node_type, layer.v_linear).reshape(num_nodes, heads, dim)
@@ -166,7 +166,7 @@ class PerOpDetector:
         edge_rows: Optional[EdgeRows] = None,
     ) -> Tensor:
         targets = np.asarray(targets, dtype=np.int64)
-        h = Tensor(graph.txn_features)
+        h = Tensor(padded_features(graph))
         if feature_mask is not None:
             h = h * feature_mask
         for conv in self.detector.convs:

@@ -69,9 +69,6 @@ class GraphBuilder:
         features: List[np.ndarray] = []
         index: Dict[str, Dict[int, int]] = {k: {} for k in ("txn", "pmt", "email", "addr", "buyer")}
 
-        feature_dim = len(records[0].features)
-        zero_features = np.zeros(feature_dim)
-
         # Transactions first so txn node ids are contiguous from zero.
         for record in records:
             index["txn"][record.txn_id] = len(node_types)
@@ -86,7 +83,6 @@ class GraphBuilder:
                 index[kind][external_id] = len(node_types)
                 node_types.append(NODE_TYPE_IDS[kind])
                 labels.append(-1)
-                features.append(zero_features)
             return index[kind][external_id]
 
         src: List[int] = []
@@ -110,7 +106,7 @@ class GraphBuilder:
             edge_src=np.array(src, dtype=np.int64),
             edge_dst=np.array(dst, dtype=np.int64),
             edge_type=np.array(etype, dtype=np.int64),
-            txn_features=np.stack(features),
+            txn_table=np.stack(features),
             labels=np.array(labels, dtype=np.int64),
         )
         if self.config.seed_expansion:

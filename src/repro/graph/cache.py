@@ -25,7 +25,7 @@ targets had been looked up one by one.
 
 Consumers must treat cached subgraphs as immutable. The serving layer
 hydrates per-request features via ``HeteroGraph.with_features`` (an
-O(1) structural clone) rather than writing into ``txn_features`` of a
+O(1) structural clone) rather than writing into ``txn_table`` of a
 shared cached instance.
 """
 

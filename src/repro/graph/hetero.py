@@ -8,8 +8,8 @@ nodes start empty and receive representations after the first
 convolution layer.
 
 :class:`HeteroGraph` stores the graph in flat numpy arrays — node type
-ids, directed edge lists with edge-type ids, transaction features, and
-labels — plus a lazily built CSR adjacency for neighbour sampling.
+ids, directed edge lists with edge-type ids, a feature row per
+transaction, and labels — plus a lazily built CSR adjacency.
 
 A static graph owns exactly those arrays. One that grows through
 :meth:`HeteroGraph.append_delta` keeps each behind a spare-capacity
@@ -41,6 +41,8 @@ EDGE_TYPES: Tuple[str, ...] = (
     "buyer->txn",
 )
 EDGE_TYPE_IDS: Dict[str, int] = {name: i for i, name in enumerate(EDGE_TYPES)}
+
+_TXN = NODE_TYPE_IDS["txn"]
 
 
 def edge_type_between(src_type: str, dst_type: str) -> int:
@@ -105,11 +107,11 @@ class HeteroGraph:
         ``(N,)`` int array of :data:`NODE_TYPES` ids.
     edge_src, edge_dst, edge_type:
         ``(E,)`` int arrays describing directed edges.
-    txn_features:
-        ``(N, F)`` float array; rows of non-``txn`` nodes are ignored by
-        the detector (its first layer reads transaction rows only, and
-        the scoring service fetches no others); graphs built here hold
-        zeros there.
+    txn_table:
+        ``(T, F)`` float array, one row per transaction node and none
+        per entity (Sec. 3.2(1): the other four types start empty).
+        Row ``k`` is the ``k``-th transaction in node order, so the node
+        -> row map (:attr:`txn_row`) is a function of ``node_type``.
     labels:
         ``(N,)`` int array: 1 fraud, 0 legit, -1 unlabeled / non-txn.
     """
@@ -118,7 +120,7 @@ class HeteroGraph:
     edge_src: np.ndarray
     edge_dst: np.ndarray
     edge_type: np.ndarray
-    txn_features: np.ndarray
+    txn_table: np.ndarray
     labels: np.ndarray
     _csr: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
         default=None, repr=False, compare=False
@@ -134,16 +136,16 @@ class HeteroGraph:
     _local_map_scratch: Optional[np.ndarray] = field(
         default=None, init=False, repr=False, compare=False
     )
+    #: :attr:`txn_row` once read, while it is ``num_nodes`` long.
+    _txn_row: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.node_type = np.asarray(self.node_type, dtype=np.int64)
         self.edge_src = np.asarray(self.edge_src, dtype=np.int64)
         self.edge_dst = np.asarray(self.edge_dst, dtype=np.int64)
         self.edge_type = np.asarray(self.edge_type, dtype=np.int64)
-        features = np.asarray(self.txn_features)
-        if not np.issubdtype(features.dtype, np.floating):
-            features = features.astype(np.float64)
-        self.txn_features = features
+        table = np.asarray(self.txn_table)
+        self.txn_table = table if np.issubdtype(table.dtype, np.floating) else table.astype(float)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         self.validate()
 
@@ -155,8 +157,8 @@ class HeteroGraph:
         n = self.num_nodes
         if not (len(self.edge_src) == len(self.edge_dst) == len(self.edge_type)):
             raise ValueError("edge arrays must have equal length")
-        if self.txn_features.ndim != 2 or self.txn_features.shape[0] != n:
-            raise ValueError("txn_features must be (num_nodes, feature_dim)")
+        if self.txn_table.ndim != 2 or len(self.txn_table) != (self.node_type == _TXN).sum():
+            raise ValueError("txn_table must be (transactions, feature_dim)")
         if self.labels.shape != (n,):
             raise ValueError("labels must be (num_nodes,)")
         if len(self.edge_src) and (
@@ -177,7 +179,7 @@ class HeteroGraph:
         _check_edge_schema(
             self.node_type[self.edge_src], self.node_type[self.edge_dst], self.edge_type
         )
-        labeled = self.labels[self.node_type != NODE_TYPE_IDS["txn"]]
+        labeled = self.labels[self.node_type != _TXN]
         if len(labeled) and np.any(labeled != -1):
             raise ValueError("only txn nodes may carry labels")
 
@@ -194,11 +196,33 @@ class HeteroGraph:
 
     @property
     def feature_dim(self) -> int:
-        return self.txn_features.shape[1]
+        return self.txn_table.shape[1]
 
     @property
     def txn_nodes(self) -> np.ndarray:
-        return np.flatnonzero(self.node_type == NODE_TYPE_IDS["txn"])
+        return np.flatnonzero(self.node_type == _TXN)
+
+    @property
+    def txn_row(self) -> np.ndarray:
+        """``(N,)``: each node's :attr:`txn_table` row, ``-1`` for an
+        entity — derived on first read, extended by :meth:`append_delta`."""
+        if self._txn_row is None or len(self._txn_row) != len(self.node_type):
+            is_txn = self.node_type == _TXN
+            self._txn_row = rows = is_txn.cumsum() - 1  # cheaper than np.where on small graphs
+            rows[~is_txn] = -1
+        return self._txn_row
+
+    def txn_rows(self, nodes) -> np.ndarray:
+        """:attr:`txn_table` rows of the transaction ``nodes``; an entity has none: ValueError."""
+        rows = self.txn_row[nodes]
+        if (rows < 0).any():
+            raise ValueError(f"nodes {np.asarray(nodes)[rows < 0].tolist()} are not transactions")
+        return rows
+
+    def txn_table_of(self, nodes: np.ndarray) -> np.ndarray:
+        """The table of a graph on ``nodes``, in that order: its transactions' rows."""
+        rows = self.txn_row[nodes]
+        return self.txn_table.take(rows[rows >= 0], axis=0)  # take: cheaper than [] on a sample
 
     @property
     def labeled_nodes(self) -> np.ndarray:
@@ -253,12 +277,13 @@ class HeteroGraph:
         self,
         node_type: Sequence[int],
         labels: Sequence[int],
-        txn_features: np.ndarray,
+        txn_table: np.ndarray,
         edge_src: Sequence[int],
         edge_dst: Sequence[int],
         edge_type: Sequence[int],
     ) -> None:
-        """Append new nodes/edges *in place*, splicing the cached CSR.
+        """Append new nodes/edges *in place*, splicing the cached CSR;
+        ``txn_table`` holds a row per new transaction, in node order.
 
         The streaming ingestion path (:class:`repro.stream.builder.
         IncrementalGraphBuilder`) flushes event deltas through this so
@@ -285,9 +310,10 @@ class HeteroGraph:
         """
         new_nt = np.asarray(node_type, dtype=np.int64)
         new_labels = np.asarray(labels, dtype=np.int64)
-        new_feat = np.asarray(txn_features, dtype=self.txn_features.dtype)
-        if new_feat.ndim != 2 or new_feat.shape != (len(new_nt), self.feature_dim):
-            raise ValueError("delta features must be (new_nodes, feature_dim)")
+        new_table = np.asarray(txn_table, dtype=self.txn_table.dtype)
+        is_txn = new_nt == _TXN
+        if new_table.shape != (np.count_nonzero(is_txn), self.feature_dim):
+            raise ValueError("delta txn_table must be (new transactions, feature_dim)")
         if new_labels.shape != (len(new_nt),):
             raise ValueError("delta labels must be (new_nodes,)")
         new_src = np.asarray(edge_src, dtype=np.int64)
@@ -311,18 +337,19 @@ class HeteroGraph:
             _check_edge_schema(
                 self._grown_types(new_src, new_nt), self._grown_types(new_dst, new_nt), new_et
             )
-        entity = new_nt != NODE_TYPE_IDS["txn"]
-        if np.any(new_labels[entity] != -1):
+        if np.any(new_labels[~is_txn] != -1):
             raise ValueError("only txn nodes may carry labels")
 
         delta = {
             "node_type": new_nt,
             "labels": new_labels,
-            "txn_features": new_feat,
+            "txn_table": new_table,
             "edge_src": new_src,
             "edge_dst": new_dst,
             "edge_type": new_et,
         }
+        if self._txn_row is not None and len(self._txn_row) == self.num_nodes:
+            delta["_txn_row"] = np.where(is_txn, len(self.txn_table) + np.cumsum(is_txn) - 1, -1)
         buffers = dict(self._buffers or {})
         views = {}
         for name, rows in delta.items():
@@ -414,32 +441,26 @@ class HeteroGraph:
         self._csr = None
         return self.csr()
 
-    def with_features(self, features: np.ndarray) -> "HeteroGraph":
-        """Shallow clone sharing every structure array, with ``features``
+    def with_features(self, txn_table: np.ndarray) -> "HeteroGraph":
+        """Shallow clone sharing every structure array, with ``txn_table``
         swapped in — O(1), no re-validation, CSR carried over.
 
-        The serving path hydrates KV-fetched feature rows onto cached
-        sampled subgraphs through this instead of mutating the shared
-        instance, so a :class:`~repro.graph.cache.SubgraphCache` hit can
-        never observe another request's features.
+        The serving path hydrates KV-fetched transaction rows onto
+        cached sampled subgraphs through this instead of mutating the
+        shared instance, so a :class:`~repro.graph.cache.SubgraphCache`
+        hit can never observe another request's features.
         """
-        features = np.asarray(features)
-        if features.ndim != 2 or features.shape[0] != self.num_nodes:
-            raise ValueError("features must be (num_nodes, feature_dim)")
+        txn_table = np.asarray(txn_table)
+        if txn_table.ndim != 2 or len(txn_table) != len(self.txn_table):
+            raise ValueError("txn_table must be (transactions, feature_dim)")
         if self._buffers and self._csr is not None:
             # The clone shares this CSR's arrays: give up splicing them
             # in place, so the next delta re-adopts them by copy.
             self._buffers.pop("src_by_dst", None)
             self._buffers.pop("edge_id_by_dst", None)
-        clone = object.__new__(HeteroGraph)
-        clone.node_type = self.node_type
-        clone.edge_src = self.edge_src
-        clone.edge_dst = self.edge_dst
-        clone.edge_type = self.edge_type
-        clone.txn_features = features
-        clone.labels = self.labels
-        clone._csr = self._csr
-        clone._version = self._version
+        arrays = (self.node_type, self.edge_src, self.edge_dst, self.edge_type)
+        clone = HeteroGraph.derived(*arrays, txn_table, self.labels)
+        clone._csr, clone._version, clone._txn_row = self._csr, self._version, self._txn_row
         return clone
 
     # ------------------------------------------------------------------
@@ -536,7 +557,7 @@ class HeteroGraph:
             src_local,
             dst_local,
             edge_type,
-            self.txn_features[nodes],
+            self.txn_table_of(nodes),
             self.labels[nodes],
         )
         return sub, nodes
@@ -547,22 +568,16 @@ class HeteroGraph:
         edge_src: np.ndarray,
         edge_dst: np.ndarray,
         edge_type: np.ndarray,
-        txn_features: np.ndarray,
+        txn_table: np.ndarray,
         labels: np.ndarray,
     ) -> "HeteroGraph":
         """Trusted construction from arrays derived from an already
         validated graph (a sample of it, a slice of a sample): every
         invariant holds by derivation, so the O(nodes + edges)
         re-validation is skipped on the per-request path."""
-        sub = object.__new__(HeteroGraph)
-        sub.node_type = node_type
-        sub.edge_src = edge_src
-        sub.edge_dst = edge_dst
-        sub.edge_type = edge_type
-        sub.txn_features = txn_features
-        sub.labels = labels
-        sub._csr = None
-        sub._version = 0
+        sub = object.__new__(HeteroGraph)  # CSR, version and row map: the class defaults
+        sub.node_type, sub.edge_src, sub.edge_dst = node_type, edge_src, edge_dst
+        sub.edge_type, sub.txn_table, sub.labels = edge_type, txn_table, labels
         return sub
 
     def _borrow_local_map(self) -> np.ndarray:
@@ -621,30 +636,20 @@ class HeteroGraph:
     def from_links(
         node_types: Sequence[int],
         links: Sequence[Tuple[int, int]],
-        txn_features: np.ndarray,
+        txn_table: np.ndarray,
         labels: Sequence[int],
     ) -> "HeteroGraph":
         """Build from undirected (txn, entity) links, adding both directions."""
-        node_types = np.asarray(node_types, dtype=np.int64)
-        src: List[int] = []
-        dst: List[int] = []
-        etype: List[int] = []
-        for a, b in links:
-            type_a = NODE_TYPES[node_types[a]]
-            type_b = NODE_TYPES[node_types[b]]
-            src.append(a)
-            dst.append(b)
-            etype.append(edge_type_between(type_a, type_b))
-            src.append(b)
-            dst.append(a)
-            etype.append(edge_type_between(type_b, type_a))
+        pairs = np.asarray(links, dtype=np.int64).reshape(-1, 1, 2)  # each link, then reversed
+        src, dst = np.concatenate([pairs, pairs[:, :, ::-1]], axis=1).reshape(-1, 2).T.copy()
+        types = [NODE_TYPES[type_id] for type_id in node_types]
         return HeteroGraph(
             node_type=node_types,
-            edge_src=np.array(src, dtype=np.int64),
-            edge_dst=np.array(dst, dtype=np.int64),
-            edge_type=np.array(etype, dtype=np.int64),
-            txn_features=txn_features,
-            labels=np.asarray(labels, dtype=np.int64),
+            edge_src=src,
+            edge_dst=dst,
+            edge_type=[edge_type_between(types[a], types[b]) for a, b in zip(src, dst)],
+            txn_table=txn_table,
+            labels=labels,
         )
 
     def to_networkx(self):

@@ -185,7 +185,7 @@ def stack_subgraphs(parts: Sequence[SampledSubgraph]) -> SampledSubgraph:
         edge_src=edge_src,
         edge_dst=edge_dst,
         edge_type=np.concatenate([graph.edge_type for graph in graphs]),
-        txn_features=np.concatenate([graph.txn_features for graph in graphs], axis=0),
+        txn_table=np.concatenate([graph.txn_table for graph in graphs], axis=0),
         labels=np.concatenate([graph.labels for graph in graphs]),
     )
     return SampledSubgraph(
@@ -219,6 +219,7 @@ def unstack_subgraphs(stacked: SampledSubgraph) -> List[SampledSubgraph]:
         raise ValueError("not a stack: an edge leaves its component, or edges are not grouped")
     edge_bounds = np.searchsorted(component, np.arange(1, count + 2)).tolist()
     node_bounds = starts.tolist() + [graph.num_nodes]
+    row_bounds = np.append(0, np.cumsum(graph.txn_row >= 0))[node_bounds].tolist()
     first = starts[:1]  # every part's target_local
     parts = []
     for index in range(count):
@@ -229,7 +230,7 @@ def unstack_subgraphs(stacked: SampledSubgraph) -> List[SampledSubgraph]:
             graph.edge_src[edges] - lo,
             graph.edge_dst[edges] - lo,
             graph.edge_type[edges],
-            graph.txn_features[lo:hi],
+            graph.txn_table[row_bounds[index] : row_bounds[index + 1]],
             graph.labels[lo:hi],
         )
         parts.append(SampledSubgraph(part, first, stacked.original_ids[lo:hi]))
@@ -586,7 +587,7 @@ def _induce_disjoint(graph: HeteroGraph, roots: np.ndarray, seen: np.ndarray) ->
         slot[at[inside]][order],
         edge_dst[inside][order],
         graph.edge_type[edge_ids],
-        graph.txn_features[original_ids],
+        graph.txn_table_of(original_ids),
         graph.labels[original_ids],
     )
     return SampledSubgraph(graph=sub, target_local=starts, original_ids=original_ids)

@@ -115,7 +115,7 @@ class XFraudDetector(nn.Module):
         rows the next one reads: every node's position and the last
         layer's output — the targets' rows (or all), in layout order."""
         layers, read, rank = self._laid_out(graph, targets)
-        h = Tensor(graph.txn_features[read])
+        h = Tensor(graph.txn_table[graph.txn_row[read]])
         if feature_mask is not None:
             h = h * nn.gather(feature_mask, read)
         for layout, conv in zip(layers, self.convs):
@@ -147,7 +147,7 @@ class XFraudDetector(nn.Module):
         feature_mask: Optional[Tensor] = None,
         edge_rows: Optional[EdgeRows] = None,
     ) -> Tensor:
-        """Logits ``(len(targets), num_classes)`` for target txn nodes."""
+        """Logits ``(len(targets), num_classes)`` for target txn nodes; an entity raises."""
         targets = np.asarray(targets, dtype=np.int64)
         rank, h = self._convolve(graph, targets, edge_mask, feature_mask, edge_rows)
         return self.head(graph, targets, nn.gather(h, rank[targets]), feature_mask)
@@ -161,7 +161,7 @@ class XFraudDetector(nn.Module):
     ) -> Tensor:
         """The FFN head on the targets' convolution output ``h``
         (``(len(targets), hidden_dim)``), on the per-op tape."""
-        original = Tensor(graph.txn_features[targets])
+        original = Tensor(graph.txn_table[graph.txn_rows(targets)])
         if feature_mask is not None:
             original = original * feature_mask[targets]
         x = nn.concat([h.tanh(), original], axis=1)
@@ -176,17 +176,18 @@ class XFraudDetector(nn.Module):
 
     # ------------------------------------------------------------------
     def predict_proba(self, graph: HeteroGraph, targets: Sequence[int]) -> np.ndarray:
-        """Fraud probability per target: :meth:`forward` in eval mode on
-        plain arrays — the layers' own :meth:`HeteroConvLayer.kernel`
-        with nothing saved, then the head (no ``Tensor``, no tape, no
-        dropout; ``self.training`` is neither read nor changed)."""
+        """Fraud probability per target: :meth:`forward` in eval mode on plain
+        arrays — the layers' own :meth:`HeteroConvLayer.kernel` with nothing
+        saved, then the head (no ``Tensor``, no tape, no dropout;
+        ``self.training`` is neither read nor changed); an entity target raises."""
         targets = np.asarray(targets, dtype=np.int64)
+        original = graph.txn_table.take(graph.txn_rows(targets), axis=0)
         layers, read, rank = self._laid_out(graph, targets)
-        h = graph.txn_features[read]
+        h = graph.txn_table.take(graph.txn_row[read], axis=0)
         for layout, conv in zip(layers, self.convs):
             h, _ = conv.kernel(layout, h)
 
-        x = np.concatenate([np.tanh(h[rank[targets]]), graph.txn_features[targets]], axis=1)
+        x = np.concatenate([np.tanh(h[rank[targets]]), original], axis=1)
         for fc, norm in ((self.head_fc1, self.head_norm1), (self.head_fc2, self.head_norm2)):
             x = x @ fc.weight.data + fc.bias.data
             x -= x.sum(axis=-1, keepdims=True) / x.shape[-1]

@@ -18,7 +18,7 @@ from ..nn import Tensor
 from ..nn import functional as F
 from .detector import DetectorConfig
 from .field import EdgeRows, loss_field
-from .inference import tensor_predict_proba
+from .inference import padded_features, tensor_predict_proba
 
 
 class GATLayer(nn.Module):
@@ -101,7 +101,7 @@ class GATModel(nn.Module):
         self, graph: HeteroGraph, edge_rows: Optional[EdgeRows] = None
     ) -> Tensor:
         """Per-node embeddings after the GAT stack, ``(N, hidden)``."""
-        h = Tensor(graph.txn_features)
+        h = Tensor(padded_features(graph))
         for layer in self.layers:
             h = layer(graph, h, edge_rows=edge_rows)
         return h
@@ -115,7 +115,7 @@ class GATModel(nn.Module):
         targets = np.asarray(targets, dtype=np.int64)
         h = self.node_representations(graph, edge_rows=edge_rows)
         gnn_out = nn.gather(h, targets).tanh()
-        original = Tensor(graph.txn_features[targets])
+        original = Tensor(graph.txn_table[graph.txn_rows(targets)])
         return self.head(nn.concat([gnn_out, original], axis=1))
 
     def predict_proba(self, graph: HeteroGraph, targets: Sequence[int]) -> np.ndarray:

@@ -23,7 +23,7 @@ from ..nn import Tensor
 from ..nn import functional as F
 from .detector import DetectorConfig
 from .field import loss_field
-from .inference import tensor_predict_proba
+from .inference import padded_features, tensor_predict_proba
 
 
 class GEMLayer(nn.Module):
@@ -81,7 +81,7 @@ class GEMModel(nn.Module):
 
     def node_representations(self, graph: HeteroGraph) -> Tensor:
         """Per-node embeddings after the GEM stack, ``(N, hidden)``."""
-        h = Tensor(graph.txn_features)
+        h = Tensor(padded_features(graph))
         for layer in self.layers:
             h = layer(graph, h)
         return h
@@ -90,7 +90,7 @@ class GEMModel(nn.Module):
         targets = np.asarray(targets, dtype=np.int64)
         h = self.node_representations(graph)
         gnn_out = nn.gather(h, targets).tanh()
-        original = Tensor(graph.txn_features[targets])
+        original = Tensor(graph.txn_table[graph.txn_rows(targets)])
         return self.head(nn.concat([gnn_out, original], axis=1))
 
     def predict_proba(self, graph: HeteroGraph, targets: Sequence[int]) -> np.ndarray:

@@ -31,3 +31,11 @@ def tensor_predict_proba(
     finally:
         model.train(was_training)
     return probabilities.data[:, 1].copy()
+
+
+def padded_features(graph: HeteroGraph) -> np.ndarray:
+    """``(N, F)``: ``graph.txn_table`` at the transactions, zeros at the
+    entities — the per-node input of GAT and GEM, built per forward."""
+    padded = np.zeros((graph.num_nodes, graph.feature_dim), dtype=graph.txn_table.dtype)
+    padded[graph.txn_row >= 0] = graph.txn_table
+    return padded

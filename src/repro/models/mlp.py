@@ -47,7 +47,7 @@ class FeatureMLP(nn.Module):
 
     def forward(self, graph: HeteroGraph, targets: Sequence[int]) -> Tensor:
         targets = np.asarray(targets, dtype=np.int64)
-        return self.net(Tensor(graph.txn_features[targets]))
+        return self.net(Tensor(graph.txn_table[graph.txn_rows(targets)]))
 
     def predict_proba(self, graph: HeteroGraph, targets: Sequence[int]) -> np.ndarray:
         """Fraud probability per target from features alone."""

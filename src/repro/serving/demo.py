@@ -258,10 +258,9 @@ def run_demo(
     nodes = test_nodes[:requests]
 
     responses: List[ScoreResponse] = []
+    graph = service.graph
     for node in nodes:
-        request = ScoreRequest(
-            node=int(node), features=service.graph.txn_features[int(node)]
-        )
+        request = ScoreRequest(node=int(node), features=graph.txn_table[graph.txn_row[node]])
         responses.append(service.score(request))
         # Inter-arrival gap: lets the breaker cool-down elapse so the
         # recovery act (half-open -> closed) happens inside the run.

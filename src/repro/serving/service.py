@@ -204,8 +204,8 @@ class ScoringService:
         hydrated per request from the store — the paper's deployment
         shape (Sec. 3.3.3); without one the in-memory features serve.
     feature_store:
-        Optional :class:`~repro.storage.kvstore.KVStore` holding
-        ``feat/{node}`` rows (the :class:`~repro.storage.loader.GraphStore`
+        Optional :class:`~repro.storage.kvstore.KVStore` holding each
+        transaction's ``feat/{node}`` row (the :class:`~repro.storage.loader.GraphStore`
         layout). Reads go through retry-inside-breaker. A
         :class:`~repro.storage.replicated.ReplicatedKVStore` is detected
         and read directly: its per-replica health tracking, failover
@@ -389,6 +389,8 @@ class ScoringService:
             request = ScoreRequest(node=int(request))
         if not 0 <= request.node < self.graph.num_nodes:
             raise ValueError(f"node {request.node} outside the serving graph")
+        if self.graph.node_type[request.node] != NODE_TYPE_IDS["txn"]:
+            raise ValueError(f"node {request.node} is not a transaction: only those are scored")
         return request
 
     def _admit(self, request: ScoreRequest) -> bool:
@@ -402,16 +404,11 @@ class ScoringService:
             self.stats.record_shed(SHED_RATE_LIMITED)
         return admitted
 
-    def _request_features(self, request: ScoreRequest) -> Optional[np.ndarray]:
-        if request.features is not None:
-            return np.asarray(request.features, dtype=np.float64)
-        row = np.asarray(self.graph.txn_features[request.node], dtype=np.float64)
-        if self.feature_store is not None and not row.any():
-            # KV-backed deployments carry raw features on the request;
-            # an all-zero in-memory row is a structure-only placeholder,
-            # so the rules rung has nothing to score -> static prior.
-            return None
-        return row
+    def _request_features(self, request: ScoreRequest) -> np.ndarray:
+        features = request.features
+        if features is None:  # the transaction's own row: every one has one
+            features = self.graph.txn_table[self.graph.txn_row[request.node]]
+        return np.asarray(features, dtype=np.float64)
 
     def _shed_response(self, request: ScoreRequest, reason: str) -> ScoreResponse:
         score = self.config.static_prior
@@ -516,25 +513,20 @@ class ScoringService:
         sampled = stack_subgraphs([part for _, part in survivors])
         forward_graph = sampled.graph
         if self.feature_store is not None:
-            # Only transactions carry features (the detector reads no
-            # entity row), so only their rows are fetched; entity rows
-            # stay zero. Components may repeat an original id (two
-            # targets sampling the same hub): fetch each row once,
-            # scatter to every copy. A lone component's ids are unique
-            # as sampled.
-            txn = sampled.graph.node_type == NODE_TYPE_IDS["txn"]
-            ids, inverse = sampled.original_ids[txn], slice(None)
+            # Only transactions have feature rows: fetched in node
+            # order, they are the forward graph's table. Components may
+            # repeat an original id (two targets sampling the same hub):
+            # fetch each row once, gather it for every copy. A lone
+            # component's ids are unique as sampled.
+            ids, inverse = sampled.original_ids[sampled.graph.txn_row >= 0], slice(None)
             if len(survivors) > 1:
                 ids, inverse = np.unique(ids, return_inverse=True)
             with self.tracer.span("feature_fetch", rows=int(len(ids))):
                 fetched = self._fetch_features(ids, group)
-            features = self.graph.txn_features
-            rows = np.zeros((len(txn), features.shape[1]), dtype=features.dtype)
-            rows[txn] = fetched[inverse]
             # Hydrate onto an O(1) clone: the sampled subgraphs may live
             # in the SubgraphCache and must never carry another
             # request's feature rows.
-            forward_graph = sampled.graph.with_features(rows)
+            forward_graph = sampled.graph.with_features(fetched[inverse])
         group.check("model forward")
         live = [member for member, _ in survivors if member.live]
         locals_ = [
@@ -592,16 +584,9 @@ class ScoringService:
         pending = [member for member in members if member.rung is None]
         with self.tracer.span("rung", batch=len(pending)) as rung_span:
             if pending and self.rules is not None and len(self.rules):
-                featured = [
-                    (member, self._request_features(member.request))
-                    for member in pending
-                ]
-                scoreable = [(m, f) for m, f in featured if f is not None]
-                if scoreable:
-                    matrix = np.stack([features for _, features in scoreable])
-                    scores = self.rules.risk_scores(matrix)
-                    for (member, _), score in zip(scoreable, scores):
-                        member.rung, member.score = RUNG_RULES, float(score)
+                matrix = np.stack([self._request_features(member.request) for member in pending])
+                for member, score in zip(pending, self.rules.risk_scores(matrix)):
+                    member.rung, member.score = RUNG_RULES, float(score)
             for member in pending:
                 if member.rung is None:
                     member.rung, member.score = RUNG_PRIOR, self.config.static_prior
@@ -637,8 +622,8 @@ class ScoringService:
         # Rows land in the graph's own feature dtype, ready for
         # ``with_features``; a retried chunk just refills its slice.
         node_ids = np.asarray(node_ids, dtype=np.int64).tolist()
-        features = self.graph.txn_features
-        rows = np.empty((len(node_ids), features.shape[1]), dtype=features.dtype)
+        table = self.graph.txn_table
+        rows = np.empty((len(node_ids), table.shape[1]), dtype=table.dtype)
         filled = 0
         for chunk in batched(node_ids, self.config.fetch_chunk):
             deadline.check("feature fetch")

@@ -7,7 +7,7 @@ from .kvstore import (
     MmapKVStore,
     propagate_instrument,
 )
-from .loader import GraphStore, WorkerLoader, decode_array, encode_array, load_rows
+from .loader import GraphStore, WorkerLoader, decode_array, encode_array, encode_rows, load_rows
 from .replicated import (
     AllReplicasFailedError,
     AntiEntropyReport,
@@ -24,6 +24,7 @@ __all__ = [
     "GraphStore",
     "WorkerLoader",
     "encode_array",
+    "encode_rows",
     "decode_array",
     "load_rows",
     "propagate_instrument",

@@ -1,16 +1,16 @@
 """Graph data loaders on top of the KV-store (Sec. 3.3.3).
 
 :class:`GraphStore` serialises a :class:`~repro.graph.hetero.HeteroGraph`
-into a KV-store (one entry per node's feature row plus the structural
-arrays) and loads it back. :class:`WorkerLoader` is the per-worker data
+into a KV-store (one entry per transaction's feature row, plus the
+structure) and loads it back. :class:`WorkerLoader` is the per-worker data
 loader: in the multi-handle design each worker owns an independent
 mmap handle, which is the optimisation that removed the paper's
 data-loading bottleneck (Figures 12 → 13).
 
 Arrays travel as ``.npy`` blobs: :func:`encode_array` /
-:func:`decode_array` are the codec, and :func:`load_rows` is the one
-multi-get that hydrates feature rows for both loaders and the scoring
-service.
+:func:`decode_array` are the codec (:func:`encode_rows`: a table's rows,
+one header), and :func:`load_rows` is the one multi-get that hydrates
+feature rows for both loaders and the scoring service.
 """
 
 from __future__ import annotations
@@ -18,12 +18,12 @@ from __future__ import annotations
 import io
 import math
 from functools import lru_cache
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.lib import format as npy_format
 
-from ..graph.hetero import HeteroGraph
+from ..graph.hetero import NODE_TYPE_IDS, HeteroGraph
 from .kvstore import KVStore, MmapKVStore, _MmapReader
 
 # Width of the header-length field that follows the 8 magic+version
@@ -37,6 +37,18 @@ def encode_array(array: np.ndarray) -> bytes:
     buffer = io.BytesIO()
     np.save(buffer, np.ascontiguousarray(array), allow_pickle=False)
     return buffer.getvalue()
+
+
+def encode_rows(table: np.ndarray) -> List[bytes]:
+    """:func:`encode_array` of each row of ``table``, byte for byte, with
+    the header written once: the rows share it, so a blob is that prefix
+    plus the row's bytes (the write side of :func:`_decode_uniform`)."""
+    table = np.asarray(table)
+    if not len(table):
+        return []
+    first, width, payload = encode_array(table[0]), table[0].nbytes, table.tobytes()
+    prefix = first[: len(first) - width]
+    return [prefix + payload[row * width : (row + 1) * width] for row in range(len(table))]
 
 
 @lru_cache(maxsize=64)
@@ -194,15 +206,15 @@ class GraphStore:
         self.store = store
 
     def save(self, graph: HeteroGraph) -> None:
-        """Write structure arrays and one feature row per node."""
+        """Write the structure arrays and each transaction's ``feat/{node}`` row."""
         for key in self.STRUCT_KEYS:
             self.store.put(f"struct/{key}", encode_array(getattr(graph, key)))
         self.store.put(
             "struct/meta",
             encode_array(np.array([graph.num_nodes, graph.feature_dim], dtype=np.int64)),
         )
-        for node in range(graph.num_nodes):
-            self.store.put(f"feat/{node}", encode_array(graph.txn_features[node]))
+        for node, blob in zip(graph.txn_nodes.tolist(), encode_rows(graph.txn_table)):
+            self.store.put(f"feat/{node}", blob)
         # Duck-typed: MmapKVStore needs its index footer written, and
         # ReplicatedKVStore forwards to any finalizable replicas.
         finalize = getattr(self.store, "finalize", None)
@@ -216,9 +228,8 @@ class GraphStore:
             key: decode_array(self.store.get(f"struct/{key}")).copy()
             for key in self.STRUCT_KEYS
         }
-        num_nodes = int(decode_array(self.store.get("struct/meta"))[0])
-        features = load_rows(self.store.get_many, range(num_nodes))
-        return HeteroGraph(txn_features=features, **arrays)
+        txn_nodes = np.flatnonzero(arrays["node_type"] == NODE_TYPE_IDS["txn"])
+        return HeteroGraph(txn_table=load_rows(self.store.get_many, txn_nodes), **arrays)
 
     def load_features(self, nodes: Sequence[int]) -> np.ndarray:
         """Fetch feature rows through the shared store handle."""

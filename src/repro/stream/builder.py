@@ -61,7 +61,7 @@ class IncrementalGraphBuilder:
                 edge_src=np.zeros(0, dtype=np.int64),
                 edge_dst=np.zeros(0, dtype=np.int64),
                 edge_type=np.zeros(0, dtype=np.int64),
-                txn_features=np.zeros((0, feature_dim)),
+                txn_table=np.zeros((0, feature_dim)),
                 labels=np.zeros(0, dtype=np.int64),
             )
         if graph.feature_dim != feature_dim:
@@ -76,14 +76,7 @@ class IncrementalGraphBuilder:
         self.labels_applied = 0
         self.compactions = 0
         self.last_compaction_version = graph.version
-        # Delta buffers: node/edge additions staged between flushes.
-        self._pending_events = 0
-        self._pending_node_type: List[int] = []
-        self._pending_labels: List[int] = []
-        self._pending_features: List[np.ndarray] = []  # txn rows only
-        self._pending_src: List[int] = []
-        self._pending_dst: List[int] = []
-        self._pending_etype: List[int] = []
+        self._clear_pending()
         if registry is not None:
             registry.collect(self._collect)
 
@@ -168,13 +161,10 @@ class IncrementalGraphBuilder:
         """
         if self._pending_events == 0:
             return 0
-        node_type = np.asarray(self._pending_node_type, dtype=np.int64)
-        features = np.zeros((len(node_type), self.feature_dim))  # entity rows stay zero
-        features[node_type == NODE_TYPE_IDS["txn"]] = self._pending_features
         self.graph.append_delta(
-            node_type=node_type,
+            node_type=self._pending_node_type,
             labels=self._pending_labels,
-            txn_features=features,
+            txn_table=np.stack(self._pending_features),
             edge_src=self._pending_src,
             edge_dst=self._pending_dst,
             edge_type=self._pending_etype,
@@ -182,14 +172,16 @@ class IncrementalGraphBuilder:
         applied = self._pending_events
         self.events_applied += applied
         self.events_flushed += applied
-        self._pending_events = 0
-        self._pending_node_type = []
-        self._pending_labels = []
-        self._pending_features = []
-        self._pending_src = []
-        self._pending_dst = []
-        self._pending_etype = []
+        self._clear_pending()
         return applied
+
+    def _clear_pending(self) -> None:
+        """Empty the delta buffers: nodes, edges, transaction rows staged to flush."""
+        self._pending_events = 0
+        self._pending_node_type: List[int] = []
+        self._pending_labels: List[int] = []
+        self._pending_features: List[np.ndarray] = []
+        self._pending_src, self._pending_dst, self._pending_etype = [], [], []
 
     def apply_label(self, txn_id: int, label: int) -> int:
         """Reveal a matured label (chargeback verdict) on the live graph.

@@ -53,9 +53,14 @@ class TestBuild:
             assert not neighbors & buyer_nodes
 
     def test_only_txn_nodes_have_features(self, log):
-        graph, _ = GraphBuilder().build(log)
-        entity_rows = graph.txn_features[graph.node_type != NODE_TYPE_IDS["txn"]]
-        np.testing.assert_allclose(entity_rows, 0.0)
+        graph, index = GraphBuilder().build(log)
+        # One row per transaction, in node order; an entity has none.
+        assert graph.txn_table.shape == (len(log), 12)
+        for record in log:
+            row = graph.txn_rows(index["txn"][record.txn_id])
+            np.testing.assert_array_equal(graph.txn_table[row], record.features)
+        with pytest.raises(ValueError, match="are not transactions"):
+            graph.txn_rows(np.flatnonzero(graph.node_type != NODE_TYPE_IDS["txn"]))
 
     def test_empty_log_rejected(self):
         from repro.data import TransactionLog

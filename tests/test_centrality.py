@@ -65,7 +65,7 @@ class TestMeaning:
         ]
         links = [(0, 1), (2, 1), (2, 3), (4, 3), (4, 5), (0, 5)]
         graph = HeteroGraph.from_links(
-            types, links, np.zeros((6, 3)), [0, -1, 0, -1, 0, -1]
+            types, links, np.zeros((3, 3)), [0, -1, 0, -1, 0, -1]
         )
         weights = centrality_edge_weights(graph, "edge_betweenness")
         # In a 6-cycle all edges tie — sanity check structure instead.

@@ -85,7 +85,7 @@ def _chaos_service(
 def _requests(graph, count):
     nodes = np.flatnonzero(graph.labels >= 0)[:count]
     return [
-        ScoreRequest(node=int(node), features=graph.txn_features[int(node)])
+        ScoreRequest(node=int(node), features=graph.txn_table[graph.txn_row[node]])
         for node in nodes
     ]
 
@@ -340,7 +340,7 @@ class TestDeadlineMidSampling:
             clock=clock,
         )
         node = int(np.flatnonzero(tiny_graph.labels >= 0)[0])
-        request = ScoreRequest(node=node, features=tiny_graph.txn_features[node])
+        request = ScoreRequest(node=node, features=tiny_graph.txn_table[tiny_graph.txn_row[node]])
         response = service.score(request)  # must not raise
         assert response.admitted
         assert response.rung in (RUNG_RULES, RUNG_PRIOR)

@@ -40,7 +40,7 @@ from repro.check import (
 from repro.cli import main
 from repro.graph import sampling
 from repro.graph.cache import SubgraphCache
-from repro.graph.hetero import NODE_TYPES
+from repro.graph.hetero import NODE_TYPES, HeteroGraph
 from repro.graph.sampling import SageSampler, stack_subgraphs, unstack_subgraphs
 from repro.models import field as field_module
 from repro.models import hetero_conv
@@ -48,6 +48,7 @@ from repro.nn import functional as F
 from repro.nn.segment import scatter_selector
 from repro.storage import loader as loader_module
 from repro.storage.replicated import ReplicatedKVStore
+from repro.stream.builder import IncrementalGraphBuilder
 from repro.train import DistributedTrainer, NoSurvivorsError
 from repro.train import elastic as elastic_module
 
@@ -787,33 +788,42 @@ class TestLayerPlanMutants:
         assert run_case(self.NAME, 0, 1) is None
 
 
-def _edited_table_rows(old, new):
-    """``InferenceLayout.table_rows`` with one edit (see :func:`_edited`;
-    its source carries the decorator, so the edit is a cached_property)."""
-    layout = hetero_conv.InferenceLayout
-    mutant = _edited(layout.table_rows.func, old, new)
-    mutant.__set_name__(layout, "table_rows")
-    return mutant
+class TestTxnTableMutants:
+    """`repro check`'s ``txn-table`` audit must fail on each way a
+    producer of a graph can break the table's contract: one row per
+    transaction, in node order, none per entity."""
 
+    NAME = "txn-table"
 
-class TestEntityRowMutants:
-    """...and, in ``entity-rows-carry-no-input``, when layer 1 reads
-    entity rows after all. Older scenarios dealt earlier in a round see
-    it too (an entity row read as a transaction's takes the transaction
-    constants, on any rows): asserted on the scenario's own cases."""
+    def _violations(self):
+        (result,) = run_audits([self.NAME])
+        return result.violations
 
-    NAME = "entity-rows-carry-no-input"
+    def test_an_entity_given_a_row(self, monkeypatch):
+        mutant = _edited(HeteroGraph.txn_table_of, "rows[rows >= 0]", "np.maximum(rows, 0)")
+        monkeypatch.setattr(HeteroGraph, "txn_table_of", mutant)
+        assert any("subgraph: txn_table is" in problem for problem in self._violations())
 
-    def test_layer_one_reads_entity_rows(self, monkeypatch):
-        mutant = _edited_table_rows("self.node_type == _TXN", "self.node_type >= _TXN")
-        monkeypatch.setattr(hetero_conv.InferenceLayout, "table_rows", mutant)
-        assert "under entity noise" in _caught_by(self.NAME, alone=True).detail
+    def test_two_rows_swapped(self, monkeypatch):
+        rows = "graph.txn_table[row_bounds[index] : row_bounds[index + 1]]"
+        mutant = _edited(sampling.unstack_subgraphs, rows, rows + "[::-1]")
+        monkeypatch.setattr(sampling, "unstack_subgraphs", mutant)
+        assert any("holds another row" in problem for problem in self._violations())
 
-    def test_relation_and_shrunk_case_hold_on_the_real_kernel(self):
-        assert run_fuzz(120, seed=0, names=[self.NAME]).ok
-        # What the mutant shrinks to: a three-layer detector on an
-        # 8-node graph of one transaction and seven entities.
-        assert run_case(self.NAME, 1, 1) is None
+    def test_a_delta_that_drops_a_row(self, monkeypatch):
+        mutant = _edited(
+            IncrementalGraphBuilder.flush,
+            "np.stack(self._pending_features)",
+            "np.stack(self._pending_features[:-1])",
+        )
+        monkeypatch.setattr(IncrementalGraphBuilder, "flush", mutant)
+        assert any("delta txn_table must be" in problem for problem in self._violations())
+
+    def test_store_rows_written_under_other_keys(self, monkeypatch):
+        save = loader_module.GraphStore.save
+        mutant = _edited(save, "graph.txn_nodes.tolist()", "graph.txn_nodes[::-1].tolist()")
+        monkeypatch.setattr(loader_module.GraphStore, "save", mutant)
+        assert any("GraphStore.load" in problem for problem in self._violations())
 
 
 class TestLayerOneTableMutants:
@@ -953,7 +963,7 @@ class TestGenerators:
         assert subgraph_equal is not None  # helper imported
         assert np.array_equal(a.node_type, b.node_type)
         assert np.array_equal(a.edge_src, b.edge_src)
-        assert np.array_equal(a.txn_features, b.txn_features)
+        assert np.array_equal(a.txn_table, b.txn_table)
 
     def test_delta_is_appendable(self):
         rng = np.random.default_rng(10)
@@ -1004,7 +1014,7 @@ class TestStackSubgraphs:
         stacked = stack_subgraphs(parts)
         cuts = unstack_subgraphs(stacked)
         assert [subgraph_equal(cut, part) for cut, part in zip(cuts, parts)] == [None] * 4
-        assert all(cut.graph.txn_features.base is stacked.graph.txn_features for cut in cuts)
+        assert all(cut.graph.txn_table.base is stacked.graph.txn_table for cut in cuts)
         assert unstack_subgraphs(parts[0]) == [parts[0]]
 
     def test_unstack_refuses_what_is_not_such_a_stack(self):
@@ -1060,7 +1070,7 @@ class TestCheckCli:
     def test_audit_only_exits_zero(self, capsys):
         assert main(["check"]) == 0
         out = capsys.readouterr().out
-        assert "audits: 11/11 passed" in out
+        assert "audits: 12/12 passed" in out
 
     def test_fuzz_smoke_exits_zero(self, capsys):
         assert main(["check", "--skip-audit", "--fuzz", "4", "--seed", "0"]) == 0

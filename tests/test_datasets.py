@@ -64,8 +64,8 @@ class TestLoadDataset:
         a = load_dataset("ebay-small-sim", seed=0, scale=0.1)
         b = load_dataset("ebay-small-sim", seed=1, scale=0.1)
         assert a.graph.num_nodes != b.graph.num_nodes or not np.allclose(
-            a.graph.txn_features[: min(a.graph.num_nodes, b.graph.num_nodes)],
-            b.graph.txn_features[: min(a.graph.num_nodes, b.graph.num_nodes)],
+            a.graph.txn_table[: min(len(a.graph.txn_table), len(b.graph.txn_table))],
+            b.graph.txn_table[: min(len(a.graph.txn_table), len(b.graph.txn_table))],
         )
 
     def test_dataset_summary_helper(self, small):

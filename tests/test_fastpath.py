@@ -42,10 +42,9 @@ from repro.serving import (
 
 def _finish(node_types, links, num_txn, rng):
     features = rng.normal(size=(len(node_types), 6))
-    features[num_txn:] = 0.0
     labels = np.full(len(node_types), -1, dtype=np.int64)
     labels[:num_txn] = rng.integers(0, 2, size=num_txn)
-    return HeteroGraph.from_links(node_types, links, features, labels=labels)
+    return HeteroGraph.from_links(node_types, links, features[:num_txn], labels=labels)
 
 
 def _sparse_graph() -> HeteroGraph:
@@ -207,7 +206,7 @@ class TestEquivalence:
             sampled.original_ids[sampled.target_local], targets
         )
         np.testing.assert_allclose(
-            sampled.graph.txn_features, graph.txn_features[sampled.original_ids]
+            sampled.graph.txn_table, graph.txn_table_of(sampled.original_ids)
         )
 
 

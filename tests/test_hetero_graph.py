@@ -10,9 +10,8 @@ def small_graph() -> HeteroGraph:
     """txn(0) - pmt(1), txn(0) - buyer(2), txn(3) - pmt(1)."""
     node_types = [NODE_TYPE_IDS["txn"], NODE_TYPE_IDS["pmt"], NODE_TYPE_IDS["buyer"], NODE_TYPE_IDS["txn"]]
     links = [(0, 1), (0, 2), (3, 1)]
-    features = np.random.default_rng(0).normal(size=(4, 5))
-    features[1] = features[2] = 0
-    return HeteroGraph.from_links(node_types, links, features, labels=[1, -1, -1, 0])
+    table = np.random.default_rng(0).normal(size=(2, 5))  # txn 0, txn 3
+    return HeteroGraph.from_links(node_types, links, table, labels=[1, -1, -1, 0])
 
 
 class TestConstruction:
@@ -43,7 +42,7 @@ class TestValidation:
                 edge_src=[0],
                 edge_dst=[5],
                 edge_type=[0],
-                txn_features=np.zeros((1, 2)),
+                txn_table=np.zeros((1, 2)),
                 labels=[0],
             )
 
@@ -54,7 +53,7 @@ class TestValidation:
                 edge_src=[],
                 edge_dst=[],
                 edge_type=[],
-                txn_features=np.zeros((1, 2)),
+                txn_table=np.zeros((0, 2)),
                 labels=[1],
             )
 
@@ -65,8 +64,22 @@ class TestValidation:
                 edge_src=[],
                 edge_dst=[],
                 edge_type=[],
-                txn_features=np.zeros((2, 2)),
+                txn_table=np.zeros((2, 2)),
                 labels=[0],
+            )
+
+    @pytest.mark.parametrize("rows", [0, 2])
+    def test_table_rows_must_be_the_transactions(self, rows):
+        # One row per transaction: an entity given one, or a transaction
+        # without one, is refused.
+        with pytest.raises(ValueError, match="txn_table must be"):
+            HeteroGraph(
+                node_type=[0, 1],
+                edge_src=[],
+                edge_dst=[],
+                edge_type=[],
+                txn_table=np.zeros((rows, 2)),
+                labels=[0, -1],
             )
 
     def test_txn_to_txn_edge_rejected(self):
@@ -78,7 +91,7 @@ class TestValidation:
                 edge_src=[0],
                 edge_dst=[1],
                 edge_type=[EDGE_TYPES.index("txn->pmt")],
-                txn_features=np.zeros((2, 2)),
+                txn_table=np.zeros((2, 2)),
                 labels=[0, 0],
             )
 
@@ -92,7 +105,7 @@ class TestValidation:
                 edge_src=graph.edge_src,
                 edge_dst=graph.edge_dst,
                 edge_type=wrong,
-                txn_features=graph.txn_features,
+                txn_table=graph.txn_table,
                 labels=graph.labels,
             )
 
@@ -103,7 +116,7 @@ class TestValidation:
             graph.append_delta(
                 node_type=[NODE_TYPE_IDS["txn"]],
                 labels=[0],
-                txn_features=np.zeros((1, graph.feature_dim)),
+                txn_table=np.zeros((1, graph.feature_dim)),
                 edge_src=[2],  # the buyer
                 edge_dst=[4],  # the new transaction
                 edge_type=[EDGE_TYPES.index("pmt->txn")],
@@ -117,7 +130,7 @@ class TestValidation:
                 edge_src=[0],
                 edge_dst=[1, 0],
                 edge_type=[0],
-                txn_features=np.zeros((2, 2)),
+                txn_table=np.zeros((2, 2)),
                 labels=[0, 0],
             )
 
@@ -136,7 +149,7 @@ class TestStatistics:
             edge_src=[],
             edge_dst=[],
             edge_type=[],
-            txn_features=np.zeros((1, 2)),
+            txn_table=np.zeros((0, 2)),
             labels=[-1],
         )
         assert graph.fraud_rate() == 0.0
@@ -149,6 +162,53 @@ class TestStatistics:
         graph = small_graph()
         np.testing.assert_array_equal(graph.txn_nodes, [0, 3])
         np.testing.assert_array_equal(graph.labeled_nodes, [0, 3])
+
+
+class TestTxnTable:
+    def test_row_per_transaction_in_node_order(self):
+        graph = small_graph()
+        np.testing.assert_array_equal(graph.txn_row, [0, -1, -1, 1])
+        np.testing.assert_array_equal(graph.txn_rows([3, 0]), [1, 0])
+
+    def test_an_entity_has_no_row(self):
+        with pytest.raises(ValueError, match=r"nodes \[2\] are not transactions"):
+            small_graph().txn_rows([0, 2])
+
+    def test_delta_rows_appended_and_map_extended(self):
+        graph = small_graph()
+        graph.txn_row  # derived before the delta: extended, not rebuilt
+        rows = np.ones((2, graph.feature_dim))
+        graph.append_delta(
+            node_type=[NODE_TYPE_IDS["email"], NODE_TYPE_IDS["txn"], NODE_TYPE_IDS["txn"]],
+            labels=[-1, 0, -1],
+            txn_table=rows,
+            edge_src=[],
+            edge_dst=[],
+            edge_type=[],
+        )
+        np.testing.assert_array_equal(graph.txn_row, [0, -1, -1, 1, -1, 2, 3])
+        np.testing.assert_array_equal(graph.txn_table[2:], rows)
+
+    def test_delta_table_must_match_its_transactions(self):
+        graph = small_graph()
+        with pytest.raises(ValueError, match="delta txn_table must be"):
+            graph.append_delta(
+                node_type=[NODE_TYPE_IDS["txn"], NODE_TYPE_IDS["pmt"]],
+                labels=[0, -1],
+                txn_table=np.zeros((2, graph.feature_dim)),  # a row for the pmt too
+                edge_src=[],
+                edge_dst=[],
+                edge_type=[],
+            )
+        assert graph.num_nodes == 4 and len(graph.txn_table) == 2
+
+    def test_with_features_takes_a_table(self):
+        graph = small_graph()
+        clone = graph.with_features(np.ones((2, 5)))
+        np.testing.assert_array_equal(clone.txn_table, np.ones((2, 5)))
+        assert clone.node_type is graph.node_type
+        with pytest.raises(ValueError, match="txn_table must be"):
+            graph.with_features(np.ones((4, 5)))  # a row per node
 
 
 class TestAdjacency:
@@ -186,7 +246,7 @@ class TestSubgraph:
         graph = small_graph()
         sub, ids = graph.subgraph([3, 1])
         np.testing.assert_array_equal(sub.node_type, graph.node_type[[3, 1]])
-        np.testing.assert_allclose(sub.txn_features, graph.txn_features[[3, 1]])
+        np.testing.assert_array_equal(sub.txn_table, graph.txn_table[[1]])  # txn 3's row
         np.testing.assert_array_equal(sub.labels, graph.labels[[3, 1]])
 
     def test_duplicate_nodes_rejected(self):

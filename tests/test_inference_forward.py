@@ -60,9 +60,8 @@ def linked_graph(node_kinds, links, seed=0):
     node_types = [NODE_TYPE_IDS[kind] for kind in node_kinds]
     is_txn = np.array(node_types) == NODE_TYPE_IDS["txn"]
     features = np.random.default_rng(seed).normal(size=(len(node_types), FEATURE_DIM))
-    features[~is_txn] = 0.0
     labels = np.where(is_txn, 0, -1)
-    return HeteroGraph.from_links(node_types, links, features, labels)
+    return HeteroGraph.from_links(node_types, links, features[is_txn], labels)
 
 
 def _edgeless():
@@ -77,7 +76,7 @@ def _target_without_in_edges():
         edge_src=[0],
         edge_dst=[2],
         edge_type=[EDGE_TYPES.index("txn->pmt")],
-        txn_features=linked_graph(["txn", "txn", "pmt"], []).txn_features,
+        txn_table=linked_graph(["txn", "txn", "pmt"], []).txn_table,
         labels=[0, 1, -1],
     )
     return graph, [0, 1]
@@ -293,6 +292,26 @@ def test_mode_is_left_as_found_and_dropout_never_fires(training):
 def test_no_targets():
     graph, _ = _all_edge_types()
     assert make_detector().predict_proba(graph, []).shape == (0,)
+
+
+def test_an_entity_target_is_refused():
+    """An entity has no feature row for the head to concatenate: every
+    scorer refuses it rather than scoring a made-up zero row."""
+    from repro.models import GATModel, GEMModel
+    from repro.models.inference import tensor_predict_proba
+    from repro.models.mlp import FeatureMLP
+
+    graph, targets = _all_edge_types()
+    entity = int(np.flatnonzero(graph.node_type != NODE_TYPE_IDS["txn"])[0])
+    detector = make_detector()
+    with pytest.raises(ValueError, match=rf"nodes \[{entity}\] are not transactions"):
+        detector.predict_proba(graph, [targets[0], entity])
+    with pytest.raises(ValueError, match="are not transactions"):
+        detector.forward(graph, [entity])
+    for baseline in (GATModel, GEMModel, FeatureMLP):
+        model = baseline(detector.config)
+        with pytest.raises(ValueError, match="are not transactions"):
+            tensor_predict_proba(model, graph, [entity])
 
 
 def test_scoring_builds_nothing_only_a_backward_needs(monkeypatch):

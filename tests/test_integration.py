@@ -181,11 +181,8 @@ class TestFailureModes:
             NODE_TYPE_IDS["email"],
             NODE_TYPE_IDS["addr"],
         ]
-        features = np.zeros((4, detector_config.feature_dim))
-        features[0] = 1.0
-        graph = HeteroGraph.from_links(
-            types, [(0, 1), (0, 2), (0, 3)], features, [0, -1, -1, -1]
-        )
+        table = np.ones((1, detector_config.feature_dim))  # the one transaction's row
+        graph = HeteroGraph.from_links(types, [(0, 1), (0, 2), (0, 3)], table, [0, -1, -1, -1])
         model = XFraudDetectorPlus(detector_config)
         scores = model.predict_proba(graph, [0])
         assert 0 <= scores[0] <= 1

@@ -15,8 +15,10 @@ from repro.storage import (
     WorkerLoader,
     decode_array,
     encode_array,
+    encode_rows,
     load_rows,
 )
+from repro.graph import NODE_TYPE_IDS
 
 
 class TestInMemoryKVStore:
@@ -316,20 +318,20 @@ class TestGraphStore:
         assert loaded.num_nodes == tiny_graph.num_nodes
         np.testing.assert_array_equal(loaded.node_type, tiny_graph.node_type)
         np.testing.assert_array_equal(loaded.edge_src, tiny_graph.edge_src)
-        np.testing.assert_allclose(loaded.txn_features, tiny_graph.txn_features)
+        np.testing.assert_array_equal(loaded.txn_table, tiny_graph.txn_table)
         np.testing.assert_array_equal(loaded.labels, tiny_graph.labels)
 
     def test_graph_roundtrip_mmap(self, tiny_graph, tmp_path):
         store = GraphStore(MmapKVStore(str(tmp_path / "g.bin")))
         store.save(tiny_graph)
         loaded = store.load()
-        np.testing.assert_allclose(loaded.txn_features, tiny_graph.txn_features)
+        np.testing.assert_array_equal(loaded.txn_table, tiny_graph.txn_table)
 
     def test_load_features_subset(self, tiny_graph):
         store = GraphStore(InMemoryKVStore())
         store.save(tiny_graph)
         rows = store.load_features([0, 2, 5])
-        np.testing.assert_allclose(rows, tiny_graph.txn_features[[0, 2, 5]])
+        np.testing.assert_allclose(rows, tiny_graph.txn_table[tiny_graph.txn_rows([0, 2, 5])])
 
     def test_feature_dtype_roundtrips(self, tiny_graph):
         """float32 features must come back float32, not float64."""
@@ -340,16 +342,38 @@ class TestGraphStore:
             edge_src=tiny_graph.edge_src,
             edge_dst=tiny_graph.edge_dst,
             edge_type=tiny_graph.edge_type,
-            txn_features=tiny_graph.txn_features.astype(np.float32),
+            txn_table=tiny_graph.txn_table.astype(np.float32),
             labels=tiny_graph.labels,
         )
-        assert graph32.txn_features.dtype == np.float32
+        assert graph32.txn_table.dtype == np.float32
         store = GraphStore(InMemoryKVStore())
         store.save(graph32)
         loaded = store.load()
-        assert loaded.txn_features.dtype == np.float32
-        np.testing.assert_array_equal(loaded.txn_features, graph32.txn_features)
+        assert loaded.txn_table.dtype == np.float32
+        np.testing.assert_array_equal(loaded.txn_table, graph32.txn_table)
 
+    def test_keys_are_the_transactions_and_the_structure(self, tiny_graph):
+        kv = InMemoryKVStore()
+        GraphStore(kv).save(tiny_graph)
+        keys = kv.keys()
+        txns = tiny_graph.txn_nodes.tolist()
+        assert len(txns) < tiny_graph.num_nodes  # the fixture has entities
+        assert len(keys) == len(txns) + len(GraphStore.STRUCT_KEYS) + 1  # + struct/meta
+        assert sorted(key for key in keys if key.startswith("feat/")) == sorted(
+            f"feat/{node}" for node in txns
+        )
+        loaded = GraphStore(kv).load()
+        np.testing.assert_array_equal(loaded.txn_table, tiny_graph.txn_table)
+        np.testing.assert_array_equal(loaded.txn_row, tiny_graph.txn_row)
+
+    def test_an_entity_has_no_row_to_load(self, tiny_graph):
+        kv = InMemoryKVStore()
+        GraphStore(kv).save(tiny_graph)
+        entity = int(np.flatnonzero(tiny_graph.node_type != NODE_TYPE_IDS["txn"])[0])
+        with pytest.raises(KeyError):
+            load_rows(kv.get_many, [0, entity])
+        with pytest.raises(KeyError):
+            GraphStore(kv).load_features([entity])
 
     def test_loaded_graph_owns_writable_arrays(self, tiny_graph):
         """decode_array hands out read-only views of the stored blob; a
@@ -358,7 +382,7 @@ class TestGraphStore:
         store = GraphStore(InMemoryKVStore())
         store.save(tiny_graph)
         loaded = store.load()
-        for name in GraphStore.STRUCT_KEYS + ("txn_features",):
+        for name in GraphStore.STRUCT_KEYS + ("txn_table",):
             array = getattr(loaded, name)
             assert array.flags.writeable and array.flags.owndata, name
 
@@ -399,6 +423,25 @@ class TestArrayCodec:
         assert fast.dtype == reference.dtype and fast.shape == reference.shape
         assert fast.tobytes() == reference.tobytes()
         np.testing.assert_array_equal(fast, array)
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            np.random.default_rng(0).normal(size=(5, 7)),
+            np.random.default_rng(1).normal(size=(5, 7)).astype(np.float32),
+            np.asfortranarray(np.random.default_rng(2).normal(size=(5, 7))),
+            np.random.default_rng(3).normal(size=(10, 14))[::2, ::2],
+            np.zeros((0, 7)),
+            np.ones((1, 7)),
+            np.zeros((3, 0)),
+        ],
+        ids=["f64", "f32", "fortran", "strided", "no-rows", "one-row", "no-columns"],
+    )
+    def test_encode_rows_is_encode_array_per_row(self, table):
+        blobs = encode_rows(table)
+        assert blobs == [encode_array(row) for row in table]
+        for blob, row in zip(blobs, table):
+            np.testing.assert_array_equal(decode_array(blob), row)
 
     def test_decoded_array_is_a_read_only_view(self):
         decoded = decode_array(encode_array(np.arange(4.0)))
@@ -514,7 +557,7 @@ class TestWorkerLoader:
         GraphStore(kv).save(tiny_graph)
         loader = WorkerLoader(kv, private_handle=True)
         rows = loader.load_features([1, 3])
-        np.testing.assert_allclose(rows, tiny_graph.txn_features[[1, 3]])
+        np.testing.assert_allclose(rows, tiny_graph.txn_table[tiny_graph.txn_rows([1, 3])])
         loader.close()
 
     def test_shared_handle_loads(self, tiny_graph, tmp_path):
@@ -522,7 +565,7 @@ class TestWorkerLoader:
         GraphStore(kv).save(tiny_graph)
         loader = WorkerLoader(kv, private_handle=False)
         rows = loader.load_features([0])
-        np.testing.assert_allclose(rows, tiny_graph.txn_features[[0]])
+        np.testing.assert_allclose(rows, tiny_graph.txn_table[tiny_graph.txn_rows([0])])
 
 
 class TestContextManagers:
@@ -544,7 +587,7 @@ class TestContextManagers:
         GraphStore(kv).save(tiny_graph)
         with WorkerLoader(kv, private_handle=True) as loader:
             rows = loader.load_features([1, 3])
-            np.testing.assert_allclose(rows, tiny_graph.txn_features[[1, 3]])
+            np.testing.assert_allclose(rows, tiny_graph.txn_table[tiny_graph.txn_rows([1, 3])])
 
     def test_retrying_store_context(self):
         from repro.reliability import RetryingKVStore

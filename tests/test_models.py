@@ -12,6 +12,7 @@ from repro.models import (
     XFraudDetectorHGT,
     XFraudDetectorPlus,
 )
+from repro.models.inference import padded_features
 from repro.nn import Tensor
 
 ALL_MODELS = [XFraudDetectorPlus, GATModel, GEMModel]
@@ -107,7 +108,7 @@ class TestDetectorSpecifics:
         train, _ = tiny_splits
         model = XFraudDetector(detector_config)
         model.eval()
-        ones = Tensor(np.ones_like(tiny_graph.txn_features))
+        ones = Tensor(np.ones((tiny_graph.num_nodes, tiny_graph.feature_dim)))
         with nn.no_grad():
             masked = model(tiny_graph, train[:4], feature_mask=ones)
             unmasked = model(tiny_graph, train[:4])
@@ -174,7 +175,7 @@ class TestHeteroConvLayer:
         assert len(types) == 5
         assert not np.allclose(weights[types[0]], weights[types[1]])
         layer.eval()
-        out = layer(tiny_graph, Tensor(tiny_graph.txn_features))
+        out = layer(tiny_graph, Tensor(padded_features(tiny_graph)))
         assert out.shape == (tiny_graph.num_nodes, 16)
 
     def test_output_dim(self, tiny_graph, detector_config):
@@ -188,7 +189,7 @@ class TestHeteroConvLayer:
             rng=np.random.default_rng(0),
         )
         layer.eval()
-        out = layer(tiny_graph, Tensor(tiny_graph.txn_features))
+        out = layer(tiny_graph, Tensor(padded_features(tiny_graph)))
         assert out.shape == (tiny_graph.num_nodes, 16)
         assert np.all(out.data >= 0)  # ReLU output
 
@@ -255,7 +256,7 @@ class TestFeatureMLP:
             edge_src=np.array([], dtype=np.int64),
             edge_dst=np.array([], dtype=np.int64),
             edge_type=np.array([], dtype=np.int64),
-            txn_features=tiny_graph.txn_features,
+            txn_table=tiny_graph.txn_table,
             labels=tiny_graph.labels,
         )
         scores_empty = model.predict_proba(edgeless, train[:8])

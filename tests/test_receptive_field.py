@@ -51,7 +51,8 @@ class TestKernel:
         assert field.target_local.tolist() == [0, 1, 0, 2]
         assert field.graph.num_edges == 0 and len(field.edge_ids) == 0
         np.testing.assert_array_equal(
-            field.graph.txn_features[field.target_local], tiny_graph.txn_features[targets]
+            field.graph.txn_table[field.graph.txn_rows(field.target_local)],
+            tiny_graph.txn_table[tiny_graph.txn_rows(targets)],
         )
 
     def test_negative_hops_rejected(self, tiny_graph):

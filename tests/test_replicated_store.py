@@ -872,7 +872,7 @@ class TestGraphStoreIntegration:
         graph_store = GraphStore(store)
         graph_store.save(tiny_graph)
         loaded = graph_store.load()
-        np.testing.assert_allclose(loaded.txn_features, tiny_graph.txn_features)
+        np.testing.assert_allclose(loaded.txn_table, tiny_graph.txn_table)
         np.testing.assert_array_equal(loaded.labels, tiny_graph.labels)
         np.testing.assert_array_equal(loaded.edge_src, tiny_graph.edge_src)
 
@@ -887,7 +887,7 @@ class TestGraphStoreIntegration:
         graph_store = GraphStore(store)
         graph_store.save(tiny_graph)  # save() finalizes through the tier
         loaded = graph_store.load()
-        np.testing.assert_allclose(loaded.txn_features, tiny_graph.txn_features)
+        np.testing.assert_allclose(loaded.txn_table, tiny_graph.txn_table)
         store.close()
 
     def test_describe_renders_health_table(self):

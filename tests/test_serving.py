@@ -336,7 +336,7 @@ class TestScoringService:
             clock=clock,
         )
         node = _txn_nodes(tiny_graph, 1)[0]
-        request = ScoreRequest(node=node, features=tiny_graph.txn_features[node])
+        request = ScoreRequest(node=node, features=tiny_graph.txn_table[tiny_graph.txn_row[node]])
         response = service.score(request)
         assert response.admitted
         assert response.rung == RUNG_RULES
@@ -394,6 +394,17 @@ class TestScoringService:
         service = ScoringService(trained_detector, tiny_graph)
         with pytest.raises(ValueError):
             service.score(tiny_graph.num_nodes + 5)
+
+    def test_an_entity_node_is_refused_at_every_entry_point(self, trained_detector, tiny_graph):
+        """An entity has no feature row: the head would have concatenated
+        a made-up zero row. It is refused like an out-of-range node, and
+        refused before admission, so it takes no token and no slot."""
+        service = ScoringService(trained_detector, tiny_graph)
+        entity = int(np.flatnonzero(tiny_graph.node_type != 0)[0])
+        for call in (service.score, service.submit, lambda node: service.score_batch([0, node])):
+            with pytest.raises(ValueError, match=f"node {entity} is not a transaction"):
+                call(entity)
+        assert service.stats.snapshot()["admitted"] == 0
 
     def test_a_model_without_a_sampler_is_refused(self, trained_detector, tiny_graph):
         from repro.models import XFraudDetector
@@ -558,7 +569,7 @@ class TestBatchOfOneParity:
     def _scenario(self, name, trained_detector, tiny_graph, rules):
         """-> (service in the scenario's state, the request to observe)."""
         node = _txn_nodes(tiny_graph, 1)[0]
-        request = ScoreRequest(node=node, features=tiny_graph.txn_features[node])
+        request = ScoreRequest(node=node, features=tiny_graph.txn_table[tiny_graph.txn_row[node]])
         clock = ManualClock()
         backing = InMemoryKVStore()
         GraphStore(backing).save(tiny_graph)
@@ -700,7 +711,7 @@ class TestBatchWalkDeadlines:
         return [
             ScoreRequest(
                 node=node,
-                features=tiny_graph.txn_features[node],
+                features=tiny_graph.txn_table[tiny_graph.txn_row[node]],
                 deadline_s=self.SLOW_SAMPLING_S / 2 if index in short else None,
             )
             for index, node in enumerate(_txn_nodes(tiny_graph, 4))

@@ -132,13 +132,13 @@ class TestGraphStoreEdgeCases:
             edge_src=[0, 1],
             edge_dst=[1, 0],
             edge_type=[0, 1],
-            txn_features=np.array([[1.5, -2.5], [0.0, 0.0]]),
+            txn_table=np.array([[1.5, -2.5]]),
             labels=[1, -1],
         )
         store = GraphStore(InMemoryKVStore())
         store.save(graph)
         loaded = store.load()
-        np.testing.assert_allclose(loaded.txn_features, graph.txn_features)
+        np.testing.assert_allclose(loaded.txn_table, graph.txn_table)
         np.testing.assert_array_equal(loaded.labels, graph.labels)
 
     def test_rejects_non_bytes_values(self):

@@ -65,7 +65,7 @@ def _small_config(seed=0, feature_dim=12):
     )
 
 
-_ARRAYS = ("node_type", "labels", "txn_features", "edge_src", "edge_dst", "edge_type")
+_ARRAYS = ("node_type", "labels", "txn_table", "edge_src", "edge_dst", "edge_type")
 
 
 def _rebuilt(graph):
@@ -89,8 +89,7 @@ class TestAppendDelta:
             NODE_TYPE_IDS["email"]
         ] * num_entities
         labels = [-1] * (num_txn + num_entities)
-        features = np.zeros((num_txn + num_entities, graph.feature_dim))
-        features[:num_txn] = rng.normal(size=(num_txn, graph.feature_dim))
+        table = rng.normal(size=(num_txn, graph.feature_dim))
         entities = np.flatnonzero(graph.node_type != NODE_TYPE_IDS["txn"])
         src, dst, etype = [], [], []
         for i in range(num_txn):
@@ -106,7 +105,7 @@ class TestAppendDelta:
         return dict(
             node_type=node_type,
             labels=labels,
-            txn_features=features,
+            txn_table=table,
             edge_src=src,
             edge_dst=dst,
             edge_type=etype,
@@ -156,7 +155,7 @@ class TestAppendDelta:
             graph.append_delta(
                 node_type=[NODE_TYPE_IDS["txn"]],
                 labels=[-1],
-                txn_features=np.zeros((1, graph.feature_dim + 1)),
+                txn_table=np.zeros((1, graph.feature_dim + 1)),
                 edge_src=[],
                 edge_dst=[],
                 edge_type=[],
@@ -165,7 +164,7 @@ class TestAppendDelta:
             graph.append_delta(
                 node_type=[NODE_TYPE_IDS["txn"]],
                 labels=[-1],
-                txn_features=np.zeros((1, graph.feature_dim)),
+                txn_table=np.zeros((1, graph.feature_dim)),
                 edge_src=[graph.num_nodes + 5],  # beyond grown count
                 edge_dst=[0],
                 edge_type=[0],
@@ -204,7 +203,9 @@ class TestGrowthInPlace:
         rebuilt = _rebuilt(graph)
         for name in _ARRAYS:
             array = getattr(graph, name)
-            expected = graph.num_nodes if name in _ARRAYS[:3] else graph.num_edges
+            expected = graph.num_nodes if name in _ARRAYS[:2] else graph.num_edges
+            if name == "txn_table":
+                expected = len(graph.txn_nodes)
             assert len(array) == expected and array.flags.c_contiguous, name
         for part, rebuilt_part in zip(graph.csr(), rebuilt.csr()):
             assert part.flags.c_contiguous
@@ -236,7 +237,7 @@ class TestGrowthInPlace:
         csr_copy = [part.copy() for part in csr]
         good = random_delta(rng, graph, num_new_txns=2)
         bad_endpoint = dict(good, edge_src=good["edge_src"] + graph.num_nodes)
-        bad_shape = dict(good, txn_features=good["txn_features"][:, :-1])
+        bad_shape = dict(good, txn_table=good["txn_table"][:, :-1])
         bad_label = dict(good, labels=np.ones_like(good["labels"]))  # labels an entity
         for bad in (bad_endpoint, bad_shape, bad_label):
             with pytest.raises(ValueError):
@@ -280,7 +281,7 @@ class TestGrowthInPlace:
 
     def test_clones_are_unaffected_by_later_deltas(self):
         graph, rng = self._grown()
-        clone = graph.with_features(graph.txn_features * 2.0)
+        clone = graph.with_features(graph.txn_table * 2.0)
         sub, nodes = graph.subgraph(np.arange(graph.num_nodes - 1, -1, -2))
         expected_clone, expected_sub = _rebuilt(clone), _rebuilt(sub)
         for _ in range(12):  # past a reallocation and several in-place splices
@@ -374,7 +375,8 @@ class TestIncrementalBuilder:
             batch_node = batch_index["txn"][txn_id]
             assert graph.labels[node] == batch_graph.labels[batch_node]
             np.testing.assert_array_equal(
-                graph.txn_features[node], batch_graph.txn_features[batch_node]
+                graph.txn_table[graph.txn_rows(node)],
+                batch_graph.txn_table[batch_graph.txn_rows(batch_node)],
             )
 
     def test_incremental_equals_one_shot(self):
@@ -397,8 +399,50 @@ class TestIncrementalBuilder:
         np.testing.assert_array_equal(one_shot.graph.edge_src, chunked.graph.edge_src)
         np.testing.assert_array_equal(one_shot.graph.edge_dst, chunked.graph.edge_dst)
         np.testing.assert_array_equal(
-            one_shot.graph.txn_features, chunked.graph.txn_features
+            one_shot.graph.txn_table, chunked.graph.txn_table
         )
+
+    def test_buffer_holds_transaction_rows_only(self):
+        log = generate_log(_small_config(seed=3))
+        events = export_events(log)
+        builder = IncrementalGraphBuilder(feature_dim=12)
+        for position, event in enumerate(events):
+            builder.apply(event)
+            if position % 5 == 0:
+                builder.flush()
+        builder.flush()
+        graph, count = builder.graph, len(events)
+        assert graph.num_nodes > count  # the events brought entities too
+        assert graph.txn_table.shape == (count, 12)
+        buffer = graph._buffers["txn_table"]
+        assert graph.txn_table.base is buffer and len(buffer) <= count + count // 2
+        np.testing.assert_array_equal(graph.txn_table, [event.features for event in events])
+
+    def test_from_log_wal_replay_and_live_stream_build_one_table(self, tmp_path):
+        """Transactions take table rows in arrival order however they
+        arrive: batch-built from the log, streamed live, or replayed
+        from the WAL after a restart."""
+        from repro.stream import EventLog, replay_wal
+
+        log = generate_log(_small_config(seed=6))
+        events = export_events(log)
+        live = IncrementalGraphBuilder(feature_dim=12)
+        with EventLog(str(tmp_path / "wal"), fsync=False) as wal:
+            for position, event in enumerate(events):
+                wal.append(event)
+                live.apply(event)
+                if position % 9 == 0:
+                    live.flush()
+        live.flush()
+        replayed = IncrementalGraphBuilder(feature_dim=12)
+        for _, event in replay_wal(str(tmp_path / "wal")):
+            replayed.apply(event)
+        replayed.flush()
+        from_log = IncrementalGraphBuilder.from_log(log).graph
+        want = np.stack([event.features for event in events])
+        for graph in (live.graph, replayed.graph, from_log):
+            assert graph.txn_table.tobytes() == want.tobytes()
+            np.testing.assert_array_equal(graph.txn_row[graph.txn_nodes], np.arange(len(events)))
 
     def test_entity_dedup_links_shared_entities(self):
         builder = IncrementalGraphBuilder(feature_dim=4)
