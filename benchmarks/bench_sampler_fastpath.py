@@ -26,7 +26,12 @@ of two timings alternated in one process. Beside it,
 samples — one ``sample(..., disjoint=True)`` walk over 32 transaction
 targets — to >= 3x the 32 singleton samples plus ``stack_subgraphs`` it
 replaced, and to the same cost on a 45k-node graph as on a 7k-node one
-(nothing in the walk is sized by the graph). The full
+(nothing in the walk is sized by the graph), and
+``test_batch_lookup_ratio_floor`` holds the same micro-batch through an
+all-miss ``SubgraphCache.get_or_sample(..., disjoint=True)`` to <= 1.15x
+the bare walk (the walk is the batch's sample, its entries stored
+uncut; 1.4-1.5x when the cache cut it into 32 entries, 1.8-2.2x with
+the service stacking them again). The full
 ``test_fastpath_speedup_and_equivalence`` regenerates
 ``results/fastpath.txt`` and also holds the end-to-end (vectorized +
 cache) path to >= 5x at batch 128.
@@ -49,6 +54,7 @@ MIN_VECTORIZED_SPEEDUP = 2.0
 MIN_FASTPATH_SPEEDUP = 5.0
 MIN_DISJOINT_SPEEDUP = 3.0
 DISJOINT_SIZE_BUDGET = 1.5  # the walk on ~45k nodes vs on ~7k nodes
+BATCH_LOOKUP_BUDGET = 1.15  # an all-miss cache lookup vs its bare walk
 AT_BATCH = 128
 MICRO_BATCH = 32
 BATCH_SIZES = (1, 16, AT_BATCH)
@@ -137,6 +143,49 @@ def test_disjoint_walk_ratio_floor():
         f"(budget <= {DISJOINT_SIZE_BUDGET:.1f}x)"
     )
     assert growth <= DISJOINT_SIZE_BUDGET
+
+
+def _batch_lookup_timings():
+    """``(nodes, walk us, lookup us)`` on a ~7k- and a ~45k-node graph of
+    the ledger stream's shape: one micro-batch of 32 new transaction
+    targets as the bare disjoint walk and through
+    ``cache.get_or_sample(..., disjoint=True)``, every target a miss
+    (the cache emptied before each call, as a stream flush does; checked
+    equal first), alternated."""
+    rng = np.random.default_rng(0)
+    sampler = SageSampler(hops=2, fanout=10, seed=0)
+    rows = []
+    for num_txns in (3_500, 22_500):
+        graph = stream_shaped_graph(rng, num_txns)
+        targets = rng.choice(num_txns, size=MICRO_BATCH, replace=False).tolist()
+        cache = SubgraphCache(capacity=256)
+
+        def walk():
+            return sampler.sample(graph, targets, disjoint=True)
+
+        def lookup():
+            return cache.get_or_sample(graph, sampler, targets, disjoint=True)
+
+        assert subgraph_equal(lookup(), walk()) is None
+        samples = [[], []]
+        for _ in range(RATIO_SAMPLES):  # alternate, so a slow spell of the box hits both
+            samples[0].append(best_us(walk, number=1))
+            samples[1].append(best_us(lookup, number=1, setup=cache.invalidate))
+        rows.append((graph.num_nodes, *(float(np.median(times)) for times in samples)))
+    return rows
+
+
+def test_batch_lookup_ratio_floor():
+    """Machine-independent: an all-miss micro-batch through the cache
+    costs little more than its walk — the walk is returned as the
+    batch's sample and stored uncut (CI perf-smoke)."""
+    for nodes, walk_us, lookup_us in _batch_lookup_timings():
+        print(
+            f"\n{MICRO_BATCH} missed targets on {nodes:,} nodes: walk {walk_us / 1e3:.2f} ms, "
+            f"cache lookup {lookup_us / 1e3:.2f} ms -> {lookup_us / walk_us:.2f}x "
+            f"(budget <= {BATCH_LOOKUP_BUDGET:.2f}x)"
+        )
+        assert lookup_us <= BATCH_LOOKUP_BUDGET * walk_us, nodes
 
 
 def test_fastpath_speedup_and_equivalence(benchmark):

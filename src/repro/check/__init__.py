@@ -24,6 +24,7 @@ from .invariants import (
     ledger_violations,
     run_audits,
     subgraph_equal,
+    target_parts,
     txn_table_violations,
     wal_violations,
 )
@@ -47,6 +48,7 @@ __all__ = [
     "run_fuzz",
     "shrink",
     "subgraph_equal",
+    "target_parts",
     "txn_table_violations",
     "wal_violations",
 ]

@@ -213,8 +213,15 @@ def _fuzz_delta_merge(seed: int, size: int) -> Optional[str]:
 
 @scenario("single-vs-batched-scoring")
 def _fuzz_scoring(seed: int, size: int) -> Optional[str]:
-    """n batches of one (``score()``) vs one batch of n
-    (``score_batch()``): a verdict must not depend on batch composition."""
+    """n batches of one (``score()``) vs batches of n (``score_batch()``):
+    a verdict must not depend on batch composition. The first batch holds
+    distinct targets, the next two repeat some; each batch runs through a
+    service without a cache and through one with a small
+    :class:`SubgraphCache`, where a target's component comes from the
+    batch's own walk, a stored sample, or an earlier batch's walk cut on
+    its first hit. Every request's verdict must equal its target's own
+    ``score()``."""
+    from ..graph.cache import SubgraphCache
     from ..models.detector import DetectorConfig, XFraudDetectorPlus
     from ..reliability.faults import ManualClock
     from ..serving.service import ScoringService, ServiceConfig
@@ -235,24 +242,33 @@ def _fuzz_scoring(seed: int, size: int) -> Optional[str]:
     )
     txns = np.flatnonzero(graph.node_type == 0)
     picks = sorted({int(txns[int(rng.integers(0, len(txns)))]) for _ in range(4)})
+    batches = [picks] + [
+        [int(txns[int(rng.integers(0, len(txns)))]) for _ in range(int(rng.integers(2, 7)))]
+        for _ in range(2)
+    ]
 
-    def make_service() -> ScoringService:
+    def make_service(cache=None) -> ScoringService:
         return ScoringService(
             detector,
             graph,
             config=ServiceConfig(static_prior=0.01, batch_size=None),
             clock=ManualClock(),
+            cache=cache,
         )
 
-    alone = [make_service().score(node) for node in picks]
-    batched = make_service().score_batch(picks)
-    for node, left, right in zip(picks, alone, batched):
-        if left.rung != right.rung:
-            return f"node {node}: rung {left.rung} != {right.rung}"
-        if abs(left.score - right.score) > 1e-9:
-            return f"node {node}: score {left.score!r} != {right.score!r}"
-        if left.verdict != right.verdict:
-            return f"node {node}: verdict {left.verdict} != {right.verdict}"
+    alone = {node: make_service().score(node) for batch in batches for node in batch}
+    for cache in (None, SubgraphCache(capacity=2 + size % 5)):
+        service = make_service(cache)
+        for index, batch in enumerate(batches):
+            where = f"{'cached' if cache else 'uncached'} batch {index} {batch}"
+            for node, right in zip(batch, service.score_batch(batch)):
+                left = alone[node]
+                if left.rung != right.rung:
+                    return f"{where}, node {node}: rung {left.rung} != {right.rung}"
+                if abs(left.score - right.score) > 1e-9:
+                    return f"{where}, node {node}: score {left.score!r} != {right.score!r}"
+                if left.verdict != right.verdict:
+                    return f"{where}, node {node}: verdict {left.verdict} != {right.verdict}"
     return None
 
 

@@ -215,6 +215,16 @@ def subgraph_equal(a, b) -> Optional[str]:
     return None
 
 
+def target_parts(stacked) -> List:
+    """Each target's component of a stacked sample, cut out as the
+    singleton sample it must equal (a repeated target's are one part)."""
+    from ..graph.sampling import unstack_subgraphs
+
+    roots = np.unique(stacked.target_local)
+    part_at = dict(zip(roots.tolist(), unstack_subgraphs(stacked, roots)))
+    return [part_at[local] for local in stacked.target_local.tolist()]
+
+
 def wal_violations(directory: str) -> List[str]:
     """Falsify WAL manifest/segment agreement on disk.
 
@@ -467,34 +477,44 @@ def _batch_lookup_problems(cache_class) -> List[str]:
     """Drive one cache with micro-batch lookups (``disjoint=True``) and
     a twin with the per-target loop over the same targets: hits, misses,
     repeats inside a call, batches larger than the capacity (a call
-    evicting its own and older entries) and version bumps between
-    calls. After every call the returned entries, the stored entries in
-    LRU order and ``stats()`` must agree."""
-    from ..graph.cache import SubgraphCache
-    from ..graph.sampling import SageSampler
+    evicting its own and older entries; the second call, scripted, makes
+    every lookup a miss though one target was stored) and version bumps
+    between calls. After every call each request's component of the stacked
+    return must equal the loop's singleton sample, the stored keys, their
+    LRU order and ``stats()`` the loop's, and every stored entry — cut,
+    or still a (walk, component) reference, cut here for the comparison
+    only — the loop's: a fresh sample at that version."""
+    from ..graph.cache import SubgraphCache, _Uncut
+    from ..graph.sampling import SageSampler, cut_component
 
     rng = np.random.default_rng(29)
     graph = random_hetero_graph(rng, num_txns=8)
     sampler = SageSampler(hops=2, fanout=3, seed=4)
     batched, looped = cache_class(capacity=3), SubgraphCache(capacity=3)
     pool = rng.permutation(graph.num_nodes)[:6]
+    scripted = [pool[:3], np.append(pool[3:], pool[0])]
     for call in range(40):
         if call % 9 == 8:
             graph.append_delta(**random_delta(rng, graph, num_new_txns=1))
         targets = [int(node) for node in rng.choice(pool, size=int(rng.integers(0, 7)))]
+        if call < len(scripted):
+            targets = scripted[call].tolist()
+        if not targets:
+            continue
         got = batched.get_or_sample(graph, sampler, targets, disjoint=True)
         want = [looped.get_or_sample(graph, sampler, [target]) for target in targets]
         where = f"call {call}, targets {targets}"
-        if len(got) != len(want) or any(
-            subgraph_equal(ours, theirs) for ours, theirs in zip(got, want)
+        if len(got.target_local) != len(want) or any(
+            subgraph_equal(ours, theirs) for ours, theirs in zip(target_parts(got), want)
         ):
-            return [f"{where}: returned entries differ from the per-target loop's"]
+            return [f"{where}: a request's component differs from the per-target loop's sample"]
         if list(batched._entries) != list(looped._entries):
             return [f"{where}: stored keys or their LRU order differ from the per-target loop's"]
-        if any(
-            subgraph_equal(batched._entries[key], looped._entries[key]) for key in looped._entries
-        ):
-            return [f"{where}: a stored entry differs from the per-target loop's"]
+        for key, entry in batched._entries.items():
+            if isinstance(entry, _Uncut):
+                entry = cut_component(entry.walk, entry.index)
+            if subgraph_equal(entry, looped._entries[key]):
+                return [f"{where}: stored entry {key[-1]} differs from the per-target loop's"]
         if batched.stats() != looped.stats():
             return [f"{where}: stats {batched.stats()} != the loop's {looped.stats()}"]
     stats = looped.stats()
@@ -519,10 +539,9 @@ def _check_cache_coherence() -> List[str]:
         """Planted mutant: a batch's misses are inserted before its
         hits are touched, so the LRU queue is not the loop's."""
 
-        def _replay(self, keys, hit, parts):
+        def _replay(self, keys, hit, held):
             first = sorted(range(len(keys)), key=lambda index: hit[index])
-            entries = super()._replay([keys[i] for i in first], [hit[i] for i in first], parts)
-            return [entry for _, entry in sorted(zip(first, entries), key=lambda pair: pair[0])]
+            return super()._replay([keys[i] for i in first], [hit[i] for i in first], held)
 
     problems: List[str] = _batch_lookup_problems(SubgraphCache)
     if not _batch_lookup_problems(InsertsBeforeHits):

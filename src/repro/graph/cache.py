@@ -17,11 +17,23 @@ targets)``. The version component means an in-place structural edit
 long-lived service does not carry dead weight until eviction.
 
 A micro-batch looks its targets up together
-(``get_or_sample(..., disjoint=True)``): one entry per target under the
-same singleton key a lone lookup of that target uses, every miss of the
-batch sampled in one ``sampler.sample(..., disjoint=True)`` walk. The
-entries, their LRU order and the counters end up exactly as if the
-targets had been looked up one by one.
+(``get_or_sample(..., disjoint=True)``) and gets ONE stacked
+:class:`~repro.graph.sampling.SampledSubgraph` back: a component per
+*distinct* target, ``target_local[i]`` the root of request ``i``'s
+(repeats share one). Each target is looked up under the singleton key a
+lone lookup of it uses, and the entries, their LRU order and the
+counters end up exactly as if the targets had been looked up one by
+one. The batch's misses are sampled in one ``sampler.sample(...,
+disjoint=True)`` walk, which enters the result as one block: a batch
+that finds none of its targets stored and repeats none gets the walk
+itself.
+
+Nor is the walk cut up to be stored. Each of its entries is a (walk,
+component) reference, cut into its own sample
+(:func:`~repro.graph.sampling.cut_component`) when a later lookup
+first hits it and stored cut from then on. An entry invalidated before
+any hit is never cut — on a stream, where every flush bumps the
+version, that is every entry.
 
 Consumers must treat cached subgraphs as immutable. The serving layer
 hydrates per-request features via ``HeteroGraph.with_features`` (an
@@ -34,13 +46,27 @@ from __future__ import annotations
 import threading
 import weakref
 from collections import OrderedDict
-from typing import Dict, Hashable, List, Sequence, Tuple, Union
+from typing import Dict, Hashable, Iterable, List, Sequence, Tuple, Union
 
 import numpy as np
 
-from .sampling import SampledSubgraph, unstack_subgraphs
+from .sampling import SampledSubgraph, cut_component, stack_subgraphs
 
 __all__ = ["SubgraphCache"]
+
+
+class _Uncut:
+    """An entry still inside the disjoint walk that sampled it: component
+    ``index`` of ``walk``."""
+
+    __slots__ = ("walk", "index")
+
+    def __init__(self, walk: SampledSubgraph, index: int) -> None:
+        self.walk = walk
+        self.index = index
+
+
+_Entry = Union[SampledSubgraph, _Uncut]
 
 
 class SubgraphCache:
@@ -64,7 +90,7 @@ class SubgraphCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self._entries: "OrderedDict[Tuple, SampledSubgraph]" = OrderedDict()
+        self._entries: "OrderedDict[Tuple, _Entry]" = OrderedDict()
         # RLock, not Lock: weakref finalizers (_forget_graph) run at
         # arbitrary allocation points, including inside our own locked
         # regions (dict resize during insert can trigger the GC that
@@ -121,7 +147,7 @@ class SubgraphCache:
         targets: Sequence[int],
         deadline=None,
         disjoint: bool = False,
-    ) -> Union[SampledSubgraph, List[SampledSubgraph]]:
+    ) -> SampledSubgraph:
         """Cached ``sampler.sample(graph, targets)``.
 
         A hit returns the stored subgraph without touching the sampler
@@ -129,17 +155,15 @@ class SubgraphCache:
         stores, and returns. ``targets`` order matters — it determines
         ``target_local`` — so it is part of the key.
 
-        ``disjoint=True`` is the micro-batch lookup: a list with one
-        singleton entry per target, each under the key
-        ``get_or_sample(graph, sampler, [t])`` uses, the batch's misses
-        sampled together (:meth:`_lookup_each`). One target is the
-        plain lookup in a list.
+        ``disjoint=True`` is the micro-batch lookup: one stacked sample,
+        a component per distinct target, each looked up under the key
+        ``get_or_sample(graph, sampler, [t])`` uses and the batch's
+        misses walked together (:meth:`_lookup_each`). One target is
+        the plain lookup; none is a ``ValueError``.
         """
-        if not disjoint:
-            return self._lookup(graph, sampler, targets, deadline)
-        if len(targets) == 1:
-            return [self._lookup(graph, sampler, targets, deadline)]
-        return self._lookup_each(graph, sampler, targets, deadline)
+        if disjoint and len(targets) != 1:
+            return self._lookup_each(graph, sampler, targets, deadline)
+        return self._lookup(graph, sampler, targets, deadline)
 
     def _lookup(self, graph, sampler, targets: Sequence[int], deadline) -> SampledSubgraph:
         key = self._key(graph, sampler, targets)
@@ -148,56 +172,100 @@ class SubgraphCache:
             if cached is not None:
                 self._entries.move_to_end(key)
                 self.hits += 1
-                return cached
+                return self._settle(key, cached)
             self.misses += 1
         sampled = sampler.sample(graph, targets, deadline=deadline)
         with self._lock:
-            self._store(key, sampled)
+            self._store(((key, sampled),))
         return sampled
 
-    def _lookup_each(
-        self, graph, sampler, targets: Sequence[int], deadline
-    ) -> List[SampledSubgraph]:
-        """``[_lookup(graph, sampler, [t]) for t in targets]`` with one
-        sampler call for all of its misses.
+    def _lookup_each(self, graph, sampler, targets: Sequence[int], deadline) -> SampledSubgraph:
+        """``[_lookup(graph, sampler, [t]) for t in targets]`` as one
+        stacked sample, with one sampler call for all of its misses.
 
         Three steps. Under the lock, decide every lookup's outcome as
         the loop would (:meth:`_loop_outcomes`) and count it; unlocked,
-        sample the distinct missed targets in one disjoint walk and cut
-        it into per-target entries; under the lock again, replay the
-        loop's bookkeeping in target order (:meth:`_replay`). On one
-        thread the entries, their LRU order and ``hits`` / ``misses`` /
-        ``evictions`` equal the loop's: a repeated absent target is one
-        miss then one hit, and an entry that this call's own inserts
-        evict before its turn is the miss (and the re-insert) it would
-        be there. What differs: every target is looked up before any is
-        sampled, so a walk that raises leaves the whole batch counted
-        and nothing inserted.
+        sample the distinct missed targets in one disjoint walk; under
+        the lock again, replay the loop's bookkeeping in target order
+        (:meth:`_replay`) — a walked target is stored as an uncut (walk,
+        component) entry — and cut each other distinct target's entry
+        if it is still uncut (:meth:`_settle`). The result stacks the
+        walk, as one block, then those entries. A batch that finds
+        nothing stored and repeats no target — each lookup a miss, the
+        stream's every batch — skips the simulation and the replay: its
+        entries are inserted in order and it gets the walk itself.
+
+        On one thread the entries, their LRU order and ``hits`` /
+        ``misses`` / ``evictions`` equal the loop's: a repeated absent
+        target is one miss then one hit, and an entry that this call's
+        own inserts evict before its turn is the miss (and the
+        re-insert) it would be there. What differs: every target is
+        looked up before any is sampled, so a walk that raises leaves
+        the whole batch counted and nothing inserted.
         """
+        if not len(targets):
+            raise ValueError("need at least one target to look up")
         head = self._key_head(graph, sampler)
         keys = [head + ((int(target),),) for target in targets]
+        distinct = list(dict.fromkeys(keys))
         with self._lock:
             # Present entries are held from here on, so that another
             # thread's churn between the two locked steps cannot take a
             # hit's entry away.
-            parts, absent = {}, False
-            for key in keys:
+            held = {}
+            for key in distinct:
                 entry = self._entries.get(key)
-                if entry is None:
-                    absent = True
-                else:
-                    parts[key] = entry
-            hit = self._loop_outcomes(keys) if absent else [True] * len(keys)
+                if entry is not None:
+                    held[key] = entry
+            fresh = not held and len(distinct) == len(keys)
+            if len(held) == len(distinct):
+                hit = [True] * len(keys)
+            elif fresh:
+                hit = [False] * len(keys)
+            else:
+                hit = self._loop_outcomes(keys)
             self.hits += sum(hit)
             self.misses += len(hit) - sum(hit)
-        missed = list(dict.fromkeys(key for key, found in zip(keys, hit) if not found))
+        if fresh:
+            missed = distinct
+        else:
+            missed = list(dict.fromkeys(key for key, found in zip(keys, hit) if not found))
+        blocks, walked = [], []
         if missed:
             walk = sampler.sample(
                 graph, [key[-1][0] for key in missed], deadline=deadline, disjoint=True
             )
-            parts.update(zip(missed, unstack_subgraphs(walk)))
+            blocks.append(walk)
+            if len(missed) == 1:  # a walk of one target is its plain sample
+                walked = [walk]
+            else:
+                walked = [_Uncut(walk, index) for index in range(len(missed))]
         with self._lock:
-            return self._replay(keys, hit, parts)
+            if fresh:
+                self._store(zip(missed, walked))
+                return walk
+            held.update(zip(missed, walked))
+            served = self._replay(keys, hit, held)
+            slots = {key: index for index, key in enumerate(missed)}
+            for key, entry in served.items():
+                if key not in slots:
+                    slots[key] = len(slots)
+                    blocks.append(self._settle(key, entry))
+        stacked = stack_subgraphs(blocks)
+        return SampledSubgraph(
+            stacked.graph, stacked.target_local[[slots[key] for key in keys]], stacked.original_ids
+        )
+
+    def _settle(self, key: Tuple, entry: _Entry) -> SampledSubgraph:
+        """``entry`` (``key``'s) as a subgraph. An uncut entry is cut now
+        and, while it is still stored, stored cut in its place: a walk's
+        entry is cut once, on its first hit."""
+        if type(entry) is not _Uncut:
+            return entry
+        cut = cut_component(entry.walk, entry.index)
+        if self._entries.get(key) is entry:
+            self._entries[key] = cut  # an existing key keeps its LRU position
+        return cut
 
     def _loop_outcomes(self, keys: Sequence[Tuple]) -> List[bool]:
         """Hit or miss, per key, were they looked up one by one now:
@@ -215,32 +283,39 @@ class SubgraphCache:
         return outcomes
 
     def _replay(
-        self, keys: Sequence[Tuple], hit: Sequence[bool], parts: Dict[Tuple, SampledSubgraph]
-    ) -> List[SampledSubgraph]:
+        self, keys: Sequence[Tuple], hit: Sequence[bool], held: Dict[Tuple, _Entry]
+    ) -> Dict[Tuple, _Entry]:
         """Touch (hit) or insert (miss) each key in target order — the
-        order is what makes the LRU queue the loop's. ``parts`` holds
-        an entry for every key, for the misses and for a hit whose entry
-        another thread removed since it was looked up."""
-        results = []
+        order is what makes the LRU queue the loop's — and return the
+        entry each distinct key was first served, in order of first
+        appearance. ``held`` holds an entry for every key, for the
+        misses and for a hit whose entry another thread removed since it
+        was looked up."""
+        served: Dict[Tuple, _Entry] = {}
         for key, found in zip(keys, hit):
             entry = self._entries.get(key) if found else None
             if entry is not None:
                 self._entries.move_to_end(key)
             else:
-                entry = parts[key]
+                entry = held[key]
                 if not found:
-                    self._store(key, entry)
-            results.append(entry)
-        return results
+                    self._store(((key, entry),))
+            served.setdefault(key, entry)
+        return served
 
-    def _store(self, key: Tuple, sampled: SampledSubgraph) -> None:
-        """Insert unless a racing miss of the same key already did,
-        evicting from the cold end."""
-        if key not in self._entries:
-            self._entries[key] = sampled
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self.evictions += 1
+    def _store(self, items: Iterable[Tuple[Tuple, _Entry]]) -> None:
+        """Insert each ``(key, entry)`` in order unless a racing miss of
+        the same key already did, then evict from the cold end. For
+        distinct keys none of which is stored, that leaves the entries
+        and the eviction count that inserting and evicting one at a time
+        does."""
+        entries = self._entries
+        for key, entry in items:
+            if key not in entries:
+                entries[key] = entry
+        while len(entries) > self.capacity:
+            entries.popitem(last=False)
+            self.evictions += 1
 
     def invalidate(self, graph=None) -> int:
         """Eagerly drop entries: all of them, or only those belonging

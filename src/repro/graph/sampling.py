@@ -63,9 +63,10 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .hetero import NODE_TYPES, HeteroGraph
+from .hetero import NODE_TYPE_IDS, NODE_TYPES, HeteroGraph
 
 _EMPTY = np.zeros(0, dtype=np.int64)
+_TXN = NODE_TYPE_IDS["txn"]
 
 # -- stateless hashing (splitmix64) ------------------------------------
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
@@ -134,7 +135,13 @@ def _concat_csr_slices(
 
 @dataclass
 class SampledSubgraph:
-    """A sampled neighbourhood ready for the model forward pass."""
+    """A sampled neighbourhood ready for the model forward pass.
+
+    ``target_local[i]`` is the node of ``graph`` that target ``i`` is
+    scored at. It may repeat: a micro-batch's stacked sample holds one
+    component per *distinct* target, rooted at that target (its first
+    node), and every request for the target names that root.
+    """
 
     graph: HeteroGraph
     target_local: np.ndarray
@@ -195,19 +202,24 @@ def stack_subgraphs(parts: Sequence[SampledSubgraph]) -> SampledSubgraph:
     )
 
 
-def unstack_subgraphs(stacked: SampledSubgraph) -> List[SampledSubgraph]:
+def unstack_subgraphs(
+    stacked: SampledSubgraph, roots: Optional[np.ndarray] = None
+) -> List[SampledSubgraph]:
     """Inverse of :func:`stack_subgraphs` for single-target components.
 
-    A singleton sample lists its target first, so ``target_local`` holds
-    the components' node offsets; edges are stored component by
-    component, so the component of ``edge_dst`` is sorted and bounds
-    them. Nothing about the split is stored on :class:`SampledSubgraph`.
-    The parts' node arrays are views: a part keeps the arrays of the
-    stack it was cut from alive.
+    ``roots`` holds one root per component, ascending: its first node,
+    the target it was sampled for. It defaults to ``target_local``, which
+    lists exactly that for a disjoint walk or a stack of singleton
+    samples; a sample whose ``target_local`` repeats a root (a
+    micro-batch with repeated targets) passes its distinct values.
+    Edges are stored component by component, so the component of
+    ``edge_dst`` is sorted and bounds them. Nothing about the split is
+    stored on :class:`SampledSubgraph`. The parts' node arrays are
+    views: a part keeps the arrays of the stack it was cut from alive.
     """
-    starts = stacked.target_local
+    starts = stacked.target_local if roots is None else np.asarray(roots, dtype=np.int64)
     count = len(starts)
-    if count == 1:
+    if count == 1 and len(stacked.target_local) == 1:
         return [stacked]
     if count == 0 or starts[0] != 0 or np.any(starts[1:] <= starts[:-1]):
         raise ValueError("components must each list their one target first")
@@ -220,21 +232,55 @@ def unstack_subgraphs(stacked: SampledSubgraph) -> List[SampledSubgraph]:
     edge_bounds = np.searchsorted(component, np.arange(1, count + 2)).tolist()
     node_bounds = starts.tolist() + [graph.num_nodes]
     row_bounds = np.append(0, np.cumsum(graph.txn_row >= 0))[node_bounds].tolist()
-    first = starts[:1]  # every part's target_local
-    parts = []
-    for index in range(count):
-        lo, hi = node_bounds[index], node_bounds[index + 1]
-        edges = slice(edge_bounds[index], edge_bounds[index + 1])
-        part = HeteroGraph.derived(
-            graph.node_type[lo:hi],
-            graph.edge_src[edges] - lo,
-            graph.edge_dst[edges] - lo,
-            graph.edge_type[edges],
+    return [
+        _cut(
+            stacked,
+            node_bounds[index],
+            node_bounds[index + 1],
+            slice(edge_bounds[index], edge_bounds[index + 1]),
             graph.txn_table[row_bounds[index] : row_bounds[index + 1]],
-            graph.labels[lo:hi],
         )
-        parts.append(SampledSubgraph(part, first, stacked.original_ids[lo:hi]))
-    return parts
+        for index in range(count)
+    ]
+
+
+def cut_component(walk: SampledSubgraph, index: int) -> SampledSubgraph:
+    """Component ``index`` of a disjoint walk as the singleton sample it
+    equals: ``unstack_subgraphs(walk)[index]`` without cutting the others.
+
+    ``walk.target_local`` must list one root per component (what
+    ``sample(..., disjoint=True)`` returns). Edges are grouped by
+    component in node order, so "the edge's destination is below ``lo``"
+    holds for a prefix of the edges, and a binary search over
+    ``edge_dst`` finds a component's edges without reading the rest.
+    """
+    graph, roots = walk.graph, walk.target_local
+    lo = int(roots[index])
+    hi = int(roots[index + 1]) if index + 1 < len(roots) else graph.num_nodes
+    first_edge, end_edge = np.searchsorted(graph.edge_dst, (lo, hi)).tolist()
+    is_txn = graph.node_type[:hi] == _TXN
+    first_row = int(np.count_nonzero(is_txn[:lo]))
+    end_row = first_row + int(np.count_nonzero(is_txn[lo:]))
+    return _cut(
+        walk, lo, hi, slice(first_edge, end_edge), graph.txn_table[first_row:end_row]
+    )
+
+
+def _cut(
+    stacked: SampledSubgraph, lo: int, hi: int, edges: slice, txn_table: np.ndarray
+) -> SampledSubgraph:
+    """The singleton sample on nodes ``lo:hi`` and ``edges`` of a stack,
+    its node arrays views of the stack's."""
+    graph = stacked.graph
+    part = HeteroGraph.derived(
+        graph.node_type[lo:hi],
+        graph.edge_src[edges] - lo,
+        graph.edge_dst[edges] - lo,
+        graph.edge_type[edges],
+        txn_table,
+        graph.labels[lo:hi],
+    )
+    return SampledSubgraph(part, np.zeros(1, dtype=np.int64), stacked.original_ids[lo:hi])
 
 
 def _in_sorted(table: np.ndarray, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

@@ -29,15 +29,16 @@ keeping every degradation scenario deterministic and replayable.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..graph.cache import SubgraphCache
 from ..graph.hetero import NODE_TYPE_IDS, HeteroGraph
-from ..graph.sampling import stack_subgraphs, unstack_subgraphs
+from ..graph.sampling import SampledSubgraph, stack_subgraphs, unstack_subgraphs
 from ..util import batched
 from ..obs.registry import MetricsRegistry
 from ..obs.trace import NULL_TRACER, Tracer
@@ -157,17 +158,30 @@ class _DeadlineGroup:
     does ``check`` raise, aborting the shared work. That is how a batch
     preserves per-request deadline verdicts: expiry is per member, the
     exception is per batch.
+
+    A check first asks whether any member *can* have expired: none has
+    while less time has passed since the earliest start than the
+    tightest budget, and then the per-member walk is skipped.
     """
 
-    def __init__(self, members: Sequence[_BatchMember], stats: ServiceStats) -> None:
+    def __init__(
+        self, members: Sequence[_BatchMember], stats: ServiceStats, clock: Callable[[], float]
+    ) -> None:
         self._members = list(members)
         self._stats = stats
+        self._clock = clock
+        deadlines = [member.deadline for member in self._members]
+        self._earliest = min((d.started for d in deadlines), default=0.0)
+        # No member: -inf, so every check walks (and raises).
+        self._tightest = min((d.budget_s for d in deadlines), default=-math.inf)
 
     @property
     def live(self) -> List[_BatchMember]:
         return [member for member in self._members if member.live]
 
     def check(self, stage: str) -> None:
+        if self._clock() - self._earliest < self._tightest:
+            return  # every member's elapsed time is under its budget
         expired_all = True
         for member in self._members:
             if not member.live:
@@ -186,6 +200,21 @@ class _DeadlineGroup:
     def remaining(self) -> float:
         """Budget of the healthiest member — the retry/backoff bound."""
         return max((m.deadline.remaining() for m in self.live), default=0.0)
+
+
+def _live_components(sampled: SampledSubgraph, live: Sequence[int]) -> SampledSubgraph:
+    """``sampled`` cut down to the components of its targets ``live``
+    (positions in ``target_local``), scored at those targets in that
+    order: what sampling just them would have given."""
+    roots = np.unique(sampled.target_local)
+    part_at = dict(zip(roots.tolist(), unstack_subgraphs(sampled, roots)))
+    wanted = sampled.target_local[live].tolist()
+    kept = list(dict.fromkeys(wanted))
+    stacked = stack_subgraphs([part_at[root] for root in kept])
+    slots = {root: index for index, root in enumerate(kept)}
+    return SampledSubgraph(
+        stacked.graph, stacked.target_local[[slots[root] for root in wanted]], stacked.original_ids
+    )
 
 
 class ScoringService:
@@ -235,10 +264,11 @@ class ScoringService:
         each see their own walks.
     cache:
         Optional :class:`~repro.graph.cache.SubgraphCache`. When set,
-        a micro-batch's sampler call goes through
-        ``cache.get_or_sample`` keyed per (target, sampler config,
-        graph version); with a ``registry`` the cache's
-        hit/miss/eviction counters are exported automatically.
+        a micro-batch's sample comes from ``cache.get_or_sample(...,
+        disjoint=True)`` keyed per (target, sampler config, graph
+        version), stacked and ready for the forward; with a
+        ``registry`` the cache's hit/miss/eviction counters are
+        exported automatically.
     """
 
     def __init__(
@@ -339,10 +369,12 @@ class ScoringService:
         admitted remainder is coalesced into micro-batches of
         ``config.batch_size`` (``None`` = all at once), each executing
         ONE disjoint sampler walk for whatever the subgraph cache does
-        not already hold (one component per target, cached per target),
-        ONE disjoint forward graph, ONE batched KV feature fetch, and
-        one ``predict_proba`` forward per degradation rung actually used
-        — not one per request. Scores do not depend on batch composition
+        not already hold (cached per target), ONE stacked forward graph
+        with one component per distinct target (a repeated request is
+        scored on its target's one component), one KV ``get_many`` per
+        ``config.fetch_chunk`` distinct feature rows, and one
+        ``predict_proba`` forward per degradation rung actually used —
+        not one per request. Scores do not depend on batch composition
         (within float noise); responses come back in request order.
         """
         coerced = [self._coerce(request) for request in requests]
@@ -362,9 +394,9 @@ class ScoringService:
         has no cache. Startup warming turns first-hit latency into
         cache hits for known-hot buyers/cards.
         """
-        if self.cache is None:
+        if self.cache is None or not len(targets):
             return 0
-        return self._sample_parts([int(target) for target in targets])[1]
+        return self._sample([int(target) for target in targets])[1]
 
     def submit(self, request: Union[int, ScoreRequest]) -> Optional[ScoreResponse]:
         """Enqueue a request; returns a shed response immediately when
@@ -437,16 +469,17 @@ class ScoringService:
         """Score already-admitted requests as ONE coalesced unit — the
         only scoring pipeline (:meth:`score` sends a batch of one).
 
-        One disjoint sample of the live members' targets (one component
-        each, so a verdict does not depend on batch composition; looked
-        up in the cache per target, the misses walked together), one
-        batched KV fetch, one forward per degradation rung used.
-        Per-request deadline semantics ride on :class:`_DeadlineGroup`;
-        breaker and KV failures demote every member still on the GNN
-        rung. Unlike a loop of per-member samples, every member live at
-        the sampling stage is looked up before the walk starts: one
-        whose budget ends during the walk has been counted by the cache
-        and is dropped afterwards (the loop never looked it up).
+        One stacked sample of the live members' targets (a component
+        per distinct target, so a verdict does not depend on batch
+        composition; looked up in the cache per target, the misses
+        walked together), the KV fetch of its rows, one forward per
+        degradation rung used. Per-request deadline semantics ride on
+        :class:`_DeadlineGroup`; breaker and KV failures demote every
+        member still on the GNN rung. Unlike a loop of per-member
+        samples, every member live at the sampling stage is looked up
+        before the walk starts: one whose budget ends during the walk
+        has been counted by the cache, and its component is dropped
+        before any row is fetched (the loop never looked it up).
         """
         started = self._clock()
         members: List[_BatchMember] = []
@@ -455,7 +488,7 @@ class ScoringService:
                 request.deadline_s if request.deadline_s is not None else self.config.deadline_s
             )
             members.append(_BatchMember(request, Deadline(budget, clock=self._clock)))
-        group = _DeadlineGroup(members, self.stats)
+        group = _DeadlineGroup(members, self.stats, self._clock)
         with self.tracer.span("batch", size=len(members)) as batch_span:
             try:
                 self._gnn_score_batch(group)
@@ -500,17 +533,17 @@ class ScoringService:
         member that survives sampling, fetch, and forward."""
         group.check("admission")
         cohort = group.live
-        nodes = [member.request.node for member in cohort]
         with self.tracer.span("sample", targets=len(cohort)) as sample_span:
-            parts, misses = self._sample_parts(nodes, group)
+            sampled, misses = self._sample([member.request.node for member in cohort], group)
             if sample_span:
-                sample_span.set("sampled_nodes", int(sum(len(p.original_ids) for p in parts)))
-                sample_span.set("hits", len(nodes) - misses)
+                sample_span.set("sampled_nodes", sampled.graph.num_nodes)
+                sample_span.set("hits", len(cohort) - misses)
                 sample_span.set("misses", misses)
-        survivors = [(member, part) for member, part in zip(cohort, parts) if member.live]
-        if not survivors:
-            return
-        sampled = stack_subgraphs([part for _, part in survivors])
+        live = group.live  # not empty: the check that demotes the last member raises
+        if len(live) < len(cohort):  # expired during the walk: no rows, no forward
+            sampled = _live_components(
+                sampled, [index for index, member in enumerate(cohort) if member.live]
+            )
         forward_graph = sampled.graph
         if self.feature_store is not None:
             # Only transactions have feature rows: fetched in node
@@ -519,7 +552,7 @@ class ScoringService:
             # fetch each row once, gather it for every copy. A lone
             # component's ids are unique as sampled.
             ids, inverse = sampled.original_ids[sampled.graph.txn_row >= 0], slice(None)
-            if len(survivors) > 1:
+            if len(live) > 1:
                 ids, inverse = np.unique(ids, return_inverse=True)
             with self.tracer.span("feature_fetch", rows=int(len(ids))):
                 fetched = self._fetch_features(ids, group)
@@ -528,54 +561,59 @@ class ScoringService:
             # request's feature rows.
             forward_graph = sampled.graph.with_features(fetched[inverse])
         group.check("model forward")
-        live = [member for member, _ in survivors if member.live]
-        locals_ = [
-            int(local)
-            for (member, _), local in zip(survivors, sampled.target_local)
-            if member.live
-        ]
-        if not live:
-            return
+        targets = sampled.target_local
+        if not all(member.live for member in live):  # expired in the fetch or at the forward
+            kept = [index for index, member in enumerate(live) if member.live]
+            live, targets = [live[index] for index in kept], targets[kept]
         with self.tracer.span("forward", targets=len(live)):
-            probs = self.model.predict_proba(forward_graph, locals_)
+            probs = self.model.predict_proba(forward_graph, targets)
         for member, prob in zip(live, probs):
             member.score, member.rung = float(prob), RUNG_GNN
 
-    def _sample_parts(self, nodes: Sequence[int], deadline=None):
-        """``(parts, misses)``: one singleton sample per node, and how
-        many of them were walked rather than found in the cache.
+    def _sample(self, nodes: Sequence[int], deadline=None) -> Tuple[SampledSubgraph, int]:
+        """``(sampled, misses)``: the stacked sample the forward runs on,
+        and how many of the nodes' lookups were walked rather than found
+        in the cache (without a cache: every node).
 
-        One component per node. Sampling the *union* of targets instead
-        would leak each request's neighbourhood into the others'
-        attention normalisation (the induced subgraph carries
-        cross-target edges, and shared nodes reached at different hop
-        depths draw differently), making a score depend on batch
-        composition — repro.check's single-vs-batched scenario
-        falsifies exactly that. The cache keys each component by its
-        own target, so hits survive any composition, and the misses
-        (every node, without a cache) are ONE disjoint walk — timed
-        here, on the clock and into the registry of the service that
-        asked for it: one ``sampler_sample_seconds`` observation and
-        ``sampler.steps`` hops per stage that walked, nothing on an
-        all-hit batch.
+        ``sampled`` holds one component per *distinct* node, rooted at
+        it, and ``target_local[i]`` is the root of ``nodes[i]``'s — a
+        repeated node is scored on its one component. A component per
+        node, not one sample of the node *set*: sampling the union would
+        leak each request's neighbourhood into the others' attention
+        normalisation (the induced subgraph carries cross-target edges,
+        and shared nodes reached at different hop depths draw
+        differently), making a score depend on batch composition —
+        repro.check's single-vs-batched scenario falsifies exactly that.
+        The cache keys each component by its own target, so hits survive
+        any composition, and the misses (every distinct node, without a
+        cache) are ONE disjoint walk — timed here, on the clock and into
+        the registry of the service that asked for it: one
+        ``sampler_sample_seconds`` observation and ``sampler.steps`` hops
+        per stage that walked, nothing on an all-hit batch.
         """
         started = self._clock()
         if self.cache is not None:
             misses = -self.cache.misses
-            parts = self.cache.get_or_sample(
+            sampled = self.cache.get_or_sample(
                 self.graph, self.sampler, nodes, deadline=deadline, disjoint=True
             )
             misses += self.cache.misses
         else:
             misses = len(nodes)
-            parts = unstack_subgraphs(
-                self.sampler.sample(self.graph, nodes, deadline=deadline, disjoint=True)
-            )
+            distinct = list(dict.fromkeys(nodes))
+            sampled = self.sampler.sample(self.graph, distinct, deadline=deadline, disjoint=True)
+            if len(distinct) < len(nodes):
+                slots = {node: index for index, node in enumerate(distinct)}
+                sampled = SampledSubgraph(
+                    sampled.graph,
+                    sampled.target_local[[slots[node] for node in nodes]],
+                    sampled.original_ids,
+                )
         if misses and self._sampler_sample_seconds is not None:
             kind = self.sampler.kind
             self._sampler_sample_seconds.observe(self._clock() - started, sampler=kind)
             self._sampler_hops_total.inc(self.sampler.steps, sampler=kind)
-        return parts, misses
+        return sampled, misses
 
     def _fallback_batch(self, members: Sequence[_BatchMember]) -> None:
         """Rungs 1–2 for every member the GNN rung did not score: ONE

@@ -43,6 +43,7 @@ from repro.graph.cache import SubgraphCache
 from repro.graph.hetero import NODE_TYPES, HeteroGraph
 from repro.graph.sampling import SageSampler, stack_subgraphs, unstack_subgraphs
 from repro.models import field as field_module
+from repro.serving.service import ScoringService
 from repro.models import hetero_conv
 from repro.nn import functional as F
 from repro.nn.segment import scatter_selector
@@ -690,14 +691,15 @@ class TestDisjointWalkMutants:
             "src_sorted[positions]",
         )
         monkeypatch.setattr(sampling, "_induce_disjoint", mutant)
-        # unstack_subgraphs refuses an edge that leaves its component,
-        # so single-vs-batched-scoring (dealt earlier) sees this one too.
+        # A cached batch stacks components cut across such edges, so
+        # single-vs-batched-scoring (dealt earlier) sees this one too.
         assert "edge_src" in _caught_by(self.NAME, alone=True).detail
 
     def test_target_not_first_in_its_component(self, monkeypatch):
         # Nodes ascending inside each component, target_local still on
         # the target: an isomorphic graph, the same scores — and a
-        # layout unstack_subgraphs refuses to cut, which is how
+        # layout the cache's cuts misread (each takes its component's
+        # target for its first node), which is how
         # single-vs-batched-scoring sees it too.
         mutant = _edited(
             sampling._induce_disjoint,
@@ -711,6 +713,52 @@ class TestDisjointWalkMutants:
         # All five shrink to one case: four targets, two of them the
         # same node, on a 9-node graph, two hops at fanout 2.
         assert run_case(self.NAME, 0, 1) is None
+
+
+class TestStackedSampleMutants:
+    """`repro check --fuzz 150` must fail, in
+    ``single-vs-batched-scoring``, on each way a micro-batch's one
+    stacked sample can point a request at a component other than its
+    own target's singleton sample."""
+
+    NAME = "single-vs-batched-scoring"
+
+    def test_two_distinct_targets_sharing_a_component(self, monkeypatch):
+        # Every walked target of a batch with a repeat or a hit is
+        # pointed at the walk's first component.
+        mutant = _edited(
+            SubgraphCache._lookup_each,
+            "slots = {key: index for index, key in enumerate(missed)}",
+            "slots = dict.fromkeys(missed, 0)",
+        )
+        monkeypatch.setattr(SubgraphCache, "_lookup_each", mutant)
+        assert "cached batch" in _caught_by(self.NAME).detail
+
+    def test_an_uncut_entry_cut_at_the_neighbouring_component(self, monkeypatch):
+        mutant = _edited(
+            SubgraphCache._settle,
+            "cut_component(entry.walk, entry.index)",
+            "cut_component(entry.walk, (entry.index + 1) % len(entry.walk.target_local))",
+        )
+        monkeypatch.setattr(SubgraphCache, "_settle", mutant)
+        assert "cached batch" in _caught_by(self.NAME).detail
+
+    def test_a_repeat_pointed_at_the_wrong_root(self, monkeypatch):
+        # The distinct targets are walked in order of first appearance;
+        # this maps the requests onto them in sorted order.
+        mutant = _edited(
+            ScoringService._sample,
+            "sampled.target_local[[slots[node] for node in nodes]]",
+            "sampled.target_local[np.unique(nodes, return_inverse=True)[1]]",
+        )
+        monkeypatch.setattr(ScoringService, "_sample", mutant)
+        assert "uncached batch" in _caught_by(self.NAME).detail
+
+    def test_shrunk_cases_pass_on_the_real_lookup(self):
+        # What the three mutants above shrink to: (0, 5) a six-request
+        # batch with two repeats, (0, 1) a five-request batch of two targets.
+        for seed, size in ((0, 5), (0, 1)):
+            assert run_case(self.NAME, seed, size) is None, (seed, size)
 
 
 class TestFastWalkMutants:
@@ -1016,6 +1064,23 @@ class TestStackSubgraphs:
         assert [subgraph_equal(cut, part) for cut, part in zip(cuts, parts)] == [None] * 4
         assert all(cut.graph.txn_table.base is stacked.graph.txn_table for cut in cuts)
         assert unstack_subgraphs(parts[0]) == [parts[0]]
+
+    def test_unstack_takes_one_root_per_component(self):
+        graph = random_hetero_graph(np.random.default_rng(12), num_txns=6)
+        sampler = SageSampler(hops=2, fanout=3, seed=1)
+        walk = sampler.sample(graph, [0, 1, 2], disjoint=True)
+        repeated = sampling.SampledSubgraph(
+            walk.graph, walk.target_local[[0, 2, 0, 1]], walk.original_ids
+        )
+        cuts = unstack_subgraphs(repeated, walk.target_local)
+        assert [subgraph_equal(cut, sampler.sample(graph, [t])) for cut, t in zip(cuts, range(3))] == [
+            None
+        ] * 3
+        assert [
+            subgraph_equal(sampling.cut_component(walk, index), cut) for index, cut in enumerate(cuts)
+        ] == [None] * 3
+        with pytest.raises(ValueError, match="target first"):
+            unstack_subgraphs(repeated)  # a repeated root is not one root per component
 
     def test_unstack_refuses_what_is_not_such_a_stack(self):
         graph = random_hetero_graph(np.random.default_rng(12), num_txns=6)

@@ -26,8 +26,10 @@ from repro.graph import (
     SageSampler,
     SubgraphCache,
 )
+from repro.check import subgraph_equal, target_parts
 from repro.check.reference import scalar_sample
-from repro.graph.sampling import stack_subgraphs, unstack_subgraphs
+from repro.graph import cache as cache_module
+from repro.graph.sampling import cut_component, stack_subgraphs, unstack_subgraphs
 from repro.obs import MetricsRegistry
 from repro.reliability import ManualClock
 from repro.serving import (
@@ -159,8 +161,9 @@ class TestEquivalence:
             walk = sample(graph, targets, disjoint=True)
             _assert_identical(walk, stack_subgraphs(parts))
             np.testing.assert_array_equal(walk.graph.labels, stack_subgraphs(parts).graph.labels)
-            for cut, part in zip(unstack_subgraphs(walk), parts):
+            for index, (cut, part) in enumerate(zip(unstack_subgraphs(walk), parts)):
                 _assert_identical(cut, part)
+                _assert_identical(cut_component(walk, index), part)
             # One target is its own union: the plain route.
             _assert_identical(sample(graph, txn[:1], disjoint=True), sample(graph, txn[:1]))
             with pytest.raises(ValueError):
@@ -470,7 +473,8 @@ class _CountingSampler(SageSampler):
 
 
 class TestBatchLookup:
-    """``get_or_sample(..., disjoint=True)``: the per-target loop's
+    """``get_or_sample(..., disjoint=True)``: one stacked sample whose
+    components are the per-target loop's samples, and the loop's
     entries, LRU order and counters, from one sampler call."""
 
     @pytest.mark.parametrize("capacity", [1, 3, 64])
@@ -487,13 +491,17 @@ class TestBatchLookup:
             if call % 7 == 6:
                 graph.mark_mutated(structural=call % 2 == 0)
             targets = rng.choice(pool, size=int(rng.integers(0, 9))).tolist()
+            if not targets:
+                continue
             lookups = batched.stats()["lookups"]
             got = batched.get_or_sample(graph, sampler, targets, disjoint=True)
             want = [looped.get_or_sample(graph, sampler, [target]) for target in targets]
             assert batched.stats()["lookups"] == lookups + len(targets)
-            assert len(got) == len(want)
-            for ours, theirs in zip(got, want):
+            assert len(got.target_local) == len(want)
+            for ours, theirs in zip(target_parts(got), want):
                 _assert_identical(ours, theirs)
+            # One component per distinct target.
+            assert len(np.unique(got.target_local)) == len(set(targets))
             assert list(batched._entries) == list(looped._entries), (call, targets)
             assert batched.stats() == looped.stats(), (call, targets)
         assert looped.hits and looped.misses
@@ -506,13 +514,69 @@ class TestBatchLookup:
         first, second, third = (int(node) for node in graph.txn_nodes[:3])
         alone = cache.get_or_sample(graph, sampler, [first])
         batch = cache.get_or_sample(graph, sampler, [second, first, second], disjoint=True)
-        assert batch[1] is alone  # score()'s / warm_cache()'s entry hits from a batch
-        assert batch[2] is batch[0]  # a repeated absent target: one miss, then one hit
+        parts = target_parts(batch)
+        assert subgraph_equal(parts[1], alone) is None  # score()'s / warm_cache()'s entry hits
+        # A repeated absent target: one miss, then one hit on one component.
+        assert batch.target_local[2] == batch.target_local[0]
+        assert batch.graph.num_nodes == parts[0].graph.num_nodes + alone.graph.num_nodes
         assert (cache.misses, cache.hits) == (2, 2)
-        assert cache.get_or_sample(graph, sampler, [second]) is batch[0]  # ... and back
-        assert cache.get_or_sample(graph, sampler, [third], disjoint=True)[0] is (
+        again = cache.get_or_sample(graph, sampler, [second])  # ... and back
+        assert subgraph_equal(again, parts[0]) is None
+        assert subgraph_equal(again, sampler.sample(graph, [second])) is None
+        # One target is the plain lookup: the stored entry itself.
+        assert cache.get_or_sample(graph, sampler, [third], disjoint=True) is (
             cache.get_or_sample(graph, sampler, [third])
         )
+
+    def test_an_all_miss_batch_of_distinct_targets_is_the_walk_itself(self):
+        graph = _sparse_graph()
+        walks = []
+
+        class Recording(SageSampler):
+            def sample(self, graph, targets, deadline=None, disjoint=False):
+                walks.append(super().sample(graph, targets, deadline=deadline, disjoint=disjoint))
+                return walks[-1]
+
+        cache = SubgraphCache(capacity=16)
+        sampler = Recording(hops=2, fanout=3, seed=0)
+        txn = graph.txn_nodes.tolist()
+        assert cache.get_or_sample(graph, sampler, txn[:4], disjoint=True) is walks[-1]
+        # A repeat or a hit adds a component or a root: stacked anew.
+        repeated = cache.get_or_sample(graph, sampler, txn[4:6] + txn[4:5], disjoint=True)
+        assert repeated is not walks[-1] and repeated.graph is walks[-1].graph
+        assert repeated.target_local.tolist() == walks[-1].target_local[[0, 1, 0]].tolist()
+        mixed = cache.get_or_sample(graph, sampler, [txn[6], txn[0], txn[7]], disjoint=True)
+        assert mixed.graph is not walks[-1].graph
+        assert mixed.original_ids[mixed.target_local].tolist() == [txn[6], txn[0], txn[7]]
+
+    def test_a_walked_entry_is_cut_once_on_its_first_hit(self, monkeypatch):
+        graph = _sparse_graph()
+        sampler = SageSampler(hops=2, fanout=3, seed=0)
+        cache = SubgraphCache(capacity=16)
+        cuts = []
+        cut = cache_module.cut_component
+
+        def counting(walk, index):
+            cuts.append(int(walk.original_ids[walk.target_local[index]]))
+            return cut(walk, index)
+
+        monkeypatch.setattr(cache_module, "cut_component", counting)
+        a, b, c, d = graph.txn_nodes[:4].tolist()
+        cache.get_or_sample(graph, sampler, [a, b, c], disjoint=True)
+        assert cuts == []  # stored as (walk, component): nothing cut
+        first = cache.get_or_sample(graph, sampler, [b])
+        assert cuts == [b]
+        assert cache.get_or_sample(graph, sampler, [b]) is first  # stored cut
+        assert subgraph_equal(first, sampler.sample(graph, [b])) is None
+        batch = cache.get_or_sample(graph, sampler, [b, c, d, c], disjoint=True)
+        assert cuts == [b, c]  # c on its first hit, once for both requests; d walked
+        for part, target in zip(target_parts(batch), [b, c, d, c]):
+            assert subgraph_equal(part, sampler.sample(graph, [target])) is None
+        # a was never hit: a new version drops it uncut.
+        graph.mark_mutated()
+        assert cache.invalidate(graph) == 4
+        cache.get_or_sample(graph, sampler, [a, d], disjoint=True)
+        assert cuts == [b, c]
 
     def test_one_walk_for_the_distinct_misses_of_a_batch(self):
         graph = _sparse_graph()
@@ -525,8 +589,9 @@ class TestBatchLookup:
         assert sampler.calls == [([txn[1], txn[2]], True)]
         cache.get_or_sample(graph, sampler, [txn[2], txn[0], txn[1]], disjoint=True)
         assert len(sampler.calls) == 1  # all hits: the sampler is not called
-        assert cache.get_or_sample(graph, sampler, [], disjoint=True) == []
-        assert len(sampler.calls) == 1
+        with pytest.raises(ValueError, match="at least one target"):
+            cache.get_or_sample(graph, sampler, [], disjoint=True)
+        assert len(sampler.calls) == 1 and cache.stats()["lookups"] == 8
 
     def test_a_walk_that_raises_counts_the_batch_and_inserts_nothing(self):
         graph = _sparse_graph()
@@ -583,9 +648,8 @@ class TestBatchLookup:
             try:
                 for _ in range(calls):
                     targets = rng.choice(txn, size=batch).tolist()
-                    parts = cache.get_or_sample(graph, sampler, targets, disjoint=True)
-                    for target, part in zip(targets, parts):
-                        assert part.original_ids[part.target_local[0]] == target
+                    sampled = cache.get_or_sample(graph, sampler, targets, disjoint=True)
+                    assert sampled.original_ids[sampled.target_local].tolist() == targets
             except Exception as error:  # pragma: no cover - failure path
                 errors.append(error)
 
@@ -655,6 +719,42 @@ class TestBatchParity:
         responses = service.score_batch(tiny_graph.txn_nodes[:8].tolist())
         assert len(calls) == 1
         assert all(r.admitted and r.rung == RUNG_GNN for r in responses)
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_repeats_share_one_component_of_one_forward(
+        self, trained_detector, tiny_graph, monkeypatch, cached
+    ):
+        nodes = tiny_graph.txn_nodes[:3].tolist()
+        batch = [nodes[i] for i in (0, 1, 0, 2, 1, 0)]
+        service = ScoringService(
+            trained_detector,
+            tiny_graph,
+            config=ServiceConfig(static_prior=0.01),
+            clock=ManualClock(),
+            cache=SubgraphCache() if cached else None,
+        )
+        service.warm_cache(nodes[1:2])  # with a cache: one distinct target hits
+        forwards = []
+        original = trained_detector.predict_proba
+
+        def recording(graph, targets):
+            forwards.append((graph.num_nodes, np.asarray(targets).tolist()))
+            return original(graph, targets)
+
+        monkeypatch.setattr(trained_detector, "predict_proba", recording)
+        responses = service.score_batch(batch)
+        ((num_nodes, targets),) = forwards
+        sampler = trained_detector.sampler
+        assert num_nodes == sum(sampler.sample(tiny_graph, [n]).graph.num_nodes for n in nodes)
+        assert [targets[batch.index(node)] for node in batch] == targets
+        assert len(set(targets)) == len(nodes)
+        scores = {}
+        for node, response in zip(batch, responses):
+            assert response.rung == RUNG_GNN
+            assert scores.setdefault(node, response.score) == response.score
+        monkeypatch.undo()
+        for node in nodes:
+            assert scores[node] == pytest.approx(service.score(node).score, abs=1e-12)
 
     def test_service_reuses_cached_subgraphs(self, trained_detector, tiny_graph):
         cache = SubgraphCache(capacity=64)

@@ -72,6 +72,77 @@ class TestDeadline:
             Deadline(0.0)
 
 
+class TestDeadlineGroup:
+    """A stage check skips the per-member walk only while no member can
+    have expired, and otherwise demotes exactly the members the walk
+    would. Times are dyadic, so every expiry instant is exact."""
+
+    BUDGETS = (0.5, 0.25, 1.0)
+    STARTS = (0.0, 0.125, 0.25)  # member 1, the tightest, expires at 0.375 exactly
+    INSTANTS = (0.0, 0.125, 0.249, 0.25, 0.374, 0.375, 0.5, 0.75, 1.0, 1.25)
+
+    def _group(self, walk_always=False):
+        from repro.serving.service import _BatchMember, _DeadlineGroup
+
+        clock, members = ManualClock(), []
+        for budget, start in zip(self.BUDGETS, self.STARTS):
+            clock.now = start
+            deadline = Deadline(budget, clock=clock)
+            members.append(_BatchMember(ScoreRequest(node=0), deadline))
+        stats = ServiceStats()
+        group = _DeadlineGroup(members, stats, clock)
+        if walk_always:
+            group._tightest = -math.inf
+        return clock, group, members, stats
+
+    def _drive(self, walk_always):
+        clock, group, members, stats = self._group(walk_always)
+        trace = []
+        for instant in self.INSTANTS:
+            clock.now = instant
+            try:
+                group.check(f"stage@{instant}")
+                raised = None
+            except DeadlineExceeded as error:
+                raised = error.stage
+            trace.append(([m.degraded_reason for m in members], stats.deadline_hits, raised))
+        return trace
+
+    def test_reasons_and_hits_equal_the_per_member_walk(self):
+        fast, slow = self._drive(False), self._drive(True)
+        assert fast == slow
+        reasons = dict(zip(self.INSTANTS, fast))
+        # Not before the exact instant, and at it.
+        assert reasons[0.374][0] == [None, None, None]
+        assert reasons[0.375][0] == [None, "deadline:stage@0.375", None]
+        assert reasons[0.5][:2] == (["deadline:stage@0.5", "deadline:stage@0.375", None], 2)
+        assert reasons[1.25] == (
+            ["deadline:stage@0.5", "deadline:stage@0.375", "deadline:stage@1.25"],
+            3,
+            "stage@1.25",
+        )
+
+    def test_the_walk_is_skipped_while_no_member_can_have_expired(self, monkeypatch):
+        clock, group, members, _ = self._group()
+        reads = []
+        monkeypatch.setattr(
+            Deadline, "expired", lambda self: reads.append(self) or self.remaining() <= 0
+        )
+        for instant in (0.0, 0.125, 0.249):  # earliest start + tightest budget = 0.25
+            clock.now = instant
+            group.check("early")
+        assert reads == []
+        clock.now = 0.25
+        group.check("late")
+        assert len(reads) == len(members)  # may have expired: every member is asked
+
+    def test_a_group_of_none_raises(self):
+        from repro.serving.service import _DeadlineGroup
+
+        with pytest.raises(DeadlineExceeded):
+            _DeadlineGroup([], ServiceStats(), ManualClock()).check("admission")
+
+
 class TestCircuitBreaker:
     def _breaker(self, clock, **overrides):
         kwargs = dict(
@@ -742,6 +813,34 @@ class TestBatchWalkDeadlines:
         # Without rules the demoted member lands on the prior.
         bare = self._service(trained_detector, tiny_graph).score_batch(requests)
         assert [r.rung for r in bare] == [RUNG_GNN, RUNG_GNN, RUNG_PRIOR, RUNG_GNN]
+
+    def test_a_member_expiring_in_the_walk_costs_no_row_read(self, trained_detector, tiny_graph):
+        class Recording(InMemoryKVStore):
+            def __init__(self):
+                super().__init__()
+                self.read = []
+
+            def get(self, key):
+                self.read.append(key)
+                return super().get(key)
+
+        def rows(node):
+            ids = trained_detector.sampler.sample(tiny_graph, [node]).original_ids
+            return {int(n) for n in ids if tiny_graph.node_type[n] == NODE_TYPE_IDS["txn"]}
+
+        txn = _txn_nodes(tiny_graph, len(tiny_graph.txn_nodes))
+        others = set().union(*(rows(node) for node in txn[:3]))
+        expiring = next(node for node in txn if rows(node) - others)  # rows of its own
+        requests = [
+            ScoreRequest(node=node, deadline_s=self.SLOW_SAMPLING_S / 2 if short else None)
+            for node, short in zip(txn[:2] + [expiring, txn[2]], (False, False, True, False))
+        ]
+        store = Recording()
+        GraphStore(store).save(tiny_graph)
+        service = self._service(trained_detector, tiny_graph, feature_store=store)
+        responses = service.score_batch(requests)
+        assert [r.rung for r in responses] == [RUNG_GNN, RUNG_GNN, RUNG_PRIOR, RUNG_GNN]
+        assert sorted(store.read) == sorted(f"feat/{node}" for node in others)
 
     def test_a_batch_expiring_whole_skips_the_forward(
         self, trained_detector, tiny_graph, mined_rules, monkeypatch
