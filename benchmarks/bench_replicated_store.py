@@ -69,7 +69,6 @@ def _measure(concurrent_hedge):
             "p50": _percentile(samples, 0.50),
             "p99": _percentile(samples, 0.99),
             "hedged": store.hedged_reads,
-            "overruns": store.hedge_overruns,
         }
     finally:
         store.close()

@@ -148,9 +148,11 @@ nowhere else — every other layer's ms per request is unchanged, its
 share of a shorter request is larger. The serving module's own time
 (0.61 ms a request, mostly ``np.load`` row decodes) is now the largest
 ``serve_cold`` layer; ``stream_ingest`` is flush-bound (35-42%), not
-scoring-bound. ``storage.hedge_overruns`` reads ~5% of reads where it
+scoring-bound. ``storage.hedge_overruns`` read ~5% of reads where it
 read 93-100%: this PR also fixed the tally to compare the duration that
-feeds the threshold's reservoir.""",
+feeds the threshold's reservoir. (The tally is gone since: an unhedged
+store reads no threshold, and ``hedge_overruns`` is an alias of the
+backup reads a concurrent store fires — 0 on every ledger row.)""",
     ),
     (
         "Feature hydration at memory speed — the performance ledger, before / after",
@@ -164,7 +166,8 @@ in ``np.load(BytesIO)`` (``ast.literal_eval`` compiling a header that
 is byte-identical for every row) and ~14 us in
 ``ReplicatedKVStore.get`` around a 0.3 us dict read — 4 us of it
 ``hedge_threshold()`` copying and sorting the 256-sample latency
-reservoir on every read. Now `storage.decode_array` parses each
+reservoir on every read (the unhedged store every caller uses no longer
+reads a threshold at all). Now `storage.decode_array` parses each
 distinct header once (numpy's own parser, memoised on the header
 bytes; every blob still has magic/version matched, object dtypes
 refused, payload length checked), rows land in one preallocated matrix

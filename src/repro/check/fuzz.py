@@ -9,8 +9,8 @@ kernel and its hand-derived backward have the op-by-op ``Tensor`` layer
 (:mod:`.reference`), a forward whose layers each compute the rows the
 next one reads has the same kernel read at every node,
 the header-memoising row decoder has ``np.load`` (and a batch of rows
-decoded at once has the row-by-row loop), one multi-get over a replica
-tier has the loop of single-key reads, a training step on
+decoded at once has the row-by-row loop), the replica tier's one
+multi-get read has the per-key walk of :mod:`.reference`, a training step on
 the batch's receptive field has the same step on the whole graph, every
 autograd op has its central difference, the elastic supervisor has the
 fault-free engine it drives (and, under faults, a by-hand all-reduce
@@ -1595,8 +1595,8 @@ def _faulty_tier(seed: int, size: int):
 
 
 def _tier_state(store, clock, tapes, injectors) -> Dict[str, object]:
-    """Everything ``get_many`` promises to leave where the loop of
-    ``get`` calls leaves it (the latency-derived values are not here)."""
+    """Everything ``get_many`` promises to leave where the per-key walk
+    leaves it (the latency-derived values are not here)."""
     return {
         "replica calls": [tape.calls for tape in tapes],
         "injector reads / injected": [
@@ -1626,16 +1626,21 @@ def _first_difference(ours, theirs) -> str:
 
 @scenario("batched-read-vs-per-key-gets")
 def _fuzz_batched_read(seed: int, size: int) -> Optional[str]:
-    """``ReplicatedKVStore.get_many(keys)`` vs ``[get(key) for key in
-    keys]`` on twin faulty tiers (:func:`_faulty_tier`), batch after
-    batch of 0 / 1 / 32 / 250 keys with the clock moved between them:
-    equal bytes or equal exception type, every replica asked the same
-    ``contains`` / ``get`` calls in the same order (so every injector's
-    read counter and window agree), and equal health counters, state
-    paths and failure tallies after every batch."""
-    batched, looped = _faulty_tier(seed, size), _faulty_tier(seed, size)
+    """``ReplicatedKVStore.get_many(keys)`` — in a third of the rounds
+    ``get`` per key, a batch of one each — vs
+    :func:`.reference.per_key_get` key by key on twin
+    faulty tiers (:func:`_faulty_tier`), batch after batch of 0 / 1 /
+    32 / 250 keys with the clock moved between them: equal bytes or
+    equal exception type, every replica asked the same ``contains`` /
+    ``get`` calls in the same order (so every injector's read counter
+    and window agree), and equal health counters, state paths and
+    failure tallies after every batch."""
+    from .reference import per_key_get
+
+    batched, walked = _faulty_tier(seed, size), _faulty_tier(seed, size)
     universe = batched[-1]
     rng = np.random.default_rng([seed, 1])
+    singly = np.random.default_rng([seed, 2])  # its own stream: the picks stay as dealt
     for round_ in range(4 + size):
         pause = float(rng.uniform(0.0, 0.03))
         # Half the batches ask only for keys every owner holds intact, so
@@ -1645,11 +1650,18 @@ def _fuzz_batched_read(seed: int, size: int) -> Optional[str]:
         if reach > 40:
             picks[rng.random(len(picks)) < 0.004] = len(universe) - 1  # absent everywhere
         keys = [universe[pick] for pick in picks]
+        one_at_a_time = not singly.integers(0, 3)
+        reads = (
+            (lambda store: [store.get(k) for k in keys])
+            if one_at_a_time
+            else (lambda store: store.get_many(keys)),
+            lambda store: [per_key_get(store, k) for k in keys],
+        )
         ends = []
-        for store, clock, tapes, injectors, _ in (batched, looped):
+        for read, (store, clock, tapes, injectors, _) in zip(reads, (batched, walked)):
             clock.advance(pause)
             try:
-                values = store.get_many(keys) if store is batched[0] else [store.get(k) for k in keys]
+                values = read(store)
             except Exception as error:
                 values = type(error).__name__
             ends.append({"result": values, **_tier_state(store, clock, tapes, injectors)})
@@ -1657,7 +1669,8 @@ def _fuzz_batched_read(seed: int, size: int) -> Optional[str]:
             if ends[0][what] != ends[1][what]:
                 return (
                     f"batch {round_} of {len(keys)} keys ({len(store.replicas)} replicas, "
-                    f"rf {store.replication_factor}), get_many != the loop of gets: "
+                    f"rf {store.replication_factor}), "
+                    f"{'get per key' if one_at_a_time else 'get_many'} != per_key_get: "
                     f"{what}{_first_difference(ends[0][what], ends[1][what])}"
                 )
     return None

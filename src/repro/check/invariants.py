@@ -1084,7 +1084,6 @@ def _replica_surfaces(rng) -> List[str]:
             continue
         expected = {
             "kv_failovers_total": store.failovers,
-            "kv_hedge_overruns_total": store.hedge_overruns,
             "kv_hedged_reads_total": store.hedged_reads,
             "kv_anti_entropy_repairs_total": repaired,
         }

@@ -1,4 +1,4 @@
-"""Executable specs: the slow, obvious form of three fast paths.
+"""Executable specs: the slow, obvious form of four fast paths.
 
 **The detector's convolution, one ``Tensor`` op at a time.**
 :class:`~repro.models.hetero_conv.HeteroConvLayer` is a single autograd
@@ -17,6 +17,11 @@ each sampler of :mod:`repro.graph.sampling` vectorizes, reading the
 configuration off the sampler instance it is the spec of and asking the
 same stateless hash the same questions, so the two return identical
 :class:`~repro.graph.sampling.SampledSubgraph` objects seed for seed.
+
+**The replica tier's read, one key at a time.** :func:`per_key_get` is
+the walk :meth:`~repro.storage.replicated.ReplicatedKVStore.get_many`
+batches: the gate, then the live owners in preference order, with every
+read's health accounting made as it happens.
 
 Only ``repro.check`` scenarios, tests, one bench and one demo gate call
 this module; nothing that trains, explains or serves does.
@@ -47,6 +52,7 @@ from ..models.hetero_conv import HeteroConvLayer
 from ..models.inference import padded_features
 from ..nn import Tensor
 from ..nn import functional as F
+from ..storage.replicated import AllReplicasFailedError, ReplicatedKVStore
 
 
 def _by_type(x: Tensor, types: np.ndarray, apply: Callable[[int, Tensor], Tensor]) -> Tensor:
@@ -301,3 +307,47 @@ def _hg_walk(
             add_to_budget(node)
         discovered.extend(newly_sampled)
     return _canonical(unique_targets, discovered)
+
+
+# ----------------------------------------------------------------------
+# The replica tier's read, key at a time
+# ----------------------------------------------------------------------
+def per_key_get(store: ReplicatedKVStore, key: str) -> bytes:
+    """What ``store.get_many`` must return or raise for ``key``, and
+    leave behind in ``store``, on an unhedged tier: a due background
+    anti-entropy pass; the gate (an owner is a candidate unless dead and
+    not yet due its probe); then the candidates in preference order — a
+    ``contains`` probe, the read, its CRC against the ledger — until one
+    answers. A miss costs nothing, a failed read is charged to its
+    replica, each success is one latency observation, and an answer
+    after the first candidate is a failover."""
+    if store.config.anti_entropy_interval_s is not None:
+        store._maybe_background_anti_entropy()
+    now = store._clock()
+    with store._lock:
+        candidates = [i for i in store.owners(key) if store.health[i].available(now)]
+    if not candidates:
+        raise AllReplicasFailedError(f"no live replica holds {key!r}")
+    last_error: Optional[Exception] = None
+    for slot, index in enumerate(candidates):
+        try:
+            present = store.replicas[index].contains(key)
+        except Exception:
+            present = True  # let the real read produce the real error
+        if not present:
+            continue
+        started = store._clock()
+        try:
+            value = store._verified_read(index, key)
+        except Exception as error:
+            store._read_failed(index, error)
+            last_error = error
+            continue
+        with store._lock:
+            store.health[index].record_success(store._clock() - started)
+            if slot:
+                store.failovers += 1
+        return value
+    if last_error is None:
+        raise KeyError(key)
+    raise AllReplicasFailedError(f"every candidate failed reading {key!r}") from last_error

@@ -293,15 +293,8 @@ def _parser() -> argparse.ArgumentParser:
         default=1,
         metavar="N",
         help="feature-store replicas; N > 1 turns the incident into a "
-        "replica kill + silent corruption handled by failover, hedging, "
+        "replica kill + silent corruption handled by failover, "
         "quarantine, and anti-entropy (service stays on the GNN rung)",
-    )
-    serve.add_argument(
-        "--hedge-quantile",
-        type=float,
-        default=0.95,
-        metavar="Q",
-        help="per-replica latency quantile that arms a hedged backup read",
     )
     serve.add_argument(
         "--health",
@@ -771,7 +764,6 @@ def _cmd_serve(args) -> int:
         trace=bool(args.trace_out),
         batch_size=args.batch_size,
         replicas=args.replicas,
-        hedge_quantile=args.hedge_quantile,
     )
     transitions = " -> ".join(result.stats.breaker_state_path()) or "closed"
     for response in result.responses[:8]:
@@ -882,7 +874,6 @@ def _cmd_healthcheck(args) -> int:
         suspect_after=1,
         dead_after=2,
         probe_interval_s=sweep_s / 10.0,
-        concurrent_hedge=False,
     )
     store = ReplicatedKVStore(
         plan.wrap_replicas(replicas, clock), config=config, clock=clock, seed=args.seed

@@ -83,7 +83,6 @@ def build_demo_service(
     batch_size: Optional[int] = None,
     cache_capacity: int = 256,
     replicas: int = 1,
-    hedge_quantile: float = 0.95,
 ) -> Tuple[ScoringService, "np.ndarray", ManualClock]:
     """Assemble the chaos-instrumented service; returns (service, test_nodes, clock).
 
@@ -128,7 +127,6 @@ def build_demo_service(
             seed=seed,
             outage_window=outage_window,
             read_delay_s=read_delay_s,
-            hedge_quantile=hedge_quantile,
             hot_nodes=[int(n) for n in bundle.test_nodes[:64]],
         )
     else:
@@ -177,7 +175,6 @@ def _build_replicated_store(
     seed: int,
     outage_window: Tuple[float, float],
     read_delay_s: float,
-    hedge_quantile: float,
     hot_nodes: Optional[List[int]] = None,
     poison_rows: int = 3,
 ) -> ReplicatedKVStore:
@@ -198,8 +195,6 @@ def _build_replicated_store(
     )
     config = ReplicatedConfig(
         replication_factor=replicas,
-        hedge_quantile=hedge_quantile,
-        concurrent_hedge=False,  # deterministic on the ManualClock
         suspect_after=1,
         dead_after=2,
         probe_interval_s=0.05,
@@ -241,7 +236,6 @@ def run_demo(
     trace: bool = False,
     batch_size: Optional[int] = None,
     replicas: int = 1,
-    hedge_quantile: float = 0.95,
 ) -> DemoResult:
     """Replay the scripted incident; see the module docstring for acts."""
     service, test_nodes, clock = build_demo_service(
@@ -252,7 +246,6 @@ def run_demo(
         trace=trace,
         batch_size=batch_size,
         replicas=replicas,
-        hedge_quantile=hedge_quantile,
     )
     feature_store = service.feature_store
     nodes = test_nodes[:requests]

@@ -20,25 +20,25 @@ layer a production deployment actually runs:
   latency samples. Dead replicas are skipped entirely until a probe
   interval elapses; a probe read then decides resurrection vs. another
   stint in the penalty box.
-* **Hedged reads** — when a read of the *primary* owner exceeds that
-  replica's own latency quantile (``hedge_quantile`` over its sample
-  reservoir), a backup read is fired at the next-preferred owner and
-  the first answer wins (``concurrent_hedge=True``, real threads). On
-  a simulated :class:`~repro.reliability.faults.ManualClock`, where
-  racing threads would be meaningless, the store instead *tallies*
-  primary reads that overran their hedge threshold
-  (``hedge_overruns``), keeping chaos tests deterministic. Samples
-  from hedged primary reads are excluded from the hedge reservoir so a
-  persistently slow replica cannot drift its own threshold up and
-  disarm hedging.
-* **Batched reads** — :meth:`ReplicatedKVStore.get_many` is the loop
-  of ``get`` calls with the per-batch work hoisted: the replica gate
-  is read once, primary successes are
-  tallied locally and folded into :class:`ReplicaHealth` in one
-  critical section (one latency observation per replica: the mean of
-  its reads), and any key that misses, fails or has a dead owner drops
-  to the per-key path. Same bytes, same exception, same calls made of
-  every replica, same counters and state paths; only the
+* **Hedged reads** — with ``concurrent_hedge=True``, when a read of
+  the *primary* owner exceeds that replica's own latency quantile
+  (``hedge_quantile`` over its sample reservoir), a backup read is
+  fired at the next-preferred owner and the first answer wins (real
+  threads). Samples from hedged primary reads are excluded from the
+  hedge reservoir so a persistently slow replica cannot drift its own
+  threshold up and disarm hedging. ``concurrent_hedge=False`` (the
+  default, and the setting for a simulated
+  :class:`~repro.reliability.faults.ManualClock`) means no hedging:
+  nothing reads a threshold.
+* **One read path** — :meth:`ReplicatedKVStore.get_many` is the only
+  read; ``get(key)`` is a batch of one. The replica gate is read once
+  per run of keys, primary successes are tallied locally and folded
+  into :class:`ReplicaHealth` in one critical section (one latency
+  observation per replica: the mean of its reads), and any key that
+  misses, fails, has a dead owner or is hedged is finished by the
+  per-key walk. Same bytes, same exception, same calls made of every
+  replica, same counters and state paths as reading the keys one at a
+  time (:func:`repro.check.reference.per_key_get`); only the
   latency-derived values differ.
 * **Corruption quarantine** — ``put`` fans out to every owner and
   records a CRC32 ledger entry; a ``get`` whose bytes fail the ledger
@@ -97,9 +97,11 @@ class _ReplicaMiss(KeyError):
 class ReplicatedConfig:
     """Operating envelope of one :class:`ReplicatedKVStore`.
 
-    ``concurrent_hedge`` selects real threaded hedging (wall-clock
-    latency wins, for production/benchmarks) vs. the deterministic
-    tally mode used with a :class:`~repro.reliability.faults.ManualClock`.
+    ``concurrent_hedge`` turns on real threaded hedging (wall-clock
+    latency wins, for production/benchmarks; ``hedge_quantile`` and
+    ``hedge_min_observations`` arm it). ``False`` means no hedging,
+    which is what a :class:`~repro.reliability.faults.ManualClock`
+    needs.
     """
 
     replication_factor: int = 2
@@ -293,7 +295,7 @@ class ReplicatedKVStore(KVStore):
 
     ``clock`` is any monotonic callable;
     inject a :class:`~repro.reliability.faults.ManualClock` for
-    deterministic chaos tests (pair with ``concurrent_hedge=False``).
+    deterministic chaos tests (with the default, unhedged config).
     """
 
     def __init__(
@@ -318,8 +320,7 @@ class ReplicatedKVStore(KVStore):
         self._lock = threading.Lock()
         self._executor: Optional[ThreadPoolExecutor] = None
         # counters (the only copy: an attached registry reads them when scraped)
-        self.hedged_reads = 0  # backup reads actually fired (concurrent mode)
-        self.hedge_overruns = 0  # primary reads that exceeded their threshold
+        self.hedged_reads = 0  # backup reads fired (concurrent_hedge only)
         self.failovers = 0  # reads served by a non-primary owner
         self.corrupt_reads = 0  # checksum failures absorbed by quarantine
         self.repairs = 0  # divergent copies rewritten by anti-entropy
@@ -333,6 +334,14 @@ class ReplicatedKVStore(KVStore):
         self._read_seconds = None
         if registry is not None:
             self.instrument(registry)
+
+    @property
+    def hedge_overruns(self) -> int:
+        """Read-only alias of :attr:`hedged_reads` (a backup fires exactly
+        when a primary overruns its threshold). Its one reader is the
+        performance ledger's ``storage.hedge_overruns`` counter in
+        ``benchmarks/ledger/workloads.py``; it goes when that does."""
+        return self.hedged_reads
 
     # -- wiring ---------------------------------------------------------
     def instrument(self, registry: MetricsRegistry) -> "ReplicatedKVStore":
@@ -354,8 +363,6 @@ class ReplicatedKVStore(KVStore):
     def _samples(self):
         help = "Backup reads fired by the hedging policy."
         yield "counter", "kv_hedged_reads_total", help, {}, self.hedged_reads
-        help = "Primary reads that exceeded their hedge latency threshold."
-        yield "counter", "kv_hedge_overruns_total", help, {}, self.hedge_overruns
         help = "Reads served by a non-primary replica."
         yield "counter", "kv_failovers_total", help, {}, self.failovers
         help = "Divergent copies rewritten by anti-entropy."
@@ -424,40 +431,32 @@ class ReplicatedKVStore(KVStore):
 
     # -- read path ------------------------------------------------------
     def get(self, key: str) -> bytes:
-        if self._read_seconds is None:
-            return self._get(key)
-        started = self._clock()
-        try:
-            return self._get(key)
-        finally:
-            self._read_seconds.observe(self._clock() - started, store="replicated")
-            self._reads_total.inc(store="replicated")
+        return self.get_many([key])[0]
 
     def get_many(self, keys: Sequence[str]) -> List[bytes]:
-        """What ``[get(key) for key in keys]`` returns or raises, the
-        replicas seeing the same ``contains`` / ``get`` calls in the
+        """The tier's one read: what reading the keys one at a time
+        (:func:`repro.check.reference.per_key_get`) returns or raises,
+        the replicas seeing the same ``contains`` / ``get`` calls in the
         same order, for one gate evaluation, one health update and one
-        read-latency observation per batch instead of per key.
+        read-latency observation per run of keys instead of per key.
 
         Hoisted out of the loop: which replicas are dead, read once
         under the lock and again only after a key that left the fast
-        path, and each replica's hedge threshold, read once per fold. Kept per key: the
-        preference list, the ``contains`` probe, the read and its CRC
-        check against the ledger. While the primary owner answers,
-        successes are tallied locally and folded into
+        path. Kept per key: the preference list, the ``contains`` probe,
+        the read and its CRC check against the ledger. While the primary
+        owner answers, successes are tallied locally and folded into
         :class:`ReplicaHealth` in one critical section: ``reads_ok``
         grows by the count, and the replica gets ONE latency observation
-        — the mean of those reads — into its EWMA, its reservoir and the
-        hedge-overrun comparison. A key with a dead owner, or whose
-        primary lacks it, raises or fails its CRC, first folds the
-        tallies in (so successes and failures reach the state machine
-        in read order), then is finished by the per-key accounting and
-        failover without re-reading the primary. So ``reads_ok``,
-        ``reads_error``, ``consecutive_errors``, ``state_path()``,
-        ``failovers``, ``corrupt_reads`` and ``read_failures`` end where
-        the loop would leave them; only the latency-derived values
-        (EWMA, reservoir contents, ``hedge_overruns``) differ.
-        ``concurrent_hedge`` reads stay one race per key.
+        — the mean of those reads — into its EWMA and its reservoir. A
+        key with a dead owner, or whose primary lacks it, raises or
+        fails its CRC, first folds the tallies in (so successes and
+        failures reach the state machine in read order), then is
+        finished by the per-key accounting and failover without
+        re-reading the primary. So ``reads_ok``, ``reads_error``,
+        ``consecutive_errors``, ``state_path()``, ``failovers``,
+        ``corrupt_reads`` and ``read_failures`` end where the per-key
+        walk would leave them; only the EWMA and reservoir contents
+        differ. With ``concurrent_hedge`` every key is its own race.
         """
         if self._read_seconds is None:
             return self._get_many(keys)
@@ -469,9 +468,8 @@ class ReplicatedKVStore(KVStore):
             self._reads_total.inc(len(keys), store="replicated")
 
     def _get_many(self, keys: Sequence[str]) -> List[bytes]:
-        if self.config.concurrent_hedge:
-            return [self._get(key) for key in keys]
         background = self.config.anti_entropy_interval_s is not None
+        hedging = self.config.concurrent_hedge  # every key its own race
         owners_of, clock = self._owners_cache, self._clock
         reads = [0] * len(self.replicas)  # primary successes not yet in ReplicaHealth,
         busy = [0.0] * len(self.replicas)  # and the seconds they took
@@ -485,7 +483,7 @@ class ReplicatedKVStore(KVStore):
                 if dead is None:
                     dead = self._dead_replicas()
                 owners = owners_of.get(key) or self.owners(key)
-                if dead and not dead.isdisjoint(owners):
+                if hedging or (dead and not dead.isdisjoint(owners)):
                     self._fold(reads, busy)
                     values.append(self._gated_get(key))
                 else:
@@ -526,20 +524,13 @@ class ReplicatedKVStore(KVStore):
     def _fold(self, reads: List[int], busy: List[float]) -> None:
         """Move a run's primary successes into :class:`ReplicaHealth`
         (and zero the tallies): one critical section, one latency
-        observation per replica — the mean of its reads, judged against
-        the hedge threshold learnt before them."""
+        observation per replica — the mean of its reads."""
         if not any(reads):
             return
-        hedging = self.replication_factor > 1  # as in _gated_get: a lone owner has no backup
         with self._lock:
             for index, count in enumerate(reads):
                 if count:
-                    health = self.health[index]
-                    mean = busy[index] / count
-                    threshold = health.hedge_threshold() if hedging else None
-                    health.record_success(mean, reads=count)
-                    if threshold is not None and mean > threshold:
-                        self.hedge_overruns += 1
+                    self.health[index].record_success(busy[index] / count, reads=count)
                     reads[index], busy[index] = 0, 0.0
 
     def _failed_over(self, key: str, owners: Sequence[int], error: Exception) -> bytes:
@@ -548,16 +539,13 @@ class ReplicatedKVStore(KVStore):
         then walk the rest of the preference list — the primary is not
         read again."""
         if isinstance(error, _ReplicaMiss):
-            return self._sequential_get(key, owners, start=1, misses=1)
+            return self._sequential_get(key, owners, start=1)
         self._read_failed(owners[0], error)
         return self._sequential_get(key, owners, start=1, last_error=error)
 
-    def _get(self, key: str) -> bytes:
-        if self.config.anti_entropy_interval_s is not None:
-            self._maybe_background_anti_entropy()
-        return self._gated_get(key)
-
     def _gated_get(self, key: str) -> bytes:
+        """Read one key that left the fast path: its live owners in
+        preference order, raced when hedging is on, else walked."""
         owners = self.owners(key)
         health = self.health
         now = self._clock()
@@ -571,36 +559,36 @@ class ReplicatedKVStore(KVStore):
                     candidates = [i for i in owners if health[i].available(now)]
                     break
             threshold = (
-                health[candidates[0]].hedge_threshold() if len(candidates) > 1 else None
+                health[candidates[0]].hedge_threshold()
+                if self.config.concurrent_hedge and len(candidates) > 1
+                else None
             )
         if not candidates:
             raise AllReplicasFailedError(
                 f"no live replica holds {key!r} (owners {list(owners)} all dead)"
             )
-        if threshold is not None and self.config.concurrent_hedge:
+        if threshold is not None:
             return self._hedged_get(key, candidates, threshold)
-        return self._sequential_get(key, candidates, threshold)
+        return self._sequential_get(key, candidates)
 
     def _sequential_get(
         self,
         key: str,
         candidates: Sequence[int],
-        threshold: Optional[float] = None,
         start: int = 0,
-        misses: int = 0,
         last_error: Optional[BaseException] = None,
     ) -> bytes:
-        """Walk ``candidates[start:]`` until one answers. ``misses`` and
-        ``last_error`` are what the caller's own reads of
-        ``candidates[:start]`` came to."""
+        """Walk ``candidates[start:]`` until one answers. ``last_error``
+        is the caller's own reads of ``candidates[:start]``: ``None``
+        when each of them missed."""
         for slot in range(start, len(candidates)):
             try:
-                return self._read_replica(candidates[slot], key, True, slot, threshold)[0]
+                return self._read_replica(candidates[slot], key, position=slot)
             except _ReplicaMiss:
-                misses += 1
+                pass
             except Exception as error:
                 last_error = error
-        if last_error is None and misses == len(candidates):
+        if last_error is None:  # every candidate lacks the key
             raise KeyError(key)
         raise AllReplicasFailedError(
             f"all {len(candidates)} candidate replicas failed reading {key!r}"
@@ -613,11 +601,11 @@ class ReplicatedKVStore(KVStore):
         started = self._clock()
         primary = executor.submit(self._read_replica, primary_index, key, False)
         try:
-            value, _ = primary.result(timeout=threshold)
+            value = primary.result(timeout=threshold)
         except _FutureTimeout:
             pass
         except _ReplicaMiss:
-            return self._sequential_get(key, candidates, start=1, misses=1)
+            return self._sequential_get(key, candidates, start=1)
         except Exception as error:
             # Primary failed outright: plain failover over the remaining owners.
             return self._sequential_get(key, candidates, start=1, last_error=error)
@@ -630,43 +618,33 @@ class ReplicatedKVStore(KVStore):
             return value
         with self._lock:
             self.hedged_reads += 1
-            self.hedge_overruns += 1
-        backup = executor.submit(self._read_replica, candidates[1], key, True)
+        backup = executor.submit(self._read_replica, candidates[1], key)
         pending = {primary, backup}
-        misses, last_error = 0, None
+        last_error = None
         while pending:
             done, pending = _wait_futures(pending, return_when=FIRST_COMPLETED)
             for future in done:
                 try:
-                    return future.result()[0]
+                    return future.result()
                 except _ReplicaMiss:
-                    misses += 1
+                    pass
                 except Exception as error:  # noqa: PERF203 - tiny set
                     last_error = error
-        return self._sequential_get(
-            key, candidates, start=2, misses=misses, last_error=last_error
-        )
+        return self._sequential_get(key, candidates, start=2, last_error=last_error)
 
     def _read_replica(
         self,
         index: int,
         key: str,
         record_sample: bool = True,
-        position: Optional[int] = None,
-        threshold: Optional[float] = None,
-    ) -> Tuple[bytes, float]:
-        """One verified read of one replica, with health accounting;
-        returns the value and the read's duration as recorded in the
-        replica's health.
+        position: int = 0,
+    ) -> bytes:
+        """One verified read of one replica, with health accounting.
 
         ``position`` is the replica's place in the preference walk of a
-        sequential read, tallied in the same critical section as the
-        success: a non-primary (``> 0``) answer is a failover, and a
-        primary (``0``) answer slower than ``threshold`` is a hedge
-        overrun — judged on the duration that feeds the primary's
-        latency reservoir, so it is compared against a threshold learnt
-        from the same measurement. ``None`` (hedged reads) leaves both
-        tallies to the caller.
+        sequential read: a non-primary (``> 0``) answer is a failover,
+        tallied in the same critical section as the success. A hedged
+        race leaves it 0.
 
         Raises :class:`_ReplicaMiss` (without penalising health) when
         the replica simply lacks the key; other failures count against
@@ -690,9 +668,7 @@ class ReplicatedKVStore(KVStore):
             self.health[index].record_success(elapsed, record_sample=record_sample)
             if position:
                 self.failovers += 1
-            elif position == 0 and threshold is not None and elapsed > threshold:
-                self.hedge_overruns += 1
-        return value, elapsed
+        return value
 
     def _read_failed(self, index: int, error: Exception) -> None:
         """Charge one failed read to replica ``index``: corrupt bytes
@@ -887,12 +863,15 @@ class ReplicatedKVStore(KVStore):
     # -- reporting ------------------------------------------------------
     def describe(self) -> str:
         """Human-readable health table (the ``--health`` epilogue)."""
+        hedging = (
+            f"hedge q={self.config.hedge_quantile:g} (concurrent)"
+            if self.config.concurrent_hedge
+            else "no hedging"
+        )
         lines = [
             f"replicated store: {len(self.replicas)} replicas, "
-            f"rf={self.replication_factor}, "
-            f"hedge q={self.config.hedge_quantile:g} "
-            f"({'concurrent' if self.config.concurrent_hedge else 'deterministic'})",
-            f"reads: hedged={self.hedged_reads} overruns={self.hedge_overruns} "
+            f"rf={self.replication_factor}, {hedging}",
+            f"reads: hedged={self.hedged_reads} "
             f"failovers={self.failovers} corrupt={self.corrupt_reads}",
         ]
         for health in self.health:

@@ -212,7 +212,6 @@ class TestReplicatedFeatureTier:
                 suspect_after=1,
                 dead_after=2,
                 probe_interval_s=0.05,
-                concurrent_hedge=False,
             ),
             clock=clock,
             seed=0,

@@ -923,9 +923,12 @@ class TestLayerOneTableMutants:
 
 class TestBatchedReadMutants:
     """`repro check --fuzz 150` must fail, in
-    ``batched-read-vs-per-key-gets``, on each way ``get_many`` can stop
-    being the loop of ``get`` calls it replaces. Every mutant is one
-    edit of ``ReplicatedKVStore._get_many``; ``get`` is left alone."""
+    ``batched-read-vs-per-key-gets``, on each way the tier's one read
+    path can stop being the per-key walk of
+    ``repro.check.reference.per_key_get``. Every mutant is one edit of
+    ``ReplicatedKVStore._get_many``, which ``get`` reaches too (a batch
+    of one): three of the four are first seen in a round of ``get``
+    calls."""
 
     NAME = "batched-read-vs-per-key-gets"
 

@@ -480,3 +480,40 @@ class TestHealthcheckCommand:
     def test_healthcheck_rejects_bad_args(self, capsys):
         assert main(["healthcheck", "--replicas", "2", "--kill-replica", "5"]) == 2
         assert "out of range" in capsys.readouterr().err
+
+
+class TestReplicaTierGolden:
+    """The two CI replica-tier commands, at their CI flags, print what
+    they printed while ``get`` was a read path of its own beside
+    ``get_many``: every replica's ``path:`` line, the anti-entropy line
+    and the failover / corrupt counts, byte for byte. A change here is
+    a change in how reads are routed, not a refactor."""
+
+    @staticmethod
+    def _pinned(argv, capsys):
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        lines = [line for line in out.splitlines() if re.match(r"( +path|anti-entropy):", line)]
+        return lines + re.findall(r"failovers=\d+ corrupt=\d+", out)
+
+    def test_serve_demo_replicas(self, capsys):
+        argv = ["serve", "--demo", "--replicas", "3", "--scale", "0.1", "--epochs", "1",
+                "--requests", "30", "--burst", "14", "--health"]
+        dead_probing = " -> dead -> probing"
+        assert self._pinned(argv, capsys) == [
+            "anti-entropy: 417 keys checked, 3 divergent copies, 3 repaired, 0 unrepairable",
+            "  path: healthy",
+            "  path: healthy -> suspect" + dead_probing * 5 + " -> healthy",
+            "  path: healthy" + dead_probing * 3 + " -> healthy",
+            "failovers=9 corrupt=3",
+        ]
+
+    def test_healthcheck_kill(self, capsys):
+        argv = ["healthcheck", "--replicas", "3", "--keys", "60", "--kill-replica", "1"]
+        assert self._pinned(argv, capsys) == [
+            "  path: healthy",
+            "  path: healthy -> suspect -> dead -> probing -> dead -> probing -> healthy",
+            "  path: healthy",
+            "anti-entropy: 60 keys checked, 0 divergent copies, 0 repaired, 0 unrepairable",
+            "failovers=3 corrupt=0",
+        ]

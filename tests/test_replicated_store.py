@@ -208,9 +208,10 @@ class TestReadWritePath:
 
 
 class TestBatchedReads:
-    """``get_many`` is the loop of ``get`` calls with the per-batch work
-    hoisted; ``batched-read-vs-per-key-gets`` in ``repro.check`` holds
-    the whole contract, these pin its corners."""
+    """``get_many`` is the per-key walk (``check.reference.per_key_get``)
+    with the per-batch work hoisted, and ``get`` is a batch of one;
+    ``batched-read-vs-per-key-gets`` in ``repro.check`` holds the whole
+    contract, these pin its corners."""
 
     def _filled(self, num_replicas=3, **config):
         store, backings, clock = _make_store(
@@ -233,7 +234,7 @@ class TestBatchedReads:
         assert [health.reads_ok for health in store.health] == primaries
         # 40 reads, three latency observations: one mean per replica.
         assert [len(health.latencies) for health in store.health] == [1, 1, 1]
-        assert store.failovers == store.hedge_overruns == 0
+        assert store.failovers == store.hedged_reads == 0
 
     def test_absent_key_raises_keyerror_after_folding_the_earlier_keys(self):
         store, _, _ = self._filled()
@@ -480,72 +481,39 @@ class TestCorruptionQuarantine:
 
 
 class TestHedging:
-    def test_sequential_mode_tallies_overruns(self):
-        clock = ManualClock()
-        slow = []
+    def test_unhedged_store_never_reads_a_threshold(self, monkeypatch):
+        """``concurrent_hedge=False`` means no hedging: not one read —
+        ``get``, ``get_many``, a failover, a key with a dead owner, a
+        probe — looks at a hedge threshold."""
 
-        def wrap(index, replica):
-            wrapper = SlowKVStore(replica, clock, delay_s=0.001)
-            slow.append(wrapper)
-            return wrapper
+        def refuse(health):
+            raise AssertionError(f"replica {health.index}: hedge_threshold() read")
 
-        config = ReplicatedConfig(
-            replication_factor=2,
-            concurrent_hedge=False,
-            hedge_min_observations=4,
-            hedge_quantile=0.9,
-        )
-        store, _, _ = _make_store(2, clock=clock, config=config, wrap=wrap)
-        for index in range(30):
-            store.put(f"key/{index}", b"x")
-        for index in range(30):  # warm every replica's reservoir
-            store.get(f"key/{index}")
-        # Warm reads sit exactly at their own quantile; float noise may
-        # tally a marginal overrun or two, so measure from a baseline.
-        baseline = store.hedge_overruns
-        for wrapper in slow:
-            wrapper.delay_s = 0.05  # everything 50x slower than its quantile
-        for index in range(10):
-            store.get(f"key/{index}")
-        # The first slow reads overrun; then the reservoir absorbs the
-        # new samples and the threshold adapts to the new normal, so
-        # the tally grows by a few, not by all ten.
-        assert store.hedge_overruns >= baseline + 2
-        assert store.hedged_reads == 0  # deterministic mode never races
-
-    def test_healthy_tier_overruns_at_the_quantile_rate_on_a_ticking_clock(self):
-        """On a clock that moves while the store does its bookkeeping
-        (as a real one does), a read overruns when the *replica read*
-        exceeded the threshold learnt from replica reads — about
-        ``1 - hedge_quantile`` of a healthy tier's reads, not nearly
-        all of them (which is what timing the bookkeeping too gave)."""
-
-        class TickingClock(ManualClock):
-            def __call__(self):  # every look at the clock costs time
-                self.now += 0.0005
-                return self.now
-
-        clock = TickingClock()
-        rng = np.random.default_rng(0)
-
-        class JitteryKVStore(SlowKVStore):
-            def get(self, key):  # the inner read: 1.0-1.2 ms, seeded
-                self.delay_s = float(rng.uniform(0.0010, 0.0012))
-                return super().get(key)
-
-        config = ReplicatedConfig(
-            replication_factor=2, concurrent_hedge=False, hedge_quantile=0.9
-        )
-        store, _, _ = _make_store(
-            2, clock=clock, config=config, wrap=lambda _, r: JitteryKVStore(r, clock)
-        )
-        for index in range(40):
-            store.put(f"key/{index}", b"x")
-        reads = 2000
-        for index in range(reads):
-            store.get(f"key/{index % 40}")
-        assert store.failovers == 0
-        assert 0.05 * reads <= store.hedge_overruns <= 0.15 * reads
+        monkeypatch.setattr(ReplicaHealth, "hedge_threshold", refuse)
+        config = ReplicatedConfig(replication_factor=3, probe_interval_s=0.1)
+        store, backings, clock = _make_store(3, config=config)
+        keys = [f"key/{index}" for index in range(30)]
+        for key in keys:
+            store.put(key, b"v")
+        assert store.get_many(keys) == [b"v"] * 30
+        assert store.get("key/0") == b"v"
+        # A failover: the primary lacks its copy.
+        primary = store.owners("key/1")[0]
+        backings[primary].delete("key/1")
+        assert store.get_many(["key/1", "key/2"]) == [b"v", b"v"]
+        assert store.failovers == 1
+        # A corrupt copy quarantines the replica: now every key (rf 3)
+        # has a dead owner and two live candidates...
+        backings[primary].put("key/1", b"x")
+        assert store.get("key/1") == b"v"
+        assert store.health[primary].state == "dead"
+        assert store.get_many(keys) == [b"v"] * 30
+        # ...until the probe interval is up and a read it owns first probes it.
+        clock.advance(0.2)
+        probe = next(key for key in keys[2:] if store.owners(key)[0] == primary)
+        assert store.get(probe) == b"v"
+        assert store.health[primary].state_path()[-2:] == ("probing", "healthy")
+        assert store.hedged_reads == 0
 
     def test_concurrent_mode_fires_backup_and_wins(self):
         import time as _time
@@ -574,6 +542,13 @@ class TestHedging:
         for index in primary_of[slow_replica][:10]:
             assert store.get(f"key/{index}") == f"value-{index}".encode()
         assert store.hedged_reads >= 1
+        # A batch is still one race per key: its slow keys fire backups too.
+        fired = store.hedged_reads
+        batch = primary_of[slow_replica][:10]
+        values = store.get_many([f"key/{index}" for index in batch])
+        assert values == [f"value-{index}".encode() for index in batch]
+        assert store.hedged_reads > fired
+        assert store.hedge_overruns == store.hedged_reads  # the ledger's read-only alias
         store.close()  # shuts the hedge executor down
 
 
@@ -636,10 +611,12 @@ class TestParentParity:
         and again at 1630fad, where a circuit breaker also sat in front
         of each replica. The routing tallies below them were re-derived
         when ``ReplicaHealth`` became the only gate: with the breakers
-        gone the same reads take *fewer* detours (failovers 43 -> 33,
-        hedge overruns 54 -> 46; the 12 breaker skips were of replicas
-        the health machine had already revived). A change to any of
-        them is a behaviour change of the read path, not a refactor."""
+        gone the same reads take *fewer* detours (failovers 43 -> 33;
+        the 12 breaker skips were of replicas the health machine had
+        already revived). They held again when ``get`` became a batch
+        of one; the hedge-overrun tally (46) went with the unhedged
+        mode's threshold reads. A change to any of them is a behaviour
+        change of the read path, not a refactor."""
         clock = ManualClock()
         plan = FaultPlan(
             num_workers=1,
@@ -682,7 +659,6 @@ class TestParentParity:
         assert digest == 165049317
         assert store.failovers == 33
         assert store.corrupt_reads == 2
-        assert store.hedge_overruns == 46
         assert [(h.reads_ok, h.reads_error) for h in store.health] == [
             (225, 0),
             (125, 7),
