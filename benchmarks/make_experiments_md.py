@@ -628,6 +628,19 @@ under one shared ``.npy`` header (DESIGN.md). Claimed beforehand:
 parent's IQR; served scores and training losses unchanged.""",
     ),
     (
+        "Head, loss and optimiser off the per-op tape — the ledger, before / after",
+        "head_off_tape",
+        """The detector's FFN head is one kernel on plain arrays, called with
+nothing saved by ``predict_proba`` and recorded as one tape node by
+``forward``; ``F.cross_entropy`` is one node; ``Optimizer.step`` is one
+flat in-place update with moments in flat buffers (DESIGN.md). A
+detector+ step records five tape nodes where it recorded 49, and its
+bits are the per-op tape's. Claimed beforehand: ``train_epoch``
+``throughput_per_s`` >= 1.06x the parent's median, ahead in >= 9/10
+pairs, medians apart by more than the parent's IQR; ``scores_crc32``
+equal per seed on every serving row, epoch losses within 1e-12.""",
+    ),
+    (
         "Figure 14 — distributed convergence",
         "fig14_convergence",
         """Paper (Appendix C): 16-machine training does not converge faster and

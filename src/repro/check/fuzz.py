@@ -1096,26 +1096,30 @@ def _fuzz_gradients(seed: int, size: int) -> Optional[str]:
 def _fused_step_problem(
     detector, graph, targets, labels, edge_rows, masks, spec=None, theirs="the per-op tape"
 ) -> Optional[str]:
-    """One loss + backward through the detector's fused convolution
-    nodes against the same through ``spec(twin)`` — by default
-    :class:`~.reference.PerOpDetector` — from the same parameters and
+    """One loss + backward through the detector's fused nodes (each
+    convolution, the head, ``F.cross_entropy``) against the same through
+    ``spec(twin)`` — by default :class:`~.reference.PerOpDetector` — and
+    :func:`.reference.cross_entropy`, from the same parameters and
     generator states: loss within 1e-12, gradients of every parameter
     and of the explainer's masks (``masks``: their values, or ``None``)
     per :func:`_grads_problem`, generators left in the same state."""
     from .. import nn
     from ..nn import functional as F
     from ..reliability.checkpoint import collect_rng_states
-    from .reference import PerOpDetector
+    from .reference import PerOpDetector, cross_entropy
 
     twin = copy.deepcopy(detector)
     sides = []
-    for model, owner in ((detector, detector), ((spec or PerOpDetector)(twin), twin)):
+    for model, owner, loss_of in (
+        (detector, detector, F.cross_entropy),
+        ((spec or PerOpDetector)(twin), twin, cross_entropy),
+    ):
         owner.zero_grad()
         hooks = {} if masks is None else {
             "edge_mask": nn.Parameter(masks[0].copy()),
             "feature_mask": nn.Parameter(masks[1].copy()),
         }
-        loss = F.cross_entropy(model.forward(graph, targets, edge_rows=edge_rows, **hooks), labels)
+        loss = loss_of(model.forward(graph, targets, edge_rows=edge_rows, **hooks), labels)
         loss.backward()
         sides.append((loss.item(), list(hooks.items()) + list(owner.named_parameters())))
     (loss, named), (reference_loss, reference) = sides
@@ -1809,6 +1813,83 @@ def _fuzz_plan_memo(seed: int, size: int) -> Optional[str]:
             problem = _plan_problem(detector, graph, targets)
             if problem is not None:
                 return f"{' -> '.join(done)}, {config.num_layers} layers: {name}: {problem}"
+    return None
+
+
+def _optimizer_problem(ours, theirs, grads) -> Optional[str]:
+    """Two optimisers' parameters, versions and ``state_dict()`` byte for
+    byte, and the gradients handed to ``ours`` as they were handed."""
+    for index, (param, twin) in enumerate(zip(ours.parameters, theirs.parameters)):
+        if not _bit_equal(param.data, twin.data):
+            return f"parameter {index} {param.data.shape}: values differ"
+        if param.version != twin.version:
+            return f"parameter {index}: version {param.version} != {twin.version}"
+        if param.grad is not None and not _bit_equal(param.grad, grads[index]):
+            return f"parameter {index}: the step wrote into its gradient"
+    state, twin_state = ours.state_dict(), theirs.state_dict()
+    if state.keys() != twin_state.keys():
+        return f"state_dict keys {sorted(state)} != {sorted(twin_state)}"
+    for key, value in state.items():
+        if isinstance(value, list):  # moments, one array per parameter
+            same = _bit_equal(tuple(value), tuple(twin_state[key]))
+        else:
+            same = value == twin_state[key]
+        if not same:
+            return f"state_dict[{key!r}] differs"
+    return None
+
+
+@scenario("flat-step-vs-per-parameter-step")
+def _fuzz_flat_step(seed: int, size: int) -> Optional[str]:
+    """``Optimizer.step`` — one flat update over each run of consecutive
+    parameters holding a gradient — vs
+    :func:`.reference.per_parameter_step` on a twin: SGD plain and with
+    momentum, Adam with coupled decay, AdamW; parameters of random
+    shapes (scalars and empty arrays among them); at each step a random
+    share (none to all) without a gradient, the learning rate moved,
+    and now and then a ``state_dict`` / ``load_state_dict`` round trip.
+    After each step: parameters, versions and ``state_dict()`` (the
+    moments) bit for bit, and every gradient as it was handed in."""
+    from .. import nn
+    from .reference import per_parameter_step
+
+    rng = np.random.default_rng(seed)
+    shapes = [
+        tuple(int(extent) for extent in rng.integers(0, 4, size=int(rng.integers(0, 3))))
+        for _ in range(1 + size % 7)
+    ]
+    values = [rng.normal(size=shape) for shape in shapes]
+    kind = str(rng.choice(["sgd", "sgd momentum", "adam", "adamw"]))
+    lr, decay = float(rng.uniform(0.001, 0.2)), float(rng.choice([0.0, rng.uniform(0.0, 0.5)]))
+    momentum = float(rng.uniform(0.1, 0.95))
+    betas = (float(rng.uniform(0.5, 0.95)), float(rng.uniform(0.9, 0.9999)))
+
+    def make() -> nn.Optimizer:
+        params = [nn.Parameter(value) for value in values]
+        if kind.startswith("sgd"):
+            return nn.SGD(params, lr=lr, momentum=momentum if kind == "sgd momentum" else 0.0)
+        cls = nn.Adam if kind == "adam" else nn.AdamW
+        return cls(params, lr=lr, betas=betas, weight_decay=decay)
+
+    ours, theirs = make(), make()
+    done = []
+    for _ in range(2 + size % 4):
+        missing = rng.random(len(shapes)) < float(rng.choice([0.0, 0.3, 0.7, 1.0]))
+        grads = [None if gone else rng.normal(size=shape) for gone, shape in zip(missing, shapes)]
+        for optimizer in (ours, theirs):
+            for param, grad in zip(optimizer.parameters, grads):
+                param.grad = None if grad is None else grad.copy()
+        if rng.random() < 0.3:
+            ours.lr = theirs.lr = float(rng.uniform(0.001, 0.2))
+        if rng.random() < 0.3:
+            ours.load_state_dict(ours.state_dict())
+            done.append("round trip")
+        ours.step()
+        per_parameter_step(theirs)
+        done.append(f"step without {np.flatnonzero(missing).tolist()}")
+        problem = _optimizer_problem(ours, theirs, grads)
+        if problem is not None:
+            return f"{kind}, shapes {shapes}, {' -> '.join(done)}: {problem}"
     return None
 
 

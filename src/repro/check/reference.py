@@ -1,12 +1,14 @@
-"""Executable specs: the slow, obvious form of four fast paths.
+"""Executable specs: the slow, obvious form of six fast paths.
 
-**The detector's convolution, one ``Tensor`` op at a time.**
-:class:`~repro.models.hetero_conv.HeteroConvLayer` is a single autograd
-node over a plain-array kernel with a hand-derived backward.
-:func:`conv_forward` / :class:`PerOpDetector` are the spec both halves
-are held to: the same layer parameters pushed through ``nn``'s per-op
-tape (one ``Tensor`` per op and per node/edge type, gradients by the
-engine's own rules), in the graph's own node and edge order.
+**The detector, one ``Tensor`` op at a time.** Each
+:class:`~repro.models.hetero_conv.HeteroConvLayer` and the detector's
+FFN head is a single autograd node over a plain-array kernel with a
+hand-derived backward, and ``F.cross_entropy`` is one node too.
+:func:`conv_forward`, :func:`head`, :func:`cross_entropy` and
+:class:`PerOpDetector` are the spec those are held to: the same
+parameters pushed through ``nn``'s per-op tape (one ``Tensor`` per op
+and per node/edge type, gradients by the engine's own rules), in the
+graph's own node and edge order.
 
 **The detector read at every node.** :class:`ReadEverywhere` is the
 detector's own kernel with nothing cut: the spec of running each layer
@@ -22,6 +24,11 @@ same stateless hash the same questions, so the two return identical
 the walk :meth:`~repro.storage.replicated.ReplicatedKVStore.get_many`
 batches: the gate, then the live owners in preference order, with every
 read's health accounting made as it happens.
+
+**The optimiser step, one parameter at a time.**
+:func:`per_parameter_step` is the update ``Optimizer.step`` makes
+through flat buffers: SGD (momentum), Adam (coupled decay) and AdamW,
+parameter by parameter, each moment written through its view.
 
 Only ``repro.check`` scenarios, tests, one bench and one demo gate call
 this module; nothing that trains, explains or serves does.
@@ -150,9 +157,42 @@ def conv_forward(
     return aggregated.relu()
 
 
+def head(
+    detector: XFraudDetector,
+    graph: HeteroGraph,
+    targets: np.ndarray,
+    h: Tensor,
+    feature_mask: Optional[Tensor] = None,
+) -> Tensor:
+    """The detector's FFN head on the targets' convolution output ``h``
+    (``(len(targets), hidden_dim)``), one ``Tensor`` op at a time: what
+    ``XFraudDetector.head_kernel`` and its pullback compute, with the
+    dropout masks ``F.dropout`` draws from the head's generator."""
+    original = Tensor(graph.txn_table[graph.txn_rows(targets)])
+    if feature_mask is not None:
+        original = original * feature_mask[targets]
+    x = nn.concat([h.tanh(), original], axis=1)
+
+    x = detector.head_fc1(x)
+    x = detector.head_dropout(x)
+    x = detector.head_norm1(x).relu()
+    x = detector.head_fc2(x)
+    x = detector.head_dropout(x)
+    x = detector.head_norm2(x).relu()
+    return detector.head_out(x)
+
+
+def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
+    """``F.cross_entropy`` one op at a time: log-softmax, a pick, a mean."""
+    labels = np.asarray(labels, dtype=np.int64)
+    log_probs = F.log_softmax(logits, axis=-1)
+    picked = log_probs[np.arange(len(labels)), labels]
+    return -picked.mean()
+
+
 class PerOpDetector:
-    """A detector seen through :func:`conv_forward`: same parameters,
-    same generators, same head, the convolution stack on the per-op
+    """A detector seen through :func:`conv_forward` and :func:`head`:
+    same parameters, same generators, the whole forward on the per-op
     tape. Stands in for the detector wherever one is called
     (``tensor_predict_proba``, ``GNNExplainer``); everything but the
     forward is the detector's own."""
@@ -177,7 +217,7 @@ class PerOpDetector:
             h = h * feature_mask
         for conv in self.detector.convs:
             h = conv_forward(conv, graph, h, edge_mask=edge_mask, edge_rows=edge_rows)
-        return self.detector.head(graph, targets, nn.gather(h, targets), feature_mask)
+        return head(self.detector, graph, targets, nn.gather(h, targets), feature_mask)
 
     __call__ = forward
 
@@ -186,7 +226,7 @@ class ReadEverywhere(PerOpDetector):
     """A detector whose own kernel is read at every node:
     :meth:`~repro.models.detector.XFraudDetector.node_representations`
     — a layout where every node is at distance 0, so every layer's
-    prefix is the whole — with the head on the targets' rows of that:
+    prefix is the whole — with :func:`head` on the targets' rows of that:
     the forward with nothing cut, the spec that running each layer on
     only the rows the next one reads is held to."""
 
@@ -200,7 +240,7 @@ class ReadEverywhere(PerOpDetector):
     ) -> Tensor:
         targets = np.asarray(targets, dtype=np.int64)
         h = self.detector.node_representations(graph, edge_mask, feature_mask, edge_rows)
-        return self.detector.head(graph, targets, nn.gather(h, targets), feature_mask)
+        return head(self.detector, graph, targets, nn.gather(h, targets), feature_mask)
 
     __call__ = forward
 
@@ -351,3 +391,38 @@ def per_key_get(store: ReplicatedKVStore, key: str) -> bytes:
     if last_error is None:
         raise KeyError(key)
     raise AllReplicasFailedError(f"every candidate failed reading {key!r}") from last_error
+
+
+# ----------------------------------------------------------------------
+# The optimiser step, parameter at a time
+# ----------------------------------------------------------------------
+def per_parameter_step(optimizer: nn.Optimizer) -> None:
+    """What ``optimizer.step()`` must do: the step's own set-up, then
+    each parameter holding a gradient updated in one ``write`` (one
+    version bump) by its own formula, its moments replaced through
+    their views; a parameter without a gradient is left alone — no
+    decay, no moment update, no version bump."""
+    optimizer._begin_step()
+    for index, param in enumerate(optimizer.parameters):
+        if param.grad is None:
+            continue
+        grad = param.grad
+        with param.write() as data:
+            if isinstance(optimizer, nn.SGD):
+                if optimizer.momentum:
+                    velocity = optimizer._velocity[index]
+                    velocity[...] = optimizer.momentum * velocity + grad
+                    data -= optimizer.lr * velocity
+                else:
+                    data -= optimizer.lr * grad
+                continue
+            if isinstance(optimizer, nn.AdamW) and optimizer.decoupled_weight_decay:
+                data -= optimizer.lr * optimizer.decoupled_weight_decay * data
+            if optimizer.weight_decay:
+                grad = grad + optimizer.weight_decay * data
+            m, v = optimizer._m[index], optimizer._v[index]
+            m[...] = optimizer.beta1 * m + (1 - optimizer.beta1) * grad
+            v[...] = optimizer.beta2 * v + (1 - optimizer.beta2) * grad**2
+            m_hat = m / (1 - optimizer.beta1**optimizer._step)
+            v_hat = v / (1 - optimizer.beta2**optimizer._step)
+            data -= optimizer.lr * m_hat / (np.sqrt(v_hat) + optimizer.eps)

@@ -187,13 +187,14 @@ def stack_subgraphs(parts: Sequence[SampledSubgraph]) -> SampledSubgraph:
     edge_dst += edge_shift
     target_local = np.concatenate([part.target_local for part in parts])
     target_local += np.repeat(offsets, [part.num_targets for part in parts])
-    graph = HeteroGraph(
-        node_type=np.concatenate([graph.node_type for graph in graphs]),
-        edge_src=edge_src,
-        edge_dst=edge_dst,
-        edge_type=np.concatenate([graph.edge_type for graph in graphs]),
-        txn_table=np.concatenate([graph.txn_table for graph in graphs], axis=0),
-        labels=np.concatenate([graph.labels for graph in graphs]),
+    # Valid parts, each shifted into its own node range: nothing to re-validate.
+    graph = HeteroGraph.derived(
+        np.concatenate([graph.node_type for graph in graphs]),
+        edge_src,
+        edge_dst,
+        np.concatenate([graph.edge_type for graph in graphs]),
+        np.concatenate([graph.txn_table for graph in graphs], axis=0),
+        np.concatenate([graph.labels for graph in graphs]),
     )
     return SampledSubgraph(
         graph=graph,

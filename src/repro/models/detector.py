@@ -15,12 +15,21 @@ Architecture (Figure 4, left):
 ``XFraudDetector`` (HGSampling) and ``XFraudDetectorPlus`` (GraphSAGE
 sampling) share this network — the paper's ablation (Sec. 3.2.3 /
 Figure 10) varies only the sampler.
+
+Like each convolution layer, the head is one kernel on plain arrays
+(:meth:`XFraudDetector.head_kernel`): ``predict_proba`` calls it with
+nothing saved, ``forward`` records it as one tape node whose backward is
+its hand-derived pullback. A training step's tape is then a node per
+layer, one for the targets' rows, the head and the loss
+(``F.cross_entropy``). The op-by-op head lives in
+:mod:`repro.check.reference`, as the spec the node is held to.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,6 +40,29 @@ from ..nn import Tensor
 from ..nn import functional as F
 from .field import EdgeRows, loss_field
 from .hetero_conv import HeteroConvLayer, InferenceLayout
+
+#: The head's modules, and its two (linear, layer norm) blocks.
+_HEAD_MODULES = ("head_fc1", "head_norm1", "head_fc2", "head_norm2", "head_out")
+_HEAD_BLOCKS = (("head_fc1", "head_norm1"), ("head_fc2", "head_norm2"))
+
+
+def _layer_norm_vjp(
+    d_normed: np.ndarray, centred: np.ndarray, scale: np.ndarray, mean_square: np.ndarray
+) -> np.ndarray:
+    """Backward of ``normed = centred / scale`` along each row to the
+    row before centring — ``centred`` is the row minus its mean,
+    ``mean_square`` the mean of its square plus eps, ``scale`` the root
+    of that: ``(dn − mean dn − normed · mean(dn · normed)) / scale``,
+    taken in the per-op tape's operations and order (``F.layer_norm``
+    unwound node by node), so its bits are the tape's."""
+    share = 1.0 / centred.shape[-1]
+    d_centred = d_normed / scale
+    d_scale = ((-d_normed) * centred / scale**2).sum(axis=-1, keepdims=True)
+    through_variance = np.broadcast_to(d_scale * 0.5 * mean_square**-0.5 * share, centred.shape)
+    through_variance = through_variance * centred  # centred * centred: one term per factor
+    d_centred += through_variance
+    d_centred += through_variance
+    return d_centred + -d_centred.sum(axis=-1, keepdims=True) * share
 
 
 @dataclass
@@ -92,6 +124,7 @@ class XFraudDetector(nn.Module):
         self.head_norm2 = nn.LayerNorm(config.ffn_hidden_dim)
         self.head_out = nn.Linear(config.ffn_hidden_dim, config.num_classes, rng=rng)
         self.head_dropout = nn.Dropout(config.dropout, rng=rng)
+        self._layout_memo = None  # see _convolve
 
     # ------------------------------------------------------------------
     def _laid_out(self, graph: HeteroGraph, targets: Optional[np.ndarray]):
@@ -113,8 +146,18 @@ class XFraudDetector(nn.Module):
     ) -> Tuple[np.ndarray, Tensor]:
         """The convolution stack, one tape node per layer, each on the
         rows the next one reads: every node's position and the last
-        layer's output — the targets' rows (or all), in layout order."""
-        layers, read, rank = self._laid_out(graph, targets)
+        layer's output — the targets' rows (or all), in layout order.
+
+        The layout is kept for the next forward on the same graph object
+        at the same version and targets — an explanation's hundred mask
+        steps lay out once; a training step's field is a new graph."""
+        key = (graph.version, None if targets is None else targets.tobytes())
+        memo = self._layout_memo
+        if memo is not None and memo[0]() is graph and memo[1] == key:
+            layers, read, rank = memo[2]
+        else:
+            layers, read, rank = self._laid_out(graph, targets)
+            self._layout_memo = (weakref.ref(graph), key, (layers, read, rank))
         h = Tensor(graph.txn_table[graph.txn_row[read]])
         if feature_mask is not None:
             h = h * nn.gather(feature_mask, read)
@@ -150,50 +193,129 @@ class XFraudDetector(nn.Module):
         """Logits ``(len(targets), num_classes)`` for target txn nodes; an entity raises."""
         targets = np.asarray(targets, dtype=np.int64)
         rank, h = self._convolve(graph, targets, edge_mask, feature_mask, edge_rows)
-        return self.head(graph, targets, nn.gather(h, rank[targets]), feature_mask)
-
-    def head(
-        self,
-        graph: HeteroGraph,
-        targets: np.ndarray,
-        h: Tensor,
-        feature_mask: Optional[Tensor] = None,
-    ) -> Tensor:
-        """The FFN head on the targets' convolution output ``h``
-        (``(len(targets), hidden_dim)``), on the per-op tape."""
         original = Tensor(graph.txn_table[graph.txn_rows(targets)])
         if feature_mask is not None:
             original = original * feature_mask[targets]
-        x = nn.concat([h.tanh(), original], axis=1)
+        return self._head(nn.gather(h, rank[targets]), original)
 
-        x = self.head_fc1(x)
-        x = self.head_dropout(x)
-        x = self.head_norm1(x).relu()
-        x = self.head_fc2(x)
-        x = self.head_dropout(x)
-        x = self.head_norm2(x).relu()
-        return self.head_out(x)
+    def _head(self, h: Tensor, original: Tensor) -> Tensor:
+        """The tape node: :meth:`head_kernel` forward, its pullback
+        backward, parents ``h``, ``original`` and the head's ten
+        parameters. (The method's name is the node's row in
+        ``Profiler.report()``.)"""
+        params = {
+            f"{name}.{kind}": getattr(getattr(self, name), kind)
+            for name in _HEAD_MODULES
+            for kind in ("weight", "bias")
+        }
+        parents = [h, original, *params.values()]
+        recording = nn.is_grad_enabled() and any(parent.requires_grad for parent in parents)
+        out, pullback = self.head_kernel(h.data, original.data, self.training, save=recording)
+
+        def backward(grad: np.ndarray) -> None:
+            need_params = any(param.requires_grad for param in params.values())
+            d_h, d_original, d_params = pullback(grad, need_params)
+            if h.requires_grad:
+                h._accumulate(d_h)
+            if original.requires_grad:
+                original._accumulate(d_original)
+            for name, d_param in d_params.items():
+                if params[name].requires_grad:
+                    params[name]._accumulate(d_param)
+
+        return Tensor._make(out, parents, backward)
+
+    def head_kernel(
+        self, h: np.ndarray, original: np.ndarray, training: bool = False, save: bool = False
+    ) -> Tuple[np.ndarray, Optional[Callable]]:
+        """The FFN head on plain arrays: ``(logits, pullback)``.
+
+        ``h`` is the targets' rows of the last layer's output, ``original``
+        their feature rows: ``[tanh(h) | original]`` through two blocks
+        of linear, dropout, layer norm and ReLU, then the output linear.
+        ``training`` draws the two dropout masks first, from the head's
+        generator, as ``F.dropout`` would draw them after each linear
+        (same shapes, same order, same arithmetic). With ``save`` the
+        activations are kept and ``pullback(grad, need_params)`` is the
+        hand-derived backward: ``(d_h, d_original, {parameter name:
+        gradient})``, no parameter named without ``need_params`` (the
+        explainer's frozen detector: the weight half is skipped).
+        Without ``save`` ``pullback`` is ``None``.
+
+        The op-by-op form is :func:`repro.check.reference.head`. The
+        forward's layer norm divides sums by the width, as scoring always
+        has: the tape's arithmetic (a sum times ``1 / width``) wherever
+        the width is a power of two. The pullback takes the tape's
+        operations in its order, so there a step is the tape's bits.
+        """
+        masks: List[Optional[np.ndarray]] = [None, None]
+        dropout = self.head_dropout
+        if training and dropout.rate > 0.0:
+            keep = 1.0 - dropout.rate
+            shape = (len(h), self.head_fc1.out_features)
+            masks = [(dropout._rng.random(shape) < keep).astype(np.float64) / keep for _ in masks]
+
+        tanh_h = np.tanh(h)
+        x = np.concatenate([tanh_h, original], axis=1)
+        saved = []  # per block: its input, the layer norm's rows and scales, output
+        for (fc_name, norm_name), mask in zip(_HEAD_BLOCKS, masks):
+            fc, norm = getattr(self, fc_name), getattr(self, norm_name)
+            block_in = x
+            centred = x @ fc.weight.data + fc.bias.data
+            if mask is not None:
+                centred *= mask
+            centred -= centred.sum(axis=-1, keepdims=True) / centred.shape[-1]
+            mean_square = (centred * centred).sum(axis=-1, keepdims=True) / centred.shape[-1]
+            mean_square += norm.eps
+            scale = np.sqrt(mean_square)
+            normed = centred / scale
+            x = np.maximum(normed * norm.weight.data + norm.bias.data, 0.0)
+            saved.append((block_in, centred, mean_square, scale, normed, x))
+        hidden = x
+        logits = hidden @ self.head_out.weight.data + self.head_out.bias.data
+        if not save:
+            return logits, None
+
+        def pullback(grad: np.ndarray, need_params: bool = True):
+            """The kernel above, bottom to top."""
+            grads: Dict[str, np.ndarray] = {}
+            if need_params:
+                grads["head_out.weight"] = hidden.T @ grad
+                grads["head_out.bias"] = grad.sum(axis=0)
+            d = grad @ self.head_out.weight.data.T
+            for (fc_name, norm_name), mask, block in reversed(list(zip(_HEAD_BLOCKS, masks, saved))):
+                fc, norm = getattr(self, fc_name), getattr(self, norm_name)
+                block_in, centred, mean_square, scale, normed, out = block
+                d = d * (out > 0.0)
+                if need_params:
+                    grads[f"{norm_name}.weight"] = (d * normed).sum(axis=0)
+                    grads[f"{norm_name}.bias"] = d.sum(axis=0)
+                d = _layer_norm_vjp(d * norm.weight.data, centred, scale, mean_square)
+                if mask is not None:
+                    d *= mask
+                if need_params:
+                    grads[f"{fc_name}.weight"] = block_in.T @ d
+                    grads[f"{fc_name}.bias"] = d.sum(axis=0)
+                d = d @ fc.weight.data.T
+            width = h.shape[1]
+            return d[:, :width] * (1.0 - tanh_h**2), d[:, width:], grads
+
+        return logits, pullback
 
     # ------------------------------------------------------------------
     def predict_proba(self, graph: HeteroGraph, targets: Sequence[int]) -> np.ndarray:
         """Fraud probability per target: :meth:`forward` in eval mode on plain
-        arrays — the layers' own :meth:`HeteroConvLayer.kernel` with nothing
-        saved, then the head (no ``Tensor``, no tape, no dropout;
-        ``self.training`` is neither read nor changed); an entity target raises."""
+        arrays — the layers' own :meth:`HeteroConvLayer.kernel` and the
+        :meth:`head_kernel`, nothing saved (no ``Tensor``, no tape, no
+        dropout; ``self.training`` is neither read nor changed); an entity
+        target raises."""
         targets = np.asarray(targets, dtype=np.int64)
         original = graph.txn_table.take(graph.txn_rows(targets), axis=0)
         layers, read, rank = self._laid_out(graph, targets)
         h = graph.txn_table.take(graph.txn_row[read], axis=0)
         for layout, conv in zip(layers, self.convs):
             h, _ = conv.kernel(layout, h)
-
-        x = np.concatenate([np.tanh(h[rank[targets]]), original], axis=1)
-        for fc, norm in ((self.head_fc1, self.head_norm1), (self.head_fc2, self.head_norm2)):
-            x = x @ fc.weight.data + fc.bias.data
-            x -= x.sum(axis=-1, keepdims=True) / x.shape[-1]
-            x /= np.sqrt((x * x).sum(axis=-1, keepdims=True) / x.shape[-1] + norm.eps)
-            x = np.maximum(x * norm.weight.data + norm.bias.data, 0.0)
-        logits = x @ self.head_out.weight.data + self.head_out.bias.data
+        logits, _ = self.head_kernel(h[rank[targets]], original)
         exp = np.exp(logits - logits.max(axis=-1, keepdims=True))
         return exp[:, 1] / exp.sum(axis=-1)
 

@@ -107,11 +107,28 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
 
     This is the detector loss of the paper (eq. 11): the cross entropy
     of the true label and the probability score calculated by softmax.
+    One tape node: the forward is :func:`log_softmax` and a pick, the
+    backward ``(softmax − onehot) · grad / B`` for ``B`` labels — each
+    written with the operations, in the order, the per-op tape takes
+    (:func:`repro.check.reference.cross_entropy`), so loss and gradient
+    are its bits.
     """
     labels = np.asarray(labels, dtype=np.int64)
-    log_probs = log_softmax(logits, axis=-1)
-    picked = log_probs[np.arange(len(labels)), labels]
-    return -picked.mean()
+    shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
+    exps = np.exp(shifted)
+    sums = exps.sum(axis=-1, keepdims=True)
+    log_probs = shifted - np.log(sums)
+    rows = np.arange(len(labels))
+    loss = -(log_probs[rows, labels].sum() * (1.0 / len(labels)))
+
+    def backward(grad: np.ndarray) -> None:
+        if logits.requires_grad:
+            d_picked = -grad * (1.0 / len(labels))
+            d_logits = (-d_picked / sums) * exps
+            d_logits[rows, labels] += d_picked
+            logits._accumulate(d_logits)
+
+    return Tensor._make(np.asarray(loss), (logits,), backward)
 
 
 def binary_cross_entropy_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:

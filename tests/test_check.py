@@ -42,6 +42,7 @@ from repro.graph import sampling
 from repro.graph.cache import SubgraphCache
 from repro.graph.hetero import NODE_TYPES, HeteroGraph
 from repro.graph.sampling import SageSampler, stack_subgraphs, unstack_subgraphs
+from repro.models import detector as detector_module
 from repro.models import field as field_module
 from repro.serving.service import ScoringService
 from repro.models import hetero_conv
@@ -834,6 +835,62 @@ class TestLayerPlanMutants:
         # What all three shrink to: one restore_training_state (then an
         # SGD step and a fine-tune) on a one-layer detector.
         assert run_case(self.NAME, 0, 1) is None
+
+
+class TestHeadLossAndStepMutants:
+    """`repro check --fuzz 150` must fail on each way the rest of a
+    training step — the head node, the loss node, the flat optimiser
+    update — can be subtly wrong: the head and loss against the per-op
+    tape (``fused-backward-vs-autograd``,
+    ``trimmed-layers-vs-untrimmed-layout``, central differences), the
+    step against ``reference.per_parameter_step``. The eval-mode forward
+    is left alone."""
+
+    def test_layer_norm_backward_without_its_projection_term(self, monkeypatch):
+        # The term is the variance's path: zero it.
+        mutant = _edited(
+            detector_module._layer_norm_vjp,
+            "through_variance = np.broadcast_to(d_scale",
+            "through_variance = 0.0 * np.broadcast_to(d_scale",
+        )
+        monkeypatch.setattr(detector_module, "_layer_norm_vjp", mutant)
+        assert "the per-op tape" in _caught_by("fused-backward-vs-autograd").detail
+        assert "read everywhere" in _caught_by("trimmed-layers-vs-untrimmed-layout", alone=True).detail
+
+    def test_head_dropout_mask_left_out_of_the_pullback(self, monkeypatch):
+        mutant = _edited(detector_module.XFraudDetector.head_kernel, " d *= mask", " pass")
+        monkeypatch.setattr(detector_module.XFraudDetector, "head_kernel", mutant)
+        failure = _caught_by("fused-backward-vs-autograd")
+        assert "train" in failure.detail and "the per-op tape" in failure.detail
+
+    def test_cross_entropy_gradient_not_divided_by_the_batch(self, monkeypatch):
+        mutant = _edited(F.cross_entropy, "-grad * (1.0 / len(labels))", "-grad")
+        monkeypatch.setattr(F, "cross_entropy", mutant)
+        assert "the per-op tape" in _caught_by("fused-backward-vs-autograd").detail
+        detail = _caught_by("grad-vs-finite-difference", alone=True).detail
+        assert detail.startswith("cross_entropy:")
+
+    def test_flat_slices_shifted_by_one_parameter(self, monkeypatch):
+        mutant = _edited(
+            nn.Optimizer.step,
+            "slice(offsets[first], offsets[last])",
+            "slice(offsets[first + 1], offsets[last + 1])",
+        )
+        monkeypatch.setattr(nn.Optimizer, "step", mutant)
+        # Past the last parameter the slice leaves the buffer, and
+        # supervised-round-vs-engine, dealt earlier, steps AdamW too.
+        assert not run_fuzz(CASES_PER_SCENARIO * len(SCENARIOS), seed=0).ok
+        _caught_by("flat-step-vs-per-parameter-step", alone=True)
+
+    def test_shrunk_cases_pass_on_the_real_nodes_and_step(self):
+        assert run_fuzz(60, seed=0, names=["flat-step-vs-per-parameter-step"]).ok
+        # What the mutants above shrink to.
+        for name, seed, size in (
+            ("fused-backward-vs-autograd", 0, 1),
+            ("fused-backward-vs-autograd", 1, 1),
+            ("flat-step-vs-per-parameter-step", 0, 1),
+        ):
+            assert run_case(name, seed, size) is None, (name, seed, size)
 
 
 class TestTxnTableMutants:

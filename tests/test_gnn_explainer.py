@@ -1,5 +1,6 @@
 """Modified GNNExplainer (Appendix D)."""
 
+import copy
 from contextlib import contextmanager
 
 import numpy as np
@@ -10,6 +11,7 @@ from repro.check.reference import PerOpDetector
 from repro.explain import ExplainerConfig, GNNExplainer, gnn_explainer
 from repro.graph import select_communities
 from repro.graph.sampling import receptive_field
+from repro.models import hetero_conv
 from repro.nn import functional as F
 from repro.nn import load_state, save_state
 
@@ -103,6 +105,43 @@ class TestTraining:
         trained_detector.zero_grad()
         assert np.array_equal(frozen.edge_mask, live.edge_mask)
         assert np.array_equal(frozen.node_feature_mask, live.node_feature_mask)
+
+    def test_lays_out_once_per_explanation(self, trained_detector, community, monkeypatch):
+        """An explanation's 101 forwards share one layout; a different
+        graph object, a version bump or other targets lay out anew; and
+        the masks are bit for bit those of a detector that lays out on
+        every forward."""
+        calls = []
+        real = hetero_conv.InferenceLayout.of.__func__
+
+        def counted(cls, graph, targets=None, depth=0):
+            calls.append(graph)
+            return real(cls, graph, targets, depth)
+
+        monkeypatch.setattr(hetero_conv.InferenceLayout, "of", classmethod(counted))
+        graph, seed = copy.deepcopy(community.graph), community.seed_local
+        config = ExplainerConfig(epochs=100, seed=0)
+        explanation = GNNExplainer(trained_detector, config).explain(graph, seed)
+        assert len(calls) == 1
+
+        with nn.no_grad():
+            trained_detector(graph, [seed])
+            assert len(calls) == 1
+            trained_detector(copy.deepcopy(graph), [seed])
+            assert len(calls) == 2
+            trained_detector(graph, [seed, seed])
+            assert len(calls) == 3
+            graph.mark_mutated(structural=False)
+            trained_detector(graph, [seed, seed])
+            assert len(calls) == 4
+
+        forgetful = property(lambda self: None, lambda self, value: None)
+        monkeypatch.setattr(type(trained_detector), "_layout_memo", forgetful, raising=False)
+        calls.clear()
+        again = GNNExplainer(trained_detector, config).explain(community.graph, seed)
+        assert len(calls) == config.epochs + 1
+        assert np.array_equal(explanation.edge_mask, again.edge_mask)
+        assert np.array_equal(explanation.node_feature_mask, again.node_feature_mask)
 
     def test_detector_mode_restored(self, trained_detector, community):
         trained_detector.train()

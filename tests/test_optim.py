@@ -83,6 +83,105 @@ class TestAdamFamily:
         np.testing.assert_allclose(param.data, [-0.1], atol=1e-6)
 
 
+def _params(rng):
+    return [Parameter(rng.normal(size=shape)) for shape in ((3, 2), (2,), (), (0, 4), (4, 1))]
+
+
+class TestFlatStep:
+    """One flat update per step, with the per-parameter contracts kept."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda ps: nn.SGD(ps, lr=0.1),
+            lambda ps: nn.SGD(ps, lr=0.1, momentum=0.9),
+            lambda ps: nn.Adam(ps, lr=0.05, weight_decay=0.1),
+            lambda ps: nn.AdamW(ps, lr=0.05, weight_decay=0.1),
+        ],
+    )
+    def test_matches_the_per_parameter_spec_bit_for_bit(self, make):
+        from repro.check.reference import per_parameter_step
+
+        rng = np.random.default_rng(0)
+        ours, theirs = make(_params(rng)), make(_params(np.random.default_rng(0)))
+        for step in range(4):
+            for a, b in zip(ours.parameters, theirs.parameters):
+                a.grad = None if step % 2 and a.data.ndim == 1 else rng.normal(size=a.data.shape)
+                b.grad = None if a.grad is None else a.grad.copy()
+            ours.step()
+            per_parameter_step(theirs)
+            for a, b in zip(ours.parameters, theirs.parameters):
+                assert a.data.tobytes() == b.data.tobytes()
+                assert a.version == b.version
+            for key, value in ours.state_dict().items():
+                other = theirs.state_dict()[key]
+                if isinstance(value, list):
+                    assert [v.tobytes() for v in value] == [v.tobytes() for v in other]
+                else:
+                    assert value == other
+
+    def test_one_version_per_updated_parameter_none_without_a_gradient(self):
+        params = _params(np.random.default_rng(1))
+        optimizer = nn.AdamW(params, lr=0.1)
+        for param in params[1:]:
+            param.grad = np.ones_like(param.data)
+        before = [param.data.copy() for param in params]
+        optimizer.step()
+        optimizer.step()
+        assert [param.version for param in params] == [0, 2, 2, 2, 2]
+        assert np.array_equal(params[0].data, before[0])  # no decoupled decay either
+        assert not optimizer._m[0].any() and not optimizer._v[0].any()
+
+    def test_moments_are_views_of_one_buffer(self):
+        optimizer = nn.Adam(_params(np.random.default_rng(2)), lr=0.1)
+        for param in optimizer.parameters:
+            param.grad = np.ones_like(param.data)
+        optimizer.step()
+        for views, flat in ((optimizer._m, optimizer._m_flat), (optimizer._v, optimizer._v_flat)):
+            assert all(np.shares_memory(view, flat) for view in views if view.size)
+        assert optimizer._m_flat.size == sum(p.data.size for p in optimizer.parameters)
+
+    def test_state_dict_keeps_per_parameter_lists(self):
+        params = _params(np.random.default_rng(3))
+        optimizer = nn.AdamW(params, lr=0.1)
+        for param in params:
+            param.grad = np.ones_like(param.data)
+        optimizer.step()
+        state = optimizer.state_dict()
+        assert set(state) == {"lr", "step", "m", "v"}
+        assert [m.shape for m in state["m"]] == [p.data.shape for p in params]
+        state["m"][0][...] = 7.0  # a copy, not the live buffer
+        assert not (optimizer._m[0] == 7.0).any()
+        velocity = nn.SGD(params, lr=0.1, momentum=0.5)
+        assert "velocity" not in velocity.state_dict()
+        velocity.step()
+        assert [v.shape for v in velocity.state_dict()["velocity"]] == [p.data.shape for p in params]
+
+    def test_step_can_be_wrapped_on_the_instance_and_unwrapped(self):
+        # benchmarks/ledger/workloads.py times steps exactly this way.
+        assert "step" in vars(nn.Optimizer)
+        param = Parameter(np.zeros(2))
+        optimizer = nn.SGD([param], lr=1.0)
+        calls = []
+        step = optimizer.step
+
+        def counted():
+            calls.append(1)
+            step()
+
+        optimizer.step = counted
+        param.grad = np.ones(2)
+        optimizer.step()
+        del optimizer.step
+        optimizer.step()
+        assert calls == [1] and param.data.tolist() == [-2.0, -2.0]
+
+    def test_clip_grad_norm_signature(self):
+        import inspect
+
+        assert list(inspect.signature(nn.clip_grad_norm).parameters) == ["parameters", "max_norm"]
+
+
 class TestClipGradNorm:
     def test_clips_to_max(self):
         param = Parameter(np.zeros(4))

@@ -198,6 +198,45 @@ class TestOptimizerState:
         for (_, a), (_, b) in zip(model_a.named_parameters(), model_b.named_parameters()):
             np.testing.assert_array_equal(a.data, b.data)
 
+    def test_checkpoint_in_the_per_parameter_format_resumes_bit_exact(self, tmp_path):
+        # The on-disk format holds one array per parameter and moment
+        # (``optim::m::0000`` ...), as it did before moments moved into
+        # one flat buffer: such a checkpoint, written by the
+        # per-parameter update, resumes the flat one bit for bit.
+        from repro.check.reference import per_parameter_step
+
+        def make():
+            model = nn.Linear(4, 3, rng=np.random.default_rng(0))
+            return model, nn.AdamW(model.parameters(), lr=0.05, weight_decay=0.1)
+
+        def grads(model, seed):
+            rng = np.random.default_rng(seed)
+            for param in model.parameters():
+                param.grad = rng.normal(size=param.data.shape)
+
+        spec_model, spec_optim = make()
+        for seed in (1, 2):
+            grads(spec_model, seed)
+            per_parameter_step(spec_optim)
+        manager = CheckpointManager(str(tmp_path))
+        path = manager.save(capture_training_state(spec_model, spec_optim, np.random.default_rng(0), 1))
+        with np.load(path) as archive:
+            assert {"optim::m::0000", "optim::m::0001", "optim::v::0000", "optim::v::0001"} <= set(
+                archive.files
+            )
+        model, optim = make()
+        restore_training_state(manager.load(), model, optim, np.random.default_rng(0))
+        for seed in (3, 4):
+            grads(spec_model, seed)
+            per_parameter_step(spec_optim)
+            grads(model, seed)
+            optim.step()
+        for (_, a), (_, b) in zip(model.named_parameters(), spec_model.named_parameters()):
+            assert a.data.tobytes() == b.data.tobytes()
+        assert [m.tobytes() for m in optim.state_dict()["m"]] == [
+            m.tobytes() for m in spec_optim.state_dict()["m"]
+        ]
+
     def test_adamw_state_shape_mismatch_rejected(self):
         model = nn.Linear(4, 3)
         optim = nn.AdamW(model.parameters())
