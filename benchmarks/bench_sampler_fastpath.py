@@ -28,10 +28,14 @@ targets — to >= 3x the 32 singleton samples plus ``stack_subgraphs`` it
 replaced, and to the same cost on a 45k-node graph as on a 7k-node one
 (nothing in the walk is sized by the graph), and
 ``test_batch_lookup_ratio_floor`` holds the same micro-batch through an
-all-miss ``SubgraphCache.get_or_sample(..., disjoint=True)`` to <= 1.15x
-the bare walk (the walk is the batch's sample, its entries stored
-uncut; 1.4-1.5x when the cache cut it into 32 entries, 1.8-2.2x with
-the service stacking them again). The full
+all-miss ``SubgraphCache.get_or_sample`` to <= 1.15x the bare walk (the
+walk is the batch's sample, its entries stored as pieces of it;
+1.4-1.5x when the cache cut it into 32 entries, 1.8-2.2x with the
+service stacking them again), and ``test_hit_gather_ratio_floor`` holds
+an all-hit 32-target lookup, gathered out of one 200-component warm
+walk, to <= 1.2x ``stack_subgraphs`` of the same 32 parts pre-cut (what
+``serve_hot`` does per call; a gather that read the whole walk would
+scale with it). The full
 ``test_fastpath_speedup_and_equivalence`` regenerates
 ``results/fastpath.txt`` and also holds the end-to-end (vectorized +
 cache) path to >= 5x at batch 128.
@@ -55,6 +59,8 @@ MIN_FASTPATH_SPEEDUP = 5.0
 MIN_DISJOINT_SPEEDUP = 3.0
 DISJOINT_SIZE_BUDGET = 1.5  # the walk on ~45k nodes vs on ~7k nodes
 BATCH_LOOKUP_BUDGET = 1.15  # an all-miss cache lookup vs its bare walk
+HIT_GATHER_BUDGET = 1.2  # an all-hit lookup gathered from a warm walk vs stacking its parts
+WARM_WALK = 200
 AT_BATCH = 128
 MICRO_BATCH = 32
 BATCH_SIZES = (1, 16, AT_BATCH)
@@ -149,7 +155,7 @@ def _batch_lookup_timings():
     """``(nodes, walk us, lookup us)`` on a ~7k- and a ~45k-node graph of
     the ledger stream's shape: one micro-batch of 32 new transaction
     targets as the bare disjoint walk and through
-    ``cache.get_or_sample(..., disjoint=True)``, every target a miss
+    ``cache.get_or_sample``, every target a miss
     (the cache emptied before each call, as a stream flush does; checked
     equal first), alternated."""
     rng = np.random.default_rng(0)
@@ -164,7 +170,7 @@ def _batch_lookup_timings():
             return sampler.sample(graph, targets, disjoint=True)
 
         def lookup():
-            return cache.get_or_sample(graph, sampler, targets, disjoint=True)
+            return cache.get_or_sample(graph, sampler, targets)
 
         assert subgraph_equal(lookup(), walk()) is None
         samples = [[], []]
@@ -178,7 +184,7 @@ def _batch_lookup_timings():
 def test_batch_lookup_ratio_floor():
     """Machine-independent: an all-miss micro-batch through the cache
     costs little more than its walk — the walk is returned as the
-    batch's sample and stored uncut (CI perf-smoke)."""
+    batch's sample and stored whole (CI perf-smoke)."""
     for nodes, walk_us, lookup_us in _batch_lookup_timings():
         print(
             f"\n{MICRO_BATCH} missed targets on {nodes:,} nodes: walk {walk_us / 1e3:.2f} ms, "
@@ -186,6 +192,43 @@ def test_batch_lookup_ratio_floor():
             f"(budget <= {BATCH_LOOKUP_BUDGET:.2f}x)"
         )
         assert lookup_us <= BATCH_LOOKUP_BUDGET * walk_us, nodes
+
+
+def _hit_gather_timings():
+    """``(stack us, lookup us)`` on the ~7k-node graph: a cache warmed
+    with one ``WARM_WALK``-target walk, then ``MICRO_BATCH`` of those
+    targets looked up (every lookup a hit, gathered out of the walk) and
+    their singleton samples — the same parts, pre-cut — stacked (checked
+    equal first), alternated."""
+    rng = np.random.default_rng(0)
+    sampler = SageSampler(hops=2, fanout=10, seed=0)
+    graph = stream_shaped_graph(rng, 3_500)
+    warm = rng.choice(3_500, size=WARM_WALK, replace=False).tolist()
+    cache = SubgraphCache(capacity=256)
+    cache.get_or_sample(graph, sampler, warm)
+    targets = rng.choice(warm, size=MICRO_BATCH, replace=False).tolist()
+    parts = [sampler.sample(graph, [target]) for target in targets]
+    paths = [lambda: stack_subgraphs(parts), lambda: cache.get_or_sample(graph, sampler, targets)]
+    assert subgraph_equal(*(path() for path in paths)) is None
+    assert cache.stats()["misses"] == WARM_WALK  # every timed lookup hits
+    samples = [[], []]
+    for _ in range(RATIO_SAMPLES):  # alternate, so a slow spell of the box hits both
+        for path, times in zip(paths, samples):
+            times.append(best_us(path, number=20))
+    return tuple(float(np.median(times)) for times in samples)
+
+
+def test_hit_gather_ratio_floor():
+    """Machine-independent: an all-hit micro-batch costs what stacking
+    its parts costs — each hit is gathered out of its walk by the bounds
+    the walk recorded, with no cut and no search (CI perf-smoke)."""
+    stack_us, lookup_us = _hit_gather_timings()
+    print(
+        f"\n{MICRO_BATCH} hits on one {WARM_WALK}-component walk: stack of the cut parts "
+        f"{stack_us:.0f} us, cache lookup {lookup_us:.0f} us -> {lookup_us / stack_us:.2f}x "
+        f"(budget <= {HIT_GATHER_BUDGET:.2f}x)"
+    )
+    assert lookup_us <= HIT_GATHER_BUDGET * stack_us
 
 
 def test_fastpath_speedup_and_equivalence(benchmark):
@@ -201,7 +244,7 @@ def test_fastpath_speedup_and_equivalence(benchmark):
             reference_us = _pass_us(lambda batch: scalar_sample(fast, graph, batch), batches)
             fast_us = _pass_us(lambda batch: fast.sample(graph, batch), batches)
             cache = SubgraphCache(capacity=4096)
-            for batch in batches:  # warm: every timed lookup is a hit
+            for batch in batches:  # warm: every timed lookup (one per target) is a hit
                 cache.get_or_sample(graph, fast, batch)
             cached_us = _pass_us(lambda batch: cache.get_or_sample(graph, fast, batch), batches)
             results.append((kind, batch_size, reference_us, fast_us, cached_us, equal))

@@ -218,8 +218,8 @@ def _fuzz_scoring(seed: int, size: int) -> Optional[str]:
     distinct targets, the next two repeat some; each batch runs through a
     service without a cache and through one with a small
     :class:`SubgraphCache`, where a target's component comes from the
-    batch's own walk, a stored sample, or an earlier batch's walk cut on
-    its first hit. Every request's verdict must equal its target's own
+    batch's own walk, a stored sample, or is gathered out of an earlier
+    batch's walk. Every request's verdict must equal its target's own
     ``score()``."""
     from ..graph.cache import SubgraphCache
     from ..models.detector import DetectorConfig, XFraudDetectorPlus
@@ -1432,18 +1432,22 @@ def _awkward_targets(rng: np.random.Generator, graph, txn_only: bool = False) ->
 def _fuzz_disjoint_walk(seed: int, size: int) -> Optional[str]:
     """``sample(..., disjoint=True)`` — one frontier expansion over
     ``(component, node)`` pairs — vs its definition, the stacked loop of
-    singleton samples, array for array; and ``unstack_subgraphs`` as
-    the inverse of ``stack_subgraphs``. Hops 1-3, fanout 1-4 (hubs over
+    singleton samples, array for array. The walk, that stack and a
+    ``gather`` of a random multiset of their components (repeats
+    included) must each record the bounds
+    ``reference.component_bounds`` finds by search, and each component
+    cut out by them must be its singleton sample. Hops 1-3, fanout 1-4 (hubs over
     the cap), targets of every node type with repeats, a target that is
     another's neighbour and edgeless ones; on a fresh graph, on one
     grown by deltas of every shape (spliced CSR) and after a
     compaction. The walk must ask a deadline about exactly the stages
     of ONE singleton walk, once each, and a budget that ends at hop
     ``k`` must end both sides there."""
-    from ..graph.sampling import HGSampler, SageSampler, stack_subgraphs, unstack_subgraphs
-    from .reference import scalar_sample
+    from ..graph.sampling import HGSampler, SageSampler, gather, stack_subgraphs
+    from .reference import component_bounds, scalar_sample, unstack
 
     rng = np.random.default_rng(seed)
+    chooser = np.random.default_rng((seed, size))  # the gathers' pieces: rng's draws stay put
     graph = random_hetero_graph(rng, num_txns=size)
     graph.csr()  # so the deltas below splice it
     hops, fanout, sampler_seed = 1 + size % 3, int(rng.integers(1, 5)), int(rng.integers(0, 1 << 16))
@@ -1466,13 +1470,24 @@ def _fuzz_disjoint_walk(seed: int, size: int) -> Optional[str]:
         )
         parts = [walker.sample(graph, [int(target)]) for target in targets]
         stacked = stack_subgraphs(parts)
-        diff = subgraph_equal(walker.sample(graph, targets, disjoint=True), stacked)
+        walk = walker.sample(graph, targets, disjoint=True)
+        diff = subgraph_equal(walk, stacked)
         if diff is not None:
             return f"{where}: one walk != stacked singleton samples: {diff}"
-        for index, (cut, part) in enumerate(zip(unstack_subgraphs(stacked), parts)):
-            diff = subgraph_equal(cut, part)
-            if diff is not None:
-                return f"{where}: unstacked component {index} != the sample stacked: {diff}"
+        picks = chooser.integers(0, len(targets), size=int(chooser.integers(1, 2 * len(targets))))
+        pieces = [((walk, stacked)[int(chooser.integers(0, 2))], int(pick)) for pick in picks]
+        for name, sample, singles in (
+            ("walk", walk, parts),
+            ("stack", stacked, parts),
+            (f"gather of components {picks.tolist()}", gather(pieces), [parts[p] for p in picks]),
+        ):
+            found = component_bounds(sample)
+            if not np.array_equal(sample.bounds, found):
+                return f"{where}: the {name}'s bounds {sample.bounds.tolist()} != {found.tolist()}"
+            for index, (cut, part) in enumerate(zip(unstack(sample), singles)):
+                diff = subgraph_equal(cut, part)
+                if diff is not None:
+                    return f"{where}: the {name}'s component {index} != its singleton sample: {diff}"
         for whose, sample in by_definition:
             diff = subgraph_equal(
                 sample(graph, targets, disjoint=True),

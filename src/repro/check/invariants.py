@@ -216,13 +216,16 @@ def subgraph_equal(a, b) -> Optional[str]:
 
 
 def target_parts(stacked) -> List:
-    """Each target's component of a stacked sample, cut out as the
+    """Each request's component of a stacked sample, gathered out as the
     singleton sample it must equal (a repeated target's are one part)."""
-    from ..graph.sampling import unstack_subgraphs
+    from ..graph.sampling import gather
 
-    roots = np.unique(stacked.target_local)
-    part_at = dict(zip(roots.tolist(), unstack_subgraphs(stacked, roots)))
-    return [part_at[local] for local in stacked.target_local.tolist()]
+    roots = stacked.bounds[:-1, 0]
+    components = np.searchsorted(roots, stacked.target_local)
+    if np.any(roots[np.minimum(components, len(roots) - 1)] != stacked.target_local):
+        raise ValueError("a request is not scored at the root of a component")
+    part_at = {component: gather([(stacked, component)]) for component in set(components.tolist())}
+    return [part_at[component] for component in components.tolist()]
 
 
 def wal_violations(directory: str) -> List[str]:
@@ -381,7 +384,7 @@ def _txn_table_legs(rng: np.random.Generator, problems: List[str]) -> None:
     """Every producer of a table on one growing graph, each held to the
     rows a scan of its parent says its transactions own; violations go
     to ``problems`` as they are found."""
-    from ..graph.sampling import SageSampler, stack_subgraphs, unstack_subgraphs
+    from ..graph.sampling import SageSampler, gather, stack_subgraphs
     from ..storage import GraphStore, InMemoryKVStore
     from ..stream.builder import IncrementalGraphBuilder
 
@@ -400,10 +403,13 @@ def _txn_table_legs(rng: np.random.Generator, problems: List[str]) -> None:
     targets = rng.choice(graph.num_nodes, size=4)
     parts = [sampler.sample(graph, [int(target)]) for target in targets]
     stacked = stack_subgraphs(parts)
+    walk = sampler.sample(graph, targets, disjoint=True)
+    pieces = [(walk, int(index)) for index in rng.integers(0, len(targets), size=3)]
     sampled = {
         "stack_subgraphs": stacked,
-        "disjoint walk": sampler.sample(graph, targets, disjoint=True),
-        **{f"unstacked part {i}": part for i, part in enumerate(unstack_subgraphs(stacked))},
+        "disjoint walk": walk,
+        "gather": gather(pieces + [(stacked, 0)]),
+        **{f"gathered part {i}": gather([(stacked, i)]) for i in range(len(parts))},
     }
     for name, sample in sampled.items():
         want = _rows_of(rows, sample.original_ids, dim)
@@ -433,8 +439,8 @@ def _txn_table_legs(rng: np.random.Generator, problems: List[str]) -> None:
     layer="graph/stream/storage",
     falsifies="a transaction feature table holding other than exactly one row per "
     "transaction in node order — an entity given a row, rows swapped, a delta that "
-    "drops one — after append_delta, subgraph, stack/unstack_subgraphs, the disjoint "
-    "walk, with_features, the stream builder's flush and a GraphStore round-trip",
+    "drops one — after append_delta, subgraph, stack_subgraphs, the disjoint walk, "
+    "gather, with_features, the stream builder's flush and a GraphStore round-trip",
 )
 def _check_txn_table() -> List[str]:
     problems: List[str] = []
@@ -474,18 +480,18 @@ def _check_txn_table() -> List[str]:
 
 
 def _batch_lookup_problems(cache_class) -> List[str]:
-    """Drive one cache with micro-batch lookups (``disjoint=True``) and
-    a twin with the per-target loop over the same targets: hits, misses,
-    repeats inside a call, batches larger than the capacity (a call
-    evicting its own and older entries; the second call, scripted, makes
-    every lookup a miss though one target was stored) and version bumps
-    between calls. After every call each request's component of the stacked
-    return must equal the loop's singleton sample, the stored keys, their
-    LRU order and ``stats()`` the loop's, and every stored entry — cut,
-    or still a (walk, component) reference, cut here for the comparison
-    only — the loop's: a fresh sample at that version."""
-    from ..graph.cache import SubgraphCache, _Uncut
-    from ..graph.sampling import SageSampler, cut_component
+    """Drive one cache with micro-batch lookups and a twin with the
+    per-target loop over the same targets: hits, misses, repeats inside
+    a call, batches larger than the capacity (a call evicting its own
+    and older entries; the second call, scripted, makes every lookup a
+    miss though one target was stored) and version bumps between calls.
+    After every call each request's component of the stacked return must
+    equal the loop's singleton sample, the stored keys, their LRU order
+    and ``stats()`` the loop's, and every stored entry — a (sample,
+    component) piece, gathered here for the comparison — the loop's: a
+    fresh sample at that version."""
+    from ..graph.cache import SubgraphCache
+    from ..graph.sampling import SageSampler, gather
 
     rng = np.random.default_rng(29)
     graph = random_hetero_graph(rng, num_txns=8)
@@ -501,7 +507,7 @@ def _batch_lookup_problems(cache_class) -> List[str]:
             targets = scripted[call].tolist()
         if not targets:
             continue
-        got = batched.get_or_sample(graph, sampler, targets, disjoint=True)
+        got = batched.get_or_sample(graph, sampler, targets)
         want = [looped.get_or_sample(graph, sampler, [target]) for target in targets]
         where = f"call {call}, targets {targets}"
         if len(got.target_local) != len(want) or any(
@@ -511,9 +517,7 @@ def _batch_lookup_problems(cache_class) -> List[str]:
         if list(batched._entries) != list(looped._entries):
             return [f"{where}: stored keys or their LRU order differ from the per-target loop's"]
         for key, entry in batched._entries.items():
-            if isinstance(entry, _Uncut):
-                entry = cut_component(entry.walk, entry.index)
-            if subgraph_equal(entry, looped._entries[key]):
+            if subgraph_equal(gather([entry]), gather([looped._entries[key]])):
                 return [f"{where}: stored entry {key[-1]} differs from the per-target loop's"]
         if batched.stats() != looped.stats():
             return [f"{where}: stats {batched.stats()} != the loop's {looped.stats()}"]
@@ -554,8 +558,8 @@ def _check_cache_coherence() -> List[str]:
         first = cache.get_or_sample(graph, sampler, targets)
         second = cache.get_or_sample(graph, sampler, targets)
         if second is not first:
-            problems.append(f"{sampler.cache_key()}: repeat lookup was not a hit")
-        diff = subgraph_equal(first, sampler.sample(graph, targets))
+            problems.append(f"{sampler.cache_key()}: repeat lookup was not a hit on the walk")
+        diff = subgraph_equal(first, sampler.sample(graph, targets, disjoint=True))
         if diff is not None:
             problems.append(f"{sampler.cache_key()}: cached != fresh sample ({diff})")
         before_version = graph.version
@@ -563,7 +567,7 @@ def _check_cache_coherence() -> List[str]:
         after = cache.get_or_sample(graph, sampler, targets)
         if graph.version == before_version:
             problems.append("append_delta failed to bump the version")
-        diff = subgraph_equal(after, sampler.sample(graph, targets))
+        diff = subgraph_equal(after, sampler.sample(graph, targets, disjoint=True))
         if diff is not None:
             problems.append(
                 f"{sampler.cache_key()}: post-mutation lookup served stale data ({diff})"
@@ -904,7 +908,7 @@ def _cache_surfaces(rng) -> List[str]:
         elif action == 1:
             cache.invalidate(graph)
         else:
-            cache.get_or_sample(graph, sampler, targets, disjoint=bool(action % 2))
+            cache.get_or_sample(graph, sampler, targets)
         if rng.integers(0, 3) == 0:
             stats = [cache.stats() for cache in caches]
             expected = {

@@ -1,4 +1,4 @@
-"""Executable specs: the slow, obvious form of six fast paths.
+"""Executable specs: the slow, obvious form of seven fast paths.
 
 **The detector, one ``Tensor`` op at a time.** Each
 :class:`~repro.models.hetero_conv.HeteroConvLayer` and the detector's
@@ -19,6 +19,11 @@ each sampler of :mod:`repro.graph.sampling` vectorizes, reading the
 configuration off the sampler instance it is the spec of and asking the
 same stateless hash the same questions, so the two return identical
 :class:`~repro.graph.sampling.SampledSubgraph` objects seed for seed.
+
+**A stack's components, found by search.** :func:`component_bounds` is
+what a sample's recorded :attr:`~repro.graph.sampling.SampledSubgraph.bounds`
+must read, worked out of its arrays alone, and :func:`unstack` cuts each
+component out by them as the singleton sample it must equal.
 
 **The replica tier's read, one key at a time.** :func:`per_key_get` is
 the walk :meth:`~repro.storage.replicated.ReplicatedKVStore.get_many`
@@ -347,6 +352,59 @@ def _hg_walk(
             add_to_budget(node)
         discovered.extend(newly_sampled)
     return _canonical(unique_targets, discovered)
+
+
+# ----------------------------------------------------------------------
+# A stack's components, by search
+# ----------------------------------------------------------------------
+def component_bounds(stacked: SampledSubgraph, roots: Optional[np.ndarray] = None) -> np.ndarray:
+    """The ``bounds`` of a stack of single-target components, recovered
+    from its arrays.
+
+    ``roots`` holds one root per component, ascending: its first node,
+    the target it was sampled for. It defaults to ``target_local``, which
+    lists exactly that for a disjoint walk or a stack of singleton
+    samples; a sample whose ``target_local`` repeats a root passes its
+    distinct values. Edges are stored component by component, so the
+    component of ``edge_dst`` is sorted and bounds them; each
+    component's rows are its transactions, counted. Refuses what is not
+    such a stack.
+    """
+    starts = stacked.target_local if roots is None else np.asarray(roots, dtype=np.int64)
+    count = len(starts)
+    if count == 0 or starts[0] != 0 or np.any(starts[1:] <= starts[:-1]):
+        raise ValueError("components must each list their one target first")
+    graph = stacked.graph
+    component = np.searchsorted(starts, graph.edge_dst, side="right")
+    if np.any(component != np.searchsorted(starts, graph.edge_src, side="right")) or np.any(
+        component[1:] < component[:-1]
+    ):
+        raise ValueError("not a stack: an edge leaves its component, or edges are not grouped")
+    nodes = np.append(starts, graph.num_nodes)
+    edges = np.searchsorted(component, np.arange(1, count + 2))
+    rows = np.append(0, np.cumsum(graph.txn_row >= 0))[nodes]
+    return np.stack([nodes, edges, rows], axis=1)
+
+
+def unstack(stacked: SampledSubgraph, roots: Optional[np.ndarray] = None) -> List[SampledSubgraph]:
+    """Each component of ``stacked``, cut out by :func:`component_bounds`
+    as the singleton sample it must equal; its node arrays are views of
+    the stack's."""
+    bounds = component_bounds(stacked, roots).tolist()
+    graph = stacked.graph
+    parts = []
+    for (lo, first_edge, first_row), (hi, end_edge, end_row) in zip(bounds, bounds[1:]):
+        edges = slice(first_edge, end_edge)
+        part = HeteroGraph.derived(
+            graph.node_type[lo:hi],
+            graph.edge_src[edges] - lo,
+            graph.edge_dst[edges] - lo,
+            graph.edge_type[edges],
+            graph.txn_table[first_row:end_row],
+            graph.labels[lo:hi],
+        )
+        parts.append(SampledSubgraph(part, np.zeros(1, dtype=np.int64), stacked.original_ids[lo:hi]))
+    return parts
 
 
 # ----------------------------------------------------------------------

@@ -11,29 +11,25 @@ real fraud workloads — a small set of active buyers/cards generates
 most scoring requests).
 
 Keys are ``(graph identity, graph.version, sampler.cache_key(),
-targets)``. The version component means an in-place structural edit
+target)``. The version component means an in-place structural edit
 (``HeteroGraph.mark_mutated()``) silently misses every stale entry;
 :meth:`SubgraphCache.invalidate` additionally drops them eagerly so a
 long-lived service does not carry dead weight until eviction.
 
-A micro-batch looks its targets up together
-(``get_or_sample(..., disjoint=True)``) and gets ONE stacked
-:class:`~repro.graph.sampling.SampledSubgraph` back: a component per
-*distinct* target, ``target_local[i]`` the root of request ``i``'s
-(repeats share one). Each target is looked up under the singleton key a
-lone lookup of it uses, and the entries, their LRU order and the
-counters end up exactly as if the targets had been looked up one by
-one. The batch's misses are sampled in one ``sampler.sample(...,
-disjoint=True)`` walk, which enters the result as one block: a batch
-that finds none of its targets stored and repeats none gets the walk
-itself.
+A lookup is a micro-batch of targets, looked up one key per target, and
+gets ONE stacked :class:`~repro.graph.sampling.SampledSubgraph` back: a
+component per *distinct* target, ``target_local[i]`` the root of
+request ``i``'s (repeats share one). The entries, their LRU order and
+the counters end up exactly as if the targets had been looked up one by
+one. The lookup's misses are sampled in one ``sampler.sample(...,
+disjoint=True)`` walk; a lookup that finds none of its targets stored
+and repeats none gets the walk itself.
 
-Nor is the walk cut up to be stored. Each of its entries is a (walk,
-component) reference, cut into its own sample
-(:func:`~repro.graph.sampling.cut_component`) when a later lookup
-first hits it and stored cut from then on. An entry invalidated before
-any hit is never cut — on a stream, where every flush bumps the
-version, that is every entry.
+Every entry is a ``(sample, component)`` piece: component ``c`` of the
+walk that sampled it, the walk stored whole and never cut. A lookup
+gathers its pieces into its stack
+(:func:`~repro.graph.sampling.gather`) by the bounds the walk recorded;
+a lookup of every component of one walk, in order, gets that walk.
 
 Consumers must treat cached subgraphs as immutable. The serving layer
 hydrates per-request features via ``HeteroGraph.with_features`` (an
@@ -46,27 +42,14 @@ from __future__ import annotations
 import threading
 import weakref
 from collections import OrderedDict
-from typing import Dict, Hashable, Iterable, List, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Sequence, Tuple
 
-import numpy as np
-
-from .sampling import SampledSubgraph, cut_component, stack_subgraphs
+from .sampling import SampledSubgraph, gather
 
 __all__ = ["SubgraphCache"]
 
-
-class _Uncut:
-    """An entry still inside the disjoint walk that sampled it: component
-    ``index`` of ``walk``."""
-
-    __slots__ = ("walk", "index")
-
-    def __init__(self, walk: SampledSubgraph, index: int) -> None:
-        self.walk = walk
-        self.index = index
-
-
-_Entry = Union[SampledSubgraph, _Uncut]
+#: A cache entry: component ``c`` of the sample that walked it.
+_Piece = Tuple[SampledSubgraph, int]
 
 
 class SubgraphCache:
@@ -90,7 +73,7 @@ class SubgraphCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self._entries: "OrderedDict[Tuple, _Entry]" = OrderedDict()
+        self._entries: "OrderedDict[Tuple, _Piece]" = OrderedDict()
         # RLock, not Lock: weakref finalizers (_forget_graph) run at
         # arbitrary allocation points, including inside our own locked
         # regions (dict resize during insert can trigger the GC that
@@ -140,60 +123,25 @@ class SubgraphCache:
     # ------------------------------------------------------------------
     # Core API
     # ------------------------------------------------------------------
-    def get_or_sample(
-        self,
-        graph,
-        sampler,
-        targets: Sequence[int],
-        deadline=None,
-        disjoint: bool = False,
-    ) -> SampledSubgraph:
-        """Cached ``sampler.sample(graph, targets)``.
-
-        A hit returns the stored subgraph without touching the sampler
-        (and without consuming any of ``deadline``); a miss samples,
-        stores, and returns. ``targets`` order matters — it determines
-        ``target_local`` — so it is part of the key.
-
-        ``disjoint=True`` is the micro-batch lookup: one stacked sample,
-        a component per distinct target, each looked up under the key
-        ``get_or_sample(graph, sampler, [t])`` uses and the batch's
-        misses walked together (:meth:`_lookup_each`). One target is
-        the plain lookup; none is a ``ValueError``.
-        """
-        if disjoint and len(targets) != 1:
-            return self._lookup_each(graph, sampler, targets, deadline)
-        return self._lookup(graph, sampler, targets, deadline)
-
-    def _lookup(self, graph, sampler, targets: Sequence[int], deadline) -> SampledSubgraph:
-        key = self._key(graph, sampler, targets)
-        with self._lock:
-            cached = self._entries.get(key)
-            if cached is not None:
-                self._entries.move_to_end(key)
-                self.hits += 1
-                return self._settle(key, cached)
-            self.misses += 1
-        sampled = sampler.sample(graph, targets, deadline=deadline)
-        with self._lock:
-            self._store(((key, sampled),))
-        return sampled
-
-    def _lookup_each(self, graph, sampler, targets: Sequence[int], deadline) -> SampledSubgraph:
-        """``[_lookup(graph, sampler, [t]) for t in targets]`` as one
-        stacked sample, with one sampler call for all of its misses.
+    def get_or_sample(self, graph, sampler, targets: Sequence[int], deadline=None) -> SampledSubgraph:
+        """``sampler.sample(graph, targets, disjoint=True)``, each target
+        looked up under its own key, as one stacked sample, with one
+        sampler call for all of the misses. A hit does not touch the
+        sampler (nor consume any of ``deadline``); no target is a
+        ``ValueError``.
 
         Three steps. Under the lock, decide every lookup's outcome as
         the loop would (:meth:`_loop_outcomes`) and count it; unlocked,
         sample the distinct missed targets in one disjoint walk; under
         the lock again, replay the loop's bookkeeping in target order
-        (:meth:`_replay`) — a walked target is stored as an uncut (walk,
-        component) entry — and cut each other distinct target's entry
-        if it is still uncut (:meth:`_settle`). The result stacks the
-        walk, as one block, then those entries. A batch that finds
-        nothing stored and repeats no target — each lookup a miss, the
-        stream's every batch — skips the simulation and the replay: its
-        entries are inserted in order and it gets the walk itself.
+        (:meth:`_replay`), storing each walked target as its piece of the
+        walk. The result gathers the walk's pieces, then each other
+        distinct target's. A batch that finds every target stored makes
+        the loop's touches under the first lock and walks nothing; one
+        that finds nothing stored and repeats no target — each lookup a
+        miss, the stream's every batch — skips the simulation and the
+        replay: its entries are inserted in order and it gets the walk
+        itself.
 
         On one thread the entries, their LRU order and ``hits`` /
         ``misses`` / ``evictions`` equal the loop's: a repeated absent
@@ -205,8 +153,8 @@ class SubgraphCache:
         """
         if not len(targets):
             raise ValueError("need at least one target to look up")
-        head = self._key_head(graph, sampler)
-        keys = [head + ((int(target),),) for target in targets]
+        head = (self._graph_token(graph), graph.version, sampler.cache_key())
+        keys = [head + (int(target),) for target in targets]
         distinct = list(dict.fromkeys(keys))
         with self._lock:
             # Present entries are held from here on, so that another
@@ -220,52 +168,36 @@ class SubgraphCache:
             fresh = not held and len(distinct) == len(keys)
             if len(held) == len(distinct):
                 hit = [True] * len(keys)
+                for key in keys:  # the loop's touches, made now: nothing to walk or replay
+                    self._entries.move_to_end(key)
             elif fresh:
                 hit = [False] * len(keys)
             else:
                 hit = self._loop_outcomes(keys)
             self.hits += sum(hit)
             self.misses += len(hit) - sum(hit)
-        if fresh:
-            missed = distinct
-        else:
-            missed = list(dict.fromkeys(key for key, found in zip(keys, hit) if not found))
-        blocks, walked = [], []
-        if missed:
-            walk = sampler.sample(
-                graph, [key[-1][0] for key in missed], deadline=deadline, disjoint=True
-            )
-            blocks.append(walk)
-            if len(missed) == 1:  # a walk of one target is its plain sample
-                walked = [walk]
-            else:
-                walked = [_Uncut(walk, index) for index in range(len(missed))]
-        with self._lock:
+        served, missed, walked = held, [], []
+        if len(held) < len(distinct):
             if fresh:
-                self._store(zip(missed, walked))
-                return walk
-            held.update(zip(missed, walked))
-            served = self._replay(keys, hit, held)
-            slots = {key: index for index, key in enumerate(missed)}
-            for key, entry in served.items():
-                if key not in slots:
-                    slots[key] = len(slots)
-                    blocks.append(self._settle(key, entry))
-        stacked = stack_subgraphs(blocks)
-        return SampledSubgraph(
-            stacked.graph, stacked.target_local[[slots[key] for key in keys]], stacked.original_ids
-        )
-
-    def _settle(self, key: Tuple, entry: _Entry) -> SampledSubgraph:
-        """``entry`` (``key``'s) as a subgraph. An uncut entry is cut now
-        and, while it is still stored, stored cut in its place: a walk's
-        entry is cut once, on its first hit."""
-        if type(entry) is not _Uncut:
-            return entry
-        cut = cut_component(entry.walk, entry.index)
-        if self._entries.get(key) is entry:
-            self._entries[key] = cut  # an existing key keeps its LRU position
-        return cut
+                missed = distinct
+            else:
+                missed = list(dict.fromkeys(key for key, found in zip(keys, hit) if not found))
+            walk = sampler.sample(graph, [key[-1] for key in missed], deadline=deadline, disjoint=True)
+            walked = [(walk, index) for index in range(len(missed))]
+            with self._lock:
+                if fresh:
+                    self._store(zip(missed, walked))
+                    return walk
+                held.update(zip(missed, walked))
+                served = self._replay(keys, hit, held)
+        # Slots by target: the keys differ in nothing else, and ints hash cheaply.
+        slots = {key[-1]: index for index, key in enumerate(missed)}
+        pieces = list(walked)
+        for key, entry in served.items():
+            if key[-1] not in slots:
+                slots[key[-1]] = len(pieces)
+                pieces.append(entry)
+        return gather(pieces, [slots[key[-1]] for key in keys])
 
     def _loop_outcomes(self, keys: Sequence[Tuple]) -> List[bool]:
         """Hit or miss, per key, were they looked up one by one now:
@@ -283,15 +215,15 @@ class SubgraphCache:
         return outcomes
 
     def _replay(
-        self, keys: Sequence[Tuple], hit: Sequence[bool], held: Dict[Tuple, _Entry]
-    ) -> Dict[Tuple, _Entry]:
+        self, keys: Sequence[Tuple], hit: Sequence[bool], held: Dict[Tuple, _Piece]
+    ) -> Dict[Tuple, _Piece]:
         """Touch (hit) or insert (miss) each key in target order — the
         order is what makes the LRU queue the loop's — and return the
         entry each distinct key was first served, in order of first
         appearance. ``held`` holds an entry for every key, for the
         misses and for a hit whose entry another thread removed since it
         was looked up."""
-        served: Dict[Tuple, _Entry] = {}
+        served: Dict[Tuple, _Piece] = {}
         for key, found in zip(keys, hit):
             entry = self._entries.get(key) if found else None
             if entry is not None:
@@ -303,7 +235,7 @@ class SubgraphCache:
             served.setdefault(key, entry)
         return served
 
-    def _store(self, items: Iterable[Tuple[Tuple, _Entry]]) -> None:
+    def _store(self, items: Iterable[Tuple[Tuple, _Piece]]) -> None:
         """Insert each ``(key, entry)`` in order unless a racing miss of
         the same key already did, then evict from the cold end. For
         distinct keys none of which is stored, that leaves the entries
@@ -344,17 +276,6 @@ class SubgraphCache:
     # ------------------------------------------------------------------
     # Keying
     # ------------------------------------------------------------------
-    def _key(self, graph, sampler, targets: Sequence[int]) -> Tuple:
-        target_key: Hashable
-        if isinstance(targets, (int, np.integer)):
-            target_key = int(targets)
-        else:
-            target_key = tuple(int(t) for t in targets)
-        return self._key_head(graph, sampler) + (target_key,)
-
-    def _key_head(self, graph, sampler) -> Tuple:
-        return (self._graph_token(graph), graph.version, sampler.cache_key())
-
     def _graph_token(self, graph) -> int:
         """Stable identity for ``graph`` within this cache.
 

@@ -79,6 +79,61 @@ def _check_edge_schema(src_type: np.ndarray, dst_type: np.ndarray, edge_type: np
         )
 
 
+def _check_growth(
+    node_type: np.ndarray,
+    labels: np.ndarray,
+    txn_table: np.ndarray,
+    edge_src: np.ndarray,
+    edge_dst: np.ndarray,
+    edge_type: np.ndarray,
+    before: Optional[np.ndarray] = None,
+    feature_dim: Optional[int] = None,
+) -> None:
+    """Raise ValueError unless the nodes (``node_type``, ``labels``, a
+    ``txn_table`` row per transaction) and the edges are what a graph
+    whose nodes have types ``before`` can grow by: an
+    :meth:`HeteroGraph.append_delta` delta, whose edges may join old
+    nodes and new. ``before=None`` checks a whole graph as grown from
+    none (:meth:`HeteroGraph.validate`); its messages drop "delta"."""
+    what, rows, count, old = "", "transactions", "num_nodes", 0
+    if before is not None:
+        what, rows, count, old = "delta ", "new transactions", "new_nodes", len(before)
+    is_txn = node_type == _TXN
+    if not (len(edge_src) == len(edge_dst) == len(edge_type)):
+        raise ValueError(f"{what}edge arrays must have equal length")
+    if (
+        txn_table.ndim != 2
+        or len(txn_table) != np.count_nonzero(is_txn)
+        or (feature_dim is not None and txn_table.shape[1] != feature_dim)
+    ):
+        raise ValueError(f"{what}txn_table must be ({rows}, feature_dim)")
+    if labels.shape != (len(node_type),):
+        raise ValueError(f"{what}labels must be ({count},)")
+    grown = old + len(node_type)
+    if len(edge_src) and (
+        edge_src.min() < 0 or edge_src.max() >= grown or edge_dst.min() < 0 or edge_dst.max() >= grown
+    ):
+        raise ValueError(f"{what}edge endpoints out of range")
+    if len(node_type) and (node_type.min() < 0 or node_type.max() >= len(NODE_TYPES)):
+        raise ValueError(f"{what}node types out of range")
+    if len(edge_type) and (edge_type.min() < 0 or edge_type.max() >= len(EDGE_TYPES)):
+        raise ValueError(f"{what}edge types out of range")
+
+    def types_of(nodes: np.ndarray) -> np.ndarray:  # without building the grown array
+        if not old:
+            return node_type[nodes]
+        types = np.empty_like(nodes)
+        inside = nodes < old
+        types[inside] = before[nodes[inside]]
+        types[~inside] = node_type[nodes[~inside] - old]
+        return types
+
+    if len(edge_type):
+        _check_edge_schema(types_of(edge_src), types_of(edge_dst), edge_type)
+    if np.any(labels[~is_txn] != -1):
+        raise ValueError("only txn nodes may carry labels")
+
+
 def _reserve(buffers: Dict[str, np.ndarray], name: str, view: np.ndarray, extra: int) -> np.ndarray:
     """``buffers[name]``, holding ``view``'s rows with room for ``extra`` more.
 
@@ -153,35 +208,11 @@ class HeteroGraph:
     # Invariants
     # ------------------------------------------------------------------
     def validate(self) -> None:
-        """Check structural invariants; raise ValueError on violation."""
-        n = self.num_nodes
-        if not (len(self.edge_src) == len(self.edge_dst) == len(self.edge_type)):
-            raise ValueError("edge arrays must have equal length")
-        if self.txn_table.ndim != 2 or len(self.txn_table) != (self.node_type == _TXN).sum():
-            raise ValueError("txn_table must be (transactions, feature_dim)")
-        if self.labels.shape != (n,):
-            raise ValueError("labels must be (num_nodes,)")
-        if len(self.edge_src) and (
-            self.edge_src.min() < 0
-            or self.edge_src.max() >= n
-            or self.edge_dst.min() < 0
-            or self.edge_dst.max() >= n
-        ):
-            raise ValueError("edge endpoints out of range")
-        if len(self.node_type) and (
-            self.node_type.min() < 0 or self.node_type.max() >= len(NODE_TYPES)
-        ):
-            raise ValueError("node types out of range")
-        if len(self.edge_type) and (
-            self.edge_type.min() < 0 or self.edge_type.max() >= len(EDGE_TYPES)
-        ):
-            raise ValueError("edge types out of range")
-        _check_edge_schema(
-            self.node_type[self.edge_src], self.node_type[self.edge_dst], self.edge_type
+        """Check structural invariants; raise ValueError on violation —
+        the whole graph checked as a delta onto an empty one."""
+        _check_growth(
+            self.node_type, self.labels, self.txn_table, self.edge_src, self.edge_dst, self.edge_type
         )
-        labeled = self.labels[self.node_type != _TXN]
-        if len(labeled) and np.any(labeled != -1):
-            raise ValueError("only txn nodes may carry labels")
 
     # ------------------------------------------------------------------
     # Basic statistics
@@ -311,34 +342,14 @@ class HeteroGraph:
         new_nt = np.asarray(node_type, dtype=np.int64)
         new_labels = np.asarray(labels, dtype=np.int64)
         new_table = np.asarray(txn_table, dtype=self.txn_table.dtype)
-        is_txn = new_nt == _TXN
-        if new_table.shape != (np.count_nonzero(is_txn), self.feature_dim):
-            raise ValueError("delta txn_table must be (new transactions, feature_dim)")
-        if new_labels.shape != (len(new_nt),):
-            raise ValueError("delta labels must be (new_nodes,)")
         new_src = np.asarray(edge_src, dtype=np.int64)
         new_dst = np.asarray(edge_dst, dtype=np.int64)
         new_et = np.asarray(edge_type, dtype=np.int64)
-        if not (len(new_src) == len(new_dst) == len(new_et)):
-            raise ValueError("delta edge arrays must have equal length")
+        _check_growth(
+            new_nt, new_labels, new_table, new_src, new_dst, new_et, self.node_type, self.feature_dim
+        )
         grown = self.num_nodes + len(new_nt)
-        if len(new_src) and (
-            new_src.min() < 0
-            or new_src.max() >= grown
-            or new_dst.min() < 0
-            or new_dst.max() >= grown
-        ):
-            raise ValueError("delta edge endpoints out of range")
-        if len(new_nt) and (new_nt.min() < 0 or new_nt.max() >= len(NODE_TYPES)):
-            raise ValueError("delta node types out of range")
-        if len(new_et) and (new_et.min() < 0 or new_et.max() >= len(EDGE_TYPES)):
-            raise ValueError("delta edge types out of range")
-        if len(new_et):
-            _check_edge_schema(
-                self._grown_types(new_src, new_nt), self._grown_types(new_dst, new_nt), new_et
-            )
-        if np.any(new_labels[~is_txn] != -1):
-            raise ValueError("only txn nodes may carry labels")
+        is_txn = new_nt == _TXN
 
         delta = {
             "node_type": new_nt,
@@ -365,15 +376,6 @@ class HeteroGraph:
             setattr(self, name, view)
         self._buffers, self._csr = buffers, csr
         self._version += 1
-
-    def _grown_types(self, nodes: np.ndarray, new_node_type: np.ndarray) -> np.ndarray:
-        """Node types of ``nodes``, ids of this graph grown by nodes of
-        ``new_node_type`` — without building the grown array."""
-        types = np.empty_like(nodes)
-        old = nodes < self.num_nodes
-        types[old] = self.node_type[nodes[old]]
-        types[~old] = new_node_type[nodes[~old] - self.num_nodes]
-        return types
 
     @staticmethod
     def _splice_csr(

@@ -50,6 +50,12 @@ hash keys do not know the component, so each keeps exactly the edges
 its own walk would). A single target takes the plain ``sample(graph,
 [t])`` route either way: the union of one component is that component.
 
+A sample records where its components start and end
+(:attr:`SampledSubgraph.bounds`): the walk writes them as it lays the
+components out, :func:`stack_subgraphs` takes them from its parts, and
+:func:`gather` — the one way a component leaves its sample — reads them
+to stack any ``(sample, component)`` pieces with slices of each array.
+
 The executable spec of both samplers — the scalar node-at-a-time walks
 these replaced, asking the same hash the same questions — is
 :func:`repro.check.reference.scalar_sample`; ``repro check`` and
@@ -58,6 +64,8 @@ these replaced, asking the same hash the same questions — is
 
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -121,19 +129,18 @@ def _concat_csr_slices(
     """
     starts = indptr[nodes]
     counts = indptr[nodes + 1] - starts
-    total = int(counts.sum())
-    if total == 0:
-        return _EMPTY, counts
-    offsets = np.cumsum(counts) - counts
-    positions = (
-        np.arange(total, dtype=np.int64)
-        - np.repeat(offsets, counts)
-        + np.repeat(starts, counts)
-    )
-    return positions, counts
+    return _ranges(starts, counts), counts
 
 
-@dataclass
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``starts[i] : starts[i] + counts[i]`` for every ``i``, concatenated."""
+    ends = np.cumsum(counts)
+    if len(ends) == 0 or ends[-1] == 0:
+        return _EMPTY
+    return np.repeat(starts - (ends - counts), counts) + np.arange(ends[-1], dtype=np.int64)
+
+
+@dataclass(eq=False)
 class SampledSubgraph:
     """A sampled neighbourhood ready for the model forward pass.
 
@@ -141,6 +148,9 @@ class SampledSubgraph:
     scored at. It may repeat: a micro-batch's stacked sample holds one
     component per *distinct* target, rooted at that target (its first
     node), and every request for the target names that root.
+
+    Compared and hashed by identity: a ``(sample, component)`` piece is
+    a cache entry and a dict key.
     """
 
     graph: HeteroGraph
@@ -149,10 +159,29 @@ class SampledSubgraph:
     #: Parent edge id of each edge of ``graph``, ascending — set by
     #: :func:`receptive_field` only (the samplers induce their edges).
     edge_ids: Optional[np.ndarray] = None
+    #: :attr:`bounds` of a sample of several components (the disjoint
+    #: walk, :func:`stack_subgraphs`, :func:`gather`); ``None`` for one.
+    offsets: Optional[np.ndarray] = None
 
     @property
     def num_targets(self) -> int:
         return len(self.target_local)
+
+    @property
+    def num_components(self) -> int:
+        return 1 if self.offsets is None else len(self.offsets) - 1
+
+    @property
+    def bounds(self) -> np.ndarray:
+        """``(components + 1, 3)`` int64: the node, edge and transaction
+        row at which each component starts, then the totals. Nodes, edges
+        and ``txn_table`` rows are laid out component by component, so
+        component ``c`` is ``bounds[c]:bounds[c + 1]`` of each, and its
+        first node is the target it was sampled for."""
+        if self.offsets is not None:
+            return self.offsets
+        graph = self.graph
+        return np.array([[0, 0, 0], [graph.num_nodes, graph.num_edges, len(graph.txn_table)]])
 
 
 def stack_subgraphs(parts: Sequence[SampledSubgraph]) -> SampledSubgraph:
@@ -171,117 +200,119 @@ def stack_subgraphs(parts: Sequence[SampledSubgraph]) -> SampledSubgraph:
 
     ``original_ids`` may repeat across components (two targets sampling
     the same hub); that is fine — components are disjoint, and feature
-    hydration simply writes the same row into each copy.
+    hydration simply writes the same row into each copy. The stack's
+    components are its parts', in order.
     """
     if not parts:
         raise ValueError("need at least one subgraph to stack")
     if len(parts) == 1:
         return parts[0]
     graphs = [part.graph for part in parts]
-    offsets = np.cumsum([0] + [graph.num_nodes for graph in graphs[:-1]])
-    # One concatenate per array; each part's node offset added in one go.
-    edge_shift = np.repeat(offsets, [graph.num_edges for graph in graphs])
-    edge_src = np.concatenate([graph.edge_src for graph in graphs])
-    edge_dst = np.concatenate([graph.edge_dst for graph in graphs])
-    edge_src += edge_shift
-    edge_dst += edge_shift
+    if any(part.offsets is not None for part in parts):  # a part of several components
+        sizes = np.concatenate([np.diff(part.bounds, axis=0) for part in parts])
+        sources = np.concatenate([part.bounds[:-1, 0] for part in parts])
+        firsts = np.cumsum([0] + [part.num_components for part in parts[:-1]])
+    else:
+        sizes = np.array([(len(g.node_type), len(g.edge_src), len(g.txn_table)) for g in graphs])
+        sources = np.zeros(len(parts), dtype=np.int64)
+        firsts = slice(-1)
+    graph, original_ids, offsets = _concatenate(
+        [
+            (g.node_type, g.labels, part.original_ids, g.edge_src, g.edge_dst, g.edge_type, g.txn_table)
+            for part, g in zip(parts, graphs)
+        ],
+        sizes,
+        sources,
+    )
     target_local = np.concatenate([part.target_local for part in parts])
-    target_local += np.repeat(offsets, [part.num_targets for part in parts])
-    # Valid parts, each shifted into its own node range: nothing to re-validate.
-    graph = HeteroGraph.derived(
-        np.concatenate([graph.node_type for graph in graphs]),
-        edge_src,
-        edge_dst,
-        np.concatenate([graph.edge_type for graph in graphs]),
-        np.concatenate([graph.txn_table for graph in graphs], axis=0),
-        np.concatenate([graph.labels for graph in graphs]),
-    )
-    return SampledSubgraph(
-        graph=graph,
-        target_local=target_local,
-        original_ids=np.concatenate([part.original_ids for part in parts]),
-    )
+    target_local += np.repeat(offsets[firsts, 0], [len(part.target_local) for part in parts])
+    return SampledSubgraph(graph, target_local, original_ids, offsets=offsets)
 
 
-def unstack_subgraphs(
-    stacked: SampledSubgraph, roots: Optional[np.ndarray] = None
-) -> List[SampledSubgraph]:
-    """Inverse of :func:`stack_subgraphs` for single-target components.
-
-    ``roots`` holds one root per component, ascending: its first node,
-    the target it was sampled for. It defaults to ``target_local``, which
-    lists exactly that for a disjoint walk or a stack of singleton
-    samples; a sample whose ``target_local`` repeats a root (a
-    micro-batch with repeated targets) passes its distinct values.
-    Edges are stored component by component, so the component of
-    ``edge_dst`` is sorted and bounds them. Nothing about the split is
-    stored on :class:`SampledSubgraph`. The parts' node arrays are
-    views: a part keeps the arrays of the stack it was cut from alive.
-    """
-    starts = stacked.target_local if roots is None else np.asarray(roots, dtype=np.int64)
-    count = len(starts)
-    if count == 1 and len(stacked.target_local) == 1:
-        return [stacked]
-    if count == 0 or starts[0] != 0 or np.any(starts[1:] <= starts[:-1]):
-        raise ValueError("components must each list their one target first")
-    graph = stacked.graph
-    component = np.searchsorted(starts, graph.edge_dst, side="right")
-    if np.any(component != np.searchsorted(starts, graph.edge_src, side="right")) or np.any(
-        component[1:] < component[:-1]
-    ):
-        raise ValueError("not a stack: an edge leaves its component, or edges are not grouped")
-    edge_bounds = np.searchsorted(component, np.arange(1, count + 2)).tolist()
-    node_bounds = starts.tolist() + [graph.num_nodes]
-    row_bounds = np.append(0, np.cumsum(graph.txn_row >= 0))[node_bounds].tolist()
-    return [
-        _cut(
-            stacked,
-            node_bounds[index],
-            node_bounds[index + 1],
-            slice(edge_bounds[index], edge_bounds[index + 1]),
-            graph.txn_table[row_bounds[index] : row_bounds[index + 1]],
-        )
-        for index in range(count)
-    ]
-
-
-def cut_component(walk: SampledSubgraph, index: int) -> SampledSubgraph:
-    """Component ``index`` of a disjoint walk as the singleton sample it
-    equals: ``unstack_subgraphs(walk)[index]`` without cutting the others.
-
-    ``walk.target_local`` must list one root per component (what
-    ``sample(..., disjoint=True)`` returns). Edges are grouped by
-    component in node order, so "the edge's destination is below ``lo``"
-    holds for a prefix of the edges, and a binary search over
-    ``edge_dst`` finds a component's edges without reading the rest.
-    """
-    graph, roots = walk.graph, walk.target_local
-    lo = int(roots[index])
-    hi = int(roots[index + 1]) if index + 1 < len(roots) else graph.num_nodes
-    first_edge, end_edge = np.searchsorted(graph.edge_dst, (lo, hi)).tolist()
-    is_txn = graph.node_type[:hi] == _TXN
-    first_row = int(np.count_nonzero(is_txn[:lo]))
-    end_row = first_row + int(np.count_nonzero(is_txn[lo:]))
-    return _cut(
-        walk, lo, hi, slice(first_edge, end_edge), graph.txn_table[first_row:end_row]
-    )
-
-
-def _cut(
-    stacked: SampledSubgraph, lo: int, hi: int, edges: slice, txn_table: np.ndarray
+def gather(
+    pieces: Sequence[Tuple[SampledSubgraph, int]], slots: Optional[Sequence[int]] = None
 ) -> SampledSubgraph:
-    """The singleton sample on nodes ``lo:hi`` and ``edges`` of a stack,
-    its node arrays views of the stack's."""
-    graph = stacked.graph
-    part = HeteroGraph.derived(
-        graph.node_type[lo:hi],
-        graph.edge_src[edges] - lo,
-        graph.edge_dst[edges] - lo,
-        graph.edge_type[edges],
-        txn_table,
-        graph.labels[lo:hi],
+    """The stack of component ``c`` of ``sample`` for each ``(sample, c)``
+    of ``pieces``, in order, repeats included: request ``i`` scored at
+    the root of component ``slots[i]`` (default: one request per piece).
+
+    Each run of pieces from one sample is cut out of it by its
+    :attr:`~SampledSubgraph.bounds` — one index array per kind (nodes,
+    edges, rows), no search, nothing read outside the pieces — and the
+    runs are shifted and concatenated as :func:`stack_subgraphs` does.
+    Every component of one sample in order, with the sample's own
+    requests, is that sample itself.
+    """
+    first = pieces[0][0]
+    whole = len(pieces) == first.num_components and all(
+        sample is first and component == index for index, (sample, component) in enumerate(pieces)
     )
-    return SampledSubgraph(part, np.zeros(1, dtype=np.int64), stacked.original_ids[lo:hi])
+    if whole:
+        graph, original_ids, offsets = first.graph, first.original_ids, first.offsets
+        roots = first.bounds[:-1, 0]
+    else:
+        blocks, sizes, sources = [], [], []
+        for sample, run in itertools.groupby(pieces, key=operator.itemgetter(0)):
+            bounds = sample.bounds
+            components = np.array([component for _, component in run])
+            lo = bounds[components]
+            size = bounds[components + 1] - lo
+            # Nodes', edges' and rows' positions in one go, then split.
+            positions = _ranges(lo.T.ravel(), size.T.ravel())
+            num_nodes, num_edges = size[:, :2].sum(axis=0).tolist()
+            nodes = positions[:num_nodes]
+            edges = positions[num_nodes : num_nodes + num_edges]
+            rows = positions[num_nodes + num_edges :]
+            part = sample.graph
+            blocks.append(
+                (
+                    part.node_type[nodes],
+                    part.labels[nodes],
+                    sample.original_ids[nodes],
+                    part.edge_src[edges],
+                    part.edge_dst[edges],
+                    part.edge_type[edges],
+                    part.txn_table.take(rows, axis=0),
+                )
+            )
+            sizes.append(size)
+            sources.append(lo[:, 0])
+        graph, original_ids, offsets = _concatenate(
+            blocks, np.concatenate(sizes), np.concatenate(sources)
+        )
+        roots = offsets[:-1, 0]
+    target_local = roots.copy() if slots is None else roots[slots]
+    if whole and target_local.tolist() == first.target_local.tolist():  # ~2 us less than array_equal
+        return first
+    return SampledSubgraph(graph, target_local, original_ids, offsets=offsets)
+
+
+def _concatenate(
+    blocks: Sequence[Tuple[np.ndarray, ...]], sizes: np.ndarray, sources: np.ndarray
+) -> Tuple[HeteroGraph, np.ndarray, np.ndarray]:
+    """The shift-and-concatenate behind :func:`stack_subgraphs` and
+    :func:`gather`: ``(graph, original_ids, offsets)`` of ``blocks``
+    laid end to end.
+
+    A block is ``(node_type, labels, original_ids, edge_src, edge_dst,
+    edge_type, txn_table)`` holding whole components, numbered its own
+    way; a lone block's arrays are taken over, not copied, and its edge
+    arrays shifted in place. ``sizes`` holds every component's ``(nodes,
+    edges, rows)`` in order, ``sources`` the node it starts at in its
+    block's numbering; each edge moves by where its component starts
+    now less that.
+    """
+    offsets = np.zeros((len(sizes) + 1, 3), dtype=np.int64)
+    np.cumsum(sizes, axis=0, out=offsets[1:])
+    shift = np.repeat(offsets[:-1, 0] - sources, sizes[:, 1])
+    node_type, labels, original_ids, edge_src, edge_dst, edge_type, txn_table = (
+        np.concatenate(arrays) if len(arrays) > 1 else arrays[0] for arrays in zip(*blocks)
+    )
+    edge_src += shift
+    edge_dst += shift
+    # Valid components, each shifted into its own node range: nothing to re-validate.
+    graph = HeteroGraph.derived(node_type, edge_src, edge_dst, edge_type, txn_table, labels)
+    return graph, original_ids, offsets
 
 
 def _in_sorted(table: np.ndarray, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -605,7 +636,8 @@ def _induce_disjoint(graph: HeteroGraph, roots: np.ndarray, seen: np.ndarray) ->
     component in the canonical order (target first, the rest ascending)
     and every kept edge joins two nodes of ONE component, ascending
     parent edge id inside each — what :meth:`HeteroGraph.subgraph`
-    induces per singleton sample and :func:`stack_subgraphs` shifts.
+    induces per singleton sample and :func:`stack_subgraphs` shifts —
+    and the bounds of each component are counted as it is laid out.
     """
     stride, total = graph.num_nodes, len(seen)
     component, node = np.divmod(seen, stride)
@@ -626,15 +658,22 @@ def _induce_disjoint(graph: HeteroGraph, roots: np.ndarray, seen: np.ndarray) ->
     edge_dst = np.repeat(np.arange(total, dtype=np.int64), counts)
     edge_owner = np.repeat(component, counts)  # a move inside a component keeps it
     inside, at = _in_sorted(seen, edge_owner * stride + src_sorted[positions])
+    edge_owner = edge_owner[inside]
     edge_ids = edge_id_sorted[positions[inside]]
-    order = np.argsort(edge_owner[inside] * graph.num_edges + edge_ids)
+    order = np.argsort(edge_owner * graph.num_edges + edge_ids)
     edge_ids = edge_ids[order]
+    node_type = graph.node_type[original_ids]
     sub = HeteroGraph.derived(
-        graph.node_type[original_ids],
+        node_type,
         slot[at[inside]][order],
         edge_dst[inside][order],
         graph.edge_type[edge_ids],
         graph.txn_table_of(original_ids),
         graph.labels[original_ids],
     )
-    return SampledSubgraph(graph=sub, target_local=starts, original_ids=original_ids)
+    offsets = np.zeros((len(roots) + 1, 3), dtype=np.int64)
+    offsets[1:, 0] = np.cumsum(sizes)
+    offsets[1:, 1] = np.cumsum(np.bincount(edge_owner, minlength=len(roots)))
+    # ``component`` ascends, so it is each laid-out node's component too.
+    offsets[1:, 2] = np.cumsum(np.bincount(component[node_type == _TXN], minlength=len(roots)))
+    return SampledSubgraph(sub, starts, original_ids, offsets=offsets)

@@ -38,7 +38,7 @@ import numpy as np
 
 from ..graph.cache import SubgraphCache
 from ..graph.hetero import NODE_TYPE_IDS, HeteroGraph
-from ..graph.sampling import SampledSubgraph, stack_subgraphs, unstack_subgraphs
+from ..graph.sampling import SampledSubgraph, gather
 from ..util import batched
 from ..obs.registry import MetricsRegistry
 from ..obs.trace import NULL_TRACER, Tracer
@@ -202,19 +202,12 @@ class _DeadlineGroup:
         return max((m.deadline.remaining() for m in self.live), default=0.0)
 
 
-def _live_components(sampled: SampledSubgraph, live: Sequence[int]) -> SampledSubgraph:
-    """``sampled`` cut down to the components of its targets ``live``
-    (positions in ``target_local``), scored at those targets in that
-    order: what sampling just them would have given."""
-    roots = np.unique(sampled.target_local)
-    part_at = dict(zip(roots.tolist(), unstack_subgraphs(sampled, roots)))
-    wanted = sampled.target_local[live].tolist()
-    kept = list(dict.fromkeys(wanted))
-    stacked = stack_subgraphs([part_at[root] for root in kept])
-    slots = {root: index for index, root in enumerate(kept)}
-    return SampledSubgraph(
-        stacked.graph, stacked.target_local[[slots[root] for root in wanted]], stacked.original_ids
-    )
+def _gather_requests(pieces: Sequence[Tuple[SampledSubgraph, int]]) -> SampledSubgraph:
+    """Request ``i`` scored on piece ``pieces[i]``: one component per
+    distinct piece, in order of first appearance, each request at its
+    piece's root."""
+    slots = {piece: index for index, piece in enumerate(dict.fromkeys(pieces))}
+    return gather(list(slots), [slots[piece] for piece in pieces])
 
 
 class ScoringService:
@@ -264,9 +257,9 @@ class ScoringService:
         each see their own walks.
     cache:
         Optional :class:`~repro.graph.cache.SubgraphCache`. When set,
-        a micro-batch's sample comes from ``cache.get_or_sample(...,
-        disjoint=True)`` keyed per (target, sampler config, graph
-        version), stacked and ready for the forward; with a
+        a micro-batch's sample comes from ``cache.get_or_sample(...)``
+        keyed per (target, sampler config, graph version), gathered
+        and ready for the forward; with a
         ``registry`` the cache's hit/miss/eviction counters are
         exported automatically.
     """
@@ -478,8 +471,9 @@ class ScoringService:
         member still on the GNN rung. Unlike a loop of per-member
         samples, every member live at the sampling stage is looked up
         before the walk starts: one whose budget ends during the walk
-        has been counted by the cache, and its component is dropped
-        before any row is fetched (the loop never looked it up).
+        has been counted by the cache, and the survivors' components are
+        gathered out of the sample before any row is fetched (the loop
+        never looked it up).
         """
         started = self._clock()
         members: List[_BatchMember] = []
@@ -541,8 +535,9 @@ class ScoringService:
                 sample_span.set("misses", misses)
         live = group.live  # not empty: the check that demotes the last member raises
         if len(live) < len(cohort):  # expired during the walk: no rows, no forward
-            sampled = _live_components(
-                sampled, [index for index, member in enumerate(cohort) if member.live]
+            components = np.searchsorted(sampled.bounds[:-1, 0], sampled.target_local).tolist()
+            sampled = _gather_requests(
+                [(sampled, components[i]) for i, member in enumerate(cohort) if member.live]
             )
         forward_graph = sampled.graph
         if self.feature_store is not None:
@@ -585,8 +580,9 @@ class ScoringService:
         differently), making a score depend on batch composition —
         repro.check's single-vs-batched scenario falsifies exactly that.
         The cache keys each component by its own target, so hits survive
-        any composition, and the misses (every distinct node, without a
-        cache) are ONE disjoint walk — timed here, on the clock and into
+        any composition and are gathered out of the walks that sampled
+        them, and the misses (every distinct node, without a cache) are
+        ONE disjoint walk — timed here, on the clock and into
         the registry of the service that asked for it: one
         ``sampler_sample_seconds`` observation and ``sampler.steps`` hops
         per stage that walked, nothing on an all-hit batch.
@@ -594,21 +590,13 @@ class ScoringService:
         started = self._clock()
         if self.cache is not None:
             misses = -self.cache.misses
-            sampled = self.cache.get_or_sample(
-                self.graph, self.sampler, nodes, deadline=deadline, disjoint=True
-            )
+            sampled = self.cache.get_or_sample(self.graph, self.sampler, nodes, deadline=deadline)
             misses += self.cache.misses
         else:
             misses = len(nodes)
-            distinct = list(dict.fromkeys(nodes))
-            sampled = self.sampler.sample(self.graph, distinct, deadline=deadline, disjoint=True)
-            if len(distinct) < len(nodes):
-                slots = {node: index for index, node in enumerate(distinct)}
-                sampled = SampledSubgraph(
-                    sampled.graph,
-                    sampled.target_local[[slots[node] for node in nodes]],
-                    sampled.original_ids,
-                )
+            slots = {node: index for index, node in enumerate(dict.fromkeys(nodes))}
+            walk = self.sampler.sample(self.graph, list(slots), deadline=deadline, disjoint=True)
+            sampled = _gather_requests([(walk, slots[node]) for node in nodes])
         if misses and self._sampler_sample_seconds is not None:
             kind = self.sampler.kind
             self._sampler_sample_seconds.observe(self._clock() - started, sampler=kind)

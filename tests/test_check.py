@@ -41,7 +41,8 @@ from repro.cli import main
 from repro.graph import sampling
 from repro.graph.cache import SubgraphCache
 from repro.graph.hetero import NODE_TYPES, HeteroGraph
-from repro.graph.sampling import SageSampler, stack_subgraphs, unstack_subgraphs
+from repro.check.reference import component_bounds, unstack
+from repro.graph.sampling import SageSampler, gather, stack_subgraphs
 from repro.models import detector as detector_module
 from repro.models import field as field_module
 from repro.serving.service import ScoringService
@@ -679,7 +680,7 @@ class TestDisjointWalkMutants:
     def test_edges_ordered_by_csr_position(self, monkeypatch):
         mutant = _edited(
             sampling._induce_disjoint,
-            "np.argsort(edge_owner[inside] * graph.num_edges + edge_ids)",
+            "np.argsort(edge_owner * graph.num_edges + edge_ids)",
             "np.arange(len(edge_ids))",
         )
         monkeypatch.setattr(sampling, "_induce_disjoint", mutant)
@@ -692,15 +693,15 @@ class TestDisjointWalkMutants:
             "src_sorted[positions]",
         )
         monkeypatch.setattr(sampling, "_induce_disjoint", mutant)
-        # A cached batch stacks components cut across such edges, so
+        # A cached batch gathers components joined by such edges, so
         # single-vs-batched-scoring (dealt earlier) sees this one too.
         assert "edge_src" in _caught_by(self.NAME, alone=True).detail
 
     def test_target_not_first_in_its_component(self, monkeypatch):
         # Nodes ascending inside each component, target_local still on
         # the target: an isomorphic graph, the same scores — and a
-        # layout the cache's cuts misread (each takes its component's
-        # target for its first node), which is how
+        # layout the cache's gathers misread (each scores a component at
+        # its first node), which is how
         # single-vs-batched-scoring sees it too.
         mutant = _edited(
             sampling._induce_disjoint,
@@ -710,8 +711,16 @@ class TestDisjointWalkMutants:
         monkeypatch.setattr(sampling, "_induce_disjoint", mutant)
         assert "original_ids differs" in _caught_by(self.NAME, alone=True).detail
 
+    def test_an_edge_bound_off_by_one(self, monkeypatch):
+        # The first component's edges end one edge late: the gather of a
+        # piece takes an edge of its neighbour.
+        count = "np.cumsum(np.bincount(edge_owner, minlength=len(roots)))"
+        mutant = _edited(sampling._induce_disjoint, count, f"{count} + (np.arange(len(roots)) == 0)")
+        monkeypatch.setattr(sampling, "_induce_disjoint", mutant)
+        assert "the walk's bounds" in _caught_by(self.NAME, alone=True).detail
+
     def test_shrunk_case_passes_on_the_real_walk(self):
-        # All five shrink to one case: four targets, two of them the
+        # All six shrink to one case: four targets, two of them the
         # same node, on a 9-node graph, two hops at fanout 2.
         assert run_case(self.NAME, 0, 1) is None
 
@@ -728,20 +737,20 @@ class TestStackedSampleMutants:
         # Every walked target of a batch with a repeat or a hit is
         # pointed at the walk's first component.
         mutant = _edited(
-            SubgraphCache._lookup_each,
-            "slots = {key: index for index, key in enumerate(missed)}",
-            "slots = dict.fromkeys(missed, 0)",
+            SubgraphCache.get_or_sample,
+            "slots = {key[-1]: index for index, key in enumerate(missed)}",
+            "slots = dict.fromkeys((key[-1] for key in missed), 0)",
         )
-        monkeypatch.setattr(SubgraphCache, "_lookup_each", mutant)
+        monkeypatch.setattr(SubgraphCache, "get_or_sample", mutant)
         assert "cached batch" in _caught_by(self.NAME).detail
 
-    def test_an_uncut_entry_cut_at_the_neighbouring_component(self, monkeypatch):
+    def test_a_hit_gathered_at_the_neighbouring_component(self, monkeypatch):
         mutant = _edited(
-            SubgraphCache._settle,
-            "cut_component(entry.walk, entry.index)",
-            "cut_component(entry.walk, (entry.index + 1) % len(entry.walk.target_local))",
+            SubgraphCache.get_or_sample,
+            "pieces.append(entry)",
+            "pieces.append((entry[0], (entry[1] + 1) % entry[0].num_components))",
         )
-        monkeypatch.setattr(SubgraphCache, "_settle", mutant)
+        monkeypatch.setattr(SubgraphCache, "get_or_sample", mutant)
         assert "cached batch" in _caught_by(self.NAME).detail
 
     def test_a_repeat_pointed_at_the_wrong_root(self, monkeypatch):
@@ -749,8 +758,8 @@ class TestStackedSampleMutants:
         # this maps the requests onto them in sorted order.
         mutant = _edited(
             ScoringService._sample,
-            "sampled.target_local[[slots[node] for node in nodes]]",
-            "sampled.target_local[np.unique(nodes, return_inverse=True)[1]]",
+            "[(walk, slots[node]) for node in nodes]",
+            "[(walk, int(slot)) for slot in np.unique(nodes, return_inverse=True)[1]]",
         )
         monkeypatch.setattr(ScoringService, "_sample", mutant)
         assert "uncached batch" in _caught_by(self.NAME).detail
@@ -909,11 +918,10 @@ class TestTxnTableMutants:
         monkeypatch.setattr(HeteroGraph, "txn_table_of", mutant)
         assert any("subgraph: txn_table is" in problem for problem in self._violations())
 
-    def test_two_rows_swapped(self, monkeypatch):
-        rows = "graph.txn_table[row_bounds[index] : row_bounds[index + 1]]"
-        mutant = _edited(sampling.unstack_subgraphs, rows, rows + "[::-1]")
-        monkeypatch.setattr(sampling, "unstack_subgraphs", mutant)
-        assert any("holds another row" in problem for problem in self._violations())
+    def test_a_gathered_components_rows_reversed(self, monkeypatch):
+        mutant = _edited(sampling.gather, "take(rows, axis=0)", "take(rows[::-1], axis=0)")
+        monkeypatch.setattr(sampling, "gather", mutant)
+        assert any("gathered part" in problem and "holds another row" in problem for problem in self._violations())
 
     def test_a_delta_that_drops_a_row(self, monkeypatch):
         mutant = _edited(
@@ -1120,27 +1128,33 @@ class TestStackSubgraphs:
         sampler = SageSampler(hops=2, fanout=3, seed=1)
         parts = [sampler.sample(graph, [t]) for t in (0, 1, 0, graph.num_nodes - 1)]
         stacked = stack_subgraphs(parts)
-        cuts = unstack_subgraphs(stacked)
+        np.testing.assert_array_equal(stacked.bounds, component_bounds(stacked))
+        cuts = unstack(stacked)  # the spec: bounds found by search
         assert [subgraph_equal(cut, part) for cut, part in zip(cuts, parts)] == [None] * 4
         assert all(cut.graph.txn_table.base is stacked.graph.txn_table for cut in cuts)
-        assert unstack_subgraphs(parts[0]) == [parts[0]]
+        gathered = [gather([(stacked, index)]) for index in range(len(parts))]
+        assert [subgraph_equal(one, part) for one, part in zip(gathered, parts)] == [None] * 4
+        assert gather([(parts[0], 0)]) is parts[0]
+        # A stack of stacks keeps every component of its parts.
+        again = stack_subgraphs([stacked, parts[1]])
+        np.testing.assert_array_equal(again.bounds, component_bounds(again))
 
     def test_unstack_takes_one_root_per_component(self):
         graph = random_hetero_graph(np.random.default_rng(12), num_txns=6)
         sampler = SageSampler(hops=2, fanout=3, seed=1)
         walk = sampler.sample(graph, [0, 1, 2], disjoint=True)
-        repeated = sampling.SampledSubgraph(
-            walk.graph, walk.target_local[[0, 2, 0, 1]], walk.original_ids
-        )
-        cuts = unstack_subgraphs(repeated, walk.target_local)
+        repeated = gather([(walk, 0), (walk, 1), (walk, 2)], [0, 2, 0, 1])
+        assert repeated.graph is walk.graph
+        assert repeated.target_local.tolist() == walk.target_local[[0, 2, 0, 1]].tolist()
+        cuts = unstack(repeated, walk.target_local)
         assert [subgraph_equal(cut, sampler.sample(graph, [t])) for cut, t in zip(cuts, range(3))] == [
             None
         ] * 3
         assert [
-            subgraph_equal(sampling.cut_component(walk, index), cut) for index, cut in enumerate(cuts)
+            subgraph_equal(gather([(repeated, index)]), cut) for index, cut in enumerate(cuts)
         ] == [None] * 3
         with pytest.raises(ValueError, match="target first"):
-            unstack_subgraphs(repeated)  # a repeated root is not one root per component
+            unstack(repeated)  # a repeated root is not one root per component
 
     def test_unstack_refuses_what_is_not_such_a_stack(self):
         graph = random_hetero_graph(np.random.default_rng(12), num_txns=6)
@@ -1148,11 +1162,11 @@ class TestStackSubgraphs:
         union = sampler.sample(graph, [0, 1])  # one component, two targets
         assert union.graph.num_edges
         with pytest.raises(ValueError, match="not a stack"):
-            unstack_subgraphs(union)
+            unstack(union)
         stacked = stack_subgraphs([sampler.sample(graph, [t]) for t in (0, 1)])
         stacked.target_local = stacked.target_local + 1  # targets not first
         with pytest.raises(ValueError, match="target first"):
-            unstack_subgraphs(stacked)
+            unstack(stacked)
 
 
 class TestCacheCountersThreaded:

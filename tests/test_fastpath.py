@@ -27,9 +27,8 @@ from repro.graph import (
     SubgraphCache,
 )
 from repro.check import subgraph_equal, target_parts
-from repro.check.reference import scalar_sample
-from repro.graph import cache as cache_module
-from repro.graph.sampling import cut_component, stack_subgraphs, unstack_subgraphs
+from repro.check.reference import component_bounds, scalar_sample
+from repro.graph.sampling import gather, stack_subgraphs
 from repro.obs import MetricsRegistry
 from repro.reliability import ManualClock
 from repro.serving import (
@@ -161,9 +160,9 @@ class TestEquivalence:
             walk = sample(graph, targets, disjoint=True)
             _assert_identical(walk, stack_subgraphs(parts))
             np.testing.assert_array_equal(walk.graph.labels, stack_subgraphs(parts).graph.labels)
-            for index, (cut, part) in enumerate(zip(unstack_subgraphs(walk), parts)):
-                _assert_identical(cut, part)
-                _assert_identical(cut_component(walk, index), part)
+            np.testing.assert_array_equal(walk.bounds, component_bounds(walk))
+            for index, part in enumerate(parts):
+                _assert_identical(gather([(walk, index)]), part)
             # One target is its own union: the plain route.
             _assert_identical(sample(graph, txn[:1], disjoint=True), sample(graph, txn[:1]))
             with pytest.raises(ValueError):
@@ -308,12 +307,12 @@ class TestSubgraphCache:
         targets = graph.txn_nodes[:3].tolist()
         first = cache.get_or_sample(graph, sampler, targets)
         second = cache.get_or_sample(graph, sampler, targets)
-        assert (cache.misses, cache.hits) == (1, 1)
-        assert second is first
+        assert (cache.misses, cache.hits) == (3, 3)  # a lookup per target
+        assert second is first  # every component of one walk, in order: the walk
         # A different sampler config is a different key, not a hit.
         other = SageSampler(hops=2, fanout=4, seed=0)
         cache.get_or_sample(graph, other, targets)
-        assert cache.misses == 2
+        assert cache.misses == 6
 
     def test_graph_mutation_invalidates(self):
         graph = _sparse_graph()
@@ -324,12 +323,12 @@ class TestSubgraphCache:
         graph.mark_mutated()
         cache.get_or_sample(graph, sampler, targets)
         assert cache.hits == 0
-        assert cache.misses == 2
-        # The pre-mutation entry is stale; invalidate drops it.
+        assert cache.misses == 4
+        # The pre-mutation entries are stale; invalidate drops them.
         cache.invalidate(graph)
-        assert len(cache) == 1
+        assert len(cache) == 2
         cache.get_or_sample(graph, sampler, targets)
-        assert cache.hits == 1
+        assert cache.hits == 2
 
     def test_lru_evicts_oldest(self):
         graph = _sparse_graph()
@@ -373,7 +372,7 @@ class TestSubgraphCache:
         targets = graph.txn_nodes[:2].tolist()
         rounds = 10
         for round_index in range(rounds):
-            fresh = sampler.sample(graph, targets)
+            fresh = sampler.sample(graph, targets, disjoint=True)
             served = cache.get_or_sample(graph, sampler, targets)
             assert cache.get_or_sample(graph, sampler, targets) is served
             np.testing.assert_array_equal(served.original_ids, fresh.original_ids)
@@ -383,7 +382,7 @@ class TestSubgraphCache:
             np.testing.assert_array_equal(served.graph.labels, fresh.graph.labels)
             # Alternate structural and label-only churn.
             graph.mark_mutated(structural=round_index % 2 == 0)
-        assert (cache.misses, cache.hits) == (rounds, rounds)
+        assert (cache.misses, cache.hits) == (2 * rounds, 2 * rounds)
         # Every cached entry predates the last mutation: all stale.
         cache.invalidate(graph)
         assert len(cache) == 0
@@ -452,11 +451,11 @@ class TestSubgraphCache:
         replacement = _sparse_graph()
         kept_targets = replacement.txn_nodes[:2].tolist()
         kept = cache.get_or_sample(replacement, sampler, kept_targets)
-        assert len(cache) == 3
+        assert len(cache) == 6
         del graph
         gc.collect()
-        # Only the replacement's entry survives, and it still serves.
-        assert len(cache) == 1
+        # Only the replacement's entries survive, and they still serve.
+        assert len(cache) == 2
         assert cache.get_or_sample(replacement, sampler, kept_targets) is kept
 
 
@@ -473,9 +472,9 @@ class _CountingSampler(SageSampler):
 
 
 class TestBatchLookup:
-    """``get_or_sample(..., disjoint=True)``: one stacked sample whose
-    components are the per-target loop's samples, and the loop's
-    entries, LRU order and counters, from one sampler call."""
+    """``get_or_sample``: one stacked sample whose components are the
+    per-target loop's samples, and the loop's entries, LRU order and
+    counters, from one sampler call."""
 
     @pytest.mark.parametrize("capacity", [1, 3, 64])
     def test_state_equals_the_per_target_loop(self, capacity):
@@ -494,7 +493,7 @@ class TestBatchLookup:
             if not targets:
                 continue
             lookups = batched.stats()["lookups"]
-            got = batched.get_or_sample(graph, sampler, targets, disjoint=True)
+            got = batched.get_or_sample(graph, sampler, targets)
             want = [looped.get_or_sample(graph, sampler, [target]) for target in targets]
             assert batched.stats()["lookups"] == lookups + len(targets)
             assert len(got.target_local) == len(want)
@@ -513,7 +512,7 @@ class TestBatchLookup:
         cache = SubgraphCache(capacity=8)
         first, second, third = (int(node) for node in graph.txn_nodes[:3])
         alone = cache.get_or_sample(graph, sampler, [first])
-        batch = cache.get_or_sample(graph, sampler, [second, first, second], disjoint=True)
+        batch = cache.get_or_sample(graph, sampler, [second, first, second])
         parts = target_parts(batch)
         assert subgraph_equal(parts[1], alone) is None  # score()'s / warm_cache()'s entry hits
         # A repeated absent target: one miss, then one hit on one component.
@@ -523,10 +522,20 @@ class TestBatchLookup:
         again = cache.get_or_sample(graph, sampler, [second])  # ... and back
         assert subgraph_equal(again, parts[0]) is None
         assert subgraph_equal(again, sampler.sample(graph, [second])) is None
-        # One target is the plain lookup: the stored entry itself.
-        assert cache.get_or_sample(graph, sampler, [third], disjoint=True) is (
+        # A plain sample's entry is returned itself.
+        assert cache.get_or_sample(graph, sampler, [third]) is (
             cache.get_or_sample(graph, sampler, [third])
         )
+        # Components of a walk, hit alone or together with a walk's own,
+        # are the singleton samples of their targets.
+        a, b, c, d = graph.txn_nodes[3:7].tolist()
+        cache.get_or_sample(graph, sampler, [a, b, c])
+        hit = cache.get_or_sample(graph, sampler, [b])
+        assert subgraph_equal(hit, sampler.sample(graph, [b])) is None
+        batch = cache.get_or_sample(graph, sampler, [b, c, d, c])
+        assert batch.num_components == 3
+        for part, target in zip(target_parts(batch), [b, c, d, c]):
+            assert subgraph_equal(part, sampler.sample(graph, [target])) is None
 
     def test_an_all_miss_batch_of_distinct_targets_is_the_walk_itself(self):
         graph = _sparse_graph()
@@ -540,43 +549,14 @@ class TestBatchLookup:
         cache = SubgraphCache(capacity=16)
         sampler = Recording(hops=2, fanout=3, seed=0)
         txn = graph.txn_nodes.tolist()
-        assert cache.get_or_sample(graph, sampler, txn[:4], disjoint=True) is walks[-1]
+        assert cache.get_or_sample(graph, sampler, txn[:4]) is walks[-1]
         # A repeat or a hit adds a component or a root: stacked anew.
-        repeated = cache.get_or_sample(graph, sampler, txn[4:6] + txn[4:5], disjoint=True)
+        repeated = cache.get_or_sample(graph, sampler, txn[4:6] + txn[4:5])
         assert repeated is not walks[-1] and repeated.graph is walks[-1].graph
         assert repeated.target_local.tolist() == walks[-1].target_local[[0, 1, 0]].tolist()
-        mixed = cache.get_or_sample(graph, sampler, [txn[6], txn[0], txn[7]], disjoint=True)
+        mixed = cache.get_or_sample(graph, sampler, [txn[6], txn[0], txn[7]])
         assert mixed.graph is not walks[-1].graph
         assert mixed.original_ids[mixed.target_local].tolist() == [txn[6], txn[0], txn[7]]
-
-    def test_a_walked_entry_is_cut_once_on_its_first_hit(self, monkeypatch):
-        graph = _sparse_graph()
-        sampler = SageSampler(hops=2, fanout=3, seed=0)
-        cache = SubgraphCache(capacity=16)
-        cuts = []
-        cut = cache_module.cut_component
-
-        def counting(walk, index):
-            cuts.append(int(walk.original_ids[walk.target_local[index]]))
-            return cut(walk, index)
-
-        monkeypatch.setattr(cache_module, "cut_component", counting)
-        a, b, c, d = graph.txn_nodes[:4].tolist()
-        cache.get_or_sample(graph, sampler, [a, b, c], disjoint=True)
-        assert cuts == []  # stored as (walk, component): nothing cut
-        first = cache.get_or_sample(graph, sampler, [b])
-        assert cuts == [b]
-        assert cache.get_or_sample(graph, sampler, [b]) is first  # stored cut
-        assert subgraph_equal(first, sampler.sample(graph, [b])) is None
-        batch = cache.get_or_sample(graph, sampler, [b, c, d, c], disjoint=True)
-        assert cuts == [b, c]  # c on its first hit, once for both requests; d walked
-        for part, target in zip(target_parts(batch), [b, c, d, c]):
-            assert subgraph_equal(part, sampler.sample(graph, [target])) is None
-        # a was never hit: a new version drops it uncut.
-        graph.mark_mutated()
-        assert cache.invalidate(graph) == 4
-        cache.get_or_sample(graph, sampler, [a, d], disjoint=True)
-        assert cuts == [b, c]
 
     def test_one_walk_for_the_distinct_misses_of_a_batch(self):
         graph = _sparse_graph()
@@ -585,12 +565,12 @@ class TestBatchLookup:
         txn = graph.txn_nodes.tolist()
         cache.get_or_sample(graph, sampler, [txn[0]])
         sampler.calls.clear()
-        cache.get_or_sample(graph, sampler, [txn[1], txn[0], txn[2], txn[1]], disjoint=True)
+        cache.get_or_sample(graph, sampler, [txn[1], txn[0], txn[2], txn[1]])
         assert sampler.calls == [([txn[1], txn[2]], True)]
-        cache.get_or_sample(graph, sampler, [txn[2], txn[0], txn[1]], disjoint=True)
+        cache.get_or_sample(graph, sampler, [txn[2], txn[0], txn[1]])
         assert len(sampler.calls) == 1  # all hits: the sampler is not called
         with pytest.raises(ValueError, match="at least one target"):
-            cache.get_or_sample(graph, sampler, [], disjoint=True)
+            cache.get_or_sample(graph, sampler, [])
         assert len(sampler.calls) == 1 and cache.stats()["lookups"] == 8
 
     def test_a_walk_that_raises_counts_the_batch_and_inserts_nothing(self):
@@ -609,7 +589,6 @@ class TestBatchLookup:
                 SageSampler(hops=2, fanout=3, seed=0),
                 [txn[1], txn[0], txn[2]],
                 deadline=Spent(),
-                disjoint=True,
             )
         assert cache.stats() == {"hits": 1, "misses": 3, "evictions": 0, "lookups": 4, "entries": 1}
 
@@ -629,7 +608,7 @@ class TestBatchLookup:
                 return super().sample(graph, targets, deadline=deadline, disjoint=disjoint)
 
         targets = graph.txn_nodes[:4].tolist()
-        cache.get_or_sample(graph, Reentering(hops=2, fanout=3, seed=0), targets, disjoint=True)
+        cache.get_or_sample(graph, Reentering(hops=2, fanout=3, seed=0), targets)
         assert [stats["misses"] for stats in seen] == [4]  # counted before the walk
 
     def test_counters_sum_to_lookups_under_concurrent_batches(self):
@@ -648,7 +627,7 @@ class TestBatchLookup:
             try:
                 for _ in range(calls):
                     targets = rng.choice(txn, size=batch).tolist()
-                    sampled = cache.get_or_sample(graph, sampler, targets, disjoint=True)
+                    sampled = cache.get_or_sample(graph, sampler, targets)
                     assert sampled.original_ids[sampled.target_local].tolist() == targets
             except Exception as error:  # pragma: no cover - failure path
                 errors.append(error)

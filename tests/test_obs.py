@@ -305,7 +305,7 @@ class TestCollect:
                 for call in range(calls):
                     target = call % graph.num_nodes
                     cache.invalidate()
-                    sampled = cache.get_or_sample(graph, sampler, [target, target], disjoint=True)
+                    sampled = cache.get_or_sample(graph, sampler, [target, target])
                     assert sampled.target_local.tolist() == [0, 0]  # one component, twice
             except Exception as error:  # pragma: no cover - the failure path
                 failures.append(error)

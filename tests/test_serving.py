@@ -519,9 +519,9 @@ class _BudgetBurningCache(SubgraphCache):
         self.clock = clock
         self.delay_s = delay_s
 
-    def get_or_sample(self, graph, sampler, targets, deadline=None, disjoint=False):
+    def get_or_sample(self, graph, sampler, targets, deadline=None):
         self.clock.advance(self.delay_s)
-        return super().get_or_sample(graph, sampler, targets, deadline, disjoint)
+        return super().get_or_sample(graph, sampler, targets, deadline)
 
 
 class _TickingClock(ManualClock):
