@@ -40,7 +40,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .gen import DELTA_SHAPES, random_delta, random_events, random_hetero_graph, random_weights
-from .invariants import csr_violations, subgraph_equal, wal_violations
+from .invariants import csr_mismatch, csr_violations, subgraph_equal, wal_violations
 
 __all__ = [
     "SCENARIOS",
@@ -145,19 +145,25 @@ def _fuzz_sampler(seed: int, size: int) -> Optional[str]:
 
 @scenario("delta-merge-vs-rebuild")
 def _fuzz_delta_merge(seed: int, size: int) -> Optional[str]:
-    """In-place growth and CSR splice vs a from-scratch graph: a run of
-    deltas long enough to cross buffer reallocations (``2 * size``, 42
-    at the top of the ladder) of every shape — full, edge-only,
-    node-only, empty — with in-place label flips and ``rebuild_csr()``
-    interleaved, audited after every step; the transaction table against
-    the deltas' tables appended in turn; then probe subgraphs."""
-    from ..graph.hetero import HeteroGraph
+    """In-place growth and CSR growth vs a from-scratch graph: a run of
+    deltas long enough to cross buffer reallocations and bucket moves
+    (``2 * size``, 42 at the top of the ladder) of every shape — full,
+    edge-only, node-only, empty — with in-place label flips and
+    ``rebuild_csr()`` interleaved, audited after every step (the grown
+    CSR's compacted view against :func:`~repro.check.reference.
+    splice_csr` run on the same deltas) and each preceded now and then
+    by a copy with one edge mistyped that must be refused whole; the
+    transaction table against the deltas' tables appended in turn; then
+    the full ``validate()`` and probe subgraphs."""
+    from ..graph.hetero import EDGE_TYPES, HeteroGraph
     from ..graph.sampling import SageSampler
+    from .reference import compacted, splice_csr
 
     rng = np.random.default_rng(seed)
+    poison = np.random.default_rng((seed, size))  # its own draws: rng's stay put
     graph = random_hetero_graph(rng, num_txns=size)
-    graph.csr()
-    graph.txn_row  # derived now: the deltas extend it, as they splice the CSR
+    spec, buffers = compacted(graph.csr()), {}
+    graph.txn_row  # derived now: the deltas extend it, as they grow the CSR
     tables = [graph.txn_table.copy()]
     flipped: Dict[int, int] = {}
     for step in range(2 * size):
@@ -173,8 +179,22 @@ def _fuzz_delta_merge(seed: int, size: int) -> Optional[str]:
         shape = str(rng.choice(DELTA_SHAPES, p=(0.7, 0.1, 0.1, 0.1)))
         before, captured, snapshot = graph.version, graph.labels, graph.labels.copy()
         delta = random_delta(rng, graph, 1 + size % 3, shape=shape)
+        edges = len(delta["edge_type"])
+        if edges and poison.random() < 0.5:
+            bad = delta["edge_type"].copy()
+            at = edges - 1 if poison.random() < 0.5 else int(poison.integers(0, edges))
+            bad[at] = (bad[at] + poison.integers(1, len(EDGE_TYPES))) % len(EDGE_TYPES)
+            try:
+                graph.append_delta(**dict(delta, edge_type=bad))
+            except ValueError:
+                pass
+            else:
+                return f"step {step} ({shape}): append_delta took edge {at} of {edges} mistyped"
+            if graph.version != before:
+                return f"step {step} ({shape}): a refused delta moved the version"
         tables.append(delta["txn_table"])
         graph.append_delta(**delta)
+        spec = splice_csr(spec, graph.num_nodes, delta["edge_src"], delta["edge_dst"], buffers)
         if graph.version != before + 1:
             return f"step {step} ({shape}): version {before} -> {graph.version}, expected +1"
         if not (
@@ -184,7 +204,10 @@ def _fuzz_delta_merge(seed: int, size: int) -> Optional[str]:
             return f"step {step} ({shape}): the delta rewrote labels it had already published"
         problems = csr_violations(graph)
         if problems:
-            return f"step {step} ({shape}): merged CSR invalid: {problems[0]}"
+            return f"step {step} ({shape}): grown CSR invalid: {problems[0]}"
+        mismatch = csr_mismatch(graph, spec)
+        if mismatch is not None:
+            return f"step {step} ({shape}): {mismatch} of the splice spec"
     lost = [node for node, label in flipped.items() if graph.labels[node] != label]
     if lost:
         return f"label flips lost across deltas at nodes {lost[:5]}"
@@ -200,9 +223,13 @@ def _fuzz_delta_merge(seed: int, size: int) -> Optional[str]:
         return "grown txn_table != the initial table and every delta's, appended in turn"
     if not np.array_equal(graph.txn_row, rebuilt.txn_row):
         return "txn_row extended across deltas != the one derived on the rebuilt graph"
-    for name, left, right in zip(("indptr", "src", "eid"), graph.csr(), rebuilt.csr()):
-        if not np.array_equal(left, right):
-            return f"merged {name} != rebuilt {name}"
+    mismatch = csr_mismatch(graph, compacted(rebuilt.csr()))
+    if mismatch is not None:
+        return f"{mismatch} of a rebuild"
+    try:
+        graph.validate()
+    except ValueError as error:
+        return f"the grown graph fails validate(): {error}"
     sampler = SageSampler(hops=2, fanout=3, seed=seed & 0xFFFF)
     target = int(np.flatnonzero(graph.node_type == 0)[0])
     diff = subgraph_equal(sampler.sample(graph, [target]), sampler.sample(rebuilt, [target]))
@@ -731,7 +758,7 @@ def _fuzz_pruned_step(seed: int, size: int) -> Optional[str]:
         if step:
             graph.append_delta(**random_delta(rng, graph, 1 + size % 3))
         else:
-            graph.csr()  # so a live graph splices its CSR rather than rebuilding it
+            graph.csr()  # so a live graph grows its CSR rather than rebuilding it
         txns = graph.txn_nodes
         if rng.random() < 0.25:
             targets = rng.permutation(txns)
@@ -1439,7 +1466,7 @@ def _fuzz_disjoint_walk(seed: int, size: int) -> Optional[str]:
     cut out by them must be its singleton sample. Hops 1-3, fanout 1-4 (hubs over
     the cap), targets of every node type with repeats, a target that is
     another's neighbour and edgeless ones; on a fresh graph, on one
-    grown by deltas of every shape (spliced CSR) and after a
+    grown by deltas of every shape (grown CSR) and after a
     compaction. The walk must ask a deadline about exactly the stages
     of ONE singleton walk, once each, and a budget that ends at hop
     ``k`` must end both sides there."""
@@ -1449,7 +1476,7 @@ def _fuzz_disjoint_walk(seed: int, size: int) -> Optional[str]:
     rng = np.random.default_rng(seed)
     chooser = np.random.default_rng((seed, size))  # the gathers' pieces: rng's draws stay put
     graph = random_hetero_graph(rng, num_txns=size)
-    graph.csr()  # so the deltas below splice it
+    graph.csr()  # so the deltas below grow it
     hops, fanout, sampler_seed = 1 + size % 3, int(rng.integers(1, 5)), int(rng.integers(0, 1 << 16))
     walker = SageSampler(hops=hops, fanout=fanout, seed=sampler_seed)
     hg = HGSampler(depth=1 + size % 2, width=fanout, seed=sampler_seed)

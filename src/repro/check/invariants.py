@@ -22,7 +22,7 @@ import os
 import tempfile
 import zlib
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -34,6 +34,7 @@ __all__ = [
     "InvariantCheck",
     "REGISTRY",
     "csr_violations",
+    "csr_mismatch",
     "wal_violations",
     "ledger_violations",
     "subgraph_equal",
@@ -98,15 +99,21 @@ def run_audits(names: Optional[List[str]] = None) -> List[CheckResult]:
 def csr_violations(graph: HeteroGraph) -> List[str]:
     """Falsify the in-edge CSR against the flat edge arrays.
 
-    The CSR contract (``HeteroGraph.csr``): ``indptr`` is a monotone
-    prefix-sum over in-degrees; position ``i`` holds edge
+    The CSR contract (``HeteroGraph.csr``, :class:`~repro.graph.hetero.
+    InEdges`): ``indptr`` is the canonical prefix sum of the in-degrees;
+    each node's run of ``indptr[v + 1] - indptr[v]`` slots from
+    ``base[v]`` lies inside its bucket of ``cap[v]`` slots, inside the
+    slot arrays, and no two buckets overlap; gathered in node order
+    (:func:`~repro.check.reference.compacted`), slot ``i`` holds edge
     ``eid[i]`` with ``edge_dst[eid[i]]`` equal to the bucket node and
-    ``edge_src[eid[i]] == src[i]``; ``eid`` is a permutation of the
-    edge ids that is *stable* (ascending within each bucket), which is
-    the canonical form ``_splice_csr`` must preserve.
+    ``edge_src[eid[i]] == src[i]``, and ``eid`` is a permutation of the
+    edge ids that is *stable* (ascending within each bucket) — what a
+    full rebuild lays out.
     """
+    from .reference import compacted
+
     problems: List[str] = []
-    indptr, src, eid = graph.csr()
+    csr = graph.csr()
     num_nodes, num_edges = graph.num_nodes, graph.num_edges
     # No spare capacity may leak into a public array: each is exactly
     # num_nodes / transactions / num_edges long and C-contiguous, grown or not.
@@ -124,17 +131,32 @@ def csr_violations(graph: HeteroGraph) -> List[str]:
             )
     if problems:
         return problems
-    if indptr.shape != (num_nodes + 1,):
-        return [f"indptr shape {indptr.shape} != ({num_nodes + 1},)"]
+    indptr, base, cap = csr.indptr, csr.base, csr.cap
+    shapes = (indptr.shape, base.shape, cap.shape)
+    if shapes != ((num_nodes + 1,), (num_nodes,), (num_nodes,)):
+        return [f"indptr / base / cap shapes {shapes} for {num_nodes} nodes"]
     if num_nodes >= 0 and (indptr[0] != 0 or indptr[-1] != num_edges):
         problems.append(
             f"indptr endpoints ({indptr[0]}, {indptr[-1]}) != (0, {num_edges})"
         )
-    if np.any(np.diff(indptr) < 0):
-        # Per-bucket checks below repeat by np.diff(indptr); negative
+    degree = np.diff(indptr)
+    if np.any(degree < 0):
+        # Per-bucket checks below repeat by the degrees; negative
         # spans would crash them, so report and stop here.
         problems.append("indptr not monotone non-decreasing")
         return problems
+    if len(csr.src) != len(csr.edge_id):
+        return problems + [f"slot arrays have {len(csr.src)} / {len(csr.edge_id)} entries"]
+    if np.any(degree > cap):
+        node = int(np.flatnonzero(degree > cap)[0])
+        return problems + [f"bucket of node {node} over its capacity"]
+    if np.any(base < 0) or np.any(base + cap > len(csr.src)):
+        return problems + ["a bucket lies outside the slot arrays"]
+    held = np.flatnonzero(cap)
+    ordered = held[np.argsort(base[held], kind="stable")]
+    if np.any((base + cap)[ordered[:-1]] > base[ordered[1:]]):
+        return problems + ["two buckets share slots"]
+    _, src, eid = compacted(csr)
     if len(src) != num_edges or len(eid) != num_edges:
         return problems + [
             f"csr arrays have {len(src)}/{len(eid)} entries for {num_edges} edges"
@@ -144,7 +166,7 @@ def csr_violations(graph: HeteroGraph) -> List[str]:
     if eid.min() < 0 or eid.max() >= num_edges or len(np.unique(eid)) != num_edges:
         problems.append("edge-id column is not a permutation of the edge ids")
         return problems
-    bucket_of = np.repeat(np.arange(num_nodes), np.diff(indptr))
+    bucket_of = np.repeat(np.arange(num_nodes), degree)
     if np.any(graph.edge_dst[eid] != bucket_of):
         problems.append("edge landed in the wrong destination bucket")
     if np.any(graph.edge_src[eid] != src):
@@ -153,6 +175,18 @@ def csr_violations(graph: HeteroGraph) -> List[str]:
     if np.any(np.diff(eid)[same_bucket] <= 0):
         problems.append("edge ids not ascending within a bucket (stability lost)")
     return problems
+
+
+def csr_mismatch(graph: HeteroGraph, spec: Tuple[np.ndarray, ...]) -> Optional[str]:
+    """Where the compacted view of ``graph``'s CSR differs from the
+    canonical ``(indptr, src, eid)`` of ``spec`` — a rebuild's, or
+    :func:`~repro.check.reference.splice_csr`'s — or ``None``."""
+    from .reference import compacted
+
+    for name, left, right in zip(("indptr", "src", "eid"), compacted(graph.csr()), spec):
+        if not np.array_equal(left, right):
+            return f"grown {name} != {name}"
+    return None
 
 
 def txn_table_violations(graph: HeteroGraph, want: np.ndarray) -> List[str]:
@@ -308,9 +342,10 @@ def ledger_violations(store) -> List[str]:
 @invariant(
     "graph-csr-validity",
     layer="graph",
-    falsifies="CSR indptr/indices/edge-id agreement with the flat edge "
+    falsifies="CSR buckets / indptr / edge-id agreement with the flat edge "
     "arrays, public arrays exactly num_nodes/num_edges long (no spare "
-    "capacity published), and version bumps: +1 per append_delta, 0 per compact",
+    "capacity published), version bumps: +1 per append_delta, 0 per "
+    "rebuild, and the full validate() of the grown graph",
 )
 def _check_csr_validity() -> List[str]:
     problems: List[str] = []
@@ -327,6 +362,10 @@ def _check_csr_validity() -> List[str]:
                 f"{before}->{graph.version}, expected +1"
             )
         problems += [f"seed {seed} post-delta: {p}" for p in csr_violations(graph)]
+        try:  # the whole-graph pass compaction no longer makes
+            graph.validate()
+        except ValueError as error:
+            problems.append(f"seed {seed}: the grown graph fails validate(): {error}")
         at_delta = graph.version
         graph.rebuild_csr()
         if graph.version != at_delta:
@@ -335,7 +374,7 @@ def _check_csr_validity() -> List[str]:
     # Self-test: a corrupted CSR must be caught.
     rng = np.random.default_rng(99)
     graph = random_hetero_graph(rng, num_txns=5)
-    indptr, src, eid = graph.csr()
+    src = graph.csr().src
     if graph.num_edges >= 2:
         src[0] = (src[0] + 1) % graph.num_nodes
         if not csr_violations(graph):
@@ -354,18 +393,22 @@ def _check_csr_validity() -> List[str]:
 @invariant(
     "graph-delta-merge-rebuild",
     layer="graph/stream",
-    falsifies="append_delta's in-place CSR splice being "
-    "bit-identical to a stable full rebuild",
+    falsifies="append_delta's CSR growth into bucket headroom: its "
+    "compacted view bit-identical to the splice spec and to a stable "
+    "full rebuild",
 )
 def _check_delta_merge() -> List[str]:
+    from .reference import compacted, splice_csr
+
     problems: List[str] = []
     for seed in (0, 3, 7):
         rng = np.random.default_rng(seed)
         graph = random_hetero_graph(rng, num_txns=6)
-        graph.csr()  # warm, so append_delta takes the merge path
+        spec, buffers = compacted(graph.csr()), {}  # warm, so append_delta grows it
         for _ in range(3):
-            graph.append_delta(**random_delta(rng, graph, num_new_txns=2))
-        merged = graph.csr()
+            delta = random_delta(rng, graph, num_new_txns=2)
+            graph.append_delta(**delta)
+            spec = splice_csr(spec, graph.num_nodes, delta["edge_src"], delta["edge_dst"], buffers)
         rebuilt = HeteroGraph(
             node_type=graph.node_type.copy(),
             edge_src=graph.edge_src.copy(),
@@ -373,10 +416,11 @@ def _check_delta_merge() -> List[str]:
             edge_type=graph.edge_type.copy(),
             txn_table=graph.txn_table.copy(),
             labels=graph.labels.copy(),
-        ).csr()
-        for name, left, right in zip(("indptr", "src", "eid"), merged, rebuilt):
-            if not np.array_equal(left, right):
-                problems.append(f"seed {seed}: merged {name} != rebuilt {name}")
+        )
+        for name, want in (("the splice spec", spec), ("a rebuild", compacted(rebuilt.csr()))):
+            mismatch = csr_mismatch(graph, want)
+            if mismatch is not None:
+                problems.append(f"seed {seed}: {mismatch} of {name}")
     return problems
 
 

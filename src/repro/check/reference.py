@@ -1,4 +1,4 @@
-"""Executable specs: the slow, obvious form of seven fast paths.
+"""Executable specs: the slow, obvious form of eight fast paths.
 
 **The detector, one ``Tensor`` op at a time.** Each
 :class:`~repro.models.hetero_conv.HeteroConvLayer` and the detector's
@@ -20,6 +20,13 @@ configuration off the sampler instance it is the spec of and asking the
 same stateless hash the same questions, so the two return identical
 :class:`~repro.graph.sampling.SampledSubgraph` objects seed for seed.
 
+**The CSR grown by a delta, shifted into place.** :func:`splice_csr`
+moves every old entry right to make room for the delta's — the canonical
+in-edge CSR, as a full stable rebuild lays it out — and
+:func:`compacted` reads a bucketed :class:`~repro.graph.hetero.InEdges`
+in that form; :meth:`~repro.graph.hetero.HeteroGraph.append_delta`'s
+growth into headroom is held to both.
+
 **A stack's components, found by search.** :func:`component_bounds` is
 what a sample's recorded :attr:`~repro.graph.sampling.SampledSubgraph.bounds`
 must read, worked out of its arrays alone, and :func:`unstack` cuts each
@@ -35,18 +42,18 @@ read's health accounting made as it happens.
 through flat buffers: SGD (momentum), Adam (coupled decay) and AdamW,
 parameter by parameter, each moment written through its view.
 
-Only ``repro.check`` scenarios, tests, one bench and one demo gate call
+Only ``repro.check`` scenarios, tests, benches and one demo gate call
 this module; nothing that trains, explains or serves does.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .. import nn
-from ..graph.hetero import EDGE_TYPES, NODE_TYPES, HeteroGraph
+from ..graph.hetero import EDGE_TYPES, NODE_TYPES, HeteroGraph, InEdges, _ranges, _reserve
 from ..graph.sampling import (
     _EMPTY,
     HGSampler,
@@ -276,11 +283,11 @@ def _canonical(unique_targets: np.ndarray, discovered: List[int]) -> np.ndarray:
 def _sage_walk(
     sampler: SageSampler, graph: HeteroGraph, unique_targets: np.ndarray, deadline
 ) -> np.ndarray:
-    indptr, src_sorted, _ = graph.csr()
+    indptr, base, _, src, _ = graph.csr()
     edge_salt = _salt(sampler.seed)
 
     def kept_positions(node: int) -> np.ndarray:
-        """The node's CSR slice, cut to its ``fanout`` smallest hash keys."""
+        """The node's CSR positions, cut to its ``fanout`` smallest hash keys."""
         positions = np.arange(int(indptr[node]), int(indptr[node + 1]), dtype=np.int64)
         if len(positions) <= sampler.fanout:
             return positions
@@ -296,7 +303,7 @@ def _sage_walk(
         next_frontier: List[int] = []
         for node in frontier:
             for position in kept_positions(node):
-                neighbor = int(src_sorted[position])
+                neighbor = int(src[base[node] + position - indptr[node]])  # the position's slot
                 if neighbor not in visited:
                     visited[neighbor] = None
                     next_frontier.append(neighbor)
@@ -352,6 +359,69 @@ def _hg_walk(
             add_to_budget(node)
         discovered.extend(newly_sampled)
     return _canonical(unique_targets, discovered)
+
+
+# ----------------------------------------------------------------------
+# The in-edge CSR, canonical
+# ----------------------------------------------------------------------
+def compacted(csr: InEdges) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(indptr, src, edge_id)``: every bucket's run gathered in node
+    order — node ``v``'s in-edges at ``indptr[v]:indptr[v + 1]`` — which
+    a CSR without headroom already is."""
+    slots = _ranges(csr.base, np.diff(csr.indptr))
+    return csr.indptr, csr.src[slots], csr.edge_id[slots]
+
+
+def splice_csr(
+    csr: Tuple[np.ndarray, np.ndarray, np.ndarray],
+    num_nodes: int,
+    new_src: np.ndarray,
+    new_dst: np.ndarray,
+    buffers: Dict[str, np.ndarray],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Splice delta edges into a canonical in-edge CSR, in place.
+
+    Per destination bucket the result is [old entries in their old
+    order, new entries stable-sorted by destination] — exactly what
+    ``np.argsort(edge_dst, kind="stable")`` over the grown edge
+    arrays produces.
+
+    The ``k``-th new entry in destination order lands ``k`` slots
+    past the old end of its bucket, and the old entries between two
+    receiving buckets move right as one block by the number of new
+    entries below them. Blocks are shifted back to front inside the
+    reserved ``buffers`` (the rightmost first, so no move overwrites
+    an unmoved entry): one pass of slice copies, no E-sized
+    temporaries.
+    """
+    indptr, src_sorted, eid_sorted = csr
+    old_edges = len(src_sorted)
+    ends = np.empty(num_nodes + 1, dtype=np.int64)  # old bucket ends, then new indptr
+    ends[: len(indptr)] = indptr
+    ends[len(indptr) :] = old_edges
+    if not len(new_src):
+        return (ends, src_sorted, eid_sorted)
+    src_buffer = _reserve(buffers, "src_by_dst", src_sorted, len(new_src))
+    eid_buffer = _reserve(buffers, "edge_id_by_dst", eid_sorted, len(new_src))
+    order = np.argsort(new_dst, kind="stable")
+    dst_ordered = new_dst[order]
+    positions = ends[dst_ordered + 1] + np.arange(len(order), dtype=np.int64)
+    # One block per receiving bucket: the old entries from its old
+    # end up to the next receiving bucket's, shifted by the number
+    # of new entries at or below it.
+    shifts = np.append(np.flatnonzero(np.diff(dst_ordered)) + 1, len(order))
+    receiving = dst_ordered[shifts - 1] + 1
+    cuts = ends[receiving].tolist() + [old_edges]
+    ends[receiving[0] :] += np.repeat(shifts, np.diff(np.append(receiving, num_nodes + 1)))
+    for block in range(len(shifts) - 1, -1, -1):
+        start, stop, shift = cuts[block], cuts[block + 1], int(shifts[block])
+        if start < stop:
+            src_buffer[start + shift : stop + shift] = src_buffer[start:stop]
+            eid_buffer[start + shift : stop + shift] = eid_buffer[start:stop]
+    src_buffer[positions] = new_src[order]
+    eid_buffer[positions] = order + old_edges
+    total = old_edges + len(order)
+    return (ends, src_buffer[:total], eid_buffer[:total])
 
 
 # ----------------------------------------------------------------------

@@ -9,18 +9,19 @@ convolution layer.
 
 :class:`HeteroGraph` stores the graph in flat numpy arrays — node type
 ids, directed edge lists with edge-type ids, a feature row per
-transaction, and labels — plus a lazily built CSR adjacency.
+transaction, and labels — plus a lazily built CSR (:class:`InEdges`).
 
 A static graph owns exactly those arrays. One that grows through
 :meth:`HeteroGraph.append_delta` keeps each behind a spare-capacity
 buffer and publishes exact-length prefix views, so a delta costs
-amortised O(delta) rows written rather than a copy of the graph.
+amortised O(delta) rows written rather than a copy of the graph; the
+CSR's buckets keep headroom, so no old CSR entry moves either.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -68,8 +69,7 @@ _EDGE_TYPE_OF_PAIR[EDGE_ENDPOINTS[:, 0] * len(NODE_TYPES) + EDGE_ENDPOINTS[:, 1]
 
 def _check_edge_schema(src_type: np.ndarray, dst_type: np.ndarray, edge_type: np.ndarray) -> None:
     """Raise ValueError unless each edge's type is the one its endpoints'
-    node types imply (a compaction re-validates every edge: one lookup
-    per edge, no ``(E, 2)`` temporaries)."""
+    node types imply (one lookup per edge, no ``(E, 2)`` temporaries)."""
     implied = _EDGE_TYPE_OF_PAIR[src_type * len(NODE_TYPES) + dst_type]
     if not np.array_equal(implied, edge_type):
         bad = int(np.flatnonzero(implied != edge_type)[0])
@@ -152,6 +152,34 @@ def _reserve(buffers: Dict[str, np.ndarray], name: str, view: np.ndarray, extra:
     return buffer
 
 
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``starts[i] : starts[i] + counts[i]`` for every ``i``, concatenated."""
+    ends = np.cumsum(counts)
+    if len(ends) == 0 or ends[-1] == 0:
+        return np.zeros(0, dtype=np.int64)
+    return np.repeat(starts - (ends - counts), counts) + np.arange(ends[-1], dtype=np.int64)
+
+
+class InEdges(NamedTuple):
+    """The in-edge CSR of :meth:`HeteroGraph.csr`, in buckets with headroom.
+
+    Node ``v``'s in-edges are one run of ``indptr[v + 1] - indptr[v]``
+    slots of ``src`` / ``edge_id`` from ``base[v]``, ascending edge id,
+    inside a bucket of ``cap[v]`` slots no other bucket overlaps.
+    ``indptr`` is the canonical prefix sum of the in-degrees: entry ``i``
+    of ``v``'s run has CSR *position* ``indptr[v] + i``, the key the SAGE
+    fanout hashes. A CSR built from the edge arrays has no headroom
+    (``base`` is ``indptr[:-1]``, ``cap`` the degrees).
+    """
+
+    indptr: np.ndarray
+    base: np.ndarray
+    cap: np.ndarray
+    src: np.ndarray
+    edge_id: np.ndarray
+
+
+
 @dataclass
 class HeteroGraph:
     """A typed transaction graph in flat-array form.
@@ -177,9 +205,7 @@ class HeteroGraph:
     edge_type: np.ndarray
     txn_table: np.ndarray
     labels: np.ndarray
-    _csr: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
-        default=None, repr=False, compare=False
-    )
+    _csr: Optional[InEdges] = field(default=None, repr=False, compare=False)
     _version: int = field(default=0, repr=False, compare=False)
     #: Spare-capacity buffers behind the arrays :meth:`append_delta` has
     #: grown, by name; ``None`` on a graph that never appended.
@@ -313,7 +339,7 @@ class HeteroGraph:
         edge_dst: Sequence[int],
         edge_type: Sequence[int],
     ) -> None:
-        """Append new nodes/edges *in place*, splicing the cached CSR;
+        """Append new nodes/edges *in place*, growing the cached CSR;
         ``txn_table`` holds a row per new transaction, in node order.
 
         The streaming ingestion path (:class:`repro.stream.builder.
@@ -332,11 +358,13 @@ class HeteroGraph:
         CSR and version together — so an array captured before a delta
         (``old = graph.labels``) keeps its length and its prefix, and a
         rejected delta changes nothing. New edges may reference both old
-        and new nodes; endpoints are validated against the grown count.
+        and new nodes; only the delta is validated (O(delta)), against
+        the grown node count and the old nodes' types.
 
-        A built CSR is *spliced* rather than dropped (:meth:`_splice_csr`)
-        — bit-identical to a full stable rebuild. Its source / edge-id
-        arrays are shifted in place: a CSR tuple is good until the next
+        A built CSR is grown rather than dropped (:meth:`_grow_csr`):
+        each in-edge goes into its bucket's headroom, so old entries
+        never move and the compacted view equals a full stable rebuild.
+        ``indptr`` is added to in place: a CSR is good until the next
         delta, after which holders re-read :meth:`csr`.
         """
         new_nt = np.asarray(node_type, dtype=np.int64)
@@ -371,74 +399,72 @@ class HeteroGraph:
                 views[name] = buffer[: len(view) + len(rows)]
         csr = self._csr
         if csr is not None:
-            csr = self._splice_csr(csr, grown, new_src, new_dst, buffers)
+            csr = self._grow_csr(csr, grown, new_src, new_dst, buffers)
         for name, view in views.items():
             setattr(self, name, view)
         self._buffers, self._csr = buffers, csr
         self._version += 1
 
     @staticmethod
-    def _splice_csr(
-        csr: Tuple[np.ndarray, np.ndarray, np.ndarray],
+    def _grow_csr(
+        csr: InEdges,
         num_nodes: int,
         new_src: np.ndarray,
         new_dst: np.ndarray,
         buffers: Dict[str, np.ndarray],
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Splice delta edges into an existing in-edge CSR, in place.
+    ) -> InEdges:
+        """Write delta in-edges into an existing CSR's buckets.
 
-        Per destination bucket the result is [old entries in their old
-        order, new entries stable-sorted by destination] — exactly what
+        Per destination the run becomes [old entries in their old order,
+        new entries in ascending edge id] — exactly what
         ``np.argsort(edge_dst, kind="stable")`` over the grown edge
-        arrays produces, so callers may treat spliced and rebuilt CSRs
-        interchangeably (asserted bit-for-bit by the stream tests).
+        arrays lists, so the compacted view of a grown CSR and a rebuilt
+        one are interchangeable (held to it by ``repro check``, against
+        :func:`repro.check.reference.splice_csr`).
 
-        The ``k``-th new entry in destination order lands ``k`` slots
-        past the old end of its bucket, and the old entries between two
-        receiving buckets move right as one block by the number of new
-        entries below them. Blocks are shifted back to front inside the
-        reserved ``buffers`` (the rightmost first, so no move overwrites
-        an unmoved entry): one pass of slice copies, no E-sized
-        temporaries.
+        A bucket with room takes its new entries in place. One without
+        — and every new node's, which has none — moves once to the tail
+        with room for twice its new size, so the moves of a whole stream
+        cost O(final size). Old slots are left behind, never shifted;
+        the one O(nodes) step is the in-place add over ``indptr``.
         """
-        indptr, src_sorted, eid_sorted = csr
-        old_edges = len(src_sorted)
-        ends = np.empty(num_nodes + 1, dtype=np.int64)  # old bucket ends, then new indptr
-        ends[: len(indptr)] = indptr
-        ends[len(indptr) :] = old_edges
-        if not len(new_src):
-            return (ends, src_sorted, eid_sorted)
-        src_buffer = _reserve(buffers, "src_by_dst", src_sorted, len(new_src))
-        eid_buffer = _reserve(buffers, "edge_id_by_dst", eid_sorted, len(new_src))
+        indptr, base, cap, src, edge_id = csr
+        old_nodes, tail, grown = len(base), len(src), num_nodes - len(base)
+        indptr = _reserve(buffers, "indptr", indptr, grown)[: num_nodes + 1]
+        base = _reserve(buffers, "base", base, grown)[:num_nodes]
+        cap = _reserve(buffers, "cap", cap, grown)[:num_nodes]
+        indptr[old_nodes + 1 :] = indptr[old_nodes]
+        base[old_nodes:], cap[old_nodes:] = tail, 0
+        if not len(new_dst):
+            return InEdges(indptr, base, cap, src, edge_id)
         order = np.argsort(new_dst, kind="stable")
-        dst_ordered = new_dst[order]
-        positions = ends[dst_ordered + 1] + np.arange(len(order), dtype=np.int64)
-        # One block per receiving bucket: the old entries from its old
-        # end up to the next receiving bucket's, shifted by the number
-        # of new entries at or below it.
-        shifts = np.append(np.flatnonzero(np.diff(dst_ordered)) + 1, len(order))
-        receiving = dst_ordered[shifts - 1] + 1
-        cuts = ends[receiving].tolist() + [old_edges]
-        ends[receiving[0] :] += np.repeat(shifts, np.diff(np.append(receiving, num_nodes + 1)))
-        for block in range(len(shifts) - 1, -1, -1):
-            start, stop, shift = cuts[block], cuts[block + 1], int(shifts[block])
-            if start < stop:
-                src_buffer[start + shift : stop + shift] = src_buffer[start:stop]
-                eid_buffer[start + shift : stop + shift] = eid_buffer[start:stop]
-        src_buffer[positions] = new_src[order]
-        eid_buffer[positions] = order + old_edges
-        total = old_edges + len(order)
-        return (ends, src_buffer[:total], eid_buffer[:total])
+        dst = new_dst[order]
+        runs = np.flatnonzero(np.concatenate(([True], dst[1:] != dst[:-1], [True])))
+        nodes, counts = dst[runs[:-1]], np.diff(runs)
+        degree = indptr[nodes + 1] - indptr[nodes]
+        moves = degree + counts > cap[nodes]
+        movers, kept, room = nodes[moves], degree[moves], 2 * (degree + counts)[moves]
+        needed = int(room.sum())
+        src = _reserve(buffers, "src_by_dst", src, needed)
+        edge_id = _reserve(buffers, "edge_id_by_dst", edge_id, needed)
+        old_slots = _ranges(base[movers], kept)
+        base[movers], cap[movers] = tail + np.cumsum(room) - room, room
+        new_slots = _ranges(base[movers], kept)
+        src[new_slots], edge_id[new_slots] = src[old_slots], edge_id[old_slots]
+        at = np.repeat(base[nodes] + degree - runs[:-1], counts) + np.arange(len(dst))
+        src[at], edge_id[at] = new_src[order], order + indptr[-1]
+        indptr[nodes[0] + 1 :] += np.repeat(runs[1:], np.diff(nodes, append=num_nodes))
+        return InEdges(indptr, base, cap, src[: tail + needed], edge_id[: tail + needed])
 
-    def rebuild_csr(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Drop any (possibly delta-merged) CSR and rebuild canonically.
+    def rebuild_csr(self) -> InEdges:
+        """Drop any (possibly delta-grown) CSR and rebuild it without headroom.
 
-        The from-scratch side of every splice-vs-rebuild comparison
+        The from-scratch side of every grown-vs-rebuilt comparison
         (``repro.check``, the stream demo's gate): one freshly sorted
-        layout, bit-identical to the merged CSR it replaces, so the
-        :attr:`version` is *not* bumped and warm subgraph caches stay
-        valid. Nothing on the serving path calls it — compaction keeps
-        the spliced CSR.
+        layout whose compacted view is bit-identical to the grown CSR it
+        replaces, so the :attr:`version` is *not* bumped and warm
+        subgraph caches stay valid. Nothing on the serving path calls it
+        — compaction keeps the grown CSR.
         """
         self._csr = None
         return self.csr()
@@ -456,10 +482,10 @@ class HeteroGraph:
         if txn_table.ndim != 2 or len(txn_table) != len(self.txn_table):
             raise ValueError("txn_table must be (transactions, feature_dim)")
         if self._buffers and self._csr is not None:
-            # The clone shares this CSR's arrays: give up splicing them
+            # The clone shares this CSR's arrays: give up growing them
             # in place, so the next delta re-adopts them by copy.
-            self._buffers.pop("src_by_dst", None)
-            self._buffers.pop("edge_id_by_dst", None)
+            for name in ("indptr", "base", "cap", "src_by_dst", "edge_id_by_dst"):
+                self._buffers.pop(name, None)
         arrays = (self.node_type, self.edge_src, self.edge_dst, self.edge_type)
         clone = HeteroGraph.derived(*arrays, txn_table, self.labels)
         clone._csr, clone._version, clone._txn_row = self._csr, self._version, self._txn_row
@@ -468,31 +494,28 @@ class HeteroGraph:
     # ------------------------------------------------------------------
     # Adjacency
     # ------------------------------------------------------------------
-    def csr(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """In-edge CSR: ``(indptr, src_by_dst, edge_id_by_dst)``.
-
-        For target node ``v``, its incoming edges occupy the slice
-        ``indptr[v]:indptr[v + 1]`` of the returned source and edge-id
-        arrays. Built lazily and cached.
+    def csr(self) -> InEdges:
+        """The in-edge CSR (:class:`InEdges`): node ``v``'s incoming
+        edges are ``src`` / ``edge_id`` at ``base[v]`` onwards, in
+        ascending edge id, ``indptr[v + 1] - indptr[v]`` of them. Built
+        lazily, without headroom, and cached; :meth:`append_delta` grows it.
         """
         if self._csr is None:
             order = np.argsort(self.edge_dst, kind="stable")
-            sorted_dst = self.edge_dst[order]
+            counts = np.bincount(self.edge_dst, minlength=self.num_nodes)
             indptr = np.zeros(self.num_nodes + 1, dtype=np.int64)
-            counts = np.bincount(sorted_dst, minlength=self.num_nodes)
-            indptr[1:] = np.cumsum(counts)
-            self._csr = (indptr, self.edge_src[order], order)
+            np.cumsum(counts, out=indptr[1:])
+            self._csr = InEdges(indptr, indptr[:-1], counts, self.edge_src[order], order)
         return self._csr
 
     def in_neighbors(self, node: int) -> np.ndarray:
         """Source nodes of edges pointing at ``node``."""
-        indptr, src_sorted, _ = self.csr()
-        return src_sorted[indptr[node] : indptr[node + 1]]
+        return self.edge_src[self.in_edges(node)]
 
     def in_edges(self, node: int) -> np.ndarray:
         """Edge ids (into the flat edge arrays) pointing at ``node``."""
-        indptr, _, edge_ids = self.csr()
-        return edge_ids[indptr[node] : indptr[node + 1]]
+        indptr, base, _, _, edge_ids = self.csr()
+        return edge_ids[base[node] : base[node] + indptr[node + 1] - indptr[node]]
 
     def degree(self) -> np.ndarray:
         """In-degree per node (== out-degree for symmetric graphs)."""
@@ -602,19 +625,8 @@ class HeteroGraph:
     def _candidate_in_edges(self, nodes: np.ndarray) -> np.ndarray:
         """Ids of every edge whose *destination* is in ``nodes``
         (unfiltered CSR gather; callers filter by source membership)."""
-        indptr, _, edge_ids_by_dst = self._csr
-        starts = indptr[nodes]
-        counts = indptr[nodes + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            return np.zeros(0, dtype=np.int64)
-        offsets = np.cumsum(counts) - counts
-        flat = (
-            np.arange(total, dtype=np.int64)
-            - np.repeat(offsets, counts)
-            + np.repeat(starts, counts)
-        )
-        return edge_ids_by_dst[flat]
+        csr = self._csr
+        return csr.edge_id[_ranges(csr.base[nodes], csr.indptr[nodes + 1] - csr.indptr[nodes])]
 
     def connected_component(self, seed: int) -> np.ndarray:
         """Node ids of the undirected connected component of ``seed``."""

@@ -23,10 +23,10 @@ computes its loss on (every model's ``loss`` calls it).
 
 Purity contract
 ---------------
-Each walk is written once, as CSR array gathers (``indptr``/``indices``
-slices, segment top-k via ``np.lexsort``, ``np.unique`` dedup) with no
-per-node Python loop, and draws its randomness from a *stateless* hash
-(splitmix64 over ``(seed, edge-position)`` for SAGE fanout capping,
+Each walk is written once, as CSR array gathers (runs of in-edge slots,
+segment top-k via ``np.lexsort``, ``np.unique`` dedup) with no per-node
+Python loop, and draws its randomness from a *stateless* hash
+(splitmix64 over ``(seed, canonical CSR position)`` for SAGE fanout capping,
 ``(seed, step, node)`` exponential races for HGSampling's weighted
 draws). So ``sample()`` is a pure function of ``(graph, targets,
 config)``: repeated calls agree, which is what makes
@@ -71,7 +71,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .hetero import NODE_TYPE_IDS, NODE_TYPES, HeteroGraph
+from .hetero import NODE_TYPE_IDS, NODE_TYPES, HeteroGraph, InEdges, _ranges
 
 _EMPTY = np.zeros(0, dtype=np.int64)
 _TXN = NODE_TYPE_IDS["txn"]
@@ -119,25 +119,15 @@ def _first_occurrence_unique(values: np.ndarray) -> np.ndarray:
 
 
 def _concat_csr_slices(
-    indptr: np.ndarray, nodes: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Concatenated CSR positions of the in-edges of ``nodes``.
-
-    Returns ``(positions, counts)`` where ``positions`` walks each
-    node's ``indptr[v]:indptr[v+1]`` slice in order — the flat gather
-    behind every vectorized frontier expansion here.
-    """
-    starts = indptr[nodes]
-    counts = indptr[nodes + 1] - starts
-    return _ranges(starts, counts), counts
-
-
-def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """``starts[i] : starts[i] + counts[i]`` for every ``i``, concatenated."""
-    ends = np.cumsum(counts)
-    if len(ends) == 0 or ends[-1] == 0:
-        return _EMPTY
-    return np.repeat(starts - (ends - counts), counts) + np.arange(ends[-1], dtype=np.int64)
+    csr: InEdges, nodes: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(slots, counts, starts)`` of the in-edges of ``nodes``: ``slots``
+    walks each node's run in order — the flat gather behind every
+    vectorized frontier expansion here — and ``starts`` holds each run's
+    canonical position, ``indptr[v]``."""
+    starts = csr.indptr[nodes]
+    counts = csr.indptr[nodes + 1] - starts
+    return _ranges(csr.base[nodes], counts), counts, starts
 
 
 @dataclass(eq=False)
@@ -388,7 +378,7 @@ class SageSampler(_Sampler):
         return (self.kind, self.hops, self.fanout, self.seed)
 
     def _expand(self, graph: HeteroGraph, unique_targets: np.ndarray, deadline) -> np.ndarray:
-        indptr, src_sorted, _ = graph.csr()
+        csr = graph.csr()
         visited = np.zeros(graph.num_nodes, dtype=bool)
         visited[unique_targets] = True
         frontier = unique_targets
@@ -397,9 +387,9 @@ class SageSampler(_Sampler):
             if deadline is not None:
                 deadline.check(f"sampling hop {hop}")
             if len(frontier):
-                positions, counts = _concat_csr_slices(indptr, frontier)
-                kept = self._kept(positions, counts)
-                neighbors = src_sorted[positions if kept is None else positions[kept]]
+                slots, counts, starts = _concat_csr_slices(csr, frontier)
+                kept = self._kept(starts, counts)
+                neighbors = csr.src[slots if kept is None else slots[kept]]
                 fresh = np.unique(neighbors[~visited[neighbors]])
                 visited[fresh] = True
                 discovered.append(fresh)
@@ -407,15 +397,15 @@ class SageSampler(_Sampler):
         rest = np.sort(np.concatenate(discovered)) if discovered else _EMPTY
         return np.concatenate([unique_targets, rest])
 
-    def _kept(self, positions: np.ndarray, counts: np.ndarray) -> Optional[np.ndarray]:
-        """Which of ``positions`` (the concatenated CSR slices of the
-        frontier, ``counts`` long each) survive the fanout cap: per
-        slice the ``fanout`` smallest hash keys, all slices at once.
-        ``None`` when no slice is over the cap (keep everything)."""
-        total = len(positions)
-        if total == 0 or int(counts.max()) <= self.fanout:
+    def _kept(self, starts: np.ndarray, counts: np.ndarray) -> Optional[np.ndarray]:
+        """Which entries of the frontier's concatenated CSR slices (from
+        canonical positions ``starts``, ``counts`` long each) survive the
+        fanout cap: per slice the ``fanout`` smallest hash keys of their
+        positions. ``None`` when no slice is over the cap (keep everything)."""
+        if len(counts) == 0 or int(counts.max()) <= self.fanout:
             return None
-        keys = _hash_uniform(positions, self._edge_salt)
+        keys = _hash_uniform(_ranges(starts, counts), self._edge_salt)
+        total = len(keys)
         segments = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
         order = np.lexsort((keys, segments))
         offsets = np.cumsum(counts) - counts
@@ -434,7 +424,7 @@ class SageSampler(_Sampler):
         """
         if len(targets) == 0:
             raise ValueError("need at least one target to sample")
-        indptr, src_sorted, _ = graph.csr()
+        csr = graph.csr()
         stride = graph.num_nodes
         roots = np.arange(len(targets), dtype=np.int64) * stride + targets
         seen = frontier = roots  # ascending: one key per component so far
@@ -443,12 +433,12 @@ class SageSampler(_Sampler):
                 deadline.check(f"sampling hop {hop}")
             if len(frontier):
                 component, node = np.divmod(frontier, stride)
-                positions, counts = _concat_csr_slices(indptr, node)
+                slots, counts, starts = _concat_csr_slices(csr, node)
                 component = np.repeat(component, counts)
-                kept = self._kept(positions, counts)
+                kept = self._kept(starts, counts)
                 if kept is not None:
-                    positions, component = positions[kept], component[kept]
-                reached = np.unique(component * stride + src_sorted[positions])
+                    slots, component = slots[kept], component[kept]
+                reached = np.unique(component * stride + csr.src[slots])
                 frontier = reached[~_in_sorted(seen, reached)[0]]
                 seen = np.sort(np.concatenate([seen, frontier]))
         return _induce_disjoint(graph, roots, seen)
@@ -490,7 +480,7 @@ class HGSampler(_Sampler):
         return (self.kind, self.depth, self.width, self.seed)
 
     def _expand(self, graph: HeteroGraph, unique_targets: np.ndarray, deadline) -> np.ndarray:
-        indptr, src_sorted, _ = graph.csr()
+        csr = graph.csr()
         inverse_degree = 1.0 / np.maximum(graph.degree(), 1).astype(np.float64)
         num_nodes = graph.num_nodes
         score = np.zeros(num_nodes, dtype=np.float64)
@@ -511,10 +501,10 @@ class HGSampler(_Sampler):
             slices — so the accumulated float scores are bitwise equal
             to its. Returns the grown membership array.
             """
-            positions, counts = _concat_csr_slices(indptr, new_nodes)
-            if len(positions) == 0:
+            slots, counts, _ = _concat_csr_slices(csr, new_nodes)
+            if len(slots) == 0:
                 return members
-            neighbors = src_sorted[positions]
+            neighbors = csr.src[slots]
             weights = np.repeat(inverse_degree[new_nodes], counts)
             live = ~sampled[neighbors]
             neighbors = neighbors[live]
@@ -583,23 +573,23 @@ def receptive_field(graph: HeteroGraph, targets: Sequence[int], hops: int) -> Sa
         raise ValueError("hops must be >= 0")
     targets = np.asarray(targets, dtype=np.int64)
     frontier = unique_targets = _first_occurrence_unique(targets)
-    indptr, src_sorted, edge_id_sorted = graph.csr()
+    csr = graph.csr()
     visited = np.zeros(graph.num_nodes, dtype=bool)
     visited[frontier] = True
     discovered: List[np.ndarray] = []
     walked: List[np.ndarray] = []
     for _ in range(hops):
-        positions, _ = _concat_csr_slices(indptr, frontier)
-        if len(positions) == 0:
+        slots, _, _ = _concat_csr_slices(csr, frontier)
+        if len(slots) == 0:
             break
-        walked.append(positions)
-        neighbors = src_sorted[positions]
+        walked.append(slots)
+        neighbors = csr.src[slots]
         frontier = np.unique(neighbors[~visited[neighbors]])
         visited[frontier] = True
         discovered.append(frontier)
     rest = np.sort(np.concatenate(discovered)) if discovered else _EMPTY
     # A node enters the frontier once, so no CSR slice is walked twice.
-    edge_ids = np.sort(edge_id_sorted[np.concatenate(walked)]) if walked else _EMPTY
+    edge_ids = np.sort(csr.edge_id[np.concatenate(walked)]) if walked else _EMPTY
     return _induce(graph, np.concatenate([unique_targets, rest]), targets, edge_ids)
 
 
@@ -653,13 +643,13 @@ def _induce_disjoint(graph: HeteroGraph, roots: np.ndarray, seen: np.ndarray) ->
     original_ids = np.empty(total, dtype=np.int64)
     original_ids[slot] = node
 
-    indptr, src_sorted, edge_id_sorted = graph.csr()
-    positions, counts = _concat_csr_slices(indptr, original_ids)
+    csr = graph.csr()
+    slots, counts, _ = _concat_csr_slices(csr, original_ids)
     edge_dst = np.repeat(np.arange(total, dtype=np.int64), counts)
     edge_owner = np.repeat(component, counts)  # a move inside a component keeps it
-    inside, at = _in_sorted(seen, edge_owner * stride + src_sorted[positions])
+    inside, at = _in_sorted(seen, edge_owner * stride + csr.src[slots])
     edge_owner = edge_owner[inside]
-    edge_ids = edge_id_sorted[positions[inside]]
+    edge_ids = csr.edge_id[slots[inside]]
     order = np.argsort(edge_owner * graph.num_edges + edge_ids)
     edge_ids = edge_ids[order]
     node_type = graph.node_type[original_ids]

@@ -14,15 +14,14 @@ without ever replacing it:
 * **delta buffers** — applied events accumulate in plain lists and are
   materialised in one vectorised
   :meth:`~repro.graph.hetero.HeteroGraph.append_delta` per
-  :meth:`flush`, which writes the rows into the graph's spare capacity
-  (amortised O(delta), not a copy of the graph), splices the new
-  in-edges into the cached CSR (bit-identical to a rebuild) and bumps
-  the graph version exactly once so
+  :meth:`flush`, which checks and writes only the delta — rows into the
+  graph's spare capacity, in-edges into the headroom of the CSR's
+  buckets (amortised O(delta); read in bucket order the CSR is what a
+  rebuild lays out) — and bumps the graph version exactly once so
   :class:`~repro.graph.cache.SubgraphCache` keys roll over;
-* **compaction** — :meth:`compact` flushes the staged delta and
-  re-validates the whole graph; the spliced CSR already *is* the
-  canonical layout (merge and rebuild are bit-identical), so there is
-  nothing to re-sort, the version is unchanged and warm caches survive;
+* **compaction** — :meth:`compact` flushes the staged delta and makes
+  sure the CSR exists; there is nothing to re-sort or re-check, the
+  version is unchanged and warm caches survive;
 * **delayed labels** — :meth:`apply_label` flips a transaction's label
   when its chargeback verdict finally lands, a *non-structural*
   mutation (version bump, CSR kept).
@@ -84,7 +83,7 @@ class IncrementalGraphBuilder:
         graph = self.graph
         help = "Events applied to the live graph by the incremental builder."
         yield "counter", "stream_builder_events_total", help, {}, self.events_flushed
-        help = "Compactions (flush + full re-validation) of the live graph."
+        help = "Compactions (flush + CSR build) of the live graph."
         yield "counter", "stream_builder_compactions_total", help, {}, self.compactions
         yield "gauge", "stream_graph_nodes", "Live graph node count.", {}, graph.num_nodes
         yield "gauge", "stream_graph_edges", "Live graph edge count.", {}, graph.num_edges
@@ -156,7 +155,7 @@ class IncrementalGraphBuilder:
         """Materialise the delta buffers into the live graph in place.
 
         One :meth:`HeteroGraph.append_delta` call per flush: the graph
-        version bumps once, the CSR is merged (not dropped), and the
+        version bumps once, the CSR is grown (not dropped), and the
         object identity the serving layer holds is untouched.
         """
         if self._pending_events == 0:
@@ -205,18 +204,15 @@ class IncrementalGraphBuilder:
 
     def compact(self) -> None:
         """The periodic checkpoint of the live graph: flush any staged
-        delta, make sure the CSR exists, and re-validate the full set of
-        graph invariants.
+        delta and make sure the CSR exists.
 
-        Nothing is re-sorted: every flush splices its in-edges into the
-        CSR at their canonical positions, so the merged layout is the
-        one a rebuild would produce (``delta-merge-vs-rebuild`` in
-        :mod:`repro.check` holds the splice to that) and the version —
-        with every warm cache entry — survives.
+        Nothing is re-sorted or re-checked: every flush writes its
+        in-edges where a rebuild lists them and validates its delta on
+        the way in (``repro check`` holds both, and audits the whole
+        graph), so the version — with every warm cache entry — survives.
         """
         self.flush()
         self.graph.csr()
-        self.graph.validate()
         self.compactions += 1
         self.last_compaction_version = self.graph.version
 

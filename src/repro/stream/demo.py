@@ -209,11 +209,11 @@ def run_stream_demo(
     scorer.mature_labels()
 
     # -- act 4: delta-vs-rebuilt subgraph gate -------------------------
-    # The live CSR is delta-merged (every flush of the stream spliced
-    # into it; compaction keeps it). Fingerprint probe subgraphs under
-    # the sampler and under its scalar spec, compact, rebuild the CSR
-    # from the flat edge arrays, and fingerprint again — all four must
-    # be bit-identical.
+    # The live CSR is delta-grown (every flush of the stream wrote into
+    # its buckets; compaction keeps it). Fingerprint probe subgraphs
+    # under the sampler and under its scalar spec, compact, rebuild the
+    # CSR from the flat edge arrays, and fingerprint again — all four
+    # must be bit-identical.
     from ..check import subgraph_equal  # here: repro.check imports repro.stream
     from ..check.reference import scalar_sample
 

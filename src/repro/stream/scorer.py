@@ -14,7 +14,7 @@ The :class:`StreamScorer` sits between the durable
    one version bump = one cache rollover), scored with
    ``service.score_batch``, and fed to the feedback plane (delayed
    labels → prequential AUC, PSI/KS drift, optional fine-tune);
-3. periodic **compaction** flushes and re-validates the live graph.
+3. periodic **compaction** flushes the live graph and keeps its CSR built.
 
 Everything advances on the injected clock, so on a
 :class:`~repro.reliability.faults.ManualClock` a replay of the same
@@ -216,7 +216,8 @@ class StreamScorer:
                 if event.label >= 0:
                     self.label_feed.offer(event.txn_id, event.label, event.timestamp)
                 self.score_drift.observe(response.score)
-                self.feature_drift.observe(float(np.mean(event.features)))
+            means = np.mean(np.stack([event.features for event in batch]), axis=1)
+            self.feature_drift.observe_many(means.tolist())
             self.events_scored += len(batch)
             self._events_since_compaction += len(batch)
             self._last_event_ts = batch[-1].timestamp

@@ -131,13 +131,13 @@ class TestAuditHelpers:
 
     def test_csr_violations_detects_corruption(self):
         graph = random_hetero_graph(np.random.default_rng(0), num_txns=6)
-        indptr, src, eid = graph.csr()
+        src = graph.csr().src
         src[0] = (src[0] + 1) % graph.num_nodes
         assert csr_violations(graph) != []
 
     def test_csr_violations_detects_broken_indptr(self):
         graph = random_hetero_graph(np.random.default_rng(1), num_txns=6)
-        indptr, _, _ = graph.csr()
+        indptr = graph.csr().indptr
         indptr[1] = indptr[-1] + 5
         assert csr_violations(graph) != []
 
@@ -671,8 +671,8 @@ class TestDisjointWalkMutants:
     def test_fanout_rank_taken_over_the_whole_frontier(self, monkeypatch):
         mutant = _edited(
             SageSampler._sample_disjoint,
-            "self._kept(positions, counts)",
-            "self._kept(positions, counts.sum(keepdims=True))",
+            "self._kept(starts, counts)",
+            "self._kept(starts[:1], counts.sum(keepdims=True))",
         )
         monkeypatch.setattr(SageSampler, "_sample_disjoint", mutant)
         assert "original_ids" in _caught_by(self.NAME).detail
@@ -689,8 +689,8 @@ class TestDisjointWalkMutants:
     def test_induction_matches_sources_across_components(self, monkeypatch):
         mutant = _edited(
             sampling._induce_disjoint,
-            "edge_owner * stride + src_sorted[positions]",
-            "src_sorted[positions]",
+            "edge_owner * stride + csr.src[slots]",
+            "csr.src[slots]",
         )
         monkeypatch.setattr(sampling, "_induce_disjoint", mutant)
         # A cached batch gathers components joined by such edges, so
@@ -785,12 +785,50 @@ class TestFastWalkMutants:
     def test_dedup_by_node_instead_of_by_component_and_node(self, monkeypatch):
         mutant = _edited(
             SageSampler._sample_disjoint,
-            "np.unique(component * stride + src_sorted[positions])",
-            "np.sort((component * stride + src_sorted[positions])"
-            "[np.unique(src_sorted[positions], return_index=True)[1]])",
+            "np.unique(component * stride + csr.src[slots])",
+            "np.sort((component * stride + csr.src[slots])"
+            "[np.unique(csr.src[slots], return_index=True)[1]])",
         )
         monkeypatch.setattr(SageSampler, "_sample_disjoint", mutant)
         assert "original_ids" in _caught_by("disjoint-walk-vs-singleton-samples").detail
+
+
+class TestCsrGrowthMutants:
+    """`repro check --fuzz 150` must fail, in ``delta-merge-vs-rebuild``,
+    on each way ``append_delta`` can grow the CSR's buckets wrong or let
+    a bad edge in unchecked now that compaction re-validates nothing."""
+
+    NAME = "delta-merge-vs-rebuild"
+
+    def _planted(self, monkeypatch, old, new):
+        mutant = _edited(HeteroGraph._grow_csr, old, new)
+        monkeypatch.setattr(HeteroGraph, "_grow_csr", mutant)
+
+    def test_a_move_that_drops_the_last_old_entry(self, monkeypatch):
+        self._planted(monkeypatch, "degree[moves], 2 *", "np.maximum(degree[moves] - 1, 0), 2 *")
+        assert "grown" in _caught_by(self.NAME).detail
+
+    def test_a_new_entry_written_at_its_canonical_index(self, monkeypatch):
+        self._planted(
+            monkeypatch, "np.repeat(base[nodes] + degree", "np.repeat(indptr[nodes] + degree"
+        )
+        assert "grown" in _caught_by(self.NAME).detail
+
+    def test_headroom_check_off_by_one(self, monkeypatch):
+        self._planted(monkeypatch, "> cap[nodes]", "> cap[nodes] + 1")
+        assert "grown" in _caught_by(self.NAME).detail
+
+    def test_the_delta_check_skips_the_last_edge(self, monkeypatch):
+        from repro.graph import hetero
+
+        mutant = _edited(
+            hetero._check_growth,
+            "_check_edge_schema(types_of(edge_src), types_of(edge_dst), edge_type)",
+            "_check_edge_schema(*(column[: len(column) - (before is not None)] for column in "
+            "(types_of(edge_src), types_of(edge_dst), edge_type)))",
+        )
+        monkeypatch.setattr(hetero, "_check_growth", mutant)
+        assert "mistyped" in _caught_by(self.NAME).detail
 
 
 class TestLayerPlanMutants:

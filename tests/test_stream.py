@@ -3,9 +3,10 @@ feedback plane, the micro-batching scorer, and the demo replay gate.
 
 The load-bearing contracts pinned here:
 
-* ``HeteroGraph.append_delta`` splices new edges into the cached CSR
-  *bit-identically* to a from-scratch rebuild, so the vectorized
-  sampler fast path (which trusts the CSR) cannot diverge between a
+* ``HeteroGraph.append_delta`` grows the cached CSR into its buckets'
+  headroom without moving an old entry, and its compacted view is
+  *bit-identical* to a from-scratch rebuild, so the vectorized sampler
+  fast path (which trusts the CSR) cannot diverge between a
   delta-layered and a compacted graph;
 * the :class:`IncrementalGraphBuilder` reaches the same topology as
   the batch :class:`GraphBuilder` fed the same transactions — entity
@@ -20,7 +21,7 @@ import numpy as np
 import pytest
 
 from repro.check.gen import random_delta, random_hetero_graph
-from repro.check.reference import scalar_sample
+from repro.check.reference import compacted, scalar_sample
 from repro.data import GeneratorConfig, TransactionGenerator, export_events, generate_log
 from repro.data.events import TxnEvent
 from repro.graph import (
@@ -117,7 +118,8 @@ class TestAppendDelta:
         graph.csr()  # materialise so append_delta takes the merge path
         for _ in range(3):  # stack several deltas: merge-of-merge
             graph.append_delta(**self._delta(graph, rng))
-        for merged_part, rebuilt_part in zip(graph.csr(), _rebuilt(graph).csr()):
+        rebuilt = compacted(_rebuilt(graph).csr())
+        for merged_part, rebuilt_part in zip(compacted(graph.csr()), rebuilt):
             np.testing.assert_array_equal(merged_part, rebuilt_part)
         graph.validate()
 
@@ -134,10 +136,10 @@ class TestAppendDelta:
         graph.csr()
         graph.append_delta(**self._delta(graph, rng))
         version = graph.version
-        merged = tuple(part.copy() for part in graph.csr())
+        merged = tuple(part.copy() for part in compacted(graph.csr()))
         rebuilt = graph.rebuild_csr()
         assert graph.version == version  # compaction is invisible
-        for merged_part, rebuilt_part in zip(merged, rebuilt):
+        for merged_part, rebuilt_part in zip(merged, compacted(rebuilt)):
             np.testing.assert_array_equal(merged_part, rebuilt_part)
 
     def test_label_only_mutation_keeps_csr(self):
@@ -184,15 +186,15 @@ class TestGrowthInPlace:
         return graph, rng
 
     def _backing(self, graph):
-        """Identity of the memory behind each of the eight grown arrays."""
-        arrays = [getattr(graph, name) for name in _ARRAYS] + list(graph.csr()[1:])
+        """Identity of the memory behind each of the eleven grown arrays."""
+        arrays = [getattr(graph, name) for name in _ARRAYS] + list(graph.csr())
         return [array if array.base is None else array.base for array in arrays]
 
     def test_many_deltas_across_reallocations_equal_a_rebuild(self):
         rng = np.random.default_rng(11)
         graph = random_hetero_graph(rng, num_txns=4)
         graph.csr()
-        reallocations = np.zeros(8, dtype=int)
+        reallocations = np.zeros(11, dtype=int)
         backing = self._backing(graph)
         for _ in range(200):
             graph.append_delta(**random_delta(rng, graph, num_new_txns=int(rng.integers(1, 4))))
@@ -207,10 +209,12 @@ class TestGrowthInPlace:
             if name == "txn_table":
                 expected = len(graph.txn_nodes)
             assert len(array) == expected and array.flags.c_contiguous, name
-        for part, rebuilt_part in zip(graph.csr(), rebuilt.csr()):
+        for part in graph.csr():
             assert part.flags.c_contiguous
+        for part, rebuilt_part in zip(compacted(graph.csr()), compacted(rebuilt.csr())):
             np.testing.assert_array_equal(part, rebuilt_part)
-        assert len(graph.csr()[1]) == len(graph.csr()[2]) == graph.num_edges
+        csr = graph.csr()
+        assert len(csr.src) == len(csr.edge_id) <= 4 * graph.num_edges
         graph.validate()
         # 200 deltas, a handful of reallocations: growth is geometric.
         assert reallocations.max() <= 16, reallocations
@@ -289,9 +293,63 @@ class TestGrowthInPlace:
         for held, expected in ((clone, expected_clone), (sub, expected_sub)):
             for name in _ARRAYS:
                 np.testing.assert_array_equal(getattr(held, name), getattr(expected, name))
-            for part, expected_part in zip(held.csr(), expected.csr()):
+            for part, expected_part in zip(compacted(held.csr()), compacted(expected.csr())):
                 np.testing.assert_array_equal(part, expected_part)
-        for part, rebuilt_part in zip(graph.csr(), _rebuilt(graph).csr()):
+        rebuilt = compacted(_rebuilt(graph).csr())
+        for part, rebuilt_part in zip(compacted(graph.csr()), rebuilt):
+            np.testing.assert_array_equal(part, rebuilt_part)
+
+    def test_a_delta_leaves_every_live_slot_untouched(self):
+        graph, rng = self._grown(deltas=2)
+        moved = 0
+        for _ in range(60):  # across bucket moves and slot-buffer reallocations
+            csr = graph.csr()
+            live = compacted(csr)[1:]
+            slots = np.repeat(csr.base - csr.indptr[:-1], np.diff(csr.indptr))
+            slots += np.arange(graph.num_edges)
+            src, edge_id = csr.src[slots].copy(), csr.edge_id[slots].copy()
+            np.testing.assert_array_equal(src, live[0])
+            graph.append_delta(**random_delta(rng, graph, num_new_txns=2))
+            grown = graph.csr()
+            np.testing.assert_array_equal(grown.src[slots], src)
+            np.testing.assert_array_equal(grown.edge_id[slots], edge_id)
+            moved += int(np.count_nonzero(grown.base[: len(csr.base)] != csr.base))
+        assert moved > 0  # some bucket outgrew its room and moved to the tail
+
+    def test_a_hub_moves_logarithmically_often(self):
+        rng = np.random.default_rng(5)
+        graph = random_hetero_graph(rng, num_txns=3)
+        hub = int(np.flatnonzero(graph.node_type == NODE_TYPE_IDS["email"])[0])
+        graph.csr()
+        moves, base = 0, graph.csr().base[hub]
+        worst = 0.0
+        for _ in range(1_000):  # a new transaction and its one edge into the hub
+            graph.append_delta(
+                node_type=[NODE_TYPE_IDS["txn"]],
+                labels=[-1],
+                txn_table=rng.normal(size=(1, graph.feature_dim)),
+                edge_src=[graph.num_nodes],
+                edge_dst=[hub],
+                edge_type=[EDGE_TYPE_IDS["txn->email"]],
+            )
+            csr = graph.csr()
+            moves += int(csr.base[hub] != base)
+            base = csr.base[hub]
+            worst = max(worst, len(csr.src) / graph.num_edges)
+        assert moves <= 2 * math.ceil(math.log2(1_000))
+        assert worst <= 4.0, worst
+        np.testing.assert_array_equal(compacted(graph.csr())[1], _rebuilt(graph).csr().src)
+
+    def test_a_clone_keeps_its_csr_across_a_later_delta(self):
+        graph, rng = self._grown()
+        clone = graph.with_features(graph.txn_table + 1.0)
+        csr = clone.csr()
+        kept = [part.copy() for part in csr]
+        graph.append_delta(**random_delta(rng, graph, num_new_txns=3))
+        assert clone.csr() is csr and graph.csr() is not csr
+        for part, before in zip(csr, kept):
+            np.testing.assert_array_equal(part, before)
+        for part, rebuilt_part in zip(compacted(csr), compacted(_rebuilt(clone).csr())):
             np.testing.assert_array_equal(part, rebuilt_part)
 
     def test_local_map_scratch_survives_deltas(self):
@@ -523,7 +581,7 @@ class TestIncrementalBuilder:
     def test_compact_after_stream_matches_delta_sampling(self):
         # The satellite gate in miniature: delta-layered vs rebuilt
         # subgraphs, the sampler vs its scalar spec, all identical.
-        # compact() keeps the spliced CSR, so the rebuilt side is
+        # compact() keeps the grown CSR, so the rebuilt side is
         # rebuild_csr(): a CSR is never compared with itself.
         log = generate_log(_small_config(seed=4))
         events = export_events(log)
@@ -539,9 +597,9 @@ class TestIncrementalBuilder:
         sampler = SageSampler(hops=2, fanout=5, seed=0)
         before = [scalar_sample(sampler, graph, probe), sampler.sample(graph, probe)]
         builder.compact()
-        spliced = graph.csr()
-        rebuilt = graph.rebuild_csr()
-        assert all(a is not b and np.array_equal(a, b) for a, b in zip(spliced, rebuilt))
+        grown = compacted(graph.csr())
+        rebuilt = compacted(graph.rebuild_csr())
+        assert all(a is not b and np.array_equal(a, b) for a, b in zip(grown, rebuilt))
         after = [scalar_sample(sampler, graph, probe), sampler.sample(graph, probe)]
         for a, b in [(before[0], before[1]), (before[0], after[0]), (before[1], after[1])]:
             np.testing.assert_array_equal(a.original_ids, b.original_ids)
@@ -899,6 +957,39 @@ class TestStreamDemo:
         assert first.scorer.score_drift.observed == first.streamed_events
         # The WAL holds exactly the streamed (accepted) events.
         assert first.health.wal_records == first.streamed_events
+
+    def test_feature_drift_is_the_per_event_loop(self, tmp_path, monkeypatch):
+        # The pump takes a micro-batch's feature means in one
+        # np.mean(axis=1); a detector fed np.mean event by event, checked
+        # at the same points, must hold the same windows bit for bit and
+        # raise the same reports — drift burst and all.
+        checks = []
+        check = DriftDetector.check
+
+        def recording(self):
+            report = check(self)
+            if self.signal == "feature":
+                checks.append((self.observed, report))
+            return report
+
+        monkeypatch.setattr(DriftDetector, "check", recording)
+        result = run_stream_demo(
+            seed=3, scale=0.2, epochs=1, batch_size=8, compact_every=24, finetune=False,
+            wal_dir=str(tmp_path / "wal"), checkpoint_dir=str(tmp_path / "ckpt"),
+        )
+        monkeypatch.undo()
+        graph, drift = result.scorer.builder.graph, result.scorer.feature_drift
+        means = [float(np.mean(graph.txn_table[graph.txn_row[r.node]])) for r in result.responses]
+        twin, fed = DriftDetector("feature", drift.config), 0
+        for observed, report in checks:
+            for mean in means[fed:observed]:
+                twin.observe(mean)
+            fed = observed
+            assert twin.check() == report
+        assert drift.observed == len(means) == fed
+        assert drift.reference_frozen and twin._reference == drift._reference
+        assert list(twin._current) == list(drift._current)
+        assert twin.alerts == drift.alerts and len(drift.alerts) > 0
 
 
 # ----------------------------------------------------------------------
