@@ -42,6 +42,17 @@ def best_us(fn, number: int, setup="pass") -> float:
     return min(timeit.repeat(fn, setup=setup, number=number, repeat=5)) / number * 1e6
 
 
+def alternated_medians(fns, number: int = 1, samples: int = 9) -> List[float]:
+    """Median microseconds per call of each of ``fns`` (each reading a
+    :func:`best_us` over ``number`` calls), timed in turns so a slow
+    spell of the box hits all of them."""
+    readings = [[] for _ in fns]
+    for _ in range(samples):
+        for fn, times in zip(fns, readings):
+            times.append(best_us(fn, number=number))
+    return [float(np.median(times)) for times in readings]
+
+
 def stream_shaped_graph(rng, num_txns: int, feature_dim: int = 114) -> HeteroGraph:
     """A graph of the ledger stream's shape — as many entities as
     transactions (entity ``j`` of kind ``1 + j % 4`` is node

@@ -56,7 +56,7 @@ walks 5x the edges and reads 2x the rows of a 2x wider input.
 
 import numpy as np
 
-from _helpers import best_us, model_config
+from _helpers import alternated_medians, model_config
 from repro import nn
 from repro.data import load_dataset
 from repro.graph.sampling import SampledSubgraph, receptive_field, stack_subgraphs
@@ -70,19 +70,8 @@ PLAN_MEMO_BUDGET = 1.15  # a sample scored with its plan rebuilt vs on a warm pl
 LAYER_ONE_BUDGET = 2.2  # layer 1's forward + pullback vs layer 2's, one training field
 PLAN_SAMPLES = 50
 MICRO_BATCH = 32
-STEP_SAMPLES = 9
 BATCH = 64
 COPIES = 4
-
-
-def _alternated_medians(fns, number=1):
-    """Median microseconds per call of each of ``fns``, timed in turns
-    so a slow spell of the box hits all of them."""
-    samples = [[] for _ in fns]
-    for _ in range(STEP_SAMPLES):
-        for fn, times in zip(fns, samples):
-            times.append(best_us(fn, number=number))
-    return [float(np.median(times)) for times in samples]
 
 
 def _tiled(graph, copies):
@@ -107,7 +96,7 @@ def test_step_ratio_floor():
 
     for graph in graphs:  # build each CSR, grow the heap to the tape's working set
         step(graph)
-    small_us, large_us = _alternated_medians([lambda g=g: step(g) for g in graphs])
+    small_us, large_us = alternated_medians([lambda g=g: step(g) for g in graphs])
     ratio = large_us / small_us
     fields = [receptive_field(graph, batch, hops=2).graph for graph in graphs]
     assert fields[0].num_edges == fields[1].num_edges
@@ -139,7 +128,7 @@ def test_step_vs_inference_ratio_floor():
         model.predict_proba(field.graph, field.target_local)
 
     step()  # build the CSR, grow the heap to the step's working set
-    step_us, score_us = _alternated_medians([step, score])
+    step_us, score_us = alternated_medians([step, score])
     ratio = step_us / score_us
     print(
         f"\n{BATCH}-target step {step_us / 1e3:.1f} ms vs predict_proba {score_us / 1e3:.1f} ms "
@@ -163,7 +152,7 @@ def test_trimmed_forward_ratio_floor():
     def at_every_transaction():
         model.predict_proba(stacked.graph, everywhere)
 
-    trimmed_us, whole_us = _alternated_medians([at_targets, at_every_transaction], number=5)
+    trimmed_us, whole_us = alternated_medians([at_targets, at_every_transaction], number=5)
     ratio = trimmed_us / whole_us
     print(
         f"\n{MICRO_BATCH} stacked samples ({stacked.graph.num_nodes:,} nodes / "
@@ -193,7 +182,7 @@ def test_plan_memo_ratio_floor():
                     pass
             model.predict_proba(sample.graph, sample.target_local)
 
-    rebuilt_us, warm_us = _alternated_medians([after_a_write, on_a_warm_plan])
+    rebuilt_us, warm_us = alternated_medians([after_a_write, on_a_warm_plan])
     ratio = rebuilt_us / warm_us
     print(
         f"\n{PLAN_SAMPLES} single-target samples: predict_proba {warm_us / PLAN_SAMPLES:.0f} us "
@@ -226,7 +215,7 @@ def test_layer_one_tables_ratio_floor():
         _, pullback = conv.kernel(view, h, scale, save=True)
         pullback(grad, conv is not model.convs[0])  # layer 1's input is data
 
-    first_us, second_us = _alternated_medians(
+    first_us, second_us = alternated_medians(
         [lambda case=case: forward_and_pullback(*case) for case in cases], number=5
     )
     ratio = first_us / second_us

@@ -25,6 +25,16 @@ risk-score block correlated with the label plus item-category one-hot
 and nuisance dimensions. The feature signal is deliberately imperfect
 so that graph structure carries real information — exactly the regime
 in which the paper's heterogeneous GNN beats feature-only models.
+
+Every value comes from one seeded ``numpy`` generator, and the output
+is a function of the draw sequence alone. A pick from a Python list
+(:meth:`TransactionGenerator._pick`) is the one ``integers(0, len)``
+draw that ``Generator.choice`` makes for it, without ``choice``'s cost
+of turning the list into an array first. ``tests/test_generator.py``
+pins the output: ``TestDigest`` holds CRC32s of the datasets and the
+stream's encoded events, and ``TestPoolPick`` holds the pick to
+``choice`` draw for draw. A change to the draws must re-commit the
+digest and say why.
 """
 
 from __future__ import annotations
@@ -193,7 +203,7 @@ class TransactionGenerator:
                 and self._shared_addrs
                 and self.rng.random() < self.config.addr_sharing
             ):
-                return int(self.rng.choice(self._shared_addrs))
+                return self._pick(self._shared_addrs)
             addr = self._alloc.new("addr")
             if allow_sharing:
                 self._shared_addrs.append(addr)
@@ -205,7 +215,7 @@ class TransactionGenerator:
                 and self._shared_pmts
                 and self.rng.random() < self.config.pmt_sharing
             ):
-                return int(self.rng.choice(self._shared_pmts))
+                return self._pick(self._shared_pmts)
             pmt = self._alloc.new("pmt")
             if allow_sharing:
                 self._shared_pmts.append(pmt)
@@ -217,6 +227,10 @@ class TransactionGenerator:
             pmt_ids=[new_pmt() for _ in range(num_pmt)],
             addr_ids=[new_addr() for _ in range(num_addr)],
         )
+
+    def _pick(self, pool: list):
+        """``self.rng.choice(pool)``'s draw, and nothing else."""
+        return pool[int(self.rng.integers(0, len(pool)))]
 
     def _rand_range(self, bounds: tuple) -> int:
         low, high = bounds
@@ -239,8 +253,8 @@ class TransactionGenerator:
                     self._record(
                         buyer_id=profile.buyer_id,
                         email_id=profile.email_id,
-                        pmt_id=int(self.rng.choice(profile.pmt_ids)),
-                        addr_id=int(self.rng.choice(profile.addr_ids)),
+                        pmt_id=self._pick(profile.pmt_ids),
+                        addr_id=self._pick(profile.addr_ids),
                         label=0,
                         scenario="benign",
                     )
@@ -252,8 +266,8 @@ class TransactionGenerator:
         if not victims:
             return
         for _ in range(self.config.num_stolen_cards):
-            victim = victims[int(self.rng.integers(len(victims)))]
-            stolen_pmt = int(self.rng.choice(victim.pmt_ids))
+            victim = self._pick(victims)
+            stolen_pmt = self._pick(victim.pmt_ids)
             thief = self._new_buyer()
             for _ in range(self._rand_range(self.config.stolen_card_burst)):
                 log.append(
@@ -261,7 +275,7 @@ class TransactionGenerator:
                         buyer_id=thief.buyer_id,
                         email_id=thief.email_id,
                         pmt_id=stolen_pmt,
-                        addr_id=int(self.rng.choice(thief.addr_ids)),
+                        addr_id=self._pick(thief.addr_ids),
                         label=1,
                         scenario="stolen_card",
                     )
@@ -279,7 +293,7 @@ class TransactionGenerator:
                         self._record(
                             buyer_id=member.buyer_id,
                             email_id=member.email_id,
-                            pmt_id=int(self.rng.choice(member.pmt_ids)),
+                            pmt_id=self._pick(member.pmt_ids),
                             addr_id=warehouse_addr,
                             label=label,
                             scenario="warehouse_ring",
@@ -297,7 +311,7 @@ class TransactionGenerator:
                         self._record(
                             buyer_id=resident.buyer_id,
                             email_id=resident.email_id,
-                            pmt_id=int(self.rng.choice(resident.pmt_ids)),
+                            pmt_id=self._pick(resident.pmt_ids),
                             addr_id=building_addr,
                             label=0,
                             scenario="apartment",
@@ -339,8 +353,8 @@ class TransactionGenerator:
             if fraud and profiles and self.rng.random() < 0.5:
                 # Linkable guest fraud: reuses a stolen token from an
                 # existing profile (detectable through graph linkage).
-                victim = profiles[int(self.rng.integers(len(profiles)))]
-                pmt_id = int(self.rng.choice(victim.pmt_ids))
+                victim = self._pick(profiles)
+                pmt_id = self._pick(victim.pmt_ids)
                 scenario = "guest_linked"
             else:
                 pmt_id = self._alloc.new("pmt")
@@ -393,6 +407,11 @@ class TransactionGenerator:
         ``interleave=True`` mixes the scenario-clustered emission order
         along the clock (see :func:`~repro.data.events.export_events`).
         This feeds the ``repro stream --demo`` replay gate and tests.
+
+        A pool pick is the one ``integers`` draw ``choice`` makes (see
+        :meth:`_pick`), and ``TestDigest`` pins the CRC32 of the ledger
+        stream's encoded events: a change to the draws must re-commit
+        that digest and say why.
         """
         from .events import export_events
 

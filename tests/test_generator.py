@@ -1,9 +1,18 @@
 """Synthetic transaction-log generator: scenarios and pipeline."""
 
+import math
+import zlib
+
 import numpy as np
 import pytest
 
-from repro.data import GeneratorConfig, TransactionGenerator, generate_log
+from repro.data import (
+    GeneratorConfig,
+    TransactionGenerator,
+    encode_event,
+    generate_log,
+    load_dataset,
+)
 
 
 def tiny_config(**overrides) -> GeneratorConfig:
@@ -172,3 +181,104 @@ class TestApartmentBuildings:
         apartment_degree = sum(1 for r in log if r.addr_id in apartment_addr)
         warehouse_degree = sum(1 for r in log if r.addr_id in warehouse_addr)
         assert apartment_degree >= 3 and warehouse_degree >= 3
+
+
+class TestPoolPick:
+    """``TransactionGenerator._pick`` is ``Generator.choice(list)``'s
+    draw: the same value and the same generator state after it, so the
+    generator's output does not depend on which of the two it calls."""
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 1_000, 10_000])
+    def test_equal_to_choice_draw_for_draw(self, size):
+        for seed in range(10):
+            generator = TransactionGenerator(GeneratorConfig(seed=seed))
+            reference = np.random.default_rng(seed)
+            pool = [int(v) for v in np.random.default_rng(size).integers(0, 2**40, size=size)]
+            for step in range(60):
+                assert generator._pick(pool) == reference.choice(pool)
+                if step % 3 == 1:
+                    assert generator.rng.normal(0.0, 1.0, size=3).tolist() == (
+                        reference.normal(0.0, 1.0, size=3).tolist()
+                    )
+                if step % 4 == 2:
+                    assert generator.rng.exponential(1.0) == reference.exponential(1.0)
+            assert generator.rng.bit_generator.state == reference.bit_generator.state
+
+    def test_a_pick_is_the_pools_own_element(self):
+        generator = TransactionGenerator(GeneratorConfig(seed=0))
+        pool = [7, 11]
+        picks = {generator._pick(pool) for _ in range(50)}
+        assert picks == {7, 11} and all(type(pick) is int for pick in picks)
+
+
+def _crc(*arrays) -> int:
+    value = 0
+    for array in arrays:
+        value = zlib.crc32(np.ascontiguousarray(array).tobytes(), value)
+    return value
+
+
+class TestDigest:
+    """Bits digest of the synthetic feed: CRC32s of the ``ebay-small-sim``
+    graph arrays and split, and of the encoded events of the ledger's
+    stream, computed at commit ac074a0cf86e9c7b3e0413f8392562c1cff6236f
+    (when every pool pick still went through ``Generator.choice``). A
+    change to the generator's draws must re-commit these values and say
+    why."""
+
+    GRAPH_ARRAYS = ("txn_table", "edge_src", "edge_dst", "edge_type", "node_type", "labels")
+    # scale -> (CRC per graph array, CRC of train_nodes then test_nodes)
+    SMALL_SIM = {
+        0.25: (
+            {
+                "txn_table": 576761230,
+                "edge_src": 2105045726,
+                "edge_dst": 1005711250,
+                "edge_type": 54501350,
+                "node_type": 3708452485,
+                "labels": 3535399273,
+            },
+            878459884,
+        ),
+        1.0: (
+            {
+                "txn_table": 1766981016,
+                "edge_src": 1727203955,
+                "edge_dst": 1192697801,
+                "edge_type": 2550142328,
+                "node_type": 3828977366,
+                "labels": 2455148273,
+            },
+            3926182269,
+        ),
+    }
+    STREAM_EVENTS = 25_397
+    STREAM_CRC = 1875049770
+
+    @pytest.mark.parametrize("scale", [0.25, 1.0])
+    def test_ebay_small_sim(self, scale):
+        bundle = load_dataset("ebay-small-sim", seed=0, scale=scale)
+        arrays = {name: _crc(getattr(bundle.graph, name)) for name in self.GRAPH_ARRAYS}
+        assert (arrays, _crc(bundle.train_nodes, bundle.test_nodes)) == self.SMALL_SIM[scale]
+
+    def test_ledger_stream_events(self):
+        # benchmarks/ledger's stream_ingest config at seed 0: ebay-small-sim's
+        # mix at the scale that covers 6,000 pre-built + 512 warm-up +
+        # 15,000 timed events (3,000 events per unit of scale).
+        scale = (6_000 + 512 + 15_000) / 3_000
+        config = GeneratorConfig(
+            num_benign_buyers=math.ceil(700 * scale),
+            num_stolen_cards=math.ceil(12 * scale),
+            num_warehouse_rings=math.ceil(4 * scale),
+            num_cultivated_accounts=math.ceil(6 * scale),
+            num_guest_checkouts=math.ceil(25 * scale),
+            num_apartment_buildings=math.ceil(4 * scale),
+            feature_dim=114,
+            risk_signal=0.4,
+            seed=0,
+        )
+        events = TransactionGenerator(config).event_stream(interleave=True)
+        value = 0
+        for event in events:
+            value = zlib.crc32(encode_event(event), value)
+        assert (len(events), value) == (self.STREAM_EVENTS, self.STREAM_CRC)

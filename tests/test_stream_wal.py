@@ -76,6 +76,81 @@ class TestEventCodec:
         with pytest.raises(EventCodecError):
             decode_event(blob[:-4])
 
+    @staticmethod
+    def _json_header(event):
+        """The header spec: ``json.dumps`` of the sorted header dict."""
+        header = {
+            "v": 1,
+            "kind": "txn",
+            "txn_id": int(event.txn_id),
+            "buyer_id": None if event.buyer_id is None else int(event.buyer_id),
+            "email_id": int(event.email_id),
+            "pmt_id": int(event.pmt_id),
+            "addr_id": int(event.addr_id),
+            "timestamp": float(event.timestamp),
+            "label": int(event.label),
+            "scenario": event.scenario,
+            "dim": len(event.features),
+        }
+        return json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+    def test_header_is_the_sorted_json_dump(self):
+        stream = TransactionGenerator(
+            GeneratorConfig(num_benign_buyers=60, feature_dim=4, seed=5)
+        ).event_stream(interleave=True)
+        event = _events(n=1)[0]
+        edge_cases = [
+            TxnEvent(
+                txn_id=2**31 + 7,
+                buyer_id=buyer_id,
+                email_id=2**40,
+                pmt_id=2**63 - 1,
+                addr_id=0,
+                timestamp=timestamp,
+                features=event.features,
+                label=label,
+                scenario=scenario,
+            )
+            for buyer_id, label in ((None, -1), (2**33, 0), (np.int64(5), np.int64(1)))
+            for timestamp in (0.0, 1e-7, 1e16, 0.1 + 0.2, -2.5, np.float64(3.25), np.nan, np.inf, -np.inf)
+            for scenario in ("benign", 'say "hi"', "back\\slash", "caf\u00e9 \u2603", "tab\tnew\nline")
+        ]
+        for event in stream + edge_cases:
+            head, sep, body = encode_event(event).partition(b"\x00")
+            assert (head, sep) == (self._json_header(event), b"\x00")
+            assert body == np.asarray(event.features, dtype="<f8").tobytes()
+
+    def _payload(self, **changes):
+        """A well-framed payload whose header dict took ``changes``
+        (``None`` deletes a key)."""
+        head, _, body = encode_event(_events()[1]).partition(b"\x00")
+        header = json.loads(head)
+        for key, value in changes.items():
+            if value is None:
+                del header[key]
+            else:
+                header[key] = value
+        return json.dumps(header).encode() + b"\x00" + body
+
+    def test_a_header_that_is_not_an_object_is_a_codec_error(self):
+        from repro.data.events import EventCodecError
+
+        with pytest.raises(EventCodecError):
+            decode_event(b"[1]\x00" + bytes(48))
+
+    def test_a_header_without_dim_is_a_codec_error(self):
+        from repro.data.events import EventCodecError
+
+        with pytest.raises(EventCodecError, match="dim"):
+            decode_event(self._payload(dim=None))
+
+    def test_a_non_numeric_dim_is_a_codec_error(self):
+        from repro.data.events import EventCodecError
+
+        with pytest.raises(EventCodecError, match="'x'"):
+            decode_event(self._payload(dim="x"))
+        assert decode_event(self._payload()).txn_id == 1
+
 
 # ----------------------------------------------------------------------
 # Generator export mode
