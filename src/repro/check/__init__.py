@@ -9,6 +9,8 @@ production traffic does:
 * :mod:`repro.check.fuzz` — differential scenarios driving fast paths
   against their executable specs on ``(seed, size)``-determined random
   inputs, with greedy shrinking to a minimal repro on divergence.
+* :mod:`repro.check.mutants` — the planted bugs each audit and scenario
+  must kill, declared beside it.
 
 ``repro check [--fuzz N --seed S]`` runs both and exits non-zero on any
 violation; CI gates on it.
@@ -28,6 +30,7 @@ from .invariants import (
     txn_table_violations,
     wal_violations,
 )
+from .mutants import MUTANTS, Mutant, kill
 
 __all__ = [
     "SCENARIOS",
@@ -36,7 +39,10 @@ __all__ = [
     "FuzzFailure",
     "FuzzReport",
     "InvariantCheck",
+    "MUTANTS",
+    "Mutant",
     "csr_violations",
+    "kill",
     "ledger_violations",
     "numerical_grad",
     "random_delta",

@@ -41,6 +41,7 @@ import numpy as np
 
 from .gen import DELTA_SHAPES, random_delta, random_events, random_hetero_graph, random_weights
 from .invariants import csr_mismatch, csr_violations, subgraph_equal, wal_violations
+from .mutants import Mutant, edit, register
 
 __all__ = [
     "SCENARIOS",
@@ -106,13 +107,22 @@ class FuzzReport:
 
 
 SCENARIOS: Dict[str, Callable[[int, int], Optional[str]]] = {}
+# Where mutants are planted (:mod:`.mutants`).
+_SAMPLING = "repro.graph.sampling:"
+_CONV = "repro.models.hetero_conv:"
+_GET_MANY = "repro.storage.replicated:ReplicatedKVStore._get_many"
+_CACHE = "repro.graph.cache:SubgraphCache."
 
 
-def scenario(name: str):
+def scenario(name: str, mutants: Sequence[Mutant] = ()):
+    """Register a scenario under ``name``, with the planted ``mutants``
+    it must kill (:mod:`.mutants`)."""
+
     def decorate(fn: Callable[[int, int], Optional[str]]) -> Callable[[int, int], Optional[str]]:
         if name in SCENARIOS:
             raise ValueError(f"duplicate fuzz scenario {name!r}")
         SCENARIOS[name] = fn
+        register(name, mutants)
         return fn
 
     return decorate
@@ -121,7 +131,15 @@ def scenario(name: str):
 # ----------------------------------------------------------------------
 # Scenarios: each returns a divergence string or None
 # ----------------------------------------------------------------------
-@scenario("sampler-fast-vs-reference")
+@scenario(
+    "sampler-fast-vs-reference",
+    mutants=[
+        edit(
+            "fanout-cap-keeps-one-edge-too-many", _SAMPLING + "SageSampler._kept",
+            "rank < self.fanout", "rank <= self.fanout", "original_ids", shrinks_to=(1, 1),
+        )
+    ],
+)
 def _fuzz_sampler(seed: int, size: int) -> Optional[str]:
     """Vectorized sampler walk vs the scalar spec (:func:`.reference.scalar_sample`)."""
     from ..graph.sampling import HGSampler, SageSampler
@@ -143,7 +161,32 @@ def _fuzz_sampler(seed: int, size: int) -> Optional[str]:
     return None
 
 
-@scenario("delta-merge-vs-rebuild")
+@scenario(
+    "delta-merge-vs-rebuild",
+    mutants=[  # ways append_delta can grow the CSR's buckets wrong or let a bad edge in
+        edit(
+            "a-move-that-drops-the-last-old-entry", "repro.graph.hetero:HeteroGraph._grow_csr",
+            "degree[moves], 2 *", "np.maximum(degree[moves] - 1, 0), 2 *", "grown",
+            shrinks_to=(1, 1),
+        ),
+        edit(
+            "a-new-entry-at-its-canonical-index", "repro.graph.hetero:HeteroGraph._grow_csr",
+            "np.repeat(base[nodes] + degree", "np.repeat(indptr[nodes] + degree", "grown",
+            shrinks_to=(0, 1),
+        ),
+        edit(
+            "headroom-check-off-by-one", "repro.graph.hetero:HeteroGraph._grow_csr",
+            "> cap[nodes]", "> cap[nodes] + 1", "grown", shrinks_to=(0, 1),
+        ),
+        edit(
+            "the-delta-check-skips-the-last-edge", "repro.graph.hetero:_check_growth",
+            "_check_edge_schema(types_of(edge_src), types_of(edge_dst), edge_type)",
+            "_check_edge_schema(*(column[: len(column) - (before is not None)] for column in "
+            "(types_of(edge_src), types_of(edge_dst), edge_type)))",
+            "mistyped", shrinks_to=(0, 2),
+        ),
+    ],
+)
 def _fuzz_delta_merge(seed: int, size: int) -> Optional[str]:
     """In-place growth and CSR growth vs a from-scratch graph: a run of
     deltas long enough to cross buffer reallocations and bucket moves
@@ -238,7 +281,29 @@ def _fuzz_delta_merge(seed: int, size: int) -> Optional[str]:
     return None
 
 
-@scenario("single-vs-batched-scoring")
+@scenario(
+    "single-vs-batched-scoring",
+    mutants=[  # a request pointed at a component other than its own target's sample
+        edit(
+            "two-distinct-targets-sharing-a-component", _CACHE + "get_or_sample",
+            "slots = {key[-1]: index for index, key in enumerate(missed)}",
+            "slots = dict.fromkeys((key[-1] for key in missed), 0)",
+            "cached batch", shrinks_to=(0, 5),
+        ),
+        edit(
+            "a-hit-gathered-at-the-next-component", _CACHE + "get_or_sample",
+            "pieces.append(entry)",
+            "pieces.append((entry[0], (entry[1] + 1) % entry[0].num_components))",
+            "cached batch", shrinks_to=(0, 1),
+        ),
+        edit(  # the requests mapped onto the distinct targets in sorted order
+            "a-repeat-pointed-at-the-wrong-root", "repro.serving.service:ScoringService._sample",
+            "[(walk, slots[node]) for node in nodes]",
+            "[(walk, int(slot)) for slot in np.unique(nodes, return_inverse=True)[1]]",
+            "uncached batch", shrinks_to=(0, 1),
+        ),
+    ],
+)
 def _fuzz_scoring(seed: int, size: int) -> Optional[str]:
     """n batches of one (``score()``) vs batches of n (``score_batch()``):
     a verdict must not depend on batch composition. The first batch holds
@@ -299,7 +364,15 @@ def _fuzz_scoring(seed: int, size: int) -> Optional[str]:
     return None
 
 
-@scenario("wal-crash-replay")
+@scenario(
+    "wal-crash-replay",
+    mutants=[
+        edit(  # the guard the zero-filled-tail regression seed put in
+            "zero-length-frames-replayed", "repro.stream.wal:_scan_frames",
+            "if length == 0:", "if length < 0:", "EventCodecError", shrinks_to=(4, 5),
+        ),
+    ],
+)
 def _fuzz_wal(seed: int, size: int) -> Optional[str]:
     """Write, crash (truncate / zero-fill / bit-flip the active tail),
     replay, reopen, resume — durable prefix semantics throughout."""
@@ -326,21 +399,27 @@ def _fuzz_wal(seed: int, size: int) -> Optional[str]:
             active_size = log._active_size
         sealed_records = len(events) - active_records
 
-        damage = str(rng.choice(["clean", "truncate", "zero-fill", "bit-flip"]))
+        # Where each active frame ends: events encode to different lengths.
+        edges = np.cumsum([_FRAME_HEADER.size + len(encode_event(e)) for e in events])
+        edges = edges[sealed_records:] - (edges[sealed_records - 1] if sealed_records else 0)
+        kinds = ["clean", "truncate", "zero-fill", "zero-fill at an edge", "bit-flip"]
+        damage = str(rng.choice(kinds))
         expected = len(events)
         should_tear = False
         if damage != "clean" and active_size > 0:
             path = os.path.join(directory, active_name)
-            cut = int(rng.integers(0, active_size))  # survives: full frames below cut
-            expected = sealed_records + cut // frame_size
+            cut = int(rng.integers(0, active_size))
+            if damage == "zero-fill at an edge":  # zeros after whole frames: empty "frames"
+                cut = int(edges[edges <= cut].max(initial=0))
+            expected = sealed_records + int(np.searchsorted(edges, cut, side="right"))
             should_tear = True
             if damage == "truncate":
                 # A cut on an exact frame boundary is indistinguishable
                 # from a clean close — no tear to report.
-                should_tear = cut % frame_size != 0
+                should_tear = cut != 0 and cut not in edges
                 with open(path, "r+b") as handle:
                     handle.truncate(cut)
-            elif damage == "zero-fill":
+            elif damage.startswith("zero-fill"):
                 with open(path, "r+b") as handle:
                     handle.truncate(cut)
                     handle.seek(cut)
@@ -415,7 +494,16 @@ def _with_edges(graph, keep: np.ndarray):
     )
 
 
-@scenario("fused-vs-autograd-forward")
+@scenario(
+    "fused-vs-autograd-forward",
+    mutants=[
+        edit(  # eq. 8's value term of a transaction source, in layer 1's tables
+            "phi-value-term-dropped", _CONV + "HeteroConvLayer.kernel",
+            "summed += (attention_sum[:, :, None] * dst_values).reshape(-1, out_dim)", "pass",
+            "fused - autograd", shrinks_to=(0, 2),
+        ),
+    ],
+)
 def _fuzz_inference_forward(seed: int, size: int) -> Optional[str]:
     """The detector's plain-array ``predict_proba`` kernel vs the per-op
     ``Tensor`` forward (:mod:`.reference`) in eval mode: on a whole random graph, on the
@@ -468,7 +556,21 @@ def _fuzz_inference_forward(seed: int, size: int) -> Optional[str]:
     return None
 
 
-@scenario("fast-decode-vs-np-load")
+@scenario(
+    "fast-decode-vs-np-load",
+    mutants=[  # checks the batch decode of load_rows could drop
+        edit(
+            "prefix-compared-on-the-first-blob-only", "repro.storage.loader:_decode_uniform",
+            "if len(blob) != length or not blob.startswith(prefix):", "if len(blob) != length:",
+            "load_rows ->", shrinks_to=(0, 5),
+        ),
+        edit(
+            "trailing-bytes-admitted", "repro.storage.loader:_decode_uniform",
+            "len(first) != offset + nbytes or ", "len(first) < offset + nbytes or ",
+            "row by row ->", shrinks_to=(4, 4),
+        ),
+    ],
+)
 def _fuzz_decode(seed: int, size: int) -> Optional[str]:
     """The header-memoising ``decode_array`` vs ``np.load`` over the
     same bytes: well-formed blobs of random dtype and shape, then the
@@ -716,7 +818,40 @@ def _step_problem(model, graph, targets: np.ndarray) -> Optional[str]:
     )
 
 
-@scenario("pruned-step-vs-full-graph")
+@scenario(
+    "pruned-step-vs-full-graph",
+    mutants=[  # the first three on the step's path only: the BFS spec cannot see them
+        edit(
+            "field-one-hop-short", "repro.models.field:receptive_field",
+            "for _ in range(hops):", "for _ in range(hops - 1):", "!= whole-graph",
+            shrinks_to=(7, 1),
+        ),
+        edit(
+            "field-fanout-capped", "repro.models.field:receptive_field",
+            "slots, _, _ = _concat_csr_slices(csr, frontier)",
+            "slots, counts, _ = _concat_csr_slices(csr, frontier)\n        slots = slots["
+            "np.arange(len(slots)) - np.repeat(np.cumsum(counts) - counts, counts) < 2]",
+            "!= whole-graph", shrinks_to=(6, 1),
+        ),
+        edit(
+            "field-target-rows-dropped", "repro.models.field:receptive_field",
+            "walked.append(slots)", "walked.append(slots if walked else slots[:0])",
+            "!= whole-graph", shrinks_to=(4, 1),
+        ),
+        edit(  # fused-backward-vs-autograd sees it too: the convolution draws through dropout
+            "mask-drawn-at-the-field-extent", "repro.nn.functional:dropout",
+            "draws = rng.random((extent,) + x.shape[1:])[index]", "draws = rng.random(x.shape)",
+            "!= whole-graph",
+            alone=True, shrinks_to=(0, 4),
+        ),
+        edit(  # numerically harmless: only the contract check against the BFS sees it
+            "field-edge-ids-unsorted", _SAMPLING + "receptive_field",
+            "edge_ids = np.sort(csr.edge_id[np.concatenate(walked)])",
+            "edge_ids = np.sort(csr.edge_id[np.concatenate(walked)])[::-1]",
+            "BFS (ascending)", shrinks_to=(0, 1),
+        ),
+    ],
+)
 def _fuzz_pruned_step(seed: int, size: int) -> Optional[str]:
     """A training step on the batch's receptive field (what every
     ``model.loss`` computes) vs the same step on the whole graph, and
@@ -814,7 +949,25 @@ def _random_worker_faults(rng: np.random.Generator, workers: int, epochs: int):
     return faults, decisions
 
 
-@scenario("supervised-round-vs-engine")
+@scenario(
+    "supervised-round-vs-engine",
+    mutants=[  # the one all-reduce, and the restore rollback, rejoin and resume share
+        edit(
+            "mean-over-members", "repro.train.distributed:DistributedTrainer.step",
+            "/ len(shard_grads)", "/ len(self.workers)", "by-hand", shrinks_to=(1, 1),
+        ),
+        edit(  # invisible to the by-hand run: no step between snapshot and rollback
+            "restore-skips-the-optimizer", "repro.train.elastic:restore_training_state",
+            "optimizer.load_state_dict(state.optimizer_state)", "pass",
+            "resumed after every epoch", shrinks_to=(0, 1),
+        ),
+        edit(
+            "restore-skips-the-trainer-rng", "repro.train.elastic:restore_training_state",
+            'rng.bit_generator.state = state.rng_states["trainer"]', "pass", "by-hand",
+            shrinks_to=(0, 5),
+        ),
+    ],
+)
 def _fuzz_supervised_round(seed: int, size: int) -> Optional[str]:
     """The elastic supervisor vs the fault-free DDP engine it drives.
 
@@ -1210,7 +1363,67 @@ def _layer_gradient_problem(layer, graph, rng: np.random.Generator, masked: bool
     return None
 
 
-@scenario("fused-backward-vs-autograd")
+@scenario(
+    "fused-backward-vs-autograd",
+    mutants=[  # each leaves the eval-mode forward alone
+        edit(
+            "softmax-backward-without-the-segment-term", _CONV + "_softmax_vjp",
+            "attention * (grad - layout.segment_sum(grad * attention)[layout.segment])",
+            "attention * grad",
+            "grad of", shrinks_to=(1, 2),
+        ),
+        edit(  # only layers past the first sum by source
+            "by-source-sum-scattered-by-target", _CONV + "InferenceLayout.sum_by_source",
+            "self._by_source @ values", "scatter_selector(self.dst, len(self.node_type)) @ values",
+            "central difference", shrinks_to=(0, 1),
+        ),
+        edit(
+            "bias-gradient-omitted", _CONV + "_apply_blocks_vjp",
+            "d_bias += grad[start:stop].sum(axis=0)", "pass",
+            "bias: max |the node - the per-op tape|", shrinks_to=(0, 1),
+        ),
+        edit(  # a layer's prefix holds fewer node types: the trimmed forward sees it too
+            "absent-type-gradient-left-none", _CONV + "_apply_blocks_vjp",
+            "        if need_weights\n",
+            "        if need_weights and key in {NODE_TYPES[t] for t, _, _ in layout.type_blocks}"
+            "\n",
+            "missing on the node, present on the per-op tape",
+            alone=True, shrinks_to=(0, 1),
+        ),
+        edit(
+            "mask-not-permuted-into-layout-order", _CONV + "InferenceLayout.of",
+            "order=by_dst,", "order=np.arange(len(by_dst)),", "!= the per-op tape",
+            shrinks_to=(1, 2),
+        ),
+        edit(  # the variance's path zeroed
+            "layer-norm-backward-without-its-projection-term",
+            "repro.models.detector:_layer_norm_vjp",
+            "through_variance = np.broadcast_to(d_scale",
+            "through_variance = 0.0 * np.broadcast_to(d_scale",
+            "the per-op tape", shrinks_to=(0, 1),
+        ),
+        edit(
+            "head-dropout-mask-left-out-of-the-pullback",
+            "repro.models.detector:XFraudDetector.head_kernel", " d *= mask", " pass",
+            "train", "the per-op tape", shrinks_to=(0, 1),
+        ),
+        edit(
+            "cross-entropy-gradient-not-divided-by-the-batch", "repro.nn.functional:cross_entropy",
+            "-grad * (1.0 / len(labels))", "-grad", "the per-op tape", shrinks_to=(1, 1),
+        ),
+        edit(
+            "entity-constant-keyed-by-destination-type", _CONV + "_first_layer_tables",
+            "key_end = type_rows[_END_TYPES[:, 1],", "key_end = type_rows[_END_TYPES[:, 0],",
+            "!= the per-op tape", shrinks_to=(1, 2),
+        ),
+        edit(  # eval-mode scoring has no scale: only a recorded forward sees it
+            "dropout-scale-missing-from-the-phi-sum", _CONV + "HeteroConvLayer.kernel",
+            "attention_sum = layout.segment_sum(scaled)",
+            "attention_sum = layout.segment_sum(attention)",
+            "central difference", shrinks_to=(1, 2),
+        ),
+    ],
+)
 def _fuzz_fused_backward(seed: int, size: int) -> Optional[str]:
     """The detector's convolution as one tape node (kernel + hand-derived
     backward) vs the per-op ``Tensor`` layer (:mod:`.reference`), and
@@ -1315,7 +1528,36 @@ def _grown_out_of_reach(rng: np.random.Generator, graph, far: np.ndarray):
     return grown
 
 
-@scenario("trimmed-layers-vs-untrimmed-layout")
+@scenario(
+    "trimmed-layers-vs-untrimmed-layout",
+    mutants=[  # a layer's prefix cut wrong; one cut too short mostly indexes past a prefix
+        edit(  # nothing raises: the targets aggregate from too few neighbours
+            "edge-prefix-one-hop-short", _CONV + "InferenceLayout.of",
+            "edge_reach=np.searchsorted(dst, reach).tolist()",
+            "edge_reach=np.searchsorted(dst, [0] + reach[:-1]).tolist()",
+            "trimmed - read everywhere",
+            alone=True, shrinks_to=(6, 2),
+        ),
+        edit(  # invisible while every link runs both ways; a thinned graph has one-way links
+            "distance-walked-along-out-edges", _CONV + "InferenceLayout.of",
+            "graph.edge_src[distance[graph.edge_dst] == hop - 1]",
+            "graph.edge_dst[distance[graph.edge_src] == hop - 1]",
+            "IndexError",
+            alone=True, shrinks_to=(0, 2),
+        ),
+        edit(
+            "mask-rows-gathered-by-the-whole-order", _CONV + "HeteroConvLayer.forward",
+            "order = layout.order[: len(layout.src)]", "order = layout.order",
+            "could not be broadcast",
+            alone=True, shrinks_to=(1, 2),
+        ),
+        edit(
+            "unwalked-edges-left-uninitialised", _CONV + "HeteroConvLayer._hetero_conv",
+            "d_mask = np.zeros(len(layout.order))", "d_mask = np.full(len(layout.order), 1e-300)",
+            "exactly 0", shrinks_to=(3, 1),
+        ),
+    ],
+)
 def _fuzz_trimmed_layers(seed: int, size: int) -> Optional[str]:
     """The detector's forward, each layer on the prefix of the layout the
     next one reads, vs the same kernel with every node read
@@ -1455,7 +1697,54 @@ def _awkward_targets(rng: np.random.Generator, graph, txn_only: bool = False) ->
     return targets
 
 
-@scenario("disjoint-walk-vs-singleton-samples")
+@scenario(
+    "disjoint-walk-vs-singleton-samples",
+    mutants=[  # the walk losing track of a node's or an edge's component
+        edit(
+            "visited-set-shared-across-components", _SAMPLING + "SageSampler._sample_disjoint",
+            "reached[~_in_sorted(seen, reached)[0]]",
+            "reached[~np.isin(reached % stride, seen % stride)]",
+            "original_ids", shrinks_to=(0, 1),
+        ),
+        edit(
+            "fanout-rank-over-the-whole-frontier", _SAMPLING + "SageSampler._sample_disjoint",
+            "self._kept(starts, counts)", "self._kept(starts[:1], counts.sum(keepdims=True))",
+            "original_ids", shrinks_to=(0, 1),
+        ),
+        edit(
+            "dedup-by-node-not-by-component-and-node", _SAMPLING + "SageSampler._sample_disjoint",
+            "np.unique(component * stride + csr.src[slots])",
+            "np.sort((component * stride + csr.src[slots])"
+            "[np.unique(csr.src[slots], return_index=True)[1]])",
+            "original_ids", shrinks_to=(0, 1),
+        ),
+        edit(
+            "edges-ordered-by-csr-position", _SAMPLING + "_induce_disjoint",
+            "np.argsort(edge_owner * graph.num_edges + edge_ids)", "np.arange(len(edge_ids))",
+            "edge_src differs", shrinks_to=(0, 1),
+        ),
+        edit(  # a cached batch gathers components joined by such edges: scoring sees it too
+            "induction-matches-sources-across-components", _SAMPLING + "_induce_disjoint",
+            "edge_owner * stride + csr.src[slots]", "csr.src[slots]", "edge_src",
+            alone=True, shrinks_to=(0, 1),
+        ),
+        edit(  # an isomorphic graph the cache's gathers misread (a component's root is first)
+            "target-not-first-in-its-component", _SAMPLING + "_induce_disjoint",
+            "    slot += seen < root\n    slot[rooted] = starts\n",
+            "    starts = np.flatnonzero(rooted)\n",
+            "original_ids differs",
+            alone=True, shrinks_to=(0, 1),
+        ),
+        edit(  # the first component's edges end one edge late
+            "an-edge-bound-off-by-one", _SAMPLING + "_induce_disjoint",
+            "np.cumsum(np.bincount(edge_owner, minlength=len(roots)))",
+            "np.cumsum(np.bincount(edge_owner, minlength=len(roots)))"
+            " + (np.arange(len(roots)) == 0)",
+            "the walk's bounds",
+            alone=True, shrinks_to=(0, 1),
+        ),
+    ],
+)
 def _fuzz_disjoint_walk(seed: int, size: int) -> Optional[str]:
     """``sample(..., disjoint=True)`` — one frontier expansion over
     ``(component, node)`` pairs — vs its definition, the stacked loop of
@@ -1670,7 +1959,34 @@ def _first_difference(ours, theirs) -> str:
     return f": {len(ours)} items != {len(theirs)} items"
 
 
-@scenario("batched-read-vs-per-key-gets")
+@scenario(
+    "batched-read-vs-per-key-gets",
+    mutants=[  # edits of the one read path get_many and get (a batch of one) share
+        edit(  # poisoned bytes served: the walk gets further and ends on another error
+            "crc-skipped-on-the-batch-path", _GET_MANY,
+            "values.append(self._verified_read(index, key))",
+            "values.append(self.replicas[index].get(key))",
+            "result: 'KeyError' != 'AllReplicasFailedError'", shrinks_to=(0, 1),
+        ),
+        edit(
+            "failover-tallied-as-a-primary-success", _GET_MANY,
+            "values.append(self._failed_over(key, owners, failure))",
+            "values.append(self._failed_over(key, owners, failure)); reads[index] += 1",
+            "reads_ok", shrinks_to=(1, 1),
+        ),
+        edit(  # the dead replica keeps being asked
+            "gate-not-re-evaluated-after-a-death", _GET_MANY,
+            "            dead = None\n            mark = clock()", "            mark = clock()",
+            "result", "replica calls[0]", shrinks_to=(1, 1),
+        ),
+        edit(
+            "failing-key-read-again-on-the-same-replica", _GET_MANY,
+            "values.append(self._failed_over(key, owners, failure))",
+            "values.append(self._gated_get(key))",
+            "replica calls", shrinks_to=(0, 1),
+        ),
+    ],
+)
 def _fuzz_batched_read(seed: int, size: int) -> Optional[str]:
     """``ReplicatedKVStore.get_many(keys)`` — in a third of the rounds
     ``get`` per key, a batch of one each — vs
@@ -1791,7 +2107,48 @@ def _swap_a_parameter(rng: np.random.Generator, layer) -> None:
     setattr(owner, attribute, nn.Parameter(rng.normal(scale=0.5, size=shape)))
 
 
-@scenario("plan-memo-vs-fresh-plan")
+def _plan_shared_by_position(real):
+    """``HeteroConvLayer.plan`` memoised in one dict for every layer,
+    by position and versions (a mutant)."""
+    plans = {}
+
+    def plan(self):
+        key = (self.first_layer, tuple(param.version for param in self.parameters()))
+        if key not in plans:
+            plans[key] = self._build_plan(None)
+        return plans[key]
+
+    return plan
+
+
+@scenario(
+    "plan-memo-vs-fresh-plan",
+    mutants=[  # a memo outliving its weights; other scenarios load weights too
+        edit(
+            "a-writer-that-does-not-bump-the-version", "repro.nn:Parameter.write",
+            "self.version += 1", "pass", "!= a plan built now",
+            alone=True, shrinks_to=(1, 1),
+        ),
+        edit(
+            "a-plan-keyed-on-the-parameters-identity", _CONV + "HeteroConvLayer.plan",
+            "key = [(param, param.version) for param in self.parameters()]",
+            "key = [id(param) for param in self.parameters()]",
+            "!= a plan built now",
+            alone=True, shrinks_to=(1, 1),
+        ),
+        edit(  # the memo's O(1) check trusts the write counter
+            "a-swap-that-does-not-count-as-a-write", "repro.nn:Module.__setattr__",
+            "_count_write()  # a parameter swapped in is a write", "pass",
+            "!= a plan built now",
+            alone=True, shrinks_to=(0, 1),
+        ),
+        Mutant(
+            "one-plan-shared-by-two-detectors", _CONV + "HeteroConvLayer.plan",
+            _plan_shared_by_position, ("memoised plan",),
+            alone=True, shrinks_to=(0, 1),
+        ),
+    ],
+)
 def _fuzz_plan_memo(seed: int, size: int) -> Optional[str]:
     """The layer plan (:meth:`HeteroConvLayer.plan`: every weight-only
     table, memoised per parameter version) vs a plan rebuilt on every
@@ -1881,7 +2238,18 @@ def _optimizer_problem(ours, theirs, grads) -> Optional[str]:
     return None
 
 
-@scenario("flat-step-vs-per-parameter-step")
+@scenario(
+    "flat-step-vs-per-parameter-step",
+    mutants=[
+        edit(  # past the last parameter the slice leaves the buffer
+            "flat-slices-shifted-by-one-parameter", "repro.nn:Optimizer.step",
+            "slice(offsets[first], offsets[last])",
+            "slice(offsets[first + 1], offsets[last + 1])",
+            "IndexError",
+            alone=True, shrinks_to=(0, 1),
+        ),
+    ],
+)
 def _fuzz_flat_step(seed: int, size: int) -> Optional[str]:
     """``Optimizer.step`` — one flat update over each run of consecutive
     parameters holding a gradient — vs

@@ -22,12 +22,13 @@ import os
 import tempfile
 import zlib
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..graph.hetero import HeteroGraph
 from .gen import random_delta, random_events, random_hetero_graph
+from .mutants import Mutant, edit, register
 
 __all__ = [
     "CheckResult",
@@ -67,13 +68,15 @@ class CheckResult:
 REGISTRY: Dict[str, InvariantCheck] = {}
 
 
-def invariant(name: str, layer: str, falsifies: str):
-    """Register a checker function under ``name``."""
+def invariant(name: str, layer: str, falsifies: str, mutants: Sequence[Mutant] = ()):
+    """Register a checker function under ``name``, with the planted
+    code ``mutants`` it must kill (:mod:`.mutants`)."""
 
     def decorate(fn: Callable[[], List[str]]) -> Callable[[], List[str]]:
         if name in REGISTRY:
             raise ValueError(f"duplicate invariant checker {name!r}")
         REGISTRY[name] = InvariantCheck(name=name, layer=layer, falsifies=falsifies, fn=fn)
+        register(name, mutants)
         return fn
 
     return decorate
@@ -485,6 +488,25 @@ def _txn_table_legs(rng: np.random.Generator, problems: List[str]) -> None:
     "transaction in node order — an entity given a row, rows swapped, a delta that "
     "drops one — after append_delta, subgraph, stack_subgraphs, the disjoint walk, "
     "gather, with_features, the stream builder's flush and a GraphStore round-trip",
+    mutants=[
+        edit(
+            "an-entity-given-a-row", "repro.graph.hetero:HeteroGraph.txn_table_of",
+            "rows[rows >= 0]", "np.maximum(rows, 0)", "txn_table is",
+        ),
+        edit(
+            "a-gathered-components-rows-reversed", "repro.graph.sampling:gather",
+            "take(rows, axis=0)", "take(rows[::-1], axis=0)", "holds another row",
+        ),
+        edit(
+            "a-delta-that-drops-a-row", "repro.stream.builder:IncrementalGraphBuilder.flush",
+            "np.stack(self._pending_features)", "np.stack(self._pending_features[:-1])",
+            "delta txn_table must be",
+        ),
+        edit(
+            "store-rows-written-under-other-keys", "repro.storage.loader:GraphStore.save",
+            "graph.txn_nodes.tolist()", "graph.txn_nodes[::-1].tolist()", "GraphStore.load",
+        ),
+    ],
 )
 def _check_txn_table() -> List[str]:
     problems: List[str] = []
@@ -523,7 +545,7 @@ def _check_txn_table() -> List[str]:
     return problems + [f"after a refused delta: {p}" for p in txn_table_violations(graph, want)]
 
 
-def _batch_lookup_problems(cache_class) -> List[str]:
+def _batch_lookup_problems() -> List[str]:
     """Drive one cache with micro-batch lookups and a twin with the
     per-target loop over the same targets: hits, misses, repeats inside
     a call, batches larger than the capacity (a call evicting its own
@@ -540,7 +562,7 @@ def _batch_lookup_problems(cache_class) -> List[str]:
     rng = np.random.default_rng(29)
     graph = random_hetero_graph(rng, num_txns=8)
     sampler = SageSampler(hops=2, fanout=3, seed=4)
-    batched, looped = cache_class(capacity=3), SubgraphCache(capacity=3)
+    batched, looped = SubgraphCache(capacity=3), SubgraphCache(capacity=3)
     pool = rng.permutation(graph.num_nodes)[:6]
     scripted = [pool[:3], np.append(pool[3:], pool[0])]
     for call in range(40):
@@ -578,22 +600,20 @@ def _batch_lookup_problems(cache_class) -> List[str]:
     "same graph version, a stale version being served after mutation, or "
     "a micro-batch lookup leaving other entries, LRU order or counters "
     "than the per-target loop",
+    mutants=[
+        edit(  # a batch's misses inserted before its hits are touched
+            "inserts-before-hits", "repro.graph.cache:SubgraphCache._replay",
+            "for key, found in zip(keys, hit):",
+            "for key, found in sorted(zip(keys, hit), key=lambda pair: pair[1]):",
+            "LRU order",
+        ),
+    ],
 )
 def _check_cache_coherence() -> List[str]:
     from ..graph.cache import SubgraphCache
     from ..graph.sampling import HGSampler, SageSampler
 
-    class InsertsBeforeHits(SubgraphCache):
-        """Planted mutant: a batch's misses are inserted before its
-        hits are touched, so the LRU queue is not the loop's."""
-
-        def _replay(self, keys, hit, held):
-            first = sorted(range(len(keys)), key=lambda index: hit[index])
-            return super()._replay([keys[i] for i in first], [hit[i] for i in first], held)
-
-    problems: List[str] = _batch_lookup_problems(SubgraphCache)
-    if not _batch_lookup_problems(InsertsBeforeHits):
-        problems.append("self-test: inserts applied before hits went unnoticed")
+    problems: List[str] = _batch_lookup_problems()
     rng = np.random.default_rng(5)
     graph = random_hetero_graph(rng, num_txns=8)
     targets = [0, 3, 5]
@@ -628,6 +648,13 @@ def _check_cache_coherence() -> List[str]:
     falsifies="sealed segment CRCs/sizes/record counts and contiguous "
     "sequence ranges agreeing with MANIFEST.json, including a segment "
     "filled exactly to the rotation boundary",
+    mutants=[
+        edit(
+            "sealed-range-starts-one-past-its-first-record", "repro.stream.wal:EventLog.rotate",
+            '"first_seq": self._active_first_seq,', '"first_seq": self._active_first_seq + 1,',
+            "seq",
+        ),
+    ],
 )
 def _check_wal_manifest() -> List[str]:
     from ..data.events import encode_event
@@ -677,6 +704,15 @@ def _check_wal_manifest() -> List[str]:
     layer="storage",
     falsifies="owner replicas holding bytes whose CRC32 disagrees with "
     "the put-time ledger",
+    mutants=[
+        edit(  # only keys written out of band are held to a checksum
+            "anti-entropy-trusts-divergent-ledger-copies",
+            "repro.storage.replicated:ReplicatedKVStore.anti_entropy",
+            "elif expected is not None and checksum != expected:",
+            "elif expected is None and checksum != expected:",
+            "post-repair: key-3@replica",
+        ),
+    ],
 )
 def _check_replicated_ledger() -> List[str]:
     from ..storage.kvstore import InMemoryKVStore
@@ -709,6 +745,14 @@ def _check_replicated_ledger() -> List[str]:
     layer="reliability",
     falsifies="CheckpointManager round-tripping bit-identical state and "
     "refusing manifests whose CRC32/size no longer match the file",
+    mutants=[
+        edit(
+            "model-state-saved-as-float32", "repro.reliability.checkpoint:_encode_checkpoint",
+            'arrays[f"model::{name}"] = value',
+            'arrays[f"model::{name}"] = value.astype(np.float32)',
+            "not bit-identical after load",
+        ),
+    ],
 )
 def _check_checkpoint_roundtrip() -> List[str]:
     from ..reliability.checkpoint import CheckpointError, CheckpointManager, TrainingState
@@ -750,6 +794,14 @@ def _check_checkpoint_roundtrip() -> List[str]:
     layer="serving",
     falsifies="Deadline.remaining decreasing exactly with the clock, "
     "expiry latching, and check() raising iff the budget is spent",
+    mutants=[
+        edit(
+            "remaining-clamped-at-zero", "repro.serving.deadline:Deadline.remaining",
+            "return self.budget_s - self.elapsed()",
+            "return max(0.0, self.budget_s - self.elapsed())",
+            "remaining 0.0 !=",
+        ),
+    ],
 )
 def _check_deadline() -> List[str]:
     from ..reliability.faults import ManualClock
@@ -787,6 +839,13 @@ def _check_deadline() -> List[str]:
     layer="obs",
     falsifies="span end >= start and child spans nesting inside their "
     "parent's interval with correct parent linkage",
+    mutants=[
+        edit(  # a finished span pops its parent off the stack too
+            "finish-pops-one-span-too-many", "repro.obs.trace:Tracer._finish",
+            "if top is span:", "if top is not span:",
+            "parent_id does not point at the request span",
+        ),
+    ],
 )
 def _check_spans() -> List[str]:
     from ..obs.trace import Tracer
@@ -825,6 +884,13 @@ def _check_spans() -> List[str]:
     layer="serving",
     falsifies="ServiceStats latency summaries reporting values that were "
     "never observed, and cache counters failing to sum to lookups",
+    mutants=[
+        edit(
+            "latencies-kept-rounded", "repro.serving.stats:ServiceStats.record_response",
+            "self._latencies.add(float(latency_s))", "self._latencies.add(round(latency_s, 1))",
+            "p50",
+        ),
+    ],
 )
 def _check_stats_accounting() -> List[str]:
     from ..serving.stats import ServiceStats
@@ -850,6 +916,14 @@ def _check_stats_accounting() -> List[str]:
     "Histogram.percentile, hedge_threshold) disagreeing with nearest-rank "
     "selection or each other, especially at n=1,2; hedge_threshold's "
     "version-keyed memo outliving the reservoir sample it was taken from",
+    mutants=[
+        edit(  # a floor rank instead of nearest rank, in one of the three call sites
+            "histogram-percentile-by-floor-rank", "repro.obs.registry:Histogram.percentile",
+            "sample[nearest_rank_index(q, len(sample))]",
+            "sample[min(len(sample) - 1, int(q / 100.0 * len(sample)))]",
+            "Histogram.p50",
+        ),
+    ],
 )
 def _check_percentiles() -> List[str]:
     from ..obs.registry import Histogram
@@ -1180,6 +1254,21 @@ def _replica_surfaces(rng) -> List[str]:
     "operations, with what stats() / snapshot() / health() / ReplicaHealth "
     "report at that instant (a tally copied instead of read), or two "
     "components on one registry not adding",
+    mutants=[  # an exporter handing the registry a copy of its tallies
+        edit(
+            "cache-tallies-captured-at-instrument-time",
+            "repro.graph.cache:SubgraphCache.instrument",
+            "registry.collect(self._collect)",
+            "registry.collect(lambda captured=list(self._collect()): captured)",
+            "caches, step",
+        ),
+        edit(  # `repro stream --demo --metrics` once printed 157 under a health block saying 171
+            "graph-version-exported-as-of-the-last-compaction",
+            "repro.stream.builder:IncrementalGraphBuilder._collect",
+            "{}, graph.version", "{}, self.last_compaction_version",
+            "stream_graph_version scraped as",
+        ),
+    ],
 )
 def _check_status_surfaces() -> List[str]:
     problems: List[str] = []

@@ -30,7 +30,7 @@ from .explain import render_dot, render_text
 from .graph import extract_community
 from .models import DetectorConfig, GATModel, GEMModel, XFraudDetectorPlus
 from .nn.serialization import load_state, save_state
-from .reliability import CheckpointManager
+from .reliability import CheckpointError, CheckpointManager
 from .train import TrainConfig, Trainer
 
 MODEL_CHOICES = {
@@ -440,7 +440,7 @@ def _parser() -> argparse.ArgumentParser:
         "--list",
         action="store_true",
         dest="list_checks",
-        help="list registered invariant checkers and fuzz scenarios, then exit",
+        help="list registered invariant checkers, fuzz scenarios and planted mutants, then exit",
     )
 
     return parser
@@ -582,6 +582,8 @@ def _cmd_train_elastic(args) -> int:
         except SkipBudgetExhaustedError as error:
             print(f"ABORT: {error}", file=sys.stderr)
             return 2
+        except CheckpointError as error:
+            raise _UsageError(f"cannot resume: {error}") from error
         print(f"elastic training over {args.workers} workers:")
         print(result.describe())
         if result.metrics:
@@ -1016,7 +1018,7 @@ def _cmd_stream(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    from .check import REGISTRY, SCENARIOS, run_audits, run_case, run_fuzz
+    from .check import MUTANTS, REGISTRY, SCENARIOS, run_audits, run_case, run_fuzz
 
     if args.list_checks:
         print("invariant checkers:")
@@ -1025,6 +1027,9 @@ def _cmd_check(args) -> int:
         print("fuzz scenarios:")
         for name in SCENARIOS:
             print(f"  {name}")
+        print("planted mutants:")
+        for mutant in MUTANTS.values():
+            print(f"  {mutant.name:48s} killed by {mutant.check}")
         return 0
 
     if args.case is not None:

@@ -606,9 +606,16 @@ class ElasticTrainer:
 
     # -- resume ---------------------------------------------------------
     def _restore(self, state: TrainingState, result: ElasticResult) -> int:
-        """Inverse of :meth:`_checkpoint_state`; returns the next epoch."""
-        restore_training_state(state, self.model, self.engine.optimizer, self.engine.rng)
+        """Inverse of :meth:`_checkpoint_state`; returns the next epoch.
+        A checkpoint without the supervisor's section (one a plain
+        ``Trainer.fit`` wrote) is refused before the model is touched."""
         extras = state.section("elastic")
+        if not extras:
+            raise CheckpointError(
+                f'the checkpoint of epoch {state.epoch} has no "elastic" section: '
+                "it was not written by an elastic run"
+            )
+        restore_training_state(state, self.model, self.engine.optimizer, self.engine.rng)
         self.members = set(extras.get("members", sorted(self.members)))
         self._killed = set(extras.get("killed", []))
         self._evicted = set(extras.get("evicted", []))

@@ -226,6 +226,18 @@ class TestElasticCheckpointFlags:
         assert code == 2
         assert "--resume given but no checkpoints in" in capsys.readouterr().err
 
+    def test_elastic_resume_of_a_plain_checkpoint_exits_2(self, tmp_path, capsys):
+        plain = ["train", "--scale", "0.1", "--model", "gem", "--checkpoint-dir", str(tmp_path)]
+        assert main(plain + ["--epochs", "1"]) == 0
+        code = main(
+            self.ELASTIC
+            + ["--workers", "4", "--epochs", "2", "--checkpoint-dir", str(tmp_path), "--resume"]
+        )
+        assert code == 2
+        assert 'error: cannot resume: the checkpoint of epoch 0 has no "elastic" section' in (
+            capsys.readouterr().err
+        )
+
     def test_elastic_resume_without_dir_exits_2(self, capsys):
         code = main(self.ELASTIC + ["--workers", "4", "--epochs", "2", "--resume"])
         assert code == 2

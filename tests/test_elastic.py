@@ -4,14 +4,16 @@ Everything runs on a ManualClock, so every suspicion value, eviction,
 backup race, and rollback in this file is exactly reproducible.
 """
 
+import pickle
 import zlib
 
 import numpy as np
 import pytest
 
 from repro.models import GEMModel, XFraudDetectorPlus
-from repro.reliability import CheckpointManager, FaultPlan, ManualClock
-from repro.storage.replicated import DEAD, HEALTHY, PROBING, SUSPECT
+from repro.reliability import CheckpointError, CheckpointManager, FaultPlan, ManualClock
+from repro.reliability.checkpoint import capture_training_state
+from repro.cluster import DEAD, HEALTHY, PROBING, SUSPECT
 from repro.train import (
     DistributedTrainer,
     ElasticConfig,
@@ -21,6 +23,7 @@ from repro.train import (
     NoSurvivorsError,
     SkipBudgetExhaustedError,
     TrainConfig,
+    Trainer,
     make_worker_partitions,
     rendezvous_assign,
 )
@@ -634,6 +637,28 @@ class TestResume:
         assert r1.metrics == r2.metrics
         assert [e.members for e in r1.history] == [e.members for e in r2.history]
         assert resumed.detector.state(2) == straight.detector.state(2)
+
+    def test_a_plain_trainers_checkpoint_is_refused_before_anything_moves(
+        self, tiny_graph, tiny_splits, detector_config, tmp_path
+    ):
+        """``Trainer.fit(checkpoint=...)`` writes no "elastic" section:
+        resuming from it raised a bare ``TypeError`` after overwriting
+        the parameters."""
+        train, _ = tiny_splits
+        plain = Trainer(GEMModel(detector_config), TrainConfig(epochs=1, seed=0))
+        plain.fit(tiny_graph, train, checkpoint=str(tmp_path))
+        trainer, model = _trainer(
+            tiny_graph, tiny_splits, detector_config, checkpoint=str(tmp_path)
+        )
+
+        def state():
+            engine = trainer.engine
+            return pickle.dumps(capture_training_state(model, engine.optimizer, engine.rng, 0))
+
+        before = state()
+        with pytest.raises(CheckpointError, match='epoch 0 has no "elastic" section'):
+            trainer.fit(resume=True)
+        assert state() == before
 
     def test_stop_after_epoch_truncates(self, tiny_graph, tiny_splits, detector_config, tmp_path):
         trainer, _ = _trainer(
