@@ -224,10 +224,6 @@ PINNED = [
     # Every frame was counted as long as the first; events encode to
     # 173-177 bytes, so a cut's surviving records were miscounted.
     ("wal-crash-replay", 14, 21),
-    # Union sampling made a node's score depend on its batch-mates
-    # (0.1442 one at a time vs 0.1399 batched).
-    ("single-vs-batched-scoring", 0, 1),
-    ("single-vs-batched-scoring", 1434336075, 3),
     # The autograd forward raised on a graph with no edges, which the
     # inference kernel scores.
     ("fused-vs-autograd-forward", 0, 1),
@@ -287,12 +283,35 @@ class TestRegressionSeeds:
     def test_relation_holds_past_the_round(self, name, trials):
         assert run_fuzz(trials, seed=0, names=[name]).ok
 
+    def test_batched_scoring_shrunk_case(self):
+        # Union sampling made a node's score depend on its batch-mates
+        # (0.1442 one at a time vs 0.1399 batched).
+        assert run_case("single-vs-batched-scoring", 0, 1) is None
+        assert run_case("single-vs-batched-scoring", 1434336075, 3) is None
+
     def test_a_crashing_side_is_a_divergence(self, monkeypatch):
         def crashes(seed, size):
             raise ValueError("one side blew up")
 
         monkeypatch.setitem(SCENARIOS, "synthetic-crash", crashes)
         assert "ValueError: one side blew up" in run_case("synthetic-crash", 0, 1)
+
+
+class TestStackedSampleMutants:
+    """The three ways a micro-batch's stacked sample can point a request
+    at another target's component are declared beside
+    ``single-vs-batched-scoring``; what they shrink to passes on the
+    real lookup."""
+
+    NAME = "single-vs-batched-scoring"
+
+    def test_shrunk_cases_pass_on_the_real_lookup(self):
+        # (0, 5) a six-request batch with two repeats, (0, 1) a
+        # five-request batch of two targets.
+        shrunk = {m.shrinks_to for m in MUTANTS.values() if m.check == self.NAME}
+        assert shrunk == {(0, 5), (0, 1)}
+        for seed, size in sorted(shrunk):
+            assert run_case(self.NAME, seed, size) is None, (seed, size)
 
 
 @pytest.mark.parametrize("mutant", MUTANTS.values(), ids=lambda mutant: mutant.name)
