@@ -16,6 +16,7 @@ The load-bearing contracts pinned here:
 """
 
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -935,6 +936,16 @@ class TestStreamDemo:
         compact_every=24,
         label_delay_s=4.0,
     )
+    # CRC32 of each integer array of the final live graph, and its
+    # version: the warm-start batch build plus every flushed delta.
+    LIVE_GRAPH = {
+        "node_type": 3777783113,
+        "edge_src": 3386824022,
+        "edge_dst": 1504932982,
+        "edge_type": 1033685113,
+        "labels": 2450373371,
+    }
+    LIVE_GRAPH_VERSION = 129
 
     def test_replay_is_byte_identical_and_gate_passes(self, tmp_path):
         first = run_stream_demo(
@@ -949,6 +960,13 @@ class TestStreamDemo:
         assert first.verdict_lines == second.verdict_lines
         assert first.verdict_digest == second.verdict_digest
         assert first.graph_version == second.graph_version
+        graph = first.scorer.builder.graph
+        crcs = {
+            name: zlib.crc32(np.ascontiguousarray(getattr(graph, name)).tobytes())
+            for name in self.LIVE_GRAPH
+        }
+        assert (crcs, graph.version) == (self.LIVE_GRAPH, self.LIVE_GRAPH_VERSION)
+        assert first.graph_version == self.LIVE_GRAPH_VERSION
         assert first.streamed_events == len(first.responses)
         assert first.health.events_scored == first.streamed_events
         # Too few events here for the drift reference to freeze (the
