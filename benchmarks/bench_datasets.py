@@ -6,7 +6,7 @@ datasets; the benchmark measures graph construction throughput.
 """
 
 from repro.data import GeneratorConfig, TransactionGenerator, ebay_small_sim
-from repro.graph import GraphBuilder, NODE_TYPES
+from repro.graph import NODE_TYPES, build_graph
 
 from _helpers import format_table, write_result
 
@@ -15,7 +15,7 @@ def test_table2_table6_dataset_summary(benchmark, small, large, xlarge):
     def build_small_graph():
         generator = TransactionGenerator(GeneratorConfig(num_benign_buyers=150, seed=3))
         log = generator.downsample_benign(generator.generate())
-        graph, _ = GraphBuilder().build(log)
+        graph, _ = build_graph(log)
         return graph
 
     benchmark.pedantic(build_small_graph, rounds=3, iterations=1)

@@ -49,7 +49,7 @@ from _helpers import best_us, format_table, stream_shaped_graph, write_result
 from repro.check import subgraph_equal
 from repro.check.reference import scalar_sample
 from repro.data import GeneratorConfig, TransactionGenerator
-from repro.graph import BuildConfig, GraphBuilder
+from repro.graph import build_graph
 from repro.graph.cache import SubgraphCache
 from repro.graph.sampling import HGSampler, SageSampler, stack_subgraphs
 from repro.util import batched
@@ -77,7 +77,7 @@ def _bench_graph():
     log = TransactionGenerator(
         GeneratorConfig(num_benign_buyers=400, feature_dim=24, seed=0)
     ).generate()
-    graph, _ = GraphBuilder(BuildConfig()).build(log)
+    graph, _ = build_graph(log)
     graph.csr()  # build the adjacency outside the timed region
     return graph, graph.txn_nodes[np.arange(AT_BATCH) % len(graph.txn_nodes)]
 

@@ -25,7 +25,7 @@ from repro import (
 from repro.explain import render_text
 from repro.graph import (
     NODE_TYPE_IDS,
-    GraphBuilder,
+    build_graph,
     homophily_report,
     render_homophily_report,
     train_test_split,
@@ -44,7 +44,7 @@ def main() -> None:
     )
     generator = TransactionGenerator(config)
     log = generator.downsample_benign(generator.generate())
-    graph, index = GraphBuilder().build(log)
+    graph, index = build_graph(log)
     train_nodes, _, test_nodes = train_test_split(graph, test_fraction=0.3, seed=0)
     print(f"Workload: {graph.num_nodes:,} nodes, fraud rate {100*graph.fraud_rate():.2f}%")
 

@@ -20,7 +20,7 @@ from repro import (
     TransactionGenerator,
     XFraudDetectorPlus,
 )
-from repro.graph import GraphBuilder
+from repro.graph import build_graph
 from repro.train import roc_auc
 
 
@@ -29,7 +29,7 @@ def main() -> None:
         GeneratorConfig(num_benign_buyers=700, feature_dim=64, seed=21)
     )
     log = generator.downsample_benign(generator.generate())
-    graph, index = GraphBuilder().build(log)
+    graph, index = build_graph(log)
 
     # Split labeled transactions by timestamp median: T-1 vs T.
     stamps = {index["txn"][r.txn_id]: r.timestamp for r in log}

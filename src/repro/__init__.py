@@ -48,13 +48,11 @@ from .data import (
     GeneratorConfig,
     TransactionGenerator,
     TransactionLog,
-    TransactionRecord,
     TxnEvent,
     ebay_large_sim,
     ebay_small_sim,
     ebay_xlarge_sim,
     export_events,
-    generate_events,
     generate_log,
     load_dataset,
 )
@@ -69,12 +67,11 @@ from .explain import (
     topk_hit_rate,
 )
 from .graph import (
-    BuildConfig,
     Community,
-    GraphBuilder,
     HeteroGraph,
     HGSampler,
     SageSampler,
+    build_graph,
     extract_community,
     select_communities,
     train_test_split,
@@ -153,12 +150,10 @@ __all__ = [
     "GeneratorConfig",
     "TransactionGenerator",
     "TransactionLog",
-    "TransactionRecord",
     "ebay_small_sim",
     "ebay_large_sim",
     "ebay_xlarge_sim",
     "generate_log",
-    "generate_events",
     "export_events",
     "TxnEvent",
     "load_dataset",
@@ -168,8 +163,7 @@ __all__ = [
     "DriftDetector",
     "run_stream_demo",
     "HeteroGraph",
-    "GraphBuilder",
-    "BuildConfig",
+    "build_graph",
     "train_test_split",
     "Community",
     "extract_community",

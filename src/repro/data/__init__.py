@@ -2,12 +2,11 @@
 
 from .datasets import DatasetBundle, dataset_summary, ebay_large_sim, ebay_small_sim, ebay_xlarge_sim, load_dataset
 from .events import TxnEvent, decode_event, encode_event, export_events
-from .generator import GeneratorConfig, TransactionGenerator, generate_events, generate_log
-from .records import TransactionLog, TransactionRecord
+from .generator import GeneratorConfig, TransactionGenerator, generate_log
+from .records import TransactionLog
 from .survey import HETERO_DATASET_SURVEY, survey_table
 
 __all__ = [
-    "TransactionRecord",
     "TransactionLog",
     "TxnEvent",
     "encode_event",
@@ -16,7 +15,6 @@ __all__ = [
     "GeneratorConfig",
     "TransactionGenerator",
     "generate_log",
-    "generate_events",
     "DatasetBundle",
     "ebay_small_sim",
     "ebay_large_sim",

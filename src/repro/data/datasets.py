@@ -24,7 +24,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from ..graph.builder import BuildConfig, GraphBuilder, train_test_split
+from ..graph.builder import build_graph, train_test_split
 from ..graph.hetero import HeteroGraph
 from .generator import GeneratorConfig, TransactionGenerator
 from .records import TransactionLog
@@ -58,7 +58,7 @@ class DatasetBundle:
 def _build(name: str, config: GeneratorConfig, test_fraction: float = 0.3) -> DatasetBundle:
     generator = TransactionGenerator(config)
     log = generator.downsample_benign(generator.generate())
-    graph, index = GraphBuilder(BuildConfig()).build(log)
+    graph, index = build_graph(log)
     train_nodes, _, test_nodes = train_test_split(
         graph, test_fraction=test_fraction, seed=config.seed
     )

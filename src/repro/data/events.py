@@ -1,14 +1,15 @@
 """Time-ordered transaction events — the streaming view of the log.
 
-A :class:`~repro.data.records.TransactionLog` is a batch artefact; the
-production system xFraud fronts (Sec. 1) sees the same rows as a
-*stream*: one :class:`TxnEvent` per transaction, in timestamp order,
-with the fraud label unknown at arrival (chargebacks land days later —
-the stream layer's :class:`~repro.stream.feedback.LabelFeed` models
-that lag). :func:`export_events` is the generator's event-stream export
-mode: the same seed produces the same log and therefore the same event
-sequence, which is what makes the ``repro stream --demo`` replay gate
-and the WAL round-trip tests deterministic.
+A :class:`~repro.data.records.TransactionLog` is a batch of
+:class:`TxnEvent` rows; the production system xFraud fronts (Sec. 1)
+sees the same rows as a *stream*: one event per transaction, in
+timestamp order, with the fraud label unknown at arrival (chargebacks
+land days later — the stream layer's
+:class:`~repro.stream.feedback.LabelFeed` models that lag).
+:func:`export_events` is the generator's event-stream export mode: the
+same seed produces the same log and therefore the same event sequence,
+which is what makes the ``repro stream --demo`` replay gate and the WAL
+round-trip tests deterministic.
 
 Events also define their own durable byte codec (:func:`encode_event` /
 :func:`decode_event`): a canonical JSON header (sorted keys) followed
@@ -26,11 +27,12 @@ import functools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Union
+from typing import TYPE_CHECKING, List, Optional
 
 import numpy as np
 
-from .records import TransactionLog, TransactionRecord
+if TYPE_CHECKING:  # records.py imports TxnEvent from here
+    from .records import TransactionLog
 
 _CODEC_VERSION = 1
 _HEADER_SEP = b"\x00"
@@ -48,12 +50,13 @@ class EventCodecError(ValueError):
 
 @dataclass(frozen=True)
 class TxnEvent:
-    """One transaction arriving on the stream.
+    """One transaction: a row of the batch log and an event of the stream.
 
-    ``label`` carries the generator's ground truth so the feedback
-    plane can reveal it after the chargeback delay; a real deployment
-    would receive it in a separate chargeback feed. Scoring never reads
-    it — the graph stores ``-1`` until the label feed matures.
+    ``label`` carries the generator's ground truth: the batch graph's
+    supervision, and on the stream what the feedback plane reveals
+    after the chargeback delay (a real deployment would receive it in
+    a separate chargeback feed). Streamed scoring never reads it — the
+    live graph stores ``-1`` until the label feed matures.
     """
 
     txn_id: int
@@ -67,7 +70,7 @@ class TxnEvent:
     scenario: str = "benign"
 
     def linked_entities(self) -> List[tuple]:
-        """(entity_kind, entity_id) pairs, mirroring TransactionRecord."""
+        """(entity_kind, entity_id) pairs this transaction links to."""
         links = [
             ("pmt", self.pmt_id),
             ("email", self.email_id),
@@ -76,6 +79,10 @@ class TxnEvent:
         if self.buyer_id is not None:
             links.append(("buyer", self.buyer_id))
         return links
+
+    @property
+    def is_guest_checkout(self) -> bool:
+        return self.buyer_id is None
 
 
 def encode_event(event: TxnEvent) -> bytes:
@@ -129,24 +136,23 @@ def decode_event(payload: bytes) -> TxnEvent:
         raise EventCodecError(f"malformed event header {header!r}: {error!r}") from error
 
 
-def _event_of(row: Union[TransactionRecord, TxnEvent], timestamp: float) -> TxnEvent:
-    """``row`` as an event at ``timestamp``; an event's features array
-    is reused, not copied."""
+def _event_of(event: TxnEvent, timestamp: float) -> TxnEvent:
+    """``event`` re-timed to ``timestamp``, around the same features array."""
     return TxnEvent(
-        txn_id=row.txn_id,
-        buyer_id=row.buyer_id,
-        email_id=row.email_id,
-        pmt_id=row.pmt_id,
-        addr_id=row.addr_id,
+        txn_id=event.txn_id,
+        buyer_id=event.buyer_id,
+        email_id=event.email_id,
+        pmt_id=event.pmt_id,
+        addr_id=event.addr_id,
         timestamp=timestamp,
-        features=np.asarray(row.features, dtype=np.float64),
-        label=int(row.label),
-        scenario=row.scenario,
+        features=event.features,
+        label=event.label,
+        scenario=event.scenario,
     )
 
 
 def export_events(
-    log: TransactionLog, interleave_seed: Optional[int] = None
+    log: "TransactionLog", interleave_seed: Optional[int] = None
 ) -> List[TxnEvent]:
     """Export a transaction log as a time-ordered event stream.
 
@@ -171,8 +177,7 @@ def export_events(
     ``tests/test_generator.py`` pins the CRC32 of the encoded events: a
     change to the draws must re-commit that digest and say why.
     """
-    events = [_event_of(record, record.timestamp) for record in log]
-    events.sort(key=lambda event: (event.timestamp, event.txn_id))
+    events = sorted(log, key=lambda event: (event.timestamp, event.txn_id))
     if interleave_seed is None:
         return events
     rng = np.random.default_rng(interleave_seed)

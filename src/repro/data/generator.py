@@ -44,7 +44,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from .records import TransactionLog, TransactionRecord
+from .events import TxnEvent
+from .records import TransactionLog
 
 NUM_ITEM_CATEGORIES = 8
 
@@ -181,8 +182,8 @@ class TransactionGenerator:
         addr_id: int,
         label: int,
         scenario: str,
-    ) -> TransactionRecord:
-        return TransactionRecord(
+    ) -> TxnEvent:
+        return TxnEvent(
             txn_id=self._alloc.new("txn"),
             buyer_id=buyer_id,
             email_id=email_id,
@@ -430,8 +431,3 @@ def generate_log(config: Optional[GeneratorConfig] = None, downsample: bool = Tr
     if downsample:
         log = generator.downsample_benign(log)
     return log
-
-
-def generate_events(config: Optional[GeneratorConfig] = None, downsample: bool = True):
-    """Convenience wrapper: generate a log and export it as events."""
-    return TransactionGenerator(config).event_stream(downsample=downsample)

@@ -1,10 +1,12 @@
-"""Transaction-log record types.
+"""The transaction log: a batch of transaction rows.
 
-A transaction record is one row of the platform's transaction log
-(Figure 3 of the paper): a transaction id, the linking entities it
-uses (buyer account, billing email, payment token, shipping address),
-the feature vector produced by the upstream risk-identification system,
-and the fraud/legit flag used for supervision.
+One row of the platform's transaction log (Figure 3 of the paper) is a
+:class:`~repro.data.events.TxnEvent`: a transaction id, the linking
+entities it uses (buyer account, billing email, payment token, shipping
+address), the feature vector produced by the upstream risk-identification
+system, and the fraud/legit flag used for supervision. The same type is
+the stream's event, so a log row and the event it is exported as are
+one object.
 
 Guest checkouts (Appendix G.3) have ``buyer_id = None`` — the paper
 highlights that xFraud can still link them through payment token,
@@ -14,46 +16,18 @@ email, or shipping address.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
-
-@dataclass
-class TransactionRecord:
-    """One transaction-log row."""
-
-    txn_id: int
-    buyer_id: Optional[int]
-    email_id: int
-    pmt_id: int
-    addr_id: int
-    label: int
-    timestamp: float
-    features: np.ndarray
-    scenario: str = "benign"
-
-    def linked_entities(self) -> List[tuple]:
-        """(entity_kind, entity_id) pairs this transaction links to."""
-        links = [
-            ("pmt", self.pmt_id),
-            ("email", self.email_id),
-            ("addr", self.addr_id),
-        ]
-        if self.buyer_id is not None:
-            links.append(("buyer", self.buyer_id))
-        return links
-
-    @property
-    def is_guest_checkout(self) -> bool:
-        return self.buyer_id is None
+from .events import TxnEvent
 
 
 @dataclass
 class TransactionLog:
-    """A batch of transaction records plus bookkeeping."""
+    """A batch of transaction rows plus bookkeeping."""
 
-    records: List[TransactionRecord] = field(default_factory=list)
+    records: List[TxnEvent] = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -61,10 +35,10 @@ class TransactionLog:
     def __iter__(self):
         return iter(self.records)
 
-    def append(self, record: TransactionRecord) -> None:
+    def append(self, record: TxnEvent) -> None:
         self.records.append(record)
 
-    def extend(self, records: List[TransactionRecord]) -> None:
+    def extend(self, records: List[TxnEvent]) -> None:
         self.records.extend(records)
 
     def fraud_rate(self) -> float:

@@ -33,7 +33,6 @@ from .hitrate import (
 from .hybrid import (
     CommunityWeights,
     HybridExplainer,
-    evaluate_methods,
     fit_grid,
     fit_polynomial_degree,
     fit_ridge,
@@ -77,7 +76,6 @@ __all__ = [
     "fit_ridge",
     "fit_polynomial_degree",
     "ridge_regression",
-    "evaluate_methods",
     "CaseStudy",
     "classify_communities",
     "confusion_by_complexity",

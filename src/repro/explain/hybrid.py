@@ -175,33 +175,3 @@ def fit_polynomial_degree(
     best_error = min(errors.values())
     best_degree = min(d for d, e in errors.items() if e <= best_error * 1.05 + 1e-12)
     return best_degree, errors[best_degree]
-
-
-def evaluate_methods(
-    train: Sequence[CommunityWeights],
-    test: Sequence[CommunityWeights],
-    ks: Sequence[int] = (5, 10, 15, 20, 25),
-    draws: int = 50,
-    seed: int = 0,
-) -> Dict[str, Dict[int, float]]:
-    """Table-4 style comparison on held-out communities.
-
-    Returns hit-rate profiles for pure centrality, pure GNNExplainer,
-    hybrid (ridge), and hybrid (grid).
-    """
-    results: Dict[str, Dict[int, float]] = {
-        "centrality": {},
-        "gnn_explainer": {},
-        "hybrid_ridge": {},
-        "hybrid_grid": {},
-    }
-    pure_centrality = HybridExplainer(1.0, 0.0, "centrality")
-    pure_explainer = HybridExplainer(0.0, 1.0, "gnn_explainer")
-    for k in ks:
-        ridge = fit_ridge(train, k=k, draws=draws, seed=seed)
-        grid = fit_grid(train, k=k, draws=draws, seed=seed)
-        results["centrality"][k] = pure_centrality.hit_rate(test, k, draws=draws, seed=seed)
-        results["gnn_explainer"][k] = pure_explainer.hit_rate(test, k, draws=draws, seed=seed)
-        results["hybrid_ridge"][k] = ridge.hit_rate(test, k, draws=draws, seed=seed)
-        results["hybrid_grid"][k] = grid.hit_rate(test, k, draws=draws, seed=seed)
-    return results

@@ -1,6 +1,6 @@
 """repro.graph — heterogeneous transaction-graph substrate."""
 
-from .builder import BuildConfig, GraphBuilder, train_test_split
+from .builder import build_graph, train_test_split
 from .community import Community, extract_community, select_communities
 from .homophily import HomophilyScore, homophily_report, homophily_score, render_homophily_report
 from .hetero import (
@@ -10,6 +10,7 @@ from .hetero import (
     NODE_TYPES,
     HeteroGraph,
     edge_type_between,
+    link_edges,
 )
 from .cache import SubgraphCache
 from .partition import group_partitions, pic_partition, power_iteration_embedding
@@ -23,12 +24,12 @@ __all__ = [
     "EDGE_TYPES",
     "EDGE_TYPE_IDS",
     "edge_type_between",
+    "link_edges",
     "HomophilyScore",
     "homophily_score",
     "homophily_report",
     "render_homophily_report",
-    "GraphBuilder",
-    "BuildConfig",
+    "build_graph",
     "train_test_split",
     "Community",
     "extract_community",

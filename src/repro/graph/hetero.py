@@ -67,6 +67,26 @@ _EDGE_TYPE_OF_PAIR[EDGE_ENDPOINTS[:, 0] * len(NODE_TYPES) + EDGE_ENDPOINTS[:, 1]
 )
 
 
+def link_edges(
+    txn: Sequence[int], entity: Sequence[int], entity_type: Sequence[int]
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The directed edges of (transaction, entity) links — Sec. 3.1's one
+    construction rule. Link ``k`` becomes edge ``2k``, ``txn -> entity``,
+    then edge ``2k + 1``, ``entity -> txn``, each typed by its endpoints'
+    node types (``entity_type[k]`` is the entity's). Returns
+    ``(edge_src, edge_dst, edge_type)``; a link whose entity is a
+    transaction gets type ``-1``, which a graph refuses."""
+    kind = np.asarray(entity_type, dtype=np.int64)
+    src = np.empty(2 * len(kind), dtype=np.int64)
+    dst = np.empty_like(src)
+    edge_type = np.empty_like(src)
+    src[0::2] = dst[1::2] = txn
+    src[1::2] = dst[0::2] = entity
+    edge_type[0::2] = _EDGE_TYPE_OF_PAIR[_TXN * len(NODE_TYPES) + kind]
+    edge_type[1::2] = _EDGE_TYPE_OF_PAIR[kind * len(NODE_TYPES) + _TXN]
+    return src, dst, edge_type
+
+
 def _check_edge_schema(src_type: np.ndarray, dst_type: np.ndarray, edge_type: np.ndarray) -> None:
     """Raise ValueError unless each edge's type is the one its endpoints'
     node types imply (one lookup per edge, no ``(E, 2)`` temporaries)."""
@@ -653,15 +673,16 @@ class HeteroGraph:
         txn_table: np.ndarray,
         labels: Sequence[int],
     ) -> "HeteroGraph":
-        """Build from undirected (txn, entity) links, adding both directions."""
-        pairs = np.asarray(links, dtype=np.int64).reshape(-1, 1, 2)  # each link, then reversed
-        src, dst = np.concatenate([pairs, pairs[:, :, ::-1]], axis=1).reshape(-1, 2).T.copy()
-        types = [NODE_TYPES[type_id] for type_id in node_types]
+        """Build from undirected (txn, entity) links, adding both
+        directions (:func:`link_edges`)."""
+        node_type = np.asarray(node_types, dtype=np.int64)
+        txn, entity = np.asarray(links, dtype=np.int64).reshape(-1, 2).T
+        src, dst, edge_type = link_edges(txn, entity, node_type[entity])
         return HeteroGraph(
-            node_type=node_types,
+            node_type=node_type,
             edge_src=src,
             edge_dst=dst,
-            edge_type=[edge_type_between(types[a], types[b]) for a, b in zip(src, dst)],
+            edge_type=edge_type,
             txn_table=txn_table,
             labels=labels,
         )

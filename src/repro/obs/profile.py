@@ -196,10 +196,6 @@ class Profiler:
             rows = [row for row in rows if row.phase == phase]
         return sorted(rows, key=lambda r: -r.total_s)
 
-    def total_seconds(self, phase: str = "forward") -> float:
-        """Root-level time in one phase (self time summed avoids double count)."""
-        return sum(record.self_s for record in self.records(phase))
-
     def summary(self) -> Dict[str, Dict[str, float]]:
         """``{"forward/Linear": {calls, total_s, self_s, mean_s, bytes}}``."""
         return {

@@ -221,10 +221,6 @@ class Tracer:
                 self.dropped += overflow
 
     # -- inspection -----------------------------------------------------
-    def current_span(self) -> Optional[Span]:
-        stack = self._stack()
-        return stack[-1] if stack else None
-
     def spans(self) -> List[Span]:
         """Finished spans, oldest first (bounded by ``max_spans``)."""
         with self._lock:

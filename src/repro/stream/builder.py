@@ -1,6 +1,6 @@
 """Incremental hetero-graph maintenance over a live event stream.
 
-The batch :class:`~repro.graph.builder.GraphBuilder` converts a whole
+The batch :func:`~repro.graph.builder.build_graph` converts a whole
 transaction log at once; this module applies *time-ordered events* to a
 live :class:`~repro.graph.hetero.HeteroGraph` — the same object a
 :class:`~repro.serving.service.ScoringService` is scoring against —
@@ -11,8 +11,9 @@ without ever replacing it:
   fraud-ring mechanic: rings reveal themselves as many transactions
   funnelling into few entities), via the same ``{kind: {external_id:
   node_id}}`` index the batch builder returns;
-* **delta buffers** — applied events accumulate in plain lists and are
-  materialised in one vectorised
+* **delta buffers** — applied events accumulate in plain lists (new
+  nodes, transaction rows, and one ``(txn, entity)`` link per entity
+  use) and are materialised in one vectorised
   :meth:`~repro.graph.hetero.HeteroGraph.append_delta` per
   :meth:`flush`, which checks and writes only the delta — rows into the
   graph's spare capacity, in-edges into the headroom of the CSR's
@@ -34,8 +35,8 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 import numpy as np
 
 from ..data.events import TxnEvent
-from ..graph.builder import GraphBuilder
-from ..graph.hetero import NODE_TYPE_IDS, HeteroGraph, edge_type_between
+from ..graph.builder import build_graph
+from ..graph.hetero import NODE_TYPE_IDS, HeteroGraph, link_edges
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..data.records import TransactionLog
@@ -99,7 +100,7 @@ class IncrementalGraphBuilder:
         """Warm-start from a batch-built graph (the warmup prefix of a
         stream demo): the batch builder's index seeds entity dedup so
         streamed transactions link into the pre-existing ring structure."""
-        graph, index = GraphBuilder().build(log)
+        graph, index = build_graph(log)
         builder = cls(graph.feature_dim, graph=graph, index=index, registry=registry)
         builder.events_applied = len(index["txn"])
         return builder
@@ -142,12 +143,7 @@ class IncrementalGraphBuilder:
             if entity is None:
                 entity = self._stage_node(kind)
                 self.index[kind][external_id] = entity
-            self._pending_src.append(txn_node)
-            self._pending_dst.append(entity)
-            self._pending_etype.append(edge_type_between("txn", kind))
-            self._pending_src.append(entity)
-            self._pending_dst.append(txn_node)
-            self._pending_etype.append(edge_type_between(kind, "txn"))
+            self._pending_links.extend((txn_node, entity, NODE_TYPE_IDS[kind]))
         self._pending_events += 1
         return txn_node
 
@@ -160,13 +156,15 @@ class IncrementalGraphBuilder:
         """
         if self._pending_events == 0:
             return 0
+        txn, entity, entity_type = np.array(self._pending_links, dtype=np.int64).reshape(-1, 3).T
+        edge_src, edge_dst, edge_type = link_edges(txn, entity, entity_type)
         self.graph.append_delta(
             node_type=self._pending_node_type,
             labels=self._pending_labels,
             txn_table=np.stack(self._pending_features),
-            edge_src=self._pending_src,
-            edge_dst=self._pending_dst,
-            edge_type=self._pending_etype,
+            edge_src=edge_src,
+            edge_dst=edge_dst,
+            edge_type=edge_type,
         )
         applied = self._pending_events
         self.events_applied += applied
@@ -175,12 +173,14 @@ class IncrementalGraphBuilder:
         return applied
 
     def _clear_pending(self) -> None:
-        """Empty the delta buffers: nodes, edges, transaction rows staged to flush."""
+        """Empty the delta buffers: nodes, transaction rows and links
+        staged to flush (a link is three ints in ``_pending_links``: txn
+        node, entity node, entity type)."""
         self._pending_events = 0
         self._pending_node_type: List[int] = []
         self._pending_labels: List[int] = []
         self._pending_features: List[np.ndarray] = []
-        self._pending_src, self._pending_dst, self._pending_etype = [], [], []
+        self._pending_links: List[int] = []
 
     def apply_label(self, txn_id: int, label: int) -> int:
         """Reveal a matured label (chargeback verdict) on the live graph.

@@ -230,23 +230,27 @@ class FailureDetector:
         return -math.log10(max(survival, _MIN_SURVIVAL))
 
     def poll(self, now: Optional[float] = None) -> List[Tuple[int, str, str]]:
-        """Re-evaluate suspicion for every healthy/suspect worker.
+        """Re-evaluate suspicion for every healthy, suspect and probing
+        worker.
 
-        Returns the transitions taken as ``(worker, from, to)``.
-        Probing and dead workers are not re-scored: probing resolves
-        via :meth:`confirm` or renewed silence after readmission, dead
-        stays dead until a heartbeat revives it.
+        Returns the transitions taken as ``(worker, from, to)``. A
+        probing worker is re-scored for death only: silent to
+        ``dead_phi`` it is dead again, and otherwise only
+        :meth:`confirm` moves it (to healthy). Dead stays dead until a
+        heartbeat revives it.
         """
         now = self.clock() if now is None else float(now)
         taken: List[Tuple[int, str, str]] = []
         for worker in sorted(self._states):
             state = self._states[worker]
-            if state not in (HEALTHY, SUSPECT):
+            if state == DEAD:
                 continue
             phi = self.phi(worker, now)
             if phi >= self.dead_phi:
                 taken.append((worker, state, DEAD))
                 self._transition(worker, DEAD, now)
+            elif state == PROBING:
+                continue
             elif phi >= self.suspect_phi:
                 if state == HEALTHY:
                     taken.append((worker, state, SUSPECT))
@@ -801,9 +805,9 @@ class ElasticTrainer:
                 self.detector.heartbeat(shard.worker)
             self.detector.poll()
         # Whoever is still missing is evicted — declared dead by the
-        # detector or, failing that (a worker that dies while probing is
-        # never re-scored), silent through the whole grace period. The
-        # round is never taken without a member's shard.
+        # detector (a worker killed while probing included) or, failing
+        # that, silent through the whole grace period. The round is
+        # never taken without a member's shard.
         if missing:
             return _Round(dead=missing)
 

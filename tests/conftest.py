@@ -17,7 +17,7 @@ from repro import (
     TransactionGenerator,
     XFraudDetectorPlus,
 )
-from repro.graph import BuildConfig, GraphBuilder, train_test_split
+from repro.graph import build_graph, train_test_split
 
 
 TINY_CONFIG = GeneratorConfig(
@@ -45,7 +45,7 @@ def tiny_log():
 
 @pytest.fixture(scope="session")
 def tiny_graph(tiny_log):
-    graph, _ = GraphBuilder(BuildConfig()).build(tiny_log)
+    graph, _ = build_graph(tiny_log)
     return graph
 
 

@@ -10,9 +10,11 @@ import zlib
 import numpy as np
 import pytest
 
-from repro.models import GEMModel, XFraudDetectorPlus
+from repro.data import load_dataset
+from repro.models import DetectorConfig, GEMModel, XFraudDetectorPlus
 from repro.reliability import CheckpointError, CheckpointManager, FaultPlan, ManualClock
 from repro.reliability.checkpoint import capture_training_state
+from repro.reliability.faults import EVICTION
 from repro.cluster import DEAD, HEALTHY, PROBING, SUSPECT
 from repro.train import (
     DistributedTrainer,
@@ -755,19 +757,44 @@ class TestSupervisorOverEngine:
     def test_worker_dying_in_the_round_it_rejoins_is_evicted(
         self, tiny_graph, tiny_splits, detector_config
     ):
-        """A probing worker is never re-scored by the detector, so one
-        that dies before completing a round cannot be *declared* dead:
-        it is evicted when the grace period runs out, not kept as a
-        member whose partitions nobody trains."""
+        """A worker that dies before completing the round it rejoins in
+        is evicted in that round — the detector re-scores a probing
+        worker and declares it dead — not kept as a member whose
+        partitions nobody trains."""
         plan = FaultPlan(num_workers=4, worker_kill={0: [3], 1: [3]}, worker_rejoin={1: [3]})
         trainer, _ = _trainer(tiny_graph, tiny_splits, detector_config, fault_plan=plan)
         result = trainer.fit()
         rejoin_round = result.history[1]
         assert rejoin_round.rejoined == [3] and rejoin_round.evicted == [3]
-        assert "grace period" in rejoin_round.events[-1].detail
+        assert rejoin_round.events[-1].detail == "declared dead by phi-accrual detector"
         assert [record.members for record in result.history[1:]] == [[0, 1, 2]] * 2
         assert [w.worker_id for w in trainer.engine.workers] == [0, 1, 2]
         assert result.history[2].wall_seconds < 2.0  # no round stalls on it again
+
+    def test_worker_killed_while_probing_is_declared_dead(self):
+        # ebay-small-sim, four workers: worker 2 killed at epoch 1, then
+        # readmitted probing at epoch 3 and killed again in that round.
+        # Both evictions are the phi-accrual detector's verdict.
+        bundle = load_dataset("ebay-small-sim", seed=0, scale=0.1)
+        plan = FaultPlan(num_workers=4, worker_kill={1: [2], 3: [2]}, worker_rejoin={3: [2]})
+        model = GEMModel(DetectorConfig(feature_dim=bundle.graph.feature_dim, seed=0))
+        trainer = ElasticTrainer(
+            model, bundle.graph, bundle.train_nodes, 4,
+            config=TrainConfig(epochs=4, batch_size=512, seed=0), fault_plan=plan,
+        )
+        result = trainer.fit()
+        evictions = [
+            (record.epoch, event.detail)
+            for record in result.history
+            for event in record.events
+            if event.kind == EVICTION and event.worker_id == 2
+        ]
+        assert evictions == [
+            (1, "declared dead by phi-accrual detector"),
+            (3, "declared dead by phi-accrual detector"),
+        ]
+        moves = [(start, end) for _, worker, start, end in trainer.detector.transitions if worker == 2]
+        assert moves[-2:] == [(DEAD, PROBING), (PROBING, DEAD)]
 
 
 class TestSupervisorParentParity:

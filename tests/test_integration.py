@@ -65,7 +65,7 @@ class TestExplainerPipeline:
         for stable hit-rate statistics, so this class trains its own
         detector on a ~250-buyer graph (a few seconds)."""
         from repro.data import GeneratorConfig, TransactionGenerator
-        from repro.graph import GraphBuilder, train_test_split
+        from repro.graph import build_graph, train_test_split
 
         config = GeneratorConfig(
             num_benign_buyers=250,
@@ -80,7 +80,7 @@ class TestExplainerPipeline:
             seed=11,
         )
         generator = TransactionGenerator(config)
-        graph, _ = GraphBuilder().build(generator.downsample_benign(generator.generate()))
+        graph, _ = build_graph(generator.downsample_benign(generator.generate()))
         train, _, test = train_test_split(graph, test_fraction=0.3, seed=0)
         detector = XFraudDetectorPlus(
             DetectorConfig(

@@ -179,7 +179,7 @@ class TestGraphProperties:
     def test_generated_graph_invariants(self, seed):
         """Any generator seed yields a structurally valid graph."""
         from repro.data import GeneratorConfig, TransactionGenerator
-        from repro.graph import GraphBuilder, NODE_TYPE_IDS
+        from repro.graph import NODE_TYPE_IDS, build_graph
 
         config = GeneratorConfig(
             num_benign_buyers=15,
@@ -192,7 +192,7 @@ class TestGraphProperties:
         )
         generator = TransactionGenerator(config)
         log = generator.downsample_benign(generator.generate())
-        graph, _ = GraphBuilder().build(log)
+        graph, _ = build_graph(log)
         graph.validate()
         # Symmetric edges.
         pairs = set(zip(graph.edge_src.tolist(), graph.edge_dst.tolist()))
@@ -207,7 +207,7 @@ class TestGraphProperties:
     @settings(max_examples=15, deadline=None)
     def test_sampler_subgraph_is_valid(self, seed, fanout):
         from repro.data import GeneratorConfig, TransactionGenerator
-        from repro.graph import GraphBuilder, SageSampler
+        from repro.graph import SageSampler, build_graph
 
         config = GeneratorConfig(
             num_benign_buyers=15,
@@ -220,7 +220,7 @@ class TestGraphProperties:
         )
         generator = TransactionGenerator(config)
         log = generator.downsample_benign(generator.generate())
-        graph, _ = GraphBuilder().build(log)
+        graph, _ = build_graph(log)
         targets = graph.labeled_nodes[:4]
         sampled = SageSampler(hops=2, fanout=fanout, seed=seed).sample(graph, targets)
         sampled.graph.validate()

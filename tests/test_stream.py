@@ -9,7 +9,7 @@ The load-bearing contracts pinned here:
   fast path (which trusts the CSR) cannot diverge between a
   delta-layered and a compacted graph;
 * the :class:`IncrementalGraphBuilder` reaches the same topology as
-  the batch :class:`GraphBuilder` fed the same transactions — entity
+  the batch :func:`build_graph` fed the same transactions — entity
   dedup included;
 * replaying the same event stream on a :class:`ManualClock` yields
   byte-identical verdicts (the ``repro stream --demo`` gate).
@@ -33,7 +33,7 @@ from repro.graph import (
     SageSampler,
     SubgraphCache,
 )
-from repro.graph.builder import GraphBuilder
+from repro.graph.builder import build_graph
 from repro.models import DetectorConfig, XFraudDetectorPlus
 from repro.obs import MetricsRegistry
 from repro.reliability import CheckpointManager, ManualClock
@@ -81,7 +81,7 @@ def _rebuilt(graph):
 class TestAppendDelta:
     def _base_graph(self, seed=0):
         log = generate_log(_small_config(seed))
-        graph, _ = GraphBuilder().build(log)
+        graph, _ = build_graph(log)
         return graph
 
     def _delta(self, graph, rng, num_txn=7, num_entities=3):
@@ -409,7 +409,7 @@ class TestIncrementalBuilder:
 
     def test_matches_batch_builder(self):
         log = generate_log(_small_config(seed=5))
-        batch_graph, batch_index = GraphBuilder().build(log)
+        batch_graph, batch_index = build_graph(log)
         builder = IncrementalGraphBuilder(feature_dim=len(log.records[0].features))
         events = export_events(log)
         for event in events:
@@ -703,7 +703,7 @@ class TestDriftDetector:
 class TestOnlineFineTuner:
     def _labelled_graph(self, seed=0):
         log = generate_log(_small_config(seed))
-        graph, _ = GraphBuilder().build(log)
+        graph, _ = build_graph(log)
         return graph
 
     def test_updates_gate_and_checkpoint(self, tmp_path):
