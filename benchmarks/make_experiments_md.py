@@ -289,8 +289,10 @@ beside an injected per-replica ``CircuitBreaker``). Now ``score(r)`` is
 a batch of one through the micro-batch pipeline and a replica's health
 machine is its only gate; the sequential scorer, the per-replica
 breakers, four copies of the KV-wrapper pass-through and the second
-rendezvous hash are deleted (net -228 lines of ``src/``). The
-``CircuitBreaker`` + retry pair stays in front of a *plain* store.
+rendezvous hash are deleted (net -228 lines of ``src/``). The service's
+own breaker and retry layer in front of a *plain* store went later:
+the service reads every store through one path, and a lone store is
+served as a one-replica tier, whose health machine is its gate.
 
 Nothing was claimed beforehand except "no worse": every end-to-end
 metric on all four workloads inside its bound, and ``serve_cold``

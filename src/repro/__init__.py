@@ -85,14 +85,8 @@ from .models import (
     XFraudDetectorPlus,
 )
 from .obs import MetricsRegistry, Profiler, Tracer, timed
-from .reliability import (
-    CheckpointManager,
-    FaultPlan,
-    RetryingKVStore,
-    RetryPolicy,
-)
+from .reliability import CheckpointManager, FaultPlan
 from .serving import (
-    CircuitBreaker,
     Deadline,
     ScoreRequest,
     ScoreResponse,
@@ -141,11 +135,8 @@ __all__ = [
     "ScoreRequest",
     "ScoreResponse",
     "Deadline",
-    "CircuitBreaker",
     "CheckpointManager",
     "FaultPlan",
-    "RetryingKVStore",
-    "RetryPolicy",
     "DatasetBundle",
     "GeneratorConfig",
     "TransactionGenerator",

@@ -1048,14 +1048,14 @@ def _stats_surfaces(rng) -> List[str]:
 
     registry = MetricsRegistry()
     stats = ServiceStats(registry=registry)
-    reasons = ("deadline:feature fetch", "breaker_open", "kv_unavailable")
+    reasons = ("deadline:feature fetch", "kv_unavailable")
     for step in range(80):
         action = int(rng.integers(0, 4))
         if action == 0:
             stats.record_shed(("rate_limited", "queue_full")[int(rng.integers(0, 2))])
         else:
             stats.record_admitted()
-            degraded = reasons[int(rng.integers(0, 3))] if action == 1 else None
+            degraded = reasons[int(rng.integers(0, len(reasons)))] if action == 1 else None
             stats.record_response("rules" if degraded else "gnn", float(rng.uniform()), degraded)
         if rng.integers(0, 3) == 0:
             snapshot = stats.snapshot()

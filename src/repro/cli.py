@@ -292,14 +292,15 @@ def _parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="feature-store replicas; N > 1 turns the incident into a "
-        "replica kill + silent corruption handled by failover, "
-        "quarantine, and anti-entropy (service stays on the GNN rung)",
+        help="feature-store replicas; 1 (a one-replica tier) demotes requests "
+        "while its replica is dead, N > 1 turns the incident into a replica "
+        "kill + silent corruption handled by failover, quarantine, and "
+        "anti-entropy (service stays on the GNN rung)",
     )
     serve.add_argument(
         "--health",
         action="store_true",
-        help="print the per-replica health table after the run (needs --replicas > 1)",
+        help="print the per-replica health table after the run",
     )
 
     healthcheck = commands.add_parser(
@@ -750,11 +751,10 @@ def _cmd_serve(args) -> int:
         from .obs import MetricsRegistry
 
         registry = MetricsRegistry()
-    replicated = args.replicas > 1
-    tier = f"{args.replicas}-replica feature tier" if replicated else "single feature store"
     print(
         f"replaying scripted incident: {args.requests} requests + burst of "
-        f"{args.burst} on a simulated clock (seed={args.seed}, {tier}) ..."
+        f"{args.burst} on a simulated clock (seed={args.seed}, "
+        f"{args.replicas}-replica feature tier) ..."
     )
     result = run_demo(
         seed=args.seed,
@@ -767,7 +767,6 @@ def _cmd_serve(args) -> int:
         batch_size=args.batch_size,
         replicas=args.replicas,
     )
-    transitions = " -> ".join(result.stats.breaker_state_path()) or "closed"
     for response in result.responses[:8]:
         print(
             f"  node {response.node:6d}: verdict={response.verdict:5s} "
@@ -777,11 +776,9 @@ def _cmd_serve(args) -> int:
     print("  ...")
     print()
     print(result.stats.describe())
-    print(f"\nbreaker journey : {transitions}")
     print(f"shed with verdict: {len(result.shed_responses)} (all rung=prior)")
-    if replicated and result.anti_entropy is not None:
-        print(result.anti_entropy.describe())
-    if args.health and result.feature_store is not None:
+    print(result.anti_entropy.describe())
+    if args.health:
         print()
         print(result.feature_store.describe())
     if args.trace_out:
@@ -789,47 +786,58 @@ def _cmd_serve(args) -> int:
     if registry is not None:
         print()
         print(registry.render(), end="")
-    if replicated:
-        return _check_replicated_run(result)
-    return 0
+    return _check_demo_run(result)
 
 
-def _check_replicated_run(result) -> int:
-    """CI-facing assertions for ``serve --demo --replicas N``: the
-    replica kill and silent corruption must be fully absorbed — zero
-    KV failures reach the service, no storage-attributed degradations,
+def _check_demo_run(result) -> int:
+    """CI-facing assertions for ``serve --demo --replicas N``, any N:
     the killed replica's health journeys through ``dead`` (proof the
-    failover actually exercised) and ends ``healthy`` again."""
+    outage was seen) and ends ``healthy`` again, and the last scored
+    response is back on the GNN rung. With a failover target (N > 1)
+    the kill and the silent corruption must be fully absorbed — zero
+    KV failures reach the service, no storage-attributed degradations;
+    a lone replica (N = 1) must demote requests as ``kv_unavailable``
+    while it is dead."""
     from .cluster import DEAD, HEALTHY
-    from .serving.demo import KILLED_REPLICA
+    from .serving import RUNG_GNN
+    from .serving.demo import killed_replica
 
     stats = result.stats
+    replicas = len(result.feature_store.replicas)
+    killed = killed_replica(replicas)
     failures = []
-    if stats.kv_failures != 0:
-        failures.append(f"kv_failures={stats.kv_failures} (expected 0)")
-    storage_degraded = {
-        reason: count
-        for reason, count in stats.degraded_reasons.items()
-        if "kv" in reason or "feature" in reason or "storage" in reason
-    }
-    if storage_degraded:
-        failures.append(f"storage-attributed degradations: {storage_degraded}")
-    path = result.feature_store.health[KILLED_REPLICA].state_path()
+    if replicas > 1:
+        if stats.kv_failures != 0:
+            failures.append(f"kv_failures={stats.kv_failures} (expected 0)")
+        storage_degraded = {
+            reason: count
+            for reason, count in stats.degraded_reasons.items()
+            if "kv" in reason or "feature" in reason or "storage" in reason
+        }
+        if storage_degraded:
+            failures.append(f"storage-attributed degradations: {storage_degraded}")
+    elif not stats.degraded_reasons["kv_unavailable"]:
+        failures.append("no request demoted as kv_unavailable — the outage went unseen")
+    path = result.feature_store.health[killed].state_path()
     journey = " -> ".join(path)
     if DEAD not in path:
-        failures.append(
-            f"killed replica {KILLED_REPLICA} never went dead — failover not exercised"
-        )
+        failures.append(f"killed replica {killed} never went dead — outage not exercised")
     elif path[-1] != HEALTHY:
-        failures.append(f"killed replica {KILLED_REPLICA} did not recover: {journey}")
-    if result.anti_entropy is not None and result.anti_entropy.unrepairable:
+        failures.append(f"killed replica {killed} did not recover: {journey}")
+    if result.responses[-1].rung != RUNG_GNN:
+        failures.append("the last scored response is not on the gnn rung")
+    if result.anti_entropy.unrepairable:
         failures.append(
             f"anti-entropy left {result.anti_entropy.unrepairable} copies unrepairable"
         )
     if _failed(failures):
         return 1
-    print(f"\nreplica {KILLED_REPLICA} journey: {journey}")
-    print("ok: replica failover absorbed — zero storage-attributed degradations")
+    print(f"\nreplica {killed} journey: {journey}")
+    if replicas > 1:
+        print("ok: replica failover absorbed — zero storage-attributed degradations")
+    else:
+        demoted = stats.degraded_reasons["kv_unavailable"]
+        print(f"ok: {demoted} requests demoted as kv_unavailable, then recovered on gnn")
     return 0
 
 

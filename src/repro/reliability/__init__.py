@@ -2,9 +2,8 @@
 
 Production xFraud (Sec. 3.3, Appendix H.5) retrains daily over a
 KV-store-backed graph; this subsystem supplies the durability layer a
-deployment needs: crash-safe checkpoint/resume, deterministic failure
-injection for the simulated DDP cluster, and checksummed, retryable
-storage reads.
+deployment needs: crash-safe checkpoint/resume and deterministic
+failure injection for the simulated DDP cluster and the feature store.
 """
 
 from .checkpoint import (
@@ -28,7 +27,7 @@ from .faults import (
     OutageKVStore,
     SlowKVStore,
 )
-from .retry import RetryPolicy, RetryingKVStore, TransientReadError, retry_call
+from ..storage.kvstore import TransientReadError
 
 __all__ = [
     "CheckpointError",
@@ -48,8 +47,5 @@ __all__ = [
     "ManualClock",
     "OutageKVStore",
     "SlowKVStore",
-    "RetryPolicy",
-    "RetryingKVStore",
     "TransientReadError",
-    "retry_call",
 ]

@@ -19,15 +19,14 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..storage.kvstore import DelegatingKVStore, KVStore
-from .retry import TransientReadError
+from ..storage.kvstore import DelegatingKVStore, KVStore, TransientReadError
 
 
 class ManualClock:
     """A hand-advanced monotonic clock for deterministic chaos tests.
 
     Drop-in for ``time.monotonic`` wherever a ``clock=`` parameter is
-    accepted (deadlines, token buckets, circuit breakers): calling the
+    accepted (deadlines, token buckets, replica health): calling the
     instance returns the current simulated time, :meth:`advance` moves
     it forward. Sharing one clock between a scripted-latency store and
     a :class:`~repro.serving.deadline.Deadline` lets a test burn a
@@ -251,9 +250,10 @@ class FlakyKVStore(DelegatingKVStore):
     """Inject deterministic transient read faults into any KV-store.
 
     ``fail_first`` makes the first N reads of *each key* raise
-    :class:`TransientReadError` (then succeed) — the shape retry logic
-    must beat. ``fail_rate`` additionally fails reads at random from a
-    seeded generator.
+    :class:`TransientReadError` (then succeed) — the per-key blip a
+    replicated tier absorbs with one failover to the next owner.
+    ``fail_rate`` additionally fails reads at random from a seeded
+    generator.
     """
 
     def __init__(
@@ -290,8 +290,8 @@ class _WindowedFault(DelegatingKVStore):
     every ``get`` including faulted ones) and a window is a range of
     read indices. With a ``clock`` (e.g. :class:`ManualClock`), windows
     are in *seconds on that clock* — the natural scripting unit when a
-    circuit breaker sits in front, since an open breaker stops reads
-    and would otherwise freeze a read-counted window forever.
+    health gate sits in front, since a dead replica is not read and
+    would otherwise freeze a read-counted window forever.
     """
 
     def __init__(
@@ -325,8 +325,9 @@ class OutageKVStore(_WindowedFault):
     A read whose position falls in any window raises
     :class:`TransientReadError`. This is the deterministic shape of a
     store that goes *down* — every read fails for a stretch — which is
-    what trips a breaker, as opposed to :class:`FlakyKVStore`'s per-key
-    transient blips that retries absorb.
+    what walks a replica's :class:`~repro.storage.replicated.ReplicaHealth`
+    to ``dead``, as opposed to :class:`FlakyKVStore`'s per-key transient
+    blips that one failover absorbs.
     """
 
     def get(self, key: str) -> bytes:

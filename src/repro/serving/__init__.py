@@ -9,23 +9,16 @@ supplies that online path:
   propagated through sampling and feature fetch;
 * :class:`TokenBucket` / :class:`AdmissionQueue` — admission control
   that sheds overload with a verdict instead of blocking;
-* :class:`CircuitBreaker` — closed/open/half-open protection around
-  KV feature reads, with retries composed *inside* the breaker;
 * :class:`ScoringService` — the three-rung degradation ladder
   (GNN → rules → static prior), every response tagged with its rung;
-* :class:`ServiceStats` — admitted/shed/degraded/breaker counters and
+  feature reads go to the store as they are (a
+  :class:`~repro.storage.replicated.ReplicatedKVStore` gates, fails
+  over and probes its replicas itself);
+* :class:`ServiceStats` — admitted/shed/degraded counters and
   p50/p95/p99 latency.
 """
 
 from .admission import SHED_QUEUE_FULL, SHED_RATE_LIMITED, AdmissionQueue, TokenBucket
-from .breaker import (
-    CLOSED,
-    HALF_OPEN,
-    OPEN,
-    BreakerTransition,
-    CircuitBreaker,
-    CircuitOpenError,
-)
 from .deadline import Deadline, DeadlineExceeded
 from .demo import DemoResult, build_demo_service, run_demo
 from .service import (
@@ -45,12 +38,6 @@ __all__ = [
     "TokenBucket",
     "SHED_QUEUE_FULL",
     "SHED_RATE_LIMITED",
-    "CircuitBreaker",
-    "CircuitOpenError",
-    "BreakerTransition",
-    "CLOSED",
-    "OPEN",
-    "HALF_OPEN",
     "Deadline",
     "DeadlineExceeded",
     "ScoringService",

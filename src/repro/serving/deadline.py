@@ -48,7 +48,7 @@ class Deadline:
         budget_s: float,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        if budget_s <= 0 and not math.isinf(budget_s):
+        if not budget_s > 0:  # NaN too: a NaN budget would never expire
             raise ValueError("budget_s must be positive (or inf for no deadline)")
         self.budget_s = float(budget_s)
         self._clock = clock

@@ -1,32 +1,34 @@
 """Deterministic chaos demo behind ``repro serve --demo``.
 
 Builds a small serving stack end to end — dataset, briefly-trained
-detector+, mined platform rules, a KV feature store — then replays a
-scripted incident on a :class:`~repro.reliability.faults.ManualClock`:
+detector+, mined platform rules, a feature tier of ``replicas``
+:class:`~repro.storage.replicated.ReplicatedKVStore` replicas — then
+replays a scripted incident on a
+:class:`~repro.reliability.faults.ManualClock`:
 
 1. *steady state*: KV reads are healthy (but slow enough to cost
    simulated time), requests score on the full GNN rung;
-2. *outage*: a scripted read-index window makes every KV read fail, the
-   retry layer exhausts, the circuit breaker opens, and requests fail
-   over to the rules rung;
-3. *recovery*: the cool-down elapses, half-open probes succeed, the
-   breaker closes and the GNN rung returns;
+2. *outage*: a scripted window kills one replica
+   (:func:`killed_replica`);
+3. *recovery*: the window closes, a probe read finds the replica
+   serving again and its health machine walks ``probing → healthy``;
 4. *burst*: a queue-capacity-busting burst demonstrates load shedding
    with static-prior verdicts.
 
-With ``--replicas N`` (N > 1) the feature tier becomes a
-:class:`~repro.storage.replicated.ReplicatedKVStore` and the incident
-changes character: the same outage window now *kills replica 1* (and,
-with three or more replicas, a few of replica 2's feature rows are
-silently bit-flipped on disk). The service stays on the GNN rung
-throughout — reads fail over, the corrupt replica is quarantined, an
-anti-entropy pass repairs the divergent rows, and the dead replica is
-probed back to health — so the printed story is zero degradations with
-the killed replica's health journey (``healthy → … → dead → probing →
-healthy``) showing the failover instead.
+The replica count decides what the outage does to requests. A single
+store is a one-replica tier: its replica goes ``suspect → dead`` after
+two failed reads, every request then demotes to the rules rung as
+``kv_unavailable`` — instantly, since a dead replica is not read — and
+the first probe after the window brings the GNN rung back. With more
+replicas the outage kills replica 1 (and, with three or more, a few of
+replica 2's feature rows are silently bit-flipped on disk); reads fail
+over, the corrupt replica is quarantined, an anti-entropy pass repairs
+the divergent rows, and the service stays on the GNN rung throughout.
+Either way the killed replica's health journey (``healthy → … → dead →
+probing → healthy``) tells the story.
 
 Everything runs on simulated time, so the printed ``ServiceStats``
-block — rung mix, breaker transition path, latency percentiles — is
+block — rung mix, latency percentiles — and the replica journeys are
 bit-reproducible for a given seed.
 """
 
@@ -42,10 +44,9 @@ from ..graph.cache import SubgraphCache
 from ..models import DetectorConfig, XFraudDetectorPlus
 from ..obs.registry import MetricsRegistry
 from ..obs.trace import Tracer
-from ..reliability.faults import FaultPlan, ManualClock, OutageKVStore, SlowKVStore
-from ..reliability.retry import RetryPolicy
+from ..reliability.faults import FaultPlan, ManualClock
 from ..rules.miner import MinerConfig, RuleMiner
-from ..storage.kvstore import InMemoryKVStore, KVStore
+from ..storage.kvstore import InMemoryKVStore
 from ..storage.loader import GraphStore
 from ..storage.replicated import AntiEntropyReport, ReplicatedConfig, ReplicatedKVStore
 from ..train import TrainConfig, Trainer
@@ -53,8 +54,10 @@ from .service import ScoreRequest, ScoreResponse, ScoringService, ServiceConfig
 from .stats import ServiceStats
 
 
-#: The replica the replicated storyline kills over the outage window.
-KILLED_REPLICA = 1
+def killed_replica(replicas: int) -> int:
+    """The replica the outage window kills: replica 1 when another
+    replica can take its reads, the lone replica 0 otherwise."""
+    return 1 if replicas > 1 else 0
 
 
 @dataclass
@@ -65,10 +68,9 @@ class DemoResult:
     shed_responses: List[ScoreResponse]
     stats: ServiceStats
     service: ScoringService
-    # Replicated-tier extras (None on the single-store storyline): the
-    # store outlives service.close() for health reporting.
-    feature_store: Optional[KVStore] = None
-    anti_entropy: Optional[AntiEntropyReport] = None
+    # The feature tier outlives service.close() for health reporting.
+    feature_store: ReplicatedKVStore
+    anti_entropy: AntiEntropyReport
 
 
 def build_demo_service(
@@ -95,11 +97,11 @@ def build_demo_service(
     cache (``cache_capacity`` entries) fronts every sampler call and
     reports hit/miss/eviction counters through ``registry``.
 
-    ``replicas > 1`` swaps the single faulted store for a fully
-    replicated tier: the outage window becomes a replica-1 kill, three
+    The features live in a fully replicated tier of ``replicas``
+    replicas; the outage window kills :func:`killed_replica`, and three
     or more replicas additionally get a handful of replica-2 feature
-    rows bit-flipped on disk; each replica's own health machine is its
-    only gate.
+    rows bit-flipped on disk. Each replica's own health machine is the
+    only gate on the read path.
     """
     if replicas < 1:
         raise ValueError("replicas must be >= 1")
@@ -119,36 +121,18 @@ def build_demo_service(
     )
 
     clock = ManualClock()
-    if replicas > 1:
-        store = _build_replicated_store(
-            graph,
-            clock,
-            replicas=replicas,
-            seed=seed,
-            outage_window=outage_window,
-            read_delay_s=read_delay_s,
-            hot_nodes=[int(n) for n in bundle.test_nodes[:64]],
-        )
-    else:
-        backing = InMemoryKVStore()
-        GraphStore(backing).save(graph)
-        # Hand-built, not FaultPlan.wrap_replicas: slow is *outermost*
-        # here (a read burns its delay even during the outage), and the
-        # pinned timelines depend on that order.
-        store = SlowKVStore(
-            OutageKVStore(backing, windows=[outage_window], clock=clock),
-            clock,
-            delay_s=read_delay_s,
-        )
-
+    store = _build_replicated_store(
+        graph,
+        clock,
+        replicas=replicas,
+        seed=seed,
+        outage_window=outage_window,
+        read_delay_s=read_delay_s,
+        hot_nodes=[int(n) for n in bundle.test_nodes[:64]],
+    )
     config = ServiceConfig(
         deadline_s=deadline_s,
         queue_capacity=8,
-        breaker_min_calls=2,
-        breaker_window=4,
-        breaker_cooldown_s=0.05,
-        breaker_half_open_probes=1,
-        retry=RetryPolicy(max_attempts=2, base_delay=0.001, seed=seed),
         static_prior=float(graph.fraud_rate()),
         batch_size=batch_size,
     )
@@ -178,8 +162,8 @@ def _build_replicated_store(
     hot_nodes: Optional[List[int]] = None,
     poison_rows: int = 3,
 ) -> ReplicatedKVStore:
-    """The replicated incident: N slow replicas, replica
-    ``KILLED_REPLICA`` killed over the outage window, and (with >= 3
+    """The incident's feature tier: N slow replicas, replica
+    :func:`killed_replica` killed over the outage window, and (with >= 3
     replicas) ``poison_rows`` of replica 2's feature rows bit-flipped
     on disk — persistent
     divergence for the quarantine + anti-entropy acts. ``hot_nodes``
@@ -190,7 +174,7 @@ def _build_replicated_store(
     plan = FaultPlan(
         num_workers=replicas,
         seed=seed,
-        replica_kill={KILLED_REPLICA: [outage_window]},
+        replica_kill={killed_replica(replicas): [outage_window]},
         replica_slow={replica: read_delay_s for replica in range(replicas)},
     )
     config = ReplicatedConfig(
@@ -255,17 +239,16 @@ def run_demo(
     for node in nodes:
         request = ScoreRequest(node=int(node), features=graph.txn_table[graph.txn_row[node]])
         responses.append(service.score(request))
-        # Inter-arrival gap: lets the breaker cool-down elapse so the
-        # recovery act (half-open -> closed) happens inside the run.
+        # Inter-arrival gap: lets the dead replica's probe interval
+        # elapse so the recovery act (probing -> healthy) happens
+        # inside the run.
         clock.advance(0.02)
 
-    # Replicated storyline: an anti-entropy pass heals the divergence
-    # the scripted corruption left behind (and resurrects the
-    # quarantined replica), before the burst act.
-    anti_entropy: Optional[AntiEntropyReport] = None
-    if isinstance(feature_store, ReplicatedKVStore):
-        anti_entropy = feature_store.anti_entropy(repair=True)
-        clock.advance(0.1)
+    # An anti-entropy pass heals the divergence the scripted corruption
+    # left behind (and resurrects the quarantined replica), before the
+    # burst act.
+    anti_entropy = feature_store.anti_entropy(repair=True)
+    clock.advance(0.1)
 
     # Act 4: a burst beyond queue capacity -> bounded-queue shedding.
     shed_responses: List[ScoreResponse] = []
@@ -282,6 +265,6 @@ def run_demo(
         shed_responses=shed_responses,
         stats=service.stats,
         service=service,
-        feature_store=feature_store if replicas > 1 else None,
+        feature_store=feature_store,
         anti_entropy=anti_entropy,
     )

@@ -11,12 +11,14 @@ scorer needs to survive heavy traffic and partial outages:
   :class:`~repro.serving.deadline.Deadline` on a monotonic clock,
   propagated through neighbour sampling and KV feature fetch; the
   budget can be overrun by at most one pipeline stage.
-* **Circuit breaking** — KV-store feature reads run *retries inside a
-  breaker*: one :func:`~repro.reliability.retry.retry_call` (absorbing
-  transient blips) is one breaker outcome, and a store that is truly
-  down opens the breaker so subsequent requests degrade instantly
-  instead of burning their deadlines on doomed reads. A replicated
-  store is read directly: each replica's health machine is its gate.
+* **One read path** — feature rows are read with one ``get_many`` per
+  ``fetch_chunk`` keys from whatever store is given; a read that fails
+  demotes the batch as ``kv_unavailable``. Gating, failover and probing
+  belong to the store: a
+  :class:`~repro.storage.replicated.ReplicatedKVStore` (a single store
+  is a one-replica tier) skips a dead replica without reading it, so a
+  store that is truly down degrades requests instantly instead of
+  burning their deadlines on doomed reads.
 * **Graceful degradation** — a three-rung ladder: full GNN score →
   :class:`~repro.rules.miner.RuleSet` risk score over the raw request
   features → configurable static prior. Every response is tagged with
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -42,13 +44,17 @@ from ..graph.sampling import SampledSubgraph, gather
 from ..util import batched
 from ..obs.registry import MetricsRegistry
 from ..obs.trace import NULL_TRACER, Tracer
-from ..reliability.retry import RetryPolicy, TransientReadError, retry_call
 from ..rules.miner import RuleSet
-from ..storage.kvstore import CorruptStoreError, KVStore, kv_read_metrics
+from ..storage.kvstore import (
+    CorruptStoreError,
+    KVStore,
+    TransientReadError,
+    kv_read_metrics,
+    propagate_instrument,
+)
 from ..storage.loader import load_rows
-from ..storage.replicated import AllReplicasFailedError, ReplicatedKVStore
+from ..storage.replicated import AllReplicasFailedError
 from .admission import SHED_RATE_LIMITED, AdmissionQueue, TokenBucket
-from .breaker import CircuitBreaker, CircuitOpenError
 from .deadline import Deadline, DeadlineExceeded
 from .stats import ServiceStats
 
@@ -61,7 +67,7 @@ VERDICT_LEGIT = "legit"
 
 
 class FeatureFetchError(RuntimeError):
-    """KV feature reads failed beyond what retries could absorb."""
+    """A KV feature read failed: the store had no copy it could serve."""
 
 
 @dataclass
@@ -74,21 +80,15 @@ class ServiceConfig:
     queue_capacity: int = 64
     rate: float = float("inf")  # admitted requests/s (inf = unlimited)
     burst: float = 128.0  # token-bucket capacity
-    fetch_chunk: int = 32  # feature rows per breaker-guarded read
+    fetch_chunk: int = 32  # feature rows per get_many (one deadline check each)
     # Micro-batching: requests per coalesced sampler-call/forward in
     # score_batch / drain. None = coalesce the whole call into one
     # micro-batch (one forward per degradation rung, however many
     # requests arrive together).
     batch_size: Optional[int] = None
-    breaker_failure_threshold: float = 0.5
-    breaker_window: int = 8
-    breaker_min_calls: int = 4
-    breaker_cooldown_s: float = 0.25
-    breaker_half_open_probes: int = 2
-    retry: RetryPolicy = field(default_factory=lambda: RetryPolicy(max_attempts=3))
 
     def __post_init__(self) -> None:
-        if self.deadline_s <= 0:
+        if not self.deadline_s > 0:
             raise ValueError("deadline_s must be positive")
         if not 0.0 <= self.static_prior <= 1.0:
             raise ValueError("static_prior must be within [0, 1]")
@@ -149,8 +149,8 @@ class _BatchMember:
 class _DeadlineGroup:
     """Duck-typed deadline over every request in one micro-batch.
 
-    Samplers and the KV fetch path accept any object with ``check`` /
-    ``remaining``; this one fans a stage check out to each member's own
+    Samplers and the KV fetch path accept any object with ``check``;
+    this one fans a stage check out to each member's own
     :class:`Deadline`. A member whose budget is spent is *individually*
     demoted — it records the same ``deadline:<stage>`` reason it would
     have received scored alone and drops out of the batch — while the
@@ -197,10 +197,6 @@ class _DeadlineGroup:
             elapsed = max((d.elapsed() for d in survivors), default=0.0)
             raise DeadlineExceeded(stage, budget, elapsed)
 
-    def remaining(self) -> float:
-        """Budget of the healthiest member — the retry/backoff bound."""
-        return max((m.deadline.remaining() for m in self.live), default=0.0)
-
 
 def _gather_requests(pieces: Sequence[Tuple[SampledSubgraph, int]]) -> SampledSubgraph:
     """Request ``i`` scored on piece ``pieces[i]``: one component per
@@ -211,7 +207,7 @@ def _gather_requests(pieces: Sequence[Tuple[SampledSubgraph, int]]) -> SampledSu
 
 
 class ScoringService:
-    """Online scorer with admission control, breaker, and degradation.
+    """Online scorer with admission control, deadlines, and degradation.
 
     Parameters
     ----------
@@ -228,16 +224,16 @@ class ScoringService:
     feature_store:
         Optional :class:`~repro.storage.kvstore.KVStore` holding each
         transaction's ``feat/{node}`` row (the :class:`~repro.storage.loader.GraphStore`
-        layout). Reads go through retry-inside-breaker. A
-        :class:`~repro.storage.replicated.ReplicatedKVStore` is detected
-        and read directly: its per-replica health tracking, failover
-        and hedging replace the breaker + retry layer on the fetch path.
+        layout), read with ``get_many`` and never wrapped: failover,
+        hedging and the health gate that stops reads of a dead copy are
+        the store's own (a
+        :class:`~repro.storage.replicated.ReplicatedKVStore`; one store
+        is a one-replica tier).
     rules:
         Optional :class:`~repro.rules.miner.RuleSet` powering the
         middle degradation rung.
     clock:
-        Monotonic clock for deadlines / rate limiting / breaker
-        cool-downs; inject a
+        Monotonic clock for deadlines / rate limiting; inject a
         :class:`~repro.reliability.faults.ManualClock` for determinism.
     tracer:
         Optional :class:`~repro.obs.trace.Tracer`; when set, spans land
@@ -251,8 +247,10 @@ class ScoringService:
         (``service_request_latency_seconds`` per rung,
         ``kv_read_seconds`` per feature chunk,
         ``sampler_sample_seconds`` per sampling stage that walked, with
-        ``sampler_hops_total`` counting that walk's steps), and the
-        registry reads the tallies of :attr:`stats` when it is scraped.
+        ``sampler_hops_total`` counting that walk's steps), the
+        registry reads the tallies of :attr:`stats` when it is scraped,
+        and the feature store (with every store it wraps) is
+        instrumented into it.
         The sampler itself is never touched: services sharing a model
         each see their own walks.
     cache:
@@ -272,7 +270,6 @@ class ScoringService:
         rules: Optional[RuleSet] = None,
         config: Optional[ServiceConfig] = None,
         clock: Callable[[], float] = time.monotonic,
-        sleep: Optional[Callable[[float], None]] = None,
         own_store: bool = False,
         tracer: Optional[Tracer] = None,
         registry: Optional[MetricsRegistry] = None,
@@ -293,9 +290,6 @@ class ScoringService:
         if cache is not None and registry is not None:
             cache.instrument(registry)
         self._clock = clock
-        # Retry backoff sleeps on the same (possibly simulated) clock
-        # the deadlines watch, so chaos tests see backoff burn budget.
-        self._sleep = sleep if sleep is not None else getattr(clock, "sleep", time.sleep)
         self._own_store = own_store
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.registry = registry
@@ -314,21 +308,8 @@ class ScoringService:
                 labels=("sampler",),
             )
         self.stats = ServiceStats(registry=registry)
-        self.breaker = CircuitBreaker(
-            failure_threshold=self.config.breaker_failure_threshold,
-            window=self.config.breaker_window,
-            min_calls=self.config.breaker_min_calls,
-            cooldown_s=self.config.breaker_cooldown_s,
-            half_open_probes=self.config.breaker_half_open_probes,
-            clock=clock,
-            name="feature-store",
-        )
-        self.stats.breaker = self.breaker
-        # A replicated store gates each replica with its own
-        # ReplicaHealth; the breaker + retry layer is for plain stores.
-        self._replicated = isinstance(feature_store, ReplicatedKVStore)
-        if self._replicated and registry is not None:
-            feature_store.instrument(registry)
+        if registry is not None and feature_store is not None:
+            propagate_instrument(feature_store, registry)
         self.bucket = TokenBucket(self.config.rate, self.config.burst, clock=clock)
         self.queue = AdmissionQueue(self.config.queue_capacity, bucket=self.bucket)
 
@@ -416,6 +397,8 @@ class ScoringService:
             raise ValueError(f"node {request.node} outside the serving graph")
         if self.graph.node_type[request.node] != NODE_TYPE_IDS["txn"]:
             raise ValueError(f"node {request.node} is not a transaction: only those are scored")
+        if request.deadline_s is not None and not request.deadline_s > 0:
+            raise ValueError(f"deadline_s must be positive, got {request.deadline_s}")
         return request
 
     def _admit(self, request: ScoreRequest) -> bool:
@@ -467,8 +450,8 @@ class ScoringService:
         composition; looked up in the cache per target, the misses
         walked together), the KV fetch of its rows, one forward per
         degradation rung used. Per-request deadline semantics ride on
-        :class:`_DeadlineGroup`; breaker and KV failures demote every
-        member still on the GNN rung. Unlike a loop of per-member
+        :class:`_DeadlineGroup`; a failed KV read demotes every member
+        still on the GNN rung. Unlike a loop of per-member
         samples, every member live at the sampling stage is looked up
         before the walk starts: one whose budget ends during the walk
         has been counted by the cache, and the survivors' components are
@@ -488,9 +471,6 @@ class ScoringService:
                 self._gnn_score_batch(group)
             except DeadlineExceeded:
                 pass  # every member already carries its deadline:<stage> reason
-            except CircuitOpenError:
-                for member in group.live:
-                    member.degraded_reason = "breaker_open"
             except FeatureFetchError:
                 for member in group.live:
                     member.degraded_reason = "kv_unavailable"
@@ -622,31 +602,18 @@ class ScoringService:
     # -- rung 0: full GNN ----------------------------------------------
     def _fetch_features(self, node_ids: np.ndarray, deadline: Deadline) -> np.ndarray:
         """Hydrate feature rows from the KV-store — one ``get_many``
-        per ``fetch_chunk`` keys — retries inside the breaker.
+        per ``fetch_chunk`` keys, the deadline checked before each.
 
-        The deadline is checked once per chunk, and a retry whose
-        backoff would outlive the budget is abandoned early — the
-        degradation ladder is always cheaper than a doomed wait.
-
-        A :class:`~repro.storage.replicated.ReplicatedKVStore` carries
-        its own failover, hedging, and per-replica health gate, so the
-        breaker and the retry layer step aside — wrapping the store's
-        internal failover loop in another retry would double-penalise a
-        replica blip, and a tier-wide breaker would turn one dead
-        replica into a whole-tier outage (the exact failure mode
-        replication exists to remove). Only
+        The store is read as it is: its own failover, hedging and health
+        gate decide which copy answers, and a dead copy is skipped
+        without a read. A chunk that still fails —
+        :class:`~repro.storage.kvstore.TransientReadError`,
+        :class:`~repro.storage.kvstore.CorruptStoreError` or
         :class:`~repro.storage.replicated.AllReplicasFailedError` —
-        every owner down or corrupt — demotes the request.
+        raises :class:`FeatureFetchError`, which demotes the batch.
         """
         store = self.feature_store
-
-        def on_retry(attempt: int, error: BaseException, delay: float) -> None:
-            self.stats.kv_retries += 1
-            if deadline.remaining() <= delay:
-                raise error  # stop retrying: the budget dies before the backoff ends
-
-        # Rows land in the graph's own feature dtype, ready for
-        # ``with_features``; a retried chunk just refills its slice.
+        # Rows land in the graph's own feature dtype, ready for ``with_features``.
         node_ids = np.asarray(node_ids, dtype=np.int64).tolist()
         table = self.graph.txn_table
         rows = np.empty((len(node_ids), table.shape[1]), dtype=table.dtype)
@@ -655,31 +622,10 @@ class ScoringService:
             deadline.check("feature fetch")
             out = rows[filled : filled + len(chunk)]
             filled += len(chunk)
-
-            def read_chunk(chunk=chunk, out=out):
-                load_rows(store.get_many, chunk, out)
-
             chunk_started = self._clock()
             try:
-                if self._replicated:
-                    read_chunk()
-                else:
-                    self.breaker.call(
-                        lambda: retry_call(
-                            read_chunk,
-                            policy=self.config.retry,
-                            retry_on=(TransientReadError, CorruptStoreError),
-                            sleep=self._sleep,
-                            on_retry=on_retry,
-                        )
-                    )
-            except CircuitOpenError:
-                raise
-            except (
-                TransientReadError,
-                CorruptStoreError,
-                AllReplicasFailedError,
-            ) as error:
+                load_rows(store.get_many, chunk, out)
+            except (TransientReadError, CorruptStoreError, AllReplicasFailedError) as error:
                 self.stats.kv_failures += 1
                 raise FeatureFetchError(str(error)) from error
             finally:

@@ -1,9 +1,12 @@
 """Observability counters for the online scoring service.
 
 One :class:`ServiceStats` block per service instance: admission
-outcomes, per-rung response counts, breaker transitions, retry /
-deadline / KV-failure tallies, and end-to-end latency percentiles via
-the shared :func:`~repro.train.metrics.latency_percentiles` helper.
+outcomes, per-rung response counts, deadline / KV-failure tallies,
+and end-to-end latency percentiles via the shared
+:func:`~repro.train.metrics.latency_percentiles` helper. The feature
+store's own health (which replica is dead, and its path there) is the
+store's to report: see
+:meth:`~repro.storage.replicated.ReplicatedKVStore.describe`.
 
 Memory is bounded: latency samples and (label, score) outcome pairs
 live in :class:`~repro.obs.registry.Reservoir` samples, so a service
@@ -20,11 +23,10 @@ rung — a distribution has no attribute to read.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..obs.registry import MetricsRegistry, Reservoir
 from ..train.metrics import latency_percentiles, roc_auc
-from .breaker import CircuitBreaker
 
 #: Reservoir capacity for latency / outcome samples. Large enough that
 #: p99 over the retained sample tracks the stream, small enough that a
@@ -49,9 +51,6 @@ class ServiceStats:
         self.degraded_reasons: Counter = Counter()
         self.deadline_hits = 0
         self.kv_failures = 0
-        self.kv_retries = 0
-        # The service's breaker, whose journey breaker_transitions views.
-        self.breaker: Optional[CircuitBreaker] = None
         self._latencies = Reservoir(reservoir_size, seed=seed)
         self._outcomes = Reservoir(reservoir_size, seed=seed)  # (label, score)
         self.registry = registry
@@ -122,19 +121,6 @@ class ServiceStats:
         scores = [score for _, score in outcomes]
         return roc_auc(labels, scores, default=float("nan"))
 
-    @property
-    def breaker_transitions(self) -> List[Tuple[str, str]]:
-        """``(from, to)`` per state change of :attr:`breaker` so far."""
-        if self.breaker is None:
-            return []
-        return [(t.from_state, t.to_state) for t in self.breaker.transitions]
-
-    def breaker_state_path(self) -> Tuple[str, ...]:
-        """Visited breaker states in order (leading with "closed")."""
-        if not self.breaker_transitions:
-            return ()
-        return (self.breaker_transitions[0][0],) + tuple(t for _, t in self.breaker_transitions)
-
     def snapshot(self) -> Dict[str, object]:
         latency = self.latency_summary()
         return {
@@ -146,8 +132,6 @@ class ServiceStats:
             "degraded_reasons": dict(self.degraded_reasons),
             "deadline_hits": self.deadline_hits,
             "kv_failures": self.kv_failures,
-            "kv_retries": self.kv_retries,
-            "breaker_transitions": self.breaker_transitions,
             "latency_s": latency,
             "auc": self.auc(),
         }
@@ -157,14 +141,12 @@ class ServiceStats:
         latency = self.latency_summary()
         shed = ", ".join(f"{k}={v}" for k, v in sorted(self.shed.items())) or "none"
         rungs = ", ".join(f"{k}={v}" for k, v in sorted(self.rungs.items())) or "none"
-        path = " -> ".join(self.breaker_state_path()) or "closed (no transitions)"
         lines = [
             f"requests      : {self.received} received, {self.admitted} admitted, "
             f"{self.total_shed} shed ({shed})",
             f"responses     : {self.completed} completed; rungs: {rungs}",
             f"degradations  : deadline_hits={self.deadline_hits} "
-            f"kv_failures={self.kv_failures} kv_retries={self.kv_retries}",
-            f"breaker       : {path}",
+            f"kv_failures={self.kv_failures}",
             f"latency (s)   : p50={latency['p50']:.6f} p95={latency['p95']:.6f} "
             f"p99={latency['p99']:.6f}",
         ]

@@ -5,6 +5,7 @@ from .kvstore import (
     InMemoryKVStore,
     KVStore,
     MmapKVStore,
+    TransientReadError,
     propagate_instrument,
 )
 from .loader import GraphStore, WorkerLoader, decode_array, encode_array, encode_rows, load_rows
@@ -19,6 +20,7 @@ from .replicated import (
 __all__ = [
     "KVStore",
     "CorruptStoreError",
+    "TransientReadError",
     "InMemoryKVStore",
     "MmapKVStore",
     "GraphStore",

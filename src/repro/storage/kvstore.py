@@ -58,16 +58,22 @@ class CorruptStoreError(RuntimeError):
     """A store file is truncated, unfinalized, or fails a checksum."""
 
 
+class TransientReadError(IOError):
+    """A read failed for a reason that may succeed later (a blip, an
+    outage window): injected by the fault wrappers in
+    :mod:`repro.reliability.faults`, or raised by a real transport."""
+
+
 def propagate_instrument(store, registry) -> None:
     """Instrument ``store`` and every store it wraps.
 
-    Wrapper stores (RetryingKVStore, the fault injectors) expose their
-    wrapped store as ``.store``; this walks that chain calling
-    ``instrument(registry)`` on every layer that supports it, so read
-    metrics survive *any* composition order — instrumenting
-    ``Retrying(Flaky(Mmap))`` reaches the mmap store even though the
-    flaky layer in between has no metrics of its own. Layers without
-    an ``instrument`` method are skipped, not errors.
+    Wrapper stores (the fault injectors) expose their wrapped store as
+    ``.store``; this walks that chain calling ``instrument(registry)``
+    on every layer that supports it, so read metrics survive *any*
+    composition order — instrumenting ``Slow(Flaky(Mmap))`` reaches
+    the mmap store even though the layers above it have no metrics of
+    their own. Layers without an ``instrument`` method are skipped, not
+    errors.
     """
     seen = set()
     target = store
@@ -88,7 +94,7 @@ def kv_read_metrics(registry):
         registry.counter("kv_reads_total", "KV feature reads issued.", labels=("store",)),
         registry.histogram(
             "kv_read_seconds",
-            "Latency of KV feature reads (per chunk, retries included).",
+            "Latency of KV feature reads (per chunk).",
             labels=("store",),
         ),
     )
@@ -105,7 +111,7 @@ class KVStore:
 
     def get_many(self, keys: Sequence[str]) -> List[bytes]:
         """``[get(key) for key in keys]`` — which is what it is here, so
-        a retry wrapper or a fault injector keeps its per-key behaviour.
+        a fault injector keeps its per-key behaviour.
         A store that can share work across one batch overrides it with
         the same results and the same exception."""
         return [self.get(key) for key in keys]
@@ -130,10 +136,9 @@ class KVStore:
 
 
 class DelegatingKVStore(KVStore):
-    """Base of the retry wrapper and the fault injectors: everything
-    but ``get`` (theirs to define; ``get_many`` stays the loop over it)
-    passes through to ``.store`` — the
-    attribute :func:`propagate_instrument` and
+    """Base of the fault injectors: everything but ``get`` (theirs to
+    define; ``get_many`` stays the loop over it) passes through to
+    ``.store`` — the attribute :func:`propagate_instrument` and
     :meth:`~repro.storage.replicated.ReplicatedKVStore.finalize` walk
     to reach the backing store through any stack of wrappers."""
 

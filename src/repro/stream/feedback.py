@@ -122,6 +122,14 @@ class DriftConfig:
     ks_alert: float = 0.25
     epsilon: float = 1e-4
 
+    def __post_init__(self) -> None:
+        # The current window holds at most ``window`` points, so a larger
+        # ``min_samples`` would keep every check() at None forever.
+        if self.min_samples > self.window:
+            raise ValueError("min_samples must be <= window (checks would never run)")
+        if self.bins < 2:
+            raise ValueError("bins must be >= 2")
+
 
 @dataclass
 class DriftReport:

@@ -2,25 +2,22 @@
 
 Proves the PR-3 acceptance criteria end to end on a simulated clock:
 
-* a scripted KV outage trips the breaker, requests fail over to the
-  rules rung, half-open probes recover, and the full
-  closed -> open -> half-open -> closed journey is visible in
-  ``ServiceStats``;
+* a scripted outage of a one-replica feature tier walks the replica
+  to dead, requests fail over to the rules rung without reading it,
+  probes recover it, and the full healthy -> ... -> dead -> probing ->
+  healthy journey is visible in its ``ReplicaHealth``;
 * every admitted request gets a verdict — the ladder never raises;
 * deadline expiry mid-sampling or mid-fetch produces a *degraded
   verdict*, and no request overruns its budget by more than one
-  pipeline step (a sampling hop or one feature-fetch chunk).
+  pipeline step (one feature-fetch chunk).
 """
 
 import numpy as np
 import pytest
 
-from repro.reliability import ManualClock, OutageKVStore, RetryPolicy, SlowKVStore
+from repro.reliability import FaultPlan, ManualClock, SlowKVStore
 from repro.rules.miner import MinerConfig, RuleMiner
 from repro.serving import (
-    CLOSED,
-    HALF_OPEN,
-    OPEN,
     RUNG_GNN,
     RUNG_PRIOR,
     RUNG_RULES,
@@ -28,7 +25,7 @@ from repro.serving import (
     ScoringService,
     ServiceConfig,
 )
-from repro.storage import GraphStore, InMemoryKVStore
+from repro.storage import GraphStore, InMemoryKVStore, ReplicatedConfig, ReplicatedKVStore
 
 READ_DELAY_S = 0.002
 FETCH_CHUNK = 8
@@ -51,24 +48,22 @@ def _chaos_service(
     deadline_s=0.5,
     read_delay_s=READ_DELAY_S,
 ):
-    """KV-backed service over a scripted outage on a shared manual clock."""
-    backing = InMemoryKVStore()
-    GraphStore(backing).save(tiny_graph)
+    """Service over a one-replica feature tier whose replica is killed
+    over ``outage_window``, on a shared manual clock."""
     clock = ManualClock()
-    store = SlowKVStore(
-        OutageKVStore(backing, windows=[outage_window], clock=clock),
-        clock,
-        delay_s=read_delay_s,
+    plan = FaultPlan(
+        num_workers=1, replica_kill={0: [outage_window]}, replica_slow={0: read_delay_s}
     )
+    store = ReplicatedKVStore(
+        plan.wrap_replicas([InMemoryKVStore()], clock),
+        config=ReplicatedConfig(
+            replication_factor=1, suspect_after=1, dead_after=2, probe_interval_s=0.05
+        ),
+        clock=clock,
+    )
+    GraphStore(store).save(tiny_graph)
     config = ServiceConfig(
-        deadline_s=deadline_s,
-        fetch_chunk=FETCH_CHUNK,
-        breaker_min_calls=2,
-        breaker_window=4,
-        breaker_cooldown_s=0.05,
-        breaker_half_open_probes=1,
-        retry=RetryPolicy(max_attempts=2, base_delay=0.001, seed=0),
-        static_prior=0.05,
+        deadline_s=deadline_s, fetch_chunk=FETCH_CHUNK, static_prior=0.05
     )
     service = ScoringService(
         trained_detector,
@@ -91,13 +86,12 @@ def _requests(graph, count):
 
 
 def _budget_overrun_bound(config, read_delay_s=READ_DELAY_S):
-    """One pipeline step: a full fetch chunk, or a failed retry cycle."""
-    retry_cost = config.retry.max_attempts * read_delay_s + sum(config.retry.delays())
-    return max(config.fetch_chunk * read_delay_s, retry_cost) + 1e-9
+    """One pipeline step: a full fetch chunk."""
+    return config.fetch_chunk * read_delay_s + 1e-9
 
 
 class TestOutageLadder:
-    def test_outage_trips_breaker_rules_serve_and_probes_recover(
+    def test_outage_kills_replica_rules_serve_and_probes_recover(
         self, trained_detector, tiny_graph, chaos_rules
     ):
         service, clock = _chaos_service(
@@ -119,20 +113,18 @@ class TestOutageLadder:
             assert RUNG_GNN in rungs  # healthy before and after the outage
             assert RUNG_RULES in rungs  # degraded during the outage
 
-            # The breaker journey is observable in ServiceStats.
-            path = service.stats.breaker_state_path()
-            assert path[0] == CLOSED
-            assert OPEN in path
-            assert HALF_OPEN in path
-            assert path[-1] == CLOSED  # recovered
-            assert service.stats.breaker_transitions  # mirrored transitions
-            assert service.breaker.state == CLOSED
+            # The replica's journey is observable in its ReplicaHealth.
+            store = service.feature_store
+            path = store.health[0].state_path()
+            assert path[0] == "healthy"
+            assert "dead" in path and "probing" in path
+            assert path[-1] == "healthy"  # recovered
 
-            # Degradations carry reasons, and some were breaker shortcuts
-            # (instant fail-over, no doomed KV reads).
-            reasons = {r.degraded_reason for r in responses if r.degraded_reason}
-            assert "kv_unavailable" in reasons
-            assert "breaker_open" in reasons
+            # Degradations carry their reason, and most were gate
+            # shortcuts: a dead replica is not read (no doomed KV reads).
+            degraded = [r.degraded_reason for r in responses if r.degraded_reason]
+            assert set(degraded) == {"kv_unavailable"}
+            assert store.replicas[0].injected < len(degraded)
 
             # After recovery the last responses ride the GNN rung again.
             assert responses[-1].rung == RUNG_GNN
@@ -198,9 +190,6 @@ class TestReplicatedFeatureTier:
     def _replicated_service(
         self, trained_detector, tiny_graph, rules, clock, fault_plan=None
     ):
-        from repro.reliability.faults import FaultPlan
-        from repro.storage import ReplicatedConfig, ReplicatedKVStore
-
         replicas = 3
         backings = [InMemoryKVStore() for _ in range(replicas)]
         slowed = [SlowKVStore(b, clock, delay_s=READ_DELAY_S) for b in backings]
@@ -221,11 +210,6 @@ class TestReplicatedFeatureTier:
             deadline_s=5.0,
             fetch_chunk=FETCH_CHUNK,
             batch_size=8,
-            breaker_min_calls=2,
-            breaker_window=4,
-            breaker_cooldown_s=0.05,
-            breaker_half_open_probes=1,
-            retry=RetryPolicy(max_attempts=2, base_delay=0.001, seed=0),
             static_prior=0.05,
         )
         service = ScoringService(
@@ -242,8 +226,6 @@ class TestReplicatedFeatureTier:
     def test_replica_kill_and_corruption_absorbed_mid_batch(
         self, trained_detector, tiny_graph, chaos_rules
     ):
-        from repro.reliability.faults import FaultPlan
-
         requests = _requests(tiny_graph, 24)
 
         # Fault-free baseline for the score-equality check.
@@ -298,10 +280,6 @@ class TestReplicatedFeatureTier:
             assert path[-1] == "healthy"
             # Replica 2 (the liar) got quarantined straight to dead.
             assert "dead" in store.health[2].state_path()
-
-            # Nothing but the replicas' own health gated those reads:
-            # the service's breaker (for plain stores) never moved.
-            assert service.stats.breaker_state_path() == ()
 
     @staticmethod
     def _scripted_batch(service, clock, requests):

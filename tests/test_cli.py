@@ -335,15 +335,20 @@ class TestServeCommand:
         assert "--demo" in capsys.readouterr().err
 
     def test_serve_demo_replays_incident(self, capsys):
+        """The CI serve-smoke command: a one-replica tier whose replica
+        is killed, demotes requests while it is dead, and is probed back."""
         code = main(
             ["serve", "--demo", "--scale", "0.1", "--epochs", "1",
              "--requests", "30", "--burst", "14"]
         )
         out = capsys.readouterr().out
         assert code == 0
-        assert "breaker journey" in out
-        assert "closed -> open" in out
-        assert "rungs:" in out
+        assert "1-replica feature tier" in out
+        dead_probing = " -> dead -> probing"
+        assert "\nreplica 0 journey: healthy -> suspect" + dead_probing * 5 + " -> healthy\n" in out
+        assert "rungs: gnn=22, prior=16" in out
+        assert "ok: 16 requests demoted as kv_unavailable, then recovered on gnn" in out
+        assert "breaker" not in out
         assert "shed with verdict" in out
 
     def test_serve_demo_replicated_absorbs_failover(self, capsys):
@@ -358,7 +363,7 @@ class TestServeCommand:
         assert "kv_failures=0" in out
         # The killed replica's own journey, through dead and back.
         assert "replica 1 journey: healthy -> suspect -> dead -> probing" in out
-        assert "breaker[r" not in out  # health is the only per-replica gate
+        assert "breaker" not in out  # health is the only gate
         assert "anti-entropy:" in out
         assert "replicated store: 3 replicas" in out  # --health table
         assert "replica failover absorbed" in out
@@ -393,7 +398,7 @@ class TestServeCommand:
     @staticmethod
     def _replicated_run(kill_window):
         """A bare replicated tier read across ``kill_window`` on replica 1,
-        shaped like the demo's result for ``_check_replicated_run``."""
+        shaped like the demo's result for ``_check_demo_run``."""
         from types import SimpleNamespace
 
         from repro.reliability import FaultPlan, ManualClock
@@ -414,24 +419,77 @@ class TestServeCommand:
         for step in range(120):
             clock.advance(0.01)
             assert store.get(f"feat/{step % 12}") == b"row"
-        return SimpleNamespace(stats=ServiceStats(), feature_store=store, anti_entropy=None)
+        return SimpleNamespace(
+            stats=ServiceStats(),
+            feature_store=store,
+            anti_entropy=SimpleNamespace(unrepairable=0),
+            responses=[SimpleNamespace(rung="gnn")],
+        )
 
     def test_replicated_gate_reads_the_killed_replicas_health_path(self, capsys):
-        from repro.cli import _check_replicated_run
+        from repro.cli import _check_demo_run
 
         recovered = self._replicated_run((0.2, 0.6))
         assert recovered.feature_store.health[1].state_path()[-1] == "healthy"
-        assert _check_replicated_run(recovered) == 0
+        assert _check_demo_run(recovered) == 0
         assert "replica 1 journey: healthy -> suspect -> dead" in capsys.readouterr().out
 
         stuck = self._replicated_run((0.2, 1e9))  # killed, never revived
         assert stuck.feature_store.health[1].state_path()[-1] == "dead"
-        assert _check_replicated_run(stuck) == 1
+        assert _check_demo_run(stuck) == 1
         assert "killed replica 1 did not recover" in capsys.readouterr().err
 
         untouched = self._replicated_run((5.0, 6.0))  # the kill never happened
-        assert _check_replicated_run(untouched) == 1
+        assert _check_demo_run(untouched) == 1
         assert "never went dead" in capsys.readouterr().err
+
+        recovered.responses[-1].rung = "rules"  # the run ended degraded
+        assert _check_demo_run(recovered) == 1
+        assert "last scored response is not on the gnn rung" in capsys.readouterr().err
+
+    def test_one_replica_gate_needs_the_outage_to_demote(self, capsys):
+        """A lone replica has no failover target: the gate asks for
+        ``kv_unavailable`` demotions instead of zero of them."""
+        from types import SimpleNamespace
+
+        from repro.cli import _check_demo_run
+        from repro.reliability import FaultPlan, ManualClock
+        from repro.serving import ServiceStats
+        from repro.storage import (
+            AllReplicasFailedError,
+            InMemoryKVStore,
+            ReplicatedConfig,
+            ReplicatedKVStore,
+        )
+
+        clock = ManualClock()
+        plan = FaultPlan(num_workers=1, replica_kill={0: [(0.2, 0.6)]})
+        store = ReplicatedKVStore(
+            plan.wrap_replicas([InMemoryKVStore()], clock),
+            config=ReplicatedConfig(replication_factor=1, dead_after=2, probe_interval_s=0.05),
+            clock=clock,
+        )
+        store.put("feat/0", b"row")
+        stats = ServiceStats()
+        for _ in range(100):
+            clock.advance(0.01)
+            try:
+                store.get("feat/0")
+            except AllReplicasFailedError:
+                stats.record_admitted()
+                stats.record_response("rules", 0.0, "kv_unavailable")
+        result = SimpleNamespace(
+            stats=stats, feature_store=store, anti_entropy=SimpleNamespace(unrepairable=0),
+            responses=[SimpleNamespace(rung="gnn")],
+        )
+        assert _check_demo_run(result) == 0
+        out = capsys.readouterr().out
+        assert "replica 0 journey: healthy -> suspect -> dead -> probing" in out
+        assert f"ok: {stats.degraded_reasons['kv_unavailable']} requests demoted" in out
+
+        result.stats = ServiceStats()  # the outage demoted nothing
+        assert _check_demo_run(result) == 1
+        assert "no request demoted as kv_unavailable" in capsys.readouterr().err
 
     def test_serve_rejects_bad_replicas(self, capsys):
         assert main(["serve", "--demo", "--replicas", "0"]) == 2

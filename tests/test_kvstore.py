@@ -589,10 +589,17 @@ class TestContextManagers:
             rows = loader.load_features([1, 3])
             np.testing.assert_allclose(rows, tiny_graph.txn_table[tiny_graph.txn_rows([1, 3])])
 
-    def test_retrying_store_context(self):
-        from repro.reliability import RetryingKVStore
+    def test_delegating_store_context(self):
+        from repro.reliability import SlowKVStore
 
-        backing = InMemoryKVStore()
+        class ClosableStore(InMemoryKVStore):
+            closed = False
+
+            def close(self):
+                self.closed = True
+
+        backing = ClosableStore()
         backing.put("k", b"v")
-        with RetryingKVStore(backing) as store:
+        with SlowKVStore(backing, delay_s=0.0) as store:
             assert store.get("k") == b"v"
+        assert backing.closed  # closing the wrapper closes what it wraps

@@ -571,8 +571,6 @@ class TestServiceStats:
             "degraded_reasons",
             "deadline_hits",
             "kv_failures",
-            "kv_retries",
-            "breaker_transitions",
             "latency_s",
             "auc",
         }
@@ -594,12 +592,12 @@ class TestServiceStats:
         registry = MetricsRegistry()
         stats = ServiceStats(registry=registry)
         stats.record_admitted()
-        stats.record_response("rules", 0.004, degraded_reason="breaker_open")
+        stats.record_response("rules", 0.004, degraded_reason="kv_unavailable")
         stats.record_shed("queue_full")
         text = registry.render()
         assert 'service_request_latency_seconds_count{rung="rules"} 1' in text
         assert 'service_shed_total{reason="queue_full"} 1' in text
-        assert 'service_degraded_total{reason="breaker_open"} 1' in text
+        assert 'service_degraded_total{reason="kv_unavailable"} 1' in text
         assert "service_admitted_total 1" in text
 
 

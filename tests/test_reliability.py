@@ -1,4 +1,4 @@
-"""Fault tolerance: checkpoints, kill-and-resume, retries, fault plans."""
+"""Fault tolerance: checkpoints, kill-and-resume, fault injectors, fault plans."""
 
 import json
 import os
@@ -13,8 +13,7 @@ from repro.reliability import (
     CheckpointError,
     CheckpointManager,
     FlakyKVStore,
-    RetryingKVStore,
-    RetryPolicy,
+    SlowKVStore,
     TrainingState,
     TransientReadError,
     atomic_write_bytes,
@@ -23,9 +22,8 @@ from repro.reliability import (
     load_training_state,
     restore_rng_states,
     restore_training_state,
-    retry_call,
 )
-from repro.storage import CorruptStoreError, InMemoryKVStore, MmapKVStore
+from repro.storage import InMemoryKVStore, MmapKVStore
 from repro.train import TrainConfig, Trainer
 
 
@@ -389,115 +387,6 @@ class TestKillAndResume:
             )
 
 
-class TestRetryPolicy:
-    def test_schedule_deterministic(self):
-        policy = RetryPolicy(max_attempts=5, seed=11)
-        assert policy.delays() == policy.delays()
-        assert len(policy.delays()) == 4
-
-    def test_backoff_grows_and_caps(self):
-        policy = RetryPolicy(
-            max_attempts=8, base_delay=0.1, multiplier=2.0, max_delay=0.5, jitter=0.0
-        )
-        delays = policy.delays()
-        assert delays[0] == pytest.approx(0.1)
-        assert delays[1] == pytest.approx(0.2)
-        assert max(delays) <= 0.5
-
-    def test_retry_call_recovers(self):
-        calls = {"n": 0}
-
-        def flaky():
-            calls["n"] += 1
-            if calls["n"] < 3:
-                raise TransientReadError("try again")
-            return "ok"
-
-        slept = []
-        assert (
-            retry_call(flaky, RetryPolicy(max_attempts=4), sleep=slept.append) == "ok"
-        )
-        assert calls["n"] == 3
-        assert len(slept) == 2
-
-    def test_retry_call_exhaustion_reraises(self):
-        def always_fails():
-            raise TransientReadError("down")
-
-        with pytest.raises(TransientReadError):
-            retry_call(
-                always_fails, RetryPolicy(max_attempts=3), sleep=lambda _ : None
-            )
-
-    def test_non_retryable_propagates_immediately(self):
-        calls = {"n": 0}
-
-        def missing():
-            calls["n"] += 1
-            raise KeyError("gone")
-
-        with pytest.raises(KeyError):
-            retry_call(missing, RetryPolicy(max_attempts=5), sleep=lambda _: None)
-        assert calls["n"] == 1
-
-
-class TestRetryingKVStore:
-    def test_recovers_from_transient_faults(self):
-        backing = InMemoryKVStore()
-        backing.put("k", b"value")
-        flaky = FlakyKVStore(backing, fail_first=2)
-        store = RetryingKVStore(flaky, RetryPolicy(max_attempts=4), sleep=lambda _: None)
-        assert store.get("k") == b"value"
-        assert store.retries == 2
-        assert flaky.injected == 2
-
-    def test_get_many_retries_per_key(self):
-        # The base-class loop: each key rides its own retry budget, so a
-        # batch survives more faults than one key's attempts allow.
-        backing = InMemoryKVStore()
-        for index in range(5):
-            backing.put(f"k{index}", bytes([index]))
-        flaky = FlakyKVStore(backing, fail_first=2)
-        store = RetryingKVStore(flaky, RetryPolicy(max_attempts=3), sleep=lambda _: None)
-        assert store.get_many([f"k{index}" for index in range(5)]) == [
-            bytes([index]) for index in range(5)
-        ]
-        assert store.retries == flaky.injected == 10
-
-    def test_exhaustion_surfaces_typed_error(self):
-        backing = InMemoryKVStore()
-        backing.put("k", b"value")
-        flaky = FlakyKVStore(backing, fail_first=100)
-        store = RetryingKVStore(flaky, RetryPolicy(max_attempts=3), sleep=lambda _: None)
-        with pytest.raises(TransientReadError):
-            store.get("k")
-
-    def test_corrupt_value_surfaces_after_retries(self, tmp_path):
-        """A flipped byte fails the per-value checksum on every retry
-        and is surfaced as CorruptStoreError — never garbage bytes."""
-        path = str(tmp_path / "kv.bin")
-        store = MmapKVStore(path)
-        store.put("k", b"A" * 64)
-        store.finalize()
-        store.close()
-        with open(path, "r+b") as handle:
-            handle.seek(10)
-            handle.write(b"B")
-        reopened = MmapKVStore.open(path)
-        retrying = RetryingKVStore(
-            reopened, RetryPolicy(max_attempts=3), sleep=lambda _: None
-        )
-        with pytest.raises(CorruptStoreError):
-            retrying.get("k")
-        assert retrying.retries == 2
-
-    def test_missing_key_not_retried(self):
-        store = RetryingKVStore(InMemoryKVStore(), sleep=lambda _: None)
-        with pytest.raises(KeyError):
-            store.get("missing")
-        assert store.retries == 0
-
-
 class TestInstrumentPropagation:
     """Satellite: ``instrument()`` must reach the backing store through
     wrapper chains, regardless of composition order — instrumenting the
@@ -508,36 +397,37 @@ class TestInstrumentPropagation:
 
         return MetricsRegistry()
 
-    def test_retrying_instruments_inner_mmap(self, tmp_path):
+    def test_wrapper_instruments_inner_mmap(self, tmp_path):
+        from repro.storage import propagate_instrument
+
         registry = self._registry()
         inner = MmapKVStore(str(tmp_path / "kv.bin"))
         inner.put("k", b"value")
         inner.finalize()
-        store = RetryingKVStore(inner, sleep=lambda _: None).instrument(registry)
+        store = SlowKVStore(inner, delay_s=0.0)
+        propagate_instrument(store, registry)
         store.get("k")
-        text = registry.render()
-        # Both layers counted the read, each under its own store label.
-        assert 'kv_reads_total{store="retrying"} 1' in text
-        assert 'kv_reads_total{store="mmap"} 1' in text
+        # The wrapper has no metrics; the store it wraps counted the read.
+        assert 'kv_reads_total{store="mmap"} 1' in registry.render()
         inner.close()
 
     def test_propagation_walks_through_uninstrumentable_layers(self, tmp_path):
-        """A fault injector between the retry layer and the mmap store
-        has no instrument() of its own; propagation steps over it."""
+        """Two fault injectors above the mmap store, neither with an
+        instrument() of its own; propagation steps over both."""
+        from repro.storage import propagate_instrument
+
         registry = self._registry()
         inner = MmapKVStore(str(tmp_path / "kv.bin"))
         inner.put("k", b"value")
         inner.finalize()
-        flaky = FlakyKVStore(inner, fail_first=1)
-        store = RetryingKVStore(
-            flaky, RetryPolicy(max_attempts=3), sleep=lambda _: None
-        ).instrument(registry)
-        store.get("k")
-        text = registry.render()
-        assert 'kv_reads_total{store="retrying"} 1' in text
-        # The retried read hit the mmap layer twice (fail, then succeed
-        # — FlakyKVStore raises before reaching it on the first try).
-        assert 'kv_reads_total{store="mmap"} 1' in text
+        store = SlowKVStore(FlakyKVStore(inner, fail_first=1), delay_s=0.0)
+        propagate_instrument(store, registry)
+        with pytest.raises(TransientReadError):
+            store.get("k")
+        assert store.get("k") == b"value"
+        # The mmap layer saw one read: FlakyKVStore raised before
+        # reaching it on the first try.
+        assert 'kv_reads_total{store="mmap"} 1' in registry.render()
         inner.close()
 
     def test_propagate_helper_is_cycle_safe(self):
@@ -594,35 +484,6 @@ class TestFaultPlanWorkerSchedules:
 
         with pytest.raises(ValueError):
             FaultPlan(num_workers=4, **schedule)
-
-
-class TestRetryInstrumentation:
-    def test_exhausted_error_carries_backoff_history(self):
-        policy = RetryPolicy(max_attempts=3, base_delay=0.01, jitter=0.0, seed=0)
-        slept = []
-        with pytest.raises(TransientReadError) as excinfo:
-            retry_call(
-                lambda: (_ for _ in ()).throw(TransientReadError("down")),
-                policy,
-                sleep=slept.append,
-            )
-        error = excinfo.value
-        assert error.retry_attempts == 3
-        assert error.retry_backoff_s == pytest.approx(sum(slept))
-        note = f"retry_call: 3 attempts exhausted ({sum(slept):.4f}s total backoff)"
-        notes = getattr(error, "__notes__", None) or error.args
-        assert any(note == str(entry) for entry in notes)
-
-    def test_injected_sleep_sees_exact_schedule(self):
-        policy = RetryPolicy(max_attempts=4, base_delay=0.02, seed=7)
-        slept = []
-        with pytest.raises(TransientReadError):
-            retry_call(
-                lambda: (_ for _ in ()).throw(TransientReadError("down")),
-                policy,
-                sleep=slept.append,
-            )
-        assert slept == policy.delays()
 
 
 class TestManualClock:

@@ -1,4 +1,4 @@
-"""Online scoring service: deadlines, breaker, admission, ladder."""
+"""Online scoring service: deadlines, admission, ladder."""
 
 import math
 
@@ -8,26 +8,15 @@ import pytest
 from repro.graph import SubgraphCache
 from repro.graph.hetero import NODE_TYPE_IDS
 from repro.obs import Tracer
-from repro.reliability import (
-    ManualClock,
-    OutageKVStore,
-    RetryPolicy,
-    SlowKVStore,
-    TransientReadError,
-)
+from repro.reliability import ManualClock, OutageKVStore, SlowKVStore
 from repro.rules.miner import MinerConfig, RuleMiner, RuleSet
 from repro.serving import (
-    CLOSED,
-    HALF_OPEN,
-    OPEN,
     RUNG_GNN,
     RUNG_PRIOR,
     RUNG_RULES,
     SHED_QUEUE_FULL,
     SHED_RATE_LIMITED,
     AdmissionQueue,
-    CircuitBreaker,
-    CircuitOpenError,
     Deadline,
     DeadlineExceeded,
     ScoreRequest,
@@ -36,7 +25,7 @@ from repro.serving import (
     ServiceStats,
     TokenBucket,
 )
-from repro.storage import GraphStore, InMemoryKVStore
+from repro.storage import GraphStore, InMemoryKVStore, ReplicatedConfig, ReplicatedKVStore
 
 
 class TestDeadline:
@@ -70,6 +59,13 @@ class TestDeadline:
     def test_rejects_nonpositive_budget(self):
         with pytest.raises(ValueError):
             Deadline(0.0)
+
+    @pytest.mark.parametrize("budget", [float("nan"), -math.inf, -1.0])
+    def test_rejects_a_budget_that_never_expires_or_is_spent(self, budget):
+        """``Deadline(nan)`` used to be accepted and never expire: every
+        comparison with NaN is false, so ``check`` passed forever."""
+        with pytest.raises(ValueError):
+            Deadline(budget)
 
 
 class TestDeadlineGroup:
@@ -143,81 +139,6 @@ class TestDeadlineGroup:
             _DeadlineGroup([], ServiceStats(), ManualClock()).check("admission")
 
 
-class TestCircuitBreaker:
-    def _breaker(self, clock, **overrides):
-        kwargs = dict(
-            failure_threshold=0.5,
-            window=4,
-            min_calls=2,
-            cooldown_s=1.0,
-            half_open_probes=2,
-            clock=clock,
-        )
-        kwargs.update(overrides)
-        return CircuitBreaker(**kwargs)
-
-    def test_closed_to_open_on_failure_rate(self):
-        clock = ManualClock()
-        breaker = self._breaker(clock)
-        for _ in range(2):
-            with pytest.raises(TransientReadError):
-                breaker.call(self._boom)
-        assert breaker.state == OPEN
-        with pytest.raises(CircuitOpenError):
-            breaker.call(lambda: "never runs")
-
-    def test_half_open_probe_success_closes(self):
-        clock = ManualClock()
-        breaker = self._breaker(clock, half_open_probes=1)
-        for _ in range(2):
-            with pytest.raises(TransientReadError):
-                breaker.call(self._boom)
-        clock.advance(1.5)  # cool-down elapses
-        assert breaker.call(lambda: "ok") == "ok"
-        assert breaker.state == CLOSED
-        assert breaker.transition_path() == (CLOSED, OPEN, HALF_OPEN, CLOSED)
-
-    def test_half_open_probe_failure_reopens(self):
-        clock = ManualClock()
-        breaker = self._breaker(clock, half_open_probes=1)
-        for _ in range(2):
-            with pytest.raises(TransientReadError):
-                breaker.call(self._boom)
-        clock.advance(1.5)
-        with pytest.raises(TransientReadError):
-            breaker.call(self._boom)
-        assert breaker.state == OPEN
-        # Re-opened: the cool-down restarts from the probe failure.
-        with pytest.raises(CircuitOpenError):
-            breaker.call(lambda: "nope")
-
-    def test_successes_keep_breaker_closed(self):
-        clock = ManualClock()
-        breaker = self._breaker(clock)
-        for _ in range(10):
-            breaker.call(lambda: 1)
-        with pytest.raises(TransientReadError):
-            breaker.call(self._boom)
-        assert breaker.state == CLOSED  # one failure in the window is below 50%
-
-    def test_transitions_are_reported(self):
-        clock = ManualClock()
-        breaker = CircuitBreaker(
-            min_calls=1, window=2, cooldown_s=0.1, half_open_probes=1, clock=clock
-        )
-        assert breaker.transition_path() == (CLOSED,)
-        with pytest.raises(TransientReadError):
-            breaker.call(self._boom)
-        clock.advance(0.2)
-        breaker.call(lambda: "ok")
-        assert breaker.transition_path() == (CLOSED, OPEN, HALF_OPEN, CLOSED)
-        assert [t.at for t in breaker.transitions] == [0.0, 0.2, 0.2]
-
-    @staticmethod
-    def _boom():
-        raise TransientReadError("injected")
-
-
 class TestAdmission:
     def test_token_bucket_limits_and_refills(self):
         clock = ManualClock()
@@ -273,21 +194,6 @@ class TestServiceStats:
         assert math.isnan(stats.auc())
         assert math.isnan(ServiceStats().auc())
 
-    def test_breaker_state_path(self):
-        """The stats block keeps no journey of its own: it reads the
-        breaker's, whenever asked."""
-        clock = ManualClock()
-        stats = ServiceStats()
-        assert stats.breaker_state_path() == () and stats.breaker_transitions == []
-        stats.breaker = CircuitBreaker(min_calls=1, cooldown_s=0.1, clock=clock)
-        assert stats.breaker_state_path() == ()  # never moved
-        stats.breaker.record_failure()
-        clock.advance(0.2)
-        assert stats.breaker.allow()
-        assert stats.breaker_state_path() == (CLOSED, OPEN, HALF_OPEN)
-        assert stats.snapshot()["breaker_transitions"] == [(CLOSED, OPEN), (OPEN, HALF_OPEN)]
-        assert "closed -> open -> half_open" in stats.describe()
-
 
 @pytest.fixture(scope="module")
 def mined_rules(tiny_log):
@@ -341,8 +247,6 @@ class TestScoringService:
         poisoned on its only replica leaves the request on the GNN rung
         (while every sampled row was fetched it was a checksum failure
         with no replica to fail over to: ``kv_unavailable``)."""
-        from repro.storage import ReplicatedConfig, ReplicatedKVStore
-
         replicas = [InMemoryKVStore() for _ in range(2)]
         store = ReplicatedKVStore(replicas, ReplicatedConfig(replication_factor=1))
         GraphStore(store).save(tiny_graph)
@@ -393,17 +297,11 @@ class TestScoringService:
     ):
         clock = ManualClock()
         store = OutageKVStore(feature_kv, windows=[(0, 10_000)])
-        config = ServiceConfig(
-            retry=RetryPolicy(max_attempts=2, base_delay=0.001),
-            breaker_min_calls=2,
-            breaker_window=4,
-        )
         service = ScoringService(
             trained_detector,
             tiny_graph,
             feature_store=store,
             rules=mined_rules,
-            config=config,
             clock=clock,
         )
         node = _txn_nodes(tiny_graph, 1)[0]
@@ -413,16 +311,14 @@ class TestScoringService:
         assert response.rung == RUNG_RULES
         assert response.degraded_reason == "kv_unavailable"
         assert service.stats.kv_failures == 1
-        assert service.stats.kv_retries == 1
+        assert store.reads == 1  # the first failed read demotes: nothing retries it
 
     def test_kv_outage_without_rules_falls_to_prior(
         self, trained_detector, tiny_graph, feature_kv
     ):
         clock = ManualClock()
         store = OutageKVStore(feature_kv, windows=[(0, 10_000)])
-        config = ServiceConfig(
-            retry=RetryPolicy(max_attempts=1), static_prior=0.07
-        )
+        config = ServiceConfig(static_prior=0.07)
         service = ScoringService(
             trained_detector,
             tiny_graph,
@@ -439,32 +335,48 @@ class TestScoringService:
     def test_transient_blips_are_absorbed_by_retries(
         self, trained_detector, tiny_graph, feature_kv
     ):
+        """One replica of two fails the first read of *each key*: the
+        blip costs a failover to the other replica, never a degradation."""
         from repro.reliability import FlakyKVStore
 
         clock = ManualClock()
-        store = FlakyKVStore(feature_kv, fail_first=1)
-        # fail_first faults the first read of *each key*, so fetch one
-        # row per breaker call: every chunk fails once, then succeeds.
-        config = ServiceConfig(
-            retry=RetryPolicy(max_attempts=2, base_delay=0.0001), fetch_chunk=1
+        backings = [InMemoryKVStore() for _ in range(2)]
+        flaky = FlakyKVStore(backings[0], fail_first=1)
+        store = ReplicatedKVStore(
+            [flaky, backings[1]], ReplicatedConfig(replication_factor=2), clock=clock
         )
+        GraphStore(store).save(tiny_graph)
         service = ScoringService(
-            trained_detector,
-            tiny_graph,
-            feature_store=store,
-            config=config,
-            clock=clock,
+            trained_detector, tiny_graph, feature_store=store, clock=clock
         )
-        node = _txn_nodes(tiny_graph, 1)[0]
-        response = service.score(node)
-        assert response.rung == RUNG_GNN  # retried through, no degradation
-        assert service.stats.kv_retries > 0
-        assert service.breaker.state == CLOSED
+        responses = service.score_batch(_txn_nodes(tiny_graph, 4))
+        assert [r.rung for r in responses] == [RUNG_GNN] * 4  # no degradation
+        assert service.stats.kv_failures == 0
+        assert flaky.injected > 0 and store.failovers > 0
 
     def test_invalid_node_rejected(self, trained_detector, tiny_graph):
         service = ScoringService(trained_detector, tiny_graph)
         with pytest.raises(ValueError):
             service.score(tiny_graph.num_nodes + 5)
+
+    @pytest.mark.parametrize("deadline_s", [0.0, -0.5, float("nan")])
+    def test_a_bad_request_deadline_is_refused_before_admission(
+        self, trained_detector, tiny_graph, deadline_s
+    ):
+        """Refused like an out-of-graph node, before any request of the
+        call is admitted. A zero budget used to be admitted with its
+        batch and then raise from ``Deadline``, taking the two good
+        requests down with it (received 3, admitted 3, completed 0); a
+        NaN one was scored under a deadline that never expires."""
+        service = ScoringService(trained_detector, tiny_graph)
+        good, other = _txn_nodes(tiny_graph, 2)
+        bad = ScoreRequest(node=good, deadline_s=deadline_s)
+        for call in (service.score, service.submit, lambda r: service.score_batch([good, r, other])):
+            with pytest.raises(ValueError, match="deadline_s must be positive"):
+                call(bad)
+        assert service.stats.snapshot()["received"] == 0
+        responses = service.score_batch([good, other])
+        assert [r.admitted for r in responses] == [True, True]
 
     def test_an_entity_node_is_refused_at_every_entry_point(self, trained_detector, tiny_graph):
         """An entity has no feature row: the head would have concatenated
@@ -547,8 +459,6 @@ _COUNTER_KEYS = (
     "degraded_reasons",
     "deadline_hits",
     "kv_failures",
-    "kv_retries",
-    "breaker_transitions",
 )
 
 def _admitted(rung, degraded=None, latency=None, remaining=None, **counters):
@@ -572,8 +482,6 @@ def _admitted(rung, degraded=None, latency=None, remaining=None, **counters):
         "degraded_reasons": {degraded: 1} if degraded else {},
         "deadline_hits": 0,
         "kv_failures": 0,
-        "kv_retries": 0,
-        "breaker_transitions": [],
     }
     delta.update(counters)
     return fields, delta
@@ -587,7 +495,11 @@ def _admitted(rung, degraded=None, latency=None, remaining=None, **counters):
 # captured: they are that scorer's rows × READ_DELAY_S arithmetic
 # restated over the rows fetched now — the sample's 4 transaction rows,
 # 2 a chunk, where it read all 8 sampled rows 4 a chunk (entity rows
-# carry no input and are not fetched).
+# carry no input and are not fetched). Two rows are not that scorer's:
+# ``kv_unavailable`` read 1.318481 ms of retry backoff and one retry
+# while the service retried a plain store, and ``lone_replica_dead`` is
+# what took the place of its ``breaker_open`` row (rules, 0.0 s, no
+# KV failure counted) when the breaker went.
 _SEQUENTIAL = {
     "healthy": _admitted("gnn", None, 0.008, 0.492),
     "deadline:admission": _admitted("rules", "deadline:admission", deadline_hits=1),
@@ -600,10 +512,8 @@ _SEQUENTIAL = {
     "deadline:model forward": _admitted(
         "rules", "deadline:model forward", 0.008, 0.0, deadline_hits=1
     ),
-    "breaker_open": _admitted("rules", "breaker_open", 0.0, 0.5),
-    "kv_unavailable": _admitted(
-        "rules", "kv_unavailable", 0.001318481, 0.498681519, kv_failures=1, kv_retries=1
-    ),
+    "lone_replica_dead": _admitted("rules", "kv_unavailable", 0.0, 0.5, kv_failures=1),
+    "kv_unavailable": _admitted("rules", "kv_unavailable", 0.0, 0.5, kv_failures=1),
     "rate_limited": (
         {
             "node": 0,
@@ -624,8 +534,6 @@ _SEQUENTIAL = {
             "degraded_reasons": {},
             "deadline_hits": 0,
             "kv_failures": 0,
-            "kv_retries": 0,
-            "breaker_transitions": [],
         },
     ),
 }
@@ -649,9 +557,6 @@ class TestBatchOfOneParity:
             deadline_s=0.5,
             fetch_chunk=2,
             static_prior=0.05,
-            breaker_min_calls=2,
-            breaker_window=4,
-            retry=RetryPolicy(max_attempts=2, base_delay=0.001, seed=0),
         )
         cache = None
         sample = trained_detector.sampler.sample(tiny_graph, [node])
@@ -666,8 +571,13 @@ class TestBatchOfOneParity:
             config["deadline_s"] = 2 * self.READ_DELAY_S  # spent by the first chunk
         elif name == "deadline:model forward":
             config["deadline_s"] = fetch_s  # spent exactly as the last chunk lands
-        elif name in ("breaker_open", "kv_unavailable"):
+        elif name == "kv_unavailable":
             store = OutageKVStore(backing, windows=[(0, 10_000)])
+        elif name == "lone_replica_dead":
+            outage = OutageKVStore(backing, windows=[(0, 10_000)])
+            store = ReplicatedKVStore(
+                [outage], ReplicatedConfig(replication_factor=1, dead_after=2), clock=clock
+            )
         elif name == "rate_limited":
             config.update(rate=1.0, burst=1.0)
         else:
@@ -681,11 +591,12 @@ class TestBatchOfOneParity:
             clock=clock,
             cache=cache,
         )
-        if name == "breaker_open":
-            # Two failed fetches open the breaker; the observed request
-            # is the third.
+        if name == "lone_replica_dead":
+            # Two failed reads walk the replica to dead; the observed
+            # request is the third, and no read reaches the backing.
             for _ in range(2):
                 assert service.score(request).degraded_reason == "kv_unavailable"
+            assert [store.health[0].state, outage.reads] == ["dead", 2]
         if name == "rate_limited":
             assert service.score(request).admitted  # spends the only token
         return service, request
@@ -698,7 +609,7 @@ class TestBatchOfOneParity:
             "deadline:sampling",
             "deadline:feature fetch",
             "deadline:model forward",
-            "breaker_open",
+            "lone_replica_dead",
             "kv_unavailable",
             "rate_limited",
         ],
@@ -742,6 +653,8 @@ class TestBatchOfOneParity:
             else:
                 delta[key] = after[key] - before[key]
         assert (fields, delta) == _SEQUENTIAL[name]
+        if name == "lone_replica_dead":  # demoted by the replica's gate, not by a read
+            assert service.feature_store.replicas[0].reads == 2
 
         # The score itself is checked against an independent oracle
         # rather than a float literal that would pin BLAS rounding.

@@ -699,6 +699,18 @@ class TestDriftDetector:
         detector.observe(0.5)
         assert detector.check() is None
 
+    @pytest.mark.parametrize(
+        "knobs", [{"window": 64, "min_samples": 128}, {"bins": 1}, {"bins": 0}]
+    )
+    def test_a_config_that_turns_checks_off_is_refused(self, knobs):
+        """The current window holds at most ``window`` points: with
+        ``min_samples > window`` a 5-sigma shift over 1,000 events gave
+        ``check() is None`` and no alert. One bin has no edges to cut
+        the reference at."""
+        with pytest.raises(ValueError):
+            DriftConfig(**knobs)
+        DriftConfig(window=64, min_samples=64)  # a full window is enough
+
 
 class TestOnlineFineTuner:
     def _labelled_graph(self, seed=0):
