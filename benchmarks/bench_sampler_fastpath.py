@@ -27,6 +27,8 @@ samples — one ``sample(..., disjoint=True)`` walk over 32 transaction
 targets — to >= 3x the 32 singleton samples plus ``stack_subgraphs`` it
 replaced, and to the same cost on a 45k-node graph as on a 7k-node one
 (nothing in the walk is sized by the graph), and
+``test_lone_sample_ratio_floor`` holds a lone target's ``sample()``
+(a cold ``score()``'s walk and induction) to the same size budget, and
 ``test_batch_lookup_ratio_floor`` holds the same micro-batch through an
 all-miss ``SubgraphCache.get_or_sample`` to <= 1.15x the bare walk (the
 walk is the batch's sample, its entries stored as pieces of it;
@@ -45,13 +47,13 @@ import functools
 
 import numpy as np
 
-from _helpers import best_us, format_table, stream_shaped_graph, write_result
+from _helpers import alternated_medians, best_us, format_table, stream_shaped_graph, write_result
 from repro.check import subgraph_equal
-from repro.check.reference import scalar_sample
+from repro.check.reference import scalar_sample, stack_subgraphs
 from repro.data import GeneratorConfig, TransactionGenerator
 from repro.graph import build_graph
 from repro.graph.cache import SubgraphCache
-from repro.graph.sampling import HGSampler, SageSampler, stack_subgraphs
+from repro.graph.sampling import HGSampler, SageSampler
 from repro.util import batched
 
 MIN_VECTORIZED_SPEEDUP = 2.0
@@ -146,6 +148,39 @@ def test_disjoint_walk_ratio_floor():
     growth = rows[1][2] / rows[0][2]
     print(
         f"walk on {rows[1][0]:,} vs {rows[0][0]:,} nodes: {growth:.2f}x "
+        f"(budget <= {DISJOINT_SIZE_BUDGET:.1f}x)"
+    )
+    assert growth <= DISJOINT_SIZE_BUDGET
+
+
+def _lone_timings():
+    """``(nodes, us)`` on a ~7k- and a ~45k-node graph of the ledger
+    stream's shape: ``MICRO_BATCH`` lone-target samples, one
+    ``sample(graph, [t])`` per transaction target (what a cold
+    ``score()`` walks and induces), the two graphs timed in turns."""
+    rng = np.random.default_rng(0)
+    sampler = SageSampler(hops=2, fanout=10, seed=0)
+    sizes, passes = [], []
+    for num_txns in (3_500, 22_500):
+        graph = stream_shaped_graph(rng, num_txns)
+        targets = rng.choice(num_txns, size=MICRO_BATCH, replace=False).tolist()
+        sizes.append(graph.num_nodes)
+        passes.append(
+            functools.partial(lambda g, ts: [sampler.sample(g, [t]) for t in ts], graph, targets)
+        )
+    return list(zip(sizes, alternated_medians(passes, samples=RATIO_SAMPLES)))
+
+
+def test_lone_sample_ratio_floor():
+    """Machine-independent: a lone target's sample costs what it costs
+    on a graph six times the size — its walk is CSR gathers from the
+    target out and its induction a search among the walk's own keys,
+    with no node map sized by the graph (CI perf-smoke)."""
+    (small, small_us), (large, large_us) = _lone_timings()
+    growth = large_us / small_us
+    print(
+        f"\n{MICRO_BATCH} lone-target samples on {small:,} nodes {small_us / 1e3:.2f} ms, "
+        f"on {large:,} nodes {large_us / 1e3:.2f} ms -> {growth:.2f}x "
         f"(budget <= {DISJOINT_SIZE_BUDGET:.1f}x)"
     )
     assert growth <= DISJOINT_SIZE_BUDGET

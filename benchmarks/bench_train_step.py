@@ -58,8 +58,9 @@ import numpy as np
 
 from _helpers import alternated_medians, model_config
 from repro import nn
+from repro.check.reference import stack_subgraphs
 from repro.data import load_dataset
-from repro.graph.sampling import SampledSubgraph, receptive_field, stack_subgraphs
+from repro.graph.sampling import SampledSubgraph, receptive_field
 from repro.models import XFraudDetectorPlus
 from repro.models.hetero_conv import InferenceLayout
 

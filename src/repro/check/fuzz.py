@@ -137,7 +137,13 @@ def scenario(name: str, mutants: Sequence[Mutant] = ()):
         edit(
             "fanout-cap-keeps-one-edge-too-many", _SAMPLING + "SageSampler._kept",
             "rank < self.fanout", "rank <= self.fanout", "original_ids", shrinks_to=(1, 1),
-        )
+        ),
+        edit(  # a set's component puts its roots ascending, not in request order
+            "set-sample-roots-not-in-request-order", _SAMPLING + "_induce",
+            "slot[at], slot[rest] = root_slots, rest_slots",
+            "slot[np.sort(at)], slot[rest] = root_slots, rest_slots",
+            "original_ids differs", shrinks_to=(0, 3),
+        ),
     ],
 )
 def _fuzz_sampler(seed: int, size: int) -> Optional[str]:
@@ -510,7 +516,8 @@ def _fuzz_inference_forward(seed: int, size: int) -> Optional[str]:
     same graph with a random share of its directed edges dropped
     (targets without in-edges, down to no edges at all), and on a
     block-diagonal stack of sampled neighbourhoods."""
-    from ..graph.sampling import SageSampler, stack_subgraphs
+    from ..graph.sampling import SageSampler
+    from .reference import stack_subgraphs
     from ..models.detector import DetectorConfig, XFraudDetector
     from ..models.inference import tensor_predict_proba
     from .reference import PerOpDetector
@@ -1433,7 +1440,8 @@ def _fuzz_fused_backward(seed: int, size: int) -> Optional[str]:
     mode (the node must draw the dropout masks ``F.dropout`` would, on
     the graph and on a receptive field with ``edge_rows``) and eval;
     with and without the explainer's ``edge_mask`` / ``feature_mask``."""
-    from ..graph.sampling import SageSampler, stack_subgraphs
+    from ..graph.sampling import SageSampler
+    from .reference import stack_subgraphs
     from ..models.detector import DetectorConfig, XFraudDetector
     from ..models.field import loss_field
 
@@ -1701,45 +1709,48 @@ def _awkward_targets(rng: np.random.Generator, graph, txn_only: bool = False) ->
     "disjoint-walk-vs-singleton-samples",
     mutants=[  # the walk losing track of a node's or an edge's component
         edit(
-            "visited-set-shared-across-components", _SAMPLING + "SageSampler._sample_disjoint",
+            "visited-set-shared-across-components", _SAMPLING + "SageSampler._walk_disjoint",
             "reached[~_in_sorted(seen, reached)[0]]",
             "reached[~np.isin(reached % stride, seen % stride)]",
             "original_ids", shrinks_to=(0, 1),
         ),
         edit(
-            "fanout-rank-over-the-whole-frontier", _SAMPLING + "SageSampler._sample_disjoint",
+            "fanout-rank-over-the-whole-frontier", _SAMPLING + "SageSampler._walk_disjoint",
             "self._kept(starts, counts)", "self._kept(starts[:1], counts.sum(keepdims=True))",
             "original_ids", shrinks_to=(0, 1),
         ),
         edit(
-            "dedup-by-node-not-by-component-and-node", _SAMPLING + "SageSampler._sample_disjoint",
+            "dedup-by-node-not-by-component-and-node", _SAMPLING + "SageSampler._walk_disjoint",
             "np.unique(component * stride + csr.src[slots])",
             "np.sort((component * stride + csr.src[slots])"
             "[np.unique(csr.src[slots], return_index=True)[1]])",
             "original_ids", shrinks_to=(0, 1),
         ),
         edit(
-            "edges-ordered-by-csr-position", _SAMPLING + "_induce_disjoint",
-            "np.argsort(edge_owner * graph.num_edges + edge_ids)", "np.arange(len(edge_ids))",
+            "edges-ordered-by-csr-position", _SAMPLING + "_induce",
+            "(owner * graph.num_edges + edge_ids).argsort()", "np.arange(len(edge_ids))",
             "edge_src differs", shrinks_to=(0, 1),
         ),
         edit(  # a cached batch gathers components joined by such edges: scoring sees it too
-            "induction-matches-sources-across-components", _SAMPLING + "_induce_disjoint",
-            "edge_owner * stride + csr.src[slots]", "csr.src[slots]", "edge_src",
+            "induction-matches-sources-across-components", _SAMPLING + "_induce",
+            "sources += owner * stride", "sources += 0", "edge_src",
             alone=True, shrinks_to=(0, 1),
         ),
         edit(  # an isomorphic graph the cache's gathers misread (a component's root is first)
-            "target-not-first-in-its-component", _SAMPLING + "_induce_disjoint",
-            "    slot += seen < root\n    slot[rooted] = starts\n",
-            "    starts = np.flatnonzero(rooted)\n",
+            "target-not-first-in-its-component", _SAMPLING + "_induce",
+            "        root_slots = np.arange(len(roots)) + "
+            "(np.cumsum(rest_in) - rest_in)[root_component]\n"
+            "        rest_slots = np.arange(total - len(roots)) + "
+            "np.cumsum(roots_in)[component[rest]]\n",
+            "        root_slots, rest_slots = at, rest.nonzero()[0]\n",
             "original_ids differs",
             alone=True, shrinks_to=(0, 1),
         ),
         edit(  # the first component's edges end one edge late
-            "an-edge-bound-off-by-one", _SAMPLING + "_induce_disjoint",
-            "np.cumsum(np.bincount(edge_owner, minlength=len(roots)))",
-            "np.cumsum(np.bincount(edge_owner, minlength=len(roots)))"
-            " + (np.arange(len(roots)) == 0)",
+            "an-edge-bound-off-by-one", _SAMPLING + "_induce",
+            "np.cumsum(np.bincount(owner, minlength=len(sizes)))",
+            "np.cumsum(np.bincount(owner, minlength=len(sizes)))"
+            " + (np.arange(len(sizes)) == 0)",
             "the walk's bounds",
             alone=True, shrinks_to=(0, 1),
         ),
@@ -1759,8 +1770,8 @@ def _fuzz_disjoint_walk(seed: int, size: int) -> Optional[str]:
     compaction. The walk must ask a deadline about exactly the stages
     of ONE singleton walk, once each, and a budget that ends at hop
     ``k`` must end both sides there."""
-    from ..graph.sampling import HGSampler, SageSampler, gather, stack_subgraphs
-    from .reference import component_bounds, scalar_sample, unstack
+    from ..graph.sampling import HGSampler, SageSampler, gather
+    from .reference import component_bounds, scalar_sample, stack_subgraphs, unstack
 
     rng = np.random.default_rng(seed)
     chooser = np.random.default_rng((seed, size))  # the gathers' pieces: rng's draws stay put
@@ -1770,7 +1781,7 @@ def _fuzz_disjoint_walk(seed: int, size: int) -> Optional[str]:
     walker = SageSampler(hops=hops, fanout=fanout, seed=sampler_seed)
     hg = HGSampler(depth=1 + size % 2, width=fanout, seed=sampler_seed)
     spec = functools.partial(scalar_sample, walker)
-    # disjoint=True is the loop itself for these two
+    # the spec's disjoint=True is the loop itself; HGSampling's walks each target alone
     by_definition = (("the scalar spec", spec), (hg.cache_key(), hg.sample))
     for stage in ("fresh", "grown", "compacted"):
         if stage == "grown":

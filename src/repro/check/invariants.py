@@ -431,9 +431,10 @@ def _txn_table_legs(rng: np.random.Generator, problems: List[str]) -> None:
     """Every producer of a table on one growing graph, each held to the
     rows a scan of its parent says its transactions own; violations go
     to ``problems`` as they are found."""
-    from ..graph.sampling import SageSampler, gather, stack_subgraphs
+    from ..graph.sampling import SageSampler, gather
     from ..storage import GraphStore, InMemoryKVStore
     from ..stream.builder import IncrementalGraphBuilder
+    from .reference import stack_subgraphs
 
     graph = random_hetero_graph(rng, num_txns=int(rng.integers(4, 9)))
     graph.txn_row  # derived now, so the deltas extend it in place

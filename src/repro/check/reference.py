@@ -18,7 +18,9 @@ on only the rows the next one reads.
 each sampler of :mod:`repro.graph.sampling` vectorizes, reading the
 configuration off the sampler instance it is the spec of and asking the
 same stateless hash the same questions, so the two return identical
-:class:`~repro.graph.sampling.SampledSubgraph` objects seed for seed.
+:class:`~repro.graph.sampling.SampledSubgraph` objects seed for seed. It
+induces by the definition — ``graph.subgraph`` of the walk's nodes, a
+dict for the targets — not by the samplers' keyed induction.
 
 **The CSR grown by a delta, shifted into place.** :func:`splice_csr`
 moves every old entry right to make room for the delta's — the canonical
@@ -27,7 +29,9 @@ in-edge CSR, as a full stable rebuild lays it out — and
 in that form; :meth:`~repro.graph.hetero.HeteroGraph.append_delta`'s
 growth into headroom is held to both.
 
-**A stack's components, found by search.** :func:`component_bounds` is
+**A stack, and its components found by search.** :func:`stack_subgraphs`
+is the block-diagonal union of samples that ``disjoint=True`` means.
+:func:`component_bounds` is
 what a sample's recorded :attr:`~repro.graph.sampling.SampledSubgraph.bounds`
 must read, worked out of its arrays alone, and :func:`unstack` cuts each
 component out by them as the singleton sample it must equal.
@@ -59,11 +63,9 @@ from ..graph.sampling import (
     HGSampler,
     SageSampler,
     SampledSubgraph,
-    _first_occurrence_unique,
+    _concatenate,
     _hash_uniform,
-    _induce,
     _salt,
-    stack_subgraphs,
 )
 from ..models.detector import XFraudDetector
 from ..models.field import EdgeRows
@@ -264,15 +266,22 @@ def scalar_sample(
     sampler, graph: HeteroGraph, targets: Sequence[int], deadline=None, disjoint: bool = False
 ) -> SampledSubgraph:
     """What ``sampler.sample(graph, targets, deadline, disjoint)`` must
-    return, by the scalar walk of ``sampler``'s kind — ``disjoint=True``
-    by its definition, the stacked loop of singleton samples."""
+    return, by the scalar walk of ``sampler``'s kind and the induction by
+    its definition, ``graph.subgraph`` of the walk's nodes —
+    ``disjoint=True`` by its definition too, the stacked loop of
+    singleton samples."""
     targets = np.asarray(targets, dtype=np.int64)
-    if disjoint and len(targets) != 1:
+    if disjoint and len(targets) > 1:
         return stack_subgraphs(
             [scalar_sample(sampler, graph, [int(target)], deadline) for target in targets]
         )
     walk = _sage_walk if isinstance(sampler, SageSampler) else _hg_walk
-    return _induce(graph, walk(sampler, graph, _first_occurrence_unique(targets), deadline), targets)
+    unique_targets = np.array(list(dict.fromkeys(targets.tolist())), dtype=np.int64)
+    nodes = walk(sampler, graph, unique_targets, deadline)
+    subgraph, original_ids = graph.subgraph(nodes)
+    local = {node: index for index, node in enumerate(nodes.tolist())}
+    target_local = np.array([local[target] for target in targets.tolist()], dtype=np.int64)
+    return SampledSubgraph(subgraph, target_local, original_ids)
 
 
 def _canonical(unique_targets: np.ndarray, discovered: List[int]) -> np.ndarray:
@@ -425,8 +434,58 @@ def splice_csr(
 
 
 # ----------------------------------------------------------------------
-# A stack's components, by search
+# A stack of samples, and its components by search
 # ----------------------------------------------------------------------
+def stack_subgraphs(parts: Sequence[SampledSubgraph]) -> SampledSubgraph:
+    """Disjoint (block-diagonal) union of sampled subgraphs: the
+    definition ``sample(..., disjoint=True)`` is held to, and the
+    baseline its one walk and ``gather`` are timed against. Nothing that
+    serves stacks samples: every sample is one induction
+    (:func:`repro.graph.sampling._induce`), and every stack of cached
+    pieces a :func:`~repro.graph.sampling.gather`.
+
+    Node ids of each part are shifted past the previous parts' ranges,
+    so the combined graph has no edges between components: a forward
+    pass over it computes, per target, exactly what a forward over that
+    target's own subgraph would. That is what lets micro-batched
+    serving keep ONE model forward per rung while staying
+    score-identical to sequential scoring — coalescing requests into a
+    single *shared* sample would instead leak each request's sampled
+    neighbourhood into the others' attention normalisation (the
+    induced union carries cross-target edges), making a transaction's
+    score depend on which requests happened to ride its batch.
+
+    ``original_ids`` may repeat across components (two targets sampling
+    the same hub); that is fine — components are disjoint, and feature
+    hydration simply writes the same row into each copy. The stack's
+    components are its parts', in order.
+    """
+    if not parts:
+        raise ValueError("need at least one subgraph to stack")
+    if len(parts) == 1:
+        return parts[0]
+    graphs = [part.graph for part in parts]
+    if any(part.offsets is not None for part in parts):  # a part of several components
+        sizes = np.concatenate([np.diff(part.bounds, axis=0) for part in parts])
+        sources = np.concatenate([part.bounds[:-1, 0] for part in parts])
+        firsts = np.cumsum([0] + [part.num_components for part in parts[:-1]])
+    else:
+        sizes = np.array([(len(g.node_type), len(g.edge_src), len(g.txn_table)) for g in graphs])
+        sources = np.zeros(len(parts), dtype=np.int64)
+        firsts = slice(-1)
+    graph, original_ids, offsets = _concatenate(
+        [
+            (g.node_type, g.labels, part.original_ids, g.edge_src, g.edge_dst, g.edge_type, g.txn_table)
+            for part, g in zip(parts, graphs)
+        ],
+        sizes,
+        sources,
+    )
+    target_local = np.concatenate([part.target_local for part in parts])
+    target_local += np.repeat(offsets[firsts, 0], [len(part.target_local) for part in parts])
+    return SampledSubgraph(graph, target_local, original_ids, offsets=offsets)
+
+
 def component_bounds(stacked: SampledSubgraph, roots: Optional[np.ndarray] = None) -> np.ndarray:
     """The ``bounds`` of a stack of single-target components, recovered
     from its arrays.

@@ -174,10 +174,10 @@ def _reserve(buffers: Dict[str, np.ndarray], name: str, view: np.ndarray, extra:
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """``starts[i] : starts[i] + counts[i]`` for every ``i``, concatenated."""
-    ends = np.cumsum(counts)
+    ends = counts.cumsum()  # methods: a numpy function's dispatch is most of the cost here
     if len(ends) == 0 or ends[-1] == 0:
         return np.zeros(0, dtype=np.int64)
-    return np.repeat(starts - (ends - counts), counts) + np.arange(ends[-1], dtype=np.int64)
+    return (starts - (ends - counts)).repeat(counts) + np.arange(ends[-1], dtype=np.int64)
 
 
 class InEdges(NamedTuple):
@@ -230,11 +230,6 @@ class HeteroGraph:
     #: Spare-capacity buffers behind the arrays :meth:`append_delta` has
     #: grown, by name; ``None`` on a graph that never appended.
     _buffers: Optional[Dict[str, np.ndarray]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    #: All ``-1`` node->local map lent to :meth:`subgraph` (see
-    #: :meth:`_borrow_local_map`); ``None`` while borrowed.
-    _local_map_scratch: Optional[np.ndarray] = field(
         default=None, init=False, repr=False, compare=False
     )
     #: :attr:`txn_row` once read, while it is ``num_nodes`` long.
@@ -547,7 +542,10 @@ class HeteroGraph:
     def subgraph(
         self, nodes: Sequence[int], edge_ids: Optional[np.ndarray] = None
     ) -> Tuple["HeteroGraph", np.ndarray]:
-        """Induced subgraph on ``nodes``.
+        """Induced subgraph on ``nodes``: every edge with both endpoints
+        in ``nodes``, in parent edge id order — one O(N + E) pass, for
+        partitions, communities and specs (a sampler induces its own
+        sample from its walk's keys, :func:`~repro.graph.sampling._induce`).
 
         Returns the subgraph plus the array mapping local index ->
         original node id. Node order follows the order of ``nodes``.
@@ -556,52 +554,21 @@ class HeteroGraph:
         those edges, in the order given, and both endpoints of each must
         be in ``nodes`` (:func:`~repro.graph.sampling.receptive_field`
         keeps fewer edges than ``nodes`` induce).
-
-        Two implementations produce bit-identical output: a dense
-        O(N + E) membership pass over every edge, and — when the CSR is
-        already built and ``nodes`` is a small fraction of the graph —
-        a gather of only the edges incident to ``nodes``
-        (O(deg(nodes))), which is what makes per-request neighbourhood
-        induction cheap on a large serving graph. Both share one
-        borrowed node->local map (amortized O(k) per call, no O(N)
-        allocation on the hot path).
         """
         nodes = np.asarray(nodes, dtype=np.int64)
-        local_of = self._borrow_local_map()
-        try:
-            index = np.arange(len(nodes), dtype=np.int64)
-            local_of[nodes] = index
-            if len(nodes) and np.any(local_of[nodes] != index):
-                raise ValueError("subgraph nodes must be unique")
-            if edge_ids is not None:
-                src_local = local_of[self.edge_src[edge_ids]]
-                dst_local = local_of[self.edge_dst[edge_ids]]
-                edge_type = self.edge_type[edge_ids]
-            elif self._csr is not None and 0 < len(nodes) * 4 < self.num_nodes:
-                candidates = self._candidate_in_edges(nodes)
-                src_local_all = local_of[self.edge_src[candidates]]
-                keep = src_local_all >= 0
-                induced = candidates[keep]
-                # Ascending edge ids restore original edge order, so
-                # this path is bit-identical to the dense keep mask.
-                order = np.argsort(induced, kind="stable")
-                induced = induced[order]
-                src_local = src_local_all[keep][order]
-                dst_local = local_of[self.edge_dst[induced]]
-                edge_type = self.edge_type[induced]
-            else:
-                keep = (local_of[self.edge_src] >= 0) & (local_of[self.edge_dst] >= 0)
-                src_local = local_of[self.edge_src[keep]]
-                dst_local = local_of[self.edge_dst[keep]]
-                edge_type = self.edge_type[keep]
-        finally:
-            local_of[nodes] = -1  # O(k) reset: the map is clean for reuse
-            self._local_map_scratch = local_of
+        index = np.arange(len(nodes), dtype=np.int64)
+        local_of = np.full(self.num_nodes, -1, dtype=np.int64)
+        local_of[nodes] = index
+        if len(nodes) and np.any(local_of[nodes] != index):
+            raise ValueError("subgraph nodes must be unique")
+        if edge_ids is None:
+            inside = (local_of[self.edge_src] >= 0) & (local_of[self.edge_dst] >= 0)
+            edge_ids = np.flatnonzero(inside)
         sub = HeteroGraph.derived(
             self.node_type[nodes],
-            src_local,
-            dst_local,
-            edge_type,
+            local_of[self.edge_src[edge_ids]],
+            local_of[self.edge_dst[edge_ids]],
+            self.edge_type[edge_ids],
             self.txn_table_of(nodes),
             self.labels[nodes],
         )
@@ -624,29 +591,6 @@ class HeteroGraph:
         sub.node_type, sub.edge_src, sub.edge_dst = node_type, edge_src, edge_dst
         sub.edge_type, sub.txn_table, sub.labels = edge_type, txn_table, labels
         return sub
-
-    def _borrow_local_map(self) -> np.ndarray:
-        """Take ownership of the shared all ``-1`` node->local scratch.
-
-        The borrower must reset the entries it wrote and put the array
-        back in ``_local_map_scratch``. While borrowed the attribute is
-        ``None``, so a concurrent (or re-entrant) caller simply
-        allocates its own copy instead of corrupting the shared one.
-        """
-        scratch = self._local_map_scratch
-        if scratch is None or len(scratch) < self.num_nodes:
-            # Sized to node capacity so it outlives the deltas that fit;
-            # entries past num_nodes are never indexed.
-            capacity = len((self._buffers or {}).get("node_type", self.node_type))
-            return np.full(max(capacity, self.num_nodes), -1, dtype=np.int64)
-        self._local_map_scratch = None
-        return scratch
-
-    def _candidate_in_edges(self, nodes: np.ndarray) -> np.ndarray:
-        """Ids of every edge whose *destination* is in ``nodes``
-        (unfiltered CSR gather; callers filter by source membership)."""
-        csr = self._csr
-        return csr.edge_id[_ranges(csr.base[nodes], csr.indptr[nodes + 1] - csr.indptr[nodes])]
 
     def connected_component(self, seed: int) -> np.ndarray:
         """Node ids of the undirected connected component of ``seed``."""

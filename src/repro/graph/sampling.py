@@ -42,19 +42,27 @@ same inputs: not the sample of the target *set* (one induced subgraph,
 cross-target edges included) but the block-diagonal union of one
 singleton sample per target — component ``i`` is ``sample(graph,
 [targets[i]])``, repeats included — which is what micro-batched serving
-scores (see :func:`stack_subgraphs` for why). That loop is
-:class:`HGSampler`'s ``disjoint`` path; :class:`SageSampler` walks every
-component in one frontier expansion over ``(component, node)`` pairs
-and returns, array for array, what the loop returns (the per-position
-hash keys do not know the component, so each keeps exactly the edges
-its own walk would). A single target takes the plain ``sample(graph,
-[t])`` route either way: the union of one component is that component.
+scores (see :func:`repro.check.reference.stack_subgraphs`, that union's
+definition, for why). :class:`HGSampler` walks each component on its
+own; :class:`SageSampler` walks every component in one frontier
+expansion over ``(component, node)`` pairs (the per-position hash keys
+do not know the component, so each keeps exactly the edges its own walk
+would). One target, or none, takes the plain
+``sample(graph, targets)`` route either way: the union of one component
+is that component.
 
-A sample records where its components start and end
-(:attr:`SampledSubgraph.bounds`): the walk writes them as it lays the
-components out, :func:`stack_subgraphs` takes them from its parts, and
-:func:`gather` — the one way a component leaves its sample — reads them
-to stack any ``(sample, component)`` pieces with slices of each array.
+One induction
+-------------
+Every sample is induced by :func:`_induce`, from its walk's ``(component,
+node)`` keys ascending and each component's roots: a disjoint sample
+has one root per component, a sample of a target set is one component
+rooted at its unique targets in request order. Each component is laid
+out roots first, the rest ascending, its edges by ascending parent edge
+id, and its start recorded (:attr:`SampledSubgraph.bounds`) as it is
+laid out. :func:`gather` — the one way a component leaves its sample —
+reads them to stack any ``(sample, component)`` pieces with slices of
+each array.
+Nothing in the induction is sized by the graph.
 
 The executable spec of both samplers — the scalar node-at-a-time walks
 these replaced, asking the same hash the same questions — is
@@ -112,8 +120,8 @@ def _hash_uniform(ids: np.ndarray, salt: np.uint64) -> np.ndarray:
 
 def _first_occurrence_unique(values: np.ndarray) -> np.ndarray:
     """Unique values in order of first appearance."""
-    if len(values) == 0:
-        return _EMPTY
+    if len(values) < 2:
+        return values
     _, first = np.unique(values, return_index=True)
     return values[np.sort(first)]
 
@@ -150,7 +158,7 @@ class SampledSubgraph:
     #: :func:`receptive_field` only (the samplers induce their edges).
     edge_ids: Optional[np.ndarray] = None
     #: :attr:`bounds` of a sample of several components (the disjoint
-    #: walk, :func:`stack_subgraphs`, :func:`gather`); ``None`` for one.
+    #: walk, :func:`gather`, the spec's stack); ``None`` for one.
     offsets: Optional[np.ndarray] = None
 
     @property
@@ -174,51 +182,6 @@ class SampledSubgraph:
         return np.array([[0, 0, 0], [graph.num_nodes, graph.num_edges, len(graph.txn_table)]])
 
 
-def stack_subgraphs(parts: Sequence[SampledSubgraph]) -> SampledSubgraph:
-    """Disjoint (block-diagonal) union of sampled subgraphs.
-
-    Node ids of each part are shifted past the previous parts' ranges,
-    so the combined graph has no edges between components: a forward
-    pass over it computes, per target, exactly what a forward over that
-    target's own subgraph would. That is what lets micro-batched
-    serving keep ONE model forward per rung while staying
-    score-identical to sequential scoring — coalescing requests into a
-    single *shared* sample would instead leak each request's sampled
-    neighbourhood into the others' attention normalisation (the
-    induced union carries cross-target edges), making a transaction's
-    score depend on which requests happened to ride its batch.
-
-    ``original_ids`` may repeat across components (two targets sampling
-    the same hub); that is fine — components are disjoint, and feature
-    hydration simply writes the same row into each copy. The stack's
-    components are its parts', in order.
-    """
-    if not parts:
-        raise ValueError("need at least one subgraph to stack")
-    if len(parts) == 1:
-        return parts[0]
-    graphs = [part.graph for part in parts]
-    if any(part.offsets is not None for part in parts):  # a part of several components
-        sizes = np.concatenate([np.diff(part.bounds, axis=0) for part in parts])
-        sources = np.concatenate([part.bounds[:-1, 0] for part in parts])
-        firsts = np.cumsum([0] + [part.num_components for part in parts[:-1]])
-    else:
-        sizes = np.array([(len(g.node_type), len(g.edge_src), len(g.txn_table)) for g in graphs])
-        sources = np.zeros(len(parts), dtype=np.int64)
-        firsts = slice(-1)
-    graph, original_ids, offsets = _concatenate(
-        [
-            (g.node_type, g.labels, part.original_ids, g.edge_src, g.edge_dst, g.edge_type, g.txn_table)
-            for part, g in zip(parts, graphs)
-        ],
-        sizes,
-        sources,
-    )
-    target_local = np.concatenate([part.target_local for part in parts])
-    target_local += np.repeat(offsets[firsts, 0], [len(part.target_local) for part in parts])
-    return SampledSubgraph(graph, target_local, original_ids, offsets=offsets)
-
-
 def gather(
     pieces: Sequence[Tuple[SampledSubgraph, int]], slots: Optional[Sequence[int]] = None
 ) -> SampledSubgraph:
@@ -229,7 +192,7 @@ def gather(
     Each run of pieces from one sample is cut out of it by its
     :attr:`~SampledSubgraph.bounds` — one index array per kind (nodes,
     edges, rows), no search, nothing read outside the pieces — and the
-    runs are shifted and concatenated as :func:`stack_subgraphs` does.
+    runs are shifted and concatenated (:func:`_concatenate`).
     Every component of one sample in order, with the sample's own
     requests, is that sample itself.
     """
@@ -280,9 +243,9 @@ def gather(
 def _concatenate(
     blocks: Sequence[Tuple[np.ndarray, ...]], sizes: np.ndarray, sources: np.ndarray
 ) -> Tuple[HeteroGraph, np.ndarray, np.ndarray]:
-    """The shift-and-concatenate behind :func:`stack_subgraphs` and
-    :func:`gather`: ``(graph, original_ids, offsets)`` of ``blocks``
-    laid end to end.
+    """The shift-and-concatenate behind :func:`gather` and the spec's
+    :func:`~repro.check.reference.stack_subgraphs`: ``(graph,
+    original_ids, offsets)`` of ``blocks`` laid end to end.
 
     A block is ``(node_type, labels, original_ids, edge_src, edge_dst,
     edge_type, txn_table)`` holding whole components, numbered its own
@@ -306,19 +269,21 @@ def _concatenate(
 
 
 def _in_sorted(table: np.ndarray, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(found, slot): membership of ``keys`` in the ascending, non-empty
-    ``table`` and where — the ``searchsorted`` both halves of the
-    disjoint walk look ``(component, node)`` keys up with."""
-    slot = np.minimum(np.searchsorted(table, keys), len(table) - 1)
-    return table[slot] == keys, slot
+    """(found, slot): membership of ``keys`` in the ascending ``table``
+    (non-empty, unless ``keys`` is empty too) and, where found, where —
+    the ``searchsorted`` the disjoint walk and the induction look
+    ``(component, node)`` keys up with."""
+    slot = table.searchsorted(keys)
+    return table.take(slot, mode="clip") == keys, slot
 
 
 class _Sampler:
     """What the two samplers share: ``sample()``.
 
     A subclass supplies ``kind`` and ``steps`` (what a caller labels and
-    counts its walks by), ``_expand`` (the walk over the target set)
-    and, when it has one, a one-walk ``_sample_disjoint``.
+    counts its walks by), ``_expand`` (the walk over the target set:
+    every node it samples, ascending) and, when it has one, a one-walk
+    ``_walk_disjoint``.
     """
 
     kind: str
@@ -336,20 +301,28 @@ class _Sampler:
         ``disjoint=True`` returns instead the block-diagonal union of
         one singleton sample per target (repeats included) — array for
         array ``stack_subgraphs([sample(graph, [t]) for t in targets])``.
-        A single target is its own union and takes the plain route.
+        One target (or none) is its own union and takes the plain route.
+        A target outside ``[0, num_nodes)`` is refused with ValueError.
         """
         targets = np.asarray(targets, dtype=np.int64)
-        if disjoint and len(targets) != 1:
-            return self._sample_disjoint(graph, targets, deadline)
-        nodes = self._expand(graph, _first_occurrence_unique(targets), deadline)
-        return _induce(graph, nodes, targets)
+        if len(targets) and targets.view(np.uint64).max() >= graph.num_nodes:  # negatives wrap
+            outside = targets[(targets < 0) | (targets >= graph.num_nodes)]
+            raise ValueError(
+                f"targets {outside.tolist()} are not nodes of the graph (0..{graph.num_nodes - 1})"
+            )
+        if disjoint and len(targets) > 1:
+            roots = np.arange(len(targets), dtype=np.int64) * graph.num_nodes + targets
+            return _induce(graph, self._walk_disjoint(graph, roots, deadline), roots, roots)
+        roots = _first_occurrence_unique(targets)
+        return _induce(graph, self._expand(graph, roots, deadline), roots, targets)
 
-    def _sample_disjoint(self, graph: HeteroGraph, targets: np.ndarray, deadline) -> SampledSubgraph:
-        """``disjoint=True`` by its definition: one singleton sample per
-        target, stacked."""
-        return stack_subgraphs(
-            [self.sample(graph, [int(target)], deadline=deadline) for target in targets]
-        )
+    def _walk_disjoint(self, graph: HeteroGraph, roots: np.ndarray, deadline) -> np.ndarray:
+        """The keys of ``disjoint=True`` by its definition: each root's
+        own walk, one after another, keyed by its component."""
+        stride = graph.num_nodes
+        targets = roots % stride
+        walks = [self._expand(graph, targets[c : c + 1], deadline) for c in range(len(roots))]
+        return np.concatenate([c * stride + walk for c, walk in enumerate(walks)])
 
 
 class SageSampler(_Sampler):
@@ -394,8 +367,7 @@ class SageSampler(_Sampler):
                 visited[fresh] = True
                 discovered.append(fresh)
                 frontier = fresh
-        rest = np.sort(np.concatenate(discovered)) if discovered else _EMPTY
-        return np.concatenate([unique_targets, rest])
+        return np.sort(np.concatenate([unique_targets, *discovered]))
 
     def _kept(self, starts: np.ndarray, counts: np.ndarray) -> Optional[np.ndarray]:
         """Which entries of the frontier's concatenated CSR slices (from
@@ -412,21 +384,18 @@ class SageSampler(_Sampler):
         rank = np.arange(total, dtype=np.int64) - np.repeat(offsets, counts)
         return order[rank < self.fanout]
 
-    def _sample_disjoint(self, graph: HeteroGraph, targets: np.ndarray, deadline) -> SampledSubgraph:
-        """Every target's singleton walk as ONE frontier expansion.
+    def _walk_disjoint(self, graph: HeteroGraph, roots: np.ndarray, deadline) -> np.ndarray:
+        """Every root's singleton walk as ONE frontier expansion.
 
-        A frontier entry is a ``(component, node)`` pair held as the key
-        ``component * num_nodes + node``: one CSR gather per hop serves
-        all components, the fanout cap ranks inside each pair's own
-        slice with the hash keys of its CSR positions (the keys the
-        singleton walk draws), and ``np.unique`` on pair keys dedups
-        per component. Nothing here is sized by the graph.
+        A frontier entry is a ``(component, node)`` key, as ``roots``
+        are: one CSR gather per hop serves all components, the fanout
+        cap ranks inside each pair's own slice with the hash keys of its
+        CSR positions (the keys the singleton walk draws), and
+        ``np.unique`` on pair keys dedups per component. Nothing here is
+        sized by the graph.
         """
-        if len(targets) == 0:
-            raise ValueError("need at least one target to sample")
         csr = graph.csr()
         stride = graph.num_nodes
-        roots = np.arange(len(targets), dtype=np.int64) * stride + targets
         seen = frontier = roots  # ascending: one key per component so far
         for hop in range(self.hops):
             if deadline is not None:
@@ -441,7 +410,7 @@ class SageSampler(_Sampler):
                 reached = np.unique(component * stride + csr.src[slots])
                 frontier = reached[~_in_sorted(seen, reached)[0]]
                 seen = np.sort(np.concatenate([seen, frontier]))
-        return _induce_disjoint(graph, roots, seen)
+        return seen
 
 
 class HGSampler(_Sampler):
@@ -455,8 +424,8 @@ class HGSampler(_Sampler):
 
     Weighted draws use the Efraimidis–Spirakis exponential race
     (``-log(u) / w`` smallest-k) over the stateless hash.
-    ``disjoint=True`` is the stacked loop of singleton samples itself:
-    the budgets of Fig. 10's subject stay one walk each.
+    ``disjoint=True`` walks each target on its own (the budgets of Fig.
+    10's subject stay one walk each) and induces their keys once.
     """
 
     kind = "hg"
@@ -545,8 +514,7 @@ class HGSampler(_Sampler):
                 discovered.append(new_nodes)
                 members = members[~sampled[members]]
                 members = push(new_nodes, members)
-        rest = np.sort(np.concatenate(discovered)) if discovered else _EMPTY
-        return np.concatenate([unique_targets, rest])
+        return np.sort(np.concatenate([unique_targets, *discovered]))
 
 
 def receptive_field(graph: HeteroGraph, targets: Sequence[int], hops: int) -> SampledSubgraph:
@@ -590,80 +558,88 @@ def receptive_field(graph: HeteroGraph, targets: Sequence[int], hops: int) -> Sa
     rest = np.sort(np.concatenate(discovered)) if discovered else _EMPTY
     # A node enters the frontier once, so no CSR slice is walked twice.
     edge_ids = np.sort(csr.edge_id[np.concatenate(walked)]) if walked else _EMPTY
-    return _induce(graph, np.concatenate([unique_targets, rest]), targets, edge_ids)
+    nodes = np.concatenate([unique_targets, rest])
+    subgraph, original_ids = graph.subgraph(nodes, edge_ids=edge_ids)
+    sorter = np.argsort(unique_targets)
+    target_local = sorter[np.searchsorted(unique_targets, targets, sorter=sorter)]
+    return SampledSubgraph(subgraph, target_local, original_ids, edge_ids=edge_ids)
 
 
 def _induce(
-    graph: HeteroGraph,
-    nodes: np.ndarray,
-    targets: np.ndarray,
-    edge_ids: Optional[np.ndarray] = None,
+    graph: HeteroGraph, seen: np.ndarray, roots: np.ndarray, requests: np.ndarray
 ) -> SampledSubgraph:
-    """Induce the subgraph (or keep just ``edge_ids``) and locate the
-    targets — no Python dict.
+    """The induced subgraph of a walk, component by component — the one
+    induction of every sample.
 
-    The position map is a sorted lookup (``argsort`` + ``searchsorted``)
-    over the canonical node order, O(k log k) instead of the former
-    O(k) dict build + per-target Python hashing.
-    """
-    subgraph, original_ids = graph.subgraph(nodes, edge_ids=edge_ids)
-    if len(targets):
-        sorter = np.argsort(original_ids, kind="stable")
-        target_local = sorter[np.searchsorted(original_ids, targets, sorter=sorter)]
-        target_local = target_local.astype(np.int64)
-    else:
-        target_local = _EMPTY
-    return SampledSubgraph(
-        graph=subgraph, target_local=target_local, original_ids=original_ids, edge_ids=edge_ids
-    )
+    A node is a ``(component, node)`` key, ``component * num_nodes +
+    node``: ``seen`` holds every sampled key ascending, ``roots`` each
+    component's targets (components ascending, each one's in request
+    order) and ``requests`` the key each request is scored at. A
+    disjoint sample has one root per component; a sample of a target
+    set is one component whose roots are its unique targets.
 
-
-def _induce_disjoint(graph: HeteroGraph, roots: np.ndarray, seen: np.ndarray) -> SampledSubgraph:
-    """The stacked induced subgraphs of a disjoint walk, in one pass.
-
-    ``seen`` holds every sampled ``(component, node)`` key ascending and
-    ``roots`` the targets' own. Nodes are laid out component by
-    component in the canonical order (target first, the rest ascending)
-    and every kept edge joins two nodes of ONE component, ascending
-    parent edge id inside each — what :meth:`HeteroGraph.subgraph`
-    induces per singleton sample and :func:`stack_subgraphs` shifts —
-    and the bounds of each component are counted as it is laid out.
+    Nodes are laid out component by component in the canonical order —
+    roots first, the rest ascending — and every kept edge joins two
+    nodes of ONE component, ascending parent edge id inside each: what
+    :meth:`HeteroGraph.subgraph` induces per component and the spec's
+    :func:`~repro.check.reference.stack_subgraphs` shifts. The bounds of
+    each component are counted as it is laid out; a sample of one
+    records none.
     """
     stride, total = graph.num_nodes, len(seen)
-    component, node = np.divmod(seen, stride)
-    root = roots[component]
-    rooted = seen == root
-    # Ascending keys put a component's target somewhere inside it; its
-    # slot is the component's first, every node before it moves up one.
-    sizes = np.bincount(component, minlength=len(roots))
-    starts = np.cumsum(sizes) - sizes
-    slot = np.arange(total, dtype=np.int64)
-    slot += seen < root
-    slot[rooted] = starts
+    at = seen.searchsorted(roots)
+    rooted = np.zeros(total, dtype=bool)
+    rooted[at] = True
+    rest = ~rooted
+    several = total > 0 and seen[-1] >= stride
+    if several:
+        component = seen // stride
+        root_component = component[at]
+        sizes = np.bincount(component)
+        roots_in = np.bincount(root_component, minlength=len(sizes))
+        rest_in = sizes - roots_in
+        # A root moves down past the rest of the components before its
+        # own; the rest move up past the roots of theirs and before.
+        root_slots = np.arange(len(roots)) + (np.cumsum(rest_in) - rest_in)[root_component]
+        rest_slots = np.arange(total - len(roots)) + np.cumsum(roots_in)[component[rest]]
+    else:
+        root_slots, rest_slots = np.arange(len(roots)), np.arange(len(roots), total)
+    slot = np.empty(total, dtype=np.int64)
+    slot[at], slot[rest] = root_slots, rest_slots
     original_ids = np.empty(total, dtype=np.int64)
-    original_ids[slot] = node
+    original_ids[slot] = seen % stride if several else seen
 
     csr = graph.csr()
     slots, counts, _ = _concat_csr_slices(csr, original_ids)
-    edge_dst = np.repeat(np.arange(total, dtype=np.int64), counts)
-    edge_owner = np.repeat(component, counts)  # a move inside a component keeps it
-    inside, at = _in_sorted(seen, edge_owner * stride + csr.src[slots])
-    edge_owner = edge_owner[inside]
-    edge_ids = csr.edge_id[slots[inside]]
-    order = np.argsort(edge_owner * graph.num_edges + edge_ids)
-    edge_ids = edge_ids[order]
+    edge_dst = np.arange(total, dtype=np.int64).repeat(counts)
+    sources = csr.src[slots]
+    if several:  # ``component`` ascends, so it is each laid-out node's component too
+        owner = np.repeat(component, counts)  # a move inside a component keeps it
+        sources += owner * stride
+    inside, found = _in_sorted(seen, sources)
+    kept = inside.nonzero()[0]
+    edge_ids = csr.edge_id[slots[kept]]
+    if several:
+        owner = owner[kept]
+        order = (owner * graph.num_edges + edge_ids).argsort()
+    else:
+        order = edge_ids.argsort()
+    kept, edge_ids = kept[order], edge_ids[order]
     node_type = graph.node_type[original_ids]
     sub = HeteroGraph.derived(
         node_type,
-        slot[at[inside]][order],
-        edge_dst[inside][order],
+        slot[found[kept]],
+        edge_dst[kept],
         graph.edge_type[edge_ids],
         graph.txn_table_of(original_ids),
         graph.labels[original_ids],
     )
-    offsets = np.zeros((len(roots) + 1, 3), dtype=np.int64)
+    # One request per root needs no search.
+    target_local = root_slots if requests is roots else slot[np.searchsorted(seen, requests)]
+    if not several:
+        return SampledSubgraph(sub, target_local, original_ids)
+    offsets = np.zeros((len(sizes) + 1, 3), dtype=np.int64)
     offsets[1:, 0] = np.cumsum(sizes)
-    offsets[1:, 1] = np.cumsum(np.bincount(edge_owner, minlength=len(roots)))
-    # ``component`` ascends, so it is each laid-out node's component too.
-    offsets[1:, 2] = np.cumsum(np.bincount(component[node_type == _TXN], minlength=len(roots)))
-    return SampledSubgraph(sub, starts, original_ids, offsets=offsets)
+    offsets[1:, 1] = np.cumsum(np.bincount(owner, minlength=len(sizes)))
+    offsets[1:, 2] = np.cumsum(np.bincount(component[node_type == _TXN], minlength=len(sizes)))
+    return SampledSubgraph(sub, target_local, original_ids, offsets=offsets)

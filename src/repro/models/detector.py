@@ -328,7 +328,9 @@ class XFraudDetector(nn.Module):
 
         ``deadline`` is an optional duck-typed latency budget
         (:class:`repro.serving.Deadline`) propagated into the sampler.
+        An entity target is refused with ValueError naming it as passed.
         """
+        graph.txn_rows(targets)  # on the parent graph: a sample would name its own index
         sampled = self.sampler.sample(graph, targets, deadline=deadline)
         return self.predict_proba(sampled.graph, sampled.target_local)
 

@@ -366,11 +366,14 @@ class ScoringService:
 
         Returns the number of targets newly sampled; 0 when the service
         has no cache. Startup warming turns first-hit latency into
-        cache hits for known-hot buyers/cards.
+        cache hits for known-hot buyers/cards. A target is refused as
+        :meth:`score` refuses it (out of range, or not a transaction: no
+        ``score()`` could ever hit its entry).
         """
-        if self.cache is None or not len(targets):
+        nodes = [self._coerce(target).node for target in targets]
+        if self.cache is None or not nodes:
             return 0
-        return self._sample([int(target) for target in targets])[1]
+        return self._sample(nodes)[1]
 
     def submit(self, request: Union[int, ScoreRequest]) -> Optional[ScoreResponse]:
         """Enqueue a request; returns a shed response immediately when

@@ -30,10 +30,10 @@ from repro.check import (
     subgraph_equal,
     wal_violations,
 )
-from repro.check.reference import component_bounds, unstack
+from repro.check.reference import component_bounds, stack_subgraphs, unstack
 from repro.cli import main
 from repro.graph.cache import SubgraphCache
-from repro.graph.sampling import SageSampler, gather, stack_subgraphs
+from repro.graph.sampling import SageSampler, gather
 from repro.models import hetero_conv
 
 

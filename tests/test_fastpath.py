@@ -27,8 +27,8 @@ from repro.graph import (
     SubgraphCache,
 )
 from repro.check import subgraph_equal, target_parts
-from repro.check.reference import component_bounds, scalar_sample
-from repro.graph.sampling import gather, stack_subgraphs
+from repro.check.reference import component_bounds, scalar_sample, stack_subgraphs
+from repro.graph.sampling import gather
 from repro.obs import MetricsRegistry
 from repro.reliability import ManualClock
 from repro.serving import (
@@ -163,10 +163,9 @@ class TestEquivalence:
             np.testing.assert_array_equal(walk.bounds, component_bounds(walk))
             for index, part in enumerate(parts):
                 _assert_identical(gather([(walk, index)]), part)
-            # One target is its own union: the plain route.
+            # One target, or none, is its own union: the plain route.
             _assert_identical(sample(graph, txn[:1], disjoint=True), sample(graph, txn[:1]))
-            with pytest.raises(ValueError):
-                sample(graph, [], disjoint=True)
+            _assert_identical(sample(graph, [], disjoint=True), sample(graph, []))
 
     @pytest.mark.parametrize("sampler_name", sorted(SAMPLERS))
     def test_a_spent_deadline_ends_walk_and_spec_at_the_same_step(self, sampler_name):

@@ -20,9 +20,9 @@ from repro import nn
 from repro.check.gen import random_hetero_graph, random_weights
 from repro.data import load_dataset
 from repro.graph.hetero import EDGE_TYPES, NODE_TYPE_IDS, HeteroGraph
-from repro.graph.sampling import SageSampler, stack_subgraphs
+from repro.graph.sampling import SageSampler
 from repro.models import DetectorConfig, XFraudDetector
-from repro.check.reference import PerOpDetector
+from repro.check.reference import PerOpDetector, stack_subgraphs
 from repro.models.inference import tensor_predict_proba
 
 BOUND = 1e-12

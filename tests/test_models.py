@@ -1,5 +1,7 @@
 """Detector, detector+, GAT, GEM: shapes, gradients, masks, sharing."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -140,6 +142,19 @@ class TestDetectorSpecifics:
         hgt = XFraudDetectorHGT(detector_config)
         scores = hgt.predict_proba_sampled(tiny_graph, train[:6])
         assert scores.shape == (6,)
+
+    def test_predict_proba_sampled_names_an_entity_as_passed(self, detector_config):
+        """An entity target is refused by its node on the caller's graph,
+        not by its index in the sample (which is 0 for a lone target)."""
+        from repro.data import load_dataset
+
+        graph = load_dataset("ebay-small-sim", seed=0, scale=0.25).graph
+        config = dataclasses.replace(detector_config, feature_dim=graph.feature_dim)
+        entity = 898
+        assert graph.node_type[entity] != 0
+        for model in (XFraudDetectorPlus(config), XFraudDetectorHGT(config)):
+            with pytest.raises(ValueError, match=rf"nodes \[{entity}\] are not transactions"):
+                model.predict_proba_sampled(graph, [entity])
 
 
 class TestHeteroConvLayer:

@@ -13,8 +13,9 @@ import pytest
 
 from repro import DetectorConfig, TrainConfig, Trainer, XFraudDetectorPlus
 from repro.check import random_delta, random_hetero_graph
+from repro.check.reference import stack_subgraphs
 from repro.data import load_dataset
-from repro.graph.sampling import SampledSubgraph, receptive_field, stack_subgraphs
+from repro.graph.sampling import SampledSubgraph, receptive_field
 from repro.models import field as field_module
 from repro.models import FeatureMLP, GATModel, GEMModel
 from repro.stream import FineTuneConfig, OnlineFineTuner

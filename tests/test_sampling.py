@@ -1,5 +1,7 @@
 """Neighbour samplers: SAGE (detector+) and HGSampling (HGT)."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,39 @@ class TestHGSampler:
             HGSampler(depth=0)
         with pytest.raises(ValueError):
             HGSampler(width=0)
+
+
+@pytest.mark.parametrize(
+    "sampler", [SageSampler(hops=2, fanout=5), HGSampler(depth=2, width=4)], ids=["sage", "hg"]
+)
+class TestTargets:
+    def test_a_target_outside_the_graph_is_refused_by_name(self, tiny_graph, sampler):
+        """A negative id would wrap to another node, a large one fail
+        inside numpy: each is refused, named, on every route."""
+        n = tiny_graph.num_nodes
+        for bad, named in (([-1], [-1]), ([n], [n]), ([0, n + 3, -2, 1], [n + 3, -2])):
+            for disjoint in (False, True):
+                with pytest.raises(ValueError, match=re.escape(f"targets {named} are not nodes")):
+                    sampler.sample(tiny_graph, bad, disjoint=disjoint)
+
+    def test_no_targets_is_the_empty_sample_on_every_route(self, tiny_graph, sampler):
+        plain = sampler.sample(tiny_graph, [])
+        disjoint = sampler.sample(tiny_graph, [], disjoint=True)
+        for sampled in (plain, disjoint):
+            assert sampled.num_targets == 0 and sampled.graph.num_nodes == 0
+            assert sampled.graph.num_edges == 0
+            assert sampled.graph.txn_table.shape == (0, tiny_graph.feature_dim)
+            np.testing.assert_array_equal(sampled.bounds, np.zeros((2, 3)))
+
+    def test_a_set_sample_is_rooted_at_its_unique_targets_in_request_order(
+        self, tiny_graph, sampler
+    ):
+        targets = tiny_graph.txn_nodes[[5, 1, 5, 3, 1]]
+        sampled = sampler.sample(tiny_graph, targets)
+        np.testing.assert_array_equal(sampled.original_ids[:3], targets[[0, 1, 3]])
+        np.testing.assert_array_equal(sampled.target_local, [0, 1, 0, 2, 1])
+        rest = sampled.original_ids[3:]
+        assert np.all(np.diff(rest) > 0) and not np.isin(rest, targets).any()
 
 
 class TestBatched:

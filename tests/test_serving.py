@@ -389,6 +389,24 @@ class TestScoringService:
                 call(entity)
         assert service.stats.snapshot()["admitted"] == 0
 
+    def test_warm_cache_refuses_what_score_refuses(self, trained_detector, tiny_graph):
+        """An entity's warmed entry is one no ``score()`` can hit, and an
+        out-of-range node must not reach numpy: both are refused with
+        ``score()``'s messages, and nothing is cached."""
+        service = ScoringService(trained_detector, tiny_graph, cache=SubgraphCache(capacity=8))
+        entity = int(np.flatnonzero(tiny_graph.node_type != 0)[0])
+        (good,) = _txn_nodes(tiny_graph, 1)
+        refusals = {
+            entity: f"node {entity} is not a transaction",
+            -1: "node -1 outside the serving graph",
+            tiny_graph.num_nodes + 3: f"node {tiny_graph.num_nodes + 3} outside the serving graph",
+        }
+        for node, message in refusals.items():
+            with pytest.raises(ValueError, match=message):
+                service.warm_cache([good, node])
+        assert service.cache.stats()["misses"] == 0
+        assert service.warm_cache([good]) == 1
+
     def test_a_model_without_a_sampler_is_refused(self, trained_detector, tiny_graph):
         from repro.models import XFraudDetector
 

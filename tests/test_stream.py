@@ -353,22 +353,6 @@ class TestGrowthInPlace:
         for part, rebuilt_part in zip(compacted(csr), compacted(_rebuilt(clone).csr())):
             np.testing.assert_array_equal(part, rebuilt_part)
 
-    def test_local_map_scratch_survives_deltas(self):
-        graph, rng = self._grown()
-        graph.subgraph(np.arange(4))
-        scratch = graph._local_map_scratch
-        assert len(scratch) >= graph.num_nodes
-        reused = 0
-        while len(scratch) >= graph.num_nodes:
-            sub, _ = graph.subgraph(np.arange(graph.num_nodes - 4, graph.num_nodes))
-            assert graph._local_map_scratch is scratch and np.all(scratch == -1)
-            np.testing.assert_array_equal(sub.node_type, graph.node_type[-4:])
-            graph.append_delta(**random_delta(rng, graph, num_new_txns=2))
-            reused += 1
-        assert reused >= 2  # sized to node capacity, not to num_nodes
-        graph.subgraph(np.arange(graph.num_nodes - 4, graph.num_nodes))
-        assert len(graph._local_map_scratch) >= graph.num_nodes
-
     def test_graph_store_round_trips_a_grown_graph_at_exact_size(self):
         graph, _ = self._grown()
         store = GraphStore(InMemoryKVStore())
