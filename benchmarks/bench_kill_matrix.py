@@ -7,9 +7,11 @@ fuzz scenario — that scenario's ten cases of the ``repro check --fuzz
 check: ``.`` where the mutant lives; where it dies, the first failing
 case (``#k``: the scenario's k-th case; ``x``: the audit) and the seconds
 to kill. Its footer names the checks that kill no mutant, and those with
-no kill of their own: candidates to fold or drop. The test
-fails when the regenerated matrix, seconds masked, differs from the
-committed one (~5 min):
+no kill of their own: both must read ``none``, so every check earns its
+place with a mutant only it catches (fold a check without one into the
+check that kills its mutants, or plant the mutant). The test fails when
+the regenerated matrix, seconds masked, differs from the committed one,
+or when a footer names a check (~4 min):
 
     PYTHONPATH=src python -m pytest benchmarks/bench_kill_matrix.py -q -s
 """
@@ -76,3 +78,5 @@ def test_kill_matrix_matches_the_committed_one():
     write_result("kill_matrix", matrix)
     print("\n" + matrix)
     assert _masked(matrix + "\n") == _masked(committed), "the kill matrix moved: see git diff"
+    footers = [line for line in matrix.splitlines() if line.startswith("checks ")]
+    assert len(footers) == 2 and all(line.endswith(": none") for line in footers), footers

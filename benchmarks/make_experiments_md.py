@@ -123,7 +123,7 @@ construction, not arithmetic. ``XFraudDetector.predict_proba`` is now
 one plain-numpy kernel over type-sorted nodes and target-sorted edges
 (`models/hetero_conv.py` ``forward_inference``); the ``Tensor``
 ``forward`` stays for training, the explainer and as the kernel's
-reference (``repro check`` scenario ``fused-vs-autograd-forward``,
+reference (``repro check`` scenario ``fused-backward-vs-autograd``,
 bound 1e-12; measured max |Δscore| 3e-16 on the 6.9k-node graph).
 
 Claimed beforehand: ``latency_p50_ms`` on ``serve_cold`` improves by 25%
@@ -373,8 +373,8 @@ tape records, returning its hand-derived backward; ``forward`` is a
 single ``Tensor._make``; ``XFraudDetector.forward`` lays the graph out
 once and keeps only the 64-row FFN head on the per-op tape. The per-op
 ``Tensor`` layer survives only as `src/repro/check/reference.py`, the
-spec of two ``repro check`` scenarios (``fused-vs-autograd-forward``,
-and the new ``fused-backward-vs-autograd``: loss, generator states and
+spec of ``repro check``'s ``fused-backward-vs-autograd`` scenario
+(the forward, and from here the backward: loss, generator states and
 every gradient within 1e-12 of the per-op tape, plus central
 differences of the kernel; five planted mutants each fail ``--fuzz
 120``). There is no switch between the two. DESIGN.md has the node's
@@ -441,10 +441,10 @@ as the per-target loop would; ``ScoringService`` makes that one call
 per micro-batch (``_sample`` and the per-member loop are gone,
 ``warm_cache`` is one call too). A single target takes the plain
 ``sample(graph, [t])`` route, read from the input: no switch, config
-field, flag or environment variable was added. Entry fee: the eleventh
-``repro check`` scenario ``disjoint-walk-vs-singleton-samples`` (five
-planted mutants, each one edit of the walk's own source, each failing
-``--fuzz 120``), the ``cache-coherence`` invariant extended to a twin
+field, flag or environment variable was added. Entry fee: a ``repro
+check`` scenario holding the walk to the stacked loop (now part of
+``sampler-fast-vs-reference``; five planted mutants, each one edit of
+the walk's own source, each failing ``--fuzz 120``), the ``cache-coherence`` invariant extended to a twin
 cache driven by the loop (planted mutant: inserts before hits), and
 `benchmarks/bench_sampler_fastpath.py::test_disjoint_walk_ratio_floor`
 (>= 3x the 32 samples + stack, <= 1.5x its 7k-node cost at 45k nodes)

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import copy
 import functools
+import os
 import tempfile
 import zlib
 from dataclasses import dataclass, field
@@ -40,7 +41,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .gen import DELTA_SHAPES, random_delta, random_events, random_hetero_graph, random_weights
-from .invariants import csr_mismatch, csr_violations, subgraph_equal, wal_violations
+from .invariants import csr_violations, ledger_violations, subgraph_equal, wal_violations
 from .mutants import Mutant, edit, register
 
 __all__ = [
@@ -131,58 +132,198 @@ def scenario(name: str, mutants: Sequence[Mutant] = ()):
 # ----------------------------------------------------------------------
 # Scenarios: each returns a divergence string or None
 # ----------------------------------------------------------------------
+class _BudgetSpent(Exception):
+    """Raised by :class:`_StageLog` when its scripted budget ends."""
+
+
+class _StageLog:
+    """Duck-typed deadline: records every stage it is asked about and
+    raises at the ``spent_at``-th (never, when ``None``)."""
+
+    def __init__(self, spent_at: Optional[int] = None) -> None:
+        self.stages: List[str] = []
+        self.spent_at = spent_at
+
+    def check(self, stage: str) -> None:
+        self.stages.append(stage)
+        if self.spent_at is not None and len(self.stages) > self.spent_at:
+            raise _BudgetSpent(stage)
+
+
 @scenario(
     "sampler-fast-vs-reference",
     mutants=[
         edit(
             "fanout-cap-keeps-one-edge-too-many", _SAMPLING + "SageSampler._kept",
-            "rank < self.fanout", "rank <= self.fanout", "original_ids", shrinks_to=(1, 1),
+            "rank < self.fanout", "rank <= self.fanout", "original_ids", shrinks_to=(0, 1),
         ),
         edit(  # a set's component puts its roots ascending, not in request order
             "set-sample-roots-not-in-request-order", _SAMPLING + "_induce",
             "slot[at], slot[rest] = root_slots, rest_slots",
             "slot[np.sort(at)], slot[rest] = root_slots, rest_slots",
-            "original_ids differs", shrinks_to=(0, 3),
+            "original_ids differs", shrinks_to=(1, 2),
+        ),
+        # The disjoint walk losing track of a node's or an edge's component.
+        edit(
+            "visited-set-shared-across-components", _SAMPLING + "SageSampler._walk_disjoint",
+            "reached[~_in_sorted(seen, reached)[0]]",
+            "reached[~np.isin(reached % stride, seen % stride)]",
+            "original_ids", shrinks_to=(0, 1),
+        ),
+        edit(
+            "fanout-rank-over-the-whole-frontier", _SAMPLING + "SageSampler._walk_disjoint",
+            "self._kept(starts, counts)", "self._kept(starts[:1], counts.sum(keepdims=True))",
+            "original_ids", shrinks_to=(0, 1),
+        ),
+        edit(
+            "dedup-by-node-not-by-component-and-node", _SAMPLING + "SageSampler._walk_disjoint",
+            "np.unique(component * stride + csr.src[slots])",
+            "np.sort((component * stride + csr.src[slots])"
+            "[np.unique(csr.src[slots], return_index=True)[1]])",
+            "original_ids", shrinks_to=(0, 1),
+        ),
+        edit(
+            "edges-ordered-by-csr-position", _SAMPLING + "_induce",
+            "(owner * graph.num_edges + edge_ids).argsort()", "np.arange(len(edge_ids))",
+            "edge_src differs", shrinks_to=(0, 1),
+        ),
+        edit(  # a cached batch gathers components joined by such edges: scoring sees it too
+            "induction-matches-sources-across-components", _SAMPLING + "_induce",
+            "sources += owner * stride", "sources += 0", "edge_src",
+            alone=True, shrinks_to=(0, 1),
+        ),
+        edit(  # an isomorphic graph the cache's gathers misread (a component's root is first)
+            "target-not-first-in-its-component", _SAMPLING + "_induce",
+            "        root_slots = np.arange(len(roots)) + "
+            "(np.cumsum(rest_in) - rest_in)[root_component]\n"
+            "        rest_slots = np.arange(total - len(roots)) + "
+            "np.cumsum(roots_in)[component[rest]]\n",
+            "        root_slots, rest_slots = at, rest.nonzero()[0]\n",
+            "original_ids differs",
+            alone=True, shrinks_to=(0, 1),
+        ),
+        edit(  # the first component's edges end one edge late
+            "an-edge-bound-off-by-one", _SAMPLING + "_induce",
+            "np.cumsum(np.bincount(owner, minlength=len(sizes)))",
+            "np.cumsum(np.bincount(owner, minlength=len(sizes)))"
+            " + (np.arange(len(sizes)) == 0)",
+            "the walk's bounds",
+            alone=True, shrinks_to=(0, 1),
         ),
     ],
 )
 def _fuzz_sampler(seed: int, size: int) -> Optional[str]:
-    """Vectorized sampler walk vs the scalar spec (:func:`.reference.scalar_sample`)."""
-    from ..graph.sampling import HGSampler, SageSampler
-    from .reference import scalar_sample
+    """Both samplers' vectorised walks vs the scalar spec
+    (:func:`.reference.scalar_sample`), array for array, on a fresh
+    graph, on one grown by deltas of every shape (grown CSR) and after
+    ``rebuild_csr()``: a set of up to three transactions (one component,
+    unique targets in request order), then ``disjoint=True`` — targets
+    of every node type with repeats, a target that is another's
+    neighbour and edgeless ones; hops 1-3, fanout 1-5 (hubs over the
+    cap) — against the stacked scalar singletons. The walk and a
+    ``gather`` of a random multiset of the walk's and that stack's
+    components (repeats included) must each record the bounds
+    ``reference.component_bounds`` finds by search, and each component
+    cut out by them must be its singleton sample. SAGE's walk must ask a
+    deadline about exactly the stages of ONE singleton walk, once each,
+    and a budget that ends at hop ``k`` must end both it and the spec
+    there."""
+    from ..graph.sampling import HGSampler, SageSampler, gather
+    from .reference import component_bounds, scalar_sample, stack_subgraphs, unstack
 
     rng = np.random.default_rng(seed)
-    graph = random_hetero_graph(rng, num_txns=size)
-    txns = np.flatnonzero(graph.node_type == 0)
+    chooser = np.random.default_rng((seed, size))  # the gathers' pieces: rng's draws stay put
+    graph = random_hetero_graph(rng, num_txns=size)  # its CSR, built by the first walk, grows
+    txns = graph.txn_nodes
     picks = rng.integers(0, len(txns), size=min(3, len(txns)))
-    targets = list(dict.fromkeys(int(txns[p]) for p in picks))  # unique, order kept
     sampler_seed = int(rng.integers(0, 1 << 16))
-    for sampler in (
-        SageSampler(hops=1 + size % 3, fanout=1 + size % 5, seed=sampler_seed),
-        HGSampler(depth=1 + size % 2, width=1 + size % 4, seed=sampler_seed),
-    ):
-        diff = subgraph_equal(sampler.sample(graph, targets), scalar_sample(sampler, graph, targets))
-        if diff is not None:
-            return f"{sampler.cache_key()} targets={targets}: {diff}"
+    walker = SageSampler(hops=1 + size % 3, fanout=1 + size % 5, seed=sampler_seed)
+    samplers = (walker, HGSampler(depth=1 + size % 2, width=1 + size % 4, seed=sampler_seed))
+    for stage in ("fresh", "grown", "compacted"):
+        if stage == "grown":
+            for _ in range(int(rng.integers(1, 4))):
+                shape = str(rng.choice(DELTA_SHAPES, p=(0.7, 0.1, 0.1, 0.1)))
+                graph.append_delta(**random_delta(rng, graph, 1 + size % 3, shape=shape))
+            txns = graph.txn_nodes
+            picks = rng.integers(0, len(txns), size=min(3, len(txns)))
+        elif stage == "compacted":
+            graph.rebuild_csr()
+        targets = list(dict.fromkeys(int(txns[p]) for p in picks))  # unique, order kept
+        awkward = _awkward_targets(rng, graph)
+        on = f"on the {stage} graph ({graph.num_nodes} nodes, {graph.num_edges} edges)"
+        for sampler in samplers:
+            diff = subgraph_equal(sampler.sample(graph, targets), scalar_sample(sampler, graph, targets))
+            if diff is not None:
+                return f"{sampler.cache_key()} {on}, targets={targets}: {diff}"
+            where = f"{sampler.cache_key()} {on}, disjoint targets={awkward.tolist()}"
+            singles = [scalar_sample(sampler, graph, [int(target)]) for target in awkward]
+            stacked = stack_subgraphs(singles)
+            walk = sampler.sample(graph, awkward, disjoint=True)
+            diff = subgraph_equal(walk, stacked)
+            if diff is not None:
+                return f"{where}: one walk != stacked scalar singletons: {diff}"
+            picked = chooser.integers(0, len(awkward), size=int(chooser.integers(1, 2 * len(awkward))))
+            pieces = [((walk, stacked)[int(chooser.integers(0, 2))], int(pick)) for pick in picked]
+            for name, sample, parts in (
+                ("walk", walk, singles),
+                (f"gather of components {picked.tolist()}", gather(pieces), [singles[p] for p in picked]),
+            ):
+                found = component_bounds(sample)
+                if not np.array_equal(sample.bounds, found):
+                    return f"{where}: the {name}'s bounds {sample.bounds.tolist()} != {found.tolist()}"
+                for index, (cut, part) in enumerate(zip(unstack(sample), parts)):
+                    diff = subgraph_equal(cut, part)
+                    if diff is not None:
+                        return f"{where}: the {name}'s component {index} != its singleton sample: {diff}"
+
+        where = f"{walker.cache_key()} {on}, disjoint targets={awkward.tolist()}"
+        alone, together = _StageLog(), _StageLog()
+        walker.sample(graph, awkward[:1], deadline=alone)
+        walker.sample(graph, awkward, deadline=together, disjoint=True)
+        if together.stages != alone.stages:
+            return f"{where}: the walk checked {together.stages}, one singleton walk {alone.stages}"
+        spent_at = int(rng.integers(0, walker.hops))
+        ended = []
+        for sample in (walker.sample, functools.partial(scalar_sample, walker)):
+            try:
+                sample(graph, awkward, deadline=_StageLog(spent_at), disjoint=True)
+                ended.append(None)
+            except _BudgetSpent as spent:
+                ended.append(str(spent))
+        if ended != [f"sampling hop {spent_at}"] * 2:
+            return f"{where}: a budget spent at hop {spent_at} ended walk and spec at {ended}"
+    return None
+
+
+def _csr_mismatch(graph, spec: Tuple[np.ndarray, ...]) -> Optional[str]:
+    """Where the compacted view of ``graph``'s CSR differs from the
+    canonical ``(indptr, src, eid)`` of ``spec`` — a rebuild's, or
+    :func:`~repro.check.reference.splice_csr`'s — or ``None``."""
+    from .reference import compacted
+
+    for name, left, right in zip(("indptr", "src", "eid"), compacted(graph.csr()), spec):
+        if not np.array_equal(left, right):
+            return f"grown {name} != {name}"
     return None
 
 
 @scenario(
     "delta-merge-vs-rebuild",
-    mutants=[  # ways append_delta can grow the CSR's buckets wrong or let a bad edge in
+    mutants=[  # ways append_delta can grow the CSR's buckets wrong or let a bad edge in;
+        # the sampler's grown stage, dealt first, sees the first three too
         edit(
             "a-move-that-drops-the-last-old-entry", "repro.graph.hetero:HeteroGraph._grow_csr",
             "degree[moves], 2 *", "np.maximum(degree[moves] - 1, 0), 2 *", "grown",
-            shrinks_to=(1, 1),
+            alone=True, shrinks_to=(1, 1),
         ),
         edit(
             "a-new-entry-at-its-canonical-index", "repro.graph.hetero:HeteroGraph._grow_csr",
             "np.repeat(base[nodes] + degree", "np.repeat(indptr[nodes] + degree", "grown",
-            shrinks_to=(0, 1),
+            alone=True, shrinks_to=(0, 1),
         ),
         edit(
             "headroom-check-off-by-one", "repro.graph.hetero:HeteroGraph._grow_csr",
-            "> cap[nodes]", "> cap[nodes] + 1", "grown", shrinks_to=(0, 1),
+            "> cap[nodes]", "> cap[nodes] + 1", "grown", alone=True, shrinks_to=(0, 1),
         ),
         edit(
             "the-delta-check-skips-the-last-edge", "repro.graph.hetero:_check_growth",
@@ -254,7 +395,7 @@ def _fuzz_delta_merge(seed: int, size: int) -> Optional[str]:
         problems = csr_violations(graph)
         if problems:
             return f"step {step} ({shape}): grown CSR invalid: {problems[0]}"
-        mismatch = csr_mismatch(graph, spec)
+        mismatch = _csr_mismatch(graph, spec)
         if mismatch is not None:
             return f"step {step} ({shape}): {mismatch} of the splice spec"
     lost = [node for node, label in flipped.items() if graph.labels[node] != label]
@@ -272,7 +413,7 @@ def _fuzz_delta_merge(seed: int, size: int) -> Optional[str]:
         return "grown txn_table != the initial table and every delta's, appended in turn"
     if not np.array_equal(graph.txn_row, rebuilt.txn_row):
         return "txn_row extended across deltas != the one derived on the rebuilt graph"
-    mismatch = csr_mismatch(graph, compacted(rebuilt.csr()))
+    mismatch = _csr_mismatch(graph, compacted(rebuilt.csr()))
     if mismatch is not None:
         return f"{mismatch} of a rebuild"
     try:
@@ -377,13 +518,21 @@ def _fuzz_scoring(seed: int, size: int) -> Optional[str]:
             "zero-length-frames-replayed", "repro.stream.wal:_scan_frames",
             "if length == 0:", "if length < 0:", "EventCodecError", shrinks_to=(4, 5),
         ),
+        edit(
+            "sealed-range-starts-one-past-its-first-record", "repro.stream.wal:EventLog.rotate",
+            '"first_seq": self._active_first_seq,', '"first_seq": self._active_first_seq + 1,',
+            "first_seq", shrinks_to=(0, 3),
+        ),
     ],
 )
 def _fuzz_wal(seed: int, size: int) -> Optional[str]:
     """Write, crash (truncate / zero-fill / bit-flip the active tail),
-    replay, reopen, resume — durable prefix semantics throughout."""
-    import os
-
+    replay, reopen, resume — durable prefix semantics throughout — with
+    the rotation boundary on an exact frame edge half the time (a
+    segment filled to the byte). Then the sealed segments against
+    ``MANIFEST.json`` (:func:`~.invariants.wal_violations`: sizes, CRCs,
+    record counts, contiguous sequence ranges), and one bit flipped in a
+    sealed segment must be reported."""
     from ..data.events import encode_event
     from ..stream.wal import _FRAME_HEADER, EventLog, TornTailError, replay_wal
 
@@ -467,15 +616,33 @@ def _fuzz_wal(seed: int, size: int) -> Optional[str]:
         want = [e.txn_id for e in events[:expected]] + [e.txn_id for e in resumed]
         if [e.txn_id for e in final] != want:
             return f"{damage}: post-resume replay diverges from prefix + resumed"
-        if wal_violations(directory):
-            return f"{damage}: {wal_violations(directory)[0]}"
+        problems = wal_violations(directory)
+        if problems:
+            return f"{damage}: {problems[0]}"
+        sealed = sorted(name for name in os.listdir(directory) if name.endswith(".seg"))[:-1]
+        if sealed:
+            path = os.path.join(directory, str(rng.choice(sealed)))
+            _flip_a_byte(rng, path)
+            if not wal_violations(directory):
+                return f"{damage}: wal_violations missed a bit flipped in sealed {path}"
     return None
+
+
+def _flip_a_byte(rng: np.random.Generator, path: str) -> None:
+    """Invert one byte of the file at ``path``, at a random offset."""
+    with open(path, "r+b") as handle:
+        handle.seek(int(rng.integers(0, os.path.getsize(path))))
+        byte = handle.read(1)
+        handle.seek(-1, os.SEEK_CUR)
+        handle.write(bytes([byte[0] ^ 0xFF]))
 
 
 def _cut_edges(rng: np.random.Generator, graph, shape: str):
     """``graph`` ``"thinned"`` to about half its directed edges (one-way
     links, isolated nodes), cut to a ``"single-edge"`` or left
     ``"edgeless"``; any other ``shape`` keeps every edge."""
+    from ..graph.hetero import HeteroGraph
+
     keep = np.ones(graph.num_edges, dtype=bool)
     if shape == "thinned":
         keep = rng.random(graph.num_edges) < 0.5
@@ -483,13 +650,6 @@ def _cut_edges(rng: np.random.Generator, graph, shape: str):
         keep[:] = False
         if shape == "single-edge" and graph.num_edges:
             keep[int(rng.integers(0, graph.num_edges))] = True
-    return _with_edges(graph, keep)
-
-
-def _with_edges(graph, keep: np.ndarray):
-    """``graph`` with only the directed edges ``keep`` marks."""
-    from ..graph.hetero import HeteroGraph
-
     return HeteroGraph(
         node_type=graph.node_type,
         edge_src=graph.edge_src[keep],
@@ -498,69 +658,6 @@ def _with_edges(graph, keep: np.ndarray):
         txn_table=graph.txn_table,
         labels=graph.labels,
     )
-
-
-@scenario(
-    "fused-vs-autograd-forward",
-    mutants=[
-        edit(  # eq. 8's value term of a transaction source, in layer 1's tables
-            "phi-value-term-dropped", _CONV + "HeteroConvLayer.kernel",
-            "summed += (attention_sum[:, :, None] * dst_values).reshape(-1, out_dim)", "pass",
-            "fused - autograd", shrinks_to=(0, 2),
-        ),
-    ],
-)
-def _fuzz_inference_forward(seed: int, size: int) -> Optional[str]:
-    """The detector's plain-array ``predict_proba`` kernel vs the per-op
-    ``Tensor`` forward (:mod:`.reference`) in eval mode: on a whole random graph, on the
-    same graph with a random share of its directed edges dropped
-    (targets without in-edges, down to no edges at all), and on a
-    block-diagonal stack of sampled neighbourhoods."""
-    from ..graph.sampling import SageSampler
-    from .reference import stack_subgraphs
-    from ..models.detector import DetectorConfig, XFraudDetector
-    from ..models.inference import tensor_predict_proba
-    from .reference import PerOpDetector
-
-    rng = np.random.default_rng(seed)
-    graph = random_hetero_graph(rng, num_txns=size, feature_dim=5)
-    heads = int(rng.integers(1, 4))
-    detector = XFraudDetector(
-        DetectorConfig(
-            feature_dim=5,
-            hidden_dim=heads * int(rng.integers(1, 5)),
-            num_heads=heads,
-            num_layers=1 + size % 3,
-            ffn_hidden_dim=int(rng.integers(2, 9)),
-            per_type_projections=bool(rng.integers(0, 2)),
-            target_specific_aggregation=bool(rng.integers(0, 2)),
-            seed=seed % 97,
-        )
-    )
-    random_weights(rng, detector)
-    detector.train(bool(rng.integers(0, 2)))  # the kernel must not care
-
-    txns = np.flatnonzero(graph.node_type == 0)
-    targets = txns[rng.integers(0, len(txns), size=int(rng.integers(1, 6)))]  # repeats allowed
-    sampler = SageSampler(hops=1 + size % 2, fanout=1 + size % 4, seed=seed & 0xFFFF)
-    stacked = stack_subgraphs([sampler.sample(graph, [int(node)]) for node in targets])
-    keep = rng.random(graph.num_edges) < rng.choice([0.0, 0.5, 0.9])
-    thinned = _with_edges(graph, keep)
-    cases = (
-        ("whole graph", graph, targets),
-        ("thinned graph", thinned, targets),
-        ("stacked samples", stacked.graph, stacked.target_local),
-    )
-    for label, case_graph, case_targets in cases:
-        fused = detector.predict_proba(case_graph, case_targets)
-        reference = tensor_predict_proba(PerOpDetector(detector), case_graph, case_targets)
-        worst = float(np.abs(fused - reference).max())
-        if not worst <= 1e-12:  # also catches NaN
-            return (
-                f"{label} ({case_graph.num_nodes} nodes, {case_graph.num_edges} edges, "
-                f"targets={case_targets.tolist()}): max |fused - autograd| = {worst:.3e}"
-            )
-    return None
 
 
 @scenario(
@@ -868,7 +965,7 @@ def _fuzz_pruned_step(seed: int, size: int) -> Optional[str]:
     cut to a single edge or none, and growing under ``append_delta``;
     batches with repeats, and batches of every transaction (a closure
     that is the whole graph)."""
-    from ..models.detector import DetectorConfig, XFraudDetector
+    from ..models.detector import XFraudDetector
     from ..models.gat import GATModel
     from ..models.gem import GEMModel
     from ..models.mlp import FeatureMLP
@@ -878,19 +975,7 @@ def _fuzz_pruned_step(seed: int, size: int) -> Optional[str]:
     shape = str(rng.choice(["whole", "thinned", "single-edge", "edgeless", "live"]))
     graph = _cut_edges(rng, graph, shape)
 
-    heads = int(rng.integers(1, 4))
-    kind = int(rng.integers(0, 7))
-    config = DetectorConfig(
-        feature_dim=5,
-        hidden_dim=heads * int(rng.integers(1, 4)),
-        num_heads=heads,
-        num_layers=int(rng.integers(1, 4)),
-        ffn_hidden_dim=int(rng.integers(2, 7)),
-        dropout=0.3,
-        per_type_projections=bool(kind & 1),
-        target_specific_aggregation=bool(kind & 2),
-        seed=seed % 97,
-    )
+    kind, config = _small_detector_config(rng, seed, max_heads=3, kinds=7)
     model = ((XFraudDetector,) * 4 + (GATModel, GEMModel, FeatureMLP))[kind](config)
     hops = 0 if kind == 6 else config.num_layers
     random_weights(rng, model)
@@ -916,187 +1001,6 @@ def _fuzz_pruned_step(seed: int, size: int) -> Optional[str]:
             problem = _field_problem(graph, targets, hops) or _step_problem(model, graph, targets)
             if problem is not None:
                 return f"{where}: {problem}"
-    return None
-
-
-def _state_equal(a, b) -> bool:
-    left, right = a.state_dict(), b.state_dict()
-    return left.keys() == right.keys() and all(np.array_equal(left[k], right[k]) for k in left)
-
-
-def _random_worker_faults(rng: np.random.Generator, workers: int, epochs: int):
-    """A valid supervisor schedule and the decisions it must produce.
-
-    Valid: only evicted workers rejoin, only live ones die (a worker
-    may die in the very round it rejoins), at least one stays alive,
-    never every live shard corrupt in one round. Returns the
-    :class:`FaultPlan` kwargs and, per epoch, ``(members after the
-    round, evicted, rejoined, quarantined)``.
-    """
-    live, evicted = set(range(workers)), set()
-    faults = {"worker_kill": {}, "worker_rejoin": {}, "worker_slow": {}, "grad_corrupt": {}}
-    decisions = []
-    for epoch in range(epochs):
-        back = [w for w in sorted(evicted) if rng.random() < 0.5]
-        live |= set(back)
-        victims = [w for w in sorted(live) if rng.random() < 0.25][: len(live) - 1]
-        live -= set(victims)
-        evicted = (evicted - set(back)) | set(victims)
-        slow = {w: float(rng.choice([1.5, 3.0, 6.0])) for w in sorted(live) if rng.random() < 0.25}
-        corrupt = [w for w in sorted(live) if rng.random() < 0.3][: len(live) - 1]
-        for name, entry in (
-            ("worker_rejoin", back),
-            ("worker_kill", victims),
-            ("worker_slow", slow),
-            ("grad_corrupt", {w: str(rng.choice(["nan", "bitflip"])) for w in corrupt}),
-        ):
-            if entry:
-                faults[name][epoch] = entry
-        decisions.append((sorted(live), victims, back, corrupt))
-    return faults, decisions
-
-
-@scenario(
-    "supervised-round-vs-engine",
-    mutants=[  # the one all-reduce, and the restore rollback, rejoin and resume share
-        edit(
-            "mean-over-members", "repro.train.distributed:DistributedTrainer.step",
-            "/ len(shard_grads)", "/ len(self.workers)", "by-hand", shrinks_to=(1, 1),
-        ),
-        edit(  # invisible to the by-hand run: no step between snapshot and rollback
-            "restore-skips-the-optimizer", "repro.train.elastic:restore_training_state",
-            "optimizer.load_state_dict(state.optimizer_state)", "pass",
-            "resumed after every epoch", shrinks_to=(0, 1),
-        ),
-        edit(
-            "restore-skips-the-trainer-rng", "repro.train.elastic:restore_training_state",
-            'rng.bit_generator.state = state.rng_states["trainer"]', "pass", "by-hand",
-            shrinks_to=(0, 5),
-        ),
-    ],
-)
-def _fuzz_supervised_round(seed: int, size: int) -> Optional[str]:
-    """The elastic supervisor vs the fault-free DDP engine it drives.
-
-    Fault-free, ``ElasticTrainer`` and a plain ``DistributedTrainer``
-    over the same rendezvous shards must agree bit for bit (GEM, MLP
-    and detector+; members that win no partition; batches of one).
-    Under a random valid kill / rejoin / slow / corrupt schedule the
-    supervised run must (a) take exactly the decisions the schedule
-    forces, (b) end bit-identical to a by-hand run that only knows
-    those decisions — per epoch the shards of the surviving members,
-    this file's own mean over the accepted ones, clip, step — which is
-    what "evict, re-shard, retry from the last verified snapshot" and
-    "renormalise over accepted shards" promise, and (c) replay
-    identically (history and parameters) when run a second time killed
-    and resumed from disk after *every* epoch; that run's shards are
-    checked after each round: one per live member, every node and
-    partition owned exactly once.
-    """
-    from ..models.detector import DetectorConfig, XFraudDetectorPlus
-    from ..models.gem import GEMModel
-    from ..models.mlp import FeatureMLP
-    from ..nn import clip_grad_norm
-    from ..reliability.faults import FaultPlan
-    from ..train.distributed import DistributedTrainer, make_worker_partitions
-    from ..train.elastic import ElasticConfig, ElasticTrainer
-    from ..train.trainer import TrainConfig
-
-    rng = np.random.default_rng(seed)
-    graph = random_hetero_graph(rng, num_txns=size, feature_dim=5)
-    train = rng.permutation(graph.txn_nodes)[:6]  # bounds the steps, not the graph
-    heads = int(rng.integers(1, 3))
-    model_config = DetectorConfig(
-        feature_dim=5,
-        hidden_dim=heads * int(rng.integers(1, 4)),
-        num_heads=heads,
-        num_layers=int(rng.integers(1, 3)),
-        ffn_hidden_dim=int(rng.integers(2, 7)),
-        dropout=0.3,
-        seed=seed % 97,
-    )
-    model_class = (GEMModel, FeatureMLP, XFraudDetectorPlus)[int(rng.integers(0, 3))]
-    workers = int(rng.integers(1, min(5, graph.num_nodes) + 1))
-    partitions = int(rng.integers(workers, min(workers + 3, graph.num_nodes) + 1))
-    epochs = int(rng.integers(2, 4))
-    config = TrainConfig(
-        epochs=epochs,
-        batch_size=int(rng.integers(1, 5)),
-        learning_rate=1e-2,
-        shuffle=bool(rng.integers(0, 2)),
-        seed=seed % 89,
-    )
-    elastic = ElasticConfig(num_partitions=partitions, skip_budget=workers * epochs)
-    where = (
-        f"{model_class.__name__}, {workers} workers / {partitions} partitions, "
-        f"{graph.num_nodes} nodes, batch {config.batch_size}, shuffle={config.shuffle}"
-    )
-
-    def supervised(plan=None, checkpoint=None):
-        model = model_class(model_config)
-        return ElasticTrainer(
-            model, graph, train, workers, config, elastic, plan, checkpoint=checkpoint
-        )
-
-    def shards_of(members, partition_ids):
-        return make_worker_partitions(
-            graph, train, members=members, partition_ids=partition_ids, seed=config.seed
-        )
-
-    def engine_over(members, partition_ids):
-        return DistributedTrainer(
-            model_class(model_config), shards_of(members, partition_ids), config
-        )
-
-    # -- fault-free: the supervisor is the engine ------------------------
-    calm = supervised()
-    calm_losses = [record.loss for record in calm.fit().history]
-    engine = engine_over(range(workers), calm.partition_ids)
-    if calm_losses != [record.loss for record in engine.fit().history]:
-        return f"{where}: fault-free supervised losses differ from the engine's"
-    if not _state_equal(calm.model, engine.model):
-        return f"{where}: fault-free supervised parameters differ from the engine's"
-
-    # -- under faults ----------------------------------------------------
-    faults, decisions = _random_worker_faults(rng, workers, epochs)
-    where += f", faults {faults}"
-    straight = supervised(FaultPlan(workers, **faults))
-    history = straight.fit().history
-    taken = [(r.members, r.evicted, r.rejoined, r.quarantined) for r in history]
-    if taken != decisions:
-        return f"{where}: decisions {taken} != scheduled {decisions}"
-
-    spec = engine_over(history[0].members, straight.partition_ids)
-    for record in history:  # the engine lends shard gradients, optimizer and rng only
-        spec.workers = shards_of(record.members, straight.partition_ids)
-        computed = [(w.worker_id, *spec.shard_gradients(w)) for w in spec.workers]
-        accepted = [shard for shard in computed if shard[0] not in record.quarantined]
-        for index, param in enumerate(spec.model.parameters()):
-            param.grad = sum(grads[index] for _, grads, _, _ in accepted) / len(accepted)
-        clip_grad_norm(spec.model.parameters(), config.clip_norm)
-        spec.optimizer.step()
-        if record.loss != float(np.mean([loss for _, _, loss, _ in accepted])):
-            return f"{where}: epoch {record.epoch} loss differs from the by-hand round"
-    if not _state_equal(straight.model, spec.model):
-        return f"{where}: parameters differ from the by-hand run over the same decisions"
-
-    with tempfile.TemporaryDirectory(prefix="repro-fuzz-elastic-") as directory:
-        for epoch in range(epochs):
-            resumed = supervised(FaultPlan(workers, **faults), checkpoint=directory)
-            replayed = resumed.fit(resume=epoch > 0, stop_after_epoch=epoch).history
-            shards, live = resumed.engine.workers, decisions[epoch][0]
-            if [shard.worker_id for shard in shards] != live:
-                return f"{where}: after epoch {epoch} the shards are not one per live member {live}"
-            nodes = np.concatenate([shard.original_ids for shard in shards])
-            parts = np.concatenate(
-                [np.unique(resumed.partition_ids[shard.original_ids]) for shard in shards]
-            )
-            if not np.array_equal(np.sort(nodes), np.arange(graph.num_nodes)) or len(
-                np.unique(parts)
-            ) != len(parts):
-                return f"{where}: after epoch {epoch} a node or partition is not owned exactly once"
-    if replayed != history or not _state_equal(resumed.model, straight.model):
-        return f"{where}: killed and resumed after every epoch != the uninterrupted run"
     return None
 
 
@@ -1243,7 +1147,16 @@ def _grad_cases(rng: np.random.Generator, size: int) -> List[Tuple[str, Callable
     return cases
 
 
-@scenario("grad-vs-finite-difference")
+@scenario(
+    "grad-vs-finite-difference",
+    mutants=[
+        edit(  # only the explainer's masks pass through a sigmoid, and no other check differentiates them
+            "sigmoid-backward-without-its-one-minus-term", "repro.nn.tensor:Tensor.sigmoid",
+            "grad * out_data * (1.0 - out_data)", "grad * out_data", "sigmoid:",
+            shrinks_to=(0, 1),
+        ),
+    ],
+)
 def _fuzz_gradients(seed: int, size: int) -> Optional[str]:
     """Every autograd op's backward vs a central difference of its
     forward, on shapes redrawn per case — zero-row blocks, segments no
@@ -1280,22 +1193,64 @@ def _fuzz_gradients(seed: int, size: int) -> Optional[str]:
     return None
 
 
+def _step_cases(rng: np.random.Generator, detector, graph, targets: np.ndarray, field):
+    """The four steps a detector scenario takes, with ``detector`` and a
+    copy of it (its twin) put in each one's mode: train, then eval, each
+    without and then with the explainer's masks, on ``graph`` or (at
+    random) on the targets' receptive ``field`` with its ``edge_rows``.
+    Yields ``(mode, twin, graph, targets, edge_rows, masks)``; ``masks``
+    holds the two masks' values."""
+    on_field = (field.graph, field.target_local, (graph.num_edges, field.edge_ids))
+    twin = copy.deepcopy(detector)
+    for training in (True, False):
+        detector.train(training)
+        twin.train(training)
+        for masked in (False, True):
+            case_graph, case_targets, edge_rows = (
+                on_field if rng.random() < 0.5 else (graph, targets, None)
+            )
+            masks = None
+            if masked:
+                masks = (
+                    rng.uniform(0.1, 0.9, size=case_graph.num_edges),
+                    rng.uniform(0.1, 0.9, size=(case_graph.num_nodes, case_graph.feature_dim)),
+                )
+            mode = f"{'train' if training else 'eval'}, {'masks' if masked else 'no masks'}, "
+            mode += "field" if edge_rows else "graph"
+            yield mode, twin, case_graph, case_targets, edge_rows, masks
+
+
+def _random_detector(rng: np.random.Generator, seed: int, shape: str, graph, targets):
+    """A detector of :func:`_small_detector_config` with 1-3 heads and
+    random weights, and the words that name it and the case at hand."""
+    from ..models.detector import XFraudDetector
+
+    kind, config = _small_detector_config(rng, seed, max_heads=3)
+    detector = XFraudDetector(config)
+    random_weights(rng, detector)
+    return detector, (
+        f"kind {kind}, {config.num_layers} layers, {config.num_heads} heads, {shape} graph "
+        f"({graph.num_nodes} nodes, {graph.num_edges} edges), targets={targets.tolist()}"
+    )
+
+
 def _fused_step_problem(
-    detector, graph, targets, labels, edge_rows, masks, spec=None, theirs="the per-op tape"
+    detector, twin, graph, targets, edge_rows, masks, labels, spec=None, theirs="the per-op tape"
 ) -> Optional[str]:
     """One loss + backward through the detector's fused nodes (each
     convolution, the head, ``F.cross_entropy``) against the same through
     ``spec(twin)`` — by default :class:`~.reference.PerOpDetector` — and
-    :func:`.reference.cross_entropy`, from the same parameters and
-    generator states: loss within 1e-12, gradients of every parameter
-    and of the explainer's masks (``masks``: their values, or ``None``)
-    per :func:`_grads_problem`, generators left in the same state."""
+    :func:`.reference.cross_entropy`, from the same parameters (``twin``
+    is a copy of ``detector``) and generator states: loss within 1e-12,
+    gradients of every parameter and of the explainer's masks (``masks``:
+    their values, or ``None``) per :func:`_grads_problem`, generators
+    left in the same state."""
     from .. import nn
     from ..nn import functional as F
-    from ..reliability.checkpoint import collect_rng_states
+    from ..reliability.checkpoint import collect_rng_states, restore_rng_states
     from .reference import PerOpDetector, cross_entropy
 
-    twin = copy.deepcopy(detector)
+    restore_rng_states(twin, collect_rng_states(detector))
     sides = []
     for model, owner, loss_of in (
         (detector, detector, F.cross_entropy),
@@ -1327,44 +1282,36 @@ def _layer_gradient_problem(layer, graph, rng: np.random.Generator, masked: bool
     from .. import nn
     from ..nn import Tensor
 
-    inputs = {"h": rng.normal(size=(graph.num_nodes, layer.in_dim))}
+    inputs = {"h": nn.Parameter(rng.normal(size=(graph.num_nodes, layer.in_dim)))}
     if masked:
-        inputs["edge_mask"] = rng.uniform(0.2, 0.9, size=graph.num_edges)
+        inputs["edge_mask"] = nn.Parameter(rng.uniform(0.2, 0.9, size=graph.num_edges))
     weights = rng.normal(size=(graph.num_nodes, layer.out_dim))
 
     layer.zero_grad()
-    tensors = {name: Tensor(array.copy(), requires_grad=True) for name, array in inputs.items()}
-    out = layer(graph, tensors["h"], edge_mask=tensors.get("edge_mask"))
+    out = layer(graph, inputs["h"], edge_mask=inputs.get("edge_mask"))
     (out * Tensor(weights)).sum().backward()
     active = out.data > 0.0
-    grads = {name: tensor.grad for name, tensor in tensors.items()}
-    grads.update({name: param.grad for name, param in layer.named_parameters()})
-    # Parameters move only through load_state_dict: probes edit ``state``.
-    state = layer.state_dict()
-    arrays = dict(inputs, **state)
 
-    for name, array in arrays.items():
-        if grads[name] is None:
+    # Inputs and parameters alike move only through their write().
+    for name, param in dict(inputs, **dict(layer.named_parameters())).items():
+        if param.grad is None:
             return f"{name}: no gradient"
-        base, direction = array.copy(), rng.normal(size=array.shape)
+        base, direction = param.data.copy(), rng.normal(size=param.shape)
         kinked = False
 
         def along(step: np.ndarray) -> float:
             nonlocal kinked
-            array[...] = base + step[0] * direction
-            if name in state:
-                layer.load_state_dict(state)
-            mask = Tensor(inputs["edge_mask"]) if masked else None
+            with param.write() as data:
+                data[...] = base + step[0] * direction
             with nn.no_grad():
-                probe = layer(graph, Tensor(inputs["h"]), edge_mask=mask).data
+                probe = layer(graph, inputs["h"], edge_mask=inputs.get("edge_mask")).data
             kinked = kinked or not np.array_equal(probe > 0.0, active)
             return float((probe * weights).sum())
 
         expected = float(numerical_grad(along, np.zeros(1))[0])
-        array[...] = base
-        if name in state:
-            layer.load_state_dict(state)
-        got = float((grads[name] * direction).sum())
+        with param.write() as data:
+            data[...] = base
+        got = float((param.grad * direction).sum())
         if not kinked and not abs(got - expected) <= 1e-6 * max(1.0, abs(expected)):
             return f"{name}: backward {got!r} along a random direction, central difference {expected!r}"
     return None
@@ -1372,7 +1319,7 @@ def _layer_gradient_problem(layer, graph, rng: np.random.Generator, masked: bool
 
 @scenario(
     "fused-backward-vs-autograd",
-    mutants=[  # each leaves the eval-mode forward alone
+    mutants=[  # all but the two marked leave the eval-mode forward alone
         edit(
             "softmax-backward-without-the-segment-term", _CONV + "_softmax_vjp",
             "attention * (grad - layout.segment_sum(grad * attention)[layout.segment])",
@@ -1418,10 +1365,15 @@ def _layer_gradient_problem(layer, graph, rng: np.random.Generator, masked: bool
             "cross-entropy-gradient-not-divided-by-the-batch", "repro.nn.functional:cross_entropy",
             "-grad * (1.0 / len(labels))", "-grad", "the per-op tape", shrinks_to=(1, 1),
         ),
-        edit(
+        edit(  # layer 1's tables: predict_proba reads them too
             "entity-constant-keyed-by-destination-type", _CONV + "_first_layer_tables",
             "key_end = type_rows[_END_TYPES[:, 1],", "key_end = type_rows[_END_TYPES[:, 0],",
-            "!= the per-op tape", shrinks_to=(1, 2),
+            "fused - autograd", shrinks_to=(1, 2),
+        ),
+        edit(  # eq. 8's value term of a transaction source: predict_proba reads it too
+            "phi-value-term-dropped", _CONV + "HeteroConvLayer.kernel",
+            "summed += (attention_sum[:, :, None] * dst_values).reshape(-1, out_dim)", "pass",
+            "fused - autograd", shrinks_to=(1, 2),
         ),
         edit(  # eval-mode scoring has no scale: only a recorded forward sees it
             "dropout-scale-missing-from-the-phi-sum", _CONV + "HeteroConvLayer.kernel",
@@ -1434,16 +1386,19 @@ def _layer_gradient_problem(layer, graph, rng: np.random.Generator, masked: bool
 def _fuzz_fused_backward(seed: int, size: int) -> Optional[str]:
     """The detector's convolution as one tape node (kernel + hand-derived
     backward) vs the per-op ``Tensor`` layer (:mod:`.reference`), and
-    vs central differences of the kernel. All four ablation configs, one
+    vs central differences of the kernel; and its ``predict_proba`` (the
+    same kernels, nothing saved, buffers reused) vs the per-op forward
+    to 1e-12, on the case's graph with the detector left in train mode
+    and on the batch's receptive field in eval. All four ablation configs, one
     to three layers; graphs whole, thinned, cut to a single edge or
     none, and block-diagonal stacks of sampled neighbourhoods; train
     mode (the node must draw the dropout masks ``F.dropout`` would, on
     the graph and on a receptive field with ``edge_rows``) and eval;
     with and without the explainer's ``edge_mask`` / ``feature_mask``."""
     from ..graph.sampling import SageSampler
-    from .reference import stack_subgraphs
-    from ..models.detector import DetectorConfig, XFraudDetector
     from ..models.field import loss_field
+    from ..models.inference import tensor_predict_proba
+    from .reference import PerOpDetector, stack_subgraphs
 
     rng = np.random.default_rng(seed)
     graph = random_hetero_graph(rng, num_txns=size, feature_dim=5)
@@ -1457,46 +1412,23 @@ def _fuzz_fused_backward(seed: int, size: int) -> Optional[str]:
     else:
         graph = _cut_edges(rng, graph, shape)
 
-    heads, kind = int(rng.integers(1, 4)), int(rng.integers(0, 4))
-    config = DetectorConfig(
-        feature_dim=5,
-        hidden_dim=heads * int(rng.integers(1, 4)),
-        num_heads=heads,
-        num_layers=int(rng.integers(1, 4)),
-        ffn_hidden_dim=int(rng.integers(2, 7)),
-        dropout=0.3,
-        per_type_projections=bool(kind & 1),
-        target_specific_aggregation=bool(kind & 2),
-        seed=seed % 97,
-    )
-    detector = XFraudDetector(config)
-    random_weights(rng, detector)
-    where = (
-        f"kind {kind}, {config.num_layers} layers, {heads} heads, {shape} graph "
-        f"({graph.num_nodes} nodes, {graph.num_edges} edges), targets={targets.tolist()}"
-    )
+    detector, where = _random_detector(rng, seed, shape, graph, targets)
+    config = detector.config
 
     labels = rng.integers(0, 2, size=len(targets))
     field, _ = loss_field(graph, targets, hops=config.num_layers)
-    on_field = (field.graph, field.target_local, (graph.num_edges, field.edge_ids))
-    for training in (True, False):
-        detector.train(training)
-        for masked in (False, True):
-            case_graph, case_targets, edge_rows = (
-                on_field if rng.random() < 0.5 else (graph, targets, None)
-            )
-            masks = None
-            if masked:
-                masks = (
-                    rng.uniform(0.1, 0.9, size=case_graph.num_edges),
-                    rng.uniform(0.1, 0.9, size=(case_graph.num_nodes, case_graph.feature_dim)),
-                )
-            problem = _fused_step_problem(
-                detector, case_graph, case_targets, labels, edge_rows, masks
-            )
-            if problem is not None:
-                mode = f"{'train' if training else 'eval'}, {'masks' if masked else 'no masks'}"
-                return f"{where}, {mode}, {'field' if edge_rows else 'graph'}: {problem}"
+    scored = {True: (graph, targets), False: (field.graph, field.target_local)}
+    for mode, *case in _step_cases(rng, detector, graph, targets, field):
+        if case[-1] is None:  # once in each mode: predict_proba must not care which
+            on, at = scored[detector.training]
+            reference = tensor_predict_proba(PerOpDetector(detector), on, at)
+            worst = float(np.abs(detector.predict_proba(on, at) - reference).max())
+            if not worst <= 1e-12:  # also catches NaN
+                on = "train mode, the graph" if detector.training else "eval mode, the field"
+                return f"{where}, {on}: predict_proba: max |fused - autograd| = {worst:.3e}"
+        problem = _fused_step_problem(detector, *case, labels)
+        if problem is not None:
+            return f"{where}, {mode}: {problem}"
     for index, layer in enumerate(detector.convs):
         for masked in (False, True):
             problem = _layer_gradient_problem(layer, graph, rng, masked)
@@ -1582,9 +1514,10 @@ def _fuzz_trimmed_layers(seed: int, size: int) -> Optional[str]:
     reaches — an isolated node, a component of its own, edges into
     nodes ``L`` or more in-hops from every target — leave every score
     **bit-identical**."""
+    from .. import nn
     from ..graph.sampling import receptive_field
-    from ..models.detector import DetectorConfig, XFraudDetector
     from ..models.inference import tensor_predict_proba
+    from ..nn import functional as F
     from .reference import ReadEverywhere
 
     rng = np.random.default_rng(seed)
@@ -1593,24 +1526,8 @@ def _fuzz_trimmed_layers(seed: int, size: int) -> Optional[str]:
     graph = _cut_edges(rng, graph, shape)
     targets = _awkward_targets(rng, graph, txn_only=True)
 
-    heads, kind = int(rng.integers(1, 4)), int(rng.integers(0, 4))
-    config = DetectorConfig(
-        feature_dim=5,
-        hidden_dim=heads * int(rng.integers(1, 4)),
-        num_heads=heads,
-        num_layers=int(rng.integers(1, 4)),
-        ffn_hidden_dim=int(rng.integers(2, 7)),
-        dropout=0.3,
-        per_type_projections=bool(kind & 1),
-        target_specific_aggregation=bool(kind & 2),
-        seed=seed % 97,
-    )
-    detector = XFraudDetector(config)
-    random_weights(rng, detector)
-    where = (
-        f"kind {kind}, {config.num_layers} layers, {heads} heads, {shape} graph "
-        f"({graph.num_nodes} nodes, {graph.num_edges} edges), targets={targets.tolist()}"
-    )
+    detector, where = _random_detector(rng, seed, shape, graph, targets)
+    config = detector.config
 
     if detector.predict_proba(graph, []).shape != (0,):
         return f"{where}: predict_proba at no targets is not empty"
@@ -1632,57 +1549,24 @@ def _fuzz_trimmed_layers(seed: int, size: int) -> Optional[str]:
 
     labels = rng.integers(0, 2, size=len(targets))
     field = receptive_field(graph, targets, hops=config.num_layers)
-    on_field = (field.graph, field.target_local, (graph.num_edges, field.edge_ids))
-    for training in (True, False):
-        detector.train(training)
-        for masked in (False, True):
-            case_graph, case_targets, edge_rows = (
-                on_field if rng.random() < 0.5 else (graph, targets, None)
-            )
-            masks = None
-            if masked:
-                masks = (
-                    rng.uniform(0.1, 0.9, size=case_graph.num_edges),
-                    rng.uniform(0.1, 0.9, size=(case_graph.num_nodes, case_graph.feature_dim)),
-                )
-            mode = f"{'train' if training else 'eval'}, {'masks' if masked else 'no masks'}"
-            mode = f"{where}, {mode}, {'field' if edge_rows else 'graph'}"
-            problem = _fused_step_problem(
-                detector, case_graph, case_targets, labels, edge_rows, masks,
-                spec=ReadEverywhere, theirs="read everywhere",
-            )
-            if problem is not None:
-                return f"{mode}: {problem}"
-            if masked:
-                from .. import nn
-                from ..nn import functional as F
-
-                edge_mask = nn.Parameter(masks[0])
-                F.cross_entropy(
-                    detector.forward(case_graph, case_targets, edge_mask=edge_mask), labels
-                ).backward()
-                _, walked, _ = _scalar_field(case_graph, case_targets, config.num_layers)
-                if np.delete(edge_mask.grad, walked).any():
-                    return f"{mode}: d edge_mask is not exactly 0 on an edge no layer walks"
+    for mode, twin, case_graph, case_targets, edge_rows, masks in _step_cases(
+        rng, detector, graph, targets, field
+    ):
+        problem = _fused_step_problem(
+            detector, twin, case_graph, case_targets, edge_rows, masks, labels,
+            spec=ReadEverywhere, theirs="read everywhere",
+        )
+        if problem is not None:
+            return f"{where}, {mode}: {problem}"
+        if masks is not None:
+            edge_mask = nn.Parameter(masks[0])
+            F.cross_entropy(
+                detector.forward(case_graph, case_targets, edge_mask=edge_mask), labels
+            ).backward()
+            _, walked, _ = _scalar_field(case_graph, case_targets, config.num_layers)
+            if np.delete(edge_mask.grad, walked).any():
+                return f"{where}, {mode}: d edge_mask is not exactly 0 on an edge no layer walks"
     return None
-
-
-class _BudgetSpent(Exception):
-    """Raised by :class:`_StageLog` when its scripted budget ends."""
-
-
-class _StageLog:
-    """Duck-typed deadline: records every stage it is asked about and
-    raises at the ``spent_at``-th (never, when ``None``)."""
-
-    def __init__(self, spent_at: Optional[int] = None) -> None:
-        self.stages: List[str] = []
-        self.spent_at = spent_at
-
-    def check(self, stage: str) -> None:
-        self.stages.append(stage)
-        if self.spent_at is not None and len(self.stages) > self.spent_at:
-            raise _BudgetSpent(stage)
 
 
 def _awkward_targets(rng: np.random.Generator, graph, txn_only: bool = False) -> np.ndarray:
@@ -1705,142 +1589,6 @@ def _awkward_targets(rng: np.random.Generator, graph, txn_only: bool = False) ->
     return targets
 
 
-@scenario(
-    "disjoint-walk-vs-singleton-samples",
-    mutants=[  # the walk losing track of a node's or an edge's component
-        edit(
-            "visited-set-shared-across-components", _SAMPLING + "SageSampler._walk_disjoint",
-            "reached[~_in_sorted(seen, reached)[0]]",
-            "reached[~np.isin(reached % stride, seen % stride)]",
-            "original_ids", shrinks_to=(0, 1),
-        ),
-        edit(
-            "fanout-rank-over-the-whole-frontier", _SAMPLING + "SageSampler._walk_disjoint",
-            "self._kept(starts, counts)", "self._kept(starts[:1], counts.sum(keepdims=True))",
-            "original_ids", shrinks_to=(0, 1),
-        ),
-        edit(
-            "dedup-by-node-not-by-component-and-node", _SAMPLING + "SageSampler._walk_disjoint",
-            "np.unique(component * stride + csr.src[slots])",
-            "np.sort((component * stride + csr.src[slots])"
-            "[np.unique(csr.src[slots], return_index=True)[1]])",
-            "original_ids", shrinks_to=(0, 1),
-        ),
-        edit(
-            "edges-ordered-by-csr-position", _SAMPLING + "_induce",
-            "(owner * graph.num_edges + edge_ids).argsort()", "np.arange(len(edge_ids))",
-            "edge_src differs", shrinks_to=(0, 1),
-        ),
-        edit(  # a cached batch gathers components joined by such edges: scoring sees it too
-            "induction-matches-sources-across-components", _SAMPLING + "_induce",
-            "sources += owner * stride", "sources += 0", "edge_src",
-            alone=True, shrinks_to=(0, 1),
-        ),
-        edit(  # an isomorphic graph the cache's gathers misread (a component's root is first)
-            "target-not-first-in-its-component", _SAMPLING + "_induce",
-            "        root_slots = np.arange(len(roots)) + "
-            "(np.cumsum(rest_in) - rest_in)[root_component]\n"
-            "        rest_slots = np.arange(total - len(roots)) + "
-            "np.cumsum(roots_in)[component[rest]]\n",
-            "        root_slots, rest_slots = at, rest.nonzero()[0]\n",
-            "original_ids differs",
-            alone=True, shrinks_to=(0, 1),
-        ),
-        edit(  # the first component's edges end one edge late
-            "an-edge-bound-off-by-one", _SAMPLING + "_induce",
-            "np.cumsum(np.bincount(owner, minlength=len(sizes)))",
-            "np.cumsum(np.bincount(owner, minlength=len(sizes)))"
-            " + (np.arange(len(sizes)) == 0)",
-            "the walk's bounds",
-            alone=True, shrinks_to=(0, 1),
-        ),
-    ],
-)
-def _fuzz_disjoint_walk(seed: int, size: int) -> Optional[str]:
-    """``sample(..., disjoint=True)`` — one frontier expansion over
-    ``(component, node)`` pairs — vs its definition, the stacked loop of
-    singleton samples, array for array. The walk, that stack and a
-    ``gather`` of a random multiset of their components (repeats
-    included) must each record the bounds
-    ``reference.component_bounds`` finds by search, and each component
-    cut out by them must be its singleton sample. Hops 1-3, fanout 1-4 (hubs over
-    the cap), targets of every node type with repeats, a target that is
-    another's neighbour and edgeless ones; on a fresh graph, on one
-    grown by deltas of every shape (grown CSR) and after a
-    compaction. The walk must ask a deadline about exactly the stages
-    of ONE singleton walk, once each, and a budget that ends at hop
-    ``k`` must end both sides there."""
-    from ..graph.sampling import HGSampler, SageSampler, gather
-    from .reference import component_bounds, scalar_sample, stack_subgraphs, unstack
-
-    rng = np.random.default_rng(seed)
-    chooser = np.random.default_rng((seed, size))  # the gathers' pieces: rng's draws stay put
-    graph = random_hetero_graph(rng, num_txns=size)
-    graph.csr()  # so the deltas below grow it
-    hops, fanout, sampler_seed = 1 + size % 3, int(rng.integers(1, 5)), int(rng.integers(0, 1 << 16))
-    walker = SageSampler(hops=hops, fanout=fanout, seed=sampler_seed)
-    hg = HGSampler(depth=1 + size % 2, width=fanout, seed=sampler_seed)
-    spec = functools.partial(scalar_sample, walker)
-    # the spec's disjoint=True is the loop itself; HGSampling's walks each target alone
-    by_definition = (("the scalar spec", spec), (hg.cache_key(), hg.sample))
-    for stage in ("fresh", "grown", "compacted"):
-        if stage == "grown":
-            for _ in range(int(rng.integers(1, 4))):
-                shape = str(rng.choice(DELTA_SHAPES, p=(0.7, 0.1, 0.1, 0.1)))
-                graph.append_delta(**random_delta(rng, graph, 1 + size % 3, shape=shape))
-        elif stage == "compacted":
-            graph.rebuild_csr()
-        targets = _awkward_targets(rng, graph)
-        where = (
-            f"{walker.cache_key()} on the {stage} graph ({graph.num_nodes} nodes, "
-            f"{graph.num_edges} edges), targets={targets.tolist()}"
-        )
-        parts = [walker.sample(graph, [int(target)]) for target in targets]
-        stacked = stack_subgraphs(parts)
-        walk = walker.sample(graph, targets, disjoint=True)
-        diff = subgraph_equal(walk, stacked)
-        if diff is not None:
-            return f"{where}: one walk != stacked singleton samples: {diff}"
-        picks = chooser.integers(0, len(targets), size=int(chooser.integers(1, 2 * len(targets))))
-        pieces = [((walk, stacked)[int(chooser.integers(0, 2))], int(pick)) for pick in picks]
-        for name, sample, singles in (
-            ("walk", walk, parts),
-            ("stack", stacked, parts),
-            (f"gather of components {picks.tolist()}", gather(pieces), [parts[p] for p in picks]),
-        ):
-            found = component_bounds(sample)
-            if not np.array_equal(sample.bounds, found):
-                return f"{where}: the {name}'s bounds {sample.bounds.tolist()} != {found.tolist()}"
-            for index, (cut, part) in enumerate(zip(unstack(sample), singles)):
-                diff = subgraph_equal(cut, part)
-                if diff is not None:
-                    return f"{where}: the {name}'s component {index} != its singleton sample: {diff}"
-        for whose, sample in by_definition:
-            diff = subgraph_equal(
-                sample(graph, targets, disjoint=True),
-                stack_subgraphs([sample(graph, [int(target)]) for target in targets]),
-            )
-            if diff is not None:
-                return f"{whose}, targets={targets.tolist()}: {diff}"
-
-        alone, together = _StageLog(), _StageLog()
-        walker.sample(graph, targets[:1], deadline=alone)
-        walker.sample(graph, targets, deadline=together, disjoint=True)
-        if together.stages != alone.stages:
-            return f"{where}: the walk checked {together.stages}, one singleton walk {alone.stages}"
-        spent_at = int(rng.integers(0, hops))
-        ended = []
-        for sample in (walker.sample, spec):
-            try:
-                sample(graph, targets, deadline=_StageLog(spent_at), disjoint=True)
-                ended.append(None)
-            except _BudgetSpent as spent:
-                ended.append(str(spent))
-        if ended != [f"sampling hop {spent_at}"] * 2:
-            return f"{where}: a budget spent at hop {spent_at} ended walk and loop at {ended}"
-    return None
-
-
 _BATCH_SIZES = (0, 1, 32, 32, 250)
 
 
@@ -1854,7 +1602,7 @@ def _faulty_tier(seed: int, size: int):
     poisoned on one owner behind the ledger's back; two more were never
     written.
 
-    Returns ``(store, clock, tapes, injectors, keys)``.
+    Returns ``(store, clock, tapes, injectors, backings, keys)``.
     """
     from ..reliability.faults import (
         CorruptKVStore,
@@ -1937,7 +1685,7 @@ def _faulty_tier(seed: int, size: int):
         backings[int(rng.choice(store.owners(key)))].put(key, b"poisoned")
     for tape in tapes:
         del tape.calls[:]  # the writes' own calls are not the subject
-    return store, clock, tapes, injectors, keys + ["absent/0", "absent/1"]
+    return store, clock, tapes, injectors, backings, keys + ["absent/0", "absent/1"]
 
 
 def _tier_state(store, clock, tapes, injectors) -> Dict[str, object]:
@@ -1996,6 +1744,13 @@ def _first_difference(ours, theirs) -> str:
             "values.append(self._gated_get(key))",
             "replica calls", shrinks_to=(0, 1),
         ),
+        edit(  # both tiers run the same pass: only the ledger itself sees it
+            "anti-entropy-trusts-divergent-ledger-copies",
+            "repro.storage.replicated:ReplicatedKVStore.anti_entropy",
+            "elif expected is not None and checksum != expected:",
+            "elif expected is None and checksum != expected:",
+            "after anti-entropy", "!= ledger", shrinks_to=(1, 1),
+        ),
     ],
 )
 def _fuzz_batched_read(seed: int, size: int) -> Optional[str]:
@@ -2007,7 +1762,11 @@ def _fuzz_batched_read(seed: int, size: int) -> Optional[str]:
     equal exception type, every replica asked the same ``contains`` /
     ``get`` calls in the same order (so every injector's read counter
     and window agree), and equal health counters, state paths and
-    failure tallies after every batch."""
+    failure tallies after every batch. Then an anti-entropy pass over
+    the bare copies: every owner copy of a key that kept one copy the
+    put-time ledger agrees with must agree with it
+    (:func:`~.invariants.ledger_violations`), and a copy poisoned after
+    it must be reported."""
     from .reference import per_key_get
 
     batched, walked = _faulty_tier(seed, size), _faulty_tier(seed, size)
@@ -2031,7 +1790,7 @@ def _fuzz_batched_read(seed: int, size: int) -> Optional[str]:
             lambda store: [per_key_get(store, k) for k in keys],
         )
         ends = []
-        for read, (store, clock, tapes, injectors, _) in zip(reads, (batched, walked)):
+        for read, (store, clock, tapes, injectors, _, _) in zip(reads, (batched, walked)):
             clock.advance(pause)
             try:
                 values = read(store)
@@ -2046,16 +1805,34 @@ def _fuzz_batched_read(seed: int, size: int) -> Optional[str]:
                     f"{'get per key' if one_at_a_time else 'get_many'} != per_key_get: "
                     f"{what}{_first_difference(ends[0][what], ends[1][what])}"
                 )
+    store, backings = batched[0], batched[4]
+    store.replicas = backings  # no injector between the pass and the copies
+    healable = [  # keys one owner still holds as written
+        key for key, crc in store._crc.items()
+        if any(backings[o].contains(key) and zlib.crc32(backings[o].get(key)) == crc for o in store.owners(key))
+    ]
+    store.anti_entropy()
+    problems = ledger_violations(store, healable)
+    if problems:
+        return f"after anti-entropy ({len(backings)} replicas, rf {store.replication_factor}): {problems[0]}"
+    key = healable[int(rng.integers(0, len(healable)))]
+    owner = store.owners(key)[0]
+    backings[owner].put(key, backings[owner].get(key) + b"!")
+    if not ledger_violations(store, [key]):
+        return f"ledger_violations missed {key}@replica{owner} poisoned after anti-entropy"
     return None
 
 
-def _small_detector_config(rng: np.random.Generator, seed: int, max_layers: int = 3):
-    """A small detector configuration: 1-``max_layers`` layers, 1-2
-    heads, any of the four ablation configs, dropout on."""
+def _small_detector_config(
+    rng: np.random.Generator, seed: int, max_layers: int = 3, max_heads: int = 2, kinds: int = 4
+):
+    """``(kind, config)``: a small detector configuration — 1-``max_layers``
+    layers, 1-``max_heads`` heads, dropout on — whose ablation switches
+    are the two low bits of ``kind``, drawn below ``kinds``."""
     from ..models.detector import DetectorConfig
 
-    heads, kind = int(rng.integers(1, 3)), int(rng.integers(0, 4))
-    return DetectorConfig(
+    heads, kind = int(rng.integers(1, max_heads + 1)), int(rng.integers(0, kinds))
+    return kind, DetectorConfig(
         feature_dim=5,
         hidden_dim=heads * int(rng.integers(1, 4)),
         num_heads=heads,
@@ -2069,13 +1846,16 @@ def _small_detector_config(rng: np.random.Generator, seed: int, max_layers: int 
 
 
 def _bit_equal(ours, theirs) -> bool:
-    """Same arrays, byte for byte, through dicts, tuples and ``None``."""
+    """Same arrays, byte for byte, through dicts, tuples, lists and
+    ``None``; other values by ``==``."""
     if isinstance(ours, dict):
         return ours.keys() == theirs.keys() and all(_bit_equal(ours[k], theirs[k]) for k in ours)
-    if isinstance(ours, tuple):
+    if isinstance(ours, (tuple, list)):
         return len(ours) == len(theirs) and all(map(_bit_equal, ours, theirs))
     if ours is None or theirs is None:
         return ours is theirs
+    if not isinstance(ours, np.ndarray):
+        return ours == theirs
     return ours.shape == theirs.shape and ours.tobytes() == theirs.tobytes()
 
 
@@ -2181,7 +1961,7 @@ def _fuzz_plan_memo(seed: int, size: int) -> Optional[str]:
 
     rng = np.random.default_rng(seed)
     graph = random_hetero_graph(rng, num_txns=max(2, size), feature_dim=5)
-    config = _small_detector_config(rng, seed, max_layers=2)
+    _, config = _small_detector_config(rng, seed, max_layers=2)
     live, other = XFraudDetector(config), XFraudDetector(config)
     for detector in (live, other):
         random_weights(rng, detector)
@@ -2239,12 +2019,8 @@ def _optimizer_problem(ours, theirs, grads) -> Optional[str]:
     state, twin_state = ours.state_dict(), theirs.state_dict()
     if state.keys() != twin_state.keys():
         return f"state_dict keys {sorted(state)} != {sorted(twin_state)}"
-    for key, value in state.items():
-        if isinstance(value, list):  # moments, one array per parameter
-            same = _bit_equal(tuple(value), tuple(twin_state[key]))
-        else:
-            same = value == twin_state[key]
-        if not same:
+    for key, value in state.items():  # the moments: one array per parameter
+        if not _bit_equal(value, twin_state[key]):
             return f"state_dict[{key!r}] differs"
     return None
 
@@ -2258,6 +2034,11 @@ def _optimizer_problem(ours, theirs, grads) -> Optional[str]:
             "slice(offsets[first + 1], offsets[last + 1])",
             "IndexError",
             alone=True, shrinks_to=(0, 1),
+        ),
+        edit(  # both sides of every engine-vs-engine scenario step alike: only the spec sees it
+            "second-moment-corrected-with-beta1", "repro.nn:Adam._update",
+            "np.divide(v, 1 - self.beta2**self._step", "np.divide(v, 1 - self.beta1**self._step",
+            "values differ", shrinks_to=(6, 4),
         ),
     ],
 )
@@ -2311,6 +2092,201 @@ def _fuzz_flat_step(seed: int, size: int) -> Optional[str]:
         problem = _optimizer_problem(ours, theirs, grads)
         if problem is not None:
             return f"{kind}, shapes {shapes}, {' -> '.join(done)}: {problem}"
+    return None
+
+
+def _random_worker_faults(rng: np.random.Generator, workers: int, epochs: int):
+    """A valid supervisor schedule and the decisions it must produce.
+
+    Valid: only evicted workers rejoin, only live ones die (a worker
+    may die in the very round it rejoins), at least one stays alive,
+    never every live shard corrupt in one round. Returns the
+    :class:`FaultPlan` kwargs and, per epoch, ``(members after the
+    round, evicted, rejoined, quarantined)``.
+    """
+    live, evicted = set(range(workers)), set()
+    faults = {"worker_kill": {}, "worker_rejoin": {}, "worker_slow": {}, "grad_corrupt": {}}
+    decisions = []
+    for epoch in range(epochs):
+        back = [w for w in sorted(evicted) if rng.random() < 0.5]
+        live |= set(back)
+        victims = [w for w in sorted(live) if rng.random() < 0.25][: len(live) - 1]
+        live -= set(victims)
+        evicted = (evicted - set(back)) | set(victims)
+        slow = {w: float(rng.choice([1.5, 3.0, 6.0])) for w in sorted(live) if rng.random() < 0.25}
+        corrupt = [w for w in sorted(live) if rng.random() < 0.3][: len(live) - 1]
+        for name, entry in (
+            ("worker_rejoin", back),
+            ("worker_kill", victims),
+            ("worker_slow", slow),
+            ("grad_corrupt", {w: str(rng.choice(["nan", "bitflip"])) for w in corrupt}),
+        ):
+            if entry:
+                faults[name][epoch] = entry
+        decisions.append((sorted(live), victims, back, corrupt))
+    return faults, decisions
+
+
+@scenario(
+    "supervised-round-vs-engine",
+    mutants=[  # the one all-reduce, and the restore rollback, rejoin and resume share
+        edit(
+            "mean-over-members", "repro.train.distributed:DistributedTrainer.step",
+            "/ len(shard_grads)", "/ len(self.workers)", "by-hand", shrinks_to=(1, 1),
+        ),
+        edit(  # invisible to the by-hand run: no step between snapshot and rollback
+            "restore-skips-the-optimizer", "repro.train.elastic:restore_training_state",
+            "optimizer.load_state_dict(state.optimizer_state)", "pass",
+            "resumed after every epoch", shrinks_to=(0, 1),
+        ),
+        edit(
+            "restore-skips-the-trainer-rng", "repro.train.elastic:restore_training_state",
+            'rng.bit_generator.state = state.rng_states["trainer"]', "pass", "by-hand",
+            shrinks_to=(0, 5),
+        ),
+        edit(
+            "model-state-saved-as-float32", "repro.reliability.checkpoint:_encode_checkpoint",
+            'arrays[f"model::{name}"] = value',
+            'arrays[f"model::{name}"] = value.astype(np.float32)',
+            "not bit-identical after load", shrinks_to=(0, 1),
+        ),
+    ],
+)
+def _fuzz_supervised_round(seed: int, size: int) -> Optional[str]:
+    """The elastic supervisor vs the fault-free DDP engine it drives.
+
+    Fault-free, ``ElasticTrainer`` and a plain ``DistributedTrainer``
+    over the same rendezvous shards must agree bit for bit (GEM, MLP
+    and detector+; members that win no partition; batches of one).
+    Under a random valid kill / rejoin / slow / corrupt schedule the
+    supervised run must (a) take exactly the decisions the schedule
+    forces, (b) end bit-identical to a by-hand run that only knows
+    those decisions — per epoch the shards of the surviving members,
+    this file's own mean over the accepted ones, clip, step — which is
+    what "evict, re-shard, retry from the last verified snapshot" and
+    "renormalise over accepted shards" promise, and (c) replay
+    identically (history and parameters) when run a second time killed
+    and resumed from disk after *every* epoch; that run's shards are
+    checked after each round: one per live member, every node and
+    partition owned exactly once; its last checkpoint must load back
+    bit-identical to the model it was taken of, and refuse to load with
+    one byte flipped.
+    """
+    from ..models.detector import DetectorConfig, XFraudDetectorPlus
+    from ..models.gem import GEMModel
+    from ..models.mlp import FeatureMLP
+    from ..nn import clip_grad_norm
+    from ..reliability.checkpoint import CheckpointError, CheckpointManager
+    from ..reliability.faults import FaultPlan
+    from ..train.distributed import DistributedTrainer, make_worker_partitions
+    from ..train.elastic import ElasticConfig, ElasticTrainer
+    from ..train.trainer import TrainConfig
+
+    rng = np.random.default_rng(seed)
+    graph = random_hetero_graph(rng, num_txns=size, feature_dim=5)
+    train = rng.permutation(graph.txn_nodes)[:6]  # bounds the steps, not the graph
+    heads = int(rng.integers(1, 3))
+    model_config = DetectorConfig(
+        feature_dim=5,
+        hidden_dim=heads * int(rng.integers(1, 4)),
+        num_heads=heads,
+        num_layers=int(rng.integers(1, 3)),
+        ffn_hidden_dim=int(rng.integers(2, 7)),
+        dropout=0.3,
+        seed=seed % 97,
+    )
+    model_class = (GEMModel, FeatureMLP, XFraudDetectorPlus)[int(rng.integers(0, 3))]
+    workers = int(rng.integers(1, min(5, graph.num_nodes) + 1))
+    partitions = int(rng.integers(workers, min(workers + 3, graph.num_nodes) + 1))
+    epochs = int(rng.integers(2, 4))
+    config = TrainConfig(
+        epochs=epochs,
+        batch_size=int(rng.integers(1, 5)),
+        learning_rate=1e-2,
+        shuffle=bool(rng.integers(0, 2)),
+        seed=seed % 89,
+    )
+    elastic = ElasticConfig(num_partitions=partitions, skip_budget=workers * epochs)
+    where = (
+        f"{model_class.__name__}, {workers} workers / {partitions} partitions, "
+        f"{graph.num_nodes} nodes, batch {config.batch_size}, shuffle={config.shuffle}"
+    )
+
+    def supervised(plan=None, checkpoint=None):
+        model = model_class(model_config)
+        return ElasticTrainer(
+            model, graph, train, workers, config, elastic, plan, checkpoint=checkpoint
+        )
+
+    def shards_of(members, partition_ids):
+        return make_worker_partitions(
+            graph, train, members=members, partition_ids=partition_ids, seed=config.seed
+        )
+
+    def engine_over(members, partition_ids):
+        return DistributedTrainer(
+            model_class(model_config), shards_of(members, partition_ids), config
+        )
+
+    # -- fault-free: the supervisor is the engine ------------------------
+    calm = supervised()
+    calm_losses = [record.loss for record in calm.fit().history]
+    engine = engine_over(range(workers), calm.partition_ids)
+    if calm_losses != [record.loss for record in engine.fit().history]:
+        return f"{where}: fault-free supervised losses differ from the engine's"
+    if not _bit_equal(calm.model.state_dict(), engine.model.state_dict()):
+        return f"{where}: fault-free supervised parameters differ from the engine's"
+
+    # -- under faults ----------------------------------------------------
+    faults, decisions = _random_worker_faults(rng, workers, epochs)
+    where += f", faults {faults}"
+    straight = supervised(FaultPlan(workers, **faults))
+    history = straight.fit().history
+    taken = [(r.members, r.evicted, r.rejoined, r.quarantined) for r in history]
+    if taken != decisions:
+        return f"{where}: decisions {taken} != scheduled {decisions}"
+
+    spec = engine_over(history[0].members, straight.partition_ids)
+    for record in history:  # the engine lends shard gradients, optimizer and rng only
+        spec.workers = shards_of(record.members, straight.partition_ids)
+        computed = [(w.worker_id, *spec.shard_gradients(w)) for w in spec.workers]
+        accepted = [shard for shard in computed if shard[0] not in record.quarantined]
+        for index, param in enumerate(spec.model.parameters()):
+            param.grad = sum(grads[index] for _, grads, _, _ in accepted) / len(accepted)
+        clip_grad_norm(spec.model.parameters(), config.clip_norm)
+        spec.optimizer.step()
+        if record.loss != float(np.mean([loss for _, _, loss, _ in accepted])):
+            return f"{where}: epoch {record.epoch} loss differs from the by-hand round"
+    if not _bit_equal(straight.model.state_dict(), spec.model.state_dict()):
+        return f"{where}: parameters differ from the by-hand run over the same decisions"
+
+    with tempfile.TemporaryDirectory(prefix="repro-fuzz-elastic-") as directory:
+        manager = CheckpointManager(directory)
+        for epoch in range(epochs):
+            resumed = supervised(FaultPlan(workers, **faults), checkpoint=manager)
+            replayed = resumed.fit(resume=epoch > 0, stop_after_epoch=epoch).history
+            shards, live = resumed.engine.workers, decisions[epoch][0]
+            if [shard.worker_id for shard in shards] != live:
+                return f"{where}: after epoch {epoch} the shards are not one per live member {live}"
+            nodes = np.concatenate([shard.original_ids for shard in shards])
+            parts = np.concatenate(
+                [np.unique(resumed.partition_ids[shard.original_ids]) for shard in shards]
+            )
+            if not np.array_equal(np.sort(nodes), np.arange(graph.num_nodes)) or len(
+                np.unique(parts)
+            ) != len(parts):
+                return f"{where}: after epoch {epoch} a node or partition is not owned exactly once"
+        loaded = manager.load()
+        if loaded.epoch != epochs - 1 or not _bit_equal(loaded.model_state, resumed.model.state_dict()):
+            return f"{where}: the last checkpoint is not bit-identical after load"
+        _flip_a_byte(rng, manager.latest())
+        try:
+            manager.load()
+            return f"{where}: a checkpoint with a flipped byte loaded"
+        except CheckpointError:
+            pass
+    if replayed != history or not _bit_equal(resumed.model.state_dict(), straight.model.state_dict()):
+        return f"{where}: killed and resumed after every epoch != the uninterrupted run"
     return None
 
 

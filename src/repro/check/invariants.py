@@ -22,7 +22,7 @@ import os
 import tempfile
 import zlib
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -35,7 +35,6 @@ __all__ = [
     "InvariantCheck",
     "REGISTRY",
     "csr_violations",
-    "csr_mismatch",
     "wal_violations",
     "ledger_violations",
     "subgraph_equal",
@@ -180,18 +179,6 @@ def csr_violations(graph: HeteroGraph) -> List[str]:
     return problems
 
 
-def csr_mismatch(graph: HeteroGraph, spec: Tuple[np.ndarray, ...]) -> Optional[str]:
-    """Where the compacted view of ``graph``'s CSR differs from the
-    canonical ``(indptr, src, eid)`` of ``spec`` — a rebuild's, or
-    :func:`~repro.check.reference.splice_csr`'s — or ``None``."""
-    from .reference import compacted
-
-    for name, left, right in zip(("indptr", "src", "eid"), compacted(graph.csr()), spec):
-        if not np.array_equal(left, right):
-            return f"grown {name} != {name}"
-    return None
-
-
 def txn_table_violations(graph: HeteroGraph, want: np.ndarray) -> List[str]:
     """Falsify the transaction feature table against ``want``, the rows
     the graph's transactions must hold, in node order.
@@ -312,16 +299,17 @@ def wal_violations(directory: str) -> List[str]:
     return problems
 
 
-def ledger_violations(store) -> List[str]:
+def ledger_violations(store, keys: Optional[Sequence[str]] = None) -> List[str]:
     """Falsify the replicated store's CRC ledger against replica bytes.
 
-    For every ledger entry, each owner replica that holds the key must
-    hold bytes whose CRC32 matches the ledger. A missing copy is legal
-    (a put succeeds on one owner; anti-entropy heals the rest) — only
-    *divergent bytes* violate the invariant.
+    For every ledger entry (or those of ``keys``), each owner replica
+    that holds the key must hold bytes whose CRC32 matches the ledger.
+    A missing copy is legal (a put succeeds on one owner; anti-entropy
+    heals the rest) — only *divergent bytes* violate the invariant.
     """
     problems: List[str] = []
-    for key, expected in sorted(store._crc.items()):
+    for key in sorted(store._crc if keys is None else keys):
+        expected = store._crc[key]
         for owner in store.owners(key):
             replica = store.replicas[owner]
             try:
@@ -349,6 +337,12 @@ def ledger_violations(store) -> List[str]:
     "arrays, public arrays exactly num_nodes/num_edges long (no spare "
     "capacity published), version bumps: +1 per append_delta, 0 per "
     "rebuild, and the full validate() of the grown graph",
+    mutants=[
+        edit(  # a warm cache keyed on the version would be dropped by every rebuild
+            "rebuild-bumps-the-version", "repro.graph.hetero:HeteroGraph.rebuild_csr",
+            "self._csr = None", "self.mark_mutated()", "rebuild_csr changed the version",
+        ),
+    ],
 )
 def _check_csr_validity() -> List[str]:
     problems: List[str] = []
@@ -390,40 +384,6 @@ def _check_csr_validity() -> List[str]:
     graph.labels = graph.labels.base[: graph.num_nodes + 1]
     if not csr_violations(graph):
         problems.append("self-test: csr_violations missed a capacity row in a public array")
-    return problems
-
-
-@invariant(
-    "graph-delta-merge-rebuild",
-    layer="graph/stream",
-    falsifies="append_delta's CSR growth into bucket headroom: its "
-    "compacted view bit-identical to the splice spec and to a stable "
-    "full rebuild",
-)
-def _check_delta_merge() -> List[str]:
-    from .reference import compacted, splice_csr
-
-    problems: List[str] = []
-    for seed in (0, 3, 7):
-        rng = np.random.default_rng(seed)
-        graph = random_hetero_graph(rng, num_txns=6)
-        spec, buffers = compacted(graph.csr()), {}  # warm, so append_delta grows it
-        for _ in range(3):
-            delta = random_delta(rng, graph, num_new_txns=2)
-            graph.append_delta(**delta)
-            spec = splice_csr(spec, graph.num_nodes, delta["edge_src"], delta["edge_dst"], buffers)
-        rebuilt = HeteroGraph(
-            node_type=graph.node_type.copy(),
-            edge_src=graph.edge_src.copy(),
-            edge_dst=graph.edge_dst.copy(),
-            edge_type=graph.edge_type.copy(),
-            txn_table=graph.txn_table.copy(),
-            labels=graph.labels.copy(),
-        )
-        for name, want in (("the splice spec", spec), ("a rebuild", compacted(rebuilt.csr()))):
-            mismatch = csr_mismatch(graph, want)
-            if mismatch is not None:
-                problems.append(f"seed {seed}: {mismatch} of {name}")
     return problems
 
 
@@ -640,153 +600,6 @@ def _check_cache_coherence() -> List[str]:
         snapshot = cache.stats()
         if snapshot["hits"] + snapshot["misses"] != snapshot["lookups"]:
             problems.append("cache counters do not sum to lookups")
-    return problems
-
-
-@invariant(
-    "wal-manifest-agreement",
-    layer="stream",
-    falsifies="sealed segment CRCs/sizes/record counts and contiguous "
-    "sequence ranges agreeing with MANIFEST.json, including a segment "
-    "filled exactly to the rotation boundary",
-    mutants=[
-        edit(
-            "sealed-range-starts-one-past-its-first-record", "repro.stream.wal:EventLog.rotate",
-            '"first_seq": self._active_first_seq,', '"first_seq": self._active_first_seq + 1,',
-            "seq",
-        ),
-    ],
-)
-def _check_wal_manifest() -> List[str]:
-    from ..data.events import encode_event
-    from ..stream.wal import _FRAME_HEADER, EventLog, replay_wal
-
-    problems: List[str] = []
-    rng = np.random.default_rng(11)
-    events = random_events(rng, 9, feature_dim=3)
-    frame_size = _FRAME_HEADER.size + len(encode_event(events[0]))
-    with tempfile.TemporaryDirectory() as directory:
-        # Rotation boundary exactly at 3 frames: appends land on the byte.
-        with EventLog(directory, segment_max_bytes=3 * frame_size) as log:
-            for event in events:
-                log.append(event)
-        problems += wal_violations(directory)
-        replayed = [event for _, event in replay_wal(directory)]
-        if len(replayed) != len(events):
-            problems.append(f"replay returned {len(replayed)} of {len(events)} events")
-        reopened = EventLog(directory, segment_max_bytes=3 * frame_size)
-        if reopened.recovered_tail is not None:
-            problems.append(
-                "clean boundary-filled WAL misclassified as torn: "
-                f"{reopened.recovered_tail.reason}"
-            )
-        if reopened.record_count != len(events):
-            problems.append(
-                f"reopen lost records: {reopened.record_count} != {len(events)}"
-            )
-        reopened.close()
-        # Self-test: flip a byte inside a sealed segment.
-        sealed = sorted(
-            name for name in os.listdir(directory) if name.endswith(".seg")
-        )[0]
-        path = os.path.join(directory, sealed)
-        with open(path, "r+b") as handle:
-            handle.seek(frame_size // 2)
-            original = handle.read(1)
-            handle.seek(frame_size // 2)
-            handle.write(bytes([original[0] ^ 0xFF]))
-        if not wal_violations(directory):
-            problems.append("self-test: wal_violations missed a sealed bit flip")
-    return problems
-
-
-@invariant(
-    "replicated-ledger-agreement",
-    layer="storage",
-    falsifies="owner replicas holding bytes whose CRC32 disagrees with "
-    "the put-time ledger",
-    mutants=[
-        edit(  # only keys written out of band are held to a checksum
-            "anti-entropy-trusts-divergent-ledger-copies",
-            "repro.storage.replicated:ReplicatedKVStore.anti_entropy",
-            "elif expected is not None and checksum != expected:",
-            "elif expected is None and checksum != expected:",
-            "post-repair: key-3@replica",
-        ),
-    ],
-)
-def _check_replicated_ledger() -> List[str]:
-    from ..storage.kvstore import InMemoryKVStore
-    from ..storage.replicated import ReplicatedConfig, ReplicatedKVStore
-
-    problems: List[str] = []
-    replicas = [InMemoryKVStore() for _ in range(3)]
-    store = ReplicatedKVStore(
-        replicas, ReplicatedConfig(replication_factor=2), seed=0
-    )
-    rng = np.random.default_rng(13)
-    for index in range(16):
-        store.put(f"key-{index}", rng.bytes(8 + index))
-    problems += ledger_violations(store)
-    # Self-test: silently corrupt one owner's copy.
-    victim_key = "key-3"
-    owner = store.owners(victim_key)[0]
-    replicas[owner]._data[victim_key] = b"\x00" + replicas[owner]._data[victim_key][1:]
-    found = ledger_violations(store)
-    if not any(victim_key in problem for problem in found):
-        problems.append("self-test: ledger_violations missed a corrupted replica copy")
-    # anti_entropy must repair it back to ledger agreement.
-    store.anti_entropy()
-    problems += [f"post-repair: {p}" for p in ledger_violations(store)]
-    return problems
-
-
-@invariant(
-    "checkpoint-crc-roundtrip",
-    layer="reliability",
-    falsifies="CheckpointManager round-tripping bit-identical state and "
-    "refusing manifests whose CRC32/size no longer match the file",
-    mutants=[
-        edit(
-            "model-state-saved-as-float32", "repro.reliability.checkpoint:_encode_checkpoint",
-            'arrays[f"model::{name}"] = value',
-            'arrays[f"model::{name}"] = value.astype(np.float32)',
-            "not bit-identical after load",
-        ),
-    ],
-)
-def _check_checkpoint_roundtrip() -> List[str]:
-    from ..reliability.checkpoint import CheckpointError, CheckpointManager, TrainingState
-
-    problems: List[str] = []
-    rng = np.random.default_rng(17)
-    state = TrainingState(
-        epoch=3,
-        model_state={"w": rng.normal(size=(4, 3)), "b": rng.normal(size=3)},
-        optimizer_state={"step": 3},
-        rng_states={},
-        best_auc=0.75,
-    )
-    with tempfile.TemporaryDirectory() as directory:
-        manager = CheckpointManager(directory)
-        path = manager.save(state)
-        loaded = manager.load(path)
-        for name, value in state.model_state.items():
-            if not np.array_equal(loaded.model_state[name], value):
-                problems.append(f"model tensor {name!r} not bit-identical after load")
-        if loaded.epoch != state.epoch or loaded.best_auc != state.best_auc:
-            problems.append("scalar state lost in round-trip")
-        # Self-test: flip one byte mid-file; load must refuse.
-        with open(path, "r+b") as handle:
-            handle.seek(os.path.getsize(path) // 2)
-            byte = handle.read(1)
-            handle.seek(-1, os.SEEK_CUR)
-            handle.write(bytes([byte[0] ^ 0xFF]))
-        try:
-            manager.load(path)
-            problems.append("self-test: corrupted checkpoint loaded without error")
-        except CheckpointError:
-            pass
     return problems
 
 

@@ -23,8 +23,8 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 __all__ = ["CASES_PER_SCENARIO", "MUTANTS", "Mutant", "edit", "first_kill", "kill"]
 
-#: Cases each scenario is dealt against a mutant: what ``repro check
-#: --fuzz 150 --seed 0`` deals each of the 15 scenarios.
+#: Cases each scenario is dealt against a mutant: ten each for the 13
+#: scenarios, the first 130 trials of ``repro check --fuzz 150 --seed 0``.
 CASES_PER_SCENARIO = 10
 
 

@@ -65,8 +65,17 @@ def train_test_split(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Split labeled transaction nodes into train/val/test index arrays.
 
-    Stratified by label so both classes appear in every split.
+    Stratified by label so both classes appear in every split. Each
+    fraction lies in ``[0, 1)`` and the two sum to less than 1, so the
+    train split keeps some of every class.
     """
+    for name, fraction in (("test_fraction", test_fraction), ("val_fraction", val_fraction)):
+        if not 0.0 <= fraction < 1.0:
+            raise ValueError(f"{name} must be in [0, 1), got {fraction}")
+    if test_fraction + val_fraction >= 1.0:
+        raise ValueError(
+            f"test_fraction + val_fraction must be < 1, got {test_fraction} + {val_fraction}"
+        )
     rng = np.random.default_rng(seed)
     labeled = graph.labeled_nodes
     train_parts: List[np.ndarray] = []

@@ -118,6 +118,18 @@ def _hash_uniform(ids: np.ndarray, salt: np.uint64) -> np.ndarray:
     return ((mixed >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
 
 
+def _node_ids(graph: HeteroGraph, targets: Sequence[int]) -> np.ndarray:
+    """``targets`` as an int64 array, refused with ValueError naming any
+    outside ``[0, num_nodes)``."""
+    targets = np.asarray(targets, dtype=np.int64)
+    if len(targets) and targets.view(np.uint64).max() >= graph.num_nodes:  # negatives wrap
+        outside = targets[(targets < 0) | (targets >= graph.num_nodes)]
+        raise ValueError(
+            f"targets {outside.tolist()} are not nodes of the graph (0..{graph.num_nodes - 1})"
+        )
+    return targets
+
+
 def _first_occurrence_unique(values: np.ndarray) -> np.ndarray:
     """Unique values in order of first appearance."""
     if len(values) < 2:
@@ -304,12 +316,7 @@ class _Sampler:
         One target (or none) is its own union and takes the plain route.
         A target outside ``[0, num_nodes)`` is refused with ValueError.
         """
-        targets = np.asarray(targets, dtype=np.int64)
-        if len(targets) and targets.view(np.uint64).max() >= graph.num_nodes:  # negatives wrap
-            outside = targets[(targets < 0) | (targets >= graph.num_nodes)]
-            raise ValueError(
-                f"targets {outside.tolist()} are not nodes of the graph (0..{graph.num_nodes - 1})"
-            )
+        targets = _node_ids(graph, targets)
         if disjoint and len(targets) > 1:
             roots = np.arange(len(targets), dtype=np.int64) * graph.num_nodes + targets
             return _induce(graph, self._walk_disjoint(graph, roots, deadline), roots, roots)
@@ -535,11 +542,12 @@ def receptive_field(graph: HeteroGraph, targets: Sequence[int], hops: int) -> Sa
     would hold other values; nothing on the way to the targets' outputs
     reads them, the detector never computes them, and they receive
     zero gradient. A loss over the targets therefore has the parent's
-    value and the parent's parameter gradients.
+    value and the parent's parameter gradients. A target outside
+    ``[0, num_nodes)`` is refused with ValueError.
     """
     if hops < 0:
         raise ValueError("hops must be >= 0")
-    targets = np.asarray(targets, dtype=np.int64)
+    targets = _node_ids(graph, targets)
     frontier = unique_targets = _first_occurrence_unique(targets)
     csr = graph.csr()
     visited = np.zeros(graph.num_nodes, dtype=bool)

@@ -95,6 +95,8 @@ class XFraudDetector(nn.Module):
 
     def __init__(self, config: DetectorConfig) -> None:
         super().__init__()
+        if config.num_layers < 1:  # the head reads the last layer's output
+            raise ValueError(f"num_layers must be >= 1, got {config.num_layers}")
         self.config = config
         rng = np.random.default_rng(config.seed)
         self._rng = rng

@@ -36,8 +36,8 @@ def loss_field(
     ``(graph.num_edges, field.edge_ids)`` so each edge keeps the mask
     it has on ``graph``.
     """
-    targets = np.asarray(targets, dtype=np.int64)
-    labels = graph.labels[targets]
+    field = receptive_field(graph, targets, hops)  # refuses targets that are not nodes
+    labels = graph.labels[np.asarray(targets, dtype=np.int64)]
     if np.any(labels < 0):
         raise ValueError("loss targets must be labeled transactions")
-    return receptive_field(graph, targets, hops), labels
+    return field, labels

@@ -18,7 +18,10 @@ def clip_grad_norm(parameters: Iterable[Parameter], max_norm: float) -> float:
     """Scale gradients in place so their global L2 norm is <= max_norm.
 
     Returns the norm observed before clipping, matching the torch API.
+    A negative ``max_norm`` (which would flip every gradient) is refused.
     """
+    if not max_norm >= 0:
+        raise ValueError(f"max_norm must be >= 0, got {max_norm}")
     params = [p for p in parameters if p.grad is not None]
     if not params:
         return 0.0

@@ -47,6 +47,15 @@ class TrainConfig:
     shuffle: bool = True
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        # clip_grad_norm would scale by a negative factor: gradient ascent.
+        if not self.clip_norm >= 0:
+            raise ValueError(f"clip_norm must be >= 0, got {self.clip_norm}")
+        if not self.learning_rate > 0:
+            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+
 
 @dataclass
 class EpochRecord:

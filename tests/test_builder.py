@@ -105,3 +105,19 @@ class TestSplit:
         a, _, _ = train_test_split(graph, seed=9)
         b, _, _ = train_test_split(graph, seed=9)
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "fractions",
+        [
+            {"test_fraction": 1.5},  # returned an empty train split
+            {"test_fraction": 0.7, "val_fraction": 0.6},  # so did this pair
+            {"test_fraction": -0.2},  # put most labelled nodes in test
+            {"test_fraction": 0.3, "val_fraction": -0.1},
+            {"test_fraction": 0.3, "val_fraction": 0.7},
+            {"test_fraction": float("nan")},
+        ],
+    )
+    def test_split_refuses_fractions_that_leave_no_train_split(self, log, fractions):
+        graph, _ = build_graph(log)
+        with pytest.raises(ValueError, match="fraction"):
+            train_test_split(graph, **fractions)

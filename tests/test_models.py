@@ -54,6 +54,13 @@ class TestForwardShapes:
         assert with_grad / len(model.parameters()) > 0.9
 
     @pytest.mark.parametrize("cls", ALL_MODELS)
+    def test_loss_refuses_targets_that_are_not_nodes(self, cls, tiny_graph, detector_config):
+        model = cls(detector_config)
+        for outside in (tiny_graph.num_nodes + 2, -1):
+            with pytest.raises(ValueError, match=rf"\[{outside}\]"):
+                model.loss(tiny_graph, [0, outside])
+
+    @pytest.mark.parametrize("cls", ALL_MODELS)
     def test_loss_rejects_unlabeled(self, cls, tiny_graph, detector_config):
         entity = int(np.flatnonzero(tiny_graph.labels < 0)[0])
         model = cls(detector_config)
@@ -80,6 +87,11 @@ class TestDetectorSpecifics:
             XFraudDetector(
                 DetectorConfig(feature_dim=tiny_graph.feature_dim, hidden_dim=30, num_heads=4)
             )
+
+    def test_no_layers_refused_when_built(self, detector_config):
+        # It built, and predict_proba then raised IndexError.
+        with pytest.raises(ValueError, match="num_layers"):
+            XFraudDetectorPlus(dataclasses.replace(detector_config, num_layers=0))
 
     def test_node_representations_shape(self, tiny_graph, detector_config):
         model = XFraudDetector(detector_config)

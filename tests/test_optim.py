@@ -200,6 +200,14 @@ class TestClipGradNorm:
         param = Parameter(np.zeros(2))
         assert nn.clip_grad_norm([param], 1.0) == 0.0
 
+    def test_negative_max_norm_refused(self):
+        # It scaled [3, 4] to [-0.6, -0.8]: a step along the gradient.
+        param = Parameter(np.zeros(2))
+        param.grad = np.array([3.0, 4.0])
+        with pytest.raises(ValueError, match="max_norm"):
+            nn.clip_grad_norm([param], -1.0)
+        np.testing.assert_array_equal(param.grad, [3.0, 4.0])
+
 
 class TestCosineDecay:
     def test_decays_to_min(self):

@@ -60,6 +60,12 @@ class TestKernel:
         with pytest.raises(ValueError, match="hops"):
             receptive_field(tiny_graph, [0], hops=-1)
 
+    def test_targets_outside_the_graph_refused_by_name(self, tiny_graph):
+        for outside in ([-1], [0, tiny_graph.num_nodes, 3]):
+            bad = [t for t in outside if not 0 <= t < tiny_graph.num_nodes]
+            with pytest.raises(ValueError, match=rf"targets \{bad}"):
+                receptive_field(tiny_graph, outside, hops=1)
+
     def test_edges_are_the_in_edges_of_the_inner_nodes(self, tiny_graph):
         targets = tiny_graph.txn_nodes[:4]
         inner = receptive_field(tiny_graph, targets, hops=1).original_ids

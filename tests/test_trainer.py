@@ -100,6 +100,27 @@ class TestFitReturnsItsHeap:
         assert all(pin.sum() == 8192 for pin in pins)
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"clip_norm": -1.0},  # trained by gradient ascent
+            {"clip_norm": float("nan")},
+            {"learning_rate": 0.0},
+            {"learning_rate": -1e-2},
+            {"learning_rate": float("nan")},  # turned every weight NaN
+            {"batch_size": 0},
+        ],
+    )
+    def test_refuses_values_that_cannot_train(self, bad):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            TrainConfig(**bad)
+
+    def test_accepts_a_clip_of_zero_and_no_clip_at_all(self):
+        TrainConfig(clip_norm=0.0)
+        TrainConfig(clip_norm=float("inf"), batch_size=1)
+
+
 class TestInferenceTiming:
     def test_full_graph_timing(self, trained_detector, tiny_graph, tiny_splits):
         _, test = tiny_splits
