@@ -19,6 +19,7 @@ import numpy as np
 from _helpers import best_us, format_table, write_result
 from repro.reliability.faults import SlowKVStore
 from repro.storage import InMemoryKVStore, ReplicaHealth, ReplicatedConfig, ReplicatedKVStore
+from repro.storage.replicated import LATENCY_RESERVOIR_SIZE
 from repro.util import nearest_rank_index
 
 REPLICAS = 3
@@ -84,7 +85,7 @@ def _threshold_us_per_read():
     on a full reservoir nothing is replacing."""
     config = ReplicatedConfig()
     health = ReplicaHealth(0, time.monotonic, config)
-    for latency in np.random.default_rng(0).gamma(2.0, 0.0005, size=config.latency_reservoir_size):
+    for latency in np.random.default_rng(0).gamma(2.0, 0.0005, size=LATENCY_RESERVOIR_SIZE):
         health.record_success(float(latency))
 
     def sort_every_read():  # what each read paid before the memo

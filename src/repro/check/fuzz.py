@@ -1670,8 +1670,6 @@ def _faulty_tier(seed: int, size: int):
             probe_interval_s=float(rng.uniform(0.005, 0.05)),
             hedge_min_observations=4,
             hedge_quantile=float(rng.uniform(0.5, 1.0)),
-            verify_crc=bool(rng.random() > 0.1),
-            anti_entropy_interval_s=None if rng.integers(0, 4) else 0.04,
         ),
         clock=clock,
         seed=int(rng.integers(0, 1 << 16)),
@@ -1736,7 +1734,7 @@ def _first_difference(ours, theirs) -> str:
         edit(  # the dead replica keeps being asked
             "gate-not-re-evaluated-after-a-death", _GET_MANY,
             "            dead = None\n            mark = clock()", "            mark = clock()",
-            "result", "replica calls[0]", shrinks_to=(1, 1),
+            "result", "replica calls[1]", shrinks_to=(1, 2),
         ),
         edit(
             "failing-key-read-again-on-the-same-replica", _GET_MANY,
@@ -2132,7 +2130,7 @@ def _random_worker_faults(rng: np.random.Generator, workers: int, epochs: int):
     mutants=[  # the one all-reduce, and the restore rollback, rejoin and resume share
         edit(
             "mean-over-members", "repro.train.distributed:DistributedTrainer.step",
-            "/ len(shard_grads)", "/ len(self.workers)", "by-hand", shrinks_to=(1, 1),
+            "/ len(shard_grads)", "/ len(self.workers)", "by-hand", shrinks_to=(0, 3),
         ),
         edit(  # invisible to the by-hand run: no step between snapshot and rollback
             "restore-skips-the-optimizer", "repro.train.elastic:restore_training_state",
@@ -2142,7 +2140,7 @@ def _random_worker_faults(rng: np.random.Generator, workers: int, epochs: int):
         edit(
             "restore-skips-the-trainer-rng", "repro.train.elastic:restore_training_state",
             'rng.bit_generator.state = state.rng_states["trainer"]', "pass", "by-hand",
-            shrinks_to=(0, 5),
+            shrinks_to=(0, 4),
         ),
         edit(
             "model-state-saved-as-float32", "repro.reliability.checkpoint:_encode_checkpoint",
@@ -2203,13 +2201,12 @@ def _fuzz_supervised_round(seed: int, size: int) -> Optional[str]:
         epochs=epochs,
         batch_size=int(rng.integers(1, 5)),
         learning_rate=1e-2,
-        shuffle=bool(rng.integers(0, 2)),
         seed=seed % 89,
     )
     elastic = ElasticConfig(num_partitions=partitions, skip_budget=workers * epochs)
     where = (
         f"{model_class.__name__}, {workers} workers / {partitions} partitions, "
-        f"{graph.num_nodes} nodes, batch {config.batch_size}, shuffle={config.shuffle}"
+        f"{graph.num_nodes} nodes, batch {config.batch_size}"
     )
 
     def supervised(plan=None, checkpoint=None):

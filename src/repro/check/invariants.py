@@ -771,14 +771,12 @@ def _check_percentiles() -> List[str]:
     if threshold != 2.0:
         problems.append(f"hedge_threshold p50 of 4 samples {threshold} != 2.0")
     # hedge_threshold is memoised on the reservoir's version: keep
-    # feeding a small reservoir until it is full and replacing, and hold
-    # the memo to a fresh sort after every sample and across a clear().
+    # feeding the reservoir until it is full and replacing, and hold the
+    # memo to a fresh sort after every sample and across a clear().
     health = ReplicaHealth(
-        0,
-        lambda: 0.0,
-        ReplicatedConfig(hedge_min_observations=4, hedge_quantile=0.9, latency_reservoir_size=8),
+        0, lambda: 0.0, ReplicatedConfig(hedge_min_observations=4, hedge_quantile=0.9)
     )
-    stream = np.random.default_rng(23).uniform(size=200)
+    stream = np.random.default_rng(23).uniform(size=720)
     for step, value in enumerate(stream):
         if step == 120:
             health.latencies.clear()

@@ -541,15 +541,12 @@ def unstack(stacked: SampledSubgraph, roots: Optional[np.ndarray] = None) -> Lis
 # ----------------------------------------------------------------------
 def per_key_get(store: ReplicatedKVStore, key: str) -> bytes:
     """What ``store.get_many`` must return or raise for ``key``, and
-    leave behind in ``store``, on an unhedged tier: a due background
-    anti-entropy pass; the gate (an owner is a candidate unless dead and
-    not yet due its probe); then the candidates in preference order — a
-    ``contains`` probe, the read, its CRC against the ledger — until one
-    answers. A miss costs nothing, a failed read is charged to its
+    leave behind in ``store``, on an unhedged tier: the gate (an owner
+    is a candidate unless dead and not yet due its probe); then the
+    candidates in preference order — a ``contains`` probe, the read, its
+    CRC against the ledger — until one answers. A miss costs nothing, a failed read is charged to its
     replica, each success is one latency observation, and an answer
     after the first candidate is a failover."""
-    if store.config.anti_entropy_interval_s is not None:
-        store._maybe_background_anti_entropy()
     now = store._clock()
     with store._lock:
         candidates = [i for i in store.owners(key) if store.health[i].available(now)]

@@ -951,6 +951,9 @@ def _cmd_stream(args) -> int:
     if args.runs < 1:
         print("error: --runs must be >= 1", file=sys.stderr)
         return 2
+    if not args.label_delay >= 0:
+        print("error: --label-delay must be >= 0", file=sys.stderr)
+        return 2
 
     results = []
     registry = MetricsRegistry() if args.metrics else None

@@ -49,6 +49,25 @@ from .records import TransactionLog
 
 NUM_ITEM_CATEGORIES = 8
 
+# Per-scenario draws: (low, high) ranges are inclusive counts, probs are
+# per transaction. The config sets how many of each scenario appear.
+BENIGN_TXNS_PER_BUYER = (4, 12)
+STOLEN_CARD_BURST = (3, 7)
+RING_FRAUD_PROB = 0.75
+CULTIVATED_BENIGN = (4, 8)
+CULTIVATED_ATTACK = (2, 4)
+GUEST_FRAUD_PROB = 0.4
+APARTMENT_RESIDENTS = (6, 12)
+APARTMENT_TXNS_PER_RESIDENT = (1, 3)
+# Entity sharing between benign buyers (households sharing an address).
+# Payment tokens are personal: a token appearing under several buyers is
+# the stolen-card signature, so benign pmt sharing is kept rare.
+ADDR_SHARING = 0.25
+PMT_SHARING = 0.02
+FEATURE_NOISE = 1.0
+#: Fraction of benign transactions :meth:`TransactionGenerator.downsample_benign` keeps.
+BENIGN_DOWNSAMPLE = 0.6
+
 
 @dataclass
 class GeneratorConfig:
@@ -60,18 +79,12 @@ class GeneratorConfig:
     """
 
     num_benign_buyers: int = 700
-    benign_txns_per_buyer: tuple = (4, 12)
     num_stolen_cards: int = 8
-    stolen_card_burst: tuple = (3, 7)
     num_warehouse_rings: int = 3
     ring_buyers: tuple = (4, 7)
     ring_txns_per_buyer: tuple = (1, 3)
-    ring_fraud_prob: float = 0.75
     num_cultivated_accounts: int = 5
-    cultivated_benign: tuple = (4, 8)
-    cultivated_attack: tuple = (2, 4)
     num_guest_checkouts: int = 20
-    guest_fraud_prob: float = 0.4
     # Benign address hubs: apartment buildings / PO boxes where many
     # unrelated legitimate buyers ship. Structurally these mimic the
     # fraud warehouses (a high-degree shared address), so telling them
@@ -79,18 +92,8 @@ class GeneratorConfig:
     # — the heterogeneity signal the xFraud detector exploits and
     # type-blind models cannot see.
     num_apartment_buildings: int = 3
-    apartment_residents: tuple = (6, 12)
-    apartment_txns_per_resident: tuple = (1, 3)
-    # Entity sharing between benign buyers (households sharing an
-    # address). Payment tokens are personal: a token appearing under
-    # several buyers is the stolen-card signature, so benign pmt
-    # sharing is kept rare.
-    addr_sharing: float = 0.25
-    pmt_sharing: float = 0.02
     feature_dim: int = 114
-    feature_noise: float = 1.0
     risk_signal: float = 1.2
-    benign_downsample: float = 0.6
     seed: int = 0
 
 
@@ -155,7 +158,7 @@ class TransactionGenerator:
         """
         cfg = self.config
         risk_dim = min(16, cfg.feature_dim)
-        features = self.rng.normal(0.0, cfg.feature_noise, size=cfg.feature_dim)
+        features = self.rng.normal(0.0, FEATURE_NOISE, size=cfg.feature_dim)
         visibility = self.SCENARIO_RISK_VISIBILITY.get(scenario, 1.0)
         shift = cfg.risk_signal * visibility if label == 1 else 0.0
         # Guest checkouts look riskier to the upstream identifier even
@@ -202,7 +205,7 @@ class TransactionGenerator:
             if (
                 allow_sharing
                 and self._shared_addrs
-                and self.rng.random() < self.config.addr_sharing
+                and self.rng.random() < ADDR_SHARING
             ):
                 return self._pick(self._shared_addrs)
             addr = self._alloc.new("addr")
@@ -214,7 +217,7 @@ class TransactionGenerator:
             if (
                 allow_sharing
                 and self._shared_pmts
-                and self.rng.random() < self.config.pmt_sharing
+                and self.rng.random() < PMT_SHARING
             ):
                 return self._pick(self._shared_pmts)
             pmt = self._alloc.new("pmt")
@@ -249,7 +252,7 @@ class TransactionGenerator:
                 allow_sharing=True,
             )
             profiles.append(profile)
-            for _ in range(self._rand_range(self.config.benign_txns_per_buyer)):
+            for _ in range(self._rand_range(BENIGN_TXNS_PER_BUYER)):
                 log.append(
                     self._record(
                         buyer_id=profile.buyer_id,
@@ -270,7 +273,7 @@ class TransactionGenerator:
             victim = self._pick(victims)
             stolen_pmt = self._pick(victim.pmt_ids)
             thief = self._new_buyer()
-            for _ in range(self._rand_range(self.config.stolen_card_burst)):
+            for _ in range(self._rand_range(STOLEN_CARD_BURST)):
                 log.append(
                     self._record(
                         buyer_id=thief.buyer_id,
@@ -289,7 +292,7 @@ class TransactionGenerator:
             for _ in range(self._rand_range(self.config.ring_buyers)):
                 member = self._new_buyer()
                 for _ in range(self._rand_range(self.config.ring_txns_per_buyer)):
-                    label = int(self.rng.random() < self.config.ring_fraud_prob)
+                    label = int(self.rng.random() < RING_FRAUD_PROB)
                     log.append(
                         self._record(
                             buyer_id=member.buyer_id,
@@ -305,9 +308,9 @@ class TransactionGenerator:
         """Benign address hubs that structurally mimic warehouses."""
         for _ in range(self.config.num_apartment_buildings):
             building_addr = self._alloc.new("addr")
-            for _ in range(self._rand_range(self.config.apartment_residents)):
+            for _ in range(self._rand_range(APARTMENT_RESIDENTS)):
                 resident = self._new_buyer()
-                for _ in range(self._rand_range(self.config.apartment_txns_per_resident)):
+                for _ in range(self._rand_range(APARTMENT_TXNS_PER_RESIDENT)):
                     log.append(
                         self._record(
                             buyer_id=resident.buyer_id,
@@ -323,7 +326,7 @@ class TransactionGenerator:
         """Benign history first, then a fraud burst from the same account."""
         for _ in range(self.config.num_cultivated_accounts):
             account = self._new_buyer()
-            for _ in range(self._rand_range(self.config.cultivated_benign)):
+            for _ in range(self._rand_range(CULTIVATED_BENIGN)):
                 log.append(
                     self._record(
                         buyer_id=account.buyer_id,
@@ -335,7 +338,7 @@ class TransactionGenerator:
                     )
                 )
             attack_pmt = self._alloc.new("pmt")
-            for _ in range(self._rand_range(self.config.cultivated_attack)):
+            for _ in range(self._rand_range(CULTIVATED_ATTACK)):
                 log.append(
                     self._record(
                         buyer_id=account.buyer_id,
@@ -350,7 +353,7 @@ class TransactionGenerator:
     def _emit_guest_checkouts(self, log: TransactionLog, profiles: List[_BuyerProfile]) -> None:
         """Buyer-less transactions; some link to existing risky entities."""
         for _ in range(self.config.num_guest_checkouts):
-            fraud = int(self.rng.random() < self.config.guest_fraud_prob)
+            fraud = int(self.rng.random() < GUEST_FRAUD_PROB)
             if fraud and profiles and self.rng.random() < 0.5:
                 # Linkable guest fraud: reuses a stolen token from an
                 # existing profile (detectable through graph linkage).
@@ -391,7 +394,7 @@ class TransactionGenerator:
         Mirrors the paper's label-sampling step that lifts the fraud
         rate from ~0.04% to ~4% before GNN training.
         """
-        fraction = self.config.benign_downsample if keep_fraction is None else keep_fraction
+        fraction = BENIGN_DOWNSAMPLE if keep_fraction is None else keep_fraction
         kept = TransactionLog()
         for record in log:
             if record.label == 1 or self.rng.random() < fraction:

@@ -32,6 +32,13 @@ from ..graph.hetero import HeteroGraph
 from ..nn import Tensor
 from ..nn import functional as F
 
+#: Appendix D's loss weights: edge-mask size and entropy (eq. 12),
+#: node-feature-mask size and entropy (eq. 13).
+BETA_EDGE_SIZE = 0.005
+BETA_EDGE_ENTROPY = 1.0
+BETA_NODE_FEATURE_SIZE = 0.1
+BETA_NODE_FEATURE_ENTROPY = 0.1
+
 
 @dataclass
 class ExplainerConfig:
@@ -39,11 +46,6 @@ class ExplainerConfig:
 
     epochs: int = 100
     learning_rate: float = 0.01
-    beta_edge_size: float = 0.005
-    beta_edge_entropy: float = 1.0
-    beta_node_feature_size: float = 0.1
-    beta_node_feature_entropy: float = 0.1
-    use_true_label: bool = False
     seed: int = 0
 
 
@@ -110,15 +112,10 @@ class GNNExplainer:
         detector = self.detector
         with _frozen(detector):
             # Target class: the detector's own prediction (mutual
-            # information with the model), or the true label on demand.
-            if config.use_true_label:
-                target = int(graph.labels[node_index])
-                if target < 0:
-                    raise ValueError("node has no label; use predicted label instead")
-            else:
-                with nn.no_grad():
-                    base_logits = detector(graph, [node_index])
-                target = int(np.argmax(base_logits.data[0]))
+            # information with the model).
+            with nn.no_grad():
+                base_logits = detector(graph, [node_index])
+            target = int(np.argmax(base_logits.data[0]))
 
             edge_logits = nn.Parameter(rng.normal(0.0, 0.1, size=graph.num_edges))
             feature_logits = nn.Parameter(
@@ -154,7 +151,6 @@ class GNNExplainer:
         edge_logits: Tensor,
         feature_logits: Tensor,
     ) -> Tensor:
-        config = self.config
         edge_mask = edge_logits.sigmoid()
         feature_mask = feature_logits.sigmoid()
 
@@ -166,16 +162,14 @@ class GNNExplainer:
 
         # eq. 12: edge-mask size + entropy.
         num_edges = max(graph.num_edges, 1)
-        edge_size = edge_mask.sum() * (config.beta_edge_size)
-        edge_entropy = F.bernoulli_entropy(edge_mask).sum() * (
-            config.beta_edge_entropy / num_edges
-        )
+        edge_size = edge_mask.sum() * BETA_EDGE_SIZE
+        edge_entropy = F.bernoulli_entropy(edge_mask).sum() * (BETA_EDGE_ENTROPY / num_edges)
 
         # eq. 13: node-feature-mask size + entropy (normalised by |V|).
         num_entries = max(feature_mask.size, 1)
-        feature_size = feature_mask.sum() * (config.beta_node_feature_size / num_entries)
+        feature_size = feature_mask.sum() * (BETA_NODE_FEATURE_SIZE / num_entries)
         feature_entropy = F.bernoulli_entropy(feature_mask).sum() * (
-            config.beta_node_feature_entropy / num_entries
+            BETA_NODE_FEATURE_ENTROPY / num_entries
         )
 
         return detector_loss + edge_size + edge_entropy + feature_size + feature_entropy

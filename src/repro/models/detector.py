@@ -65,6 +65,10 @@ def _layer_norm_vjp(
     return d_centred + -d_centred.sum(axis=-1, keepdims=True) * share
 
 
+#: Output classes: the paper's task is binary, fraud vs legit (eq. 11).
+NUM_CLASSES = 2
+
+
 @dataclass
 class DetectorConfig:
     """Hyperparameters (paper defaults scaled to simulation size).
@@ -80,7 +84,6 @@ class DetectorConfig:
     num_layers: int = 2
     ffn_hidden_dim: int = 64
     dropout: float = 0.2
-    num_classes: int = 2
     # Ablation switches (Sec. 3.2.1): xFraud shares weights across
     # node types. ``target_specific_aggregation`` restores HGT-style
     # per-target-type aggregation; ``per_type_projections`` restores
@@ -124,7 +127,7 @@ class XFraudDetector(nn.Module):
         self.head_norm1 = nn.LayerNorm(config.ffn_hidden_dim)
         self.head_fc2 = nn.Linear(config.ffn_hidden_dim, config.ffn_hidden_dim, rng=rng)
         self.head_norm2 = nn.LayerNorm(config.ffn_hidden_dim)
-        self.head_out = nn.Linear(config.ffn_hidden_dim, config.num_classes, rng=rng)
+        self.head_out = nn.Linear(config.ffn_hidden_dim, NUM_CLASSES, rng=rng)
         self.head_dropout = nn.Dropout(config.dropout, rng=rng)
         self._layout_memo = None  # see _convolve
 
@@ -192,7 +195,7 @@ class XFraudDetector(nn.Module):
         feature_mask: Optional[Tensor] = None,
         edge_rows: Optional[EdgeRows] = None,
     ) -> Tensor:
-        """Logits ``(len(targets), num_classes)`` for target txn nodes; an entity raises."""
+        """Logits ``(len(targets), NUM_CLASSES)`` for target txn nodes; an entity raises."""
         targets = np.asarray(targets, dtype=np.int64)
         rank, h = self._convolve(graph, targets, edge_mask, feature_mask, edge_rows)
         original = Tensor(graph.txn_table[graph.txn_rows(targets)])

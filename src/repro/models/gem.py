@@ -21,7 +21,7 @@ from .. import nn
 from ..graph.hetero import NODE_TYPES, HeteroGraph
 from ..nn import Tensor
 from ..nn import functional as F
-from .detector import DetectorConfig
+from .detector import NUM_CLASSES, DetectorConfig
 from .field import loss_field
 from .inference import padded_features, tensor_predict_proba
 
@@ -76,7 +76,7 @@ class GEMModel(nn.Module):
             nn.Dropout(config.dropout, rng=rng),
             nn.LayerNorm(config.ffn_hidden_dim),
             nn.ReLU(),
-            nn.Linear(config.ffn_hidden_dim, config.num_classes, rng=rng),
+            nn.Linear(config.ffn_hidden_dim, NUM_CLASSES, rng=rng),
         )
 
     def node_representations(self, graph: HeteroGraph) -> Tensor:

@@ -17,7 +17,7 @@ from .. import nn
 from ..graph.hetero import HeteroGraph
 from ..nn import Tensor
 from ..nn import functional as F
-from .detector import DetectorConfig
+from .detector import NUM_CLASSES, DetectorConfig
 from .field import loss_field
 from .inference import tensor_predict_proba
 
@@ -42,7 +42,7 @@ class FeatureMLP(nn.Module):
             nn.Dropout(config.dropout, rng=rng),
             nn.LayerNorm(config.ffn_hidden_dim),
             nn.ReLU(),
-            nn.Linear(config.ffn_hidden_dim, config.num_classes, rng=rng),
+            nn.Linear(config.ffn_hidden_dim, NUM_CLASSES, rng=rng),
         )
 
     def forward(self, graph: HeteroGraph, targets: Sequence[int]) -> Tensor:

@@ -71,17 +71,23 @@ class Rule:
         return " AND ".join(str(c) for c in self.conditions)
 
 
+# Rule induction (skope-rules-like): at most MAX_RULES rules of at most
+# MAX_TERMS conditions, thresholds at CANDIDATE_QUANTILES of the
+# MAX_FEATURES most separating features, and a rule is kept when its
+# validation precision and recall clear the floors.
+MAX_TERMS = 2
+MAX_RULES = 10
+CANDIDATE_QUANTILES = (0.5, 0.75, 0.9, 0.95)
+MIN_PRECISION = 0.3
+MIN_RECALL = 0.02
+MAX_FEATURES = 32
+VALIDATION_FRACTION = 0.3
+
+
 @dataclass
 class MinerConfig:
-    """Rule-induction knobs (skope-rules-like defaults)."""
+    """Seed of the miner's train/validation split."""
 
-    max_terms: int = 2
-    max_rules: int = 10
-    candidate_quantiles: Tuple[float, ...] = (0.5, 0.75, 0.9, 0.95)
-    min_precision: float = 0.3
-    min_recall: float = 0.02
-    max_features: int = 32
-    validation_fraction: float = 0.3
     seed: int = 0
 
 
@@ -151,7 +157,7 @@ class RuleMiner:
 
         rng = np.random.default_rng(self.config.seed)
         order = rng.permutation(len(labels))
-        cut = int(len(order) * (1 - self.config.validation_fraction))
+        cut = int(len(order) * (1 - VALIDATION_FRACTION))
         train_idx, valid_idx = order[:cut], order[cut:]
         x_train, y_train = features[train_idx], labels[train_idx]
         x_valid, y_valid = features[valid_idx], labels[valid_idx]
@@ -163,12 +169,12 @@ class RuleMiner:
         literals = self._candidate_literals(x_train, y_train)
         rule_set = RuleSet()
         covered = np.zeros(len(y_train), dtype=bool)
-        for _ in range(self.config.max_rules):
+        for _ in range(MAX_RULES):
             rule = self._grow_rule(x_train, y_train, literals, covered)
             if rule is None:
                 break
             precision, recall = rule.precision_recall(x_valid, y_valid)
-            if precision >= self.config.min_precision and recall >= self.config.min_recall:
+            if precision >= MIN_PRECISION and recall >= MIN_RECALL:
                 rule_set.rules.append(rule)
                 rule_set.scores.append((precision, recall))
             # Remove the covered fraud so later rules target the rest.
@@ -188,10 +194,10 @@ class RuleMiner:
         separation = np.abs(fraud.mean(axis=0) - benign.mean(axis=0)) / (
             features.std(axis=0) + 1e-9
         )
-        top = np.argsort(-separation)[: self.config.max_features]
+        top = np.argsort(-separation)[:MAX_FEATURES]
         literals: List[Condition] = []
         for feature in top:
-            for quantile in self.config.candidate_quantiles:
+            for quantile in CANDIDATE_QUANTILES:
                 threshold = float(np.quantile(features[:, feature], quantile))
                 literals.append(Condition(int(feature), ">", threshold))
                 literals.append(Condition(int(feature), "<=", threshold))
@@ -210,7 +216,7 @@ class RuleMiner:
             return None
         active = np.ones(len(labels), dtype=bool)
         chosen: List[Condition] = []
-        for _ in range(self.config.max_terms):
+        for _ in range(MAX_TERMS):
             best, best_score = None, (-1.0, -1.0)
             for literal in literals:
                 if any(literal.feature == c.feature and literal.op == c.op for c in chosen):

@@ -28,6 +28,16 @@ SHED_QUEUE_FULL = "queue_full"
 SHED_RATE_LIMITED = "rate_limited"
 
 
+def check_bucket(rate: float, capacity: float) -> None:
+    """Refuse a bucket that would not limit as configured: a NaN rate
+    admits everything and a -inf one reads as unlimited, a NaN capacity
+    sheds everything."""
+    if not rate > 0:
+        raise ValueError(f"rate must be positive (or inf to disable limiting), got {rate}")
+    if not capacity > 0:
+        raise ValueError(f"burst capacity must be positive, got {capacity}")
+
+
 class TokenBucket:
     """Continuous-refill token bucket (``rate`` tokens/s, burst ``capacity``)."""
 
@@ -37,10 +47,7 @@ class TokenBucket:
         capacity: float,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        if rate <= 0 and not math.isinf(rate):
-            raise ValueError("rate must be positive (or inf to disable limiting)")
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
+        check_bucket(rate, capacity)
         self.rate = float(rate)
         self.capacity = float(capacity)
         self._clock = clock

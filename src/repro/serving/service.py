@@ -12,7 +12,7 @@ scorer needs to survive heavy traffic and partial outages:
   propagated through neighbour sampling and KV feature fetch; the
   budget can be overrun by at most one pipeline stage.
 * **One read path** — feature rows are read with one ``get_many`` per
-  ``fetch_chunk`` keys from whatever store is given; a read that fails
+  ``FETCH_CHUNK`` keys from whatever store is given; a read that fails
   demotes the batch as ``kv_unavailable``. Gating, failover and probing
   belong to the store: a
   :class:`~repro.storage.replicated.ReplicatedKVStore` (a single store
@@ -54,7 +54,7 @@ from ..storage.kvstore import (
 )
 from ..storage.loader import load_rows
 from ..storage.replicated import AllReplicasFailedError
-from .admission import SHED_RATE_LIMITED, AdmissionQueue, TokenBucket
+from .admission import SHED_RATE_LIMITED, AdmissionQueue, TokenBucket, check_bucket
 from .deadline import Deadline, DeadlineExceeded
 from .stats import ServiceStats
 
@@ -64,6 +64,10 @@ RUNG_PRIOR = "prior"
 
 VERDICT_FRAUD = "fraud"
 VERDICT_LEGIT = "legit"
+#: A score at or above this is a fraud verdict.
+FRAUD_THRESHOLD = 0.5
+#: Feature rows per ``get_many`` (one deadline check each).
+FETCH_CHUNK = 32
 
 
 class FeatureFetchError(RuntimeError):
@@ -75,12 +79,10 @@ class ServiceConfig:
     """Operating envelope of one :class:`ScoringService` instance."""
 
     deadline_s: float = 0.050
-    fraud_threshold: float = 0.5
     static_prior: float = 0.02
     queue_capacity: int = 64
     rate: float = float("inf")  # admitted requests/s (inf = unlimited)
     burst: float = 128.0  # token-bucket capacity
-    fetch_chunk: int = 32  # feature rows per get_many (one deadline check each)
     # Micro-batching: requests per coalesced sampler-call/forward in
     # score_batch / drain. None = coalesce the whole call into one
     # micro-batch (one forward per degradation rung, however many
@@ -92,8 +94,7 @@ class ServiceConfig:
             raise ValueError("deadline_s must be positive")
         if not 0.0 <= self.static_prior <= 1.0:
             raise ValueError("static_prior must be within [0, 1]")
-        if self.fetch_chunk < 1:
-            raise ValueError("fetch_chunk must be >= 1")
+        check_bucket(self.rate, self.burst)
         if self.batch_size is not None and self.batch_size < 1:
             raise ValueError("batch_size must be >= 1 (or None for unbounded)")
 
@@ -346,7 +347,7 @@ class ScoringService:
         not already hold (cached per target), ONE stacked forward graph
         with one component per distinct target (a repeated request is
         scored on its target's one component), one KV ``get_many`` per
-        ``config.fetch_chunk`` distinct feature rows, and one
+        ``FETCH_CHUNK`` distinct feature rows, and one
         ``predict_proba`` forward per degradation rung actually used —
         not one per request. Scores do not depend on batch composition
         (within float noise); responses come back in request order.
@@ -433,7 +434,7 @@ class ScoringService:
         )
 
     def _verdict(self, score: float) -> str:
-        return VERDICT_FRAUD if score >= self.config.fraud_threshold else VERDICT_LEGIT
+        return VERDICT_FRAUD if score >= FRAUD_THRESHOLD else VERDICT_LEGIT
 
     # -- the scoring pipeline ------------------------------------------
     def _score_micro_batched(self, requests: Sequence[ScoreRequest]) -> List[ScoreResponse]:
@@ -605,7 +606,7 @@ class ScoringService:
     # -- rung 0: full GNN ----------------------------------------------
     def _fetch_features(self, node_ids: np.ndarray, deadline: Deadline) -> np.ndarray:
         """Hydrate feature rows from the KV-store — one ``get_many``
-        per ``fetch_chunk`` keys, the deadline checked before each.
+        per ``FETCH_CHUNK`` keys, the deadline checked before each.
 
         The store is read as it is: its own failover, hedging and health
         gate decide which copy answers, and a dead copy is skipped
@@ -621,7 +622,7 @@ class ScoringService:
         table = self.graph.txn_table
         rows = np.empty((len(node_ids), table.shape[1]), dtype=table.dtype)
         filled = 0
-        for chunk in batched(node_ids, self.config.fetch_chunk):
+        for chunk in batched(node_ids, FETCH_CHUNK):
             deadline.check("feature fetch")
             out = rows[filled : filled + len(chunk)]
             filled += len(chunk)

@@ -52,8 +52,8 @@ layer a production deployment actually runs:
   per-owner CRC32s against the ledger (majority vote when no ledger
   entry exists), read-repairs divergent/missing/corrupt copies from a
   verified-good replica, and flips repaired quarantined replicas back
-  to probing. Set ``anti_entropy_interval_s`` to run incremental
-  background passes piggybacked on reads.
+  to probing. A pass runs when called (``repro healthcheck``, the
+  serve demo); reads never start one.
 
 One gate per replica: :class:`ReplicaHealth` alone decides whether a
 replica is read; there is no circuit breaker in this tier. A replica
@@ -84,6 +84,11 @@ from ..obs.registry import MetricsRegistry, Reservoir
 from ..util import nearest_rank_index
 from .kvstore import CorruptStoreError, KVStore, kv_read_metrics, propagate_instrument
 
+#: Weight of the newest read in a replica's latency EWMA.
+EWMA_ALPHA = 0.2
+#: Latency samples each replica keeps for its hedge threshold.
+LATENCY_RESERVOIR_SIZE = 256
+
 
 class AllReplicasFailedError(IOError):
     """Every candidate replica failed (or is dead) for one operation."""
@@ -108,14 +113,9 @@ class ReplicatedConfig:
     suspect_after: int = 1  # consecutive errors before healthy -> suspect
     dead_after: int = 3  # consecutive errors before -> dead
     probe_interval_s: float = 0.5  # dead -> probing after this long
-    ewma_alpha: float = 0.2
     hedge_quantile: float = 0.95
     hedge_min_observations: int = 16  # reservoir floor before hedging arms
     concurrent_hedge: bool = False
-    verify_crc: bool = True
-    latency_reservoir_size: int = 256
-    anti_entropy_interval_s: Optional[float] = None  # None = manual only
-    anti_entropy_batch: int = 64  # keys per background increment
 
     def __post_init__(self) -> None:
         if self.replication_factor < 1:
@@ -124,14 +124,10 @@ class ReplicatedConfig:
             raise ValueError("need 1 <= suspect_after <= dead_after")
         if self.probe_interval_s <= 0:
             raise ValueError("probe_interval_s must be positive")
-        if not 0.0 < self.ewma_alpha <= 1.0:
-            raise ValueError("ewma_alpha must be in (0, 1]")
         if not 0.0 < self.hedge_quantile <= 1.0:
             raise ValueError("hedge_quantile must be in (0, 1]")
         if self.hedge_min_observations < 1:
             raise ValueError("hedge_min_observations must be >= 1")
-        if self.anti_entropy_interval_s is not None and self.anti_entropy_interval_s <= 0:
-            raise ValueError("anti_entropy_interval_s must be positive (or None)")
 
 
 class ReplicaHealth:
@@ -159,7 +155,7 @@ class ReplicaHealth:
         self.reads_ok = 0
         self.reads_error = 0
         self.transitions: List[Tuple[float, str, str, str]] = []  # (at, from, to, reason)
-        self.latencies = Reservoir(config.latency_reservoir_size, seed=index)
+        self.latencies = Reservoir(LATENCY_RESERVOIR_SIZE, seed=index)
         # (reservoir version, threshold): one tuple so a reader never
         # pairs one version with another version's value.
         self._threshold_memo: Tuple[int, Optional[float]] = (-1, None)
@@ -191,11 +187,10 @@ class ReplicaHealth:
         EWMA the operators watch.
         """
         self.consecutive_errors = 0
-        alpha = self.config.ewma_alpha
         if self.ewma_latency_s is None:
             self.ewma_latency_s = float(latency_s)
         else:
-            self.ewma_latency_s += alpha * (float(latency_s) - self.ewma_latency_s)
+            self.ewma_latency_s += EWMA_ALPHA * (float(latency_s) - self.ewma_latency_s)
         if record_sample:
             self.latencies.add(float(latency_s))
         self.reads_ok += reads
@@ -327,9 +322,6 @@ class ReplicatedKVStore(KVStore):
         # (replica, "error" | "corrupt") -> failed reads; a replica's
         # ReplicaHealth.reads_error also counts its failed writes.
         self.read_failures: Counter = Counter()
-        self._last_anti_entropy = clock()
-        self._anti_entropy_cursor = 0
-        self._in_anti_entropy = False
         self._reads_total = None
         self._read_seconds = None
         if registry is not None:
@@ -468,7 +460,6 @@ class ReplicatedKVStore(KVStore):
             self._reads_total.inc(len(keys), store="replicated")
 
     def _get_many(self, keys: Sequence[str]) -> List[bytes]:
-        background = self.config.anti_entropy_interval_s is not None
         hedging = self.config.concurrent_hedge  # every key its own race
         owners_of, clock = self._owners_cache, self._clock
         reads = [0] * len(self.replicas)  # primary successes not yet in ReplicaHealth,
@@ -478,8 +469,6 @@ class ReplicatedKVStore(KVStore):
         mark = clock()
         try:
             for key in keys:
-                if background and self._maybe_background_anti_entropy():
-                    dead = None  # a repair may have moved a dead replica to probing
                 if dead is None:
                     dead = self._dead_replicas()
                 owners = owners_of.get(key) or self.owners(key)
@@ -685,12 +674,9 @@ class ReplicatedKVStore(KVStore):
     def _verified_read(self, index: int, key: str) -> bytes:
         """``key`` from replica ``index``, CRC-checked against the ledger."""
         value = self.replicas[index].get(key)
-        if self.config.verify_crc:
-            expected = self._crc.get(key)
-            if expected is not None and zlib.crc32(value) != expected:
-                raise CorruptStoreError(
-                    f"replica {index}: ledger checksum mismatch for {key!r}"
-                )
+        expected = self._crc.get(key)
+        if expected is not None and zlib.crc32(value) != expected:
+            raise CorruptStoreError(f"replica {index}: ledger checksum mismatch for {key!r}")
         return value
 
     def _ensure_executor(self) -> ThreadPoolExecutor:
@@ -703,9 +689,7 @@ class ReplicatedKVStore(KVStore):
             return self._executor
 
     # -- anti-entropy ---------------------------------------------------
-    def anti_entropy(
-        self, repair: bool = True, keys: Optional[Sequence[str]] = None
-    ) -> AntiEntropyReport:
+    def anti_entropy(self, repair: bool = True) -> AntiEntropyReport:
         """Compare per-owner checksums and read-repair divergence.
 
         The ledger CRC (recorded at ``put``) is the source of truth;
@@ -718,7 +702,7 @@ class ReplicatedKVStore(KVStore):
         """
         report = AntiEntropyReport()
         resurrected: set = set()
-        for key in keys if keys is not None else self.keys():
+        for key in self.keys():
             report.keys_checked += 1
             owners = self.owners(key)
             observed: Dict[int, object] = {}
@@ -791,30 +775,6 @@ class ReplicatedKVStore(KVStore):
                 self.health[index].mark_probing("anti-entropy repair")
             self.repairs += report.repaired
         return report
-
-    def _maybe_background_anti_entropy(self) -> bool:
-        """Piggyback an incremental repair pass on reads when configured;
-        whether one ran."""
-        interval = self.config.anti_entropy_interval_s
-        if interval is None or self._in_anti_entropy:
-            return False
-        now = self._clock()
-        if now - self._last_anti_entropy < interval:
-            return False
-        self._last_anti_entropy = now
-        all_keys = self.keys()
-        if not all_keys:
-            return False
-        batch = min(self.config.anti_entropy_batch, len(all_keys))
-        start = self._anti_entropy_cursor % len(all_keys)
-        chunk = [all_keys[(start + i) % len(all_keys)] for i in range(batch)]
-        self._anti_entropy_cursor = (start + batch) % len(all_keys)
-        self._in_anti_entropy = True
-        try:
-            self.anti_entropy(repair=True, keys=chunk)
-        finally:
-            self._in_anti_entropy = False
-        return True
 
     # -- KVStore surface ------------------------------------------------
     def contains(self, key: str) -> bool:

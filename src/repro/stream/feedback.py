@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Deque, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -57,8 +57,8 @@ class LabelFeed:
     """
 
     def __init__(self, delay_s: float) -> None:
-        if delay_s < 0:
-            raise ValueError("delay_s must be >= 0")
+        if not delay_s >= 0:  # a NaN delay never matures a label
+            raise ValueError(f"delay_s must be >= 0, got {delay_s}")
         self.delay_s = delay_s
         self._heap: List[Tuple[float, int, int, int]] = []
         self._offered = 0
@@ -111,24 +111,28 @@ class OnlineAUC:
 # ----------------------------------------------------------------------
 # Drift detection
 # ----------------------------------------------------------------------
+#: PSI bins, cut at the reference window's quantiles.
+PSI_BINS = 10
+#: Added to every bin's count so an empty bin keeps PSI finite.
+PSI_EPSILON = 1e-4
+
+
 @dataclass
 class DriftConfig:
     """PSI/KS drift-detector knobs."""
 
     window: int = 256
     min_samples: int = 64
-    bins: int = 10
     psi_alert: float = 0.25
     ks_alert: float = 0.25
-    epsilon: float = 1e-4
 
     def __post_init__(self) -> None:
         # The current window holds at most ``window`` points, so a larger
         # ``min_samples`` would keep every check() at None forever.
         if self.min_samples > self.window:
             raise ValueError("min_samples must be <= window (checks would never run)")
-        if self.bins < 2:
-            raise ValueError("bins must be >= 2")
+        if self.min_samples < 1:
+            raise ValueError("min_samples must be >= 1 (a check needs a current window)")
 
 
 @dataclass
@@ -200,13 +204,11 @@ class DriftDetector:
 
     def _freeze_reference(self) -> None:
         reference = np.asarray(self._reference, dtype=np.float64)
-        quantiles = np.linspace(0.0, 1.0, self.config.bins + 1)[1:-1]
+        quantiles = np.linspace(0.0, 1.0, PSI_BINS + 1)[1:-1]
         inner = np.quantile(reference, quantiles)
         self._edges = np.concatenate(([-np.inf], inner, [np.inf]))
         counts = np.histogram(reference, bins=self._edges)[0].astype(np.float64)
-        self._ref_fractions = (counts + self.config.epsilon) / (
-            counts.sum() + self.config.epsilon * len(counts)
-        )
+        self._ref_fractions = (counts + PSI_EPSILON) / (counts.sum() + PSI_EPSILON * len(counts))
         self._ref_sorted = np.sort(reference)
 
     def check(self) -> Optional[DriftReport]:
@@ -219,9 +221,7 @@ class DriftDetector:
             return None
         current = np.asarray(self._current, dtype=np.float64)
         counts = np.histogram(current, bins=self._edges)[0].astype(np.float64)
-        fractions = (counts + self.config.epsilon) / (
-            counts.sum() + self.config.epsilon * len(counts)
-        )
+        fractions = (counts + PSI_EPSILON) / (counts.sum() + PSI_EPSILON * len(counts))
         psi = float(
             np.sum((fractions - self._ref_fractions) * np.log(fractions / self._ref_fractions))
         )
@@ -256,6 +256,11 @@ class FineTuneConfig:
     learning_rate: float = 1e-3
     every_labels: int = 64
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        # ``window[-0:]`` is the whole window, not none of it.
+        if self.max_nodes < 1:
+            raise ValueError(f"max_nodes must be >= 1, got {self.max_nodes}")
 
 
 @dataclass

@@ -35,6 +35,11 @@ from .builder import IncrementalGraphBuilder
 from .feedback import DriftConfig, DriftDetector, LabelFeed, OnlineAUC, OnlineFineTuner
 from .wal import EventLog
 
+#: Matured (label, score) pairs in the prequential AUC window.
+AUC_WINDOW = 512
+#: Most recent labelled transactions an online fine-tune draws from.
+LABELLED_WINDOW = 1024
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs.registry import MetricsRegistry
 
@@ -47,8 +52,6 @@ class StreamConfig:
     queue_capacity: int = 256
     label_delay_s: float = 2.0
     compact_every: int = 256  # applied events between compactions
-    auc_window: int = 512
-    labelled_window: int = 1024
     drift: DriftConfig = field(default_factory=DriftConfig)
 
     def __post_init__(self) -> None:
@@ -58,6 +61,8 @@ class StreamConfig:
             raise ValueError("queue_capacity must be >= 1")
         if self.compact_every < 1:
             raise ValueError("compact_every must be >= 1")
+        if not self.label_delay_s >= 0:  # a NaN delay never matures a label
+            raise ValueError(f"label_delay_s must be >= 0, got {self.label_delay_s}")
 
 
 @dataclass
@@ -124,7 +129,7 @@ class StreamScorer:
         self.clock = clock if clock is not None else service._clock
         self.finetuner = finetuner
         self.label_feed = LabelFeed(self.config.label_delay_s)
-        self.online_auc = OnlineAUC(window=self.config.auc_window)
+        self.online_auc = OnlineAUC(window=AUC_WINDOW)
         self.score_drift = DriftDetector("score", self.config.drift, registry)
         self.feature_drift = DriftDetector("feature", self.config.drift, registry)
         self.events_ingested = 0
@@ -133,7 +138,7 @@ class StreamScorer:
         self.backpressure_rejections = 0
         self._queue: Deque[TxnEvent] = deque()
         self._scores: Dict[int, float] = {}
-        self._labelled_window: Deque[int] = deque(maxlen=self.config.labelled_window)
+        self._labelled_window: Deque[int] = deque(maxlen=LABELLED_WINDOW)
         self._events_since_compaction = 0
         self._last_event_ts: Optional[float] = None
         if registry is not None:

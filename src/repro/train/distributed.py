@@ -220,9 +220,7 @@ class DistributedTrainer:
             accumulated = [np.zeros_like(p.data) for p in self.model.parameters()]
             losses: List[float] = []
             if worker.num_train:
-                nodes = worker.train_local
-                if self.config.shuffle:
-                    nodes = self.rng.permutation(nodes)
+                nodes = self.rng.permutation(worker.train_local)
                 for batch in batched(nodes, self.config.batch_size):
                     self.model.zero_grad()
                     loss = self.model.loss(worker.graph, batch)

@@ -27,7 +27,7 @@ rejoin with zero manual intervention:
   probing state with a state catch-up from that same checkpoint; its
   first completed round confirms it back to healthy.
 * **Straggler mitigation** — per-worker EWMA step latency; when a
-  shard's step exceeds ``straggler_k ×`` the median EWMA, a backup
+  shard's step exceeds ``STRAGGLER_K ×`` the median EWMA, a backup
   execution of that shard is launched on the fastest peer and the
   first result wins, ties breaking deterministically to the lower
   worker id. (Both executions compute the identical gradient — the
@@ -102,9 +102,16 @@ __all__ = [
 #: and keeps ``-log10`` finite when ``erfc`` underflows to exactly 0.
 _MIN_SURVIVAL = 1e-12
 
-#: Simulated per-worker step latency (seconds), spread +-``step_jitter``
+#: Simulated per-worker step latency (seconds), spread +-``STEP_JITTER``
 #: deterministically by worker id; also the detector's bootstrap interval.
 _BASE_STEP_S = 1.0
+STEP_JITTER = 0.25
+#: A backup fires when a shard's step takes over ``STRAGGLER_K`` x the
+#: median of the workers' step-latency EWMAs (weight ``EWMA_ALPHA``).
+STRAGGLER_K = 2.0
+EWMA_ALPHA = 0.4
+#: Rollback-and-retry bound per epoch.
+MAX_RETRIES_PER_EPOCH = 3
 #: Max simulated wait for suspicion of a silent worker to resolve.
 _HEARTBEAT_GRACE_S = 30.0
 #: Clock step while the barrier is held open on a silent worker.
@@ -308,25 +315,13 @@ class ElasticConfig:
     """Operating envelope of one :class:`ElasticTrainer`."""
 
     num_partitions: int = 32
-    straggler_k: float = 2.0  # backup fires when latency > k x median EWMA
-    ewma_alpha: float = 0.4
     skip_budget: int = 4  # quarantined gradients tolerated per run
-    max_retries_per_epoch: int = 3  # rollback-and-retry bound per epoch
-    step_jitter: float = 0.25  # step latency spread, +-25% by worker id
 
     def __post_init__(self) -> None:
         if self.num_partitions < 1:
             raise ValueError("num_partitions must be >= 1")
-        if self.straggler_k <= 1.0:
-            raise ValueError("straggler_k must be > 1")
-        if not 0.0 < self.ewma_alpha <= 1.0:
-            raise ValueError("ewma_alpha must be in (0, 1]")
         if self.skip_budget < 0:
             raise ValueError("skip_budget must be >= 0")
-        if self.max_retries_per_epoch < 1:
-            raise ValueError("max_retries_per_epoch must be >= 1")
-        if not 0.0 <= self.step_jitter < 1.0:
-            raise ValueError("need 0 <= step_jitter < 1")
 
 
 @dataclass
@@ -492,7 +487,7 @@ class ElasticTrainer:
             w: _BASE_STEP_S
             * (
                 1.0
-                + self.elastic.step_jitter
+                + STEP_JITTER
                 * (2.0 * (mix64(self.config.seed ^ (w << 16)) / 2**64) - 1.0)
             )
             for w in range(num_workers)
@@ -701,7 +696,7 @@ class ElasticTrainer:
                 try:
                     outcome = self._attempt_round(epoch, record)
                 except NoSurvivorsError:
-                    if record.retries >= self.elastic.max_retries_per_epoch:
+                    if record.retries >= MAX_RETRIES_PER_EPOCH:
                         raise ElasticTrainingError(
                             f"epoch {epoch}: no usable gradients after "
                             f"{record.retries} retries"
@@ -720,7 +715,7 @@ class ElasticTrainer:
                         self._reshard()
                     self._rollback(epoch)
                     record.retries += 1
-                    if record.retries > self.elastic.max_retries_per_epoch:
+                    if record.retries > MAX_RETRIES_PER_EPOCH:
                         raise ElasticTrainingError(
                             f"epoch {epoch}: still failing after {record.retries} rollbacks"
                         )
@@ -821,13 +816,12 @@ class ElasticTrainer:
         accepted = self._integrity_check(epoch, shards, corrupt, record)
         self.engine.step([shard.grads for shard in accepted])
 
-        alpha = self.elastic.ewma_alpha
         for shard in shards:
             previous = self._ewma.get(shard.worker)
             self._ewma[shard.worker] = (
                 shard.latency
                 if previous is None
-                else alpha * shard.latency + (1 - alpha) * previous
+                else EWMA_ALPHA * shard.latency + (1 - EWMA_ALPHA) * previous
             )
         return _Round(
             loss=float(np.mean([shard.loss for shard in accepted])),
@@ -850,7 +844,7 @@ class ElasticTrainer:
         """
         if len(shards) < 2 or not all(s.worker in self._ewma for s in shards):
             return
-        threshold = self.elastic.straggler_k * float(
+        threshold = STRAGGLER_K * float(
             np.median([self._ewma[s.worker] for s in shards])
         )
         for shard in shards:

@@ -44,8 +44,7 @@ class TrainConfig:
     weight_decay: float = 1e-4
     clip_norm: float = 0.25
     patience: int = 32
-    shuffle: bool = True
-    seed: int = 0
+    seed: int = 0  # also seeds the per-epoch shuffle of the training nodes
 
     def __post_init__(self) -> None:
         # clip_grad_norm would scale by a negative factor: gradient ascent.
@@ -55,6 +54,14 @@ class TrainConfig:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        # A NaN decay turns every weight NaN in one step.
+        if not self.weight_decay >= 0:
+            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        # patience=0 stops before the first epoch whenever eval nodes are given.
+        if self.patience < 1:
+            raise ValueError(f"patience must be >= 1, got {self.patience}")
 
 
 @dataclass
@@ -111,9 +118,7 @@ class Trainer:
     def train_epoch(self, graph: HeteroGraph, train_nodes: Sequence[int]) -> float:
         """One pass over the labeled training nodes; returns mean loss."""
         self.model.train()
-        nodes = np.asarray(train_nodes, dtype=np.int64)
-        if self.config.shuffle:
-            nodes = self.rng.permutation(nodes)
+        nodes = self.rng.permutation(np.asarray(train_nodes, dtype=np.int64))
         losses: List[float] = []
         for batch in batched(nodes, self.config.batch_size):
             self.optimizer.zero_grad()

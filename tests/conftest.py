@@ -17,12 +17,23 @@ from repro import (
     TransactionGenerator,
     XFraudDetectorPlus,
 )
+from repro.data import generator as generator_module
 from repro.graph import build_graph, train_test_split
+
+
+def small_log(config, benign_txns_per_buyer, keep_fraction):
+    """``config``'s downsampled log with fewer benign transactions per
+    buyer than the generator's ``BENIGN_TXNS_PER_BUYER``, for fixtures
+    that must stay small."""
+    generator = TransactionGenerator(config)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(generator_module, "BENIGN_TXNS_PER_BUYER", benign_txns_per_buyer)
+        log = generator.generate()
+    return generator.downsample_benign(log, keep_fraction=keep_fraction)
 
 
 TINY_CONFIG = GeneratorConfig(
     num_benign_buyers=60,
-    benign_txns_per_buyer=(2, 5),
     num_stolen_cards=4,
     num_warehouse_rings=2,
     num_cultivated_accounts=2,
@@ -32,15 +43,13 @@ TINY_CONFIG = GeneratorConfig(
     # 6 epochs) clear the sanity thresholds reliably; the harder
     # weak-feature regime is exercised by the benchmark suite.
     risk_signal=0.9,
-    benign_downsample=0.8,
     seed=7,
 )
 
 
 @pytest.fixture(scope="session")
 def tiny_log():
-    generator = TransactionGenerator(TINY_CONFIG)
-    return generator.downsample_benign(generator.generate())
+    return small_log(TINY_CONFIG, benign_txns_per_buyer=(2, 5), keep_fraction=0.8)
 
 
 @pytest.fixture(scope="session")

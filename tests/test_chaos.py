@@ -25,10 +25,16 @@ from repro.serving import (
     ScoringService,
     ServiceConfig,
 )
+from repro.serving import service as service_module
 from repro.storage import GraphStore, InMemoryKVStore, ReplicatedConfig, ReplicatedKVStore
 
 READ_DELAY_S = 0.002
 FETCH_CHUNK = 8
+
+
+@pytest.fixture(autouse=True)
+def _small_fetch_chunks(monkeypatch):
+    monkeypatch.setattr(service_module, "FETCH_CHUNK", FETCH_CHUNK)
 
 
 @pytest.fixture(scope="module")
@@ -62,9 +68,7 @@ def _chaos_service(
         clock=clock,
     )
     GraphStore(store).save(tiny_graph)
-    config = ServiceConfig(
-        deadline_s=deadline_s, fetch_chunk=FETCH_CHUNK, static_prior=0.05
-    )
+    config = ServiceConfig(deadline_s=deadline_s, static_prior=0.05)
     service = ScoringService(
         trained_detector,
         tiny_graph,
@@ -85,9 +89,9 @@ def _requests(graph, count):
     ]
 
 
-def _budget_overrun_bound(config, read_delay_s=READ_DELAY_S):
+def _budget_overrun_bound(read_delay_s=READ_DELAY_S):
     """One pipeline step: a full fetch chunk."""
-    return config.fetch_chunk * read_delay_s + 1e-9
+    return FETCH_CHUNK * read_delay_s + 1e-9
 
 
 class TestOutageLadder:
@@ -161,7 +165,7 @@ class TestOutageLadder:
             outage_window=(1e9, 2e9),  # no outage; stragglers only
             deadline_s=budget,
         )
-        bound = _budget_overrun_bound(service.config)
+        bound = _budget_overrun_bound()
         with service:
             responses = []
             for request in _requests(tiny_graph, 12):
@@ -208,7 +212,6 @@ class TestReplicatedFeatureTier:
         GraphStore(store).save(tiny_graph)
         config = ServiceConfig(
             deadline_s=5.0,
-            fetch_chunk=FETCH_CHUNK,
             batch_size=8,
             static_prior=0.05,
         )

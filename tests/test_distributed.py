@@ -54,7 +54,7 @@ class TestDistributedTraining:
         """κ=1 distributed training must equal single-machine training
         batch-for-batch (same graph, same gradients)."""
         train, _ = tiny_splits
-        config = TrainConfig(epochs=2, shuffle=False, seed=0, batch_size=10_000)
+        config = TrainConfig(epochs=2, seed=0, batch_size=10_000)
 
         single = GEMModel(detector_config)
         Trainer(single, config).fit(tiny_graph, train)

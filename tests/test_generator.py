@@ -18,7 +18,6 @@ from repro.data import (
 def tiny_config(**overrides) -> GeneratorConfig:
     base = dict(
         num_benign_buyers=40,
-        benign_txns_per_buyer=(2, 4),
         num_stolen_cards=3,
         num_warehouse_rings=2,
         num_apartment_buildings=1,

@@ -160,27 +160,19 @@ class TestTraining:
         )
         np.testing.assert_allclose(a.edge_mask, b.edge_mask)
 
-    def test_use_true_label(self, trained_detector, community):
-        config = ExplainerConfig(epochs=3, use_true_label=True)
-        explanation = GNNExplainer(trained_detector, config).explain(
-            community.graph, community.seed_local
-        )
-        assert explanation.predicted_label == community.label
-
     def test_true_label_on_unlabeled_node_rejected(self, trained_detector, community):
         entity = int(np.flatnonzero(community.graph.labels < 0)[0])
-        config = ExplainerConfig(epochs=2, use_true_label=True)
+        config = ExplainerConfig(epochs=2)
         with pytest.raises(ValueError):
             GNNExplainer(trained_detector, config).explain(community.graph, entity)
 
-    def test_edge_size_penalty_shrinks_masks(self, trained_detector, community):
+    def test_edge_size_penalty_shrinks_masks(self, trained_detector, community, monkeypatch):
         """A heavier edge-size penalty yields smaller average masks."""
-        light = GNNExplainer(
-            trained_detector, ExplainerConfig(epochs=25, beta_edge_size=0.0, seed=1)
-        ).explain(community.graph, community.seed_local)
-        heavy = GNNExplainer(
-            trained_detector, ExplainerConfig(epochs=25, beta_edge_size=1.0, seed=1)
-        ).explain(community.graph, community.seed_local)
+        config = ExplainerConfig(epochs=25, seed=1)
+        monkeypatch.setattr(gnn_explainer, "BETA_EDGE_SIZE", 0.0)
+        light = GNNExplainer(trained_detector, config).explain(community.graph, community.seed_local)
+        monkeypatch.setattr(gnn_explainer, "BETA_EDGE_SIZE", 1.0)
+        heavy = GNNExplainer(trained_detector, config).explain(community.graph, community.seed_local)
         assert heavy.edge_mask.mean() < light.edge_mask.mean()
 
 

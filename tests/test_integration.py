@@ -19,6 +19,7 @@ from repro import (
 )
 from repro.explain import centrality_edge_weights, human_edge_importance, random_edge_weights
 from repro.train import roc_auc
+from .conftest import small_log
 
 
 class TestDetectorPipeline:
@@ -64,23 +65,20 @@ class TestExplainerPipeline:
         """A medium-sized fixture: the tiny session graph is too small
         for stable hit-rate statistics, so this class trains its own
         detector on a ~250-buyer graph (a few seconds)."""
-        from repro.data import GeneratorConfig, TransactionGenerator
+        from repro.data import GeneratorConfig
         from repro.graph import build_graph, train_test_split
 
         config = GeneratorConfig(
             num_benign_buyers=250,
-            benign_txns_per_buyer=(2, 6),
             num_stolen_cards=6,
             num_warehouse_rings=3,
             num_apartment_buildings=2,
             num_cultivated_accounts=3,
             num_guest_checkouts=10,
             feature_dim=24,
-            benign_downsample=0.8,
             seed=11,
         )
-        generator = TransactionGenerator(config)
-        graph, _ = build_graph(generator.downsample_benign(generator.generate()))
+        graph, _ = build_graph(small_log(config, benign_txns_per_buyer=(2, 6), keep_fraction=0.8))
         train, _, test = train_test_split(graph, test_fraction=0.3, seed=0)
         detector = XFraudDetectorPlus(
             DetectorConfig(

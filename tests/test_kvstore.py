@@ -3,6 +3,7 @@
 import io
 import os
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from repro.storage import (
     load_rows,
 )
 from repro.graph import NODE_TYPE_IDS
+from repro.obs import MetricsRegistry
+from repro.storage.kvstore import kv_read_metrics
 
 
 class TestInMemoryKVStore:
@@ -57,6 +60,22 @@ class TestMmapKVStore:
         store.finalize()
         assert store.get("x") == b"abc"
         assert store.get("y") == b"defg"
+        store.close()
+
+    def test_read_latency_is_the_time_the_reads_took(self, tmp_path):
+        registry = MetricsRegistry()
+        store = MmapKVStore(str(tmp_path / "kv.bin"))
+        store.put("x", b"abc")
+        store.finalize()
+        store.instrument(registry)
+        started = time.perf_counter()
+        for _ in range(5):
+            assert store.get("x") == b"abc"
+        elapsed = time.perf_counter() - started
+        reads, seconds = kv_read_metrics(registry)
+        assert reads.value(store="mmap") == 5
+        assert seconds.count(store="mmap") == 5
+        assert 0.0 <= seconds.sum(store="mmap") <= elapsed
         store.close()
 
     def test_read_before_finalize_rejected(self, tmp_path):

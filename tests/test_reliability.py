@@ -342,7 +342,7 @@ class TestKillAndResume:
         """Training killed after epoch 2 and resumed from its checkpoint
         ends with parameters bitwise-equal to the uninterrupted run."""
         train, test = tiny_splits
-        kwargs = dict(batch_size=64, learning_rate=5e-3, seed=3, shuffle=True)
+        kwargs = dict(batch_size=64, learning_rate=5e-3, seed=3)
 
         full = GEMModel(detector_config)
         Trainer(full, TrainConfig(epochs=6, **kwargs)).fit(

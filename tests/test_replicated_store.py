@@ -417,7 +417,7 @@ class TestHealthStateMachine:
         store, _, _ = _make_store(
             1,
             clock=clock,
-            config=ReplicatedConfig(replication_factor=1, ewma_alpha=0.5),
+            config=ReplicatedConfig(replication_factor=1),
             wrap=lambda i, r: SlowKVStore(r, clock, delay_s=0.004),
         )
         store.put("k", b"v")
@@ -469,15 +469,6 @@ class TestCorruptionQuarantine:
         assert store.health[0].state == "dead"
         assert store.corrupt_reads == 1
         store.close()
-
-    def test_verify_crc_false_disables_ledger_check(self):
-        store, backings, _ = _make_store(
-            1, config=ReplicatedConfig(replication_factor=1, verify_crc=False)
-        )
-        store.put("k", b"good")
-        backings[0].put("k", b"bads")
-        assert store.get("k") == b"bads"  # explicit opt-out
-        assert store.corrupt_reads == 0
 
 
 class TestHedging:
@@ -564,9 +555,9 @@ class TestHedgeThresholdMemo:
         return kept[nearest_rank_index(health.config.hedge_quantile * 100.0, len(kept))]
 
     def test_memo_equals_a_fresh_sort_after_every_sample(self):
-        config = ReplicatedConfig(latency_reservoir_size=64, hedge_quantile=0.95)
+        config = ReplicatedConfig(hedge_quantile=0.95)
         health = ReplicaHealth(3, lambda: 0.0, config)
-        latencies = np.random.default_rng(7).gamma(2.0, 0.001, size=10_000)
+        latencies = np.random.default_rng(7).gamma(2.0, 0.001, size=24_000)
         for step, latency in enumerate(latencies):
             if step in (40, 5_000):  # once while filling, once while replacing
                 health.latencies.clear()
@@ -589,7 +580,7 @@ class TestHedgeThresholdMemo:
         assert reservoir.version > before  # never reused: a refill cannot alias a memo
 
     def test_unchanged_reservoir_is_not_sorted_again(self):
-        health = ReplicaHealth(0, lambda: 0.0, ReplicatedConfig(latency_reservoir_size=16))
+        health = ReplicaHealth(0, lambda: 0.0, ReplicatedConfig())
         for value in range(16):
             health.record_success(float(value))
         first = health.hedge_threshold()
@@ -631,7 +622,6 @@ class TestParentParity:
         config = ReplicatedConfig(
             replication_factor=3,
             probe_interval_s=0.05,
-            latency_reservoir_size=32,
             hedge_quantile=0.6,
             concurrent_hedge=False,
         )
@@ -665,8 +655,9 @@ class TestParentParity:
             (274, 2),
             (219, 11),
         ]
+        # A latency-derived value: it moves with LATENCY_RESERVOIR_SIZE.
         assert [h.hedge_threshold() for h in store.health] == [
-            0.0040000000000000036,
+            0.003999999999999997,
             0.0,
             0.0,
             0.0,
@@ -748,21 +739,6 @@ class TestAntiEntropy:
         assert report.unrepairable == 2  # both copies flagged, no quorum
         assert report.repaired == 0
         assert backings[0].get(key) == b"version-a"  # untouched
-
-    def test_background_pass_piggybacks_on_reads(self):
-        clock = ManualClock()
-        config = ReplicatedConfig(
-            replication_factor=3,
-            anti_entropy_interval_s=0.1,
-            anti_entropy_batch=64,
-        )
-        store, backings, clock = _make_store(3, clock=clock, config=config)
-        for index in range(20):
-            store.put(f"key/{index}", f"value-{index}".encode())
-        backings[0].put("key/0", b"drifted")
-        clock.advance(0.2)  # past the interval; next read triggers a pass
-        store.get("key/5")
-        assert backings[0].get("key/0") == b"value-0"
 
     def test_report_describe_mentions_counts(self):
         store, backings, _ = _make_store(2)

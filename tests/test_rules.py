@@ -6,13 +6,13 @@ import pytest
 from repro.data import GeneratorConfig, TransactionGenerator
 from repro.rules import (
     Condition,
-    MinerConfig,
     Rule,
     RuleMiner,
     RuleSet,
     appendix_b_pipeline,
     rule_prefilter,
 )
+from repro.rules import miner
 
 
 def separable_data(n=600, seed=0):
@@ -65,18 +65,18 @@ class TestRule:
 class TestMiner:
     def test_finds_separating_rule(self):
         features, labels = separable_data()
-        rules = RuleMiner(MinerConfig(min_precision=0.5, min_recall=0.1)).fit(features, labels)
+        rules = RuleMiner().fit(features, labels)
         assert len(rules) >= 1
         # The top rule fires on feature 0.
         assert any(c.feature == 0 for c in rules.rules[0].conditions)
 
     def test_rules_meet_floors(self):
         features, labels = separable_data(seed=1)
-        config = MinerConfig(min_precision=0.5, min_recall=0.05)
-        rules = RuleMiner(config).fit(features, labels)
+        rules = RuleMiner().fit(features, labels)
+        assert len(rules) >= 1
         for precision, recall in rules.scores:
-            assert precision >= config.min_precision
-            assert recall >= config.min_recall
+            assert precision >= miner.MIN_PRECISION
+            assert recall >= miner.MIN_RECALL
 
     def test_no_fraud_no_rules(self):
         features = np.random.default_rng(0).normal(size=(50, 3))
@@ -93,7 +93,7 @@ class TestMiner:
 
     def test_describe(self):
         features, labels = separable_data()
-        rules = RuleMiner(MinerConfig(min_precision=0.3)).fit(features, labels)
+        rules = RuleMiner().fit(features, labels)
         if len(rules):
             assert "p=" in rules.describe()
 
@@ -106,7 +106,6 @@ class TestMiner:
 def raw_log():
     config = GeneratorConfig(
         num_benign_buyers=250,
-        benign_txns_per_buyer=(4, 10),
         num_stolen_cards=3,
         num_warehouse_rings=1,
         num_cultivated_accounts=2,
@@ -119,13 +118,13 @@ def raw_log():
 
 class TestPrefilter:
     def test_keeps_all_fraud(self, raw_log):
-        miner = RuleMiner(MinerConfig(min_precision=0.2))
+        miner = RuleMiner()
         rules = miner.fit(raw_log.feature_matrix(), raw_log.labels())
         filtered = rule_prefilter(raw_log, rules, keep_benign_floor=0.1)
         assert sum(r.label for r in filtered) == sum(r.label for r in raw_log)
 
     def test_raises_fraud_rate(self, raw_log):
-        miner = RuleMiner(MinerConfig(min_precision=0.2))
+        miner = RuleMiner()
         rules = miner.fit(raw_log.feature_matrix(), raw_log.labels())
         filtered = rule_prefilter(raw_log, rules, keep_benign_floor=0.1)
         assert filtered.fraud_rate() > raw_log.fraud_rate()

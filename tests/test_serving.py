@@ -25,6 +25,7 @@ from repro.serving import (
     ServiceStats,
     TokenBucket,
 )
+from repro.serving import service as service_module
 from repro.storage import GraphStore, InMemoryKVStore, ReplicatedConfig, ReplicatedKVStore
 
 
@@ -149,6 +150,27 @@ class TestAdmission:
         clock.advance(0.1)  # 1 token refilled
         assert bucket.try_acquire()
         assert not bucket.try_acquire()
+
+    @pytest.mark.parametrize(
+        "rate, burst",
+        [
+            (float("nan"), 2.0),  # admitted 10 of 10 where rate 1 admits 2
+            (-math.inf, 2.0),  # read as unlimited
+            (0.0, 2.0),
+            (1.0, float("nan")),  # shed all 10, and still all after 100 s
+            (1.0, 0.0),
+        ],
+    )
+    def test_a_bucket_that_cannot_limit_as_asked_is_refused(self, rate, burst):
+        with pytest.raises(ValueError):
+            TokenBucket(rate=rate, capacity=burst, clock=ManualClock())
+        with pytest.raises(ValueError):
+            ServiceConfig(rate=rate, burst=burst)
+
+    def test_an_infinite_rate_is_unlimited(self):
+        bucket = TokenBucket(rate=math.inf, capacity=2.0, clock=ManualClock())
+        assert all(bucket.try_acquire() for _ in range(10))
+        ServiceConfig(rate=math.inf)
 
     def test_queue_sheds_when_full(self):
         queue = AdmissionQueue(capacity=2)
@@ -563,6 +585,10 @@ class TestBatchOfOneParity:
 
     READ_DELAY_S = 0.002
 
+    @pytest.fixture(autouse=True)
+    def _two_rows_per_fetch(self, monkeypatch):
+        monkeypatch.setattr(service_module, "FETCH_CHUNK", 2)
+
     def _scenario(self, name, trained_detector, tiny_graph, rules):
         """-> (service in the scenario's state, the request to observe)."""
         node = _txn_nodes(tiny_graph, 1)[0]
@@ -571,11 +597,7 @@ class TestBatchOfOneParity:
         backing = InMemoryKVStore()
         GraphStore(backing).save(tiny_graph)
         store = SlowKVStore(backing, clock, delay_s=self.READ_DELAY_S)
-        config = dict(
-            deadline_s=0.5,
-            fetch_chunk=2,
-            static_prior=0.05,
-        )
+        config = dict(deadline_s=0.5, static_prior=0.05)
         cache = None
         sample = trained_detector.sampler.sample(tiny_graph, [node])
         rows = int(np.sum(sample.graph.node_type == NODE_TYPE_IDS["txn"]))  # the rows fetched

@@ -623,6 +623,17 @@ class TestLabelFeed:
         assert feed.due(100.0) == [(3, 1)]
         assert feed.pending == 0
 
+    @pytest.mark.parametrize("delay", [float("nan"), -1.0])
+    def test_a_delay_that_never_matures_is_refused(self, delay):
+        """A NaN delay took every offer and matured none, even at
+        ``due(1e9)``: ``repro stream --label-delay nan`` never fine-tuned."""
+        with pytest.raises(ValueError, match="delay_s"):
+            LabelFeed(delay)
+        with pytest.raises(ValueError, match="label_delay_s"):
+            StreamConfig(label_delay_s=delay)
+        LabelFeed(0.0)
+        StreamConfig(label_delay_s=0.0)
+
 
 class TestOnlineAUC:
     def test_perfect_separation(self):
@@ -684,19 +695,26 @@ class TestDriftDetector:
         assert detector.check() is None
 
     @pytest.mark.parametrize(
-        "knobs", [{"window": 64, "min_samples": 128}, {"bins": 1}, {"bins": 0}]
+        "knobs", [{"window": 64, "min_samples": 128}, {"min_samples": 0}, {"window": 0, "min_samples": 0}]
     )
     def test_a_config_that_turns_checks_off_is_refused(self, knobs):
         """The current window holds at most ``window`` points: with
         ``min_samples > window`` a 5-sigma shift over 1,000 events gave
-        ``check() is None`` and no alert. One bin has no edges to cut
-        the reference at."""
+        ``check() is None`` and no alert. With ``min_samples=0`` a check
+        ran on an empty window and read KS = NaN, which never alerts."""
         with pytest.raises(ValueError):
             DriftConfig(**knobs)
         DriftConfig(window=64, min_samples=64)  # a full window is enough
 
 
 class TestOnlineFineTuner:
+    def test_a_window_of_no_nodes_is_refused(self):
+        """``max_nodes=0`` trained on the whole labelled window, since
+        ``nodes[-0:]`` is every node."""
+        with pytest.raises(ValueError, match="max_nodes"):
+            FineTuneConfig(max_nodes=0)
+        FineTuneConfig(max_nodes=1)
+
     def _labelled_graph(self, seed=0):
         log = generate_log(_small_config(seed))
         graph, _ = build_graph(log)
@@ -1027,6 +1045,13 @@ class TestStreamCli:
         assert "byte-identical" in out
         assert "stream health" in out
         assert "stream_events_scored_total" in out
+
+    @pytest.mark.parametrize("delay", ["nan", "-1"])
+    def test_a_label_delay_that_never_matures_exits_2(self, delay, capsys):
+        from repro.cli import main
+
+        assert main(["stream", "--demo", "--label-delay", delay]) == 2
+        assert "--label-delay" in capsys.readouterr().err
 
     def test_healthcheck_reports_stream(self, capsys):
         from repro.cli import main

@@ -250,6 +250,26 @@ class TestEventLog:
         reopened.close()
         assert len(list(replay_wal(str(tmp_path)))) == 6
 
+    def test_reopen_leaves_a_segment_with_room_unsealed(self, tmp_path):
+        with EventLog(str(tmp_path), fsync=False) as log:
+            log.append_many(_events(5))
+        reopened = EventLog(str(tmp_path), fsync=False)
+        assert reopened.segment_count() == 1
+        assert [row["sealed"] for row in reopened.segments()] == [False]
+        reopened.close()
+
+    def test_two_unsealed_segments_are_refused(self, tmp_path):
+        """Only the active segment may be unsealed: a second one means
+        the manifest lost a seal, and neither the log nor the reader
+        guesses which segment holds the older records."""
+        with EventLog(str(tmp_path), fsync=False) as log:
+            log.append_many(_events(3))
+        (tmp_path / "wal-000002.seg").write_bytes((tmp_path / "wal-000001.seg").read_bytes())
+        with pytest.raises(WalCorruptionError, match="multiple unsealed"):
+            EventLog(str(tmp_path), fsync=False)
+        with pytest.raises(WalCorruptionError, match="multiple unsealed"):
+            list(replay_wal(str(tmp_path)))
+
     def _torn_log(self, tmp_path, cut=7):
         """A closed log whose active segment is truncated mid-record."""
         events = _events(6)

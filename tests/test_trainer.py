@@ -58,12 +58,12 @@ class TestTraining:
         final_auc = roc_auc(tiny_graph.labels[test], scores)
         assert final_auc == pytest.approx(result.best_auc, abs=1e-9)
 
-    def test_shuffle_off_is_deterministic(self, tiny_graph, tiny_splits, detector_config):
+    def test_same_seed_is_deterministic(self, tiny_graph, tiny_splits, detector_config):
         train, _ = tiny_splits
 
         def run():
             model = GEMModel(detector_config)
-            trainer = Trainer(model, TrainConfig(epochs=2, shuffle=False, seed=1))
+            trainer = Trainer(model, TrainConfig(epochs=2, seed=1))
             trainer.fit(tiny_graph, train)
             return model.predict_proba(tiny_graph, train[:5])
 
@@ -110,6 +110,10 @@ class TestTrainConfig:
             {"learning_rate": -1e-2},
             {"learning_rate": float("nan")},  # turned every weight NaN
             {"batch_size": 0},
+            {"weight_decay": -1e-4},
+            {"weight_decay": float("nan")},  # turned every weight and score NaN
+            {"epochs": -2},  # returned an empty history
+            {"patience": 0},  # ran 0 epochs whenever eval nodes were given
         ],
     )
     def test_refuses_values_that_cannot_train(self, bad):
@@ -119,6 +123,9 @@ class TestTrainConfig:
     def test_accepts_a_clip_of_zero_and_no_clip_at_all(self):
         TrainConfig(clip_norm=0.0)
         TrainConfig(clip_norm=float("inf"), batch_size=1)
+
+    def test_accepts_zero_epochs_and_no_decay(self):
+        TrainConfig(epochs=0, weight_decay=0.0, patience=1)
 
 
 class TestInferenceTiming:
