@@ -52,23 +52,49 @@ rows into a (transaction, edge type) table and its per-edge work is
 lookups. On a 64-target training field its forward plus pullback costs
 at most ``LAYER_ONE_BUDGET``x layer 2's on the same field, though it
 walks 5x the edges and reads 2x the rows of a 2x wider input.
+
+``test_selector_ratio_floor`` holds the pullback's per-edge sums: a
+layout's 0/1 selectors (``hetero_conv.Selector``) call scipy's compiled
+``csr_matvecs`` / ``csc_matvecs`` on their index arrays, so layer 1's
+three pullback sums on the 64-target field — built fresh, as every step
+builds them — cost at most ``SELECTOR_BUDGET``x the same sums through
+scipy matrices built the way the layout built them before (a
+``csr_matrix`` and two ``scatter_selector``s), which construct, validate
+and dispatch in Python around the same kernels: the same bits, asserted.
+On a 2-core Xeon VM it reads 0.28-0.44x over 13 runs; the budget is the
+worst reading plus 15%.
+
+``test_optimizer_step_ratio_floor`` holds what an AdamW step pays around
+its arithmetic: the parameters are views of the optimiser's flat value
+buffer, so a whole ``optimizer.step()`` over the detector's parameters
+costs at most ``OPTIMIZER_STEP_BUDGET``x its ``_update`` alone over the
+same flat buffers — the rest is the gradients laid end to end and a
+version bump per parameter, no values concatenated or written back. It
+reads 1.11-1.23x over 22 runs (1.58-1.73x while each step concatenated
+the 72,524 values and wrote each parameter back); the budget is the
+worst reading plus 15%.
 """
 
 import numpy as np
+from scipy import sparse
 
 from _helpers import alternated_medians, model_config
 from repro import nn
 from repro.check.reference import stack_subgraphs
 from repro.data import load_dataset
+from repro.graph.hetero import EDGE_TYPES, NODE_TYPES
 from repro.graph.sampling import SampledSubgraph, receptive_field
 from repro.models import XFraudDetectorPlus
-from repro.models.hetero_conv import InferenceLayout
+from repro.models.hetero_conv import InferenceLayout, Selector
+from repro.nn.segment import scatter_selector
 
 STEP_RATIO_BUDGET = 1.5  # step on 4 copies of the graph vs on 1, same batch
 STEP_VS_INFERENCE_BUDGET = 6.0  # full step vs predict_proba on the batch's field (worst read 5.79x)
 TRIMMED_FORWARD_BUDGET = 0.8  # scoring a stacked batch at its targets vs at every transaction
 PLAN_MEMO_BUDGET = 1.15  # a sample scored with its plan rebuilt vs on a warm plan
 LAYER_ONE_BUDGET = 2.2  # layer 1's forward + pullback vs layer 2's, one training field
+SELECTOR_BUDGET = 0.51  # layer 1's pullback sums through Selectors vs scipy matrices (worst 0.44x)
+OPTIMIZER_STEP_BUDGET = 1.42  # AdamW step() vs its _update arithmetic alone (worst 1.23x)
 PLAN_SAMPLES = 50
 MICRO_BATCH = 32
 BATCH = 64
@@ -226,3 +252,77 @@ def test_layer_one_tables_ratio_floor():
         f"-> {ratio:.2f}x (budget <= {LAYER_ONE_BUDGET:.1f}x)"
     )
     assert ratio <= LAYER_ONE_BUDGET
+
+
+def test_selector_ratio_floor():
+    """The pullback's 0/1 sums pay for the kernel, not for a sparse matrix object."""
+    bundle = load_dataset("ebay-small-sim", seed=0, scale=0.25)
+    batch = np.random.default_rng(0).permutation(bundle.train_nodes)[:BATCH]
+    field = receptive_field(bundle.graph, batch, hops=2)
+    model = XFraudDetectorPlus(model_config(bundle.graph.feature_dim, seed=0))
+    layout = InferenceLayout.of(field.graph, field.target_local, depth=len(model.convs))
+    view = layout.layer(len(model.convs) - 1)  # layer 1's prefix
+    conv = model.convs[0]
+    num_edges, starts = len(view.src), view.starts
+    txn, value_row, logit_row = view.table_rows
+    cell = logit_row * len(EDGE_TYPES) + view.edge_type
+    rows, cells = len(txn) + len(NODE_TYPES), len(txn) * len(EDGE_TYPES)
+    rng = np.random.default_rng(0)
+    by_edge = rng.normal(size=(num_edges, conv.num_heads))
+    d_values = rng.normal(size=(num_edges, conv.out_dim))
+
+    def through_selectors():
+        return (
+            Selector.by_segment(starts, num_edges) @ by_edge,
+            Selector.scatter(value_row, rows) @ d_values,
+            Selector.scatter(cell, cells) @ by_edge,
+        )
+
+    def through_scipy_matrices():
+        indptr = np.append(starts, num_edges)
+        by_target = sparse.csr_matrix(
+            (np.ones(num_edges), np.arange(num_edges), indptr), shape=(len(starts), num_edges)
+        )
+        return (
+            by_target @ by_edge,
+            scatter_selector(value_row, rows) @ d_values,
+            scatter_selector(cell, cells) @ by_edge,
+        )
+
+    for ours, theirs in zip(through_selectors(), through_scipy_matrices()):
+        assert ours.tobytes() == theirs.tobytes()  # the same kernels: the same bits
+    selector_us, scipy_us = alternated_medians(
+        [through_selectors, through_scipy_matrices], number=20
+    )
+    ratio = selector_us / scipy_us
+    print(
+        f"\n{BATCH}-target field, layer 1 ({num_edges:,} edges): pullback sums "
+        f"{selector_us:.0f} us through Selectors vs {scipy_us:.0f} us through scipy matrices "
+        f"-> {ratio:.2f}x (budget <= {SELECTOR_BUDGET:.2f}x)"
+    )
+    assert ratio <= SELECTOR_BUDGET
+
+
+def test_optimizer_step_ratio_floor():
+    """An AdamW step costs its arithmetic plus the gradients' copy, nothing per value."""
+    bundle = load_dataset("ebay-small-sim", seed=0, scale=0.25)
+    model = XFraudDetectorPlus(model_config(bundle.graph.feature_dim, seed=0))
+    optimizer = nn.AdamW(model.parameters(), lr=1e-3)
+    rng = np.random.default_rng(0)
+    for param in model.parameters():
+        param.grad = rng.normal(size=param.shape)
+    optimizer.step()  # the parameters move into the flat buffer once
+    span = slice(0, len(optimizer._values))
+    grad, scratch = optimizer._work
+
+    def arithmetic():
+        optimizer._update(span, optimizer._values, grad, scratch)
+
+    step_us, arithmetic_us = alternated_medians([optimizer.step, arithmetic], number=20)
+    ratio = step_us / arithmetic_us
+    print(
+        f"\nAdamW over {len(optimizer._values):,} values in {len(optimizer.parameters)} "
+        f"parameters: step() {step_us:.0f} us vs _update alone {arithmetic_us:.0f} us "
+        f"-> {ratio:.2f}x (budget <= {OPTIMIZER_STEP_BUDGET:.2f}x)"
+    )
+    assert ratio <= OPTIMIZER_STEP_BUDGET

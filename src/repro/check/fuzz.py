@@ -37,6 +37,7 @@ import tempfile
 import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from unittest import mock
 
 import numpy as np
 
@@ -1328,7 +1329,7 @@ def _layer_gradient_problem(layer, graph, rng: np.random.Generator, masked: bool
         ),
         edit(  # only layers past the first sum by source
             "by-source-sum-scattered-by-target", _CONV + "InferenceLayout.sum_by_source",
-            "self._by_source @ values", "scatter_selector(self.dst, len(self.node_type)) @ values",
+            "self._by_source @ values", "Selector.scatter(self.dst, len(self.node_type)) @ values",
             "central difference", shrinks_to=(0, 1),
         ),
         edit(
@@ -1381,6 +1382,11 @@ def _layer_gradient_problem(layer, graph, rng: np.random.Generator, masked: bool
             "attention_sum = layout.segment_sum(attention)",
             "central difference", shrinks_to=(1, 2),
         ),
+        edit(  # in bounds: every in-neighbourhood one edge later, the first edge dropped
+            "selector-row-pointer-shifted-by-one", _CONV + "Selector.by_segment",
+            "indptr = np.append(starts, num_edges)", "indptr = np.append(starts + 1, num_edges)",
+            "predict_proba: max |fused - autograd|", shrinks_to=(1, 2),
+        ),
     ],
 )
 def _fuzz_fused_backward(seed: int, size: int) -> Optional[str]:
@@ -1394,7 +1400,20 @@ def _fuzz_fused_backward(seed: int, size: int) -> Optional[str]:
     none, and block-diagonal stacks of sampled neighbourhoods; train
     mode (the node must draw the dropout masks ``F.dropout`` would, on
     the graph and on a receptive field with ``edge_rows``) and eval;
-    with and without the explainer's ``edge_mask`` / ``feature_mask``."""
+    with and without the explainer's ``edge_mask`` / ``feature_mask``.
+    A layout sums an in-neighbourhood through its ``Selector`` only from
+    ``_REDUCEAT_MAX_EDGES`` edges on, more than a case holds: odd seeds
+    lower that bound to 0, so every sum of the case takes that path."""
+    from ..models import hetero_conv
+
+    if seed % 2:
+        with mock.patch.object(hetero_conv, "_REDUCEAT_MAX_EDGES", 0):
+            return _fused_backward_problem(seed, size)
+    return _fused_backward_problem(seed, size)
+
+
+def _fused_backward_problem(seed: int, size: int) -> Optional[str]:
+    """:func:`_fuzz_fused_backward`'s case, on whichever summing path."""
     from ..graph.sampling import SageSampler
     from ..models.field import loss_field
     from ..models.inference import tensor_predict_proba
@@ -1916,7 +1935,7 @@ def _plan_shared_by_position(real):
         edit(
             "a-writer-that-does-not-bump-the-version", "repro.nn:Parameter.write",
             "self.version += 1", "pass", "!= a plan built now",
-            alone=True, shrinks_to=(1, 1),
+            alone=True, shrinks_to=(3, 1),
         ),
         edit(
             "a-plan-keyed-on-the-parameters-identity", _CONV + "HeteroConvLayer.plan",
@@ -2037,6 +2056,11 @@ def _optimizer_problem(ours, theirs, grads) -> Optional[str]:
             "second-moment-corrected-with-beta1", "repro.nn:Adam._update",
             "np.divide(v, 1 - self.beta2**self._step", "np.divide(v, 1 - self.beta1**self._step",
             "values differ", shrinks_to=(6, 4),
+        ),
+        edit(  # a layer plan keyed on that parameter's version would go stale
+            "a-step-that-leaves-the-last-version-unbumped", "repro.nn:Optimizer.step",
+            "for param in params:", "for param in params[:-1]:",
+            "version", shrinks_to=(0, 1),
         ),
     ],
 )

@@ -49,16 +49,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
-from scipy import sparse
+from scipy.sparse._sparsetools import csc_matvecs, csr_matvecs
 
 from .. import nn
 from ..graph.hetero import EDGE_ENDPOINTS, EDGE_TYPES, NODE_TYPES, HeteroGraph
 from ..nn import Tensor
 from ..nn import functional as F
-from ..nn.segment import scatter_selector
 from .field import EdgeRows
 
 #: Edge-type ids grouped by the projection that serves their source
@@ -90,13 +89,44 @@ _BY_TXN_END = np.stack([_INTO_TXN, _OUT_OF_TXN])
 _OTHER_END = np.array([[1], [0]])
 
 #: Below this many edges a layer's :meth:`InferenceLayout.segment_sum`
-#: reduces with ``np.add.reduceat``; from it on, through a sparse 0/1
-#: matrix built once per layer (26 µs). The edges the *layer* walks
-#: decide: scoring a stacked batch of 32 walks ~800 in its first layer
-#: (two sums: 125 µs by ``reduceat``, 56 through the matrix, built
-#: included) and ~130 in its last (22 vs 37); the two meet at 256. A
-#: recorded step sums four times and breaks even near 150.
+#: reduces with ``np.add.reduceat``; from it on, through a
+#: :class:`Selector` (9 µs to build). Scoring a stacked batch of 32 walks
+#: ~830 edges in its first layer (two sums: 122 µs by ``reduceat``, 27 by
+#: the selector, built included) and ~130 in its last (28 vs 11): the two
+#: now meet near 64 edges (256 with a scipy matrix, 47 µs to build), but
+#: the paths round differently, so moving the bound moves scores' bits.
 _REDUCEAT_MAX_EDGES = 256
+
+
+class Selector(NamedTuple):
+    """A 0/1 matrix, one entry per edge, as its CSR / CSC arrays: ``S @
+    values`` sums per-edge rows by scipy's compiled ``csr_matvecs`` /
+    ``csc_matvecs`` (``csr_matrix @ dense``'s kernels, so scipy's bits),
+    building and validating no matrix: a layout's indices are in range."""
+
+    kernel: Callable
+    indptr: np.ndarray
+    indices: np.ndarray
+    shape: Tuple[int, int]
+
+    @classmethod
+    def by_segment(cls, starts: np.ndarray, num_edges: int) -> Selector:
+        """``(S, E)``: row ``s`` selects the edges ``[starts[s], starts[s + 1])``."""
+        indptr = np.append(starts, num_edges)
+        return cls(csr_matvecs, indptr, np.arange(num_edges), (len(starts), num_edges))
+
+    @classmethod
+    def scatter(cls, index: np.ndarray, num_rows: int) -> Selector:
+        """``(num_rows, E)``: column ``e`` puts edge ``e`` on row ``index[e]``."""
+        return cls(csc_matvecs, np.arange(len(index) + 1), index, (num_rows, len(index)))
+
+    def __matmul__(self, values: np.ndarray) -> np.ndarray:
+        (rows, columns), width = self.shape, values.shape[1]
+        if len(values) != columns:
+            raise ValueError(f"selector of shape {self.shape} applied to {len(values)} rows")
+        out, ones = np.zeros((rows, width)), np.ones(len(self.indices))  # the kernel adds into out
+        self.kernel(rows, columns, width, self.indptr, self.indices, ones, values.ravel(), out.ravel())
+        return out
 
 
 @dataclass
@@ -113,9 +143,9 @@ class InferenceLayout:
     one contiguous block (per-type weights apply to slices, not gathered
     rows) and every in-neighbourhood a contiguous run reducible from its
     first edge. Without targets every node is at distance 0 and every
-    prefix the whole. What only a backward needs (:meth:`sum_by_source`,
-    :meth:`sum_by_value_row`, :meth:`sum_by_logit_cell`) is built on
-    first use: scoring never pays.
+    prefix the whole. Each per-edge sum's :class:`Selector` is built on
+    first use: what only a backward needs (:meth:`sum_by_source`,
+    :meth:`sum_by_value_row`, :meth:`sum_by_logit_cell`) scoring never pays.
     """
 
     #: ``rank[v]`` is the position of the graph's node ``v``; ``nodes``
@@ -231,33 +261,28 @@ class InferenceLayout:
         return txn, value_row, logit_row
 
     @cached_property
-    def _by_target(self) -> sparse.csr_matrix:
-        """``(S, E)``: row ``s`` selects in-neighbourhood ``s`` — the
-        edges are sorted, so ``starts`` is the CSR row pointer as is."""
-        num_edges = len(self.src)
-        return sparse.csr_matrix(
-            (np.ones(num_edges), np.arange(num_edges), np.append(self.starts, num_edges)),
-            shape=(len(self.starts), num_edges),
-        )
+    def _by_target(self) -> Selector:
+        """``(S, E)``: row ``s`` selects in-neighbourhood ``s``."""
+        return Selector.by_segment(self.starts, len(self.src))
 
     @cached_property
-    def _by_source(self) -> sparse.csc_matrix:
+    def _by_source(self) -> Selector:
         """``(N, E)``: column ``e`` puts edge ``e`` on its source."""
-        return scatter_selector(self.src, len(self.node_type))
+        return Selector.scatter(self.src, len(self.node_type))
 
     @cached_property
-    def _by_value_row(self) -> sparse.csc_matrix:
+    def _by_value_row(self) -> Selector:
         """``(txn + types, E)``: column ``e`` puts edge ``e`` on its value row."""
         txn, value_row, _ = self.table_rows
-        return scatter_selector(value_row, len(txn) + len(NODE_TYPES))
+        return Selector.scatter(value_row, len(txn) + len(NODE_TYPES))
 
     @cached_property
-    def _by_logit_cell(self) -> sparse.csc_matrix:
+    def _by_logit_cell(self) -> Selector:
         """``(txn x edge types, E)``: column ``e`` puts edge ``e`` on its
         (transaction endpoint, edge type)."""
         txn, _, logit_row = self.table_rows
         cell = logit_row * len(EDGE_TYPES) + self.edge_type
-        return scatter_selector(cell, len(txn) * len(EDGE_TYPES))
+        return Selector.scatter(cell, len(txn) * len(EDGE_TYPES))
 
     def segment_sum(self, values: np.ndarray) -> np.ndarray:
         """``(E, k)`` per-edge rows summed over each non-empty

@@ -24,9 +24,9 @@ _writes = 0
 
 
 def parameter_writes() -> int:
-    """A count that moves on every :meth:`Parameter.write` and every
-    parameter or module assigned into a module: what derived tables key
-    an O(1) "nothing was written since" check on."""
+    """A count that moves on every :meth:`Parameter.write`, optimiser
+    step and parameter or module assigned into a module: what derived
+    tables key an O(1) "nothing was written since" check on."""
     return _writes
 
 
@@ -38,15 +38,14 @@ def _count_write() -> None:
 class Parameter(Tensor):
     """A tensor flagged as trainable, read-only between writes.
 
-    ``data`` (a private copy of what it was built from) changes only
-    inside :meth:`write`, and every write bumps ``version`` (and
+    ``data`` (a private copy of what it was built from, then a view of
+    its slot of its optimiser's flat buffer) changes only in :meth:`write`
+    or ``Optimizer.step``, each bumping ``version`` (and
     :func:`parameter_writes`): anything derived from the array alone is
     current exactly while the versions it was derived at are
-    (:class:`~repro.models.hetero_conv.HeteroConvLayer` keys its plan on
-    them). ``Optimizer.step`` and ``Module.load_state_dict`` are the two
-    writers; one that goes around :meth:`write` fails with numpy's
-    "assignment destination is read-only" instead of leaving stale
-    tables in use.
+    (``HeteroConvLayer`` keys its plan on them). A writer going around
+    both fails with numpy's "assignment destination is read-only"
+    instead of leaving stale tables in use.
     """
 
     __slots__ = ("version",)

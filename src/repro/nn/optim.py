@@ -11,7 +11,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .module import Parameter
+from .module import Parameter, _count_write
 
 
 def clip_grad_norm(parameters: Iterable[Parameter], max_norm: float) -> float:
@@ -36,50 +36,59 @@ def clip_grad_norm(parameters: Iterable[Parameter], max_norm: float) -> float:
 class Optimizer:
     """Base optimiser holding a parameter list.
 
-    A step is one flat update: the gradients and values of each run of
-    consecutive parameters holding a gradient are laid end to end, the
-    subclass's arithmetic runs once over them in place, and each
-    parameter takes its slice back in one :meth:`Parameter.write`.
-    Moments live once, in flat buffers with a slot per parameter; the
-    per-parameter lists (``_m``, ``_v``, ``_velocity``) are views of
-    them. Gradients, values and intermediates go through three work
-    buffers of the same layout, allocated once: a step allocates no
-    array the size of the model (one per operation made the flat update
-    slower than the per-parameter loop). The one-parameter-at-a-time
-    form of every update is :func:`repro.check.reference.per_parameter_step`.
+    Each parameter's ``data`` is a read-only view of its slot of one flat
+    value buffer, and a step runs the subclass's arithmetic once, in
+    place, over each run of parameters holding a gradient (gradients laid
+    end to end in a work buffer). Nothing moves at construction: a step
+    first re-homes (copies in, bits unchanged) any parameter whose
+    ``data`` is not, by identity, its slot's view — another optimiser
+    stepped it, it was rebound, deep-copied or pickled. Moments are flat
+    buffers too. The per-parameter form is ``check.reference.per_parameter_step``.
     """
 
     def __init__(self, parameters: Iterable[Parameter], lr: float) -> None:
         self.parameters: List[Parameter] = list(parameters)
         if not self.parameters:
             raise ValueError("optimizer received an empty parameter list")
+        for index, param in enumerate(self.parameters):  # one slot per parameter
+            if any(param is other for other in self.parameters[:index]):
+                raise ValueError(f"optimizer received parameter {index} {param.shape} twice")
         self.lr = lr
         #: Parameter ``i``'s slot in a flat buffer: ``[offsets[i], offsets[i + 1])``.
         self._offsets = np.cumsum([0] + [param.data.size for param in self.parameters])
-        self._work = np.empty((3, int(self._offsets[-1])))  # gradients, values, scratch
+        self._values = np.empty(int(self._offsets[-1]))
+        self._homes: List[Optional[np.ndarray]] = [None] * len(self.parameters)
+        self._work = np.empty((2, int(self._offsets[-1])))  # gradients, scratch
+
+    def __getstate__(self) -> Dict:  # a copy's parameters are copies, not its buffer's views
+        return dict(vars(self), _homes=[None] * len(self.parameters))
 
     def zero_grad(self) -> None:
         for param in self.parameters:
             param.zero_grad()
 
     def step(self) -> None:
-        """Update every parameter holding a gradient in place: one
-        :meth:`Parameter.write`, so one version bump, each. A parameter
-        without a gradient is left alone: no decay, no moment update,
-        no version bump."""
+        """Update every parameter holding a gradient in place, one
+        version bump each. A parameter without a gradient is left alone:
+        no decay, no moment update, no version bump."""
         self._begin_step()
+        for index, (param, home) in enumerate(zip(self.parameters, self._homes)):
+            if param.data is not home:  # copy it into its slot, then view the slot
+                start, stop = self._offsets[index : index + 2]
+                home = self._values[start:stop].reshape(param.data.shape)
+                home[...] = param.data
+                home.flags.writeable = False
+                param.data = self._homes[index] = home
         offsets = self._offsets
         for first, last in _runs([param.grad is not None for param in self.parameters]):
             params = self.parameters[first:last]
             span = slice(offsets[first], offsets[last])
-            grad, data, scratch = self._work[:, span]
+            grad, scratch = self._work[:, span]
             np.concatenate([param.grad.ravel() for param in params], out=grad)
-            np.concatenate([param.data.ravel() for param in params], out=data)
-            self._update(span, data, grad, scratch)
-            bounds = offsets[first : last + 1] - offsets[first]
-            for param, start, stop in zip(params, bounds, bounds[1:]):
-                with param.write() as out:
-                    out[...] = data[start:stop].reshape(out.shape)
+            self._update(span, self._values[span], grad, scratch)
+            for param in params:
+                param.version += 1
+            _count_write()  # after the versions: a check that sees the count move sees them
 
     def _begin_step(self) -> None:
         """State a step sets up before the first parameter's update."""
@@ -93,15 +102,19 @@ class Optimizer:
         ``scratch`` a work buffer of the same length."""
         raise NotImplementedError
 
-    def _buffer(self, arrays: Optional[List[np.ndarray]] = None, name: str = "moment"):
-        """A flat buffer with a slot per parameter and its per-parameter
-        views: zeros, or ``arrays`` (one per parameter, shapes checked)."""
-        flat = np.zeros(int(self._offsets[-1]))
-        views = [
+    def _slots(self, flat: np.ndarray) -> List[np.ndarray]:
+        """Each parameter's slot of ``flat``, as a view of its shape."""
+        return [
             flat[start:stop].reshape(param.data.shape)
             for param, start, stop in zip(self.parameters, self._offsets, self._offsets[1:])
         ]
+
+    def _buffer(self, arrays: Optional[List[np.ndarray]] = None, name: str = "moment") -> np.ndarray:
+        """A flat buffer with a slot per parameter: zeros, or ``arrays``
+        (one per parameter, shapes checked)."""
+        flat = np.zeros(int(self._offsets[-1]))
         if arrays is not None:
+            views = self._slots(flat)
             if len(arrays) != len(views):
                 raise ValueError(
                     f"optimizer state {name!r} holds {len(arrays)} arrays "
@@ -115,7 +128,7 @@ class Optimizer:
                         f"match parameter shape {view.shape}"
                     )
                 view[...] = array
-        return flat, views
+        return flat
 
     # -- (de)serialisation: required for checkpoint/resume ---------------
     def state_dict(self) -> Dict:
@@ -147,11 +160,14 @@ class SGD(Optimizer):
         super().__init__(parameters, lr)
         self.momentum = momentum
         self._velocity_flat: Optional[np.ndarray] = None
-        self._velocity: Optional[List[np.ndarray]] = None
+
+    @property
+    def _velocity(self) -> Optional[List[np.ndarray]]:
+        return None if self._velocity_flat is None else self._slots(self._velocity_flat)
 
     def _begin_step(self) -> None:
-        if self.momentum and self._velocity is None:
-            self._velocity_flat, self._velocity = self._buffer()
+        if self.momentum and self._velocity_flat is None:
+            self._velocity_flat = self._buffer()
 
     def _update(
         self, span: slice, data: np.ndarray, grad: np.ndarray, scratch: np.ndarray
@@ -165,16 +181,14 @@ class SGD(Optimizer):
 
     def state_dict(self) -> Dict:
         state = super().state_dict()
-        if self._velocity is not None:
+        if self._velocity_flat is not None:
             state["velocity"] = [v.copy() for v in self._velocity]
         return state
 
     def load_state_dict(self, state: Dict) -> None:
         super().load_state_dict(state)
         velocity = state.get("velocity")
-        self._velocity_flat, self._velocity = (
-            self._buffer(list(velocity), "velocity") if velocity is not None else (None, None)
-        )
+        self._velocity_flat = None if velocity is None else self._buffer(list(velocity), "velocity")
 
 
 class Adam(Optimizer):
@@ -193,8 +207,10 @@ class Adam(Optimizer):
         self.eps = eps
         self.weight_decay = weight_decay
         self._step = 0
-        self._m_flat, self._m = self._buffer()
-        self._v_flat, self._v = self._buffer()
+        self._m_flat, self._v_flat = self._buffer(), self._buffer()
+
+    _m = property(lambda self: self._slots(self._m_flat))  # per-parameter views
+    _v = property(lambda self: self._slots(self._v_flat))
 
     def _begin_step(self) -> None:
         self._step += 1
@@ -231,8 +247,8 @@ class Adam(Optimizer):
     def load_state_dict(self, state: Dict) -> None:
         super().load_state_dict(state)
         self._step = int(state["step"])
-        self._m_flat, self._m = self._buffer(list(state["m"]), "m")
-        self._v_flat, self._v = self._buffer(list(state["v"]), "v")
+        self._m_flat = self._buffer(list(state["m"]), "m")
+        self._v_flat = self._buffer(list(state["v"]), "v")
 
 
 class AdamW(Adam):

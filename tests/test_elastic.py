@@ -634,6 +634,23 @@ class TestResume:
         assert [e.members for e in r1.history] == [e.members for e in r2.history]
         assert resumed.detector.state(2) == straight.detector.state(2)
 
+    def test_resume_into_the_trainer_that_stopped_is_bitwise_identical(
+        self, tiny_graph, tiny_splits, detector_config, tmp_path
+    ):
+        """The stopped trainer's parameters are views of its optimiser's
+        flat buffer: the restore writes through them, and the run steps
+        on to the uninterrupted run's bits."""
+        _, test = tiny_splits
+        plan = lambda: FaultPlan(num_workers=4, worker_kill={1: [2]}, worker_rejoin={2: [2]})
+        straight, m1 = _trainer(tiny_graph, tiny_splits, detector_config, fault_plan=plan())
+        straight.fit(tiny_graph, test)
+        trainer, m2 = _trainer(
+            tiny_graph, tiny_splits, detector_config, fault_plan=plan(), checkpoint=str(tmp_path)
+        )
+        trainer.fit(tiny_graph, test, stop_after_epoch=1)
+        trainer.fit(tiny_graph, test, resume=True)
+        assert _state_crc(m1) == _state_crc(m2)
+
     def test_a_plain_trainers_checkpoint_is_refused_before_anything_moves(
         self, tiny_graph, tiny_splits, detector_config, tmp_path
     ):

@@ -1,5 +1,8 @@
 """Optimisers: convergence on convex problems, clipping, schedules."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -228,3 +231,100 @@ class TestCosineDecay:
         optimizer = nn.SGD([Parameter(np.zeros(1))], lr=1.0)
         with pytest.raises(ValueError):
             nn.CosineDecay(optimizer, total_steps=0)
+
+
+def _mlp():
+    rng = np.random.default_rng(7)
+    return nn.Sequential(nn.Linear(3, 4, rng=rng), nn.Tanh(), nn.Linear(4, 2, rng=rng))
+
+
+_INPUTS = np.random.default_rng(8).normal(size=(5, 3))
+
+
+def _train(model, optimizer, steps):
+    """``steps`` steps of a loss that depends on the parameters."""
+    for _ in range(steps):
+        optimizer.zero_grad()
+        out = model(Tensor(_INPUTS))
+        (out * out).sum().backward()
+        optimizer.step()
+
+
+def _bits(model):
+    return [param.data.tobytes() for param in model.parameters()]
+
+
+class TestParametersLiveInTheFlatBuffer:
+    """A parameter's data is a read-only view of its slot of the
+    optimiser's value buffer; whatever rebinds it, a step re-homes it
+    without losing a bit."""
+
+    def _uninterrupted(self, steps=4):
+        model = _mlp()
+        _train(model, nn.AdamW(model.parameters(), lr=0.05), steps)
+        return _bits(model)
+
+    def test_a_step_makes_each_parameter_a_read_only_view_of_its_slot(self):
+        model = _mlp()
+        optimizer = nn.AdamW(model.parameters(), lr=0.05)
+        before = [param.data for param in model.parameters()]
+        assert all(param.data is old for param, old in zip(model.parameters(), before))
+        _train(model, optimizer, 1)  # construction moved nothing; the step does
+        for param in model.parameters():
+            assert np.shares_memory(param.data, optimizer._values)
+            with pytest.raises(ValueError, match="read-only"):
+                param.data[...] = 0.0
+
+    def test_two_optimizers_over_one_model_lose_no_update(self):
+        model, other = _mlp(), _mlp()
+        first, second = nn.SGD(model.parameters(), lr=0.05), nn.SGD(model.parameters(), lr=0.05)
+        alone = nn.SGD(other.parameters(), lr=0.05)
+        for optimizer in (first, second, first, second):  # each step re-homes
+            _train(model, optimizer, 1)
+            _train(other, alone, 1)
+            assert _bits(model) == _bits(other)
+        assert all(np.shares_memory(param.data, second._values) for param in model.parameters())
+
+    def test_load_state_dict_writes_through_the_views(self):
+        model = _mlp()
+        optimizer = nn.AdamW(model.parameters(), lr=0.05)
+        _train(model, optimizer, 2)
+        views = [param.data for param in model.parameters()]
+        model.load_state_dict(model.state_dict())
+        optimizer.load_state_dict(optimizer.state_dict())
+        assert all(param.data is view for param, view in zip(model.parameters(), views))
+        _train(model, optimizer, 2)
+        assert _bits(model) == self._uninterrupted()
+
+    @pytest.mark.parametrize(
+        "clone", [copy.deepcopy, lambda pair: pickle.loads(pickle.dumps(pair))], ids=["deepcopy", "pickle"]
+    )
+    def test_a_copy_steps_on_as_the_original_would(self, clone):
+        model = _mlp()
+        optimizer = nn.AdamW(model.parameters(), lr=0.05)
+        _train(model, optimizer, 2)
+        copied, copied_optimizer = clone((model, optimizer))
+        _train(copied, copied_optimizer, 2)
+        assert _bits(copied) == self._uninterrupted()
+        assert all(np.shares_memory(p.data, copied_optimizer._values) for p in copied.parameters())
+        _train(model, optimizer, 2)  # the original shares nothing with its copy
+        assert _bits(model) == self._uninterrupted()
+        state, copied_state = optimizer.state_dict(), copied_optimizer.state_dict()
+        for key in ("m", "v"):
+            assert [m.tobytes() for m in state[key]] == [m.tobytes() for m in copied_state[key]]
+
+    def test_a_rebound_parameter_is_re_homed_with_its_values(self):
+        model = _mlp()
+        optimizer = nn.AdamW(model.parameters(), lr=0.05)
+        _train(model, optimizer, 2)
+        param = model.parameters()[0]
+        param.data = param.data.copy()
+        _train(model, optimizer, 2)
+        assert np.shares_memory(param.data, optimizer._values)
+        assert _bits(model) == self._uninterrupted()
+
+    def test_the_same_parameter_twice_is_refused(self):
+        model = _mlp()
+        params = model.parameters()
+        with pytest.raises(ValueError, match=r"parameter 4 \(4,\) twice"):
+            nn.AdamW(params + [params[1]])
