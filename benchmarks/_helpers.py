@@ -42,15 +42,27 @@ def best_us(fn, number: int, setup="pass") -> float:
     return min(timeit.repeat(fn, setup=setup, number=number, repeat=5)) / number * 1e6
 
 
-def alternated_medians(fns, number: int = 1, samples: int = 9) -> List[float]:
-    """Median microseconds per call of each of ``fns`` (each reading a
-    :func:`best_us` over ``number`` calls), timed in turns so a slow
-    spell of the box hits all of them."""
+def alternated_readings(fns, number: int = 1, samples: int = 9) -> List[List[float]]:
+    """``samples`` readings of each of ``fns`` (each a :func:`best_us`
+    over ``number`` calls), timed in turns so a slow spell of the box
+    hits all of them."""
     readings = [[] for _ in fns]
     for _ in range(samples):
         for fn, times in zip(fns, readings):
             times.append(best_us(fn, number=number))
-    return [float(np.median(times)) for times in readings]
+    return readings
+
+
+def alternated_medians(fns, number: int = 1, samples: int = 9) -> List[float]:
+    """Median microseconds per call of each of ``fns``, alternated."""
+    return [float(np.median(times)) for times in alternated_readings(fns, number, samples)]
+
+
+def paired_ratio(numerators: List[float], denominators: List[float]) -> float:
+    """Median of the per-pair ratios of two alternated series: a slow
+    spell that hits one pair moves that pair's ratio only, where it
+    would shift one series' median and not the other's."""
+    return float(np.median(np.divide(numerators, denominators)))
 
 
 def stream_shaped_graph(rng, num_txns: int, feature_dim: int = 114) -> HeteroGraph:

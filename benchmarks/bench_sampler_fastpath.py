@@ -33,7 +33,10 @@ replaced, and to the same cost on a 45k-node graph as on a 7k-node one
 all-miss ``SubgraphCache.get_or_sample`` to <= 1.15x the bare walk (the
 walk is the batch's sample, its entries stored as pieces of it;
 1.4-1.5x when the cache cut it into 32 entries, 1.8-2.2x with the
-service stacking them again), and ``test_hit_gather_ratio_floor`` holds
+service stacking them again). That budget holds the median of the
+per-pair ratios of the alternated timings: 1.02-1.11x over 16 runs on a
+2-core Xeon VM, where the ratio of the two series' medians read
+1.00-1.18x and failed once. ``test_hit_gather_ratio_floor`` holds
 an all-hit 32-target lookup, gathered out of one 200-component warm
 walk, to <= 1.2x ``stack_subgraphs`` of the same 32 parts pre-cut (what
 ``serve_hot`` does per call; a gather that read the whole walk would
@@ -47,7 +50,14 @@ import functools
 
 import numpy as np
 
-from _helpers import alternated_medians, best_us, format_table, stream_shaped_graph, write_result
+from _helpers import (
+    alternated_medians,
+    best_us,
+    format_table,
+    paired_ratio,
+    stream_shaped_graph,
+    write_result,
+)
 from repro.check import subgraph_equal
 from repro.check.reference import scalar_sample, stack_subgraphs
 from repro.data import GeneratorConfig, TransactionGenerator
@@ -212,7 +222,8 @@ def _batch_lookup_timings():
         for _ in range(RATIO_SAMPLES):  # alternate, so a slow spell of the box hits both
             samples[0].append(best_us(walk, number=1))
             samples[1].append(best_us(lookup, number=1, setup=cache.invalidate))
-        rows.append((graph.num_nodes, *(float(np.median(times)) for times in samples)))
+        walk_us, lookup_us = samples
+        rows.append((graph.num_nodes, *map(np.median, samples), paired_ratio(lookup_us, walk_us)))
     return rows
 
 
@@ -220,13 +231,13 @@ def test_batch_lookup_ratio_floor():
     """Machine-independent: an all-miss micro-batch through the cache
     costs little more than its walk — the walk is returned as the
     batch's sample and stored whole (CI perf-smoke)."""
-    for nodes, walk_us, lookup_us in _batch_lookup_timings():
+    for nodes, walk_us, lookup_us, ratio in _batch_lookup_timings():
         print(
             f"\n{MICRO_BATCH} missed targets on {nodes:,} nodes: walk {walk_us / 1e3:.2f} ms, "
-            f"cache lookup {lookup_us / 1e3:.2f} ms -> {lookup_us / walk_us:.2f}x "
+            f"cache lookup {lookup_us / 1e3:.2f} ms -> {ratio:.2f}x per pair "
             f"(budget <= {BATCH_LOOKUP_BUDGET:.2f}x)"
         )
-        assert lookup_us <= BATCH_LOOKUP_BUDGET * walk_us, nodes
+        assert ratio <= BATCH_LOOKUP_BUDGET, nodes
 
 
 def _hit_gather_timings():

@@ -20,12 +20,14 @@ records five tape nodes — one per convolution layer over the kernel
 kernel ``predict_proba`` runs, the loss — each with a hand-derived
 backward, and AdamW is one flat update, so a full step (loss, backward,
 clip, AdamW) costs at most ``STEP_VS_INFERENCE_BUDGET``x scoring the
-same targets on the same field — again a ratio of two timings
-alternated in one process. On a 2-core Xeon VM it reads 4.01-5.79x over
-15 runs (5.67-5.80x with the head and the loss on the per-op tape and
-one update per parameter); the budget is within 15% of the worst
-reading. When every op and every node/edge type was its own ``Tensor``
-it read 10x or more.
+same targets on the same field — read as the median of the per-pair
+ratios of two timings alternated in one process, so a slow spell of the
+box moves one pair's ratio, not one side's median. On a 2-core Xeon VM
+it read 4.12-4.52x over 16 runs (the ratio of the two series' medians
+read 3.59-4.49x over 16 runs on the same box, and up to 5.83x on a busier day;
+5.67-5.80x with the head and the loss on the per-op tape and one update
+per parameter). When every op and every node/edge type was its own
+``Tensor`` it read 10x or more.
 
 ``test_trimmed_forward_ratio_floor`` holds what both sides of that
 ratio share: each layer computes only the rows the next one reads
@@ -78,7 +80,7 @@ worst reading plus 15%.
 import numpy as np
 from scipy import sparse
 
-from _helpers import alternated_medians, model_config
+from _helpers import alternated_medians, alternated_readings, model_config, paired_ratio
 from repro import nn
 from repro.check.reference import stack_subgraphs
 from repro.data import load_dataset
@@ -89,7 +91,7 @@ from repro.models.hetero_conv import InferenceLayout, Selector
 from repro.nn.segment import scatter_selector
 
 STEP_RATIO_BUDGET = 1.5  # step on 4 copies of the graph vs on 1, same batch
-STEP_VS_INFERENCE_BUDGET = 6.0  # full step vs predict_proba on the batch's field (worst read 5.79x)
+STEP_VS_INFERENCE_BUDGET = 6.0  # full step vs predict_proba on the batch's field, per pair (worst 4.52x)
 TRIMMED_FORWARD_BUDGET = 0.8  # scoring a stacked batch at its targets vs at every transaction
 PLAN_MEMO_BUDGET = 1.15  # a sample scored with its plan rebuilt vs on a warm plan
 LAYER_ONE_BUDGET = 2.2  # layer 1's forward + pullback vs layer 2's, one training field
@@ -155,12 +157,13 @@ def test_step_vs_inference_ratio_floor():
         model.predict_proba(field.graph, field.target_local)
 
     step()  # build the CSR, grow the heap to the step's working set
-    step_us, score_us = alternated_medians([step, score])
-    ratio = step_us / score_us
+    step_us, score_us = alternated_readings([step, score])
+    ratio = paired_ratio(step_us, score_us)
     print(
-        f"\n{BATCH}-target step {step_us / 1e3:.1f} ms vs predict_proba {score_us / 1e3:.1f} ms "
-        f"on its field ({field.graph.num_nodes:,} nodes / {field.graph.num_edges:,} edges) "
-        f"-> {ratio:.2f}x (budget <= {STEP_VS_INFERENCE_BUDGET:.1f}x)"
+        f"\n{BATCH}-target step {np.median(step_us) / 1e3:.1f} ms vs predict_proba "
+        f"{np.median(score_us) / 1e3:.1f} ms on its field ({field.graph.num_nodes:,} nodes / "
+        f"{field.graph.num_edges:,} edges) -> {ratio:.2f}x per pair "
+        f"(budget <= {STEP_VS_INFERENCE_BUDGET:.1f}x)"
     )
     assert ratio <= STEP_VS_INFERENCE_BUDGET
 

@@ -2373,15 +2373,13 @@ def run_fuzz(
     trials: int,
     seed: int = 0,
     names: Optional[List[str]] = None,
-    stop_on_first: bool = True,
     progress: Optional[Callable[[str], None]] = None,
 ) -> FuzzReport:
     """Round-robin the scenarios, each over its own case sequence
     (:func:`_case`): trial ``i`` is the ``i // n``-th case of the
     ``i % n``-th of the ``n`` selected scenarios.
 
-    On divergence the case is shrunk immediately and recorded; with
-    ``stop_on_first`` (the default, what CI wants) the run ends there.
+    The first divergence is shrunk, recorded, and ends the run.
     """
     selected = list(SCENARIOS) if names is None else list(names)
     for name in selected:
@@ -2410,6 +2408,5 @@ def run_fuzz(
                 shrink_steps=steps,
             )
         )
-        if stop_on_first:
-            break
+        break
     return report

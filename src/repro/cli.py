@@ -189,14 +189,8 @@ def _parser() -> argparse.ArgumentParser:
         "--chaos",
         action="store_true",
         help="with --elastic: kill 2 of 8 workers mid-run, rejoin 1, and "
-        "exit nonzero unless the run self-heals within --chaos-tolerance "
-        "of the fault-free curve",
-    )
-    train.add_argument(
-        "--chaos-tolerance",
-        type=float,
-        default=0.1,
-        help="max |AUC(chaos) - AUC(fault-free)| the gate accepts",
+        "exit nonzero unless the run's AUC lands within "
+        f"{_CHAOS_AUC_TOLERANCE} of the fault-free run's",
     )
     train.add_argument(
         "--stop-after-epoch",
@@ -376,12 +370,6 @@ def _parser() -> argparse.ArgumentParser:
         help="replays to run and byte-diff (>= 1)",
     )
     stream.add_argument(
-        "--no-drift-burst",
-        action="store_true",
-        help="skip the deterministic feature shift on the stream tail",
-    )
-    stream.add_argument("--no-finetune", action="store_true")
-    stream.add_argument(
         "--wal-dir",
         default=None,
         metavar="DIR",
@@ -431,11 +419,6 @@ def _parser() -> argparse.ArgumentParser:
     )
     check.add_argument(
         "--size", type=int, default=3, help="case size for --case replay"
-    )
-    check.add_argument(
-        "--keep-going",
-        action="store_true",
-        help="collect every fuzz divergence instead of stopping at the first",
     )
     check.add_argument(
         "--list",
@@ -513,6 +496,7 @@ _CHAOS_KILL = {1: [2, 5]}
 _CHAOS_REJOIN = {3: [5]}
 _CHAOS_SLOW = {2: {1: 4.0}}
 _CHAOS_CORRUPT = {2: [3]}
+_CHAOS_AUC_TOLERANCE = 0.1  # max |AUC(chaos) - AUC(fault-free)| the gate accepts
 
 
 def _elastic_run(args, bundle, fault_plan=None, checkpoint=None, resume=False):
@@ -632,14 +616,14 @@ def _cmd_train_elastic(args) -> int:
     base_auc = baseline.metrics.get("auc", float("nan"))
     chaos_auc = chaos.metrics.get("auc", float("nan"))
     delta = abs(base_auc - chaos_auc)
-    if not delta <= args.chaos_tolerance:
+    if not delta <= _CHAOS_AUC_TOLERANCE:
         failures.append(
             f"chaos AUC {chaos_auc:.4f} vs fault-free {base_auc:.4f}: "
-            f"|delta| {delta:.4f} > tolerance {args.chaos_tolerance}"
+            f"|delta| {delta:.4f} > tolerance {_CHAOS_AUC_TOLERANCE}"
         )
     print(
         f"fault-free auc={base_auc:.4f} chaos auc={chaos_auc:.4f} "
-        f"delta={delta:.4f} (tolerance {args.chaos_tolerance})"
+        f"delta={delta:.4f} (tolerance {_CHAOS_AUC_TOLERANCE})"
     )
     if _failed(failures):
         return 1
@@ -975,8 +959,6 @@ def _cmd_stream(args) -> int:
                 batch_size=args.batch_size,
                 compact_every=args.compact_every,
                 label_delay_s=args.label_delay,
-                drift_burst=not args.no_drift_burst,
-                finetune=not args.no_finetune,
                 wal_dir=wal_dir,
                 checkpoint_dir=checkpoint_dir,
                 registry=registry if run == 0 else None,
@@ -1069,7 +1051,6 @@ def _cmd_check(args) -> int:
             args.fuzz,
             seed=args.seed,
             names=args.scenario,
-            stop_on_first=not args.keep_going,
             progress=lambda line: print(f"fuzz: {line}"),
         )
         spread = ", ".join(

@@ -16,34 +16,40 @@ pairs ``(u, v), u < v`` to a weight.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Tuple
 
-import networkx as nx
 import numpy as np
 
 from ..graph.hetero import HeteroGraph
 
+if TYPE_CHECKING:
+    import networkx as nx
+
 EdgeWeights = Dict[Tuple[int, int], float]
 
+#: Table 1's node centralities, evaluated on the line graph, in its order
+#: -> the networkx function that computes each.
+_LINE_GRAPH_MEASURES: Dict[str, str] = {
+    "approximate_current_flow_betweenness": "approximate_current_flow_betweenness_centrality",
+    "betweenness": "betweenness_centrality",
+    "closeness": "closeness_centrality",
+    "communicability_betweenness": "communicability_betweenness_centrality",
+    "current_flow_betweenness": "current_flow_betweenness_centrality",
+    "current_flow_closeness": "current_flow_closeness_centrality",
+    "degree": "degree_centrality",
+    "eigenvector": "eigenvector_centrality_numpy",
+    "harmonic": "harmonic_centrality",
+    "load": "load_centrality",
+    "subgraph": "subgraph_centrality",
+}
+
 #: Measure names exactly as Table 1 lists them.
-CENTRALITY_MEASURES: Tuple[str, ...] = (
-    "edge_betweenness",
-    "edge_load",
-    "approximate_current_flow_betweenness",
-    "betweenness",
-    "closeness",
-    "communicability_betweenness",
-    "current_flow_betweenness",
-    "current_flow_closeness",
-    "degree",
-    "eigenvector",
-    "harmonic",
-    "load",
-    "subgraph",
-)
+CENTRALITY_MEASURES: Tuple[str, ...] = ("edge_betweenness", "edge_load", *_LINE_GRAPH_MEASURES)
 
 
 def _undirected_nx(graph: HeteroGraph) -> nx.Graph:
+    import networkx as nx
+
     undirected = nx.Graph()
     undirected.add_nodes_from(range(graph.num_nodes))
     for src, dst in zip(graph.edge_src, graph.edge_dst):
@@ -63,6 +69,8 @@ def _per_component(graph: nx.Graph, fn: Callable[[nx.Graph], Dict]) -> Dict:
     communities are connected by construction but library users may
     pass arbitrary graphs.
     """
+    import networkx as nx
+
     result: Dict = {}
     for component in nx.connected_components(graph):
         sub = graph.subgraph(component)
@@ -76,36 +84,12 @@ def _per_component(graph: nx.Graph, fn: Callable[[nx.Graph], Dict]) -> Dict:
 
 def _line_graph_node_centrality(graph: nx.Graph, measure: str) -> EdgeWeights:
     """Node centrality computed on the line graph → edge weight in G."""
+    import networkx as nx
+
     line = nx.line_graph(graph)
     if line.number_of_nodes() == 0:
         return {}
-
-    def dispatch(component: nx.Graph) -> Dict:
-        if measure == "betweenness":
-            return nx.betweenness_centrality(component)
-        if measure == "closeness":
-            return nx.closeness_centrality(component)
-        if measure == "degree":
-            return nx.degree_centrality(component)
-        if measure == "eigenvector":
-            return nx.eigenvector_centrality_numpy(component)
-        if measure == "harmonic":
-            return nx.harmonic_centrality(component)
-        if measure == "load":
-            return nx.load_centrality(component)
-        if measure == "subgraph":
-            return nx.subgraph_centrality(component)
-        if measure == "communicability_betweenness":
-            return nx.communicability_betweenness_centrality(component)
-        if measure == "current_flow_betweenness":
-            return nx.current_flow_betweenness_centrality(component)
-        if measure == "approximate_current_flow_betweenness":
-            return nx.approximate_current_flow_betweenness_centrality(component)
-        if measure == "current_flow_closeness":
-            return nx.current_flow_closeness_centrality(component)
-        raise KeyError(f"unknown line-graph measure {measure!r}")
-
-    scores = _per_component(line, dispatch)
+    scores = _per_component(line, getattr(nx, _LINE_GRAPH_MEASURES[measure]))
     weights: EdgeWeights = {}
     for edge_node, score in scores.items():
         weights[_normalize_pair(*edge_node)] = float(score)
@@ -114,6 +98,8 @@ def _line_graph_node_centrality(graph: nx.Graph, measure: str) -> EdgeWeights:
 
 def centrality_edge_weights(graph: HeteroGraph, measure: str) -> EdgeWeights:
     """Edge weights for one of the 13 Table-1 centrality measures."""
+    import networkx as nx
+
     if measure not in CENTRALITY_MEASURES:
         raise KeyError(f"unknown measure {measure!r}; choose from {CENTRALITY_MEASURES}")
     undirected = _undirected_nx(graph)

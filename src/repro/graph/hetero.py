@@ -630,14 +630,3 @@ class HeteroGraph:
             txn_table=txn_table,
             labels=labels,
         )
-
-    def to_networkx(self):
-        """Export as an undirected networkx graph (for centrality)."""
-        import networkx as nx
-
-        graph = nx.Graph()
-        for node in range(self.num_nodes):
-            graph.add_node(node, node_type=NODE_TYPES[self.node_type[node]])
-        for src, dst in zip(self.edge_src, self.edge_dst):
-            graph.add_edge(int(src), int(dst))
-        return graph

@@ -217,8 +217,10 @@ class StreamScorer:
             ]
             batch_responses = self.service.score_batch(requests)
             for event, response in zip(batch, batch_responses):
-                self._scores[event.txn_id] = response.score
                 if event.label >= 0:
+                    # Kept until the label matures; an unlabelled event's
+                    # score has no reader.
+                    self._scores[event.txn_id] = response.score
                     self.label_feed.offer(event.txn_id, event.label, event.timestamp)
                 self.score_drift.observe(response.score)
             means = np.mean(np.stack([event.features for event in batch]), axis=1)

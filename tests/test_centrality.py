@@ -1,5 +1,10 @@
 """Centrality edge weights (Table 1 / Appendix F)."""
 
+import ast
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,6 +21,44 @@ from repro.graph import select_communities
 def community(tiny_graph, tiny_splits):
     _, test = tiny_splits
     return select_communities(tiny_graph, test, count=1, seed=3)[0]
+
+
+LEDGER_WORKLOADS = Path(__file__).parents[1] / "benchmarks" / "ledger" / "workloads.py"
+
+
+def ledger_repro_modules():
+    """Every ``repro`` module the ledger's workloads import."""
+    modules = set()
+    for node in ast.walk(ast.parse(LEDGER_WORKLOADS.read_text())):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.module == "repro":
+            modules.update(f"repro.{alias.name}" for alias in node.names)
+        elif (node.module or "").startswith("repro."):
+            modules.add(node.module)
+    return sorted(modules)
+
+
+def test_networkx_loads_only_when_a_centrality_is_computed():
+    """A scoring, training or streaming process never pays networkx's
+    import; the first centrality does."""
+    modules = ["repro", "repro.cli", "repro.explain", *ledger_repro_modules()]
+    script = f"""
+import importlib, sys
+for name in {modules!r}:
+    importlib.import_module(name)
+assert "networkx" not in sys.modules, "networkx imported by " + repr({modules!r})
+from repro.explain import centrality_edge_weights
+from repro.graph.hetero import NODE_TYPE_IDS, HeteroGraph
+graph = HeteroGraph.from_links(
+    [NODE_TYPE_IDS["txn"], NODE_TYPE_IDS["pmt"]], [(0, 1)], [[0.0]], [0, -1]
+)
+assert centrality_edge_weights(graph, "degree") == {{(0, 1): 0.0}}
+assert "networkx" in sys.modules
+"""
+    assert "repro.serving" in modules and "repro.train" in modules
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 class TestMeasureCatalogue:

@@ -90,6 +90,25 @@ class TestTrainEvaluate:
         assert train_auc == eval_auc
 
 
+    def test_model_flags_shape_the_model_and_lr_moves_it(self, tmp_path, capsys):
+        """--hidden-dim / --heads / --layers shape the saved detector, which
+        loads back only under the same flags; --lr changes what it learns."""
+        shape = ["--hidden-dim", "16", "--heads", "2", "--layers", "1"]
+        saved = [str(tmp_path / f"lr-{lr}.npz") for lr in ("5e-3", "5e-2")]
+        for lr, path in zip(("5e-3", "5e-2"), saved):
+            train = ["train", "--scale", "0.1", "--epochs", "1", *shape, "--lr", lr]
+            assert main([*train, "--save", path]) == 0
+        slow, fast = (np.load(path) for path in saved)
+        assert slow["convs.0.q_linear.shared.weight"].shape[1] == 16
+        assert slow["convs.0.att_src"].shape[1] == 2
+        assert not any(key.startswith("convs.1.") for key in slow)
+        weight = "convs.0.q_linear.shared.weight"
+        assert not np.array_equal(slow[weight], fast[weight])
+        assert main(["evaluate", "--scale", "0.1", *shape, "--load", saved[0]]) == 0
+        assert main(["evaluate", "--scale", "0.1", "--load", saved[0]]) == 2
+        assert "cannot load model state" in capsys.readouterr().err
+
+
 class TestExplainCommand:
     def test_explain_trains_and_renders(self, capsys):
         code = main(

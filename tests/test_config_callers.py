@@ -1,4 +1,4 @@
-"""Every ``*Config`` field has a caller.
+"""Every ``*Config`` field and every CLI flag has a caller.
 
 A field that nothing outside the tests sets is a knob nobody turns: its
 default is the only value that ever runs, and a branch it switches is
@@ -19,11 +19,15 @@ count. A caller sets a field when it
 Matching is by name, not by type, so a keyword of the same name on an
 unrelated call credits the field too. The scan errs toward passing; it
 exists so that a new knob cannot land without a caller.
+
+A CLI flag's caller is a CI job that passes it, or a test that drives
+``repro.cli`` or an example that names it in a string literal.
 """
 
 import ast
 import dataclasses
 import importlib
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -129,3 +133,51 @@ def test_the_allowlist_is_short_and_current():
         assert name in fields.get(cls, ()), f"{cls}.{name} is gone: drop it from the allowlist"
         assert (cls, name) not in credited, f"{cls}.{name} has a caller now: drop it"
         assert reason
+
+
+CLI = PACKAGE / "cli.py"
+
+
+def cli_flags():
+    """Every ``--flag`` the CLI's parsers declare."""
+    return {
+        arg.value
+        for node in ast.walk(ast.parse(CLI.read_text()))
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_argument"
+        for arg in node.args
+        if isinstance(arg, ast.Constant) and str(arg.value).startswith("--")
+    }
+
+
+def _drives_the_cli(tree) -> bool:
+    return any(
+        isinstance(node, ast.ImportFrom)
+        and (node.module == "repro.cli" or any(alias.name == "cli" for alias in node.names))
+        for node in ast.walk(tree)
+    )
+
+
+def flags_with_a_caller():
+    """Every ``--word`` a CI job runs, and every string (up to an ``=``)
+    a test that drives the CLI or an example names."""
+    words = set()
+    for path in sorted((ROOT / ".github" / "workflows").glob("*.yml")):
+        words.update(re.findall(r"--[a-z][a-z0-9-]*", path.read_text()))
+    tests = sorted((ROOT / "tests").glob("test_*.py"))
+    for path in [*tests, *sorted((ROOT / "examples").rglob("*.py"))]:
+        tree = ast.parse(path.read_text())
+        if path in tests and not _drives_the_cli(tree):
+            continue
+        words.update(
+            node.value.split("=")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        )
+    return words
+
+
+def test_every_cli_flag_has_a_caller():
+    """A flag nothing passes is a knob nobody turns: give it a caller
+    that CI runs, or delete it with the branch it switches."""
+    orphans = sorted(cli_flags() - flags_with_a_caller())
+    assert not orphans, f"CLI flags no CI job, CLI test or example passes: {orphans}"

@@ -257,8 +257,3 @@ class TestSubgraph:
         graph = small_graph()
         component = graph.connected_component(0)
         assert set(component.tolist()) == {0, 1, 2, 3}
-
-    def test_to_networkx(self):
-        nx_graph = small_graph().to_networkx()
-        assert nx_graph.number_of_nodes() == 4
-        assert nx_graph.number_of_edges() == 3

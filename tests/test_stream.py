@@ -15,6 +15,7 @@ The load-bearing contracts pinned here:
   byte-identical verdicts (the ``repro stream --demo`` gate).
 """
 
+import dataclasses
 import math
 import zlib
 
@@ -911,6 +912,16 @@ class TestStreamScorer:
                 node = scorer.builder.node_of(event.txn_id)
                 assert graph.labels[node] == event.label
         assert scorer.online_auc.count == matured
+
+    def test_unlabelled_events_leave_no_score_behind(self):
+        scorer, live, clock = self._stack()
+        batch = [dataclasses.replace(event, label=-1) for event in live[:24]]
+        clock.advance(max(event.timestamp for event in batch) - clock() + 100)
+        for event in batch:
+            assert scorer.ingest(event)
+        assert len(scorer.pump()) == 24
+        assert scorer.label_feed.pending == 0
+        assert scorer._scores == {}
 
     def test_health_and_metrics(self, tmp_path):
         registry = MetricsRegistry()
