@@ -40,7 +40,12 @@ per-pair ratios of the alternated timings: 1.02-1.11x over 16 runs on a
 an all-hit 32-target lookup, gathered out of one 200-component warm
 walk, to <= 1.2x ``stack_subgraphs`` of the same 32 parts pre-cut (what
 ``serve_hot`` does per call; a gather that read the whole walk would
-scale with it). The full
+scale with it), read the same way, as the median of the per-pair
+ratios: 1.00-1.18x over 20 runs on a 2-core Xeon VM, where the ratio
+of the two series' medians, from the same runs, read 0.85-1.28x and
+failed twice (the previous commit, alternated with them: 0.99-1.16x
+and 0.99-1.18x); 1.00-1.25x over 26 runs on another day, 3 over the
+budget, and 0.75-1.40x by medians on a third. The full
 ``test_fastpath_speedup_and_equivalence`` regenerates
 ``results/fastpath.txt`` and also holds the end-to-end (vectorized +
 cache) path to >= 5x at batch 128.
@@ -241,7 +246,7 @@ def test_batch_lookup_ratio_floor():
 
 
 def _hit_gather_timings():
-    """``(stack us, lookup us)`` on the ~7k-node graph: a cache warmed
+    """``(stack us, lookup us, ratio per pair)`` on the ~7k-node graph: a cache warmed
     with one ``WARM_WALK``-target walk, then ``MICRO_BATCH`` of those
     targets looked up (every lookup a hit, gathered out of the walk) and
     their singleton samples — the same parts, pre-cut — stacked (checked
@@ -261,20 +266,21 @@ def _hit_gather_timings():
     for _ in range(RATIO_SAMPLES):  # alternate, so a slow spell of the box hits both
         for path, times in zip(paths, samples):
             times.append(best_us(path, number=20))
-    return tuple(float(np.median(times)) for times in samples)
+    stack_us, lookup_us = samples
+    return float(np.median(stack_us)), float(np.median(lookup_us)), paired_ratio(lookup_us, stack_us)
 
 
 def test_hit_gather_ratio_floor():
     """Machine-independent: an all-hit micro-batch costs what stacking
     its parts costs — each hit is gathered out of its walk by the bounds
     the walk recorded, with no cut and no search (CI perf-smoke)."""
-    stack_us, lookup_us = _hit_gather_timings()
+    stack_us, lookup_us, ratio = _hit_gather_timings()
     print(
         f"\n{MICRO_BATCH} hits on one {WARM_WALK}-component walk: stack of the cut parts "
-        f"{stack_us:.0f} us, cache lookup {lookup_us:.0f} us -> {lookup_us / stack_us:.2f}x "
+        f"{stack_us:.0f} us, cache lookup {lookup_us:.0f} us -> {ratio:.2f}x per pair "
         f"(budget <= {HIT_GATHER_BUDGET:.2f}x)"
     )
-    assert lookup_us <= HIT_GATHER_BUDGET * stack_us
+    assert ratio <= HIT_GATHER_BUDGET
 
 
 def test_fastpath_speedup_and_equivalence(benchmark):

@@ -25,6 +25,9 @@ ratios of two timings alternated in one process, so a slow spell of the
 box moves one pair's ratio, not one side's median. On a 2-core Xeon VM
 it read 4.12-4.52x over 16 runs (the ratio of the two series' medians
 read 3.59-4.49x over 16 runs on the same box, and up to 5.83x on a busier day;
+on other days the per-pair ratio read 5.22-6.09x over 22 runs, and
+5.44-6.62x over 16 with 5.56-6.68x over 16 runs of the previous commit
+alternated with them, 12 of 16 over the budget on each side;
 5.67-5.80x with the head and the loss on the per-op tape and one update
 per parameter). When every op and every node/edge type was its own
 ``Tensor`` it read 10x or more.
@@ -56,13 +59,14 @@ at most ``LAYER_ONE_BUDGET``x layer 2's on the same field, though it
 walks 5x the edges and reads 2x the rows of a 2x wider input.
 
 ``test_selector_ratio_floor`` holds the pullback's per-edge sums: a
-layout's 0/1 selectors (``hetero_conv.Selector``) call scipy's compiled
+layout's 0/1 selectors (``nn.segment.Selector``) call scipy's compiled
 ``csr_matvecs`` / ``csc_matvecs`` on their index arrays, so layer 1's
 three pullback sums on the 64-target field — built fresh, as every step
 builds them — cost at most ``SELECTOR_BUDGET``x the same sums through
 scipy matrices built the way the layout built them before (a
-``csr_matrix`` and two ``scatter_selector``s), which construct, validate
-and dispatch in Python around the same kernels: the same bits, asserted.
+``csr_matrix`` and two bounds-checked ``csc_matrix`` one-hots), which
+construct, validate and dispatch in Python around the same kernels: the
+same bits, asserted.
 On a 2-core Xeon VM it reads 0.28-0.44x over 13 runs; the budget is the
 worst reading plus 15%.
 
@@ -87,11 +91,11 @@ from repro.data import load_dataset
 from repro.graph.hetero import EDGE_TYPES, NODE_TYPES
 from repro.graph.sampling import SampledSubgraph, receptive_field
 from repro.models import XFraudDetectorPlus
-from repro.models.hetero_conv import InferenceLayout, Selector
-from repro.nn.segment import scatter_selector
+from repro.models.hetero_conv import InferenceLayout
+from repro.nn.segment import Selector
 
 STEP_RATIO_BUDGET = 1.5  # step on 4 copies of the graph vs on 1, same batch
-STEP_VS_INFERENCE_BUDGET = 6.0  # full step vs predict_proba on the batch's field, per pair (worst 4.52x)
+STEP_VS_INFERENCE_BUDGET = 6.0  # full step vs predict_proba on the batch's field, per pair (4.12-6.68x by day, code alike)
 TRIMMED_FORWARD_BUDGET = 0.8  # scoring a stacked batch at its targets vs at every transaction
 PLAN_MEMO_BUDGET = 1.15  # a sample scored with its plan rebuilt vs on a warm plan
 LAYER_ONE_BUDGET = 2.2  # layer 1's forward + pullback vs layer 2's, one training field
@@ -257,6 +261,16 @@ def test_layer_one_tables_ratio_floor():
     assert ratio <= LAYER_ONE_BUDGET
 
 
+def _scipy_scatter(index, num_rows):
+    """The one-hot ``S[index[i], i] = 1`` as a ``csc_matrix``, bounds
+    checked first, as ``nn.segment`` built it before its sums called
+    ``csc_matvecs`` directly."""
+    if len(index) and not 0 <= index.min() <= index.max() < num_rows:
+        raise IndexError(f"row index out of range for {num_rows} rows")
+    ones, indptr = np.ones(len(index)), np.arange(len(index) + 1)
+    return sparse.csc_matrix((ones, index, indptr), shape=(num_rows, len(index)))
+
+
 def test_selector_ratio_floor():
     """The pullback's 0/1 sums pay for the kernel, not for a sparse matrix object."""
     bundle = load_dataset("ebay-small-sim", seed=0, scale=0.25)
@@ -288,8 +302,8 @@ def test_selector_ratio_floor():
         )
         return (
             by_target @ by_edge,
-            scatter_selector(value_row, rows) @ d_values,
-            scatter_selector(cell, cells) @ by_edge,
+            _scipy_scatter(value_row, rows) @ d_values,
+            _scipy_scatter(cell, cells) @ by_edge,
         )
 
     for ours, theirs in zip(through_selectors(), through_scipy_matrices()):

@@ -1383,7 +1383,7 @@ def _layer_gradient_problem(layer, graph, rng: np.random.Generator, masked: bool
             "central difference", shrinks_to=(1, 2),
         ),
         edit(  # in bounds: every in-neighbourhood one edge later, the first edge dropped
-            "selector-row-pointer-shifted-by-one", _CONV + "Selector.by_segment",
+            "selector-row-pointer-shifted-by-one", "repro.nn.segment:Selector.by_segment",
             "indptr = np.append(starts, num_edges)", "indptr = np.append(starts + 1, num_edges)",
             "predict_proba: max |fused - autograd|", shrinks_to=(1, 2),
         ),

@@ -16,6 +16,7 @@ pairs ``(u, v), u < v`` to a weight.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Dict, List, Tuple
 
 import numpy as np
@@ -89,7 +90,10 @@ def _line_graph_node_centrality(graph: nx.Graph, measure: str) -> EdgeWeights:
     line = nx.line_graph(graph)
     if line.number_of_nodes() == 0:
         return {}
-    scores = _per_component(line, getattr(nx, _LINE_GRAPH_MEASURES[measure]))
+    centrality = getattr(nx, _LINE_GRAPH_MEASURES[measure])
+    if measure == "approximate_current_flow_betweenness":  # sampled: seeded, so it repeats
+        centrality = partial(centrality, seed=0)
+    scores = _per_component(line, centrality)
     weights: EdgeWeights = {}
     for edge_node, score in scores.items():
         weights[_normalize_pair(*edge_node)] = float(score)

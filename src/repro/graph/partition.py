@@ -16,16 +16,20 @@ subgraphs into κ worker groups of roughly equal node counts
 
 from __future__ import annotations
 
-from typing import List
+from typing import TYPE_CHECKING, List
 
 import numpy as np
-from scipy import sparse
 
 from .hetero import HeteroGraph
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 
 def _affinity_matrix(graph: HeteroGraph) -> sparse.csr_matrix:
     """Row-normalised adjacency ``D^-1 A`` of the undirected graph."""
+    from scipy import sparse
+
     n = graph.num_nodes
     data = np.ones(graph.num_edges, dtype=np.float64)
     adjacency = sparse.coo_matrix(

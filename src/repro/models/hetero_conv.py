@@ -49,15 +49,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
-from scipy.sparse._sparsetools import csc_matvecs, csr_matvecs
 
 from .. import nn
 from ..graph.hetero import EDGE_ENDPOINTS, EDGE_TYPES, NODE_TYPES, HeteroGraph
 from ..nn import Tensor
 from ..nn import functional as F
+from ..nn.segment import Selector
 from .field import EdgeRows
 
 #: Edge-type ids grouped by the projection that serves their source
@@ -96,37 +96,6 @@ _OTHER_END = np.array([[1], [0]])
 #: now meet near 64 edges (256 with a scipy matrix, 47 µs to build), but
 #: the paths round differently, so moving the bound moves scores' bits.
 _REDUCEAT_MAX_EDGES = 256
-
-
-class Selector(NamedTuple):
-    """A 0/1 matrix, one entry per edge, as its CSR / CSC arrays: ``S @
-    values`` sums per-edge rows by scipy's compiled ``csr_matvecs`` /
-    ``csc_matvecs`` (``csr_matrix @ dense``'s kernels, so scipy's bits),
-    building and validating no matrix: a layout's indices are in range."""
-
-    kernel: Callable
-    indptr: np.ndarray
-    indices: np.ndarray
-    shape: Tuple[int, int]
-
-    @classmethod
-    def by_segment(cls, starts: np.ndarray, num_edges: int) -> Selector:
-        """``(S, E)``: row ``s`` selects the edges ``[starts[s], starts[s + 1])``."""
-        indptr = np.append(starts, num_edges)
-        return cls(csr_matvecs, indptr, np.arange(num_edges), (len(starts), num_edges))
-
-    @classmethod
-    def scatter(cls, index: np.ndarray, num_rows: int) -> Selector:
-        """``(num_rows, E)``: column ``e`` puts edge ``e`` on row ``index[e]``."""
-        return cls(csc_matvecs, np.arange(len(index) + 1), index, (num_rows, len(index)))
-
-    def __matmul__(self, values: np.ndarray) -> np.ndarray:
-        (rows, columns), width = self.shape, values.shape[1]
-        if len(values) != columns:
-            raise ValueError(f"selector of shape {self.shape} applied to {len(values)} rows")
-        out, ones = np.zeros((rows, width)), np.ones(len(self.indices))  # the kernel adds into out
-        self.kernel(rows, columns, width, self.indptr, self.indices, ones, values.ravel(), out.ravel())
-        return out
 
 
 @dataclass

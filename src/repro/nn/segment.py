@@ -18,45 +18,86 @@ All kernels are differentiable through the autograd engine.
 
 from __future__ import annotations
 
-from typing import Optional
+from functools import partial
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import find_spec, module_from_spec
+from pathlib import Path
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
-from scipy import sparse
 
 from .tensor import Tensor
 
 
-def scatter_selector(index: np.ndarray, num_rows: int) -> sparse.csc_matrix:
-    """The 0/1 matrix ``S`` with ``S[index[i], i] = 1``: ``S @ values``
-    is ``out[index[i]] += values[i]`` and ``S.T @ x`` is ``x[index]``.
+def _sum_kernels() -> Tuple[Callable, Callable]:
+    """``csr_matrix @ dense``'s compiled kernels, loaded from their file:
+    ``import scipy.sparse`` runs an array-API shim (~20 MiB of modules)."""
+    sparse_dir = Path(find_spec("scipy").origin).parent / "sparse"  # runs none of scipy
+    finder = FileFinder(str(sparse_dir), (ExtensionFileLoader, EXTENSION_SUFFIXES))
+    spec = finder.find_spec("scipy.sparse._sparsetools")  # None: no such file
+    if spec is not None:
+        try:
+            module = module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module.csr_matvecs, module.csc_matvecs
+        except (ImportError, AttributeError):  # does not load, or has no such kernels
+            pass
+    from scipy import sparse  # the one fallback: the same sums, bit-equal, slower
 
-    One entry per column is already a valid CSC — ``(ones, index,
-    arange(n + 1))`` — so nothing is sorted, and the matrix is built as
-    it is used (not as a CSR and its transposed view); the bounds are
-    checked here because scipy takes the three arrays as given.
-    """
-    index = np.asarray(index, dtype=np.int64)
-    if len(index) and not 0 <= index.min() <= index.max() < num_rows:
-        raise IndexError(f"row index out of range for {num_rows} rows")
-    return sparse.csc_matrix(
-        (np.ones(len(index)), index, np.arange(len(index) + 1)), shape=(num_rows, len(index))
-    )
+    return partial(_through_public, sparse.csr_matrix), partial(_through_public, sparse.csc_matrix)
+
+
+def _through_public(matrix_type, rows, columns, width, indptr, indices, data, values, out) -> None:
+    """A sum kernel over scipy's public API: ``out += matrix_type(...) @ values``."""
+    matrix = matrix_type((data, indices, indptr), shape=(rows, columns))
+    out += (matrix @ values.reshape(columns, width)).ravel()
+
+
+csr_matvecs, csc_matvecs = _sum_kernels()
+
+
+class Selector(NamedTuple):
+    """A 0/1 matrix, one entry per edge, as its CSR / CSC arrays: ``S @
+    values`` sums per-edge rows by scipy's compiled ``csr_matvecs`` /
+    ``csc_matvecs`` (loaded above: scipy's bits), building and
+    validating no matrix: a layout's indices are in range."""
+
+    kernel: Callable
+    indptr: np.ndarray
+    indices: np.ndarray
+    shape: Tuple[int, int]
+
+    @classmethod
+    def by_segment(cls, starts: np.ndarray, num_edges: int) -> Selector:
+        """``(S, E)``: row ``s`` selects the edges ``[starts[s], starts[s + 1])``."""
+        indptr = np.append(starts, num_edges)
+        return cls(csr_matvecs, indptr, np.arange(num_edges), (len(starts), num_edges))
+
+    @classmethod
+    def scatter(cls, index: np.ndarray, num_rows: int) -> Selector:
+        """``(num_rows, E)``: column ``e`` puts edge ``e`` on row ``index[e]``."""
+        return cls(csc_matvecs, np.arange(len(index) + 1), index, (num_rows, len(index)))
+
+    def __matmul__(self, values: np.ndarray) -> np.ndarray:
+        (rows, columns), width = self.shape, values.shape[1]
+        if len(values) != columns:
+            raise ValueError(f"selector of shape {self.shape} applied to {len(values)} rows")
+        out, ones = np.zeros((rows, width)), np.ones(len(self.indices))  # the kernel adds into out
+        self.kernel(rows, columns, width, self.indptr, self.indices, ones, values.ravel(), out.ravel())
+        return out
 
 
 def scatter_add_rows(values: np.ndarray, index: np.ndarray, num_rows: int) -> np.ndarray:
-    """``out[index[i]] += values[i]`` as a sparse matmul.
-
-    ``np.add.at`` performs the same reduction but through a slow
-    element-wise inner loop; routing it through :func:`scatter_selector`
-    keeps the hot path of every GNN layer in BLAS-speed code.
-    """
+    """``out[index[i]] += values[i]`` as ``Selector.scatter(index) @
+    values`` (``np.add.at`` is the same reduction through a slow
+    element-wise loop). The kernel takes its indices as given, so the
+    bounds are checked here; the selector checks the row count."""
     index = np.asarray(index, dtype=np.int64)
-    if values.ndim == 1:
-        return np.bincount(index, weights=values, minlength=num_rows)
+    if len(index) and not 0 <= index.min() <= index.max() < num_rows:
+        raise IndexError(f"row index out of range for {num_rows} rows")
     # Explicit width: ``-1`` cannot be inferred when there are no rows.
-    flat = values.reshape(len(index), int(np.prod(values.shape[1:])))
-    out = scatter_selector(index, num_rows) @ flat
-    return np.asarray(out).reshape((num_rows,) + values.shape[1:])
+    flat = values.reshape(len(values), int(np.prod(values.shape[1:])))
+    return (Selector.scatter(index, num_rows) @ flat).reshape((num_rows,) + values.shape[1:])
 
 
 def gather(source: Tensor, index: np.ndarray) -> Tensor:

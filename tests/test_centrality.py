@@ -61,6 +61,35 @@ assert "networkx" in sys.modules
     assert result.returncode == 0, result.stderr
 
 
+def test_scipy_sparse_loads_only_when_pic_partitions():
+    """Training and scoring sum through scipy's two compiled kernels,
+    loaded from their file: ``scipy.sparse`` itself (~20 MiB with the
+    array-API shim it runs) loads only when PIC builds its matrix."""
+    modules = ["repro", "repro.cli", *ledger_repro_modules()]
+    script = f"""
+import importlib, sys
+for name in {modules!r}:
+    importlib.import_module(name)
+from repro import DetectorConfig, GeneratorConfig, Trainer, TransactionGenerator, XFraudDetectorPlus
+from repro.graph import build_graph, pic_partition
+from repro.serving import ScoringService
+log = TransactionGenerator(GeneratorConfig(num_benign_buyers=20, feature_dim=8, seed=0)).generate()
+graph, _ = build_graph(log)
+model = XFraudDetectorPlus(
+    DetectorConfig(feature_dim=8, hidden_dim=8, num_heads=2, num_layers=2, ffn_hidden_dim=8, seed=0)
+)
+Trainer(model).train_epoch(graph, graph.txn_nodes[graph.labels[graph.txn_nodes] >= 0])
+service = ScoringService(model, graph)
+service.score(int(graph.txn_nodes[0]))
+service.score_batch(graph.txn_nodes[:4].tolist())
+assert "scipy.sparse" not in sys.modules, "scipy.sparse imported by training or scoring"
+pic_partition(graph, 2)
+assert "scipy.sparse" in sys.modules
+"""
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+
+
 class TestMeasureCatalogue:
     def test_thirteen_measures(self):
         assert len(CENTRALITY_MEASURES) == 13
@@ -80,6 +109,12 @@ class TestMeasureCatalogue:
     def test_unknown_measure_rejected(self, community):
         with pytest.raises(KeyError):
             centrality_edge_weights(community.graph, "pagerank")
+
+    def test_approximate_current_flow_is_seeded(self, community):
+        """The one sampled estimator: two calls on one community agree."""
+        measure = "approximate_current_flow_betweenness"
+        first = centrality_edge_weights(community.graph, measure)
+        assert centrality_edge_weights(community.graph, measure) == first
 
     def test_all_weights_helper(self, community):
         table = all_centrality_edge_weights(community.graph)

@@ -1,5 +1,9 @@
 """Segment (message-passing) kernels: values and gradients."""
 
+import inspect
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -14,7 +18,13 @@ from repro.nn import (
     segment_softmax,
     segment_sum,
 )
-from repro.nn.segment import scatter_add_rows, scatter_selector
+from repro.nn.segment import scatter_add_rows
+
+#: ``(rows, num_rows, trailing)``: the sums' shapes, down to empty ones.
+SHAPES = [
+    (1400, 580, (64,)), (64, 64, (4, 16)), (7, 3, (1,)), (5, 9, (2, 0)), (0, 4, (3,)), (0, 0, (3,)),
+    (50, 7, ()),
+]
 
 
 class TestGather:
@@ -147,9 +157,9 @@ class TestScatterRows:
 
 
 class TestScatterAddRows:
-    """The unsorted one-hot (``scatter_selector(...) @ values``) must give
-    what the COO-built one did, bit for bit: every tape that stays on
-    the per-op engine (GAT, GEM, the FFN head) runs through it."""
+    """``Selector.scatter(index) @ values`` must give what the COO-built
+    one-hot did, bit for bit: every tape that stays on the per-op engine
+    (GAT, GEM, the FFN head) runs through it."""
 
     @staticmethod
     def _through_coo(values, index, num_rows):
@@ -159,9 +169,7 @@ class TestScatterAddRows:
         )
         return np.asarray(one_hot @ flat).reshape((num_rows,) + values.shape[1:])
 
-    @pytest.mark.parametrize("rows, num_rows, trailing", [
-        (1400, 580, (64,)), (64, 64, (4, 16)), (7, 3, (1,)), (5, 9, (2, 0)), (0, 4, (3,)), (0, 0, (3,)),
-    ])
+    @pytest.mark.parametrize("rows, num_rows, trailing", SHAPES)
     def test_bit_identical_to_the_coo_one_hot(self, rows, num_rows, trailing):
         rng = np.random.default_rng(rows + num_rows)
         values = rng.normal(size=(rows,) + trailing)
@@ -172,14 +180,90 @@ class TestScatterAddRows:
 
     def test_selector_scatters_and_its_transpose_gathers(self):
         index = np.array([2, 0, 2, 1])
-        selector = scatter_selector(index, 3)
-        x = np.arange(6.0).reshape(3, 2)
-        assert np.array_equal(selector.T @ x, x[index])
-        assert np.array_equal(selector @ np.ones((4, 1)), [[1.0], [1.0], [2.0]])
+        one_hot = sparse.csc_matrix((np.ones(4), index, np.arange(5)), shape=(3, 4))
+        values, x = np.arange(8.0).reshape(4, 2), np.arange(6.0).reshape(3, 2)
+        scattered = scatter_add_rows(values, index, 3)
+        assert scattered.tobytes() == (one_hot @ values).tobytes()
+        assert np.vdot(scattered, x) == np.vdot(values, x[index])  # gather is its transpose
+        assert np.array_equal(scatter_add_rows(np.ones((4, 1)), index, 3), [[1.0], [1.0], [2.0]])
 
     @pytest.mark.parametrize("index", [[0, 3], [-1, 0]])
     def test_out_of_range_index_raises(self, index):
-        # scipy takes (data, indices, indptr) as given: unchecked, the
-        # product would write outside the output.
+        # The kernel takes (indptr, indices, data) as given: unchecked,
+        # the sum would write outside the output.
         with pytest.raises(IndexError):
             scatter_add_rows(np.ones((2, 2)), np.array(index), 3)
+
+    @pytest.mark.parametrize("rows", [3, 5])
+    @pytest.mark.parametrize("trailing", [(), (2,), (2, 0)])
+    def test_a_row_count_other_than_the_index_length_raises(self, rows, trailing):
+        # Unchecked, the kernel would read past the end of the values
+        # (too few rows) or leave the rest unsummed (too many).
+        with pytest.raises(ValueError):
+            scatter_add_rows(np.ones((rows,) + trailing), np.array([0, 2, 1, 2]), 3)
+
+
+def _kernel_sums(shapes):
+    """Every sum the two kernels serve — ``scatter_add_rows``,
+    ``Selector.scatter`` and ``Selector.by_segment`` — on ``shapes``
+    (self-contained: its source also runs in a fresh interpreter)."""
+    from repro.nn.segment import Selector, scatter_add_rows
+
+    sums = {}
+    for rows, num_rows, trailing in shapes:
+        rng = np.random.default_rng(rows + num_rows)
+        values = rng.normal(size=(rows,) + trailing)
+        index = rng.integers(0, max(num_rows, 1), size=rows)
+        flat = values.reshape(rows, int(np.prod(trailing)))
+        starts = np.searchsorted(np.sort(index), np.arange(num_rows))
+        key = f"{rows}-{num_rows}-{trailing}"
+        sums[f"scatter_add_rows {key}"] = scatter_add_rows(values, index, num_rows)
+        sums[f"scatter {key}"] = Selector.scatter(index, num_rows) @ flat
+        sums[f"by_segment {key}"] = Selector.by_segment(starts, rows) @ flat
+    return sums
+
+
+#: Two ways the kernels' extension can be out of reach, planted before
+#: ``repro`` is imported: its file is not found, or it does not load.
+FALLBACK_CAUSES = {
+    "file-not-found": "importlib.machinery.EXTENSION_SUFFIXES = []",
+    "load-fails": """
+real_create = importlib.machinery.ExtensionFileLoader.create_module
+def refuse_once(self, spec, refused=[]):
+    if spec.name == "scipy.sparse._sparsetools" and not refused:
+        refused.append(spec)
+        raise ImportError("planted")
+    return real_create(self, spec)
+importlib.machinery.ExtensionFileLoader.create_module = refuse_once
+""",
+}
+
+
+@pytest.mark.parametrize("cause", sorted(FALLBACK_CAUSES))
+def test_public_api_fallback_gives_the_loaded_kernels_bits(cause, tmp_path):
+    """Without scipy's ``_sparsetools`` extension file the sums go through
+    ``csr_matrix`` / ``csc_matrix @ dense``: the same bytes as the
+    loaded kernels, and the bounds check still raises."""
+    out = tmp_path / "sums.npz"
+    script = f"""
+import importlib.machinery, sys
+import numpy as np
+{FALLBACK_CAUSES[cause]}
+from repro.nn import segment
+assert "scipy.sparse" in sys.modules and segment.csc_matvecs.func is segment._through_public
+{inspect.getsource(_kernel_sums)}
+np.savez({str(out)!r}, **_kernel_sums({SHAPES!r}))
+for index in ([0, 3], [-1, 0]):
+    try:
+        segment.scatter_add_rows(np.ones((2, 2)), np.array(index), 3)
+    except IndexError:
+        continue
+    raise AssertionError(f"index {{index}} accepted")
+"""
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    loaded = _kernel_sums(SHAPES)
+    with np.load(out) as fallback:
+        assert sorted(fallback.files) == sorted(loaded)
+        for key, value in loaded.items():
+            assert fallback[key].tobytes() == value.tobytes(), key
