@@ -27,6 +27,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import TYPE_CHECKING, List, Optional
 
 import numpy as np
@@ -42,6 +43,9 @@ _HEADER = (
     '"pmt_id":%d,"scenario":%s,"timestamp":%s,"txn_id":%d,"v":' + str(_CODEC_VERSION) + "}"
 )
 _json_string = functools.lru_cache(maxsize=64)(json.dumps)
+# TxnEvent's fields on either side of its timestamp, in field order.
+_BEFORE_TIMESTAMP = attrgetter("txn_id", "buyer_id", "email_id", "pmt_id", "addr_id")
+_AFTER_TIMESTAMP = attrgetter("features", "label", "scenario")
 
 
 class EventCodecError(ValueError):
@@ -136,19 +140,28 @@ def decode_event(payload: bytes) -> TxnEvent:
         raise EventCodecError(f"malformed event header {header!r}: {error!r}") from error
 
 
+def assemble_event(
+    txn_id, buyer_id, email_id, pmt_id, addr_id, timestamp, features, label, scenario
+) -> TxnEvent:
+    """``TxnEvent(...)`` with all nine fields given: the same instance, minus the
+    frozen constructor's lookups (``tests/test_generator.py::TestAssembledEvent``)."""
+    event = object.__new__(TxnEvent)
+    set_field = object.__setattr__
+    set_field(event, "txn_id", txn_id)
+    set_field(event, "buyer_id", buyer_id)
+    set_field(event, "email_id", email_id)
+    set_field(event, "pmt_id", pmt_id)
+    set_field(event, "addr_id", addr_id)
+    set_field(event, "timestamp", timestamp)
+    set_field(event, "features", features)
+    set_field(event, "label", label)
+    set_field(event, "scenario", scenario)
+    return event
+
+
 def _event_of(event: TxnEvent, timestamp: float) -> TxnEvent:
     """``event`` re-timed to ``timestamp``, around the same features array."""
-    return TxnEvent(
-        txn_id=event.txn_id,
-        buyer_id=event.buyer_id,
-        email_id=event.email_id,
-        pmt_id=event.pmt_id,
-        addr_id=event.addr_id,
-        timestamp=timestamp,
-        features=event.features,
-        label=event.label,
-        scenario=event.scenario,
-    )
+    return assemble_event(*_BEFORE_TIMESTAMP(event), timestamp, *_AFTER_TIMESTAMP(event))
 
 
 def export_events(
@@ -170,14 +183,14 @@ def export_events(
     are permuted by a seeded RNG and re-timed onto the same (sorted)
     multiset of timestamps, preserving every transaction's features,
     links, and label while mixing the scenarios along the clock. A
-    re-timed event is built by the constructor around the same features
-    array, as ``dataclasses.replace`` would, at a fraction of its cost.
+    re-timed event is assembled around the same features array, as
+    ``dataclasses.replace`` would build it, at a fraction of its cost.
 
     The order is one seeded ``permutation`` draw, and ``TestDigest`` in
     ``tests/test_generator.py`` pins the CRC32 of the encoded events: a
     change to the draws must re-commit that digest and say why.
     """
-    events = sorted(log, key=lambda event: (event.timestamp, event.txn_id))
+    events = sorted(log, key=attrgetter("timestamp", "txn_id"))
     if interleave_seed is None:
         return events
     rng = np.random.default_rng(interleave_seed)

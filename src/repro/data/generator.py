@@ -27,14 +27,17 @@ so that graph structure carries real information — exactly the regime
 in which the paper's heterogeneous GNN beats feature-only models.
 
 Every value comes from one seeded ``numpy`` generator, and the output
-is a function of the draw sequence alone. A pick from a Python list
-(:meth:`TransactionGenerator._pick`) is the one ``integers(0, len)``
-draw that ``Generator.choice`` makes for it, without ``choice``'s cost
-of turning the list into an array first. ``tests/test_generator.py``
-pins the output: ``TestDigest`` holds CRC32s of the datasets and the
-stream's encoded events, and ``TestPoolPick`` holds the pick to
-``choice`` draw for draw. A change to the draws must re-commit the
-digest and say why.
+is a function of the draw sequence alone. A record draws, in order: a
+pick per list it chooses from, its tick (``standard_exponential()``),
+its features (``standard_normal(F)``) and its category
+(``integers(8)``); downsampling draws one ``random()`` per benign record,
+in one block. Each is the cheapest call that makes the same draw, held
+by ``tests/test_generator.py``: a pick is ``Generator.choice``'s one
+``integers(0, len)`` draw, none from a one-entry pool (``TestPoolPick``);
+the standard draws are ``exponential(1.0)``'s and ``normal(0.0, 1.0)``'s
+(``TestStandardDraws``); the block is the per-record loop
+(``TestDownsampling``). ``TestDigest`` holds CRC32s of the datasets and
+the stream's encoded events: a change to the draws must re-commit it.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .events import TxnEvent
+from .events import TxnEvent, assemble_event
 from .records import TransactionLog
 
 NUM_ITEM_CATEGORIES = 8
@@ -64,7 +67,6 @@ APARTMENT_TXNS_PER_RESIDENT = (1, 3)
 # the stolen-card signature, so benign pmt sharing is kept rare.
 ADDR_SHARING = 0.25
 PMT_SHARING = 0.02
-FEATURE_NOISE = 1.0
 #: Fraction of benign transactions :meth:`TransactionGenerator.downsample_benign` keeps.
 BENIGN_DOWNSAMPLE = 0.6
 
@@ -130,6 +132,8 @@ class TransactionGenerator:
         self._clock = 0.0
         self._shared_addrs: List[int] = []
         self._shared_pmts: List[int] = []
+        self._risk_dim = min(16, self.config.feature_dim)
+        self._category_slots = min(NUM_ITEM_CATEGORIES, self.config.feature_dim - self._risk_dim)
 
     # ------------------------------------------------------------------
     # Feature model
@@ -156,26 +160,19 @@ class TransactionGenerator:
         with enough noise that features alone are an imperfect
         detector.
         """
-        cfg = self.config
-        risk_dim = min(16, cfg.feature_dim)
-        features = self.rng.normal(0.0, FEATURE_NOISE, size=cfg.feature_dim)
+        features = self.rng.standard_normal(self.config.feature_dim)
         visibility = self.SCENARIO_RISK_VISIBILITY.get(scenario, 1.0)
-        shift = cfg.risk_signal * visibility if label == 1 else 0.0
+        shift = self.config.risk_signal * visibility if label == 1 else 0.0
         # Guest checkouts look riskier to the upstream identifier even
         # when benign, which is one source of false positives.
         if scenario.startswith("guest"):
             shift += 0.3
-        features[:risk_dim] += shift
-        category = self.rng.integers(NUM_ITEM_CATEGORIES)
-        cat_start = risk_dim
-        cat_stop = min(cat_start + NUM_ITEM_CATEGORIES, cfg.feature_dim)
-        if cat_start + category < cat_stop:
-            features[cat_start + category] += 2.0
+        if shift:
+            features[: self._risk_dim] += shift
+        category = int(self.rng.integers(NUM_ITEM_CATEGORIES))
+        if category < self._category_slots:
+            features[self._risk_dim + category] += 2.0
         return features
-
-    def _tick(self) -> float:
-        self._clock += float(self.rng.exponential(1.0))
-        return self._clock
 
     def _record(
         self,
@@ -186,15 +183,17 @@ class TransactionGenerator:
         label: int,
         scenario: str,
     ) -> TxnEvent:
-        return TxnEvent(
+        # The tick is drawn before the features.
+        self._clock += self.rng.standard_exponential()
+        return assemble_event(
             txn_id=self._alloc.new("txn"),
             buyer_id=buyer_id,
             email_id=email_id,
             pmt_id=pmt_id,
             addr_id=addr_id,
-            label=label,
-            timestamp=self._tick(),
+            timestamp=self._clock,
             features=self._features(label, scenario),
+            label=label,
             scenario=scenario,
         )
 
@@ -234,6 +233,8 @@ class TransactionGenerator:
 
     def _pick(self, pool: list):
         """``self.rng.choice(pool)``'s draw, and nothing else."""
+        if len(pool) == 1:  # numpy draws nothing for a one-value range
+            return pool[0]
         return pool[int(self.rng.integers(0, len(pool)))]
 
     def _rand_range(self, bounds: tuple) -> int:
@@ -392,14 +393,15 @@ class TransactionGenerator:
         """Keep all fraud and a fraction of benign records (Appendix B).
 
         Mirrors the paper's label-sampling step that lifts the fraud
-        rate from ~0.04% to ~4% before GNN training.
+        rate from ~0.04% to ~4% before GNN training. A ``keep_fraction``
+        outside [0, 1] is refused: a NaN would drop every benign record.
         """
         fraction = BENIGN_DOWNSAMPLE if keep_fraction is None else keep_fraction
-        kept = TransactionLog()
-        for record in log:
-            if record.label == 1 or self.rng.random() < fraction:
-                kept.append(record)
-        return kept
+        if not 0.0 <= fraction <= 1.0:
+            raise ValueError(f"keep_fraction must be in [0, 1], got {fraction!r}")
+        benign = sum(1 for record in log if record.label != 1)
+        keep = iter((self.rng.random(benign) < fraction).tolist())
+        return TransactionLog([record for record in log if record.label == 1 or next(keep)])
 
     def event_stream(self, downsample: bool = True, interleave: bool = False):
         """Event-stream export mode: the synthetic log as a time-ordered
@@ -411,11 +413,8 @@ class TransactionGenerator:
         ``interleave=True`` mixes the scenario-clustered emission order
         along the clock (see :func:`~repro.data.events.export_events`).
         This feeds the ``repro stream --demo`` replay gate and tests.
-
-        A pool pick is the one ``integers`` draw ``choice`` makes (see
-        :meth:`_pick`), and ``TestDigest`` pins the CRC32 of the ledger
-        stream's encoded events: a change to the draws must re-commit
-        that digest and say why.
+        The draws each record makes, and the tests that hold each call
+        equal to the one it replaced, are in the module docstring.
         """
         from .events import export_events
 

@@ -38,9 +38,6 @@ class TransactionLog:
     def append(self, record: TxnEvent) -> None:
         self.records.append(record)
 
-    def extend(self, records: List[TxnEvent]) -> None:
-        self.records.extend(records)
-
     def fraud_rate(self) -> float:
         if not self.records:
             return 0.0

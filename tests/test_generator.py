@@ -1,6 +1,9 @@
 """Synthetic transaction-log generator: scenarios and pipeline."""
 
+import copy
+import dataclasses
 import math
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -9,10 +12,14 @@ import pytest
 from repro.data import (
     GeneratorConfig,
     TransactionGenerator,
+    TransactionLog,
+    TxnEvent,
     encode_event,
     generate_log,
     load_dataset,
 )
+from repro.data.events import _event_of, assemble_event
+from repro.data.generator import BENIGN_DOWNSAMPLE
 
 
 def tiny_config(**overrides) -> GeneratorConfig:
@@ -126,6 +133,37 @@ class TestDownsampling:
         log = generate_log(tiny_config(), downsample=True)
         assert len(log) > 0
 
+    @pytest.mark.parametrize("keep_fraction", [None, 0.0, 0.3, 1.0])
+    def test_one_block_draw_keeps_what_a_per_record_loop_keeps(self, keep_fraction):
+        fraction = BENIGN_DOWNSAMPLE if keep_fraction is None else keep_fraction
+        for seed in range(10):
+            generator = TransactionGenerator(tiny_config(seed=seed))
+            log = generator.generate()
+            reference = copy.deepcopy(generator.rng)
+            expected = [r for r in log if r.label == 1 or reference.random() < fraction]
+            kept = generator.downsample_benign(log, keep_fraction=keep_fraction)
+            assert len(kept) == len(expected)
+            assert all(a is b for a, b in zip(kept, expected))
+            assert generator.rng.bit_generator.state == reference.bit_generator.state
+
+    @pytest.mark.parametrize("keep_fraction", [0.0, 0.6, 1.0])
+    def test_an_all_fraud_or_empty_log_draws_nothing(self, keep_fraction):
+        generator = TransactionGenerator(tiny_config())
+        fraud = TransactionLog([r for r in generator.generate() if r.label == 1])
+        state = generator.rng.bit_generator.state
+        assert generator.downsample_benign(fraud, keep_fraction=keep_fraction).records == fraud.records
+        assert len(generator.downsample_benign(TransactionLog(), keep_fraction=keep_fraction)) == 0
+        assert generator.rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("keep_fraction", [float("nan"), -0.1, 1.5, float("inf")])
+    def test_a_keep_fraction_outside_0_1_is_refused(self, keep_fraction):
+        generator = TransactionGenerator(tiny_config())
+        log = generator.generate()
+        state = generator.rng.bit_generator.state
+        with pytest.raises(ValueError, match="keep_fraction"):
+            generator.downsample_benign(log, keep_fraction=keep_fraction)
+        assert generator.rng.bit_generator.state == state
+
 
 class TestDeterminism:
     def test_same_seed_same_log(self):
@@ -185,7 +223,10 @@ class TestApartmentBuildings:
 class TestPoolPick:
     """``TransactionGenerator._pick`` is ``Generator.choice(list)``'s
     draw: the same value and the same generator state after it, so the
-    generator's output does not depend on which of the two it calls."""
+    generator's output does not depend on which of the two it calls.
+    The picks interleave with the other calls a record makes, each
+    against the call it replaced: a pick that drew a stray 32-bit half
+    word would shift every later ``integers`` draw."""
 
     @pytest.mark.parametrize("size", [1, 2, 3, 1_000, 10_000])
     def test_equal_to_choice_draw_for_draw(self, size):
@@ -196,11 +237,14 @@ class TestPoolPick:
             for step in range(60):
                 assert generator._pick(pool) == reference.choice(pool)
                 if step % 3 == 1:
-                    assert generator.rng.normal(0.0, 1.0, size=3).tolist() == (
+                    assert generator.rng.standard_normal(3).tolist() == (
                         reference.normal(0.0, 1.0, size=3).tolist()
                     )
+                    assert generator.rng.integers(8) == reference.integers(8)
                 if step % 4 == 2:
-                    assert generator.rng.exponential(1.0) == reference.exponential(1.0)
+                    assert generator.rng.standard_exponential() == reference.exponential(1.0)
+                if step % 5 == 3:
+                    assert generator.rng.random(2).tolist() == [reference.random(), reference.random()]
             assert generator.rng.bit_generator.state == reference.bit_generator.state
 
     def test_a_pick_is_the_pools_own_element(self):
@@ -208,6 +252,101 @@ class TestPoolPick:
         pool = [7, 11]
         picks = {generator._pick(pool) for _ in range(50)}
         assert picks == {7, 11} and all(type(pick) is int for pick in picks)
+
+
+class TestStandardDraws:
+    """The generator's ``standard_normal(F)`` and ``standard_exponential()``
+    are the ``normal(0.0, 1.0, F)`` and ``exponential(1.0)`` they replaced:
+    numpy computes those as ``0.0 + 1.0 * z`` and ``1.0 * e``, the same
+    draws and the same bits, except that ``0.0 + z`` turned a draw of
+    exactly -0.0 (probability 2**-53) into +0.0. ``_features`` equals the
+    formula it was reformulated from, written out below. (A one-entry
+    pick, which draws nothing, is ``TestPoolPick``'s ``size`` 1.)"""
+
+    @pytest.mark.parametrize("dim", [0, 1, 16, 114])
+    def test_standard_normal_is_normal_0_1(self, dim):
+        for seed in range(10):
+            new, old = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(50):
+                assert new.standard_normal(dim).tobytes() == old.normal(0.0, 1.0, size=dim).tobytes()
+                assert new.integers(8) == old.integers(8)
+            assert new.bit_generator.state == old.bit_generator.state
+
+    def test_standard_exponential_is_exponential_1(self):
+        for seed in range(10):
+            new, old = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(200):
+                assert new.standard_exponential() == old.exponential(1.0)
+                assert new.integers(8) == old.integers(8)
+            assert new.bit_generator.state == old.bit_generator.state
+
+    @staticmethod
+    def _reference_features(rng, config, label, scenario):
+        risk_dim = min(16, config.feature_dim)
+        features = rng.normal(0.0, 1.0, size=config.feature_dim)
+        visibility = TransactionGenerator.SCENARIO_RISK_VISIBILITY.get(scenario, 1.0)
+        shift = config.risk_signal * visibility if label == 1 else 0.0
+        if scenario.startswith("guest"):
+            shift += 0.3
+        features[:risk_dim] += shift
+        category = rng.integers(8)
+        if risk_dim + category < min(risk_dim + 8, config.feature_dim):
+            features[risk_dim + category] += 2.0
+        return features
+
+    @pytest.mark.parametrize("dim", [8, 16, 20, 114])
+    def test_features_equal_the_formula_they_came_from(self, dim):
+        scenarios = ["benign", "stolen_card", "guest_linked", "cultivated_attack", "warehouse_ring"]
+        for seed in range(5):
+            generator = TransactionGenerator(tiny_config(seed=seed, feature_dim=dim))
+            reference = np.random.default_rng(seed)
+            for step in range(40):
+                label, scenario = step % 2, scenarios[step % len(scenarios)]
+                expected = self._reference_features(reference, generator.config, label, scenario)
+                assert generator._features(label, scenario).tobytes() == expected.tobytes()
+            assert generator.rng.bit_generator.state == reference.bit_generator.state
+
+
+class TestAssembledEvent:
+    """``events.assemble_event`` builds the frozen constructor's instance
+    without its per-field lookups: equal fields in field order, hash,
+    repr and frozenness, the same features array, and no instance dict,
+    so no more memory a row. A re-timed event is ``dataclasses.replace``'s."""
+
+    FIELDS = dict(txn_id=7, buyer_id=None, email_id=3, pmt_id=4, addr_id=5, timestamp=1.5, label=1)
+
+    def test_equal_to_the_constructed_event(self):
+        features = np.arange(4.0)
+        built = TxnEvent(features=features, scenario="guest_linked", **self.FIELDS)
+        assembled = assemble_event(features=features, scenario="guest_linked", **self.FIELDS)
+        assert type(assembled) is TxnEvent and assembled.features is features
+        assert (assembled, hash(assembled), repr(assembled)) == (built, hash(built), repr(built))
+        assert list(vars(assembled).items()) == list(vars(built).items())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            assembled.label = 0
+
+    def test_no_more_memory_than_the_constructor(self):
+        features = np.zeros(1)
+
+        def held(make) -> int:
+            make(0)  # warm
+            tracemalloc.start()
+            try:
+                rows = [make(txn_id) for txn_id in range(1_000, 3_000)]
+                return tracemalloc.get_traced_memory()[0] // len(rows)
+            finally:
+                tracemalloc.stop()
+
+        fields = {**self.FIELDS, "features": features, "scenario": "benign"}
+        built = held(lambda txn_id: TxnEvent(**{**fields, "txn_id": txn_id}))
+        assembled = held(lambda txn_id: assemble_event(**{**fields, "txn_id": txn_id}))
+        assert assembled <= built
+
+    def test_a_retimed_event_is_replace_with_the_new_timestamp(self):
+        event = TransactionGenerator(tiny_config()).generate().records[5]
+        retimed = _event_of(event, 123.25)
+        assert retimed == dataclasses.replace(event, timestamp=123.25)
+        assert retimed.timestamp == 123.25 and retimed.features is event.features
 
 
 def _crc(*arrays) -> int:
