@@ -21,7 +21,10 @@ end-to-end correctness sweep.
 ``test_vectorized_ratio_floor`` is the machine-independent gate CI's
 perf-smoke runs (no ``benchmark`` fixture, so plain pytest collects
 it): vectorized >= 2x reference at batch 128 for both samplers, a ratio
-of two timings alternated in one process. Beside it,
+of two timings alternated in one process. Every floor here reads the
+median of the per-pair ratios of its alternated timings
+(``_helpers.paired_ratio``), not the ratio of the two series' medians:
+a slow spell that hits one pair moves that pair only. Beside it,
 ``test_disjoint_walk_ratio_floor`` holds what a serving micro-batch
 samples — one ``sample(..., disjoint=True)`` walk over 32 transaction
 targets — to >= 3x the 32 singleton samples plus ``stack_subgraphs`` it
@@ -56,7 +59,7 @@ import functools
 import numpy as np
 
 from _helpers import (
-    alternated_medians,
+    alternated_readings,
     best_us,
     format_table,
     paired_ratio,
@@ -111,41 +114,44 @@ def test_vectorized_ratio_floor():
     for kind, sampler in SAMPLERS.items():
         paths = [functools.partial(scalar_sample, sampler), sampler.sample]
         assert subgraph_equal(*(path(graph, stream) for path in paths)) is None, kind
-        samples = [[], []]
-        for _ in range(RATIO_SAMPLES):  # alternate, so a slow spell of the box hits both
-            for path, times in zip(paths, samples):
-                times.append(_pass_us(lambda batch: path(graph, batch), [stream]))
-        reference_us, fast_us = (float(np.median(times)) for times in samples)
+        reference, fast = alternated_readings(
+            [functools.partial(path, graph, stream) for path in paths], samples=RATIO_SAMPLES
+        )
+        speedup = paired_ratio(reference, fast)
         print(
-            f"\n{kind} @ batch {AT_BATCH}: reference {reference_us / 1e3:.2f} ms, "
-            f"vectorized {fast_us / 1e3:.2f} ms -> {reference_us / fast_us:.2f}x "
+            f"\n{kind} @ batch {AT_BATCH}: reference {np.median(reference) / 1e3:.2f} ms, "
+            f"vectorized {np.median(fast) / 1e3:.2f} ms -> {speedup:.2f}x per pair, "
+            f"{np.median(reference) / np.median(fast):.2f}x by medians "
             f"(floor >= {MIN_VECTORIZED_SPEEDUP:.1f}x)"
         )
-        assert reference_us >= MIN_VECTORIZED_SPEEDUP * fast_us, kind
+        assert speedup >= MIN_VECTORIZED_SPEEDUP, kind
 
 
 def _disjoint_timings():
-    """``(nodes, loop us, walk us)`` on a ~7k- and a ~45k-node graph of
-    the ledger stream's shape: one micro-batch of transaction targets
-    sampled as 32 singleton samples + ``stack_subgraphs`` and as one
-    disjoint walk (checked equal first), alternated."""
+    """``[(nodes, loop us, walk us)]`` on a ~7k- and a ~45k-node graph of
+    the ledger stream's shape, one reading each per pass: one
+    micro-batch of transaction targets sampled as 32 singleton samples +
+    ``stack_subgraphs`` and as one disjoint walk (checked equal first),
+    the four timed in turns."""
     rng = np.random.default_rng(0)
     sampler = SageSampler(hops=2, fanout=10, seed=0)
-    rows = []
+    sizes, paths = [], []
     for num_txns in (3_500, 22_500):
         graph = stream_shaped_graph(rng, num_txns)
         targets = rng.choice(num_txns, size=MICRO_BATCH, replace=False)
-        paths = [
-            lambda: stack_subgraphs([sampler.sample(graph, [int(t)]) for t in targets]),
-            lambda: sampler.sample(graph, targets, disjoint=True),
+        pair = [
+            functools.partial(
+                lambda g, ts: stack_subgraphs([sampler.sample(g, [int(t)]) for t in ts]),
+                graph,
+                targets,
+            ),
+            functools.partial(sampler.sample, graph, targets, disjoint=True),
         ]
-        assert subgraph_equal(*(path() for path in paths)) is None
-        samples = [[], []]
-        for _ in range(RATIO_SAMPLES):  # alternate, so a slow spell of the box hits both
-            for path, times in zip(paths, samples):
-                times.append(best_us(path, number=1))
-        rows.append((graph.num_nodes, *(float(np.median(times)) for times in samples)))
-    return rows
+        assert subgraph_equal(*(path() for path in pair)) is None
+        sizes.append(graph.num_nodes)
+        paths.extend(pair)
+    readings = alternated_readings(paths, samples=RATIO_SAMPLES)
+    return [(nodes, *readings[2 * i : 2 * i + 2]) for i, nodes in enumerate(sizes)]
 
 
 def test_disjoint_walk_ratio_floor():
@@ -154,22 +160,26 @@ def test_disjoint_walk_ratio_floor():
     times the size (CI perf-smoke)."""
     rows = _disjoint_timings()
     for nodes, loop_us, walk_us in rows:
+        speedup = paired_ratio(loop_us, walk_us)
         print(
             f"\n{MICRO_BATCH} targets on {nodes:,} nodes: {MICRO_BATCH} samples + stack "
-            f"{loop_us / 1e3:.2f} ms, one disjoint walk {walk_us / 1e3:.2f} ms -> "
-            f"{loop_us / walk_us:.2f}x (floor >= {MIN_DISJOINT_SPEEDUP:.1f}x)"
+            f"{np.median(loop_us) / 1e3:.2f} ms, one disjoint walk {np.median(walk_us) / 1e3:.2f} "
+            f"ms -> {speedup:.2f}x per pair, {np.median(loop_us) / np.median(walk_us):.2f}x by "
+            f"medians (floor >= {MIN_DISJOINT_SPEEDUP:.1f}x)"
         )
-        assert loop_us >= MIN_DISJOINT_SPEEDUP * walk_us, nodes
-    growth = rows[1][2] / rows[0][2]
+        assert speedup >= MIN_DISJOINT_SPEEDUP, nodes
+    (small, _, small_walk), (large, _, large_walk) = rows
+    growth = paired_ratio(large_walk, small_walk)
     print(
-        f"walk on {rows[1][0]:,} vs {rows[0][0]:,} nodes: {growth:.2f}x "
+        f"walk on {large:,} vs {small:,} nodes: {growth:.2f}x per pair, "
+        f"{np.median(large_walk) / np.median(small_walk):.2f}x by medians "
         f"(budget <= {DISJOINT_SIZE_BUDGET:.1f}x)"
     )
     assert growth <= DISJOINT_SIZE_BUDGET
 
 
 def _lone_timings():
-    """``(nodes, us)`` on a ~7k- and a ~45k-node graph of the ledger
+    """``[(nodes, us readings)]`` on a ~7k- and a ~45k-node graph of the ledger
     stream's shape: ``MICRO_BATCH`` lone-target samples, one
     ``sample(graph, [t])`` per transaction target (what a cold
     ``score()`` walks and induces), the two graphs timed in turns."""
@@ -183,7 +193,7 @@ def _lone_timings():
         passes.append(
             functools.partial(lambda g, ts: [sampler.sample(g, [t]) for t in ts], graph, targets)
         )
-    return list(zip(sizes, alternated_medians(passes, samples=RATIO_SAMPLES)))
+    return list(zip(sizes, alternated_readings(passes, samples=RATIO_SAMPLES)))
 
 
 def test_lone_sample_ratio_floor():
@@ -192,10 +202,11 @@ def test_lone_sample_ratio_floor():
     target out and its induction a search among the walk's own keys,
     with no node map sized by the graph (CI perf-smoke)."""
     (small, small_us), (large, large_us) = _lone_timings()
-    growth = large_us / small_us
+    growth = paired_ratio(large_us, small_us)
     print(
-        f"\n{MICRO_BATCH} lone-target samples on {small:,} nodes {small_us / 1e3:.2f} ms, "
-        f"on {large:,} nodes {large_us / 1e3:.2f} ms -> {growth:.2f}x "
+        f"\n{MICRO_BATCH} lone-target samples on {small:,} nodes {np.median(small_us) / 1e3:.2f} "
+        f"ms, on {large:,} nodes {np.median(large_us) / 1e3:.2f} ms -> {growth:.2f}x per pair, "
+        f"{np.median(large_us) / np.median(small_us):.2f}x by medians "
         f"(budget <= {DISJOINT_SIZE_BUDGET:.1f}x)"
     )
     assert growth <= DISJOINT_SIZE_BUDGET

@@ -294,15 +294,7 @@ def test_stream_throughput_and_delta_budget(benchmark, tmp_path):
     # micro-batch through the warm stack (re-pumping matured state).
     replay = live[:32]
     def one_batch():
-        nodes = [scorer.builder.node_of(event.txn_id) for event in replay]
-        from repro.serving import ScoreRequest
-
-        service.score_batch(
-            [
-                ScoreRequest(node=node, features=event.features)
-                for node, event in zip(nodes, replay)
-            ]
-        )
+        service.score_batch([scorer.builder.node_of(event.txn_id) for event in replay])
 
     benchmark.pedantic(one_batch, rounds=5, iterations=1)
 

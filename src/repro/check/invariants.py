@@ -868,7 +868,7 @@ def _stats_surfaces(rng) -> List[str]:
         else:
             stats.record_admitted()
             degraded = reasons[int(rng.integers(0, len(reasons)))] if action == 1 else None
-            stats.record_response("rules" if degraded else "gnn", float(rng.uniform()), degraded)
+            stats.record_response("linked" if degraded else "gnn", float(rng.uniform()), degraded)
         if rng.integers(0, 3) == 0:
             snapshot = stats.snapshot()
             expected = {"service_admitted_total": snapshot["admitted"]}

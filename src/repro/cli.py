@@ -754,7 +754,7 @@ def _cmd_serve(args) -> int:
     for response in result.responses[:8]:
         print(
             f"  node {response.node:6d}: verdict={response.verdict:5s} "
-            f"rung={response.rung:5s} "
+            f"rung={response.rung:6s} "
             f"degraded={response.degraded_reason or '-'}"
         )
     print("  ...")

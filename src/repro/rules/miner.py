@@ -105,23 +105,6 @@ class RuleSet:
             mask |= rule.apply(features)
         return mask
 
-    def risk_scores(self, features: np.ndarray) -> np.ndarray:
-        """Per-row risk in [0, 1]: noisy-OR of the fired rules' precisions.
-
-        A row no rule fires on scores 0.0; a row firing rules with
-        validation precisions ``p_j`` scores ``1 - prod(1 - p_j)`` —
-        each independent rule hit multiplies down the chance the
-        transaction is benign. This is the middle rung of the serving
-        degradation ladder: interpretable, feature-only, and computable
-        from the raw request alone when the GNN path is unavailable.
-        """
-        features = np.asarray(features, dtype=np.float64)
-        benign = np.ones(len(features), dtype=np.float64)
-        for rule, (precision, _) in zip(self.rules, self.scores):
-            fired = rule.apply(features)
-            benign[fired] *= 1.0 - precision
-        return 1.0 - benign
-
     def __len__(self) -> int:
         return len(self.rules)
 

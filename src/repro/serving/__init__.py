@@ -10,7 +10,8 @@ supplies that online path:
 * :class:`TokenBucket` / :class:`AdmissionQueue` — admission control
   that sheds overload with a verdict instead of blocking;
 * :class:`ScoringService` — the three-rung degradation ladder
-  (GNN → rules → static prior), every response tagged with its rung;
+  (GNN → linked-label score off the graph → static prior), every
+  response tagged with its rung;
   feature reads go to the store as they are (a
   :class:`~repro.storage.replicated.ReplicatedKVStore` gates, fails
   over and probes its replicas itself);
@@ -23,8 +24,8 @@ from .deadline import Deadline, DeadlineExceeded
 from .demo import DemoResult, build_demo_service, run_demo
 from .service import (
     RUNG_GNN,
+    RUNG_LINKED,
     RUNG_PRIOR,
-    RUNG_RULES,
     FeatureFetchError,
     ScoreRequest,
     ScoreResponse,
@@ -46,7 +47,7 @@ __all__ = [
     "ScoreResponse",
     "FeatureFetchError",
     "RUNG_GNN",
-    "RUNG_RULES",
+    "RUNG_LINKED",
     "RUNG_PRIOR",
     "ServiceStats",
     "DemoResult",

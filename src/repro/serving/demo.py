@@ -1,7 +1,9 @@
 """Deterministic chaos demo behind ``repro serve --demo``.
 
 Builds a small serving stack end to end — dataset, briefly-trained
-detector+, mined platform rules, a feature tier of ``replicas``
+detector+, a serving graph that holds the training labels only (the
+held-out transactions it scores carry ``-1``, as in a deployment), a
+feature tier of ``replicas``
 :class:`~repro.storage.replicated.ReplicatedKVStore` replicas — then
 replays a scripted incident on a
 :class:`~repro.reliability.faults.ManualClock`:
@@ -17,10 +19,11 @@ replays a scripted incident on a
 
 The replica count decides what the outage does to requests. A single
 store is a one-replica tier: its replica goes ``suspect → dead`` after
-two failed reads, every request then demotes to the rules rung as
-``kv_unavailable`` — instantly, since a dead replica is not read — and
-the first probe after the window brings the GNN rung back. With more
-replicas the outage kills replica 1 (and, with three or more, a few of
+two failed reads, every request then demotes as ``kv_unavailable`` —
+instantly, since a dead replica is not read — to the linked rung (its
+linked transactions' training labels) or, with no labelled link, the
+prior, and the first probe after the window brings the GNN rung back.
+With more replicas the outage kills replica 1 (and, with three or more, a few of
 replica 2's feature rows are silently bit-flipped on disk); reads fail
 over, the corrupt replica is quarantined, an anti-entropy pass repairs
 the divergent rows, and the service stays on the GNN rung throughout.
@@ -41,16 +44,16 @@ import numpy as np
 
 from ..data import load_dataset
 from ..graph.cache import SubgraphCache
+from ..graph.hetero import HeteroGraph
 from ..models import DetectorConfig, XFraudDetectorPlus
 from ..obs.registry import MetricsRegistry
 from ..obs.trace import Tracer
 from ..reliability.faults import FaultPlan, ManualClock
-from ..rules.miner import MinerConfig, RuleMiner
 from ..storage.kvstore import InMemoryKVStore
 from ..storage.loader import GraphStore
 from ..storage.replicated import AntiEntropyReport, ReplicatedConfig, ReplicatedKVStore
 from ..train import TrainConfig, Trainer
-from .service import ScoreRequest, ScoreResponse, ScoringService, ServiceConfig
+from .service import ScoreResponse, ScoringService, ServiceConfig
 from .stats import ServiceStats
 
 
@@ -114,10 +117,13 @@ def build_demo_service(
             graph, bundle.train_nodes
         )
 
-    # Platform rules mined from the raw transaction log (Appendix B) —
-    # the feature-only middle rung of the degradation ladder.
-    rules = RuleMiner(MinerConfig(seed=seed)).fit(
-        bundle.log.feature_matrix(), bundle.log.labels()
+    # Serve the labels a deployment holds: none for the held-out
+    # transactions it scores, so a degraded verdict reads training
+    # labels only. An O(1) clone: every other array is shared.
+    labels = graph.labels.copy()
+    labels[bundle.test_nodes] = -1
+    served = HeteroGraph.derived(
+        graph.node_type, graph.edge_src, graph.edge_dst, graph.edge_type, graph.txn_table, labels
     )
 
     clock = ManualClock()
@@ -133,15 +139,14 @@ def build_demo_service(
     config = ServiceConfig(
         deadline_s=deadline_s,
         queue_capacity=8,
-        static_prior=float(graph.fraud_rate()),
+        static_prior=float(served.fraud_rate()),
         batch_size=batch_size,
     )
     tracer = Tracer(clock=clock) if trace else None
     service = ScoringService(
         model,
-        graph,
+        served,
         feature_store=store,
-        rules=rules,
         config=config,
         clock=clock,
         own_store=True,
@@ -235,10 +240,8 @@ def run_demo(
     nodes = test_nodes[:requests]
 
     responses: List[ScoreResponse] = []
-    graph = service.graph
     for node in nodes:
-        request = ScoreRequest(node=int(node), features=graph.txn_table[graph.txn_row[node]])
-        responses.append(service.score(request))
+        responses.append(service.score(int(node)))
         # Inter-arrival gap: lets the dead replica's probe interval
         # elapse so the recovery act (probing -> healthy) happens
         # inside the run.

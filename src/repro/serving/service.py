@@ -20,9 +20,10 @@ scorer needs to survive heavy traffic and partial outages:
   store that is truly down degrades requests instantly instead of
   burning their deadlines on doomed reads.
 * **Graceful degradation** — a three-rung ladder: full GNN score →
-  :class:`~repro.rules.miner.RuleSet` risk score over the raw request
-  features → configurable static prior. Every response is tagged with
-  the rung that produced it and, when degraded, the reason.
+  linked-label score read off the serving graph
+  (:func:`linked_label_scores`: no sampler, KV read or forward) →
+  configurable static prior. Every response is tagged with the rung
+  that produced it and, when degraded, the reason.
 
 Chaos behaviour is scripted through :mod:`repro.reliability.faults`
 (:class:`OutageKVStore`, :class:`SlowKVStore`, :class:`ManualClock`),
@@ -40,11 +41,10 @@ import numpy as np
 
 from ..graph.cache import SubgraphCache
 from ..graph.hetero import NODE_TYPE_IDS, HeteroGraph
-from ..graph.sampling import SampledSubgraph, gather
+from ..graph.sampling import SampledSubgraph, _concat_csr_slices, gather
 from ..util import batched
 from ..obs.registry import MetricsRegistry
 from ..obs.trace import NULL_TRACER, Tracer
-from ..rules.miner import RuleSet
 from ..storage.kvstore import (
     CorruptStoreError,
     KVStore,
@@ -59,7 +59,7 @@ from .deadline import Deadline, DeadlineExceeded
 from .stats import ServiceStats
 
 RUNG_GNN = "gnn"
-RUNG_RULES = "rules"
+RUNG_LINKED = "linked"
 RUNG_PRIOR = "prior"
 
 VERDICT_FRAUD = "fraud"
@@ -101,16 +101,9 @@ class ServiceConfig:
 
 @dataclass
 class ScoreRequest:
-    """One transaction to score.
-
-    ``features`` are the raw transaction features the request carries
-    (production requests always do); the rules rung scores them when
-    the GNN path is unavailable. When omitted, the service falls back
-    to the in-memory graph's feature row for the node.
-    """
+    """One transaction to score: its node in the serving graph."""
 
     node: int
-    features: Optional[np.ndarray] = None
     deadline_s: Optional[float] = None
 
 
@@ -121,7 +114,7 @@ class ScoreResponse:
     node: int
     score: float
     verdict: str  # "fraud" | "legit"
-    rung: str  # "gnn" | "rules" | "prior"
+    rung: str  # "gnn" | "linked" | "prior"
     admitted: bool
     latency_s: float = 0.0
     shed_reason: Optional[str] = None
@@ -199,6 +192,33 @@ class _DeadlineGroup:
             raise DeadlineExceeded(stage, budget, elapsed)
 
 
+def linked_label_scores(graph: HeteroGraph, nodes: Sequence[int]) -> np.ndarray:
+    """The linked rung's score of each transaction in ``nodes``: over
+    the entities it links to, the largest fraud share among each
+    entity's *other* labelled transactions (``labels >= 0``); NaN where
+    no linked transaction is labelled. Two hops of the in-edge CSR
+    (node -> its entities -> their transactions), vectorised over
+    ``nodes``: no sampler, KV read or forward, and a node's own label is
+    never read. In a stream, ``labels`` holds the matured labels flushed
+    so far."""
+    nodes = np.asarray(nodes, dtype=np.int64)
+    csr = graph.csr()
+    slots, links, _ = _concat_csr_slices(csr, nodes)
+    entities = csr.src[slots]
+    slots, counts, _ = _concat_csr_slices(csr, entities)
+    txns = csr.src[slots]
+    link = np.repeat(np.arange(len(entities)), counts)  # the (node, entity) link of each txn
+    labels = graph.labels[txns]
+    seen = (labels >= 0) & (txns != np.repeat(nodes, links)[link])
+    labelled = np.bincount(link[seen], minlength=len(entities))
+    fraud = np.bincount(link[seen], weights=labels[seen], minlength=len(entities))
+    share = np.divide(fraud, labelled, out=np.full(len(entities), -1.0), where=labelled > 0)
+    best = np.full(len(nodes), -1.0)
+    np.maximum.at(best, np.repeat(np.arange(len(nodes)), links), share)
+    best[best < 0] = np.nan
+    return best
+
+
 def _gather_requests(pieces: Sequence[Tuple[SampledSubgraph, int]]) -> SampledSubgraph:
     """Request ``i`` scored on piece ``pieces[i]``: one component per
     distinct piece, in order of first appearance, each request at its
@@ -230,9 +250,6 @@ class ScoringService:
         the store's own (a
         :class:`~repro.storage.replicated.ReplicatedKVStore`; one store
         is a one-replica tier).
-    rules:
-        Optional :class:`~repro.rules.miner.RuleSet` powering the
-        middle degradation rung.
     clock:
         Monotonic clock for deadlines / rate limiting; inject a
         :class:`~repro.reliability.faults.ManualClock` for determinism.
@@ -268,7 +285,6 @@ class ScoringService:
         model,
         graph: HeteroGraph,
         feature_store: Optional[KVStore] = None,
-        rules: Optional[RuleSet] = None,
         config: Optional[ServiceConfig] = None,
         clock: Callable[[], float] = time.monotonic,
         own_store: bool = False,
@@ -285,7 +301,6 @@ class ScoringService:
         self.sampler = model.sampler
         self.graph = graph
         self.feature_store = feature_store
-        self.rules = rules
         self.config = config or ServiceConfig()
         self.cache = cache
         if cache is not None and registry is not None:
@@ -415,12 +430,6 @@ class ScoringService:
         else:
             self.stats.record_shed(SHED_RATE_LIMITED)
         return admitted
-
-    def _request_features(self, request: ScoreRequest) -> np.ndarray:
-        features = request.features
-        if features is None:  # the transaction's own row: every one has one
-            features = self.graph.txn_table[self.graph.txn_row[request.node]]
-        return np.asarray(features, dtype=np.float64)
 
     def _shed_response(self, request: ScoreRequest, reason: str) -> ScoreResponse:
         score = self.config.static_prior
@@ -589,19 +598,20 @@ class ScoringService:
 
     def _fallback_batch(self, members: Sequence[_BatchMember]) -> None:
         """Rungs 1–2 for every member the GNN rung did not score: ONE
-        rules pass over the stacked request features, prior for the rest.
-        The "rung" span is a zero-width marker when nobody degraded."""
+        :func:`linked_label_scores` pass over the graph for all of them,
+        the prior for those with no labelled linked transaction. The
+        "rung" span is a zero-width marker when nobody degraded."""
         pending = [member for member in members if member.rung is None]
         with self.tracer.span("rung", batch=len(pending)) as rung_span:
-            if pending and self.rules is not None and len(self.rules):
-                matrix = np.stack([self._request_features(member.request) for member in pending])
-                for member, score in zip(pending, self.rules.risk_scores(matrix)):
-                    member.rung, member.score = RUNG_RULES, float(score)
-            for member in pending:
-                if member.rung is None:
-                    member.rung, member.score = RUNG_PRIOR, self.config.static_prior
+            if pending:
+                nodes = [member.request.node for member in pending]
+                for member, score in zip(pending, linked_label_scores(self.graph, nodes).tolist()):
+                    if math.isnan(score):
+                        member.rung, member.score = RUNG_PRIOR, self.config.static_prior
+                    else:
+                        member.rung, member.score = RUNG_LINKED, score
             if rung_span:
-                rung_span.set("rules", sum(1 for m in pending if m.rung == RUNG_RULES))
+                rung_span.set("linked", sum(1 for m in pending if m.rung == RUNG_LINKED))
 
     # -- rung 0: full GNN ----------------------------------------------
     def _fetch_features(self, node_ids: np.ndarray, deadline: Deadline) -> np.ndarray:

@@ -47,7 +47,7 @@ class ServiceStats:
         self.admitted = 0
         self.completed = 0
         self.shed: Counter = Counter()  # shed reason -> count
-        self.rungs: Counter = Counter()  # "gnn" | "rules" | "prior" -> count
+        self.rungs: Counter = Counter()  # "gnn" | "linked" | "prior" -> count
         self.degraded_reasons: Counter = Counter()
         self.deadline_hits = 0
         self.kv_failures = 0

@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional
 import numpy as np
 
 from ..data.events import TxnEvent
-from ..serving.service import ScoreRequest, ScoreResponse, ScoringService
+from ..serving.service import ScoreResponse, ScoringService
 from .builder import IncrementalGraphBuilder
 from .feedback import DriftConfig, DriftDetector, LabelFeed, OnlineAUC, OnlineFineTuner
 from .wal import EventLog
@@ -211,11 +211,7 @@ class StreamScorer:
             nodes = [self.builder.apply(event) for event in batch]
             self.builder.flush()
             self._invalidate_cache()
-            requests = [
-                ScoreRequest(node=node, features=event.features)
-                for node, event in zip(nodes, batch)
-            ]
-            batch_responses = self.service.score_batch(requests)
+            batch_responses = self.service.score_batch(nodes)
             for event, response in zip(batch, batch_responses):
                 if event.label >= 0:
                     # Kept until the label matures; an unlabelled event's

@@ -3,7 +3,7 @@
 Proves the PR-3 acceptance criteria end to end on a simulated clock:
 
 * a scripted outage of a one-replica feature tier walks the replica
-  to dead, requests fail over to the rules rung without reading it,
+  to dead, requests fail over to the linked rung without reading it,
   probes recover it, and the full healthy -> ... -> dead -> probing ->
   healthy journey is visible in its ``ReplicaHealth``;
 * every admitted request gets a verdict — the ladder never raises;
@@ -16,11 +16,10 @@ import numpy as np
 import pytest
 
 from repro.reliability import FaultPlan, ManualClock, SlowKVStore
-from repro.rules.miner import MinerConfig, RuleMiner
 from repro.serving import (
     RUNG_GNN,
+    RUNG_LINKED,
     RUNG_PRIOR,
-    RUNG_RULES,
     ScoreRequest,
     ScoringService,
     ServiceConfig,
@@ -37,19 +36,9 @@ def _small_fetch_chunks(monkeypatch):
     monkeypatch.setattr(service_module, "FETCH_CHUNK", FETCH_CHUNK)
 
 
-@pytest.fixture(scope="module")
-def chaos_rules(tiny_log):
-    rules = RuleMiner(MinerConfig(seed=0)).fit(
-        tiny_log.feature_matrix(), tiny_log.labels()
-    )
-    assert len(rules) >= 1
-    return rules
-
-
 def _chaos_service(
     trained_detector,
     tiny_graph,
-    rules,
     outage_window,
     deadline_s=0.5,
     read_delay_s=READ_DELAY_S,
@@ -73,7 +62,6 @@ def _chaos_service(
         trained_detector,
         tiny_graph,
         feature_store=store,
-        rules=rules,
         config=config,
         clock=clock,
         own_store=True,
@@ -82,11 +70,7 @@ def _chaos_service(
 
 
 def _requests(graph, count):
-    nodes = np.flatnonzero(graph.labels >= 0)[:count]
-    return [
-        ScoreRequest(node=int(node), features=graph.txn_table[graph.txn_row[node]])
-        for node in nodes
-    ]
+    return [ScoreRequest(node=int(node)) for node in np.flatnonzero(graph.labels >= 0)[:count]]
 
 
 def _budget_overrun_bound(read_delay_s=READ_DELAY_S):
@@ -95,11 +79,11 @@ def _budget_overrun_bound(read_delay_s=READ_DELAY_S):
 
 
 class TestOutageLadder:
-    def test_outage_kills_replica_rules_serve_and_probes_recover(
-        self, trained_detector, tiny_graph, chaos_rules
+    def test_outage_kills_replica_linked_serves_and_probes_recover(
+        self, trained_detector, tiny_graph
     ):
         service, clock = _chaos_service(
-            trained_detector, tiny_graph, chaos_rules, outage_window=(0.15, 0.45)
+            trained_detector, tiny_graph, outage_window=(0.15, 0.45)
         )
         with service:
             requests = _requests(tiny_graph, 30)
@@ -115,7 +99,7 @@ class TestOutageLadder:
 
             rungs = {r.rung for r in responses}
             assert RUNG_GNN in rungs  # healthy before and after the outage
-            assert RUNG_RULES in rungs  # degraded during the outage
+            assert RUNG_LINKED in rungs  # degraded during the outage
 
             # The replica's journey is observable in its ReplicaHealth.
             store = service.feature_store
@@ -134,10 +118,10 @@ class TestOutageLadder:
             assert responses[-1].rung == RUNG_GNN
 
     def test_prior_rung_serves_shed_burst_with_verdicts(
-        self, trained_detector, tiny_graph, chaos_rules
+        self, trained_detector, tiny_graph
     ):
         service, clock = _chaos_service(
-            trained_detector, tiny_graph, chaos_rules, outage_window=(0.15, 0.45)
+            trained_detector, tiny_graph, outage_window=(0.15, 0.45)
         )
         with service:
             # Ladder bottom: a queue-busting burst is shed *with verdicts*.
@@ -155,13 +139,12 @@ class TestOutageLadder:
             assert service.stats.completed + service.stats.total_shed == len(burst)
 
     def test_no_request_overruns_deadline_by_more_than_one_step(
-        self, trained_detector, tiny_graph, chaos_rules
+        self, trained_detector, tiny_graph
     ):
         budget = 0.01  # tighter than one fetch chunk: burns out mid-fetch
         service, clock = _chaos_service(
             trained_detector,
             tiny_graph,
-            chaos_rules,
             outage_window=(1e9, 2e9),  # no outage; stragglers only
             deadline_s=budget,
         )
@@ -192,7 +175,7 @@ class TestReplicatedFeatureTier:
     healthy on the manual clock."""
 
     def _replicated_service(
-        self, trained_detector, tiny_graph, rules, clock, fault_plan=None
+        self, trained_detector, tiny_graph, clock, fault_plan=None
     ):
         replicas = 3
         backings = [InMemoryKVStore() for _ in range(replicas)]
@@ -219,7 +202,6 @@ class TestReplicatedFeatureTier:
             trained_detector,
             tiny_graph,
             feature_store=store,
-            rules=rules,
             config=config,
             clock=clock,
             own_store=True,
@@ -227,14 +209,14 @@ class TestReplicatedFeatureTier:
         return service, store
 
     def test_replica_kill_and_corruption_absorbed_mid_batch(
-        self, trained_detector, tiny_graph, chaos_rules
+        self, trained_detector, tiny_graph
     ):
         requests = _requests(tiny_graph, 24)
 
         # Fault-free baseline for the score-equality check.
         baseline_clock = ManualClock()
         baseline, _ = self._replicated_service(
-            trained_detector, tiny_graph, chaos_rules, baseline_clock
+            trained_detector, tiny_graph, baseline_clock
         )
         with baseline:
             baseline_scores = [
@@ -249,7 +231,7 @@ class TestReplicatedFeatureTier:
             replica_corrupt={2: [(0.0, 1e9)]},  # silently lies forever
         )
         service, store = self._replicated_service(
-            trained_detector, tiny_graph, chaos_rules, clock, fault_plan=plan
+            trained_detector, tiny_graph, clock, fault_plan=plan
         )
         with service:
             responses = self._scripted_batch(service, clock, requests)
@@ -297,7 +279,7 @@ class TestReplicatedFeatureTier:
 
 class TestDeadlineMidSampling:
     def test_degraded_verdict_never_exception(
-        self, trained_detector, tiny_graph, chaos_rules
+        self, trained_detector, tiny_graph
     ):
         class AutoTickClock(ManualClock):
             """Every reading costs time: expires budgets inside sampling."""
@@ -315,15 +297,13 @@ class TestDeadlineMidSampling:
         service = ScoringService(
             trained_detector,
             tiny_graph,
-            rules=chaos_rules,
             config=config,
             clock=clock,
         )
         node = int(np.flatnonzero(tiny_graph.labels >= 0)[0])
-        request = ScoreRequest(node=node, features=tiny_graph.txn_table[tiny_graph.txn_row[node]])
-        response = service.score(request)  # must not raise
+        response = service.score(node)  # must not raise
         assert response.admitted
-        assert response.rung in (RUNG_RULES, RUNG_PRIOR)
+        assert response.rung in (RUNG_LINKED, RUNG_PRIOR)
         assert response.degraded_reason.startswith("deadline:")
         assert "sampling" in response.degraded_reason or "admission" in response.degraded_reason
         assert service.stats.deadline_hits == 1

@@ -365,7 +365,7 @@ class TestServeCommand:
         assert "1-replica feature tier" in out
         dead_probing = " -> dead -> probing"
         assert "\nreplica 0 journey: healthy -> suspect" + dead_probing * 5 + " -> healthy\n" in out
-        assert "rungs: gnn=22, prior=16" in out
+        assert "rungs: gnn=22, linked=16" in out
         assert "ok: 16 requests demoted as kv_unavailable, then recovered on gnn" in out
         assert "breaker" not in out
         assert "shed with verdict" in out
@@ -462,7 +462,7 @@ class TestServeCommand:
         assert _check_demo_run(untouched) == 1
         assert "never went dead" in capsys.readouterr().err
 
-        recovered.responses[-1].rung = "rules"  # the run ended degraded
+        recovered.responses[-1].rung = "linked"  # the run ended degraded
         assert _check_demo_run(recovered) == 1
         assert "last scored response is not on the gnn rung" in capsys.readouterr().err
 
@@ -496,7 +496,7 @@ class TestServeCommand:
                 store.get("feat/0")
             except AllReplicasFailedError:
                 stats.record_admitted()
-                stats.record_response("rules", 0.0, "kv_unavailable")
+                stats.record_response("linked", 0.0, "kv_unavailable")
         result = SimpleNamespace(
             stats=stats, feature_store=store, anti_entropy=SimpleNamespace(unrepairable=0),
             responses=[SimpleNamespace(rung="gnn")],

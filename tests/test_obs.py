@@ -36,9 +36,9 @@ class TestRegistry:
         registry = MetricsRegistry()
         counter = registry.counter("requests_total", "Requests.", labels=("rung",))
         counter.inc(rung="gnn")
-        counter.inc(2, rung="rules")
+        counter.inc(2, rung="linked")
         assert counter.value(rung="gnn") == 1
-        assert counter.value(rung="rules") == 2
+        assert counter.value(rung="linked") == 2
         assert counter.total() == 3
 
     def test_counter_rejects_negative(self):
@@ -592,10 +592,10 @@ class TestServiceStats:
         registry = MetricsRegistry()
         stats = ServiceStats(registry=registry)
         stats.record_admitted()
-        stats.record_response("rules", 0.004, degraded_reason="kv_unavailable")
+        stats.record_response("linked", 0.004, degraded_reason="kv_unavailable")
         stats.record_shed("queue_full")
         text = registry.render()
-        assert 'service_request_latency_seconds_count{rung="rules"} 1' in text
+        assert 'service_request_latency_seconds_count{rung="linked"} 1' in text
         assert 'service_shed_total{reason="queue_full"} 1' in text
         assert 'service_degraded_total{reason="kv_unavailable"} 1' in text
         assert "service_admitted_total 1" in text

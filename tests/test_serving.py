@@ -6,14 +6,15 @@ import numpy as np
 import pytest
 
 from repro.graph import SubgraphCache
-from repro.graph.hetero import NODE_TYPE_IDS
+from repro.check.gen import random_delta, random_hetero_graph
+from repro.data.events import TxnEvent
+from repro.graph.hetero import NODE_TYPE_IDS, HeteroGraph
 from repro.obs import Tracer
 from repro.reliability import ManualClock, OutageKVStore, SlowKVStore
-from repro.rules.miner import MinerConfig, RuleMiner, RuleSet
 from repro.serving import (
     RUNG_GNN,
+    RUNG_LINKED,
     RUNG_PRIOR,
-    RUNG_RULES,
     SHED_QUEUE_FULL,
     SHED_RATE_LIMITED,
     AdmissionQueue,
@@ -217,13 +218,23 @@ class TestServiceStats:
         assert math.isnan(ServiceStats().auc())
 
 
-@pytest.fixture(scope="module")
-def mined_rules(tiny_log):
-    rules = RuleMiner(MinerConfig(seed=0)).fit(
-        tiny_log.feature_matrix(), tiny_log.labels()
-    )
-    assert len(rules) >= 1  # the ladder needs a live middle rung
-    return rules
+def _linked_loop(graph, node):
+    """The linked rung's score of ``node`` by its definition, one entity
+    at a time: the largest fraud share among each linked entity's other
+    labelled transactions, NaN with none."""
+    best = math.nan
+    for entity in graph.in_neighbors(node):
+        others = [t for t in graph.in_neighbors(entity) if t != node and graph.labels[t] >= 0]
+        if others:
+            share = sum(int(graph.labels[t]) for t in others) / len(others)
+            best = share if math.isnan(best) else max(best, share)
+    return best
+
+
+def _with_labels(graph, labels):
+    """``graph`` holding ``labels`` instead of its own (structure shared)."""
+    arrays = (graph.node_type, graph.edge_src, graph.edge_dst, graph.edge_type, graph.txn_table)
+    return HeteroGraph.derived(*arrays, np.asarray(labels, dtype=np.int64))
 
 
 @pytest.fixture()
@@ -314,44 +325,38 @@ class TestScoringService:
         assert len(responses) == 2
         assert all(r.admitted for r in responses)
 
-    def test_kv_outage_degrades_to_rules_not_error(
-        self, trained_detector, tiny_graph, feature_kv, mined_rules
-    ):
-        clock = ManualClock()
-        store = OutageKVStore(feature_kv, windows=[(0, 10_000)])
-        service = ScoringService(
-            trained_detector,
-            tiny_graph,
-            feature_store=store,
-            rules=mined_rules,
-            clock=clock,
-        )
-        node = _txn_nodes(tiny_graph, 1)[0]
-        request = ScoreRequest(node=node, features=tiny_graph.txn_table[tiny_graph.txn_row[node]])
-        response = service.score(request)
-        assert response.admitted
-        assert response.rung == RUNG_RULES
-        assert response.degraded_reason == "kv_unavailable"
-        assert service.stats.kv_failures == 1
-        assert store.reads == 1  # the first failed read demotes: nothing retries it
-
-    def test_kv_outage_without_rules_falls_to_prior(
+    def test_kv_outage_degrades_to_linked_not_error(
         self, trained_detector, tiny_graph, feature_kv
     ):
         clock = ManualClock()
         store = OutageKVStore(feature_kv, windows=[(0, 10_000)])
-        config = ServiceConfig(static_prior=0.07)
         service = ScoringService(
-            trained_detector,
-            tiny_graph,
-            feature_store=store,
-            rules=RuleSet(),  # empty: middle rung unavailable
-            config=config,
-            clock=clock,
+            trained_detector, tiny_graph, feature_store=store, clock=clock
         )
         node = _txn_nodes(tiny_graph, 1)[0]
         response = service.score(node)
-        assert response.rung == RUNG_PRIOR
+        assert response.admitted
+        assert response.rung == RUNG_LINKED
+        assert response.score == _linked_loop(tiny_graph, node)
+        assert response.degraded_reason == "kv_unavailable"
+        assert service.stats.kv_failures == 1
+        assert store.reads == 1  # the first failed read demotes: nothing retries it
+
+    def test_kv_outage_without_labelled_links_falls_to_prior(
+        self, trained_detector, tiny_graph, feature_kv
+    ):
+        """No linked transaction carries a label (an unlabelled graph):
+        no evidence, so the prior answers."""
+        clock = ManualClock()
+        store = OutageKVStore(feature_kv, windows=[(0, 10_000)])
+        config = ServiceConfig(static_prior=0.07)
+        unlabelled = _with_labels(tiny_graph, np.full(tiny_graph.num_nodes, -1))
+        service = ScoringService(
+            trained_detector, unlabelled, feature_store=store, config=config, clock=clock
+        )
+        node = _txn_nodes(tiny_graph, 1)[0]
+        response = service.score(node)
+        assert (response.rung, response.degraded_reason) == (RUNG_PRIOR, "kv_unavailable")
         assert response.score == pytest.approx(0.07)
 
     def test_transient_blips_are_absorbed_by_retries(
@@ -539,21 +544,23 @@ def _admitted(rung, degraded=None, latency=None, remaining=None, **counters):
 # ``kv_unavailable`` read 1.318481 ms of retry backoff and one retry
 # while the service retried a plain store, and ``lone_replica_dead`` is
 # what took the place of its ``breaker_open`` row (rules, 0.0 s, no
-# KV failure counted) when the breaker went.
+# KV failure counted) when the breaker went. Every degraded row was
+# captured on the rules rung; the linked rung that replaced it answers
+# them now, with the same fields otherwise.
 _SEQUENTIAL = {
     "healthy": _admitted("gnn", None, 0.008, 0.492),
-    "deadline:admission": _admitted("rules", "deadline:admission", deadline_hits=1),
+    "deadline:admission": _admitted("linked", "deadline:admission", deadline_hits=1),
     "deadline:sampling": _admitted(
-        "rules", "deadline:sampling hop 0", 1.0, -0.5, deadline_hits=1
+        "linked", "deadline:sampling hop 0", 1.0, -0.5, deadline_hits=1
     ),
     "deadline:feature fetch": _admitted(
-        "rules", "deadline:feature fetch", 0.004, 0.0, deadline_hits=1
+        "linked", "deadline:feature fetch", 0.004, 0.0, deadline_hits=1
     ),
     "deadline:model forward": _admitted(
-        "rules", "deadline:model forward", 0.008, 0.0, deadline_hits=1
+        "linked", "deadline:model forward", 0.008, 0.0, deadline_hits=1
     ),
-    "lone_replica_dead": _admitted("rules", "kv_unavailable", 0.0, 0.5, kv_failures=1),
-    "kv_unavailable": _admitted("rules", "kv_unavailable", 0.0, 0.5, kv_failures=1),
+    "lone_replica_dead": _admitted("linked", "kv_unavailable", 0.0, 0.5, kv_failures=1),
+    "kv_unavailable": _admitted("linked", "kv_unavailable", 0.0, 0.5, kv_failures=1),
     "rate_limited": (
         {
             "node": 0,
@@ -589,10 +596,10 @@ class TestBatchOfOneParity:
     def _two_rows_per_fetch(self, monkeypatch):
         monkeypatch.setattr(service_module, "FETCH_CHUNK", 2)
 
-    def _scenario(self, name, trained_detector, tiny_graph, rules):
+    def _scenario(self, name, trained_detector, tiny_graph):
         """-> (service in the scenario's state, the request to observe)."""
         node = _txn_nodes(tiny_graph, 1)[0]
-        request = ScoreRequest(node=node, features=tiny_graph.txn_table[tiny_graph.txn_row[node]])
+        request = ScoreRequest(node=node)
         clock = ManualClock()
         backing = InMemoryKVStore()
         GraphStore(backing).save(tiny_graph)
@@ -626,7 +633,6 @@ class TestBatchOfOneParity:
             trained_detector,
             tiny_graph,
             feature_store=store,
-            rules=rules,
             config=ServiceConfig(**config),
             clock=clock,
             cache=cache,
@@ -655,9 +661,9 @@ class TestBatchOfOneParity:
         ],
     )
     def test_score_matches_the_sequential_scorer(
-        self, name, trained_detector, tiny_graph, mined_rules
+        self, name, trained_detector, tiny_graph
     ):
-        service, request = self._scenario(name, trained_detector, tiny_graph, mined_rules)
+        service, request = self._scenario(name, trained_detector, tiny_graph)
         before = service.stats.snapshot()
         response = service.score(request)
         after = service.stats.snapshot()
@@ -700,10 +706,8 @@ class TestBatchOfOneParity:
         # rather than a float literal that would pin BLAS rounding.
         if response.rung == RUNG_GNN:
             expected = trained_detector.predict_proba_sampled(tiny_graph, [request.node])[0]
-        elif response.rung == RUNG_RULES:
-            expected = mined_rules.risk_scores(
-                np.asarray(request.features, dtype=np.float64)[None, :]
-            )[0]
+        elif response.rung == RUNG_LINKED:
+            expected = _linked_loop(tiny_graph, request.node)
         else:
             expected = 0.05
         assert response.score == pytest.approx(float(expected), abs=1e-9)
@@ -715,14 +719,13 @@ class TestBatchWalkDeadlines:
 
     SLOW_SAMPLING_S = 0.1
 
-    def _service(self, trained_detector, tiny_graph, rules=None, cache=None, **kwargs):
+    def _service(self, trained_detector, tiny_graph, cache=None, **kwargs):
         clock = ManualClock()
         if cache is None:
             cache = _BudgetBurningCache(clock, delay_s=self.SLOW_SAMPLING_S)
         return ScoringService(
             trained_detector,
             tiny_graph,
-            rules=rules,
             config=ServiceConfig(deadline_s=0.5, static_prior=0.05),
             clock=clock,
             cache=cache,
@@ -735,22 +738,21 @@ class TestBatchWalkDeadlines:
         return [
             ScoreRequest(
                 node=node,
-                features=tiny_graph.txn_table[tiny_graph.txn_row[node]],
                 deadline_s=self.SLOW_SAMPLING_S / 2 if index in short else None,
             )
             for index, node in enumerate(_txn_nodes(tiny_graph, 4))
         ]
 
     def test_a_member_expiring_in_the_walk_is_demoted_alone(
-        self, trained_detector, tiny_graph, mined_rules
+        self, trained_detector, tiny_graph
     ):
         requests = self._requests(tiny_graph, short={2})
-        service = self._service(trained_detector, tiny_graph, rules=mined_rules)
+        service = self._service(trained_detector, tiny_graph)
         responses = service.score_batch(requests)
         assert [r.degraded_reason for r in responses] == [
             None, None, "deadline:sampling hop 0", None
         ]
-        assert [r.rung for r in responses] == [RUNG_GNN, RUNG_GNN, RUNG_RULES, RUNG_GNN]
+        assert [r.rung for r in responses] == [RUNG_GNN, RUNG_GNN, RUNG_LINKED, RUNG_GNN]
         assert service.stats.deadline_hits == 1
         assert service.cache.stats()["lookups"] == 4  # looked up before the walk started
         # The demoted member left no trace in the forward: the other
@@ -763,8 +765,9 @@ class TestBatchWalkDeadlines:
         for request, response in zip(others, scored):
             alone = self._service(trained_detector, tiny_graph).score(request)
             assert response.score == pytest.approx(alone.score, abs=1e-12)
-        # Without rules the demoted member lands on the prior.
-        bare = self._service(trained_detector, tiny_graph).score_batch(requests)
+        # With no labelled link the demoted member lands on the prior.
+        unlabelled = _with_labels(tiny_graph, np.full(tiny_graph.num_nodes, -1))
+        bare = self._service(trained_detector, unlabelled).score_batch(requests)
         assert [r.rung for r in bare] == [RUNG_GNN, RUNG_GNN, RUNG_PRIOR, RUNG_GNN]
 
     def test_a_member_expiring_in_the_walk_costs_no_row_read(self, trained_detector, tiny_graph):
@@ -792,19 +795,20 @@ class TestBatchWalkDeadlines:
         GraphStore(store).save(tiny_graph)
         service = self._service(trained_detector, tiny_graph, feature_store=store)
         responses = service.score_batch(requests)
-        assert [r.rung for r in responses] == [RUNG_GNN, RUNG_GNN, RUNG_PRIOR, RUNG_GNN]
+        assert [r.rung for r in responses] == [RUNG_GNN, RUNG_GNN, RUNG_LINKED, RUNG_GNN]
+        assert responses[2].score == _linked_loop(tiny_graph, expiring)
         assert sorted(store.read) == sorted(f"feat/{node}" for node in others)
 
     def test_a_batch_expiring_whole_skips_the_forward(
-        self, trained_detector, tiny_graph, mined_rules, monkeypatch
+        self, trained_detector, tiny_graph, monkeypatch
     ):
-        service = self._service(trained_detector, tiny_graph, rules=mined_rules)
+        service = self._service(trained_detector, tiny_graph)
         monkeypatch.setattr(
             trained_detector, "predict_proba", lambda *args: pytest.fail("forward ran")
         )
         responses = service.score_batch(self._requests(tiny_graph, short={0, 1, 2, 3}))
         assert {r.degraded_reason for r in responses} == {"deadline:sampling hop 0"}
-        assert {r.rung for r in responses} == {RUNG_RULES}
+        assert {r.rung for r in responses} == {RUNG_LINKED}
         assert service.stats.deadline_hits == 4
         assert len(service.cache) == 0
 
@@ -931,3 +935,100 @@ class TestSpanShape:
         assert not service.score(node).admitted
         (span,) = tracer.spans()
         assert (span.name, span.attributes["admitted"]) == ("admission", False)
+
+
+class TestLinkedRung:
+    """The middle rung: the largest fraud share among the labelled
+    transactions that share an entity with the target, read off the
+    serving graph in two CSR hops for a whole batch at once."""
+
+    def test_hand_built_cases(self):
+        """txn 0 links nothing; txns 1-3 share addr 6, txns 2-3 pmt 8;
+        txn 4's one link, email 7, is shared only with the unlabelled
+        txn 5. A batch holding two targets of one entity and a repeat."""
+        txn, addr, email, pmt = (NODE_TYPE_IDS[kind] for kind in ("txn", "addr", "email", "pmt"))
+        graph = HeteroGraph.from_links(
+            [txn] * 6 + [addr, email, pmt],
+            [(1, 6), (2, 6), (3, 6), (2, 8), (3, 8), (4, 7), (5, 7)],
+            np.zeros((6, 2)),
+            [1, 1, 0, 1, 0, -1, -1, -1, -1],
+        )
+        batch = [0, 1, 2, 2, 4]
+        scores = service_module.linked_label_scores(graph, batch)
+        np.testing.assert_array_equal(scores, [np.nan, 0.5, 1.0, 1.0, np.nan])
+        np.testing.assert_array_equal(scores, [_linked_loop(graph, node) for node in batch])
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_the_batch_equals_a_per_target_loop(self, seed):
+        """Random graphs with hubs, isolated nodes and a third of the
+        labels hidden; odd seeds grow the graph by a delta first, so the
+        CSR read has headroom in its buckets (the stream's layout)."""
+        rng = np.random.default_rng(seed)
+        graph = random_hetero_graph(rng, num_txns=int(rng.integers(1, 40)))
+        graph.labels[graph.txn_nodes[rng.random(len(graph.txn_nodes)) < 0.3]] = -1
+        if seed % 2:
+            graph.csr()
+            graph.append_delta(**random_delta(rng, graph, num_new_txns=int(rng.integers(1, 8))))
+        txns = graph.txn_nodes
+        batch = np.concatenate([txns, rng.choice(txns, size=len(txns))])  # every txn, then repeats
+        expected = [_linked_loop(graph, node) for node in batch]
+        np.testing.assert_array_equal(service_module.linked_label_scores(graph, batch), expected)
+        for node, score in zip(batch[:5], expected):  # a lone target reads what its batch read
+            np.testing.assert_array_equal(
+                service_module.linked_label_scores(graph, [node]), [score]
+            )
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_the_targets_own_label_is_never_read(self, seed):
+        rng = np.random.default_rng(seed)
+        graph = random_hetero_graph(rng, num_txns=30)
+        txns = graph.txn_nodes
+        before = service_module.linked_label_scores(graph, txns)
+        for node, score in zip(txns, before):
+            for label in (-1, 0, 1):
+                flipped = graph.labels.copy()
+                flipped[node] = label
+                after = service_module.linked_label_scores(_with_labels(graph, flipped), [node])
+                np.testing.assert_array_equal(after, [score])
+
+    def test_a_matured_flushed_label_moves_a_linked_degraded_score(self):
+        """In a stream, the rung reads exactly the labels ``apply_label``
+        has flushed: a chargeback still inside its delay moves nothing."""
+        from repro.models import DetectorConfig, XFraudDetectorPlus
+        from repro.stream import IncrementalGraphBuilder, StreamConfig, StreamScorer
+
+        clock = ManualClock()
+        builder = IncrementalGraphBuilder(feature_dim=4)
+        down = OutageKVStore(InMemoryKVStore(), windows=[(0, 1e9)])  # every verdict degrades
+        service = ScoringService(
+            XFraudDetectorPlus(DetectorConfig(feature_dim=4, seed=0)),
+            builder.graph,
+            feature_store=down,
+            config=ServiceConfig(static_prior=0.05),
+            clock=clock,
+        )
+        scorer = StreamScorer(service, builder, config=StreamConfig(label_delay_s=2.0), clock=clock)
+        for txn_id, timestamp, label in ((1, 0.0, 1), (2, 0.5, 0)):  # one buyer, a fraud first
+            scorer.ingest(
+                TxnEvent(
+                    txn_id=txn_id, buyer_id=7, email_id=txn_id, pmt_id=txn_id, addr_id=txn_id,
+                    timestamp=timestamp, features=np.zeros(4), label=label,
+                )
+            )
+        scorer.pump()
+        first, second = builder.node_of(1), builder.node_of(2)
+
+        def degraded(node):
+            response = service.score(node)
+            assert response.degraded_reason == "kv_unavailable"
+            return response.rung, response.score
+
+        assert degraded(second) == (RUNG_PRIOR, 0.05)  # the fraud label is still pending
+        clock.advance(2.0)
+        assert scorer.mature_labels() == 1  # the fraud's, not yet the second's
+        assert degraded(second) == (RUNG_LINKED, 1.0)
+        assert degraded(first) == (RUNG_PRIOR, 0.05)  # its own label is not evidence
+        clock.advance(0.5)
+        assert scorer.mature_labels() == 1
+        assert degraded(first) == (RUNG_LINKED, 0.0)
+        assert degraded(second) == (RUNG_LINKED, 1.0)
