@@ -8,6 +8,7 @@ archive holds only arrays plus a manifest).
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import zlib
@@ -15,6 +16,7 @@ from typing import Dict
 
 import numpy as np
 
+from ..durable import atomic_write_bytes
 from .module import Module
 
 _MANIFEST_KEY = "__manifest__"
@@ -26,7 +28,8 @@ def _array_crc(array: np.ndarray) -> int:
 
 def save_state(model: Module, path: str) -> str:
     """Write a model's parameters to ``path`` (``.npz`` appended if
-    missing). Returns the path written."""
+    missing) by atomic replace, so a crash keeps the previous archive.
+    Returns the path written."""
     if not path.endswith(".npz"):
         path = path + ".npz"
     state = model.state_dict()
@@ -40,10 +43,9 @@ def save_state(model: Module, path: str) -> str:
     payload[_MANIFEST_KEY] = np.frombuffer(
         json.dumps(manifest).encode("utf-8"), dtype=np.uint8
     )
-    directory = os.path.dirname(path)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
-    np.savez(path, **payload)
+    buffer = io.BytesIO()
+    np.savez(buffer, **payload)
+    atomic_write_bytes(path, buffer.getvalue())
     return path
 
 

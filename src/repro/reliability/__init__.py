@@ -10,10 +10,8 @@ from .checkpoint import (
     CheckpointError,
     CheckpointManager,
     TrainingState,
-    atomic_write_bytes,
     capture_training_state,
     collect_rng_states,
-    fsync_dir,
     load_training_state,
     restore_rng_states,
     restore_training_state,
@@ -33,10 +31,8 @@ __all__ = [
     "CheckpointError",
     "CheckpointManager",
     "TrainingState",
-    "atomic_write_bytes",
     "capture_training_state",
     "collect_rng_states",
-    "fsync_dir",
     "load_training_state",
     "restore_rng_states",
     "restore_training_state",

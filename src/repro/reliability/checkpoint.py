@@ -6,15 +6,10 @@ the run draws from (trainer shuffling + module dropout), and the
 early-stopping bookkeeping. Restoring one therefore reproduces the
 uninterrupted run bit for bit — asserted by the kill-and-resume test.
 
-Durability discipline:
-
-* every file is written atomically — temp file in the same directory,
-  ``fsync``, then ``os.replace`` (a crash leaves either the old file or
-  the new one, never a torn write);
-* ``MANIFEST.json`` records a CRC32 per checkpoint and is itself
-  written atomically; :meth:`CheckpointManager.load` verifies the CRC
-  before trusting an archive;
-* rotation keeps the newest ``keep_last`` checkpoints.
+Each archive is a durable file (:mod:`repro.durable`): written by
+atomic replace, then sealed into the directory's ``MANIFEST.json``,
+whose size + CRC32 :meth:`CheckpointManager.load` checks before it
+trusts the archive. Rotation keeps the newest ``keep_last``.
 """
 
 from __future__ import annotations
@@ -28,7 +23,8 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-_MANIFEST_NAME = "MANIFEST.json"
+from ..durable import Manifest, atomic_write_bytes, fsync_dir
+
 _MANIFEST_FORMAT = "repro-ckpt-manifest-v1"
 _CHECKPOINT_FORMAT = "repro-ckpt-v1"
 _META_KEY = "__meta__"
@@ -36,31 +32,6 @@ _META_KEY = "__meta__"
 
 class CheckpointError(RuntimeError):
     """A checkpoint is missing, truncated, or fails its checksum."""
-
-
-def fsync_dir(directory: str) -> None:
-    """fsync a directory so renames/unlinks inside it are durable."""
-    try:
-        dir_fd = os.open(directory, os.O_RDONLY)
-    except OSError:  # pragma: no cover - platform without dir fds
-        return
-    try:
-        os.fsync(dir_fd)
-    finally:
-        os.close(dir_fd)
-
-
-def atomic_write_bytes(path: str, data: bytes) -> None:
-    """Write ``data`` to ``path`` so a crash never leaves a torn file."""
-    directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
-    tmp_path = os.path.join(directory, f".{os.path.basename(path)}.tmp")
-    with open(tmp_path, "wb") as handle:
-        handle.write(data)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp_path, path)
-    fsync_dir(directory)
 
 
 # -- RNG capture --------------------------------------------------------
@@ -241,37 +212,17 @@ class CheckpointManager:
         self.directory = directory
         self.keep_last = keep_last
         os.makedirs(directory, exist_ok=True)
+        self._manifest = Manifest(directory, _MANIFEST_FORMAT, "checkpoints", CheckpointError)
 
-    # -- manifest -------------------------------------------------------
     @property
     def manifest_path(self) -> str:
-        return os.path.join(self.directory, _MANIFEST_NAME)
-
-    def _read_manifest(self) -> Dict:
-        if not os.path.exists(self.manifest_path):
-            return {"format": _MANIFEST_FORMAT, "checkpoints": []}
-        with open(self.manifest_path, "r", encoding="utf-8") as handle:
-            try:
-                manifest = json.load(handle)
-            except json.JSONDecodeError as error:
-                raise CheckpointError(f"{self.manifest_path}: corrupt manifest: {error}") from error
-        if manifest.get("format") != _MANIFEST_FORMAT:
-            raise CheckpointError(
-                f"{self.manifest_path}: unsupported manifest format {manifest.get('format')!r}"
-            )
-        return manifest
-
-    def _write_manifest(self, manifest: Dict) -> None:
-        atomic_write_bytes(
-            self.manifest_path, json.dumps(manifest, indent=2).encode("utf-8")
-        )
+        return self._manifest.path
 
     def checkpoints(self) -> List[Dict]:
         """Manifest entries (oldest first) whose files still exist."""
-        manifest = self._read_manifest()
         return [
             entry
-            for entry in manifest["checkpoints"]
+            for entry in self._manifest.read()
             if os.path.exists(os.path.join(self.directory, entry["file"]))
         ]
 
@@ -300,8 +251,7 @@ class CheckpointManager:
         path = os.path.join(self.directory, filename)
         atomic_write_bytes(path, blob)
 
-        manifest = self._read_manifest()
-        entries = [e for e in manifest["checkpoints"] if e["file"] != filename]
+        entries = [e for e in self._manifest.read() if e["file"] != filename]
         entries.append(
             {"file": filename, "epoch": state.epoch, "crc32": zlib.crc32(blob), "size": len(blob)}
         )
@@ -309,8 +259,7 @@ class CheckpointManager:
         stale_entries = []
         while len(entries) > self.keep_last:
             stale_entries.append(entries.pop(0))
-        manifest["checkpoints"] = entries
-        self._write_manifest(manifest)
+        self._manifest.write(entries)
         for stale in stale_entries:
             stale_path = os.path.join(self.directory, stale["file"])
             if os.path.exists(stale_path):
@@ -327,19 +276,9 @@ class CheckpointManager:
                 raise CheckpointError(f"no checkpoints in {self.directory}")
         if not os.path.exists(path):
             raise CheckpointError(f"checkpoint {path} does not exist")
-        with open(path, "rb") as handle:
-            blob = handle.read()
-        entry = next(
-            (
-                e
-                for e in self._read_manifest()["checkpoints"]
-                if e["file"] == os.path.basename(path)
-            ),
-            None,
-        )
-        if entry is not None:
-            if len(blob) != entry["size"] or zlib.crc32(blob) != entry["crc32"]:
-                raise CheckpointError(f"{path}: checksum mismatch (truncated or corrupt)")
+        name = os.path.basename(path)
+        entry = next((e for e in self._manifest.read() if e["file"] == name), None)
+        blob = self._manifest.read_sealed(path, entry, "checksum mismatch (truncated or corrupt)")
         return _decode_checkpoint(blob, origin=path)
 
 

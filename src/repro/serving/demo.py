@@ -56,6 +56,18 @@ from ..train import TrainConfig, Trainer
 from .service import ScoreResponse, ScoringService, ServiceConfig
 from .stats import ServiceStats
 
+#: Simulated-time window ``[start, end)`` over which the incident kills
+#: :func:`killed_replica`.
+OUTAGE_WINDOW = (0.15, 0.45)
+#: Simulated seconds every replica read costs.
+READ_DELAY_S = 0.002
+#: Per-request deadline, in simulated seconds.
+DEADLINE_S = 0.5
+#: Subgraph-cache entries in front of the sampler.
+CACHE_CAPACITY = 256
+#: Replica-2 feature rows bit-flipped on disk when there are >= 3 replicas.
+POISON_ROWS = 3
+
 
 def killed_replica(replicas: int) -> int:
     """The replica the outage window kills: replica 1 when another
@@ -80,13 +92,9 @@ def build_demo_service(
     seed: int = 0,
     scale: float = 0.25,
     epochs: int = 2,
-    outage_window: Tuple[float, float] = (0.15, 0.45),
-    read_delay_s: float = 0.002,
-    deadline_s: float = 0.5,
     registry: Optional[MetricsRegistry] = None,
     trace: bool = False,
     batch_size: Optional[int] = None,
-    cache_capacity: int = 256,
     replicas: int = 1,
 ) -> Tuple[ScoringService, "np.ndarray", ManualClock]:
     """Assemble the chaos-instrumented service; returns (service, test_nodes, clock).
@@ -97,7 +105,7 @@ def build_demo_service(
     timeline as the scripted outage (reach it via ``service.tracer``).
     ``batch_size`` bounds the serving micro-batches (``None`` = one
     coalesced batch per ``score_batch``/``drain`` call); the subgraph
-    cache (``cache_capacity`` entries) fronts every sampler call and
+    cache (:data:`CACHE_CAPACITY` entries) fronts every sampler call and
     reports hit/miss/eviction counters through ``registry``.
 
     The features live in a fully replicated tier of ``replicas``
@@ -132,12 +140,10 @@ def build_demo_service(
         clock,
         replicas=replicas,
         seed=seed,
-        outage_window=outage_window,
-        read_delay_s=read_delay_s,
         hot_nodes=[int(n) for n in bundle.test_nodes[:64]],
     )
     config = ServiceConfig(
-        deadline_s=deadline_s,
+        deadline_s=DEADLINE_S,
         queue_capacity=8,
         static_prior=float(served.fraud_rate()),
         batch_size=batch_size,
@@ -152,7 +158,7 @@ def build_demo_service(
         own_store=True,
         tracer=tracer,
         registry=registry,
-        cache=SubgraphCache(capacity=cache_capacity),
+        cache=SubgraphCache(capacity=CACHE_CAPACITY),
     )
     return service, np.asarray(bundle.test_nodes, dtype=np.int64), clock
 
@@ -162,14 +168,11 @@ def _build_replicated_store(
     clock: ManualClock,
     replicas: int,
     seed: int,
-    outage_window: Tuple[float, float],
-    read_delay_s: float,
     hot_nodes: Optional[List[int]] = None,
-    poison_rows: int = 3,
 ) -> ReplicatedKVStore:
     """The incident's feature tier: N slow replicas, replica
     :func:`killed_replica` killed over the outage window, and (with >= 3
-    replicas) ``poison_rows`` of replica 2's feature rows bit-flipped
+    replicas) :data:`POISON_ROWS` of replica 2's feature rows bit-flipped
     on disk — persistent
     divergence for the quarantine + anti-entropy acts. ``hot_nodes``
     lists nodes the demo will actually score, so the poisoned rows are
@@ -179,8 +182,8 @@ def _build_replicated_store(
     plan = FaultPlan(
         num_workers=replicas,
         seed=seed,
-        replica_kill={killed_replica(replicas): [outage_window]},
-        replica_slow={replica: read_delay_s for replica in range(replicas)},
+        replica_kill={killed_replica(replicas): [OUTAGE_WINDOW]},
+        replica_slow={replica: READ_DELAY_S for replica in range(replicas)},
     )
     config = ReplicatedConfig(
         replication_factor=replicas,
@@ -192,7 +195,7 @@ def _build_replicated_store(
         plan.wrap_replicas(backings, clock), config=config, clock=clock, seed=seed
     )
     GraphStore(store).save(graph)
-    if replicas > 2 and poison_rows > 0:
+    if replicas > 2:
         # Flip one byte in a few of replica 2's copies — preferring
         # rows whose primary owner is replica 2 so the ledger CRC check
         # fires during the run (quarantine), not just at anti-entropy.
@@ -210,7 +213,7 @@ def _build_replicated_store(
             raw[len(raw) // 2] ^= 0xFF
             backings[2].put(key, bytes(raw))
             poisoned += 1
-            if poisoned >= poison_rows:
+            if poisoned >= POISON_ROWS:
                 break
     return store
 

@@ -18,8 +18,9 @@ to ~1 min/epoch. We reproduce both designs:
     (the file is immutable once written).
 
 Durability: :meth:`MmapKVStore.finalize` appends a checksummed index
-footer, so a finalized store survives process restarts and is
-reopenable with :meth:`MmapKVStore.open` — no in-memory state needed.
+footer, then fsyncs the file and its directory (:mod:`repro.durable`),
+so a finalized store survives process restarts and is reopenable with
+:meth:`MmapKVStore.open` — no in-memory state needed.
 The on-disk layout is::
 
     [value bytes ...][index blob (JSON)][footer]
@@ -44,6 +45,8 @@ import threading
 import time
 import zlib
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+
+from ..durable import fsync_dir
 
 _LENGTH_FORMAT = "<Q"
 _LENGTH_BYTES = struct.calcsize(_LENGTH_FORMAT)
@@ -188,20 +191,14 @@ class _MmapReader:
     """One independent memory-mapped read handle.
 
     The index maps keys to ``(offset, length, crc32)``; every read is
-    checksum-verified unless ``verify=False``.
+    checksum-verified.
     """
 
-    def __init__(
-        self,
-        path: str,
-        index: Dict[str, Tuple[int, int, int]],
-        verify: bool = True,
-    ) -> None:
+    def __init__(self, path: str, index: Dict[str, Tuple[int, int, int]]) -> None:
         self._file = open(path, "rb")
         size = os.path.getsize(path)
         self._map = mmap.mmap(self._file.fileno(), size, access=mmap.ACCESS_READ) if size else None
         self._index = index
-        self._verify = verify
 
     def get(self, key: str) -> bytes:
         if key not in self._index:
@@ -210,7 +207,7 @@ class _MmapReader:
             raise KeyError(key)
         offset, length, crc = self._index[key]
         value = self._map[offset : offset + length]
-        if self._verify and zlib.crc32(value) != crc:
+        if zlib.crc32(value) != crc:
             raise CorruptStoreError(f"checksum mismatch reading key {key!r}")
         return value
 
@@ -285,7 +282,6 @@ class MmapKVStore(KVStore):
         path: str,
         single_handle: bool = False,
         overwrite: bool = False,
-        verify: bool = True,
     ) -> None:
         if os.path.exists(path) and not overwrite:
             raise FileExistsError(
@@ -294,7 +290,6 @@ class MmapKVStore(KVStore):
             )
         self.path = path
         self.single_handle = single_handle
-        self.verify = verify
         self._index: Dict[str, Tuple[int, int, int]] = {}
         self._write_file = open(path, "wb")
         self._offset = 0
@@ -305,12 +300,7 @@ class MmapKVStore(KVStore):
         self._read_seconds = None
 
     @classmethod
-    def open(
-        cls,
-        path: str,
-        single_handle: bool = False,
-        verify: bool = True,
-    ) -> "MmapKVStore":
+    def open(cls, path: str, single_handle: bool = False) -> "MmapKVStore":
         """Reopen a finalized store from disk — no in-memory index needed.
 
         Validates the footer and index checksum; raises
@@ -323,12 +313,11 @@ class MmapKVStore(KVStore):
         store = cls.__new__(cls)
         store.path = path
         store.single_handle = single_handle
-        store.verify = verify
         store._index = index
         store._write_file = None
         store._offset = data_length
         store._finalized = True
-        store._shared_reader = _MmapReader(path, index, verify=verify)
+        store._shared_reader = _MmapReader(path, index)
         store._lock = threading.Lock()
         store._reads_total = None
         store._read_seconds = None
@@ -379,8 +368,9 @@ class MmapKVStore(KVStore):
         self._write_file.flush()
         os.fsync(self._write_file.fileno())
         self._write_file.close()
+        fsync_dir(os.path.dirname(self.path) or ".")
         self._finalized = True
-        self._shared_reader = _MmapReader(self.path, self._index, verify=self.verify)
+        self._shared_reader = _MmapReader(self.path, self._index)
 
     # -- read phase -------------------------------------------------------
     def get(self, key: str) -> bytes:
@@ -412,7 +402,7 @@ class MmapKVStore(KVStore):
             raise RuntimeError("finalize() the store before reading")
         if self.single_handle:
             raise RuntimeError("single-handle store cannot open per-worker readers")
-        return _MmapReader(self.path, self._index, verify=self.verify)
+        return _MmapReader(self.path, self._index)
 
     def contains(self, key: str) -> bool:
         return key in self._index

@@ -3,7 +3,7 @@
 End-to-end exercise of the ingestion subsystem on a
 :class:`~repro.reliability.faults.ManualClock`:
 
-1. *warmup*: the first ``warmup_fraction`` of the generator's event
+1. *warmup*: the first :data:`WARMUP_FRACTION` of the generator's event
    stream is applied through the :class:`IncrementalGraphBuilder`
    (labels revealed immediately — they are historical), compacted, and
    a detector+ is briefly trained on the resulting graph;
@@ -27,6 +27,7 @@ is seeded, so one seed yields one verdict digest.
 
 from __future__ import annotations
 
+import contextlib
 import tempfile
 import zlib
 from dataclasses import dataclass, field
@@ -47,6 +48,9 @@ from .builder import IncrementalGraphBuilder
 from .feedback import DriftConfig, DriftReport, FineTuneConfig, OnlineFineTuner
 from .scorer import StreamConfig, StreamHealth, StreamScorer
 from .wal import EventLog
+
+#: Share of the event stream applied as history before the live stream.
+WARMUP_FRACTION = 0.5
 
 
 @dataclass
@@ -101,7 +105,6 @@ def run_stream_demo(
     seed: int = 0,
     scale: float = 0.25,
     epochs: int = 2,
-    warmup_fraction: float = 0.5,
     max_events: Optional[int] = None,
     batch_size: int = 16,
     compact_every: int = 64,
@@ -118,7 +121,7 @@ def run_stream_demo(
         events = events[:max_events]
     if len(events) < 4:
         raise ValueError("demo needs at least 4 events; raise scale or max_events")
-    n_warm = max(2, int(len(events) * warmup_fraction))
+    n_warm = max(2, int(len(events) * WARMUP_FRACTION))
     warmup, live = events[:n_warm], events[n_warm:]
 
     # -- act 1: warmup — build the historical graph incrementally ------
@@ -173,40 +176,47 @@ def run_stream_demo(
             checkpoint=manager,
             registry=registry,
         )
-    if wal_dir is None:
-        wal_dir = tempfile.mkdtemp(prefix="repro-stream-wal-")
-    wal = EventLog(wal_dir, segment_max_bytes=64 * 1024, fsync=False)
-    scorer = StreamScorer(
-        service,
-        builder,
-        wal=wal,
-        config=StreamConfig(
-            batch_size=batch_size,
-            queue_capacity=batch_size * 4,
-            label_delay_s=label_delay_s,
-            compact_every=compact_every,
-            drift=DriftConfig(window=64, min_samples=32),
-        ),
-        clock=clock,
-        finetuner=finetuner,
-        registry=registry,
+    # Without a wal_dir the run owns a temporary one, removed when the
+    # stream is done.
+    owned = (
+        tempfile.TemporaryDirectory(prefix="repro-stream-wal-")
+        if wal_dir is None
+        else contextlib.nullcontext(wal_dir)
     )
+    with owned as wal_dir:
+        wal = EventLog(wal_dir, segment_max_bytes=64 * 1024, fsync=False)
+        scorer = StreamScorer(
+            service,
+            builder,
+            wal=wal,
+            config=StreamConfig(
+                batch_size=batch_size,
+                queue_capacity=batch_size * 4,
+                label_delay_s=label_delay_s,
+                compact_every=compact_every,
+                drift=DriftConfig(window=64, min_samples=32),
+            ),
+            clock=clock,
+            finetuner=finetuner,
+            registry=registry,
+        )
 
-    drift_from = int(len(live) * 0.75)
-    responses: List[ScoreResponse] = []
-    for position, event in enumerate(live):
-        if drift_burst and position >= drift_from:
-            event = _shift_features(event, 1.5)
-        if event.timestamp > clock():
-            clock.advance(event.timestamp - clock())
-        while not scorer.ingest(event):
-            responses.extend(scorer.pump(max_batches=1))
-        if scorer.lag_events >= batch_size:
-            responses.extend(scorer.pump(max_batches=1))
-    responses.extend(scorer.pump())
-    # Let every chargeback mature, then run the final feedback pass.
-    clock.advance(label_delay_s + 1.0)
-    scorer.mature_labels()
+        drift_from = int(len(live) * 0.75)
+        responses: List[ScoreResponse] = []
+        for position, event in enumerate(live):
+            if drift_burst and position >= drift_from:
+                event = _shift_features(event, 1.5)
+            if event.timestamp > clock():
+                clock.advance(event.timestamp - clock())
+            while not scorer.ingest(event):
+                responses.extend(scorer.pump(max_batches=1))
+            if scorer.lag_events >= batch_size:
+                responses.extend(scorer.pump(max_batches=1))
+        responses.extend(scorer.pump())
+        # Let every chargeback mature, then run the final feedback pass.
+        clock.advance(label_delay_s + 1.0)
+        scorer.mature_labels()
+        wal.close()
 
     # -- act 4: delta-vs-rebuilt subgraph gate -------------------------
     # The live CSR is delta-grown (every flush of the stream wrote into
@@ -229,7 +239,6 @@ def run_stream_demo(
         for a, b in ((before_ref, before_vec), (before_ref, after_ref), (before_vec, after_vec))
     )
 
-    wal.close()
     service.close()
 
     verdict_lines = [

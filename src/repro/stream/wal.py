@@ -2,11 +2,9 @@
 
 Every transaction event is framed ``[u32 length][u32 crc32][payload]``
 and appended to the active segment file; segments rotate at a size
-threshold. Sealing a segment records its whole-file CRC32 and size in
-``MANIFEST.json`` — the same manifest idiom as
-:mod:`repro.reliability.checkpoint` (atomic write + directory fsync),
-so a crash leaves either the old manifest or the new one, never a torn
-pointer.
+threshold. Sealing a segment fsyncs it and records its whole-file
+CRC32 and size in ``MANIFEST.json``: a durable file of
+:mod:`repro.durable`, like a checkpoint.
 
 Failure model (mirrored in DESIGN.md):
 
@@ -25,7 +23,6 @@ Failure model (mirrored in DESIGN.md):
 
 from __future__ import annotations
 
-import json
 import os
 import re
 import struct
@@ -34,9 +31,8 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..data.events import TxnEvent, decode_event, encode_event
-from ..reliability.checkpoint import atomic_write_bytes, fsync_dir
+from ..durable import Manifest, fsync_dir
 
-_MANIFEST_NAME = "MANIFEST.json"
 _MANIFEST_FORMAT = "repro-wal-manifest-v1"
 _SEGMENT_PATTERN = re.compile(r"^wal-(\d{6})\.seg$")
 _FRAME_HEADER = struct.Struct("<II")
@@ -78,6 +74,28 @@ def _segment_name(index: int) -> str:
     return f"wal-{index:06d}.seg"
 
 
+def _segment_index(name: str) -> int:
+    return int(_SEGMENT_PATTERN.match(name).group(1))
+
+
+def _manifest(directory: str) -> Manifest:
+    return Manifest(directory, _MANIFEST_FORMAT, "segments", WalCorruptionError)
+
+
+def _scan_directory(manifest: Manifest) -> Tuple[List[Dict], List[str], Optional[str]]:
+    """The sealed entries, the sealed names missing on disk, and the one
+    unsealed (active) segment or ``None``. A second unsealed segment
+    means the manifest lost a seal: which holds the older records is
+    unknowable, so it raises."""
+    sealed = manifest.read()
+    sealed_names = {entry["file"] for entry in sealed}
+    on_disk = {name for name in os.listdir(manifest.directory) if _SEGMENT_PATTERN.match(name)}
+    unsealed = sorted(on_disk - sealed_names)
+    if len(unsealed) > 1:
+        raise WalCorruptionError(f"{manifest.directory}: multiple unsealed segments: {unsealed}")
+    return sealed, sorted(sealed_names - on_disk), (unsealed[0] if unsealed else None)
+
+
 def _scan_frames(blob: bytes) -> Tuple[List[bytes], int, Optional[str]]:
     """Walk ``blob`` frame by frame.
 
@@ -110,6 +128,16 @@ def _scan_frames(blob: bytes) -> Tuple[List[bytes], int, Optional[str]]:
     return payloads, offset, None
 
 
+def _read_unsealed(path: str) -> Tuple[List[bytes], int, Optional[TornTail]]:
+    """The active segment's valid payloads, where they end, and its
+    tear (``None`` for a cleanly-ending segment)."""
+    with open(path, "rb") as handle:
+        payloads, valid_end, tear = _scan_frames(handle.read())
+    if tear is None:
+        return payloads, valid_end, None
+    return payloads, valid_end, TornTail(os.path.basename(path), valid_end, len(payloads), tear)
+
+
 class EventLog:
     """Segmented, checksummed, append-only log of :class:`TxnEvent`.
 
@@ -134,7 +162,7 @@ class EventLog:
         self.fsync = fsync
         self.recovered_tail: Optional[TornTail] = None
         os.makedirs(directory, exist_ok=True)
-        self._sealed = self._read_manifest()["segments"]
+        self._manifest = _manifest(directory)
         self._recover()
         # A crash between the append that filled the segment to the
         # rotation boundary and the rotate() it triggers leaves a full
@@ -144,82 +172,32 @@ class EventLog:
         if self._active_records and self._active_size >= self.segment_max_bytes:
             self.rotate()
 
-    # -- manifest -------------------------------------------------------
-    @property
-    def manifest_path(self) -> str:
-        return os.path.join(self.directory, _MANIFEST_NAME)
-
-    def _read_manifest(self) -> Dict:
-        if not os.path.exists(self.manifest_path):
-            return {"format": _MANIFEST_FORMAT, "segments": []}
-        with open(self.manifest_path, "r", encoding="utf-8") as handle:
-            try:
-                manifest = json.load(handle)
-            except json.JSONDecodeError as error:
-                raise WalCorruptionError(
-                    f"{self.manifest_path}: corrupt manifest: {error}"
-                ) from error
-        if manifest.get("format") != _MANIFEST_FORMAT:
-            raise WalCorruptionError(
-                f"{self.manifest_path}: unsupported manifest format "
-                f"{manifest.get('format')!r}"
-            )
-        return manifest
-
-    def _write_manifest(self) -> None:
-        manifest = {"format": _MANIFEST_FORMAT, "segments": self._sealed}
-        atomic_write_bytes(self.manifest_path, json.dumps(manifest, indent=2).encode("utf-8"))
-
     # -- recovery -------------------------------------------------------
     def _recover(self) -> None:
-        sealed_names = {entry["file"] for entry in self._sealed}
-        on_disk = sorted(
-            name for name in os.listdir(self.directory) if _SEGMENT_PATTERN.match(name)
-        )
-        missing = sealed_names - set(on_disk)
+        self._sealed, missing, unsealed = _scan_directory(self._manifest)
         if missing:
             raise WalCorruptionError(
-                f"{self.directory}: sealed segments missing on disk: {sorted(missing)}"
+                f"{self.directory}: sealed segments missing on disk: {missing}"
             )
-        unsealed = [name for name in on_disk if name not in sealed_names]
-        if len(unsealed) > 1:
-            raise WalCorruptionError(
-                f"{self.directory}: multiple unsealed segments: {unsealed}"
-            )
-        self._next_seq = (
-            int(self._sealed[-1]["last_seq"]) + 1 if self._sealed else 0
-        )
-        last_index = max(
-            (int(_SEGMENT_PATTERN.match(name).group(1)) for name in on_disk),
-            default=0,
-        )
-        if unsealed:
-            name = unsealed[0]
-            path = os.path.join(self.directory, name)
-            with open(path, "rb") as handle:
-                blob = handle.read()
-            payloads, valid_end, tear = _scan_frames(blob)
-            if tear is not None:
-                self.recovered_tail = TornTail(
-                    segment=name,
-                    offset=valid_end,
-                    valid_records=len(payloads),
-                    reason=tear,
-                )
-                with open(path, "r+b") as handle:
-                    handle.truncate(valid_end)
-                    handle.flush()
-                    os.fsync(handle.fileno())
-                fsync_dir(self.directory)
-            self._active_name = name
-            self._active_records = len(payloads)
-            self._active_first_seq = self._next_seq
-            self._next_seq += len(payloads)
-            self._active_size = valid_end
-        else:
+        self._next_seq = int(self._sealed[-1]["last_seq"]) + 1 if self._sealed else 0
+        if unsealed is None:
+            last_index = max((_segment_index(entry["file"]) for entry in self._sealed), default=0)
             self._open_segment(last_index + 1)
             return
-        self._active_file = open(os.path.join(self.directory, self._active_name), "ab")
+        path = os.path.join(self.directory, unsealed)
+        payloads, valid_end, self.recovered_tail = _read_unsealed(path)
+        if self.recovered_tail is not None:
+            with open(path, "r+b") as handle:
+                handle.truncate(valid_end)
+                handle.flush()
+                os.fsync(handle.fileno())
+            fsync_dir(self.directory)
+        self._active_name = unsealed
+        self._active_records = len(payloads)
+        self._active_first_seq = self._next_seq
+        self._next_seq += len(payloads)
+        self._active_size = valid_end
+        self._active_file = open(path, "ab")
 
     def _open_segment(self, index: int) -> None:
         self._active_name = _segment_name(index)
@@ -297,9 +275,8 @@ class EventLog:
                     "crc32": zlib.crc32(blob),
                 }
             )
-            self._write_manifest()
-            index = int(_SEGMENT_PATTERN.match(self._active_name).group(1))
-            self._open_segment(index + 1)
+            self._manifest.write(self._sealed)
+            self._open_segment(_segment_index(self._active_name) + 1)
         else:
             # Nothing to seal — reopen the same empty segment.
             self._active_file = open(path, "ab")
@@ -340,58 +317,24 @@ def replay_wal(directory: str) -> Iterator[Tuple[int, TxnEvent]]:
     segment raises :class:`TornTailError` *after* the valid prefix has
     been yielded — the replayer never fabricates events past the tear.
     """
-    manifest_path = os.path.join(directory, _MANIFEST_NAME)
-    sealed: List[Dict] = []
-    if os.path.exists(manifest_path):
-        with open(manifest_path, "r", encoding="utf-8") as handle:
-            try:
-                manifest = json.load(handle)
-            except json.JSONDecodeError as error:
-                raise WalCorruptionError(
-                    f"{manifest_path}: corrupt manifest: {error}"
-                ) from error
-        if manifest.get("format") != _MANIFEST_FORMAT:
-            raise WalCorruptionError(
-                f"{manifest_path}: unsupported manifest format {manifest.get('format')!r}"
-            )
-        sealed = manifest["segments"]
-    sealed_names = {entry["file"] for entry in sealed}
+    manifest = _manifest(directory)
+    sealed, missing, unsealed = _scan_directory(manifest)
+    if missing:
+        raise WalCorruptionError(f"{os.path.join(directory, missing[0])}: sealed segment missing")
     seq = 0
     for entry in sealed:
         path = os.path.join(directory, entry["file"])
-        if not os.path.exists(path):
-            raise WalCorruptionError(f"{path}: sealed segment missing")
-        with open(path, "rb") as handle:
-            blob = handle.read()
-        if len(blob) != entry["size"] or zlib.crc32(blob) != entry["crc32"]:
-            raise WalCorruptionError(f"{path}: sealed segment fails manifest checksum")
+        blob = manifest.read_sealed(path, entry, "sealed segment fails manifest checksum")
         payloads, _, tear = _scan_frames(blob)
         if tear is not None or len(payloads) != entry["records"]:
             raise WalCorruptionError(f"{path}: sealed segment framing damaged")
         for payload in payloads:
             yield seq, decode_event(payload)
             seq += 1
-    unsealed = sorted(
-        name
-        for name in os.listdir(directory)
-        if _SEGMENT_PATTERN.match(name) and name not in sealed_names
-    )
-    if len(unsealed) > 1:
-        raise WalCorruptionError(f"{directory}: multiple unsealed segments: {unsealed}")
-    for name in unsealed:
-        path = os.path.join(directory, name)
-        with open(path, "rb") as handle:
-            blob = handle.read()
-        payloads, valid_end, tear = _scan_frames(blob)
+    if unsealed is not None:
+        payloads, _, tail = _read_unsealed(os.path.join(directory, unsealed))
         for payload in payloads:
             yield seq, decode_event(payload)
             seq += 1
-        if tear is not None:
-            raise TornTailError(
-                TornTail(
-                    segment=name,
-                    offset=valid_end,
-                    valid_records=len(payloads),
-                    reason=tear,
-                )
-            )
+        if tail is not None:
+            raise TornTailError(tail)

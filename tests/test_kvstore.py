@@ -250,16 +250,6 @@ class TestDurableStore:
         with pytest.raises(CorruptStoreError):
             MmapKVStore.open(path)
 
-    def test_verification_can_be_disabled(self, tmp_path):
-        path = str(tmp_path / "kv.bin")
-        self._build(path, {"a": b"A" * 50})
-        with open(path, "r+b") as handle:
-            handle.seek(10)
-            handle.write(b"Z")
-        unverified = MmapKVStore.open(path, verify=False)
-        assert unverified.get("a") != b"A" * 50  # garbage, by request
-        unverified.close()
-
     def test_empty_store_roundtrips(self, tmp_path):
         path = str(tmp_path / "kv.bin")
         self._build(path, {})

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro import nn
+from repro.durable import atomic_write_bytes
 from repro.models import GEMModel
 from repro.reliability import (
     CheckpointError,
@@ -16,7 +17,6 @@ from repro.reliability import (
     SlowKVStore,
     TrainingState,
     TransientReadError,
-    atomic_write_bytes,
     capture_training_state,
     collect_rng_states,
     load_training_state,

@@ -17,6 +17,8 @@ The load-bearing contracts pinned here:
 
 import dataclasses
 import math
+import os
+import tempfile
 import zlib
 
 import numpy as np
@@ -1000,6 +1002,14 @@ class TestStreamDemo:
         assert first.scorer.score_drift.observed == first.streamed_events
         # The WAL holds exactly the streamed (accepted) events.
         assert first.health.wal_records == first.streamed_events
+
+    def test_a_run_without_wal_dir_leaves_no_temp_directory(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        result = run_stream_demo(
+            seed=0, scale=0.1, epochs=0, max_events=40, batch_size=8, finetune=False
+        )
+        assert result.health.wal_records == result.streamed_events > 0
+        assert os.listdir(tmp_path) == []
 
     def test_feature_drift_is_the_per_event_loop(self, tmp_path, monkeypatch):
         # The pump takes a micro-batch's feature means in one
