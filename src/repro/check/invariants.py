@@ -725,13 +725,12 @@ def _check_stats_accounting() -> List[str]:
 
 @invariant(
     "percentile-selection",
-    layer="train/obs/storage",
-    falsifies="the three quantile call sites (latency_percentiles, "
-    "Histogram.percentile, hedge_threshold) disagreeing with nearest-rank "
-    "selection or each other, especially at n=1,2; hedge_threshold's "
-    "version-keyed memo outliving the reservoir sample it was taken from",
+    layer="train/obs",
+    falsifies="the two quantile call sites (latency_percentiles, "
+    "Histogram.percentile) disagreeing with nearest-rank selection or each "
+    "other, especially at n=1,2",
     mutants=[
-        edit(  # a floor rank instead of nearest rank, in one of the three call sites
+        edit(  # a floor rank instead of nearest rank, in one of the two call sites
             "histogram-percentile-by-floor-rank", "repro.obs.registry:Histogram.percentile",
             "sample[nearest_rank_index(q, len(sample))]",
             "sample[min(len(sample) - 1, int(q / 100.0 * len(sample)))]",
@@ -741,9 +740,7 @@ def _check_stats_accounting() -> List[str]:
 )
 def _check_percentiles() -> List[str]:
     from ..obs.registry import Histogram
-    from ..storage.replicated import ReplicaHealth, ReplicatedConfig
     from ..train.metrics import latency_percentiles
-    from ..util import nearest_rank_index
 
     problems: List[str] = []
     cases = {
@@ -762,35 +759,6 @@ def _check_percentiles() -> List[str]:
             got = hist.percentile(float(key[1:]))
             if got != want:
                 problems.append(f"n={count}: Histogram.{key} {got} != {want}")
-    health = ReplicaHealth(
-        0, lambda: 0.0, ReplicatedConfig(hedge_min_observations=4, hedge_quantile=0.5)
-    )
-    for value in (4.0, 1.0, 3.0, 2.0):
-        health.record_success(value)
-    threshold = health.hedge_threshold()
-    if threshold != 2.0:
-        problems.append(f"hedge_threshold p50 of 4 samples {threshold} != 2.0")
-    # hedge_threshold is memoised on the reservoir's version: keep
-    # feeding the reservoir until it is full and replacing, and hold the
-    # memo to a fresh sort after every sample and across a clear().
-    health = ReplicaHealth(
-        0, lambda: 0.0, ReplicatedConfig(hedge_min_observations=4, hedge_quantile=0.9)
-    )
-    stream = np.random.default_rng(23).uniform(size=720)
-    for step, value in enumerate(stream):
-        if step == 120:
-            health.latencies.clear()
-        health.record_success(float(value), record_sample=step % 5 != 0)
-        kept = sorted(health.latencies.values())
-        want = kept[nearest_rank_index(90.0, len(kept))] if len(kept) >= 4 else None
-        if health.hedge_threshold() != want:
-            problems.append(
-                f"hedge_threshold after sample {step} is {health.hedge_threshold()}, "
-                f"a fresh sort of the reservoir gives {want}"
-            )
-            break
-    if health.latencies.seen <= health.latencies.capacity:
-        problems.append("memo audit never reached the replacement regime")
     ordered = sorted(np.random.default_rng(19).uniform(size=100))
     if latency_percentiles(ordered)["p99"] != ordered[98]:
         problems.append("p99 of 100 samples is not the 99th order statistic")
@@ -988,9 +956,7 @@ def _replica_surfaces(rng) -> List[str]:
     backings = [InMemoryKVStore() for _ in range(3)]
     store = ReplicatedKVStore(
         plan.wrap_replicas(backings, clock),
-        config=ReplicatedConfig(
-            replication_factor=2, dead_after=2, probe_interval_s=0.05, hedge_min_observations=4
-        ),
+        config=ReplicatedConfig(replication_factor=2, dead_after=2, probe_interval_s=0.05),
         clock=clock,
         registry=registry,
     )
@@ -1018,7 +984,6 @@ def _replica_surfaces(rng) -> List[str]:
             continue
         expected = {
             "kv_failovers_total": store.failovers,
-            "kv_hedged_reads_total": store.hedged_reads,
             "kv_anti_entropy_repairs_total": repaired,
         }
         if calls:  # a pushed family has no sample before its first observation

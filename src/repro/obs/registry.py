@@ -88,11 +88,6 @@ class Reservoir:
     two identically-fed reservoirs hold identical samples (the same
     determinism the rest of this reproduction demands).
 
-    ``version`` counts changes to the *retained* sample (an append, a
-    replacement, a ``clear``) and never repeats, so anything derived
-    from the sample — a sorted copy, a quantile — can be memoised
-    against it: once full, only ``capacity / seen`` of offers bump it.
-
     Not internally locked: callers that share one across threads wrap
     it in their own lock (:class:`Histogram` does).
     """
@@ -101,7 +96,6 @@ class Reservoir:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self.version = 0
         self._items: List = []  # floats for histograms; any value works
         self._seen = 0
         self._rng = random.Random(seed)
@@ -115,7 +109,6 @@ class Reservoir:
             if slot >= self.capacity:
                 return
             self._items[slot] = value
-        self.version += 1
 
     def extend(self, values: Iterable) -> None:
         for value in values:
@@ -140,7 +133,6 @@ class Reservoir:
     def clear(self) -> None:
         self._items.clear()
         self._seen = 0
-        self.version += 1
 
 
 def _label_key(

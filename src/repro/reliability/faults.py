@@ -12,7 +12,6 @@ happens to a faulty replica in :mod:`repro.storage.replicated`.
 
 from __future__ import annotations
 
-import time
 import zlib
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -342,29 +341,25 @@ class OutageKVStore(_WindowedFault):
 
 
 class SlowKVStore(DelegatingKVStore):
-    """A straggling store: each read costs ``delay_s`` seconds.
+    """A straggling store: each read costs ``delay_s`` seconds of
+    ``clock``.
 
-    With a :class:`ManualClock` the latency is simulated, not slept —
-    the shared clock is also what the request's deadline watches, so a
-    test can script "feature reads take 2ms each against a 10ms budget"
-    and observe the deadline machinery fire deterministically. Without
-    a clock each read blocks ``delay_s`` of wall time, for benchmarks
-    (and hedging tests) that measure true latency. ``delay_s`` is
-    mutable, so a scenario can slow one replica mid-run.
+    The latency is simulated on a :class:`ManualClock`, not slept — the
+    shared clock is also what the request's deadline watches, so a test
+    can script "feature reads take 2ms each against a 10ms budget" and
+    observe the deadline machinery fire deterministically. ``delay_s``
+    is mutable, so a scenario can slow one replica mid-run.
     """
 
-    def __init__(
-        self, store: KVStore, clock: Optional[ManualClock] = None, delay_s: float = 0.001
-    ) -> None:
+    def __init__(self, store: KVStore, clock: ManualClock, delay_s: float = 0.001) -> None:
         if delay_s < 0:
             raise ValueError("delay_s must be >= 0")
         super().__init__(store)
         self.clock = clock
         self.delay_s = float(delay_s)
-        self._sleep = clock.sleep if clock is not None else time.sleep
 
     def get(self, key: str) -> bytes:
-        self._sleep(self.delay_s)
+        self.clock.sleep(self.delay_s)
         return self.store.get(key)
 
 

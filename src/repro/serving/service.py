@@ -245,9 +245,9 @@ class ScoringService:
     feature_store:
         Optional :class:`~repro.storage.kvstore.KVStore` holding each
         transaction's ``feat/{node}`` row (the :class:`~repro.storage.loader.GraphStore`
-        layout), read with ``get_many`` and never wrapped: failover,
-        hedging and the health gate that stops reads of a dead copy are
-        the store's own (a
+        layout), read with ``get_many`` and never wrapped: failover and
+        the health gate that stops reads of a dead copy are the store's
+        own (a
         :class:`~repro.storage.replicated.ReplicatedKVStore`; one store
         is a one-replica tier).
     clock:
@@ -618,9 +618,10 @@ class ScoringService:
         """Hydrate feature rows from the KV-store — one ``get_many``
         per ``FETCH_CHUNK`` keys, the deadline checked before each.
 
-        The store is read as it is: its own failover, hedging and health
-        gate decide which copy answers, and a dead copy is skipped
-        without a read. A chunk that still fails —
+        The store is read as it is: its own failover and health gate
+        decide which copy answers, and a dead copy is skipped without a
+        read; a slow copy can cost the batch its deadline, checked
+        before the next chunk. A chunk that still fails —
         :class:`~repro.storage.kvstore.TransientReadError`,
         :class:`~repro.storage.kvstore.CorruptStoreError` or
         :class:`~repro.storage.replicated.AllReplicasFailedError` —

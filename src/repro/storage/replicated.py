@@ -1,9 +1,10 @@
-"""Replicated feature-store tier: failover, hedged reads, anti-entropy.
+"""Replicated feature-store tier: failover, quarantine, anti-entropy.
 
 The deployed xFraud system (Sec. 3.3.3, Appendix H.5) reads features
 from a remote KV-store on every scoring request. A single store node is
-therefore a single point of failure: one slow machine inflates every
-tail latency and one dead machine is a whole-service outage.
+therefore a single point of failure: one dead machine is a
+whole-service outage. (A slow one is the request deadline's to bound:
+:mod:`repro.serving.service` checks it before each feature chunk.)
 :class:`ReplicatedKVStore` turns the storage tier into the availability
 layer a production deployment actually runs:
 
@@ -16,30 +17,19 @@ layer a production deployment actually runs:
 * **Health tracking** — each replica carries a
   :class:`ReplicaHealth` state machine (``healthy → suspect → dead →
   probing``) driven by consecutive errors, plus an EWMA of observed
-  read latency and a bounded :class:`~repro.obs.registry.Reservoir` of
-  latency samples. Dead replicas are skipped entirely until a probe
+  read latency. Dead replicas are skipped entirely until a probe
   interval elapses; a probe read then decides resurrection vs. another
   stint in the penalty box.
-* **Hedged reads** — with ``concurrent_hedge=True``, when a read of
-  the *primary* owner exceeds that replica's own latency quantile
-  (``hedge_quantile`` over its sample reservoir), a backup read is
-  fired at the next-preferred owner and the first answer wins (real
-  threads). Samples from hedged primary reads are excluded from the
-  hedge reservoir so a persistently slow replica cannot drift its own
-  threshold up and disarm hedging. ``concurrent_hedge=False`` (the
-  default, and the setting for a simulated
-  :class:`~repro.reliability.faults.ManualClock`) means no hedging:
-  nothing reads a threshold.
 * **One read path** — :meth:`ReplicatedKVStore.get_many` is the only
   read; ``get(key)`` is a batch of one. The replica gate is read once
   per run of keys, primary successes are tallied locally and folded
   into :class:`ReplicaHealth` in one critical section (one latency
   observation per replica: the mean of its reads), and any key that
-  misses, fails, has a dead owner or is hedged is finished by the
-  per-key walk. Same bytes, same exception, same calls made of every
-  replica, same counters and state paths as reading the keys one at a
-  time (:func:`repro.check.reference.per_key_get`); only the
-  latency-derived values differ.
+  misses, fails or has a dead owner is finished by the per-key walk.
+  Same bytes, same exception, same calls made of every replica, same
+  counters and state paths as reading the keys one at a time
+  (:func:`repro.check.reference.per_key_get`); only the latency EWMA
+  differs.
 * **Corruption quarantine** — ``put`` fans out to every owner and
   records a CRC32 ledger entry; a ``get`` whose bytes fail the ledger
   check (or whose replica raises
@@ -63,8 +53,7 @@ failover to the next owner and still returns the right bytes.
 
 Layering: this module sits in ``repro.storage`` and therefore imports
 only :mod:`repro.storage.kvstore`, the dependency-free
-:mod:`repro.obs.registry` and the root helpers (:mod:`repro.util`,
-:mod:`repro.cluster`).
+:mod:`repro.obs.registry` and the root helper :mod:`repro.cluster`.
 """
 
 from __future__ import annotations
@@ -73,21 +62,15 @@ import time
 import threading
 import zlib
 from collections import Counter
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor
-from concurrent.futures import TimeoutError as _FutureTimeout
-from concurrent.futures import wait as _wait_futures
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..cluster import DEAD, HEALTHY, PROBING, SUSPECT, rendezvous_order
-from ..obs.registry import MetricsRegistry, Reservoir
-from ..util import nearest_rank_index
+from ..obs.registry import MetricsRegistry
 from .kvstore import CorruptStoreError, KVStore, kv_read_metrics, propagate_instrument
 
 #: Weight of the newest read in a replica's latency EWMA.
 EWMA_ALPHA = 0.2
-#: Latency samples each replica keeps for its hedge threshold.
-LATENCY_RESERVOIR_SIZE = 256
 
 
 class AllReplicasFailedError(IOError):
@@ -100,22 +83,12 @@ class _ReplicaMiss(KeyError):
 
 @dataclass(frozen=True)
 class ReplicatedConfig:
-    """Operating envelope of one :class:`ReplicatedKVStore`.
-
-    ``concurrent_hedge`` turns on real threaded hedging (wall-clock
-    latency wins, for production/benchmarks; ``hedge_quantile`` and
-    ``hedge_min_observations`` arm it). ``False`` means no hedging,
-    which is what a :class:`~repro.reliability.faults.ManualClock`
-    needs.
-    """
+    """Operating envelope of one :class:`ReplicatedKVStore`."""
 
     replication_factor: int = 2
     suspect_after: int = 1  # consecutive errors before healthy -> suspect
     dead_after: int = 3  # consecutive errors before -> dead
     probe_interval_s: float = 0.5  # dead -> probing after this long
-    hedge_quantile: float = 0.95
-    hedge_min_observations: int = 16  # reservoir floor before hedging arms
-    concurrent_hedge: bool = False
 
     def __post_init__(self) -> None:
         if self.replication_factor < 1:
@@ -124,10 +97,6 @@ class ReplicatedConfig:
             raise ValueError("need 1 <= suspect_after <= dead_after")
         if self.probe_interval_s <= 0:
             raise ValueError("probe_interval_s must be positive")
-        if not 0.0 < self.hedge_quantile <= 1.0:
-            raise ValueError("hedge_quantile must be in (0, 1]")
-        if self.hedge_min_observations < 1:
-            raise ValueError("hedge_min_observations must be >= 1")
 
 
 class ReplicaHealth:
@@ -155,10 +124,6 @@ class ReplicaHealth:
         self.reads_ok = 0
         self.reads_error = 0
         self.transitions: List[Tuple[float, str, str, str]] = []  # (at, from, to, reason)
-        self.latencies = Reservoir(LATENCY_RESERVOIR_SIZE, seed=index)
-        # (reservoir version, threshold): one tuple so a reader never
-        # pairs one version with another version's value.
-        self._threshold_memo: Tuple[int, Optional[float]] = (-1, None)
         self._clock = clock
         self._dead_since = 0.0
 
@@ -174,25 +139,15 @@ class ReplicaHealth:
             return (self.state,)
         return (self.transitions[0][1],) + tuple(t[2] for t in self.transitions)
 
-    def record_success(
-        self, latency_s: float, record_sample: bool = True, reads: int = 1
-    ) -> None:
+    def record_success(self, latency_s: float, reads: int = 1) -> None:
         """``reads`` reads served correct bytes: one in ``latency_s``
         seconds, or a batch's run of them at that mean — one latency
-        observation either way.
-
-        ``record_sample=False`` keeps the observation out of the hedge
-        reservoir (used for hedged primary reads, whose samples are
-        censored by the hedge decision itself) while still updating the
-        EWMA the operators watch.
-        """
+        observation either way."""
         self.consecutive_errors = 0
         if self.ewma_latency_s is None:
             self.ewma_latency_s = float(latency_s)
         else:
             self.ewma_latency_s += EWMA_ALPHA * (float(latency_s) - self.ewma_latency_s)
-        if record_sample:
-            self.latencies.add(float(latency_s))
         self.reads_ok += reads
         if self.state in (SUSPECT, PROBING):
             self._transition(HEALTHY, "read succeeded")
@@ -234,24 +189,6 @@ class ReplicaHealth:
             return False
         return True
 
-    def hedge_threshold(self) -> Optional[float]:
-        """This replica's hedge trigger: its own latency quantile, or
-        ``None`` until ``hedge_min_observations`` samples accrue."""
-        latencies = self.latencies
-        version, threshold = self._threshold_memo
-        if version != latencies.version:
-            # The retained sample changed since the memo was taken (once
-            # the reservoir is full that is ~capacity/seen of reads).
-            version, threshold = latencies.version, None
-            if len(latencies) >= self.config.hedge_min_observations:
-                ordered = sorted(latencies)
-                # Nearest-rank quantile (same selection rule as
-                # obs.registry.Histogram.percentile and latency_percentiles).
-                rank = nearest_rank_index(self.config.hedge_quantile * 100.0, len(ordered))
-                threshold = float(ordered[rank])
-            self._threshold_memo = (version, threshold)
-        return threshold
-
 
 @dataclass
 class AntiEntropyReport:
@@ -277,7 +214,7 @@ _UNREACHABLE = "unreachable"
 
 
 class ReplicatedKVStore(KVStore):
-    """Fan a keyspace over N replicas with failover, hedging, and repair.
+    """Fan a keyspace over N replicas with failover and repair.
 
     Writes fan out to every owner of the key (the top
     ``replication_factor`` replicas by rendezvous rank) and record a
@@ -290,7 +227,7 @@ class ReplicatedKVStore(KVStore):
 
     ``clock`` is any monotonic callable;
     inject a :class:`~repro.reliability.faults.ManualClock` for
-    deterministic chaos tests (with the default, unhedged config).
+    deterministic chaos tests.
     """
 
     def __init__(
@@ -313,9 +250,7 @@ class ReplicatedKVStore(KVStore):
         self._crc: Dict[str, int] = {}  # ledger: key -> crc32 recorded at put
         self._owners_cache: Dict[str, Tuple[int, ...]] = {}
         self._lock = threading.Lock()
-        self._executor: Optional[ThreadPoolExecutor] = None
         # counters (the only copy: an attached registry reads them when scraped)
-        self.hedged_reads = 0  # backup reads fired (concurrent_hedge only)
         self.failovers = 0  # reads served by a non-primary owner
         self.corrupt_reads = 0  # checksum failures absorbed by quarantine
         self.repairs = 0  # divergent copies rewritten by anti-entropy
@@ -329,15 +264,15 @@ class ReplicatedKVStore(KVStore):
 
     @property
     def hedge_overruns(self) -> int:
-        """Read-only alias of :attr:`hedged_reads` (a backup fires exactly
-        when a primary overruns its threshold). Its one reader is the
-        performance ledger's ``storage.hedge_overruns`` counter in
-        ``benchmarks/ledger/workloads.py``; it goes when that does."""
-        return self.hedged_reads
+        """Always 0: no read of this tier races a backup copy. Its one
+        reader is the performance ledger's ``storage.hedge_overruns``
+        counter in ``benchmarks/ledger/workloads.py``; it goes when that
+        does."""
+        return 0
 
     # -- wiring ---------------------------------------------------------
     def instrument(self, registry: MetricsRegistry) -> "ReplicatedKVStore":
-        """Let ``registry`` read the health/hedging/repair tallies, time
+        """Let ``registry`` read the health/failover/repair tallies, time
         reads into the shared ``kv_reads_total`` / ``kv_read_seconds``
         family under ``store="replicated"``, and propagate
         ``instrument`` down into every replica. Returns self for
@@ -353,8 +288,6 @@ class ReplicatedKVStore(KVStore):
             return list(self._samples())
 
     def _samples(self):
-        help = "Backup reads fired by the hedging policy."
-        yield "counter", "kv_hedged_reads_total", help, {}, self.hedged_reads
         help = "Reads served by a non-primary replica."
         yield "counter", "kv_failovers_total", help, {}, self.failovers
         help = "Divergent copies rewritten by anti-entropy."
@@ -439,7 +372,7 @@ class ReplicatedKVStore(KVStore):
         owner answers, successes are tallied locally and folded into
         :class:`ReplicaHealth` in one critical section: ``reads_ok``
         grows by the count, and the replica gets ONE latency observation
-        — the mean of those reads — into its EWMA and its reservoir. A
+        — the mean of those reads — into its EWMA. A
         key with a dead owner, or whose primary lacks it, raises or
         fails its CRC, first folds the tallies in (so successes and
         failures reach the state machine in read order), then is
@@ -447,8 +380,7 @@ class ReplicatedKVStore(KVStore):
         re-reading the primary. So ``reads_ok``, ``reads_error``,
         ``consecutive_errors``, ``state_path()``, ``failovers``,
         ``corrupt_reads`` and ``read_failures`` end where the per-key
-        walk would leave them; only the EWMA and reservoir contents
-        differ. With ``concurrent_hedge`` every key is its own race.
+        walk would leave them; only the EWMA differs.
         """
         if self._read_seconds is None:
             return self._get_many(keys)
@@ -460,7 +392,6 @@ class ReplicatedKVStore(KVStore):
             self._reads_total.inc(len(keys), store="replicated")
 
     def _get_many(self, keys: Sequence[str]) -> List[bytes]:
-        hedging = self.config.concurrent_hedge  # every key its own race
         owners_of, clock = self._owners_cache, self._clock
         reads = [0] * len(self.replicas)  # primary successes not yet in ReplicaHealth,
         busy = [0.0] * len(self.replicas)  # and the seconds they took
@@ -472,7 +403,7 @@ class ReplicatedKVStore(KVStore):
                 if dead is None:
                     dead = self._dead_replicas()
                 owners = owners_of.get(key) or self.owners(key)
-                if hedging or (dead and not dead.isdisjoint(owners)):
+                if dead and not dead.isdisjoint(owners):
                     self._fold(reads, busy)
                     values.append(self._gated_get(key))
                 else:
@@ -533,8 +464,8 @@ class ReplicatedKVStore(KVStore):
         return self._sequential_get(key, owners, start=1, last_error=error)
 
     def _gated_get(self, key: str) -> bytes:
-        """Read one key that left the fast path: its live owners in
-        preference order, raced when hedging is on, else walked."""
+        """Read one key that left the fast path: its live owners,
+        walked in preference order."""
         owners = self.owners(key)
         health = self.health
         now = self._clock()
@@ -547,17 +478,10 @@ class ReplicatedKVStore(KVStore):
                     # candidate and the cached tuple serves as is.
                     candidates = [i for i in owners if health[i].available(now)]
                     break
-            threshold = (
-                health[candidates[0]].hedge_threshold()
-                if self.config.concurrent_hedge and len(candidates) > 1
-                else None
-            )
         if not candidates:
             raise AllReplicasFailedError(
                 f"no live replica holds {key!r} (owners {list(owners)} all dead)"
             )
-        if threshold is not None:
-            return self._hedged_get(key, candidates, threshold)
         return self._sequential_get(key, candidates)
 
     def _sequential_get(
@@ -583,57 +507,12 @@ class ReplicatedKVStore(KVStore):
             f"all {len(candidates)} candidate replicas failed reading {key!r}"
         ) from last_error
 
-    def _hedged_get(self, key: str, candidates: Sequence[int], threshold: float) -> bytes:
-        """Race the primary against a backup fired after ``threshold``."""
-        executor = self._ensure_executor()
-        primary_index = candidates[0]
-        started = self._clock()
-        primary = executor.submit(self._read_replica, primary_index, key, False)
-        try:
-            value = primary.result(timeout=threshold)
-        except _FutureTimeout:
-            pass
-        except _ReplicaMiss:
-            return self._sequential_get(key, candidates, start=1)
-        except Exception as error:
-            # Primary failed outright: plain failover over the remaining owners.
-            return self._sequential_get(key, candidates, start=1, last_error=error)
-        else:
-            # Un-hedged fast path: the sample is uncensored, so it may
-            # feed the hedge reservoir (record_sample=False above only
-            # skipped the in-thread recording).
-            with self._lock:
-                self.health[primary_index].latencies.add(self._clock() - started)
-            return value
-        with self._lock:
-            self.hedged_reads += 1
-        backup = executor.submit(self._read_replica, candidates[1], key)
-        pending = {primary, backup}
-        last_error = None
-        while pending:
-            done, pending = _wait_futures(pending, return_when=FIRST_COMPLETED)
-            for future in done:
-                try:
-                    return future.result()
-                except _ReplicaMiss:
-                    pass
-                except Exception as error:  # noqa: PERF203 - tiny set
-                    last_error = error
-        return self._sequential_get(key, candidates, start=2, last_error=last_error)
-
-    def _read_replica(
-        self,
-        index: int,
-        key: str,
-        record_sample: bool = True,
-        position: int = 0,
-    ) -> bytes:
+    def _read_replica(self, index: int, key: str, position: int = 0) -> bytes:
         """One verified read of one replica, with health accounting.
 
-        ``position`` is the replica's place in the preference walk of a
-        sequential read: a non-primary (``> 0``) answer is a failover,
-        tallied in the same critical section as the success. A hedged
-        race leaves it 0.
+        ``position`` is the replica's place in the preference walk: a
+        non-primary (``> 0``) answer is a failover, tallied in the same
+        critical section as the success.
 
         Raises :class:`_ReplicaMiss` (without penalising health) when
         the replica simply lacks the key; other failures count against
@@ -654,7 +533,7 @@ class ReplicatedKVStore(KVStore):
             raise
         elapsed = self._clock() - started
         with self._lock:
-            self.health[index].record_success(elapsed, record_sample=record_sample)
+            self.health[index].record_success(elapsed)
             if position:
                 self.failovers += 1
         return value
@@ -678,15 +557,6 @@ class ReplicatedKVStore(KVStore):
         if expected is not None and zlib.crc32(value) != expected:
             raise CorruptStoreError(f"replica {index}: ledger checksum mismatch for {key!r}")
         return value
-
-    def _ensure_executor(self) -> ThreadPoolExecutor:
-        with self._lock:
-            if self._executor is None:
-                self._executor = ThreadPoolExecutor(
-                    max_workers=max(2, len(self.replicas)),
-                    thread_name_prefix="kv-hedge",
-                )
-            return self._executor
 
     # -- anti-entropy ---------------------------------------------------
     def anti_entropy(self, repair: bool = True) -> AntiEntropyReport:
@@ -814,25 +684,15 @@ class ReplicatedKVStore(KVStore):
                 target = getattr(target, "store", None)
 
     def close(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
         for replica in self.replicas:
             replica.close()
 
     # -- reporting ------------------------------------------------------
     def describe(self) -> str:
         """Human-readable health table (the ``--health`` epilogue)."""
-        hedging = (
-            f"hedge q={self.config.hedge_quantile:g} (concurrent)"
-            if self.config.concurrent_hedge
-            else "no hedging"
-        )
         lines = [
-            f"replicated store: {len(self.replicas)} replicas, "
-            f"rf={self.replication_factor}, {hedging}",
-            f"reads: hedged={self.hedged_reads} "
-            f"failovers={self.failovers} corrupt={self.corrupt_reads}",
+            f"replicated store: {len(self.replicas)} replicas, rf={self.replication_factor}",
+            f"reads: failovers={self.failovers} corrupt={self.corrupt_reads}",
         ]
         for health in self.health:
             ewma = (

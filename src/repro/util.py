@@ -5,13 +5,13 @@ so every layer can import it without cycles. :func:`batched` is the one
 index-slicing helper the whole stack shares — the training epoch loops,
 the KV feature-fetch chunking, and the serving micro-batch coalescer
 all cut sequences the same way. :func:`nearest_rank_index` is the one
-percentile-selection rule: every quantile the stack reports
-(``latency_percentiles``, ``Histogram.percentile``, the hedged-read
-thresholds) selects the same sorted index, so a p99 from the benchmark
-tables, the Prometheus exposition, and the replica router all mean the
-same observed sample. :func:`release_free_memory` is what a training
-run calls when it is done, so that the process that goes on to serve
-does not carry the tape's working set.
+percentile-selection rule: both quantiles the stack reports
+(``latency_percentiles``, ``Histogram.percentile``) select the same
+sorted index, so a p99 from the benchmark tables and one from the
+Prometheus exposition mean the same observed sample.
+:func:`release_free_memory` is what a training run calls when it is
+done, so that the process that goes on to serve does not carry the
+tape's working set.
 """
 
 from __future__ import annotations

@@ -64,7 +64,9 @@ assert "networkx" in sys.modules
 def test_scipy_sparse_loads_only_when_pic_partitions():
     """Training and scoring sum through scipy's two compiled kernels,
     loaded from their file: ``scipy.sparse`` itself (~20 MiB with the
-    array-API shim it runs) loads only when PIC builds its matrix."""
+    array-API shim it runs) loads only when PIC builds its matrix, and
+    ``concurrent.futures`` not before then either: nothing on those
+    paths starts a thread pool."""
     modules = ["repro", "repro.cli", *ledger_repro_modules()]
     script = f"""
 import importlib, sys
@@ -82,7 +84,8 @@ Trainer(model).train_epoch(graph, graph.txn_nodes[graph.labels[graph.txn_nodes] 
 service = ScoringService(model, graph)
 service.score(int(graph.txn_nodes[0]))
 service.score_batch(graph.txn_nodes[:4].tolist())
-assert "scipy.sparse" not in sys.modules, "scipy.sparse imported by training or scoring"
+for name in ("scipy.sparse", "concurrent.futures"):
+    assert name not in sys.modules, name + " imported by training or scoring"
 pic_partition(graph, 2)
 assert "scipy.sparse" in sys.modules
 """

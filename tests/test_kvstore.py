@@ -599,7 +599,7 @@ class TestContextManagers:
             np.testing.assert_allclose(rows, tiny_graph.txn_table[tiny_graph.txn_rows([1, 3])])
 
     def test_delegating_store_context(self):
-        from repro.reliability import SlowKVStore
+        from repro.reliability import ManualClock, SlowKVStore
 
         class ClosableStore(InMemoryKVStore):
             closed = False
@@ -609,6 +609,6 @@ class TestContextManagers:
 
         backing = ClosableStore()
         backing.put("k", b"v")
-        with SlowKVStore(backing, delay_s=0.0) as store:
+        with SlowKVStore(backing, ManualClock(), delay_s=0.0) as store:
             assert store.get("k") == b"v"
         assert backing.closed  # closing the wrapper closes what it wraps

@@ -14,6 +14,7 @@ from repro.reliability import (
     CheckpointError,
     CheckpointManager,
     FlakyKVStore,
+    ManualClock,
     SlowKVStore,
     TrainingState,
     TransientReadError,
@@ -404,7 +405,7 @@ class TestInstrumentPropagation:
         inner = MmapKVStore(str(tmp_path / "kv.bin"))
         inner.put("k", b"value")
         inner.finalize()
-        store = SlowKVStore(inner, delay_s=0.0)
+        store = SlowKVStore(inner, ManualClock(), delay_s=0.0)
         propagate_instrument(store, registry)
         store.get("k")
         # The wrapper has no metrics; the store it wraps counted the read.
@@ -420,7 +421,7 @@ class TestInstrumentPropagation:
         inner = MmapKVStore(str(tmp_path / "kv.bin"))
         inner.put("k", b"value")
         inner.finalize()
-        store = SlowKVStore(FlakyKVStore(inner, fail_first=1), delay_s=0.0)
+        store = SlowKVStore(FlakyKVStore(inner, fail_first=1), ManualClock(), delay_s=0.0)
         propagate_instrument(store, registry)
         with pytest.raises(TransientReadError):
             store.get("k")

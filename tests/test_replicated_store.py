@@ -1,9 +1,8 @@
-"""Replicated feature-store tier: placement, failover, health, hedging,
+"""Replicated feature-store tier: placement, failover, health,
 corruption quarantine, anti-entropy repair, and wiring.
 
-Everything deterministic runs on a :class:`ManualClock`; the one truly
-threaded scenario (concurrent hedging) uses real sleeps short enough
-for CI.
+Everything runs on a :class:`ManualClock` except the thread-safety
+test, whose clock stands still.
 """
 
 import zlib
@@ -12,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import rendezvous_order as _rank
-from repro.obs import MetricsRegistry, Reservoir
+from repro.obs import MetricsRegistry
 from repro.reliability.faults import (
     CorruptKVStore,
     FaultPlan,
@@ -30,7 +29,6 @@ from repro.storage import (
     ReplicatedConfig,
     ReplicatedKVStore,
 )
-from repro.util import nearest_rank_index
 
 
 def _make_store(
@@ -105,8 +103,6 @@ class TestRendezvousPlacement:
             ReplicatedConfig(replication_factor=0)
         with pytest.raises(ValueError):
             ReplicatedConfig(suspect_after=3, dead_after=2)
-        with pytest.raises(ValueError):
-            ReplicatedConfig(hedge_quantile=0.0)
 
 
 class TestReadWritePath:
@@ -226,15 +222,23 @@ class TestBatchedReads:
         assert store.get_many([]) == []
         assert [health.reads_ok for health in store.health] == [0, 0, 0]
 
-    def test_equals_the_loop_and_folds_one_observation_per_replica(self):
+    def test_equals_the_loop_and_folds_one_observation_per_replica(self, monkeypatch):
         store, _, clock = self._filled()
         keys = [f"key/{index}" for index in range(40)]
+        observed = []
+        record_success = ReplicaHealth.record_success
+
+        def spy(health, latency_s, reads=1):
+            observed.append((health.index, reads))
+            record_success(health, latency_s, reads=reads)
+
+        monkeypatch.setattr(ReplicaHealth, "record_success", spy)
         assert store.get_many(keys) == [f"value-{index}".encode() for index in range(40)]
         primaries = [sum(store.owners(key)[0] == r for key in keys) for r in range(3)]
         assert [health.reads_ok for health in store.health] == primaries
         # 40 reads, three latency observations: one mean per replica.
-        assert [len(health.latencies) for health in store.health] == [1, 1, 1]
-        assert store.failovers == store.hedged_reads == 0
+        assert sorted(observed) == [(r, primaries[r]) for r in range(3)]
+        assert store.failovers == 0
 
     def test_absent_key_raises_keyerror_after_folding_the_earlier_keys(self):
         store, _, _ = self._filled()
@@ -289,17 +293,6 @@ class TestBatchedReads:
         assert calls == [key]
         assert store.health[primary].state == "dead"
         assert store.failovers == 1  # a dead owner is not a candidate, so not failed over
-
-    def test_concurrent_hedge_stays_the_per_key_race(self):
-        store, _, _ = _make_store(
-            3, config=ReplicatedConfig(replication_factor=2, concurrent_hedge=True)
-        )
-        store.put("k", b"v")
-        try:
-            assert store.get_many(["k", "k"]) == [b"v", b"v"]
-            assert sum(len(health.latencies) for health in store.health) == 2
-        finally:
-            store.close()
 
     def test_one_metric_observation_per_batch_one_count_per_key(self):
         registry = MetricsRegistry()
@@ -471,126 +464,6 @@ class TestCorruptionQuarantine:
         store.close()
 
 
-class TestHedging:
-    def test_unhedged_store_never_reads_a_threshold(self, monkeypatch):
-        """``concurrent_hedge=False`` means no hedging: not one read —
-        ``get``, ``get_many``, a failover, a key with a dead owner, a
-        probe — looks at a hedge threshold."""
-
-        def refuse(health):
-            raise AssertionError(f"replica {health.index}: hedge_threshold() read")
-
-        monkeypatch.setattr(ReplicaHealth, "hedge_threshold", refuse)
-        config = ReplicatedConfig(replication_factor=3, probe_interval_s=0.1)
-        store, backings, clock = _make_store(3, config=config)
-        keys = [f"key/{index}" for index in range(30)]
-        for key in keys:
-            store.put(key, b"v")
-        assert store.get_many(keys) == [b"v"] * 30
-        assert store.get("key/0") == b"v"
-        # A failover: the primary lacks its copy.
-        primary = store.owners("key/1")[0]
-        backings[primary].delete("key/1")
-        assert store.get_many(["key/1", "key/2"]) == [b"v", b"v"]
-        assert store.failovers == 1
-        # A corrupt copy quarantines the replica: now every key (rf 3)
-        # has a dead owner and two live candidates...
-        backings[primary].put("key/1", b"x")
-        assert store.get("key/1") == b"v"
-        assert store.health[primary].state == "dead"
-        assert store.get_many(keys) == [b"v"] * 30
-        # ...until the probe interval is up and a read it owns first probes it.
-        clock.advance(0.2)
-        probe = next(key for key in keys[2:] if store.owners(key)[0] == primary)
-        assert store.get(probe) == b"v"
-        assert store.health[primary].state_path()[-2:] == ("probing", "healthy")
-        assert store.hedged_reads == 0
-
-    def test_concurrent_mode_fires_backup_and_wins(self):
-        import time as _time
-
-        FAST = 0.0005
-        config = ReplicatedConfig(
-            replication_factor=3,
-            concurrent_hedge=True,
-            hedge_min_observations=4,
-            hedge_quantile=0.9,
-        )
-        backings = [InMemoryKVStore() for _ in range(3)]
-        sleepers = [SlowKVStore(b, delay_s=FAST) for b in backings]
-        store = ReplicatedKVStore(
-            sleepers, config=config, clock=_time.monotonic, seed=0
-        )
-        for index in range(30):
-            store.put(f"key/{index}", f"value-{index}".encode())
-        for index in range(30):  # warm reservoirs with fast reads
-            store.get(f"key/{index}")
-        primary_of = {i: [] for i in range(3)}
-        for index in range(30):
-            primary_of[store.owners(f"key/{index}")[0]].append(index)
-        slow_replica = max(primary_of, key=lambda i: len(primary_of[i]))
-        sleepers[slow_replica].delay_s = FAST * 40
-        for index in primary_of[slow_replica][:10]:
-            assert store.get(f"key/{index}") == f"value-{index}".encode()
-        assert store.hedged_reads >= 1
-        # A batch is still one race per key: its slow keys fire backups too.
-        fired = store.hedged_reads
-        batch = primary_of[slow_replica][:10]
-        values = store.get_many([f"key/{index}" for index in batch])
-        assert values == [f"value-{index}".encode() for index in batch]
-        assert store.hedged_reads > fired
-        assert store.hedge_overruns == store.hedged_reads  # the ledger's read-only alias
-        store.close()  # shuts the hedge executor down
-
-
-class TestHedgeThresholdMemo:
-    """``hedge_threshold`` is memoised on the reservoir's version; the
-    memo must never outlive the sample it was taken from."""
-
-    @staticmethod
-    def fresh_threshold(health):
-        kept = sorted(health.latencies.values())
-        if len(kept) < health.config.hedge_min_observations:
-            return None
-        return kept[nearest_rank_index(health.config.hedge_quantile * 100.0, len(kept))]
-
-    def test_memo_equals_a_fresh_sort_after_every_sample(self):
-        config = ReplicatedConfig(hedge_quantile=0.95)
-        health = ReplicaHealth(3, lambda: 0.0, config)
-        latencies = np.random.default_rng(7).gamma(2.0, 0.001, size=24_000)
-        for step, latency in enumerate(latencies):
-            if step in (40, 5_000):  # once while filling, once while replacing
-                health.latencies.clear()
-                assert health.hedge_threshold() is None
-            health.record_success(float(latency), record_sample=step % 7 != 3)
-            assert health.hedge_threshold() == self.fresh_threshold(health), step
-        assert health.latencies.seen > 50 * health.latencies.capacity  # replaced, a lot
-
-    def test_version_moves_only_when_the_retained_sample_does(self):
-        reservoir = Reservoir(capacity=8, seed=1)
-        changes = 0
-        for value in range(2_000):
-            before, kept = reservoir.version, reservoir.values()
-            reservoir.add(float(value))
-            assert (reservoir.version != before) == (reservoir.values() != kept)
-            changes += reservoir.version != before
-        assert 8 < changes < 200  # ~ 8 * ln(2000 / 8) replacements, not 2000
-        before = reservoir.version
-        reservoir.clear()
-        assert reservoir.version > before  # never reused: a refill cannot alias a memo
-
-    def test_unchanged_reservoir_is_not_sorted_again(self):
-        health = ReplicaHealth(0, lambda: 0.0, ReplicatedConfig())
-        for value in range(16):
-            health.record_success(float(value))
-        first = health.hedge_threshold()
-        health.latencies._items.reverse()  # behind the version's back
-        health.latencies._items[0] = 99.0
-        assert health.hedge_threshold() == first  # memo hit: no second look
-        health.record_success(0.5, record_sample=False)  # EWMA only
-        assert health.hedge_threshold() == first
-
-
 class TestParentParity:
     """What a faulted read run returns to its caller must not move when
     the read path is restructured; how it was routed may."""
@@ -605,9 +478,9 @@ class TestParentParity:
         gone the same reads take *fewer* detours (failovers 43 -> 33;
         the 12 breaker skips were of replicas the health machine had
         already revived). They held again when ``get`` became a batch
-        of one; the hedge-overrun tally (46) went with the unhedged
-        mode's threshold reads. A change to any of them is a behaviour
-        change of the read path, not a refactor."""
+        of one, and again when the read path lost its threaded
+        alternative. A change to any of them is a behaviour change of
+        the read path, not a refactor."""
         clock = ManualClock()
         plan = FaultPlan(
             num_workers=1,
@@ -619,12 +492,7 @@ class TestParentParity:
         backings = [InMemoryKVStore() for _ in range(4)]
         replicas = plan.wrap_replicas(backings, clock)
         replicas[3] = FlakyKVStore(replicas[3], fail_rate=0.04, seed=11)
-        config = ReplicatedConfig(
-            replication_factor=3,
-            probe_interval_s=0.05,
-            hedge_quantile=0.6,
-            concurrent_hedge=False,
-        )
+        config = ReplicatedConfig(replication_factor=3, probe_interval_s=0.05)
         store = ReplicatedKVStore(replicas, config=config, clock=clock, seed=2)
         for index in range(60):
             store.put(f"key/{index}", f"value-{index}".encode() * 3)
@@ -654,13 +522,6 @@ class TestParentParity:
             (125, 7),
             (274, 2),
             (219, 11),
-        ]
-        # A latency-derived value: it moves with LATENCY_RESERVOIR_SIZE.
-        assert [h.hedge_threshold() for h in store.health] == [
-            0.003999999999999997,
-            0.0,
-            0.0,
-            0.0,
         ]
         dead_probing = ("dead", "probing")
         assert [h.state_path() for h in store.health] == [
