@@ -13,8 +13,8 @@ the per-pair ratios of two timings alternated in one process
 (``_helpers.paired_ratio``), so machine speed cancels and a slow spell
 moves one pair only (CI's perf-smoke runs it). On the same VM it read
 1.04-1.20x over 32 runs as a ratio of medians; the budget is that worst
-reading + 15%. ``results/feed_draws_only.txt`` holds both estimators
-from the same runs.
+reading + 15%. The notes of PR 47's entry in ``BENCH_ledger.json`` hold
+both estimators from the same runs.
 """
 
 import numpy as np

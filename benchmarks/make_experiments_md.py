@@ -1,17 +1,26 @@
-"""Assemble EXPERIMENTS.md from benchmarks/results/*.txt.
+"""Assemble EXPERIMENTS.md from benchmarks/results/*.txt and BENCH_ledger.json.
 
-Usage:  python benchmarks/make_experiments_md.py
+Usage:  python benchmarks/make_experiments_md.py EXPERIMENTS.md README.md
 Run after ``pytest benchmarks/ --benchmark-only`` so every result file
 exists. Pairs each reproduced artefact with the paper's reference
-numbers and the shape conclusion the bench asserts.
+numbers and the shape conclusion the bench asserts, and regenerates
+README's performance table between its markers: the ledger
+trajectory's rows for ``README_METRICS``.
 """
 
 from __future__ import annotations
 
+import argparse
 import os
+import sys
+from typing import List, Optional
+
+from summarise_pairs import LEDGER, load_ledger, trajectory_lines
 
 RESULTS = os.path.join(os.path.dirname(__file__), "results")
-OUTPUT = os.path.join(os.path.dirname(__file__), "..", "EXPERIMENTS.md")
+README_START = "<!-- performance table: benchmarks/make_experiments_md.py -->"
+README_END = "<!-- end of performance table -->"
+README_METRICS = ("throughput_per_s", "latency_p50_ms", "peak_rss_mb")
 
 HEADER = """# EXPERIMENTS — paper vs. measured
 
@@ -24,7 +33,7 @@ the paper's reference values, our measured values, and whether the
 claims are enforced as assertions inside `benchmarks/bench_*.py`; a
 green `pytest benchmarks/ --benchmark-only` certifies every row below.
 
-Regenerate: `pytest benchmarks/ --benchmark-only && python benchmarks/make_experiments_md.py`
+Regenerate: `pytest benchmarks/ --benchmark-only && python benchmarks/make_experiments_md.py EXPERIMENTS.md README.md`
 """
 
 SECTIONS = [
@@ -113,386 +122,23 @@ shape (``test_disjoint_walk_ratio_floor``: >= 3x, and the walk on 45k
 nodes <= 1.5x the walk on 7k).""",
     ),
     (
-        "Autograd-free inference forward — the performance ledger, before / after",
-        "inference_forward",
-        """Not a paper table, but the paper's systems claim is per-transaction
-inference cost (Sec. 3.2.3 / Table 3 / Fig. 10). The ledger
-(`benchmarks/ledger/`, PR 11) decomposed a 3.2 ms cold request into 60%
-forward — 2 ms for an 11-node subgraph, which is per-op ``Tensor``
-construction, not arithmetic. ``XFraudDetector.predict_proba`` is now
-one plain-numpy kernel over type-sorted nodes and target-sorted edges
-(`models/hetero_conv.py` ``forward_inference``); the ``Tensor``
-``forward`` stays for training, the explainer and as the kernel's
-reference (``repro check`` scenario ``fused-backward-vs-autograd``,
-bound 1e-12; measured max |Δscore| 3e-16 on the 6.9k-node graph).
-
-Claimed beforehand: ``latency_p50_ms`` on ``serve_cold`` improves by 25%
-or more. Measured by the ledger README's "Comparing two commits"
-protocol with the ledger code byte-identical on both sides; every run
-made is committed under `benchmarks/results/ledger_pr12/` (20 untraced
-+ 4 traced ``ledger.json``; compare any two with
-`benchmarks/ledger/agree.py`). Seeds 3-9 were not used while the change
-was written (three earlier seed-0 ``serve_cold`` runs, 3.25 / 3.17 ms
-parent and 1.59 ms change, are not in the table). Should move, not
-claimed: ``serve_cold`` throughput and p95, ``serve_hot`` and
-``stream_ingest`` (forward share 29% / 27%). Should not move:
-``train_epoch``, ``setup_s``, ``peak_rss_mb``, every ``auc`` (equal to
-the printed precision; ``scores_crc32`` and every exact count equal for
-every seed). ``failed`` is 0 in all 96 workload runs.
-
-``models.forward_share`` on ``serve_cold`` fell from 60% to 26% (the
-issue predicted 20-25%) with ``models.forward_calls``,
-``serving.requests``, ``graph.cache.*`` and ``storage.reads`` exactly
-equal: the saving sits in `models` (2.05 -> 0.46 ms a forward) and
-nowhere else — every other layer's ms per request is unchanged, its
-share of a shorter request is larger. The serving module's own time
-(0.61 ms a request, mostly ``np.load`` row decodes) is now the largest
-``serve_cold`` layer; ``stream_ingest`` is flush-bound (35-42%), not
-scoring-bound. ``storage.hedge_overruns`` read ~5% of reads where it
-read 93-100%: this PR also fixed the tally to compare the duration that
-feeds the threshold's reservoir. (The tally is gone since: an unhedged
-store reads no threshold, and ``hedge_overruns`` is an alias of the
-backup reads a concurrent store fires — 0 on every ledger row.)""",
-    ),
-    (
-        "Feature hydration at memory speed — the performance ledger, before / after",
-        "feature_hydration",
-        """xFraud Sec. 3.3.3 / Figs. 12-13 is about this layer: the KV-backed
-feature loader, not the GNN, was the paper's bottleneck. After the
-inference kernel the ledger said the same of this repo: on ``serve_hot``
-the serving module's own time was 51% and storage 25% of the traced
-wall. Each of the ~250 rows a ``score_batch(32)`` hydrates paid ~30 us
-in ``np.load(BytesIO)`` (``ast.literal_eval`` compiling a header that
-is byte-identical for every row) and ~14 us in
-``ReplicatedKVStore.get`` around a 0.3 us dict read — 4 us of it
-``hedge_threshold()`` copying and sorting the 256-sample latency
-reservoir on every read (the unhedged store every caller uses no longer
-reads a threshold at all). Now `storage.decode_array` parses each
-distinct header once (numpy's own parser, memoised on the header
-bytes; every blob still has magic/version matched, object dtypes
-refused, payload length checked), rows land in one preallocated matrix
-(`storage.load_rows`, the one loop all four hydration sites share), and
-the threshold is memoised on ``Reservoir.version`` — the identical
-value, re-sorted on ~256/seen of reads. The wire format, the per-key
-``store.get`` and every per-read check are unchanged; ``repro check``
-scenario ``fast-decode-vs-np-load`` holds the decoder to ``np.load``'s
-accept/reject set and bytes.
-
-Claimed beforehand: ``latency_p50_ms`` on ``serve_hot`` improves by 50%
-or more (17.0 -> <= 8 ms). Same protocol as the section above, ledger
-code byte-identical on both sides; all 24 ``ledger.json`` are under
-`benchmarks/results/ledger_pr13/`. Seeds 1-9 were not used while the
-change was written (three seed-0 ``serve_hot`` runs made then, 18.0 /
-18.2 ms parent and 6.28 ms change, are not in the table). Expected to
-move, not claimed: ``serve_hot`` throughput / p95 and all three
-``serve_cold`` timings (p50 1.56 -> 0.78 ms). Must not move:
-``stream_ingest`` and ``train_epoch`` (neither has a feature store),
-``setup_s`` (rows are still written by ``np.save``), ``peak_rss_mb``,
-every ``auc`` and ``scores_crc32`` (equal for every seed), ``failed``
-(0 in all 80 + 16 workload runs). ``train_epoch`` read -1.2% throughput
-with the change ahead in only 2/10 pairs although no code it runs was
-touched; ten further ``train_epoch``-only pairs (seeds 10-19,
-`ledger_pr13/train_epoch_seeds10_19.txt` and `train_epoch_only/`) read
-+1.2% with the change ahead in 7/10, so the first reading was noise
-inside the workload's 3% spread.
-
-Where the saving sits (traced pairs, seeds 0 and 1): on ``serve_hot``
-``serving.self_share`` + ``storage.busy_share`` fell from 75.6% / 75.8%
-to 42.5% / 44.0% of the traced wall (the issue asked for under 45%)
-with ``storage.reads`` (100,268 / 93,437) and ``models.forward_calls``
-(400) exactly equal on both sides; per hydrated row the serving
-module's self time went 42 -> 6 us and the traced ``storage.get``
-20 -> 6 us. One thing the issue predicted did not hold: ms per forward
-was expected unchanged and fell (3.62 -> 2.77 ms on ``serve_hot``,
-0.49 -> 0.38 ms on ``serve_cold``) with the forward's code and inputs
-identical (``scores_crc32`` equal) — consistent with the forward no
-longer running behind 250 header compiles that evict its working set,
-but that cause is not verified. The largest ``serve_hot`` layer is now
-the forward (39%), then the serving module (22%) and storage (21%).""",
-    ),
-    (
-        "Live-graph growth at O(delta) — the performance ledger, before / after",
-        "graph_growth",
-        """xFraud scores each incoming transaction against a graph that every
-transaction grows (Sec. 1: deployed on a 1.1B-node graph). The ledger
-row nobody had acted on: on ``stream_ingest`` the traced
-``stream.builder.flush_share`` was 0.39-0.43 of the timed wall — ~7 ms
-per flush to add ~95 node rows and ~260 edges, more than sampling and
-the forward together — because ``HeteroGraph.append_delta`` rebuilt
-every node, edge and feature array with ``np.concatenate`` (a fresh
-41 MB feature matrix per flush by the end of the run) and ``_merge_csr``
-scattered all E old entries through E-sized temporaries. Total ingest
-cost was quadratic in stream length. Now each of the six arrays and the
-CSR's source / edge-id columns lives in a spare-capacity buffer that
-grows by half when full; a delta writes its own rows past the published
-length and re-publishes exact-length prefix views (still plain
-C-contiguous ``ndarray`` attributes; a graph that never appends owns
-exact arrays and allocates nothing), and ``_splice_csr`` shifts the old
-CSR entries back to front inside the buffer, one slice copy per
-receiving bucket, bit-identical to a stable rebuild. ``compact()`` is
-unchanged (rebuild + validate), as are sampler output and every score.
-
-Claimed beforehand: ``throughput_per_s`` on ``stream_ingest`` improves
-to a median of 2,300 ops/s or more from ~1,770-1,880 (>= +25%; expected
-+40-60%). Measured +62.7% (1,823 -> 2,967), the change ahead in 10/10
-pairs, parent interquartile range 68 ops/s. Same protocol as the two
-sections above, ledger code byte-identical on both sides; all 24
-``ledger.json`` are under `benchmarks/results/ledger_pr14/`. Seeds 1-9
-were not used while the change was written (seed-0 ``stream_ingest``
-runs made then — 1,848 / 1,824 parent, 2,798 change — are not in the
-table). Expected to move, not claimed: ``stream_ingest``
-``latency_p50_ms`` (about one 32-event batch period; 17.4 -> 10.0 ms)
-and ``latency_p95_ms`` (26.4 -> 17.3 ms). Must not move: every metric
-on ``serve_cold``, ``serve_hot`` and ``train_epoch`` (none of them
-calls ``append_delta``); on ``stream_ingest`` ``auc`` (identical),
-``setup_s`` and ``peak_rss_mb`` (559.9 vs 560.2 MiB: spare capacity is
-``np.empty`` and untouched until written, and the 41 MB-per-flush
-transient is gone); ``failed`` (0 in all 80 + 16 + 40 workload runs);
-``scores_crc32``, ``graph_version``, ``graph_nodes`` and the final
-node / edge / version counts (equal for every seed). ``serve_cold`` and
-``serve_hot`` read -3.3% / -4.0% throughput with the change ahead in
-3/10 pairs although the code they run is the parent's (a microbench of
-``subgraph`` / ``with_features`` / ``sample`` reads the same on both
-trees); ten further serve-only pairs with the order reversed (seeds
-10-19, `ledger_pr14/serve_only_seeds10_19.txt` and `serve_only/`) read
--0.4% (5/10) and +4.3% (6/10), so the first reading was noise inside
-the box's spread.
-
-Where the saving sits (traced pairs, seeds 0 and 1):
-``stream.builder.flush_share`` fell from 0.392 / 0.398 to 0.059 / 0.059
-(the issue asked for <= 0.12) — one real flush 6.8 / 7.7 ms -> 0.68 /
-0.67 ms (asked: <= 1.5) — with ``flush_calls`` (586), ``compact_calls``
-(117), ``edges_final``, every cache / sampling / forward count and
-``scores_crc32`` exactly equal on both sides, and the traced timed wall
-went 8.2 / 9.1 s -> 5.4 / 5.3 s. Every other layer's *share* rose
-because the wall shrank; none of them got slower. ``stream_ingest`` is
-now sampling-bound (30%), then the forward (22%); compaction (rebuild +
-re-validate every 128 events, 4-4.6 ms each, untouched here) is 10% and
-is the next item on this path. What remains of a flush is the O(E) part
-of the in-place splice (the block shift is a memmove of the entries
-past the first receiving bucket) and a re-adoption copy of the CSR
-columns after each compaction's rebuild; `bench_stream_throughput.py::
-test_flush_ratio_floor` holds a 32-event flush into 40k nodes to <= 2x
-one into 5k nodes (reads 1.5-1.9x; the parent reads ~10x), and
-`benchmarks/results/stream.txt` has apply+flush at 76k events/s (29k
-before; the floor is now 29,000).""",
-    ),
-    (
-        "One request path — the performance ledger, a change that claims no gain",
-        "one_request_path",
-        """xFraud's deployed path (Sec. 3.3.3, App. H.5) is one pipeline per
-transaction — sample, KV feature lookup, forward. ``ScoringService``
-had it twice (a sequential scorer behind ``score()``, a micro-batch
-scorer behind ``score_batch()`` / ``drain()``, kept equal by a fuzz
-scenario) and gated every replicated read twice (``ReplicaHealth``
-beside an injected per-replica ``CircuitBreaker``). Now ``score(r)`` is
-a batch of one through the micro-batch pipeline and a replica's health
-machine is its only gate; the sequential scorer, the per-replica
-breakers, four copies of the KV-wrapper pass-through and the second
-rendezvous hash are deleted (net -228 lines of ``src/``). The service's
-own breaker and retry layer in front of a *plain* store went later:
-the service reads every store through one path, and a lone store is
-served as a one-replica tier, whose health machine is its gate.
-
-Nothing was claimed beforehand except "no worse": every end-to-end
-metric on all four workloads inside its bound, and ``serve_cold``
-``latency_p50_ms`` — ``serve_cold`` is the workload that calls
-``score()`` — within the parent's own interquartile range of the parent
-median. Measured +0.5% (0.8129 -> 0.8172 ms, parent IQR 0.044 ms, the
-change ahead in 6/10 pairs). Same protocol as the three sections above,
-ledger code byte-identical on both sides; every run made is under
-`benchmarks/results/ledger_pr15/` (20 untraced + 2 traced
-``ledger.json``, 20 ``stream_ingest``-only results). ``auc``,
-``scores_crc32`` and every exact count are equal for every seed and
-``failed`` is 0 in all 80 + 8 + 20 workload runs. Four seed-0..3
-``serve_cold``-only pairs made while the change was being written
-(0.819 / 0.854 / 0.842 / 0.821 ms parent, 0.893 / 0.792 / 0.803 / 0.835
-ms change) are not in the table.
-
-The one behaviour that changed, on purpose: a replica that fails
-intermittently without ever failing ``dead_after`` reads in a row is no
-longer skipped for a cool-down; each failed read costs one failover and
-still returns the right bytes (DESIGN.md, "One gate per replica";
-``tests/test_replicated_store.py::
-test_intermittent_primary_costs_a_failover_per_failed_read``).""",
-    ),
-    (
-        "Training on the receptive field — the performance ledger, before / after",
-        "receptive_field",
-        """The paper's own cost centre is minutes per training epoch (App. H,
-Figs. 12-13), and Sec. 3.2.3 builds detector+ so that a step touches a
-k-hop neighbourhood rather than the graph. ``train_epoch`` was the one
-ledger workload that had never moved: every 64-target step ran forward
-and backward over all 1,808 nodes / 7,172 edges, while a 2-layer
-detector's loss on that batch can see 500-600 nodes and 1.2-1.4k edges.
-Now every model's ``loss`` runs on
-``graph.sampling.receptive_field(graph, targets, L)`` — the uncapped
-``L``-hop in-closure, holding exactly the CSR slices it walked —
-through one shared path (`models/field.py`) that the trainer, the
-distributed / elastic workers and the online fine-tuner all reach via
-``model.loss``. The whole-graph step is gone, not kept beside it. The
-contract is bit-level: attention dropout draws its mask at the parent's
-edge count and gathers it by the field's ascending ``edge_ids``, so the
-same seed gives the parent commit's losses (max difference over the 60
-epoch losses of this table 1.8e-14), its ``auc`` per seed, the same
-generator states, and hence the same fixture weights on the serving
-workloads (``scores_crc32`` equal per seed). DESIGN.md ("field
-contract") says which rows of the field are exact and why the rest are
-never read; ``repro check`` scenario ``pruned-step-vs-full-graph`` holds
-it on random graphs (five planted mutants each fail ``--fuzz 120``).
-
-Claimed beforehand: ``throughput_per_s`` on ``train_epoch`` >= 2.0x the
-parent's median (447 -> >= 890 targets/s). Measured 3.71x (453 ->
-1,680), the change ahead in 10/10 pairs (3.15x-4.21x), parent
-interquartile range 25 targets/s. Same protocol as the four sections
-above, ledger code byte-identical on both sides; all 22 ``ledger.json``
-are under `benchmarks/results/ledger_pr16/`. Seeds 1-9 were not used
-while the change was written (three seed-0-fixture epochs timed by hand
-then, 333-353 targets/s parent and 1,116-1,188 change on a slower spell
-of the box, are not in the table). Expected to fall with it, not
-claimed: ``train_epoch`` latency and ``peak_rss_mb``; ``setup_s`` and
-``peak_rss_mb`` of the three serving workloads, whose fixture fit is ten
-training steps. Must not move: the serving workloads' throughput and
-latency (no training in their timed phase) — all inside their bounds;
-``stream_ingest`` throughput reads -2.2% with the change ahead in 3/10,
-a difference of 68 ev/s against a parent IQR of 131.""",
-    ),
-    (
-        "One kernel, one tape node — the performance ledger, before / after",
-        "fused_backward",
-        """Training cost is the paper's own cost centre (App. H, Figs. 12-13:
-minutes per epoch). After the receptive-field step a 64-target step ran
-on ~570 nodes / ~1.4k edges and still took 40 ms where ``predict_proba``
-on that field takes ~5: the step was tape overhead — 251 ``Tensor``
-nodes and 40 scipy one-hot constructions — not arithmetic.
-``HeteroConvLayer`` is now one autograd node over one kernel
-(`models/hetero_conv.py`): ``kernel`` is the plain-array convolution
-``predict_proba`` already scored with, taking an optional per-edge scale
-(the dropout mask or the explainer's ``edge_mask``) and, only when a
-tape records, returning its hand-derived backward; ``forward`` is a
-single ``Tensor._make``; ``XFraudDetector.forward`` lays the graph out
-once and keeps only the 64-row FFN head on the per-op tape. The per-op
-``Tensor`` layer survives only as `src/repro/check/reference.py`, the
-spec of ``repro check``'s ``fused-backward-vs-autograd`` scenario
-(the forward, and from here the backward: loss, generator states and
-every gradient within 1e-12 of the per-op tape, plus central
-differences of the kernel; five planted mutants each fail ``--fuzz
-120``). There is no switch between the two. DESIGN.md has the node's
-six-clause contract.
-
-Claimed beforehand: ``throughput_per_s`` on ``train_epoch`` >= 2.0x the
-parent's median (1.53k -> >= 3.0k targets/s). Measured 2.98x (1,500 ->
-4,467), the change ahead in 10/10 pairs (2.39x-3.30x), parent
-interquartile range 93 targets/s; the same seed gives the parent's
-epoch losses to 2.9e-14 and its ``auc`` exactly. Same protocol as the
-sections above, ledger code byte-identical on both sides; this summary
-is the one file committed (the per-seed ``ledger.json`` were not).
-Seeds 1-9 were not used while the change was written (seed-0 runs made
-then — 1,592 parent; 4,225 / 4,289 change — are not in the table).
-Expected to fall with it, not claimed: ``train_epoch`` latency and
-``peak_rss_mb``; ``setup_s`` and ``peak_rss_mb`` of the three serving
-workloads, whose fixture fit is ten training steps. Must not move: the
-serving workloads' throughput and latency — all inside their 25%
-bounds, ``scores_crc32`` / ``auc`` / ``graph_version`` / counts equal
-per seed. ``serve_cold`` reads -3.9% throughput / +5.0% p50 with the
-change ahead in 2/10: small against the bound and against the spread of
-single runs, but consistent in sign, so it is reported as unresolved,
-not as unchanged (the summary below says where it was looked for).
-``serve_hot`` and ``stream_ingest``, whose stacked batches are past the
-layout's 256-edge line and so reduce through a sparse matrix product
-instead of ``np.add.reduceat``, read +3.4% / +2.4%.
-
-One gate of the issue is **not met**: "net `models/` + `nn/` lines do
-not grow, counting the per-op reference wherever it now lives". Counted
-that way the change adds 312 lines (`models/hetero_conv.py` 471 -> 591,
-`models/detector.py` 217 -> 245, `models/inference.py` 32 -> 33,
-`nn/segment.py` 146 -> 157, `nn/tensor.py` 472 -> 475,
-`check/reference.py` 0 -> 149): the hand-derived backward is new code,
-and the per-op layer it replaces had to be kept, whole, as its
-reference.""",
-    ),
-    (
-        "One walk per micro-batch — the performance ledger, before / after",
-        "batched_walk",
-        """detector+ exists because neighbour sampling, not the convolution, is
-what per-transaction inference pays for on graphs of 1.5-3.4 edges/node
-(paper Sec. 3.2.3, Fig. 10: 5-7x from the sampler alone). After the flush
-fix ``stream_ingest`` was sampling-bound (29% of the traced wall, more
-than the forward), and not because every flush empties the
-``SubgraphCache``: each event scores the transaction node created by
-the flush before it and a ``txn_id`` cannot repeat, so its 15,000
-lookups are 15,000 misses by construction (``graph.cache.hit_ratio`` 0
-at both commits, whatever the cache does). What it paid was 15,000
-``SageSampler.sample`` calls returning 8.8 nodes / 28 edges each, and
-under each of them two group-deadline checks polling all 32 members
-(2,112 ``Deadline.expired()`` calls per micro-batch).
-
-``sample(graph, targets, disjoint=True)`` (`graph/sampling.py`) now
-returns the block-diagonal union of one singleton sample per target
-from ONE frontier expansion over ``(component, node)`` pairs — array
-for array what ``stack_subgraphs([sample(graph, [t]) for t in
-targets])`` returns, which stays in the code as the spec (the base
-sampler's ``_sample_disjoint``: the ``HGSampler`` path, and what
-``check.reference.scalar_sample(..., disjoint=True)`` runs);
-``SubgraphCache.get_or_sample(..., disjoint=True)`` looks a micro-batch
-up per target under today's singleton keys, samples the distinct misses
-in one unlocked walk and leaves entries, LRU order and counters exactly
-as the per-target loop would; ``ScoringService`` makes that one call
-per micro-batch (``_sample`` and the per-member loop are gone,
-``warm_cache`` is one call too). A single target takes the plain
-``sample(graph, [t])`` route, read from the input: no switch, config
-field, flag or environment variable was added. Entry fee: a ``repro
-check`` scenario holding the walk to the stacked loop (now part of
-``sampler-fast-vs-reference``; five planted mutants, each one edit of
-the walk's own source, each failing ``--fuzz 120``), the ``cache-coherence`` invariant extended to a twin
-cache driven by the loop (planted mutant: inserts before hits), and
-`benchmarks/bench_sampler_fastpath.py::test_disjoint_walk_ratio_floor`
-(>= 3x the 32 samples + stack, <= 1.5x its 7k-node cost at 45k nodes)
-in CI's perf-smoke.
-
-Claimed beforehand: ``throughput_per_s`` on ``stream_ingest`` >= 1.3x
-the parent's median (2.85k -> >= 3.7k ev/s). Measured 1.44x (2,699 ->
-3,883 ev/s), the change ahead in 10/10 pairs (1.29x-1.89x), medians
-1,184 ev/s apart against a parent interquartile range of 235; p50
-10.9 -> 7.4 ms and p95 18.6 -> 14.3 ms fall with it (expected, not
-claimed). Same protocol as the sections above: ten alternating
-parent/change pairs on seeds 0-9, untraced, ledger code byte-identical
-on both sides, then two traced pairs (seeds 0, 1) for the per-layer
-rows; ``scores_crc32`` / ``graph_version`` / ``graph_nodes`` / ``auc``
-equal for every seed and every exact count equal in both traced pairs,
-``failed`` 0 in all 80 runs. Seeds 4-9 were not run before the code was
-final. Must not move, and did not: every end-to-end metric of
-``serve_cold`` (batches of one: the unchanged singleton route),
-``serve_hot`` (all hits: no walk in the timed phase; an all-hit lookup
-of 32 costs 35 us against the loop's 71) and ``train_epoch`` (executes
-no changed line) is inside its bound with the change ahead in 2-6 of 10
-pairs — none resolved in either direction. Traced: ``graph.sampling.calls``
-15,000 -> 469 (= ``models.forward_calls``), ``nodes_per_call`` 8.8 ->
-280.6 (= ``models.nodes_per_call``), ``graph.sampling.busy_share`` 0.293
--> 0.063, ``serving.deadline_hits`` 0, shares summing to 1 on both
-sides.
-
-One acceptance line of the issue is **not met as written**:
-"``graph.cache.self_share`` + ``serving.self_share`` not up by more than
-0.02 together" reads +0.039 (seed 0) and +0.021 (seed 1). The summary
-below gives seconds beside every share: together the two rows fell
-(0.645 -> 0.625 s, 0.745 -> 0.567 s at reference speed) while the wall
-they are a share of fell by a third; cache self alone rose by 0.04-0.09
-s because ``unstack_subgraphs`` — cutting the walk into the per-target
-entries the cache stores — runs inside ``get_or_sample`` (0.26 ms per
-micro-batch here). Splitting and re-stacking together cost ~0.5 ms of a
-~7.4 ms micro-batch; handing the union through when a whole cohort
-missed and nobody was demoted was left out (it needs either a new field
-on ``SampledSubgraph`` or a second return shape from the cache).
-
-The hand measurements at the end of the summary are: a counting wrapper
-round ``Deadline.expired`` over one ``score_batch`` of 32; ``sample`` /
-``_sample_disjoint`` / ``stack_subgraphs`` / ``unstack_subgraphs`` timed
-with ``perf_counter`` (medians of 100-300 calls, batch-of-one figures
-over 400 distinct targets in 15 alternated passes); one
-``StreamIngest`` workload object driven at ``--ops-scale 0.3`` with
-timers round the same functions; and the demo commands of
-`.github/workflows/ci.yml` run at both commits and diffed.""",
+        "The performance ledger — each PR's change over its parent",
+        None,
+        """Not a paper table, but the costs behind the paper's deployment claims
+(Sec. 3.3.3, Table 3's inference column, Fig. 10): every change that
+touched a ledger workload ran ten alternating parent/change pairs of
+`benchmarks/ledger/run.py`, and `benchmarks/summarise_pairs.py --pr N`
+appended the summary to `BENCH_ledger.json` — per workload and metric,
+both sides' median and quartiles, the pairs the change was ahead in, the
+bound, the verdict, the runs' environment and the summary's notes
+(failed operations, equal `exact` records, the claim pair by pair, the
+traced per-layer differences). Below, from `python
+benchmarks/summarise_pairs.py --trajectory`: each PR's ratio of the
+change's median to the parent's, and their running product. For a
+`higher`-is-better metric (throughput, auc) a ratio above 1 is a gain;
+for the others, below 1. The product chains ratios measured on
+different days and is not one measurement. What each PR changed, and
+its claim, is in CHANGES.md and in the entry's `notes`.""",
     ),
     (
         "Observability overhead — what a registry and a tracer each cost one request",
@@ -560,87 +206,6 @@ keep their 1.5x for the box's speed, and CI's obs job now runs them.
 The table below is the last run at this change with the box at
 reference speed (the run before it, at 0.97 ms, read +90.4 / +28.1 /
 +2.5).""",
-    ),
-    (
-        "Samplers as pure functions — the ledger did not move (repo simplification)",
-        "pure_sampler",
-        """Not a paper table, and no gain claimed: the record that deleting the
-samplers' second implementation (the constructor knob; the scalar walks
-are now ``repro.check.reference.scalar_sample``), their registry handle
-and clock (``instrument()``, the per-hop latency family) and
-``ScoringService``'s full-graph branch left every end-to-end metric of
-`BENCHMARK.json` inside its bound on all four workloads, with
-``scores_crc32`` / ``exact`` equal per seed — the samplers return the
-same subgraphs, array for array. No ledger workload attaches a registry,
-so what the service's own timing of its walks saves shows in the
-*Observability overhead* section below, not here.""",
-    ),
-    (
-        "Each layer computes only the rows the next one reads — the ledger, before / after",
-        "trimmed_layers",
-        """Nodes are laid out by in-hop distance to the forward's targets, so
-what each convolution layer reads, walks and outputs is a prefix of one
-layout (DESIGN.md): on a 64-target training field layer 2 walks the 256
-edges into the targets instead of all 1,395. Claimed beforehand:
-``train_epoch`` ``throughput_per_s`` >= 1.2x; measured 1.199x, a hair
-under the claim, with ``serve_hot`` 1.22x beside it and served
-``scores_crc32`` equal per seed.""",
-    ),
-    (
-        "One multi-get per micro-batch — the ledger, before / after",
-        "batched_hydration",
-        """Feature rows are hydrated through ``KVStore.get_many``: one replica
-gate, one health fold and one header parse per chunk instead of per row,
-every per-key check kept (``batched-read-vs-per-key-gets`` holds it to
-the loop of ``get`` calls). Claimed beforehand: ``serve_hot``
-``throughput_per_s`` >= 1.2x; measured 1.32x (10/10), ``stream_ingest``
-1.22x beside it.""",
-    ),
-    (
-        "Weight-only tables once per parameter version — the ledger, before / after",
-        "layer_plan",
-        """Each layer's ``LayerPlan`` (packed Q/K/V, stacked attention, the
-first layer's constant rows) is memoised on its parameters' versions,
-and parameters are read-only outside ``Parameter.write``. Claimed
-beforehand: ``serve_cold`` ``throughput_per_s`` >= 1.15x; measured
-1.16x (10/10), ``serve_hot`` 1.16x beside it.""",
-    ),
-    (
-        "Layer 1 through (transaction, edge type) tables — the ledger, before / after",
-        "layer_one_tables",
-        """Every first-layer edge joins a transaction to an entity whose row is a
-constant of the weights, so its attention logit is linear in the
-transaction's features: one matmul of the transaction rows gives every
-logit per (edge type, head) and every value row, and an edge is two
-lookups (DESIGN.md). Claimed beforehand: ``serve_hot``
-``throughput_per_s`` >= 1.10x the parent's median, ahead in >= 9/10
-pairs, medians apart by more than the parent's IQR; the table below is
-the record, with the traced pair's per-layer shares.""",
-    ),
-    (
-        "Features belong to transactions — the ledger, before / after",
-        "txn_table",
-        """Only transactions have input features (Sec. 3.2(1)), so a graph holds
-one ``(transactions, F)`` table, row ``k`` the ``k``-th transaction in
-node order, and no entity row exists in any graph, delta, stack or KV
-tier; ``GraphStore.save`` writes the transactions' ``feat/{node}`` rows
-under one shared ``.npy`` header (DESIGN.md). Claimed beforehand:
-``serve_cold`` ``setup_s`` >= 12% lower than the parent's median (ratio
->= 1.136x), ahead in >= 9/10 pairs, medians apart by more than the
-parent's IQR; served scores and training losses unchanged.""",
-    ),
-    (
-        "Head, loss and optimiser off the per-op tape — the ledger, before / after",
-        "head_off_tape",
-        """The detector's FFN head is one kernel on plain arrays, called with
-nothing saved by ``predict_proba`` and recorded as one tape node by
-``forward``; ``F.cross_entropy`` is one node; ``Optimizer.step`` is one
-flat in-place update with moments in flat buffers (DESIGN.md). A
-detector+ step records five tape nodes where it recorded 49, and its
-bits are the per-op tape's. Claimed beforehand: ``train_epoch``
-``throughput_per_s`` >= 1.06x the parent's median, ahead in >= 9/10
-pairs, medians apart by more than the parent's IQR; ``scores_crc32``
-equal per seed on every serving row, epoch losses within 1e-12.""",
     ),
     (
         "Figure 14 — distributed convergence",
@@ -795,11 +360,14 @@ fewer parameters and does not lose AUC.""",
 ]
 
 
-def main() -> None:
+def render() -> str:
     parts = [HEADER]
     for title, result_name, commentary in SECTIONS:
         parts.append(f"\n## {title}\n")
         parts.append(commentary.strip() + "\n")
+        if result_name is None:
+            parts.append("\n" + "\n".join(trajectory_lines(load_ledger(LEDGER))) + "\n")
+            continue
         path = os.path.join(RESULTS, f"{result_name}.txt")
         if os.path.exists(path):
             with open(path) as handle:
@@ -813,10 +381,29 @@ def main() -> None:
             parts.append(
                 f"\n*(results file benchmarks/results/{result_name}.txt missing — run the bench suite)*\n"
             )
-    with open(OUTPUT, "w") as handle:
-        handle.write("\n".join(parts))
-    print(f"wrote {os.path.abspath(OUTPUT)}")
+    return "\n".join(parts)
+
+
+def readme_with_table(text: str) -> str:
+    """``text`` with the lines between README's markers regenerated."""
+    start, end = text.index(README_START) + len(README_START), text.index(README_END)
+    table = trajectory_lines(load_ledger(LEDGER), README_METRICS)
+    return text[:start] + "\n" + "\n".join(table) + "\n" + text[end:]
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("out", help="where to write EXPERIMENTS.md")
+    parser.add_argument("readme", help="the README.md whose performance table is regenerated in place")
+    args = parser.parse_args(argv)
+    with open(args.out, "w") as handle:
+        handle.write(render())
+    with open(args.readme) as handle:
+        text = readme_with_table(handle.read())
+    with open(args.readme, "w") as handle:
+        handle.write(text)
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
-"""Summarise alternating parent/change ledger pairs into one results file.
+"""Summarise alternating parent/change ledger pairs into BENCH_ledger.json.
 
-    python3 benchmarks/summarise_pairs.py RUNS --out benchmarks/results/NAME.txt \\
-        --claim stream_ingest throughput_per_s 1.3 [--parent e840b69] [--notes FILE]
+    python3 benchmarks/summarise_pairs.py RUNS --pr N \\
+        [--claim stream_ingest throughput_per_s 1.3] [--parent e840b69] [--notes FILE]
+    python3 benchmarks/summarise_pairs.py --trajectory
+    python3 benchmarks/summarise_pairs.py --check
 
 ``RUNS`` holds what ``benchmarks/ledger/run.py --out`` wrote for each
 side and seed, ledger code byte-identical on both sides::
@@ -11,23 +13,33 @@ side and seed, ledger code byte-identical on both sides::
     RUNS/parent/traced_seed<k>/...     RUNS/change/traced_seed<k>/...           optional, --trace 1
 
 (the pairing loop itself is three lines of shell: for each seed run both
-checkouts, the parent first on even seeds). One row per (workload,
-end-to-end metric) with each side's median and quartiles, how many pairs
-the change is ahead in, the ``BENCHMARK.json`` bound and a verdict by
-the rule of the choosing-metrics guide: a gain only when the change is
-ahead in >= 9/10 of the pairs (ties count for neither) and the medians
-lie further apart than the parent's own quartiles; otherwise within the
-bound, exceeding it, or — when the parent's quartiles alone span more
-than the bound — unresolved. Below the table: failed operations, whether
-everything that must repeat for a seed did, the claim pair by pair, and
-for each traced pair every per-layer metric that differs between the
-sides. No per-seed dump is committed; this file is the record.
+checkouts, the parent first on even seeds). ``--pr N`` appends one entry
+to the file ``--out`` names (``BENCH_ledger.json`` at the repository
+root by default) and prints it as a table. The entry holds the parent and
+change commits, the claim, one row per (workload, end-to-end metric) with
+each side's median and quartiles, how many pairs the change is ahead in,
+the change/parent ratio of medians, the ``BENCHMARK.json`` bound and a
+verdict by the rule of the choosing-metrics guide: a gain only when the
+change is ahead in >= 9/10 of the pairs (ties count for neither) and the
+medians lie further apart than the parent's own quartiles; otherwise
+within the bound, exceeding it, or — when the parent's quartiles alone
+span more than the bound — unresolved. Its ``env`` is what the runs
+recorded (a field no run recorded stays null; runs that disagree on a
+field are refused). Its ``notes`` are the
+summary's other lines: failed operations, whether everything that must
+repeat for a seed did, the claim pair by pair, and for each traced pair
+every per-layer metric that differs between the sides.
+
+``--trajectory`` prints, per workload and metric, each PR's ratio and
+their running product; ``--check`` exits 1 when the newest row of any
+(workload, metric) is worse than its ``BENCHMARK.json`` bound.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -42,8 +54,16 @@ from _helpers import format_table  # noqa: E402
 from agree import EXACT_COUNTS, load_workloads, worse_by  # noqa: E402
 from metrics import SELF_SHARES  # noqa: E402  (the ledger's partition of the traced wall)
 
+LEDGER = os.path.join(ROOT, "BENCH_ledger.json")
+# What a row needs to tell a code change from a machine change.
+ENV_FIELDS = ("cpu_model", "nproc", "python", "numpy", "scipy", "blas_core")
 # Per-layer metrics that are wall-clock facts of one run, not of the program.
 INFORMATIONAL = ("warmup_s", "trace.overhead_share")
+
+
+def end_to_end_metrics() -> List[dict]:
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as handle:
+        return json.load(handle)["end_to_end"]
 
 
 def load_side(runs: str, side: str, prefix: str) -> Dict[int, Dict[str, dict]]:
@@ -57,13 +77,14 @@ def load_side(runs: str, side: str, prefix: str) -> Dict[int, Dict[str, dict]]:
     return found
 
 
-def quartiles(values: Sequence[float]) -> Tuple[float, float, float]:
+def quartiles(values: Sequence[float]) -> List[float]:
+    """``[median, q1, q3]``."""
     q1, median, q3 = np.percentile(values, [25, 50, 75])
-    return float(median), float(q1), float(q3)
+    return [float(median), float(q1), float(q3)]
 
 
-def spread(values: Sequence[float]) -> str:
-    median, q1, q3 = quartiles(values)
+def spread(stats: Sequence[float]) -> str:
+    median, q1, q3 = stats
     return f"{median:.4g} [{q1:.4g}, {q3:.4g}]"
 
 
@@ -71,45 +92,50 @@ def table(headers: List[str], rows: List[List[str]]) -> List[str]:
     return [line.rstrip() for line in format_table(headers, rows).split("\n")]
 
 
-def end_to_end_rows(parent, change, seeds, metrics, claim) -> List[List[str]]:
-    rows = []
-    for workload in parent[seeds[0]]:
-        for metric in metrics:
-            name, better, bound = metric["name"], metric["better"], metric["bound"]
-            before = [parent[s][workload]["end_to_end"][name] for s in seeds]
-            after = [change[s][workload]["end_to_end"][name] for s in seeds]
-            ahead = sum(worse_by(b, a, better) < 0 for b, a in zip(before, after))
-            ties = sum(b == a for b, a in zip(before, after))
-            (p_median, p_q1, p_q3), (c_median, _, _) = quartiles(before), quartiles(after)
-            worse = worse_by(p_median, c_median, better)
-            resolved = ahead >= 0.9 * len(seeds) and abs(c_median - p_median) > p_q3 - p_q1
-            if ties == len(seeds):
-                verdict = "identical"
-            elif claim and (workload, name) == tuple(claim[:2]):
-                ratio = c_median / p_median if better == "higher" else p_median / c_median
-                met = resolved and ratio >= float(claim[2])
-                verdict = f"CLAIM {'met' if met else 'NOT met'}: {ratio:.2f}x (claimed >= {claim[2]}x)"
-            elif worse > bound:
-                verdict = "EXCEEDS bound"
-            elif resolved:
-                verdict = "better (>= 9/10, > parent IQR)"
-            elif (p_q3 - p_q1) / abs(p_median) > bound:
-                verdict = "unresolved (parent quartiles span more than the bound)"
-            else:
-                verdict = "within bound"
-            rows.append(
-                [
-                    workload,
-                    name,
-                    spread(before),
-                    spread(after),
-                    f"{(c_median - p_median) / p_median:+.1%}",
-                    f"tie x{ties}" if ties == len(seeds) else f"{ahead}/{len(seeds) - ties}",
-                    f"{bound:.0%}",
-                    verdict,
-                ]
-            )
-    return rows
+def row_of(workload: str, metric: dict, before: List[float], after: List[float], claim) -> dict:
+    name, better, bound = metric["name"], metric["better"], metric["bound"]
+    ahead = sum(worse_by(b, a, better) < 0 for b, a in zip(before, after))
+    ties = sum(b == a for b, a in zip(before, after))
+    parent, change = quartiles(before), quartiles(after)
+    p_median, p_q1, p_q3 = parent
+    resolved = ahead >= 0.9 * len(before) and abs(change[0] - p_median) > p_q3 - p_q1
+    if ties == len(before):
+        verdict = "identical"
+    elif claim and (workload, name) == (claim["workload"], claim["metric"]):
+        ratio = change[0] / p_median if better == "higher" else p_median / change[0]
+        met = resolved and ratio >= claim["ratio"]
+        verdict = f"CLAIM {'met' if met else 'NOT met'}: {ratio:.2f}x (claimed >= {claim['ratio']}x)"
+    elif worse_by(p_median, change[0], better) > bound:
+        verdict = "EXCEEDS bound"
+    elif resolved:
+        verdict = "better (>= 9/10, > parent IQR)"
+    elif (p_q3 - p_q1) / abs(p_median) > bound:
+        verdict = "unresolved (parent quartiles span more than the bound)"
+    else:
+        verdict = "within bound"
+    return {
+        "workload": workload,
+        "metric": name,
+        "parent": parent,
+        "change": change,
+        "ahead": ahead,
+        "n": len(before) - ties,
+        "ratio": change[0] / p_median,
+        "bound": bound,
+        "verdict": verdict,
+    }
+
+
+def run_env(runs: List[dict], parser: argparse.ArgumentParser) -> Dict[str, object]:
+    """Each ``ENV_FIELDS`` value the runs recorded (null when none did); runs
+    that disagree on one were taken on different machines and are no pairing."""
+    env = {}
+    for field in ENV_FIELDS:
+        values = {run.get("env", {}).get(field) for run in runs} - {None}
+        if len(values) > 1:
+            parser.error(f"the runs disagree on {field}: {sorted(map(str, values))}")
+        env[field] = values.pop() if values else None
+    return env
 
 
 def traced_lines(parent: Dict[str, dict], change: Dict[str, dict], seed: int) -> List[str]:
@@ -148,73 +174,199 @@ def traced_lines(parent: Dict[str, dict], change: Dict[str, dict], seed: int) ->
     return lines
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("runs")
-    parser.add_argument("--out", required=True)
-    parser.add_argument("--claim", nargs=3, metavar=("WORKLOAD", "METRIC", "RATIO"))
-    parser.add_argument("--parent", default="parent", help="label of the parent commit")
-    parser.add_argument("--notes", help="file appended verbatim (measurements taken by hand)")
-    args = parser.parse_args(argv)
-
-    with open(os.path.join(ROOT, "BENCHMARK.json")) as handle:
-        metrics = json.load(handle)["end_to_end"]
+def summarise(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
+    """One ledger entry from the pairs under ``args.runs``."""
     parent, change = (load_side(args.runs, side, "seed") for side in ("parent", "change"))
     seeds = sorted(set(parent) & set(change))
     if not seeds:
         parser.error(f"no seed<k>/ledger.json pairs under {args.runs}")
-
-    lines = [
-        f"{len(seeds)} alternating parent/change pairs (seeds {seeds[0]}-{seeds[-1]}; even seeds ran the "
-        f"parent, {args.parent}, first), untraced,",
-        "run.py defaults, times at reference speed, ledger code byte-identical on both sides. median [q1, q3].",
-    ]
-    if args.claim:
-        lines.append(
-            f"Claimed beforehand: {args.claim[0]} {args.claim[1]} >= {args.claim[2]}x the parent's median, "
-            "ahead in >= 9/10 pairs, medians apart"
-        )
-        lines.append("by more than the parent's IQR. Every other row must stay inside its BENCHMARK.json bound.")
-    lines.append("")
-    headers = ["workload", "metric", f"parent ({args.parent})", "change", "change vs parent", "change ahead", "bound", "verdict"]
-    lines += table(headers, end_to_end_rows(parent, change, seeds, metrics, args.claim))
-    lines.append("")
-
+    claim = dict(workload=args.claim[0], metric=args.claim[1], ratio=float(args.claim[2])) if args.claim else None
+    workloads = list(parent[seeds[0]])
     runs = [side[s][w] for side in (parent, change) for s in seeds for w in side[s]]
-    lines.append(
+    commits = [parent[seeds[0]][workloads[0]]["env"].get("git_commit", "unknown")[:7],
+               change[seeds[0]][workloads[0]]["env"].get("git_commit", "unknown")[:7]]
+    rows = [
+        row_of(
+            workload,
+            metric,
+            [parent[s][workload]["end_to_end"][metric["name"]] for s in seeds],
+            [change[s][workload]["end_to_end"][metric["name"]] for s in seeds],
+            claim,
+        )
+        for workload in workloads
+        for metric in end_to_end_metrics()
+    ]
+
+    notes = [
+        f"seeds {seeds[0]}-{seeds[-1]}, even seeds ran the parent first; untraced, run.py defaults, "
+        "times at reference speed, ledger code byte-identical on both sides",
         f"failed operations over all {len(runs)} workload runs: {sum(run['failed'] for run in runs)}; "
-        f"runs with a failed output check: {sum(not run['correct'] for run in runs)}"
-    )
-    for workload in parent[seeds[0]]:
+        f"runs with a failed output check: {sum(not run['correct'] for run in runs)}",
+    ]
+    for workload in workloads:
         same = all(parent[s][workload]["exact"] == change[s][workload]["exact"] for s in seeds)
         keys = ", ".join(parent[seeds[0]][workload]["exact"])
-        lines.append(f"{workload}: 'exact for this seed' record ({keys}) equal for every seed: {same}")
-    if args.claim:
-        workload, name, _ = args.claim
+        notes.append(f"{workload}: 'exact for this seed' record ({keys}) equal for every seed: {same}")
+    if claim:
+        workload, name = claim["workload"], claim["metric"]
         before = [parent[s][workload]["end_to_end"][name] for s in seeds]
         after = [change[s][workload]["end_to_end"][name] for s in seeds]
         (p_median, p_q1, p_q3), (c_median, _, _) = quartiles(before), quartiles(after)
-        lines.append(
+        notes.append(
             f"{workload} {name}: parent median {p_median:.4g}, IQR {p_q3 - p_q1:.4g}; change median "
             f"{c_median:.4g}; medians apart by {abs(c_median - p_median):.4g}"
         )
-        lines.append(
+        notes.append(
             f"{workload} {name}, change over parent, pair by pair (seeds {seeds[0]}-{seeds[-1]}): "
             + " ".join(f"{a / b:.2f}x" for b, a in zip(before, after))
         )
-    lines.append("")
-
+    notes.append("")
     traced_parent, traced_change = (
         load_side(args.runs, side, "traced_seed") for side in ("parent", "change")
     )
     for seed in sorted(set(traced_parent) & set(traced_change)):
-        lines += traced_lines(traced_parent[seed], traced_change[seed], seed)
+        notes += traced_lines(traced_parent[seed], traced_change[seed], seed)
     if args.notes:
         with open(args.notes) as handle:
-            lines += handle.read().rstrip("\n").split("\n")
-    with open(args.out, "w") as handle:
-        handle.write("\n".join(lines).rstrip("\n") + "\n")
-    print("\n".join(lines))
+            notes += handle.read().rstrip("\n").split("\n")
+    while notes and not notes[-1]:
+        notes.pop()
+    return {
+        "pr": args.pr,
+        "parent": args.parent or commits[0],
+        # A change measured before it was committed reports its parent's HEAD.
+        "change": commits[1] if commits[1] not in (commits[0], "unknown") else None,
+        "pairs": len(seeds),
+        "claim": claim,
+        "env": run_env(runs, parser),
+        "rows": rows,
+        "notes": notes,
+    }
+
+
+def entry_lines(entry: dict) -> List[str]:
+    """The entry as the table a reader compares: what ``--pr`` prints."""
+    lines = [
+        f"PR {entry['pr']}: {entry['pairs']} alternating parent/change pairs, parent {entry['parent']}, "
+        f"change {entry['change'] or 'uncommitted'}. median [q1, q3]."
+    ]
+    claim = entry["claim"]
+    if claim:
+        lines.append(
+            f"Claimed beforehand: {claim['workload']} {claim['metric']} >= {claim['ratio']}x the parent's "
+            "median, ahead in >= 9/10 pairs, medians apart by more than the parent's IQR."
+        )
+    lines.append("env: " + ", ".join(f"{field} {entry['env'][field]}" for field in ENV_FIELDS))
+    lines.append("")
+    headers = ["workload", "metric", f"parent ({entry['parent']})", "change", "change vs parent",
+               "change ahead", "bound", "verdict"]
+    rows = [
+        [
+            row["workload"],
+            row["metric"],
+            spread(row["parent"]),
+            spread(row["change"]),
+            f"{row['ratio'] - 1:+.1%}",
+            f"{row['ahead']}/{row['n']}" if row["n"] else f"tie x{entry['pairs']}",
+            f"{row['bound']:.0%}",
+            row["verdict"],
+        ]
+        for row in entry["rows"]
+    ]
+    return lines + table(headers, rows) + [""] + entry["notes"]
+
+
+def load_ledger(path: str) -> List[dict]:
+    if not os.path.exists(path):
+        return []
+    with open(path) as handle:
+        return json.load(handle)
+
+
+def dumps(ledger: List[dict]) -> str:
+    """JSON with one row or note per line, so a new entry is a diff of added lines."""
+    entries = []
+    for entry in ledger:
+        fields = []
+        for key, value in entry.items():
+            if key in ("rows", "notes") and value:
+                items = ",\n".join("   " + json.dumps(item, ensure_ascii=False) for item in value)
+                fields.append(f'  "{key}": [\n{items}\n  ]')
+            else:
+                fields.append(f'  "{key}": {json.dumps(value, ensure_ascii=False)}')
+        entries.append(" {\n" + ",\n".join(fields) + "\n }")
+    return "[\n" + ",\n".join(entries) + "\n]\n"
+
+
+def series(ledger: List[dict]) -> Dict[Tuple[str, str], Dict[int, dict]]:
+    """``{(workload, metric): {pr: row}}``, in the order the rows first appear."""
+    found: Dict[Tuple[str, str], Dict[int, dict]] = {}
+    for entry in sorted(ledger, key=lambda entry: entry["pr"]):
+        for row in entry["rows"]:
+            found.setdefault((row["workload"], row["metric"]), {})[entry["pr"]] = row
+    return found
+
+
+def trajectory_lines(ledger: List[dict], metrics: Optional[Sequence[str]] = None) -> List[str]:
+    """A markdown table: per (workload, metric), each PR's change/parent ratio
+    of medians and, last, their running product."""
+    prs = sorted(entry["pr"] for entry in ledger)
+    lines = [
+        "| workload | metric | " + " | ".join(f"PR {pr}" for pr in prs) + " | running product |",
+        "|---|---|" + "---:|" * (len(prs) + 1),
+    ]
+    for (workload, metric), rows in series(ledger).items():
+        if metrics is None or metric in metrics:
+            cells = [f"{rows[pr]['ratio']:.3f}" if pr in rows else "" for pr in prs]
+            product = math.prod(row["ratio"] for row in rows.values())
+            lines.append(f"| {workload} | {metric} | " + " | ".join(cells) + f" | {product:.3g} |")
+    return lines
+
+
+def regressions(ledger: List[dict]) -> List[str]:
+    """The newest row of each (workload, metric) that is worse than its bound."""
+    metrics = {metric["name"]: metric for metric in end_to_end_metrics()}
+    found = []
+    for (workload, name), rows in series(ledger).items():
+        pr, row = max(rows.items())
+        metric = metrics[name]
+        worse = worse_by(row["parent"][0], row["change"][0], metric["better"])
+        if worse > metric["bound"]:
+            found.append(f"PR {pr} {workload} {name}: {worse:+.1%} worse than its parent, bound {metric['bound']:.0%}")
+    return found
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("runs", nargs="?", help="directory of paired runs (with --pr)")
+    parser.add_argument("--out", default=LEDGER, help="the ledger file (default: BENCH_ledger.json)")
+    parser.add_argument("--pr", type=int, help="append the summary of RUNS as this PR's entry")
+    parser.add_argument("--claim", nargs=3, metavar=("WORKLOAD", "METRIC", "RATIO"))
+    parser.add_argument("--parent", help="label of the parent commit (default: the runs' own)")
+    parser.add_argument("--notes", help="file appended verbatim (measurements taken by hand)")
+    parser.add_argument("--trajectory", action="store_true", help="print each PR's ratio per workload and metric")
+    parser.add_argument("--check", action="store_true", help="exit 1 if a newest row is worse than its bound")
+    args = parser.parse_args(argv)
+
+    ledger = load_ledger(args.out)
+    if args.pr is not None:
+        if not args.runs:
+            parser.error("--pr needs RUNS")
+        if any(entry["pr"] == args.pr for entry in ledger):
+            parser.error(f"{args.out} already holds an entry for PR {args.pr}")
+        entry = summarise(args, parser)
+        ledger.append(entry)
+        with open(args.out, "w") as handle:
+            handle.write(dumps(ledger))
+        print("\n".join(entry_lines(entry)))
+    elif not (args.trajectory or args.check):
+        parser.error("give RUNS --pr N, --trajectory or --check")
+    if args.trajectory:
+        print("\n".join(trajectory_lines(ledger)))
+    if args.check:
+        found = regressions(ledger)
+        print("\n".join(found) or f"every newest row of {args.out} is inside its bound")
+        return 1 if found else 0
     return 0
 
 

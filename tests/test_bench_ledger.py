@@ -1,0 +1,313 @@
+"""BENCH_ledger.json: the committed record of paired ledger runs.
+
+What the file must hold (every ledger claim CHANGES.md makes for the PRs
+it records), the regression gate over its newest rows, the appending
+path of ``benchmarks/summarise_pairs.py``, the two documents generated
+from it, and the dependency bounds CI installs under.
+"""
+
+from __future__ import annotations
+
+import importlib.metadata
+import json
+import math
+import os
+import re
+import shutil
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+LEDGER = os.path.join(ROOT, "BENCH_ledger.json")
+SUMMARISE = os.path.join(ROOT, "benchmarks", "summarise_pairs.py")
+MAKE_DOCS = os.path.join(ROOT, "benchmarks", "make_experiments_md.py")
+ENV_FIELDS = ("cpu_model", "nproc", "python", "numpy", "scipy", "blas_core")
+with open(os.path.join(ROOT, "BENCHMARK.json")) as _handle:
+    _BENCHMARK = json.load(_handle)
+WORKLOADS = [workload["name"] for workload in _BENCHMARK["workloads"]]
+METRICS = [metric["name"] for metric in _BENCHMARK["end_to_end"]]
+
+# The PRs whose summaries were backfilled from text tables; what is true of
+# them alone (every workload measured, no scipy or BLAS field recorded) is
+# asserted of them alone, so a later --pr append keeps its own shape.
+BACKFILLED = (12, 13, 14, 15, 16, 18, 19, 21, 23, 24, 25, 26, 27, 28, 29, 30, 32, 33, 35, 39, 43, 45, 46, 47)
+
+# (PR, workload, metric, parent median, change median) as the CHANGES.md
+# entry of that PR states them, at the precision it states them.
+CLAIMS = [
+    (12, "serve_cold", "latency_p50_ms", "3.23", "1.59"),
+    (12, "serve_cold", "throughput_per_s", "304", "612"),
+    (12, "stream_ingest", "throughput_per_s", "1451", "1776"),
+    (13, "serve_hot", "latency_p50_ms", "17.3", "6.15"),
+    (13, "serve_hot", "throughput_per_s", "1827", "5187"),
+    (13, "serve_cold", "latency_p50_ms", "1.56", "0.78"),
+    (13, "serve_cold", "throughput_per_s", "625", "1259"),
+    (14, "stream_ingest", "throughput_per_s", "1,823", "2,967"),
+    (14, "stream_ingest", "latency_p50_ms", "17.4", "10.0"),
+    (14, "stream_ingest", "peak_rss_mb", "560.2", "559.9"),
+    (15, "serve_cold", "latency_p50_ms", "0.8129", "0.8172"),
+    (15, "serve_hot", "latency_p50_ms", "6.16", "5.99"),
+    (16, "train_epoch", "throughput_per_s", "452.9", "1680"),
+    (16, "train_epoch", "latency_p50_ms", "137.2", "37.3"),
+    (16, "train_epoch", "peak_rss_mb", "504", "175"),
+    (18, "train_epoch", "throughput_per_s", "1,500", "4,467"),
+    (18, "train_epoch", "latency_p50_ms", "41.1", "13.9"),
+    (18, "train_epoch", "peak_rss_mb", "175", "105"),
+    (19, "stream_ingest", "throughput_per_s", "2,699", "3,883"),
+    (19, "stream_ingest", "latency_p50_ms", "10.9", "7.36"),
+    (23, "train_epoch", "throughput_per_s", "6,370", "7,640"),
+    (24, "serve_hot", "throughput_per_s", "7,747", "10,195"),
+    (24, "serve_hot", "latency_p50_ms", "4.09", "3.04"),
+    (24, "stream_ingest", "throughput_per_s", "5,483", "6,705"),
+    (25, "serve_cold", "throughput_per_s", "1,615", "1,865"),
+    (25, "serve_cold", "latency_p50_ms", "0.60", "0.51"),
+    (26, "serve_hot", "throughput_per_s", "13,070", "15,100"),
+    (27, "serve_cold", "setup_s", "0.389", "0.308"),
+    (28, "stream_ingest", "throughput_per_s", "7,961", "8,978"),
+    (30, "train_epoch", "throughput_per_s", "9,510", "10,600"),
+    (33, "stream_ingest", "throughput_per_s", "6,683", "7,817"),
+    (35, "stream_ingest", "setup_s", "1.524", "0.934"),
+    (39, "serve_cold", "throughput_per_s", "1778", "1860"),
+    (39, "serve_cold", "latency_p50_ms", "0.547", "0.518"),
+    (43, "train_epoch", "throughput_per_s", "9406", "1.054e+04"),
+    (45, "serve_cold", "peak_rss_mb", "94.77", "83.20"),
+    (46, "serve_cold", "peak_rss_mb", "83.14", "70.04"),
+    (47, "stream_ingest", "setup_s", "1.07", "0.8767"),
+]
+
+# (PR, workload, metric, change vs parent, pairs ahead) stated as a share.
+SHARES = [
+    (32, "serve_hot", "throughput_per_s", "+6.8%", 9),
+    (45, "serve_hot", "peak_rss_mb", "-12.5%", None),
+    (45, "stream_ingest", "peak_rss_mb", "-6.5%", None),
+    (45, "train_epoch", "peak_rss_mb", "-13.6%", None),
+    (46, "serve_cold", "peak_rss_mb", "-15.8%", 10),
+]
+
+# PRs whose CHANGES.md entry claims no gain and reports every row inside its bound.
+NO_GAIN = (15, 21, 29, 32, 39)
+
+
+def entries(path: str = LEDGER) -> dict:
+    with open(path) as handle:
+        return {entry["pr"]: entry for entry in json.load(handle)}
+
+
+def row(entry: dict, workload: str, metric: str) -> dict:
+    (found,) = [r for r in entry["rows"] if (r["workload"], r["metric"]) == (workload, metric)]
+    return found
+
+
+def summarise(*args: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, SUMMARISE, *args], capture_output=True, text=True, cwd=ROOT)
+
+
+def as_stated(value: float, stated: str) -> bool:
+    """``value`` (a summary's 4 significant digits) and ``stated`` can be
+    roundings of one number: they differ by at most half a unit of each."""
+    number = stated.replace(",", "")
+    mantissa, _, exponent = number.partition("e")
+    unit = 10.0 ** (int(exponent or 0) - len(mantissa.partition(".")[2]))
+    printed = 10.0 ** (math.floor(math.log10(abs(value))) - 3)
+    return abs(value - float(number)) <= (unit + printed) / 2 * (1 + 1e-9)
+
+
+class TestBackfill:
+    def test_every_backfilled_pr_has_an_entry(self):
+        assert set(BACKFILLED) <= set(entries())
+
+    def test_backfilled_entries_hold_every_workload_and_metric(self):
+        for pr in BACKFILLED:
+            assert [(r["workload"], r["metric"]) for r in entries()[pr]["rows"]] == [
+                (workload, metric) for workload in WORKLOADS for metric in METRICS
+            ]
+
+    def test_every_entry_is_well_formed(self):
+        for entry in entries().values():
+            assert set(entry["env"]) == set(ENV_FIELDS)
+            for r in entry["rows"]:
+                assert r["workload"] in WORKLOADS and r["metric"] in METRICS
+                assert r["ratio"] == pytest.approx(r["change"][0] / r["parent"][0])
+                assert 0 <= r["ahead"] <= r["n"] <= entry["pairs"]
+
+    @pytest.mark.parametrize("pr, workload, metric, before, after", CLAIMS)
+    def test_changes_claims_read_back(self, pr, workload, metric, before, after):
+        found = row(entries()[pr], workload, metric)
+        assert as_stated(found["parent"][0], before), found["parent"]
+        assert as_stated(found["change"][0], after), found["change"]
+
+    @pytest.mark.parametrize("pr, workload, metric, share, ahead", SHARES)
+    def test_changes_shares_read_back(self, pr, workload, metric, share, ahead):
+        found = row(entries()[pr], workload, metric)
+        assert abs((found["ratio"] - 1) * 100 - float(share[:-1])) <= 0.1 + 1e-9
+        assert ahead is None or found["ahead"] == ahead
+
+    def test_claims_and_their_verdicts(self):
+        for pr in BACKFILLED:
+            entry = entries()[pr]
+            claim = entry["claim"]
+            if pr in NO_GAIN:
+                assert claim is None
+                assert not any(r["verdict"].startswith(("EXCEEDS", "CLAIM")) for r in entry["rows"])
+            if claim:
+                verdict = row(entry, claim["workload"], claim["metric"])["verdict"]
+                # PR 23 read 1.199x against its 1.2x claim: "a hair under".
+                expected = ("CLAIM NOT met",) if pr == 23 else ("CLAIM met", "better (>= 9/10")
+                assert verdict.startswith(expected), (pr, verdict)
+
+    def test_runs_own_env_only(self):
+        # PRs 12-16 committed their per-run dumps, which recorded no scipy
+        # version and no BLAS core type; later PRs committed no run at all.
+        for pr in BACKFILLED:
+            entry = entries()[pr]
+            assert entry["env"]["scipy"] is None and entry["env"]["blas_core"] is None
+            assert (entry["env"]["numpy"] == "2.4.6") == (pr <= 16)
+
+
+class TestCheck:
+    def test_committed_ledger_is_inside_every_bound(self):
+        result = summarise("--check")
+        assert result.returncode == 0, result.stdout + result.stderr
+
+    @pytest.mark.parametrize(
+        "workload, metric, factor, fails",
+        [
+            ("serve_cold", "latency_p50_ms", 1.3, True),
+            ("train_epoch", "throughput_per_s", 0.7, True),
+            ("train_epoch", "throughput_per_s", 1.3, False),
+            ("stream_ingest", "peak_rss_mb", 1.04, False),
+        ],
+    )
+    def test_a_planted_newest_row(self, tmp_path, workload, metric, factor, fails):
+        ledger = list(entries().values())
+        # The newest entry measuring (workload, metric), planted as a new PR
+        # holding that one row only.
+        source = max((e for e in ledger if any(
+            (r["workload"], r["metric"]) == (workload, metric) for r in e["rows"])), key=lambda e: e["pr"])
+        planted = json.loads(json.dumps(source))
+        planted["pr"] = max(e["pr"] for e in ledger) + 1
+        found = row(planted, workload, metric)
+        planted["rows"] = [found]
+        found["change"] = [value * factor for value in found["parent"]]
+        found["ratio"] = factor
+        path = tmp_path / "BENCH_ledger.json"
+        path.write_text(json.dumps(ledger + [planted]))
+        result = summarise("--check", "--out", str(path))
+        assert result.returncode == (1 if fails else 0), result.stdout
+        assert (f"PR {planted['pr']} {workload} {metric}" in result.stdout) == fails
+
+    def test_trajectory_chains_every_pr(self):
+        lines = summarise("--trajectory").stdout.rstrip("\n").split("\n")
+        assert len(lines) == 2 + len(WORKLOADS) * len(METRICS)
+        assert lines[0].count("| PR ") == len(entries())
+        cells = lines[2].strip("|").split("|")
+        ratios = [float(cell) for cell in cells[2:-1] if cell.strip()]
+        product = 1.0
+        for value in ratios:
+            product *= value
+        assert float(cells[-1]) == pytest.approx(product, rel=0.02)
+
+
+def fake_run(seed: int, side: str, commit: str) -> dict:
+    """A ``run.py --out`` document for four end-to-end metrics of one workload."""
+    speed = 1.0 + 0.01 * seed + (0.5 if side == "change" else 0.0)
+    return {
+        "workloads": {
+            "serve_cold": {
+                "env": {"cpu_model": "test cpu", "nproc": 2, "python": "3.x", "numpy": "9.9", "git_commit": commit},
+                "end_to_end": {
+                    "setup_s": 1.0,
+                    "throughput_per_s": 100.0 * speed,
+                    "latency_p50_ms": 10.0 / speed,
+                    "latency_p95_ms": 20.0 / speed,
+                    "auc": 0.9,
+                    "peak_rss_mb": 50.0 + seed,
+                },
+                "failed": 0,
+                "correct": True,
+                "exact": {"scores_crc32": 7, "auc": 0.9},
+            }
+        }
+    }
+
+
+class TestAppend:
+    def test_pr_appends_one_entry_from_the_runs(self, tmp_path):
+        runs = tmp_path / "runs"
+        for side in ("parent", "change"):
+            for seed in range(10):
+                (runs / side / f"seed{seed}").mkdir(parents=True)
+                # Measured before commit: both sides report the parent's HEAD.
+                document = fake_run(seed, side, "abcdef0123456789")
+                (runs / side / f"seed{seed}" / "ledger.json").write_text(json.dumps(document))
+        out = tmp_path / "ledger.json"
+        shutil.copy(LEDGER, out)
+        before = out.read_text()
+        pr = str(max(entries()) + 1)
+        result = summarise(str(runs), "--pr", pr, "--out", str(out),
+                           "--claim", "serve_cold", "throughput_per_s", "1.4")
+        assert result.returncode == 0, result.stderr
+        assert out.read_text().startswith(before[: -len("\n]\n")])
+        entry = entries(str(out))[int(pr)]
+        assert (entry["parent"], entry["change"], entry["pairs"]) == ("abcdef0", None, 10)
+        assert entry["env"] == {"cpu_model": "test cpu", "nproc": 2, "python": "3.x", "numpy": "9.9",
+                                "scipy": None, "blas_core": None}
+        throughput = row(entry, "serve_cold", "throughput_per_s")
+        assert (throughput["ahead"], throughput["n"]) == (10, 10)
+        assert throughput["verdict"].startswith("CLAIM met")
+        assert row(entry, "serve_cold", "auc")["verdict"] == "identical"
+        assert row(entry, "serve_cold", "peak_rss_mb")["verdict"] == "identical"
+        assert "failed operations over all 20 workload runs: 0; runs with a failed output check: 0" in entry["notes"]
+        assert f"PR {pr}: 10 alternating parent/change pairs, parent abcdef0, change uncommitted" in result.stdout
+        assert summarise(str(runs), "--pr", pr, "--out", str(out)).returncode == 2
+
+    def test_runs_from_two_machines_are_refused(self, tmp_path):
+        runs = tmp_path / "runs"
+        for side in ("parent", "change"):
+            (runs / side / "seed0").mkdir(parents=True)
+            document = fake_run(0, side, "abcdef0123456789")
+            document["workloads"]["serve_cold"]["env"]["cpu_model"] = f"{side} cpu"
+            (runs / side / "seed0" / "ledger.json").write_text(json.dumps(document))
+        out = tmp_path / "ledger.json"
+        result = summarise(str(runs), "--pr", "1", "--out", str(out))
+        assert result.returncode == 2 and "disagree on cpu_model" in result.stderr
+        assert not out.exists()
+
+
+class TestGeneratedDocs:
+    def test_experiments_and_readme_table_match_the_ledger(self, tmp_path):
+        readme = tmp_path / "README.md"
+        shutil.copy(os.path.join(ROOT, "README.md"), readme)
+        experiments = tmp_path / "EXPERIMENTS.md"
+        subprocess.run([sys.executable, MAKE_DOCS, str(experiments), str(readme)], check=True, cwd=ROOT)
+        for generated, committed in ((experiments, "EXPERIMENTS.md"), (readme, "README.md")):
+            with open(os.path.join(ROOT, committed), "rb") as handle:
+                assert generated.read_bytes() == handle.read(), f"{committed} drifted from BENCH_ledger.json"
+
+    def test_readme_table_holds_three_metrics_per_workload(self):
+        with open(os.path.join(ROOT, "README.md")) as handle:
+            text = handle.read()
+        table = text.split("<!-- performance table: benchmarks/make_experiments_md.py -->")[1].split(
+            "<!-- end of performance table -->"
+        )[0]
+        keys = re.findall(r"^\| (\w+) \| (\w+) \|", table, flags=re.M)
+        assert keys[1:] == [
+            (workload, metric)
+            for workload in WORKLOADS
+            for metric in ("throughput_per_s", "latency_p50_ms", "peak_rss_mb")
+        ]
+
+
+def test_installed_versions_satisfy_ci_constraints():
+    with open(os.path.join(ROOT, "constraints.txt")) as handle:
+        bounds = [line.split("#")[0].strip() for line in handle]
+    bounds = [re.fullmatch(r"([\w-]+)<(\d+)", line).groups() for line in bounds if line]
+    assert {name for name, _ in bounds} >= {"numpy", "scipy", "networkx", "pytest"}
+    for name, major in bounds:
+        try:
+            installed = importlib.metadata.version(name)
+        except importlib.metadata.PackageNotFoundError:
+            continue  # bounded only where installed (pytest-benchmark: the bench jobs)
+        assert int(installed.split(".")[0]) < int(major), f"{name} {installed} is not < {major}"
