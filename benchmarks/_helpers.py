@@ -53,11 +53,6 @@ def alternated_readings(fns, number: int = 1, samples: int = 9) -> List[List[flo
     return readings
 
 
-def alternated_medians(fns, number: int = 1, samples: int = 9) -> List[float]:
-    """Median microseconds per call of each of ``fns``, alternated."""
-    return [float(np.median(times)) for times in alternated_readings(fns, number, samples)]
-
-
 def paired_ratio(numerators: List[float], denominators: List[float]) -> float:
     """Median of the per-pair ratios of two alternated series: a slow
     spell that hits one pair moves that pair's ratio only, where it

@@ -10,7 +10,7 @@ scaling: the same 64-target step on four disjoint copies of that graph
 ``STEP_RATIO_BUDGET``x the step on one copy (a ratio of two timings
 taken in one process, so machine speed cancels; CI's perf-smoke runs
 it). When every step ran over the whole graph the ratio read 5.0x
-(139 -> 692 ms). What still follows the graph is the dropout mask,
+(139 -> 692 ms); per pair it reads 1.04-1.12x over 15 runs. What still follows the graph is the dropout mask,
 drawn at the parent's edge count so that every edge keeps the mask it
 would have had there.
 
@@ -39,7 +39,8 @@ sampled neighbourhoods at its 32 targets costs at most
 ``TRIMMED_FORWARD_BUDGET``x scoring the same graph with every
 transaction a target (an entity has no row to score; every transaction
 at distance 0, so nothing the first layer reads is cut). It reads
-0.51x; 0.53-0.58x when entities were scored too.
+0.49-0.55x per pair over 15 runs; 0.53-0.58x when entities were scored
+too.
 
 ``test_plan_memo_ratio_floor`` holds what every call of that kernel
 no longer does: derive the packed ``[Q|K|V]`` weights, the stacked
@@ -48,7 +49,8 @@ type's layer-1 row from the weights. Those live in a plan memoised per
 parameter version (``HeteroConvLayer.plan``), so a single served sample
 scored after a write of every conv parameter — the plan rebuilt each
 time, as every call derived them before — costs at least
-``PLAN_MEMO_BUDGET``x the same call on a warm plan. It reads 1.50-1.58x.
+``PLAN_MEMO_BUDGET``x the same call on a warm plan. It reads 2.15-2.57x
+per pair over 15 runs (1.50-1.58x on an earlier day).
 
 ``test_layer_one_tables_ratio_floor`` holds what the first layer's plan
 buys: every first-layer edge joins a transaction to an entity whose row
@@ -56,7 +58,8 @@ is a constant, so the layer's logits are one matmul of the transaction
 rows into a (transaction, edge type) table and its per-edge work is
 lookups. On a 64-target training field its forward plus pullback costs
 at most ``LAYER_ONE_BUDGET``x layer 2's on the same field, though it
-walks 5x the edges and reads 2x the rows of a 2x wider input.
+walks 5x the edges and reads 2x the rows of a 2x wider input: 1.56-1.66x
+per pair over 15 runs.
 
 ``test_selector_ratio_floor`` holds the pullback's per-edge sums: a
 layout's 0/1 selectors (``nn.segment.Selector``) call scipy's compiled
@@ -67,8 +70,8 @@ scipy matrices built the way the layout built them before (a
 ``csr_matrix`` and two bounds-checked ``csc_matrix`` one-hots), which
 construct, validate and dispatch in Python around the same kernels: the
 same bits, asserted.
-On a 2-core Xeon VM it reads 0.28-0.44x over 13 runs; the budget is the
-worst reading plus 15%.
+On a 2-core Xeon VM it reads 0.28-0.44x over 13 runs, and 0.30-0.36x per
+pair over 15; the budget is the worst of the 13 plus 15%.
 
 ``test_optimizer_step_ratio_floor`` holds what an AdamW step pays around
 its arithmetic: the parameters are views of the optimiser's flat value
@@ -77,14 +80,21 @@ costs at most ``OPTIMIZER_STEP_BUDGET``x its ``_update`` alone over the
 same flat buffers — the rest is the gradients laid end to end and a
 version bump per parameter, no values concatenated or written back. It
 reads 1.11-1.23x over 22 runs (1.58-1.73x while each step concatenated
-the 72,524 values and wrote each parameter back); the budget is the
-worst reading plus 15%.
+the 72,524 values and wrote each parameter back), and 1.17-1.25x per
+pair over 15; the budget is the worst of the 22 plus 15%.
+
+Every floor here reads the median of the per-pair ratios of its
+alternated timings (``_helpers.paired_ratio``), so a slow spell of the
+box moves one pair's ratio, not one side's median.
+``results/train_step_ratio_floors.txt`` holds 15 readings of each of the
+six floors that read the ratio of two series' medians before, beside 15
+readings of that estimator on the previous commit, alternated with them.
 """
 
 import numpy as np
 from scipy import sparse
 
-from _helpers import alternated_medians, alternated_readings, model_config, paired_ratio
+from _helpers import alternated_readings, model_config, paired_ratio
 from repro import nn
 from repro.check.reference import stack_subgraphs
 from repro.data import load_dataset
@@ -129,15 +139,16 @@ def test_step_ratio_floor():
 
     for graph in graphs:  # build each CSR, grow the heap to the tape's working set
         step(graph)
-    small_us, large_us = alternated_medians([lambda g=g: step(g) for g in graphs])
-    ratio = large_us / small_us
+    small, large = alternated_readings([lambda g=g: step(g) for g in graphs])
+    ratio = paired_ratio(large, small)
+    small_us, large_us = np.median(small), np.median(large)
     fields = [receptive_field(graph, batch, hops=2).graph for graph in graphs]
     assert fields[0].num_edges == fields[1].num_edges
     print(
         f"\n{BATCH}-target step (field {fields[0].num_nodes:,} nodes / {fields[0].num_edges:,} "
         f"edges): {small_us / 1e3:.1f} ms on {graphs[0].num_nodes:,} nodes / "
         f"{graphs[0].num_edges:,} edges, {large_us / 1e3:.1f} ms on {graphs[1].num_nodes:,} / "
-        f"{graphs[1].num_edges:,} -> {ratio:.2f}x (budget <= {STEP_RATIO_BUDGET:.1f}x)"
+        f"{graphs[1].num_edges:,} -> {ratio:.2f}x per pair (budget <= {STEP_RATIO_BUDGET:.1f}x)"
     )
     assert ratio <= STEP_RATIO_BUDGET
 
@@ -186,13 +197,14 @@ def test_trimmed_forward_ratio_floor():
     def at_every_transaction():
         model.predict_proba(stacked.graph, everywhere)
 
-    trimmed_us, whole_us = alternated_medians([at_targets, at_every_transaction], number=5)
-    ratio = trimmed_us / whole_us
+    trimmed, whole = alternated_readings([at_targets, at_every_transaction], number=5)
+    ratio = paired_ratio(trimmed, whole)
+    trimmed_us, whole_us = np.median(trimmed), np.median(whole)
     print(
         f"\n{MICRO_BATCH} stacked samples ({stacked.graph.num_nodes:,} nodes / "
         f"{stacked.graph.num_edges:,} edges): predict_proba {trimmed_us / 1e3:.2f} ms at the "
         f"{MICRO_BATCH} targets vs {whole_us / 1e3:.2f} ms at every transaction -> {ratio:.2f}x "
-        f"(budget <= {TRIMMED_FORWARD_BUDGET:.1f}x)"
+        f"per pair (budget <= {TRIMMED_FORWARD_BUDGET:.1f}x)"
     )
     assert ratio <= TRIMMED_FORWARD_BUDGET
 
@@ -216,12 +228,13 @@ def test_plan_memo_ratio_floor():
                     pass
             model.predict_proba(sample.graph, sample.target_local)
 
-    rebuilt_us, warm_us = alternated_medians([after_a_write, on_a_warm_plan])
-    ratio = rebuilt_us / warm_us
+    rebuilt, warm = alternated_readings([after_a_write, on_a_warm_plan])
+    ratio = paired_ratio(rebuilt, warm)
+    warm_us = np.median(warm)
     print(
         f"\n{PLAN_SAMPLES} single-target samples: predict_proba {warm_us / PLAN_SAMPLES:.0f} us "
-        f"on a warm plan vs {rebuilt_us / PLAN_SAMPLES:.0f} us with the plan rebuilt -> "
-        f"{ratio:.2f}x (budget >= {PLAN_MEMO_BUDGET:.2f}x)"
+        f"on a warm plan vs {np.median(rebuilt) / PLAN_SAMPLES:.0f} us with the plan rebuilt -> "
+        f"{ratio:.2f}x per pair (budget >= {PLAN_MEMO_BUDGET:.2f}x)"
     )
     assert ratio >= PLAN_MEMO_BUDGET
 
@@ -249,14 +262,15 @@ def test_layer_one_tables_ratio_floor():
         _, pullback = conv.kernel(view, h, scale, save=True)
         pullback(grad, conv is not model.convs[0])  # layer 1's input is data
 
-    first_us, second_us = alternated_medians(
+    first, second = alternated_readings(
         [lambda case=case: forward_and_pullback(*case) for case in cases], number=5
     )
-    ratio = first_us / second_us
+    ratio = paired_ratio(first, second)
+    first_us, second_us = np.median(first), np.median(second)
     print(
         f"\n{BATCH}-target field: layer 1 forward + pullback {first_us:.0f} us "
         f"({cases[0][-1]:,} edges) vs layer 2 {second_us:.0f} us ({cases[1][-1]:,} edges) "
-        f"-> {ratio:.2f}x (budget <= {LAYER_ONE_BUDGET:.1f}x)"
+        f"-> {ratio:.2f}x per pair (budget <= {LAYER_ONE_BUDGET:.1f}x)"
     )
     assert ratio <= LAYER_ONE_BUDGET
 
@@ -308,14 +322,13 @@ def test_selector_ratio_floor():
 
     for ours, theirs in zip(through_selectors(), through_scipy_matrices()):
         assert ours.tobytes() == theirs.tobytes()  # the same kernels: the same bits
-    selector_us, scipy_us = alternated_medians(
-        [through_selectors, through_scipy_matrices], number=20
-    )
-    ratio = selector_us / scipy_us
+    selectors, matrices = alternated_readings([through_selectors, through_scipy_matrices], number=20)
+    ratio = paired_ratio(selectors, matrices)
+    selector_us, scipy_us = np.median(selectors), np.median(matrices)
     print(
         f"\n{BATCH}-target field, layer 1 ({num_edges:,} edges): pullback sums "
         f"{selector_us:.0f} us through Selectors vs {scipy_us:.0f} us through scipy matrices "
-        f"-> {ratio:.2f}x (budget <= {SELECTOR_BUDGET:.2f}x)"
+        f"-> {ratio:.2f}x per pair (budget <= {SELECTOR_BUDGET:.2f}x)"
     )
     assert ratio <= SELECTOR_BUDGET
 
@@ -335,11 +348,12 @@ def test_optimizer_step_ratio_floor():
     def arithmetic():
         optimizer._update(span, optimizer._values, grad, scratch)
 
-    step_us, arithmetic_us = alternated_medians([optimizer.step, arithmetic], number=20)
-    ratio = step_us / arithmetic_us
+    steps, updates = alternated_readings([optimizer.step, arithmetic], number=20)
+    ratio = paired_ratio(steps, updates)
+    step_us, arithmetic_us = np.median(steps), np.median(updates)
     print(
         f"\nAdamW over {len(optimizer._values):,} values in {len(optimizer.parameters)} "
         f"parameters: step() {step_us:.0f} us vs _update alone {arithmetic_us:.0f} us "
-        f"-> {ratio:.2f}x (budget <= {OPTIMIZER_STEP_BUDGET:.2f}x)"
+        f"-> {ratio:.2f}x per pair (budget <= {OPTIMIZER_STEP_BUDGET:.2f}x)"
     )
     assert ratio <= OPTIMIZER_STEP_BUDGET

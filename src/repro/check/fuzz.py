@@ -114,6 +114,7 @@ _SAMPLING = "repro.graph.sampling:"
 _CONV = "repro.models.hetero_conv:"
 _GET_MANY = "repro.storage.replicated:ReplicatedKVStore._get_many"
 _CACHE = "repro.graph.cache:SubgraphCache."
+_SERVICE = "repro.serving.service:"
 
 
 def scenario(name: str, mutants: Sequence[Mutant] = ()):
@@ -450,6 +451,26 @@ def _fuzz_delta_merge(seed: int, size: int) -> Optional[str]:
             "[(walk, int(slot)) for slot in np.unique(nodes, return_inverse=True)[1]]",
             "uncached batch", shrinks_to=(0, 1),
         ),
+        # The control plane of a micro-batch: admission, expiry, reasons.
+        edit(
+            "admission-counted-once-per-batch", _SERVICE + "ScoringService._serve",
+            "self.stats.record_admitted(admitted)", "self.stats.record_admitted(min(admitted, 1))",
+            "tallies", "'admitted'", shrinks_to=(0, 1),
+        ),
+        edit(
+            "a-demoted-members-reason-dropped", _SERVICE + "_DeadlineGroup.demote",
+            "self.reasons[members] = reason", "self.reasons[members[:1]] = reason",
+            "degraded_reason", shrinks_to=(3, 2),
+        ),
+        edit(  # the no-member-can-have-expired test against the loosest budget
+            "the-fast-path-waits-for-the-loosest-budget", _SERVICE + "_DeadlineGroup.__init__",
+            "min(budgets.tolist(), default=-math.inf)", "max(budgets.tolist(), default=-math.inf)",
+            "control plane", shrinks_to=(2, 2),
+        ),
+        edit(  # a bucket that cannot grant the whole batch grants none of it
+            "a-short-bucket-grants-nothing", "repro.serving.admission:TokenBucket.grant",
+            "else int(self._tokens)", "else 0", "admitted", shrinks_to=(0, 1),
+        ),
     ],
 )
 def _fuzz_scoring(seed: int, size: int) -> Optional[str]:
@@ -460,7 +481,7 @@ def _fuzz_scoring(seed: int, size: int) -> Optional[str]:
     :class:`SubgraphCache`, where a target's component comes from the
     batch's own walk, a stored sample, or is gathered out of an earlier
     batch's walk. Every request's verdict must equal its target's own
-    ``score()``."""
+    ``score()``. Then the control plane: :func:`_control_plane_divergence`."""
     from ..graph.cache import SubgraphCache
     from ..models.detector import DetectorConfig, XFraudDetectorPlus
     from ..reliability.faults import ManualClock
@@ -509,6 +530,94 @@ def _fuzz_scoring(seed: int, size: int) -> Optional[str]:
                     return f"{where}, node {node}: score {left.score!r} != {right.score!r}"
                 if left.verdict != right.verdict:
                     return f"{where}, node {node}: verdict {left.verdict} != {right.verdict}"
+    return _control_plane_divergence(detector, graph, np.random.default_rng((seed, size, 1)))
+
+
+#: Request budgets in clock readings: spent at the admission check (1
+#: reading into a pass), sampling hop 0 (3) and 1 (4), the feature fetch
+#: (5) and the model forward (7); then one never spent, and ``None``.
+_BUDGET_TICKS = (0.5, 2.5, 3.5, 4.5, 6.5, 100.0, None)
+
+
+def _control_plane_divergence(detector, graph, rng) -> Optional[str]:
+    """``score_batch`` of four calls vs a loop of ``score()`` over the
+    same requests, one service each, on a ``ManualClock`` that every
+    reading moves one tick (so a stage check sits a fixed number of
+    readings into its pass, however many requests ride it): random
+    mixes of ints and :class:`ScoreRequest`\\ s carrying budgets spent
+    at every stage (:data:`_BUDGET_TICKS`), a finite-rate bucket that
+    refills a whole number of tokens and a quarter between calls (so its
+    fraction stays a quarter or more off a whole token over the four,
+    however the loop's extra readings add to it) or an infinite rate,
+    ``batch_size`` from 1 to unbounded, and a whole call now and then
+    inside a KV outage window. Every response's node, verdict,
+    rung, ``admitted``, ``shed_reason`` and ``degraded_reason`` must be
+    equal and its score within 1e-9, and after each call every
+    ``ServiceStats`` tally but ``kv_failures`` (counted per failed read:
+    one for a batch, one per request for the loop)."""
+    from ..reliability.faults import ManualClock, OutageKVStore
+    from ..serving.service import ScoreRequest, ScoringService, ServiceConfig
+    from ..storage.kvstore import InMemoryKVStore
+    from ..storage.loader import GraphStore
+
+    tick = 1e-6
+
+    class TickingClock(ManualClock):
+        def __call__(self) -> float:
+            return self.advance(tick)
+
+    rate = (np.inf, 1.0, 3.0)[int(rng.integers(0, 3))]
+    config = ServiceConfig(
+        deadline_s=1.0,
+        static_prior=0.01,
+        rate=rate,
+        burst=float(rng.integers(1, 6)),
+        batch_size=(None, 1, 2, 3)[int(rng.integers(0, 4))],
+    )
+    txns = np.flatnonzero(graph.node_type == 0)
+    calls, at = [], 0.0
+    for _ in range(4):
+        requests = []
+        for _ in range(int(rng.integers(1, 8))):
+            node, kind = int(txns[int(rng.integers(0, len(txns)))]), int(rng.integers(0, 3))
+            budget = _BUDGET_TICKS[int(rng.integers(0, len(_BUDGET_TICKS)))]
+            deadline = None if budget is None or kind == 1 else budget * tick
+            requests.append(node if kind == 0 else ScoreRequest(node, deadline_s=deadline))
+        at += (int(rng.integers(0, 3)) + 0.25) / (rate if np.isfinite(rate) else 1.0)
+        calls.append((at, requests, rng.random() < 0.25))
+    backing = InMemoryKVStore()
+    GraphStore(backing).save(graph)
+    outages = [(start, start + 0.01) for start, _, down in calls if down]
+    runs = []
+    for batched in (True, False):
+        clock = TickingClock()
+        store = OutageKVStore(backing, windows=outages, clock=lambda: clock.now)  # no tick
+        service = ScoringService(detector, graph, feature_store=store, config=config, clock=clock)
+        answers = []
+        for start, requests, _ in calls:
+            clock.now = max(clock.now, start)
+            if batched:
+                responses = service.score_batch(requests)
+            else:
+                responses = [service.score(request) for request in requests]
+            snapshot = service.stats.snapshot()
+            del snapshot["kv_failures"], snapshot["latency_s"], snapshot["auc"]
+            answers.append((responses, snapshot))
+        runs.append(answers)
+    fields = ("node", "admitted", "shed_reason", "degraded_reason", "rung", "verdict")
+    for index, ((batch, tallies), (loop, expected)) in enumerate(zip(*runs)):
+        where = f"control plane, call {index} (rate {rate}, {config.batch_size=})"
+        for position, (right, left) in enumerate(zip(batch, loop)):
+            for name in fields:
+                if getattr(left, name) != getattr(right, name):
+                    return (
+                        f"{where}, request {position}: {name} {getattr(left, name)!r} one at "
+                        f"a time != {getattr(right, name)!r} batched"
+                    )
+            if abs(left.score - right.score) > 1e-9:
+                return f"{where}, request {position}: score {left.score!r} != {right.score!r}"
+        if tallies != expected:
+            return f"{where}: tallies {expected} one at a time != {tallies} batched"
     return None
 
 

@@ -700,8 +700,8 @@ def _check_spans() -> List[str]:
     "never observed, and cache counters failing to sum to lookups",
     mutants=[
         edit(
-            "latencies-kept-rounded", "repro.serving.stats:ServiceStats.record_response",
-            "self._latencies.add(float(latency_s))", "self._latencies.add(round(latency_s, 1))",
+            "latencies-kept-rounded", "repro.serving.stats:ServiceStats.record_batch",
+            "self._latencies.extend([latency_s]", "self._latencies.extend([round(latency_s, 1)]",
             "p50",
         ),
     ],

@@ -101,18 +101,22 @@ class Reservoir:
         self._rng = random.Random(seed)
 
     def add(self, value) -> None:
-        self._seen += 1
-        if len(self._items) < self.capacity:
-            self._items.append(value)
-        else:
-            slot = self._rng.randrange(self._seen)
-            if slot >= self.capacity:
-                return
-            self._items[slot] = value
+        self.extend((value,))
 
     def extend(self, values: Iterable) -> None:
-        for value in values:
-            self.add(value)
+        """Offer each of ``values`` in turn: the free slots fill at once,
+        then the ``n``-th value offered takes a uniform draw of ``n``
+        slots, kept when it is one of the ``capacity``."""
+        values = list(values)
+        items, room = self._items, self.capacity - len(self._items)
+        items.extend(values[:room])
+        seen, draw = self._seen + len(values[:room]), self._rng.random
+        for value in values[room:]:
+            seen += 1
+            slot = int(draw() * seen)
+            if slot < self.capacity:
+                items[slot] = value
+        self._seen = seen
 
     @property
     def seen(self) -> int:
@@ -327,17 +331,22 @@ class Histogram(_Metric):
         return state
 
     def observe(self, value: float, **labels: str) -> None:
-        value = float(value)
+        self.observe_many([value], **labels)
+
+    def observe_many(self, values: Sequence[float], **labels: str) -> None:
+        """:meth:`observe` each of ``values`` in turn, under one lock."""
+        values = [float(value) for value in values]
         key = self._key(labels)
         with self._lock:
             state = self._state(key)
-            state.count += 1
-            state.sum += value
-            state.reservoir.add(value)
-            # First boundary >= value; a NaN is below no boundary.
-            state.bucket_counts[
-                bisect_left(self.buckets, value) if value == value else len(self.buckets)
-            ] += 1
+            state.count += len(values)
+            state.reservoir.extend(values)
+            for value in values:  # in turn: the float sum a loop of observe() makes
+                state.sum += value
+                # First boundary >= value; a NaN is below no boundary.
+                state.bucket_counts[
+                    bisect_left(self.buckets, value) if value == value else len(self.buckets)
+                ] += 1
 
     def count(self, **labels: str) -> int:
         key = self._key(labels)

@@ -62,13 +62,23 @@ class TokenBucket:
             self._tokens = min(self.capacity, self._tokens + (now - self._last) * self.rate)
         self._last = now
 
-    def try_acquire(self, tokens: float = 1.0) -> bool:
-        """Take ``tokens`` if available; never blocks."""
+    def try_acquire(self) -> bool:
+        """Take one token if available; never blocks."""
+        return self.grant(1) == 1
+
+    def grant(self, wanted: int) -> int:
+        """Take up to ``wanted`` whole tokens at one clock read and
+        return how many: the first ``k`` of ``wanted`` requests are
+        admitted, as ``wanted`` calls of :meth:`try_acquire` at that
+        instant would admit them (taking 1 from a float of at least 1
+        is exact, so ``k`` is the floor of the tokens held; at an
+        infinite rate each of those calls refills the bucket first)."""
         self._refill()
-        if self._tokens >= tokens:
-            self._tokens -= tokens
-            return True
-        return False
+        if math.isinf(self.rate) and self._tokens >= 1:
+            return wanted
+        granted = wanted if self._tokens >= wanted else int(self._tokens)
+        self._tokens -= granted
+        return granted
 
     @property
     def tokens(self) -> float:

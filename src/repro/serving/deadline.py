@@ -2,9 +2,10 @@
 
 Fraud scoring is a latency-bounded online decision (Appendix H.5: the
 deployed system must answer while the transaction is in flight). A
-:class:`Deadline` is created once per request and *propagated* through
-every stage that can stall — neighbour sampling, KV feature fetch,
-model forward — so a slow stage surfaces as a typed
+:class:`Deadline` is one request's budget, *propagated* through every
+stage that can stall — neighbour sampling, KV feature fetch, model
+forward; the service checks a micro-batch's budgets as one group with
+the same ``check`` — so a slow stage surfaces as a typed
 :class:`DeadlineExceeded` carrying the stage name, which the service
 converts into a degraded verdict rather than an error.
 

@@ -7,10 +7,10 @@ scorer needs to survive heavy traffic and partial outages:
 * **Admission control** — a :class:`~repro.serving.admission.TokenBucket`
   rate limiter plus a bounded queue; overload requests are *shed with a
   verdict* (the static prior), never blocked or errored.
-* **Deadline budgets** — every admitted request carries a
-  :class:`~repro.serving.deadline.Deadline` on a monotonic clock,
-  propagated through neighbour sampling and KV feature fetch; the
-  budget can be overrun by at most one pipeline stage.
+* **Deadline budgets** — every admitted request carries a budget on
+  a monotonic clock, checked for its whole micro-batch at once through
+  neighbour sampling and KV feature fetch; the budget can be overrun
+  by at most one pipeline stage.
 * **One read path** — feature rows are read with one ``get_many`` per
   ``FETCH_CHUNK`` keys from whatever store is given; a read that fails
   demotes the batch as ``kv_unavailable``. Gating, failover and probing
@@ -61,6 +61,7 @@ from .stats import ServiceStats
 RUNG_GNN = "gnn"
 RUNG_LINKED = "linked"
 RUNG_PRIOR = "prior"
+_LADDER = np.array([RUNG_GNN, RUNG_LINKED, RUNG_PRIOR], dtype=object)
 
 VERDICT_FRAUD = "fraud"
 VERDICT_LEGIT = "legit"
@@ -122,74 +123,50 @@ class ScoreResponse:
     deadline_remaining_s: Optional[float] = None
 
 
-class _BatchMember:
-    """One request's mutable state while it rides a micro-batch."""
-
-    __slots__ = ("request", "deadline", "degraded_reason", "rung", "score")
-
-    def __init__(self, request: ScoreRequest, deadline: Deadline) -> None:
-        self.request = request
-        self.deadline = deadline
-        self.degraded_reason: Optional[str] = None
-        self.rung: Optional[str] = None
-        self.score: float = 0.0
-
-    @property
-    def live(self) -> bool:
-        """Still on the GNN rung: no degradation recorded yet."""
-        return self.degraded_reason is None
-
-
 class _DeadlineGroup:
     """Duck-typed deadline over every request in one micro-batch.
 
     Samplers and the KV fetch path accept any object with ``check``;
-    this one fans a stage check out to each member's own
-    :class:`Deadline`. A member whose budget is spent is *individually*
-    demoted — it records the same ``deadline:<stage>`` reason it would
-    have received scored alone and drops out of the batch — while the
-    survivors keep going. Only when every member has expired
-    does ``check`` raise, aborting the shared work. That is how a batch
-    preserves per-request deadline verdicts: expiry is per member, the
-    exception is per batch.
+    this one holds the batch's one start instant and its members'
+    budgets as an array. A stage check demotes, by mask, every live
+    member whose budget is spent — each records the same
+    ``deadline:<stage>`` reason it would have received scored alone and
+    drops out of the batch — while the survivors keep going. Only when
+    no member is left live does ``check`` raise, aborting the shared
+    work: expiry is per member, the exception is per batch.
 
     A check first asks whether any member *can* have expired: none has
-    while less time has passed since the earliest start than the
-    tightest budget, and then the per-member walk is skipped.
+    while less time has passed since the start than the tightest
+    budget, and then no mask is computed.
     """
 
     def __init__(
-        self, members: Sequence[_BatchMember], stats: ServiceStats, clock: Callable[[], float]
+        self, started: float, budgets: np.ndarray, stats: ServiceStats, clock: Callable[[], float]
     ) -> None:
-        self._members = list(members)
+        self.started = started
+        self.budgets = budgets
+        self.live = np.arange(len(budgets))  # the members still on the GNN rung
+        self.reasons = np.full(len(budgets), None, dtype=object)
         self._stats = stats
         self._clock = clock
-        deadlines = [member.deadline for member in self._members]
-        self._earliest = min((d.started for d in deadlines), default=0.0)
-        # No member: -inf, so every check walks (and raises).
-        self._tightest = min((d.budget_s for d in deadlines), default=-math.inf)
-
-    @property
-    def live(self) -> List[_BatchMember]:
-        return [member for member in self._members if member.live]
+        # No member: -inf, so every check demotes (and raises).
+        self._tightest = min(budgets.tolist(), default=-math.inf)
 
     def check(self, stage: str) -> None:
-        if self._clock() - self._earliest < self._tightest:
+        elapsed = self._clock() - self.started
+        if elapsed < self._tightest:
             return  # every member's elapsed time is under its budget
-        expired_all = True
-        for member in self._members:
-            if not member.live:
-                continue
-            if member.deadline.expired():
-                member.degraded_reason = f"deadline:{stage}"
-                self._stats.deadline_hits += 1
-            else:
-                expired_all = False
-        if expired_all:
-            survivors = [m.deadline for m in self._members]
-            budget = max((d.budget_s for d in survivors), default=0.0)
-            elapsed = max((d.elapsed() for d in survivors), default=0.0)
-            raise DeadlineExceeded(stage, budget, elapsed)
+        spent = self.live[self.budgets[self.live] <= elapsed]
+        self._stats.deadline_hits += self.demote(spent, f"deadline:{stage}")
+        if not len(self.live):
+            raise DeadlineExceeded(stage, max(self.budgets.tolist(), default=0.0), elapsed)
+
+    def demote(self, members: np.ndarray, reason: str) -> int:
+        """Take ``members`` (live ones) off the GNN rung with ``reason``;
+        returns how many."""
+        self.reasons[members] = reason
+        self.live = self.live[~np.isin(self.live, members)]
+        return len(members)
 
 
 def linked_label_scores(graph: HeteroGraph, nodes: Sequence[int]) -> np.ndarray:
@@ -344,18 +321,16 @@ class ScoringService:
     # -- public scoring API --------------------------------------------
     def score(self, request: Union[int, ScoreRequest]) -> ScoreResponse:
         """Score one request synchronously; always returns a verdict.
-        A micro-batch of one through the pipeline :meth:`score_batch` uses."""
-        request = self._coerce(request)
-        if not self._admit(request):
-            return self._shed_response(request, SHED_RATE_LIMITED)
-        return self._score_admitted_batch([request])[0]
+        A micro-batch of one through the pass :meth:`score_batch` makes."""
+        return self._serve([request])[0]
 
     def score_batch(self, requests: Sequence[Union[int, ScoreRequest]]) -> List[ScoreResponse]:
         """Score many requests with micro-batched execution.
 
-        Admission is still per request — the token bucket is consulted
-        once per request in arrival order, so any request that would be
-        shed alone is shed here too, with the identical verdict. The
+        Admission is one decision at one clock read: the token bucket
+        grants the first ``k`` requests whole tokens, so a request is
+        shed exactly when the same requests sent one by one at that
+        instant would shed it, with the identical verdict. The
         admitted remainder is coalesced into micro-batches of
         ``config.batch_size`` (``None`` = all at once), each executing
         ONE disjoint sampler walk for whatever the subgraph cache does
@@ -367,15 +342,7 @@ class ScoringService:
         not one per request. Scores do not depend on batch composition
         (within float noise); responses come back in request order.
         """
-        coerced = [self._coerce(request) for request in requests]
-        admitted = [self._admit(request) for request in coerced]
-        scored = iter(
-            self._score_micro_batched([r for r, ok in zip(coerced, admitted) if ok])
-        )
-        return [
-            next(scored) if ok else self._shed_response(request, SHED_RATE_LIMITED)
-            for request, ok in zip(coerced, admitted)
-        ]
+        return self._serve(requests)
 
     def warm_cache(self, targets: Sequence[int]) -> int:
         """Pre-sample hot targets into the subgraph cache (no scoring).
@@ -386,55 +353,72 @@ class ScoringService:
         :meth:`score` refuses it (out of range, or not a transaction: no
         ``score()`` could ever hit its entry).
         """
-        nodes = [self._coerce(target).node for target in targets]
-        if self.cache is None or not nodes:
+        nodes = self._coerce(targets)[0]
+        if self.cache is None or not len(nodes):
             return 0
-        return self._sample(nodes)[1]
+        return self._sample(nodes.tolist())[1]
 
     def submit(self, request: Union[int, ScoreRequest]) -> Optional[ScoreResponse]:
         """Enqueue a request; returns a shed response immediately when
         the backlog is full or the rate limiter denies, else ``None``
         (the verdict arrives from :meth:`drain`)."""
-        request = self._coerce(request)
+        node = int(self._coerce([request])[0][0])
         admitted, reason = self.queue.offer(request)
         if not admitted:
             self.stats.record_shed(reason)
-            return self._shed_response(request, reason)
+            return self._shed_response(node, reason)
         self.stats.record_admitted()
         return None
 
     def drain(self) -> List[ScoreResponse]:
         """Serve the queued backlog FIFO, micro-batched; one verdict per
         admitted request (admission already happened in :meth:`submit`)."""
-        return self._score_micro_batched(list(self.queue.drain()))
+        return self._score_micro_batched(*self._coerce(list(self.queue.drain())))
 
     # -- internals ------------------------------------------------------
-    def _coerce(self, request: Union[int, ScoreRequest]) -> ScoreRequest:
-        if not isinstance(request, ScoreRequest):
-            request = ScoreRequest(node=int(request))
-        if not 0 <= request.node < self.graph.num_nodes:
-            raise ValueError(f"node {request.node} outside the serving graph")
-        if self.graph.node_type[request.node] != NODE_TYPE_IDS["txn"]:
-            raise ValueError(f"node {request.node} is not a transaction: only those are scored")
-        if request.deadline_s is not None and not request.deadline_s > 0:
-            raise ValueError(f"deadline_s must be positive, got {request.deadline_s}")
-        return request
+    def _coerce(self, requests: Sequence[Union[int, ScoreRequest]]) -> Tuple[np.ndarray, np.ndarray]:
+        """``(nodes, budgets)`` of ``requests`` — ints or
+        :class:`ScoreRequest`\\ s — checked as arrays: a node outside
+        the graph or not a transaction, or a budget that is not
+        positive, is a ``ValueError``."""
+        wrapped = [isinstance(request, ScoreRequest) for request in requests]
+        budgets = np.full(len(wrapped), self.config.deadline_s)
+        if any(wrapped):
+            for index in np.flatnonzero(wrapped).tolist():
+                if requests[index].deadline_s is not None:
+                    budgets[index] = requests[index].deadline_s
+            requests = [r.node if inside else r for r, inside in zip(requests, wrapped)]
+            if not (budgets > 0).all():  # NaN too
+                raise ValueError(f"deadline_s must be positive, got {budgets[~(budgets > 0)][0]}")
+        nodes = np.array(requests, dtype=np.int64)
+        ids, size = nodes.tolist(), self.graph.num_nodes
+        if ids and not (min(ids) >= 0 and max(ids) < size):
+            raise ValueError(f"node {next(n for n in ids if not 0 <= n < size)} outside the serving graph")
+        entity = self.graph.node_type[nodes] != NODE_TYPE_IDS["txn"]
+        if np.count_nonzero(entity):
+            raise ValueError(f"node {nodes[entity][0]} is not a transaction: only those are scored")
+        return nodes, budgets
 
-    def _admit(self, request: ScoreRequest) -> bool:
-        """One token-bucket decision, traced and tallied."""
-        with self.tracer.span("admission", node=request.node) as admission:
-            admitted = self.bucket.try_acquire()
-            admission.set("admitted", admitted)
-        if admitted:
-            self.stats.record_admitted()
-        else:
-            self.stats.record_shed(SHED_RATE_LIMITED)
-        return admitted
+    def _serve(self, requests: Sequence[Union[int, ScoreRequest]]) -> List[ScoreResponse]:
+        """One pass for a call: coerce, admit the first ``k`` at one
+        clock read, score them micro-batched, shed the rest."""
+        nodes, budgets = self._coerce(requests)
+        admitted = self.bucket.grant(len(nodes))
+        if self.tracer.enabled:
+            for index, node in enumerate(nodes.tolist()):
+                with self.tracer.span("admission", node=node) as span:
+                    span.set("admitted", index < admitted)
+        self.stats.record_admitted(admitted)
+        if admitted < len(nodes):
+            self.stats.record_shed(SHED_RATE_LIMITED, len(nodes) - admitted)
+        return self._score_micro_batched(nodes[:admitted], budgets[:admitted]) + [
+            self._shed_response(node, SHED_RATE_LIMITED) for node in nodes[admitted:].tolist()
+        ]
 
-    def _shed_response(self, request: ScoreRequest, reason: str) -> ScoreResponse:
+    def _shed_response(self, node: int, reason: str) -> ScoreResponse:
         score = self.config.static_prior
         return ScoreResponse(
-            node=request.node,
+            node=node,
             score=score,
             verdict=self._verdict(score),
             rung=RUNG_PRIOR,
@@ -446,15 +430,16 @@ class ScoringService:
         return VERDICT_FRAUD if score >= FRAUD_THRESHOLD else VERDICT_LEGIT
 
     # -- the scoring pipeline ------------------------------------------
-    def _score_micro_batched(self, requests: Sequence[ScoreRequest]) -> List[ScoreResponse]:
+    def _score_micro_batched(self, nodes: np.ndarray, budgets: np.ndarray) -> List[ScoreResponse]:
         """Admitted requests in, one verdict each out, in order, scored
         ``config.batch_size`` (``None`` = all) at a time."""
+        size = self.config.batch_size or max(len(nodes), 1)
         responses: List[ScoreResponse] = []
-        for group in batched(requests, self.config.batch_size or max(len(requests), 1)):
-            responses.extend(self._score_admitted_batch(group))
+        for start in range(0, len(nodes), size):
+            responses += self._score_admitted_batch(nodes[start : start + size], budgets[start : start + size])
         return responses
 
-    def _score_admitted_batch(self, requests: Sequence[ScoreRequest]) -> List[ScoreResponse]:
+    def _score_admitted_batch(self, nodes: np.ndarray, budgets: np.ndarray) -> List[ScoreResponse]:
         """Score already-admitted requests as ONE coalesced unit — the
         only scoring pipeline (:meth:`score` sends a batch of one).
 
@@ -469,69 +454,57 @@ class ScoringService:
         before the walk starts: one whose budget ends during the walk
         has been counted by the cache, and the survivors' components are
         gathered out of the sample before any row is fetched (the loop
-        never looked it up).
+        never looked it up). The batch's start and end are one clock
+        read each: every member shares its latency, and its
+        ``deadline_remaining_s`` is its budget less that latency.
         """
-        started = self._clock()
-        members: List[_BatchMember] = []
-        for request in requests:
-            budget = (
-                request.deadline_s if request.deadline_s is not None else self.config.deadline_s
-            )
-            members.append(_BatchMember(request, Deadline(budget, clock=self._clock)))
-        group = _DeadlineGroup(members, self.stats, self._clock)
-        with self.tracer.span("batch", size=len(members)) as batch_span:
+        group = _DeadlineGroup(self._clock(), budgets, self.stats, self._clock)
+        scores = np.empty(len(nodes))
+        with self.tracer.span("batch", size=len(nodes)) as batch_span:
             try:
-                self._gnn_score_batch(group)
+                self._gnn_score_batch(nodes, group, scores)
             except DeadlineExceeded:
                 pass  # every member already carries its deadline:<stage> reason
             except FeatureFetchError:
-                for member in group.live:
-                    member.degraded_reason = "kv_unavailable"
-            self._fallback_batch(members)
+                group.demote(group.live, "kv_unavailable")
+            rungs = self._fallback_batch(nodes, group.live, scores)
             if batch_span:
-                batch_span.set("gnn_scored", sum(1 for m in members if m.rung == RUNG_GNN))
-        responses: List[ScoreResponse] = []
-        latency = self._clock() - started
-        for member in members:
-            with self.tracer.span("request", node=member.request.node) as span:
-                span.set("rung", member.rung)
-                if member.degraded_reason:
-                    span.set("degraded_reason", member.degraded_reason)
-            self.stats.record_response(member.rung, latency, member.degraded_reason)
-            label = int(self.graph.labels[member.request.node])
-            if label >= 0:
-                self.stats.record_outcome(label, member.score)
-            responses.append(
-                ScoreResponse(
-                    node=member.request.node,
-                    score=float(member.score),
-                    verdict=self._verdict(member.score),
-                    rung=member.rung,
-                    admitted=True,
-                    latency_s=latency,
-                    degraded_reason=member.degraded_reason,
-                    deadline_remaining_s=member.deadline.remaining(),
-                )
+                batch_span.set("gnn_scored", len(group.live))
+        latency = self._clock() - group.started
+        reasons, labels = group.reasons.tolist(), self.graph.labels[nodes].tolist()
+        nodes, scores = nodes.tolist(), scores.tolist()
+        if self.tracer.enabled:
+            for node, rung, reason in zip(nodes, rungs, reasons):
+                with self.tracer.span("request", node=node) as span:
+                    span.set("rung", rung)
+                    if reason:
+                        span.set("degraded_reason", reason)
+        outcomes = [(label, score) for label, score in zip(labels, scores) if label >= 0]
+        self.stats.record_batch(rungs, latency, reasons, outcomes)
+        return [
+            ScoreResponse(node, score, self._verdict(score), rung, True, latency, None, reason, left)
+            for node, score, rung, reason, left in zip(
+                nodes, scores, rungs, reasons, (budgets - latency).tolist()
             )
-        return responses
+        ]
 
-    def _gnn_score_batch(self, group: _DeadlineGroup) -> None:
-        """Rung 0 for a whole micro-batch: assigns score+rung to every
-        member that survives sampling, fetch, and forward."""
+    def _gnn_score_batch(self, nodes: np.ndarray, group: _DeadlineGroup, scores: np.ndarray) -> None:
+        """Rung 0 for a whole micro-batch: writes ``scores`` of every
+        member that survives sampling, fetch, and forward — those
+        ``group.live`` still holds."""
         group.check("admission")
         cohort = group.live
         with self.tracer.span("sample", targets=len(cohort)) as sample_span:
-            sampled, misses = self._sample([member.request.node for member in cohort], group)
+            sampled, misses = self._sample(nodes[cohort].tolist(), group)
             if sample_span:
                 sample_span.set("sampled_nodes", sampled.graph.num_nodes)
                 sample_span.set("hits", len(cohort) - misses)
                 sample_span.set("misses", misses)
         live = group.live  # not empty: the check that demotes the last member raises
         if len(live) < len(cohort):  # expired during the walk: no rows, no forward
-            components = np.searchsorted(sampled.bounds[:-1, 0], sampled.target_local).tolist()
-            sampled = _gather_requests(
-                [(sampled, components[i]) for i, member in enumerate(cohort) if member.live]
-            )
+            components = np.searchsorted(sampled.bounds[:-1, 0], sampled.target_local)
+            kept = components[np.isin(cohort, live)].tolist()
+            sampled = _gather_requests([(sampled, component) for component in kept])
         forward_graph = sampled.graph
         if self.feature_store is not None:
             # Only transactions have feature rows: fetched in node
@@ -550,13 +523,10 @@ class ScoringService:
             forward_graph = sampled.graph.with_features(fetched[inverse])
         group.check("model forward")
         targets = sampled.target_local
-        if not all(member.live for member in live):  # expired in the fetch or at the forward
-            kept = [index for index, member in enumerate(live) if member.live]
-            live, targets = [live[index] for index in kept], targets[kept]
+        if len(group.live) < len(live):  # expired in the fetch or at the forward
+            live, targets = group.live, targets[np.isin(live, group.live)]
         with self.tracer.span("forward", targets=len(live)):
-            probs = self.model.predict_proba(forward_graph, targets)
-        for member, prob in zip(live, probs):
-            member.score, member.rung = float(prob), RUNG_GNN
+            scores[live] = self.model.predict_proba(forward_graph, targets)
 
     def _sample(self, nodes: Sequence[int], deadline=None) -> Tuple[SampledSubgraph, int]:
         """``(sampled, misses)``: the stacked sample the forward runs on,
@@ -596,22 +566,27 @@ class ScoringService:
             self._sampler_hops_total.inc(self.sampler.steps, sampler=kind)
         return sampled, misses
 
-    def _fallback_batch(self, members: Sequence[_BatchMember]) -> None:
-        """Rungs 1–2 for every member the GNN rung did not score: ONE
-        :func:`linked_label_scores` pass over the graph for all of them,
-        the prior for those with no labelled linked transaction. The
-        "rung" span is a zero-width marker when nobody degraded."""
-        pending = [member for member in members if member.rung is None]
-        with self.tracer.span("rung", batch=len(pending)) as rung_span:
-            if pending:
-                nodes = [member.request.node for member in pending]
-                for member, score in zip(pending, linked_label_scores(self.graph, nodes).tolist()):
-                    if math.isnan(score):
-                        member.rung, member.score = RUNG_PRIOR, self.config.static_prior
-                    else:
-                        member.rung, member.score = RUNG_LINKED, score
+    def _fallback_batch(self, nodes: np.ndarray, on_gnn: np.ndarray, scores: np.ndarray) -> List[str]:
+        """Rungs 1–2 for every member the GNN rung did not score (all
+        but ``on_gnn``): ONE :func:`linked_label_scores` pass over the
+        graph for all of them, the prior for those with no labelled
+        linked transaction, written into ``scores``; returns every
+        member's rung. The "rung" span is a zero-width marker when
+        nobody degraded."""
+        rungs = [RUNG_GNN] * len(nodes)
+        with self.tracer.span("rung", batch=len(nodes) - len(on_gnn)) as rung_span:
+            if len(on_gnn) < len(nodes):
+                ladder = np.ones(len(nodes), dtype=np.intp)  # an index into _LADDER
+                ladder[on_gnn] = 0
+                pending = np.flatnonzero(ladder)
+                linked = linked_label_scores(self.graph, nodes[pending])
+                unlinked = np.isnan(linked)
+                scores[pending] = np.where(unlinked, self.config.static_prior, linked)
+                ladder[pending] += unlinked
+                rungs = _LADDER[ladder].tolist()
             if rung_span:
-                rung_span.set("linked", sum(1 for m in pending if m.rung == RUNG_LINKED))
+                rung_span.set("linked", rungs.count(RUNG_LINKED))
+        return rungs
 
     # -- rung 0: full GNN ----------------------------------------------
     def _fetch_features(self, node_ids: np.ndarray, deadline: Deadline) -> np.ndarray:

@@ -23,7 +23,7 @@ rung — a distribution has no attribute to read.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..obs.registry import MetricsRegistry, Reservoir
 from ..train.metrics import latency_percentiles, roc_auc
@@ -74,22 +74,39 @@ class ServiceStats:
                 yield "counter", name, help, {"reason": reason}, count
 
     # -- recording ------------------------------------------------------
-    def record_admitted(self) -> None:
-        self.received += 1
-        self.admitted += 1
+    def record_admitted(self, count: int = 1) -> None:
+        self.received += count
+        self.admitted += count
 
-    def record_shed(self, reason: str) -> None:
-        self.received += 1
-        self.shed[reason] += 1
+    def record_shed(self, reason: str, count: int = 1) -> None:
+        self.received += count
+        self.shed[reason] += count
 
     def record_response(self, rung: str, latency_s: float, degraded_reason: Optional[str] = None) -> None:
-        self.completed += 1
-        self.rungs[rung] += 1
-        self._latencies.add(float(latency_s))
-        if degraded_reason:
-            self.degraded_reasons[degraded_reason] += 1
+        self.record_batch([rung], latency_s, [degraded_reason])
+
+    def record_batch(
+        self,
+        rungs: Sequence[str],
+        latency_s: float,
+        degraded_reasons: Sequence[Optional[str]],
+        outcomes: Iterable[Tuple[int, float]] = (),
+    ) -> None:
+        """One micro-batch answered: a response per rung in ``rungs``,
+        each ``latency_s`` after the batch started and degraded for its
+        reason (``None``: not degraded), plus the ``(label, score)``
+        pairs of its labelled members — what a :meth:`record_response`
+        per member and a :meth:`record_outcome` per pair record."""
+        latency_s = float(latency_s)
+        self.completed += len(rungs)
+        self.rungs.update(rungs)
+        self._latencies.extend([latency_s] * len(rungs))
+        if any(degraded_reasons):
+            self.degraded_reasons.update(filter(None, degraded_reasons))
+        self._outcomes.extend(outcomes)
         if self._latency_hist is not None:
-            self._latency_hist.observe(float(latency_s), rung=rung)
+            for rung in dict.fromkeys(rungs):
+                self._latency_hist.observe_many([latency_s] * rungs.count(rung), rung=rung)
 
     def record_outcome(self, label: int, score: float) -> None:
         """Optionally track (truth, score) pairs for online AUC."""

@@ -203,13 +203,23 @@ class DriftDetector:
             self.observe(value)
 
     def _freeze_reference(self) -> None:
-        reference = np.asarray(self._reference, dtype=np.float64)
+        reference = np.sort(np.asarray(self._reference, dtype=np.float64))
         quantiles = np.linspace(0.0, 1.0, PSI_BINS + 1)[1:-1]
         inner = np.quantile(reference, quantiles)
         self._edges = np.concatenate(([-np.inf], inner, [np.inf]))
-        counts = np.histogram(reference, bins=self._edges)[0].astype(np.float64)
-        self._ref_fractions = (counts + PSI_EPSILON) / (counts.sum() + PSI_EPSILON * len(counts))
-        self._ref_sorted = np.sort(reference)
+        self._ref_fractions = self._bin_fractions(reference)
+        self._ref_sorted = reference
+
+    def _bin_fractions(self, ordered: np.ndarray) -> np.ndarray:
+        """Each PSI bin's share of the sorted ``ordered``, counted as
+        ``np.histogram(ordered, bins=self._edges)`` counts (its own rule
+        for explicit edges: the left side of every edge but the last,
+        the right side of that one), plus :data:`PSI_EPSILON` a bin."""
+        cuts = np.concatenate(
+            (ordered.searchsorted(self._edges[:-1], "left"), ordered.searchsorted(self._edges[-1:], "right"))
+        )
+        counts = np.diff(cuts).astype(np.float64)
+        return (counts + PSI_EPSILON) / (counts.sum() + PSI_EPSILON * len(counts))
 
     def check(self) -> Optional[DriftReport]:
         """Compare current vs reference; record (and count) alerts.
@@ -219,9 +229,8 @@ class DriftDetector:
         """
         if not self.reference_frozen or len(self._current) < self.config.min_samples:
             return None
-        current = np.asarray(self._current, dtype=np.float64)
-        counts = np.histogram(current, bins=self._edges)[0].astype(np.float64)
-        fractions = (counts + PSI_EPSILON) / (counts.sum() + PSI_EPSILON * len(counts))
+        current = np.sort(np.asarray(self._current, dtype=np.float64))
+        fractions = self._bin_fractions(current)
         psi = float(
             np.sum((fractions - self._ref_fractions) * np.log(fractions / self._ref_fractions))
         )
@@ -235,8 +244,8 @@ class DriftDetector:
         return report
 
     def _ks_statistic(self, current: np.ndarray) -> float:
+        """Two-sample KS statistic of the sorted ``current`` window."""
         reference = self._ref_sorted
-        current = np.sort(current)
         grid = np.concatenate([reference, current])
         cdf_ref = np.searchsorted(reference, grid, side="right") / len(reference)
         cdf_cur = np.searchsorted(current, grid, side="right") / len(current)

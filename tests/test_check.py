@@ -313,11 +313,17 @@ class TestStackedSampleMutants:
     real lookup."""
 
     NAME = "single-vs-batched-scoring"
+    STACKED = (
+        "two-distinct-targets-sharing-a-component",
+        "a-hit-gathered-at-the-next-component",
+        "a-repeat-pointed-at-the-wrong-root",
+    )
 
     def test_shrunk_cases_pass_on_the_real_lookup(self):
         # (0, 5) a six-request batch with two repeats, (0, 1) a
         # five-request batch of two targets.
-        shrunk = {m.shrinks_to for m in MUTANTS.values() if m.check == self.NAME}
+        shrunk = {MUTANTS[name].shrinks_to for name in self.STACKED}
+        assert {MUTANTS[name].check for name in self.STACKED} == {self.NAME}
         assert shrunk == {(0, 5), (0, 1)}
         for seed, size in sorted(shrunk):
             assert run_case(self.NAME, seed, size) is None, (seed, size)

@@ -351,6 +351,40 @@ class TestReservoir:
             b.add(i)
         assert a.values() == b.values()
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_extend_is_a_loop_of_add(self, seed):
+        """Bulk adds in chunks that fill the free slots and then cross
+        into replacement hold the sample, and draw the slots, of one add
+        at a time."""
+        rng = np.random.default_rng(seed)
+        bulk, loop = Reservoir(32, seed=seed), Reservoir(32, seed=seed)
+        for _ in range(40):
+            chunk = rng.normal(size=int(rng.integers(0, 24))).tolist()
+            bulk.extend(chunk)
+            for value in chunk:
+                loop.add(value)
+            assert (bulk.values(), bulk.seen) == (loop.values(), loop.seen)
+        assert bulk._rng.random() == loop._rng.random()
+
+    def test_histogram_observe_many_is_a_loop_of_observe(self):
+        rng = np.random.default_rng(0)
+        bulk, loop = MetricsRegistry(), MetricsRegistry()
+        histograms = [
+            registry.histogram("h_seconds", "h", labels=("rung",), reservoir_size=8)
+            for registry in (bulk, loop)
+        ]
+        for step in range(30):
+            values = rng.exponential(0.01, size=int(rng.integers(0, 9))).tolist()
+            if step % 7 == 0:
+                values += [float("nan"), 0.005, 10.0 * step]  # a NaN, on a boundary, past all
+            rung = ("gnn", "linked")[step % 2]
+            histograms[0].observe_many(values, rung=rung)
+            for value in values:
+                histograms[1].observe(value, rung=rung)
+        assert bulk.render() == loop.render()
+        for rung in ("gnn", "linked"):
+            assert histograms[0].percentile(50, rung=rung) == histograms[1].percentile(50, rung=rung)
+
     def test_holds_arbitrary_items(self):
         reservoir = Reservoir(4, seed=0)
         for i in range(100):

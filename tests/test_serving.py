@@ -71,30 +71,27 @@ class TestDeadline:
 
 
 class TestDeadlineGroup:
-    """A stage check skips the per-member walk only while no member can
-    have expired, and otherwise demotes exactly the members the walk
-    would. Times are dyadic, so every expiry instant is exact."""
+    """A stage check computes no expiry mask while no member can have
+    expired, and otherwise demotes exactly the members the mask does.
+    Times are dyadic, so every expiry instant is exact. A group has one
+    start and a budget per member: members started at 0, 0.125 and 0.25
+    with budgets 0.5, 0.25 and 1.0 are budgets 0.5, 0.375 and 1.25 from
+    the group's start at 0, and expire at the same instants."""
 
-    BUDGETS = (0.5, 0.25, 1.0)
-    STARTS = (0.0, 0.125, 0.25)  # member 1, the tightest, expires at 0.375 exactly
+    BUDGETS = (0.5, 0.375, 1.25)  # member 1, the tightest, expires at 0.375 exactly
     INSTANTS = (0.0, 0.125, 0.249, 0.25, 0.374, 0.375, 0.5, 0.75, 1.0, 1.25)
 
     def _group(self, walk_always=False):
-        from repro.serving.service import _BatchMember, _DeadlineGroup
+        from repro.serving.service import _DeadlineGroup
 
-        clock, members = ManualClock(), []
-        for budget, start in zip(self.BUDGETS, self.STARTS):
-            clock.now = start
-            deadline = Deadline(budget, clock=clock)
-            members.append(_BatchMember(ScoreRequest(node=0), deadline))
-        stats = ServiceStats()
-        group = _DeadlineGroup(members, stats, clock)
+        clock, stats = ManualClock(), ServiceStats()
+        group = _DeadlineGroup(0.0, np.array(self.BUDGETS), stats, clock)
         if walk_always:
             group._tightest = -math.inf
-        return clock, group, members, stats
+        return clock, group, stats
 
     def _drive(self, walk_always):
-        clock, group, members, stats = self._group(walk_always)
+        clock, group, stats = self._group(walk_always)
         trace = []
         for instant in self.INSTANTS:
             clock.now = instant
@@ -103,7 +100,7 @@ class TestDeadlineGroup:
                 raised = None
             except DeadlineExceeded as error:
                 raised = error.stage
-            trace.append(([m.degraded_reason for m in members], stats.deadline_hits, raised))
+            trace.append((group.reasons.tolist(), stats.deadline_hits, raised))
         return trace
 
     def test_reasons_and_hits_equal_the_per_member_walk(self):
@@ -121,24 +118,29 @@ class TestDeadlineGroup:
         )
 
     def test_the_walk_is_skipped_while_no_member_can_have_expired(self, monkeypatch):
-        clock, group, members, _ = self._group()
-        reads = []
+        from repro.serving.service import _DeadlineGroup
+
+        clock, group, _ = self._group()
+        masks = []
+        demote = _DeadlineGroup.demote
         monkeypatch.setattr(
-            Deadline, "expired", lambda self: reads.append(self) or self.remaining() <= 0
+            _DeadlineGroup,
+            "demote",
+            lambda self, members, reason: masks.append(members.tolist()) or demote(self, members, reason),
         )
-        for instant in (0.0, 0.125, 0.249):  # earliest start + tightest budget = 0.25
+        for instant in (0.0, 0.125, 0.249, 0.25, 0.374):  # start + tightest budget = 0.375
             clock.now = instant
             group.check("early")
-        assert reads == []
-        clock.now = 0.25
+        assert masks == []
+        clock.now = 0.375
         group.check("late")
-        assert len(reads) == len(members)  # may have expired: every member is asked
+        assert masks == [[1]]  # may have expired: every live member is asked
 
     def test_a_group_of_none_raises(self):
         from repro.serving.service import _DeadlineGroup
 
         with pytest.raises(DeadlineExceeded):
-            _DeadlineGroup([], ServiceStats(), ManualClock()).check("admission")
+            _DeadlineGroup(0.0, np.zeros(0), ServiceStats(), ManualClock()).check("admission")
 
 
 class TestAdmission:
@@ -209,6 +211,35 @@ class TestServiceStats:
         # Nearest-rank: p50 of 4 samples is the 2nd, an observed value.
         assert summary["p50"] == pytest.approx(0.02)
         assert "p95=" in stats.describe()
+
+    def test_record_batch_is_a_record_per_member(self):
+        """One ``record_batch`` per micro-batch tallies, samples and
+        exports what a ``record_response`` per member and a
+        ``record_outcome`` per labelled one did, past the reservoirs'
+        capacity."""
+        from repro.obs import MetricsRegistry
+
+        rng = np.random.default_rng(0)
+        bulk, loop = ServiceStats(MetricsRegistry(), reservoir_size=16), ServiceStats(
+            MetricsRegistry(), reservoir_size=16
+        )
+        reasons = (None, None, "kv_unavailable", "deadline:feature fetch")
+        for _ in range(12):
+            size = int(rng.integers(1, 9))
+            why = [reasons[int(i)] for i in rng.integers(0, len(reasons), size=size)]
+            rungs = [RUNG_GNN if reason is None else RUNG_LINKED for reason in why]
+            latency = float(rng.uniform(0, 0.02))
+            outcomes = [(int(label), float(score)) for label, score in zip(
+                rng.integers(0, 2, size=size), rng.uniform(size=size)
+            )][: int(rng.integers(0, size + 1))]
+            bulk.record_batch(rungs, latency, why, iter(outcomes))
+            for rung, reason in zip(rungs, why):
+                loop.record_response(rung, latency, reason)
+            for label, score in outcomes:
+                loop.record_outcome(label, score)
+        assert bulk.snapshot() == loop.snapshot()
+        assert bulk.latencies_s == loop.latencies_s
+        assert bulk.registry.render() == loop.registry.render()
 
     def test_auc_is_nan_not_error_on_single_class(self):
         stats = ServiceStats()

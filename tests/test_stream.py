@@ -692,6 +692,41 @@ class TestDriftDetector:
         assert 'stream_drift_alerts_total{signal="score"} 1' in text
         assert 'stream_drift_psi{signal="score"}' in text
 
+    @pytest.mark.parametrize("seed", range(16))
+    def test_psi_and_ks_equal_np_histogram_and_a_fresh_sort(self, seed):
+        """The PSI bins are counted over the window the KS statistic
+        sorts: bit-equal to ``np.histogram`` over the edges, on windows
+        with ties, repeats of the reference and values exactly on an
+        edge (a value on an inner edge counts in the bin to its right)."""
+        from repro.stream.feedback import PSI_EPSILON
+
+        rng = np.random.default_rng(seed)
+        window = int(rng.integers(16, 200))
+        detector = DriftDetector("score", DriftConfig(window=window, min_samples=1))
+        reference = np.round(rng.normal(size=window), int(rng.integers(0, 3)))  # ties
+        detector.observe_many(reference)
+        edges = detector._edges
+        pools = (rng.normal(size=window) + rng.normal(), edges[1:-1], reference)
+        current = np.concatenate([rng.choice(pool, size=window // 3 + 1) for pool in pools])
+        current = rng.permutation(current[:window])
+        detector.observe_many(current)
+        report = detector.check()
+
+        def fractions(values):
+            counts = np.histogram(values, bins=edges)[0].astype(np.float64)
+            return (counts + PSI_EPSILON) / (counts.sum() + PSI_EPSILON * len(counts))
+
+        kept = np.asarray(detector._current)
+        np.testing.assert_array_equal(detector._ref_fractions, fractions(reference))
+        expected, base = fractions(kept), detector._ref_fractions
+        assert report.psi == float(np.sum((expected - base) * np.log(expected / base)))
+        ordered, spec = np.sort(reference), np.sort(kept)
+        grid = np.concatenate([ordered, spec])
+        cdf_ref = np.searchsorted(ordered, grid, side="right") / len(ordered)
+        cdf_cur = np.searchsorted(spec, grid, side="right") / len(spec)
+        assert report.ks == float(np.max(np.abs(cdf_ref - cdf_cur)))
+        assert np.isin(kept, edges[1:-1]).any()
+
     def test_warming_up_returns_none(self):
         detector = DriftDetector("score", DriftConfig(window=64, min_samples=32))
         detector.observe(0.5)
