@@ -114,7 +114,7 @@ _SAMPLING = "repro.graph.sampling:"
 _CONV = "repro.models.hetero_conv:"
 _GET_MANY = "repro.storage.replicated:ReplicatedKVStore._get_many"
 _CACHE = "repro.graph.cache:SubgraphCache."
-_SERVICE = "repro.serving.service:"
+_DEADLINE = "repro.serving.deadline:Deadline."
 
 
 def scenario(name: str, mutants: Sequence[Mutant] = ()):
@@ -453,17 +453,17 @@ def _fuzz_delta_merge(seed: int, size: int) -> Optional[str]:
         ),
         # The control plane of a micro-batch: admission, expiry, reasons.
         edit(
-            "admission-counted-once-per-batch", _SERVICE + "ScoringService._serve",
+            "admission-counted-once-per-batch", "repro.serving.service:ScoringService._serve",
             "self.stats.record_admitted(admitted)", "self.stats.record_admitted(min(admitted, 1))",
             "tallies", "'admitted'", shrinks_to=(0, 1),
         ),
         edit(
-            "a-demoted-members-reason-dropped", _SERVICE + "_DeadlineGroup.demote",
+            "a-demoted-members-reason-dropped", _DEADLINE + "demote",
             "self.reasons[members] = reason", "self.reasons[members[:1]] = reason",
             "degraded_reason", shrinks_to=(3, 2),
         ),
         edit(  # the no-member-can-have-expired test against the loosest budget
-            "the-fast-path-waits-for-the-loosest-budget", _SERVICE + "_DeadlineGroup.__init__",
+            "the-fast-path-waits-for-the-loosest-budget", _DEADLINE + "__init__",
             "min(budgets.tolist(), default=-math.inf)", "max(budgets.tolist(), default=-math.inf)",
             "control plane", shrinks_to=(2, 2),
         ),
@@ -601,7 +601,7 @@ def _control_plane_divergence(detector, graph, rng) -> Optional[str]:
             else:
                 responses = [service.score(request) for request in requests]
             snapshot = service.stats.snapshot()
-            del snapshot["kv_failures"], snapshot["latency_s"], snapshot["auc"]
+            del snapshot["kv_failures"], snapshot["latency_s"]
             answers.append((responses, snapshot))
         runs.append(answers)
     fields = ("node", "admitted", "shed_reason", "degraded_reason", "rung", "verdict")

@@ -606,45 +606,52 @@ def _check_cache_coherence() -> List[str]:
 @invariant(
     "deadline-monotonicity",
     layer="serving",
-    falsifies="Deadline.remaining decreasing exactly with the clock, "
-    "expiry latching, and check() raising iff the budget is spent",
+    falsifies="a micro-batch Deadline demoting a member other than at the "
+    "first check whose elapsed time reaches its budget (equal included), "
+    "with that stage's reason, tallied once, and check() raising iff none is left",
     mutants=[
-        edit(
-            "remaining-clamped-at-zero", "repro.serving.deadline:Deadline.remaining",
-            "return self.budget_s - self.elapsed()",
-            "return max(0.0, self.budget_s - self.elapsed())",
-            "remaining 0.0 !=",
+        edit(  # a budget equal to the elapsed time is not yet spent
+            "a-budget-spent-exactly-stays-live", "repro.serving.deadline:Deadline.check",
+            "self.budgets[self.live] <= elapsed", "self.budgets[self.live] < elapsed",
+            "at 0.5s",
         ),
     ],
 )
 def _check_deadline() -> List[str]:
+    from types import SimpleNamespace
+
     from ..reliability.faults import ManualClock
     from ..serving.deadline import Deadline, DeadlineExceeded
 
     problems: List[str] = []
-    clock = ManualClock()
-    deadline = Deadline(1.0, clock=clock)
-    last_remaining = deadline.remaining()
-    for step in range(6):
+    clock, stats = ManualClock(), SimpleNamespace(deadline_hits=0)
+    budgets = [0.5, 1.0, 1.25, 0.5]  # dyadic: every expiry instant is exact
+    deadline = Deadline(clock(), np.array(budgets), stats, clock)
+    expected: List[Optional[str]] = [None] * len(budgets)
+    for step in range(7):
         clock.advance(0.25)
-        remaining = deadline.remaining()
-        if remaining > last_remaining:
-            problems.append(f"step {step}: remaining increased {last_remaining} -> {remaining}")
-        # The documented contract: remaining goes negative once blown.
-        expected = 1.0 - 0.25 * (step + 1)
-        if abs(remaining - expected) > 1e-12:
-            problems.append(f"step {step}: remaining {remaining} != {expected}")
-        should_expire = clock() >= 1.0
-        if deadline.expired() != should_expire:
-            problems.append(f"step {step}: expired() != clock-derived truth")
+        now = clock()
+        for member, budget in enumerate(budgets):
+            if expected[member] is None and budget <= now:
+                expected[member] = f"deadline:step {step}"
         try:
-            deadline.check("audit")
+            deadline.check(f"step {step}")
             raised = False
-        except DeadlineExceeded:
-            raised = True
-        if raised != should_expire:
-            problems.append(f"step {step}: check() raised={raised}, expired={should_expire}")
-        last_remaining = remaining
+        except DeadlineExceeded as error:
+            raised = error.stage == f"step {step}" and error.elapsed_s == now
+        where = f"at {now}s"
+        if deadline.reasons.tolist() != expected:
+            problems.append(f"{where}: reasons {deadline.reasons.tolist()} != {expected}")
+        live = [member for member, reason in enumerate(expected) if reason is None]
+        if deadline.live.tolist() != live:
+            problems.append(f"{where}: live {deadline.live.tolist()} != {live}")
+        hits = len(budgets) - len(live)
+        if stats.deadline_hits != hits:
+            problems.append(f"{where}: deadline_hits {stats.deadline_hits} != {hits}")
+        if raised != (not live):
+            problems.append(f"{where}: check() raised={raised} with {len(live)} live")
+        if problems:  # the first step that diverges; later ones follow from it
+            break
     return problems
 
 
@@ -695,19 +702,27 @@ def _check_spans() -> List[str]:
 
 @invariant(
     "stats-accounting",
-    layer="serving",
+    layer="serving/train",
     falsifies="ServiceStats latency summaries reporting values that were "
-    "never observed, and cache counters failing to sum to lookups",
+    "never observed, and latency_percentiles disagreeing with nearest-rank "
+    "selection, especially at n=1,2",
     mutants=[
         edit(
             "latencies-kept-rounded", "repro.serving.stats:ServiceStats.record_batch",
             "self._latencies.extend([latency_s]", "self._latencies.extend([round(latency_s, 1)]",
             "p50",
         ),
+        edit(  # a floor rank instead of nearest rank
+            "latency-percentile-by-floor-rank", "repro.train.metrics:latency_percentiles",
+            "ordered[nearest_rank_index(percentile, ordered.size)]",
+            "ordered[min(ordered.size - 1, int(percentile / 100.0 * ordered.size))]",
+            "latency_percentiles",
+        ),
     ],
 )
 def _check_stats_accounting() -> List[str]:
     from ..serving.stats import ServiceStats
+    from ..train.metrics import latency_percentiles
 
     problems: List[str] = []
     stats = ServiceStats()
@@ -720,29 +735,6 @@ def _check_stats_accounting() -> List[str]:
             problems.append(f"{key}={value} is not an observed latency")
     if summary["p50"] != 0.03:
         problems.append(f"p50 of 5 samples should be the 3rd ({summary['p50']!r})")
-    return problems
-
-
-@invariant(
-    "percentile-selection",
-    layer="train/obs",
-    falsifies="the two quantile call sites (latency_percentiles, "
-    "Histogram.percentile) disagreeing with nearest-rank selection or each "
-    "other, especially at n=1,2",
-    mutants=[
-        edit(  # a floor rank instead of nearest rank, in one of the two call sites
-            "histogram-percentile-by-floor-rank", "repro.obs.registry:Histogram.percentile",
-            "sample[nearest_rank_index(q, len(sample))]",
-            "sample[min(len(sample) - 1, int(q / 100.0 * len(sample)))]",
-            "Histogram.p50",
-        ),
-    ],
-)
-def _check_percentiles() -> List[str]:
-    from ..obs.registry import Histogram
-    from ..train.metrics import latency_percentiles
-
-    problems: List[str] = []
     cases = {
         1: ([0.25], {"p50": 0.25, "p95": 0.25, "p99": 0.25}),
         2: ([9.0, 1.0], {"p50": 1.0, "p95": 9.0, "p99": 9.0}),
@@ -752,16 +744,9 @@ def _check_percentiles() -> List[str]:
         summary = latency_percentiles(samples)
         if summary != expected:
             problems.append(f"n={count}: latency_percentiles {summary} != {expected}")
-        hist = Histogram("audit_hist", "audit", buckets=(1e9,))
-        for value in samples:
-            hist.observe(value)
-        for key, want in expected.items():
-            got = hist.percentile(float(key[1:]))
-            if got != want:
-                problems.append(f"n={count}: Histogram.{key} {got} != {want}")
     ordered = sorted(np.random.default_rng(19).uniform(size=100))
     if latency_percentiles(ordered)["p99"] != ordered[98]:
-        problems.append("p99 of 100 samples is not the 99th order statistic")
+        problems.append("latency_percentiles: p99 of 100 samples is not the 99th order statistic")
     return problems
 
 

@@ -62,8 +62,11 @@ class SubgraphCache:
     :class:`repro.obs.registry.MetricsRegistry` reads them, whenever it
     is scraped, as ``subgraph_cache_{hits,misses,evictions}_total``.
 
-    Thread-safe: the serving layer scores from worker threads while
-    ``drain`` runs on the control thread.
+    Thread-safe, though no module in :mod:`repro` starts a thread: a
+    caller may share one cache across its own threads (the harness's
+    churn test drives one from eight), and the finalizer that purges a
+    dead graph's entries runs on whichever thread's allocation
+    triggers the collection.
     """
 
     def __init__(self, capacity: int = 256) -> None:

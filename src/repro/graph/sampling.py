@@ -306,9 +306,10 @@ class _Sampler:
         """The sampled neighbourhood of the targets as a subgraph.
 
         ``deadline`` is an optional duck-typed budget (anything with a
-        ``check(stage)`` method, e.g. :class:`repro.serving.Deadline`);
-        it is checked once per step per walk, so an online request
-        overruns its budget by at most one sampling step.
+        ``check(stage)`` method, e.g. a micro-batch's
+        :class:`repro.serving.Deadline`); it is checked once per step
+        per walk, so an online request overruns its budget by at most
+        one sampling step.
 
         ``disjoint=True`` returns instead the block-diagonal union of
         one singleton sample per target (repeats included) — array for

@@ -331,8 +331,9 @@ class XFraudDetector(nn.Module):
         subclasses: SAGE for detector+, HGSampling for Figure 10's
         subject), then score the sample — the production path.
 
-        ``deadline`` is an optional duck-typed latency budget
-        (:class:`repro.serving.Deadline`) propagated into the sampler.
+        ``deadline`` is an optional duck-typed latency budget (anything
+        with ``check(stage)``, like a micro-batch's
+        :class:`repro.serving.Deadline`) propagated into the sampler.
         An entity target is refused with ValueError naming it as passed.
         """
         graph.txn_rows(targets)  # on the parent graph: a sample would name its own index

@@ -5,9 +5,10 @@ trade-offs, KV read latencies, convergence timing); this package is the
 instrumentation layer those measurements flow through:
 
 * :class:`MetricsRegistry` — labelled Counter / Gauge / Histogram
-  primitives with Prometheus text exposition; histograms pair fixed
-  bucket boundaries with a bounded :class:`Reservoir` so memory stays
-  O(1) under sustained traffic;
+  primitives with Prometheus text exposition; a histogram is its fixed
+  buckets, sum and count — what it exports — so memory stays O(1)
+  under sustained traffic (:class:`Reservoir` is the bounded sample
+  behind the scoring service's latency percentiles);
 * :class:`Tracer` / :class:`Span` — nested, thread-safe span context
   managers on an injectable clock (``ManualClock`` chaos runs stay
   deterministic), exported as JSONL or Chrome ``chrome://tracing``

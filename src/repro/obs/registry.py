@@ -8,13 +8,16 @@ Prometheus-style primitives:
 
 * :class:`Counter` — monotonically increasing totals;
 * :class:`Gauge` — a value that can go up and down;
-* :class:`Histogram` — fixed cumulative bucket boundaries **plus** a
-  bounded :class:`Reservoir` sample, so percentile queries stay
-  possible while memory stays O(1) under sustained traffic.
+* :class:`Histogram` — fixed cumulative bucket boundaries, a sum and
+  a count per label set: exactly what the exposition prints, so memory
+  stays O(1) under sustained traffic.
+
+:class:`Reservoir` is the bounded sample a component keeps when it
+needs percentiles of its own (the scoring service's latency summary).
 
 All primitives support labels (``counter.inc(store="mmap")``) and are
-thread-safe: one lock per metric guards every mutation, so concurrent
-workers (the multi-handle KV loaders, request threads) lose no counts.
+thread-safe: one lock per metric guards every mutation, so callers
+that share a registry across threads lose no counts.
 :meth:`MetricsRegistry.render` emits the Prometheus text exposition
 format, which is what ``repro serve --metrics`` prints at exit.
 
@@ -39,8 +42,6 @@ import re
 import threading
 from bisect import bisect_left
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
-
-from ..util import nearest_rank_index
 
 __all__ = [
     "Counter",
@@ -89,7 +90,7 @@ class Reservoir:
     determinism the rest of this reproduction demands).
 
     Not internally locked: callers that share one across threads wrap
-    it in their own lock (:class:`Histogram` does).
+    it in their own lock.
     """
 
     def __init__(self, capacity: int = 1024, seed: int = 0) -> None:
@@ -129,14 +130,6 @@ class Reservoir:
 
     def __len__(self) -> int:
         return len(self._items)
-
-    def __iter__(self):
-        """Iterate the retained sample in place (no copy)."""
-        return iter(self._items)
-
-    def clear(self) -> None:
-        self._items.clear()
-        self._seen = 0
 
 
 def _label_key(
@@ -276,29 +269,25 @@ class Gauge(_Metric):
 
 
 class _HistogramState:
-    """Per-label-set histogram accumulators: buckets + sum + reservoir.
+    """Per-label-set histogram accumulators: buckets + sum + count.
 
     ``bucket_counts[i]`` holds the observations whose *first* boundary
     is ``buckets[i]`` (the last slot those above every boundary);
     :meth:`Histogram.render` cumulates them into the ``le`` series.
     """
 
-    __slots__ = ("bucket_counts", "count", "sum", "reservoir")
+    __slots__ = ("bucket_counts", "count", "sum")
 
-    def __init__(self, num_buckets: int, reservoir_size: int, seed: int) -> None:
+    def __init__(self, num_buckets: int) -> None:
         self.bucket_counts = [0] * (num_buckets + 1)
         self.count = 0
         self.sum = 0.0
-        self.reservoir = Reservoir(reservoir_size, seed=seed)
 
 
 class Histogram(_Metric):
-    """Fixed-boundary cumulative histogram with a bounded reservoir.
-
-    The buckets give the Prometheus exposition (``_bucket{le=...}``
-    series); the reservoir gives :meth:`percentile` without unbounded
-    storage. Both update on every :meth:`observe` under the metric
-    lock.
+    """Fixed-boundary cumulative histogram: per label set, the bucket
+    counts behind the ``_bucket{le=...}`` series, the ``_sum`` and the
+    ``_count``, updated on every :meth:`observe` under the metric lock.
     """
 
     kind = "histogram"
@@ -309,8 +298,6 @@ class Histogram(_Metric):
         help: str = "",
         labels: Sequence[str] = (),
         buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS,
-        reservoir_size: int = 1024,
-        seed: int = 0,
     ) -> None:
         super().__init__(name, help, labels)
         boundaries = tuple(sorted(float(b) for b in buckets))
@@ -319,14 +306,12 @@ class Histogram(_Metric):
         if len(set(boundaries)) != len(boundaries):
             raise ValueError("bucket boundaries must be distinct")
         self.buckets = boundaries
-        self.reservoir_size = reservoir_size
-        self._seed = seed
         self._states: Dict[Tuple[str, ...], _HistogramState] = {}
 
     def _state(self, key: Tuple[str, ...]) -> _HistogramState:
         state = self._states.get(key)
         if state is None:
-            state = _HistogramState(len(self.buckets), self.reservoir_size, self._seed)
+            state = _HistogramState(len(self.buckets))
             self._states[key] = state
         return state
 
@@ -340,7 +325,6 @@ class Histogram(_Metric):
         with self._lock:
             state = self._state(key)
             state.count += len(values)
-            state.reservoir.extend(values)
             for value in values:  # in turn: the float sum a loop of observe() makes
                 state.sum += value
                 # First boundary >= value; a NaN is below no boundary.
@@ -359,21 +343,6 @@ class Histogram(_Metric):
         with self._lock:
             state = self._states.get(key)
             return state.sum if state else 0.0
-
-    def percentile(self, q: float, **labels: str) -> float:
-        """Reservoir-estimated percentile (``q`` in [0, 100]); NaN when empty."""
-        if not 0.0 <= q <= 100.0:
-            raise ValueError("q must be within [0, 100]")
-        key = self._key(labels)
-        with self._lock:
-            state = self._states.get(key)
-            sample = sorted(state.reservoir.values()) if state else []
-        if not sample:
-            return float("nan")
-        # Nearest-rank on the retained sample — the same selection rule
-        # as repro.train.metrics.latency_percentiles, so a p99 from the
-        # registry and one from the benchmark tables agree.
-        return sample[nearest_rank_index(q, len(sample))]
 
     def render(self) -> str:
         lines = self._header()
@@ -456,19 +425,9 @@ class MetricsRegistry:
         help: str = "",
         labels: Sequence[str] = (),
         buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS,
-        reservoir_size: int = 1024,
-        seed: int = 0,
     ) -> Histogram:
         return self._get_or_create(
-            Histogram,
-            name,
-            {
-                "help": help,
-                "labels": labels,
-                "buckets": buckets,
-                "reservoir_size": reservoir_size,
-                "seed": seed,
-            },
+            Histogram, name, {"help": help, "labels": labels, "buckets": buckets}
         )
 
     def collect(self, source: Callable[[], Iterable[Sample]]) -> None:

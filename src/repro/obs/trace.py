@@ -32,6 +32,9 @@ from typing import Any, Callable, Dict, List, Optional
 
 __all__ = ["Span", "Tracer", "NULL_TRACER", "timed"]
 
+#: Finished spans a :class:`Tracer` retains before dropping the oldest.
+MAX_SPANS = 100_000
+
 
 class Span:
     """One timed operation; use as a context manager via :meth:`Tracer.span`.
@@ -151,23 +154,17 @@ class Tracer:
     enabled:
         When false every :meth:`span` call returns the shared no-op
         span — the disabled fast path adds no measurable overhead.
-    max_spans:
-        Bound on retained finished spans; beyond it the oldest are
-        dropped and :attr:`dropped` counts them, keeping a long-running
-        service O(1) like the metric reservoirs.
+
+    At most :data:`MAX_SPANS` finished spans are retained; beyond it the
+    oldest are dropped and :attr:`dropped` counts them, keeping a
+    long-running service O(1).
     """
 
     def __init__(
-        self,
-        clock: Callable[[], float] = time.perf_counter,
-        enabled: bool = True,
-        max_spans: int = 100_000,
+        self, clock: Callable[[], float] = time.perf_counter, enabled: bool = True
     ) -> None:
-        if max_spans < 1:
-            raise ValueError("max_spans must be >= 1")
         self.clock = clock
         self.enabled = enabled
-        self.max_spans = max_spans
         self.dropped = 0
         self._finished: List[Span] = []
         self._next_id = 1
@@ -215,14 +212,14 @@ class Tracer:
                 break
         with self._lock:
             self._finished.append(span)
-            if len(self._finished) > self.max_spans:
-                overflow = len(self._finished) - self.max_spans
+            if len(self._finished) > MAX_SPANS:
+                overflow = len(self._finished) - MAX_SPANS
                 del self._finished[:overflow]
                 self.dropped += overflow
 
     # -- inspection -----------------------------------------------------
     def spans(self) -> List[Span]:
-        """Finished spans, oldest first (bounded by ``max_spans``)."""
+        """Finished spans, oldest first (at most :data:`MAX_SPANS`)."""
         with self._lock:
             return list(self._finished)
 

@@ -28,8 +28,9 @@ class ManualClock:
     accepted (deadlines, token buckets, replica health): calling the
     instance returns the current simulated time, :meth:`advance` moves
     it forward. Sharing one clock between a scripted-latency store and
-    a :class:`~repro.serving.deadline.Deadline` lets a test burn a
-    request's budget one simulated read at a time.
+    a scoring service lets a test burn a request's budget (in its
+    micro-batch's :class:`~repro.serving.deadline.Deadline`) one
+    simulated read at a time.
     """
 
     def __init__(self, start: float = 0.0) -> None:

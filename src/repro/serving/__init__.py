@@ -5,8 +5,9 @@ while the transaction is in flight, under heavy traffic, over a
 KV-store that sometimes fails (Sec. 3.3, Appendix H.5). This package
 supplies that online path:
 
-* :class:`Deadline` — per-request monotonic-clock latency budgets,
-  propagated through sampling and feature fetch;
+* :class:`Deadline` — a micro-batch's per-request budgets from one
+  monotonic-clock start, propagated through sampling and feature
+  fetch;
 * :class:`TokenBucket` / :class:`AdmissionQueue` — admission control
   that sheds overload with a verdict instead of blocking;
 * :class:`ScoringService` — the three-rung degradation ladder

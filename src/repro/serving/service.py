@@ -8,9 +8,10 @@ scorer needs to survive heavy traffic and partial outages:
   rate limiter plus a bounded queue; overload requests are *shed with a
   verdict* (the static prior), never blocked or errored.
 * **Deadline budgets** — every admitted request carries a budget on
-  a monotonic clock, checked for its whole micro-batch at once through
-  neighbour sampling and KV feature fetch; the budget can be overrun
-  by at most one pipeline stage.
+  a monotonic clock; a micro-batch's budgets are one
+  :class:`~repro.serving.deadline.Deadline`, checked for the whole
+  batch at once through neighbour sampling and KV feature fetch, so a
+  budget can be overrun by at most one pipeline stage.
 * **One read path** — feature rows are read with one ``get_many`` per
   ``FETCH_CHUNK`` keys from whatever store is given; a read that fails
   demotes the batch as ``kv_unavailable``. Gating, failover and probing
@@ -32,7 +33,6 @@ keeping every degradation scenario deterministic and replayable.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple, Union
@@ -121,52 +121,6 @@ class ScoreResponse:
     shed_reason: Optional[str] = None
     degraded_reason: Optional[str] = None
     deadline_remaining_s: Optional[float] = None
-
-
-class _DeadlineGroup:
-    """Duck-typed deadline over every request in one micro-batch.
-
-    Samplers and the KV fetch path accept any object with ``check``;
-    this one holds the batch's one start instant and its members'
-    budgets as an array. A stage check demotes, by mask, every live
-    member whose budget is spent — each records the same
-    ``deadline:<stage>`` reason it would have received scored alone and
-    drops out of the batch — while the survivors keep going. Only when
-    no member is left live does ``check`` raise, aborting the shared
-    work: expiry is per member, the exception is per batch.
-
-    A check first asks whether any member *can* have expired: none has
-    while less time has passed since the start than the tightest
-    budget, and then no mask is computed.
-    """
-
-    def __init__(
-        self, started: float, budgets: np.ndarray, stats: ServiceStats, clock: Callable[[], float]
-    ) -> None:
-        self.started = started
-        self.budgets = budgets
-        self.live = np.arange(len(budgets))  # the members still on the GNN rung
-        self.reasons = np.full(len(budgets), None, dtype=object)
-        self._stats = stats
-        self._clock = clock
-        # No member: -inf, so every check demotes (and raises).
-        self._tightest = min(budgets.tolist(), default=-math.inf)
-
-    def check(self, stage: str) -> None:
-        elapsed = self._clock() - self.started
-        if elapsed < self._tightest:
-            return  # every member's elapsed time is under its budget
-        spent = self.live[self.budgets[self.live] <= elapsed]
-        self._stats.deadline_hits += self.demote(spent, f"deadline:{stage}")
-        if not len(self.live):
-            raise DeadlineExceeded(stage, max(self.budgets.tolist(), default=0.0), elapsed)
-
-    def demote(self, members: np.ndarray, reason: str) -> int:
-        """Take ``members`` (live ones) off the GNN rung with ``reason``;
-        returns how many."""
-        self.reasons[members] = reason
-        self.live = self.live[~np.isin(self.live, members)]
-        return len(members)
 
 
 def linked_label_scores(graph: HeteroGraph, nodes: Sequence[int]) -> np.ndarray:
@@ -448,17 +402,18 @@ class ScoringService:
         composition; looked up in the cache per target, the misses
         walked together), the KV fetch of its rows, one forward per
         degradation rung used. Per-request deadline semantics ride on
-        :class:`_DeadlineGroup`; a failed KV read demotes every member
-        still on the GNN rung. Unlike a loop of per-member
-        samples, every member live at the sampling stage is looked up
-        before the walk starts: one whose budget ends during the walk
-        has been counted by the cache, and the survivors' components are
-        gathered out of the sample before any row is fetched (the loop
-        never looked it up). The batch's start and end are one clock
-        read each: every member shares its latency, and its
-        ``deadline_remaining_s`` is its budget less that latency.
+        the batch's :class:`~repro.serving.deadline.Deadline`; a failed
+        KV read demotes every member still on the GNN rung. Unlike a
+        loop of per-member samples, every member live at the sampling
+        stage is looked up before the walk starts: one whose budget ends
+        during the walk has been counted by the cache, and the
+        survivors' components are gathered out of the sample before any
+        row is fetched (the loop never looked it up). The batch's start
+        and end are one clock read each: every member shares its
+        latency, and its ``deadline_remaining_s`` is its budget less
+        that latency.
         """
-        group = _DeadlineGroup(self._clock(), budgets, self.stats, self._clock)
+        group = Deadline(self._clock(), budgets, self.stats, self._clock)
         scores = np.empty(len(nodes))
         with self.tracer.span("batch", size=len(nodes)) as batch_span:
             try:
@@ -471,16 +426,14 @@ class ScoringService:
             if batch_span:
                 batch_span.set("gnn_scored", len(group.live))
         latency = self._clock() - group.started
-        reasons, labels = group.reasons.tolist(), self.graph.labels[nodes].tolist()
-        nodes, scores = nodes.tolist(), scores.tolist()
+        reasons, nodes, scores = group.reasons.tolist(), nodes.tolist(), scores.tolist()
         if self.tracer.enabled:
             for node, rung, reason in zip(nodes, rungs, reasons):
                 with self.tracer.span("request", node=node) as span:
                     span.set("rung", rung)
                     if reason:
                         span.set("degraded_reason", reason)
-        outcomes = [(label, score) for label, score in zip(labels, scores) if label >= 0]
-        self.stats.record_batch(rungs, latency, reasons, outcomes)
+        self.stats.record_batch(rungs, latency, reasons)
         return [
             ScoreResponse(node, score, self._verdict(score), rung, True, latency, None, reason, left)
             for node, score, rung, reason, left in zip(
@@ -488,7 +441,7 @@ class ScoringService:
             )
         ]
 
-    def _gnn_score_batch(self, nodes: np.ndarray, group: _DeadlineGroup, scores: np.ndarray) -> None:
+    def _gnn_score_batch(self, nodes: np.ndarray, group: Deadline, scores: np.ndarray) -> None:
         """Rung 0 for a whole micro-batch: writes ``scores`` of every
         member that survives sampling, fetch, and forward — those
         ``group.live`` still holds."""

@@ -8,11 +8,12 @@ store's own health (which replica is dead, and its path there) is the
 store's to report: see
 :meth:`~repro.storage.replicated.ReplicatedKVStore.describe`.
 
-Memory is bounded: latency samples and (label, score) outcome pairs
-live in :class:`~repro.obs.registry.Reservoir` samples, so a service
-that runs for months holds O(1) state while percentiles and online AUC
-stay statistically faithful. The attributes here are the only copy of
-every tally: a :class:`~repro.obs.registry.MetricsRegistry`, when
+Memory is bounded: latency samples live in a
+:class:`~repro.obs.registry.Reservoir`, so a long-running service holds
+O(1) state. No AUC is kept here — a transaction is scored before its
+label exists; the online AUC is the stream's prequential
+:class:`~repro.stream.feedback.OnlineAUC`. The attributes here are the
+only copy of every tally: a :class:`~repro.obs.registry.MetricsRegistry`, when
 attached, reads them at scrape time (``service_admitted_total``,
 shed/degraded counters per reason) for Prometheus-text exposition
 alongside the human-readable :meth:`describe` block. Only the latency
@@ -23,26 +24,21 @@ rung — a distribution has no attribute to read.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ..obs.registry import MetricsRegistry, Reservoir
-from ..train.metrics import latency_percentiles, roc_auc
+from ..train.metrics import latency_percentiles
 
-#: Reservoir capacity for latency / outcome samples. Large enough that
-#: p99 over the retained sample tracks the stream, small enough that a
-#: long-running service never grows.
-DEFAULT_RESERVOIR_SIZE = 4096
+#: Capacity of the latency sample. Large enough that p99 over the
+#: retained sample tracks the stream, small enough that a long-running
+#: service never grows.
+RESERVOIR_SIZE = 4096
 
 
 class ServiceStats:
     """Mutable counter block for one :class:`~repro.serving.service.ScoringService`."""
 
-    def __init__(
-        self,
-        registry: Optional[MetricsRegistry] = None,
-        reservoir_size: int = DEFAULT_RESERVOIR_SIZE,
-        seed: int = 0,
-    ) -> None:
+    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
         self.received = 0
         self.admitted = 0
         self.completed = 0
@@ -51,8 +47,7 @@ class ServiceStats:
         self.degraded_reasons: Counter = Counter()
         self.deadline_hits = 0
         self.kv_failures = 0
-        self._latencies = Reservoir(reservoir_size, seed=seed)
-        self._outcomes = Reservoir(reservoir_size, seed=seed)  # (label, score)
+        self._latencies = Reservoir(RESERVOIR_SIZE)
         self.registry = registry
         self._latency_hist = None
         if registry is not None:
@@ -90,27 +85,20 @@ class ServiceStats:
         rungs: Sequence[str],
         latency_s: float,
         degraded_reasons: Sequence[Optional[str]],
-        outcomes: Iterable[Tuple[int, float]] = (),
     ) -> None:
         """One micro-batch answered: a response per rung in ``rungs``,
         each ``latency_s`` after the batch started and degraded for its
-        reason (``None``: not degraded), plus the ``(label, score)``
-        pairs of its labelled members — what a :meth:`record_response`
-        per member and a :meth:`record_outcome` per pair record."""
+        reason (``None``: not degraded) — what a :meth:`record_response`
+        per member records."""
         latency_s = float(latency_s)
         self.completed += len(rungs)
         self.rungs.update(rungs)
         self._latencies.extend([latency_s] * len(rungs))
         if any(degraded_reasons):
             self.degraded_reasons.update(filter(None, degraded_reasons))
-        self._outcomes.extend(outcomes)
         if self._latency_hist is not None:
             for rung in dict.fromkeys(rungs):
                 self._latency_hist.observe_many([latency_s] * rungs.count(rung), rung=rung)
-
-    def record_outcome(self, label: int, score: float) -> None:
-        """Optionally track (truth, score) pairs for online AUC."""
-        self._outcomes.add((int(label), float(score)))
 
     # -- reporting ------------------------------------------------------
     @property
@@ -125,19 +113,6 @@ class ServiceStats:
     def latency_summary(self) -> Dict[str, float]:
         return latency_percentiles(self._latencies.values())
 
-    def auc(self) -> float:
-        """Online AUC over recorded outcomes.
-
-        NaN — not an exception — when the window is empty or
-        single-class (a shed-heavy or all-benign degraded window).
-        """
-        outcomes = self._outcomes.values()
-        if not outcomes:
-            return float("nan")
-        labels = [label for label, _ in outcomes]
-        scores = [score for _, score in outcomes]
-        return roc_auc(labels, scores, default=float("nan"))
-
     def snapshot(self) -> Dict[str, object]:
         latency = self.latency_summary()
         return {
@@ -150,7 +125,6 @@ class ServiceStats:
             "deadline_hits": self.deadline_hits,
             "kv_failures": self.kv_failures,
             "latency_s": latency,
-            "auc": self.auc(),
         }
 
     def describe(self) -> str:

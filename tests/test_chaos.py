@@ -310,11 +310,11 @@ class TestDeadlineMidSampling:
 
     def test_sampler_deadline_is_checked_per_hop(self, tiny_graph):
         from repro.graph.sampling import SageSampler
-        from repro.serving import Deadline, DeadlineExceeded
+        from repro.serving import Deadline, DeadlineExceeded, ServiceStats
 
         clock = ManualClock()
         sampler = SageSampler(hops=3, fanout=4, seed=0)
-        deadline = Deadline(0.01, clock=clock)
+        deadline = Deadline(clock(), np.array([0.01]), ServiceStats(), clock)
         clock.advance(0.02)  # already expired before the first hop
         node = int(np.flatnonzero(tiny_graph.labels >= 0)[0])
         with pytest.raises(DeadlineExceeded) as excinfo:

@@ -340,6 +340,18 @@ def test_mutant_is_killed_by_its_check(mutant):
     assert texts and all(part in text for text in texts for part in mutant.carries), texts
 
 
+def test_only_the_deadline_audit_sees_a_budget_spent_exactly():
+    """The differential runs the one batch deadline on both of its
+    sides, so an expiry at ``budget < elapsed`` instead of ``<=`` is the
+    same on each: the audit's exact-boundary clock is what kills it."""
+    mutant = MUTANTS["a-budget-spent-exactly-stays-live"]
+    assert mutant.check == "deadline-monotonicity"
+    where, _, texts = kill(mutant)
+    assert where == "deadline-monotonicity" and any("at 0.5s" in text for text in texts)
+    scenario = "single-vs-batched-scoring"
+    assert kill(dataclasses.replace(mutant, check=scenario, alone=True))[0] is None
+
+
 @pytest.mark.parametrize(
     "name, check, part",
     [
@@ -497,7 +509,7 @@ class TestCheckCli:
     def test_audit_only_exits_zero(self, capsys):
         assert main(["check"]) == 0
         out = capsys.readouterr().out
-        assert "audits: 8/8 passed" in out
+        assert "audits: 7/7 passed" in out
 
     def test_fuzz_smoke_exits_zero(self, capsys):
         assert main(["check", "--skip-audit", "--fuzz", "4", "--seed", "0"]) == 0

@@ -2,7 +2,6 @@
 and the bounded ServiceStats riding on top of them."""
 
 import json
-import math
 import re
 import sys
 import threading
@@ -88,14 +87,6 @@ class TestRegistry:
         assert 'lat_seconds_bucket{le="1.0"} 2' in text
         assert 'lat_seconds_bucket{le="+Inf"} 3' in text
         assert "lat_seconds_count 3" in text
-
-    def test_histogram_percentile_from_reservoir(self):
-        registry = MetricsRegistry()
-        hist = registry.histogram("t_seconds", "T.")
-        for value in range(1, 101):
-            hist.observe(value / 100.0)
-        p50 = hist.percentile(50)
-        assert 0.4 <= p50 <= 0.6
 
     def test_render_is_prometheus_text(self):
         registry = MetricsRegistry()
@@ -370,7 +361,7 @@ class TestReservoir:
         rng = np.random.default_rng(0)
         bulk, loop = MetricsRegistry(), MetricsRegistry()
         histograms = [
-            registry.histogram("h_seconds", "h", labels=("rung",), reservoir_size=8)
+            registry.histogram("h_seconds", "h", labels=("rung",))
             for registry in (bulk, loop)
         ]
         for step in range(30):
@@ -382,8 +373,6 @@ class TestReservoir:
             for value in values:
                 histograms[1].observe(value, rung=rung)
         assert bulk.render() == loop.render()
-        for rung in ("gnn", "linked"):
-            assert histograms[0].percentile(50, rung=rung) == histograms[1].percentile(50, rung=rung)
 
     def test_holds_arbitrary_items(self):
         reservoir = Reservoir(4, seed=0)
@@ -424,8 +413,9 @@ class TestTracer:
         # Same shared object every time — no allocation on the hot path.
         assert NULL_TRACER.span("other") is span
 
-    def test_bounded_span_buffer(self):
-        tracer = Tracer(max_spans=10)
+    def test_bounded_span_buffer(self, monkeypatch):
+        monkeypatch.setattr("repro.obs.trace.MAX_SPANS", 10)
+        tracer = Tracer()
         for i in range(25):
             with tracer.span(f"s{i}"):
                 pass
@@ -593,8 +583,6 @@ class TestServiceStats:
         stats = ServiceStats()
         stats.record_admitted()
         stats.record_response("gnn", 0.012)
-        stats.record_outcome(1, 0.9)
-        stats.record_outcome(0, 0.1)
         snapshot = stats.snapshot()
         assert set(snapshot) == {
             "received",
@@ -606,21 +594,19 @@ class TestServiceStats:
             "deadline_hits",
             "kv_failures",
             "latency_s",
-            "auc",
         }
         assert snapshot["rungs"] == {"gnn": 1}
-        assert not math.isnan(snapshot["auc"])
 
     def test_latencies_bounded(self):
-        stats = ServiceStats(reservoir_size=32)
+        from repro.serving.stats import RESERVOIR_SIZE
+
+        stats = ServiceStats()
         for i in range(5000):
             stats.record_response("gnn", i / 5000.0)
-            stats.record_outcome(i % 2, i / 5000.0)
-        assert len(stats.latencies_s) == 32
+        assert len(stats.latencies_s) == RESERVOIR_SIZE < 5000
         assert stats.completed == 5000
         summary = stats.latency_summary()
         assert set(summary) == {"p50", "p95", "p99"}
-        assert 0.0 <= stats.auc() <= 1.0
 
     def test_registry_mirroring(self):
         registry = MetricsRegistry()

@@ -31,19 +31,9 @@ from repro.storage import GraphStore, InMemoryKVStore, ReplicatedConfig, Replica
 
 
 class TestDeadline:
-    def test_remaining_counts_down_on_injected_clock(self):
-        clock = ManualClock()
-        deadline = Deadline(0.1, clock=clock)
-        assert deadline.remaining() == pytest.approx(0.1)
-        clock.advance(0.04)
-        assert deadline.remaining() == pytest.approx(0.06)
-        assert not deadline.expired()
-        clock.advance(0.07)
-        assert deadline.expired()
-
     def test_check_raises_typed_error_with_stage(self):
         clock = ManualClock()
-        deadline = Deadline(0.01, clock=clock)
+        deadline = Deadline(clock(), np.array([0.01]), ServiceStats(), clock)
         deadline.check("sampling hop 0")  # within budget: no raise
         clock.advance(0.02)
         with pytest.raises(DeadlineExceeded) as excinfo:
@@ -52,22 +42,25 @@ class TestDeadline:
         assert excinfo.value.elapsed_s == pytest.approx(0.02)
 
     def test_never_expires(self):
-        clock = ManualClock()
-        deadline = Deadline.never(clock=clock)
+        clock, stats = ManualClock(), ServiceStats()
+        deadline = Deadline(clock(), np.array([math.inf]), stats, clock)
         clock.advance(1e9)
         deadline.check("anything")
-        assert not deadline.expired()
+        assert deadline.live.tolist() == [0] and stats.deadline_hits == 0
 
     def test_rejects_nonpositive_budget(self):
-        with pytest.raises(ValueError):
-            Deadline(0.0)
+        """A deadline's budgets come from ``ServiceConfig.deadline_s``
+        or a ``ScoreRequest``, and each refuses one that is not
+        positive (the request's refusal is tested with admission)."""
+        with pytest.raises(ValueError, match="deadline_s must be positive"):
+            ServiceConfig(deadline_s=0.0)
 
     @pytest.mark.parametrize("budget", [float("nan"), -math.inf, -1.0])
     def test_rejects_a_budget_that_never_expires_or_is_spent(self, budget):
-        """``Deadline(nan)`` used to be accepted and never expire: every
-        comparison with NaN is false, so ``check`` passed forever."""
-        with pytest.raises(ValueError):
-            Deadline(budget)
+        """A NaN budget would never expire: every comparison with NaN is
+        false, so no check would demote its member."""
+        with pytest.raises(ValueError, match="deadline_s must be positive"):
+            ServiceConfig(deadline_s=budget)
 
 
 class TestDeadlineGroup:
@@ -82,10 +75,8 @@ class TestDeadlineGroup:
     INSTANTS = (0.0, 0.125, 0.249, 0.25, 0.374, 0.375, 0.5, 0.75, 1.0, 1.25)
 
     def _group(self, walk_always=False):
-        from repro.serving.service import _DeadlineGroup
-
         clock, stats = ManualClock(), ServiceStats()
-        group = _DeadlineGroup(0.0, np.array(self.BUDGETS), stats, clock)
+        group = Deadline(0.0, np.array(self.BUDGETS), stats, clock)
         if walk_always:
             group._tightest = -math.inf
         return clock, group, stats
@@ -117,14 +108,25 @@ class TestDeadlineGroup:
             "stage@1.25",
         )
 
-    def test_the_walk_is_skipped_while_no_member_can_have_expired(self, monkeypatch):
-        from repro.serving.service import _DeadlineGroup
+    def test_a_budget_equal_to_the_elapsed_time_is_spent(self):
+        """On a clock stepping 0.25 s, each member is demoted at the
+        check that reads its budget exactly, not a step later."""
+        clock, stats = ManualClock(), ServiceStats()
+        deadline = Deadline(clock(), np.array([0.25, 0.5, 1.0]), stats, clock)
+        seen = []
+        for step in range(3):
+            clock.advance(0.25)
+            deadline.check(f"step {step}")
+            seen.append((clock(), deadline.live.tolist(), stats.deadline_hits))
+        assert seen == [(0.25, [1, 2], 1), (0.5, [2], 2), (0.75, [2], 2)]
+        assert deadline.reasons.tolist() == ["deadline:step 0", "deadline:step 1", None]
 
+    def test_the_walk_is_skipped_while_no_member_can_have_expired(self, monkeypatch):
         clock, group, _ = self._group()
         masks = []
-        demote = _DeadlineGroup.demote
+        demote = Deadline.demote
         monkeypatch.setattr(
-            _DeadlineGroup,
+            Deadline,
             "demote",
             lambda self, members, reason: masks.append(members.tolist()) or demote(self, members, reason),
         )
@@ -137,10 +139,8 @@ class TestDeadlineGroup:
         assert masks == [[1]]  # may have expired: every live member is asked
 
     def test_a_group_of_none_raises(self):
-        from repro.serving.service import _DeadlineGroup
-
         with pytest.raises(DeadlineExceeded):
-            _DeadlineGroup(0.0, np.zeros(0), ServiceStats(), ManualClock()).check("admission")
+            Deadline(0.0, np.zeros(0), ServiceStats(), ManualClock()).check("admission")
 
 
 class TestAdmission:
@@ -214,39 +214,26 @@ class TestServiceStats:
 
     def test_record_batch_is_a_record_per_member(self):
         """One ``record_batch`` per micro-batch tallies, samples and
-        exports what a ``record_response`` per member and a
-        ``record_outcome`` per labelled one did, past the reservoirs'
-        capacity."""
+        exports what a ``record_response`` per member did, past the
+        latency reservoir's capacity."""
         from repro.obs import MetricsRegistry
+        from repro.serving.stats import RESERVOIR_SIZE
 
         rng = np.random.default_rng(0)
-        bulk, loop = ServiceStats(MetricsRegistry(), reservoir_size=16), ServiceStats(
-            MetricsRegistry(), reservoir_size=16
-        )
+        bulk, loop = ServiceStats(MetricsRegistry()), ServiceStats(MetricsRegistry())
         reasons = (None, None, "kv_unavailable", "deadline:feature fetch")
         for _ in range(12):
-            size = int(rng.integers(1, 9))
+            size = int(rng.integers(400, 800))
             why = [reasons[int(i)] for i in rng.integers(0, len(reasons), size=size)]
             rungs = [RUNG_GNN if reason is None else RUNG_LINKED for reason in why]
             latency = float(rng.uniform(0, 0.02))
-            outcomes = [(int(label), float(score)) for label, score in zip(
-                rng.integers(0, 2, size=size), rng.uniform(size=size)
-            )][: int(rng.integers(0, size + 1))]
-            bulk.record_batch(rungs, latency, why, iter(outcomes))
+            bulk.record_batch(rungs, latency, why)
             for rung, reason in zip(rungs, why):
                 loop.record_response(rung, latency, reason)
-            for label, score in outcomes:
-                loop.record_outcome(label, score)
+        assert bulk.completed > RESERVOIR_SIZE
         assert bulk.snapshot() == loop.snapshot()
         assert bulk.latencies_s == loop.latencies_s
         assert bulk.registry.render() == loop.registry.render()
-
-    def test_auc_is_nan_not_error_on_single_class(self):
-        stats = ServiceStats()
-        stats.record_outcome(0, 0.1)
-        stats.record_outcome(0, 0.2)
-        assert math.isnan(stats.auc())
-        assert math.isnan(ServiceStats().auc())
 
 
 def _linked_loop(graph, node):
@@ -487,15 +474,6 @@ class TestScoringService:
             node = _txn_nodes(tiny_graph, 1)[0]
             assert service.score(node).admitted
         assert store.closed
-
-    def test_labeled_outcomes_feed_online_auc(self, trained_detector, tiny_graph):
-        service = ScoringService(trained_detector, tiny_graph)
-        fraud = [int(n) for n in np.flatnonzero(tiny_graph.labels == 1)[:3]]
-        legit = [int(n) for n in np.flatnonzero(tiny_graph.labels == 0)[:3]]
-        service.score_batch(fraud + legit)
-        auc = service.stats.auc()
-        assert not math.isnan(auc)
-        assert 0.0 <= auc <= 1.0
 
 
 class _BudgetBurningCache(SubgraphCache):
@@ -846,12 +824,10 @@ class TestBatchWalkDeadlines:
     def test_the_sampler_checks_the_group_once_per_hop_per_walk(
         self, trained_detector, tiny_graph, monkeypatch
     ):
-        from repro.serving import service as service_module
-
         stages = []
-        check = service_module._DeadlineGroup.check
+        check = Deadline.check
         monkeypatch.setattr(
-            service_module._DeadlineGroup,
+            Deadline,
             "check",
             lambda self, stage: (stages.append(stage), check(self, stage))[1],
         )
