@@ -543,8 +543,7 @@ def _cmd_train_elastic(args) -> int:
     from .train import SkipBudgetExhaustedError
 
     if args.workers < 1:
-        print("error: --workers must be >= 1", file=sys.stderr)
-        return 2
+        raise _UsageError("--workers must be >= 1")
     if args.chaos and (args.resume or args.stop_after_epoch is not None):
         # The gate compares two whole runs from epoch 0; half of one
         # has no final metrics to compare.
@@ -577,12 +576,10 @@ def _cmd_train_elastic(args) -> int:
 
     # ---- deterministic chaos gate (CI) --------------------------------
     if args.workers != _CHAOS_WORKERS or args.epochs < _CHAOS_MIN_EPOCHS:
-        print(
-            f"error: --chaos is scripted for --workers {_CHAOS_WORKERS} "
-            f"and --epochs >= {_CHAOS_MIN_EPOCHS}",
-            file=sys.stderr,
+        raise _UsageError(
+            f"--chaos is scripted for --workers {_CHAOS_WORKERS} "
+            f"and --epochs >= {_CHAOS_MIN_EPOCHS}"
         )
-        return 2
     print("chaos gate: fault-free baseline ...")
     baseline, _ = _elastic_run(args, bundle)
     plan = FaultPlan(
@@ -719,17 +716,11 @@ def _cmd_serve(args) -> int:
     from .serving import run_demo
 
     if not args.demo:
-        print(
-            "error: only the deterministic demo is implemented; pass --demo",
-            file=sys.stderr,
-        )
-        return 2
+        raise _UsageError("only the deterministic demo is implemented; pass --demo")
     if args.batch_size is not None and args.batch_size < 1:
-        print("error: --batch-size must be >= 1", file=sys.stderr)
-        return 2
+        raise _UsageError("--batch-size must be >= 1")
     if args.replicas < 1:
-        print("error: --replicas must be >= 1", file=sys.stderr)
-        return 2
+        raise _UsageError("--replicas must be >= 1")
     registry = None
     if args.metrics:
         from .obs import MetricsRegistry
@@ -841,11 +832,9 @@ def _cmd_healthcheck(args) -> int:
     from .storage import InMemoryKVStore, ReplicatedConfig, ReplicatedKVStore
 
     if args.replicas < 1 or args.keys < 1:
-        print("error: --replicas and --keys must be >= 1", file=sys.stderr)
-        return 2
+        raise _UsageError("--replicas and --keys must be >= 1")
     if args.kill_replica is not None and not (0 <= args.kill_replica < args.replicas):
-        print("error: --kill-replica out of range", file=sys.stderr)
-        return 2
+        raise _UsageError("--kill-replica out of range")
 
     clock = ManualClock()
     registry = MetricsRegistry()
@@ -930,14 +919,11 @@ def _cmd_stream(args) -> int:
     from .stream import run_stream_demo
 
     if not args.demo:
-        print("error: only --demo mode is implemented", file=sys.stderr)
-        return 2
+        raise _UsageError("only --demo mode is implemented")
     if args.runs < 1:
-        print("error: --runs must be >= 1", file=sys.stderr)
-        return 2
+        raise _UsageError("--runs must be >= 1")
     if not args.label_delay >= 0:
-        print("error: --label-delay must be >= 0", file=sys.stderr)
-        return 2
+        raise _UsageError("--label-delay must be >= 0")
 
     results = []
     registry = MetricsRegistry() if args.metrics else None

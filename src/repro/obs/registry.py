@@ -101,9 +101,6 @@ class Reservoir:
         self._seen = 0
         self._rng = random.Random(seed)
 
-    def add(self, value) -> None:
-        self.extend((value,))
-
     def extend(self, values: Iterable) -> None:
         """Offer each of ``values`` in turn: the free slots fill at once,
         then the ``n``-th value offered takes a uniform draw of ``n``
@@ -119,17 +116,9 @@ class Reservoir:
                 items[slot] = value
         self._seen = seen
 
-    @property
-    def seen(self) -> int:
-        """Total observations offered (not just those retained)."""
-        return self._seen
-
     def values(self) -> List:
         """The retained sample (a copy, at most ``capacity`` long)."""
         return list(self._items)
-
-    def __len__(self) -> int:
-        return len(self._items)
 
 
 def _label_key(

@@ -16,15 +16,7 @@ from .checkpoint import (
     restore_rng_states,
     restore_training_state,
 )
-from .faults import (
-    CorruptKVStore,
-    FaultEvent,
-    FaultPlan,
-    FlakyKVStore,
-    ManualClock,
-    OutageKVStore,
-    SlowKVStore,
-)
+from .faults import FaultEvent, FaultPlan, FaultyKVStore, ManualClock
 from ..storage.kvstore import TransientReadError
 
 __all__ = [
@@ -36,12 +28,9 @@ __all__ = [
     "load_training_state",
     "restore_rng_states",
     "restore_training_state",
-    "CorruptKVStore",
     "FaultEvent",
     "FaultPlan",
-    "FlakyKVStore",
+    "FaultyKVStore",
     "ManualClock",
-    "OutageKVStore",
-    "SlowKVStore",
     "TransientReadError",
 ]

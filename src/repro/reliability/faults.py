@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -93,8 +93,8 @@ class FaultPlan:
     :class:`~repro.storage.replicated.ReplicatedKVStore`:
     ``replica_kill`` (replica -> outage windows), ``replica_corrupt``
     (replica -> bit-flip windows) and ``replica_slow`` (replica ->
-    per-read delay) are applied by :meth:`wrap_replicas`, which layers
-    the matching fault injector around each replica store.
+    per-read delay) are applied by :meth:`wrap_replicas`, which puts one
+    :class:`FaultyKVStore` around each faulted replica store.
     """
 
     def __init__(
@@ -205,37 +205,24 @@ class FaultPlan:
             return {}
         return {int(replica): _validated_windows(w) for replica, w in schedule.items()}
 
-    def wrap_replicas(
-        self, stores: Sequence[KVStore], clock: Optional[ManualClock] = None
-    ) -> List[KVStore]:
-        """Layer this plan's replica faults around each store in order.
-
-        Stacking order per replica (outermost first): kill (outage) →
-        corrupt → slow — so a killed replica fails fast without
-        advancing simulated time, and corruption applies to bytes the
-        (possibly slowed) inner read produced. Replica indices outside
-        ``stores`` are ignored.
-        """
-        if self.replica_slow and clock is None:
-            raise ValueError("replica_slow needs a ManualClock to advance")
-        wrapped: List[KVStore] = []
-        for index, store in enumerate(stores):
-            layered = store
-            if index in self.replica_slow:
-                layered = SlowKVStore(layered, clock, delay_s=self.replica_slow[index])
-            if index in self.replica_corrupt:
-                layered = CorruptKVStore(
-                    layered,
-                    windows=self.replica_corrupt[index],
-                    clock=clock,
-                    seed=self.seed * 1000003 + index,
-                )
-            if index in self.replica_kill:
-                layered = OutageKVStore(
-                    layered, windows=self.replica_kill[index], clock=clock
-                )
-            wrapped.append(layered)
-        return wrapped
+    def wrap_replicas(self, stores: Sequence[KVStore], clock: ManualClock) -> List[KVStore]:
+        """One :class:`FaultyKVStore` on ``clock`` around each store this
+        plan faults; the others are returned as they are. Replica
+        indices outside ``stores`` are ignored."""
+        faulted = {*self.replica_kill, *self.replica_corrupt, *self.replica_slow}
+        return [
+            FaultyKVStore(
+                store,
+                clock,
+                delay_s=self.replica_slow.get(index, 0.0),
+                outages=self.replica_kill.get(index, ()),
+                corruptions=self.replica_corrupt.get(index, ()),
+                seed=self.seed * 1000003 + index,
+            )
+            if index in faulted
+            else store
+            for index, store in enumerate(stores)
+        ]
 
 
 def _validated_windows(windows: Sequence[Tuple[float, float]]) -> List[Tuple[float, float]]:
@@ -246,152 +233,82 @@ def _validated_windows(windows: Sequence[Tuple[float, float]]) -> List[Tuple[flo
     return [(float(start), float(stop)) for start, stop in windows]
 
 
-class FlakyKVStore(DelegatingKVStore):
-    """Inject deterministic transient read faults into any KV-store.
+class FaultyKVStore(DelegatingKVStore):
+    """One replica's scripted faults, on ``clock``.
 
-    ``fail_first`` makes the first N reads of *each key* raise
-    :class:`TransientReadError` (then succeed) — the per-key blip a
-    replicated tier absorbs with one failover to the next owner.
-    ``fail_rate`` additionally fails reads at random from a seeded
-    generator.
+    Every ``get`` takes the same steps in this order:
+
+    1. inside an ``outages`` window (half-open seconds on ``clock``,
+       read before any delay, so a killed replica fails fast) it raises
+       :class:`TransientReadError` — the store that goes *down*, which
+       walks a replica's :class:`~repro.storage.replicated.ReplicaHealth`
+       to ``dead``;
+    2. the first ``fail_first`` reads of each key raise, then a seeded
+       draw fails a read with probability ``fail_rate`` — the per-key
+       blips one failover absorbs;
+    3. ``clock.sleep(delay_s)`` — a straggler's latency, simulated on a
+       :class:`ManualClock` (the only step that needs one); ``delay_s``
+       is mutable, so a scenario can slow a replica mid-run;
+    4. the inner read;
+    5. inside a ``corruptions`` window, judged *after* the read, byte
+       ``(crc32(key) ^ seed) % len`` of the value is flipped — the quiet
+       failure checksums exist for, the same flip on every read of a key.
+
+    ``reads`` counts every ``get``, ``injected`` every fault it raised
+    or flipped.
     """
 
     def __init__(
         self,
         store: KVStore,
+        clock: Callable[[], float],
+        delay_s: float = 0.0,
+        outages: Sequence[Tuple[float, float]] = (),
+        corruptions: Sequence[Tuple[float, float]] = (),
         fail_first: int = 0,
         fail_rate: float = 0.0,
         seed: int = 0,
     ) -> None:
-        super().__init__(store)
-        self.fail_first = fail_first
-        self.fail_rate = fail_rate
-        self.injected = 0
-        self._attempts: Dict[str, int] = {}
-        self._rng = np.random.default_rng(seed)
-
-    def get(self, key: str) -> bytes:
-        seen = self._attempts.get(key, 0)
-        if seen < self.fail_first:
-            self._attempts[key] = seen + 1
-            self.injected += 1
-            raise TransientReadError(f"injected fault for {key!r} (attempt {seen + 1})")
-        if self.fail_rate and float(self._rng.random()) < self.fail_rate:
-            self.injected += 1
-            raise TransientReadError(f"injected random fault for {key!r}")
-        return self.store.get(key)
-
-
-class _WindowedFault(DelegatingKVStore):
-    """Base of the injectors scripted over half-open ``[start, stop)``
-    windows.
-
-    Without a ``clock``, reads are numbered globally (0-based, counting
-    every ``get`` including faulted ones) and a window is a range of
-    read indices. With a ``clock`` (e.g. :class:`ManualClock`), windows
-    are in *seconds on that clock* — the natural scripting unit when a
-    health gate sits in front, since a dead replica is not read and
-    would otherwise freeze a read-counted window forever.
-    """
-
-    def __init__(
-        self,
-        store: KVStore,
-        windows: Sequence[Tuple[float, float]] = (),
-        clock: Optional[ManualClock] = None,
-    ) -> None:
-        super().__init__(store)
-        self.windows = _validated_windows(windows)
-        self.clock = clock
-        self.reads = 0
-        self.injected = 0
-
-    def _count_read(self) -> int:
-        index = self.reads
-        self.reads += 1
-        return index
-
-    def _position(self, index: int) -> float:
-        """Where read ``index`` falls on the window axis, as of now."""
-        return float(self.clock()) if self.clock is not None else float(index)
-
-    def _in_window(self, position: float) -> bool:
-        return any(start <= position < stop for start, stop in self.windows)
-
-
-class OutageKVStore(_WindowedFault):
-    """Script a total KV outage over read-index or clock windows.
-
-    A read whose position falls in any window raises
-    :class:`TransientReadError`. This is the deterministic shape of a
-    store that goes *down* — every read fails for a stretch — which is
-    what walks a replica's :class:`~repro.storage.replicated.ReplicaHealth`
-    to ``dead``, as opposed to :class:`FlakyKVStore`'s per-key transient
-    blips that one failover absorbs.
-    """
-
-    def get(self, key: str) -> bytes:
-        position = self._position(self._count_read())
-        if self._in_window(position):
-            self.injected += 1
-            raise TransientReadError(
-                f"scripted outage at {'t=' if self.clock else 'read #'}{position:g} "
-                f"reading {key!r}"
-            )
-        return self.store.get(key)
-
-
-class SlowKVStore(DelegatingKVStore):
-    """A straggling store: each read costs ``delay_s`` seconds of
-    ``clock``.
-
-    The latency is simulated on a :class:`ManualClock`, not slept — the
-    shared clock is also what the request's deadline watches, so a test
-    can script "feature reads take 2ms each against a 10ms budget" and
-    observe the deadline machinery fire deterministically. ``delay_s``
-    is mutable, so a scenario can slow one replica mid-run.
-    """
-
-    def __init__(self, store: KVStore, clock: ManualClock, delay_s: float = 0.001) -> None:
         if delay_s < 0:
             raise ValueError("delay_s must be >= 0")
         super().__init__(store)
         self.clock = clock
         self.delay_s = float(delay_s)
-
-    def get(self, key: str) -> bytes:
-        self.clock.sleep(self.delay_s)
-        return self.store.get(key)
-
-
-class CorruptKVStore(_WindowedFault):
-    """Deterministically bit-flip values read during scripted windows.
-
-    The *quiet* failure mode checksums exist for: unlike
-    :class:`OutageKVStore`'s loud errors, a corrupt read returns
-    successfully — with garbage bytes. The flipped byte position is a
-    pure function of ``(seed, key)``, so a given key is corrupted the
-    same way on every read in a window. A read's position is taken
-    *after* the inner read, so a slow inner store moves it.
-    """
-
-    def __init__(
-        self,
-        store: KVStore,
-        windows: Sequence[Tuple[float, float]] = (),
-        clock: Optional[ManualClock] = None,
-        seed: int = 0,
-    ) -> None:
-        super().__init__(store, windows, clock)
+        self.outages = _validated_windows(outages)
+        self.corruptions = _validated_windows(corruptions)
+        self.fail_first = fail_first
+        self.fail_rate = fail_rate
         self.seed = int(seed)
+        self.reads = 0
+        self.injected = 0
+        self._attempts: Dict[str, int] = {}
+        self._rng = np.random.default_rng(seed)
 
     def get(self, key: str) -> bytes:
-        index = self._count_read()
+        self.reads += 1
+        now = float(self.clock())
+        if _inside(self.outages, now):
+            self._fault(f"scripted outage at t={now:g} reading {key!r}")
+        seen = self._attempts.get(key, 0)
+        if seen < self.fail_first:
+            self._attempts[key] = seen + 1
+            self._fault(f"injected fault for {key!r} (attempt {seen + 1})")
+        if self.fail_rate and float(self._rng.random()) < self.fail_rate:
+            self._fault(f"injected random fault for {key!r}")
+        if self.delay_s:
+            self.clock.sleep(self.delay_s)
         value = self.store.get(key)
-        if self._in_window(self._position(index)) and value:
+        if value and _inside(self.corruptions, float(self.clock())):
             self.injected += 1
             flipped = bytearray(value)
-            slot = (zlib.crc32(key.encode("utf-8")) ^ self.seed) % len(flipped)
-            flipped[slot] ^= 0xFF
+            flipped[(zlib.crc32(key.encode("utf-8")) ^ self.seed) % len(flipped)] ^= 0xFF
             return bytes(flipped)
         return value
+
+    def _fault(self, message: str) -> None:
+        self.injected += 1
+        raise TransientReadError(message)
+
+
+def _inside(windows: List[Tuple[float, float]], now: float) -> bool:
+    return any(start <= now < stop for start, stop in windows)

@@ -27,7 +27,7 @@ scorer needs to survive heavy traffic and partial outages:
   that produced it and, when degraded, the reason.
 
 Chaos behaviour is scripted through :mod:`repro.reliability.faults`
-(:class:`OutageKVStore`, :class:`SlowKVStore`, :class:`ManualClock`),
+(:class:`FaultyKVStore` on a :class:`ManualClock`),
 keeping every degradation scenario deterministic and replayable.
 """
 

@@ -24,7 +24,7 @@ rung — a distribution has no attribute to read.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from ..obs.registry import MetricsRegistry, Reservoir
 from ..train.metrics import latency_percentiles
@@ -104,11 +104,6 @@ class ServiceStats:
     @property
     def total_shed(self) -> int:
         return sum(self.shed.values())
-
-    @property
-    def latencies_s(self) -> List[float]:
-        """Retained latency sample (bounded; uniform over the stream)."""
-        return self._latencies.values()
 
     def latency_summary(self) -> Dict[str, float]:
         return latency_percentiles(self._latencies.values())

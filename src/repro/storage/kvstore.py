@@ -139,7 +139,7 @@ class KVStore:
 
 
 class DelegatingKVStore(KVStore):
-    """Base of the fault injectors: everything but ``get`` (theirs to
+    """Base of the fault injector: everything but ``get`` (its own to
     define; ``get_many`` stays the loop over it) passes through to
     ``.store`` — the attribute :func:`propagate_instrument` and
     :meth:`~repro.storage.replicated.ReplicatedKVStore.finalize` walk

@@ -15,7 +15,7 @@ Proves the PR-3 acceptance criteria end to end on a simulated clock:
 import numpy as np
 import pytest
 
-from repro.reliability import FaultPlan, ManualClock, SlowKVStore
+from repro.reliability import FaultPlan, FaultyKVStore, ManualClock
 from repro.serving import (
     RUNG_GNN,
     RUNG_LINKED,
@@ -179,7 +179,7 @@ class TestReplicatedFeatureTier:
     ):
         replicas = 3
         backings = [InMemoryKVStore() for _ in range(replicas)]
-        slowed = [SlowKVStore(b, clock, delay_s=READ_DELAY_S) for b in backings]
+        slowed = [FaultyKVStore(b, clock, delay_s=READ_DELAY_S) for b in backings]
         plan = fault_plan or FaultPlan(num_workers=replicas, seed=0)
         store = ReplicatedKVStore(
             plan.wrap_replicas(slowed, clock),

@@ -27,6 +27,31 @@ def _exposition(out):
     return samples
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["train", "--elastic", "--workers", "0"], "--workers must be >= 1"),
+        (
+            ["train", "--elastic", "--chaos", "--workers", "4", "--scale", "0.1"],
+            "--chaos is scripted for --workers 8 and --epochs >= 5",
+        ),
+        (["serve"], "only the deterministic demo is implemented; pass --demo"),
+        (["serve", "--demo", "--batch-size", "0"], "--batch-size must be >= 1"),
+        (["serve", "--demo", "--replicas", "0"], "--replicas must be >= 1"),
+        (["healthcheck", "--keys", "0"], "--replicas and --keys must be >= 1"),
+        (["healthcheck", "--replicas", "2", "--kill-replica", "2"], "--kill-replica out of range"),
+        (["stream"], "only --demo mode is implemented"),
+        (["stream", "--demo", "--runs", "0"], "--runs must be >= 1"),
+        (["stream", "--demo", "--label-delay=-1"], "--label-delay must be >= 0"),
+    ],
+)
+def test_a_refused_argument_exits_2_with_one_error_line(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
 class TestDatasetsCommand:
     def test_prints_summary(self, capsys):
         assert main(["datasets", "--scale", "0.1"]) == 0

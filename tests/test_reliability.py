@@ -13,9 +13,9 @@ from repro.models import GEMModel
 from repro.reliability import (
     CheckpointError,
     CheckpointManager,
-    FlakyKVStore,
+    FaultPlan,
+    FaultyKVStore,
     ManualClock,
-    SlowKVStore,
     TrainingState,
     TransientReadError,
     capture_training_state,
@@ -405,7 +405,7 @@ class TestInstrumentPropagation:
         inner = MmapKVStore(str(tmp_path / "kv.bin"))
         inner.put("k", b"value")
         inner.finalize()
-        store = SlowKVStore(inner, ManualClock(), delay_s=0.0)
+        store = FaultyKVStore(inner, ManualClock())
         propagate_instrument(store, registry)
         store.get("k")
         # The wrapper has no metrics; the store it wraps counted the read.
@@ -421,12 +421,13 @@ class TestInstrumentPropagation:
         inner = MmapKVStore(str(tmp_path / "kv.bin"))
         inner.put("k", b"value")
         inner.finalize()
-        store = SlowKVStore(FlakyKVStore(inner, fail_first=1), ManualClock(), delay_s=0.0)
+        clock = ManualClock()
+        store = FaultyKVStore(FaultyKVStore(inner, clock, fail_first=1), clock)
         propagate_instrument(store, registry)
         with pytest.raises(TransientReadError):
             store.get("k")
         assert store.get("k") == b"value"
-        # The mmap layer saw one read: FlakyKVStore raised before
+        # The mmap layer saw one read: the inner injector raised before
         # reaching it on the first try.
         assert 'kv_reads_total{store="mmap"} 1' in registry.render()
         inner.close()
@@ -504,42 +505,113 @@ class TestManualClock:
             ManualClock().advance(-1.0)
 
 
-class TestOutageKVStore:
+class TestFaultyKVStore:
+    """One injector, one read order: outage, flaky, delay, read, corrupt."""
+
     def _backing(self):
         backing = InMemoryKVStore()
         backing.put("k", b"value")
         return backing
 
-    def test_read_index_window(self):
-        from repro.reliability import OutageKVStore
-
-        store = OutageKVStore(self._backing(), windows=[(1, 3)])
-        assert store.get("k") == b"value"  # read 0: before the window
-        for _ in range(2):  # reads 1-2: inside
-            with pytest.raises(TransientReadError):
-                store.get("k")
-        assert store.get("k") == b"value"  # read 3: after
-        assert store.injected == 2
-        assert store.reads == 4
-
-    def test_clock_window(self):
-        from repro.reliability import ManualClock, OutageKVStore
-
+    def test_outage_window_on_the_clock(self):
         clock = ManualClock()
-        store = OutageKVStore(self._backing(), windows=[(0.5, 1.0)], clock=clock)
+        store = FaultyKVStore(self._backing(), clock, outages=[(0.5, 1.0)])
         assert store.get("k") == b"value"
         clock.advance(0.7)  # inside the outage
-        with pytest.raises(TransientReadError):
+        with pytest.raises(TransientReadError, match=r"scripted outage at t=0.7 reading 'k'"):
             store.get("k")
         clock.advance(0.5)  # past it: recovered
         assert store.get("k") == b"value"
-        assert store.injected == 1
+        assert (store.reads, store.injected) == (3, 1)
+
+    def test_windows_accept_any_callable(self):
+        now = [0.0]
+        store = FaultyKVStore(self._backing(), lambda: now[0], outages=[(1.0, 2.0)])
+        assert store.get("k") == b"value"
+        now[0] = 1.5
+        with pytest.raises(TransientReadError):
+            store.get("k")
+
+    def test_an_outage_read_fails_fast_before_the_delay(self):
+        clock = ManualClock()
+        store = FaultyKVStore(self._backing(), clock, delay_s=0.25, outages=[(0.0, 1.0)])
+        with pytest.raises(TransientReadError):
+            store.get("k")
+        assert clock() == 0.0  # a killed replica costs no simulated time
+        clock.advance(1.0)
+        assert store.get("k") == b"value"
+        assert clock() == pytest.approx(1.25)
+
+    def test_a_corrupt_window_is_judged_after_the_delay(self):
+        clock = ManualClock()
+        store = FaultyKVStore(self._backing(), clock, delay_s=0.2, corruptions=[(0.3, 1.0)])
+        assert store.get("k") == b"value"  # t 0.0 -> 0.2: before the window
+        flipped = store.get("k")  # t 0.2 -> 0.4: the window opened during the delay
+        assert flipped != b"value" and len(flipped) == len(b"value")
+        slot = zlib.crc32(b"k") % len(b"value")
+        assert [i for i, (a, b) in enumerate(zip(flipped, b"value")) if a != b] == [slot]
+        assert store.get("k") == flipped  # the same flip on every read in the window
+        assert (store.reads, store.injected) == (3, 2)
+
+    def test_an_empty_value_is_never_flipped(self):
+        backing = InMemoryKVStore()
+        backing.put("e", b"")
+        store = FaultyKVStore(backing, ManualClock(), corruptions=[(0.0, 1.0)])
+        assert store.get("e") == b"" and store.injected == 0
+
+    def test_fail_first_and_fail_rate_draw_one_seeded_value_per_read(self):
+        """The per-key first failures, then one ``default_rng(seed)``
+        draw per read that reached it: the sequence a flaky replica has
+        always produced for this seed."""
+        store = FaultyKVStore(self._backing(), ManualClock(), fail_first=2, fail_rate=0.5, seed=7)
+        outcomes = []
+        for _ in range(12):
+            try:
+                store.get("k")
+            except TransientReadError as error:
+                outcomes.append(str(error))
+            else:
+                outcomes.append("ok")
+        rng = np.random.default_rng(7)
+        expected = [f"injected fault for 'k' (attempt {n})" for n in (1, 2)] + [
+            "injected random fault for 'k'" if rng.random() < 0.5 else "ok" for _ in range(10)
+        ]
+        assert outcomes == expected
+        assert "ok" in expected and expected.count("ok") < 10  # both outcomes drawn
+        assert store.injected == 12 - outcomes.count("ok")
 
     def test_slow_store_burns_simulated_time(self):
-        from repro.reliability import ManualClock, SlowKVStore
-
         clock = ManualClock()
-        store = SlowKVStore(self._backing(), clock, delay_s=0.01)
+        store = FaultyKVStore(self._backing(), clock, delay_s=0.01)
         for _ in range(3):
             assert store.get("k") == b"value"
         assert clock() == pytest.approx(0.03)
+        store.delay_s = 0.0  # mutable mid-run
+        store.get("k")
+        assert clock() == pytest.approx(0.03)
+
+    def test_negative_delay_rejected(self):
+        with pytest.raises(ValueError):
+            FaultyKVStore(self._backing(), ManualClock(), delay_s=-0.1)
+
+    def test_wrap_replicas_needs_a_clock(self):
+        plan = FaultPlan(num_workers=1, replica_kill={0: [(0.0, 1.0)]})
+        with pytest.raises(TypeError):
+            plan.wrap_replicas([InMemoryKVStore()])
+
+    def test_wrap_replicas_builds_one_injector_per_faulted_replica(self):
+        clock = ManualClock()
+        plan = FaultPlan(
+            num_workers=3,
+            seed=4,
+            replica_kill={0: [(0.0, 1.0)]},
+            replica_corrupt={0: [(2.0, 3.0)]},
+            replica_slow={0: 0.5, 1: 0.1},
+        )
+        backings = [InMemoryKVStore() for _ in range(3)]
+        first, second, third = plan.wrap_replicas(backings, clock)
+        assert first.store is backings[0] and second.store is backings[1]
+        assert third is backings[2]
+        assert first.outages == [(0.0, 1.0)] and first.corruptions == [(2.0, 3.0)]
+        assert (first.delay_s, second.delay_s, second.outages) == (0.5, 0.1, [])
+        assert (first.seed, second.seed) == (4 * 1000003, 4 * 1000003 + 1)

@@ -12,14 +12,7 @@ import pytest
 
 from repro.cluster import rendezvous_order as _rank
 from repro.obs import MetricsRegistry
-from repro.reliability.faults import (
-    CorruptKVStore,
-    FaultPlan,
-    FlakyKVStore,
-    ManualClock,
-    OutageKVStore,
-    SlowKVStore,
-)
+from repro.reliability.faults import FaultPlan, FaultyKVStore, ManualClock
 from repro.storage import (
     AllReplicasFailedError,
     GraphStore,
@@ -124,7 +117,7 @@ class TestReadWritePath:
         def wrap(index, replica):
             # Replica 0 fails hard forever; others are fine.
             if index == 0:
-                return OutageKVStore(replica, windows=[(0.0, 1e9)], clock=clock)
+                return FaultyKVStore(replica, clock, outages=[(0.0, 1e9)])
             return replica
 
         store, _, _ = _make_store(3, clock=clock, wrap=wrap)
@@ -142,11 +135,13 @@ class TestReadWritePath:
         """A replica failing every other read, never ``dead_after`` in
         a row, has no penalty box: it is tried on every read it is
         primary for, and each failure is absorbed by one failover."""
+        clock = ManualClock()
         config = ReplicatedConfig(replication_factor=2, dead_after=1000)
         store, _, _ = _make_store(
             2,
+            clock=clock,
             config=config,
-            wrap=lambda i, r: FlakyKVStore(r, fail_rate=0.5, seed=1) if i == 0 else r,
+            wrap=lambda i, r: FaultyKVStore(r, clock, fail_rate=0.5, seed=1) if i == 0 else r,
         )
         for index in range(40):
             store.put(f"key/{index}", f"value-{index}".encode())
@@ -175,7 +170,7 @@ class TestReadWritePath:
         store, _, _ = _make_store(
             2,
             clock=clock,
-            wrap=lambda i, r: OutageKVStore(r, windows=[(0.0, 1e9)], clock=clock),
+            wrap=lambda i, r: FaultyKVStore(r, clock, outages=[(0.0, 1e9)]),
         )
         store.put("k", b"v")
         with pytest.raises(AllReplicasFailedError):
@@ -349,7 +344,7 @@ class TestHealthStateMachine:
             probe_interval_s=probe_interval_s,
         )
         backing = InMemoryKVStore()
-        replica = OutageKVStore(backing, windows=fail_windows, clock=clock)
+        replica = FaultyKVStore(backing, clock, outages=fail_windows)
         store = ReplicatedKVStore([replica], config=config, clock=clock)
         return store, backing, clock
 
@@ -411,7 +406,7 @@ class TestHealthStateMachine:
             1,
             clock=clock,
             config=ReplicatedConfig(replication_factor=1),
-            wrap=lambda i, r: SlowKVStore(r, clock, delay_s=0.004),
+            wrap=lambda i, r: FaultyKVStore(r, clock, delay_s=0.004),
         )
         store.put("k", b"v")
         for _ in range(8):
@@ -491,7 +486,7 @@ class TestParentParity:
         )
         backings = [InMemoryKVStore() for _ in range(4)]
         replicas = plan.wrap_replicas(backings, clock)
-        replicas[3] = FlakyKVStore(replicas[3], fail_rate=0.04, seed=11)
+        replicas[3] = FaultyKVStore(replicas[3], clock, fail_rate=0.04, seed=11)
         config = ReplicatedConfig(replication_factor=3, probe_interval_s=0.05)
         store = ReplicatedKVStore(replicas, config=config, clock=clock, seed=2)
         for index in range(60):
@@ -614,7 +609,7 @@ class TestFaultPlanReplicaFaults:
         plan = FaultPlan(num_workers=2, seed=0, replica_kill={0: [(0.1, 0.2)]})
         backings = [InMemoryKVStore(), InMemoryKVStore()]
         wrapped = plan.wrap_replicas(backings, clock)
-        assert isinstance(wrapped[0], OutageKVStore)
+        assert isinstance(wrapped[0], FaultyKVStore)
         assert wrapped[1] is backings[1]
         backings[0].put("k", b"v")
         assert wrapped[0].get("k") == b"v"
@@ -626,15 +621,10 @@ class TestFaultPlanReplicaFaults:
         plan = FaultPlan(num_workers=1, seed=3, replica_corrupt={0: [(0, 100)]})
         backing = InMemoryKVStore()
         backing.put("k", b"hello")
-        wrapped = plan.wrap_replicas([backing])[0]
-        assert isinstance(wrapped, CorruptKVStore)
+        wrapped = plan.wrap_replicas([backing], ManualClock())[0]
+        assert isinstance(wrapped, FaultyKVStore)
         first, second = wrapped.get("k"), wrapped.get("k")
         assert first == second != b"hello"  # same flip every read
-
-    def test_replica_slow_requires_clock(self):
-        plan = FaultPlan(num_workers=1, seed=0, replica_slow={0: 0.001})
-        with pytest.raises(ValueError):
-            plan.wrap_replicas([InMemoryKVStore()])
 
     def test_bad_window_rejected(self):
         with pytest.raises(ValueError):

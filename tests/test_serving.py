@@ -10,7 +10,7 @@ from repro.check.gen import random_delta, random_hetero_graph
 from repro.data.events import TxnEvent
 from repro.graph.hetero import NODE_TYPE_IDS, HeteroGraph
 from repro.obs import Tracer
-from repro.reliability import ManualClock, OutageKVStore, SlowKVStore
+from repro.reliability import FaultyKVStore, ManualClock
 from repro.serving import (
     RUNG_GNN,
     RUNG_LINKED,
@@ -232,7 +232,7 @@ class TestServiceStats:
                 loop.record_response(rung, latency, reason)
         assert bulk.completed > RESERVOIR_SIZE
         assert bulk.snapshot() == loop.snapshot()
-        assert bulk.latencies_s == loop.latencies_s
+        assert bulk._latencies.values() == loop._latencies.values()
         assert bulk.registry.render() == loop.registry.render()
 
 
@@ -347,7 +347,7 @@ class TestScoringService:
         self, trained_detector, tiny_graph, feature_kv
     ):
         clock = ManualClock()
-        store = OutageKVStore(feature_kv, windows=[(0, 10_000)])
+        store = FaultyKVStore(feature_kv, clock, outages=[(0, 10_000)])
         service = ScoringService(
             trained_detector, tiny_graph, feature_store=store, clock=clock
         )
@@ -366,7 +366,7 @@ class TestScoringService:
         """No linked transaction carries a label (an unlabelled graph):
         no evidence, so the prior answers."""
         clock = ManualClock()
-        store = OutageKVStore(feature_kv, windows=[(0, 10_000)])
+        store = FaultyKVStore(feature_kv, clock, outages=[(0, 10_000)])
         config = ServiceConfig(static_prior=0.07)
         unlabelled = _with_labels(tiny_graph, np.full(tiny_graph.num_nodes, -1))
         service = ScoringService(
@@ -382,11 +382,9 @@ class TestScoringService:
     ):
         """One replica of two fails the first read of *each key*: the
         blip costs a failover to the other replica, never a degradation."""
-        from repro.reliability import FlakyKVStore
-
         clock = ManualClock()
         backings = [InMemoryKVStore() for _ in range(2)]
-        flaky = FlakyKVStore(backings[0], fail_first=1)
+        flaky = FaultyKVStore(backings[0], clock, fail_first=1)
         store = ReplicatedKVStore(
             [flaky, backings[1]], ReplicatedConfig(replication_factor=2), clock=clock
         )
@@ -612,7 +610,7 @@ class TestBatchOfOneParity:
         clock = ManualClock()
         backing = InMemoryKVStore()
         GraphStore(backing).save(tiny_graph)
-        store = SlowKVStore(backing, clock, delay_s=self.READ_DELAY_S)
+        store = FaultyKVStore(backing, clock, delay_s=self.READ_DELAY_S)
         config = dict(deadline_s=0.5, static_prior=0.05)
         cache = None
         sample = trained_detector.sampler.sample(tiny_graph, [node])
@@ -628,9 +626,9 @@ class TestBatchOfOneParity:
         elif name == "deadline:model forward":
             config["deadline_s"] = fetch_s  # spent exactly as the last chunk lands
         elif name == "kv_unavailable":
-            store = OutageKVStore(backing, windows=[(0, 10_000)])
+            store = FaultyKVStore(backing, clock, outages=[(0, 10_000)])
         elif name == "lone_replica_dead":
-            outage = OutageKVStore(backing, windows=[(0, 10_000)])
+            outage = FaultyKVStore(backing, clock, outages=[(0, 10_000)])
             store = ReplicatedKVStore(
                 [outage], ReplicatedConfig(replication_factor=1, dead_after=2), clock=clock
             )
@@ -889,7 +887,7 @@ class TestSpanShape:
         service = ScoringService(
             trained_detector,
             tiny_graph,
-            feature_store=SlowKVStore(feature_kv, clock, delay_s=0.002),
+            feature_store=FaultyKVStore(feature_kv, clock, delay_s=0.002),
             clock=clock,
             tracer=tracer,
         )
@@ -1006,7 +1004,7 @@ class TestLinkedRung:
 
         clock = ManualClock()
         builder = IncrementalGraphBuilder(feature_dim=4)
-        down = OutageKVStore(InMemoryKVStore(), windows=[(0, 1e9)])  # every verdict degrades
+        down = FaultyKVStore(InMemoryKVStore(), clock, outages=[(0, 1e9)])  # every verdict degrades
         service = ScoringService(
             XFraudDetectorPlus(DetectorConfig(feature_dim=4, seed=0)),
             builder.graph,
