@@ -939,42 +939,67 @@ def _fuzz_decode(seed: int, size: int) -> Optional[str]:
     return None
 
 
-def _scalar_field(graph, targets: Sequence[int], hops: int):
-    """Scalar spec of ``receptive_field``: a node-at-a-time BFS over the
-    flat edge arrays (no CSR). Returns ``(nodes, edge_ids, target_local)``
-    in the canonical order the fast path promises."""
+def _scalar_bfs(graph, sources: Sequence[int], max_hops=None, max_nodes=None):
+    """Scalar spec of :func:`~repro.graph.sampling.bfs`: a node-at-a-time
+    BFS over the flat edge arrays (no CSR), each node's in-edges by
+    ascending edge id. Level ``k`` is expanded while ``k < max_hops``
+    and fewer than ``max_nodes`` nodes are reached, and a node is
+    reached while fewer than ``max_nodes`` are. Returns
+    ``(nodes, hops, edge_ids)``: the nodes in discovery order, their hop
+    counts, and the in-edges of every expanded node, level after level."""
     depth: Dict[int, int] = {}
-    for target in targets:
-        depth.setdefault(int(target), 0)
-    frontier = list(depth)
-    edge_ids: List[int] = []
-    for hop in range(hops):
+    for source in sources:
+        depth.setdefault(int(source), 0)
+
+    def room() -> bool:
+        return max_nodes is None or len(depth) < max_nodes
+
+    frontier, edge_ids, hop = list(depth), [], 0
+    while frontier and (max_hops is None or hop < max_hops) and room():
         reached: List[int] = []
         for node in frontier:
             for edge in np.flatnonzero(graph.edge_dst == node):
                 edge_ids.append(int(edge))
                 source = int(graph.edge_src[edge])
-                if source not in depth:
+                if source not in depth and room():
                     depth[source] = hop + 1
                     reached.append(source)
-        frontier = reached
-    nodes = [node for node, d in depth.items() if d == 0]
-    nodes += sorted(node for node, d in depth.items() if d > 0)
-    local = {node: index for index, node in enumerate(nodes)}
-    return nodes, sorted(edge_ids), [local[int(target)] for target in targets]
+        frontier, hop = reached, hop + 1
+    return list(depth), list(depth.values()), edge_ids
+
+
+def _bfs_problem(graph, sources: np.ndarray, rng: np.random.Generator) -> Optional[str]:
+    """:func:`~repro.graph.sampling.bfs` against :func:`_scalar_bfs`
+    under random caps: nodes, hop counts and the edges walked, in order."""
+    from ..graph.sampling import bfs
+
+    max_hops = None if rng.random() < 0.3 else int(rng.integers(0, 4))
+    max_nodes = None if rng.random() < 0.3 else int(rng.integers(0, graph.num_nodes + 2))
+    nodes, hops, slots = bfs(graph, sources, max_hops, max_nodes)
+    walk = (nodes.tolist(), hops.tolist(), graph.csr().edge_id[slots].tolist())
+    spec = _scalar_bfs(graph, sources, max_hops, max_nodes)
+    for name, got, want in zip(("nodes", "hops", "edges walked"), walk, spec):
+        if got != want:
+            caps = f"max_hops={max_hops}, max_nodes={max_nodes}"
+            return f"bfs({caps}) {name} {got} != scalar BFS {want}"
+    return None
 
 
 def _field_problem(graph, targets: np.ndarray, hops: int) -> Optional[str]:
-    """``receptive_field`` against :func:`_scalar_field`, and its graph
-    against the parent rows it claims to hold."""
+    """``receptive_field`` against :func:`_scalar_bfs` in the canonical
+    order it promises, and its graph against the parent rows it claims
+    to hold."""
     from ..graph.sampling import receptive_field
 
     field = receptive_field(graph, targets, hops)
-    nodes, edge_ids, target_local = _scalar_field(graph, targets, hops)
+    reached, depth, walked = _scalar_bfs(graph, targets, hops)
+    roots = reached[: depth.count(0)]
+    nodes = roots + sorted(reached[len(roots) :])
+    target_local = [nodes.index(int(target)) for target in targets]
     if field.original_ids.tolist() != nodes:
         return f"nodes {field.original_ids.tolist()} != BFS {nodes}"
-    if field.edge_ids.tolist() != edge_ids:
-        return f"edge_ids {field.edge_ids.tolist()} != BFS (ascending) {edge_ids}"
+    if field.edge_ids.tolist() != sorted(walked):
+        return f"edge_ids {field.edge_ids.tolist()} != BFS (ascending) {sorted(walked)}"
     if field.target_local.tolist() != target_local:
         return f"target_local {field.target_local.tolist()} != BFS {target_local}"
     sub, ids, kept = field.graph, field.original_ids, field.edge_ids
@@ -1037,19 +1062,21 @@ def _step_problem(model, graph, targets: np.ndarray) -> Optional[str]:
     mutants=[  # the first three on the step's path only: the BFS spec cannot see them
         edit(
             "field-one-hop-short", "repro.models.field:receptive_field",
-            "for _ in range(hops):", "for _ in range(hops - 1):", "!= whole-graph",
+            "max_hops=hops)", "max_hops=hops - 1)", "!= whole-graph",
             shrinks_to=(7, 1),
         ),
         edit(
             "field-fanout-capped", "repro.models.field:receptive_field",
-            "slots, _, _ = _concat_csr_slices(csr, frontier)",
-            "slots, counts, _ = _concat_csr_slices(csr, frontier)\n        slots = slots["
-            "np.arange(len(slots)) - np.repeat(np.cumsum(counts) - counts, counts) < 2]",
+            "edge_ids = np.sort(graph.csr().edge_id[slots])",
+            "csr = graph.csr()\n    edge_ids = np.sort(csr.edge_id[slots["
+            "slots - csr.base[graph.edge_dst[csr.edge_id[slots]]] < 2]])",
             "!= whole-graph", shrinks_to=(6, 1),
         ),
         edit(
             "field-target-rows-dropped", "repro.models.field:receptive_field",
-            "walked.append(slots)", "walked.append(slots if walked else slots[:0])",
+            "edge_ids = np.sort(graph.csr().edge_id[slots])",
+            "csr = graph.csr()\n    edge_ids = np.sort(csr.edge_id[slots["
+            "np.diff(csr.indptr)[unique_targets].sum():]])",
             "!= whole-graph", shrinks_to=(4, 1),
         ),
         edit(  # fused-backward-vs-autograd sees it too: the convolution draws through dropout
@@ -1060,16 +1087,23 @@ def _step_problem(model, graph, targets: np.ndarray) -> Optional[str]:
         ),
         edit(  # numerically harmless: only the contract check against the BFS sees it
             "field-edge-ids-unsorted", _SAMPLING + "receptive_field",
-            "edge_ids = np.sort(csr.edge_id[np.concatenate(walked)])",
-            "edge_ids = np.sort(csr.edge_id[np.concatenate(walked)])[::-1]",
+            "edge_ids = np.sort(graph.csr().edge_id[slots])",
+            "edge_ids = np.sort(graph.csr().edge_id[slots])[::-1]",
             "BFS (ascending)", shrinks_to=(0, 1),
+        ),
+        edit(  # moves the walk's order, and so a max_nodes cap, but no receptive field
+            "bfs-frontier-deduplicated-sorted", _SAMPLING + "bfs",
+            "frontier = _first_occurrence_unique(neighbors[~seen[neighbors]])",
+            "frontier = np.unique(neighbors[~seen[neighbors]])",
+            "!= scalar BFS", shrinks_to=(1, 5),
         ),
     ],
 )
 def _fuzz_pruned_step(seed: int, size: int) -> Optional[str]:
     """A training step on the batch's receptive field (what every
-    ``model.loss`` computes) vs the same step on the whole graph, and
-    the field vs a scalar BFS. Detector under all four ablation
+    ``model.loss`` computes) vs the same step on the whole graph; the
+    field vs a scalar BFS, and ``bfs`` itself vs that BFS under random
+    ``max_hops`` / ``max_nodes``. Detector under all four ablation
     configs, GAT, GEM and the MLP; dropout on (``train()``) and off;
     graphs whole, thinned to one-directional edges and isolated nodes,
     cut to a single edge or none, and growing under ``append_delta``;
@@ -1090,6 +1124,7 @@ def _fuzz_pruned_step(seed: int, size: int) -> Optional[str]:
     hops = 0 if kind == 6 else config.num_layers
     random_weights(rng, model)
 
+    caps = np.random.default_rng((seed, size))  # its own stream: the step cases stay as dealt
     steps = 1 + 2 * (shape == "live")
     for step in range(steps):
         if step:
@@ -1101,6 +1136,10 @@ def _fuzz_pruned_step(seed: int, size: int) -> Optional[str]:
             targets = rng.permutation(txns)
         else:
             targets = txns[rng.integers(0, len(txns), size=int(rng.integers(1, 7)))]
+        problem = _bfs_problem(graph, targets, caps)
+        if problem is not None:
+            where = f"{shape} graph ({graph.num_nodes} nodes) step {step}"
+            return f"{where}, sources {targets.tolist()}: {problem}"
         for training in (True, False):
             model.train(training)
             where = (
@@ -1665,7 +1704,7 @@ def _fuzz_trimmed_layers(seed: int, size: int) -> Optional[str]:
     if not worst <= 1e-12:  # also catches NaN
         return f"{where}: max |trimmed - read everywhere| = {worst:.3e}"
 
-    near, _, _ = _scalar_field(graph, targets, config.num_layers - 1)
+    near, _, _ = _scalar_bfs(graph, targets, config.num_layers - 1)
     far = np.setdiff1d(np.arange(graph.num_nodes), near)  # L or more in-hops from every target
     grown = _grown_out_of_reach(rng, graph, far)
     if not np.array_equal(detector.predict_proba(grown, targets), scores):
@@ -1691,7 +1730,7 @@ def _fuzz_trimmed_layers(seed: int, size: int) -> Optional[str]:
             F.cross_entropy(
                 detector.forward(case_graph, case_targets, edge_mask=edge_mask), labels
             ).backward()
-            _, walked, _ = _scalar_field(case_graph, case_targets, config.num_layers)
+            _, _, walked = _scalar_bfs(case_graph, case_targets, config.num_layers)
             if np.delete(edge_mask.grad, walked).any():
                 return f"{where}, {mode}: d edge_mask is not exactly 0 on an edge no layer walks"
     return None

@@ -29,6 +29,7 @@ import numpy as np
 
 from ..graph.community import Community
 from ..graph.hetero import NODE_TYPE_IDS
+from ..graph.sampling import bfs
 
 EdgeWeights = Dict[Tuple[int, int], float]
 
@@ -44,7 +45,9 @@ def ground_truth_importance(community: Community) -> np.ndarray:
     """
     graph = community.graph
     n = graph.num_nodes
-    distance = _bfs_distance(graph, community.seed_local)
+    reached, hops, _ = bfs(graph, [community.seed_local])
+    distance = np.full(n, np.inf)
+    distance[reached] = hops
 
     txn_type = NODE_TYPE_IDS["txn"]
     fraud_fraction = np.zeros(n)
@@ -97,24 +100,6 @@ def ground_truth_importance(community: Community) -> np.ndarray:
                 importance[neighbor] = max(importance[neighbor], 1)
     importance[community.seed_local] = 2
     return importance
-
-
-def _bfs_distance(graph, source: int) -> np.ndarray:
-    distance = np.full(graph.num_nodes, np.inf)
-    distance[source] = 0
-    frontier = [int(source)]
-    level = 0
-    while frontier:
-        level += 1
-        next_frontier: List[int] = []
-        for node in frontier:
-            for neighbor in graph.in_neighbors(node):
-                neighbor = int(neighbor)
-                if np.isinf(distance[neighbor]):
-                    distance[neighbor] = level
-                    next_frontier.append(neighbor)
-        frontier = next_frontier
-    return distance
 
 
 @dataclass

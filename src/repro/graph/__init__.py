@@ -15,7 +15,7 @@ from .hetero import (
 from .cache import SubgraphCache
 from .partition import group_partitions, pic_partition, power_iteration_embedding
 from ..util import batched
-from .sampling import HGSampler, SageSampler, SampledSubgraph, receptive_field
+from .sampling import HGSampler, SageSampler, SampledSubgraph, bfs, receptive_field
 
 __all__ = [
     "HeteroGraph",
@@ -38,6 +38,7 @@ __all__ = [
     "HGSampler",
     "SampledSubgraph",
     "receptive_field",
+    "bfs",
     "SubgraphCache",
     "batched",
     "pic_partition",

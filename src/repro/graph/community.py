@@ -5,7 +5,8 @@ transaction, all connected nodes and edges are taken (the paper's 41
 test communities average 81.56 edges). :func:`extract_community`
 returns the connected component of the seed as its own
 :class:`HeteroGraph` with the seed's local index, optionally capped by
-BFS order for pathological components.
+hops or by BFS order (:func:`~repro.graph.sampling.bfs`) for
+pathological components.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .hetero import NODE_TYPE_IDS, HeteroGraph
+from .sampling import bfs
 
 
 @dataclass
@@ -62,16 +64,12 @@ def extract_community(
     paper's wording). ``max_hops`` restricts to the BFS ball of that
     radius around the seed — matching the paper's graphs, which are
     themselves built by k-hop seed expansion (Appendix B), so their
-    components are seed-centred neighbourhoods.
+    components are seed-centred neighbourhoods. ``max_nodes`` keeps the
+    first nodes in BFS order.
     """
     if graph.labels[seed] < 0:
         raise ValueError("community seed must be a labeled transaction node")
-    if max_hops is not None:
-        nodes = _bfs_ball(graph, seed, max_hops, max_nodes)
-    elif max_nodes is None:
-        nodes = graph.connected_component(seed)
-    else:
-        nodes = _bfs_capped(graph, seed, max_nodes)
+    nodes = np.sort(bfs(graph, [seed], max_hops, max_nodes)[0])
     subgraph, original_ids = graph.subgraph(nodes)
     seed_local = int(np.flatnonzero(original_ids == seed)[0])
     return Community(
@@ -80,41 +78,6 @@ def extract_community(
         seed_original=int(seed),
         original_ids=original_ids,
     )
-
-
-def _bfs_ball(
-    graph: HeteroGraph, seed: int, max_hops: int, max_nodes: Optional[int] = None
-) -> np.ndarray:
-    """Nodes within ``max_hops`` of the seed (optionally size-capped)."""
-    visited = {int(seed)}
-    frontier = [int(seed)]
-    for _ in range(max_hops):
-        next_frontier: List[int] = []
-        for node in frontier:
-            for neighbor in graph.in_neighbors(node):
-                neighbor = int(neighbor)
-                if neighbor not in visited:
-                    if max_nodes is not None and len(visited) >= max_nodes:
-                        return np.array(sorted(visited), dtype=np.int64)
-                    visited.add(neighbor)
-                    next_frontier.append(neighbor)
-        frontier = next_frontier
-    return np.array(sorted(visited), dtype=np.int64)
-
-
-def _bfs_capped(graph: HeteroGraph, seed: int, max_nodes: int) -> np.ndarray:
-    visited = {int(seed)}
-    queue = [int(seed)]
-    while queue and len(visited) < max_nodes:
-        node = queue.pop(0)
-        for neighbor in graph.in_neighbors(node):
-            neighbor = int(neighbor)
-            if neighbor not in visited:
-                visited.add(neighbor)
-                queue.append(neighbor)
-                if len(visited) >= max_nodes:
-                    break
-    return np.array(sorted(visited), dtype=np.int64)
 
 
 def select_communities(

@@ -21,7 +21,7 @@ CSR's buckets keep headroom, so no old CSR entry moves either.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -591,21 +591,6 @@ class HeteroGraph:
         sub.node_type, sub.edge_src, sub.edge_dst = node_type, edge_src, edge_dst
         sub.edge_type, sub.txn_table, sub.labels = edge_type, txn_table, labels
         return sub
-
-    def connected_component(self, seed: int) -> np.ndarray:
-        """Node ids of the undirected connected component of ``seed``."""
-        visited = np.zeros(self.num_nodes, dtype=bool)
-        frontier = [int(seed)]
-        visited[seed] = True
-        while frontier:
-            next_frontier: List[int] = []
-            for node in frontier:
-                for neighbor in self.in_neighbors(node):
-                    if not visited[neighbor]:
-                        visited[neighbor] = True
-                        next_frontier.append(int(neighbor))
-            frontier = next_frontier
-        return np.flatnonzero(visited)
 
     # ------------------------------------------------------------------
     # Construction helpers

@@ -17,9 +17,11 @@ behind the same heterogeneous convolution:
 Both return a :class:`SampledSubgraph`: the induced typed subgraph plus
 the positions of the requested target nodes inside it.
 
-:func:`receptive_field` is the third walk and draws nothing: the whole
-``hops``-hop in-closure of the targets, which is what a training step
-computes its loss on (every model's ``loss`` calls it).
+:func:`receptive_field` draws nothing: the whole ``hops``-hop
+in-closure of the targets, which is what a training step computes its
+loss on (every model's ``loss`` calls it). It is one call of
+:func:`bfs`, the plain breadth-first walk that communities and the
+annotators' seed distances take too.
 
 Purity contract
 ---------------
@@ -44,8 +46,8 @@ singleton sample per target — component ``i`` is ``sample(graph,
 [targets[i]])``, repeats included — which is what micro-batched serving
 scores (see :func:`repro.check.reference.stack_subgraphs`, that union's
 definition, for why). :class:`HGSampler` walks each component on its
-own; :class:`SageSampler` walks every component in one frontier
-expansion over ``(component, node)`` pairs (the per-position hash keys
+own; :class:`SageSampler` walks every component in one expansion
+over ``(component, node)`` pairs (the per-position hash keys
 do not know the component, so each keeps exactly the edges its own walk
 would). One target, or none, takes the plain
 ``sample(graph, targets)`` route either way: the union of one component
@@ -143,11 +145,53 @@ def _concat_csr_slices(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(slots, counts, starts)`` of the in-edges of ``nodes``: ``slots``
     walks each node's run in order — the flat gather behind every
-    vectorized frontier expansion here — and ``starts`` holds each run's
+    vectorized walk here — and ``starts`` holds each run's
     canonical position, ``indptr[v]``."""
     starts = csr.indptr[nodes]
     counts = csr.indptr[nodes + 1] - starts
     return _ranges(csr.base[nodes], counts), counts, starts
+
+
+def bfs(
+    graph: HeteroGraph,
+    sources: Sequence[int],
+    max_hops: Optional[int] = None,
+    max_nodes: Optional[int] = None,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Breadth-first walk along in-edges from ``sources``, a level at a time.
+
+    Returns ``(nodes, hops, slots)``: the reached nodes in discovery
+    order — the order a node-at-a-time BFS visits them when it expands
+    each node's in-edges by ascending edge id, the unique sources first
+    in request order — each node's hop count, and the CSR slots each
+    expanded level walked, level after level. Level ``k`` is expanded
+    while ``k < max_hops`` and fewer than ``max_nodes`` nodes are
+    reached; ``max_nodes`` keeps the first nodes of discovery order (the
+    sources always). A source outside the graph is refused with
+    ValueError.
+    """
+    frontier = _first_occurrence_unique(_node_ids(graph, sources))
+    csr = graph.csr()
+    seen = np.zeros(graph.num_nodes, dtype=bool)
+    seen[frontier] = True
+    levels, walked = [frontier], []
+    reached = len(frontier)
+    while (
+        len(frontier)
+        and (max_hops is None or len(walked) < max_hops)
+        and (max_nodes is None or reached < max_nodes)
+    ):
+        slots, _, _ = _concat_csr_slices(csr, frontier)
+        walked.append(slots)
+        neighbors = csr.src[slots]
+        frontier = _first_occurrence_unique(neighbors[~seen[neighbors]])
+        if max_nodes is not None:
+            frontier = frontier[: max_nodes - reached]
+        seen[frontier] = True
+        reached += len(frontier)
+        levels.append(frontier)
+    hops = np.repeat(np.arange(len(levels)), [len(level) for level in levels])
+    return np.concatenate(levels), hops, np.concatenate(walked) if walked else _EMPTY
 
 
 @dataclass(eq=False)
@@ -549,25 +593,11 @@ def receptive_field(graph: HeteroGraph, targets: Sequence[int], hops: int) -> Sa
     if hops < 0:
         raise ValueError("hops must be >= 0")
     targets = _node_ids(graph, targets)
-    frontier = unique_targets = _first_occurrence_unique(targets)
-    csr = graph.csr()
-    visited = np.zeros(graph.num_nodes, dtype=bool)
-    visited[frontier] = True
-    discovered: List[np.ndarray] = []
-    walked: List[np.ndarray] = []
-    for _ in range(hops):
-        slots, _, _ = _concat_csr_slices(csr, frontier)
-        if len(slots) == 0:
-            break
-        walked.append(slots)
-        neighbors = csr.src[slots]
-        frontier = np.unique(neighbors[~visited[neighbors]])
-        visited[frontier] = True
-        discovered.append(frontier)
-    rest = np.sort(np.concatenate(discovered)) if discovered else _EMPTY
-    # A node enters the frontier once, so no CSR slice is walked twice.
-    edge_ids = np.sort(csr.edge_id[np.concatenate(walked)]) if walked else _EMPTY
-    nodes = np.concatenate([unique_targets, rest])
+    nodes, depth, slots = bfs(graph, targets, max_hops=hops)
+    unique_targets = nodes[: depth.searchsorted(1)]
+    nodes[len(unique_targets) :].sort()
+    # A node is expanded once, so no CSR slice is walked twice.
+    edge_ids = np.sort(graph.csr().edge_id[slots])
     subgraph, original_ids = graph.subgraph(nodes, edge_ids=edge_ids)
     sorter = np.argsort(unique_targets)
     target_local = sorter[np.searchsorted(unique_targets, targets, sorter=sorter)]

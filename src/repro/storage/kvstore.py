@@ -70,13 +70,13 @@ class TransientReadError(IOError):
 def propagate_instrument(store, registry) -> None:
     """Instrument ``store`` and every store it wraps.
 
-    Wrapper stores (the fault injectors) expose their wrapped store as
+    Wrapper stores (a fault injector) expose their wrapped store as
     ``.store``; this walks that chain calling ``instrument(registry)``
-    on every layer that supports it, so read metrics survive *any*
-    composition order — instrumenting ``Slow(Flaky(Mmap))`` reaches
-    the mmap store even though the layers above it have no metrics of
-    their own. Layers without an ``instrument`` method are skipped, not
-    errors.
+    on every layer that supports it, so read metrics survive any
+    wrapping — instrumenting a ``FaultyKVStore`` over an
+    ``MmapKVStore`` reaches the mmap store even though the injector has
+    no metrics of its own. Layers without an ``instrument`` method are
+    skipped, not errors.
     """
     seen = set()
     target = store

@@ -36,12 +36,14 @@ class TestGroundTruth:
 
     def test_distance_decay(self, communities):
         """Mean importance near the seed exceeds the periphery's."""
-        from repro.explain.annotations import _bfs_distance
+        from repro.graph import bfs
 
         near_scores, far_scores = [], []
         for community in communities:
             truth = ground_truth_importance(community)
-            distance = _bfs_distance(community.graph, community.seed_local)
+            reached, hops, _ = bfs(community.graph, [community.seed_local])
+            distance = np.full(community.graph.num_nodes, np.inf)
+            distance[reached] = hops
             near_scores.extend(truth[distance <= 1])
             far_scores.extend(truth[distance > 2])
         if far_scores:

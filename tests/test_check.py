@@ -32,6 +32,7 @@ from repro.check import (
 )
 from repro.check.reference import component_bounds, stack_subgraphs, unstack
 from repro.cli import main
+from repro.graph import sampling
 from repro.graph.cache import SubgraphCache
 from repro.graph.sampling import SageSampler, gather
 from repro.models import hetero_conv
@@ -338,6 +339,26 @@ def test_mutant_is_killed_by_its_check(mutant):
     assert where == mutant.check
     assert shrunk == mutant.shrinks_to
     assert texts and all(part in text for text in texts for part in mutant.carries), texts
+
+
+def test_a_sorted_frontier_moves_the_walk_and_no_receptive_field(tiny_graph):
+    """A level's new nodes deduplicated ascending instead of in order of
+    discovery: the same sets level by level, so every receptive field
+    (nodes past the targets ascending, edges by id) stays as it was and
+    only ``bfs``'s own order, and what a ``max_nodes`` cap keeps, move."""
+    mutant = MUTANTS["bfs-frontier-deduplicated-sorted"]
+    targets = tiny_graph.txn_nodes[[5, 0, 9, 0]]
+    fields = {hops: sampling.receptive_field(tiny_graph, targets, hops) for hops in range(4)}
+    order, _, _ = sampling.bfs(tiny_graph, targets, max_hops=2)
+    capped, _, _ = sampling.bfs(tiny_graph, targets, max_nodes=7)  # four of the first level
+    with mutant.planted():  # planted on the module: look ``bfs`` up there
+        assert "!= scalar BFS" in run_case(mutant.check, *mutant.shrinks_to)
+        for hops, field in fields.items():
+            mutated = sampling.receptive_field(tiny_graph, targets, hops)
+            np.testing.assert_array_equal(mutated.original_ids, field.original_ids)
+            np.testing.assert_array_equal(mutated.edge_ids, field.edge_ids)
+        assert sampling.bfs(tiny_graph, targets, max_hops=2)[0].tolist() != order.tolist()
+        assert set(sampling.bfs(tiny_graph, targets, max_nodes=7)[0]) != set(capped)
 
 
 def test_only_the_deadline_audit_sees_a_budget_spent_exactly():

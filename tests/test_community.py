@@ -1,8 +1,13 @@
 """Community extraction for the explainer evaluation (Sec. 5.1)."""
 
+import zlib
+
 import numpy as np
 import pytest
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
+from repro.data import ebay_small_sim
 from repro.graph import NODE_TYPE_IDS, extract_community, select_communities
 
 
@@ -16,7 +21,12 @@ class TestExtraction:
         _, test = tiny_splits
         seed = int(test[0])
         community = extract_community(tiny_graph, seed)
-        component = tiny_graph.connected_component(seed)
+        adjacency = coo_matrix(
+            (np.ones(tiny_graph.num_edges), (tiny_graph.edge_src, tiny_graph.edge_dst)),
+            shape=(tiny_graph.num_nodes,) * 2,
+        )
+        _, labels = connected_components(adjacency, directed=False)
+        component = np.flatnonzero(labels == labels[seed])
         np.testing.assert_array_equal(np.sort(community.original_ids), component)
 
     def test_label_matches_seed(self, tiny_graph, tiny_splits):
@@ -82,3 +92,17 @@ class TestSelection:
         a = select_communities(tiny_graph, test, count=5, seed=4)
         b = select_communities(tiny_graph, test, count=5, seed=4)
         assert [c.seed_original for c in a] == [c.seed_original for c in b]
+
+
+def test_the_explainer_sample_is_pinned():
+    """Sec. 5.1's 41 communities at ``benchmarks/conftest.py``'s
+    parameters — the input of Tables 1, 4/12, 8-11 and 13. Node ids are
+    integers, so the CRC32 of their bytes is exact: a traversal change
+    that moves any community fails here rather than in a bench."""
+    small = ebay_small_sim(seed=0, scale=0.5)
+    communities = select_communities(
+        small.graph, small.test_nodes, count=41, seed=7, min_edges=10, fraud_count=18, max_hops=3
+    )
+    ids = np.concatenate([community.original_ids for community in communities])
+    assert (len(communities), len(ids)) == (41, 671)
+    assert zlib.crc32(ids.astype("<i8").tobytes()) == 3112110716

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.graph import EDGE_TYPES, NODE_TYPE_IDS, NODE_TYPES, HeteroGraph, edge_type_between
+from repro.graph import EDGE_TYPES, NODE_TYPE_IDS, NODE_TYPES, HeteroGraph, bfs, edge_type_between
 
 
 def small_graph() -> HeteroGraph:
@@ -255,5 +255,34 @@ class TestSubgraph:
 
     def test_connected_component(self):
         graph = small_graph()
-        component = graph.connected_component(0)
+        component, _, _ = bfs(graph, [0])
         assert set(component.tolist()) == {0, 1, 2, 3}
+
+
+class TestBfs:
+    """``bfs`` on ``small_graph``: edges 1 -> 0 and 2 -> 0 enter txn 0
+    (ids 1, 3), 0 -> 1 and 3 -> 1 enter pmt 1 (ids 0, 4)."""
+
+    @staticmethod
+    def walk(sources, max_hops=None, max_nodes=None):
+        graph = small_graph()
+        nodes, hops, slots = bfs(graph, sources, max_hops, max_nodes)
+        return nodes.tolist(), hops.tolist(), graph.csr().edge_id[slots].tolist()
+
+    def test_discovery_order_hops_and_edges_walked(self):
+        assert self.walk([0]) == ([0, 1, 2, 3], [0, 1, 1, 2], [1, 3, 0, 4, 2, 5])
+
+    def test_several_sources_unique_in_request_order(self):
+        assert self.walk([3, 0, 3]) == ([3, 0, 1, 2], [0, 0, 1, 1], [5, 1, 3, 0, 4, 2])
+
+    def test_max_hops_stops_expanding(self):
+        assert self.walk([0], max_hops=1) == ([0, 1, 2], [0, 1, 1], [1, 3])
+        assert self.walk([1], max_hops=0) == ([1], [0], [])
+
+    def test_max_nodes_keeps_the_first_discovered(self):
+        assert self.walk([0], max_nodes=2) == ([0, 1], [0, 1], [1, 3])
+        assert self.walk([1], max_nodes=0) == ([1], [0], [])  # the sources always
+
+    def test_source_outside_the_graph_refused(self):
+        with pytest.raises(ValueError, match="not nodes of the graph"):
+            bfs(small_graph(), [4])
