@@ -1,23 +1,42 @@
-"""Elastic supervision overhead — self-healing must be (almost) free.
+"""Fault-free elastic supervision costs one measured budget over the
+engine it drives.
 
-The elastic supervisor wraps every synchronisation round in failure
-detection, heartbeat bookkeeping, an in-memory CRC-verified snapshot,
-and straggler accounting. None of that may tax the fault-free path:
-this bench trains the same model over the *same* rendezvous-hashed
-shards twice — once under the plain ``DistributedTrainer``, once under
-a fault-free ``ElasticTrainer`` — and compares real (not simulated)
-p50 wall-clock per epoch. Shape check: supervision costs under 5% at
-the median.
+``ElasticTrainer.fit`` pays, per epoch, ``_supervised_epoch`` (the
+engine's ``shard_gradients`` per member and one ``step``, with the
+failure detector's heartbeats and poll, each shard's gradient CRC taken
+at the worker and again on receipt, and the NaN/Inf check between them)
+plus ``_checkpoint_state`` (the in-memory snapshot and its CRC).
+``test_supervision_ratio_floor`` alternates that with one epoch of the
+plain ``DistributedTrainer`` over the same rendezvous-hashed shards
+(GEM, 8 workers, ebay-small-sim at scale 0.3, 24 timed epochs after one
+untimed) and holds the median of the per-pair ratios
+(``_helpers.paired_ratio``) to ``SUPERVISION_BUDGET``. Both models
+start equal and end equal, bit for bit: supervision adds no arithmetic.
+
+The budget pays for 17 CRC32 passes an epoch — two over each of the 8
+shards' gradients (at the worker and on receipt) and one over the
+snapshot's parameters — which take 4.7% of the plain epoch on their
+own, plus the NaN/Inf check (1.4%), the snapshot copy (0.6%), the
+failure detector (0.4%) and the rest (0.9%). On a 2-core Xeon VM the
+ratio read 1.057-1.110x over 16 runs, so the budget is that maximum
+plus 0.03 (the 16 readings spread over 0.053). The previous commit,
+which also kept the straggler backup's EWMA, CRC'd ``tobytes()`` copies
+and re-serialised the whole history into every in-memory snapshot,
+read 1.062-1.103x alternated with them: the ~1 ms an epoch it spent
+more is inside this ratio's run-to-run spread. ``results/elastic.txt``
+holds both sides' readings and the per-epoch breakdown this test prints.
+
+    PYTHONPATH=src python -m pytest benchmarks/bench_elastic_overhead.py -q -s
 """
 
 import time
+from collections import Counter
 
 import numpy as np
 
-from _helpers import format_table, model_config, write_result
+from _helpers import format_table, model_config, paired_ratio
 from repro.data import ebay_small_sim
 from repro.models import GEMModel
-from repro.obs import Tracer
 from repro.train import (
     DistributedTrainer,
     ElasticConfig,
@@ -25,74 +44,111 @@ from repro.train import (
     TrainConfig,
     make_worker_partitions,
 )
+from repro.train import elastic as elastic_module
 
-EPOCHS = 12
+SUPERVISION_BUDGET = 1.14  # supervised epoch vs the plain engine's (1.057-1.110x)
+EPOCHS = 24
+BREAKDOWN_EPOCHS = 8
 WORKERS = 8
 SCALE = 0.3
 
 
-def test_elastic_overhead(benchmark):
+class _SelfTimes:
+    """Exclusive wall-clock seconds per wrapped callable: a wrapped call
+    made inside another is charged to itself, not to its caller."""
+
+    def __init__(self, monkeypatch) -> None:
+        self.seconds, self.calls = Counter(), Counter()
+        self._children = []
+        self._monkeypatch = monkeypatch
+
+    def wrap(self, owner, name: str, key: str) -> None:
+        original = getattr(owner, name)
+
+        def timed(*args, **kwargs):
+            self._children.append(0.0)
+            started = time.perf_counter()
+            try:
+                return original(*args, **kwargs)
+            finally:
+                elapsed = time.perf_counter() - started
+                self.seconds[key] += elapsed - self._children.pop()
+                self.calls[key] += 1
+                if self._children:
+                    self._children[-1] += elapsed
+
+        self._monkeypatch.setattr(owner, name, timed)
+
+
+def test_supervision_ratio_floor(monkeypatch):
+    """What fit pays per fault-free epoch stays within one budget of the engine's epoch."""
     bundle = ebay_small_sim(seed=0, scale=SCALE)
     graph = bundle.graph
-    config = TrainConfig(epochs=EPOCHS, batch_size=1024, seed=0)
-    elastic_config = ElasticConfig(num_partitions=32)
-
-    # Plain engine over the *same* shards the supervisor would build, so
-    # the delta is pure supervision (detector + snapshot + accounting).
+    config = TrainConfig(epochs=1 + EPOCHS + BREAKDOWN_EPOCHS, batch_size=1024, seed=0)
     supervisor = ElasticTrainer(
         GEMModel(model_config(graph.feature_dim, seed=0)),
         graph,
         bundle.train_nodes,
         num_workers=WORKERS,
         config=config,
-        elastic=elastic_config,
+        elastic=ElasticConfig(num_partitions=32),
     )
-    plain_workers = make_worker_partitions(
+    shards = make_worker_partitions(
         graph,
         bundle.train_nodes,
-        members=sorted(range(WORKERS)),
+        members=list(range(WORKERS)),
         partition_ids=supervisor.partition_ids,
         seed=config.seed,
     )
-    plain = DistributedTrainer(
-        GEMModel(model_config(graph.feature_dim, seed=0)), plain_workers, config
-    )
-    plain_epochs = []
-    for epoch in range(EPOCHS):
+    plain = DistributedTrainer(GEMModel(model_config(graph.feature_dim, seed=0)), shards, config)
+    history = []
+
+    def supervised_epoch(epoch):
+        history.append(supervisor._supervised_epoch(epoch))
+        supervisor._checkpoint_state(epoch, history)
+
+    def seconds(fn, epoch):
         started = time.perf_counter()
-        plain.train_epoch(epoch)
-        plain_epochs.append(time.perf_counter() - started)
+        fn(epoch)
+        return time.perf_counter() - started
 
-    tracer = Tracer()
-    supervisor.tracer = tracer
-    supervisor.fit()
-    elastic_epochs = [
-        span.duration_s for span in tracer.spans() if span.name == "supervise_epoch"
-    ]
-    assert len(elastic_epochs) == EPOCHS
+    supervised_epoch(0)  # untimed: first-call costs on both sides
+    plain.train_epoch(0)
+    plain_s, supervised_s = [], []
+    for epoch in range(1, 1 + EPOCHS):
+        if epoch % 2:
+            supervised_s.append(seconds(supervised_epoch, epoch))
+            plain_s.append(seconds(plain.train_epoch, epoch))
+        else:
+            plain_s.append(seconds(plain.train_epoch, epoch))
+            supervised_s.append(seconds(supervised_epoch, epoch))
+    ours, theirs = supervisor.model.state_dict(), plain.model.state_dict()
+    assert all(np.array_equal(ours[name], theirs[name]) for name in theirs)
+    ratio = paired_ratio(supervised_s, plain_s)
 
-    plain_p50 = float(np.median(plain_epochs))
-    elastic_p50 = float(np.median(elastic_epochs))
-    overhead = elastic_p50 / plain_p50 - 1.0
-
-    benchmark.pedantic(
-        lambda: supervisor._supervised_epoch(EPOCHS), rounds=5, iterations=1
-    )
-
+    # Where the supervised epoch's time goes, on further epochs.
+    spent = _SelfTimes(monkeypatch)
+    for name in ("shard_gradients", "step"):
+        spent.wrap(supervisor.engine, name, "engine (shard_gradients + step)")
+    spent.wrap(elastic_module, "_arrays_crc", "CRC32 passes")
+    spent.wrap(supervisor, "_integrity_check", "NaN/Inf check")
+    spent.wrap(elastic_module, "capture_training_state", "snapshot copy")
+    for name in ("heartbeat", "poll"):
+        spent.wrap(supervisor.detector, name, "failure detector")
+    total = sum(seconds(supervised_epoch, epoch) for epoch in range(1 + EPOCHS, config.epochs))
+    plain_ms = float(np.median(plain_s)) * 1e3
     rows = [
-        ["plain DDP engine", f"{plain_p50:.3f}s", "-"],
-        ["elastic supervisor (fault-free)", f"{elastic_p50:.3f}s", f"{overhead:+.1%}"],
+        [key, f"{spent.calls[key] / BREAKDOWN_EPOCHS:g}", f"{ms:.2f}", f"{ms / plain_ms:.1%}"]
+        for key, ms in (
+            (key, spent.seconds[key] / BREAKDOWN_EPOCHS * 1e3) for key in spent.seconds
+        )
     ]
-    table = format_table(["path", "p50 s/epoch", "overhead"], rows)
-    text = (
-        f"Elastic supervision overhead ({WORKERS} workers, {EPOCHS} epochs, "
-        f"scale={SCALE})\n\n{table}\n\n"
-        "Fault-free supervision must stay under 5% p50 overhead per epoch; "
-        "failure detection, heartbeats, and the CRC-verified in-memory "
-        "snapshot are all the elastic path adds when nothing fails."
+    rest_ms = (total - sum(spent.seconds.values())) / BREAKDOWN_EPOCHS * 1e3
+    rows.append(["the rest", "-", f"{rest_ms:.2f}", f"{rest_ms / plain_ms:.1%}"])
+    print(
+        f"\nfault-free supervised epoch {np.median(supervised_s) * 1e3:.1f} ms vs the plain "
+        f"engine's {plain_ms:.1f} ms -> {ratio:.3f}x per pair (budget <= "
+        f"{SUPERVISION_BUDGET:.2f}x)\n"
+        + format_table(["per supervised epoch", "calls", "ms", "of plain epoch"], rows)
     )
-    path = write_result("elastic", text)
-    print(f"\n{text}\nwrote {path}")
-
-    # 5% budget plus measurement headroom (shared-CI timer noise).
-    assert overhead < 0.05 + 0.10, f"supervision overhead {overhead:.1%} exceeds budget"
+    assert ratio <= SUPERVISION_BUDGET

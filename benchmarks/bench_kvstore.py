@@ -205,7 +205,7 @@ def test_fig12_13_kvstore_loading(benchmark, small, tmp_path_factory):
             seconds["multi", workers]
         )
         rows.append([f"speedup, {workers} worker(s)", "", f"{speedup[workers]:.2f}x", "", "", ""])
-    np_load_us, decode_us = _decode_us_per_row()
+    np_load_us, decode_us = (float(np.median(readings)) for readings in _decode_readings())
     text = (
         f"Figures 12/13 — concurrent feature loading ({total_rows:,} rows, "
         f"median of {REPEATS} alternating runs)\n"

@@ -2,7 +2,8 @@
 """Summarise alternating parent/change ledger pairs into BENCH_ledger.json.
 
     python3 benchmarks/summarise_pairs.py RUNS --pr N \\
-        [--claim stream_ingest throughput_per_s 1.3] [--parent e840b69] [--notes FILE]
+        [--claim stream_ingest throughput_per_s 1.3] [--parent e840b69] [--change LABEL] \\
+        [--notes FILE]
     python3 benchmarks/summarise_pairs.py --trajectory
     python3 benchmarks/summarise_pairs.py --check
 
@@ -16,7 +17,7 @@ side and seed, ledger code byte-identical on both sides::
 checkouts, the parent first on even seeds). ``--pr N`` appends one entry
 to the file ``--out`` names (``BENCH_ledger.json`` at the repository
 root by default) and prints it as a table. The entry holds the parent and
-change commits, the claim, one row per (workload, end-to-end metric) with
+change labels, the claim, one row per (workload, end-to-end metric) with
 each side's median and quartiles, how many pairs the change is ahead in,
 the change/parent ratio of medians, the ``BENCHMARK.json`` bound and a
 verdict by the rule of the choosing-metrics guide: a gain only when the
@@ -29,6 +30,12 @@ field are refused). Its ``notes`` are the
 summary's other lines: failed operations, whether everything that must
 repeat for a seed did, the claim pair by pair, and for each traced pair
 every per-layer metric that differs between the sides.
+
+Each side is labelled by ``--parent`` / ``--change``, or else by the
+commit its runs recorded. A change measured before it is committed
+records its parent's HEAD, and a checkout without ``.git`` records
+``unknown``, so an append whose change label is ``unknown`` or equals
+the parent's is refused: name the measured change with ``--change``.
 
 ``--trajectory`` prints, per workload and metric, each PR's ratio and
 their running product; ``--check`` exits 1 when the newest row of any
@@ -185,6 +192,13 @@ def summarise(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict
     runs = [side[s][w] for side in (parent, change) for s in seeds for w in side[s]]
     commits = [parent[seeds[0]][workloads[0]]["env"].get("git_commit", "unknown")[:7],
                change[seeds[0]][workloads[0]]["env"].get("git_commit", "unknown")[:7]]
+    env = run_env(runs, parser)
+    parent_label, change_label = args.parent or commits[0], args.change or commits[1]
+    if change_label in ("unknown", parent_label):
+        parser.error(
+            f"the change is labelled {change_label!r} and the parent {parent_label!r}: "
+            "name the measured change with --change LABEL"
+        )
     rows = [
         row_of(
             workload,
@@ -233,12 +247,11 @@ def summarise(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict
         notes.pop()
     return {
         "pr": args.pr,
-        "parent": args.parent or commits[0],
-        # A change measured before it was committed reports its parent's HEAD.
-        "change": commits[1] if commits[1] not in (commits[0], "unknown") else None,
+        "parent": parent_label,
+        "change": change_label,
         "pairs": len(seeds),
         "claim": claim,
-        "env": run_env(runs, parser),
+        "env": env,
         "rows": rows,
         "notes": notes,
     }
@@ -343,6 +356,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--pr", type=int, help="append the summary of RUNS as this PR's entry")
     parser.add_argument("--claim", nargs=3, metavar=("WORKLOAD", "METRIC", "RATIO"))
     parser.add_argument("--parent", help="label of the parent commit (default: the runs' own)")
+    parser.add_argument("--change", help="label of the measured change (default: the runs' own)")
     parser.add_argument("--notes", help="file appended verbatim (measurements taken by hand)")
     parser.add_argument("--trajectory", action="store_true", help="print each PR's ratio per workload and metric")
     parser.add_argument("--check", action="store_true", help="exit 1 if a newest row is worse than its bound")

@@ -487,8 +487,8 @@ def _cmd_train(args) -> int:
 
 # Scripted chaos for the CI gate: kill 2 of 8 workers at epoch 1 (the
 # detector must evict them and re-shard), rejoin one at epoch 3 (probing
-# readmission), slow one worker 4x at epoch 2 (backup execution), and
-# corrupt one gradient at epoch 2 (quarantine). Deterministic on the
+# readmission), slow one worker 4x at epoch 2 (the round waits for it),
+# and corrupt one gradient at epoch 2 (quarantine). Deterministic on the
 # supervisor's ManualClock, so the gate replays bit-for-bit.
 _CHAOS_WORKERS = 8
 _CHAOS_MIN_EPOCHS = 5
@@ -604,8 +604,6 @@ def _cmd_train_elastic(args) -> int:
     rejoined = sorted(w for record in chaos.history for w in record.rejoined)
     if rejoined != sorted(w for ws in _CHAOS_REJOIN.values() for w in ws):
         failures.append(f"expected rejoins {_CHAOS_REJOIN}, saw {rejoined}")
-    if chaos.total_backups < 1:
-        failures.append("straggler backup never fired")
     if chaos.total_quarantined < 1:
         failures.append("corrupt gradient was never quarantined")
     if chaos.total_rollbacks < 1:

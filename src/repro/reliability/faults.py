@@ -51,12 +51,11 @@ class ManualClock:
 
 
 # Elastic-training event kinds (repro.train.elastic). KILL/REJOIN are
-# *scheduled* by a plan; EVICTION/BACKUP/QUARANTINE are *decisions* the
+# *scheduled* by a plan; EVICTION/QUARANTINE are *decisions* the
 # supervisor records in response.
 KILL = "kill"
 REJOIN = "rejoin"
 EVICTION = "evict"
-BACKUP = "backup"
 QUARANTINE = "quarantine"
 
 GRAD_CORRUPT_MODES = ("nan", "bitflip")
@@ -68,7 +67,7 @@ class FaultEvent:
 
     epoch: int
     worker_id: int
-    kind: str  # "kill" | "rejoin" | "evict" | "backup" | "quarantine"
+    kind: str  # "kill" | "rejoin" | "evict" | "quarantine"
     detail: str = ""
 
 
@@ -84,7 +83,8 @@ class FaultPlan:
     * ``worker_rejoin`` — epoch -> previously killed workers asking to
       be readmitted (they re-enter via the probing state);
     * ``worker_slow`` — epoch -> {worker: latency multiplier >= 1} for
-      that epoch only (the straggler-mitigation trigger);
+      that epoch only (the round waits for it; its late heartbeat
+      moves the failure detector's phi);
     * ``grad_corrupt`` — epoch -> {worker: mode} where mode is ``nan``
       (poisoned values) or ``bitflip`` (checksum mismatch); a plain
       sequence of worker ids means ``nan``.

@@ -13,9 +13,13 @@ rejoin with zero manual intervention:
   injectable clock. Suspicion ``phi = -log10 P(silence this long)``
   accrues continuously from each worker's own inter-heartbeat history,
   so a naturally slow worker is not declared dead by a fixed timeout.
-  States are the four shared names of :mod:`repro.cluster`, the ones
-  the replica health machine of :mod:`repro.storage.replicated` also
-  uses: ``healthy → suspect → dead → probing``.
+  A slow worker (``FaultPlan.worker_slow``) is waited for: its late
+  heartbeat ends the round's simulated wall-clock and feeds its phi
+  history. No backup copy of its shard is run — it would compute the
+  identical gradient and change only that simulated time. States are
+  the four shared names of :mod:`repro.cluster`, the ones the replica
+  health machine of :mod:`repro.storage.replicated` also uses:
+  ``healthy → suspect → dead → probing``.
 * **Eviction & re-shard** — a worker declared dead (or still silent
   when the barrier's grace period ends) is evicted, the
   graph partitions it owned are re-assigned by rendezvous hashing
@@ -26,12 +30,6 @@ rejoin with zero manual intervention:
 * **Rejoin** — a previously evicted worker readmits through the
   probing state with a state catch-up from that same checkpoint; its
   first completed round confirms it back to healthy.
-* **Straggler mitigation** — per-worker EWMA step latency; when a
-  shard's step exceeds ``STRAGGLER_K ×`` the median EWMA, a backup
-  execution of that shard is launched on the fastest peer and the
-  first result wins, ties breaking deterministically to the lower
-  worker id. (Both executions compute the identical gradient — the
-  win decides wall-clock, not arithmetic.)
 * **Gradient integrity** — every shard's gradient carries a CRC32
   computed at the worker; NaN/Inf values or checksum mismatches are
   quarantined, the all-reduce renormalises over the accepted shards,
@@ -52,7 +50,7 @@ from __future__ import annotations
 import math
 import zlib
 from collections import deque
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -70,7 +68,6 @@ from ..reliability.checkpoint import (
     restore_training_state,
 )
 from ..reliability.faults import (
-    BACKUP,
     EVICTION,
     KILL,
     QUARANTINE,
@@ -106,10 +103,6 @@ _MIN_SURVIVAL = 1e-12
 #: deterministically by worker id; also the detector's bootstrap interval.
 _BASE_STEP_S = 1.0
 STEP_JITTER = 0.25
-#: A backup fires when a shard's step takes over ``STRAGGLER_K`` x the
-#: median of the workers' step-latency EWMAs (weight ``EWMA_ALPHA``).
-STRAGGLER_K = 2.0
-EWMA_ALPHA = 0.4
 #: Rollback-and-retry bound per epoch.
 MAX_RETRIES_PER_EPOCH = 3
 #: Max simulated wait for suspicion of a silent worker to resolve.
@@ -335,7 +328,6 @@ class ElasticEpoch:
     eval_auc: Optional[float] = None
     evicted: List[int] = field(default_factory=list)
     rejoined: List[int] = field(default_factory=list)
-    backups: List[int] = field(default_factory=list)
     quarantined: List[int] = field(default_factory=list)
     retries: int = 0
     events: List[FaultEvent] = field(default_factory=list)
@@ -346,15 +338,6 @@ class ElasticResult:
     history: List[ElasticEpoch] = field(default_factory=list)
     metrics: Dict[str, float] = field(default_factory=dict)
 
-    def convergence_curve(self) -> List[Optional[float]]:
-        return [record.eval_auc for record in self.history]
-
-    @property
-    def seconds_per_epoch(self) -> float:
-        if not self.history:
-            return 0.0
-        return float(np.mean([record.wall_seconds for record in self.history]))
-
     @property
     def total_evictions(self) -> int:
         return sum(len(record.evicted) for record in self.history)
@@ -362,10 +345,6 @@ class ElasticResult:
     @property
     def total_rejoins(self) -> int:
         return sum(len(record.rejoined) for record in self.history)
-
-    @property
-    def total_backups(self) -> int:
-        return sum(len(record.backups) for record in self.history)
 
     @property
     def total_quarantined(self) -> int:
@@ -382,7 +361,6 @@ class ElasticResult:
             f"final members  : {final_members}",
             f"evictions      : {self.total_evictions}",
             f"rejoins        : {self.total_rejoins}",
-            f"backup tasks   : {self.total_backups}",
             f"quarantined    : {self.total_quarantined}",
             f"rollbacks      : {self.total_rollbacks}",
         ]
@@ -409,10 +387,11 @@ class _Round:
 
 def _arrays_crc(arrays: Iterable[np.ndarray]) -> int:
     """One CRC32 over a sequence of arrays (a shard's gradients, or a
-    snapshot's parameters in name order)."""
+    snapshot's parameters in name order): each array's C-order bytes,
+    read in place."""
     crc = 0
     for array in arrays:
-        crc = zlib.crc32(np.ascontiguousarray(array).tobytes(), crc)
+        crc = zlib.crc32(np.ascontiguousarray(array), crc)
     return crc
 
 
@@ -432,7 +411,7 @@ class ElasticTrainer:
 
     Requires an advanceable clock (:class:`ManualClock` by default):
     worker step latencies are *simulated* deterministically from
-    ``(seed, worker id)`` so eviction, backup, and rejoin decisions
+    ``(seed, worker id)`` so eviction and rejoin decisions
     replay exactly. Pass ``checkpoint=`` a directory or
     :class:`CheckpointManager` for durable on-disk checkpoints (and
     ``fit(resume=True)``); without one, rollback uses an in-memory
@@ -492,7 +471,6 @@ class ElasticTrainer:
             )
             for w in range(num_workers)
         }
-        self._ewma: Dict[int, float] = {}
         self._budget_used = 0
         self.engine = DistributedTrainer(model, self._shards(), self.config)
         self._metrics_init()
@@ -510,9 +488,6 @@ class ElasticTrainer:
             "rejoins": self.registry.counter(
                 "elastic_rejoins_total", "workers readmitted after eviction", ("worker",)
             ),
-            "backups": self.registry.counter(
-                "elastic_backup_tasks_total", "straggler backup executions", ("worker",)
-            ),
             "quarantines": self.registry.counter(
                 "elastic_quarantines_total", "gradients quarantined", ("worker", "reason")
             ),
@@ -523,7 +498,7 @@ class ElasticTrainer:
         self.registry.collect(self._collect)
 
     def _count(self, name: str, **labels: str) -> None:
-        """The one pushed tally outside a timed block: five cold-path
+        """The one pushed tally outside a timed block: four cold-path
         event counters whose ``worker`` / ``reason`` labels no record
         keeps per label value."""
         if self._counters is not None:
@@ -557,7 +532,6 @@ class ElasticTrainer:
             "members": sorted(self.members),
             "killed": sorted(self._killed),
             "evicted": sorted(self._evicted),
-            "ewma": {str(w): float(v) for w, v in self._ewma.items()},
             "budget_used": int(self._budget_used),
             "clock": float(self.clock()),
             "detector": self.detector.state_dict(),
@@ -568,18 +542,19 @@ class ElasticTrainer:
         return _arrays_crc(state.model_state[name] for name in sorted(state.model_state))
 
     def _checkpoint_state(self, epoch: int, history: List[ElasticEpoch]) -> None:
-        """Snapshot everything a rollback or resume needs, CRC-stamped."""
+        """Snapshot everything a rollback or resume needs, CRC-stamped.
+        The history goes only into the durable copy: a resume reads it,
+        a rollback does not."""
         state = capture_training_state(
             self.model,
             self.engine.optimizer,
             self.engine.rng,
             epoch,
             sections={"elastic": self._elastic_extras()},
-            history=[asdict(record) for record in history],
         )
         self._last_checkpoint = (state, self._state_crc(state))
         if self._manager is not None and epoch >= 0:
-            self._manager.save(state)
+            self._manager.save(replace(state, history=[asdict(record) for record in history]))
 
     def _verified_snapshot(self) -> TrainingState:
         """The last snapshot, its parameters re-checked against the CRC
@@ -607,7 +582,13 @@ class ElasticTrainer:
     def _restore(self, state: TrainingState, result: ElasticResult) -> int:
         """Inverse of :meth:`_checkpoint_state`; returns the next epoch.
         A checkpoint without the supervisor's section (one a plain
-        ``Trainer.fit`` wrote) is refused before the model is touched."""
+        ``Trainer.fit`` wrote) is refused before the model is touched.
+
+        A checkpoint written while the supervisor still ran straggler
+        backups also holds an ``ewma`` entry in its section, a
+        ``backups`` column in every record and maybe ``backup`` events.
+        The backup never changed a gradient, so those are dropped and
+        the run resumes on the same arithmetic."""
         extras = state.section("elastic")
         if not extras:
             raise CheckpointError(
@@ -618,7 +599,6 @@ class ElasticTrainer:
         self.members = set(extras.get("members", sorted(self.members)))
         self._killed = set(extras.get("killed", []))
         self._evicted = set(extras.get("evicted", []))
-        self._ewma = {int(w): float(v) for w, v in extras.get("ewma", {}).items()}
         self._budget_used = int(extras.get("budget_used", 0))
         if "clock" in extras and hasattr(self.clock, "now"):
             self.clock.now = float(extras["clock"])
@@ -628,8 +608,12 @@ class ElasticTrainer:
         result.history = [
             ElasticEpoch(
                 **{
-                    **record,
-                    "events": [FaultEvent(**event) for event in record.get("events", [])],
+                    **{key: value for key, value in record.items() if key != "backups"},
+                    "events": [
+                        FaultEvent(**event)
+                        for event in record.get("events", [])
+                        if event["kind"] != "backup"
+                    ],
                 }
             )
             for record in state.history
@@ -775,14 +759,11 @@ class ElasticTrainer:
             latency = self._base[worker] * slow.get(worker, 1.0)
             shards.append(_Shard(worker, grads, loss, latency, _arrays_crc(grads)))
 
-        effective = {shard.worker: shard.latency for shard in shards}
-        self._mitigate_stragglers(epoch, shards, slow, effective, record)
-
         # Advance the simulated round; deliver heartbeats at completion.
-        wall = max(effective.values()) if effective else _GRACE_TICK_S
+        wall = max((shard.latency for shard in shards), default=_GRACE_TICK_S)
         self.clock.advance(wall)
-        for shard in sorted(shards, key=lambda s: (effective[s.worker], s.worker)):
-            self.detector.heartbeat(shard.worker, at=round_start + effective[shard.worker])
+        for shard in sorted(shards, key=lambda s: (s.latency, s.worker)):
+            self.detector.heartbeat(shard.worker, at=round_start + shard.latency)
         self.detector.poll()
 
         # Workers the all-reduce never heard from: hold the barrier open
@@ -815,70 +796,10 @@ class ElasticTrainer:
         # shard quarantined the engine raises NoSurvivorsError.
         accepted = self._integrity_check(epoch, shards, corrupt, record)
         self.engine.step([shard.grads for shard in accepted])
-
-        for shard in shards:
-            previous = self._ewma.get(shard.worker)
-            self._ewma[shard.worker] = (
-                shard.latency
-                if previous is None
-                else EWMA_ALPHA * shard.latency + (1 - EWMA_ALPHA) * previous
-            )
         return _Round(
             loss=float(np.mean([shard.loss for shard in accepted])),
             wall_seconds=float(wall + waited),
         )
-
-    def _mitigate_stragglers(
-        self,
-        epoch: int,
-        shards: List[_Shard],
-        slow: Dict[int, float],
-        effective: Dict[int, float],
-        record: ElasticEpoch,
-    ) -> None:
-        """Backup-execute shards running past ``k x`` the median EWMA.
-
-        The backup re-runs the *same* shard, so its gradient is
-        bit-identical; first result wins only the wall-clock race.
-        Ties (equal finish) break to the lower worker id.
-        """
-        if len(shards) < 2 or not all(s.worker in self._ewma for s in shards):
-            return
-        threshold = STRAGGLER_K * float(
-            np.median([self._ewma[s.worker] for s in shards])
-        )
-        for shard in shards:
-            if shard.latency <= threshold:
-                continue
-            peers = [s for s in shards if s.worker != shard.worker]
-            backup = min(
-                peers, key=lambda s: (self._base[s.worker] * slow.get(s.worker, 1.0), s.worker)
-            )
-            backup_latency = self._base[backup.worker] * slow.get(backup.worker, 1.0)
-            backup_finish = threshold + backup_latency
-            if backup_finish < shard.latency:
-                winner, finish = backup.worker, backup_finish
-            elif backup_finish > shard.latency:
-                winner, finish = shard.worker, shard.latency
-            else:  # deterministic tie-break: lower worker id wins
-                winner = min(shard.worker, backup.worker)
-                finish = shard.latency
-            effective[shard.worker] = finish
-            with timed(
-                self.tracer, "backup", epoch=epoch, straggler=shard.worker, backup=backup.worker
-            ):
-                record.backups.append(shard.worker)
-                record.events.append(
-                    FaultEvent(
-                        epoch,
-                        shard.worker,
-                        BACKUP,
-                        f"backup on worker {backup.worker}; "
-                        f"{'backup' if winner == backup.worker else 'primary'} won "
-                        f"at {finish:.3f}s",
-                    )
-                )
-            self._count("backups", worker=str(shard.worker))
 
     def _integrity_check(
         self,

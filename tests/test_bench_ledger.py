@@ -246,12 +246,12 @@ class TestAppend:
         shutil.copy(LEDGER, out)
         before = out.read_text()
         pr = str(max(entries()) + 1)
-        result = summarise(str(runs), "--pr", pr, "--out", str(out),
+        result = summarise(str(runs), "--pr", pr, "--out", str(out), "--change", "tree on abcdef0",
                            "--claim", "serve_cold", "throughput_per_s", "1.4")
         assert result.returncode == 0, result.stderr
         assert out.read_text().startswith(before[: -len("\n]\n")])
         entry = entries(str(out))[int(pr)]
-        assert (entry["parent"], entry["change"], entry["pairs"]) == ("abcdef0", None, 10)
+        assert (entry["parent"], entry["change"], entry["pairs"]) == ("abcdef0", "tree on abcdef0", 10)
         assert entry["env"] == {"cpu_model": "test cpu", "nproc": 2, "python": "3.x", "numpy": "9.9",
                                 "scipy": None, "blas_core": None}
         throughput = row(entry, "serve_cold", "throughput_per_s")
@@ -260,8 +260,38 @@ class TestAppend:
         assert row(entry, "serve_cold", "auc")["verdict"] == "identical"
         assert row(entry, "serve_cold", "peak_rss_mb")["verdict"] == "identical"
         assert "failed operations over all 20 workload runs: 0; runs with a failed output check: 0" in entry["notes"]
-        assert f"PR {pr}: 10 alternating parent/change pairs, parent abcdef0, change uncommitted" in result.stdout
-        assert summarise(str(runs), "--pr", pr, "--out", str(out)).returncode == 2
+        assert f"PR {pr}: 10 alternating parent/change pairs, parent abcdef0, change tree on abcdef0" in result.stdout
+        assert summarise(str(runs), "--pr", pr, "--out", str(out), "--change", "x").returncode == 2
+
+    @pytest.mark.parametrize(
+        "labels, refused",
+        [
+            (["--parent", "6920116"], "the change is labelled '6920116' and the parent '6920116'"),
+            ([], "the change is labelled 'unknown' and the parent 'unknown'"),
+        ],
+    )
+    def test_an_append_without_its_own_change_label_is_refused(self, tmp_path, labels, refused):
+        """A parent from ``git archive`` records ``unknown``; the change,
+        measured in the parent's checkout before its commit, records the
+        parent's HEAD (or ``unknown`` too). Neither labels the change."""
+        runs = tmp_path / "runs"
+        commits = {"parent": "unknown", "change": "6920116aaaa" if labels else "unknown"}
+        for side in ("parent", "change"):
+            for seed in range(10):
+                (runs / side / f"seed{seed}").mkdir(parents=True)
+                document = fake_run(seed, side, commits[side])
+                (runs / side / f"seed{seed}" / "ledger.json").write_text(json.dumps(document))
+        out = tmp_path / "ledger.json"
+        shutil.copy(LEDGER, out)
+        before = out.read_text()
+        pr = str(max(entries()) + 1)
+        result = summarise(str(runs), "--pr", pr, "--out", str(out), *labels)
+        assert result.returncode == 2 and refused in result.stderr
+        assert out.read_text() == before
+        result = summarise(str(runs), "--pr", pr, "--out", str(out), *labels, "--change", "d28e089+")
+        assert result.returncode == 0, result.stderr
+        entry = entries(str(out))[int(pr)]
+        assert (entry["parent"], entry["change"]) == ("6920116" if labels else "unknown", "d28e089+")
 
     def test_runs_from_two_machines_are_refused(self, tmp_path):
         runs = tmp_path / "runs"
