@@ -53,7 +53,6 @@ from .data import (
     ebay_small_sim,
     ebay_xlarge_sim,
     export_events,
-    generate_log,
     load_dataset,
 )
 from .explain import (
@@ -144,7 +143,6 @@ __all__ = [
     "ebay_small_sim",
     "ebay_large_sim",
     "ebay_xlarge_sim",
-    "generate_log",
     "export_events",
     "TxnEvent",
     "load_dataset",

@@ -1176,7 +1176,7 @@ def _grad_cases(rng: np.random.Generator, size: int) -> List[Tuple[str, Callable
     to a ``Tensor``. Shapes are redrawn per case; ``n`` rows may be 0
     (a zero-row block), an index may miss segments (empty
     neighbourhoods) or hit one once (a single edge). Inputs stay clear
-    of kinks (``relu`` at 0, tied maxima) and poles, where a central
+    of kinks (``relu`` at 0) and poles, where a central
     difference says nothing about the one-sided gradient."""
     from .. import nn
     from ..nn import functional as F
@@ -1195,11 +1195,6 @@ def _grad_cases(rng: np.random.Generator, size: int) -> List[Tuple[str, Callable
 
     def positive(*shape: int) -> np.ndarray:
         return rng.uniform(0.3, 2.0, size=shape)
-
-    def spread(*shape: int) -> np.ndarray:
-        """No two entries within 0.25 of each other: maxima are strict."""
-        count = int(np.prod(shape))
-        return (rng.permutation(count) * 0.25 + rng.uniform(0.0, 0.1, size=count)).reshape(shape)
 
     def index(into: int, count: int) -> np.ndarray:
         return rng.integers(0, into, size=count) if into else np.zeros(0, dtype=np.int64)
@@ -1224,7 +1219,6 @@ def _grad_cases(rng: np.random.Generator, size: int) -> List[Tuple[str, Callable
     case("rtruediv", lambda a: 2.0 / a, off_zero(n, d))
     case("pow", lambda a: a**3, normal(n, d))
     case("pow fractional", lambda a: a**0.7, positive(n, d))
-    case("sqrt", lambda a: a.sqrt(), positive(n, d))
     case("matmul", lambda a, b: a @ b, normal(n, d), normal(d, k))
     case("matmul batched", lambda a, b: a @ b, normal(k, n, d), normal(k, d, m))
     case("matmul broadcast", lambda a, b: a @ b, normal(k, n, d), normal(d, m))
@@ -1247,9 +1241,6 @@ def _grad_cases(rng: np.random.Generator, size: int) -> List[Tuple[str, Callable
     lead = rows(1)
     case("mean", lambda a: a.mean(), normal(lead, d))
     case("mean axis", lambda a: a.mean(axis=0, keepdims=True), normal(lead, d))
-    case("max", lambda a: a.max(), spread(lead, d))
-    case("max axis", lambda a: a.max(axis=0), spread(lead, d))
-    case("max axis keepdims", lambda a: a.max(axis=1, keepdims=True), spread(lead, d))
     case("exp", lambda a: a.exp(), normal(n, d))
     case("log", lambda a: a.log(), positive(n, d))
     case("tanh", lambda a: a.tanh(), normal(n, d))
@@ -1257,7 +1248,6 @@ def _grad_cases(rng: np.random.Generator, size: int) -> List[Tuple[str, Callable
     case("sigmoid", lambda a: a.sigmoid(), normal(n, d))
     case("concat rows", lambda a, b: T.concat([a, b], axis=0), normal(n, d), normal(m, d))
     case("concat columns", lambda a, b: T.concat([a, b], axis=-1), normal(n, d), normal(n, k))
-    case("stack", lambda a, b: T.stack([a, b], axis=1), normal(n, d), normal(n, d))
     chosen = rng.random((n, d)) < 0.5
     case("where", lambda a, b: T.where(chosen, a, b), normal(n, d), normal(n, d))
 
@@ -1288,11 +1278,7 @@ def _grad_cases(rng: np.random.Generator, size: int) -> List[Tuple[str, Callable
     case("layer_norm", F.layer_norm, normal(n, d + 1), normal(d + 1), normal(d + 1))
     labels = rng.integers(0, d, size=lead)
     case("cross_entropy", lambda a: F.cross_entropy(a, labels), normal(lead, d))
-    flags = rng.integers(0, 2, size=(lead, d))
-    case("bce_with_logits", lambda a: F.binary_cross_entropy_with_logits(a, flags), off_zero(lead, d))
     case("bernoulli_entropy", F.bernoulli_entropy, rng.uniform(0.05, 0.95, size=(n, d)))
-    wanted = normal(lead, d)
-    case("mse", lambda a: F.mse(a, wanted), normal(lead, d))
     return cases
 
 
@@ -2065,14 +2051,14 @@ def _plan_shared_by_position(real):
         edit(
             "a-writer-that-does-not-bump-the-version", "repro.nn:Parameter.write",
             "self.version += 1", "pass", "!= a plan built now",
-            alone=True, shrinks_to=(3, 1),
+            alone=True, shrinks_to=(0, 1),
         ),
         edit(
             "a-plan-keyed-on-the-parameters-identity", _CONV + "HeteroConvLayer.plan",
             "key = [(param, param.version) for param in self.parameters()]",
             "key = [id(param) for param in self.parameters()]",
             "!= a plan built now",
-            alone=True, shrinks_to=(1, 1),
+            alone=True, shrinks_to=(0, 1),
         ),
         edit(  # the memo's O(1) check trusts the write counter
             "a-swap-that-does-not-count-as-a-write", "repro.nn:Module.__setattr__",
@@ -2091,10 +2077,10 @@ def _fuzz_plan_memo(seed: int, size: int) -> Optional[str]:
     """The layer plan (:meth:`HeteroConvLayer.plan`: every weight-only
     table, memoised per parameter version) vs a plan rebuilt on every
     call, under every writer of parameters and every reader of plans:
-    SGD (momentum), Adam (coupled decay) and AdamW steps,
-    ``load_state_dict``, ``restore_training_state``, an
-    ``OnlineFineTuner`` update, a parameter swapped for a new one, a
-    ``GNNExplainer`` run and scoring, in a random order on one detector
+    Adam (coupled decay) and AdamW steps, ``load_state_dict``,
+    ``restore_training_state``, an ``OnlineFineTuner`` update, a
+    parameter swapped for a new one, a ``GNNExplainer`` run and
+    scoring, in a random order on one detector
     beside a second one of the same shape (so both start at the same
     versions, with other weights). After each: every layer's memo equal
     to a plan built now, array for array, byte for byte, on both
@@ -2115,12 +2101,11 @@ def _fuzz_plan_memo(seed: int, size: int) -> Optional[str]:
     txns = graph.txn_nodes
     targets = txns[rng.integers(0, len(txns), size=int(rng.integers(1, 4)))]
     optimizers = {
-        "sgd": nn.SGD(live.parameters(), lr=0.05, momentum=0.5),
         "adam": nn.Adam(live.parameters(), lr=0.01, weight_decay=0.01),
         "adamw": nn.AdamW(live.parameters(), lr=0.01),
     }
     snapshot = capture_training_state(live, optimizers["adamw"], np.random.default_rng(seed), 0)
-    operations = ("sgd", "adam", "adamw", "load", "restore", "finetune", "swap", "explain", "score")
+    operations = ("adam", "adamw", "load", "restore", "finetune", "swap", "explain", "score")
     done = []
     for _ in range(4 + size % 5):
         operation = str(rng.choice(operations))
@@ -2180,25 +2165,25 @@ def _optimizer_problem(ours, theirs, grads) -> Optional[str]:
             "slice(offsets[first], offsets[last])",
             "slice(offsets[first + 1], offsets[last + 1])",
             "IndexError",
-            alone=True, shrinks_to=(0, 1),
+            alone=True, shrinks_to=(1, 1),
         ),
         edit(  # both sides of every engine-vs-engine scenario step alike: only the spec sees it
             "second-moment-corrected-with-beta1", "repro.nn:Adam._update",
             "np.divide(v, 1 - self.beta2**self._step", "np.divide(v, 1 - self.beta1**self._step",
-            "values differ", shrinks_to=(6, 4),
+            "values differ", shrinks_to=(0, 2),
         ),
         edit(  # a layer plan keyed on that parameter's version would go stale
             "a-step-that-leaves-the-last-version-unbumped", "repro.nn:Optimizer.step",
             "for param in params:", "for param in params[:-1]:",
-            "version", shrinks_to=(0, 1),
+            "version", shrinks_to=(1, 1),
         ),
     ],
 )
 def _fuzz_flat_step(seed: int, size: int) -> Optional[str]:
     """``Optimizer.step`` — one flat update over each run of consecutive
     parameters holding a gradient — vs
-    :func:`.reference.per_parameter_step` on a twin: SGD plain and with
-    momentum, Adam with coupled decay, AdamW; parameters of random
+    :func:`.reference.per_parameter_step` on a twin: Adam with coupled
+    decay and AdamW; parameters of random
     shapes (scalars and empty arrays among them); at each step a random
     share (none to all) without a gradient, the learning rate moved,
     and now and then a ``state_dict`` / ``load_state_dict`` round trip.
@@ -2213,15 +2198,12 @@ def _fuzz_flat_step(seed: int, size: int) -> Optional[str]:
         for _ in range(1 + size % 7)
     ]
     values = [rng.normal(size=shape) for shape in shapes]
-    kind = str(rng.choice(["sgd", "sgd momentum", "adam", "adamw"]))
+    kind = str(rng.choice(["adam", "adamw"]))
     lr, decay = float(rng.uniform(0.001, 0.2)), float(rng.choice([0.0, rng.uniform(0.0, 0.5)]))
-    momentum = float(rng.uniform(0.1, 0.95))
     betas = (float(rng.uniform(0.5, 0.95)), float(rng.uniform(0.9, 0.9999)))
 
     def make() -> nn.Optimizer:
         params = [nn.Parameter(value) for value in values]
-        if kind.startswith("sgd"):
-            return nn.SGD(params, lr=lr, momentum=momentum if kind == "sgd momentum" else 0.0)
         cls = nn.Adam if kind == "adam" else nn.AdamW
         return cls(params, lr=lr, betas=betas, weight_decay=decay)
 

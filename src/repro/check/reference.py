@@ -43,7 +43,7 @@ read's health accounting made as it happens.
 
 **The optimiser step, one parameter at a time.**
 :func:`per_parameter_step` is the update ``Optimizer.step`` makes
-through flat buffers: SGD (momentum), Adam (coupled decay) and AdamW,
+through flat buffers: Adam (coupled decay) and AdamW,
 parameter by parameter, each moment written through its view.
 
 Only ``repro.check`` scenarios, tests, benches and one demo gate call
@@ -592,14 +592,6 @@ def per_parameter_step(optimizer: nn.Optimizer) -> None:
             continue
         grad = param.grad
         with param.write() as data:
-            if isinstance(optimizer, nn.SGD):
-                if optimizer.momentum:
-                    velocity = optimizer._velocity[index]
-                    velocity[...] = optimizer.momentum * velocity + grad
-                    data -= optimizer.lr * velocity
-                else:
-                    data -= optimizer.lr * grad
-                continue
             if isinstance(optimizer, nn.AdamW) and optimizer.decoupled_weight_decay:
                 data -= optimizer.lr * optimizer.decoupled_weight_decay * data
             if optimizer.weight_decay:

@@ -20,7 +20,7 @@ downsampling fraud rate in the 3.5–4.5% band (Appendix B).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict
 
 import numpy as np
 
@@ -133,7 +133,3 @@ def load_dataset(name: str, seed: int = 0, scale: float = 1.0) -> DatasetBundle:
         raise KeyError(f"unknown dataset {name!r}; choose from {sorted(_PRESETS)}")
     return _PRESETS[name](seed=seed, scale=scale)
 
-
-def dataset_summary(*bundles: DatasetBundle) -> Tuple[Dict[str, object], ...]:
-    """Table-2-style summary rows for any number of bundles."""
-    return tuple(bundle.summary() for bundle in bundles)

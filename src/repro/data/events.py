@@ -84,10 +84,6 @@ class TxnEvent:
             links.append(("buyer", self.buyer_id))
         return links
 
-    @property
-    def is_guest_checkout(self) -> bool:
-        return self.buyer_id is None
-
 
 def encode_event(event: TxnEvent) -> bytes:
     """Serialize deterministically: canonical JSON header + raw floats."""

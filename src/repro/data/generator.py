@@ -110,9 +110,6 @@ class _EntityAllocator:
         self._next[kind] = value + 1
         return value
 
-    def count(self, kind: str) -> int:
-        return self._next[kind]
-
 
 @dataclass
 class _BuyerProfile:
@@ -424,12 +421,3 @@ class TransactionGenerator:
         return export_events(
             log, interleave_seed=self.config.seed if interleave else None
         )
-
-
-def generate_log(config: Optional[GeneratorConfig] = None, downsample: bool = True) -> TransactionLog:
-    """Convenience wrapper: generate and optionally downsample a log."""
-    generator = TransactionGenerator(config)
-    log = generator.generate()
-    if downsample:
-        log = generator.downsample_benign(log)
-    return log

@@ -51,9 +51,3 @@ class TransactionLog:
 
     def labels(self) -> np.ndarray:
         return np.array([r.label for r in self.records], dtype=np.int64)
-
-    def scenario_counts(self) -> dict:
-        counts: dict = {}
-        for record in self.records:
-            counts[record.scenario] = counts.get(record.scenario, 0) + 1
-        return counts

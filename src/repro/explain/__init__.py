@@ -21,11 +21,9 @@ from .centrality import (
     centrality_edge_weights,
     random_edge_weights,
 )
-from .feature_importance import FeatureReport, feature_report, render_feature_report
 from .gnn_explainer import Explanation, ExplainerConfig, GNNExplainer
 from .hitrate import (
     TOPK_GRID,
-    hit_rate_profile,
     mean_hit_rate_over_communities,
     normalize_weights,
     topk_hit_rate,
@@ -50,9 +48,6 @@ __all__ = [
     "GNNExplainer",
     "ExplainerConfig",
     "Explanation",
-    "FeatureReport",
-    "feature_report",
-    "render_feature_report",
     "CENTRALITY_MEASURES",
     "centrality_edge_weights",
     "all_centrality_edge_weights",
@@ -66,7 +61,6 @@ __all__ = [
     "mean_pairwise_kappa",
     "random_panel",
     "topk_hit_rate",
-    "hit_rate_profile",
     "mean_hit_rate_over_communities",
     "normalize_weights",
     "TOPK_GRID",

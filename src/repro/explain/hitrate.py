@@ -12,7 +12,7 @@ averaged over ``draws`` (paper: 100; 10,000 gave the same results).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
@@ -63,17 +63,6 @@ def topk_hit_rate(
         top_b = set(_topk_with_tiebreak(b, k, rng).tolist())
         hits.append(len(top_a & top_b) / k)
     return float(np.mean(hits))
-
-
-def hit_rate_profile(
-    weights_a: EdgeWeights,
-    weights_b: EdgeWeights,
-    ks: Sequence[int] = TOPK_GRID,
-    draws: int = 100,
-    seed: int = 0,
-) -> Dict[int, float]:
-    """Hit rate at every k of the Table-1 grid."""
-    return {k: topk_hit_rate(weights_a, weights_b, k, draws=draws, seed=seed) for k in ks}
 
 
 def mean_hit_rate_over_communities(

@@ -9,7 +9,6 @@ from .hetero import (
     NODE_TYPE_IDS,
     NODE_TYPES,
     HeteroGraph,
-    edge_type_between,
     link_edges,
 )
 from .cache import SubgraphCache
@@ -23,7 +22,6 @@ __all__ = [
     "NODE_TYPE_IDS",
     "EDGE_TYPES",
     "EDGE_TYPE_IDS",
-    "edge_type_between",
     "link_edges",
     "HomophilyScore",
     "homophily_score",

@@ -46,14 +46,6 @@ EDGE_TYPE_IDS: Dict[str, int] = {name: i for i, name in enumerate(EDGE_TYPES)}
 _TXN = NODE_TYPE_IDS["txn"]
 
 
-def edge_type_between(src_type: str, dst_type: str) -> int:
-    """Edge-type id for a directed edge ``src_type -> dst_type``."""
-    key = f"{src_type}->{dst_type}"
-    if key not in EDGE_TYPE_IDS:
-        raise KeyError(f"no edge type between {src_type} and {dst_type}")
-    return EDGE_TYPE_IDS[key]
-
-
 #: ``(edge types, 2)``: the (source, destination) node-type ids of each
 #: edge type. Every one joins a transaction to an entity.
 EDGE_ENDPOINTS: np.ndarray = np.array(

@@ -218,10 +218,6 @@ class SampledSubgraph:
     offsets: Optional[np.ndarray] = None
 
     @property
-    def num_targets(self) -> int:
-        return len(self.target_local)
-
-    @property
     def num_components(self) -> int:
         return 1 if self.offsets is None else len(self.offsets) - 1
 

@@ -207,7 +207,7 @@ class XFraudDetector(nn.Module):
         """The tape node: :meth:`head_kernel` forward, its pullback
         backward, parents ``h``, ``original`` and the head's ten
         parameters. (The method's name is the node's row in
-        ``Profiler.report()``.)"""
+        ``Profiler.records()``.)"""
         params = {
             f"{name}.{kind}": getattr(getattr(self, name), kind)
             for name in _HEAD_MODULES

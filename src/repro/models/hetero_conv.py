@@ -678,7 +678,7 @@ class HeteroConvLayer(nn.Module):
     ) -> Tensor:
         """The tape node: :meth:`kernel` forward, its pullback backward,
         parents ``h``, every parameter and ``edge_mask``. (The method's
-        name is the node's row in ``Profiler.report()``.)"""
+        name is the node's row in ``Profiler.records()``.)"""
         params = dict(self.named_parameters())
         parents = [h, *params.values()] + ([] if edge_mask is None else [edge_mask])
         recording = nn.is_grad_enabled() and any(parent.requires_grad for parent in parents)

@@ -7,7 +7,7 @@ losses, and optimisers.
 """
 
 from . import functional
-from .init import kaiming_uniform, uniform, xavier_uniform, zeros
+from .init import xavier_uniform, zeros
 from .module import (
     Dropout,
     Embedding,
@@ -19,11 +19,10 @@ from .module import (
     Parameter,
     ReLU,
     Sequential,
-    Tanh,
     parameter_writes,
 )
-from .optim import Adam, AdamW, CosineDecay, Optimizer, SGD, clip_grad_norm
-from .serialization import load_state, read_manifest, save_state
+from .optim import Adam, AdamW, Optimizer, clip_grad_norm
+from .serialization import load_state, save_state
 from .segment import (
     gather,
     scatter_rows,
@@ -33,12 +32,11 @@ from .segment import (
     segment_softmax,
     segment_sum,
 )
-from .tensor import Tensor, concat, is_grad_enabled, no_grad, stack, where
+from .tensor import Tensor, concat, is_grad_enabled, no_grad, where
 
 __all__ = [
     "Tensor",
     "concat",
-    "stack",
     "where",
     "no_grad",
     "is_grad_enabled",
@@ -54,12 +52,9 @@ __all__ = [
     "ModuleDict",
     "Sequential",
     "ReLU",
-    "Tanh",
     "Optimizer",
-    "SGD",
     "Adam",
     "AdamW",
-    "CosineDecay",
     "clip_grad_norm",
     "gather",
     "scatter_rows",
@@ -70,9 +65,6 @@ __all__ = [
     "segment_max_data",
     "save_state",
     "load_state",
-    "read_manifest",
     "zeros",
-    "uniform",
     "xavier_uniform",
-    "kaiming_uniform",
 ]

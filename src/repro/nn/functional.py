@@ -16,18 +16,6 @@ from .tensor import Tensor
 EPSILON = 1e-12
 
 
-def relu(x: Tensor) -> Tensor:
-    return x.relu()
-
-
-def tanh(x: Tensor) -> Tensor:
-    return x.tanh()
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    return x.sigmoid()
-
-
 def leaky_relu(x: Tensor, negative_slope: float = 0.2) -> Tensor:
     """LeakyReLU used inside GAT attention scoring."""
     positive = x.relu()
@@ -131,17 +119,6 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     return Tensor._make(np.asarray(loss), (logits,), backward)
 
 
-def binary_cross_entropy_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
-    """Numerically stable BCE on raw logits."""
-    targets_t = Tensor(np.asarray(targets, dtype=np.float64))
-    # log(1 + exp(-|x|)) + max(x, 0) - x*t  is the stable formulation;
-    # |x| stays on the tape, its term carries half of d/dx = sigmoid(x) - t.
-    max_part = logits.relu()
-    abs_logits = max_part + (-logits).relu()
-    softplus = ((-abs_logits).exp() + 1.0).log()
-    return (softplus + max_part - logits * targets_t).mean()
-
-
 def bernoulli_entropy(probabilities: Tensor, eps: float = 1e-12) -> Tensor:
     """Elementwise entropy ``-p log p - (1-p) log (1-p)``.
 
@@ -151,8 +128,3 @@ def bernoulli_entropy(probabilities: Tensor, eps: float = 1e-12) -> Tensor:
     p = probabilities
     return -(p * (p + eps).log()) - ((1.0 - p) * (1.0 - p + eps).log())
 
-
-def mse(prediction: Tensor, target: np.ndarray) -> Tensor:
-    """Mean squared error against a constant target."""
-    diff = prediction - Tensor(np.asarray(target, dtype=np.float64))
-    return (diff * diff).mean()

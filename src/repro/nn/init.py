@@ -16,11 +16,6 @@ def zeros(shape: tuple) -> np.ndarray:
     return np.zeros(shape, dtype=np.float64)
 
 
-def uniform(shape: tuple, low: float, high: float, rng: np.random.Generator) -> np.ndarray:
-    """Uniform weights in [low, high)."""
-    return rng.uniform(low, high, size=shape)
-
-
 def xavier_uniform(shape: tuple, rng: np.random.Generator, gain: float = 1.0) -> np.ndarray:
     """Glorot/Xavier uniform initialisation for 2-D weight matrices."""
     if len(shape) < 2:
@@ -30,9 +25,3 @@ def xavier_uniform(shape: tuple, rng: np.random.Generator, gain: float = 1.0) ->
     bound = gain * np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=shape)
 
-
-def kaiming_uniform(shape: tuple, rng: np.random.Generator) -> np.ndarray:
-    """He uniform initialisation (suits ReLU stacks in the FFN head)."""
-    fan_in = shape[0] if len(shape) >= 1 else 1
-    bound = np.sqrt(6.0 / max(fan_in, 1))
-    return rng.uniform(-bound, bound, size=shape)

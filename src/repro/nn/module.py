@@ -298,9 +298,3 @@ class ReLU(Module):
     def forward(self, x: Tensor) -> Tensor:
         return x.relu()
 
-
-class Tanh(Module):
-    """Stateless tanh layer."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.tanh()

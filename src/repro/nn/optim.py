@@ -1,8 +1,8 @@
 """Optimisers and gradient utilities.
 
 The paper trains every model with AdamW and gradient-norm clipping at
-0.25 (Appendix C hyperparameters); SGD and Adam are provided for the
-test suite and ablations.
+0.25 (Appendix C hyperparameters); AdamW is Adam with the decay taken
+off the gradient.
 """
 
 from __future__ import annotations
@@ -153,44 +153,6 @@ def _runs(flags: List[bool]) -> List[Tuple[int, int]]:
     return runs
 
 
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum."""
-
-    def __init__(self, parameters: Iterable[Parameter], lr: float = 0.01, momentum: float = 0.0) -> None:
-        super().__init__(parameters, lr)
-        self.momentum = momentum
-        self._velocity_flat: Optional[np.ndarray] = None
-
-    @property
-    def _velocity(self) -> Optional[List[np.ndarray]]:
-        return None if self._velocity_flat is None else self._slots(self._velocity_flat)
-
-    def _begin_step(self) -> None:
-        if self.momentum and self._velocity_flat is None:
-            self._velocity_flat = self._buffer()
-
-    def _update(
-        self, span: slice, data: np.ndarray, grad: np.ndarray, scratch: np.ndarray
-    ) -> None:
-        if self.momentum:
-            velocity = self._velocity_flat[span]
-            velocity *= self.momentum
-            velocity += grad
-            grad = velocity
-        data -= np.multiply(grad, self.lr, out=scratch)
-
-    def state_dict(self) -> Dict:
-        state = super().state_dict()
-        if self._velocity_flat is not None:
-            state["velocity"] = [v.copy() for v in self._velocity]
-        return state
-
-    def load_state_dict(self, state: Dict) -> None:
-        super().load_state_dict(state)
-        velocity = state.get("velocity")
-        self._velocity_flat = None if velocity is None else self._buffer(list(velocity), "velocity")
-
-
 class Adam(Optimizer):
     """Adam (Kingma & Ba) with bias correction."""
 
@@ -276,22 +238,3 @@ class AdamW(Adam):
             data -= np.multiply(data, self.lr * self.decoupled_weight_decay, out=scratch)
         super()._update(span, data, grad, scratch)
 
-
-class CosineDecay:
-    """Cosine learning-rate schedule over a fixed horizon."""
-
-    def __init__(self, optimizer: Optimizer, total_steps: int, min_lr: float = 0.0) -> None:
-        if total_steps <= 0:
-            raise ValueError("total_steps must be positive")
-        self.optimizer = optimizer
-        self.base_lr = optimizer.lr
-        self.total_steps = total_steps
-        self.min_lr = min_lr
-        self._step = 0
-
-    def step(self) -> float:
-        self._step = min(self._step + 1, self.total_steps)
-        fraction = self._step / self.total_steps
-        lr = self.min_lr + 0.5 * (self.base_lr - self.min_lr) * (1 + np.cos(np.pi * fraction))
-        self.optimizer.lr = lr
-        return lr

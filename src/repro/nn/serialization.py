@@ -76,13 +76,3 @@ def load_state(model: Module, path: str) -> Module:
     model.load_state_dict(state)
     return model
 
-
-def read_manifest(path: str) -> Dict:
-    """Read only the manifest of a saved state (cheap inspection)."""
-    if not path.endswith(".npz"):
-        path = path + ".npz"
-    with np.load(path) as archive:
-        manifest_raw = archive.get(_MANIFEST_KEY)
-        if manifest_raw is None:
-            raise ValueError(f"{path} is not a repro state archive")
-        return json.loads(bytes(manifest_raw.tobytes()).decode("utf-8"))

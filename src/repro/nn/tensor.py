@@ -120,16 +120,8 @@ class Tensor:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
 
-    def numpy(self) -> np.ndarray:
-        """Return the underlying array (shared, not copied)."""
-        return self.data
-
     def item(self) -> float:
         return float(self.data)
-
-    def detach(self) -> "Tensor":
-        """Return a new tensor sharing data but cut from the graph."""
-        return Tensor(self.data, requires_grad=False)
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -357,25 +349,6 @@ class Tensor:
             count = self.shape[axis]
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
 
-    def max(self, axis: Optional[int] = None, keepdims: bool = False) -> "Tensor":
-        out_data = self.data.max(axis=axis, keepdims=keepdims)
-
-        def backward(grad: np.ndarray) -> None:
-            if not self.requires_grad:
-                return
-            if axis is None:
-                mask = (self.data == out_data).astype(np.float64)
-                mask /= mask.sum()
-                self._accumulate(mask * grad)
-            else:
-                expanded = out_data if keepdims else np.expand_dims(out_data, axis)
-                mask = (self.data == expanded).astype(np.float64)
-                mask /= mask.sum(axis=axis, keepdims=True)
-                grad_expanded = grad if keepdims else np.expand_dims(grad, axis)
-                self._accumulate(mask * grad_expanded)
-
-        return Tensor._make(out_data, (self,), backward)
-
     # ------------------------------------------------------------------
     # Elementwise nonlinearities (core set; more in functional.py)
     # ------------------------------------------------------------------
@@ -424,9 +397,6 @@ class Tensor:
 
         return Tensor._make(out_data, (self,), backward)
 
-    def sqrt(self) -> "Tensor":
-        return self**0.5
-
 
 def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     """Concatenate tensors along ``axis`` with gradient routing."""
@@ -441,20 +411,6 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
                 index = [slice(None)] * grad.ndim
                 index[axis] = slice(start, stop)
                 tensor._accumulate(grad[tuple(index)])
-
-    return Tensor._make(out_data, tensors, backward)
-
-
-def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Stack tensors along a new axis with gradient routing."""
-    tensors = [t if isinstance(t, Tensor) else Tensor(t) for t in tensors]
-    out_data = np.stack([t.data for t in tensors], axis=axis)
-
-    def backward(grad: np.ndarray) -> None:
-        slices = np.split(grad, len(tensors), axis=axis)
-        for tensor, piece in zip(tensors, slices):
-            if tensor.requires_grad:
-                tensor._accumulate(np.squeeze(piece, axis=axis))
 
     return Tensor._make(out_data, tensors, backward)
 

@@ -11,8 +11,8 @@ instrumentation layer those measurements flow through:
   behind the scoring service's latency percentiles);
 * :class:`Tracer` / :class:`Span` — nested, thread-safe span context
   managers on an injectable clock (``ManualClock`` chaos runs stay
-  deterministic), exported as JSONL or Chrome ``chrome://tracing``
-  JSON via :mod:`repro.obs.export`;
+  deterministic), exported as Chrome ``chrome://tracing`` JSON via
+  :mod:`repro.obs.export`;
 * :class:`timed` — the one wall-time helper shared by the training
   loops (replaces hand-rolled ``perf_counter`` pairs);
 * :class:`Profiler` — op-level autograd profiler hooking
@@ -27,13 +27,7 @@ they count — a tally is a plain attribute its owner lets an attached
 registry read at scrape time (:meth:`MetricsRegistry.collect`).
 """
 
-from .export import (
-    chrome_trace,
-    read_jsonl,
-    spans_to_dicts,
-    write_chrome_trace,
-    write_jsonl,
-)
+from .export import chrome_trace, write_chrome_trace
 from .profile import OpRecord, Profiler
 from .registry import (
     DEFAULT_LATENCY_BUCKETS,
@@ -60,7 +54,4 @@ __all__ = [
     "Profiler",
     "chrome_trace",
     "write_chrome_trace",
-    "write_jsonl",
-    "read_jsonl",
-    "spans_to_dicts",
 ]

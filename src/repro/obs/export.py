@@ -1,14 +1,10 @@
-"""Span exporters: JSONL dumps and Chrome ``chrome://tracing`` JSON.
+"""Span exporter: Chrome ``chrome://tracing`` JSON.
 
-Two formats cover the two consumers:
-
-* :func:`write_jsonl` — one span dict per line, trivially greppable and
-  streamable; the raw-data format for offline analysis.
-* :func:`chrome_trace` / :func:`write_chrome_trace` — the Trace Event
-  Format complete events (``ph: "X"``) that ``chrome://tracing`` and
-  Perfetto load directly; span nesting renders as stacked bars per
-  thread track, which is how you *see* where a request or an epoch
-  spends its budget.
+:func:`chrome_trace` / :func:`write_chrome_trace` emit the Trace Event
+Format complete events (``ph: "X"``) that ``chrome://tracing`` and
+Perfetto load directly; span nesting renders as stacked bars per thread
+track, which is how you *see* where a request or an epoch spends its
+budget.
 
 Timestamps: tracer clocks are relative (``perf_counter`` or a
 ``ManualClock`` starting at 0), so events are emitted relative to the
@@ -18,42 +14,14 @@ earliest span start, in integer-friendly microseconds.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List, Sequence
+from typing import Any, Dict, List, Sequence
 
 from .trace import Span
 
 __all__ = [
-    "spans_to_dicts",
-    "write_jsonl",
-    "read_jsonl",
     "chrome_trace",
     "write_chrome_trace",
 ]
-
-
-def spans_to_dicts(spans: Iterable[Span]) -> List[Dict[str, Any]]:
-    """Spans as plain dicts, ordered by start time."""
-    return [span.to_dict() for span in sorted(spans, key=lambda s: (s.start_s, s.span_id))]
-
-
-def write_jsonl(spans: Iterable[Span], path: str) -> int:
-    """One JSON object per line; returns the number of spans written."""
-    records = spans_to_dicts(spans)
-    with open(path, "w") as handle:
-        for record in records:
-            handle.write(json.dumps(record, default=str) + "\n")
-    return len(records)
-
-
-def read_jsonl(path: str) -> List[Dict[str, Any]]:
-    """Inverse of :func:`write_jsonl` (dicts, not Span objects)."""
-    records = []
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records
 
 
 def chrome_trace(spans: Sequence[Span]) -> Dict[str, Any]:

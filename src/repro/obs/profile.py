@@ -24,7 +24,8 @@ Typical use::
     with Profiler() as prof:
         loss = model.loss(graph, batch)
         loss.backward()
-    print(prof.report(limit=10))
+    for record in prof.records("backward")[:10]:
+        print(record.name, record.calls, record.total_s)
 """
 
 from __future__ import annotations
@@ -50,10 +51,6 @@ class OpRecord:
     total_s: float = 0.0
     self_s: float = 0.0
     bytes: int = 0
-
-    @property
-    def mean_s(self) -> float:
-        return self.total_s / self.calls if self.calls else 0.0
 
 
 @dataclass
@@ -195,47 +192,3 @@ class Profiler:
         if phase is not None:
             rows = [row for row in rows if row.phase == phase]
         return sorted(rows, key=lambda r: -r.total_s)
-
-    def summary(self) -> Dict[str, Dict[str, float]]:
-        """``{"forward/Linear": {calls, total_s, self_s, mean_s, bytes}}``."""
-        return {
-            f"{record.phase}/{record.name}": {
-                "calls": record.calls,
-                "total_s": record.total_s,
-                "self_s": record.self_s,
-                "mean_s": record.mean_s,
-                "bytes": record.bytes,
-            }
-            for record in self.records()
-        }
-
-    def report(self, limit: Optional[int] = None) -> str:
-        """Human-readable table sorted by total time."""
-        rows = self.records()
-        if limit is not None:
-            rows = rows[:limit]
-        headers = ["phase", "op", "calls", "total_ms", "self_ms", "mean_us", "MB"]
-        table: List[List[str]] = []
-        for record in rows:
-            table.append(
-                [
-                    record.phase,
-                    record.name,
-                    str(record.calls),
-                    f"{record.total_s * 1e3:.3f}",
-                    f"{record.self_s * 1e3:.3f}",
-                    f"{record.mean_s * 1e6:.1f}",
-                    f"{record.bytes / 1e6:.2f}",
-                ]
-            )
-        widths = [
-            max(len(headers[i]), max((len(row[i]) for row in table), default=0))
-            for i in range(len(headers))
-        ]
-        lines = [
-            "  ".join(h.ljust(w) for h, w in zip(headers, widths)),
-            "  ".join("-" * w for w in widths),
-        ]
-        for row in table:
-            lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)))
-        return "\n".join(lines)

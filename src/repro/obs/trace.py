@@ -10,7 +10,7 @@ every span's ``ts``/``dur`` is simulated and bit-reproducible.
 
 Finished spans accumulate in a bounded buffer (oldest-first drop
 counting, never unbounded growth) and export through
-:mod:`repro.obs.export` as JSONL or Chrome ``chrome://tracing`` JSON.
+:mod:`repro.obs.export` as Chrome ``chrome://tracing`` JSON.
 
 A tracer constructed with ``enabled=False`` (or the module-level
 :data:`NULL_TRACER`) hands out a shared no-op span, so instrumented
@@ -86,19 +86,6 @@ class Span:
         """Attach one attribute; chainable."""
         self.attributes[key] = value
         return self
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "span_id": self.span_id,
-            "parent_id": self.parent_id,
-            "trace_id": self.trace_id,
-            "start_s": self.start_s,
-            "end_s": self.end_s,
-            "duration_s": self.duration_s,
-            "thread_id": self.thread_id,
-            "attributes": dict(self.attributes),
-        }
 
     def __enter__(self) -> "Span":
         return self
@@ -222,11 +209,6 @@ class Tracer:
         """Finished spans, oldest first (at most :data:`MAX_SPANS`)."""
         with self._lock:
             return list(self._finished)
-
-    def reset(self) -> None:
-        with self._lock:
-            self._finished.clear()
-            self.dropped = 0
 
 
 #: Shared disabled tracer: instrument code paths unconditionally and

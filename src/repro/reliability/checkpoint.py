@@ -214,10 +214,6 @@ class CheckpointManager:
         os.makedirs(directory, exist_ok=True)
         self._manifest = Manifest(directory, _MANIFEST_FORMAT, "checkpoints", CheckpointError)
 
-    @property
-    def manifest_path(self) -> str:
-        return self._manifest.path
-
     def checkpoints(self) -> List[Dict]:
         """Manifest entries (oldest first) whose files still exist."""
         return [

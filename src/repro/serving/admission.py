@@ -80,11 +80,6 @@ class TokenBucket:
         self._tokens -= granted
         return granted
 
-    @property
-    def tokens(self) -> float:
-        self._refill()
-        return self._tokens
-
 
 class AdmissionQueue:
     """Bounded backlog with immediate, typed load-shedding.
@@ -117,10 +112,6 @@ class AdmissionQueue:
             return False, SHED_RATE_LIMITED
         self._queue.append(item)
         return True, None
-
-    def take(self) -> object:
-        """Pop the oldest queued item (raises IndexError when empty)."""
-        return self._queue.popleft()
 
     def drain(self):
         """Yield queued items FIFO until the backlog is empty."""

@@ -44,7 +44,7 @@ import struct
 import threading
 import time
 import zlib
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..durable import fsync_dir
 
@@ -409,10 +409,6 @@ class MmapKVStore(KVStore):
 
     def keys(self) -> List[str]:
         return list(self._index.keys())
-
-    def items(self) -> Iterator[Tuple[str, bytes]]:
-        for key in self._index:
-            yield key, self.get(key)
 
     def close(self) -> None:
         if not self._finalized:

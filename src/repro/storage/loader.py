@@ -231,10 +231,6 @@ class GraphStore:
         txn_nodes = np.flatnonzero(arrays["node_type"] == NODE_TYPE_IDS["txn"])
         return HeteroGraph(txn_table=load_rows(self.store.get_many, txn_nodes), **arrays)
 
-    def load_features(self, nodes: Sequence[int]) -> np.ndarray:
-        """Fetch feature rows through the shared store handle."""
-        return load_rows(self.store.get_many, nodes)
-
 
 class WorkerLoader:
     """Per-worker feature loader.

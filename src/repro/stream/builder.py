@@ -215,8 +215,3 @@ class IncrementalGraphBuilder:
         self.graph.csr()
         self.compactions += 1
         self.last_compaction_version = self.graph.version
-
-    # ------------------------------------------------------------------
-    def entity_counts(self) -> Dict[str, int]:
-        """Distinct entities seen per kind (dedup effectiveness)."""
-        return {kind: len(self.index[kind]) for kind in _ENTITY_KINDS}

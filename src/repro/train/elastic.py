@@ -185,12 +185,6 @@ class FailureDetector:
         self._last[worker] = at
         self._states[worker] = HEALTHY
 
-    def remove(self, worker: int) -> None:
-        """Stop tracking ``worker`` entirely."""
-        self._intervals.pop(worker, None)
-        self._last.pop(worker, None)
-        self._states.pop(worker, None)
-
     def workers(self) -> List[int]:
         return sorted(self._states)
 
@@ -759,11 +753,15 @@ class ElasticTrainer:
             latency = self._base[worker] * slow.get(worker, 1.0)
             shards.append(_Shard(worker, grads, loss, latency, _arrays_crc(grads)))
 
-        # Advance the simulated round; deliver heartbeats at completion.
+        # Advance the simulated round; deliver heartbeats at completion,
+        # and again at the barrier, where live workers wait for the
+        # slowest one (as they do through the grace period below).
         wall = max((shard.latency for shard in shards), default=_GRACE_TICK_S)
         self.clock.advance(wall)
         for shard in sorted(shards, key=lambda s: (s.latency, s.worker)):
             self.detector.heartbeat(shard.worker, at=round_start + shard.latency)
+        for shard in shards:
+            self.detector.heartbeat(shard.worker)
         self.detector.poll()
 
         # Workers the all-reduce never heard from: hold the barrier open

@@ -203,17 +203,6 @@ class ConfusionRates:
     precision: Optional[float]
     recall: float
 
-    def as_dict(self) -> Dict[str, Optional[float]]:
-        return {
-            "threshold": self.threshold,
-            "TPR": self.tpr,
-            "TNR": self.tnr,
-            "FPR": self.fpr,
-            "FNR": self.fnr,
-            "precision": self.precision,
-            "recall": self.recall,
-        }
-
 
 def confusion_rates(labels: Sequence[int], scores: Sequence[float], threshold: float) -> ConfusionRates:
     """Confusion-rate row at a threshold; precision is None when no

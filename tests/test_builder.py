@@ -46,7 +46,7 @@ class TestBuild:
 
     def test_guest_checkout_has_no_buyer_edge(self, log):
         graph, index = build_graph(log)
-        guests = [r for r in log if r.is_guest_checkout]
+        guests = [r for r in log if r.buyer_id is None]
         assert guests
         buyer_nodes = set(index["buyer"].values())
         for record in guests:

@@ -321,4 +321,4 @@ class TestDeadlineMidSampling:
             sampler.sample(tiny_graph, [node], deadline=deadline)
         assert excinfo.value.stage == "sampling hop 0"
         # Without a deadline the same call succeeds (offline path intact).
-        assert sampler.sample(tiny_graph, [node]).num_targets == 1
+        assert sampler.sample(tiny_graph, [node]).target_local.size == 1

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.data import dataset_summary, ebay_small_sim, load_dataset
+from repro.data import ebay_small_sim, load_dataset
 from repro.graph import NODE_TYPES
 
 
@@ -67,7 +67,3 @@ class TestLoadDataset:
             a.graph.txn_table[: min(len(a.graph.txn_table), len(b.graph.txn_table))],
             b.graph.txn_table[: min(len(a.graph.txn_table), len(b.graph.txn_table))],
         )
-
-    def test_dataset_summary_helper(self, small):
-        rows = dataset_summary(small, small)
-        assert len(rows) == 2

@@ -245,14 +245,12 @@ class TestFailureDetector:
         clock.advance(1e6)
         assert np.isfinite(detector.phi(0))
 
-    def test_add_and_remove_workers(self):
+    def test_add_workers(self):
         detector, clock = _detector([0])
         detector.add(7)
         assert detector.workers() == [0, 7]
-        detector.remove(0)
-        assert detector.workers() == [7]
-        detector.heartbeat(0)  # unknown worker: ignored
-        assert detector.workers() == [7]
+        detector.heartbeat(3)  # unknown worker: ignored
+        assert detector.workers() == [0, 7]
 
     def test_poll_recants_suspect_whose_phi_dropped(self):
         detector, clock = _detector()
@@ -772,11 +770,12 @@ class TestSupervisorParentParity:
     the shared snapshot functions: the merge changed no decision, no
     simulated second and no bit of the trained model.
 
-    ``WALL_SECONDS[2]`` and ``TRANSITIONS`` were re-taken from a run
-    when the straggler backup was deleted: epoch 2 now waits out worker
-    1's 4x step (3.076 simulated seconds, 2.859 with the backup), and
-    that longer round adds two detector transitions. The losses, the
-    decisions and the model's CRC did not move."""
+    ``WALL_SECONDS[2]`` was re-taken from a run when the straggler
+    backup was deleted: epoch 2 now waits out worker 1's 4x step (3.076
+    simulated seconds, 2.859 with the backup). ``TRANSITIONS`` was
+    re-taken when live workers began heartbeating at the barrier: only
+    the killed workers 2 and 5 change state. The losses, the decisions
+    and the model's CRC did not move."""
 
     LOSSES = [
         0.5093478548980103,
@@ -805,27 +804,13 @@ class TestSupervisorParentParity:
         (2.3833108082136425, 5, "healthy", "suspect"),
         (3.3833108082136425, 2, "suspect", "dead"),
         (3.3833108082136425, 5, "suspect", "dead"),
-        (7.650488089817323, 0, "healthy", "suspect"),
-        (7.650488089817323, 3, "healthy", "dead"),
-        (7.650488089817323, 4, "healthy", "suspect"),
-        (7.650488089817323, 6, "healthy", "dead"),
-        (7.650488089817323, 7, "healthy", "dead"),
         (7.650488089817323, 5, "dead", "probing"),
-        (8.410293982789568, 6, "dead", "probing"),
-        (8.67938531277761, 3, "dead", "probing"),
-        (8.720874583828031, 7, "dead", "probing"),
-        (8.796209914411005, 4, "suspect", "healthy"),
-        (8.842143493924144, 0, "suspect", "healthy"),
-        (8.842143493924144, 3, "probing", "healthy"),
         (8.842143493924144, 5, "probing", "healthy"),
-        (8.842143493924144, 6, "probing", "healthy"),
-        (8.842143493924144, 7, "probing", "healthy"),
     ]
     STATE_CRC = 3729223862
 
-    def test_ci_chaos_schedule_matches_the_parent_commit(
-        self, tiny_graph, tiny_splits, detector_config
-    ):
+    @pytest.fixture(scope="class")
+    def chaos_run(self, tiny_graph, tiny_splits, detector_config):
         plan = FaultPlan(
             num_workers=8,
             worker_kill={1: [2, 5]},
@@ -842,6 +827,10 @@ class TestSupervisorParentParity:
             fault_plan=plan,
         )
         history = trainer.fit(tiny_graph, tiny_splits[1]).history
+        return trainer, model, history
+
+    def test_ci_chaos_schedule_matches_the_parent_commit(self, chaos_run):
+        trainer, model, history = chaos_run
         assert [record.loss for record in history] == pytest.approx(self.LOSSES, abs=1e-12)
         decisions = [
             (r.members, r.evicted, r.rejoined, r.quarantined, r.retries) for r in history
@@ -850,6 +839,13 @@ class TestSupervisorParentParity:
         assert [record.wall_seconds for record in history] == self.WALL_SECONDS
         assert trainer.detector.transitions == self.TRANSITIONS
         assert _state_crc(model) == self.STATE_CRC
+
+    def test_no_worker_the_schedule_never_killed_is_declared_dead(self, chaos_run):
+        # Workers waiting at the barrier behind the 4x-slow worker 1 in
+        # epoch 2 heartbeat there; they are not silent.
+        trainer, _, _ = chaos_run
+        declared_dead = {worker for _, worker, _, to in trainer.detector.transitions if to == DEAD}
+        assert declared_dead == {2, 5}
 
 
 class TestCheckpointFormat:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.graph import EDGE_TYPES, NODE_TYPE_IDS, NODE_TYPES, HeteroGraph, bfs, edge_type_between
+from repro.graph import EDGE_TYPES, NODE_TYPE_IDS, NODE_TYPES, HeteroGraph, bfs
 
 
 def small_graph() -> HeteroGraph:
@@ -28,10 +28,6 @@ class TestConstruction:
             src_name = NODE_TYPES[graph.node_type[src]]
             dst_name = NODE_TYPES[graph.node_type[dst]]
             assert EDGE_TYPES[etype] == f"{src_name}->{dst_name}"
-
-    def test_edge_type_between_unknown_pair(self):
-        with pytest.raises(KeyError):
-            edge_type_between("pmt", "email")
 
 
 class TestValidation:

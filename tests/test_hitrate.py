@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from repro.explain import (
-    TOPK_GRID,
-    hit_rate_profile,
     mean_hit_rate_over_communities,
     normalize_weights,
     topk_hit_rate,
@@ -60,13 +58,6 @@ class TestHitRate:
         b = {(0, 1): 1.0}
         rate = topk_hit_rate(a, b, 1, draws=200)
         assert rate > 0.9
-
-    def test_increasing_k_grid(self):
-        profile = hit_rate_profile(
-            weights_from(np.arange(30)), weights_from(np.arange(30))
-        )
-        assert set(profile) == set(TOPK_GRID)
-        assert all(v == pytest.approx(1.0) for v in profile.values())
 
 
 class TestMeanOverCommunities:

@@ -1,9 +1,8 @@
 """Weight initialisers."""
 
 import numpy as np
-import pytest
 
-from repro.nn import kaiming_uniform, uniform, xavier_uniform, zeros
+from repro.nn import xavier_uniform, zeros
 
 
 class TestInitializers:
@@ -11,12 +10,6 @@ class TestInitializers:
         out = zeros((3, 4))
         assert out.shape == (3, 4)
         np.testing.assert_allclose(out, 0.0)
-
-    def test_uniform_bounds(self):
-        rng = np.random.default_rng(0)
-        out = uniform((1000,), -0.5, 0.5, rng)
-        assert out.min() >= -0.5 and out.max() <= 0.5
-        assert abs(out.mean()) < 0.05
 
     def test_xavier_bound_formula(self):
         rng = np.random.default_rng(0)
@@ -33,12 +26,6 @@ class TestInitializers:
     def test_xavier_one_dim(self):
         out = xavier_uniform((10,), np.random.default_rng(0))
         assert out.shape == (10,)
-
-    def test_kaiming_bound(self):
-        rng = np.random.default_rng(0)
-        out = kaiming_uniform((100, 50), rng)
-        bound = np.sqrt(6.0 / 100)
-        assert np.abs(out).max() <= bound + 1e-12
 
     def test_variance_preservation_through_linear_stack(self):
         """Xavier keeps forward activation scale roughly stable."""

@@ -193,7 +193,6 @@ class TestDurableStore:
         assert sorted(reopened.keys()) == sorted(payload)
         for key, value in payload.items():
             assert reopened.get(key) == value
-        assert dict(reopened.items()) == payload
         reopened.close()
 
     def test_open_supports_private_readers(self, tmp_path):
@@ -337,9 +336,9 @@ class TestGraphStore:
         np.testing.assert_array_equal(loaded.txn_table, tiny_graph.txn_table)
 
     def test_load_features_subset(self, tiny_graph):
-        store = GraphStore(InMemoryKVStore())
-        store.save(tiny_graph)
-        rows = store.load_features([0, 2, 5])
+        kv = InMemoryKVStore()
+        GraphStore(kv).save(tiny_graph)
+        rows = load_rows(kv.get_many, [0, 2, 5])
         np.testing.assert_allclose(rows, tiny_graph.txn_table[tiny_graph.txn_rows([0, 2, 5])])
 
     def test_feature_dtype_roundtrips(self, tiny_graph):
@@ -381,8 +380,6 @@ class TestGraphStore:
         entity = int(np.flatnonzero(tiny_graph.node_type != NODE_TYPE_IDS["txn"])[0])
         with pytest.raises(KeyError):
             load_rows(kv.get_many, [0, entity])
-        with pytest.raises(KeyError):
-            GraphStore(kv).load_features([entity])
 
     def test_loaded_graph_owns_writable_arrays(self, tiny_graph):
         """decode_array hands out read-only views of the stored blob; a
@@ -399,14 +396,14 @@ class TestGraphStore:
         kv = MmapKVStore(str(tmp_path / "g.bin"))
         GraphStore(kv).save(tiny_graph)
         width = tiny_graph.feature_dim
-        assert GraphStore(kv).load_features([]).shape == (0, width)
+        assert load_rows(kv.get_many, []).shape == (0, width)
         with WorkerLoader(kv, private_handle=True) as private:
             assert private.load_features([]).shape == (0, width)
         assert WorkerLoader(kv, private_handle=False).load_features([]).shape == (0, width)
         # No struct/meta to read the width from: still empty, width 0.
         bare = InMemoryKVStore()
         bare.put("feat/0", encode_array(np.zeros(3)))
-        assert GraphStore(bare).load_features([]).shape == (0, 0)
+        assert load_rows(bare.get_many, []).shape == (0, 0)
 
 
 class TestArrayCodec:

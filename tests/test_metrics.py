@@ -133,18 +133,6 @@ class TestConfusion:
         fprs = [r.fpr for r in sweep]
         assert all(a >= b for a, b in zip(fprs, fprs[1:]))
 
-    def test_as_dict_keys(self):
-        rates = confusion_rates(LABELS, SCORES, 0.5)
-        assert set(rates.as_dict()) == {
-            "threshold",
-            "TPR",
-            "TNR",
-            "FPR",
-            "FNR",
-            "precision",
-            "recall",
-        }
-
 
 class TestStreamProjection:
     def test_paper_appendix_h4_value(self):

@@ -107,7 +107,7 @@ class TestLayers:
         np.testing.assert_allclose(table.weight.data, 0.0)
 
     def test_sequential_forward(self):
-        model = nn.Sequential(nn.Linear(2, 4), nn.Tanh(), nn.Linear(4, 1))
+        model = nn.Sequential(nn.Linear(2, 4), nn.ReLU(), nn.Linear(4, 1))
         out = model(Tensor(np.ones((3, 2))))
         assert out.shape == (3, 1)
 

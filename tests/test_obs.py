@@ -18,10 +18,8 @@ from repro.obs import (
     Reservoir,
     Tracer,
     chrome_trace,
-    read_jsonl,
     timed,
     write_chrome_trace,
-    write_jsonl,
 )
 from repro.reliability.faults import ManualClock
 from repro.serving.stats import ServiceStats
@@ -493,15 +491,6 @@ class TestExport:
         assert forward["ts"] + forward["dur"] <= request["ts"] + request["dur"]
         assert forward["args"]["parent_id"] == request["args"]["span_id"]
 
-    def test_jsonl_round_trip(self, tmp_path):
-        path = tmp_path / "spans.jsonl"
-        spans = self._make_spans()
-        assert write_jsonl(spans, str(path)) == 2
-        rows = read_jsonl(str(path))
-        # Export orders by start time: the request opens before its child.
-        assert [row["name"] for row in rows] == ["request", "forward"]
-        assert rows[1]["duration_s"] == pytest.approx(0.030)
-
 
 # ----------------------------------------------------------------------
 # Profiler
@@ -523,14 +512,12 @@ class TestProfiler:
         linear = next(r for r in profiler.records("forward") if r.name == "Linear")
         assert linear.calls == 2
         assert linear.bytes > 0
-        report = profiler.report()
-        assert "forward" in report and "backward" in report
 
     def test_detector_step_has_one_backward_row_per_convolution(
         self, tiny_graph, tiny_splits, detector_config
     ):
         # The convolution is one tape node per layer: its backward is
-        # one row, called once per layer — a report someone can read.
+        # one row, called once per layer.
         from repro.models import XFraudDetector
 
         model = XFraudDetector(detector_config)
@@ -541,7 +528,6 @@ class TestProfiler:
         assert backward["hetero_conv"].bytes > 0
         forward = {row.name: row for row in profiler.records("forward")}
         assert forward["HeteroConvLayer"].calls == detector_config.num_layers
-        assert "hetero_conv" in profiler.report()
 
     def test_detector_plus_training_step_records_five_tape_nodes(self, tiny_graph, tiny_splits):
         # Pinned: a node per layer, the targets' rows, the head, the

@@ -224,4 +224,4 @@ class TestGraphProperties:
         targets = graph.labeled_nodes[:4]
         sampled = SageSampler(hops=2, fanout=fanout, seed=seed).sample(graph, targets)
         sampled.graph.validate()
-        assert sampled.num_targets == len(targets)
+        assert sampled.target_local.size == len(targets)

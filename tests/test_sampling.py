@@ -14,7 +14,7 @@ class TestSageSampler:
         train, _ = tiny_splits
         targets = train[:5]
         sampled = SageSampler(hops=2, fanout=5).sample(tiny_graph, targets)
-        assert sampled.num_targets == 5
+        assert sampled.target_local.size == 5
         np.testing.assert_array_equal(
             sampled.original_ids[sampled.target_local], targets
         )
@@ -93,7 +93,7 @@ class TestTargets:
         plain = sampler.sample(tiny_graph, [])
         disjoint = sampler.sample(tiny_graph, [], disjoint=True)
         for sampled in (plain, disjoint):
-            assert sampled.num_targets == 0 and sampled.graph.num_nodes == 0
+            assert sampled.target_local.size == 0 and sampled.graph.num_nodes == 0
             assert sampled.graph.num_edges == 0
             assert sampled.graph.txn_table.shape == (0, tiny_graph.feature_dim)
             np.testing.assert_array_equal(sampled.bounds, np.zeros((2, 3)))

@@ -33,15 +33,6 @@ class TestEmptyStores:
 
 
 class TestIteration:
-    def test_items_yields_pairs(self, tmp_path):
-        store = MmapKVStore(str(tmp_path / "kv.bin"))
-        payload = {f"k{i}": bytes([i, i]) for i in range(5)}
-        for key, value in payload.items():
-            store.put(key, value)
-        store.finalize()
-        assert dict(store.items()) == payload
-        store.close()
-
     def test_contains_before_finalize(self, tmp_path):
         store = MmapKVStore(str(tmp_path / "kv.bin"))
         store.put("a", b"1")

@@ -26,7 +26,7 @@ import pytest
 
 from repro.check.gen import random_delta, random_hetero_graph
 from repro.check.reference import compacted, scalar_sample
-from repro.data import GeneratorConfig, TransactionGenerator, export_events, generate_log
+from repro.data import GeneratorConfig, TransactionGenerator, export_events
 from repro.data.events import TxnEvent
 from repro.graph import (
     EDGE_TYPE_IDS,
@@ -70,6 +70,12 @@ def _small_config(seed=0, feature_dim=12):
     )
 
 
+def _downsampled_log(config):
+    """A generated log, benign traffic downsampled as the datasets do."""
+    generator = TransactionGenerator(config)
+    return generator.downsample_benign(generator.generate())
+
+
 _ARRAYS = ("node_type", "labels", "txn_table", "edge_src", "edge_dst", "edge_type")
 
 
@@ -83,7 +89,7 @@ def _rebuilt(graph):
 # ----------------------------------------------------------------------
 class TestAppendDelta:
     def _base_graph(self, seed=0):
-        log = generate_log(_small_config(seed))
+        log = _downsampled_log(_small_config(seed))
         graph, _ = build_graph(log)
         return graph
 
@@ -395,7 +401,7 @@ class TestIncrementalBuilder:
         return out
 
     def test_matches_batch_builder(self):
-        log = generate_log(_small_config(seed=5))
+        log = _downsampled_log(_small_config(seed=5))
         batch_graph, batch_index = build_graph(log)
         builder = IncrementalGraphBuilder(feature_dim=len(log.records[0].features))
         events = export_events(log)
@@ -410,8 +416,8 @@ class TestIncrementalBuilder:
         # Same size, same dedup'd entity population...
         assert graph.num_nodes == batch_graph.num_nodes
         assert graph.num_edges == batch_graph.num_edges
-        assert builder.entity_counts() == {
-            kind: len(batch_index[kind]) for kind in builder.entity_counts()
+        assert {kind: len(ids) for kind, ids in builder.index.items()} == {
+            kind: len(ids) for kind, ids in batch_index.items()
         }
         # ...and per-transaction, the same entity neighbourhood and label.
         assert self._neighbourhoods(graph, builder.index) == self._neighbourhoods(
@@ -427,7 +433,7 @@ class TestIncrementalBuilder:
 
     def test_incremental_equals_one_shot(self):
         # Many small flushes must reach the same graph as one big one.
-        log = generate_log(_small_config(seed=2))
+        log = _downsampled_log(_small_config(seed=2))
         events = export_events(log)
         one_shot = IncrementalGraphBuilder(feature_dim=len(log.records[0].features))
         for event in events:
@@ -449,7 +455,7 @@ class TestIncrementalBuilder:
         )
 
     def test_buffer_holds_transaction_rows_only(self):
-        log = generate_log(_small_config(seed=3))
+        log = _downsampled_log(_small_config(seed=3))
         events = export_events(log)
         builder = IncrementalGraphBuilder(feature_dim=12)
         for position, event in enumerate(events):
@@ -470,7 +476,7 @@ class TestIncrementalBuilder:
         from the WAL after a restart."""
         from repro.stream import EventLog, replay_wal
 
-        log = generate_log(_small_config(seed=6))
+        log = _downsampled_log(_small_config(seed=6))
         events = export_events(log)
         live = IncrementalGraphBuilder(feature_dim=12)
         with EventLog(str(tmp_path / "wal"), fsync=False) as wal:
@@ -503,7 +509,7 @@ class TestIncrementalBuilder:
         builder.apply(first)
         builder.apply(second)
         builder.flush()
-        counts = builder.entity_counts()
+        counts = {kind: len(ids) for kind, ids in builder.index.items()}
         assert counts["email"] == 1 and counts["addr"] == 1 and counts["pmt"] == 2
         # The shared email node has an in-edge from both transactions.
         email_node = builder.index["email"][9]
@@ -549,7 +555,7 @@ class TestIncrementalBuilder:
             )
 
     def test_from_log_warm_start_dedups_into_history(self):
-        log = generate_log(_small_config(seed=1))
+        log = _downsampled_log(_small_config(seed=1))
         builder = IncrementalGraphBuilder.from_log(log)
         known_email = next(iter(builder.index["email"]))
         email_node = builder.index["email"][known_email]
@@ -571,7 +577,7 @@ class TestIncrementalBuilder:
         # subgraphs, the sampler vs its scalar spec, all identical.
         # compact() keeps the grown CSR, so the rebuilt side is
         # rebuild_csr(): a CSR is never compared with itself.
-        log = generate_log(_small_config(seed=4))
+        log = _downsampled_log(_small_config(seed=4))
         events = export_events(log)
         builder = IncrementalGraphBuilder(feature_dim=len(log.records[0].features))
         for position, event in enumerate(events):
@@ -754,7 +760,7 @@ class TestOnlineFineTuner:
         FineTuneConfig(max_nodes=1)
 
     def _labelled_graph(self, seed=0):
-        log = generate_log(_small_config(seed))
+        log = _downsampled_log(_small_config(seed))
         graph, _ = build_graph(log)
         return graph
 

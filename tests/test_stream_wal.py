@@ -14,7 +14,7 @@ import zlib
 import numpy as np
 import pytest
 
-from repro.data import GeneratorConfig, TransactionGenerator, export_events, generate_log
+from repro.data import GeneratorConfig, TransactionGenerator, export_events
 from repro.data.events import TxnEvent, decode_event, encode_event
 from repro.stream import EventLog, TornTailError, WalCorruptionError, replay_wal
 
@@ -196,9 +196,8 @@ class TestEventExport:
         assert [e.txn_id for e in first] != [e.txn_id for e in plain]
 
     def test_export_matches_log(self):
-        log = generate_log(
-            GeneratorConfig(num_benign_buyers=30, feature_dim=8, seed=1)
-        )
+        generator = TransactionGenerator(GeneratorConfig(num_benign_buyers=30, feature_dim=8, seed=1))
+        log = generator.downsample_benign(generator.generate())
         events = export_events(log)
         by_id = {record.txn_id: record for record in log}
         assert len(events) == len(log)
