@@ -818,12 +818,14 @@ def _cmd_healthcheck(args) -> int:
     """Exercise a small replicated tier end to end and print its health.
 
     Synthetic and self-contained: N in-memory replicas on a simulated
-    clock, a write + read sweep over ``--keys`` keys, optionally a
-    scripted kill of one replica for the middle third of the sweep, an
-    anti-entropy pass, and finally the per-replica health table (plus
-    the Prometheus text exposition with ``--metrics``). Exits 1 if any
-    replica is still dead at the end — the shape a real deployment's
-    liveness probe would take.
+    clock, a write of ``--keys`` keys, then a sweep that reads and
+    rewrites each, optionally with a scripted kill of one replica for
+    the middle third of it, an anti-entropy pass, three read sweeps, and
+    finally the per-replica health table (plus the Prometheus text
+    exposition with ``--metrics``). Exits 1 if any replica is still dead
+    at the end — the shape a real deployment's liveness probe would
+    take — or if, with ``--kill-replica``, anti-entropy repaired none of
+    the stale copies the killed replica kept, or left one unrepaired.
     """
     from .obs import MetricsRegistry
     from .reliability.faults import FaultPlan, ManualClock
@@ -862,10 +864,15 @@ def _cmd_healthcheck(args) -> int:
 
     for index in range(args.keys):
         store.put(f"hc/{index}", f"value-{index}".encode())
-    for _ in range(3):  # three sweeps: before, during, and after the kill
+    for index in range(args.keys):  # read and rewrite each key; the kill falls in this sweep
+        store.get(f"hc/{index}")
+        store.put(f"hc/{index}", f"value-{index}/1".encode())
+    # A killed replica missed the rewrites made while it was down: the
+    # stale copies it holds now are what anti-entropy must repair.
+    report = store.anti_entropy(repair=True)
+    for _ in range(2):
         for index in range(args.keys):
             store.get(f"hc/{index}")
-    report = store.anti_entropy(repair=True)
     clock.advance(config.probe_interval_s * 2)
     for index in range(args.keys):  # final sweep re-probes anything dead
         store.get(f"hc/{index}")
@@ -878,6 +885,8 @@ def _cmd_healthcheck(args) -> int:
         print(registry.render(), end="")
     dead = [health.index for health in store.health if health.state == "dead"]
     failures = [f"replicas still dead at end of sweep: {dead}"] if dead else []
+    if args.kill_replica is not None and not (report.repaired > 0 and report.unrepairable == 0):
+        failures.append(f"the killed replica's stale copies were not all repaired ({report.describe()})")
 
     if args.stream_events > 0:
         # Streaming-plane health alongside the replica table: a tiny

@@ -227,11 +227,9 @@ class Embedding(Module):
 class ModuleList(Module):
     """Indexable container of sub-modules."""
 
-    def __init__(self, modules=()) -> None:
+    def __init__(self) -> None:
         super().__init__()
         self._items: List[Module] = []
-        for module in modules:
-            self.append(module)
 
     def append(self, module: Module) -> None:
         index = len(self._items)

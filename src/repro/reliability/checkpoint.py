@@ -132,9 +132,6 @@ def _encode_checkpoint(state: TrainingState) -> bytes:
             optim_array_fields[key] = len(value)
             for index, item in enumerate(value):
                 arrays[f"optim::{key}::{index:04d}"] = item
-        elif isinstance(value, np.ndarray):
-            optim_array_fields[key] = -1  # single array, not a list
-            arrays[f"optim::{key}::single"] = value
         else:
             optim_scalars[key] = value
     meta = {
@@ -179,13 +176,8 @@ def _decode_checkpoint(blob: bytes, origin: str) -> TrainingState:
                 best_state[rest] = archive[key]
             elif section == "optim":
                 name, _, index = rest.partition("::")
-                if index == "single":
-                    optim_state[name] = archive[key]
-                else:
-                    optim_lists.setdefault(name, {})[int(index)] = archive[key]
+                optim_lists.setdefault(name, {})[int(index)] = archive[key]
         for name, expected in meta["optim_array_fields"].items():
-            if expected == -1:
-                continue
             items = optim_lists.get(name, {})
             if len(items) != expected:
                 raise CheckpointError(f"{origin}: optimizer field {name!r} is incomplete")

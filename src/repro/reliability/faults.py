@@ -305,6 +305,14 @@ class FaultyKVStore(DelegatingKVStore):
             return bytes(flipped)
         return value
 
+    def put(self, key: str, value: bytes) -> None:
+        """Inside an ``outages`` window the write raises too: a store
+        that is down takes no writes, so it misses them."""
+        now = float(self.clock())
+        if _inside(self.outages, now):
+            self._fault(f"scripted outage at t={now:g} writing {key!r}")
+        self.store.put(key, value)
+
     def _fault(self, message: str) -> None:
         self.injected += 1
         raise TransientReadError(message)

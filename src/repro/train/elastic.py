@@ -58,7 +58,6 @@ import numpy as np
 from ..cluster import DEAD, HEALTHY, PROBING, SUSPECT, mix64
 from ..graph.hetero import HeteroGraph
 from ..graph.partition import pic_partition
-from ..obs.registry import MetricsRegistry
 from ..obs.trace import Tracer, timed
 from ..reliability.checkpoint import (
     CheckpointError,
@@ -184,9 +183,6 @@ class FailureDetector:
         self._intervals[worker] = deque(maxlen=self.window)
         self._last[worker] = at
         self._states[worker] = HEALTHY
-
-    def workers(self) -> List[int]:
-        return sorted(self._states)
 
     def state(self, worker: int) -> str:
         return self._states[worker]
@@ -424,7 +420,6 @@ class ElasticTrainer:
         clock: Optional[ManualClock] = None,
         checkpoint: Optional[Union[CheckpointManager, str]] = None,
         tracer: Optional[Tracer] = None,
-        registry: Optional[MetricsRegistry] = None,
     ) -> None:
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
@@ -438,7 +433,6 @@ class ElasticTrainer:
         if not hasattr(self.clock, "advance"):
             raise TypeError("ElasticTrainer needs an advanceable (ManualClock-like) clock")
         self.tracer = tracer
-        self.registry = registry
         self._manager = (
             CheckpointManager(checkpoint) if isinstance(checkpoint, str) else checkpoint
         )
@@ -467,43 +461,7 @@ class ElasticTrainer:
         }
         self._budget_used = 0
         self.engine = DistributedTrainer(model, self._shards(), self.config)
-        self._metrics_init()
         self._checkpoint_state(-1, [])  # rollback target for epoch-0 faults
-
-    # -- metrics --------------------------------------------------------
-    def _metrics_init(self) -> None:
-        if self.registry is None:
-            self._counters = None
-            return
-        self._counters = {
-            "evictions": self.registry.counter(
-                "elastic_evictions_total", "workers evicted by the supervisor", ("worker",)
-            ),
-            "rejoins": self.registry.counter(
-                "elastic_rejoins_total", "workers readmitted after eviction", ("worker",)
-            ),
-            "quarantines": self.registry.counter(
-                "elastic_quarantines_total", "gradients quarantined", ("worker", "reason")
-            ),
-            "rollbacks": self.registry.counter(
-                "elastic_rollbacks_total", "checkpoint rollbacks taken"
-            ),
-        }
-        self.registry.collect(self._collect)
-
-    def _count(self, name: str, **labels: str) -> None:
-        """The one pushed tally outside a timed block: four cold-path
-        event counters whose ``worker`` / ``reason`` labels no record
-        keeps per label value."""
-        if self._counters is not None:
-            self._counters[name].inc(**labels)
-
-    def _collect(self):
-        yield "gauge", "elastic_members", "live all-reduce group size", {}, len(self.members)
-        help = "phi-accrual suspicion per worker"
-        for worker in self.detector.workers():
-            labels = {"worker": str(worker)}
-            yield "gauge", "elastic_worker_suspicion", help, labels, self.detector.phi(worker)
 
     # -- sharding / checkpointing ---------------------------------------
     def _shards(self) -> List[WorkerPartition]:
@@ -570,7 +528,6 @@ class ElasticTrainer:
         state = self._verified_snapshot()
         with timed(self.tracer, "rollback", epoch=epoch, to_epoch=state.epoch):
             restore_training_state(state, self.model, self.engine.optimizer, self.engine.rng)
-        self._count("rollbacks")
 
     # -- resume ---------------------------------------------------------
     def _restore(self, state: TrainingState, result: ElasticResult) -> int:
@@ -720,7 +677,6 @@ class ElasticTrainer:
                 epoch, worker, REJOIN, f"readmitted probing, caught up from epoch {state.epoch}"
             )
         )
-        self._count("rejoins", worker=str(worker))
 
     def _evict(self, epoch: int, worker: int, record: ElasticEpoch) -> None:
         with timed(self.tracer, "evict", epoch=epoch, worker=worker):
@@ -735,7 +691,6 @@ class ElasticTrainer:
             else f"silent through the {_HEARTBEAT_GRACE_S:g}s grace period"
         )
         record.events.append(FaultEvent(epoch, worker, EVICTION, detail))
-        self._count("evictions", worker=str(worker))
 
     def _attempt_round(self, epoch: int, record: ElasticEpoch) -> _Round:
         """One all-reduce attempt over the current membership."""
@@ -829,7 +784,6 @@ class ElasticTrainer:
                         epoch, shard.worker, QUARANTINE, f"gradient quarantined ({reason})"
                     )
                 )
-            self._count("quarantines", worker=str(shard.worker), reason=reason)
             self._budget_used += 1
             if self._budget_used > self.elastic.skip_budget:
                 raise SkipBudgetExhaustedError(

@@ -626,8 +626,8 @@ class TestReplicaTierGolden:
         argv = ["healthcheck", "--replicas", "3", "--keys", "60", "--kill-replica", "1"]
         assert self._pinned(argv, capsys) == [
             "  path: healthy",
-            "  path: healthy -> suspect -> dead -> probing -> dead -> probing -> healthy",
+            "  path: healthy -> suspect -> dead -> probing -> healthy",
             "  path: healthy",
-            "anti-entropy: 60 keys checked, 0 divergent copies, 0 repaired, 0 unrepairable",
-            "failovers=3 corrupt=0",
+            "anti-entropy: 60 keys checked, 13 divergent copies, 13 repaired, 0 unrepairable",
+            "failovers=0 corrupt=0",
         ]

@@ -148,7 +148,7 @@ class TestRendezvousAssign:
 class TestFailureDetector:
     def test_starts_healthy(self):
         detector, _ = _detector()
-        assert all(detector.state(w) == HEALTHY for w in detector.workers())
+        assert all(detector.state(w) == HEALTHY for w in (0, 1, 2))
 
     def test_phi_grows_with_silence(self):
         detector, clock = _detector()
@@ -248,9 +248,10 @@ class TestFailureDetector:
     def test_add_workers(self):
         detector, clock = _detector([0])
         detector.add(7)
-        assert detector.workers() == [0, 7]
+        assert detector.state(7) == HEALTHY
         detector.heartbeat(3)  # unknown worker: ignored
-        assert detector.workers() == [0, 7]
+        with pytest.raises(KeyError):
+            detector.state(3)
 
     def test_poll_recants_suspect_whose_phi_dropped(self):
         detector, clock = _detector()
@@ -653,29 +654,6 @@ class TestResume:
 # observability wiring
 # ----------------------------------------------------------------------
 class TestObservability:
-    def test_counters_and_gauges(self, tiny_graph, tiny_splits, detector_config):
-        from repro.obs import MetricsRegistry
-
-        registry = MetricsRegistry()
-        plan = FaultPlan(
-            num_workers=4,
-            worker_kill={0: [3]},
-            worker_rejoin={1: [3]},
-            worker_slow={2: {1: 5.0}},
-            grad_corrupt={2: [0]},
-        )
-        trainer, _ = _trainer(
-            tiny_graph, tiny_splits, detector_config, fault_plan=plan, registry=registry
-        )
-        trainer.fit()
-        text = registry.render()
-        assert 'elastic_evictions_total{worker="3"} 1' in text
-        assert 'elastic_rejoins_total{worker="3"} 1' in text
-        assert 'elastic_quarantines_total{worker="0",reason="nan"} 1' in text
-        assert "elastic_rollbacks_total 1" in text
-        assert "elastic_members 4" in text
-        assert "elastic_worker_suspicion" in text
-
     def test_supervision_spans(self, tiny_graph, tiny_splits, detector_config):
         from repro.obs import Tracer
 

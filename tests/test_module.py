@@ -21,7 +21,8 @@ class TestRegistration:
         container = nn.ModuleDict({"a": nn.Linear(2, 2)})
         container["b"] = nn.Linear(2, 2)
         assert "a" in container and "b" in container
-        listing = nn.ModuleList([nn.Linear(2, 2)])
+        listing = nn.ModuleList()
+        listing.append(nn.Linear(2, 2))
         listing.append(nn.Linear(2, 2))
         assert len(listing) == 2
         assert len(nn.Sequential(*listing).parameters()) == 0 or True

@@ -1,5 +1,6 @@
 """The program census's attribution, on a toy package instead of the
-repository's programs (``benchmarks/program_census.py``)."""
+repository's programs (``benchmarks/program_census.py``), and its
+committed results file against ``src/``."""
 
 import importlib.util
 import os
@@ -33,12 +34,16 @@ def checked():
     return 3
 
 
-def outer_dead():
-    return inner_dead() + 1
+def branchy(flag):
+    if flag:
+        return "check"
+    return "program"
 
 
-def inner_dead():
-    return 4
+def validate(value):
+    if value < 0:
+        raise ValueError("negative")
+    return value
 
 
 def on_thread():
@@ -64,15 +69,16 @@ from .. import core
 
 def audit():
     core.checked()
-    core.outer_dead()
+    core.branchy(True)
 '''
 
 
 @pytest.fixture
 def toy(tmp_path):
     """``censustoy.core`` and ``censustoy.check.spec``, imported from
-    ``tmp_path``; a program calls ``reached``, ``run_thread`` and
-    ``check.spec.audit``, a test calls ``test_only``."""
+    ``tmp_path``; a program calls ``reached``, ``branchy(False)``,
+    ``validate(1)``, ``run_thread`` and ``check.spec.audit``, a test
+    calls ``test_only``. Yields the census's entries by key."""
     files = {
         "censustoy/__init__.py": "",
         "censustoy/core.py": _CORE,
@@ -88,15 +94,18 @@ def toy(tmp_path):
         from censustoy import core
         from censustoy.check import spec
 
-        census = census_module.Census(str(tmp_path), "censustoy", os.path.join("censustoy", "check"))
+        excluded = os.path.join("censustoy", "check")
+        census = census_module.Census(str(tmp_path), "censustoy", excluded)
         with census:
             core.reached()
+            core.branchy(False)
+            core.validate(1)
             core.run_thread()
             spec.audit()
         core.test_only()  # a test, not a program
-        found = census_module.functions(str(tmp_path), "censustoy", os.path.join("censustoy", "check"))
-        groups = census_module.unreached(found, census.reached, census.edges)
-        yield {head.qualname: [f.qualname for f in folded] for head, folded in groups}
+        found = census_module.functions(str(tmp_path), "censustoy", excluded)
+        entries = census_module.unrun(str(tmp_path), found, census.ran)
+        yield {entry.key.split(":", 1)[1]: entry for entry in entries}
     finally:
         sys.path.remove(str(tmp_path))
         for name in [name for name in sys.modules if name.split(".")[0] == "censustoy"]:
@@ -104,11 +113,11 @@ def toy(tmp_path):
 
 
 def test_a_function_only_a_test_calls_is_listed(toy):
-    assert "test_only" in toy
+    assert toy["test_only"].statement is None
 
 
 def test_a_function_only_check_calls_is_listed(toy):
-    assert "checked" in toy
+    assert toy["checked"].statement is None
 
 
 def test_reached_functions_are_not_listed(toy):
@@ -120,14 +129,55 @@ def test_a_call_on_a_second_thread_counts_as_reached(toy):
 
 
 def test_only_the_outermost_unreached_function_is_listed(toy):
-    # inner_dead is reached only through outer_dead; nested is defined in never_called
-    assert toy == {
-        "test_only": [],
-        "checked": [],
-        "outer_dead": ["inner_dead"],
-        "never_called": [],
-    }
+    # nested is defined in never_called: folded in, its line counted there
+    assert "never_called.<locals>.nested" not in toy
+    assert toy["never_called"].lines == 2 + 1
 
 
 def test_the_check_package_itself_is_not_listed(toy):
-    assert "audit" not in toy
+    assert not [key for key in toy if key.startswith("audit")]
+
+
+def test_a_branch_taken_only_under_check_is_unrun(toy):
+    entry = toy['branchy | return "check"']
+    assert (entry.lines, entry.validation) == (1, False)
+
+
+def test_a_run_of_raise_statements_is_validation(toy):
+    entry = toy['validate | raise ValueError("negative")']
+    assert (entry.lines, entry.validation) == (1, True)
+
+
+def test_a_function_that_ran_no_line_is_unreached(toy):
+    assert set(toy) == {
+        "test_only", "checked", "never_called", 'branchy | return "check"',
+        'validate | raise ValueError("negative")'}
+    assert {key for key, entry in toy.items() if entry.statement is None} == {
+        "test_only", "checked", "never_called"}
+
+
+def test_every_kept_key_names_a_function_and_line_under_src():
+    """A kept row of the committed results file, and a ``KEPT`` key,
+    names a function that still exists and, for a run, a line of it."""
+    root = census_module.ROOT
+    functions = {f.name: f for f in census_module.functions(root)}
+    texts = {}
+
+    def stale(key):
+        name, _, statement = key.partition(" | ")
+        function = functions.get(name)
+        if function is None:
+            return True
+        if function.path not in texts:
+            with open(os.path.join(root, function.path)) as handle:
+                texts[function.path] = handle.read().splitlines()
+        return bool(statement) and all(texts[function.path][line - 1].strip() != statement
+                                       for line in function.lines)
+
+    with open(census_module.OUTPUT) as handle:
+        sections = handle.read().split("\n## ")
+    (kept,) = [section for section in sections if section.startswith("Kept (")]
+    # a row: "<lines>  <key>  -- <reason>"
+    rows = [line.rsplit("  -- ", 1)[0].split(None, 1)[1] for line in kept.splitlines()[1:] if line]
+    assert rows
+    assert [key for key in rows + sorted(census_module.KEPT) if stale(key)] == []

@@ -170,9 +170,10 @@ class TestReadWritePath:
         store, _, _ = _make_store(
             2,
             clock=clock,
-            wrap=lambda i, r: FaultyKVStore(r, clock, outages=[(0.0, 1e9)]),
+            wrap=lambda i, r: FaultyKVStore(r, clock, outages=[(1.0, 1e9)]),
         )
         store.put("k", b"v")
+        clock.advance(1.0)
         with pytest.raises(AllReplicasFailedError):
             store.get("k")
 
@@ -349,7 +350,7 @@ class TestHealthStateMachine:
         return store, backing, clock
 
     def test_healthy_suspect_dead_progression(self):
-        store, _, clock = self._flaky_store([(0.0, 10.0)], dead_after=3)
+        store, _, clock = self._flaky_store([(0.01, 10.0)], dead_after=3)
         store.put("k", b"v")
         for _ in range(2):
             clock.advance(0.01)
@@ -363,7 +364,7 @@ class TestHealthStateMachine:
         assert store.health[0].state_path() == ("healthy", "suspect", "dead")
 
     def test_dead_replica_skipped_until_probe_interval(self):
-        store, _, clock = self._flaky_store([(0.0, 1.0)], probe_interval_s=0.5)
+        store, _, clock = self._flaky_store([(0.01, 1.0)], probe_interval_s=0.5)
         store.put("k", b"v")
         for _ in range(3):
             clock.advance(0.01)
